@@ -16,7 +16,7 @@
 //! |--------|--------|-----------|
 //! | [`hive`] | HDFS + Parquet warehouse | projection (incl. nested pruning), predicate (stats/dictionary/lazy via the new reader), limit, partition pruning |
 //! | [`mysql`] | OLTP row store (also backs the gateway's routing table, §VIII) | projection, predicate, limit |
-//! | [`druid`] / [`pinot`] | real-time OLAP stores with inverted indexes + rollup (§IV.B, Fig 16) | projection, predicate, limit, **aggregation** |
+//! | [`druid`] / [`pinot`] | real-time OLAP stores: dictionary columns, CSR inverted indexes, typed metric columns, no rollup ([`realtime`]; §IV.B, Fig 16) | projection, predicate, limit, **aggregation** |
 //! | [`memory`] | in-memory tables for tests/examples | projection, predicate, limit |
 //! | [`tpch`] | TPC-H LINEITEM generator (Figs 18–20 workloads) | projection |
 

@@ -3,31 +3,54 @@
 //!
 //! "Druid and Pinot are real time systems, which have in memory bitmap
 //! indices, inverted indices, pre-aggregations or dictionaries, enabling
-//! sub-second query latency." This store models exactly those mechanisms:
+//! sub-second query latency." This store models the indexes and
+//! dictionaries, and keeps data in that encoded, columnar form from the
+//! moment a segment is sealed until a [`Page`] leaves the connector:
 //!
-//! - data lands in immutable **segments** of dictionary-encoded dimension
-//!   columns with **inverted indexes** (value id → row ids) plus raw metric
-//!   columns;
-//! - a **native query API** ([`RealtimeStore::execute_native`]) evaluates
-//!   filter + group-by + aggregate *inside* the store using the indexes and
-//!   returns aggregated rows with a virtual cost — the sub-second path;
-//! - a **raw scan API** ([`RealtimeStore::scan_segments`]) streams (filtered,
-//!   projected) rows out, charging per streamed row — what a connector
-//!   without aggregation pushdown falls back to.
+//! - data lands in immutable **segments** (`realtime/segment.rs`): per
+//!   dimension a sorted dictionary, one code per row and a CSR **inverted
+//!   index** (code → row ids); `ts` and BIGINT/INTEGER metrics as `i64`
+//!   columns, DOUBLE metrics as `f64` columns. There is **no rollup at
+//!   ingest**: the raw scan path (and anything checking answers row by
+//!   row) needs every event, so pre-aggregation happens per query, not per
+//!   segment;
+//! - one columnar **kernel** (`realtime/kernel.rs`) serves every entry
+//!   point: bind column names once, select rows by driving from the most
+//!   selective posting list and probing the other conjuncts, then either
+//!   aggregate column-at-a-time into slot-indexed typed arrays or gather
+//!   blocks;
+//! - the **native query API** ([`RealtimeStore::execute_native`]) returns
+//!   aggregated rows with a virtual cost — the sub-second path;
+//! - the **raw scan API** ([`RealtimeStore::scan_segments`]) streams
+//!   (filtered, projected) rows out, charging per streamed row — what a
+//!   connector without aggregation pushdown falls back to;
+//! - the connector's `scan_split` emits the kernel's pages as they are:
+//!   partial aggregates as typed blocks, raw scans as `Block::Dictionary`
+//!   over each segment's dictionary plus typed slices, one page per segment.
 //!
-//! Virtual costs are returned per call so benchmarks can model parallel
-//! split execution (latency = max over splits) rather than serializing on a
-//! global clock.
+//! Virtual costs are a model of Druid, not of this code. They are returned
+//! per call so benchmarks can model parallel split execution (latency = max
+//! over splits) rather than serializing on a global clock.
 
-use std::collections::{BTreeMap, HashMap};
+mod kernel;
+mod segment;
+
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
+use presto_common::ids::SplitId;
 use presto_common::metrics::{names, CounterSet};
-use presto_common::{DataType, PrestoError, Result, Schema, Value};
-use presto_expr::{Accumulator, AggregateFunction};
+use presto_common::{DataType, Page, PrestoError, Result, Schema, Value};
+use presto_expr::AggregateFunction;
 use presto_parquet::ScalarPredicate;
+
+use crate::spi::{
+    ColumnPath, Connector, ConnectorSplit, ScanCapabilities, ScanHooks, ScanRequest, SplitPayload,
+};
+use kernel::GroupedAggregation;
+use segment::{ColumnRef, IntKind, Segment};
 
 /// Store cost model (virtual time).
 #[derive(Debug, Clone)]
@@ -50,35 +73,12 @@ impl Default for RealtimeCostModel {
     }
 }
 
-/// One dictionary-encoded dimension column with its inverted index.
-#[derive(Debug)]
-struct DimColumn {
-    dictionary: Vec<String>,
-    ids: Vec<u32>,
-    /// value id → sorted row ids (the "in memory bitmap index").
-    inverted: HashMap<u32, Vec<u32>>,
-}
-
-/// One immutable segment.
-#[derive(Debug)]
-pub struct Segment {
-    rows: usize,
-    /// Event timestamps (millis), ascending within the segment.
-    time: Vec<i64>,
-    dims: Vec<DimColumn>,
-    metrics: Vec<Vec<f64>>,
-}
-
 /// A table: time column + dimension columns (varchar) + metric columns
-/// (bigint/double), the classic Druid/Pinot shape.
+/// (bigint/integer/double), the classic Druid/Pinot shape.
 pub struct RealtimeTable {
     schema: Schema,
-    /// Indices into `schema` for dims, parallel to `Segment::dims`.
-    dim_cols: Vec<usize>,
-    /// Indices into `schema` for metrics, parallel to `Segment::metrics`.
-    metric_cols: Vec<usize>,
-    /// Index into `schema` of the time column.
-    time_col: usize,
+    /// Where each column of `schema` lives inside a segment.
+    columns: Vec<ColumnRef>,
     segments: Vec<Segment>,
 }
 
@@ -97,6 +97,21 @@ impl RealtimeTable {
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
+
+    /// Resolve a column name to its in-segment handle and SQL type.
+    fn column(&self, name: &str) -> Result<(ColumnRef, &DataType)> {
+        let index = self
+            .schema
+            .index_of(name)
+            .ok_or_else(|| PrestoError::Connector(format!("no column '{name}'")))?;
+        Ok((self.columns[index], &self.schema.field_at(index).data_type))
+    }
+
+    /// The segments of `range` (`None` = all), clipped to those that exist.
+    fn segments(&self, range: Option<(usize, usize)>) -> &[Segment] {
+        let (start, end) = range.unwrap_or((0, self.segments.len()));
+        self.segments.get(start..end.min(self.segments.len())).unwrap_or(&[])
+    }
 }
 
 /// A native filter + group-by + aggregate query.
@@ -104,9 +119,9 @@ impl RealtimeTable {
 pub struct NativeQuery {
     /// Conjunctive filters by column name.
     pub filters: Vec<(String, ScalarPredicate)>,
-    /// GROUP BY dimension names.
+    /// GROUP BY column names.
     pub group_by: Vec<String>,
-    /// Aggregates: function + metric name (`None` = count(*)).
+    /// Aggregates: function + column name (`None` = count(*)).
     pub aggregates: Vec<(AggregateFunction, Option<String>)>,
     /// LIMIT on output rows.
     pub limit: Option<usize>,
@@ -140,11 +155,12 @@ pub struct NativeResult {
     pub rows_matched: u64,
 }
 
-/// Counters recorded: `rt.native_queries`, `rt.rows_matched`,
-/// `rt.rows_streamed`.
 type RealtimeTables = BTreeMap<(String, String), Arc<RealtimeTable>>;
 
 /// The store: named tables of segments. Cloning shares the data.
+///
+/// Counters recorded: `rt.native_queries`, `rt.rows_matched`,
+/// `rt.rows_streamed`.
 #[derive(Clone)]
 pub struct RealtimeStore {
     kind: &'static str,
@@ -183,40 +199,48 @@ impl RealtimeStore {
     /// Create a table. The schema must be: one `timestamp` column, then any
     /// number of varchar dimensions and numeric metrics.
     pub fn create_table(&self, schema_name: &str, table: &str, schema: Schema) -> Result<()> {
-        let mut time_col = None;
-        let mut dim_cols = Vec::new();
-        let mut metric_cols = Vec::new();
-        for (i, f) in schema.fields().iter().enumerate() {
-            match &f.data_type {
-                DataType::Timestamp if time_col.is_none() => time_col = Some(i),
-                DataType::Varchar => dim_cols.push(i),
-                DataType::Bigint | DataType::Double | DataType::Integer => metric_cols.push(i),
+        // each column's position within its kind's vector of a segment
+        let (mut dims, mut ints, mut doubles) = (0, 0, 0);
+        let next = |counter: &mut usize| {
+            *counter += 1;
+            *counter - 1
+        };
+        let mut has_time = false;
+        let mut columns = Vec::with_capacity(schema.len());
+        for f in schema.fields() {
+            columns.push(match &f.data_type {
+                DataType::Timestamp if !has_time => {
+                    has_time = true;
+                    ColumnRef::Int(next(&mut ints), IntKind::Timestamp)
+                }
+                DataType::Varchar => ColumnRef::Dim(next(&mut dims)),
+                DataType::Bigint => ColumnRef::Int(next(&mut ints), IntKind::Bigint),
+                DataType::Integer => ColumnRef::Int(next(&mut ints), IntKind::Integer),
+                DataType::Double => ColumnRef::Double(next(&mut doubles)),
                 other => {
                     return Err(PrestoError::Connector(format!(
                         "{} does not support column type {other}",
                         self.kind
                     )))
                 }
-            }
+            });
         }
-        let time_col = time_col.ok_or_else(|| {
-            PrestoError::Connector(format!("{} tables need a timestamp column", self.kind))
-        })?;
+        if !has_time {
+            return Err(PrestoError::Connector(format!(
+                "{} tables need a timestamp column",
+                self.kind
+            )));
+        }
         self.tables.write().insert(
             (schema_name.into(), table.into()),
-            Arc::new(RealtimeTable {
-                schema,
-                dim_cols,
-                metric_cols,
-                time_col,
-                segments: Vec::new(),
-            }),
+            Arc::new(RealtimeTable { schema, columns, segments: Vec::new() }),
         );
         Ok(())
     }
 
     /// Ingest rows (in event-time order), sealing segments of
-    /// `rows_per_segment` with dictionaries and inverted indexes.
+    /// `rows_per_segment` with dictionaries and inverted indexes. The rows
+    /// are read once and dropped; nothing row-shaped is kept.
     ///
     /// Columns are effectively NOT NULL, like Druid's default ingestion:
     /// NULL dimensions coerce to `""` and NULL metrics to `0` at ingest.
@@ -224,33 +248,21 @@ impl RealtimeStore {
     pub fn ingest(&self, schema_name: &str, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
         let mut tables = self.tables.write();
         let key = (schema_name.to_string(), table.to_string());
-        let existing = tables
-            .get(&key)
+        let shared = tables
+            .get_mut(&key)
             .ok_or_else(|| PrestoError::Connector(format!("no table {schema_name}.{table}")))?;
-        // Rebuild with appended segments (tables are Arc-shared snapshots).
-        let mut segments: Vec<Segment> =
-            Vec::with_capacity(existing.segments.len() + rows.len() / self.rows_per_segment + 1);
-        let old = tables.remove(&key).expect("checked above");
-        let old = match Arc::try_unwrap(old) {
-            Ok(table) => table,
-            Err(shared) => {
-                // a scan holds a snapshot: put the table back untouched
-                // before erroring, or it would vanish from the catalog
-                tables.insert(key, shared);
-                return Err(PrestoError::Connector(
-                    "cannot ingest while scans hold table snapshots".into(),
-                ));
-            }
-        };
-        let RealtimeTable { schema, dim_cols, metric_cols, time_col, segments: old_segments } = old;
-        segments.extend(old_segments);
-        for chunk in rows.chunks(self.rows_per_segment) {
-            segments.push(build_segment(&schema, &dim_cols, &metric_cols, time_col, chunk)?);
+        // tables are Arc-shared snapshots: append in place only while no
+        // scan holds one
+        let t = Arc::get_mut(shared).ok_or_else(|| {
+            PrestoError::Connector("cannot ingest while scans hold table snapshots".into())
+        })?;
+        if rows.iter().any(|r| r.len() != t.schema.len()) {
+            return Err(PrestoError::Connector("row width mismatch at ingest".into()));
         }
-        tables.insert(
-            key,
-            Arc::new(RealtimeTable { schema, dim_cols, metric_cols, time_col, segments }),
-        );
+        t.segments.reserve_exact(rows.len().div_ceil(self.rows_per_segment));
+        for chunk in rows.chunks(self.rows_per_segment) {
+            t.segments.push(Segment::seal(&t.columns, chunk));
+        }
         Ok(())
     }
 
@@ -273,7 +285,9 @@ impl RealtimeStore {
 
     /// Execute a native query over a segment range (`None` = all segments).
     /// This is the sub-second path: inverted indexes produce matching row
-    /// ids, only those rows are aggregated.
+    /// ids, only those rows are aggregated. Output rows are sorted by group
+    /// key; a group exists only if a row matched it, so a filter matching
+    /// nothing returns no rows, even without GROUP BY.
     pub fn execute_native(
         &self,
         schema_name: &str,
@@ -281,65 +295,19 @@ impl RealtimeStore {
         query: &NativeQuery,
         segment_range: Option<(usize, usize)>,
     ) -> Result<NativeResult> {
-        self.metrics.incr(names::RT_NATIVE_QUERIES);
-        let t = self.table(schema_name, table)?;
-        let (start, end) = segment_range.unwrap_or((0, t.segments.len()));
-        // Segments are scanned by parallel historicals: the query's latency
-        // is the slowest segment's cost, not the sum.
-        let mut cost = Duration::ZERO;
-        let mut matched_total = 0u64;
-
-        // group key → accumulators
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        let make_accs = |q: &NativeQuery| -> Vec<Accumulator> {
-            q.aggregates.iter().map(|(f, _)| f.new_accumulator()).collect()
-        };
-
-        for seg in &t.segments[start..end.min(t.segments.len())] {
-            let matching = match_rows(&t, seg, &query.filters)?;
-            matched_total += matching.len() as u64;
-            let seg_cost =
-                self.cost.per_segment_base + self.cost.per_matched_row * matching.len() as u32;
-            cost = cost.max(seg_cost);
-            for &row in &matching {
-                let key: Vec<Value> = query
-                    .group_by
-                    .iter()
-                    .map(|d| column_value(&t, seg, d, row as usize))
-                    .collect::<Result<Vec<_>>>()?;
-                let accs = groups.entry(key).or_insert_with(|| make_accs(query));
-                for (acc, (func, arg)) in accs.iter_mut().zip(query.aggregates.iter()) {
-                    match (func, arg) {
-                        (AggregateFunction::CountStar, _) | (_, None) => acc.add_count(1),
-                        (_, Some(metric)) => acc.add(&column_value(&t, seg, metric, row as usize)?),
-                    }
-                }
-            }
-        }
-        self.metrics.add(names::RT_ROWS_MATCHED, matched_total);
-
-        let mut rows: Vec<Vec<Value>> = groups
-            .into_iter()
-            .map(|(mut key, accs)| {
-                key.extend(accs.iter().map(Accumulator::finish));
-                key
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let (page, cost, rows_matched) =
+            self.aggregate(schema_name, table, query, segment_range)?;
+        let mut rows = page.rows();
         if let Some(limit) = query.limit {
             rows.truncate(limit);
         }
-        Ok(NativeResult { rows, cost, rows_matched: matched_total })
+        Ok(NativeResult { rows, cost, rows_matched })
     }
 
     /// Raw scan of a segment range: stream (filtered, projected) rows out —
-    /// the no-aggregation-pushdown path. Returns rows plus virtual cost.
+    /// the no-aggregation-pushdown path. Returns rows plus virtual cost. A
+    /// `limit` stops at the segment that satisfies it; every segment
+    /// visited is charged for all the rows it matched.
     #[allow(clippy::type_complexity)]
     pub fn scan_segments(
         &self,
@@ -350,189 +318,93 @@ impl RealtimeStore {
         limit: Option<usize>,
         segment_range: Option<(usize, usize)>,
     ) -> Result<(Vec<Vec<Value>>, ScanCost)> {
+        let (pages, cost) =
+            self.scan(schema_name, table, columns, filters, limit, segment_range)?;
+        Ok((pages.iter().flat_map(Page::rows).collect(), cost))
+    }
+
+    /// Virtual cost of one segment in which `matched` rows pass the filter.
+    fn segment_cost(&self, matched: usize) -> Duration {
+        self.cost.per_segment_base + self.cost.per_matched_row * matched as u32
+    }
+
+    /// The native query as one partial-aggregate page (ignoring its limit),
+    /// its virtual cost and its matched-row count.
+    fn aggregate(
+        &self,
+        schema_name: &str,
+        table: &str,
+        query: &NativeQuery,
+        segment_range: Option<(usize, usize)>,
+    ) -> Result<(Page, Duration, u64)> {
+        self.metrics.incr(names::RT_NATIVE_QUERIES);
         let t = self.table(schema_name, table)?;
-        let (start, end) = segment_range.unwrap_or((0, t.segments.len()));
-        let mut out = Vec::new();
+        let conjuncts = kernel::compile(&t, &query.filters)?;
+        let mut aggregation = GroupedAggregation::new(&t, &query.group_by, &query.aggregates)?;
+        // Segments are scanned by parallel historicals: the query's latency
+        // is the slowest segment's cost, not the sum.
+        let mut cost = Duration::ZERO;
+        let mut matched = 0u64;
+        let mut candidates = Vec::new();
+        for seg in t.segments(segment_range) {
+            let selection = kernel::select(seg, &conjuncts, &mut candidates);
+            matched += selection.len() as u64;
+            cost = cost.max(self.segment_cost(selection.len()));
+            aggregation.consume(seg, &selection);
+        }
+        self.metrics.add(names::RT_ROWS_MATCHED, matched);
+        Ok((aggregation.finish()?, cost, matched))
+    }
+
+    /// The raw scan as one page per segment that streamed rows.
+    fn scan(
+        &self,
+        schema_name: &str,
+        table: &str,
+        columns: &[String],
+        filters: &[(String, ScalarPredicate)],
+        limit: Option<usize>,
+        segment_range: Option<(usize, usize)>,
+    ) -> Result<(Vec<Page>, ScanCost)> {
+        let t = self.table(schema_name, table)?;
+        let columns: Vec<ColumnRef> = columns
+            .iter()
+            .map(|name| t.column(name).map(|(column, _)| column))
+            .collect::<Result<_>>()?;
+        let conjuncts = kernel::compile(&t, filters)?;
         // parallel historicals again: max per-segment filter cost, plus
         // serialized stream-out of every row that crosses the wire
-        let mut filter_cost = Duration::ZERO;
-        'segments: for seg in &t.segments[start..end.min(t.segments.len())] {
-            let matching = match_rows(&t, seg, filters)?;
-            let seg_cost =
-                self.cost.per_segment_base + self.cost.per_matched_row * matching.len() as u32;
-            filter_cost = filter_cost.max(seg_cost);
-            for &row in &matching {
-                let mut record = Vec::with_capacity(columns.len());
-                for c in columns {
-                    record.push(column_value(&t, seg, c, row as usize)?);
-                }
-                out.push(record);
-                if let Some(l) = limit {
-                    if out.len() >= l {
-                        break 'segments;
-                    }
-                }
-            }
-        }
-        self.metrics.add(names::RT_ROWS_STREAMED, out.len() as u64);
-        let stream = self.cost.per_streamed_row * out.len() as u32;
-        Ok((out, ScanCost { filter: filter_cost, stream }))
-    }
-}
-
-/// Build one sealed segment from raw rows.
-fn build_segment(
-    schema: &Schema,
-    dim_cols: &[usize],
-    metric_cols: &[usize],
-    time_col: usize,
-    rows: &[Vec<Value>],
-) -> Result<Segment> {
-    let mut time = Vec::with_capacity(rows.len());
-    for r in rows {
-        if r.len() != schema.len() {
-            return Err(PrestoError::Connector("row width mismatch at ingest".into()));
-        }
-        time.push(r[time_col].as_i64().unwrap_or(0));
-    }
-    let mut dims = Vec::with_capacity(dim_cols.len());
-    for &c in dim_cols {
-        let mut dictionary: Vec<String> = Vec::new();
-        let mut index: HashMap<String, u32> = HashMap::new();
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut inverted: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (row_id, r) in rows.iter().enumerate() {
-            let s = r[c].as_str().unwrap_or("").to_string();
-            let id = *index.entry(s.clone()).or_insert_with(|| {
-                dictionary.push(s);
-                (dictionary.len() - 1) as u32
-            });
-            ids.push(id);
-            inverted.entry(id).or_default().push(row_id as u32);
-        }
-        dims.push(DimColumn { dictionary, ids, inverted });
-    }
-    let mut metrics = Vec::with_capacity(metric_cols.len());
-    for &c in metric_cols {
-        metrics.push(rows.iter().map(|r| r[c].as_f64().unwrap_or(0.0)).collect());
-    }
-    Ok(Segment { rows: rows.len(), time, dims, metrics })
-}
-
-/// Row ids in a segment matching all filters, using inverted indexes for
-/// dimension equality/IN and scans otherwise.
-fn match_rows(
-    t: &RealtimeTable,
-    seg: &Segment,
-    filters: &[(String, ScalarPredicate)],
-) -> Result<Vec<u32>> {
-    // Start from the most selective index-answerable filter.
-    let mut candidate: Option<Vec<u32>> = None;
-    let mut residual: Vec<(&String, &ScalarPredicate)> = Vec::new();
-    for (col, pred) in filters {
-        if let Some(dim_pos) = t.dim_cols.iter().position(|&c| t.schema.field_at(c).name == *col) {
-            let dim = &seg.dims[dim_pos];
-            match pred {
-                ScalarPredicate::Eq(Value::Varchar(s)) => {
-                    let rows = dim
-                        .dictionary
-                        .iter()
-                        .position(|d| d == s)
-                        .and_then(|id| dim.inverted.get(&(id as u32)))
-                        .cloned()
-                        .unwrap_or_default();
-                    candidate = Some(intersect(candidate, rows));
-                    continue;
-                }
-                ScalarPredicate::In(values) => {
-                    let mut rows: Vec<u32> = Vec::new();
-                    for v in values {
-                        if let Value::Varchar(s) = v {
-                            if let Some(id) = dim.dictionary.iter().position(|d| d == s) {
-                                if let Some(r) = dim.inverted.get(&(id as u32)) {
-                                    rows.extend_from_slice(r);
-                                }
-                            }
-                        }
-                    }
-                    rows.sort_unstable();
-                    rows.dedup();
-                    candidate = Some(intersect(candidate, rows));
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        residual.push((col, pred));
-    }
-    let base: Vec<u32> = match candidate {
-        Some(rows) => rows,
-        None => (0..seg.rows as u32).collect(),
-    };
-    if residual.is_empty() {
-        return Ok(base);
-    }
-    let mut out = Vec::with_capacity(base.len());
-    for row in base {
-        let mut keep = true;
-        for (col, pred) in &residual {
-            let v = column_value(t, seg, col, row as usize)?;
-            if !pred.matches(&v) {
-                keep = false;
+        let mut filter = Duration::ZERO;
+        let mut wanted = limit.unwrap_or(usize::MAX);
+        let mut streamed = 0usize;
+        let mut pages = Vec::new();
+        let mut candidates = Vec::new();
+        for seg in t.segments(segment_range) {
+            if wanted == 0 {
                 break;
             }
+            let selection = kernel::select(seg, &conjuncts, &mut candidates);
+            filter = filter.max(self.segment_cost(selection.len()));
+            let selection = selection.first(wanted);
+            if selection.len() > 0 {
+                pages.push(kernel::gather_page(seg, &columns, &selection)?);
+                wanted -= selection.len();
+                streamed += selection.len();
+            }
         }
-        if keep {
-            out.push(row);
-        }
+        self.metrics.add(names::RT_ROWS_STREAMED, streamed as u64);
+        Ok((pages, ScanCost { filter, stream: self.cost.per_streamed_row * streamed as u32 }))
     }
-    Ok(out)
-}
-
-fn intersect(acc: Option<Vec<u32>>, rows: Vec<u32>) -> Vec<u32> {
-    match acc {
-        None => rows,
-        Some(prev) => {
-            let set: std::collections::HashSet<u32> = rows.into_iter().collect();
-            prev.into_iter().filter(|r| set.contains(r)).collect()
-        }
-    }
-}
-
-/// Read one cell from a segment by column name.
-fn column_value(t: &RealtimeTable, seg: &Segment, column: &str, row: usize) -> Result<Value> {
-    let idx = t
-        .schema
-        .index_of(column)
-        .ok_or_else(|| PrestoError::Connector(format!("no column '{column}'")))?;
-    if idx == t.time_col {
-        return Ok(Value::Timestamp(seg.time[row]));
-    }
-    if let Some(pos) = t.dim_cols.iter().position(|&c| c == idx) {
-        let dim = &seg.dims[pos];
-        return Ok(Value::Varchar(dim.dictionary[dim.ids[row] as usize].clone()));
-    }
-    if let Some(pos) = t.metric_cols.iter().position(|&c| c == idx) {
-        let raw = seg.metrics[pos][row];
-        return Ok(match t.schema.field_at(idx).data_type {
-            DataType::Double => Value::Double(raw),
-            DataType::Integer => Value::Integer(raw as i32),
-            _ => Value::Bigint(raw as i64),
-        });
-    }
-    Err(PrestoError::Internal(format!("column '{column}' not classified")))
 }
 
 // --------------------------------------------------------------- connector
 
-use crate::spi::{
-    Connector, ConnectorSplit, ScanCapabilities, ScanHooks, ScanRequest, SplitPayload,
-};
-use presto_common::ids::SplitId;
-use presto_common::{Block, Page};
-
 /// Segments per split when the split manager shards a table.
 const SEGMENTS_PER_SPLIT: usize = 4;
+
+/// Split-scan costs kept until taken; older ones are dropped. Far above the
+/// split count of any one query (1,024 splits = 40M Druid rows).
+const SCAN_COST_HISTORY: usize = 1024;
 
 /// The Presto connector over a [`RealtimeStore`] — shared by the Druid and
 /// Pinot connectors, which differ only in store personality.
@@ -546,13 +418,13 @@ const SEGMENTS_PER_SPLIT: usize = 4;
 #[derive(Clone)]
 pub struct RealtimeConnector {
     store: RealtimeStore,
-    last_scan_costs: Arc<RwLock<Vec<ScanCost>>>,
+    last_scan_costs: Arc<RwLock<VecDeque<ScanCost>>>,
 }
 
 impl RealtimeConnector {
     /// Wrap a store.
     pub fn new(store: RealtimeStore) -> RealtimeConnector {
-        RealtimeConnector { store, last_scan_costs: Arc::new(RwLock::new(Vec::new())) }
+        RealtimeConnector { store, last_scan_costs: Arc::new(RwLock::new(VecDeque::new())) }
     }
 
     /// The underlying store (for ingest and native-path baselines).
@@ -565,31 +437,32 @@ impl RealtimeConnector {
         self.take_last_scan_costs().into_iter().map(|c| c.total()).sum()
     }
 
-    /// Per-split virtual costs since the last call. Splits execute on
-    /// parallel workers, so a latency model takes the max of the filter
-    /// parts and (for unlimited scans) the sum of the stream parts.
+    /// Per-split virtual costs since the last call (only the newest are
+    /// kept when nobody takes them: a bounded history, not a log). Splits
+    /// execute on parallel workers, so a latency model takes the max of the
+    /// filter parts and (for unlimited scans) the sum of the stream parts.
     pub fn take_last_scan_costs(&self) -> Vec<ScanCost> {
-        std::mem::take(&mut *self.last_scan_costs.write())
+        std::mem::take(&mut *self.last_scan_costs.write()).into()
     }
 
     fn add_cost(&self, c: ScanCost) {
-        self.last_scan_costs.write().push(c);
+        let mut costs = self.last_scan_costs.write();
+        if costs.len() == SCAN_COST_HISTORY {
+            costs.pop_front();
+        }
+        costs.push_back(c);
     }
+}
 
-    fn request_filters(request: &ScanRequest) -> Result<Vec<(String, ScalarPredicate)>> {
-        request
-            .predicate
-            .iter()
-            .map(|p| {
-                if !p.target.path.is_empty() {
-                    return Err(PrestoError::Connector(
-                        "realtime stores have flat columns; nested predicate unsupported".into(),
-                    ));
-                }
-                Ok((p.target.column.clone(), p.predicate.clone()))
-            })
-            .collect()
+/// The name of a pushed-down column; the store has no nested columns.
+fn flat_column(path: &ColumnPath) -> Result<String> {
+    if !path.path.is_empty() {
+        return Err(PrestoError::Connector(format!(
+            "realtime stores have flat columns; nested path {} unsupported",
+            path.dotted()
+        )));
     }
+    Ok(path.column.clone())
 }
 
 impl Connector for RealtimeConnector {
@@ -656,8 +529,8 @@ impl Connector for RealtimeConnector {
         request: &ScanRequest,
         hooks: &ScanHooks,
     ) -> Result<Vec<Page>> {
-        let (start, end) = match &split.payload {
-            SplitPayload::Segments { start, end } => (*start, *end),
+        let range = match &split.payload {
+            SplitPayload::Segments { start, end } => Some((*start, *end)),
             other => {
                 return Err(PrestoError::Connector(format!(
                     "{} connector got foreign split {other:?}",
@@ -665,8 +538,11 @@ impl Connector for RealtimeConnector {
                 )))
             }
         };
-        let table_schema = self.table_schema(&split.schema, &split.table)?;
-        let filters = Self::request_filters(request)?;
+        let filters = request
+            .predicate
+            .iter()
+            .map(|p| Ok((flat_column(&p.target)?, p.predicate.clone())))
+            .collect::<Result<Vec<_>>>()?;
 
         match &request.aggregation {
             Some(agg) => {
@@ -674,58 +550,41 @@ impl Connector for RealtimeConnector {
                 // per split; stream only aggregated rows (Fig 2 right side).
                 let query = NativeQuery {
                     filters,
-                    group_by: agg.group_by.iter().map(|g| g.column.clone()).collect(),
+                    group_by: agg.group_by.iter().map(flat_column).collect::<Result<_>>()?,
                     aggregates: agg
                         .aggregates
                         .iter()
-                        .map(|(f, arg)| (*f, arg.as_ref().map(|a| a.column.clone())))
-                        .collect(),
+                        .map(|(f, arg)| Ok((*f, arg.as_ref().map(flat_column).transpose()?)))
+                        .collect::<Result<_>>()?,
                     // limits cannot be applied to partials before the final
                     // aggregation, so they stay in the engine
                     limit: None,
                 };
-                let result = self.store.execute_native(
-                    &split.schema,
-                    &split.table,
-                    &query,
-                    Some((start, end)),
-                )?;
-                self.add_cost(ScanCost { filter: result.cost, stream: Duration::ZERO });
+                let (page, cost, _) =
+                    self.store.aggregate(&split.schema, &split.table, &query, range)?;
+                self.add_cost(ScanCost { filter: cost, stream: Duration::ZERO });
                 hooks.on_page()?;
-                let out_schema = request.output_schema(&table_schema)?;
-                Ok(vec![rows_to_page(&out_schema, &result.rows)?])
+                Ok(vec![page])
             }
             None => {
                 let columns: Vec<String> =
-                    request.columns.iter().map(|c| c.column.clone()).collect();
-                let (rows, cost) = self.store.scan_segments(
+                    request.columns.iter().map(flat_column).collect::<Result<_>>()?;
+                let (pages, cost) = self.store.scan(
                     &split.schema,
                     &split.table,
                     &columns,
                     &filters,
                     request.limit,
-                    Some((start, end)),
+                    range,
                 )?;
                 self.add_cost(cost);
-                hooks.on_page()?;
-                let out_schema = request.output_schema(&table_schema)?;
-                Ok(vec![rows_to_page(&out_schema, &rows)?])
+                for _ in &pages {
+                    hooks.on_page()?;
+                }
+                Ok(pages)
             }
         }
     }
-}
-
-/// Columnarize result rows.
-fn rows_to_page(schema: &Schema, rows: &[Vec<Value>]) -> Result<Page> {
-    if schema.is_empty() {
-        return Ok(Page::zero_column(rows.len()));
-    }
-    let mut blocks = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
-    }
-    Page::new(blocks)
 }
 
 #[cfg(test)]
@@ -898,6 +757,92 @@ mod tests {
             "raw streaming ({scan_cost:?}) should dwarf native ({:?})",
             native.cost
         );
+    }
+
+    #[test]
+    fn limit_zero_streams_no_row_and_charges_nothing() {
+        let store = store_with_events(1000, 250);
+        let (rows, cost) = store
+            .scan_segments("default", "events", &["country".into()], &[], Some(0), None)
+            .unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(cost, ScanCost::default());
+        assert_eq!(store.metrics().get(names::RT_ROWS_STREAMED), 0);
+    }
+
+    #[test]
+    fn bigint_metrics_are_exact_above_2_pow_53() {
+        let store = RealtimeStore::new("druid", 2, RealtimeCostModel::default());
+        let schema = Schema::new(vec![
+            Field::new("ts", DataType::Timestamp),
+            Field::new("big", DataType::Bigint),
+            Field::new("small", DataType::Integer),
+        ])
+        .unwrap();
+        store.create_table("s", "t", schema).unwrap();
+        let bigs = [i64::MAX - 1, -(1 << 53) - 1, 9_007_199_254_740_993];
+        let smalls = [i32::MAX, i32::MIN, 7];
+        let rows = (0..3)
+            .map(|i| vec![Value::Timestamp(i as i64), bigs[i].into(), smalls[i].into()])
+            .collect();
+        store.ingest("s", "t", rows).unwrap();
+
+        let (rows, _) = store
+            .scan_segments("s", "t", &["big".into(), "small".into()], &[], None, None)
+            .unwrap();
+        let expected: Vec<Vec<Value>> =
+            (0..3).map(|i| vec![Value::Bigint(bigs[i]), Value::Integer(smalls[i])]).collect();
+        assert_eq!(rows, expected);
+
+        let aggregate = |function, column: &str| {
+            let query = NativeQuery {
+                aggregates: vec![(function, Some(column.to_string()))],
+                ..NativeQuery::default()
+            };
+            store.execute_native("s", "t", &query, None).unwrap().rows[0][0].clone()
+        };
+        // sums wrap, as `Accumulator::Sum` does
+        let wrapped = bigs.iter().fold(0i64, |sum, x| sum.wrapping_add(*x));
+        assert_eq!(aggregate(AggregateFunction::Sum, "big"), Value::Bigint(wrapped));
+        assert_eq!(aggregate(AggregateFunction::Min, "big"), Value::Bigint(bigs[1]));
+        assert_eq!(aggregate(AggregateFunction::Max, "big"), Value::Bigint(bigs[0]));
+        assert_eq!(aggregate(AggregateFunction::Sum, "small"), Value::Bigint(6));
+        assert_eq!(aggregate(AggregateFunction::Min, "small"), Value::Integer(i32::MIN));
+        assert_eq!(aggregate(AggregateFunction::Max, "small"), Value::Integer(i32::MAX));
+    }
+
+    #[test]
+    fn untaken_scan_costs_are_bounded_and_the_last_query_still_reads_its_own() {
+        // 5 segments → 2 splits
+        let connector = RealtimeConnector::new(store_with_events(1000, 200));
+        let request = ScanRequest::project(vec![ColumnPath::whole("clicks")]);
+        let splits = connector.splits("default", "events", &request).unwrap();
+        assert_eq!(splits.len(), 2);
+        for _ in 0..5_000 {
+            for split in &splits {
+                connector.scan_split(split, &request, &ScanHooks::none()).unwrap();
+            }
+        }
+        // what an engine that never asks leaves behind
+        assert_eq!(connector.last_scan_costs.read().len(), SCAN_COST_HISTORY);
+        // fig16 and the dashboard example: drain, run one query, read its splits
+        assert_eq!(connector.take_last_scan_costs().len(), SCAN_COST_HISTORY);
+        let expected: Vec<ScanCost> = [(0, 4), (4, 5)]
+            .into_iter()
+            .map(|range| {
+                let columns = ["clicks".to_string()];
+                connector
+                    .store()
+                    .scan_segments("default", "events", &columns, &[], None, Some(range))
+                    .unwrap()
+                    .1
+            })
+            .collect();
+        for split in &splits {
+            connector.scan_split(split, &request, &ScanHooks::none()).unwrap();
+        }
+        assert_eq!(connector.take_last_scan_costs(), expected);
+        assert_eq!(connector.take_last_scan_cost(), Duration::ZERO);
     }
 
     #[test]
