@@ -14,9 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto_bench::report::{histogram_json, mbps, ms, write_bench_json, Json, Table};
-use presto_bench::{
-    cache_bench, cache_exp, chaos, fig16, fig17, geo_exp, obs, resource_exp, s3_exp, writers,
-};
+use presto_bench::{cache_exp, chaos, fig16, fig17, geo_exp, obs, resource_exp, s3_exp, writers};
 use presto_cluster::{ClusterConfig, PrestoCluster, PrestoGateway};
 use presto_common::{Block, DataType, Field, Page, Schema, SimClock};
 use presto_connectors::memory::MemoryConnector;
@@ -944,112 +942,6 @@ fn run_cache() {
         format!("{:.1}% removed", result.getinfo_reduction_pct()),
     ]);
     println!("{}", table.render());
-
-    // ---- cluster-wide tiered cache: Zipfian sweep + gates
-    println!("=== distributed cache: Zipfian capacity sweep on the consistent-hash ring ===");
-    let config = cache_bench::CacheBenchConfig::default();
-    println!(
-        "{} accesses over {} tables (zipf s={}), {} workers, sweep {:?}\n",
-        config.accesses, config.tables, config.zipf_s, config.workers, config.capacities
-    );
-    let bench = cache_bench::run(&config);
-    let mut gate_failed = false;
-    let mut table = Table::new(
-        "per-shard capacity sweep (shadow vs measured at the aggregate capacity)",
-        &["capacity/shard", "hits", "misses", "hit rate", "shadow pred", "lru measured", "digest"],
-    );
-    let mut sweep_json = Vec::new();
-    for point in &bench.sweep {
-        table.row(vec![
-            point.capacity.to_string(),
-            point.hits.to_string(),
-            point.misses.to_string(),
-            format!("{:.1}%", point.hit_pct()),
-            format!("{:.1}%", point.shadow_predicted_pct),
-            format!("{:.1}%", point.lru_measured_pct),
-            format!("{:#018x}", point.digest),
-        ]);
-        sweep_json.push((
-            point.capacity.to_string(),
-            Json::Obj(vec![
-                ("hits".into(), Json::U64(point.hits)),
-                ("misses".into(), Json::U64(point.misses)),
-                ("hit_pct".into(), Json::F64(point.hit_pct())),
-                ("shadow_predicted_pct".into(), Json::F64(point.shadow_predicted_pct)),
-                ("lru_measured_pct".into(), Json::F64(point.lru_measured_pct)),
-                ("digest".into(), Json::Str(format!("{:#018x}", point.digest))),
-            ]),
-        ));
-    }
-    println!("{}", table.render());
-
-    if !bench.monotone() {
-        eprintln!("cache gate FAILED: hit rate not monotone in capacity");
-        gate_failed = true;
-    }
-    if bench.worst_shadow_error_pct() >= 5.0 {
-        eprintln!(
-            "cache gate FAILED: shadow estimate off by {:.2}% (limit 5%)",
-            bench.worst_shadow_error_pct()
-        );
-        gate_failed = true;
-    }
-    if !bench.deterministic {
-        eprintln!("cache gate FAILED: same-seed replays diverged (digest mismatch)");
-        gate_failed = true;
-    }
-    let remap_worst = bench
-        .remap
-        .iter()
-        .filter(|p| !p.holds())
-        .map(|p| {
-            format!(
-                "fleet {}: moved {} owned {} bound {}",
-                p.fleet, p.moved, p.owned_by_victim, p.bound
-            )
-        })
-        .collect::<Vec<_>>();
-    if !remap_worst.is_empty() {
-        eprintln!("cache gate FAILED: minimal-remap violated: {remap_worst:?}");
-        gate_failed = true;
-    }
-    println!(
-        "gates: monotone={}, shadow worst error {:.2}% (<5%), deterministic={}, \
-         minimal-remap holds for fleets 2..=32: {}\n",
-        bench.monotone(),
-        bench.worst_shadow_error_pct(),
-        bench.deterministic,
-        bench.remap_holds(),
-    );
-
-    let json = Json::Obj(vec![
-        ("experiment".into(), Json::Str("cache".into())),
-        (
-            "hdfs_caches".into(),
-            Json::Obj(vec![
-                ("list_remaining_pct".into(), Json::F64(result.list_remaining_pct())),
-                ("getinfo_reduction_pct".into(), Json::F64(result.getinfo_reduction_pct())),
-            ]),
-        ),
-        ("sweep".into(), Json::Obj(sweep_json)),
-        (
-            "gates".into(),
-            Json::Obj(vec![
-                ("monotone".into(), Json::Bool(bench.monotone())),
-                ("shadow_worst_error_pct".into(), Json::F64(bench.worst_shadow_error_pct())),
-                ("deterministic".into(), Json::Bool(bench.deterministic)),
-                ("minimal_remap_holds".into(), Json::Bool(bench.remap_holds())),
-            ]),
-        ),
-        ("gates_passed".into(), Json::Bool(!gate_failed)),
-    ]);
-    match write_bench_json("cache", &json) {
-        Ok(path) => println!("wrote {path}\n"),
-        Err(e) => eprintln!("could not write BENCH_cache.json: {e}"),
-    }
-    if gate_failed {
-        std::process::exit(1);
-    }
 }
 
 fn run_s3() {

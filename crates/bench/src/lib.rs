@@ -3,15 +3,14 @@
 //! Benchmark workloads reproducing every figure and table of the paper's
 //! evaluation (§X), plus the §VI/§VII/§VIII/§IX experiments reported in
 //! prose. The `paper-experiments` binary drives these and prints
-//! paper-claim-vs-measured tables; the Criterion benches under `benches/`
-//! reuse the same builders for statistically careful wall-clock numbers.
+//! paper-claim-vs-measured tables; wall-clock performance is judged by the
+//! standalone `benchmark/` package, not here.
 //!
 //! Scale disclaimer (DESIGN.md §2): the paper ran on 100–200-node clusters
 //! against production petabytes. These workloads preserve the *mechanisms*
 //! and report the *relative* numbers (who wins, by what factor); absolute
 //! values are laptop-scale.
 
-pub mod cache_bench;
 pub mod cache_exp;
 pub mod chaos;
 pub mod elastic;

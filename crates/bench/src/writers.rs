@@ -74,7 +74,8 @@ pub fn run_workload(name: &str, rows: usize, codec: Codec, seed: u64) -> WriterR
     let pages = vec![page];
     let input_bytes: usize = pages.iter().map(Page::memory_size).sum();
     // alternate to be fair to caches; single measured pass each (the
-    // paper-experiments binary repeats; criterion does proper sampling)
+    // paper-experiments binary repeats; `benchmark/` workload `ingest_write`
+    // does proper sampling)
     let (old_elapsed, old_size) = write_once(&schema, &pages, WriterMode::Legacy, codec);
     let (native_elapsed, native_size) = write_once(&schema, &pages, WriterMode::Native, codec);
     assert_eq!(old_size, native_size, "writers must produce identical files");

@@ -1,28 +1,24 @@
-//! Fragment result cache + affinity scheduling (§VII).
+//! Fragment result cache (§VII).
 //!
-//! "A number of cache techniques are developed for Presto, including
-//! Metastore versioned cache, fragment result cache, Alluxio data cache, and
-//! affinity scheduler" — this module supplies two of them:
+//! [`FragmentResultCache`] is a **worker-side** cache of the pages a leaf
+//! fragment produced for one (fragment, split) pair. Dashboards re-issue
+//! the same scan shapes against the same sealed splits all day; a hit
+//! skips the connector entirely.
 //!
-//! - [`FragmentResultCache`]: a **worker-side** cache of the pages a leaf
-//!   fragment produced for one (fragment, split) pair. Dashboards re-issue
-//!   the same scan shapes against the same sealed splits all day; a hit
-//!   skips the connector entirely.
-//! - [`affinity_worker`]: consistent hashing of splits onto workers via the
-//!   workspace-wide [`HashRing`], so a given split lands on the same worker
-//!   across queries — without it, per-worker caches are useless the moment
-//!   the worker set changes, because round-robin reshuffles everything.
-//!   There used to be a second, rendezvous-hash path here; it was deleted
-//!   so the scheduler and every cache tier share one hashing module and
-//!   cannot disagree about ownership.
+//! The cache is only useful while a split keeps landing on the worker that
+//! holds its result. That is the cluster's job, not this module's: the
+//! scan scheduler places splits on a `presto_common::HashRing` over its
+//! worker snapshot (§VII affinity scheduling), and a graceful drain copies
+//! the departing worker's entries to the owners a survivors-only ring
+//! assigns ([`FragmentResultCache::entries`] /
+//! [`FragmentResultCache::put_shared`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use presto_common::metrics::{names, CounterSet, Fnv};
-use presto_common::ring::{DEFAULT_RING_SEED, DEFAULT_VNODES};
-use presto_common::{HashRing, Page};
+use presto_common::Page;
 
 use crate::lru::LruCache;
 
@@ -90,16 +86,6 @@ impl FragmentResultCache {
         entries
     }
 
-    /// Drop every cached result for a split (e.g. after compaction rewrote
-    /// the file).
-    pub fn invalidate_split(&self, _split_identity: &str) {
-        // LRU has no secondary index; a production implementation versions
-        // the split identity instead (identity strings embed a version, so
-        // rewritten splits simply stop being looked up). Provided for API
-        // completeness: clearing is always safe.
-        self.cache.clear();
-    }
-
     /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.cache.len()
@@ -139,26 +125,6 @@ pub fn fingerprint<T: Hash>(value: &T) -> u64 {
     hasher.finish()
 }
 
-/// Affinity scheduling: pick the worker for a split by consistent hashing
-/// on the workspace [`HashRing`] (default seed and vnode count, so every
-/// caller that builds a ring the same way agrees on ownership).
-///
-/// Returns the index into `workers` (identified by stable ids) of the
-/// split's ring owner. Properties the paper's affinity scheduler needs:
-/// deterministic (same split → same worker while the fleet is stable) and
-/// minimally disruptive (adding/removing one worker only moves the splits
-/// that hashed to it).
-///
-/// Convenience wrapper over [`HashRing::owner`] for callers holding a flat
-/// id slice; hot paths that place many splits against one fleet should
-/// build the ring once and query it directly.
-pub fn affinity_worker(split_identity: &str, worker_ids: &[u32]) -> Option<usize> {
-    let ring =
-        HashRing::with_workers(DEFAULT_RING_SEED, DEFAULT_VNODES, worker_ids.iter().copied());
-    let owner = ring.owner(split_identity)?;
-    worker_ids.iter().position(|&w| w == owner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,15 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_clears() {
-        let cache = FragmentResultCache::new(16, CounterSet::new());
-        let key = FragmentKey { plan_fingerprint: 1, split_identity: "/t/part-0".into() };
-        cache.put(key.clone(), sample_pages());
-        cache.invalidate_split("/t/part-0");
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn entries_are_sorted_and_put_shared_reuses_the_arc() {
         let cache = FragmentResultCache::new(16, CounterSet::new());
         let b = FragmentKey { plan_fingerprint: 2, split_identity: "/t/part-0".into() };
@@ -215,46 +172,5 @@ mod tests {
         let pages = cache.get(&a).unwrap();
         successor.put_shared(a.clone(), pages.clone());
         assert!(Arc::ptr_eq(&successor.get(&a).unwrap(), &pages));
-    }
-
-    #[test]
-    fn affinity_is_deterministic_and_balanced() {
-        let workers = vec![0u32, 1, 2, 3];
-        let mut counts = [0usize; 4];
-        for i in 0..1000 {
-            let split = format!("/warehouse/t/part-{i}");
-            let w = affinity_worker(&split, &workers).unwrap();
-            assert_eq!(affinity_worker(&split, &workers), Some(w), "deterministic");
-            counts[w] += 1;
-        }
-        for &c in &counts {
-            assert!(c > 150, "roughly balanced, got {counts:?}");
-        }
-    }
-
-    #[test]
-    fn affinity_moves_few_splits_when_fleet_changes() {
-        let before = vec![0u32, 1, 2, 3];
-        let after = vec![0u32, 1, 2, 3, 4]; // one worker added
-        let mut moved = 0;
-        let total = 1000;
-        for i in 0..total {
-            let split = format!("/warehouse/t/part-{i}");
-            let w_before = before[affinity_worker(&split, &before).unwrap()];
-            let w_after = after[affinity_worker(&split, &after).unwrap()];
-            if w_before != w_after {
-                moved += 1;
-                // anything that moved must have moved to the new worker
-                assert_eq!(w_after, 4);
-            }
-        }
-        // rendezvous hashing moves ~1/5 of splits; round-robin would move ~4/5
-        assert!(moved < total / 3, "moved {moved} of {total}");
-        assert!(moved > total / 10, "the new worker must take a fair share");
-    }
-
-    #[test]
-    fn empty_fleet_has_no_affinity() {
-        assert_eq!(affinity_worker("/x", &[]), None);
     }
 }

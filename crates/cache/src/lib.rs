@@ -3,8 +3,8 @@
 //! The Presto caches of §VII.
 //!
 //! "In production experience, we found the single HDFS NameNode listFiles
-//! performance degradation could hurt Presto performance badly." Two caches
-//! address it:
+//! performance degradation could hurt Presto performance badly." Three
+//! caches keep repeated work off remote storage:
 //!
 //! - [`file_list::FileListCache`] — **coordinator-side**: caches `listFiles`
 //!   results for *sealed* partitions only; open partitions (near-real-time
@@ -15,35 +15,24 @@
 //!   decoded file footers. "The reason to cache such information in memory
 //!   is due to the high hit rate of footers as they are the indexes to the
 //!   data itself." The paper's result: ~90% of getFileInfo calls removed.
+//! - [`fragment::FragmentResultCache`] — **worker-side**: the pages a leaf
+//!   fragment produced for one (plan fingerprint, split) pair, so a repeated
+//!   dashboard scan skips the connector. The cluster keeps it warm by
+//!   placing splits on a consistent-hash ring (`presto_common::HashRing`,
+//!   §VII's affinity scheduler) and migrating entries along the same ring
+//!   when a worker drains.
 //!
-//! §VII also names a "fragment result cache", an "affinity scheduler", and
-//! the "Alluxio data cache": the first two live in [`fragment`], the last is
-//! [`data::CachedFileSystem`].
-//!
-//! On top of those worker-local tiers sits the **cluster-wide** cache keyed
-//! by consistent hashing ([`distributed::DistributedCache`]): a column-chunk
-//! data tier with owner-aware admission and second-choice replication for
-//! hot keys, a metadata tier ([`metadata::MetadataCache`]) with TTL +
-//! table-version invalidation, and a key-only shadow cache
-//! ([`shadow::ShadowCache`]) estimating hit-rate-vs-capacity curves. All
-//! ownership decisions route through `presto_common::HashRing` — the same
-//! ring the affinity scheduler consults, so placement and ownership agree
-//! by construction.
+//! The worker-side caches sit on an entry-count [`lru::LruCache`]. §VII's "Alluxio data
+//! cache" and "Metastore versioned cache" are **not reproduced**: no paper
+//! figure depends on them, and a byte or chunk tier only earns its place
+//! under the Hive reader where a benchmark workload can judge it.
 
-pub mod data;
-pub mod distributed;
 pub mod file_list;
 pub mod footer;
 pub mod fragment;
 pub mod lru;
-pub mod metadata;
-pub mod shadow;
 
-pub use data::CachedFileSystem;
-pub use distributed::{ChunkKey, DistributedCache, DistributedCacheConfig};
 pub use file_list::FileListCache;
 pub use footer::{FileHandleCache, FooterCache};
-pub use fragment::{affinity_worker, FragmentKey, FragmentResultCache};
+pub use fragment::{FragmentKey, FragmentResultCache};
 pub use lru::LruCache;
-pub use metadata::{MetaKind, MetadataCache};
-pub use shadow::ShadowCache;

@@ -87,11 +87,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Remove everything.
-    pub fn clear(&self) {
-        self.inner.lock().map.clear();
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_clear() {
+    fn invalidate_removes_one_entry() {
         let cache: LruCache<String, i32> = LruCache::new(4);
         cache.put("x".into(), Arc::new(1));
+        cache.put("y".into(), Arc::new(2));
         cache.invalidate(&"x".to_string());
         assert!(cache.get(&"x".to_string()).is_none());
-        cache.put("y".into(), Arc::new(2));
-        cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(*cache.get(&"y".to_string()).unwrap(), 2);
     }
 
     #[test]

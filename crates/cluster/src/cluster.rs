@@ -39,10 +39,8 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use presto_cache::fragment::{fingerprint, FragmentKey, FragmentResultCache};
-use presto_cache::{DistributedCache, DistributedCacheConfig};
 use presto_common::clock::SimStopwatch;
 use presto_common::metrics::{names, CounterSet, Fnv, Histogram, HistogramSet};
-use presto_common::ring::{DEFAULT_RING_SEED, DEFAULT_VNODES};
 use presto_common::telemetry::{QueryRow, TaskRow, TelemetryRegistry, WorkerRow};
 use presto_common::trace::{SpanId, SpanKind, Trace};
 use presto_common::HashRing;
@@ -78,8 +76,8 @@ pub struct ClusterConfig {
     /// `shutdown.grace-period` (§IX; the paper's default is 2 minutes).
     pub grace_period: Duration,
     /// §VII affinity scheduler: route each split to the same worker via
-    /// rendezvous hashing (instead of round-robin), so worker-side caches
-    /// stay hot across queries and fleet changes.
+    /// the consistent-hash ring (instead of round-robin), so worker-side
+    /// caches stay hot across queries and fleet changes.
     pub affinity_scheduling: bool,
     /// §VII fragment result cache: per-worker entries (0 = disabled). Only
     /// immutable splits (warehouse files, generated data) are cached.
@@ -111,17 +109,6 @@ pub struct ClusterConfig {
     pub probation_window: Duration,
     /// Straggler mitigation via speculative duplicate attempts.
     pub speculation: SpeculationConfig,
-    /// Seed of the consistent-hash ring both the affinity scheduler and
-    /// the distributed cache consult. Override on both sides together or
-    /// not at all — sharing one ring is what makes placement and cache
-    /// ownership agree by construction.
-    pub ring_seed: u64,
-    /// Virtual nodes per worker on the ring.
-    pub ring_vnodes: u32,
-    /// Cluster-wide tiered cache (`None` = disabled). Shares the
-    /// scheduler's ring; its shards follow worker lifecycle (graceful
-    /// drains migrate entries to ring successors, revocations drop them).
-    pub distributed_cache: Option<DistributedCacheConfig>,
     /// Per-worker memory budget the affinity placement score respects
     /// (`None` = headroom ignored): an owner whose headroom cannot fit
     /// the next split is skipped in favour of its ring successor.
@@ -180,9 +167,6 @@ impl Default for ClusterConfig {
             quarantine_period: DEFAULT_QUARANTINE_PERIOD,
             probation_window: DEFAULT_PROBATION_WINDOW,
             speculation: SpeculationConfig::default(),
-            ring_seed: DEFAULT_RING_SEED,
-            ring_vnodes: DEFAULT_VNODES,
-            distributed_cache: None,
             worker_memory_bytes: None,
         }
     }
@@ -221,14 +205,6 @@ pub struct PrestoCluster {
     /// digests and migrations walk it, and same-seed runs must walk it in
     /// the same order.
     fragment_caches: RwLock<BTreeMap<u32, FragmentResultCache>>,
-    /// The consistent-hash ring over `Active` worker ids — the one source
-    /// of placement truth, shared with the distributed cache. Updated by
-    /// lifecycle events (expand, drain, revoke, probation recovery) while
-    /// holding no other cluster lock.
-    ring: Arc<RwLock<HashRing>>,
-    /// The cluster-wide tiered cache, when configured. Its shards follow
-    /// the ring through every lifecycle event.
-    dist_cache: Option<DistributedCache>,
     /// Completed task runtimes per plan fingerprint, merged in after every
     /// successful scan fragment. Seeds the next identical fragment's
     /// straggler yardstick so single-wave fragments can speculate in-wave.
@@ -285,14 +261,6 @@ impl PrestoCluster {
         let telemetry = Arc::new(TelemetryRegistry::new());
         let engine = engine.with_telemetry(telemetry.clone());
         engine.register_catalog("system", Arc::new(SystemConnector::new(telemetry.clone())));
-        // One ring serves both the affinity scheduler and the distributed
-        // cache — membership flows in via the same lifecycle events, so
-        // placement and cache ownership cannot disagree.
-        let metrics = CounterSet::new();
-        let ring = Arc::new(RwLock::new(HashRing::new(config.ring_seed, config.ring_vnodes)));
-        let dist_cache = config.distributed_cache.clone().map(|dist_config| {
-            DistributedCache::new(dist_config, ring.clone(), clock.clone(), metrics.clone())
-        });
         let cluster = PrestoCluster {
             name: name.into(),
             engine,
@@ -300,14 +268,12 @@ impl PrestoCluster {
             next_worker_id: AtomicU32::new(0),
             clock,
             config,
-            metrics,
+            metrics: CounterSet::new(),
             histograms: HistogramSet::new(),
             maintenance: AtomicBool::new(false),
             queries_started: AtomicU64::new(0),
             pending_drains: Mutex::new(Vec::new()),
             fragment_caches: RwLock::new(BTreeMap::new()),
-            ring,
-            dist_cache,
             runtime_history: RwLock::new(HashMap::new()),
             telemetry,
             sampler: Mutex::new(TelemetrySampler::default()),
@@ -366,7 +332,6 @@ impl PrestoCluster {
         // path (which reads a worker's cache before dispatching to it)
         let mut caches = self.fragment_caches.write();
         let mut workers = self.workers.write();
-        let mut joined = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
             workers.push(Worker::with_class(
@@ -377,7 +342,6 @@ impl PrestoCluster {
                 self.config.probation_window,
                 class,
             ));
-            joined.push(id);
             if self.config.fragment_cache_entries > 0 {
                 caches.insert(
                     id,
@@ -386,17 +350,6 @@ impl PrestoCluster {
                         self.metrics.clone(),
                     ),
                 );
-            }
-        }
-        drop(workers);
-        drop(caches);
-        // Ring membership follows — with the cluster guards already
-        // released, so ring edges never overlap fragment_caches/workers in
-        // the lock graph.
-        for id in joined {
-            self.ring.write().insert(id);
-            if let Some(dist) = &self.dist_cache {
-                dist.worker_joined(id);
             }
         }
     }
@@ -442,7 +395,7 @@ impl PrestoCluster {
             return Ok(());
         }
         // Successor set for cache migration: every *other* worker still in
-        // Active state — the fleet the rendezvous hash will see once this
+        // Active state — the fleet the scheduler's ring will see once this
         // worker is gone.
         let survivors: Vec<u32> = workers
             .iter()
@@ -451,13 +404,6 @@ impl PrestoCluster {
             .collect();
         worker.request_shutdown();
         drop(workers);
-        // Ring first, then the distributed cache (which migrates the
-        // departing shard to each key's post-removal owner), then the
-        // fragment caches. All with the workers guard released.
-        self.ring.write().remove(worker_id);
-        if let Some(dist) = &self.dist_cache {
-            dist.worker_removed(worker_id, true);
-        }
         self.migrate_caches(worker_id, &survivors);
         Ok(())
     }
@@ -493,15 +439,6 @@ impl PrestoCluster {
             let mut caches = self.fragment_caches.write();
             for id in &revoked {
                 caches.remove(id);
-            }
-            drop(caches);
-            // A revoked worker's distributed shard dies with it — nothing
-            // to migrate, the entries are simply gone (dist.dropped_entries).
-            for id in &revoked {
-                self.ring.write().remove(*id);
-                if let Some(dist) = &self.dist_cache {
-                    dist.worker_removed(*id, false);
-                }
             }
         }
         revoked.len()
@@ -560,11 +497,7 @@ impl PrestoCluster {
         if survivors.is_empty() {
             return;
         }
-        let ring = HashRing::with_workers(
-            self.config.ring_seed,
-            self.config.ring_vnodes,
-            survivors.iter().copied(),
-        );
+        let ring = HashRing::with_workers_default(survivors.iter().copied());
         let caches = self.fragment_caches.read();
         let Some(source) = caches.get(&from) else { return };
         let mut migrated = 0u64;
@@ -608,10 +541,7 @@ impl PrestoCluster {
         });
         drop(caches);
         let remaining = workers.len();
-        let ring_should_hold: Vec<u32> =
-            workers.iter().filter(|w| w.state() == WorkerState::Active).map(|w| w.id).collect();
         drop(workers);
-        self.reconcile_ring(&ring_should_hold);
         if decommissioned > 0 {
             self.metrics.add(names::CLUSTER_WORKERS_DECOMMISSIONED, decommissioned);
         }
@@ -630,46 +560,9 @@ impl PrestoCluster {
         remaining
     }
 
-    /// Reconcile ring membership with the set of workers that should hold
-    /// ring positions (state `Active`). The lifecycle hooks (expand, drain,
-    /// revoke) update the ring eagerly; this catches the paths that bypass
-    /// them — a crashed worker detected mid-query, a revoked worker
-    /// rejoining through probation. Called with no other cluster lock held.
-    fn reconcile_ring(&self, should_hold: &[u32]) {
-        let current = self.ring.read().workers();
-        for id in &current {
-            if !should_hold.contains(id) {
-                self.ring.write().remove(*id);
-                if let Some(dist) = &self.dist_cache {
-                    // bypassed the graceful path ⇒ its shard is gone
-                    dist.worker_removed(*id, false);
-                }
-            }
-        }
-        for id in should_hold {
-            if !current.contains(id) {
-                self.ring.write().insert(*id);
-                if let Some(dist) = &self.dist_cache {
-                    dist.worker_joined(*id);
-                }
-            }
-        }
-    }
-
-    /// The shared consistent-hash ring (scheduler + distributed cache).
-    pub fn ring(&self) -> &Arc<RwLock<HashRing>> {
-        &self.ring
-    }
-
-    /// The cluster-wide tiered cache, when configured.
-    pub fn distributed_cache(&self) -> Option<&DistributedCache> {
-        self.dist_cache.as_ref()
-    }
-
-    /// Canonical FNV fold of every cache layer: per-worker fragment caches
-    /// (in worker-id order) and the distributed tiers. Bit-identical across
-    /// same-seed runs — the revocation-storm determinism check folds this
-    /// into the run digest.
+    /// Canonical FNV fold of the per-worker fragment caches (in worker-id
+    /// order). Bit-identical across same-seed runs — the revocation-storm
+    /// determinism check folds this into the run digest.
     pub fn cache_digest(&self) -> u64 {
         let mut h = Fnv::new();
         let caches = self.fragment_caches.read();
@@ -677,10 +570,6 @@ impl PrestoCluster {
         for (worker, cache) in caches.iter() {
             h.write(u64::from(*worker));
             h.write(cache.digest());
-        }
-        drop(caches);
-        if let Some(dist) = &self.dist_cache {
-            h.write(dist.digest());
         }
         h.finish()
     }
@@ -748,13 +637,6 @@ impl PrestoCluster {
         let lookups = hits + self.metrics.get(names::FRC_MISSES);
         let hit_pct = hits.saturating_mul(100).checked_div(lookups).unwrap_or(0);
         self.telemetry.sample(names::TS_CACHE_HIT_PCT, now, hit_pct);
-        if let Some(dist) = &self.dist_cache {
-            let dist_hits = self.metrics.get(names::DIST_DATA_HITS);
-            let dist_lookups = dist_hits + self.metrics.get(names::DIST_DATA_MISSES);
-            let dist_pct = dist_hits.saturating_mul(100).checked_div(dist_lookups).unwrap_or(0);
-            self.telemetry.sample(names::TS_DIST_CACHE_HIT_PCT, now, dist_pct);
-            self.telemetry.set_gauge(names::GAUGE_DIST_CACHE_ENTRIES, dist.len() as u64);
-        }
         self.telemetry.note_snapshot();
     }
 
@@ -946,10 +828,10 @@ impl PrestoCluster {
     /// failures (§XII) and speculating on stragglers.
     ///
     /// Split assignment: affinity scheduling (§VII) routes each split to a
-    /// stable worker via rendezvous hashing; otherwise splits round-robin.
-    /// Each worker drains its queue serially in virtual time; attempt
-    /// completions come off an event heap ordered by (virtual time, launch
-    /// sequence), so every schedule — retries with exponential backoff,
+    /// stable worker via the consistent-hash ring; otherwise splits
+    /// round-robin. Each worker drains its queue serially in virtual time;
+    /// attempt completions come off an event heap ordered by (virtual time,
+    /// launch sequence), so every schedule — retries with exponential backoff,
     /// straggler duplicates, first-result-wins races — is deterministic. A
     /// worker that crashed or got blacklisted loses its fragment result
     /// cache, like any worker-side memory.
@@ -1204,16 +1086,14 @@ impl ScanScheduler<'_> {
     fn run(&mut self) -> Result<()> {
         // Initial assignment: affinity or round-robin over the eligible
         // snapshot, same as the pre-speculation scheduler. The affinity
-        // path builds one ring for the whole fragment — same seed, vnodes,
-        // and membership rule as the cluster ring the distributed cache
-        // consults, so placement and cache ownership agree by construction.
-        let ring = self.cluster.config.affinity_scheduling.then(|| {
-            HashRing::with_workers(
-                self.cluster.config.ring_seed,
-                self.cluster.config.ring_vnodes,
-                self.workers.iter().map(|w| w.id),
-            )
-        });
+        // path builds one ring for the whole fragment — the same default
+        // ring `migrate_caches` builds over a drain's survivors, so migrated
+        // fragment-cache entries land where the next split will be sent.
+        let ring = self
+            .cluster
+            .config
+            .affinity_scheduling
+            .then(|| HashRing::with_workers_default(self.workers.iter().map(|w| w.id)));
         // Bytes this placement pass has already promised per worker, so a
         // burst of same-owner splits spills to successors instead of
         // stacking on one worker before any attempt starts.
@@ -1424,13 +1304,8 @@ impl ScanScheduler<'_> {
                 }
                 if worker.state() == WorkerState::Crashed || worker.is_blacklisted() {
                     // a dead or quarantined worker takes its in-memory
-                    // fragment cache with it — and leaves the ring, so the
-                    // distributed cache drops (not migrates) its shard
+                    // fragment cache with it
                     self.cluster.fragment_caches.write().remove(&worker.id);
-                    self.cluster.ring.write().remove(worker.id);
-                    if let Some(dist) = &self.cluster.dist_cache {
-                        dist.worker_removed(worker.id, false);
-                    }
                 }
                 if !(self.cluster.config.fault_recovery && e.is_retryable()) {
                     self.fail_all();
@@ -1889,108 +1764,6 @@ mod tests {
         for w in c.workers() {
             assert_eq!(w.memory_reserved(), 0, "worker {} leaked a reservation", w.id);
         }
-    }
-
-    #[test]
-    fn distributed_cache_follows_the_lifecycle() {
-        let c = cluster_with(ClusterConfig {
-            initial_workers: 3,
-            grace_period: Duration::from_secs(2),
-            affinity_scheduling: true,
-            distributed_cache: Some(DistributedCacheConfig::default()),
-            ..ClusterConfig::default()
-        });
-        let dist = c.distributed_cache().expect("configured").clone();
-        assert_eq!(c.ring().read().len(), 3, "initial workers join the ring");
-        // fill each key at its owner
-        for i in 0..48u32 {
-            let key = presto_cache::ChunkKey {
-                file: format!("/warehouse/t/part-{}", i % 12),
-                row_group: i % 4,
-                column: 0,
-            };
-            let owner = dist.owner(&key).expect("ring is non-empty");
-            assert!(dist.put(owner, key, vec![i as u8]));
-        }
-        let before = dist.len();
-
-        // a graceful decommission migrates the departing shard
-        c.decommission_worker(0).unwrap();
-        assert!(!c.ring().read().contains(0));
-        assert_eq!(dist.len(), before, "graceful drain loses nothing");
-        assert!(c.metrics().get(names::DIST_REMAPPED) > 0);
-        for w in [1u32, 2] {
-            for key in dist.shard_keys(w) {
-                assert_eq!(dist.owner(&key), Some(w), "{key:?} on the wrong shard");
-            }
-        }
-
-        // scale-out rebalances moved ownership onto the new worker
-        c.expand(1);
-        let new_id = 3u32;
-        assert!(c.ring().read().contains(new_id));
-        assert_eq!(dist.len(), before, "rebalance moves, never drops");
-        for key in dist.shard_keys(new_id) {
-            assert_eq!(dist.owner(&key), Some(new_id));
-        }
-    }
-
-    #[test]
-    fn revocation_drops_the_distributed_shard() {
-        let c = cluster_with(ClusterConfig {
-            initial_workers: 2,
-            distributed_cache: Some(DistributedCacheConfig::default()),
-            ..ClusterConfig::default()
-        });
-        c.expand_class(1, "spot");
-        let spot_id = 2u32;
-        let dist = c.distributed_cache().expect("configured").clone();
-        for i in 0..60u32 {
-            let key = presto_cache::ChunkKey {
-                file: format!("/warehouse/t/part-{i}"),
-                row_group: 0,
-                column: 0,
-            };
-            let owner = dist.owner(&key).expect("ring is non-empty");
-            dist.put(owner, key, vec![1]);
-        }
-        let spot_entries = dist.shard_keys(spot_id).len() as u64;
-        assert!(spot_entries > 0, "the spot worker should own some keys");
-        let before = dist.len() as u64;
-        assert_eq!(c.revoke_class("spot"), 1);
-        assert!(!c.ring().read().contains(spot_id));
-        assert_eq!(c.metrics().get(names::DIST_DROPPED), spot_entries);
-        assert_eq!(dist.len() as u64, before - spot_entries, "revoked entries are gone");
-    }
-
-    #[test]
-    fn cache_digest_is_identical_across_same_seed_runs() {
-        let run = || {
-            let c = cluster_with(ClusterConfig {
-                initial_workers: 3,
-                grace_period: Duration::from_secs(2),
-                affinity_scheduling: true,
-                fragment_cache_entries: 64,
-                distributed_cache: Some(DistributedCacheConfig::default()),
-                ..ClusterConfig::default()
-            });
-            let dist = c.distributed_cache().expect("configured").clone();
-            for i in 0..40u32 {
-                let key = presto_cache::ChunkKey {
-                    file: format!("/warehouse/t/part-{}", i % 10),
-                    row_group: i % 2,
-                    column: i % 3,
-                };
-                let owner = dist.owner(&key).expect("ring is non-empty");
-                if dist.get(owner, &key).is_none() {
-                    dist.put(owner, key, vec![i as u8]);
-                }
-            }
-            c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
-            c.decommission_worker(1).unwrap();
-            c.cache_digest()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

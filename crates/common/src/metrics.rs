@@ -101,13 +101,6 @@ pub mod names {
     /// Fragment-result-cache misses.
     pub const FRC_MISSES: &str = "frc.misses";
 
-    /// Data-cache (worker-local block cache) hits.
-    pub const DC_HITS: &str = "dc.hits";
-    /// Data-cache misses.
-    pub const DC_MISSES: &str = "dc.misses";
-    /// Remote-storage bytes the data cache served locally instead.
-    pub const DC_BYTES_SAVED: &str = "dc.bytes_saved";
-
     /// File-list-cache hits.
     pub const FLC_HITS: &str = "flc.hits";
     /// File-list-cache misses.
@@ -123,33 +116,6 @@ pub mod names {
     pub const FTC_HITS: &str = "ftc.hits";
     /// Stripe-footer cache misses.
     pub const FTC_MISSES: &str = "ftc.misses";
-
-    /// Distributed column-chunk data-tier hits.
-    pub const DIST_DATA_HITS: &str = "dist.data_hits";
-    /// Distributed column-chunk data-tier misses.
-    pub const DIST_DATA_MISSES: &str = "dist.data_misses";
-    /// Distributed data-tier entries evicted by LRU pressure.
-    pub const DIST_DATA_EVICTIONS: &str = "dist.data_evictions";
-    /// Puts the owner-aware admission policy refused (wrong worker).
-    pub const DIST_DATA_REJECTED: &str = "dist.data_rejected";
-    /// Hot-key copies admitted at the second-choice replica.
-    pub const DIST_DATA_REPLICATED: &str = "dist.data_replicated";
-    /// Distributed metadata-tier hits.
-    pub const DIST_META_HITS: &str = "dist.meta_hits";
-    /// Distributed metadata-tier misses (absent, expired, or stale).
-    pub const DIST_META_MISSES: &str = "dist.meta_misses";
-    /// Metadata entries refused because their TTL had expired.
-    pub const DIST_META_EXPIRED: &str = "dist.meta_expired";
-    /// Metadata entries refused because their table version was stale.
-    pub const DIST_META_STALE: &str = "dist.meta_stale";
-    /// Table-version bumps (schema changes, partition adds).
-    pub const DIST_META_INVALIDATIONS: &str = "dist.meta_invalidations";
-    /// Entries migrated to their ring successor on worker removal.
-    pub const DIST_REMAPPED: &str = "dist.remapped_entries";
-    /// Entries dropped with an abruptly revoked worker.
-    pub const DIST_DROPPED: &str = "dist.dropped_entries";
-    /// Key-only accesses the shadow cache recorded.
-    pub const SHADOW_ACCESSES: &str = "shadow.accesses";
 
     /// Partitions the Hive connector pruned via partition filters.
     pub const HIVE_PARTITIONS_PRUNED: &str = "hive.partitions_pruned";
@@ -231,11 +197,6 @@ pub mod names {
     pub const TS_MEMORY_UTIL_PCT: &str = "telemetry.memory_util_pct";
     /// Time series: fragment-result-cache hit rate, percent of lookups.
     pub const TS_CACHE_HIT_PCT: &str = "telemetry.cache_hit_pct";
-    /// Time series: distributed data-tier hit rate, percent of lookups
-    /// (sampled only when the distributed cache is configured).
-    pub const TS_DIST_CACHE_HIT_PCT: &str = "telemetry.dist_cache_hit_pct";
-    /// Gauge: entries resident across every distributed data-tier shard.
-    pub const GAUGE_DIST_CACHE_ENTRIES: &str = "telemetry.dist_cache_entries";
     /// Gauge: most recent fleet-mean busy fraction, percent — the signal
     /// the utilization-aware autoscaler reads between snapshots.
     pub const GAUGE_FLEET_BUSY_PCT: &str = "telemetry.fleet_busy_now_pct";

@@ -1,29 +1,32 @@
 //! Consistent hashing over worker ids: the one ring every placement
-//! decision in the workspace shares.
+//! decision in the workspace uses.
 //!
-//! §VII's affinity scheduler and the distributed cache tiers must agree
-//! about who owns a key *by construction*, not by convention — the paper's
-//! soft-affinity design only keeps worker-side caches warm if the
-//! scheduler routes a split to the same worker the cache believes owns its
-//! chunks. Both sides therefore consult a [`HashRing`] built with the same
-//! `(seed, vnodes)` parameters over the same worker set; there is no second
-//! hash path to drift out of sync.
+//! §VII's soft-affinity design only keeps worker-side caches warm if a
+//! split keeps landing on the worker that cached its result — across
+//! queries, and across fleet changes. The scan scheduler therefore places
+//! splits on a [`HashRing`] built over its worker snapshot, diverts to ring
+//! successors when the owner has no memory headroom, and a graceful drain
+//! migrates the departing worker's fragment-cache entries to the owners a
+//! survivors-only ring assigns. All three build the ring the same way
+//! ([`HashRing::with_workers_default`]); there is no second hash path to
+//! drift out of sync.
 //!
 //! The ring is the classic virtual-node construction: each worker
 //! contributes `vnodes` points on a `u64` circle, a key is hashed to a
 //! point, and its owner is the worker whose next point clockwise covers it.
-//! Properties the caches and the elasticity machinery rely on:
+//! A ring is immutable once built — a changed fleet builds a new one.
+//! Properties placement and migration rely on:
 //!
 //! - **Deterministic**: point positions are pure functions of
 //!   `(seed, worker, replica)` via [`crate::rng::mix64`], and key positions
 //!   of `(seed, key bytes)` via the workspace FNV fold — same inputs, same
 //!   ring, on every host and in every same-seed replay.
-//! - **Order-independent**: membership is a set; inserting workers in any
+//! - **Order-independent**: membership is a set; listing workers in any
 //!   order builds bit-identical state (point collisions, should they ever
 //!   happen, keep the smaller worker id).
-//! - **Minimal remap**: removing one worker only reassigns the keys that
-//!   worker owned — everything else keeps its owner, which is exactly the
-//!   property `tests/cache_distribution.rs` pins with a proptest.
+//! - **Minimal remap**: a ring without one worker only reassigns the keys
+//!   that worker owned — everything else keeps its owner, which is exactly
+//!   the property `tests/cache_distribution.rs` pins with a proptest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,9 +39,8 @@ use crate::rng::mix64;
 pub const DEFAULT_VNODES: u32 = 64;
 
 /// Ring seed used when callers have no reason to choose. Every consumer
-/// that must agree on ownership (scan scheduler, distributed cache,
-/// fragment-cache migration) uses this default unless its config overrides
-/// both sides together.
+/// that must agree on ownership (scan scheduler, fragment-cache migration)
+/// uses this default.
 pub const DEFAULT_RING_SEED: u64 = 0x5EED_0F1E_1D5E;
 
 /// A seeded, deterministic, virtual-node consistent-hash ring over worker
@@ -53,18 +55,19 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// An empty ring. `vnodes` is clamped to at least 1.
-    pub fn new(seed: u64, vnodes: u32) -> HashRing {
-        HashRing { seed, vnodes: vnodes.max(1), points: BTreeMap::new(), workers: BTreeSet::new() }
-    }
-
-    /// A ring pre-populated with `workers` (duplicates are fine).
+    /// A ring over `workers` (duplicates are fine). `vnodes` is clamped to
+    /// at least 1.
     pub fn with_workers(
         seed: u64,
         vnodes: u32,
         workers: impl IntoIterator<Item = u32>,
     ) -> HashRing {
-        let mut ring = HashRing::new(seed, vnodes);
+        let mut ring = HashRing {
+            seed,
+            vnodes: vnodes.max(1),
+            points: BTreeMap::new(),
+            workers: BTreeSet::new(),
+        };
         for w in workers {
             ring.insert(w);
         }
@@ -72,8 +75,8 @@ impl HashRing {
     }
 
     /// [`HashRing::with_workers`] under the workspace defaults
-    /// ([`DEFAULT_RING_SEED`], [`DEFAULT_VNODES`]) — what every consumer
-    /// that has no config of its own should build.
+    /// ([`DEFAULT_RING_SEED`], [`DEFAULT_VNODES`]) — what the scheduler and
+    /// cache migration build.
     pub fn with_workers_default(workers: impl IntoIterator<Item = u32>) -> HashRing {
         HashRing::with_workers(DEFAULT_RING_SEED, DEFAULT_VNODES, workers)
     }
@@ -84,16 +87,16 @@ impl HashRing {
     }
 
     /// The position a key hashes to on the circle.
-    pub fn key_point(&self, key: &str) -> u64 {
+    fn key_point(&self, key: &str) -> u64 {
         let mut h = Fnv::new();
         h.write_str(key);
         mix64(self.seed ^ h.finish())
     }
 
-    /// Add a worker. Returns false if it was already on the ring.
-    pub fn insert(&mut self, worker: u32) -> bool {
+    /// Add a worker's virtual nodes (a no-op if it is already on the ring).
+    fn insert(&mut self, worker: u32) {
         if !self.workers.insert(worker) {
-            return false;
+            return;
         }
         for replica in 0..self.vnodes {
             let point = self.vnode_point(worker, replica);
@@ -109,52 +112,6 @@ impl HashRing {
                 })
                 .or_insert(worker);
         }
-        true
-    }
-
-    /// Remove a worker. Returns false if it was not on the ring.
-    pub fn remove(&mut self, worker: u32) -> bool {
-        if !self.workers.remove(&worker) {
-            return false;
-        }
-        self.points.retain(|_, w| *w != worker);
-        // Re-insert points a collision may have suppressed: rebuild each
-        // survivor's vnode set (idempotent for existing points).
-        let survivors: Vec<u32> = self.workers.iter().copied().collect();
-        for w in survivors {
-            for replica in 0..self.vnodes {
-                let point = self.vnode_point(w, replica);
-                self.points
-                    .entry(point)
-                    .and_modify(|cur| {
-                        if w < *cur {
-                            *cur = w;
-                        }
-                    })
-                    .or_insert(w);
-            }
-        }
-        true
-    }
-
-    /// Is the worker on the ring?
-    pub fn contains(&self, worker: u32) -> bool {
-        self.workers.contains(&worker)
-    }
-
-    /// Workers on the ring, ascending.
-    pub fn workers(&self) -> Vec<u32> {
-        self.workers.iter().copied().collect()
-    }
-
-    /// Number of workers on the ring.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// True when no workers are on the ring.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// The worker that owns `key`: the first virtual node at or clockwise
@@ -166,9 +123,8 @@ impl HashRing {
 
     /// Up to `n` *distinct* workers in ring order starting at the key's
     /// owner — the owner first, then each successor clockwise. This is the
-    /// walk both second-choice replication (hot keys spill to
-    /// `successors(key, 2)[1]`) and decommission migration (entries move to
-    /// `successors(key, 1)` on the survivor ring) take.
+    /// walk headroom-aware placement takes when a split's owner is full;
+    /// the second entry is also the key's owner on a ring without the first.
     pub fn successors(&self, key: &str, n: usize) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::with_capacity(n.min(self.workers.len()));
         if n == 0 || self.points.is_empty() {
@@ -184,19 +140,6 @@ impl HashRing {
             }
         }
         out
-    }
-
-    /// Canonical FNV fold of the ring state (seed, vnodes, membership) —
-    /// bit-identical across same-seed runs, insertion-order independent.
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.seed);
-        h.write(u64::from(self.vnodes));
-        h.write(self.workers.len() as u64);
-        for &w in &self.workers {
-            h.write(u64::from(w));
-        }
-        h.finish()
     }
 }
 
@@ -234,8 +177,7 @@ mod tests {
     #[test]
     fn removing_a_worker_only_remaps_its_own_keys() {
         let full = HashRing::with_workers(11, DEFAULT_VNODES, 0..8);
-        let mut without = full.clone();
-        without.remove(5);
+        let without = HashRing::with_workers(11, DEFAULT_VNODES, (0..8).filter(|w| *w != 5));
         for k in keys(2000) {
             let before = full.owner(&k).unwrap();
             if before != 5 {
@@ -244,18 +186,6 @@ mod tests {
                 assert_ne!(without.owner(&k), Some(5));
             }
         }
-    }
-
-    #[test]
-    fn insert_after_remove_restores_the_ring() {
-        let base = HashRing::with_workers(3, 16, 0..6);
-        let mut churned = base.clone();
-        churned.remove(2);
-        churned.remove(4);
-        churned.insert(4);
-        churned.insert(2);
-        assert_eq!(base, churned);
-        assert_eq!(base.digest(), churned.digest());
     }
 
     #[test]
@@ -274,23 +204,22 @@ mod tests {
 
     #[test]
     fn successor_walk_matches_the_post_removal_owner() {
-        // the second successor *is* the owner once the first is removed —
-        // the identity decommission migration relies on
+        // the second successor *is* the owner on a ring without the first
+        // — diverted splits and migrated cache entries land on the same worker
         let ring = HashRing::with_workers(23, DEFAULT_VNODES, 0..5);
         for k in keys(500) {
             let succ = ring.successors(&k, 2);
-            let mut without = ring.clone();
-            without.remove(succ[0]);
+            let without =
+                HashRing::with_workers(23, DEFAULT_VNODES, (0..5).filter(|w| *w != succ[0]));
             assert_eq!(without.owner(&k), Some(succ[1]));
         }
     }
 
     #[test]
     fn empty_ring_owns_nothing() {
-        let ring = HashRing::new(1, 8);
+        let ring = HashRing::with_workers(1, 8, []);
         assert_eq!(ring.owner("/x"), None);
         assert!(ring.successors("/x", 2).is_empty());
-        assert!(ring.is_empty());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! - **partition pruning** in the split manager (predicate on the partition
 //!   column prunes directories before any listFiles);
 //! - the §VII.A **file-list cache** for sealed partitions;
-//! - the §VII.B **file-handle cache** (footer caching lives with the reader);
+//! - the §VII.B **file-handle cache** (`getFileInfo` only — every scan still
+//!   reads and decodes the footer; `presto_cache::FooterCache` serves the
+//!   §VII experiment, not this path);
 //! - both **reader generations**: the connector can run with the legacy
 //!   reader (`use_legacy_reader`) or the new reader with per-feature
 //!   toggles — the Fig 17 ablation switchboard.
@@ -227,8 +229,11 @@ impl HiveConnector {
         let path = format!("{dir}/{file_name}");
         self.fs.write(&path, &writer.finish()?)?;
         // the directory's cached listing (sealed partitions and the
-        // unpartitioned table root are cacheable) no longer matches disk
+        // unpartitioned table root are cacheable) no longer matches disk,
+        // and neither does the path's cached size if it was rewritten in
+        // place — a stale size misplaces the footer
         self.file_lists.invalidate(&dir);
+        self.handles.invalidate(&path);
         Ok(path)
     }
 
@@ -692,6 +697,38 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hive.splits("s", "flat", &request).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn rewriting_a_scanned_file_in_place_is_read_at_its_new_size() {
+        let hive = HiveConnector::new(Arc::new(HdfsFileSystem::with_defaults()), CounterSet::new());
+        let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
+        hive.register_table("s", "flat", schema, "/w/flat", None);
+        let request = ScanRequest::project(vec![ColumnPath::whole("x")]);
+        // scan → rewrite bigger → scan → rewrite smaller → scan: each scan
+        // must find the footer of the file as it is now, not where the
+        // handle cached by the previous scan says it ends
+        for rows in [3i64, 5_000, 2] {
+            hive.write_data_file(
+                "s",
+                "flat",
+                None,
+                "part-0.upq",
+                &[Page::new(vec![Block::bigint((0..rows).collect())]).unwrap()],
+                WriterMode::Native,
+                WriterProperties::default(),
+            )
+            .unwrap();
+            let splits = hive.splits("s", "flat", &request).unwrap();
+            assert_eq!(splits.len(), 1);
+            let scanned: usize = hive
+                .scan_split(&splits[0], &request, &ScanHooks::none())
+                .unwrap()
+                .iter()
+                .map(Page::positions)
+                .sum();
+            assert_eq!(scanned, rows as usize);
+        }
     }
 
     #[test]

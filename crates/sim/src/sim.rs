@@ -285,8 +285,7 @@ pub struct SimReport {
     ///
     /// [`TelemetryRegistry`]: presto_common::telemetry::TelemetryRegistry
     pub telemetry_digest: u64,
-    /// FNV fold of every cache layer at end of run — per-worker fragment
-    /// caches plus the distributed tiers when configured. The
+    /// FNV fold of the per-worker fragment caches at end of run. The
     /// revocation-storm determinism test pins this bit-identical across
     /// same-seed runs: a storm must tear caches down the same way twice.
     pub cache_digest: u64,

@@ -1,39 +1,16 @@
-//! Property tests for the cluster-wide tiered cache (PR 10):
-//!
-//! 1. **Minimal remap** — removing one worker from a fleet of `n` remaps
-//!    only the keys that worker owned, about `keys/n` and never more than
-//!    `keys/n` plus vnode-variance slack.
-//! 2. **Placement/ownership agreement** — the scheduler's affinity hash
-//!    (`affinity_worker`), the shared [`HashRing`], and the
-//!    [`DistributedCache`]'s idea of ownership all agree for arbitrary
-//!    `(seed, fleet, key set)`, regardless of membership order.
-//! 3. **Shadow accuracy** — the key-only [`ShadowCache`]'s predicted hit
-//!    count at capacity `C` equals a real LRU of capacity `C` replaying the
-//!    same trace (Mattson's stack-distance argument makes this *exact* for
-//!    plain LRU, so no tolerance is needed).
-//! 4. **Invalidation safety** — a footer cached before a schema bump is
-//!    never served after it, and TTL expiry refuses old entries (reuses the
-//!    `tests/schema_evolution.rs` v1→v2 fixtures).
-
-use std::sync::Arc;
-use std::time::Duration;
+//! Property test for the placement ring: **minimal remap** — a fleet of `n`
+//! without one of its workers remaps only the keys that worker owned, about
+//! `keys/n` and never more than `keys/n` plus vnode-variance slack. Worker
+//! ids are sparse (decommissioned ids leave holes in real fleets). This is
+//! what keeps per-worker fragment caches warm across fleet changes: the
+//! scan scheduler and the drain-time cache migration both place by
+//! [`HashRing`].
 
 use proptest::prelude::*;
 
-use presto_cache::{
-    affinity_worker, ChunkKey, DistributedCache, DistributedCacheConfig, LruCache, MetaKind,
-    MetadataCache, ShadowCache,
-};
-use presto_common::metrics::{names, CounterSet};
 use presto_common::ring::DEFAULT_VNODES;
 use presto_common::rng::mix64;
-use presto_common::{Block, DataType, Field, HashRing, Page, Schema, SimClock, Value};
-use presto_connectors::hive::HiveConnector;
-use presto_parquet::reader::FsSource;
-use presto_parquet::{reader, WriterMode, WriterProperties};
-use presto_storage::HdfsFileSystem;
-
-// ------------------------------------------------------------- generators
+use presto_common::HashRing;
 
 fn arb_fleet() -> impl Strategy<Value = Vec<u32>> {
     // 2..=32 distinct worker ids drawn from a sparse space, so ids are not
@@ -57,8 +34,6 @@ fn keys_from_seed(seed: u64, n: usize) -> Vec<String> {
         .collect()
 }
 
-// --------------------------------------------------------- 1. minimal remap
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,8 +46,12 @@ proptest! {
     ) {
         let ring = HashRing::with_workers(seed, DEFAULT_VNODES, fleet.iter().copied());
         let victim = fleet[victim_pick.index(fleet.len())];
-        let mut after = ring.clone();
-        after.remove(victim);
+        // the survivors-only ring a graceful drain migrates cache entries by
+        let after = HashRing::with_workers(
+            seed,
+            DEFAULT_VNODES,
+            fleet.iter().copied().filter(|w| *w != victim),
+        );
 
         let keys = keys_from_seed(seed, nkeys);
         let mut moved = 0usize;
@@ -95,197 +74,4 @@ proptest! {
             moved, nkeys, bound, fleet.len()
         );
     }
-}
-
-// ------------------------------------------- 2. placement/ownership agree
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn scheduler_and_cache_agree_on_every_key(
-        seed in any::<u64>(),
-        fleet in arb_fleet(),
-        shuffle in any::<u64>(),
-        nkeys in 100usize..300,
-    ) {
-        // the scheduler's view: a ring built over its worker snapshot
-        let scheduler_ring = HashRing::with_workers_default(fleet.iter().copied());
-
-        // the cache's view: same membership arriving in a different order
-        // through worker_joined (membership is a set, order must not matter)
-        let mut joined = fleet.clone();
-        let rot = (mix64(shuffle) as usize) % joined.len();
-        joined.rotate_left(rot);
-        let dist = DistributedCache::standalone(
-            DistributedCacheConfig::default(),
-            HashRing::with_workers_default([]),
-            SimClock::new(),
-            CounterSet::new(),
-        );
-        for w in &joined {
-            dist.ring().write().insert(*w);
-        }
-
-        for (i, key) in keys_from_seed(seed, nkeys).iter().enumerate() {
-            let chunk = ChunkKey { file: key.clone(), row_group: i as u32 % 4, column: 0 };
-            let owner = dist.owner(&chunk).unwrap();
-            // the cache's owner is the scheduler ring's owner…
-            prop_assert_eq!(Some(owner), scheduler_ring.owner(&chunk.ring_key()));
-            // …and the fragment-cache affinity hash routes the split
-            // identity to the same worker (one hash path, by construction)
-            let slot = affinity_worker(&chunk.ring_key(), &fleet).unwrap();
-            prop_assert_eq!(fleet[slot], owner);
-        }
-    }
-}
-
-// ------------------------------------------------------ 3. shadow accuracy
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn shadow_predicts_a_real_lru_exactly(
-        seed in any::<u64>(),
-        trace in proptest::collection::vec(0u16..120, 50..800),
-        capacity in 1usize..64,
-    ) {
-        let keys: Vec<String> =
-            trace.iter().map(|k| format!("/t{}/part-{}", mix64(seed ^ u64::from(*k)) % 7, k)).collect();
-
-        let shadow = ShadowCache::new(256, CounterSet::new());
-        let lru: LruCache<String, ()> = LruCache::new(capacity);
-        let mut real_hits = 0u64;
-        for key in &keys {
-            shadow.access(key);
-            if lru.get(key).is_some() {
-                real_hits += 1;
-            } else {
-                lru.put(key.clone(), Arc::new(()));
-            }
-        }
-        // Mattson: an LRU of capacity C hits exactly the accesses whose
-        // stack distance is < C — the ghost cache measured those distances
-        prop_assert_eq!(shadow.predicted_hits(capacity), real_hits);
-        // and the curve is monotone in capacity by construction
-        prop_assert!(shadow.predicted_hits(capacity + 1) >= real_hits);
-    }
-}
-
-// ----------------------------------- 4. invalidation never serves stale data
-
-fn v1_schema() -> Schema {
-    Schema::new(vec![Field::new(
-        "base",
-        DataType::row(vec![
-            Field::new("driver_uuid", DataType::Varchar),
-            Field::new("city_id", DataType::Bigint),
-        ]),
-    )])
-    .unwrap()
-}
-
-fn v2_schema() -> Schema {
-    // v2 adds base.surge, as in tests/schema_evolution.rs
-    Schema::new(vec![Field::new(
-        "base",
-        DataType::row(vec![
-            Field::new("driver_uuid", DataType::Varchar),
-            Field::new("city_id", DataType::Bigint),
-            Field::new("surge", DataType::Double),
-        ]),
-    )])
-    .unwrap()
-}
-
-fn write_file(hive: &HiveConnector, partition: &str, file_schema: &Schema, rows: usize) {
-    let base_type = file_schema.field_at(0).data_type.clone();
-    let width = match &base_type {
-        DataType::Row(fields) => fields.len(),
-        _ => unreachable!(),
-    };
-    let values: Vec<Value> = (0..rows)
-        .map(|i| {
-            let mut fields = vec![
-                Value::Varchar(format!("drv-{partition}-{i}")),
-                Value::Bigint((i % 10) as i64),
-            ];
-            if width > 2 {
-                fields.push(Value::Double(1.0 + i as f64 / 100.0));
-            }
-            Value::Row(fields)
-        })
-        .collect();
-    let page = Page::new(vec![Block::from_values(&base_type, &values).unwrap()]).unwrap();
-    hive.write_data_file(
-        "rawdata",
-        "trips",
-        Some(partition),
-        "part-0.upq",
-        &[page],
-        WriterMode::Native,
-        WriterProperties::default(),
-    )
-    .unwrap();
-}
-
-/// The real footer's width of the `base` row — 2 under v1, 3 under v2.
-fn footer_columns(fs: &Arc<HdfsFileSystem>, path: &str) -> usize {
-    let source = FsSource::open(Arc::clone(fs) as Arc<_>, path).unwrap();
-    let schema = reader::read_metadata(&source).unwrap().schema;
-    match &schema.field_at(0).data_type {
-        DataType::Row(fields) => fields.len(),
-        other => panic!("expected a row footer, got {other}"),
-    }
-}
-
-#[test]
-fn schema_bump_invalidates_cached_footers() {
-    let fs = Arc::new(HdfsFileSystem::with_defaults());
-    let hive = HiveConnector::new(Arc::clone(&fs) as Arc<_>, CounterSet::new());
-    hive.register_table("rawdata", "trips", v1_schema(), "/w/trips", Some("datestr"));
-    hive.add_partition("rawdata", "trips", "old", true).unwrap();
-    write_file(&hive, "old", &v1_schema(), 20);
-    let path = "/w/trips/datestr=old/part-0.upq";
-
-    let clock = SimClock::new();
-    let cache: MetadataCache<usize> =
-        MetadataCache::new(64, Duration::from_secs(60), clock.clone(), CounterSet::new());
-
-    // cache the v1 footer under the current table version
-    cache.put("rawdata.trips", MetaKind::Footer, path, footer_columns(&fs, path));
-    assert_eq!(*cache.get("rawdata.trips", MetaKind::Footer, path).unwrap(), 2);
-
-    // schema service bumps the table to v2 and the file is rewritten
-    hive.register_table("rawdata", "trips", v2_schema(), "/w/trips", Some("datestr"));
-    hive.add_partition("rawdata", "trips", "old", true).unwrap();
-    write_file(&hive, "old", &v2_schema(), 20);
-    cache.bump_table_version("rawdata.trips");
-
-    // the stale v1 footer must never come back — the miss forces a re-read
-    // that sees the v2 file
-    assert!(cache.get("rawdata.trips", MetaKind::Footer, path).is_none());
-    assert!(cache.metrics().get(names::DIST_META_STALE) > 0);
-    cache.put("rawdata.trips", MetaKind::Footer, path, footer_columns(&fs, path));
-    assert_eq!(*cache.get("rawdata.trips", MetaKind::Footer, path).unwrap(), 3);
-}
-
-#[test]
-fn ttl_expiry_refuses_old_footers() {
-    let clock = SimClock::new();
-    let cache: MetadataCache<usize> =
-        MetadataCache::new(64, Duration::from_secs(60), clock.clone(), CounterSet::new());
-    cache.put("rawdata.trips", MetaKind::Footer, "/w/trips/datestr=old/part-0.upq", 2);
-
-    clock.advance(Duration::from_secs(60));
-    assert!(
-        cache.get("rawdata.trips", MetaKind::Footer, "/w/trips/datestr=old/part-0.upq").is_some(),
-        "at exactly ttl the entry still serves"
-    );
-    clock.advance(Duration::from_secs(1));
-    assert!(cache
-        .get("rawdata.trips", MetaKind::Footer, "/w/trips/datestr=old/part-0.upq")
-        .is_none());
-    assert!(cache.metrics().get(names::DIST_META_EXPIRED) > 0);
 }

@@ -1,26 +1,29 @@
-//! Elastic-lifecycle suite: the half-open probation contract under spot
-//! revocation (a revoked worker that rejoins enters probation, never full
-//! health, and one probation failure re-quarantines it), the revocation
-//! storm end to end (half the fleet dies mid-query, every answer still
-//! lands via retry on the survivors), and a property test that graceful
-//! decommission of *any* single worker mid-run is invisible to queries.
+//! Elastic-lifecycle suite: §IX graceful expansion and shrink under a live
+//! query stream ("The worker will block until all active tasks are
+//! complete"), the half-open probation contract under spot revocation (a
+//! revoked worker that rejoins enters probation, never full health, and one
+//! probation failure re-quarantines it), the revocation storm end to end
+//! (half the fleet dies mid-query, every answer still lands via retry on
+//! the survivors), and a property test that graceful decommission of *any*
+//! single worker mid-run is invisible to queries.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use presto_cache::{ChunkKey, DistributedCacheConfig};
-use presto_cluster::{ClusterConfig, PrestoCluster, WorkerHealth, WorkerLifecycle};
+use presto_cluster::{ClusterConfig, PrestoCluster, WorkerHealth, WorkerLifecycle, WorkerState};
 use presto_common::metrics::names;
 use presto_common::{
     Block, DataType, FaultInjector, FaultPlan, Field, Page, Schema, SimClock, Value,
 };
 use presto_connectors::memory::MemoryConnector;
+use presto_connectors::tpch::TpchConnector;
 use presto_core::{PrestoEngine, Session};
 use presto_resource::QueryPriority;
 
-/// 12-page table → 12 splits per scan, spread across the workers.
+/// 12-page table → 12 splits per scan, spread across the workers; plus the
+/// TPC-H catalog, whose splits (unlike memory splits) are result-cacheable.
 fn engine_with_table() -> PrestoEngine {
     let engine = PrestoEngine::new();
     let memory = MemoryConnector::new();
@@ -30,6 +33,7 @@ fn engine_with_table() -> PrestoEngine {
         .collect();
     memory.create_table("default", "t", schema, pages).unwrap();
     engine.register_catalog("memory", Arc::new(memory));
+    engine.register_catalog("tpch", Arc::new(TpchConnector::new()));
     engine
 }
 
@@ -42,6 +46,83 @@ const SUM_SQL: &str = "SELECT sum(x), count(*) FROM t";
 /// sum(0..600) = 179700 over 600 rows — the answer every scenario must agree on.
 fn expected_rows() -> Vec<Vec<Value>> {
     vec![vec![Value::Bigint(179_700), Value::Bigint(600)]]
+}
+
+// ------------------------------------------- §IX expansion and shrink
+
+/// `workers` workers under the paper's 2-minute `shutdown.grace-period`.
+fn paper_grace_cluster(workers: u32) -> Arc<PrestoCluster> {
+    cluster(ClusterConfig {
+        initial_workers: workers,
+        grace_period: Duration::from_secs(120),
+        ..ClusterConfig::default()
+    })
+}
+
+#[test]
+fn expansion_takes_effect_without_restart() {
+    let c = paper_grace_cluster(1);
+    let session = Session::default();
+    c.execute("SELECT count(*) FROM t", &session).unwrap();
+    let before: usize = c.workers().iter().map(|w| w.completed_tasks()).sum();
+    assert_eq!(before, 12);
+    c.expand(3);
+    c.execute("SELECT count(*) FROM t", &session).unwrap();
+    // new workers picked up splits on the very next query
+    let newcomers: usize =
+        c.workers().iter().filter(|w| w.id > 0).map(|w| w.completed_tasks()).sum();
+    assert!(newcomers > 0);
+}
+
+#[test]
+fn shrink_follows_the_paper_state_machine() {
+    let c = paper_grace_cluster(4);
+    let session = Session::default();
+    c.request_worker_shutdown(3).unwrap();
+    let worker = c.workers().into_iter().find(|w| w.id == 3).unwrap();
+    assert_eq!(worker.state(), WorkerState::ShuttingDownGrace1);
+
+    // first grace period: 2 minutes
+    c.clock().advance(Duration::from_secs(120));
+    c.tick();
+    assert_eq!(worker.state(), WorkerState::ShuttingDownGrace2); // no tasks → drained immediately
+
+    // second grace period
+    c.clock().advance(Duration::from_secs(120));
+    let live = c.tick();
+    assert_eq!(worker.state(), WorkerState::Terminated);
+    assert_eq!(live, 3);
+
+    // cluster still answers correctly
+    let result = c.execute("SELECT count(*) FROM t", &session).unwrap();
+    assert_eq!(result.rows(), vec![vec![Value::Bigint(600)]]);
+    assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 0);
+}
+
+#[test]
+fn queries_running_during_shrink_never_fail() {
+    let c = paper_grace_cluster(4);
+    let session = Session::default();
+    // drain half the fleet while querying
+    c.request_worker_shutdown(2).unwrap();
+    c.request_worker_shutdown(3).unwrap();
+    for _ in 0..20 {
+        assert_eq!(c.execute(SUM_SQL, &session).unwrap().rows(), expected_rows());
+        c.clock().advance(Duration::from_secs(30));
+        c.tick();
+    }
+    assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 0);
+    assert_eq!(c.active_workers().len(), 2);
+}
+
+#[test]
+fn distributed_results_match_single_node_engine() {
+    let c = paper_grace_cluster(3);
+    let session = Session::default();
+    let sql = "SELECT count(*), sum(x), min(x), max(x) FROM t";
+    let distributed = c.execute(sql, &session).unwrap();
+    let local = c.engine().execute_with_session(sql, &session).unwrap();
+    assert_eq!(distributed.rows(), local.rows());
 }
 
 // --------------------------------------------- rejoin lands in probation
@@ -196,72 +277,15 @@ proptest! {
     }
 }
 
-// --------------------------- the distributed cache rides the lifecycle
+// ------------------------- the fragment caches ride the lifecycle
 
-/// A deterministic working set spread across the fleet: every entry is
-/// stored at its ring owner, as the scheduler would place it.
-fn fill_distributed(c: &PrestoCluster, entries: u32) -> Vec<ChunkKey> {
-    let dist = c.distributed_cache().expect("distributed cache configured");
-    (0..entries)
-        .map(|i| {
-            let key = ChunkKey {
-                file: format!("/warehouse/t{}/part-{}", i % 5, i % 16),
-                row_group: i % 4,
-                column: i % 3,
-            };
-            let owner = dist.owner(&key).expect("non-empty ring");
-            dist.put(owner, key.clone(), vec![i as u8; 4]);
-            key
-        })
-        .collect()
-}
-
-#[test]
-fn graceful_decommission_migrates_entries_to_ring_successors() {
-    let c = cluster(ClusterConfig {
-        grace_period: Duration::from_micros(100),
-        distributed_cache: Some(DistributedCacheConfig {
-            chunk_capacity: 4096,
-            ..DistributedCacheConfig::default()
-        }),
-        ..ClusterConfig::default()
-    });
-    let dist = c.distributed_cache().unwrap().clone();
-    let keys = fill_distributed(&c, 96);
-
-    // for every key worker 0 owns, its ring successor is the worker that
-    // must hold it after the drain
-    let expected: Vec<(ChunkKey, u32)> = {
-        let ring = c.ring().read().clone();
-        keys.iter()
-            .filter(|k| ring.owner(&k.ring_key()) == Some(0))
-            .map(|k| (k.clone(), ring.successors(&k.ring_key(), 2)[1]))
-            .collect()
-    };
-    assert!(!expected.is_empty(), "worker 0 must own some of 96 keys");
-    let before = dist.len();
-
-    c.decommission_worker(0).unwrap();
-
-    assert_eq!(dist.len(), before, "graceful migration loses nothing");
-    assert!(dist.shard_keys(0).is_empty(), "the drained shard is empty");
-    for (key, successor) in &expected {
-        assert_eq!(dist.owner(key), Some(*successor), "{key:?} must land on its ring successor");
-        assert!(
-            dist.shard_keys(*successor).contains(key),
-            "{key:?} migrated somewhere other than worker {successor}"
-        );
-    }
-    assert!(c.metrics().get(names::DIST_REMAPPED) >= expected.len() as u64);
-}
-
-/// One same-seed storm run: 4 on-demand + 4 spot workers, the spot class
-/// revoked mid-query, distributed + fragment caches live throughout.
+/// One same-seed storm run: 4 on-demand + 4 spot workers with fragment
+/// caches, the spot class revoked while the first (cacheable, TPC-H) scan
+/// is filling them.
 fn storm_run(seed: u64) -> (u64, Vec<Vec<Value>>) {
     let c = cluster(ClusterConfig {
         affinity_scheduling: true,
         fragment_cache_entries: 64,
-        distributed_cache: Some(DistributedCacheConfig::default()),
         fault_injector: FaultInjector::new(
             seed,
             FaultPlan::new().revoke_class("spot", Duration::from_micros(50)),
@@ -269,13 +293,15 @@ fn storm_run(seed: u64) -> (u64, Vec<Vec<Value>>) {
         ..ClusterConfig::default()
     });
     c.expand_class(4, "spot");
-    fill_distributed(&c, 200);
 
+    let tpch = Session::new("tpch", "tiny");
     let mut rows = Vec::new();
     for _ in 0..3 {
+        rows.extend(c.execute("SELECT count(*) FROM lineitem", &tpch).unwrap().rows());
         rows.extend(c.execute(SUM_SQL, &Session::default()).unwrap().rows());
     }
     assert_eq!(c.metrics().get(names::CLUSTER_WORKERS_REVOKED), 4);
+    assert!(c.metrics().get(names::FRC_HITS) > 0, "the survivors' caches must be in play");
     (c.cache_digest(), rows)
 }
 

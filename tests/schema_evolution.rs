@@ -182,3 +182,31 @@ fn type_change_is_rejected() {
     // allow automatic type coercion"
     assert_eq!(err.code(), "SCHEMA_EVOLUTION_ERROR");
 }
+
+#[test]
+fn file_rewritten_in_place_under_v2_serves_the_new_column() {
+    let hdfs = HdfsFileSystem::with_defaults();
+    let hive = Arc::new(HiveConnector::new(Arc::new(hdfs), CounterSet::new()));
+    hive.register_table("rawdata", "trips", v1_schema(), "/w/trips", Some("datestr"));
+    hive.add_partition("rawdata", "trips", "old", true).unwrap();
+    write_file(&hive, "old", &v1_schema(), 20);
+    let engine = PrestoEngine::new();
+    engine.register_catalog("hive", hive.clone());
+    let session = Session::new("hive", "rawdata");
+
+    // a v1 scan leaves the file's handle (its size) in the worker-side cache
+    let v1 = engine.execute_with_session("SELECT base.city_id FROM trips", &session).unwrap();
+    assert_eq!(v1.rows().len(), 20);
+
+    // the schema service bumps the table to v2 and a backfill rewrites the
+    // same path with the wider (longer) file
+    hive.register_table("rawdata", "trips", v2_schema(), "/w/trips", Some("datestr"));
+    hive.add_partition("rawdata", "trips", "old", true).unwrap();
+    write_file(&hive, "old", &v2_schema(), 20);
+
+    // the rewritten file must never be read through the stale handle: the
+    // scan finds the v2 footer and every row carries the new column
+    let v2 = engine.execute_with_session("SELECT base.surge FROM trips", &session).unwrap();
+    assert_eq!(v2.rows().len(), 20);
+    assert!(v2.rows().iter().all(|row| !row[0].is_null()), "v2 rows carry surge");
+}
