@@ -10,12 +10,20 @@
 //! [`Block::Dictionary`] is the encoding dictionary pushdown (§V.G) and lazy
 //! dictionary-preserving reads produce.
 
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
+
 use crate::error::{PrestoError, Result};
 use crate::types::{DataType, Field};
 use crate::value::Value;
 
 /// Validity mask: `true` means NULL at that position. `None` means no nulls.
 pub type NullMask = Option<Vec<bool>>;
+
+/// `mask`, or `None` when it marks no NULL.
+fn some_if_any(mask: Vec<bool>) -> NullMask {
+    mask.contains(&true).then_some(mask)
+}
 
 /// One column of a batch of rows, in columnar layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -471,14 +479,7 @@ impl Block {
     /// Gather the given row indices into a new block.
     pub fn take(&self, indices: &[usize]) -> Block {
         fn take_mask(nulls: &NullMask, indices: &[usize]) -> NullMask {
-            nulls.as_ref().and_then(|n| {
-                let taken: Vec<bool> = indices.iter().map(|&i| n[i]).collect();
-                if taken.iter().any(|&b| b) {
-                    Some(taken)
-                } else {
-                    None
-                }
-            })
+            nulls.as_ref().and_then(|n| some_if_any(indices.iter().map(|&i| n[i]).collect()))
         }
         match self {
             Block::Boolean { values, nulls } => Block::Boolean {
@@ -574,56 +575,328 @@ impl Block {
         self.take(&indices)
     }
 
-    /// Contiguous slice `[offset, offset + len)`.
-    pub fn slice(&self, offset: usize, len: usize) -> Block {
-        let indices: Vec<usize> = (offset..offset + len).collect();
-        self.take(&indices)
+    /// Gather rows like [`Block::take`], with `None` producing a NULL row
+    /// (the build side of a LEFT join's misses). The result is always a
+    /// plain block; NULL slots hold the type's zero value.
+    pub fn take_nullable(&self, indices: &[Option<usize>]) -> Block {
+        fn gather<T: Copy + Default>(
+            values: &[T],
+            nulls: &NullMask,
+            indices: &[Option<usize>],
+        ) -> (Vec<T>, NullMask) {
+            let null_at = |i: usize| nulls.as_ref().is_some_and(|n| n[i]);
+            let mask = indices.iter().map(|o| o.is_none_or(null_at)).collect();
+            let values = indices
+                .iter()
+                .map(|o| o.filter(|&i| !null_at(i)).map_or(T::default(), |i| values[i]))
+                .collect();
+            (values, some_if_any(mask))
+        }
+        macro_rules! fixed {
+            ($variant:ident, $values:expr, $nulls:expr) => {{
+                let (values, nulls) = gather($values, $nulls, indices);
+                Block::$variant { values, nulls }
+            }};
+        }
+        match self {
+            Block::Boolean { values, nulls } => fixed!(Boolean, values, nulls),
+            Block::Bigint { values, nulls } => fixed!(Bigint, values, nulls),
+            Block::Integer { values, nulls } => fixed!(Integer, values, nulls),
+            Block::Double { values, nulls } => fixed!(Double, values, nulls),
+            Block::Date { values, nulls } => fixed!(Date, values, nulls),
+            Block::Timestamp { values, nulls } => fixed!(Timestamp, values, nulls),
+            Block::Varchar { offsets, bytes, nulls } => {
+                let null_at = |i: usize| nulls.as_ref().is_some_and(|n| n[i]);
+                let mut new_offsets = Vec::with_capacity(indices.len() + 1);
+                let mut new_bytes = Vec::new();
+                new_offsets.push(0u32);
+                for i in indices.iter().map(|o| o.filter(|&i| !null_at(i))) {
+                    if let Some(i) = i {
+                        new_bytes.extend_from_slice(
+                            &bytes[offsets[i] as usize..offsets[i + 1] as usize],
+                        );
+                    }
+                    new_offsets.push(new_bytes.len() as u32);
+                }
+                let mask = indices.iter().map(|o| o.is_none_or(null_at)).collect();
+                Block::Varchar { offsets: new_offsets, bytes: new_bytes, nulls: some_if_any(mask) }
+            }
+            Block::Dictionary { .. } => self.decode_dictionary().take_nullable(indices),
+            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => {
+                let values: Vec<Value> =
+                    indices.iter().map(|o| o.map_or(Value::Null, |i| self.value(i))).collect();
+                Block::from_values(&self.data_type(), &values)
+                    .expect("a block's own values match its type")
+            }
+        }
     }
 
-    /// Concatenate blocks of the same type.
-    pub fn concat(blocks: &[Block]) -> Result<Block> {
-        let first =
-            blocks.first().ok_or_else(|| PrestoError::Internal("concat of zero blocks".into()))?;
+    /// Contiguous slice `[offset, offset + len)`: a copy of the range, equal
+    /// to `take` of the same rows.
+    pub fn slice(&self, offset: usize, len: usize) -> Block {
+        let end = offset + len;
+        let mask =
+            |nulls: &NullMask| nulls.as_ref().and_then(|n| some_if_any(n[offset..end].to_vec()));
+        // offsets of the range rebased to zero, and the child range they span
+        let rebase = |offsets: &[u32]| -> (Vec<u32>, usize, usize) {
+            let (lo, hi) = (offsets[offset], offsets[end]);
+            (offsets[offset..=end].iter().map(|o| o - lo).collect(), lo as usize, hi as usize)
+        };
+        macro_rules! fixed {
+            ($variant:ident, $values:expr, $nulls:expr) => {
+                Block::$variant { values: $values[offset..end].to_vec(), nulls: mask($nulls) }
+            };
+        }
+        match self {
+            Block::Boolean { values, nulls } => fixed!(Boolean, values, nulls),
+            Block::Bigint { values, nulls } => fixed!(Bigint, values, nulls),
+            Block::Integer { values, nulls } => fixed!(Integer, values, nulls),
+            Block::Double { values, nulls } => fixed!(Double, values, nulls),
+            Block::Date { values, nulls } => fixed!(Date, values, nulls),
+            Block::Timestamp { values, nulls } => fixed!(Timestamp, values, nulls),
+            Block::Varchar { offsets, bytes, nulls } => {
+                let (offsets, lo, hi) = rebase(offsets);
+                Block::Varchar { offsets, bytes: bytes[lo..hi].to_vec(), nulls: mask(nulls) }
+            }
+            Block::Array { element_type, offsets, elements, nulls } => {
+                let (offsets, lo, hi) = rebase(offsets);
+                Block::Array {
+                    element_type: element_type.clone(),
+                    offsets,
+                    elements: Box::new(elements.slice(lo, hi - lo)),
+                    nulls: mask(nulls),
+                }
+            }
+            Block::Map { key_type, value_type, offsets, keys, values, nulls } => {
+                let (offsets, lo, hi) = rebase(offsets);
+                Block::Map {
+                    key_type: key_type.clone(),
+                    value_type: value_type.clone(),
+                    offsets,
+                    keys: Box::new(keys.slice(lo, hi - lo)),
+                    values: Box::new(values.slice(lo, hi - lo)),
+                    nulls: mask(nulls),
+                }
+            }
+            Block::Row { fields, children, nulls, .. } => Block::Row {
+                fields: fields.clone(),
+                children: children.iter().map(|c| c.slice(offset, len)).collect(),
+                len,
+                nulls: mask(nulls),
+            },
+            Block::Dictionary { dictionary, ids } => {
+                Block::Dictionary { dictionary: dictionary.clone(), ids: ids[offset..end].to_vec() }
+            }
+        }
+    }
+
+    /// Concatenate blocks of the same type. One block is returned as it is;
+    /// several always yield a plain (dictionary-free) block whose NULL
+    /// slots hold the type's zero value, with no mask when no NULL survives
+    /// — what [`Block::from_values`] over all the values would build.
+    pub fn concat<B: Borrow<Block>>(blocks: &[B]) -> Result<Block> {
+        let first = blocks
+            .first()
+            .ok_or_else(|| PrestoError::Internal("concat of zero blocks".into()))?
+            .borrow();
+        if blocks.len() == 1 {
+            return Ok(first.clone());
+        }
         let dt = first.data_type();
-        // Slow generic path via values keeps nested cases correct; the scalar
-        // fast paths below cover the hot columns.
-        match (&dt, blocks.len()) {
-            (_, 1) => return Ok(first.clone()),
-            (DataType::Bigint, _)
-                if blocks.iter().all(|b| matches!(b, Block::Bigint { nulls: None, .. })) =>
-            {
-                let mut values = Vec::new();
-                for b in blocks {
-                    if let Block::Bigint { values: v, .. } = b {
+        if let Some(b) = blocks.iter().find(|b| (*b).borrow().data_type() != dt) {
+            return Err(PrestoError::Internal(format!(
+                "concat of mismatched block types {dt} vs {}",
+                b.borrow().data_type()
+            )));
+        }
+        let parts: Vec<Cow<'_, Block>> = blocks
+            .iter()
+            .map(|b| match b.borrow() {
+                dict @ Block::Dictionary { .. } => Cow::Owned(dict.decode_dictionary()),
+                plain => Cow::Borrowed(plain),
+            })
+            .collect();
+        let total: usize = parts.iter().map(|b| b.len()).sum();
+        // the concatenated mask, built only once some part holds a NULL
+        let mut mask: Vec<bool> = Vec::new();
+        let mut note_nulls = |nulls: &NullMask, before: usize, len: usize| {
+            if let Some(n) = nulls.as_ref().filter(|n| n.contains(&true)) {
+                mask.resize(before, false);
+                mask.extend_from_slice(n);
+            } else if !mask.is_empty() {
+                mask.resize(before + len, false);
+            }
+        };
+        macro_rules! fixed {
+            ($variant:ident) => {{
+                let mut values = Vec::with_capacity(total);
+                for part in &parts {
+                    if let Block::$variant { values: v, nulls } = &**part {
+                        note_nulls(nulls, values.len(), v.len());
                         values.extend_from_slice(v);
                     }
                 }
-                return Ok(Block::bigint(values));
-            }
-            (DataType::Double, _)
-                if blocks.iter().all(|b| matches!(b, Block::Double { nulls: None, .. })) =>
-            {
-                let mut values = Vec::new();
-                for b in blocks {
-                    if let Block::Double { values: v, .. } = b {
-                        values.extend_from_slice(v);
+                for (value, _) in values.iter_mut().zip(&mask).filter(|(_, null)| **null) {
+                    *value = Default::default();
+                }
+                Block::$variant { values, nulls: some_if_any(mask) }
+            }};
+        }
+        Ok(match dt {
+            DataType::Boolean => fixed!(Boolean),
+            DataType::Bigint => fixed!(Bigint),
+            DataType::Integer => fixed!(Integer),
+            DataType::Double => fixed!(Double),
+            DataType::Date => fixed!(Date),
+            DataType::Timestamp => fixed!(Timestamp),
+            DataType::Varchar => {
+                let mut offsets = Vec::with_capacity(total + 1);
+                let mut bytes = Vec::new();
+                offsets.push(0u32);
+                for part in &parts {
+                    if let Block::Varchar { offsets: o, bytes: b, nulls } = &**part {
+                        note_nulls(nulls, offsets.len() - 1, o.len() - 1);
+                        match nulls.as_ref().filter(|n| n.contains(&true)) {
+                            None => {
+                                let base = (bytes.len() as u32).wrapping_sub(o[0]);
+                                bytes.extend_from_slice(&b[o[0] as usize..o[o.len() - 1] as usize]);
+                                offsets.extend(o[1..].iter().map(|end| base.wrapping_add(*end)));
+                            }
+                            // a NULL row contributes no bytes
+                            Some(n) => {
+                                for (i, null) in n.iter().enumerate() {
+                                    if !null {
+                                        bytes.extend_from_slice(
+                                            &b[o[i] as usize..o[i + 1] as usize],
+                                        );
+                                    }
+                                    offsets.push(bytes.len() as u32);
+                                }
+                            }
+                        }
                     }
                 }
-                return Ok(Block::double(values));
+                Block::Varchar { offsets, bytes, nulls: some_if_any(mask) }
             }
-            _ => {}
-        }
-        let mut all = Vec::new();
-        for b in blocks {
-            if b.data_type() != dt {
-                return Err(PrestoError::Internal(format!(
-                    "concat of mismatched block types {dt} vs {}",
-                    b.data_type()
-                )));
+            // nested types take the generic path through values
+            DataType::Array(_) | DataType::Map(..) | DataType::Row(_) => {
+                let all: Vec<Value> = parts.iter().flat_map(|b| b.to_values()).collect();
+                Block::from_values(&dt, &all)?
             }
-            all.extend(b.to_values());
+        })
+    }
+
+    /// Compare rows `i` and `j` of this block in [`Value::total_cmp`] order
+    /// (numbers < NaN < NULL) without materializing either scalar.
+    pub fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
+        fn nulls_last(
+            nulls: &NullMask,
+            i: usize,
+            j: usize,
+            cmp: impl FnOnce() -> Ordering,
+        ) -> Ordering {
+            match nulls.as_ref().map(|n| (n[i], n[j])) {
+                None | Some((false, false)) => cmp(),
+                Some((a, b)) => a.cmp(&b),
+            }
         }
-        Block::from_values(&dt, &all)
+        match self {
+            Block::Boolean { values, nulls } => {
+                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+            }
+            Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
+                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+            }
+            Block::Integer { values, nulls } | Block::Date { values, nulls } => {
+                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+            }
+            Block::Double { values, nulls } => nulls_last(nulls, i, j, || {
+                let (a, b) = (values[i], values[j]);
+                a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+            }),
+            Block::Varchar { offsets, bytes, nulls } => nulls_last(nulls, i, j, || {
+                let at = |r: usize| &bytes[offsets[r] as usize..offsets[r + 1] as usize];
+                at(i).cmp(at(j))
+            }),
+            Block::Dictionary { dictionary, ids } => {
+                dictionary.cmp_rows(ids[i] as usize, ids[j] as usize)
+            }
+            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => {
+                self.value(i).total_cmp(&self.value(j))
+            }
+        }
+    }
+
+    /// A 64-bit sort prefix per row: `prefix[i] < prefix[j]` only when
+    /// [`Block::cmp_rows`] orders row `i` before row `j`; equal prefixes
+    /// decide nothing (long strings, nested values). A sort that compares
+    /// prefixes first touches the column itself only on a tie.
+    pub fn order_prefixes(&self) -> Vec<u64> {
+        const NULL: u64 = u64::MAX;
+        fn with_nulls(mut prefixes: Vec<u64>, nulls: &NullMask) -> Vec<u64> {
+            for (p, _) in prefixes.iter_mut().zip(nulls.iter().flatten()).filter(|(_, n)| **n) {
+                *p = NULL;
+            }
+            prefixes
+        }
+        let signed = |v: i64| (v as u64) ^ (1 << 63);
+        match self {
+            Block::Boolean { values, nulls } => {
+                with_nulls(values.iter().map(|&v| u64::from(v)).collect(), nulls)
+            }
+            Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
+                with_nulls(values.iter().map(|&v| signed(v)).collect(), nulls)
+            }
+            Block::Integer { values, nulls } | Block::Date { values, nulls } => {
+                with_nulls(values.iter().map(|&v| signed(i64::from(v))).collect(), nulls)
+            }
+            Block::Double { values, nulls } => {
+                let prefix = |v: &f64| match (v + 0.0).to_bits() {
+                    _ if v.is_nan() => NULL - 1,
+                    negative if negative >> 63 == 1 => !negative,
+                    positive => positive | (1 << 63),
+                };
+                with_nulls(values.iter().map(prefix).collect(), nulls)
+            }
+            Block::Varchar { offsets, bytes, nulls } => {
+                let prefix = |w: &[u32]| {
+                    let head = bytes[w[0] as usize..w[1] as usize].iter().take(8);
+                    let read = head.fold((0u64, 0), |(p, n), &b| ((p << 8) | u64::from(b), n + 1));
+                    read.0.checked_shl(64 - 8 * read.1).unwrap_or(0)
+                };
+                with_nulls(offsets.windows(2).map(prefix).collect(), nulls)
+            }
+            Block::Dictionary { dictionary, ids } => {
+                let entries = dictionary.order_prefixes();
+                ids.iter().map(|&id| entries[id as usize]).collect()
+            }
+            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => vec![0; self.len()],
+        }
+    }
+
+    /// This block in the numeric type `to` that
+    /// [`DataType::comparison_type`] picked: INTEGER → BIGINT,
+    /// INTEGER/BIGINT → DOUBLE, as `sql_cmp` widens. `None` when there is
+    /// nothing to do — the block already is of that type, or is not numeric.
+    pub fn widen(&self, to: &DataType) -> Option<Block> {
+        Some(match (self, to) {
+            (Block::Dictionary { .. }, _) if self.data_type() != *to => {
+                return self.decode_dictionary().widen(to);
+            }
+            (Block::Integer { values, nulls }, DataType::Bigint) => Block::Bigint {
+                values: values.iter().map(|&v| i64::from(v)).collect(),
+                nulls: nulls.clone(),
+            },
+            (Block::Integer { values, nulls }, DataType::Double) => Block::Double {
+                values: values.iter().map(|&v| f64::from(v)).collect(),
+                nulls: nulls.clone(),
+            },
+            (Block::Bigint { values, nulls }, DataType::Double) => Block::Double {
+                values: values.iter().map(|&v| v as f64).collect(),
+                nulls: nulls.clone(),
+            },
+            _ => return None,
+        })
     }
 
     /// Flatten a dictionary block to its plain encoding; other blocks are
@@ -746,6 +1019,191 @@ mod tests {
         let block = Block::varchar(&["a", "bb", "ccc", "dddd"]);
         let s = block.slice(1, 2);
         assert_eq!(s.to_values(), vec!["bb".into(), "ccc".into()]);
+    }
+
+    /// Every scalar type with a NULL-carrying sample, plus one nested type.
+    fn typed_samples() -> Vec<(DataType, Vec<Value>)> {
+        vec![
+            (DataType::Boolean, vec![true.into(), Value::Null, false.into(), true.into()]),
+            (DataType::Bigint, vec![Value::Null, i64::MIN.into(), 7i64.into(), i64::MAX.into()]),
+            (DataType::Integer, vec![3i32.into(), (-3i32).into(), Value::Null, i32::MAX.into()]),
+            (
+                DataType::Double,
+                vec![f64::NAN.into(), (-0.0f64).into(), 0.0f64.into(), Value::Null, 2.5f64.into()],
+            ),
+            (DataType::Varchar, vec!["bb".into(), Value::Null, "".into(), "a".into(), "bb".into()]),
+            (DataType::Date, vec![Value::Date(9), Value::Null, Value::Date(-1)]),
+            (DataType::Timestamp, vec![Value::Timestamp(5), Value::Timestamp(-5), Value::Null]),
+            (nested_type(), nested_values()),
+        ]
+    }
+
+    /// Layout equality down to the bit: `==` would call two NaNs different.
+    fn assert_same(actual: &Block, expected: &Block, what: &str) {
+        assert_eq!(format!("{actual:?}"), format!("{expected:?}"), "{what}");
+    }
+
+    fn non_null(values: &[Value]) -> Vec<Value> {
+        values.iter().filter(|v| !v.is_null()).cloned().collect()
+    }
+
+    #[test]
+    fn concat_stays_typed_and_equals_the_values_path() {
+        for (dt, values) in typed_samples() {
+            let with_nulls = Block::from_values(&dt, &values).unwrap();
+            let plain = Block::from_values(&dt, &non_null(&values)).unwrap();
+            let empty = Block::from_values(&dt, &[]).unwrap();
+            // a mask that marks nothing must not survive concatenation
+            let mut all_valid = plain.clone();
+            if let Block::Bigint { nulls, values } = &mut all_valid {
+                *nulls = Some(vec![false; values.len()]);
+            }
+            let dict = Block::Dictionary {
+                dictionary: Box::new(with_nulls.clone()),
+                ids: vec![1, 0, 1, (values.len() - 1) as u32],
+            };
+            let cases: Vec<Vec<Block>> = vec![
+                vec![plain.clone(), with_nulls.clone()],
+                vec![with_nulls.clone(), empty.clone(), plain.clone(), with_nulls.clone()],
+                vec![plain.clone(), all_valid, empty.clone()],
+                vec![empty.clone(), empty.clone()],
+                vec![dict.clone(), plain.clone()],
+                vec![dict.clone(), dict.clone()],
+            ];
+            for parts in cases {
+                let all: Vec<Value> = parts.iter().flat_map(Block::to_values).collect();
+                let expected = Block::from_values(&dt, &all).unwrap();
+                assert_same(&Block::concat(&parts).unwrap(), &expected, &dt.to_string());
+                let refs: Vec<&Block> = parts.iter().collect();
+                assert_same(
+                    &Block::concat(&refs).unwrap(),
+                    &expected,
+                    &format!("{dt} by reference"),
+                );
+            }
+            // one block comes back as it is, dictionary included
+            assert_same(&Block::concat(&[&dict]).unwrap(), &dict, "one block");
+        }
+        assert!(Block::concat::<Block>(&[]).is_err());
+        // VARCHAR offsets are rebased onto the bytes already written
+        let joined =
+            Block::concat(&[Block::varchar(&["ab", ""]), Block::varchar(&["cde", "f"])]).unwrap();
+        assert_eq!(
+            joined,
+            Block::Varchar { offsets: vec![0, 2, 2, 5, 6], bytes: b"abcdef".to_vec(), nulls: None }
+        );
+    }
+
+    #[test]
+    fn slice_copies_the_range_like_take() {
+        for (dt, values) in typed_samples() {
+            let block = Block::from_values(&dt, &values).unwrap();
+            let dict = Block::Dictionary {
+                dictionary: Box::new(block.clone()),
+                ids: (0..values.len() as u32).rev().collect(),
+            };
+            for b in [&block, &dict] {
+                for offset in 0..=values.len() {
+                    for len in 0..=values.len() - offset {
+                        let indices: Vec<usize> = (offset..offset + len).collect();
+                        assert_same(
+                            &b.slice(offset, len),
+                            &b.take(&indices),
+                            &format!("{dt} {offset}+{len}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn take_nullable_null_extends_with_zeroed_slots() {
+        for (dt, values) in typed_samples() {
+            let block = Block::from_values(&dt, &values).unwrap();
+            let dict = Block::Dictionary {
+                dictionary: Box::new(block.clone()),
+                ids: (0..values.len() as u32).collect(),
+            };
+            let all: Vec<Option<usize>> =
+                (0..values.len()).map(Some).chain([None, Some(0), None]).collect();
+            let hits: Vec<Option<usize>> =
+                (0..values.len()).filter(|&i| !values[i].is_null()).map(Some).collect();
+            for indices in [all, hits, vec![None, None], vec![]] {
+                let picked: Vec<Value> =
+                    indices.iter().map(|o| o.map_or(Value::Null, |i| values[i].clone())).collect();
+                let expected = Block::from_values(&dt, &picked).unwrap();
+                assert_same(&block.take_nullable(&indices), &expected, &dt.to_string());
+                assert_same(
+                    &dict.take_nullable(&indices),
+                    &expected,
+                    &format!("{dt} via dictionary"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_rows_is_total_cmp_on_typed_columns() {
+        for (dt, values) in typed_samples() {
+            let block = Block::from_values(&dt, &values).unwrap();
+            let dict = Block::Dictionary {
+                dictionary: Box::new(block.clone()),
+                ids: (0..values.len() as u32).collect(),
+            };
+            for i in 0..values.len() {
+                for j in 0..values.len() {
+                    let expected = values[i].total_cmp(&values[j]);
+                    assert_eq!(block.cmp_rows(i, j), expected, "{dt} rows {i},{j}");
+                    assert_eq!(dict.cmp_rows(i, j), expected, "{dt} rows {i},{j} via dictionary");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_prefixes_never_contradict_cmp_rows() {
+        let mut samples = typed_samples();
+        samples.push((
+            DataType::Varchar,
+            vec!["".into(), "abcdefgh".into(), "abcdefghi".into(), "abcdefg".into(), "b".into()],
+        ));
+        samples.push((
+            DataType::Double,
+            vec![f64::NEG_INFINITY.into(), (-1.5f64).into(), f64::INFINITY.into(), 1e-300.into()],
+        ));
+        for (dt, values) in samples {
+            let block = Block::from_values(&dt, &values).unwrap();
+            let prefixes = block.order_prefixes();
+            assert_eq!(prefixes.len(), values.len());
+            for i in 0..values.len() {
+                for j in 0..values.len() {
+                    if prefixes[i] < prefixes[j] {
+                        assert_eq!(block.cmp_rows(i, j), Ordering::Less, "{dt} rows {i},{j}");
+                    }
+                }
+            }
+        }
+        // scalars that differ are told apart by the prefix alone
+        let doubles = Block::double(vec![-0.0, 0.0, -2.0, f64::NAN, 3.0]).order_prefixes();
+        assert_eq!(doubles[0], doubles[1]);
+        assert!(doubles[2] < doubles[0] && doubles[1] < doubles[4] && doubles[4] < doubles[3]);
+    }
+
+    #[test]
+    fn widen_follows_the_comparison_type() {
+        let ints = Block::from_values(&DataType::Integer, &[1i32.into(), Value::Null]).unwrap();
+        let to = DataType::Integer.comparison_type(&DataType::Bigint).unwrap();
+        assert_eq!(ints.widen(&to).unwrap().to_values(), vec![1i64.into(), Value::Null]);
+        let to = DataType::Double.comparison_type(&DataType::Integer).unwrap();
+        assert_eq!(ints.widen(&to).unwrap().to_values(), vec![1.0f64.into(), Value::Null]);
+        let dict =
+            Block::Dictionary { dictionary: Box::new(Block::bigint(vec![7])), ids: vec![0, 0] };
+        assert_eq!(dict.widen(&DataType::Double).unwrap(), Block::double(vec![7.0, 7.0]));
+        assert!(dict.widen(&DataType::Bigint).is_none());
+        assert!(Block::varchar(&["a"]).widen(&DataType::Double).is_none());
+        assert_eq!(DataType::Varchar.comparison_type(&DataType::Bigint), None);
+        assert_eq!(DataType::Date.comparison_type(&DataType::Date), Some(DataType::Date));
     }
 
     #[test]

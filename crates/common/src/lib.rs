@@ -14,6 +14,8 @@
 //!   including dictionary-encoded blocks.
 //! - [`page::Page`] — a horizontal slice of blocks, the unit streamed between
 //!   operators and connectors.
+//! - [`order::RowOrder`] — row order under sort keys on typed columns, with
+//!   a stable sort and a bounded-heap top-N.
 //! - [`value::Value`] — scalar values used for literals, row-at-a-time paths
 //!   (the *legacy* Parquet reader operates on these) and test oracles.
 //! - [`clock::SimClock`] — a virtual clock used by the storage and cluster
@@ -33,6 +35,7 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod metrics;
+pub mod order;
 pub mod page;
 pub mod ring;
 pub mod rng;
@@ -46,6 +49,7 @@ pub use clock::SimClock;
 pub use error::{PrestoError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec};
 pub use metrics::{CounterSet, GaugeSet, Histogram, HistogramSet, TimeSeries, TimeSeriesSet};
+pub use order::RowOrder;
 pub use page::Page;
 pub use ring::HashRing;
 pub use telemetry::{QueryRow, TaskRow, TelemetryRegistry, WorkerRow};

@@ -143,7 +143,7 @@ impl Page {
         }
         let mut blocks = Vec::with_capacity(ncols);
         for c in 0..ncols {
-            let cols: Vec<Block> = pages.iter().map(|p| p.blocks[c].clone()).collect();
+            let cols: Vec<&Block> = pages.iter().map(|p| &p.blocks[c]).collect();
             blocks.push(Block::concat(&cols)?);
         }
         Page::new(blocks)

@@ -80,6 +80,20 @@ impl DataType {
         matches!(self, DataType::Bigint | DataType::Integer | DataType::Double)
     }
 
+    /// The type values of `self` and `other` are compared in by SQL `=` —
+    /// their comparison class under [`Value::sql_cmp`](crate::Value::sql_cmp):
+    /// INTEGER with BIGINT as BIGINT, either with DOUBLE as DOUBLE, a type
+    /// with itself. `None` when no value of one ever equals one of the other.
+    pub fn comparison_type(&self, other: &DataType) -> Option<DataType> {
+        use DataType::{Bigint, Double, Integer};
+        match (self, other) {
+            (l, r) if l == r => Some(l.clone()),
+            (Integer, Bigint) | (Bigint, Integer) => Some(Bigint),
+            (Double, Integer | Bigint) | (Integer | Bigint, Double) => Some(Double),
+            _ => None,
+        }
+    }
+
     /// True for types with a total order usable in ORDER BY / min / max.
     pub fn is_orderable(&self) -> bool {
         !self.is_nested()

@@ -139,16 +139,28 @@ impl Value {
         }
     }
 
-    /// Total ordering with NULLS LAST, used by the sort operator. Incomparable
-    /// pairs (mixed incompatible types) order by type tag to stay total.
+    /// Total ordering with NULLS LAST, used by the sort operator: numbers
+    /// (across INTEGER/BIGINT/DOUBLE) < NaN (all NaNs equal) < NULL, arrays
+    /// and rows lexicographic in this same order. Pairs of incomparable
+    /// types order by type tag. [`Block::cmp_rows`](crate::Block::cmp_rows)
+    /// is this order on typed columns.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        match (self.is_null(), other.is_null()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (false, false) => {
-                self.sql_cmp(other).unwrap_or_else(|| self.type_tag().cmp(&other.type_tag()))
-            }
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Greater,
+            (_, Null) => Ordering::Less,
+            (Array(a), Array(b)) | (Row(a), Row(b)) => a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| a.len().cmp(&b.len())),
+            _ => self.sql_cmp(other).unwrap_or_else(|| match (self.as_f64(), other.as_f64()) {
+                // sql_cmp leaves two numbers unordered only when one is NaN
+                (Some(a), Some(b)) => a.is_nan().cmp(&b.is_nan()),
+                _ => self.type_tag().cmp(&other.type_tag()),
+            }),
         }
     }
 
@@ -328,6 +340,45 @@ mod tests {
         let mut vals = vec![Value::Null, Value::Bigint(2), Value::Bigint(1)];
         vals.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(vals, vec![Value::Bigint(1), Value::Bigint(2), Value::Null]);
+    }
+
+    #[test]
+    fn total_cmp_is_total_with_nan_after_the_numbers() {
+        use Ordering::*;
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(Value::Double(f64::INFINITY).total_cmp(&nan), Less);
+        assert_eq!(nan.total_cmp(&Value::Double(-f64::NAN)), Equal);
+        assert_eq!(nan.total_cmp(&Value::Bigint(i64::MAX)), Greater);
+        assert_eq!(Value::Integer(7).total_cmp(&nan), Less);
+        assert_eq!(nan.total_cmp(&Value::Null), Less);
+        assert_eq!(Value::Integer(2).total_cmp(&Value::Double(2.5)), Less);
+        assert_eq!(Value::Double(0.0).total_cmp(&Value::Double(-0.0)), Equal);
+        // a NULL element no longer makes two arrays "equal to everything"
+        let arr = |items: &[Value]| Value::Array(items.to_vec());
+        assert_eq!(
+            arr(&[1i64.into(), Value::Null]).total_cmp(&arr(&[1i64.into(), 3i64.into()])),
+            Greater
+        );
+
+        // every third value NaN: `slice::sort` panics on a comparison that
+        // is not a total order, and a sorted vector must stay put
+        let mut vals: Vec<Value> = (0..5_000)
+            .map(|i| match i % 3 {
+                0 => Value::Double(f64::NAN),
+                1 => Value::Double(((i * 7919) % 1013) as f64 - 500.0),
+                _ if i % 11 == 0 => Value::Null,
+                _ => Value::Double(-(((i * 104_729) % 997) as f64) / 8.0),
+            })
+            .collect();
+        vals.sort_by(|a, b| a.total_cmp(b));
+        assert!(vals.windows(2).all(|w| w[0].total_cmp(&w[1]) != Greater));
+        let first_nan = vals.iter().position(|v| matches!(v, Value::Double(x) if x.is_nan()));
+        let first_null = vals.iter().position(Value::is_null);
+        assert!(vals[..first_nan.unwrap()].iter().all(|v| v.as_f64().is_some_and(|x| !x.is_nan())));
+        assert!(vals[first_null.unwrap()..].iter().all(Value::is_null));
+        let once = format!("{vals:?}");
+        vals.sort_by(|a, b| a.total_cmp(b));
+        assert_eq!(format!("{vals:?}"), once);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use presto_parquet::reader_old;
 use presto_parquet::{ColumnPredicate, FilePredicate, FileWriter, WriterMode, WriterProperties};
 use presto_storage::FileSystem;
 
-use crate::memory::{predicate_mask, project_column};
+use crate::memory::scan_page;
 use crate::spi::{
     ColumnPath, Connector, ConnectorSplit, PushdownPredicate, ScanCapabilities, ScanHooks,
     ScanRequest, SplitPayload,
@@ -397,23 +397,7 @@ impl Connector for HiveConnector {
             self.metrics.add(names::HIVE_LEAVES_DECODED, stats.leaves_decoded as u64);
             let mut out = Vec::with_capacity(raw_pages.len());
             for page in raw_pages {
-                let filtered = if file_predicates.is_empty() {
-                    page
-                } else {
-                    let conjuncts: Vec<PushdownPredicate> =
-                        file_predicates.iter().map(|p| (*p).clone()).collect();
-                    let mask = predicate_mask(&read_schema, &page, &conjuncts)?;
-                    page.filter(&mask)
-                };
-                let mut blocks = Vec::with_capacity(file_columns.len());
-                for c in &file_columns {
-                    blocks.push(project_column(&read_schema, &filtered, c)?);
-                }
-                out.push(if blocks.is_empty() {
-                    Page::zero_column(filtered.positions())
-                } else {
-                    Page::new(blocks)?
-                });
+                out.push(scan_page(&read_schema, &page, &file_predicates, None, &file_columns)?);
             }
             out
         } else {

@@ -1,12 +1,15 @@
 //! In-memory connector: the simplest record-set provider, used by tests,
 //! examples, and as the scan-side workhorse for engine unit tests.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use presto_common::block::NullMask;
 use presto_common::ids::SplitId;
-use presto_common::{Page, PrestoError, Result, Schema, Value};
+use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
+use presto_parquet::ScalarPredicate;
 
 use crate::spi::{
     ColumnPath, Connector, ConnectorSplit, PushdownPredicate, ScanCapabilities, ScanHooks,
@@ -133,81 +136,212 @@ impl Connector for MemoryConnector {
 }
 
 /// Apply predicate + projection + limit to a full-schema page — the shared
-/// scan path for row-oriented connectors (memory, mysql).
+/// scan path for row-oriented connectors (memory, mysql, tpch, system).
 pub(crate) fn apply_request(schema: &Schema, page: &Page, request: &ScanRequest) -> Result<Page> {
     if request.aggregation.is_some() {
         return Err(PrestoError::Connector(
             "this connector does not support aggregation pushdown".into(),
         ));
     }
-    // predicate
-    let mut page = if request.predicate.is_empty() {
-        page.clone()
+    scan_page(schema, page, &request.predicate, request.limit, &request.columns)
+}
+
+/// The rows of a page a scan keeps.
+enum Kept {
+    /// The first `n` rows.
+    First(usize),
+    /// These rows, ascending.
+    Rows(Vec<usize>),
+}
+
+/// The rows of `page` passing every conjunct, cut at `limit` (an early-out
+/// hint), as `columns`. The page is only read: the mask is computed on it
+/// in place and nothing but the requested columns is gathered or cloned,
+/// so a scan that asks for no column copies no column.
+pub(crate) fn scan_page(
+    schema: &Schema,
+    page: &Page,
+    conjuncts: &[impl Borrow<PushdownPredicate>],
+    limit: Option<usize>,
+    columns: &[impl Borrow<ColumnPath>],
+) -> Result<Page> {
+    let limit = limit.unwrap_or(usize::MAX);
+    let kept = if conjuncts.is_empty() {
+        Kept::First(page.positions().min(limit))
     } else {
-        let mask = predicate_mask(schema, page, &request.predicate)?;
-        page.filter(&mask)
+        let mask = predicate_mask(schema, page, conjuncts)?;
+        Kept::Rows(
+            mask.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).take(limit).collect(),
+        )
     };
-    // limit (early-out hint)
-    if let Some(limit) = request.limit {
-        if page.positions() > limit {
-            page = page.slice(0, limit);
-        }
-    }
-    // projection
-    let mut blocks = Vec::with_capacity(request.columns.len());
-    for col in &request.columns {
-        blocks.push(project_column(schema, &page, col)?);
+    let mut blocks = Vec::with_capacity(columns.len());
+    for col in columns {
+        blocks.push(project_column(schema, page, col.borrow(), &kept)?);
     }
     if blocks.is_empty() {
-        Ok(Page::zero_column(page.positions()))
+        Ok(Page::zero_column(match kept {
+            Kept::First(n) => n,
+            Kept::Rows(rows) => rows.len(),
+        }))
     } else {
         Page::new(blocks)
     }
 }
 
-/// Evaluate conjuncts row-by-row (row-oriented stores pay a per-row cost,
-/// which is exactly why pushing work *into* columnar connectors matters).
+/// A pushed-down conjunct over the values of one typed column: a closed
+/// interval or a finite set. Built only when every literal compares with
+/// the column in the column's own class under [`Value::sql_cmp`], so
+/// `contains` is exactly [`ScalarPredicate::matches`].
+enum Domain<T> {
+    Interval(T, T),
+    Set(Vec<T>),
+}
+
+impl<T: Copy + PartialOrd> Domain<T> {
+    /// `pred` as a domain: `literal` reads a literal of the column's class,
+    /// `min`/`max` stand in for an open end (`None`: the class has none).
+    fn of<'p>(
+        pred: &'p ScalarPredicate,
+        literal: impl Fn(&'p Value) -> Option<T>,
+        min: Option<T>,
+        max: Option<T>,
+    ) -> Option<Domain<T>> {
+        match pred {
+            ScalarPredicate::Eq(v) => literal(v).map(|x| Domain::Interval(x, x)),
+            ScalarPredicate::In(values) => {
+                values.iter().map(&literal).collect::<Option<Vec<T>>>().map(Domain::Set)
+            }
+            ScalarPredicate::Range { min: lo, max: hi } => Some(Domain::Interval(
+                lo.as_ref().map_or(min, &literal)?,
+                hi.as_ref().map_or(max, &literal)?,
+            )),
+        }
+    }
+
+    /// NaN is in no domain, as `sql_cmp` orders it with nothing.
+    fn contains(&self, v: T) -> bool {
+        match self {
+            Domain::Interval(lo, hi) => v >= *lo && v <= *hi,
+            Domain::Set(values) => values.contains(&v),
+        }
+    }
+}
+
+/// `mask[i] &= values[i]` is not NULL and passes `test`.
+fn narrow<T: Copy>(mask: &mut [bool], values: &[T], nulls: &NullMask, test: impl Fn(T) -> bool) {
+    match nulls {
+        None => mask.iter_mut().zip(values).for_each(|(keep, &v)| *keep = *keep && test(v)),
+        Some(nulls) => {
+            for ((keep, &v), &null) in mask.iter_mut().zip(values).zip(nulls) {
+                *keep = *keep && !null && test(v);
+            }
+        }
+    }
+}
+
+/// Narrow `mask` to the rows of `block` matching `pred` in a tight loop over
+/// the typed values (a dictionary block: once per entry). Returns `false`,
+/// leaving `mask` alone, when the block or a literal has no typed form.
+fn narrow_typed<'p>(block: &Block, pred: &'p ScalarPredicate, mask: &mut [bool]) -> bool {
+    let int = |v: &'p Value| match (block, v) {
+        (Block::Bigint { .. } | Block::Integer { .. }, Value::Bigint(_) | Value::Integer(_))
+        | (Block::Date { .. }, Value::Date(_))
+        | (Block::Timestamp { .. }, Value::Timestamp(_)) => v.as_i64(),
+        _ => None,
+    };
+    let ints = || Domain::of(pred, int, Some(i64::MIN), Some(i64::MAX));
+    match block {
+        Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
+            let Some(domain) = ints() else { return false };
+            narrow(mask, values, nulls, |v| domain.contains(v));
+        }
+        Block::Integer { values, nulls } | Block::Date { values, nulls } => {
+            let Some(domain) = ints() else { return false };
+            narrow(mask, values, nulls, |v| domain.contains(i64::from(v)));
+        }
+        Block::Double { values, nulls } => {
+            // an unbounded range also accepts NaN, which no interval does
+            if matches!(pred, ScalarPredicate::Range { min: None, max: None }) {
+                return false;
+            }
+            let number = |v: &'p Value| match v {
+                Value::Double(_) | Value::Bigint(_) | Value::Integer(_) => v.as_f64(),
+                _ => None,
+            };
+            let ends = (Some(f64::NEG_INFINITY), Some(f64::INFINITY));
+            let Some(domain) = Domain::of(pred, number, ends.0, ends.1) else { return false };
+            narrow(mask, values, nulls, |v| domain.contains(v));
+        }
+        Block::Varchar { offsets, bytes, nulls } => {
+            let text = |v: &'p Value| v.as_str().map(str::as_bytes);
+            let Some(domain) = Domain::of(pred, text, Some(&b""[..]), None) else { return false };
+            for (i, keep) in mask.iter_mut().enumerate() {
+                *keep = *keep
+                    && !nulls.as_ref().is_some_and(|n| n[i])
+                    && domain.contains(&bytes[offsets[i] as usize..offsets[i + 1] as usize]);
+            }
+        }
+        Block::Dictionary { dictionary, ids } => {
+            let mut entries = vec![true; dictionary.len()];
+            if !narrow_typed(dictionary, pred, &mut entries) {
+                return false;
+            }
+            mask.iter_mut().zip(ids).for_each(|(keep, &id)| *keep = *keep && entries[id as usize]);
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// The rows passing every conjunct. A conjunct on a whole scalar column
+/// runs as a typed loop ([`narrow_typed`]); nested paths and literals of
+/// another class go through [`ScalarPredicate::matches`] row by row (which
+/// is exactly why pushing work *into* columnar connectors matters).
 pub(crate) fn predicate_mask(
     schema: &Schema,
     page: &Page,
-    conjuncts: &[PushdownPredicate],
+    conjuncts: &[impl Borrow<PushdownPredicate>],
 ) -> Result<Vec<bool>> {
     let mut mask = vec![true; page.positions()];
-    for conjunct in conjuncts {
+    for conjunct in conjuncts.iter().map(Borrow::borrow) {
         let idx = schema.index_of(&conjunct.target.column).ok_or_else(|| {
             PrestoError::Connector(format!("no column '{}'", conjunct.target.column))
         })?;
-        let column_type = schema.field_at(idx).data_type.clone();
         let block = page.block(idx);
-        for (i, keep) in mask.iter_mut().enumerate() {
-            if *keep {
-                let v = extract_path(&block.value(i), &column_type, &conjunct.target.path);
-                *keep = conjunct.predicate.matches(&v);
-            }
+        let path = &conjunct.target.path;
+        if path.is_empty() && narrow_typed(block, &conjunct.predicate, &mut mask) {
+            continue;
+        }
+        let column_type = &schema.field_at(idx).data_type;
+        for (i, keep) in mask.iter_mut().enumerate().filter(|(_, keep)| **keep) {
+            *keep = conjunct.predicate.matches(&extract_path(&block.value(i), column_type, path));
         }
     }
     Ok(mask)
 }
 
-/// Build one projected block, navigating nested paths value-by-value.
-pub(crate) fn project_column(
-    schema: &Schema,
-    page: &Page,
-    col: &ColumnPath,
-) -> Result<presto_common::Block> {
+/// Build one projected block of the kept rows, navigating nested paths
+/// value-by-value.
+fn project_column(schema: &Schema, page: &Page, col: &ColumnPath, kept: &Kept) -> Result<Block> {
     let idx = schema
         .index_of(&col.column)
         .ok_or_else(|| PrestoError::Connector(format!("no column '{}'", col.column)))?;
     let block = page.block(idx);
     if col.path.is_empty() {
-        return Ok(block.clone());
+        return Ok(match kept {
+            Kept::First(n) if *n == block.len() => block.clone(),
+            Kept::First(n) => block.slice(0, *n),
+            Kept::Rows(rows) => block.take(rows),
+        });
     }
-    let column_type = schema.field_at(idx).data_type.clone();
+    let column_type = &schema.field_at(idx).data_type;
     let out_type = col.resolve_type(schema)?;
-    let values: Vec<Value> = (0..page.positions())
-        .map(|i| extract_path(&block.value(i), &column_type, &col.path))
-        .collect();
-    presto_common::Block::from_values(&out_type, &values)
+    let extract = |i: usize| extract_path(&block.value(i), column_type, &col.path);
+    let values: Vec<Value> = match kept {
+        Kept::First(n) => (0..*n).map(extract).collect(),
+        Kept::Rows(rows) => rows.iter().map(|&i| extract(i)).collect(),
+    };
+    Block::from_values(&out_type, &values)
 }
 
 /// Navigate a struct value along field names; `dt` translates names to the
@@ -231,8 +365,7 @@ fn extract_path(v: &Value, dt: &presto_common::DataType, path: &[String]) -> Val
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_common::{Block, DataType, Field};
-    use presto_parquet::ScalarPredicate;
+    use presto_common::{DataType, Field};
 
     fn setup() -> MemoryConnector {
         let connector = MemoryConnector::new();
@@ -277,6 +410,89 @@ mod tests {
         assert_eq!(pages[0].positions(), 1); // limit applied
         assert_eq!(pages[0].column_count(), 1); // projection applied
         assert_eq!(pages[0].row(0), vec![Value::Bigint(1)]);
+    }
+
+    #[test]
+    fn typed_predicate_mask_is_matches_row_by_row() {
+        let nan = f64::NAN;
+        let columns: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Bigint, vec![1i64.into(), Value::Null, 5i64.into(), i64::MAX.into()]),
+            (DataType::Integer, vec![1i32.into(), 2i32.into(), Value::Null, (-3i32).into()]),
+            (
+                DataType::Double,
+                vec![1.0.into(), nan.into(), Value::Null, (-0.0).into(), 2.5.into()],
+            ),
+            (DataType::Varchar, vec!["sf".into(), Value::Null, "".into(), "nyc".into()]),
+            (DataType::Date, vec![Value::Date(3), Value::Null, Value::Date(-1)]),
+            (DataType::Timestamp, vec![Value::Timestamp(3), Value::Timestamp(7), Value::Null]),
+            (DataType::Boolean, vec![true.into(), Value::Null, false.into()]),
+        ];
+        // literals of every class, so each column meets its own and others'
+        let literals: Vec<Value> = vec![
+            1i64.into(),
+            2i32.into(),
+            5i64.into(),
+            2.5.into(),
+            0.0.into(),
+            nan.into(),
+            "nyc".into(),
+            "".into(),
+            Value::Date(3),
+            Value::Timestamp(7),
+            true.into(),
+            Value::Null,
+        ];
+        let mut predicates = vec![ScalarPredicate::Range { min: None, max: None }];
+        for a in &literals {
+            predicates.push(ScalarPredicate::Eq(a.clone()));
+            predicates.push(ScalarPredicate::Range { min: Some(a.clone()), max: None });
+            predicates.push(ScalarPredicate::Range { min: None, max: Some(a.clone()) });
+            for b in &literals {
+                predicates.push(ScalarPredicate::In(vec![a.clone(), b.clone()]));
+                predicates
+                    .push(ScalarPredicate::Range { min: Some(a.clone()), max: Some(b.clone()) });
+            }
+        }
+        for (data_type, values) in columns {
+            let schema = Schema::new(vec![Field::new("c", data_type.clone())]).unwrap();
+            let plain = Block::from_values(&data_type, &values).unwrap();
+            let ids = (0..values.len() as u32).rev().collect();
+            let dict = Block::Dictionary { dictionary: Box::new(plain.clone()), ids };
+            for block in [plain, dict] {
+                let page = Page::new(vec![block.clone()]).unwrap();
+                for predicate in &predicates {
+                    let conjunct = PushdownPredicate {
+                        target: ColumnPath::whole("c"),
+                        predicate: predicate.clone(),
+                    };
+                    let expected: Vec<bool> =
+                        (0..block.len()).map(|i| predicate.matches(&block.value(i))).collect();
+                    let mask = predicate_mask(&schema, &page, &[conjunct]).unwrap();
+                    assert_eq!(mask, expected, "{data_type} {predicate:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_gathers_only_what_it_keeps() {
+        let c = setup();
+        let splits = c.splits("default", "t", &ScanRequest::default()).unwrap();
+        // no column requested: a row count, no blocks
+        let counted =
+            c.scan_split(&splits[0], &ScanRequest::default(), &ScanHooks::none()).unwrap();
+        assert_eq!((counted[0].positions(), counted[0].column_count()), (3, 0));
+        // a limit without a predicate slices, and equals the filtered form
+        let request = ScanRequest {
+            columns: vec![ColumnPath::whole("city"), ColumnPath::whole("id")],
+            limit: Some(2),
+            ..ScanRequest::default()
+        };
+        let limited = c.scan_split(&splits[0], &request, &ScanHooks::none()).unwrap();
+        assert_eq!(
+            limited[0].rows(),
+            vec![vec!["sf".into(), Value::Bigint(1)], vec!["nyc".into(), Value::Bigint(2)]]
+        );
     }
 
     #[test]

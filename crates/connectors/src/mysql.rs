@@ -20,7 +20,7 @@ use presto_common::ids::SplitId;
 use presto_common::metrics::{names, CounterSet};
 use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
 
-use crate::memory::{predicate_mask, project_column};
+use crate::memory::scan_page;
 use crate::spi::{
     Connector, ConnectorSplit, ScanCapabilities, ScanHooks, ScanRequest, SplitPayload,
 };
@@ -238,28 +238,10 @@ impl Connector for MySqlConnector {
         self.metrics.add(names::MYSQL_ROWS_SCANNED, t.rows.len() as u64);
         let full = self.to_page(&t.schema, &t.rows)?;
 
-        // WHERE → row filter server-side (predicate pushdown)
-        let filtered = if request.predicate.is_empty() {
-            full
-        } else {
-            let mask = predicate_mask(&t.schema, &full, &request.predicate)?;
-            full.filter(&mask)
-        };
-        // LIMIT server-side
-        let limited = match request.limit {
-            Some(l) if filtered.positions() > l => filtered.slice(0, l),
-            _ => filtered,
-        };
-        // SELECT column list server-side (projection pushdown)
-        let mut blocks = Vec::with_capacity(request.columns.len());
-        for col in &request.columns {
-            blocks.push(project_column(&t.schema, &limited, col)?);
-        }
-        let page = if blocks.is_empty() {
-            Page::zero_column(limited.positions())
-        } else {
-            Page::new(blocks)?
-        };
+        // WHERE, LIMIT and the SELECT column list all run server-side
+        // (predicate, limit and projection pushdown)
+        let page =
+            scan_page(&t.schema, &full, &request.predicate, request.limit, &request.columns)?;
         hooks.on_page()?;
         self.metrics.add(names::MYSQL_ROWS_STREAMED, page.positions() as u64);
         Ok(vec![page])

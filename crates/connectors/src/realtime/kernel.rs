@@ -482,18 +482,6 @@ impl Groups {
     }
 }
 
-/// [`Value::total_cmp`] for one group-key column, except that NaN — which
-/// it calls equal to every number — sorts after the numbers: a sort needs
-/// a total order and panics on less.
-fn cmp_key(x: &Value, y: &Value) -> Ordering {
-    match (x, y) {
-        (Value::Double(a), Value::Double(b)) => {
-            a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
-        }
-        _ => x.total_cmp(y),
-    }
-}
-
 /// A grouped partial aggregation over the segments of one split: groups
 /// and their accumulators live for the whole split, so each group's values
 /// are added in ascending row order across segments.
@@ -551,7 +539,7 @@ impl GroupedAggregation {
         groups.sort_by(|(a, _), (b, _)| {
             a.iter()
                 .zip(b)
-                .map(|(x, y)| cmp_key(x, y))
+                .map(|(x, y)| x.total_cmp(y))
                 .find(|o| o.is_ne())
                 .unwrap_or(Ordering::Equal)
         });

@@ -1,5 +1,13 @@
 //! The recursive plan executor.
 //!
+//! The breakers work on typed columns (§III). Hash aggregation and the hash
+//! join turn key columns into dense ids ([`crate::keys`]): aggregation
+//! updates slot-indexed typed state a column at a time
+//! ([`GroupedAccumulator`]) and emits typed blocks sorted by key; the join
+//! chains build rows per key id and probes a page at a time. Sort, top-N (a
+//! bounded heap) and the aggregate emit order rows with one typed comparator
+//! ([`RowOrder`], the order of [`Value::total_cmp`]).
+//!
 //! Blocking operators (hash aggregation, hash-join build, sort) account
 //! their materialized state against the query's memory pool through RAII
 //! [`presto_resource::Reservation`] guards — reservations release on every
@@ -8,19 +16,20 @@
 //! Grace-style partitioned spilling when a reservation fails instead of
 //! surfacing `"Insufficient Resource"`.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use presto_common::metrics::names;
 use presto_common::trace::{SpanId, SpanKind};
-use presto_common::{Block, Page, PrestoError, Result, Value};
-use presto_expr::{Accumulator, AggregateFunction, RowExpression};
+use presto_common::{Block, DataType, Page, PrestoError, Result, RowOrder, Schema, Value};
+use presto_expr::{GroupedAccumulator, RowExpression};
 use presto_geo::index::GeofenceIndex;
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
 use presto_resource::{ReservationKind, SpillFile};
 
 use crate::context::ExecutionContext;
+use crate::keys::{KeyTable, NO_KEY};
 
 /// Fan-out of Grace partitioning when an operator spills.
 const SPILL_PARTITIONS: usize = 8;
@@ -48,6 +57,41 @@ fn spill_manager(ctx: &ExecutionContext) -> Result<std::sync::Arc<presto_resourc
             ctx.pool.query_id()
         ))
     })
+}
+
+/// `expr` over `page`, borrowing the column when it is a plain reference.
+fn evaluate<'a>(
+    expr: &RowExpression,
+    page: &'a Page,
+    ctx: &ExecutionContext,
+) -> Result<Cow<'a, Block>> {
+    match expr {
+        RowExpression::VariableReference { index, .. } if *index < page.column_count() => {
+            Ok(Cow::Borrowed(page.block(*index)))
+        }
+        _ => ctx.evaluator.evaluate(expr, page).map(Cow::Owned),
+    }
+}
+
+/// The rows a boolean column selects: TRUE, not FALSE or NULL.
+fn selection(mask: &Block) -> Vec<bool> {
+    match mask {
+        Block::Boolean { values, nulls: None } => values.clone(),
+        Block::Boolean { values, nulls: Some(nulls) } => {
+            values.iter().zip(nulls).map(|(&v, &null)| v && !null).collect()
+        }
+        other => (0..other.len())
+            .map(|i| !other.is_null(i) && other.value(i).as_bool() == Some(true))
+            .collect(),
+    }
+}
+
+fn page_of(blocks: Vec<Block>, rows: usize) -> Result<Page> {
+    if blocks.is_empty() {
+        Ok(Page::zero_column(rows))
+    } else {
+        Page::new(blocks)
+    }
 }
 
 /// Execute a plan to completion, returning its output pages.
@@ -129,21 +173,13 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
                 let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
                 blocks.push(Block::from_values(&field.data_type, &column)?);
             }
-            Ok(vec![if blocks.is_empty() {
-                Page::zero_column(rows.len())
-            } else {
-                Page::new(blocks)?
-            }])
+            Ok(vec![page_of(blocks, rows.len())?])
         }
         LogicalPlan::Filter { input, predicate } => {
             let pages = execute_traced(input, ctx, Some(span))?;
             let mut out = Vec::with_capacity(pages.len());
             for page in pages {
-                let mask_block = ctx.evaluator.evaluate(predicate, &page)?;
-                let mask: Vec<bool> = (0..page.positions())
-                    .map(|i| !mask_block.is_null(i) && mask_block.value(i).as_bool() == Some(true))
-                    .collect();
-                let filtered = page.filter(&mask);
+                let filtered = page.filter(&selection(&ctx.evaluator.evaluate(predicate, &page)?));
                 if !filtered.is_empty() {
                     out.push(filtered);
                 }
@@ -158,11 +194,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
                 for (_, e) in expressions {
                     blocks.push(ctx.evaluator.evaluate(e, &page)?);
                 }
-                out.push(if blocks.is_empty() {
-                    Page::zero_column(page.positions())
-                } else {
-                    Page::new(blocks)?
-                });
+                out.push(page_of(blocks, page.positions())?);
             }
             Ok(out)
         }
@@ -175,20 +207,9 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
         LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
             execute_geo_join(probe, fences, probe_lng, probe_lat, fence_shape, ctx, span)
         }
-        LogicalPlan::Sort { input, keys } => {
-            let (page, indices) = sorted_indices(input, keys, ctx, span)?;
-            Ok(match page {
-                Some(p) => vec![p.take(&indices)],
-                None => Vec::new(),
-            })
-        }
+        LogicalPlan::Sort { input, keys } => execute_sort(input, keys, None, ctx, span),
         LogicalPlan::TopN { input, keys, count } => {
-            let (page, mut indices) = sorted_indices(input, keys, ctx, span)?;
-            indices.truncate(*count);
-            Ok(match page {
-                Some(p) => vec![p.take(&indices)],
-                None => Vec::new(),
-            })
+            execute_sort(input, keys, Some(*count), ctx, span)
         }
         LogicalPlan::Limit { input, count } => {
             let pages = execute_traced(input, ctx, Some(span))?;
@@ -233,111 +254,135 @@ fn execute_aggregate(
     span: SpanId,
 ) -> Result<Vec<Page>> {
     let pages = execute_traced(input, ctx, Some(span))?;
-    let rows = match aggregate_rows(&pages, group_by, aggregates, step, ctx) {
-        Ok(rows) => rows,
+    let schema = plan.output_schema()?;
+    let groups = match aggregate_pages(&pages, group_by, aggregates, step, &schema, ctx) {
+        Ok(page) => vec![page],
         // Grace fallback needs equi keys to partition on and columns to
         // spill; a global aggregate's state is one row and never spills.
         Err(e) if is_insufficient(&e) && ctx.spill.is_some() && !group_by.is_empty() => {
             match spillable_schema(input) {
-                Some(schema) => spill_aggregate(&pages, &schema, group_by, aggregates, step, ctx)?,
+                Some(input_schema) => spill_aggregate(
+                    &pages,
+                    &input_schema,
+                    group_by,
+                    aggregates,
+                    step,
+                    &schema,
+                    ctx,
+                )?,
                 None => return Err(e),
             }
         }
         Err(e) => return Err(e),
     };
-    emit_aggregate_rows(rows, plan)
+    emit_aggregate(groups, &schema)
 }
 
-/// In-memory hash aggregation over `pages`, returning one unsorted row per
-/// group. The hash table is accounted through an RAII reservation that
-/// grows as groups appear and releases when the rows are handed back.
-fn aggregate_rows(
+/// In-memory hash aggregation over `pages`: one row per group in first-seen
+/// order, key columns then aggregates. Each page's key columns become group
+/// ids ([`KeyTable`]) and every aggregate adds the page a column at a time.
+/// The hash table is accounted through an RAII reservation that grows as
+/// groups appear and releases when the page is handed back.
+fn aggregate_pages(
     pages: &[Page],
     group_by: &[RowExpression],
     aggregates: &[AggregateExpr],
     step: AggregateStep,
+    schema: &Schema,
     ctx: &ExecutionContext,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Page> {
     let mut table_memory = ctx.pool.reserve(0, ctx.operator_reservation_kind())?;
-    let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-    let mut reserved = 0usize;
+    let merge_partials = step == AggregateStep::FinalOverPartial;
+    let key_types: Vec<DataType> = group_by.iter().map(RowExpression::data_type).collect();
+    let mut table = KeyTable::group_by(&key_types);
+    let mut states: Vec<GroupedAccumulator> = aggregates
+        .iter()
+        .zip(&schema.fields()[group_by.len()..])
+        .map(|(a, field)| {
+            let argument = a.argument.as_ref().map(RowExpression::data_type);
+            GroupedAccumulator::new(a.function, argument.as_ref(), &field.data_type, merge_partials)
+        })
+        .collect();
+    // per key column, the key values of each page's new groups
+    let mut key_columns: Vec<Vec<Block>> = vec![Vec::new(); group_by.len()];
+    let mut ids = Vec::new();
+    let mut groups = 0;
 
     for page in pages {
         // vectorized: evaluate keys and arguments once per page
         let key_blocks =
-            group_by.iter().map(|e| ctx.evaluator.evaluate(e, page)).collect::<Result<Vec<_>>>()?;
+            group_by.iter().map(|e| evaluate(e, page, ctx)).collect::<Result<Vec<_>>>()?;
         let arg_blocks = aggregates
             .iter()
-            .map(|a| a.argument.as_ref().map(|e| ctx.evaluator.evaluate(e, page)).transpose())
+            .map(|a| a.argument.as_ref().map(|e| evaluate(e, page, ctx)).transpose())
             .collect::<Result<Vec<_>>>()?;
-        for i in 0..page.positions() {
-            let key: Vec<Value> = key_blocks.iter().map(|b| b.value(i)).collect();
-            let accs = groups.entry(key).or_insert_with(|| {
-                reserved += 64 + aggregates.len() * 48;
-                aggregates.iter().map(|a| a.function.new_accumulator()).collect()
-            });
-            for ((acc, agg), arg) in accs.iter_mut().zip(aggregates).zip(&arg_blocks) {
-                match step {
-                    AggregateStep::Single => match arg {
-                        None => acc.add_count(1),
-                        Some(block) => acc.add(&block.value(i)),
-                    },
-                    // Fig 2: merge connector-produced partials — counts sum,
-                    // sums sum, min/max re-compare.
-                    AggregateStep::FinalOverPartial => {
-                        let partial = arg
-                            .as_ref()
-                            .ok_or_else(|| {
-                                PrestoError::Internal(
-                                    "final aggregation needs partial columns".into(),
-                                )
-                            })?
-                            .value(i);
-                        match agg.function {
-                            AggregateFunction::Count | AggregateFunction::CountStar => {
-                                acc.add_count(partial.as_i64().unwrap_or(0));
-                            }
-                            _ => acc.add(&partial),
-                        }
+        let rows = page.positions();
+        if rows == 0 {
+            continue;
+        }
+        // Fig 2: the final step merges connector-produced partials — counts
+        // sum, sums sum, min/max re-compare.
+        if merge_partials && arg_blocks.iter().any(Option::is_none) {
+            return Err(PrestoError::Internal("final aggregation needs partial columns".into()));
+        }
+        let known = groups;
+        let ids = if group_by.is_empty() {
+            groups = 1;
+            None
+        } else {
+            table.resolve(&key_blocks, true, &mut ids)?;
+            groups = table.distinct();
+            if groups > known {
+                // ids are dealt in row order, so a new group's first row is
+                // the first to carry the next unseen id
+                let mut first_rows = Vec::with_capacity(groups - known);
+                for (row, &id) in ids.iter().enumerate() {
+                    if id as usize == known + first_rows.len() {
+                        first_rows.push(row);
                     }
                 }
+                for (column, block) in key_columns.iter_mut().zip(&key_blocks) {
+                    column.push(block.take(&first_rows).decode_dictionary());
+                }
             }
+            Some(&ids[..])
+        };
+        for (state, argument) in states.iter_mut().zip(&arg_blocks) {
+            state.resize(groups);
+            state.update(ids, argument.as_deref(), rows)?;
         }
         // coarse memory accounting on the hash table
-        if reserved > 0 {
-            table_memory.grow(reserved)?;
-            reserved = 0;
+        if groups > known {
+            table_memory.grow((groups - known) * (64 + aggregates.len() * 48))?;
         }
     }
 
     // Global aggregation over zero rows still yields one output row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups
-            .insert(Vec::new(), aggregates.iter().map(|a| a.function.new_accumulator()).collect());
+    if group_by.is_empty() {
+        groups = 1;
     }
-
-    // Materialize in sorted order: the hash table's iteration order varies
-    // run-to-run, and these rows feed operator row counts and (via the
-    // spill-concat path) downstream pages — every consumer must see the
-    // same sequence on every same-seed replay.
-    let mut rows: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.iter().map(Accumulator::finish));
-            key
-        })
-        .collect();
-    rows.sort_by(|a, b| cmp_rows(a, b));
-    Ok(rows)
-}
-
-/// Total order over result rows: lexicographic by column `total_cmp`.
-fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| *o != std::cmp::Ordering::Equal)
-        .unwrap_or(std::cmp::Ordering::Equal)
+    let mut blocks = Vec::with_capacity(schema.len());
+    for (column, field) in key_columns.iter().zip(schema.fields()) {
+        blocks.push(match column.is_empty() {
+            true => Block::from_values(&field.data_type, &[])?,
+            false => Block::concat(column)?,
+        });
+    }
+    for mut state in states {
+        state.resize(groups);
+        blocks.push(state.finish()?);
+    }
+    if let Some((block, field)) =
+        blocks.iter().zip(schema.fields()).find(|(b, f)| b.data_type() != f.data_type)
+    {
+        return Err(PrestoError::Internal(format!(
+            "aggregate column '{}' is {}, planned as {}",
+            field.name,
+            block.data_type(),
+            field.data_type
+        )));
+    }
+    page_of(blocks, groups)
 }
 
 /// Grace aggregation: hash-partition the input on the group keys, spill each
@@ -345,15 +390,16 @@ fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
 /// one partition's hash table instead of the whole table.
 fn spill_aggregate(
     pages: &[Page],
-    input_schema: &presto_common::Schema,
+    input_schema: &Schema,
     group_by: &[RowExpression],
     aggregates: &[AggregateExpr],
     step: AggregateStep,
+    schema: &Schema,
     ctx: &ExecutionContext,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Vec<Page>> {
     let spill = spill_manager(ctx)?;
     let key_exprs: Vec<&RowExpression> = group_by.iter().collect();
-    let parts = partition_pages(pages, &key_exprs, ctx)?;
+    let parts = partition_pages(pages, &key_exprs, None, ctx)?;
     let mut files = Vec::with_capacity(SPILL_PARTITIONS);
     for part in &parts {
         files.push(if part.is_empty() {
@@ -363,28 +409,28 @@ fn spill_aggregate(
         });
     }
     drop(parts);
-    let mut rows = Vec::new();
+    let mut groups = Vec::new();
     for file in files.into_iter().flatten() {
         let part_pages = spill.read(&file)?;
-        rows.extend(aggregate_rows(&part_pages, group_by, aggregates, step, ctx)?);
+        groups.push(aggregate_pages(&part_pages, group_by, aggregates, step, schema, ctx)?);
         spill.remove(file)?;
     }
-    Ok(rows)
+    Ok(groups)
 }
 
-/// Sort the result rows deterministically and lay them out as pages.
-/// (`aggregate_rows` already sorts its own output; this re-sort makes the
-/// spill path deterministic too, where per-partition results concatenate.)
-fn emit_aggregate_rows(mut rows: Vec<Vec<Value>>, plan: &LogicalPlan) -> Result<Vec<Page>> {
-    rows.sort_by(|a, b| cmp_rows(a, b));
-
-    let schema = plan.output_schema()?;
-    let mut blocks = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
-    }
-    Ok(vec![if blocks.is_empty() { Page::zero_column(rows.len()) } else { Page::new(blocks)? }])
+/// Lay the groups out as one page sorted by key: ids follow the input's row
+/// order and, on the spill path, the partitioning, and every consumer must
+/// see the same sequence whichever path produced it. Keys that tie in the
+/// sort order though they differ (NaNs of different payloads) are told
+/// apart by their aggregates, so the order is over whole rows.
+fn emit_aggregate(mut groups: Vec<Page>, schema: &Schema) -> Result<Vec<Page>> {
+    let page = match groups.len() {
+        0 => empty_page(schema)?,
+        1 => groups.remove(0),
+        _ => Page::concat(&groups)?,
+    };
+    let order = RowOrder::new(page.blocks().iter().map(|b| (Cow::Borrowed(b), false)).collect());
+    Ok(vec![page.take(&order.sorted(page.positions()))])
 }
 
 // -------------------------------------------------------------------- join
@@ -404,10 +450,7 @@ fn execute_join(
     // Build side: the right input, materialized (distributed hash join is
     // the production default, §XII.A).
     let build = match right_pages.len() {
-        0 => {
-            let schema = right.output_schema()?;
-            empty_page(&schema)?
-        }
+        0 => empty_page(&right.output_schema()?)?,
         _ => Page::concat(&right_pages)?,
     };
 
@@ -427,7 +470,7 @@ fn execute_join(
                     build_idx.push(j);
                 }
             }
-            let page = stitch(probe, &probe_idx, &build, &build_idx)?;
+            let page = stitch(probe, &probe_idx, build.take(&build_idx))?;
             let page = apply_residual(page, residual, ctx)?;
             if !page.is_empty() {
                 out.push(page);
@@ -436,7 +479,7 @@ fn execute_join(
         return Ok(out);
     }
 
-    match hash_join_pages(&left_pages, &build, kind, on, residual, right, ctx) {
+    match hash_join_pages(&left_pages, &build, kind, on, residual, ctx) {
         Ok(out) => Ok(out),
         Err(e) if is_insufficient(&e) && ctx.spill.is_some() => {
             match (spillable_schema(left), spillable_schema(right)) {
@@ -448,7 +491,6 @@ fn execute_join(
                     residual,
                     &probe_schema,
                     &build_schema,
-                    right,
                     ctx,
                 ),
                 _ => Err(e),
@@ -458,84 +500,104 @@ fn execute_join(
     }
 }
 
+/// The type each equi-key pair is compared in; `None` when some pair is
+/// incomparable, so the join matches nothing.
+fn join_key_types(on: &[(RowExpression, RowExpression)]) -> Option<Vec<DataType>> {
+    on.iter().map(|(l, r)| l.data_type().comparison_type(&r.data_type())).collect()
+}
+
+/// One side's key columns over `page`, each widened to its pair's type.
+fn join_keys<'a>(
+    exprs: impl Iterator<Item = &'a RowExpression>,
+    types: &[DataType],
+    page: &'a Page,
+    ctx: &ExecutionContext,
+) -> Result<Vec<Cow<'a, Block>>> {
+    let widened = |(e, to)| {
+        let block = evaluate(e, page, ctx)?;
+        Ok(block.widen(to).map_or(block, Cow::Owned))
+    };
+    exprs.zip(types).map(widened).collect()
+}
+
 /// Hash join `probe_pages` against a materialized `build` page. Build-side
 /// state (the concatenated build page plus the hash table) is held under an
 /// RAII reservation for the duration of the probe.
+///
+/// Build rows with equal keys are chained in ascending order, so each probe
+/// page yields its matches by (probe row, build row), then — for LEFT — its
+/// unmatched rows, null-extended. A NULL or NaN key matches nothing.
 fn hash_join_pages(
     probe_pages: &[Page],
     build: &Page,
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
     residual: Option<&RowExpression>,
-    right_plan: &LogicalPlan,
     ctx: &ExecutionContext,
 ) -> Result<Vec<Page>> {
     let mut build_memory =
         ctx.pool.reserve(build.memory_size(), ctx.operator_reservation_kind())?;
 
-    // Hash join on equi keys.
-    let build_keys =
-        on.iter().map(|(_, r)| ctx.evaluator.evaluate(r, build)).collect::<Result<Vec<_>>>()?;
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for j in 0..build.positions() {
-        let key: Vec<Value> = build_keys.iter().map(|b| b.value(j)).collect();
-        if key.iter().any(Value::is_null) {
-            continue; // SQL equi-join never matches NULL keys
+    let key_types = join_key_types(on);
+    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default());
+    let mut ids = Vec::new();
+    // `heads[key id]` is the key's first build row, `next[row]` the one after
+    let mut next = vec![NO_KEY; build.positions()];
+    let mut heads = Vec::new();
+    if let Some(types) = &key_types {
+        let build_keys = join_keys(on.iter().map(|(_, r)| r), types, build, ctx)?;
+        table.resolve(&build_keys, true, &mut ids)?;
+        heads.resize(table.distinct(), NO_KEY);
+        for (row, &id) in ids.iter().enumerate().rev().filter(|(_, &id)| id != NO_KEY) {
+            next[row] = std::mem::replace(&mut heads[id as usize], row as u32);
         }
-        table.entry(key).or_default().push(j);
     }
-    build_memory.grow(table.len() * 48)?;
+    build_memory.grow(table.distinct() * 48)?;
 
     let mut out = Vec::new();
     for probe in probe_pages {
-        let probe_keys =
-            on.iter().map(|(l, _)| ctx.evaluator.evaluate(l, probe)).collect::<Result<Vec<_>>>()?;
-        // Key-matched candidate pairs; probe rows with no key match are
-        // remembered separately so LEFT joins can null-extend them.
-        let mut cand_probe = Vec::new();
-        let mut cand_build = Vec::new();
-        for i in 0..probe.positions() {
-            let key: Vec<Value> = probe_keys.iter().map(|b| b.value(i)).collect();
-            let matches = if key.iter().any(Value::is_null) { None } else { table.get(&key) };
-            if let Some(rows) = matches {
-                for &j in rows {
-                    cand_probe.push(i);
-                    cand_build.push(j);
+        // Key-matched candidate pairs.
+        let mut probe_idx = Vec::new();
+        let mut build_idx = Vec::new();
+        if let Some(types) = &key_types {
+            let probe_keys = join_keys(on.iter().map(|(l, _)| l), types, probe, ctx)?;
+            table.resolve(&probe_keys, false, &mut ids)?;
+            for (i, &id) in ids.iter().enumerate().filter(|(_, &id)| id != NO_KEY) {
+                let mut j = heads[id as usize];
+                while j != NO_KEY {
+                    probe_idx.push(i);
+                    build_idx.push(j as usize);
+                    j = next[j as usize];
                 }
             }
         }
         // ON-clause residual filters *candidate pairs*, before outer-join
         // null extension — a pair failing the residual is not a match, so
         // its LEFT row must still appear null-extended.
-        let survivors: Vec<bool> = match residual {
-            None => vec![true; cand_probe.len()],
-            Some(expr) => {
-                let pairs = stitch(probe, &cand_probe, build, &cand_build)?;
-                let mask_block = ctx.evaluator.evaluate(expr, &pairs)?;
-                (0..pairs.positions())
-                    .map(|i| !mask_block.is_null(i) && mask_block.value(i).as_bool() == Some(true))
-                    .collect()
-            }
-        };
-        let mut probe_idx = Vec::new();
-        let mut build_idx: Vec<Option<usize>> = Vec::new();
-        let mut matched = vec![false; probe.positions()];
-        for (pair, keep) in survivors.iter().enumerate() {
-            if *keep {
-                matched[cand_probe[pair]] = true;
-                probe_idx.push(cand_probe[pair]);
-                build_idx.push(Some(cand_build[pair]));
+        if let Some(expr) = residual {
+            let pairs = stitch(probe, &probe_idx, build.take(&build_idx))?;
+            let keep = selection(&ctx.evaluator.evaluate(expr, &pairs)?);
+            for idx in [&mut probe_idx, &mut build_idx] {
+                let mut keep = keep.iter();
+                idx.retain(|_| keep.next() == Some(&true));
             }
         }
+        let mut misses = Vec::new();
         if kind == JoinKind::Left {
-            for (i, was_matched) in matched.iter().enumerate() {
-                if !was_matched {
-                    probe_idx.push(i);
-                    build_idx.push(None);
-                }
-            }
+            let mut matched = vec![false; probe.positions()];
+            probe_idx.iter().for_each(|&i| matched[i] = true);
+            misses.extend((0..probe.positions()).filter(|&i| !matched[i]));
         }
-        let page = stitch_nullable(probe, &probe_idx, build, &build_idx, right_plan)?;
+        let build_side = if misses.is_empty() {
+            build.take(&build_idx)
+        } else {
+            let mut rows: Vec<Option<usize>> = build_idx.iter().map(|&j| Some(j)).collect();
+            rows.resize(rows.len() + misses.len(), None);
+            probe_idx.extend(misses);
+            let blocks = build.blocks().iter().map(|b| b.take_nullable(&rows)).collect();
+            page_of(blocks, rows.len())?
+        };
+        let page = stitch(probe, &probe_idx, build_side)?;
         if !page.is_empty() {
             out.push(page);
         }
@@ -549,7 +611,7 @@ fn hash_join_pages(
 ///
 /// Probe rows with NULL keys go to partition 0 (see [`partition_of`]) so
 /// LEFT joins still null-extend them; matching rows always share a
-/// partition because both sides hash the same key values.
+/// partition because both sides hash the same (widened) key values.
 #[allow(clippy::too_many_arguments)]
 fn grace_hash_join(
     probe_pages: &[Page],
@@ -557,16 +619,16 @@ fn grace_hash_join(
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
     residual: Option<&RowExpression>,
-    probe_schema: &presto_common::Schema,
-    build_schema: &presto_common::Schema,
-    right_plan: &LogicalPlan,
+    probe_schema: &Schema,
+    build_schema: &Schema,
     ctx: &ExecutionContext,
 ) -> Result<Vec<Page>> {
     let spill = spill_manager(ctx)?;
+    let key_types = join_key_types(on);
     let probe_exprs: Vec<&RowExpression> = on.iter().map(|(l, _)| l).collect();
     let build_exprs: Vec<&RowExpression> = on.iter().map(|(_, r)| r).collect();
-    let probe_parts = partition_pages(probe_pages, &probe_exprs, ctx)?;
-    let build_parts = partition_pages(build_pages, &build_exprs, ctx)?;
+    let probe_parts = partition_pages(probe_pages, &probe_exprs, key_types.as_deref(), ctx)?;
+    let build_parts = partition_pages(build_pages, &build_exprs, key_types.as_deref(), ctx)?;
 
     let mut files: Vec<(Option<SpillFile>, Option<SpillFile>)> =
         Vec::with_capacity(SPILL_PARTITIONS);
@@ -602,7 +664,7 @@ fn grace_hash_join(
             } else {
                 Page::concat(&build_part)?
             };
-            out.extend(hash_join_pages(&probe, &build, kind, on, residual, right_plan, ctx)?);
+            out.extend(hash_join_pages(&probe, &build, kind, on, residual, ctx)?);
         }
         if let Some(f) = probe_file {
             spill.remove(f)?;
@@ -616,18 +678,23 @@ fn grace_hash_join(
 
 // ---------------------------------------------------- spill partitioning
 
-/// Hash-partition pages into [`SPILL_PARTITIONS`] buckets by key columns.
+/// Hash-partition pages into [`SPILL_PARTITIONS`] buckets by key columns
+/// (a join's widened to `widen_to`, so both sides hash the same values).
 fn partition_pages(
     pages: &[Page],
     key_exprs: &[&RowExpression],
+    widen_to: Option<&[DataType]>,
     ctx: &ExecutionContext,
 ) -> Result<Vec<Vec<Page>>> {
     let mut parts: Vec<Vec<Page>> = vec![Vec::new(); SPILL_PARTITIONS];
     for page in pages {
-        let key_blocks = key_exprs
-            .iter()
-            .map(|e| ctx.evaluator.evaluate(e, page))
-            .collect::<Result<Vec<_>>>()?;
+        let mut key_blocks =
+            key_exprs.iter().map(|e| evaluate(e, page, ctx)).collect::<Result<Vec<_>>>()?;
+        for (block, to) in key_blocks.iter_mut().zip(widen_to.into_iter().flatten()) {
+            if let Some(widened) = block.widen(to) {
+                *block = Cow::Owned(widened);
+            }
+        }
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); SPILL_PARTITIONS];
         for i in 0..page.positions() {
             let key: Vec<Value> = key_blocks.iter().map(|b| b.value(i)).collect();
@@ -655,7 +722,7 @@ fn partition_of(key: &[Value]) -> usize {
 
 /// The input's schema if its pages can be spilled (parquet needs at least
 /// one column); `None` keeps the original reservation error.
-fn spillable_schema(plan: &LogicalPlan) -> Option<presto_common::Schema> {
+fn spillable_schema(plan: &LogicalPlan) -> Option<Schema> {
     match plan.output_schema() {
         Ok(schema) if !schema.is_empty() => Some(schema),
         _ => None,
@@ -668,63 +735,18 @@ fn apply_residual(
     ctx: &ExecutionContext,
 ) -> Result<Page> {
     match residual {
-        None => Ok(page),
-        Some(expr) => {
-            if page.is_empty() {
-                return Ok(page);
-            }
-            let mask_block = ctx.evaluator.evaluate(expr, &page)?;
-            let mask: Vec<bool> = (0..page.positions())
-                .map(|i| !mask_block.is_null(i) && mask_block.value(i).as_bool() == Some(true))
-                .collect();
-            Ok(page.filter(&mask))
+        Some(expr) if !page.is_empty() => {
+            Ok(page.filter(&selection(&ctx.evaluator.evaluate(expr, &page)?)))
         }
+        _ => Ok(page),
     }
 }
 
-/// Combine probe rows and build rows side by side.
-fn stitch(probe: &Page, probe_idx: &[usize], build: &Page, build_idx: &[usize]) -> Result<Page> {
-    let left = probe.take(probe_idx);
-    let right = build.take(build_idx);
-    let mut blocks = left.into_blocks();
-    blocks.extend(right.into_blocks());
-    if blocks.is_empty() {
-        Ok(Page::zero_column(probe_idx.len()))
-    } else {
-        Page::new(blocks)
-    }
-}
-
-/// Like [`stitch`] but build-side misses become NULL rows (left join).
-fn stitch_nullable(
-    probe: &Page,
-    probe_idx: &[usize],
-    build: &Page,
-    build_idx: &[Option<usize>],
-    right_plan: &LogicalPlan,
-) -> Result<Page> {
-    if build_idx.iter().all(Option::is_some) {
-        let plain: Vec<usize> = build_idx.iter().filter_map(|o| *o).collect();
-        return stitch(probe, probe_idx, build, &plain);
-    }
-    let left = probe.take(probe_idx);
-    let right_schema = right_plan.output_schema()?;
-    let mut blocks = left.into_blocks();
-    for (c, field) in right_schema.fields().iter().enumerate() {
-        let column: Vec<Value> = build_idx
-            .iter()
-            .map(|o| match o {
-                Some(j) => build.block(c).value(*j),
-                None => Value::Null,
-            })
-            .collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
-    }
-    if blocks.is_empty() {
-        Ok(Page::zero_column(probe_idx.len()))
-    } else {
-        Page::new(blocks)
-    }
+/// Combine probe rows and the build rows gathered for them side by side.
+fn stitch(probe: &Page, probe_idx: &[usize], build_side: Page) -> Result<Page> {
+    let mut blocks = probe.take(probe_idx).into_blocks();
+    blocks.extend(build_side.into_blocks());
+    page_of(blocks, probe_idx.len())
 }
 
 // ---------------------------------------------------------------- geo join
@@ -776,7 +798,7 @@ fn execute_geo_join(
             }
         }
         ctx.metrics.add(names::EXEC_GEO_CONTAINS_CALLS, index.contains_calls());
-        let stitched = stitch(page, &probe_idx, &fence_page, &fence_idx)?;
+        let stitched = stitch(page, &probe_idx, fence_page.take(&fence_idx))?;
         if !stitched.is_empty() {
             out.push(stitched);
         }
@@ -786,15 +808,24 @@ fn execute_geo_join(
 
 // -------------------------------------------------------------------- sort
 
-fn sorted_indices(
+/// The order of `page`'s rows under `keys`.
+fn row_order<'a>(keys: &[SortKey], page: &'a Page, ctx: &ExecutionContext) -> Result<RowOrder<'a>> {
+    let columns = keys.iter().map(|k| Ok((evaluate(&k.expr, page, ctx)?, k.descending)));
+    Ok(RowOrder::new(columns.collect::<Result<_>>()?))
+}
+
+/// Sort (`limit: None`) or top-N: one page of the input's rows in key
+/// order, the first `limit` of them.
+fn execute_sort(
     input: &LogicalPlan,
     keys: &[SortKey],
+    limit: Option<usize>,
     ctx: &ExecutionContext,
     span: SpanId,
-) -> Result<(Option<Page>, Vec<usize>)> {
+) -> Result<Vec<Page>> {
     let pages = execute_traced(input, ctx, Some(span))?;
     if pages.is_empty() {
-        return Ok((None, Vec::new()));
+        return Ok(Vec::new());
     }
     let total: usize = pages.iter().map(|p| p.memory_size()).sum();
     let _sort_memory = match ctx.pool.reserve(total, ctx.operator_reservation_kind()) {
@@ -803,9 +834,8 @@ fn sorted_indices(
             return match spillable_schema(input) {
                 Some(schema) => {
                     let sorted = external_sort(&pages, keys, &schema, ctx)?;
-                    let n = sorted.positions();
-                    // identity permutation: TopN truncates it as usual
-                    Ok((Some(sorted), (0..n).collect()))
+                    let rows = sorted.positions();
+                    Ok(vec![sorted.slice(0, limit.map_or(rows, |count| count.min(rows)))])
                 }
                 None => Err(e),
             };
@@ -813,20 +843,12 @@ fn sorted_indices(
         Err(e) => return Err(e),
     };
     let page = Page::concat(&pages)?;
-    let key_blocks =
-        keys.iter().map(|k| ctx.evaluator.evaluate(&k.expr, &page)).collect::<Result<Vec<_>>>()?;
-    let mut indices: Vec<usize> = (0..page.positions()).collect();
-    indices.sort_by(|&a, &b| {
-        for (block, key) in key_blocks.iter().zip(keys) {
-            let ord = block.value(a).total_cmp(&block.value(b));
-            let ord = if key.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok((Some(page), indices))
+    let order = row_order(keys, &page, ctx)?;
+    let indices = match limit {
+        None => order.sorted(page.positions()),
+        Some(count) => order.top(page.positions(), count),
+    };
+    Ok(vec![page.take(&indices)])
 }
 
 /// External merge sort: each input page becomes a spilled sorted run (only
@@ -836,7 +858,7 @@ fn sorted_indices(
 fn external_sort(
     pages: &[Page],
     keys: &[SortKey],
-    schema: &presto_common::Schema,
+    schema: &Schema,
     ctx: &ExecutionContext,
 ) -> Result<Page> {
     let spill = spill_manager(ctx)?;
@@ -858,21 +880,7 @@ fn external_sort(
                 }
                 Err(e) => return Err(e),
             };
-        let key_blocks = keys
-            .iter()
-            .map(|k| ctx.evaluator.evaluate(&k.expr, &page))
-            .collect::<Result<Vec<_>>>()?;
-        let mut indices: Vec<usize> = (0..page.positions()).collect();
-        indices.sort_by(|&a, &b| {
-            for (block, key) in key_blocks.iter().zip(keys) {
-                let ord = block.value(a).total_cmp(&block.value(b));
-                let ord = if key.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        let indices = row_order(keys, &page, ctx)?.sorted(page.positions());
         run_files.push(spill.spill_pages(schema, &[page.take(&indices)])?);
     }
 
@@ -932,17 +940,9 @@ fn external_sort(
     Page::new(blocks)
 }
 
-fn empty_page(schema: &presto_common::Schema) -> Result<Page> {
-    let blocks: Vec<Block> = schema
-        .fields()
-        .iter()
-        .map(|f| Block::from_values(&f.data_type, &[]))
-        .collect::<Result<Vec<_>>>()?;
-    if blocks.is_empty() {
-        Ok(Page::zero_column(0))
-    } else {
-        Page::new(blocks)
-    }
+fn empty_page(schema: &Schema) -> Result<Page> {
+    let blocks = schema.fields().iter().map(|f| Block::from_values(&f.data_type, &[]));
+    page_of(blocks.collect::<Result<Vec<_>>>()?, 0)
 }
 
 // A convenience used by tests and the engine facade.
@@ -957,7 +957,7 @@ mod tests {
     use presto_common::{DataType, Field, Schema};
     use presto_connectors::memory::MemoryConnector;
     use presto_connectors::{CatalogRegistry, ColumnPath, ScanRequest};
-    use presto_expr::FunctionHandle;
+    use presto_expr::{AggregateFunction, FunctionHandle};
     use std::sync::Arc;
 
     fn ctx_with_table() -> ExecutionContext {

@@ -1,0 +1,440 @@
+//! The row-key codec every breaker shares: the key columns of a page become
+//! one key per row, and a [`KeyTable`] maps each distinct key to a dense
+//! `u32` id in first-seen order. Operators work on the ids — slot arrays for
+//! aggregation, row chains for the hash join — never on a `Vec<Value>`.
+//!
+//! **Layouts.** BOOLEAN/INTEGER/BIGINT/DATE/TIMESTAMP/DOUBLE columns pack
+//! into one word, value bits plus a NULL bit each (2, 33 or 65 bits): a
+//! `u64` while they fit, else a `u128`. Any other column, or more than 128
+//! bits, makes the whole key bytes in one arena: per column a type tag and
+//! the value — fixed-width as 8 bytes, VARCHAR length-prefixed, nested
+//! values recursively with element counts. A [`Block::Dictionary`] column is
+//! encoded once per dictionary entry.
+//!
+//! **Contract.** Two rows get one id exactly when their keys are equal as
+//! `Vec<Value>` under `Value: Eq`: NULL equals NULL, `0.0` equals `-0.0`,
+//! NaNs compare bitwise. A [`KeyTable::join`] table differs in one way: a
+//! row holding a NULL or a NaN has *no* key ([`NO_KEY`]), as SQL `=` is
+//! never true of either. (Join sides of different numeric width are brought
+//! to their [`DataType::comparison_type`] first; group-by keys keep their
+//! own type.) Hashing is a fixed multiplicative mix, so ids — and all that
+//! is ordered by them — repeat on every run.
+
+use std::borrow::Borrow;
+
+use presto_common::block::NullMask;
+use presto_common::{Block, DataType, PrestoError, Result, Value};
+
+/// The id of a row that has no key.
+pub const NO_KEY: u32 = u32::MAX;
+
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Bits a column takes in a packed word (value + NULL flag); `None` for a
+/// column that needs the byte layout.
+fn packed_bits(data_type: &DataType) -> Option<u32> {
+    match data_type {
+        DataType::Boolean => Some(2),
+        DataType::Integer | DataType::Date => Some(33),
+        DataType::Bigint | DataType::Timestamp | DataType::Double => Some(65),
+        _ => None,
+    }
+}
+
+/// The key bits of a DOUBLE: `-0.0` folds into `0.0`, NaNs stay bitwise.
+fn double_bits(v: f64) -> u64 {
+    f64::to_bits(if v == 0.0 { 0.0 } else { v })
+}
+
+/// One fixed-width column: its byte-layout tag, key bits per row (zero under
+/// a NULL) and NULL mask; with `nan_is_null`, NaN rows join the mask. `None`
+/// for a column without a fixed-width form.
+fn lane(block: &Block, nan_is_null: bool) -> Option<(u8, Vec<u64>, NullMask)> {
+    let wide = |values: &[i64]| values.iter().map(|&v| v as u64).collect();
+    let narrow = |values: &[i32]| values.iter().map(|&v| u64::from(v as u32)).collect();
+    let (tag, mut bits, mut nulls): (u8, Vec<u64>, NullMask) = match block {
+        Block::Boolean { values, nulls } => {
+            (1, values.iter().map(|&v| u64::from(v)).collect(), nulls.clone())
+        }
+        Block::Bigint { values, nulls } => (2, wide(values), nulls.clone()),
+        Block::Integer { values, nulls } => (3, narrow(values), nulls.clone()),
+        Block::Double { values, nulls } => {
+            let mut nulls = nulls.clone();
+            if nan_is_null && values.iter().any(|v| v.is_nan()) {
+                let mask = nulls.get_or_insert_with(|| vec![false; values.len()]);
+                mask.iter_mut().zip(values).for_each(|(null, v)| *null |= v.is_nan());
+            }
+            (4, values.iter().map(|&v| double_bits(v)).collect(), nulls)
+        }
+        Block::Date { values, nulls } => (6, narrow(values), nulls.clone()),
+        Block::Timestamp { values, nulls } => (7, wide(values), nulls.clone()),
+        Block::Dictionary { dictionary, ids } => {
+            let (tag, bits, nulls) = lane(dictionary, nan_is_null)?;
+            let nulls = nulls.map(|n| ids.iter().map(|&i| n[i as usize]).collect());
+            return Some((tag, ids.iter().map(|&i| bits[i as usize]).collect(), nulls));
+        }
+        _ => return None,
+    };
+    match nulls.as_ref().filter(|mask| mask.contains(&true)) {
+        Some(mask) => bits.iter_mut().zip(mask).filter(|(_, n)| **n).for_each(|(b, _)| *b = 0),
+        None => nulls = None,
+    }
+    Some((tag, bits, nulls))
+}
+
+fn put_fixed(out: &mut Vec<u8>, tag: u8, bits: u64) {
+    out.push(tag);
+    out.extend_from_slice(&bits.to_le_bytes());
+}
+
+fn put_counted(out: &mut Vec<u8>, tag: u8, count: usize) {
+    out.push(tag);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+}
+
+/// One value in the byte layout, with the tags and forms [`Cells::encode`]
+/// writes for typed columns. Nested values recurse, so equal values (as
+/// `Value: Eq`), and only those, encode to equal bytes.
+fn put_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Boolean(b) => put_fixed(out, 1, u64::from(*b)),
+        Value::Bigint(x) => put_fixed(out, 2, *x as u64),
+        Value::Integer(x) => put_fixed(out, 3, u64::from(*x as u32)),
+        Value::Double(x) => put_fixed(out, 4, double_bits(*x)),
+        Value::Varchar(s) => {
+            put_counted(out, 5, s.len());
+            out.extend_from_slice(s.as_bytes());
+        }
+        Value::Date(x) => put_fixed(out, 6, u64::from(*x as u32)),
+        Value::Timestamp(x) => put_fixed(out, 7, *x as u64),
+        Value::Array(items) | Value::Row(items) => {
+            put_counted(out, if matches!(v, Value::Array(_)) { 8 } else { 10 }, items.len());
+            items.iter().for_each(|item| put_value(out, item));
+        }
+        Value::Map(entries) => {
+            put_counted(out, 9, entries.len());
+            for (key, value) in entries {
+                put_value(out, key);
+                put_value(out, value);
+            }
+        }
+    }
+}
+
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = bytes.len() as u64;
+    let mut mix = |word: u64| h = (h ^ word).wrapping_mul(MIX).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    for word in words.by_ref() {
+        mix(u64::from_le_bytes(<[u8; 8]>::try_from(word).unwrap_or_default()));
+    }
+    mix(words.remainder().iter().fold(0, |w, &b| (w << 8) | u64::from(b)));
+    h.wrapping_mul(MIX)
+}
+
+/// One column's cells in the byte layout, encoded and hashed once per row —
+/// or once per dictionary entry, rows reaching theirs through `ids`.
+struct Cells<'a> {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+    hashes: Vec<u64>,
+    ids: Option<&'a [u32]>,
+}
+
+impl<'a> Cells<'a> {
+    fn encode(block: &'a Block, nan_is_null: bool) -> Cells<'a> {
+        if let Block::Dictionary { dictionary, ids } = block {
+            if !matches!(**dictionary, Block::Dictionary { .. }) {
+                return Cells { ids: Some(ids), ..Cells::encode(dictionary, nan_is_null) };
+            }
+        }
+        let mut bytes = Vec::new();
+        let mut ends = Vec::with_capacity(block.len());
+        if let Some((tag, bits, nulls)) = lane(block, nan_is_null) {
+            for (i, &b) in bits.iter().enumerate() {
+                match nulls.as_ref().is_some_and(|n| n[i]) {
+                    true => bytes.push(0),
+                    false => put_fixed(&mut bytes, tag, b),
+                }
+                ends.push(bytes.len() as u32);
+            }
+        } else if let Block::Varchar { offsets, bytes: payload, nulls } = block {
+            for (i, w) in offsets.windows(2).enumerate() {
+                if nulls.as_ref().is_some_and(|n| n[i]) {
+                    bytes.push(0);
+                } else {
+                    put_counted(&mut bytes, 5, (w[1] - w[0]) as usize);
+                    bytes.extend_from_slice(&payload[w[0] as usize..w[1] as usize]);
+                }
+                ends.push(bytes.len() as u32);
+            }
+        } else {
+            for i in 0..block.len() {
+                put_value(&mut bytes, &block.value(i));
+                ends.push(bytes.len() as u32);
+            }
+        }
+        let starts = std::iter::once(&0).chain(&ends);
+        let hashes = starts.zip(&ends).map(|(&s, &e)| hash_bytes(&bytes[s as usize..e as usize]));
+        Cells { hashes: hashes.collect(), bytes, ends, ids: None }
+    }
+
+    /// The cell of `row` and its hash.
+    fn cell(&self, row: usize) -> (&[u8], u64) {
+        let i = self.ids.map_or(row, |ids| ids[row] as usize);
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        (&self.bytes[start..self.ends[i] as usize], self.hashes[i])
+    }
+}
+
+/// Open-addressed slots holding key ids, at most half full.
+#[derive(Default)]
+struct Slots(Vec<u32>);
+
+impl Slots {
+    /// The id of the key `is_key` recognises among those hashing like
+    /// `hash`, or the empty slot where it belongs.
+    fn probe(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> std::result::Result<u32, usize> {
+        if self.0.is_empty() {
+            return Err(0);
+        }
+        let mask = self.0.len() - 1;
+        let mut slot = (hash >> 32) as usize & mask;
+        loop {
+            match self.0[slot] {
+                NO_KEY => return Err(slot),
+                id if is_key(id) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of the key `is_key` recognises. A key not among the
+    /// `hashes.len()` present is filed under the next id when `insert` is
+    /// set (the caller then stores it) and is [`NO_KEY`] otherwise. Slots
+    /// double from 16 — a table costs nothing until it holds a key.
+    fn resolve(
+        &mut self,
+        hash: u64,
+        is_key: impl Fn(u32) -> bool,
+        insert: bool,
+        hashes: impl ExactSizeIterator<Item = u64>,
+    ) -> u32 {
+        let next_id = hashes.len() as u32;
+        if insert && (hashes.len() + 1) * 2 > self.0.len() {
+            self.0 = vec![NO_KEY; (self.0.len() * 2).max(16)];
+            for (id, hash) in hashes.enumerate() {
+                if let Err(slot) = self.probe(hash, |_| false) {
+                    self.0[slot] = id as u32;
+                }
+            }
+        }
+        match self.probe(hash, is_key) {
+            Ok(id) => id,
+            Err(slot) if insert => {
+                self.0[slot] = next_id;
+                next_id
+            }
+            Err(_) => NO_KEY,
+        }
+    }
+}
+
+/// A packed key word.
+trait Word: Copy + Eq + Default {
+    fn field(bits: u64, shift: u32) -> Self;
+    fn merge(&mut self, other: Self);
+    fn mix(self) -> u64;
+}
+
+impl Word for u64 {
+    fn field(bits: u64, shift: u32) -> u64 {
+        bits << shift
+    }
+    fn merge(&mut self, other: u64) {
+        *self |= other;
+    }
+    fn mix(self) -> u64 {
+        (self ^ (self >> 32)).wrapping_mul(MIX)
+    }
+}
+
+impl Word for u128 {
+    fn field(bits: u64, shift: u32) -> u128 {
+        u128::from(bits) << shift
+    }
+    fn merge(&mut self, other: u128) {
+        *self |= other;
+    }
+    fn mix(self) -> u64 {
+        ((self as u64) ^ ((self >> 64) as u64).wrapping_mul(MIX).rotate_left(31)).mix()
+    }
+}
+
+/// The distinct keys of one layout, by id.
+trait Keys {
+    fn len(&self) -> usize;
+    /// The id of every row of `keys` into `ids`; `types` are the columns'.
+    fn resolve(&mut self, types: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>);
+}
+
+/// What a table does with a page's keys.
+#[derive(Clone, Copy)]
+struct Mode {
+    /// Group-by: NULL and NaN are key values. Join: a row holding one has
+    /// no key.
+    nulls_match: bool,
+    /// Give a new key the next id (else it gets [`NO_KEY`]).
+    insert: bool,
+}
+
+/// Packed words.
+#[derive(Default)]
+struct Words<W> {
+    keys: Vec<W>,
+    slots: Slots,
+}
+
+impl<W: Word> Keys for Words<W> {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Pack the columns into words a column at a time, then probe per row.
+    fn resolve(&mut self, types: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>) {
+        let rows = keys.first().map_or(0, |block| block.len());
+        let mut words = vec![W::default(); rows];
+        let mut keyless = vec![false; rows];
+        let mut shift = 0;
+        for (block, data_type) in keys.iter().zip(types) {
+            let value_bits = packed_bits(data_type).unwrap_or(65) - 1;
+            let Some((_, bits, nulls)) = lane(block, !mode.nulls_match) else { continue };
+            words.iter_mut().zip(&bits).for_each(|(w, &b)| w.merge(W::field(b, shift)));
+            for (row, _) in nulls.iter().flatten().enumerate().filter(|(_, null)| **null) {
+                words[row].merge(W::field(1, shift + value_bits));
+                keyless[row] = !mode.nulls_match;
+            }
+            shift += value_bits + 1;
+        }
+        for (row, &word) in words.iter().enumerate() {
+            if keyless[row] {
+                ids.push(NO_KEY);
+                continue;
+            }
+            let (keys, hashes) = (&self.keys, self.keys.iter().map(|k| k.mix()));
+            let is_key = |id: u32| keys[id as usize] == word;
+            let id = self.slots.resolve(word.mix(), is_key, mode.insert, hashes);
+            if id as usize == self.keys.len() {
+                self.keys.push(word);
+            }
+            ids.push(id);
+        }
+    }
+}
+
+/// Byte keys in one arena.
+#[derive(Default)]
+struct ByteKeys {
+    arena: Vec<u8>,
+    ends: Vec<u32>,
+    hashes: Vec<u64>,
+    slots: Slots,
+}
+
+impl Keys for ByteKeys {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Encode and hash each column's cells once; a row's key is its cells
+    /// strung together, its hash theirs folded. Only a new key is copied.
+    fn resolve(&mut self, _: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>) {
+        let columns: Vec<Cells<'_>> =
+            keys.iter().map(|block| Cells::encode(block, !mode.nulls_match)).collect();
+        for row in 0..keys.first().map_or(0, |block| block.len()) {
+            let cells = || columns.iter().map(|column| column.cell(row));
+            if !mode.nulls_match && cells().any(|(cell, _)| cell == [0]) {
+                ids.push(NO_KEY);
+                continue;
+            }
+            let hash = cells().fold(0u64, |h, (_, cell_hash)| (h ^ cell_hash).wrapping_mul(MIX));
+            let (arena, ends, hashes) = (&self.arena, &self.ends, &self.hashes);
+            let is_key = |id: u32| {
+                let start = if id == 0 { 0 } else { ends[id as usize - 1] as usize };
+                let key = &arena[start..ends[id as usize] as usize];
+                // cells are self-delimiting: equal concatenations, equal cells
+                let rest = cells().try_fold(key, |rest, (cell, _)| rest.strip_prefix(cell));
+                hashes[id as usize] == hash && rest.is_some_and(<[u8]>::is_empty)
+            };
+            let id = self.slots.resolve(hash, is_key, mode.insert, hashes.iter().copied());
+            if id as usize == self.ends.len() {
+                cells().for_each(|(cell, _)| self.arena.extend_from_slice(cell));
+                self.ends.push(self.arena.len() as u32);
+                self.hashes.push(hash);
+            }
+            ids.push(id);
+        }
+    }
+}
+
+/// Distinct row keys → dense ids, numbered from 0 in first-seen order.
+pub struct KeyTable {
+    types: Vec<DataType>,
+    nulls_match: bool,
+    keys: Box<dyn Keys>,
+}
+
+impl KeyTable {
+    fn new(types: &[DataType], nulls_match: bool) -> KeyTable {
+        let bits = types.iter().try_fold(0u32, |sum, t| Some(sum + packed_bits(t)?));
+        let keys: Box<dyn Keys> = match bits {
+            Some(0..=64) => Box::new(Words::<u64>::default()),
+            Some(65..=128) => Box::new(Words::<u128>::default()),
+            _ => Box::new(ByteKeys::default()),
+        };
+        KeyTable { types: types.to_vec(), nulls_match, keys }
+    }
+
+    /// A table of GROUP BY keys over columns of `types`: equality is
+    /// `Vec<Value>` equality.
+    pub fn group_by(types: &[DataType]) -> KeyTable {
+        KeyTable::new(types, true)
+    }
+
+    /// A table of equi-join keys: as [`KeyTable::group_by`], except that a
+    /// row holding a NULL or a NaN gets [`NO_KEY`].
+    pub fn join(types: &[DataType]) -> KeyTable {
+        KeyTable::new(types, false)
+    }
+
+    /// Distinct keys so far.
+    pub fn distinct(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The id of each row of the key columns `keys` into `ids` (replacing
+    /// its contents). With `insert`, a new key gets the next id; without,
+    /// [`NO_KEY`]. Fails when a column is not of the type the table was
+    /// built for — the layout was chosen from those.
+    pub fn resolve(
+        &mut self,
+        keys: &[impl Borrow<Block>],
+        insert: bool,
+        ids: &mut Vec<u32>,
+    ) -> Result<()> {
+        let keys: Vec<&Block> = keys.iter().map(Borrow::borrow).collect();
+        let actual: Vec<DataType> = keys.iter().map(|block| block.data_type()).collect();
+        if actual != self.types {
+            return Err(PrestoError::Internal(format!(
+                "key columns are {actual:?}, the key table was built for {:?}",
+                self.types
+            )));
+        }
+        ids.clear();
+        ids.reserve(keys.first().map_or(0, |block| block.len()));
+        let mode = Mode { nulls_match: self.nulls_match, insert };
+        self.keys.resolve(&self.types, &keys, mode, ids);
+        Ok(())
+    }
+}

@@ -26,7 +26,7 @@ pub mod eval;
 pub mod expression;
 pub mod registry;
 
-pub use aggregate::{Accumulator, AggregateFunction};
+pub use aggregate::{Accumulator, AggregateFunction, GroupedAccumulator};
 pub use eval::Evaluator;
 pub use expression::{FunctionHandle, RowExpression, SpecialForm};
 pub use registry::FunctionRegistry;

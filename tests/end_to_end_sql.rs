@@ -1,9 +1,12 @@
 //! End-to-end SQL over the demo platform: every connector, nested data,
 //! pushdowns, and result correctness against hand-computed oracles.
 
+use std::sync::Arc;
+
 use presto_at_scale::fixtures::{demo_platform, DemoPlatform};
-use presto_common::Value;
-use presto_core::Session;
+use presto_common::{Block, Field, Page, Schema, Value};
+use presto_connectors::memory::MemoryConnector;
+use presto_core::{PrestoEngine, Session};
 use presto_plan::OptimizerConfig;
 
 fn platform() -> DemoPlatform {
@@ -202,6 +205,80 @@ fn left_join_on_residual_null_extends_instead_of_dropping() {
             assert!(row[1].is_null(), "city {a} must be null-extended");
         }
     }
+}
+
+/// An engine over one-page memory tables `memory.t.<name>`.
+fn memory_engine(tables: Vec<(&str, Vec<(&str, Block)>)>) -> (PrestoEngine, Session) {
+    let memory = MemoryConnector::new();
+    for (name, columns) in tables {
+        let fields = columns.iter().map(|(c, b)| Field::new(*c, b.data_type())).collect();
+        let page = Page::new(columns.into_iter().map(|(_, b)| b).collect()).unwrap();
+        memory.create_table("t", name, Schema::new(fields).unwrap(), vec![page]).unwrap();
+    }
+    let engine = PrestoEngine::new();
+    engine.register_catalog("memory", Arc::new(memory));
+    (engine, Session::new("memory", "t"))
+}
+
+#[test]
+fn equi_join_across_numeric_widths_matches_the_eq_filter() {
+    // The hash join must call equal what `=` calls equal: with predicate
+    // pushdown off the same query is a cross join filtered by `eq`, which
+    // compares INTEGER, BIGINT and DOUBLE numerically.
+    let nan = f64::NAN;
+    let (engine, pushed) = memory_engine(vec![
+        (
+            "a",
+            vec![("i", Block::integer(vec![1, 2, 3])), ("d", Block::double(vec![1.0, -0.0, nan]))],
+        ),
+        ("b", vec![("k", Block::bigint(vec![1, 2, 4])), ("z", Block::double(vec![0.0, 2.5, nan]))]),
+    ]);
+    let unpushed = pushed.clone().with_optimizer(OptimizerConfig {
+        predicate_pushdown: false,
+        ..OptimizerConfig::default()
+    });
+    for (sql, expected) in [
+        ("SELECT count(*) FROM a JOIN b ON a.i = b.k", 2), // INTEGER × BIGINT: 1, 2
+        ("SELECT count(*) FROM a JOIN b ON a.d = b.k", 1), // DOUBLE × BIGINT: 1.0 = 1
+        ("SELECT count(*) FROM a JOIN b ON a.d = b.z", 1), // -0.0 = 0.0; NaN = nothing
+        ("SELECT count(*) FROM a JOIN b ON a.i = b.k AND a.d = b.k", 1),
+        ("SELECT count(*) FROM a LEFT JOIN b ON a.d = b.z", 3),
+    ] {
+        for session in [&pushed, &unpushed] {
+            let result = engine.execute_with_session(sql, session).unwrap();
+            assert_eq!(result.rows(), vec![vec![Value::Bigint(expected)]], "{sql}");
+        }
+    }
+}
+
+#[test]
+fn order_by_a_double_column_holding_nan_is_a_total_order() {
+    // every third x is NaN: `slice::sort` aborts on a comparison that is
+    // not a total order, and so did ORDER BY and its TopN
+    let rows = 5_000i64;
+    let x = |id: i64| if id % 3 == 0 { f64::NAN } else { ((id * 7919) % 1013) as f64 / 4.0 };
+    let (engine, session) = memory_engine(vec![(
+        "t",
+        vec![
+            ("id", Block::bigint((0..rows).collect())),
+            ("x", Block::double((0..rows).map(x).collect())),
+        ],
+    )]);
+    let ids = |sql: &str| -> Vec<i64> {
+        let result = engine.execute_with_session(sql, &session).unwrap();
+        result.rows().iter().map(|r| r[0].as_i64().unwrap()).collect()
+    };
+    // numbers ascending, then the NaNs; each run of equals by id
+    let (nans, mut numbers): (Vec<i64>, Vec<i64>) = (0..rows).partition(|&id| x(id).is_nan());
+    numbers.sort_by(|&a, &b| x(a).partial_cmp(&x(b)).unwrap().then(a.cmp(&b)));
+    let ascending: Vec<i64> = numbers.iter().chain(&nans).copied().collect();
+    assert_eq!(ids("SELECT id, x FROM t ORDER BY x, id"), ascending);
+
+    // descending reverses the order of x alone: NaN first, ids still ascending
+    assert_eq!(ids("SELECT id, x FROM t ORDER BY x DESC, id LIMIT 5"), [0, 3, 6, 9, 12]);
+    numbers.sort_by(|&a, &b| x(b).partial_cmp(&x(a)).unwrap().then(a.cmp(&b)));
+    let top = ids(&format!("SELECT id, x FROM t ORDER BY x DESC, id LIMIT {}", nans.len() + 2));
+    assert_eq!(top[nans.len()..], numbers[..2]);
 }
 
 #[test]

@@ -1,0 +1,127 @@
+//! A noise-free guard on what the typed breakers bought: the number of heap
+//! allocations a group-by, join, sort or top-N makes does not scale with
+//! its input rows. A row-at-a-time operator allocates per row (a
+//! `Vec<Value>` key, a `String` per VARCHAR cell); a typed one allocates per
+//! page, per column and per *new* group. Counts are exact on any machine,
+//! so this holds on a noisy VM where a timing could not.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use presto_common::{Block, DataType, Field, Page, Schema};
+use presto_connectors::memory::MemoryConnector;
+use presto_core::{PrestoEngine, Session};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's allocations.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a thread-local `Cell` that neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout, as the caller guarantees for `alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwarded under the caller's `realloc` guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// An engine over `memory.t.facts`: `rows` rows in two pages. `id` is
+/// unique, `bucket` has `rows / 4` values, `flag` and `grade` six between
+/// them, `price` is nearly unique.
+fn engine(rows: usize) -> (PrestoEngine, Session) {
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Bigint),
+        Field::new("bucket", DataType::Bigint),
+        Field::new("line", DataType::Integer),
+        Field::new("flag", DataType::Varchar),
+        Field::new("grade", DataType::Varchar),
+        Field::new("price", DataType::Double),
+    ])
+    .unwrap();
+    let page = |from: usize, to: usize| {
+        let ids = || from..to;
+        Page::new(vec![
+            Block::bigint(ids().map(|i| i as i64).collect()),
+            Block::bigint(ids().map(|i| (i / 4) as i64).collect()),
+            Block::integer(ids().map(|i| (i % 4) as i32).collect()),
+            Block::varchar(&ids().map(|i| ["R", "A", "N"][i % 3]).collect::<Vec<_>>()),
+            Block::varchar(&ids().map(|i| ["O", "F"][(i / 3) % 2]).collect::<Vec<_>>()),
+            Block::double(ids().map(|i| ((i * 7919) % 10_007) as f64 / 8.0).collect()),
+        ])
+        .unwrap()
+    };
+    let memory = MemoryConnector::new();
+    memory
+        .create_table("t", "facts", schema, vec![page(0, rows / 2), page(rows / 2, rows)])
+        .unwrap();
+    let engine = PrestoEngine::new();
+    engine.register_catalog("memory", Arc::new(memory));
+    (engine, Session::new("memory", "t"))
+}
+
+const QUERIES: [(&str, &str); 5] = [
+    (
+        "low-NDV group-by",
+        "SELECT flag, grade, count(*), sum(price), avg(price) FROM facts GROUP BY 1, 2",
+    ),
+    ("high-NDV group-by", "SELECT bucket, count(*), sum(price) FROM facts GROUP BY 1"),
+    (
+        "unique-key join",
+        "SELECT count(*), sum(a.price + b.price) FROM facts a JOIN facts b \
+         ON a.bucket = b.bucket AND a.line = b.line",
+    ),
+    ("3-key sort", "SELECT bucket, line, price FROM facts ORDER BY price DESC, bucket, line"),
+    (
+        "top-100",
+        "SELECT bucket, line, price FROM facts ORDER BY price DESC, bucket, line LIMIT 100",
+    ),
+];
+
+/// Allocations of one execution of each query over `rows` rows.
+fn allocations(rows: usize) -> Vec<u64> {
+    let (engine, session) = engine(rows);
+    QUERIES
+        .iter()
+        .map(|(name, sql)| {
+            let before = ALLOCATIONS.with(Cell::get);
+            let result = engine.execute_with_session(sql, &session);
+            let after = ALLOCATIONS.with(Cell::get);
+            assert!(result.unwrap().row_count() > 0, "{name}");
+            after - before
+        })
+        .collect()
+}
+
+#[test]
+fn breaker_allocations_do_not_scale_with_rows() {
+    const N: usize = 20_000;
+    let (small, large) = (allocations(N), allocations(2 * N));
+    for (((name, _), small), large) in QUERIES.iter().zip(small).zip(large) {
+        // Same pages, same columns; at most a few more doublings of the
+        // vectors and tables that grow with groups or rows. One allocation
+        // per row would add N.
+        let grew = large.saturating_sub(small);
+        assert!(grew <= 64, "{name}: {small} allocations over {N} rows, {large} over {}", 2 * N);
+        assert!(large < N as u64 / 10, "{name}: {large} allocations is no bounded set-up");
+    }
+}

@@ -1,0 +1,602 @@
+//! Differential test of the typed breakers — hash aggregation, hash join,
+//! sort and top-N — against a row-at-a-time reference kept in this file.
+//!
+//! The reference is the algorithm the executor ran before it went typed: a
+//! `HashMap<Vec<Value>, Vec<Accumulator>>` per aggregation, a nested loop
+//! per join, a stable sort of boxed rows. Two things are defined here and
+//! not inherited, because the old executor got them wrong: the join calls
+//! two keys equal exactly when `Value::sql_cmp` does (so INTEGER 1 meets
+//! BIGINT 1 and DOUBLE 1.0, and NULL and NaN meet nothing), and every order
+//! is `Value::total_cmp`, numbers < NaN < NULL, ties by input position
+//! (aggregate output: by key then aggregates, as the old executor sorted).
+//!
+//! Random pages (every scalar type, null masks, dictionary-wrapped columns,
+//! NaN / `-0.0` / `i64` extremes, empty and zero-column pages, 1–4 pages) ×
+//! random plans go through `presto_exec::execute` and must equal the
+//! reference *in order*, compared via `{:?}` so doubles match to the bit.
+//! Each case runs again under a budget that forces the spill path.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use presto_common::{Block, DataType, Field, Page, Schema, Value};
+use presto_connectors::CatalogRegistry;
+use presto_exec::keys::{KeyTable, NO_KEY};
+use presto_exec::{execute, ExecutionContext};
+use presto_expr::{
+    Accumulator, AggregateFunction, Evaluator, FunctionHandle, FunctionRegistry, RowExpression,
+};
+use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
+use presto_resource::SpillManager;
+
+// ------------------------------------------------------------- generation
+
+/// SplitMix64: one `u64` from proptest seeds a whole case, so a failure is
+/// reproduced from the seed in its message.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Clone>(&mut self, pool: &[T]) -> T {
+        pool[self.below(pool.len())].clone()
+    }
+}
+
+const SCALARS: [DataType; 7] = [
+    DataType::Boolean,
+    DataType::Bigint,
+    DataType::Integer,
+    DataType::Double,
+    DataType::Varchar,
+    DataType::Date,
+    DataType::Timestamp,
+];
+
+/// A value of `dt` from a small pool, so keys collide, with the edge cases
+/// in it: NULL, NaN of two payloads, `-0.0`, the integer extremes.
+fn value(g: &mut Gen, dt: &DataType) -> Value {
+    if g.below(6) == 0 {
+        return Value::Null;
+    }
+    let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    match dt {
+        DataType::Boolean => Value::Boolean(g.below(2) == 0),
+        DataType::Bigint => Value::Bigint(g.pick(&[0, 1, 2, 3, -1, i64::MIN, i64::MAX, 1 << 53])),
+        DataType::Integer => Value::Integer(g.pick(&[0, 1, 2, 3, -1, i32::MIN, i32::MAX])),
+        DataType::Double => Value::Double(g.pick(&[
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            -1.0,
+            2.5,
+            f64::NAN,
+            other_nan,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9007199254740992.0,
+        ])),
+        DataType::Varchar => {
+            // "\u{5}" is the codec's VARCHAR tag: only a length prefix keeps
+            // ("a\u{5}", "") and ("a", "\u{5}") apart
+            let pool = ["", "a", "\u{5}", "a\u{5}", "ab", "abcdefghi", "abcdefghj"];
+            Value::Varchar(g.pick(&pool).into())
+        }
+        DataType::Date => Value::Date(g.pick(&[0, 1, -1, 18_000])),
+        DataType::Timestamp => Value::Timestamp(g.pick(&[0, 1, -1, 1_600_000_000_000])),
+        DataType::Array(element) => {
+            Value::Array((0..g.below(3)).map(|_| value(g, element)).collect())
+        }
+        _ => unreachable!("no other type is generated"),
+    }
+}
+
+/// A block holding `values`, sometimes behind a dictionary whose entries are
+/// in another order and include ones no row uses.
+fn block(g: &mut Gen, dt: &DataType, values: &[Value]) -> Block {
+    if g.below(3) > 0 {
+        return Block::from_values(dt, values).unwrap();
+    }
+    let mut entries: Vec<Value> = values.iter().rev().cloned().collect();
+    entries.push(value(g, dt));
+    let ids = (0..values.len()).map(|i| (values.len() - 1 - i) as u32).collect();
+    Block::Dictionary { dictionary: Box::new(Block::from_values(dt, &entries).unwrap()), ids }
+}
+
+/// A table as the executor sees it (pages bound to a remote source) and as
+/// the reference does (rows, page by page).
+struct Table {
+    schema: Schema,
+    pages: Vec<Page>,
+    rows: Vec<Vec<Vec<Value>>>,
+}
+
+impl Table {
+    fn random(g: &mut Gen, types: Vec<DataType>) -> Table {
+        let fields = types.iter().enumerate().map(|(i, t)| Field::new(format!("c{i}"), t.clone()));
+        let schema = Schema::new(fields.collect()).unwrap();
+        let (mut pages, mut rows) = (Vec::new(), Vec::new());
+        for _ in 0..1 + g.below(4) {
+            let n = g.pick(&[0, 1, 2, 5, 9, 14]);
+            let page_rows: Vec<Vec<Value>> =
+                (0..n).map(|_| types.iter().map(|t| value(g, t)).collect()).collect();
+            let blocks: Vec<Block> = types
+                .iter()
+                .enumerate()
+                .map(|(c, t)| {
+                    let column: Vec<Value> = page_rows.iter().map(|r| r[c].clone()).collect();
+                    block(g, t, &column)
+                })
+                .collect();
+            pages.push(if blocks.is_empty() {
+                Page::zero_column(n)
+            } else {
+                Page::new(blocks).unwrap()
+            });
+            rows.push(page_rows);
+        }
+        Table { schema, pages, rows }
+    }
+
+    fn all_rows(&self) -> Vec<Vec<Value>> {
+        self.rows.iter().flatten().cloned().collect()
+    }
+
+    fn types(&self) -> Vec<DataType> {
+        self.schema.fields().iter().map(|f| f.data_type.clone()).collect()
+    }
+
+    fn column(&self, c: usize) -> RowExpression {
+        RowExpression::column(format!("c{c}"), c, self.schema.field_at(c).data_type.clone())
+    }
+
+    /// The columns whose type passes `test`.
+    fn columns_of(&self, test: impl Fn(&DataType) -> bool) -> Vec<usize> {
+        (0..self.schema.len()).filter(|&c| test(&self.schema.field_at(c).data_type)).collect()
+    }
+}
+
+fn random_types(g: &mut Gen, min: usize) -> Vec<DataType> {
+    (0..min + g.below(5)).map(|_| g.pick(&SCALARS)).collect()
+}
+
+// ------------------------------------------------------------- execution
+
+/// Run `plan` over the bound tables. `budget`: a memory limit with a spill
+/// manager attached, so breakers spill instead of failing. Returns the rows
+/// page by page, and whether anything spilled.
+fn run(
+    plan: &LogicalPlan,
+    tables: &[&Table],
+    budget: Option<usize>,
+) -> (presto_common::Result<Vec<Vec<Vec<Value>>>>, bool) {
+    let mut ctx = ExecutionContext::new(CatalogRegistry::new());
+    if let Some(bytes) = budget {
+        ctx = ctx.with_memory_budget(bytes);
+        let spill = SpillManager::in_memory(ctx.metrics.clone());
+        let pool = ctx.pool.clone();
+        ctx = ctx.with_resources(pool, Some(Arc::new(spill)));
+    }
+    for (fragment, table) in tables.iter().enumerate() {
+        ctx.bind_remote_source(fragment as u32, table.pages.clone());
+    }
+    let result = execute(plan, &ctx).map(|pages| pages.iter().map(Page::rows).collect());
+    assert_eq!(ctx.reserved_memory(), 0, "reservation leaked");
+    (result, ctx.metrics.get("spill.files") > 0)
+}
+
+fn source(fragment: u32, table: &Table) -> Box<LogicalPlan> {
+    Box::new(LogicalPlan::RemoteSource { fragment, schema: table.schema.clone() })
+}
+
+/// The peak reservation of an unconstrained run: one byte less forces the
+/// spill path while leaving room for its pieces.
+fn peak(plan: &LogicalPlan, tables: &[&Table]) -> usize {
+    let mut ctx = ExecutionContext::new(CatalogRegistry::new());
+    for (fragment, table) in tables.iter().enumerate() {
+        ctx.bind_remote_source(fragment as u32, table.pages.clone());
+    }
+    execute(plan, &ctx).unwrap();
+    ctx.pool.peak()
+}
+
+fn flat(pages: &[Vec<Vec<Value>>]) -> Vec<Vec<Value>> {
+    pages.iter().flatten().cloned().collect()
+}
+
+/// Rows in an order of their own, for multiset comparison.
+fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<String> {
+    let mut keys: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
+    keys.sort();
+    keys
+}
+
+// -------------------------------------------------------------- reference
+
+fn cmp_keys(a: &[Value], b: &[Value], descending: &[bool]) -> std::cmp::Ordering {
+    a.iter()
+        .zip(b)
+        .zip(descending)
+        .map(|((x, y), desc)| if *desc { x.total_cmp(y).reverse() } else { x.total_cmp(y) })
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Hash aggregation one boxed row at a time; groups sorted as whole rows
+/// (key, then aggregates), ties in first-seen order.
+fn reference_aggregate(
+    rows: &[Vec<Value>],
+    keys: &[usize],
+    aggregates: &[(AggregateFunction, Option<usize>)],
+    step: AggregateStep,
+) -> Vec<Vec<Value>> {
+    let fresh = || aggregates.iter().map(|(f, _)| f.new_accumulator()).collect::<Vec<_>>();
+    let mut groups: HashMap<Vec<Value>, (usize, Vec<Accumulator>)> = HashMap::new();
+    for row in rows {
+        let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
+        let seen = groups.len();
+        let (_, accs) = groups.entry(key).or_insert_with(|| (seen, fresh()));
+        for (acc, (function, argument)) in accs.iter_mut().zip(aggregates) {
+            match (step, argument.map(|c| &row[c])) {
+                (AggregateStep::Single, None) => acc.add_count(1),
+                (AggregateStep::Single, Some(v)) => acc.add(v),
+                (AggregateStep::FinalOverPartial, Some(partial)) => match function {
+                    AggregateFunction::Count | AggregateFunction::CountStar => {
+                        acc.add_count(partial.as_i64().unwrap_or(0));
+                    }
+                    _ => acc.add(partial),
+                },
+                (AggregateStep::FinalOverPartial, None) => unreachable!("not generated"),
+            }
+        }
+    }
+    if groups.is_empty() && keys.is_empty() {
+        groups.insert(Vec::new(), (0, fresh()));
+    }
+    let mut out: Vec<(usize, Vec<Value>)> = groups
+        .into_iter()
+        .map(|(mut key, (seen, accs))| {
+            key.extend(accs.iter().map(Accumulator::finish));
+            (seen, key)
+        })
+        .collect();
+    let ascending = vec![false; keys.len() + aggregates.len()];
+    out.sort_by(|a, b| cmp_keys(&a.1, &b.1, &ascending).then(a.0.cmp(&b.0)));
+    out.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Nested-loop equi-join, page by page: a probe page's matches by (probe
+/// row, build row), then — LEFT — its unmatched rows null-extended.
+fn reference_join(
+    probe: &Table,
+    build: &Table,
+    kind: JoinKind,
+    on: &[(usize, usize)],
+    residual: Option<&RowExpression>,
+) -> Vec<Vec<Vec<Value>>> {
+    let evaluator = Evaluator::new(FunctionRegistry::new());
+    let build_rows = build.all_rows();
+    let mut out = Vec::new();
+    for page in &probe.rows {
+        let (mut matched, mut unmatched) = (Vec::new(), Vec::new());
+        for left in page {
+            let before = matched.len();
+            for right in &build_rows {
+                let equal = |&(l, r): &(usize, usize)| {
+                    left[l].sql_cmp(&right[r]) == Some(std::cmp::Ordering::Equal)
+                };
+                let pair: Vec<Value> = left.iter().chain(right).cloned().collect();
+                let passes =
+                    |expr| evaluator.evaluate_scalar(expr, &pair).unwrap() == Value::Boolean(true);
+                if on.iter().all(equal) && residual.is_none_or(passes) {
+                    matched.push(pair);
+                }
+            }
+            if matched.len() == before && kind == JoinKind::Left {
+                let nulls = std::iter::repeat_n(Value::Null, build.schema.len());
+                unmatched.push(left.iter().cloned().chain(nulls).collect());
+            }
+        }
+        matched.extend(unmatched);
+        if !matched.is_empty() {
+            out.push(matched);
+        }
+    }
+    out
+}
+
+// ------------------------------------------------------------ properties
+
+fn is_insufficient(result: &presto_common::Result<Vec<Vec<Vec<Value>>>>) -> bool {
+    matches!(result, Err(e) if e.code() == "INSUFFICIENT_RESOURCES")
+}
+
+fn aggregate_case(seed: u64) -> bool {
+    let g = &mut Gen(seed);
+    let types = random_types(g, 0);
+    let table = Table::random(g, types);
+    let width = table.schema.len();
+    let keys: Vec<usize> =
+        if width == 0 { vec![] } else { (0..g.below(4)).map(|_| g.below(width)).collect() };
+    let step =
+        g.pick(&[AggregateStep::Single, AggregateStep::Single, AggregateStep::FinalOverPartial]);
+    let merging = step == AggregateStep::FinalOverPartial;
+    // a partial sum is BIGINT or DOUBLE, never INTEGER: the final step's
+    // output takes its argument's type
+    let numeric = table.columns_of(|t| t.is_numeric() && !(merging && *t == DataType::Integer));
+    // partial counts small enough to add up without overflow
+    let countable = table.columns_of(|t| *t == DataType::Bigint).into_iter().filter(|&c| {
+        table
+            .all_rows()
+            .iter()
+            .all(|r| r[c].as_i64().is_none_or(|v| (-(1 << 40)..1 << 40).contains(&v)))
+    });
+    let countable: Vec<usize> = countable.collect();
+    let mut aggregates: Vec<(AggregateFunction, Option<usize>)> = Vec::new();
+    for _ in 0..g.below(4) {
+        use AggregateFunction::*;
+        let function = g.pick(&[CountStar, Count, Sum, Avg, Min, Max]);
+        let argument = match function {
+            CountStar if !merging => None,
+            CountStar | Count if merging && !countable.is_empty() => Some(g.pick(&countable)),
+            Count if !merging && width > 0 => Some(g.below(width)),
+            Sum if !numeric.is_empty() => Some(g.pick(&numeric)),
+            // merged partial averages carry their column's type, DOUBLE
+            Avg if !numeric.is_empty() && !merging => Some(g.pick(&numeric)),
+            Min | Max if width > 0 => Some(g.below(width)),
+            _ => continue,
+        };
+        aggregates.push((function, argument));
+    }
+    let plan = LogicalPlan::Aggregate {
+        input: source(0, &table),
+        group_by: keys.iter().map(|&k| table.column(k)).collect(),
+        aggregates: aggregates
+            .iter()
+            .enumerate()
+            .map(|(i, (function, argument))| AggregateExpr {
+                function: *function,
+                argument: argument.map(|c| table.column(c)),
+                name: format!("a{i}"),
+            })
+            .collect(),
+        step,
+    };
+    let expected = reference_aggregate(&table.all_rows(), &keys, &aggregates, step);
+    let (actual, _) = run(&plan, &[&table], None);
+    assert_eq!(format!("{:?}", flat(&actual.unwrap())), format!("{expected:?}"), "seed {seed}");
+
+    let needed = peak(&plan, &[&table]);
+    if needed == 0 {
+        return false;
+    }
+    let (spilled, did_spill) = run(&plan, &[&table], Some(needed - 1));
+    if is_insufficient(&spilled) {
+        return false; // a partition alone did not fit (or there was nothing to spill on)
+    }
+    assert_eq!(
+        format!("{:?}", flat(&spilled.unwrap())),
+        format!("{expected:?}"),
+        "spill, seed {seed}"
+    );
+    did_spill
+}
+
+fn join_case(seed: u64) -> bool {
+    let g = &mut Gen(seed);
+    let types = random_types(g, 1);
+    let probe = Table::random(g, types);
+    // make comparable pairs likely: the build side reuses some probe types
+    let mut build_types = random_types(g, 1);
+    for t in build_types.iter_mut() {
+        if g.below(2) == 0 {
+            *t = g.pick(&probe.types());
+        }
+    }
+    let build = Table::random(g, build_types);
+    let on: Vec<(usize, usize)> = (0..1 + g.below(2))
+        .map(|_| {
+            let l = g.below(probe.schema.len());
+            let comparable = build
+                .columns_of(|t| probe.schema.field_at(l).data_type.comparison_type(t).is_some());
+            // mostly comparable (same or mixed width), sometimes anything
+            let r = if comparable.is_empty() || g.below(6) == 0 {
+                g.below(build.schema.len())
+            } else {
+                g.pick(&comparable)
+            };
+            (l, r)
+        })
+        .collect();
+    let kind = g.pick(&[JoinKind::Inner, JoinKind::Left]);
+    let (left_ints, right_ints) = (
+        probe.columns_of(|t| *t == DataType::Bigint),
+        build.columns_of(|t| *t == DataType::Bigint),
+    );
+    let residual =
+        (g.below(3) == 0 && !left_ints.is_empty() && !right_ints.is_empty()).then(|| {
+            let r = g.pick(&right_ints);
+            RowExpression::Call {
+                handle: FunctionHandle::new(
+                    g.pick(&["lt", "gte"]),
+                    vec![DataType::Bigint, DataType::Bigint],
+                    DataType::Boolean,
+                ),
+                args: vec![
+                    probe.column(g.pick(&left_ints)),
+                    RowExpression::column(
+                        format!("r{r}"),
+                        probe.schema.len() + r,
+                        DataType::Bigint,
+                    ),
+                ],
+            }
+        });
+    let plan = LogicalPlan::Join {
+        left: source(0, &probe),
+        right: source(1, &build),
+        kind,
+        on: on.iter().map(|&(l, r)| (probe.column(l), build.column(r))).collect(),
+        residual: residual.clone(),
+    };
+    let expected = reference_join(&probe, &build, kind, &on, residual.as_ref());
+    let (actual, _) = run(&plan, &[&probe, &build], None);
+    assert_eq!(format!("{:?}", actual.unwrap()), format!("{expected:?}"), "seed {seed}");
+
+    let needed = peak(&plan, &[&probe, &build]);
+    if needed == 0 {
+        return false;
+    }
+    let (spilled, did_spill) = run(&plan, &[&probe, &build], Some(needed - 1));
+    if is_insufficient(&spilled) {
+        return false;
+    }
+    // Grace partitioning reorders rows across partitions
+    assert_eq!(
+        canonical(flat(&spilled.unwrap())),
+        canonical(flat(&expected)),
+        "spill, seed {seed}"
+    );
+    did_spill
+}
+
+fn sort_case(seed: u64) -> bool {
+    let g = &mut Gen(seed);
+    let types = random_types(g, 1);
+    let table = Table::random(g, types);
+    let keys: Vec<(usize, bool)> =
+        (0..1 + g.below(3)).map(|_| (g.below(table.schema.len()), g.below(2) == 0)).collect();
+    let sort_keys: Vec<SortKey> =
+        keys.iter().map(|&(c, descending)| SortKey { expr: table.column(c), descending }).collect();
+    let mut expected = table.all_rows();
+    let descending: Vec<bool> = keys.iter().map(|k| k.1).collect();
+    let key_of = |row: &[Value]| keys.iter().map(|&(c, _)| row[c].clone()).collect::<Vec<_>>();
+    expected.sort_by(|a, b| cmp_keys(&key_of(a), &key_of(b), &descending));
+    let count = g.below(expected.len() + 2);
+    let mut spilled_any = false;
+    for (plan, expected) in [
+        (LogicalPlan::Sort { input: source(0, &table), keys: sort_keys.clone() }, &expected[..]),
+        (
+            LogicalPlan::TopN { input: source(0, &table), keys: sort_keys, count },
+            &expected[..count.min(expected.len())],
+        ),
+    ] {
+        let (actual, _) = run(&plan, &[&table], None);
+        let actual = actual.unwrap();
+        assert!(actual.len() <= 1, "sort emits one page");
+        assert_eq!(format!("{:?}", flat(&actual)), format!("{expected:?}"), "seed {seed}");
+        let needed = peak(&plan, &[&table]);
+        if needed == 0 {
+            continue;
+        }
+        let (spilled, did_spill) = run(&plan, &[&table], Some(needed - 1));
+        if is_insufficient(&spilled) {
+            continue; // one row alone is over the budget
+        }
+        assert_eq!(
+            format!("{:?}", flat(&spilled.unwrap())),
+            format!("{expected:?}"),
+            "spill, seed {seed}"
+        );
+        spilled_any |= did_spill;
+    }
+    spilled_any
+}
+
+/// Run `case` on `cases` seeds drawn from `seed`; at least `min_spilled` of
+/// them must have taken the spill path to an answer.
+fn check(seed: u64, cases: usize, min_spilled: usize, case: fn(u64) -> bool) {
+    let g = &mut Gen(seed);
+    let spilled = (0..cases).filter(|_| case(g.next())).count();
+    assert!(spilled >= min_spilled, "only {spilled} of {cases} cases spilled");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn aggregation_equals_the_row_at_a_time_reference(seed in any::<u64>()) {
+        check(seed, 48, 4, aggregate_case);
+    }
+
+    #[test]
+    fn hash_join_equals_the_nested_loop_reference(seed in any::<u64>()) {
+        check(seed, 48, 4, join_case);
+    }
+
+    #[test]
+    fn sort_and_topn_equal_the_stable_sort_reference(seed in any::<u64>()) {
+        check(seed, 48, 8, sort_case);
+    }
+
+    /// The codec's contract, directly: two rows share an id exactly when
+    /// their keys are equal as `Vec<Value>`; ids are dense in first-seen
+    /// order; a join table gives NULL and NaN rows no key at all.
+    #[test]
+    fn key_codec_equality_is_vec_value_equality(seed in any::<u64>()) {
+        let g = &mut Gen(seed);
+        for _ in 0..32 {
+            let mut types = random_types(g, 1);
+            types.truncate(3);
+            match g.below(4) {
+                0 => types.push(DataType::array(DataType::Double)),
+                1 => types = vec![DataType::Varchar, DataType::Varchar],
+                _ => {}
+            }
+            let table = Table::random(g, types.clone());
+            let rows = table.all_rows();
+            let mut groups = KeyTable::group_by(&types);
+            let mut joins = KeyTable::join(&types);
+            let (mut ids, mut join_ids, mut page_ids) = (Vec::new(), Vec::new(), Vec::new());
+            for page in &table.pages {
+                groups.resolve(page.blocks(), true, &mut page_ids).unwrap();
+                ids.extend_from_slice(&page_ids);
+                joins.resolve(page.blocks(), true, &mut page_ids).unwrap();
+                join_ids.extend_from_slice(&page_ids);
+            }
+            let mut next = 0;
+            for i in 0..rows.len() {
+                for j in 0..i {
+                    prop_assert_eq!(ids[i] == ids[j], rows[i] == rows[j], "seed {} rows {:?} {:?}", seed, rows[i], rows[j]);
+                }
+                if ids[i] == next {
+                    next += 1;
+                }
+                prop_assert!(ids[i] < next, "ids are dense and first-seen, seed {}", seed);
+                let keyless = rows[i].iter().any(|v| match v {
+                    Value::Null => true,
+                    Value::Double(x) => x.is_nan(),
+                    _ => false,
+                });
+                prop_assert_eq!(join_ids[i] == NO_KEY, keyless, "seed {} row {:?}", seed, rows[i]);
+            }
+            prop_assert_eq!(groups.distinct(), next as usize);
+            // a lookup finds what was assigned and adds nothing
+            let mut fresh = KeyTable::group_by(&types);
+            for page in &table.pages {
+                fresh.resolve(page.blocks(), false, &mut page_ids).unwrap();
+                prop_assert!(page_ids.iter().all(|&id| id == NO_KEY));
+            }
+            let mut again = Vec::new();
+            for page in &table.pages {
+                groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
+                again.extend_from_slice(&page_ids);
+            }
+            prop_assert_eq!(&again, &ids);
+            prop_assert_eq!(fresh.distinct(), 0);
+        }
+    }
+}

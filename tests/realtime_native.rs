@@ -141,12 +141,7 @@ impl Reference {
             a[..keys]
                 .iter()
                 .zip(&b[..keys])
-                .map(|(x, y)| match (x, y) {
-                    (Value::Double(p), Value::Double(q)) => {
-                        p.partial_cmp(q).unwrap_or_else(|| p.is_nan().cmp(&q.is_nan()))
-                    }
-                    _ => x.total_cmp(y),
-                })
+                .map(|(x, y)| x.total_cmp(y))
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
