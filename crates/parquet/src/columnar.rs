@@ -7,120 +7,227 @@
 //! blocks on the fly" (Fig 6), and the native writer "writes directly from
 //! Presto's in-memory data structure to Parquet's columnar file format,
 //! including data values, repetition values, and definition values" (§V.J).
-//! This module is that direct path.
+//! This module is that direct path, for every schema shape.
 //!
-//! Repetition-free subtrees (scalars and structs of scalars — the shapes
-//! nested-column pruning usually leaves behind) build with tight typed
-//! loops; repeated subtrees (arrays/maps) fall back to the record assembler
-//! for reading but still shred directly for writing.
+//! Reading, one rule covers scalars, structs, arrays and maps at any depth.
+//! A node's *slots* — the positions of the block it becomes — are the
+//! entries of any leaf stream below it that start a new value of the
+//! innermost list around the node (`rep <=` that list's level) where that
+//! list holds an element (`def >=` its present level + 1); under no list,
+//! every entry that starts a record. At a slot, a struct or list is NULL
+//! when `def < def_present`; a list's elements are the entries up to the
+//! next slot with `rep <=` its own level and `def > def_present` (none:
+//! empty), and they are the slots of its element node. Leaves expand their
+//! packed values over their slots with typed loops. Each `Row` / `Array` /
+//! `Map` node walks the levels of its first leaf once; no [`Value`] is built.
 
 use presto_common::{Block, DataType, PrestoError, Result, Value};
 
 use crate::schema::SchemaNode;
-use crate::shred::{assemble_column, LeafCursor, LeafData, LeafValues};
+use crate::shred::{LeafData, LeafValues, Levels};
 
 // ------------------------------------------------------------------- read
 
-/// Build a [`Block`] for `node` from decoded leaf streams (indexed by global
-/// leaf index), without going through records when the subtree is
-/// repetition-free.
-pub fn build_block(node: &SchemaNode, leaf_data: &[LeafData]) -> Result<Block> {
-    if node.is_repetition_free() {
-        build_repetition_free(node, leaf_data)
-    } else {
-        // Repeated subtree: record assembly, then the generic builder.
-        let mut cursors: Vec<LeafCursor<'_>> = leaf_data.iter().map(LeafCursor::new).collect();
-        let values = assemble_column(node, &mut cursors)?;
-        Block::from_values(&node.data_type(), &values)
+/// Which entries of a leaf stream are slots of a node (see the module doc).
+#[derive(Clone, Copy)]
+struct Slots {
+    /// Repetition level of the innermost list around the node.
+    rep: u16,
+    /// Definition level from which that list holds an element.
+    def: u16,
+}
+
+impl Slots {
+    /// A node under no list: one slot per record.
+    const RECORDS: Slots = Slots { rep: 0, def: 0 };
+
+    fn holds(self, rep: u16, def: u16) -> bool {
+        rep <= self.rep && def >= self.def
     }
 }
 
-fn build_repetition_free(node: &SchemaNode, leaf_data: &[LeafData]) -> Result<Block> {
+fn some_if_any(mask: Vec<bool>) -> Option<Vec<bool>> {
+    mask.contains(&true).then_some(mask)
+}
+
+/// Build the [`Block`] of `node` from the decoded chunks of its leaves
+/// (`leaves` is indexed by global leaf index), taking each chunk out of its
+/// slot: value buffers move into the block, nothing is copied that need not
+/// be. The chunks must be as [`crate::reader::decode_chunk`] returns them;
+/// streams that disagree with one another on the column's shape are a
+/// [`PrestoError::Format`].
+pub fn build_block(node: &SchemaNode, leaves: &mut [Option<LeafData>]) -> Result<Block> {
+    build(node, leaves, Slots::RECORDS)
+}
+
+fn build(node: &SchemaNode, leaves: &mut [Option<LeafData>], slots: Slots) -> Result<Block> {
+    let not_decoded =
+        || PrestoError::Internal("block built from a leaf that was not decoded".into());
     match node {
-        SchemaNode::Leaf { leaf_index, scalar_type, max_def } => {
-            let data = &leaf_data[*leaf_index];
-            build_leaf_block(data, scalar_type, *max_def)
+        SchemaNode::Leaf { leaf_index, scalar_type, .. } => {
+            let data =
+                leaves.get_mut(*leaf_index).and_then(Option::take).ok_or_else(not_decoded)?;
+            build_leaf(data, scalar_type, slots)
         }
         SchemaNode::Row { fields, def_present, row_fields } => {
+            let pilot = leaves.get(node.first_leaf()).and_then(Option::as_ref);
+            let (len, nulls) = struct_slots(pilot.ok_or_else(not_decoded)?, slots, *def_present);
             let children = fields
                 .iter()
-                .map(|(_, child)| build_repetition_free(child, leaf_data))
+                .map(|(_, child)| build(child, leaves, slots))
                 .collect::<Result<Vec<_>>>()?;
-            // Struct validity comes from the pilot leaf's definition levels:
-            // def < def_present means the struct itself (or an ancestor) is
-            // null at that row.
-            let pilot = &leaf_data[node.first_leaf()];
-            let len = pilot.defs.len();
-            let nulls: Vec<bool> = pilot.defs.iter().map(|&d| d < *def_present).collect();
-            let nulls = if nulls.iter().any(|&b| b) { Some(nulls) } else { None };
+            same_len(&children, len)?;
             Ok(Block::Row { fields: row_fields.clone(), children, len, nulls })
         }
-        _ => Err(PrestoError::Internal("build_repetition_free called on repeated subtree".into())),
+        SchemaNode::Array { element, def_present, rep, element_type } => {
+            let pilot = leaves.get(node.first_leaf()).and_then(Option::as_ref);
+            let (offsets, nulls) =
+                list_slots(pilot.ok_or_else(not_decoded)?, slots, *def_present, *rep)?;
+            let elements = build(element, leaves, Slots { rep: *rep, def: def_present + 1 })?;
+            same_len(std::slice::from_ref(&elements), offsets[offsets.len() - 1] as usize)?;
+            Ok(Block::Array {
+                element_type: element_type.clone(),
+                offsets,
+                elements: Box::new(elements),
+                nulls,
+            })
+        }
+        SchemaNode::Map { key, value, def_present, rep, key_type, value_type } => {
+            let pilot = leaves.get(node.first_leaf()).and_then(Option::as_ref);
+            let (offsets, nulls) =
+                list_slots(pilot.ok_or_else(not_decoded)?, slots, *def_present, *rep)?;
+            let entries = Slots { rep: *rep, def: def_present + 1 };
+            let pair = [build(key, leaves, entries)?, build(value, leaves, entries)?];
+            same_len(&pair, offsets[offsets.len() - 1] as usize)?;
+            let [keys, values] = pair;
+            Ok(Block::Map {
+                key_type: key_type.clone(),
+                value_type: value_type.clone(),
+                offsets,
+                keys: Box::new(keys),
+                values: Box::new(values),
+                nulls,
+            })
+        }
     }
 }
 
-/// Direct leaf decode: definition levels become the null mask, compacted
-/// values expand into the block's value lanes.
-fn build_leaf_block(data: &LeafData, scalar_type: &DataType, max_def: u16) -> Result<Block> {
-    let len = data.defs.len();
-    let no_nulls = data.defs.iter().all(|&d| d == max_def);
-    let nulls: Option<Vec<bool>> =
-        if no_nulls { None } else { Some(data.defs.iter().map(|&d| d < max_def).collect()) };
-    macro_rules! expand {
-        ($vals:expr, $default:expr) => {{
-            if no_nulls {
-                $vals.clone()
-            } else {
-                let mut out = Vec::with_capacity(len);
-                let mut vi = 0;
-                for &d in &data.defs {
-                    if d == max_def {
-                        out.push($vals[vi].clone());
-                        vi += 1;
-                    } else {
-                        out.push($default);
-                    }
-                }
-                out
-            }
-        }};
+/// The leaves of one column must agree on how many slots each node has;
+/// the writer emits them in lockstep, a damaged file need not.
+fn same_len(blocks: &[Block], len: usize) -> Result<()> {
+    if blocks.iter().all(|b| b.len() == len) {
+        Ok(())
+    } else {
+        Err(PrestoError::Format("leaf streams of one column disagree on its shape".into()))
     }
-    match (&data.values, scalar_type) {
-        (LeafValues::Bool(v), DataType::Boolean) => {
-            Ok(Block::Boolean { values: expand!(v, false), nulls })
+}
+
+/// Slot count and NULL mask of a struct, from its first leaf's levels.
+fn struct_slots(pilot: &LeafData, slots: Slots, def_present: u16) -> (usize, Option<Vec<bool>>) {
+    let entries = pilot.defs.len();
+    if let (Some(rep), Some(def)) = (pilot.reps.run_level(), pilot.defs.run_level()) {
+        // one level pair decides every entry at once: the whole of a flat
+        // file's struct columns
+        let len = if slots.holds(rep, def) { entries } else { 0 };
+        return (len, (def < def_present && len > 0).then(|| vec![true; len]));
+    }
+    let mut nulls = Vec::with_capacity(entries);
+    for i in 0..entries {
+        let def = pilot.defs.get(i);
+        if slots.holds(pilot.reps.get(i), def) {
+            nulls.push(def < def_present);
         }
-        (LeafValues::I32(v), DataType::Integer) => {
-            Ok(Block::Integer { values: expand!(v, 0), nulls })
+    }
+    (nulls.len(), some_if_any(nulls))
+}
+
+/// Offsets and NULL mask of an array or map, from its first leaf's levels.
+/// `offsets[i + 1] - offsets[i]` counts exactly the entries the element
+/// node will take as its slots, so the two cannot drift apart.
+fn list_slots(
+    pilot: &LeafData,
+    slots: Slots,
+    def_present: u16,
+    rep: u16,
+) -> Result<(Vec<u32>, Option<Vec<bool>>)> {
+    let entries = pilot.defs.len();
+    if u32::try_from(entries).is_err() {
+        return Err(PrestoError::Format("list chunk exceeds 2^32 entries".into()));
+    }
+    let mut offsets = Vec::with_capacity(entries + 1);
+    let mut nulls = Vec::with_capacity(entries);
+    let mut elements = 0u32;
+    for i in 0..entries {
+        let (r, def) = (pilot.reps.get(i), pilot.defs.get(i));
+        if slots.holds(r, def) {
+            offsets.push(elements);
+            nulls.push(def < def_present);
         }
-        (LeafValues::I32(v), DataType::Date) => Ok(Block::Date { values: expand!(v, 0), nulls }),
-        (LeafValues::I64(v), DataType::Bigint) => {
-            Ok(Block::Bigint { values: expand!(v, 0), nulls })
-        }
-        (LeafValues::I64(v), DataType::Timestamp) => {
-            Ok(Block::Timestamp { values: expand!(v, 0), nulls })
-        }
-        (LeafValues::F64(v), DataType::Double) => {
-            Ok(Block::Double { values: expand!(v, 0.0), nulls })
-        }
-        (LeafValues::Bytes { offsets, data: bytes }, DataType::Varchar) => {
-            if no_nulls {
-                Ok(Block::Varchar { offsets: offsets.clone(), bytes: bytes.clone(), nulls })
-            } else {
-                let mut new_offsets = Vec::with_capacity(len + 1);
-                let mut new_bytes = Vec::with_capacity(bytes.len());
-                new_offsets.push(0u32);
-                let mut vi = 0;
-                for &d in &data.defs {
-                    if d == max_def {
-                        let s = &bytes[offsets[vi] as usize..offsets[vi + 1] as usize];
-                        new_bytes.extend_from_slice(s);
-                        vi += 1;
-                    }
-                    new_offsets.push(new_bytes.len() as u32);
-                }
-                Ok(Block::Varchar { offsets: new_offsets, bytes: new_bytes, nulls })
+        if r <= rep && def > def_present {
+            if offsets.is_empty() {
+                return Err(PrestoError::Format("list element before any list".into()));
             }
+            elements += 1;
         }
+    }
+    offsets.push(elements);
+    Ok((offsets, some_if_any(nulls)))
+}
+
+/// Packed values spread over their slots, NULL slots zeroed.
+fn spread<T: Copy + Default>(packed: Vec<T>, mask: &[bool]) -> Vec<T> {
+    let mut packed = packed.into_iter();
+    mask.iter()
+        .map(|&null| if null { T::default() } else { packed.next().unwrap_or_default() })
+        .collect()
+}
+
+/// Direct leaf build: the definition levels of the leaf's slots become the
+/// NULL mask, and the packed value buffer moves into the block — as it is
+/// when no slot is NULL, spread over the slots otherwise.
+fn build_leaf(data: LeafData, scalar_type: &DataType, slots: Slots) -> Result<Block> {
+    let LeafData { defs, values, max_def, .. } = data;
+    // a leaf's own repetition maximum is its enclosing list's level, so the
+    // definition levels alone pick its slots
+    let len = defs.count_from(slots.def);
+    // decode_chunk matched the value count to the fully defined entries
+    let mask: Option<Vec<bool>> = (values.len() < len).then(|| match &defs {
+        Levels::Run { .. } => vec![true; len],
+        Levels::Each(defs) => {
+            let mut mask = Vec::with_capacity(len);
+            mask.extend(defs.iter().filter(|&&d| d >= slots.def).map(|&d| d < max_def));
+            mask
+        }
+    });
+    macro_rules! fixed {
+        ($variant:ident, $packed:expr) => {
+            Ok(match mask {
+                None => Block::$variant { values: $packed, nulls: None },
+                Some(mask) => Block::$variant { values: spread($packed, &mask), nulls: Some(mask) },
+            })
+        };
+    }
+    match (values, scalar_type) {
+        (LeafValues::Bool(v), DataType::Boolean) => fixed!(Boolean, v),
+        (LeafValues::I32(v), DataType::Integer) => fixed!(Integer, v),
+        (LeafValues::I32(v), DataType::Date) => fixed!(Date, v),
+        (LeafValues::I64(v), DataType::Bigint) => fixed!(Bigint, v),
+        (LeafValues::I64(v), DataType::Timestamp) => fixed!(Timestamp, v),
+        (LeafValues::F64(v), DataType::Double) => fixed!(Double, v),
+        (LeafValues::Bytes { offsets, data: bytes }, DataType::Varchar) => Ok(match mask {
+            None => Block::Varchar { offsets, bytes, nulls: None },
+            Some(mask) => {
+                // a NULL slot holds no bytes: it repeats the offset before it
+                let mut spread_offsets = Vec::with_capacity(len + 1);
+                let mut packed = 0;
+                spread_offsets.push(0u32);
+                for &null in &mask {
+                    packed += usize::from(!null);
+                    spread_offsets.push(offsets[packed]);
+                }
+                Block::Varchar { offsets: spread_offsets, bytes, nulls: Some(mask) }
+            }
+        }),
         (store, t) => Err(PrestoError::Internal(format!(
             "leaf storage {:?} does not match logical type {t}",
             store.physical()
@@ -199,8 +306,8 @@ fn bulk_append_leaf(sink: &mut LeafData, block: &Block, max_def: u16) -> Result<
         }
         _ => return Ok(false),
     };
-    sink.reps.resize(sink.reps.len() + appended, 0);
-    sink.defs.resize(sink.defs.len() + appended, max_def);
+    sink.reps.extend_run(0, appended);
+    sink.defs.extend_run(max_def, appended);
     Ok(true)
 }
 
@@ -367,14 +474,19 @@ mod tests {
         FlatSchema::new(Schema::new(vec![Field::new("c", dt)]).unwrap()).unwrap()
     }
 
+    fn owned(sinks: Vec<LeafData>) -> Vec<Option<LeafData>> {
+        sinks.into_iter().map(Some).collect()
+    }
+
     fn round_trip_via_blocks(dt: DataType, values: Vec<Value>) {
         let flat = flat_for(dt.clone());
         let block = Block::from_values(&dt, &values).unwrap();
         // native shred from the block
         let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
         shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
-        // direct columnar build back
-        let rebuilt = build_block(&flat.roots[0], &sinks).unwrap();
+        // direct columnar build back: the very block `from_values` makes
+        let rebuilt = build_block(&flat.roots[0], &mut owned(sinks)).unwrap();
+        assert_eq!(rebuilt, block);
         assert_eq!(rebuilt.to_values(), values);
     }
 
@@ -409,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_types_round_trip_via_fallback() {
+    fn repeated_types_build_without_records() {
         round_trip_via_blocks(
             DataType::array(DataType::Bigint),
             vec![Value::Array(vec![1i64.into(), 2i64.into()]), Value::Array(vec![]), Value::Null],
@@ -422,6 +534,85 @@ mod tests {
                 Value::Map(vec![]),
             ],
         );
+    }
+
+    #[test]
+    fn deep_shapes_build_without_records() {
+        // list of lists, with NULL and empty at both levels
+        round_trip_via_blocks(
+            DataType::array(DataType::array(DataType::Bigint)),
+            vec![
+                Value::Array(vec![
+                    Value::Array(vec![1i64.into(), Value::Null]),
+                    Value::Array(vec![]),
+                    Value::Null,
+                ]),
+                Value::Null,
+                Value::Array(vec![]),
+                Value::Array(vec![Value::Array(vec![3i64.into()])]),
+            ],
+        );
+        // struct → list of structs (some NULL) → list, beside a map to structs
+        let leg = DataType::row(vec![
+            Field::new("stop", DataType::Varchar),
+            Field::new("codes", DataType::array(DataType::Integer)),
+        ]);
+        let dt = DataType::row(vec![
+            Field::new("legs", DataType::array(leg)),
+            Field::new(
+                "attrs",
+                DataType::map(
+                    DataType::Varchar,
+                    DataType::row(vec![Field::new("w", DataType::Double)]),
+                ),
+            ),
+        ]);
+        let codes = |n: i32| Value::Array((0..n).map(Value::Integer).collect());
+        round_trip_via_blocks(
+            dt,
+            vec![
+                Value::Row(vec![
+                    Value::Array(vec![
+                        Value::Row(vec!["a".into(), codes(2)]),
+                        Value::Null,
+                        Value::Row(vec![Value::Null, Value::Null]),
+                        Value::Row(vec!["b".into(), codes(0)]),
+                    ]),
+                    Value::Map(vec![
+                        ("k".into(), Value::Row(vec![Value::Double(0.5)])),
+                        ("n".into(), Value::Null),
+                        ("z".into(), Value::Row(vec![Value::Null])),
+                    ]),
+                ]),
+                Value::Null,
+                Value::Row(vec![Value::Null, Value::Map(vec![])]),
+                Value::Row(vec![Value::Array(vec![]), Value::Null]),
+            ],
+        );
+    }
+
+    #[test]
+    fn leaves_that_disagree_on_the_shape_are_a_format_error() {
+        let dt = DataType::array(DataType::row(vec![
+            Field::new("a", DataType::Bigint),
+            Field::new("b", DataType::Bigint),
+        ]));
+        let flat = flat_for(dt.clone());
+        let values = vec![
+            Value::Array(vec![Value::Row(vec![1i64.into(), 2i64.into()])]),
+            Value::Array(vec![
+                Value::Row(vec![3i64.into(), 4i64.into()]),
+                Value::Row(vec![5i64.into(), 6i64.into()]),
+            ]),
+        ];
+        let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
+        shred_column(&flat.roots[0], &values, &mut sinks).unwrap();
+        // `b` claims the second list has one element where `a` says two
+        sinks[1].reps = Levels::Each(vec![0, 0]);
+        sinks[1].defs = Levels::Each(vec![4, 4]);
+        sinks[1].values = LeafValues::I64(vec![2, 4]);
+        let err = build_block(&flat.roots[0], &mut owned(sinks)).unwrap_err();
+        assert!(matches!(err, PrestoError::Format(_)), "{err}");
     }
 
     #[test]
@@ -455,7 +646,7 @@ mod tests {
         shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
         assert_eq!(sinks[0].len(), 1000);
         assert_eq!(sinks[0].null_count(), 0);
-        assert!(sinks[0].defs.iter().all(|&d| d == 1));
+        assert!(sinks[0].defs.iter().all(|d| d == 1));
     }
 
     #[test]
@@ -465,7 +656,7 @@ mod tests {
         let block = Block::Dictionary { dictionary: Box::new(dict), ids: vec![1, 0, 1] };
         let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
         shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
-        let rebuilt = build_block(&flat.roots[0], &sinks).unwrap();
+        let rebuilt = build_block(&flat.roots[0], &mut owned(sinks)).unwrap();
         assert_eq!(rebuilt.to_values(), vec!["b".into(), "a".into(), "b".into()]);
     }
 }

@@ -4,6 +4,8 @@
 
 use presto_common::{PrestoError, Result};
 
+use crate::shred::Levels;
+
 /// Append-only binary writer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -125,10 +127,10 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| PrestoError::Format(format!("truncated input at byte {}", self.pos)))?;
+        let slice =
+            self.pos.checked_add(n).and_then(|end| self.buf.get(self.pos..end)).ok_or_else(
+                || PrestoError::Format(format!("truncated input at byte {}", self.pos)),
+            )?;
         self.pos += n;
         Ok(slice)
     }
@@ -247,6 +249,20 @@ pub fn rle_encode(values: &[u32], out: &mut ByteWriter) {
     }
 }
 
+/// One group header of an [`rle_encode`]d stream: `(count, is_run)`, with
+/// `count` checked against the `left` entries the stream still owes.
+fn rle_group(reader: &mut ByteReader<'_>, left: usize) -> Result<(usize, bool)> {
+    let header = reader.varint()?;
+    let count = (header >> 1) as usize;
+    if count == 0 {
+        return Err(PrestoError::Format("zero-length RLE group".into()));
+    }
+    if count > left {
+        return Err(PrestoError::Format("RLE stream length mismatch".into()));
+    }
+    Ok((count, header & 1 == 1))
+}
+
 /// Decode an [`rle_encode`]d stream.
 pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
     let total = reader.varint()? as usize;
@@ -256,12 +272,8 @@ pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
     // that long)
     let mut out = Vec::with_capacity(total.min(1 << 16));
     while out.len() < total {
-        let header = reader.varint()?;
-        let count = (header >> 1) as usize;
-        if count == 0 {
-            return Err(PrestoError::Format("zero-length RLE group".into()));
-        }
-        if header & 1 == 1 {
+        let (count, is_run) = rle_group(reader, total - out.len())?;
+        if is_run {
             let v = reader.varint()? as u32;
             out.resize(out.len() + count, v);
         } else {
@@ -270,10 +282,57 @@ pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
             }
         }
     }
-    if out.len() != total {
-        return Err(PrestoError::Format("RLE stream length mismatch".into()));
-    }
     Ok(out)
+}
+
+/// Decode an [`rle_encode`]d stream of `expected` repetition or definition
+/// levels straight to `u16`, rejecting any level above `max_level`. A
+/// stream that is one run — a flat NOT NULL column's, both of them — stays a
+/// [`Levels::Run`]: nothing per entry is allocated or scanned.
+pub fn rle_decode_levels(
+    reader: &mut ByteReader<'_>,
+    expected: usize,
+    max_level: u16,
+) -> Result<Levels> {
+    let total = reader.varint()? as usize;
+    if total != expected {
+        return Err(PrestoError::Format(format!(
+            "level stream has {total} entries, the footer says {expected}"
+        )));
+    }
+    let level = |reader: &mut ByteReader<'_>| -> Result<u16> {
+        let v = reader.varint()?;
+        if v > u64::from(max_level) {
+            return Err(PrestoError::Format(format!("level {v} above the leaf's {max_level}")));
+        }
+        Ok(v as u16)
+    };
+    if total == 0 {
+        return Ok(Levels::default());
+    }
+    let mut group = rle_group(reader, total)?;
+    if group == (total, true) {
+        return Ok(Levels::Run { level: level(reader)?, len: total });
+    }
+    // `total` is the footer's count confirmed by the page, still untrusted:
+    // cap the reservation, the vec grows only as groups really arrive
+    let mut out: Vec<u16> = Vec::with_capacity(total.min(1 << 16));
+    loop {
+        let (count, is_run) = group;
+        if is_run {
+            let v = level(reader)?;
+            out.resize(out.len() + count, v);
+        } else {
+            for _ in 0..count {
+                out.push(level(reader)?);
+            }
+        }
+        if out.len() == total {
+            break;
+        }
+        group = rle_group(reader, total - out.len())?;
+    }
+    Ok(Levels::Each(out))
 }
 
 #[cfg(test)]

@@ -150,12 +150,13 @@ impl FileMetadata {
         }
         let schema = read_schema(&mut r)?;
         let num_rows = r.u64()?;
+        // counts are untrusted: reserve no more than the bytes left could hold
         let n_groups = r.varint()? as usize;
-        let mut row_groups = Vec::with_capacity(n_groups);
+        let mut row_groups = Vec::with_capacity(n_groups.min(r.remaining()));
         for _ in 0..n_groups {
             let rows = r.u64()?;
             let n_cols = r.varint()? as usize;
-            let mut columns = Vec::with_capacity(n_cols);
+            let mut columns = Vec::with_capacity(n_cols.min(r.remaining()));
             for _ in 0..n_cols {
                 let leaf_index = r.u32()?;
                 let codec = Codec::from_tag(r.u8()?)?;
@@ -177,6 +178,12 @@ impl FileMetadata {
                 });
             }
             row_groups.push(RowGroupMeta { num_rows: rows, columns });
+        }
+        let group_rows = row_groups.iter().try_fold(0u64, |sum, rg| sum.checked_add(rg.num_rows));
+        if group_rows != Some(num_rows) {
+            return Err(PrestoError::Format(format!(
+                "row groups hold {group_rows:?} rows, the file says {num_rows}"
+            )));
         }
         Ok(FileMetadata { version, schema, num_rows, row_groups })
     }

@@ -115,7 +115,7 @@ impl ScalarPredicate {
     pub fn evaluate_leaf(&self, leaf: &LeafData) -> Result<Vec<bool>> {
         let mut out = Vec::with_capacity(leaf.len());
         let mut vi = 0;
-        for &d in &leaf.defs {
+        for d in leaf.defs.iter() {
             if d == leaf.max_def {
                 out.push(self.matches(&leaf.values.get(vi, &leaf.scalar_type)));
                 vi += 1;

@@ -9,10 +9,10 @@ use std::sync::Arc;
 use presto_common::{PrestoError, Result};
 use presto_storage::FileSystem;
 
-use crate::encoding::{rle_decode, ByteReader};
-use crate::metadata::{ColumnChunkMeta, Encoding, FileMetadata, MAGIC};
+use crate::encoding::{rle_decode, rle_decode_levels, ByteReader};
+use crate::metadata::{ColumnChunkMeta, Encoding, FileMetadata, RowGroupMeta, MAGIC};
 use crate::schema::{LeafColumn, PhysicalType};
-use crate::shred::{LeafData, LeafValues};
+use crate::shred::{LeafData, LeafValues, Levels};
 
 /// Random-access byte source for one file.
 pub trait ChunkSource: Send + Sync {
@@ -41,10 +41,10 @@ impl ChunkSource for BytesSource {
     }
 
     fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let start = offset as usize;
-        let end = (offset + len) as usize;
-        self.data
-            .get(start..end)
+        // offsets come from the footer, which may be corrupt: no overflow
+        offset
+            .checked_add(len)
+            .and_then(|end| self.data.get(offset as usize..end as usize))
             .map(<[u8]>::to_vec)
             .ok_or_else(|| PrestoError::Format("read past end of file buffer".into()))
     }
@@ -119,17 +119,35 @@ pub fn read_dictionary(
     Ok(Some(read_leaf_values(leaf.physical, &mut r, true)?))
 }
 
+/// The chunk of leaf `leaf_idx` in a row group. The writer lays chunks out
+/// in leaf order, so this is an index, not a search.
+pub fn chunk_for(rg: &RowGroupMeta, leaf_idx: usize) -> Result<&ColumnChunkMeta> {
+    rg.columns
+        .get(leaf_idx)
+        .filter(|c| c.leaf_index as usize == leaf_idx)
+        .ok_or_else(|| PrestoError::Format(format!("row group missing chunk for leaf {leaf_idx}")))
+}
+
 /// Decode one column chunk into a triplet stream.
 ///
-/// `vectorized` selects between the batched decoder (§V.I: bulk level runs,
-/// bulk fixed-width value copies, dictionary cached and applied by gather)
-/// and a deliberately triplet-at-a-time scalar decoder matching the
-/// pre-vectorization reader.
+/// `vectorized` selects between the batched decoder (§V.I: level runs
+/// decoded once to `u16` and kept as runs where the stream is one, bulk
+/// fixed-width value copies, dictionary applied by gather) and a
+/// deliberately triplet-at-a-time scalar decoder matching the
+/// pre-vectorization reader. `probed` is the chunk's dictionary when the
+/// caller has already read it (dictionary pushdown), so the page is not
+/// fetched twice.
+///
+/// Whatever the file holds, the stream returned is one the block builder
+/// can index without looking: as many levels as the footer says, no level
+/// above the leaf's maxima, a first entry that starts a record, and exactly
+/// one value per fully defined entry.
 pub fn decode_chunk(
     source: &dyn ChunkSource,
     chunk: &ColumnChunkMeta,
     leaf: &LeafColumn,
     vectorized: bool,
+    probed: Option<LeafValues>,
 ) -> Result<LeafData> {
     let (offset, len) = chunk.data_page;
     let compressed = source.read_range(offset, len)?;
@@ -137,49 +155,55 @@ pub fn decode_chunk(
     let mut r = ByteReader::new(&raw);
     let encoding = Encoding::from_tag(r.u8()?)?;
 
-    let reps32 = rle_decode(&mut r)?;
-    let defs32 = rle_decode(&mut r)?;
-    if reps32.len() != defs32.len() {
-        return Err(PrestoError::Format(format!(
-            "repetition stream has {} levels, definition stream has {}",
-            reps32.len(),
-            defs32.len()
-        )));
-    }
+    let entries = usize::try_from(chunk.num_triplets)
+        .map_err(|_| PrestoError::Format("chunk entry count exceeds the address space".into()))?;
     let (reps, defs) = if vectorized {
-        // Bulk conversion.
         (
-            reps32.iter().map(|&x| x as u16).collect::<Vec<_>>(),
-            defs32.iter().map(|&x| x as u16).collect::<Vec<_>>(),
+            rle_decode_levels(&mut r, entries, leaf.max_rep)?,
+            rle_decode_levels(&mut r, entries, leaf.max_def)?,
         )
     } else {
         // Scalar loop with per-element handling (the slow path keeps the
         // exact element-by-element structure of the old decoder).
-        let mut reps = Vec::with_capacity(reps32.len());
-        for &x in &reps32 {
-            reps.push(x as u16);
-        }
-        let mut defs = Vec::with_capacity(defs32.len());
-        for &x in &defs32 {
-            defs.push(x as u16);
-        }
-        (reps, defs)
+        let mut scalar_levels = |max_level: u16| -> Result<Levels> {
+            let wide = rle_decode(&mut r)?;
+            if wide.len() != entries {
+                return Err(PrestoError::Format(format!(
+                    "level stream has {} entries, the footer says {entries}",
+                    wide.len()
+                )));
+            }
+            let mut levels = Vec::with_capacity(wide.len());
+            for &x in &wide {
+                if x > u32::from(max_level) {
+                    return Err(PrestoError::Format(format!(
+                        "level {x} above the leaf's {max_level}"
+                    )));
+                }
+                levels.push(x as u16);
+            }
+            Ok(Levels::Each(levels))
+        };
+        (scalar_levels(leaf.max_rep)?, scalar_levels(leaf.max_def)?)
     };
+    if entries > 0 && reps.get(0) != 0 {
+        return Err(PrestoError::Format("chunk does not start at a record boundary".into()));
+    }
 
     let values = match encoding {
         Encoding::Plain => read_leaf_values(leaf.physical, &mut r, vectorized)?,
         Encoding::Dictionary => {
-            let dict = read_dictionary(source, chunk, leaf)?.ok_or_else(|| {
-                PrestoError::Format("dictionary-encoded chunk without dictionary page".into())
-            })?;
+            let dict = match probed {
+                Some(dict) => dict,
+                None => read_dictionary(source, chunk, leaf)?.ok_or_else(|| {
+                    PrestoError::Format("dictionary-encoded chunk without dictionary page".into())
+                })?,
+            };
             let ids = rle_decode(&mut r)?;
             expand_dictionary(&dict, &ids)?
         }
     };
-
-    if values.len() + (defs.iter().filter(|&&d| (d as u32) < leaf.max_def as u32).count())
-        != defs.len()
-    {
+    if values.len() != defs.count_at(leaf.max_def) {
         return Err(PrestoError::Format("value count does not match levels".into()));
     }
 
@@ -207,7 +231,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::I32 => {
             if vectorized {
-                let raw = r.raw(n * 4)?;
+                let raw = r.raw(n.saturating_mul(4))?;
                 let mut out = Vec::with_capacity(n);
                 for c in raw.chunks_exact(4) {
                     out.push(i32::from_le_bytes(c.try_into().unwrap()));
@@ -223,7 +247,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::I64 => {
             if vectorized {
-                let raw = r.raw(n * 8)?;
+                let raw = r.raw(n.saturating_mul(8))?;
                 let mut out = Vec::with_capacity(n);
                 for c in raw.chunks_exact(8) {
                     out.push(i64::from_le_bytes(c.try_into().unwrap()));
@@ -239,7 +263,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::F64 => {
             if vectorized {
-                let raw = r.raw(n * 8)?;
+                let raw = r.raw(n.saturating_mul(8))?;
                 let mut out = Vec::with_capacity(n);
                 for c in raw.chunks_exact(8) {
                     out.push(f64::from_le_bytes(c.try_into().unwrap()));
@@ -254,10 +278,12 @@ pub fn read_leaf_values(
             }
         }
         PhysicalType::Bytes => {
-            // n is untrusted until the per-value reads validate it
-            let mut offsets = Vec::with_capacity((n + 1).min(1 << 16));
+            // n is untrusted until the per-value reads validate it, but each
+            // value takes at least its length byte and the payloads are the
+            // rest of the page: both buffers are sized once, from the page
+            let mut offsets = Vec::with_capacity(n.min(r.remaining()) + 1);
             offsets.push(0u32);
-            let mut data = Vec::new();
+            let mut data = Vec::with_capacity(r.remaining().saturating_sub(n));
             for _ in 0..n {
                 let b = r.bytes()?;
                 data.extend_from_slice(b);
@@ -310,11 +336,17 @@ fn expand_dictionary(dict: &LeafValues, ids: &[u32]) -> Result<LeafValues> {
             Ok(LeafValues::F64(out))
         }
         LeafValues::Bytes { offsets, data } => {
-            let mut out_offsets = Vec::with_capacity(ids.len() + 1);
-            out_offsets.push(0u32);
-            let mut out_data = Vec::new();
+            // validate and size in one pass, gather in the next
+            let mut total = 0usize;
             for &id in ids {
                 let i = check(id)?;
+                total += (offsets[i + 1] - offsets[i]) as usize;
+            }
+            let mut out_offsets = Vec::with_capacity(ids.len() + 1);
+            out_offsets.push(0u32);
+            let mut out_data = Vec::with_capacity(total);
+            for &id in ids {
+                let i = id as usize;
                 out_data.extend_from_slice(&data[offsets[i] as usize..offsets[i + 1] as usize]);
                 out_offsets.push(out_data.len() as u32);
             }
@@ -372,8 +404,8 @@ mod tests {
         let flat = crate::schema::FlatSchema::new(meta.schema.clone()).unwrap();
         for (i, leaf) in flat.leaves.iter().enumerate() {
             let chunk = &meta.row_groups[0].columns[i];
-            let vec_data = decode_chunk(&source, chunk, leaf, true).unwrap();
-            let scalar_data = decode_chunk(&source, chunk, leaf, false).unwrap();
+            let vec_data = decode_chunk(&source, chunk, leaf, true, None).unwrap();
+            let scalar_data = decode_chunk(&source, chunk, leaf, false, None).unwrap();
             assert_eq!(vec_data, scalar_data);
             assert_eq!(vec_data.len(), 200);
         }

@@ -3,8 +3,10 @@
 //!
 //! - **nested column pruning** (Fig 5): only the leaves under each projected
 //!   path are read;
-//! - **columnar reads** (Fig 6): blocks are built directly from triplets,
-//!   with no record detour, for repetition-free paths;
+//! - **columnar reads** (Fig 6): blocks of every shape — scalars, structs,
+//!   arrays, maps, nested to any depth — are built directly from the level
+//!   streams ([`crate::columnar::build_block`]), never through records, and
+//!   each decoded chunk's value buffer moves into its block;
 //! - **predicate pushdown** (Fig 7): row groups whose footer min/max cannot
 //!   match are skipped without touching data pages;
 //! - **dictionary pushdown** (Fig 8): when stats are inconclusive, the
@@ -12,19 +14,17 @@
 //!   dictionary value matches;
 //! - **lazy reads** (Fig 9): predicate columns decode first; projected
 //!   columns are only decoded for row groups with at least one match;
-//! - **vectorized reader** (§V.I): batched level decoding, bulk fixed-width
-//!   value copies, cached dictionaries.
-
-use std::collections::{BTreeSet, HashMap};
+//! - **vectorized reader** (§V.I): level runs decoded once and kept as runs,
+//!   bulk fixed-width value copies, a probed dictionary page reused by the
+//!   decode.
 
 use presto_common::{Block, DataType, Page, PrestoError, Result, Schema};
 
 use crate::columnar::build_block;
-use crate::metadata::RowGroupMeta;
 use crate::predicate::FilePredicate;
-use crate::reader::{decode_chunk, read_dictionary, read_metadata, ChunkSource};
+use crate::reader::{chunk_for, decode_chunk, read_dictionary, read_metadata, ChunkSource};
 use crate::schema::{check_evolution, FlatSchema, SchemaNode};
-use crate::shred::LeafData;
+use crate::shred::{LeafData, LeafValues};
 
 /// One projected output column: a top-level column, optionally narrowed to a
 /// struct sub-path — the unit of nested column pruning. Projecting
@@ -203,11 +203,20 @@ pub fn read(
         }
     }
 
-    // The leaf set each row group needs decoded.
-    let mut projection_leaves: BTreeSet<usize> = BTreeSet::new();
-    for r in &resolved {
-        if let Resolved::Node { node, .. } = r {
-            projection_leaves.extend(node.leaf_indices());
+    // The leaves under each projection, and for each leaf the last
+    // projection that reads it: that one takes the decoded chunk by value,
+    // an earlier one (the same column projected twice) works on a copy.
+    let projected: Vec<Vec<usize>> = resolved
+        .iter()
+        .map(|r| match r {
+            Resolved::Node { node, .. } => node.leaf_indices(),
+            Resolved::Missing { .. } => Vec::new(),
+        })
+        .collect();
+    let mut last_reader = vec![usize::MAX; file_flat.leaves.len()];
+    for (slot, leaves) in projected.iter().enumerate() {
+        for &leaf_idx in leaves {
+            last_reader[leaf_idx] = slot;
         }
     }
     // What the legacy reader would decode: all leaves of each projected
@@ -220,7 +229,11 @@ pub fn read(
     }
 
     let mut pages = Vec::new();
+    // decoded chunks of the current row group, by leaf; all taken by its end
+    let mut decoded: Vec<Option<LeafData>> = file_flat.leaves.iter().map(|_| None).collect();
     'groups: for rg in &meta.row_groups {
+        let rows = usize::try_from(rg.num_rows)
+            .map_err(|_| PrestoError::Format("row group exceeds the address space".into()))?;
         // ---- Fig 7: statistics-based row group skipping
         if options.stats_pushdown {
             for (leaf_idx, conjunct) in &predicate_leaves {
@@ -231,79 +244,107 @@ pub fn read(
                 }
             }
         }
-        // ---- Fig 8: dictionary-based row group skipping
+        // ---- Fig 8: dictionary-based row group skipping; a dictionary that
+        // was read and did not rule the group out is kept for the decode
+        let mut probed: Vec<Option<LeafValues>> = predicate_leaves.iter().map(|_| None).collect();
         if options.dictionary_pushdown {
-            for (leaf_idx, conjunct) in &predicate_leaves {
-                let chunk = chunk_for(rg, *leaf_idx)?;
-                if chunk.dictionary_page.is_some() {
-                    let leaf = &file_flat.leaves[*leaf_idx];
-                    if let Some(dict) = read_dictionary(source, chunk, leaf)? {
-                        if !conjunct.predicate.matches_any_in_dictionary(&dict, &leaf.scalar_type) {
-                            stats.skipped_by_dictionary += 1;
-                            continue 'groups;
-                        }
+            for ((leaf_idx, conjunct), kept) in predicate_leaves.iter().zip(&mut probed) {
+                let leaf = &file_flat.leaves[*leaf_idx];
+                if let Some(dict) = read_dictionary(source, chunk_for(rg, *leaf_idx)?, leaf)? {
+                    if !conjunct.predicate.matches_any_in_dictionary(&dict, &leaf.scalar_type) {
+                        stats.skipped_by_dictionary += 1;
+                        continue 'groups;
                     }
+                    *kept = Some(dict);
                 }
             }
         }
 
         // ---- decode predicate leaves and build the selection mask
-        let mut decoded: HashMap<usize, LeafData> = HashMap::new();
         let mut mask: Option<Vec<bool>> = None;
-        for (leaf_idx, conjunct) in &predicate_leaves {
-            let chunk = chunk_for(rg, *leaf_idx)?;
-            let data =
-                decode_chunk(source, chunk, &file_flat.leaves[*leaf_idx], options.vectorized)?;
-            stats.leaves_decoded += 1;
+        for ((leaf_idx, conjunct), dict) in predicate_leaves.iter().zip(probed) {
+            let data = match decoded[*leaf_idx].take() {
+                // a second conjunct on the same leaf
+                Some(data) => data,
+                None => {
+                    stats.leaves_decoded += 1;
+                    let leaf = &file_flat.leaves[*leaf_idx];
+                    decode_chunk(source, chunk_for(rg, *leaf_idx)?, leaf, options.vectorized, dict)?
+                }
+            };
+            if data.len() != rows {
+                return Err(PrestoError::Format(format!(
+                    "predicate chunk has {} entries for {rows} rows",
+                    data.len()
+                )));
+            }
             let flags = conjunct.predicate.evaluate_leaf(&data)?;
             mask = Some(match mask {
                 None => flags,
                 Some(prev) => prev.iter().zip(flags.iter()).map(|(&a, &b)| a && b).collect(),
             });
-            decoded.insert(*leaf_idx, data);
+            decoded[*leaf_idx] = Some(data);
         }
-        let matched = mask.as_ref().map(|m| m.iter().filter(|&&b| b).count());
+        // the surviving rows, when the predicate dropped any
+        let selection: Option<Vec<usize>> = mask
+            .map(|m| m.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).collect())
+            .filter(|kept: &Vec<usize>| kept.len() < rows);
 
         // ---- Fig 9: lazy reads — a group with zero matches never decodes
         // its projected columns.
-        if options.lazy_reads && matched == Some(0) {
+        if options.lazy_reads && selection.as_ref().is_some_and(Vec::is_empty) {
             stats.skipped_by_lazy += 1;
+            decoded.fill_with(|| None);
             continue 'groups;
         }
 
-        // ---- decode the (pruned) projection leaves
-        let mut leaf_data: Vec<LeafData> = file_flat.leaves.iter().map(LeafData::new).collect();
-        for &leaf_idx in &projection_leaves {
-            if let Some(data) = decoded.remove(&leaf_idx) {
-                // predicate column also projected: reuse the decode
-                leaf_data[leaf_idx] = data;
-                continue;
+        // ---- decode the (pruned) projection leaves; a predicate column
+        // that is also projected is already there
+        for &leaf_idx in projected.iter().flatten() {
+            if decoded[leaf_idx].is_none() {
+                let leaf = &file_flat.leaves[leaf_idx];
+                let chunk = chunk_for(rg, leaf_idx)?;
+                decoded[leaf_idx] =
+                    Some(decode_chunk(source, chunk, leaf, options.vectorized, None)?);
+                stats.leaves_decoded += 1;
             }
-            let chunk = chunk_for(rg, leaf_idx)?;
-            leaf_data[leaf_idx] =
-                decode_chunk(source, chunk, &file_flat.leaves[leaf_idx], options.vectorized)?;
-            stats.leaves_decoded += 1;
         }
 
-        // ---- build blocks directly (columnar reads), filter by the mask
-        let rows = rg.num_rows as usize;
-        let kept = matched.unwrap_or(rows);
+        // ---- build blocks directly (columnar reads), keep the selection
+        let kept = selection.as_ref().map_or(rows, Vec::len);
         let mut blocks = Vec::with_capacity(resolved.len());
-        for r in &resolved {
+        for (slot, r) in resolved.iter().enumerate() {
             match r {
                 Resolved::Missing { table_type } => {
                     blocks.push(Block::nulls(table_type, kept));
                 }
                 Resolved::Node { node, table_type, file_type } => {
-                    let block = build_block(node, &leaf_data)?;
-                    let block = match &mask {
-                        Some(m) => block.filter(m),
+                    let read_again: Vec<(usize, Option<LeafData>)> = projected[slot]
+                        .iter()
+                        .filter(|&&leaf_idx| last_reader[leaf_idx] != slot)
+                        .map(|&leaf_idx| (leaf_idx, decoded[leaf_idx].clone()))
+                        .collect();
+                    let block = build_block(node, &mut decoded)?;
+                    for (leaf_idx, data) in read_again {
+                        decoded[leaf_idx] = data;
+                    }
+                    if block.len() != rows {
+                        return Err(PrestoError::Format(format!(
+                            "column '{}' has {} values for {rows} rows",
+                            options.projections[slot].dotted(),
+                            block.len()
+                        )));
+                    }
+                    let block = match &selection {
+                        Some(keep) => block.take(keep),
                         None => block,
                     };
-                    blocks.push(adapt_block(&block, file_type, table_type)?);
+                    blocks.push(adapt_block(block, file_type, table_type)?);
                 }
             }
         }
+        // a predicate-only chunk was never taken by a block
+        decoded.fill_with(|| None);
         pages.push(if blocks.is_empty() { Page::zero_column(kept) } else { Page::new(blocks)? });
     }
     Ok((pages, stats))
@@ -335,18 +376,11 @@ fn resolve_file_subpath<'a>(
     Ok(Some(current))
 }
 
-fn chunk_for(rg: &RowGroupMeta, leaf_idx: usize) -> Result<&crate::metadata::ColumnChunkMeta> {
-    rg.columns
-        .iter()
-        .find(|c| c.leaf_index as usize == leaf_idx)
-        .ok_or_else(|| PrestoError::Format(format!("row group missing chunk for leaf {leaf_idx}")))
-}
-
 /// Shape a file-typed block into the table type (schema evolution inside
-/// structs). Identity when the types already match.
-fn adapt_block(block: &Block, file_type: &DataType, table_type: &DataType) -> Result<Block> {
+/// structs). The block itself when the types already match.
+fn adapt_block(block: Block, file_type: &DataType, table_type: &DataType) -> Result<Block> {
     if file_type == table_type {
-        return Ok(block.clone());
+        return Ok(block);
     }
     let values: Vec<presto_common::Value> = (0..block.len())
         .map(|i| crate::schema::adapt_value(&block.value(i), file_type, table_type))
@@ -418,6 +452,23 @@ mod tests {
         assert_eq!(stats.leaves_decoded, 4);
         assert_eq!(stats.leaves_without_pruning, 16);
         assert_eq!(pages[0].row(0), vec![Value::Bigint(0)]);
+    }
+
+    #[test]
+    fn a_leaf_under_several_projections_is_decoded_once() {
+        let source = BytesSource::new(sample_file());
+        let options = ReadOptions::new(vec![
+            ProjectedColumn::path("base", &["city_id"]),
+            ProjectedColumn::whole("base"),
+            ProjectedColumn::path("base", &["city_id"]),
+        ]);
+        let (pages, stats) = read(&source, &trips_schema(), &options).unwrap();
+        assert_eq!(stats.leaves_decoded, 16, "4 leaves × 4 groups, whatever asks for them");
+        for page in &pages {
+            assert_eq!(page.block(0), page.block(2));
+            let Block::Row { children, .. } = page.block(1) else { panic!("struct") };
+            assert_eq!(&children[1], page.block(0));
+        }
     }
 
     #[test]

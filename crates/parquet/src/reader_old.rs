@@ -17,9 +17,9 @@
 //!   (step 3);
 //! - **non-vectorized decoding** — triplet-at-a-time.
 
-use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
+use presto_common::{Block, Page, Result, Schema, Value};
 
-use crate::reader::{decode_chunk, read_metadata, ChunkSource};
+use crate::reader::{chunk_for, decode_chunk, read_metadata, ChunkSource};
 use crate::schema::{adapt_value, resolve_schemas, ColumnResolution, FlatSchema};
 use crate::shred::{assemble_column, LeafCursor, LeafData};
 
@@ -72,20 +72,12 @@ pub fn read(
                     let mut leaf_data: Vec<LeafData> =
                         file_flat.leaves.iter().map(LeafData::new).collect();
                     for leaf_idx in root.leaf_indices() {
-                        let chunk = rg
-                            .columns
-                            .iter()
-                            .find(|c| c.leaf_index as usize == leaf_idx)
-                            .ok_or_else(|| {
-                            PrestoError::Format(format!(
-                                "row group missing chunk for leaf {leaf_idx}"
-                            ))
-                        })?;
                         leaf_data[leaf_idx] = decode_chunk(
                             source,
-                            chunk,
+                            chunk_for(rg, leaf_idx)?,
                             &file_flat.leaves[leaf_idx],
                             /* vectorized = */ false,
+                            None,
                         )?;
                         stats.leaves_decoded += 1;
                     }

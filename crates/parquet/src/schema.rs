@@ -144,8 +144,8 @@ impl SchemaNode {
         }
     }
 
-    /// First (leftmost) leaf index — the structural pilot stream used by the
-    /// record assembler.
+    /// First (leftmost) leaf index — the pilot stream whose levels give the
+    /// node's structure, to the record assembler and the block builder alike.
     pub fn first_leaf(&self) -> usize {
         match self {
             SchemaNode::Leaf { leaf_index, .. } => *leaf_index,
@@ -164,16 +164,6 @@ impl SchemaNode {
             SchemaNode::Map { key_type, value_type, .. } => {
                 DataType::map(key_type.clone(), value_type.clone())
             }
-        }
-    }
-
-    /// True when no array/map appears in this subtree (enables the direct
-    /// columnar build of the new reader).
-    pub fn is_repetition_free(&self) -> bool {
-        match self {
-            SchemaNode::Leaf { .. } => true,
-            SchemaNode::Row { fields, .. } => fields.iter().all(|(_, f)| f.is_repetition_free()),
-            SchemaNode::Array { .. } | SchemaNode::Map { .. } => false,
         }
     }
 
@@ -431,7 +421,7 @@ pub fn write_schema(schema: &Schema, w: &mut ByteWriter) {
 /// Deserialize a footer schema.
 pub fn read_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
     let n = r.varint()? as usize;
-    let mut fields = Vec::with_capacity(n);
+    let mut fields = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         let name = r.string()?;
         let dt = read_type(r)?;
@@ -486,7 +476,7 @@ fn read_type(r: &mut ByteReader<'_>) -> Result<DataType> {
         }
         9 => {
             let n = r.varint()? as usize;
-            let mut fields = Vec::with_capacity(n);
+            let mut fields = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 let name = r.string()?;
                 fields.push(Field::new(name, read_type(r)?));
@@ -562,8 +552,6 @@ mod tests {
         assert_eq!(city.data_type(), DataType::Bigint);
         assert!(base.descend(&["nope"]).is_err());
         assert!(base.descend(&["city_id", "deeper"]).is_err());
-        assert!(!base.descend(&["status"]).unwrap().is_repetition_free());
-        assert!(base.descend(&["status", "code"]).unwrap().is_repetition_free());
     }
 
     #[test]

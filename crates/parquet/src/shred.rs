@@ -6,10 +6,9 @@
 //! definition level, and value").
 //!
 //! Reading: the *record assembler* reconstructs nested values from triplet
-//! streams. The legacy reader (§V.C) funnels everything through this
-//! row-at-a-time path; the new reader only uses it for repeated (array/map)
-//! subtrees and builds repetition-free columns directly
-//! ([`crate::columnar`]).
+//! streams, one [`Value`] per cell per level. Only the legacy reader (§V.C,
+//! Fig 17's baseline) goes through it; the new reader builds blocks of every
+//! shape straight from the levels ([`crate::columnar`]).
 
 use presto_common::{DataType, PrestoError, Result, Value};
 
@@ -134,13 +133,134 @@ impl LeafValues {
     }
 }
 
+/// One level stream (repetition or definition) of a leaf chunk.
+#[derive(Debug, Clone)]
+pub enum Levels {
+    /// Every entry is at the same level. A flat NOT NULL column decodes to
+    /// two of these — one RLE run each — and is never expanded.
+    Run {
+        /// The level of every entry.
+        level: u16,
+        /// Number of entries.
+        len: usize,
+    },
+    /// One level per entry.
+    Each(Vec<u16>),
+}
+
+impl Default for Levels {
+    fn default() -> Levels {
+        Levels::Each(Vec::new())
+    }
+}
+
+/// Streams are equal when they hold the same levels, however stored.
+impl PartialEq for Levels {
+    fn eq(&self, other: &Levels) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Levels {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Levels::Run { len, .. } => *len,
+            Levels::Each(v) => v.len(),
+        }
+    }
+
+    /// True when the stream has no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Level of entry `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u16 {
+        match self {
+            Levels::Run { level, .. } => *level,
+            Levels::Each(v) => v[i],
+        }
+    }
+
+    /// Every level in order.
+    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The one level every entry is at, when that is known without a scan.
+    pub fn run_level(&self) -> Option<u16> {
+        match self {
+            Levels::Run { level, .. } => Some(*level),
+            Levels::Each(_) => None,
+        }
+    }
+
+    /// Number of entries at exactly `level`.
+    pub fn count_at(&self, level: u16) -> usize {
+        match self {
+            Levels::Run { level: l, len } => usize::from(*l == level) * len,
+            Levels::Each(v) => v.iter().filter(|&&l| l == level).count(),
+        }
+    }
+
+    /// Number of entries at `level` or above.
+    pub fn count_from(&self, level: u16) -> usize {
+        match self {
+            Levels::Run { level: l, len } => usize::from(*l >= level) * len,
+            Levels::Each(v) => v.iter().filter(|&&l| l >= level).count(),
+        }
+    }
+
+    /// The per-entry form, for appending. Only decoding makes a run and the
+    /// writers never append to one, so expanding it stays out of line and
+    /// out of their per-value loops.
+    #[inline]
+    fn each_mut(&mut self) -> &mut Vec<u16> {
+        #[cold]
+        fn unroll(levels: &mut Levels) {
+            if let Levels::Run { level, len } = *levels {
+                *levels = Levels::Each(vec![level; len]);
+            }
+        }
+        if matches!(self, Levels::Run { .. }) {
+            unroll(self);
+        }
+        match self {
+            Levels::Each(v) => v,
+            Levels::Run { .. } => unreachable!("a run was expanded above"),
+        }
+    }
+
+    /// Append one entry.
+    #[inline]
+    pub fn push(&mut self, level: u16) {
+        self.each_mut().push(level);
+    }
+
+    /// Append `n` entries at `level`.
+    pub fn extend_run(&mut self, level: u16, n: usize) {
+        let each = self.each_mut();
+        each.resize(each.len() + n, level);
+    }
+
+    /// Every level widened to `u32`, as the RLE encoder takes them.
+    pub fn to_u32s(&self) -> Vec<u32> {
+        match self {
+            Levels::Run { level, len } => vec![u32::from(*level); *len],
+            Levels::Each(v) => v.iter().map(|&l| u32::from(l)).collect(),
+        }
+    }
+}
+
 /// The decoded triplet stream of one leaf column (one row group's worth).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafData {
     /// Repetition level per triplet.
-    pub reps: Vec<u16>,
+    pub reps: Levels,
     /// Definition level per triplet.
-    pub defs: Vec<u16>,
+    pub defs: Levels,
     /// Defined values, compacted.
     pub values: LeafValues,
     /// The leaf's max definition level (value present ⇔ `def == max_def`).
@@ -153,8 +273,8 @@ impl LeafData {
     /// Empty stream for a leaf.
     pub fn new(leaf: &LeafColumn) -> LeafData {
         LeafData {
-            reps: Vec::new(),
-            defs: Vec::new(),
+            reps: Levels::default(),
+            defs: Levels::default(),
             values: LeafValues::new(leaf.physical),
             max_def: leaf.max_def,
             scalar_type: leaf.scalar_type.clone(),
@@ -173,8 +293,7 @@ impl LeafData {
 
     /// Number of NULL (undefined) triplets.
     pub fn null_count(&self) -> usize {
-        let max = self.max_def as u32;
-        self.defs.iter().filter(|&&d| (d as u32) < max).count()
+        self.defs.len() - self.defs.count_at(self.max_def)
     }
 
     fn push_null(&mut self, rep: u16, def: u16) {
@@ -315,7 +434,7 @@ impl<'a> LeafCursor<'a> {
         if self.exhausted() {
             None
         } else {
-            Some((self.data.reps[self.idx], self.data.defs[self.idx]))
+            Some((self.data.reps.get(self.idx), self.data.defs.get(self.idx)))
         }
     }
 
@@ -323,8 +442,8 @@ impl<'a> LeafCursor<'a> {
         if self.exhausted() {
             return Err(PrestoError::Format("leaf stream exhausted mid-record".into()));
         }
-        let rep = self.data.reps[self.idx];
-        let def = self.data.defs[self.idx];
+        let rep = self.data.reps.get(self.idx);
+        let def = self.data.defs.get(self.idx);
         self.idx += 1;
         let value = if def == self.data.max_def {
             let v = self.data.values.get(self.value_idx, &self.data.scalar_type);
@@ -581,8 +700,8 @@ mod tests {
         )
         .unwrap();
         let leaf = &sinks[0];
-        assert_eq!(leaf.reps, vec![0, 1, 0, 0, 0]);
-        assert_eq!(leaf.defs, vec![3, 3, 1, 0, 2]);
+        assert_eq!(leaf.reps, Levels::Each(vec![0, 1, 0, 0, 0]));
+        assert_eq!(leaf.defs, Levels::Each(vec![3, 3, 1, 0, 2]));
         assert_eq!(leaf.null_count(), 3);
     }
 }

@@ -32,7 +32,7 @@ use crate::shred::{shred_one, LeafData, LeafValues};
 pub struct WriterProperties {
     /// Page compression codec.
     pub codec: Codec,
-    /// Rows per row group.
+    /// Most rows a row group may hold.
     pub row_group_rows: usize,
     /// Enable dictionary encoding when profitable.
     pub dictionary_enabled: bool,
@@ -105,6 +105,29 @@ impl FileWriter {
                 self.flat.schema.len()
             )));
         }
+        // `row_group_rows` is a cap: a page that crosses a row-group boundary
+        // is cut there, so a file written from one big page still has the
+        // groups it was asked for (and the per-group statistics and
+        // dictionaries row-group skipping lives on).
+        let cap = self.props.row_group_rows.max(1);
+        let mut written = 0;
+        while written < page.positions() {
+            let rows = (cap - self.rows_buffered).min(page.positions() - written);
+            if rows == page.positions() {
+                self.buffer(page)?;
+            } else {
+                self.buffer(&page.slice(written, rows))?;
+            }
+            written += rows;
+            if self.rows_buffered == cap {
+                self.flush_row_group()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Shred one page (all of which fits the open row group) into the sinks.
+    fn buffer(&mut self, page: &Page) -> Result<()> {
         match self.mode {
             WriterMode::Native => {
                 // Direct: every block shreds straight into the leaf sinks.
@@ -128,11 +151,6 @@ impl FileWriter {
         }
         self.rows_buffered += page.positions();
         self.total_rows += page.positions() as u64;
-        while self.rows_buffered >= self.props.row_group_rows {
-            // Flushing mid-page is avoided by flushing whole buffered groups;
-            // one flush drains everything buffered so far.
-            self.flush_row_group()?;
-        }
         Ok(())
     }
 
@@ -250,10 +268,8 @@ fn write_chunk(
 }
 
 fn encode_levels(data: &LeafData, w: &mut ByteWriter) {
-    let reps: Vec<u32> = data.reps.iter().map(|&r| r as u32).collect();
-    let defs: Vec<u32> = data.defs.iter().map(|&d| d as u32).collect();
-    rle_encode(&reps, w);
-    rle_encode(&defs, w);
+    rle_encode(&data.reps.to_u32s(), w);
+    rle_encode(&data.defs.to_u32s(), w);
 }
 
 /// Plain-encode a value vector: varint count, then payload.
@@ -405,11 +421,7 @@ mod tests {
         let bytes = w.finish().unwrap();
         assert_eq!(&bytes[..4], MAGIC);
         assert_eq!(&bytes[bytes.len() - 4..], MAGIC);
-        let footer_len =
-            u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap())
-                as usize;
-        let footer = &bytes[bytes.len() - 8 - footer_len..bytes.len() - 8];
-        let meta = FileMetadata::deserialize(footer).unwrap();
+        let meta = footer_of(&bytes);
         assert_eq!(meta.num_rows, 100);
         assert_eq!(meta.row_groups.len(), 1);
         // city has 5 distinct values over 100 rows → dictionary-encoded
@@ -419,22 +431,49 @@ mod tests {
         assert_eq!(meta.row_groups[0].columns[0].encoding, Encoding::Plain);
     }
 
-    #[test]
-    fn row_groups_split_on_row_count() {
-        let props = WriterProperties { row_group_rows: 40, ..WriterProperties::default() };
-        let mut w = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
-        w.write_page(&page()).unwrap(); // 100 rows
-        let bytes = w.finish().unwrap();
+    fn footer_of(bytes: &[u8]) -> FileMetadata {
         let footer_len =
             u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap())
                 as usize;
-        let meta = FileMetadata::deserialize(&bytes[bytes.len() - 8 - footer_len..bytes.len() - 8])
-            .unwrap();
-        // 100 buffered rows flush as one 100-row group (flush drains buffer),
-        // since pages arrive whole.
+        FileMetadata::deserialize(&bytes[bytes.len() - 8 - footer_len..bytes.len() - 8]).unwrap()
+    }
+
+    #[test]
+    fn one_big_page_is_cut_into_the_row_groups_asked_for() {
+        let schema = Schema::new(vec![Field::new("id", DataType::Bigint)]).unwrap();
+        let page = Page::new(vec![Block::bigint((0..10_000).collect())]).unwrap();
+        let props = WriterProperties { row_group_rows: 1_000, ..WriterProperties::default() };
+        let mut files = Vec::new();
+        for mode in [WriterMode::Native, WriterMode::Legacy] {
+            let mut w = FileWriter::new(schema.clone(), props.clone(), mode).unwrap();
+            w.write_page(&page).unwrap();
+            files.push(w.finish().unwrap());
+        }
+        assert_eq!(files[0], files[1], "both writer modes cut at the same rows");
+        let meta = footer_of(&files[0]);
+        assert_eq!(meta.num_rows, 10_000);
+        assert_eq!(meta.row_groups.len(), 10);
+        for (g, rg) in meta.row_groups.iter().enumerate() {
+            let first = g as i64 * 1_000;
+            assert_eq!(rg.num_rows, 1_000);
+            assert_eq!(rg.columns[0].stats.min, Some(Value::Bigint(first)));
+            assert_eq!(rg.columns[0].stats.max, Some(Value::Bigint(first + 999)));
+        }
+    }
+
+    #[test]
+    fn row_groups_fill_across_pages_and_leave_a_tail() {
+        let props = WriterProperties { row_group_rows: 40, ..WriterProperties::default() };
+        let mut w = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
+        w.write_page(&page().slice(0, 30)).unwrap();
+        w.write_page(&page().slice(30, 70)).unwrap(); // 100 rows in all
+        let meta = footer_of(&w.finish().unwrap());
         assert_eq!(meta.num_rows, 100);
-        let total: u64 = meta.row_groups.iter().map(|g| g.num_rows).sum();
-        assert_eq!(total, 100);
+        let sizes: Vec<u64> = meta.row_groups.iter().map(|g| g.num_rows).collect();
+        assert_eq!(sizes, vec![40, 40, 20]);
+        // the second group spans the page boundary: ids 40..80
+        assert_eq!(meta.row_groups[1].columns[0].stats.min, Some(Value::Bigint(40)));
+        assert_eq!(meta.row_groups[1].columns[0].stats.max, Some(Value::Bigint(79)));
     }
 
     #[test]

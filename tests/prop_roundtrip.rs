@@ -73,6 +73,9 @@ fn arb_scalar(dt: &DataType) -> BoxedStrategy<Value> {
     }
 }
 
+/// Every shape the readers must get right: lists that are NULL, empty or
+/// hold NULLs; a struct under a struct; a list of structs that hold lists
+/// (and may themselves be NULL); a map to structs.
 fn nested_test_type() -> DataType {
     DataType::row(vec![
         Field::new("id", DataType::Bigint),
@@ -86,45 +89,149 @@ fn nested_test_type() -> DataType {
             ]),
         ),
         Field::new("props", DataType::map(DataType::Varchar, DataType::Double)),
+        Field::new(
+            "legs",
+            DataType::array(DataType::row(vec![
+                Field::new("stop", DataType::Varchar),
+                Field::new("codes", DataType::array(DataType::Bigint)),
+            ])),
+        ),
+        Field::new(
+            "attrs",
+            DataType::map(
+                DataType::Varchar,
+                DataType::row(vec![
+                    Field::new("weight", DataType::Double),
+                    Field::new("on", DataType::Boolean),
+                ]),
+            ),
+        ),
     ])
 }
 
+/// A value of `dt`: NULL one time in ten at every nested level (one in four
+/// for scalars), lists and maps of 0..4 entries.
+fn arb_value(dt: &DataType) -> BoxedStrategy<Value> {
+    let or_null =
+        |present: BoxedStrategy<Value>| prop_oneof![9 => present, 1 => Just(Value::Null)].boxed();
+    match dt {
+        DataType::Array(element) => or_null(
+            proptest::collection::vec(arb_value(element), 0..4).prop_map(Value::Array).boxed(),
+        ),
+        DataType::Map(_, value) => or_null(
+            proptest::collection::vec(("[a-c]", arb_value(value)), 0..3)
+                .prop_map(|entries| {
+                    Value::Map(entries.into_iter().map(|(k, v)| (Value::Varchar(k), v)).collect())
+                })
+                .boxed(),
+        ),
+        DataType::Row(fields) => {
+            let items = fields.iter().fold(Just(Vec::new()).boxed(), |items, field| {
+                (items, arb_value(&field.data_type))
+                    .prop_map(|(mut items, item)| {
+                        items.push(item);
+                        items
+                    })
+                    .boxed()
+            });
+            or_null(items.prop_map(Value::Row).boxed())
+        }
+        scalar => arb_scalar(scalar),
+    }
+}
+
 fn arb_nested_value() -> BoxedStrategy<Value> {
-    let inner = (
-        arb_scalar(&DataType::Double),
-        proptest::collection::vec(arb_scalar(&DataType::Bigint), 0..4),
-    )
-        .prop_map(|(score, flags)| Value::Row(vec![score, Value::Array(flags)]));
-    let row = (
-        arb_scalar(&DataType::Bigint),
-        arb_scalar(&DataType::Varchar),
-        proptest::collection::vec(arb_scalar(&DataType::Varchar), 0..4),
-        inner,
-        proptest::collection::vec(("[a-c]", arb_scalar(&DataType::Double)), 0..3),
-    )
-        .prop_map(|(id, name, tags, inner, props)| {
-            Value::Row(vec![
-                id,
-                name,
-                Value::Array(tags),
-                inner,
-                Value::Map(props.into_iter().map(|(k, v)| (Value::Varchar(k), v)).collect()),
-            ])
-        });
-    prop_oneof![9 => row, 1 => Just(Value::Null)].boxed()
+    arb_value(&nested_test_type())
+}
+
+/// Rows per row group: at least three groups from three rows up.
+fn group_rows(rows: usize) -> usize {
+    (rows / 3).clamp(1, 7)
 }
 
 fn file_for(values: &[Value], mode: WriterMode, codec: Codec) -> Vec<u8> {
     let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
     let block = Block::from_values(&nested_test_type(), values).unwrap();
+    let row_group_rows = group_rows(values.len());
     let mut writer = FileWriter::new(
         schema,
-        WriterProperties { codec, row_group_rows: 7, ..WriterProperties::default() },
+        WriterProperties { codec, row_group_rows, ..WriterProperties::default() },
         mode,
     )
     .unwrap();
     writer.write_page(&Page::new(vec![block]).unwrap()).unwrap();
     writer.finish().unwrap()
+}
+
+/// The struct paths the new reader is asked for in one read: the whole
+/// column and pruned sub-paths of every shape (several share leaves).
+const PROJECTED_PATHS: [&[&str]; 7] =
+    [&[], &["id"], &["tags"], &["inner"], &["inner", "flags"], &["legs"], &["attrs"]];
+
+/// `values` of the column narrowed to the struct path `path`, with their type:
+/// a NULL struct reads as NULL in every field below it.
+fn narrowed(values: &[Value], path: &[&str]) -> (DataType, Vec<Value>) {
+    let mut dt = nested_test_type();
+    let mut values = values.to_vec();
+    for segment in path {
+        let DataType::Row(fields) = &dt else { panic!("{segment} is not under a struct") };
+        let at = fields.iter().position(|f| f.name == *segment).expect("field exists");
+        for v in &mut values {
+            if let Value::Row(items) = v {
+                *v = items.swap_remove(at);
+            }
+        }
+        dt = fields[at].data_type.clone();
+    }
+    (dt, values)
+}
+
+/// Read [`PROJECTED_PATHS`] with the new reader, keeping rows with
+/// `base.id >= min_id` when given, and hold every block it returns against
+/// what [`Block::from_values`] builds from the written values of the same
+/// row group: not only the same values but the same block — NULL slots
+/// zeroed, no mask where no NULL survives, offsets rebased per group.
+fn assert_new_reader_builds_canonical_blocks(
+    source: &BytesSource,
+    values: &[Value],
+    min_id: Option<i64>,
+) {
+    let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
+    let projections =
+        PROJECTED_PATHS.iter().map(|path| ProjectedColumn::path("base", path)).collect();
+    let mut options = ReadOptions::new(projections);
+    if let Some(min_id) = min_id {
+        options = options.with_predicate(FilePredicate::single(
+            "base.id",
+            ScalarPredicate::Range { min: Some(Value::Bigint(min_id)), max: None },
+        ));
+    }
+    let (pages, stats) = presto_parquet::reader_new::read(source, &schema, &options).unwrap();
+    assert!(values.len() < 3 || stats.row_groups_total >= 3, "{stats:?}");
+
+    let keeps = |v: &Value| match (min_id, v) {
+        (None, _) => true,
+        (Some(min_id), Value::Row(items)) => matches!(items[0], Value::Bigint(id) if id >= min_id),
+        (Some(_), _) => false,
+    };
+    // a row group the predicate empties yields no page
+    let expected_groups: Vec<Vec<Value>> = values
+        .chunks(group_rows(values.len()))
+        .map(|group| group.iter().filter(|v| keeps(v)).cloned().collect::<Vec<_>>())
+        .filter(|kept| !kept.is_empty() || min_id.is_none())
+        .collect();
+    assert_eq!(pages.len(), expected_groups.len());
+    for (page, group) in pages.iter().zip(&expected_groups) {
+        for (column, path) in PROJECTED_PATHS.iter().enumerate() {
+            let (dt, expected) = narrowed(group, path);
+            assert_eq!(
+                page.block(column),
+                &Block::from_values(&dt, &expected).unwrap(),
+                "base.{}",
+                path.join(".")
+            );
+        }
+    }
 }
 
 proptest! {
@@ -148,12 +255,14 @@ proptest! {
             old_pages.iter().flat_map(|p| p.rows()).map(|mut r| r.remove(0)).collect();
         prop_assert_eq!(&old_values, &values);
 
-        // new reader
+        // new reader: the same values ...
         let options = ReadOptions::new(vec![ProjectedColumn::whole("base")]);
         let (new_pages, _) = presto_parquet::reader_new::read(&source, &schema, &options).unwrap();
         let new_values: Vec<Value> =
             new_pages.iter().flat_map(|p| p.rows()).map(|mut r| r.remove(0)).collect();
         prop_assert_eq!(&new_values, &values);
+        // ... in the very blocks `from_values` builds, whole and pruned
+        assert_new_reader_builds_canonical_blocks(&source, &values, None);
     }
 
     #[test]
@@ -187,6 +296,9 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(got, expected);
+
+        // and the masked blocks of every shape, whole and pruned
+        assert_new_reader_builds_canonical_blocks(&source, &values, Some(threshold));
     }
 }
 

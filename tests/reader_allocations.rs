@@ -1,0 +1,176 @@
+//! A noise-free guard on what building nested blocks straight from the
+//! level streams bought: the number of heap allocations the new reader makes
+//! for arrays, maps and structs does not depend on the number of rows. A
+//! record assembler allocates per cell per level (a boxed `Value`, a `String`
+//! per VARCHAR, a `Vec` per list); the direct builder allocates per chunk and
+//! per block. Counts are exact on any machine, so this holds on a noisy VM
+//! where a timing could not. (`exec_allocations.rs` is the same guard for
+//! the executor's breakers.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use presto_common::{Block, DataType, Field, Page, Schema};
+use presto_parquet::reader::BytesSource;
+use presto_parquet::reader_new::{self, ProjectedColumn, ReadOptions};
+use presto_parquet::{Codec, FileWriter, WriterMode, WriterProperties};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's allocations.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a thread-local `Cell` that neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout, as the caller guarantees for `alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwarded under the caller's `realloc` guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const ROW_GROUPS: usize = 4;
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        Field::new("tags", DataType::array(DataType::Varchar)),
+        Field::new("features", DataType::map(DataType::Varchar, DataType::Double)),
+        Field::new(
+            "workflow",
+            DataType::row(vec![
+                Field::new("code", DataType::Integer),
+                Field::new("steps", DataType::array(DataType::Varchar)),
+            ]),
+        ),
+    ])
+    .unwrap()
+}
+
+/// `rows` rows in [`ROW_GROUPS`] row groups. Lists of 0–3 entries with NULL
+/// lists, NULL structs and NULL elements among them, so every level stream
+/// is a real mixture and no chunk takes a constant-run shortcut.
+fn file(rows: usize) -> Vec<u8> {
+    let ids = || 0..rows;
+    let lists = |null_every: usize| -> (Vec<u32>, Option<Vec<bool>>) {
+        let mut offsets = vec![0u32];
+        for i in ids() {
+            let len = if i % null_every == 0 { 0 } else { (i % 4) as u32 };
+            offsets.push(offsets[i] + len);
+        }
+        (offsets, Some(ids().map(|i| i % null_every == 0).collect()))
+    };
+    let strings = |n: u32, prefix: &str| {
+        let owned: Vec<String> = (0..n).map(|j| format!("{prefix}{}", j % 50)).collect();
+        match Block::varchar(&owned) {
+            Block::Varchar { offsets, bytes, .. } => Block::Varchar {
+                offsets,
+                bytes,
+                nulls: Some((0..n).map(|j| j % 13 == 0).collect()),
+            },
+            other => other,
+        }
+    };
+
+    let (tag_offsets, tag_nulls) = lists(11);
+    let tags = Block::Array {
+        element_type: DataType::Varchar,
+        elements: Box::new(strings(tag_offsets[rows], "tag")),
+        offsets: tag_offsets,
+        nulls: tag_nulls,
+    };
+    let (feature_offsets, feature_nulls) = lists(7);
+    let entries = feature_offsets[rows];
+    let features = Block::Map {
+        key_type: DataType::Varchar,
+        value_type: DataType::Double,
+        keys: Box::new(Block::varchar(
+            &(0..entries).map(|j| format!("feature{}", j % 9)).collect::<Vec<_>>(),
+        )),
+        values: Box::new(Block::Double {
+            values: (0..entries).map(|j| f64::from(j % 17) * 0.5).collect(),
+            nulls: Some((0..entries).map(|j| j % 5 == 0).collect()),
+        }),
+        offsets: feature_offsets,
+        nulls: feature_nulls,
+    };
+    let (step_offsets, step_nulls) = lists(9);
+    let workflow = Block::Row {
+        fields: match &schema().field_at(2).data_type {
+            DataType::Row(fields) => fields.clone(),
+            other => panic!("{other} is not a struct"),
+        },
+        children: vec![
+            Block::integer(ids().map(|i| (i % 7) as i32).collect()),
+            Block::Array {
+                element_type: DataType::Varchar,
+                elements: Box::new(strings(step_offsets[rows], "step")),
+                offsets: step_offsets,
+                nulls: step_nulls,
+            },
+        ],
+        len: rows,
+        nulls: Some(ids().map(|i| i % 10 == 3).collect()),
+    };
+
+    // canonical form (a NULL struct's fields are NULL, NULL slots zeroed)
+    let page = Page::new(vec![tags, features, workflow]).unwrap();
+    let page = Page::new(
+        page.blocks()
+            .iter()
+            .map(|b| Block::from_values(&b.data_type(), &b.to_values()).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    let props = WriterProperties {
+        codec: Codec::Fast,
+        row_group_rows: rows / ROW_GROUPS,
+        ..WriterProperties::default()
+    };
+    let mut writer = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
+    writer.write_page(&page).unwrap();
+    writer.finish().unwrap()
+}
+
+/// Allocations of one `reader_new::read` of all three columns of a
+/// `rows`-row file, with the rows and row groups it read.
+fn read_allocations(rows: usize) -> (u64, usize, usize) {
+    let source = BytesSource::new(file(rows));
+    let options = ReadOptions::new(
+        ["tags", "features", "workflow"].iter().map(|c| ProjectedColumn::whole(*c)).collect(),
+    );
+    let before = ALLOCATIONS.with(Cell::get);
+    let (pages, stats) = reader_new::read(&source, &schema(), &options).unwrap();
+    let after = ALLOCATIONS.with(Cell::get);
+    (after - before, pages.iter().map(Page::positions).sum(), stats.row_groups_total)
+}
+
+#[test]
+fn nested_read_allocations_do_not_scale_with_rows() {
+    const N: usize = 2_000;
+    let (small, small_rows, small_groups) = read_allocations(N);
+    let (large, large_rows, large_groups) = read_allocations(2 * N);
+    assert_eq!((small_rows, large_rows), (N, 2 * N));
+    assert_eq!(small_groups, large_groups);
+    // Same row groups, same leaves, same blocks: every buffer is sized from
+    // its chunk before it is filled, so twice the rows is the same number of
+    // (larger) allocations. One allocation per row would add N.
+    assert_eq!(small, large, "{small} allocations over {N} rows, {large} over {}", 2 * N);
+}
