@@ -886,6 +886,15 @@ fn run_writer_figure(codec: Codec, title: &str) {
         ]);
     }
     println!("{}", table.render());
+    // the figure compares two ways of producing one file; two files would
+    // make it a comparison of formats
+    let differing: Vec<&str> =
+        results.iter().filter(|r| !r.files_identical).map(|r| r.workload.as_str()).collect();
+    if !differing.is_empty() {
+        eprintln!("FAIL: the two writers' files differ in bytes for {differing:?}");
+        std::process::exit(1);
+    }
+    println!("both writers produced byte-identical files for all {} workloads", results.len());
 }
 
 fn run_geo() {

@@ -65,10 +65,18 @@ impl Codec {
 
     /// Compress `data`.
     pub fn compress(self, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.compress_into(data, &mut MatchTables::default(), &mut out);
+        out
+    }
+
+    /// Append `data` compressed to `out`, finding matches through `tables`
+    /// (any state: a writer keeps one and passes it for every page).
+    pub(crate) fn compress_into(self, data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
         match self {
-            Codec::None => data.to_vec(),
-            Codec::Fast => lz_compress(data, 1, false),
-            Codec::Deep => lz_compress(data, 32, true),
+            Codec::None => out.extend_from_slice(data),
+            Codec::Fast => lz_compress::<false>(data, tables, out),
+            Codec::Deep => lz_compress::<true>(data, tables, out),
         }
     }
 
@@ -110,113 +118,173 @@ fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-/// Hash of the 4 bytes at `data[i..]`.
+/// The 4 bytes at `data[i..]`.
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let w = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (w.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
+fn word4(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().unwrap_or_default())
+}
+
+/// Hash of 4 bytes.
+#[inline]
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> 17) as usize & (HASH_SIZE - 1)
 }
 
 const HASH_SIZE: usize = 1 << 14;
+const CHAIN_SIZE: usize = 1 << 16;
 
-/// LZ77 with a chained hash table. `probes` controls how many chain entries
-/// are examined per position (1 = greedy Snappy-style; more = Gzip-style).
-/// `lazy` enables one-position lazy match deferral.
-fn lz_compress(data: &[u8], probes: usize, lazy: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    write_varint(&mut out, data.len() as u64);
-    if data.len() < MIN_MATCH + 4 {
-        emit_literals(&mut out, data);
-        return out;
+/// The compressor's match-finding tables, reusable from one page to the
+/// next without being zeroed in between: `head[h]` is the most recent
+/// position with hash `h`, `chain[i & mask]` the position before `i` with the
+/// same hash, every position held (and the chain indexed) as `base + 1 +
+/// position`, where `base` rises by a page's length after every page. What an
+/// earlier page left behind, like the 0 of a slot never written, then lies
+/// further back than the current page's first byte, and the one window test
+/// every candidate takes anyway rejects it, exactly as an empty slot.
+#[derive(Default)]
+pub(crate) struct MatchTables {
+    head: Vec<u32>,
+    chain: Vec<u32>,
+    base: u32,
+}
+
+impl MatchTables {
+    /// Tables that hold nothing of an earlier page, for a page of `len`
+    /// bytes; the chain only when the caller follows it.
+    fn fresh(&mut self, len: usize, chained: bool) {
+        self.head.resize(HASH_SIZE, 0);
+        if chained {
+            self.chain.resize(CHAIN_SIZE, 0);
+        }
+        // entries reach `base + len`: start over where that would wrap
+        if u32::try_from(len).ok().and_then(|len| self.base.checked_add(len)).is_none() {
+            self.head.fill(0);
+            self.chain.fill(0);
+            self.base = 0;
+        }
     }
+}
 
-    // head[h] = most recent position with hash h (+1; 0 = empty);
-    // chain[i & mask] = previous position with the same hash.
-    const CHAIN_SIZE: usize = 1 << 16;
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut chain = vec![0u32; CHAIN_SIZE];
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max_len` (`a < b`, `b + max_len <= data.len()`), a word at a time.
+#[inline]
+fn common_prefix(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
+    let (x, y) = (&data[a..a + max_len], &data[b..b + max_len]);
+    let mut len = 0;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let differ = u64::from_le_bytes(wx.try_into().unwrap_or_default())
+            ^ u64::from_le_bytes(wy.try_into().unwrap_or_default());
+        if differ != 0 {
+            return len + (differ.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + x[len..].iter().zip(&y[len..]).take_while(|(p, q)| p == q).count()
+}
 
-    let find_match = |head: &[u32], chain: &[u32], pos: usize| -> Option<(usize, usize)> {
-        let limit = data.len();
-        if pos + MIN_MATCH > limit {
+/// LZ77 with a chained hash table. `DEEP` examines up to 32 chain entries
+/// per position and defers a match by one position when the next one has a
+/// longer match (Gzip-style); otherwise one probe, greedy (Snappy-style) —
+/// which never reads the chain and so does not keep one.
+fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
+    out.reserve(data.len() / 2 + 16);
+    write_varint(out, data.len() as u64);
+    if data.len() < MIN_MATCH + 4 {
+        emit_literals(out, data);
+        return;
+    }
+    tables.fresh(data.len(), DEEP);
+    let bias = tables.base + 1;
+    let head = <&mut [u32; HASH_SIZE]>::try_from(&mut tables.head[..])
+        .expect("`fresh` sizes the head table");
+    let chain = &mut tables.chain[..];
+    // the last position four bytes start at, exclusive
+    let hashable = data.len() - (MIN_MATCH - 1);
+
+    let find_match = |head: &[u32; HASH_SIZE], chain: &[u32], pos: usize| {
+        if pos >= hashable {
             return None;
         }
+        let max_len = (data.len() - pos).min(MAX_RUN - 1 + MIN_MATCH);
+        let first = word4(data, pos);
+        let (at, reach) = (bias + pos as u32, pos.min(CHAIN_SIZE - 1) as u32);
         let mut best: Option<(usize, usize)> = None;
-        let mut cand = head[hash4(data, pos)] as usize;
-        let mut remaining = probes;
-        while cand > 0 && remaining > 0 {
-            let c = cand - 1;
-            if c >= pos || pos - c > CHAIN_SIZE - 1 {
+        let mut cand = head[hash4(first)];
+        for _ in 0..if DEEP { 32 } else { 1 } {
+            // a candidate lies 1..=reach bytes back: in this page and in the
+            // window; empty, stale and (never) later entries fall outside
+            let dist = at.wrapping_sub(cand);
+            if dist.wrapping_sub(1) >= reach {
                 break;
             }
-            let mut len = 0;
-            let max_len = (limit - pos).min(MAX_RUN - 1 + MIN_MATCH);
-            while len < max_len && data[c + len] == data[pos + len] {
-                len += 1;
-            }
-            if len >= MIN_MATCH && best.map(|(bl, _)| len > bl).unwrap_or(true) {
-                best = Some((len, pos - c));
-                if len == max_len {
-                    break;
+            let c = pos - dist as usize;
+            // only a candidate that also matches one byte past the best so
+            // far can beat it; most fail that byte, or the first four
+            let best_len = best.map_or(0, |(len, _)| len);
+            if word4(data, c) == first && data[c + best_len] == data[pos + best_len] {
+                let len = common_prefix(data, c, pos, max_len);
+                if len > best_len {
+                    best = Some((len, dist as usize));
+                    if len == max_len {
+                        break;
+                    }
                 }
             }
-            cand = chain[c & (CHAIN_SIZE - 1)] as usize;
-            remaining -= 1;
+            if !DEEP {
+                break;
+            }
+            cand = chain[cand as usize & (CHAIN_SIZE - 1)];
         }
         best
     };
 
-    let insert = |head: &mut [u32], chain: &mut [u32], pos: usize| {
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash4(data, pos);
-            chain[pos & (CHAIN_SIZE - 1)] = head[h];
-            head[h] = (pos + 1) as u32;
+    // enter positions `from..to` into the tables
+    let insert = |head: &mut [u32; HASH_SIZE], chain: &mut [u32], from: usize, to: usize| {
+        for p in from..to.min(hashable) {
+            let (h, at) = (hash4(word4(data, p)), bias + p as u32);
+            if DEEP {
+                chain[at as usize & (CHAIN_SIZE - 1)] = head[h];
+            }
+            head[h] = at;
         }
     };
 
     let mut pos = 0;
     let mut literal_start = 0;
+    // the match found at `pos` while deciding to defer the one before it
+    let mut deferred = None;
     while pos < data.len() {
-        let m = find_match(&head, &chain, pos);
-        let m = match (m, lazy) {
-            (Some((len, dist)), true) if pos + 1 < data.len() => {
-                // Lazy: if the next position has a longer match, emit a
-                // literal here instead.
-                insert(&mut head, &mut chain, pos);
-                match find_match(&head, &chain, pos + 1) {
-                    Some((nlen, _)) if nlen > len + 1 => {
-                        pos += 1;
-                        continue;
-                    }
-                    _ => Some((len, dist, /*inserted=*/ true)),
-                }
-            }
-            (Some((len, dist)), _) => Some((len, dist, false)),
-            (None, _) => None,
-        };
-        match m {
-            Some((len, dist, inserted)) => {
-                emit_literals(&mut out, &data[literal_start..pos]);
-                // match token
-                out.push((((len - MIN_MATCH) as u8) << 1) | 1);
-                write_varint(&mut out, dist as u64);
-                if !inserted {
-                    insert(&mut head, &mut chain, pos);
-                }
-                for p in pos + 1..(pos + len).min(data.len()) {
-                    insert(&mut head, &mut chain, p);
-                }
-                pos += len;
-                literal_start = pos;
-            }
-            None => {
-                insert(&mut head, &mut chain, pos);
+        let found = deferred.take().unwrap_or_else(|| find_match(head, chain, pos));
+        let mut inserted = pos;
+        if let (Some((len, _)), true) = (found, DEEP && pos + 1 < data.len()) {
+            // Lazy: if the next position has a longer match, emit a literal
+            // here instead.
+            insert(head, chain, pos, pos + 1);
+            inserted += 1;
+            let next = find_match(head, chain, pos + 1);
+            if matches!(next, Some((next_len, _)) if next_len > len + 1) {
+                deferred = Some(next);
                 pos += 1;
+                continue;
             }
         }
+        let len = match found {
+            Some((len, dist)) => {
+                emit_literals(out, &data[literal_start..pos]);
+                // match token
+                out.push((((len - MIN_MATCH) as u8) << 1) | 1);
+                write_varint(out, dist as u64);
+                literal_start = pos + len;
+                len
+            }
+            None => 1,
+        };
+        insert(head, chain, inserted, pos + len);
+        pos += len;
     }
-    emit_literals(&mut out, &data[literal_start..]);
-    out
+    emit_literals(out, &data[literal_start..]);
+    // (a page too long for `u32` positions leaves nothing the next can trust)
+    tables.base = u32::try_from(data.len()).map_or(u32::MAX, |len| tables.base + len);
 }
 
 fn emit_literals(out: &mut Vec<u8>, mut lits: &[u8]) {

@@ -19,9 +19,20 @@
 //! next slot with `rep <=` its own level and `def > def_present` (none:
 //! empty), and they are the slots of its element node. Leaves expand their
 //! packed values over their slots with typed loops. Each `Row` / `Array` /
-//! `Map` node walks the levels of its first leaf once; no [`Value`] is built.
+//! `Map` node walks the levels of its first leaf once; no `Value` is built.
+//!
+//! Writing is the same walk the other way, once per column and not per row:
+//! a node turns the slot stream it is handed — per slot a repetition level,
+//! a definition level and the block position standing there, or none — into
+//! its children's with one pass over its own NULL mask or offsets, and every
+//! leaf below shares the result. A leaf appends the stream's levels and the
+//! values at its positions; where nothing above it is NULL or empty that is
+//! two level runs and one `extend_from_slice`.
 
-use presto_common::{Block, DataType, PrestoError, Result, Value};
+use std::ops::Range;
+
+use presto_common::block::NullMask;
+use presto_common::{Block, DataType, PrestoError, Result};
 
 use crate::schema::SchemaNode;
 use crate::shred::{LeafData, LeafValues, Levels};
@@ -237,197 +248,263 @@ fn build_leaf(data: LeafData, scalar_type: &DataType, slots: Slots) -> Result<Bl
 
 // ------------------------------------------------------------------ write
 
-/// Shred one top-level column block directly into leaf sinks — the native
-/// writer path (§V.J): no record reconstruction, values/rep/def emitted
-/// straight from the block's columnar layout.
-pub fn shred_block(node: &SchemaNode, block: &Block, sinks: &mut [LeafData]) -> Result<()> {
-    // Dictionary blocks are decoded once up front (the writer re-decides
-    // dictionary encoding per row group from the data itself).
-    let decoded;
-    let block = match block {
-        Block::Dictionary { .. } => {
-            decoded = block.decode_dictionary();
-            &decoded
-        }
-        other => other,
-    };
-    // Bulk fast path: a null-free scalar column appends its value buffer and
-    // two constant level runs — no per-row dispatch at all.
-    if let SchemaNode::Leaf { leaf_index, max_def, .. } = node {
-        if bulk_append_leaf(&mut sinks[*leaf_index], block, *max_def)? {
-            return Ok(());
-        }
-    }
-    for i in 0..block.len() {
-        shred_block_row(node, block, i, 0, 0, sinks)?;
-    }
-    Ok(())
+/// The position of a slot at which no value of the node stands: an ancestor
+/// is NULL there, or a list above it is NULL or empty.
+const ABSENT: usize = usize::MAX;
+
+/// The block position standing at each slot of a node.
+enum Positions {
+    /// Slot `k` holds position `start + k`: nothing above the node is NULL
+    /// or empty, so its leaves can copy their value buffers wholesale.
+    Dense(Range<usize>),
+    /// One position per slot, or [`ABSENT`].
+    Each(Vec<usize>),
 }
 
-fn bulk_append_leaf(sink: &mut LeafData, block: &Block, max_def: u16) -> Result<bool> {
-    let appended = match (&mut sink.values, block) {
-        (LeafValues::I64(out), Block::Bigint { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
+impl Positions {
+    fn len(&self) -> usize {
+        match self {
+            Positions::Dense(range) => range.len(),
+            Positions::Each(at) => at.len(),
         }
-        (LeafValues::I64(out), Block::Timestamp { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
+    }
+
+    #[inline]
+    fn get(&self, k: usize) -> usize {
+        match self {
+            Positions::Dense(range) => range.start + k,
+            Positions::Each(at) => at[k],
         }
-        (LeafValues::I32(out), Block::Integer { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
-        }
-        (LeafValues::I32(out), Block::Date { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
-        }
-        (LeafValues::F64(out), Block::Double { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
-        }
-        (LeafValues::Bool(out), Block::Boolean { values, nulls: None }) => {
-            out.extend_from_slice(values);
-            values.len()
-        }
-        (
-            LeafValues::Bytes { offsets: out_offsets, data: out_data },
-            Block::Varchar { offsets, bytes, nulls: None },
-        ) => {
-            if out_data.len() + bytes.len() > u32::MAX as usize {
-                return Err(PrestoError::Format(
-                    "varchar chunk exceeds 4 GiB; split into smaller row groups".into(),
-                ));
-            }
-            let base = out_data.len() as u32;
-            out_data.extend_from_slice(bytes);
-            out_offsets.extend(offsets[1..].iter().map(|&o| base + o));
-            offsets.len() - 1
-        }
-        _ => return Ok(false),
-    };
-    sink.reps.extend_run(0, appended);
-    sink.defs.extend_run(max_def, appended);
-    Ok(true)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|k| self.get(k))
+    }
 }
 
-fn shred_block_row(
+/// The slots of a node in stream order: what a node derives once from its
+/// own NULL mask or offsets and hands to every leaf below it. A node
+/// replaces only the parts it changes, so a struct without NULLs passes its
+/// parent's repetition levels and positions straight through.
+#[derive(Clone, Copy)]
+struct Stream<'a> {
+    /// Repetition level per slot.
+    reps: &'a Levels,
+    /// At an absent slot the level every leaf below records; at any other,
+    /// the level they record if the node is NULL there.
+    defs: &'a Levels,
+    at: &'a Positions,
+}
+
+/// Shred rows `rows` of one top-level column block into the leaf sinks — the
+/// native writer path (§V.J): the schema is walked once per column, values
+/// and repetition / definition levels come straight from the block's buffers,
+/// NULL masks and offsets, and no record is reconstructed.
+pub fn shred_block(
     node: &SchemaNode,
     block: &Block,
-    i: usize,
-    rep: u16,
-    def: u16,
+    rows: Range<usize>,
     sinks: &mut [LeafData],
 ) -> Result<()> {
-    match node {
-        SchemaNode::Leaf { leaf_index, max_def, .. } => {
-            let sink = &mut sinks[*leaf_index];
-            if block.is_null(i) {
-                sink.reps.push(rep);
-                sink.defs.push(def);
-                return Ok(());
-            }
-            sink.reps.push(rep);
-            sink.defs.push(*max_def);
-            push_leaf_value(sink, block, i)
+    let records = Levels::Run { level: 0, len: rows.len() };
+    let at = Positions::Dense(rows);
+    shred(node, block, Stream { reps: &records, defs: &records, at: &at }, sinks)
+}
+
+fn any_null(nulls: &NullMask) -> Option<&[bool]> {
+    nulls.as_deref().filter(|mask| mask.contains(&true))
+}
+
+fn shred(node: &SchemaNode, block: &Block, s: Stream<'_>, sinks: &mut [LeafData]) -> Result<()> {
+    if let Block::Dictionary { dictionary, ids } = block {
+        // shred through the ids: the same slots, pointing into the dictionary
+        let at = s.at.iter().map(|p| if p == ABSENT { ABSENT } else { ids[p] as usize });
+        let at = Positions::Each(at.collect());
+        return shred(node, dictionary, Stream { at: &at, ..s }, sinks);
+    }
+    match (node, block) {
+        (SchemaNode::Leaf { leaf_index, max_def, .. }, _) => {
+            shred_leaf(&mut sinks[*leaf_index], block, *max_def, s)
         }
-        SchemaNode::Row { fields, def_present, .. } => {
-            if block.is_null(i) {
-                return emit_null_slot(node, rep, def, sinks);
-            }
-            let children = match block {
-                Block::Row { children, .. } => children,
-                other => {
-                    return Err(PrestoError::Internal(format!(
-                        "expected row block, got {}",
-                        other.data_type()
-                    )))
-                }
+        (SchemaNode::Row { fields, def_present, .. }, Block::Row { children, nulls, .. }) => {
+            // a NULL struct is absent to everything below it
+            let at = any_null(nulls).map(|nulls| {
+                let at = s.at.iter().map(|p| if p != ABSENT && nulls[p] { ABSENT } else { p });
+                Positions::Each(at.collect())
+            });
+            let at = at.as_ref().unwrap_or(s.at);
+            let defs = match at {
+                Positions::Dense(range) => Levels::Run { level: *def_present, len: range.len() },
+                Positions::Each(at) => Levels::Each(
+                    (at.iter().enumerate())
+                        .map(|(k, &p)| if p == ABSENT { s.defs.get(k) } else { *def_present })
+                        .collect(),
+                ),
             };
-            for ((_, child_node), child_block) in fields.iter().zip(children.iter()) {
-                shred_block_row(child_node, child_block, i, rep, *def_present, sinks)?;
-            }
-            Ok(())
+            let below = Stream { reps: s.reps, defs: &defs, at };
+            fields
+                .iter()
+                .zip(children)
+                .try_for_each(|((_, f), child)| shred(f, child, below, sinks))
         }
-        SchemaNode::Array { element, def_present, rep: elem_rep, .. } => {
-            if block.is_null(i) {
-                return emit_null_slot(node, rep, def, sinks);
-            }
-            let (offsets, elements) = match block {
-                Block::Array { offsets, elements, .. } => (offsets, elements),
-                other => {
-                    return Err(PrestoError::Internal(format!(
-                        "expected array block, got {}",
-                        other.data_type()
-                    )))
-                }
-            };
-            let start = offsets[i] as usize;
-            let end = offsets[i + 1] as usize;
-            if start == end {
-                return emit_empty_slot(element, rep, *def_present, sinks);
-            }
-            for (n, j) in (start..end).enumerate() {
-                let r = if n == 0 { rep } else { *elem_rep };
-                shred_block_row(element, elements, j, r, def_present + 1, sinks)?;
-            }
-            Ok(())
+        (
+            SchemaNode::Array { element, def_present, rep, .. },
+            Block::Array { offsets, elements, nulls, .. },
+        ) => {
+            let (reps, defs, at) = list_stream(s, offsets, any_null(nulls), *def_present, *rep);
+            shred(element, elements, Stream { reps: &reps, defs: &defs, at: &at }, sinks)
         }
-        SchemaNode::Map { key, value, def_present, rep: elem_rep, .. } => {
-            if block.is_null(i) {
-                return emit_null_slot(node, rep, def, sinks);
-            }
-            let (offsets, keys, values) = match block {
-                Block::Map { offsets, keys, values, .. } => (offsets, keys, values),
-                other => {
-                    return Err(PrestoError::Internal(format!(
-                        "expected map block, got {}",
-                        other.data_type()
-                    )))
-                }
-            };
-            let start = offsets[i] as usize;
-            let end = offsets[i + 1] as usize;
-            if start == end {
-                emit_empty_slot(key, rep, *def_present, sinks)?;
-                return emit_empty_slot(value, rep, *def_present, sinks);
-            }
-            for (n, j) in (start..end).enumerate() {
-                let r = if n == 0 { rep } else { *elem_rep };
-                shred_block_row(key, keys, j, r, def_present + 1, sinks)?;
-                shred_block_row(value, values, j, r, def_present + 1, sinks)?;
-            }
-            Ok(())
+        (
+            SchemaNode::Map { key, value, def_present, rep, .. },
+            Block::Map { offsets, keys, values, nulls, .. },
+        ) => {
+            let (reps, defs, at) = list_stream(s, offsets, any_null(nulls), *def_present, *rep);
+            let entries = Stream { reps: &reps, defs: &defs, at: &at };
+            shred(key, keys, entries, sinks)?;
+            shred(value, values, entries, sinks)
         }
+        (node, block) => Err(PrestoError::Internal(format!(
+            "expected {} block, got {}",
+            node.data_type(),
+            block.data_type()
+        ))),
     }
 }
 
-/// Append block position `i` to the sink without constructing a [`Value`].
-fn push_leaf_value(sink: &mut LeafData, block: &Block, i: usize) -> Result<()> {
-    match (&mut sink.values, block) {
-        (LeafValues::Bool(out), Block::Boolean { values, .. }) => out.push(values[i]),
-        (LeafValues::I32(out), Block::Integer { values, .. }) => out.push(values[i]),
-        (LeafValues::I32(out), Block::Date { values, .. }) => out.push(values[i]),
-        (LeafValues::I64(out), Block::Bigint { values, .. }) => out.push(values[i]),
-        (LeafValues::I64(out), Block::Timestamp { values, .. }) => out.push(values[i]),
-        (LeafValues::F64(out), Block::Double { values, .. }) => out.push(values[i]),
+/// The stream a list or map hands its elements: a NULL list is one absent
+/// slot at the level it arrived with, an empty one an absent slot at
+/// `def_present`, and a list of `n` elements `n` slots at `def_present + 1`,
+/// the first at the list's own repetition level and the rest at `rep`. While
+/// every slot is an element and each list starts where the last one ended,
+/// the positions stay one dense range.
+fn list_stream(
+    s: Stream<'_>,
+    offsets: &[u32],
+    nulls: Option<&[bool]>,
+    def_present: u16,
+    rep: u16,
+) -> (Levels, Levels, Positions) {
+    let mut reps = Vec::with_capacity(s.at.len());
+    let mut dense = 0..0;
+    let mut sparse: Option<(Vec<u16>, Vec<usize>)> = None;
+    for (k, p) in s.at.iter().enumerate() {
+        let (def, elements) = if p == ABSENT || nulls.is_some_and(|nulls| nulls[p]) {
+            (s.defs.get(k), 0..0)
+        } else {
+            let elements = offsets[p] as usize..offsets[p + 1] as usize;
+            (def_present + u16::from(!elements.is_empty()), elements)
+        };
+        let breaks = elements.is_empty() || (!dense.is_empty() && elements.start != dense.end);
+        if breaks && sparse.is_none() {
+            sparse = Some((vec![def_present + 1; dense.len()], dense.clone().collect()));
+        }
+        match &mut sparse {
+            None if dense.is_empty() => dense = elements.clone(),
+            None => dense.end = elements.end,
+            Some((defs, at)) if elements.is_empty() => {
+                defs.push(def);
+                at.push(ABSENT);
+            }
+            Some((defs, at)) => {
+                defs.resize(defs.len() + elements.len(), def);
+                at.extend(elements.clone());
+            }
+        }
+        reps.push(s.reps.get(k));
+        reps.resize(reps.len() + elements.len().saturating_sub(1), rep);
+    }
+    match sparse {
+        None => {
+            let defs = Levels::Run { level: def_present + 1, len: dense.len() };
+            (Levels::Each(reps), defs, Positions::Dense(dense))
+        }
+        Some((defs, at)) => (Levels::Each(reps), Levels::Each(defs), Positions::Each(at)),
+    }
+}
+
+/// Append a leaf's slots to its sink: repetition levels as they arrive, the
+/// leaf's own maximum as the definition level wherever a value stands, and
+/// that value. A dense stream over a block without NULLs is one
+/// `extend_from_slice` and one level run.
+fn shred_leaf(sink: &mut LeafData, block: &Block, max_def: u16, s: Stream<'_>) -> Result<()> {
+    /// The general walk: `value(p)` appends the value at position `p`.
+    fn each_slot(
+        defs: &mut Levels,
+        nulls: Option<&[bool]>,
+        max_def: u16,
+        s: Stream<'_>,
+        mut value: impl FnMut(usize),
+    ) {
+        for (k, p) in s.at.iter().enumerate() {
+            if p == ABSENT || nulls.is_some_and(|nulls| nulls[p]) {
+                defs.push(s.defs.get(k));
+            } else {
+                defs.push(max_def);
+                value(p);
+            }
+        }
+    }
+    fn fixed<T: Copy>(
+        out: &mut Vec<T>,
+        defs: &mut Levels,
+        values: &[T],
+        nulls: &NullMask,
+        max_def: u16,
+        s: Stream<'_>,
+    ) {
+        match (s.at, any_null(nulls)) {
+            (Positions::Dense(range), None) => {
+                out.extend_from_slice(&values[range.clone()]);
+                defs.extend_run(max_def, range.len());
+            }
+            (_, nulls) => each_slot(defs, nulls, max_def, s, |p| out.push(values[p])),
+        }
+    }
+
+    let LeafData { reps, defs, values: store, .. } = sink;
+    reps.extend(s.reps);
+    match (store, block) {
+        (LeafValues::Bool(out), Block::Boolean { values, nulls }) => {
+            fixed(out, defs, values, nulls, max_def, s)
+        }
         (
-            LeafValues::Bytes { offsets: out_offsets, data: out_data },
-            Block::Varchar { offsets, bytes, .. },
-        ) => {
-            let piece = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
-            if out_data.len() + piece.len() > u32::MAX as usize {
+            LeafValues::I32(out),
+            Block::Integer { values, nulls } | Block::Date { values, nulls },
+        ) => fixed(out, defs, values, nulls, max_def, s),
+        (
+            LeafValues::I64(out),
+            Block::Bigint { values, nulls } | Block::Timestamp { values, nulls },
+        ) => fixed(out, defs, values, nulls, max_def, s),
+        (LeafValues::F64(out), Block::Double { values, nulls }) => {
+            fixed(out, defs, values, nulls, max_def, s)
+        }
+        (LeafValues::Bytes { offsets: ends, data }, Block::Varchar { offsets, bytes, nulls }) => {
+            match (s.at, any_null(nulls)) {
+                (Positions::Dense(range), None) => {
+                    let first = offsets[range.start] as usize;
+                    let piece = &bytes[first..offsets[range.end] as usize];
+                    // rebased offsets only wrap in a chunk the check below rejects
+                    let base = data.len();
+                    let rebased = offsets[range.start + 1..=range.end].iter();
+                    ends.extend(rebased.map(|&end| (base + end as usize - first) as u32));
+                    data.extend_from_slice(piece);
+                    defs.extend_run(max_def, range.len());
+                }
+                (_, nulls) => each_slot(defs, nulls, max_def, s, |p| {
+                    data.extend_from_slice(&bytes[offsets[p] as usize..offsets[p + 1] as usize]);
+                    ends.push(data.len() as u32);
+                }),
+            }
+            if data.len() > u32::MAX as usize {
                 return Err(PrestoError::Format(
                     "varchar chunk exceeds 4 GiB; split into smaller row groups".into(),
                 ));
             }
-            out_data.extend_from_slice(piece);
-            out_offsets.push(out_data.len() as u32);
         }
-        (store, b) => {
+        (store, block) => {
             return Err(PrestoError::Internal(format!(
                 "block {} does not match leaf storage {:?}",
-                b.data_type(),
+                block.data_type(),
                 store.physical()
             )))
         }
@@ -435,40 +512,12 @@ fn push_leaf_value(sink: &mut LeafData, block: &Block, i: usize) -> Result<()> {
     Ok(())
 }
 
-fn emit_null_slot(node: &SchemaNode, rep: u16, def: u16, sinks: &mut [LeafData]) -> Result<()> {
-    for leaf in node.leaf_indices() {
-        sinks[leaf].reps.push(rep);
-        sinks[leaf].defs.push(def);
-    }
-    Ok(())
-}
-
-fn emit_empty_slot(
-    element: &SchemaNode,
-    rep: u16,
-    def_present: u16,
-    sinks: &mut [LeafData],
-) -> Result<()> {
-    for leaf in element.leaf_indices() {
-        sinks[leaf].reps.push(rep);
-        sinks[leaf].defs.push(def_present);
-    }
-    Ok(())
-}
-
-/// Explode a block into one [`Value`] per row — the record-reconstruction
-/// step of the *legacy* writer (§V.J: it "iterates each columnar block in a
-/// page and reconstructs every single record").
-pub fn block_to_records(block: &Block) -> Vec<Value> {
-    block.to_values()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::FlatSchema;
     use crate::shred::shred_column;
-    use presto_common::{Field, Schema};
+    use presto_common::{Field, Schema, Value};
 
     fn flat_for(dt: DataType) -> FlatSchema {
         FlatSchema::new(Schema::new(vec![Field::new("c", dt)]).unwrap()).unwrap()
@@ -483,7 +532,7 @@ mod tests {
         let block = Block::from_values(&dt, &values).unwrap();
         // native shred from the block
         let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
-        shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
+        shred_block(&flat.roots[0], &block, 0..block.len(), &mut sinks).unwrap();
         // direct columnar build back: the very block `from_values` makes
         let rebuilt = build_block(&flat.roots[0], &mut owned(sinks)).unwrap();
         assert_eq!(rebuilt, block);
@@ -626,37 +675,52 @@ mod tests {
             Value::Row(vec![Value::Null, Value::Array(vec![])]),
             Value::Null,
         ];
+        // a dictionary is shredded through its ids, at the top and below it
+        let dict = Block::from_values(&DataType::Varchar, &["a".into(), Value::Null, "b".into()]);
+        let words =
+            Block::Dictionary { dictionary: Box::new(dict.unwrap()), ids: vec![2, 0, 1, 2] };
+        let list = Block::Array {
+            element_type: DataType::Varchar,
+            offsets: vec![0, 1, 1, 4],
+            elements: Box::new(words.clone()),
+            nulls: None,
+        };
+        for (dt, block) in [
+            (dt.clone(), Block::from_values(&dt, &values).unwrap()),
+            (DataType::Varchar, words),
+            (DataType::array(DataType::Varchar), list),
+        ] {
+            let flat = flat_for(dt);
+            let mut native: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
+            shred_block(&flat.roots[0], &block, 0..block.len(), &mut native).unwrap();
+            let mut via_values: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
+            shred_column(&flat.roots[0], &block.to_values(), &mut via_values).unwrap();
+            assert_eq!(native, via_values);
+        }
+    }
+
+    #[test]
+    fn null_free_structs_of_scalars_shred_to_level_runs() {
+        let dt = DataType::row(vec![
+            Field::new("a", DataType::Bigint),
+            Field::new("b", DataType::Varchar),
+        ]);
         let flat = flat_for(dt.clone());
-        let block = Block::from_values(&dt, &values).unwrap();
-
-        let mut native: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
-        shred_block(&flat.roots[0], &block, &mut native).unwrap();
-
-        let mut via_values: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
-        shred_column(&flat.roots[0], &values, &mut via_values).unwrap();
-
-        assert_eq!(native, via_values);
-    }
-
-    #[test]
-    fn bulk_fast_path_used_for_null_free_scalars() {
-        let flat = flat_for(DataType::Bigint);
-        let block = Block::bigint((0..1000).collect());
+        let names: Vec<String> = (0..1000).map(|i| format!("n{i}")).collect();
+        let block = Block::Row {
+            fields: vec![Field::new("a", DataType::Bigint), Field::new("b", DataType::Varchar)],
+            children: vec![Block::bigint((0..1000).collect()), Block::varchar(&names)],
+            len: 1000,
+            nulls: None,
+        };
         let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
-        shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
-        assert_eq!(sinks[0].len(), 1000);
-        assert_eq!(sinks[0].null_count(), 0);
-        assert!(sinks[0].defs.iter().all(|d| d == 1));
-    }
-
-    #[test]
-    fn dictionary_blocks_shred_through_decode() {
-        let flat = flat_for(DataType::Varchar);
-        let dict = Block::varchar(&["a", "b"]);
-        let block = Block::Dictionary { dictionary: Box::new(dict), ids: vec![1, 0, 1] };
-        let mut sinks: Vec<LeafData> = flat.leaves.iter().map(LeafData::new).collect();
-        shred_block(&flat.roots[0], &block, &mut sinks).unwrap();
-        let rebuilt = build_block(&flat.roots[0], &mut owned(sinks)).unwrap();
-        assert_eq!(rebuilt.to_values(), vec!["b".into(), "a".into(), "b".into()]);
+        // two pages' worth, the second a row range
+        shred_block(&flat.roots[0], &block, 0..1000, &mut sinks).unwrap();
+        shred_block(&flat.roots[0], &block, 200..300, &mut sinks).unwrap();
+        for sink in &sinks {
+            assert_eq!(sink.len(), 1100);
+            assert_eq!((sink.reps.run_level(), sink.defs.run_level()), (Some(0), Some(2)));
+        }
+        assert_eq!(sinks[1].values.get(1050, &DataType::Varchar), "n250".into());
     }
 }

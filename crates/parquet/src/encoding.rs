@@ -28,6 +28,11 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// Drop what was written, keeping the buffer for the next page.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Take the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -214,28 +219,22 @@ impl<'a> ByteReader<'a> {
 /// run-heavy (flat non-null data is one giant run), which is why the fast
 /// non-nested path of the vectorized reader (§V.I) can skip level decoding
 /// almost entirely.
-pub fn rle_encode(values: &[u32], out: &mut ByteWriter) {
+pub fn rle_encode<T: Copy + PartialEq + Into<u64>>(values: &[T], out: &mut ByteWriter) {
     out.varint(values.len() as u64);
+    let run_at = |i: usize| values[i..].iter().take_while(|&&v| v == values[i]).count();
     let mut i = 0;
     while i < values.len() {
-        // measure run
-        let mut run = 1;
-        while i + run < values.len() && values[i + run] == values[i] {
-            run += 1;
-        }
+        let run = run_at(i);
         if run >= 4 {
             out.varint(((run as u64) << 1) | 1);
-            out.varint(values[i] as u64);
+            out.varint(values[i].into());
             i += run;
         } else {
             // gather literals until the next long run
             let start = i;
             i += run;
             while i < values.len() {
-                let mut next_run = 1;
-                while i + next_run < values.len() && values[i + next_run] == values[i] {
-                    next_run += 1;
-                }
+                let next_run = run_at(i);
                 if next_run >= 4 {
                     break;
                 }
@@ -243,9 +242,23 @@ pub fn rle_encode(values: &[u32], out: &mut ByteWriter) {
             }
             out.varint(((i - start) as u64) << 1);
             for &v in &values[start..i] {
-                out.varint(v as u64);
+                out.varint(v.into());
             }
         }
+    }
+}
+
+/// [`rle_encode`] a level stream as it is held: a [`Levels::Run`] is one
+/// group, never expanded to be measured again.
+pub fn rle_encode_levels(levels: &Levels, out: &mut ByteWriter) {
+    match levels {
+        Levels::Run { level, len } if *len >= 4 => {
+            out.varint(*len as u64);
+            out.varint(((*len as u64) << 1) | 1);
+            out.varint(u64::from(*level));
+        }
+        Levels::Run { level, len } => rle_encode(&[*level; 3][..*len], out),
+        Levels::Each(levels) => rle_encode(levels, out),
     }
 }
 
@@ -399,7 +412,7 @@ mod tests {
     #[test]
     fn rle_rejects_corruption() {
         let mut w = ByteWriter::new();
-        rle_encode(&[1, 2, 3, 4, 5, 6, 7, 8], &mut w);
+        rle_encode(&[1u32, 2, 3, 4, 5, 6, 7, 8], &mut w);
         let data = w.into_bytes();
         let mut r = ByteReader::new(&data[..data.len() - 2]);
         assert!(rle_decode(&mut r).is_err());

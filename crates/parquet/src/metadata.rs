@@ -18,6 +18,7 @@ use presto_common::{DataType, PrestoError, Result, Value};
 use crate::codec::Codec;
 use crate::encoding::{ByteReader, ByteWriter};
 use crate::schema::{read_schema, write_schema};
+use crate::shred::{LeafData, LeafValues};
 use presto_common::Schema;
 
 /// File magic, both leading and trailing.
@@ -228,7 +229,7 @@ fn write_opt_value(v: &Option<Value>, w: &mut ByteWriter) {
         }
         Some(Value::Varchar(s)) => {
             w.u8(5);
-            // already bounded by update_stats; truncating here would break
+            // already bounded by chunk_stats; truncating here would break
             // the min-lower-bound / max-upper-bound invariants it maintains
             w.string(s);
         }
@@ -259,58 +260,87 @@ fn read_opt_value(r: &mut ByteReader<'_>) -> Result<Option<Value>> {
     })
 }
 
-/// Update running min/max stats with a defined value.
-pub fn update_stats(stats: &mut ColumnStats, v: &Value) {
-    if v.is_null() {
-        stats.null_count += 1;
-        return;
+/// Characters of a VARCHAR bound the footer keeps.
+const STATS_CHARS: usize = 64;
+
+/// Byte length of the first `n` characters of the UTF-8 string `s`, when it
+/// holds more than `n`.
+fn char_prefix(s: &[u8], n: usize) -> Option<usize> {
+    if s.len() <= n {
+        return None;
     }
-    // NaN is unordered: feeding it into min/max would poison the stats (no
-    // later value ever replaces it via sql_cmp) and make pushdown skip row
-    // groups it must read. NaN rows simply don't contribute to stats.
-    if matches!(v, Value::Double(d) if d.is_nan()) {
-        return;
-    }
-    // Nested values carry no stats (matching Parquet, which only keeps
-    // leaf-level min/max — and our leaves are always scalars).
-    let better_min = match &stats.min {
-        None => true,
-        Some(m) => v.sql_cmp(m) == Some(std::cmp::Ordering::Less),
-    };
-    if better_min {
-        stats.min = Some(truncate_min_for_stats(v));
-    }
-    let better_max = match &stats.max {
-        None => true,
-        Some(m) => v.sql_cmp(m) == Some(std::cmp::Ordering::Greater),
-    };
-    if better_max {
-        stats.max = Some(truncate_max_for_stats(v));
-    }
+    s.iter().enumerate().filter(|(_, &b)| b & 0xC0 != 0x80).nth(n).map(|(at, _)| at)
 }
 
-/// A prefix of a string is lexicographically ≤ the string, so plain
-/// truncation is a valid *lower* bound.
-fn truncate_min_for_stats(v: &Value) -> Value {
-    match v {
-        Value::Varchar(s) if s.chars().count() > 64 => Value::Varchar(s.chars().take(64).collect()),
-        other => other.clone(),
-    }
+/// First-seen minimum and maximum under `<` (ties keep the earlier value, as
+/// [`Value::sql_cmp`] improving only on `Less` / `Greater` does), wrapped
+/// for the footer.
+fn bounds<T: Copy + PartialOrd>(
+    mut values: impl Iterator<Item = T>,
+    wrap: fn(T) -> Value,
+) -> Option<(Value, Value)> {
+    let first = values.next()?;
+    let (min, max) = values.fold((first, first), |(min, max), v| {
+        (if v < min { v } else { min }, if v > max { v } else { max })
+    });
+    Some((wrap(min), wrap(max)))
 }
 
-/// A truncated prefix is lexicographically *smaller* than the value, so a
-/// max stat must round up: append the maximum char, which sorts above any
-/// continuation of the 63-char prefix. Otherwise stats pushdown would skip
-/// row groups containing long strings above the truncated max.
-fn truncate_max_for_stats(v: &Value) -> Value {
-    match v {
-        Value::Varchar(s) if s.chars().count() > 64 => {
-            let mut upper: String = s.chars().take(63).collect();
-            upper.push(char::MAX);
-            Value::Varchar(upper)
+/// Bounds of a chunk's strings, compared as the footer will hold them: a
+/// minimum is cut to its first 64 characters — a prefix sorts at or below
+/// the string, so that is a valid *lower* bound — and a maximum longer than
+/// that becomes its first 63 characters and `char::MAX`, which sorts above
+/// every continuation (plain truncation would let pushdown skip row groups
+/// holding strings above it). Later strings meet the bound so rounded, not
+/// the string it came from.
+fn string_bounds(offsets: &[u32], data: &[u8]) -> Option<(Value, Value)> {
+    /// `char::MAX` in UTF-8.
+    const CEILING: [u8; 4] = [0xF4, 0x8F, 0xBF, 0xBF];
+    let text = |s: &[u8]| String::from_utf8_lossy(s).into_owned();
+    let mut strings = offsets.windows(2).map(|w| &data[w[0] as usize..w[1] as usize]);
+    let first = strings.next()?;
+    fn floor(s: &[u8]) -> &[u8] {
+        &s[..char_prefix(s, STATS_CHARS).unwrap_or(s.len())]
+    }
+    fn capped(s: &[u8]) -> (&[u8], bool) {
+        match char_prefix(s, STATS_CHARS) {
+            Some(_) => (&s[..char_prefix(s, STATS_CHARS - 1).unwrap_or(s.len())], true),
+            None => (s, false),
         }
-        other => other.clone(),
     }
+    let (mut min, (mut max, mut rounded)) = (floor(first), capped(first));
+    for s in strings {
+        if s < min {
+            min = floor(s);
+        }
+        let above = if rounded { s.iter().gt(max.iter().chain(&CEILING)) } else { s > max };
+        if above {
+            (max, rounded) = capped(s);
+        }
+    }
+    let mut max = text(max);
+    if rounded {
+        max.push(char::MAX);
+    }
+    Some((Value::Varchar(text(min)), Value::Varchar(max)))
+}
+
+/// Statistics of one chunk: the NULL count from its levels, minimum and
+/// maximum from one typed pass over its values. NaN is unordered — it would
+/// poison a bound (nothing ever replaces it) and make pushdown skip row
+/// groups it must read — so NaNs do not contribute.
+pub fn chunk_stats(data: &LeafData) -> ColumnStats {
+    let bounds = match (&data.values, &data.scalar_type) {
+        (LeafValues::Bool(v), _) => bounds(v.iter().copied(), Value::Boolean),
+        (LeafValues::I32(v), DataType::Date) => bounds(v.iter().copied(), Value::Date),
+        (LeafValues::I32(v), _) => bounds(v.iter().copied(), Value::Integer),
+        (LeafValues::I64(v), DataType::Timestamp) => bounds(v.iter().copied(), Value::Timestamp),
+        (LeafValues::I64(v), _) => bounds(v.iter().copied(), Value::Bigint),
+        (LeafValues::F64(v), _) => bounds(v.iter().copied().filter(|x| !x.is_nan()), Value::Double),
+        (LeafValues::Bytes { offsets, data }, _) => string_bounds(offsets, data),
+    };
+    let (min, max) = bounds.map_or((None, None), |(min, max)| (Some(min), Some(max)));
+    ColumnStats { min, max, null_count: data.null_count() as u64 }
 }
 
 /// The scalar type a stats value should be read as, given a leaf logical type.
@@ -394,20 +424,28 @@ mod tests {
         assert!(FileMetadata::deserialize(&bytes).is_err());
     }
 
+    fn stats_of(dt: DataType, values: &[Value]) -> ColumnStats {
+        let leaf = crate::schema::FlatSchema::new(Schema::new(vec![Field::new("c", dt)]).unwrap())
+            .unwrap();
+        let mut sinks = vec![LeafData::new(&leaf.leaves[0])];
+        crate::shred::shred_column(&leaf.roots[0], values, &mut sinks).unwrap();
+        chunk_stats(&sinks[0])
+    }
+
     #[test]
-    fn stats_update_and_truncate() {
-        let mut stats = ColumnStats::default();
-        update_stats(&mut stats, &Value::Bigint(5));
-        update_stats(&mut stats, &Value::Null);
-        update_stats(&mut stats, &Value::Bigint(-2));
-        update_stats(&mut stats, &Value::Bigint(10));
+    fn chunk_stats_bound_and_truncate() {
+        let stats = stats_of(
+            DataType::Bigint,
+            &[Value::Bigint(5), Value::Null, Value::Bigint(-2), Value::Bigint(10)],
+        );
         assert_eq!(stats.min, Some(Value::Bigint(-2)));
         assert_eq!(stats.max, Some(Value::Bigint(10)));
         assert_eq!(stats.null_count, 1);
+        assert_eq!(stats_of(DataType::Date, &[Value::Date(3)]).max, Some(Value::Date(3)));
+        assert_eq!(stats_of(DataType::Varchar, &[Value::Null]).min, None);
 
-        let mut s = ColumnStats::default();
         let long = "x".repeat(200);
-        update_stats(&mut s, &Value::Varchar(long.clone()));
+        let s = stats_of(DataType::Varchar, &[Value::Varchar(long.clone())]);
         match &s.min {
             Some(Value::Varchar(v)) => {
                 assert_eq!(v.chars().count(), 64);
@@ -417,6 +455,7 @@ mod tests {
         }
         match &s.max {
             Some(Value::Varchar(v)) => {
+                assert_eq!(v.chars().count(), 64);
                 assert!(v.as_str() >= long.as_str(), "max must stay an upper bound");
             }
             other => panic!("unexpected {other:?}"),
@@ -425,11 +464,12 @@ mod tests {
 
     #[test]
     fn nan_does_not_poison_double_stats() {
-        let mut s = ColumnStats::default();
-        update_stats(&mut s, &Value::Double(f64::NAN));
-        update_stats(&mut s, &Value::Double(3.0));
-        update_stats(&mut s, &Value::Double(-1.0));
+        let d = Value::Double;
+        let s = stats_of(DataType::Double, &[d(f64::NAN), d(3.0), d(-1.0), d(f64::NAN)]);
         assert_eq!(s.min, Some(Value::Double(-1.0)));
         assert_eq!(s.max, Some(Value::Double(3.0)));
+        // +0.0 and -0.0 tie: the one seen first stays
+        let s = stats_of(DataType::Double, &[d(0.0), d(-0.0)]);
+        assert!(matches!(s.min, Some(Value::Double(z)) if z.is_sign_positive()));
     }
 }

@@ -121,16 +121,6 @@ impl LeafValues {
             }
         }
     }
-
-    /// Byte slice of value `i` (Bytes storage only).
-    pub fn bytes_at(&self, i: usize) -> Option<&[u8]> {
-        match self {
-            LeafValues::Bytes { offsets, data } => {
-                Some(&data[offsets[i] as usize..offsets[i + 1] as usize])
-            }
-            _ => None,
-        }
-    }
 }
 
 /// One level stream (repetition or definition) of a leaf chunk.
@@ -213,9 +203,9 @@ impl Levels {
         }
     }
 
-    /// The per-entry form, for appending. Only decoding makes a run and the
-    /// writers never append to one, so expanding it stays out of line and
-    /// out of their per-value loops.
+    /// The per-entry form, for appending one level at a time. Expanding a
+    /// run stays out of line and out of the record shredder's per-value
+    /// loop, which never meets one.
     #[inline]
     fn each_mut(&mut self) -> &mut Vec<u16> {
         #[cold]
@@ -239,17 +229,35 @@ impl Levels {
         self.each_mut().push(level);
     }
 
-    /// Append `n` entries at `level`.
+    /// Append `n` entries at `level`. A stream that is all one level stays
+    /// a [`Levels::Run`]: the column-wise shredder appends whole pages so.
     pub fn extend_run(&mut self, level: u16, n: usize) {
-        let each = self.each_mut();
-        each.resize(each.len() + n, level);
+        if n == 0 {
+            return;
+        }
+        match self {
+            Levels::Run { level: l, len } if *l == level => *len += n,
+            Levels::Each(v) if v.is_empty() => *self = Levels::Run { level, len: n },
+            _ => {
+                let each = self.each_mut();
+                each.resize(each.len() + n, level);
+            }
+        }
     }
 
-    /// Every level widened to `u32`, as the RLE encoder takes them.
-    pub fn to_u32s(&self) -> Vec<u32> {
+    /// Append every entry of `other`.
+    pub fn extend(&mut self, other: &Levels) {
+        match other {
+            Levels::Run { level, len } => self.extend_run(*level, *len),
+            Levels::Each(v) => self.each_mut().extend_from_slice(v),
+        }
+    }
+
+    /// Drop every entry, keeping the buffer.
+    pub fn clear(&mut self) {
         match self {
-            Levels::Run { level, len } => vec![u32::from(*level); *len],
-            Levels::Each(v) => v.iter().map(|&l| u32::from(l)).collect(),
+            Levels::Each(v) => v.clear(),
+            Levels::Run { .. } => *self = Levels::default(),
         }
     }
 }
@@ -278,6 +286,23 @@ impl LeafData {
             values: LeafValues::new(leaf.physical),
             max_def: leaf.max_def,
             scalar_type: leaf.scalar_type.clone(),
+        }
+    }
+
+    /// Drop every triplet, keeping the buffers: the writer's sinks serve
+    /// one row group after another.
+    pub fn clear(&mut self) {
+        self.reps.clear();
+        self.defs.clear();
+        match &mut self.values {
+            LeafValues::Bool(v) => v.clear(),
+            LeafValues::I32(v) => v.clear(),
+            LeafValues::I64(v) => v.clear(),
+            LeafValues::F64(v) => v.clear(),
+            LeafValues::Bytes { offsets, data } => {
+                offsets.truncate(1);
+                data.clear();
+            }
         }
     }
 

@@ -5,45 +5,14 @@
 //! page, per column and per *new* group. Counts are exact on any machine,
 //! so this holds on a noisy VM where a timing could not.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/counting.rs"]
+mod counting;
+
 use std::sync::Arc;
 
 use presto_common::{Block, DataType, Field, Page, Schema};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting this thread's allocations.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: same layout, as the caller guarantees for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: forwarded under the caller's `realloc` guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// An engine over `memory.t.facts`: `rows` rows in two pages. `id` is
 /// unique, `bucket` has `rows / 4` values, `flag` and `grade` six between
@@ -103,9 +72,9 @@ fn allocations(rows: usize) -> Vec<u64> {
     QUERIES
         .iter()
         .map(|(name, sql)| {
-            let before = ALLOCATIONS.with(Cell::get);
+            let before = counting::allocations();
             let result = engine.execute_with_session(sql, &session);
-            let after = ALLOCATIONS.with(Cell::get);
+            let after = counting::allocations();
             assert!(result.unwrap().row_count() > 0, "{name}");
             after - before
         })

@@ -7,6 +7,8 @@
 //! - RowExpression serialization round trip;
 //! - vectorized expression evaluation ≡ the scalar oracle.
 
+mod common;
+
 use proptest::prelude::*;
 
 use presto_common::{Block, DataType, Field, Page, Schema, Value};
@@ -73,42 +75,6 @@ fn arb_scalar(dt: &DataType) -> BoxedStrategy<Value> {
     }
 }
 
-/// Every shape the readers must get right: lists that are NULL, empty or
-/// hold NULLs; a struct under a struct; a list of structs that hold lists
-/// (and may themselves be NULL); a map to structs.
-fn nested_test_type() -> DataType {
-    DataType::row(vec![
-        Field::new("id", DataType::Bigint),
-        Field::new("name", DataType::Varchar),
-        Field::new("tags", DataType::array(DataType::Varchar)),
-        Field::new(
-            "inner",
-            DataType::row(vec![
-                Field::new("score", DataType::Double),
-                Field::new("flags", DataType::array(DataType::Bigint)),
-            ]),
-        ),
-        Field::new("props", DataType::map(DataType::Varchar, DataType::Double)),
-        Field::new(
-            "legs",
-            DataType::array(DataType::row(vec![
-                Field::new("stop", DataType::Varchar),
-                Field::new("codes", DataType::array(DataType::Bigint)),
-            ])),
-        ),
-        Field::new(
-            "attrs",
-            DataType::map(
-                DataType::Varchar,
-                DataType::row(vec![
-                    Field::new("weight", DataType::Double),
-                    Field::new("on", DataType::Boolean),
-                ]),
-            ),
-        ),
-    ])
-}
-
 /// A value of `dt`: NULL one time in ten at every nested level (one in four
 /// for scalars), lists and maps of 0..4 entries.
 fn arb_value(dt: &DataType) -> BoxedStrategy<Value> {
@@ -141,7 +107,7 @@ fn arb_value(dt: &DataType) -> BoxedStrategy<Value> {
 }
 
 fn arb_nested_value() -> BoxedStrategy<Value> {
-    arb_value(&nested_test_type())
+    arb_value(&common::nested_test_type())
 }
 
 /// Rows per row group: at least three groups from three rows up.
@@ -150,8 +116,8 @@ fn group_rows(rows: usize) -> usize {
 }
 
 fn file_for(values: &[Value], mode: WriterMode, codec: Codec) -> Vec<u8> {
-    let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
-    let block = Block::from_values(&nested_test_type(), values).unwrap();
+    let schema = Schema::new(vec![Field::new("base", common::nested_test_type())]).unwrap();
+    let block = Block::from_values(&common::nested_test_type(), values).unwrap();
     let row_group_rows = group_rows(values.len());
     let mut writer = FileWriter::new(
         schema,
@@ -171,7 +137,7 @@ const PROJECTED_PATHS: [&[&str]; 7] =
 /// `values` of the column narrowed to the struct path `path`, with their type:
 /// a NULL struct reads as NULL in every field below it.
 fn narrowed(values: &[Value], path: &[&str]) -> (DataType, Vec<Value>) {
-    let mut dt = nested_test_type();
+    let mut dt = common::nested_test_type();
     let mut values = values.to_vec();
     for segment in path {
         let DataType::Row(fields) = &dt else { panic!("{segment} is not under a struct") };
@@ -196,7 +162,7 @@ fn assert_new_reader_builds_canonical_blocks(
     values: &[Value],
     min_id: Option<i64>,
 ) {
-    let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
+    let schema = Schema::new(vec![Field::new("base", common::nested_test_type())]).unwrap();
     let projections =
         PROJECTED_PATHS.iter().map(|path| ProjectedColumn::path("base", path)).collect();
     let mut options = ReadOptions::new(projections);
@@ -245,8 +211,11 @@ proptest! {
     ) {
         let codec = match codec_pick { 0 => Codec::None, 1 => Codec::Fast, _ => Codec::Deep };
         let mode = if native { WriterMode::Native } else { WriterMode::Legacy };
-        let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
+        let schema = Schema::new(vec![Field::new("base", common::nested_test_type())]).unwrap();
         let bytes = file_for(&values, mode, codec);
+        // the two writers differ in how they shred, never in what they write
+        let other = if native { WriterMode::Legacy } else { WriterMode::Native };
+        prop_assert!(bytes == file_for(&values, other, codec), "native != legacy bytes");
         let source = BytesSource::new(bytes);
 
         // legacy reader
@@ -270,7 +239,7 @@ proptest! {
         values in proptest::collection::vec(arb_nested_value(), 1..40),
         threshold in any::<i64>(),
     ) {
-        let schema = Schema::new(vec![Field::new("base", nested_test_type())]).unwrap();
+        let schema = Schema::new(vec![Field::new("base", common::nested_test_type())]).unwrap();
         let bytes = file_for(&values, WriterMode::Native, Codec::Fast);
         let source = BytesSource::new(bytes);
 
@@ -348,7 +317,7 @@ proptest! {
         value in arb_nested_value(),
     ) {
         use presto_expr::RowExpression;
-        let expr = RowExpression::Constant { value, data_type: nested_test_type() };
+        let expr = RowExpression::Constant { value, data_type: common::nested_test_type() };
         let text = expr.serialize();
         prop_assert_eq!(RowExpression::deserialize(&text).unwrap(), expr);
     }
@@ -424,7 +393,7 @@ proptest! {
         values in proptest::collection::vec(arb_nested_value(), 1..20),
         picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..40),
     ) {
-        let block = Block::from_values(&nested_test_type(), &values).unwrap();
+        let block = Block::from_values(&common::nested_test_type(), &values).unwrap();
         let indices: Vec<usize> = picks.iter().map(|p| p.index(values.len())).collect();
         let taken = block.take(&indices);
         let expected: Vec<Value> = indices.iter().map(|&i| values[i].clone()).collect();
@@ -439,7 +408,7 @@ proptest! {
     ) {
         let mask: Vec<bool> =
             (0..values.len()).map(|i| mask_seed[i % mask_seed.len()]).collect();
-        let block = Block::from_values(&nested_test_type(), &values).unwrap();
+        let block = Block::from_values(&common::nested_test_type(), &values).unwrap();
         let filtered = block.filter(&mask);
         let expected: Vec<Value> = values
             .iter()

@@ -7,45 +7,13 @@
 //! where a timing could not. (`exec_allocations.rs` is the same guard for
 //! the executor's breakers.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/counting.rs"]
+mod counting;
 
 use presto_common::{Block, DataType, Field, Page, Schema};
 use presto_parquet::reader::BytesSource;
 use presto_parquet::reader_new::{self, ProjectedColumn, ReadOptions};
 use presto_parquet::{Codec, FileWriter, WriterMode, WriterProperties};
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting this thread's allocations.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: same layout, as the caller guarantees for `alloc`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: forwarded under the caller's `realloc` guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const ROW_GROUPS: usize = 4;
 
@@ -156,9 +124,9 @@ fn read_allocations(rows: usize) -> (u64, usize, usize) {
     let options = ReadOptions::new(
         ["tags", "features", "workflow"].iter().map(|c| ProjectedColumn::whole(*c)).collect(),
     );
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = counting::allocations();
     let (pages, stats) = reader_new::read(&source, &schema(), &options).unwrap();
-    let after = ALLOCATIONS.with(Cell::get);
+    let after = counting::allocations();
     (after - before, pages.iter().map(Page::positions).sum(), stats.row_groups_total)
 }
 
