@@ -261,10 +261,7 @@ pub fn build(rows_per_partition: usize) -> Fig17Workload {
 /// plus the virtual I/O time the simulated HDFS charged (the paper's testbed
 /// pays real network/disk I/O; the legacy reader moves far more bytes).
 pub fn time_query(workload: &Fig17Workload, sql: &str, legacy: bool) -> Duration {
-    workload.hive.set_reader_config(HiveReaderConfig {
-        use_legacy_reader: legacy,
-        ..HiveReaderConfig::default()
-    });
+    workload.hive.set_reader_config(HiveReaderConfig { use_legacy_reader: legacy });
     let session = Session::new("hive", "rawdata");
     let io_before = workload.hdfs.clock().now();
     let start = Instant::now();
@@ -315,10 +312,7 @@ mod tests {
         let w = build(2_000);
         let session = Session::new("hive", "rawdata");
         for q in &w.queries {
-            w.hive.set_reader_config(HiveReaderConfig {
-                use_legacy_reader: true,
-                ..HiveReaderConfig::default()
-            });
+            w.hive.set_reader_config(HiveReaderConfig { use_legacy_reader: true });
             let old = w
                 .engine
                 .execute_with_session(&q.sql, &session)

@@ -39,7 +39,6 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use presto_cache::fragment::{fingerprint, FragmentKey, FragmentResultCache};
-use presto_common::clock::SimStopwatch;
 use presto_common::metrics::{names, CounterSet, Fnv, Histogram, HistogramSet};
 use presto_common::telemetry::{QueryRow, TaskRow, TelemetryRegistry, WorkerRow};
 use presto_common::trace::{SpanId, SpanKind, Trace};
@@ -48,8 +47,8 @@ use presto_common::{FaultDecision, FaultInjector, Page, PrestoError, Result, Sim
 use presto_connectors::{
     Connector, ConnectorSplit, ScanHooks, ScanRequest, SplitPayload, SystemConnector,
 };
-use presto_core::{PrestoEngine, QueryInfo, QueryResult, Session};
-use presto_plan::{LogicalPlan, PlanFragment};
+use presto_core::{AdmittedQuery, PrestoEngine, QueryResult, Session};
+use presto_plan::{fragment_plan, LogicalPlan, PlanFragment};
 use presto_resource::{AdmissionConfig, QueryPriority, ResourceConfig, ResourceManager};
 
 use crate::worker::{
@@ -62,6 +61,10 @@ const SCAN_TASK_BASE: Duration = Duration::from_micros(100);
 
 /// Virtual per-row scan cost in nanoseconds.
 const SCAN_ROW_NANOS: u64 = 100;
+
+/// First retry backoff; doubles per retry round. Waits advance the virtual
+/// [`SimClock`], never the wall clock.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
 
 /// Scheduler estimate of the worker memory one in-flight split occupies.
 /// Reservations made with it are a *placement score* input, not
@@ -96,9 +99,6 @@ pub struct ClusterConfig {
     pub fault_recovery: bool,
     /// Times one split may be attempted before the query fails.
     pub max_split_attempts: u32,
-    /// First retry backoff; doubles per retry round. Waits advance the
-    /// virtual [`SimClock`], never the wall clock.
-    pub retry_backoff_base: Duration,
     /// Quarantine a worker after this many *consecutive* task failures
     /// (0 = never blacklist).
     pub blacklist_after: u32,
@@ -162,7 +162,6 @@ impl Default for ClusterConfig {
             fault_injector: FaultInjector::disabled(),
             fault_recovery: true,
             max_split_attempts: 4,
-            retry_backoff_base: Duration::from_millis(50),
             blacklist_after: 3,
             quarantine_period: DEFAULT_QUARANTINE_PERIOD,
             probation_window: DEFAULT_PROBATION_WINDOW,
@@ -176,7 +175,8 @@ impl Default for ClusterConfig {
 ///
 /// Counters: `cluster.queries`, `cluster.tasks`, `cluster.queries_failed`
 /// (the query *started* and then died), `cluster.queries_rejected` (refused
-/// at the door — maintenance drain or admission queue full),
+/// at the door — maintenance drain, admission queue full, or a statement
+/// that does not parse or plan),
 /// `cluster.worker_failures`, `cluster.split_retries`, and
 /// `cluster.blacklisted_workers`.
 pub struct PrestoCluster {
@@ -502,7 +502,7 @@ impl PrestoCluster {
         let Some(source) = caches.get(&from) else { return };
         let mut migrated = 0u64;
         for (key, pages) in source.entries() {
-            let Some(owner) = ring.owner(&key.split_identity) else { continue };
+            let Some(owner) = ring.owner(ring_identity(&key.split_identity)) else { continue };
             if let Some(successor) = caches.get(&owner) {
                 successor.put_shared(key, pages);
                 migrated += 1;
@@ -657,13 +657,17 @@ impl PrestoCluster {
 
     /// Execute a query with distributed scan fragments.
     ///
-    /// Queries pass the coordinator's admission queue first; the RAII
-    /// permit is held for the query's whole distributed run.
+    /// Every statement comes through the engine's front door
+    /// ([`PrestoEngine::run_query`]: parse, plan, `EXPLAIN`, admission, the
+    /// query span and stopwatch); what the cluster adds is *how the plan
+    /// runs* and its own counters and telemetry row. `EXPLAIN` answers with
+    /// the plan and starts nothing; `EXPLAIN ANALYZE` runs distributed.
     ///
-    /// Refusals are not failures: a maintenance drain or a full admission
-    /// queue turns the query away *before it starts* and counts as
-    /// `cluster.queries_rejected`, so `cluster.queries_failed` is reserved
-    /// for queries that actually ran and died. The maintenance refusal is
+    /// Refusals are not failures: a maintenance drain, a full admission
+    /// queue or a statement that does not plan turns the query away *before
+    /// it starts* and counts as `cluster.queries_rejected`, so
+    /// `cluster.queries_failed` is reserved for queries that actually ran
+    /// and died. The maintenance refusal is
     /// [`PrestoError::ClusterUnavailable`] — retryable, so a gateway that
     /// raced the drain can fail the query over to a healthy cluster.
     pub fn execute(&self, sql: &str, session: &Session) -> Result<QueryResult> {
@@ -693,92 +697,62 @@ impl PrestoCluster {
                 self.name
             )));
         }
-        let query_metrics = CounterSet::new();
-        let permit = match self.engine.resources().admission().admit(
-            &session.user,
-            session.priority,
-            &query_metrics,
-        ) {
-            Ok(permit) => permit,
-            Err(e) => {
+        let mut query_id = None;
+        let (result, info) = self.engine.run_query(sql, session, clock, |query| {
+            let id = self.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
+            self.metrics.incr(names::CLUSTER_QUERIES);
+            query_id = Some(id);
+            self.run_distributed(query, session, id, clock)
+        });
+        let Some(query_id) = query_id else {
+            // never started: EXPLAIN's plan text, or turned away at the door
+            if result.is_err() {
                 self.metrics.incr(names::CLUSTER_QUERIES_REJECTED);
-                return Err(e);
             }
+            return result;
         };
-        let query_id = self.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.incr(names::CLUSTER_QUERIES);
-        // The query trace runs on the query's virtual clock, so span
-        // timestamps line up with task waits and retry backoffs.
-        let trace = Trace::new(clock.clone());
-        let root = trace.begin(SpanKind::Query, "query", None);
-        let watch = SimStopwatch::start(clock);
-        let result =
-            self.execute_inner(sql, session, query_id, &query_metrics, &trace, root, clock);
-        drop(permit);
-        let latency = watch.elapsed();
-        trace.end(root);
-        let failed = result.is_err();
-        let peak_memory = query_metrics.get(names::MEMORY_RESERVED_PEAK) as usize;
         self.telemetry.record_query(QueryRow {
             query_id,
-            state: if failed { "failed" } else { "finished" }.to_string(),
-            latency_us: u64::try_from(latency.as_micros()).unwrap_or(u64::MAX),
-            peak_memory_bytes: peak_memory as u64,
+            state: if result.is_err() { "failed" } else { "finished" }.to_string(),
+            latency_us: u64::try_from(info.latency.as_micros()).unwrap_or(u64::MAX),
+            peak_memory_bytes: info.peak_memory as u64,
             peak_busy_pct: self.telemetry.series().get(names::TS_FLEET_BUSY_PCT).peak(),
             snapshots: self.telemetry.snapshots(),
         });
-        match result {
-            Ok(mut ok) => {
-                self.histograms
-                    .record(names::HIST_CLUSTER_QUERY_LATENCY_US, latency.as_micros() as u64);
-                ok.info = QueryInfo { trace, latency, peak_memory };
-                Ok(ok)
-            }
-            Err(e) => {
-                self.metrics.incr(names::CLUSTER_QUERIES_FAILED);
-                trace.set_attr(root, "error", 1);
-                Err(e)
-            }
+        match &result {
+            Ok(_) => self
+                .histograms
+                .record(names::HIST_CLUSTER_QUERY_LATENCY_US, info.latency.as_micros() as u64),
+            Err(_) => self.metrics.incr(names::CLUSTER_QUERIES_FAILED),
         }
+        result
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn execute_inner(
+    /// How this cluster runs an admitted query's plan: fragment it, spread
+    /// each scan fragment's splits across the workers on the query's clock,
+    /// then run the root fragment on the coordinator over the exchanges.
+    fn run_distributed(
         &self,
-        sql: &str,
+        query: &AdmittedQuery<'_>,
         session: &Session,
         query_id: u64,
-        query_metrics: &CounterSet,
-        trace: &Trace,
-        root: SpanId,
         clock: &SimClock,
-    ) -> Result<QueryResult> {
-        let fragments = self.engine.fragment(sql, session)?;
-        let schema = fragments[0].plan.output_schema()?;
-
-        // Execute leaf (scan) fragments with splits spread across workers.
+    ) -> Result<Vec<Page>> {
+        let &AdmittedQuery { metrics, trace, root, .. } = query;
+        let fragments = fragment_plan(query.plan.clone())?;
         let mut exchanges: Vec<(u32, Vec<Page>)> = Vec::new();
         for fragment in &fragments[1..] {
+            let LogicalPlan::TableScan { catalog, schema, table, request, .. } = &fragment.plan
+            else {
+                return Err(PrestoError::Internal(format!(
+                    "fragment {} is not a table scan",
+                    fragment.id
+                )));
+            };
             let stage =
                 trace.begin(SpanKind::Stage, format!("fragment[{}]", fragment.id), Some(root));
-            let LogicalPlan::TableScan { catalog, schema: sch, table, request, .. } =
-                &fragment.plan
-            else {
-                // non-scan fragment (not produced by the current fragmenter)
-                let pages = self.engine.execute_fragment_traced(
-                    fragment,
-                    vec![],
-                    session,
-                    query_metrics,
-                    trace,
-                    Some(stage),
-                )?;
-                trace.end(stage);
-                exchanges.push((fragment.id, pages));
-                continue;
-            };
             let connector = self.engine.catalogs().get(catalog)?;
-            let splits = match connector.splits(sch, table, request) {
+            let splits = match connector.splits(schema, table, request) {
                 Ok(splits) => splits,
                 Err(e) => {
                     trace.end(stage);
@@ -806,21 +780,16 @@ impl PrestoCluster {
         // Root fragment runs on the coordinator.
         let stage =
             trace.begin(SpanKind::Stage, format!("fragment[{}]", fragments[0].id), Some(root));
-        let pages = self.engine.execute_fragment_traced(
-            &fragments[0],
+        let pages = self.engine.run_plan(
+            &fragments[0].plan,
             exchanges,
             session,
-            query_metrics,
+            metrics,
             trace,
             Some(stage),
         );
         trace.end(stage);
-        Ok(QueryResult {
-            schema,
-            pages: pages?,
-            metrics: query_metrics.clone(),
-            info: QueryInfo::empty(),
-        })
+        pages
     }
 
     /// Run one scan fragment's splits across the eligible workers as a
@@ -950,7 +919,7 @@ impl PrestoCluster {
         if !injector.is_enabled() {
             return Ok(pages);
         }
-        let mut backoff = self.config.retry_backoff_base;
+        let mut backoff = RETRY_BACKOFF_BASE;
         let mut attempt = 1u64;
         loop {
             match presto_exec::exchange::deliver(injector, clock, fragment, &pages, attempt) {
@@ -989,7 +958,7 @@ impl PrestoCluster {
         hooks: &ScanHooks,
     ) -> Result<Vec<Page>> {
         let _task = worker.begin_task()?;
-        let key = FragmentKey { plan_fingerprint, split_identity: split_identity(&split.payload) };
+        let key = FragmentKey { plan_fingerprint, split_identity: cache_identity(&split.payload) };
         let cacheable = cache.is_some() && is_immutable_split(&split.payload);
         if cacheable {
             if let Some(hit) = cache.and_then(|c| c.get(&key)) {
@@ -1329,10 +1298,7 @@ impl ScanScheduler<'_> {
                     return Err(err);
                 }
                 self.cluster.metrics.incr(names::CLUSTER_SPLIT_RETRIES);
-                let backoff = self
-                    .cluster
-                    .config
-                    .retry_backoff_base
+                let backoff = RETRY_BACKOFF_BASE
                     .saturating_mul(2u32.saturating_pow(self.failures[split] - 1));
                 self.cluster
                     .histograms
@@ -1551,7 +1517,8 @@ fn attempts_exhausted(split: usize, cap: u32, last: &PrestoError) -> PrestoError
     }
 }
 
-/// Stable identity of a split, for affinity hashing and cache keys.
+/// Stable identity of a split: the key affinity scheduling and cache
+/// migration place it by on the ring.
 fn split_identity(payload: &SplitPayload) -> String {
     match payload {
         SplitPayload::HiveFile { path, .. } => format!("hive:{path}"),
@@ -1563,9 +1530,32 @@ fn split_identity(payload: &SplitPayload) -> String {
     }
 }
 
-/// Only splits over immutable data may be result-cached: warehouse files
-/// never change in place, generated TPC-H data is deterministic. Memory and
-/// MySQL tables mutate; real-time segments keep arriving — and `system`
+/// Parts a warehouse file's [`split_identity`] from its version in a
+/// fragment-cache key. It sorts below every path byte, so keys still order
+/// (and migrate, and evict) as their ring identities do.
+const VERSION_SEPARATOR: char = '\0';
+
+/// A split's identity in the fragment result cache: where it lives on the
+/// ring, and for a warehouse file which version of it was scanned — a file
+/// rewritten in place is a new entry, not a stale hit.
+fn cache_identity(payload: &SplitPayload) -> String {
+    let identity = split_identity(payload);
+    match payload {
+        SplitPayload::HiveFile { version: (size, generation), .. } => {
+            format!("{identity}{VERSION_SEPARATOR}{size}.{generation}")
+        }
+        _ => identity,
+    }
+}
+
+/// The [`split_identity`] a [`cache_identity`] was built on.
+fn ring_identity(cache_identity: &str) -> &str {
+    cache_identity.split_once(VERSION_SEPARATOR).map_or(cache_identity, |(ring, _)| ring)
+}
+
+/// Only splits over immutable data may be result-cached: a warehouse file
+/// is keyed by its version, generated TPC-H data is deterministic. Memory
+/// and MySQL tables mutate; real-time segments keep arriving — and `system`
 /// tables are live telemetry, different on every snapshot.
 fn is_immutable_split(payload: &SplitPayload) -> bool {
     matches!(payload, SplitPayload::HiveFile { .. } | SplitPayload::Tpch { .. })
@@ -1921,7 +1911,7 @@ mod tests {
         c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
         let h = c.histograms().get(names::HIST_CLUSTER_RETRY_BACKOFF_US);
         assert!(h.count() >= 1, "at least one backoff round ran");
-        assert!(h.min() >= c.config.retry_backoff_base.as_micros() as u64);
+        assert!(h.min() >= RETRY_BACKOFF_BASE.as_micros() as u64);
     }
 
     #[test]

@@ -307,7 +307,7 @@ impl PrestoGateway {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use presto_common::SimClock;
+    use presto_common::{DataType, SimClock};
     use presto_core::PrestoEngine;
     use std::time::Duration;
 
@@ -335,6 +335,45 @@ mod tests {
         gateway.set_route(DEFAULT_GROUP, "shared").unwrap();
         gateway.set_route("ads", "dedicated-1").unwrap();
         (gateway, dedicated, shared)
+    }
+
+    #[test]
+    fn explain_comes_back_as_plan_text_through_cluster_and_gateway() {
+        let (gateway, dedicated, _) = gateway_with_clusters();
+        let session = Session::new("tpch", "tiny");
+        let plan_text = |result: QueryResult| {
+            assert_eq!(result.schema.fields().len(), 1);
+            assert_eq!(result.schema.fields()[0].name, "plan");
+            assert_eq!(result.schema.fields()[0].data_type, DataType::Varchar);
+            assert_eq!(result.row_count(), 1);
+            result.rows()[0][0].to_string()
+        };
+        let tasks = || dedicated.metrics().get("cluster.tasks");
+
+        // EXPLAIN plans and answers; nothing is scheduled
+        let sql = "EXPLAIN SELECT count(*) FROM lineitem";
+        for result in [dedicated.execute(sql, &session), gateway.submit("ads", sql, &session)] {
+            let text = plan_text(result.unwrap());
+            assert!(text.contains("TableScan"), "{text}");
+            assert!(!text.contains("rows:"), "plain EXPLAIN carries no runtime stats: {text}");
+        }
+        assert_eq!(tasks(), 0);
+        assert_eq!(dedicated.queries_started(), 0);
+
+        // EXPLAIN ANALYZE runs distributed and annotates what ran
+        let sql = "EXPLAIN ANALYZE SELECT count(*) FROM lineitem";
+        let through_cluster = dedicated.execute(sql, &session).unwrap();
+        let scheduled = tasks();
+        let through_gateway = gateway.submit("ads", sql, &session).unwrap();
+        assert_eq!(tasks(), 2 * scheduled);
+        for result in [through_cluster, through_gateway] {
+            assert!(!result.info.trace.is_empty());
+            let text = plan_text(result);
+            assert!(text.contains("Aggregate") && text.contains("rows:"), "{text}");
+            assert!(text.contains("Telemetry"), "{text}");
+        }
+        assert!(tasks() > 0, "EXPLAIN ANALYZE scheduled its scan");
+        assert_eq!(dedicated.queries_started(), 2);
     }
 
     #[test]

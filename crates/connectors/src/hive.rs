@@ -11,9 +11,8 @@
 //! - the §VII.B **file-handle cache** (`getFileInfo` only — every scan still
 //!   reads and decodes the footer; `presto_cache::FooterCache` serves the
 //!   §VII experiment, not this path);
-//! - both **reader generations**: the connector can run with the legacy
-//!   reader (`use_legacy_reader`) or the new reader with per-feature
-//!   toggles — the Fig 17 ablation switchboard.
+//! - both **reader generations**: the connector runs the new reader, or the
+//!   legacy one (`use_legacy_reader`) as Fig 17's baseline.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -70,31 +69,13 @@ impl HiveTableDef {
     }
 }
 
-/// Reader configuration — the Fig 17 switchboard.
-#[derive(Debug, Clone)]
+/// Reader configuration — Fig 17's one switch between the two reader
+/// generations.
+#[derive(Debug, Clone, Default)]
 pub struct HiveReaderConfig {
-    /// Use the legacy reader end to end.
+    /// Use the legacy reader end to end (off: the new reader, with every
+    /// pushdown of [`ReadOptions::new`]).
     pub use_legacy_reader: bool,
-    /// New reader: stats-based row-group skipping.
-    pub stats_pushdown: bool,
-    /// New reader: dictionary-based row-group skipping.
-    pub dictionary_pushdown: bool,
-    /// New reader: lazy projection decoding.
-    pub lazy_reads: bool,
-    /// New reader: vectorized decoding.
-    pub vectorized: bool,
-}
-
-impl Default for HiveReaderConfig {
-    fn default() -> Self {
-        HiveReaderConfig {
-            use_legacy_reader: false,
-            stats_pushdown: true,
-            dictionary_pushdown: true,
-            lazy_reads: true,
-            vectorized: true,
-        }
-    }
 }
 
 /// The Hive connector. Cloning shares metastore, caches and filesystem.
@@ -104,6 +85,9 @@ pub struct HiveConnector {
     tables: Arc<RwLock<BTreeMap<(String, String), HiveTableDef>>>,
     file_lists: FileListCache,
     handles: FileHandleCache,
+    /// Writes through this connector, per path: what tells a file rewritten
+    /// in place from the one a cached scan result was computed from.
+    write_generations: Arc<RwLock<BTreeMap<String, u64>>>,
     reader_config: Arc<RwLock<HiveReaderConfig>>,
     metrics: CounterSet,
 }
@@ -116,6 +100,7 @@ impl HiveConnector {
             handles: FileHandleCache::new(fs.clone(), 4096, metrics.clone()),
             fs,
             tables: Arc::new(RwLock::new(BTreeMap::new())),
+            write_generations: Arc::new(RwLock::new(BTreeMap::new())),
             reader_config: Arc::new(RwLock::new(HiveReaderConfig::default())),
             metrics,
         }
@@ -126,7 +111,7 @@ impl HiveConnector {
         &self.metrics
     }
 
-    /// Swap the reader configuration (ablation experiments).
+    /// Swap the reader configuration (the Fig 17 experiment).
     pub fn set_reader_config(&self, config: HiveReaderConfig) {
         *self.reader_config.write() = config;
     }
@@ -231,9 +216,11 @@ impl HiveConnector {
         // the directory's cached listing (sealed partitions and the
         // unpartitioned table root are cacheable) no longer matches disk,
         // and neither does the path's cached size if it was rewritten in
-        // place — a stale size misplaces the footer
+        // place — a stale size misplaces the footer — nor any scan result
+        // cached downstream under the split's previous version
         self.file_lists.invalidate(&dir);
         self.handles.invalidate(&path);
+        *self.write_generations.write().entry(path.clone()).or_default() += 1;
         Ok(path)
     }
 
@@ -287,7 +274,10 @@ impl Connector for HiveConnector {
                               partition: Option<(String, String)>,
                               splits: &mut Vec<ConnectorSplit>|
          -> Result<()> {
-            for file in self.file_lists.list_partition(dir, sealed)?.iter() {
+            let files = self.file_lists.list_partition(dir, sealed)?;
+            let generations = self.write_generations.read();
+            for file in files.iter() {
+                let generation = generations.get(&file.path).copied().unwrap_or(0);
                 splits.push(ConnectorSplit {
                     id: SplitId(next_id),
                     schema: schema.to_string(),
@@ -295,6 +285,7 @@ impl Connector for HiveConnector {
                     payload: SplitPayload::HiveFile {
                         path: file.path.clone(),
                         partition: partition.clone(),
+                        version: (file.size, generation),
                     },
                 });
                 next_id += 1;
@@ -341,7 +332,7 @@ impl Connector for HiveConnector {
             ));
         }
         let (path, partition) = match &split.payload {
-            SplitPayload::HiveFile { path, partition } => (path, partition),
+            SplitPayload::HiveFile { path, partition, .. } => (path, partition),
             other => {
                 return Err(PrestoError::Connector(format!(
                     "hive connector got foreign split {other:?}"
@@ -415,14 +406,7 @@ impl Connector for HiveConnector {
                     })
                     .collect(),
             };
-            let options = ReadOptions {
-                projections,
-                predicate,
-                stats_pushdown: config.stats_pushdown,
-                dictionary_pushdown: config.dictionary_pushdown,
-                lazy_reads: config.lazy_reads,
-                vectorized: config.vectorized,
-            };
+            let options = ReadOptions::new(projections).with_predicate(predicate);
             let (pages, stats) = reader_new::read(&source, &def.file_schema, &options)?;
             self.metrics.add(names::HIVE_LEAVES_DECODED, stats.leaves_decoded as u64);
             self.metrics.add(
@@ -576,10 +560,7 @@ mod tests {
         let splits = hive.splits("rawdata", "trips", &request).unwrap();
 
         let run = |legacy: bool| -> Vec<Vec<Value>> {
-            hive.set_reader_config(HiveReaderConfig {
-                use_legacy_reader: legacy,
-                ..HiveReaderConfig::default()
-            });
+            hive.set_reader_config(HiveReaderConfig { use_legacy_reader: legacy });
             splits
                 .iter()
                 .flat_map(|s| hive.scan_split(s, &request, &ScanHooks::none()).unwrap())
@@ -608,10 +589,7 @@ mod tests {
         let new_leaves = hive.metrics().get(names::HIVE_LEAVES_DECODED);
 
         hive.metrics().reset();
-        hive.set_reader_config(HiveReaderConfig {
-            use_legacy_reader: true,
-            ..HiveReaderConfig::default()
-        });
+        hive.set_reader_config(HiveReaderConfig { use_legacy_reader: true });
         for s in &splits {
             hive.scan_split(s, &request, &ScanHooks::none()).unwrap();
         }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use presto_common::block::NullMask;
 use presto_common::ids::SplitId;
-use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
-use presto_parquet::ScalarPredicate;
+use presto_common::{Block, DataType, Page, PrestoError, Result, Schema, Value};
+use presto_parquet::{ScalarPredicate, TypedPredicate};
 
 use crate::spi::{
     ColumnPath, Connector, ConnectorSplit, PushdownPredicate, ScanCapabilities, ScanHooks,
@@ -188,45 +188,6 @@ pub(crate) fn scan_page(
     }
 }
 
-/// A pushed-down conjunct over the values of one typed column: a closed
-/// interval or a finite set. Built only when every literal compares with
-/// the column in the column's own class under [`Value::sql_cmp`], so
-/// `contains` is exactly [`ScalarPredicate::matches`].
-enum Domain<T> {
-    Interval(T, T),
-    Set(Vec<T>),
-}
-
-impl<T: Copy + PartialOrd> Domain<T> {
-    /// `pred` as a domain: `literal` reads a literal of the column's class,
-    /// `min`/`max` stand in for an open end (`None`: the class has none).
-    fn of<'p>(
-        pred: &'p ScalarPredicate,
-        literal: impl Fn(&'p Value) -> Option<T>,
-        min: Option<T>,
-        max: Option<T>,
-    ) -> Option<Domain<T>> {
-        match pred {
-            ScalarPredicate::Eq(v) => literal(v).map(|x| Domain::Interval(x, x)),
-            ScalarPredicate::In(values) => {
-                values.iter().map(&literal).collect::<Option<Vec<T>>>().map(Domain::Set)
-            }
-            ScalarPredicate::Range { min: lo, max: hi } => Some(Domain::Interval(
-                lo.as_ref().map_or(min, &literal)?,
-                hi.as_ref().map_or(max, &literal)?,
-            )),
-        }
-    }
-
-    /// NaN is in no domain, as `sql_cmp` orders it with nothing.
-    fn contains(&self, v: T) -> bool {
-        match self {
-            Domain::Interval(lo, hi) => v >= *lo && v <= *hi,
-            Domain::Set(values) => values.contains(&v),
-        }
-    }
-}
-
 /// `mask[i] &= values[i]` is not NULL and passes `test`.
 fn narrow<T: Copy>(mask: &mut [bool], values: &[T], nulls: &NullMask, test: impl Fn(T) -> bool) {
     match nulls {
@@ -239,54 +200,41 @@ fn narrow<T: Copy>(mask: &mut [bool], values: &[T], nulls: &NullMask, test: impl
     }
 }
 
-/// Narrow `mask` to the rows of `block` matching `pred` in a tight loop over
-/// the typed values (a dictionary block: once per entry). Returns `false`,
-/// leaving `mask` alone, when the block or a literal has no typed form.
-fn narrow_typed<'p>(block: &Block, pred: &'p ScalarPredicate, mask: &mut [bool]) -> bool {
-    let int = |v: &'p Value| match (block, v) {
-        (Block::Bigint { .. } | Block::Integer { .. }, Value::Bigint(_) | Value::Integer(_))
-        | (Block::Date { .. }, Value::Date(_))
-        | (Block::Timestamp { .. }, Value::Timestamp(_)) => v.as_i64(),
-        _ => None,
-    };
-    let ints = || Domain::of(pred, int, Some(i64::MIN), Some(i64::MAX));
-    match block {
-        Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
-            let Some(domain) = ints() else { return false };
+/// Narrow `mask` to the rows of a `column`-typed `block` matching `pred` in
+/// a tight loop over the typed values (a dictionary block: once per entry).
+/// Returns `false`, leaving `mask` alone, when `pred` has no typed form.
+fn narrow_typed(
+    block: &Block,
+    column: &DataType,
+    pred: &ScalarPredicate,
+    mask: &mut [bool],
+) -> bool {
+    if let Block::Dictionary { dictionary, ids } = block {
+        let mut entries = vec![true; dictionary.len()];
+        if !narrow_typed(dictionary, column, pred, &mut entries) {
+            return false;
+        }
+        mask.iter_mut().zip(ids).for_each(|(keep, &id)| *keep = *keep && entries[id as usize]);
+        return true;
+    }
+    match (pred.typed(column), block) {
+        (
+            Some(TypedPredicate::Int(domain)),
+            Block::Bigint { values, nulls } | Block::Timestamp { values, nulls },
+        ) => narrow(mask, values, nulls, |v| domain.contains(v)),
+        (
+            Some(TypedPredicate::Int(domain)),
+            Block::Integer { values, nulls } | Block::Date { values, nulls },
+        ) => narrow(mask, values, nulls, |v| domain.contains(i64::from(v))),
+        (Some(TypedPredicate::Double(domain)), Block::Double { values, nulls }) => {
             narrow(mask, values, nulls, |v| domain.contains(v));
         }
-        Block::Integer { values, nulls } | Block::Date { values, nulls } => {
-            let Some(domain) = ints() else { return false };
-            narrow(mask, values, nulls, |v| domain.contains(i64::from(v)));
-        }
-        Block::Double { values, nulls } => {
-            // an unbounded range also accepts NaN, which no interval does
-            if matches!(pred, ScalarPredicate::Range { min: None, max: None }) {
-                return false;
-            }
-            let number = |v: &'p Value| match v {
-                Value::Double(_) | Value::Bigint(_) | Value::Integer(_) => v.as_f64(),
-                _ => None,
-            };
-            let ends = (Some(f64::NEG_INFINITY), Some(f64::INFINITY));
-            let Some(domain) = Domain::of(pred, number, ends.0, ends.1) else { return false };
-            narrow(mask, values, nulls, |v| domain.contains(v));
-        }
-        Block::Varchar { offsets, bytes, nulls } => {
-            let text = |v: &'p Value| v.as_str().map(str::as_bytes);
-            let Some(domain) = Domain::of(pred, text, Some(&b""[..]), None) else { return false };
+        (Some(TypedPredicate::Bytes(domain)), Block::Varchar { offsets, bytes, nulls }) => {
             for (i, keep) in mask.iter_mut().enumerate() {
                 *keep = *keep
                     && !nulls.as_ref().is_some_and(|n| n[i])
                     && domain.contains(&bytes[offsets[i] as usize..offsets[i + 1] as usize]);
             }
-        }
-        Block::Dictionary { dictionary, ids } => {
-            let mut entries = vec![true; dictionary.len()];
-            if !narrow_typed(dictionary, pred, &mut entries) {
-                return false;
-            }
-            mask.iter_mut().zip(ids).for_each(|(keep, &id)| *keep = *keep && entries[id as usize]);
         }
         _ => return false,
     }
@@ -309,10 +257,10 @@ pub(crate) fn predicate_mask(
         })?;
         let block = page.block(idx);
         let path = &conjunct.target.path;
-        if path.is_empty() && narrow_typed(block, &conjunct.predicate, &mut mask) {
+        let column_type = &schema.field_at(idx).data_type;
+        if path.is_empty() && narrow_typed(block, column_type, &conjunct.predicate, &mut mask) {
             continue;
         }
-        let column_type = &schema.field_at(idx).data_type;
         for (i, keep) in mask.iter_mut().enumerate().filter(|(_, keep)| **keep) {
             *keep = conjunct.predicate.matches(&extract_path(&block.value(i), column_type, path));
         }
@@ -346,13 +294,13 @@ fn project_column(schema: &Schema, page: &Page, col: &ColumnPath, kept: &Kept) -
 
 /// Navigate a struct value along field names; `dt` translates names to the
 /// positional layout of `Value::Row`.
-fn extract_path(v: &Value, dt: &presto_common::DataType, path: &[String]) -> Value {
+fn extract_path(v: &Value, dt: &DataType, path: &[String]) -> Value {
     if path.is_empty() {
         return v.clone();
     }
     match (v, dt) {
         (Value::Null, _) => Value::Null,
-        (Value::Row(items), presto_common::DataType::Row(fields)) => {
+        (Value::Row(items), DataType::Row(fields)) => {
             match fields.iter().position(|f| f.name == path[0]) {
                 Some(i) => extract_path(&items[i], &fields[i].data_type, &path[1..]),
                 None => Value::Null,
@@ -365,7 +313,7 @@ fn extract_path(v: &Value, dt: &presto_common::DataType, path: &[String]) -> Val
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_common::{DataType, Field};
+    use presto_common::Field;
 
     fn setup() -> MemoryConnector {
         let connector = MemoryConnector::new();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use presto_common::{Block, DataType, Page, Result, Value};
 use presto_expr::{Accumulator, AggregateFunction};
-use presto_parquet::ScalarPredicate;
+use presto_parquet::{Domain, ScalarPredicate, TypedPredicate};
 
 use super::segment::{ColumnRef, DimColumn, IntKind, Segment};
 use super::RealtimeTable;
@@ -74,10 +74,10 @@ impl<'a> Selection<'a> {
 pub(super) enum Conjunct<'q> {
     /// A dimension predicate: evaluated on each segment's dictionary.
     Dim(usize, &'q ScalarPredicate),
-    /// An integer column (index into `Segment::ints`) within a closed interval.
-    IntRange(usize, i64, i64),
-    /// A double column within a closed interval (NaN is outside every one).
-    DoubleRange(usize, f64, f64),
+    /// An integer column (index into `Segment::ints`) within an interval or set.
+    Int(usize, Domain<i64>),
+    /// A double column within an interval or set (NaN is outside every one).
+    Double(usize, Domain<f64>),
     /// A numeric column whose literals need [`Value::sql_cmp`]: whatever
     /// [`ScalarPredicate::matches`] says of each candidate row's scalar.
     Reference(ColumnRef, &'q ScalarPredicate),
@@ -91,72 +91,39 @@ pub(super) fn compile<'q>(
     filters
         .iter()
         .map(|(name, pred)| {
-            let (column, _) = table.column(name)?;
-            let typed = match column {
-                ColumnRef::Dim(d) => Some(Conjunct::Dim(d, pred)),
-                ColumnRef::Int(i, kind) => {
-                    int_interval(kind, pred).map(|(lo, hi)| Conjunct::IntRange(i, lo, hi))
+            let (column, data_type) = table.column(name)?;
+            Ok(match (column, pred.typed(data_type)) {
+                (ColumnRef::Dim(d), _) => Conjunct::Dim(d, pred),
+                (ColumnRef::Int(i, _), Some(TypedPredicate::Int(domain))) => {
+                    Conjunct::Int(i, domain)
                 }
-                ColumnRef::Double(i) => {
-                    double_interval(pred).map(|(lo, hi)| Conjunct::DoubleRange(i, lo, hi))
+                (ColumnRef::Double(i), Some(TypedPredicate::Double(domain))) => {
+                    Conjunct::Double(i, domain)
                 }
-            };
-            Ok(typed.unwrap_or(Conjunct::Reference(column, pred)))
+                _ => Conjunct::Reference(column, pred),
+            })
         })
         .collect()
 }
 
-/// `pred` over an integer column as a closed interval, when every literal
-/// compares with that column as an integer under [`Value::sql_cmp`].
-fn int_interval(kind: IntKind, pred: &ScalarPredicate) -> Option<(i64, i64)> {
-    let literal = |v: &Value| match (kind, v) {
-        (IntKind::Timestamp, Value::Timestamp(x)) => Some(*x),
-        (IntKind::Bigint | IntKind::Integer, Value::Bigint(x)) => Some(*x),
-        (IntKind::Bigint | IntKind::Integer, Value::Integer(x)) => Some(i64::from(*x)),
-        _ => None,
-    };
-    match pred {
-        ScalarPredicate::Eq(v) => literal(v).map(|x| (x, x)),
-        ScalarPredicate::Range { min, max } => Some((
-            min.as_ref().map_or(Some(i64::MIN), literal)?,
-            max.as_ref().map_or(Some(i64::MAX), literal)?,
-        )),
-        ScalarPredicate::In(_) => None,
-    }
-}
-
-/// `pred` over a double column as a closed interval: `sql_cmp` widens every
-/// numeric literal to `f64`, and `>=`/`<=` reject NaN exactly as it does.
-fn double_interval(pred: &ScalarPredicate) -> Option<(f64, f64)> {
-    let literal = |v: &Value| match v {
-        Value::Double(_) | Value::Bigint(_) | Value::Integer(_) => v.as_f64(),
-        _ => None,
-    };
-    match pred {
-        ScalarPredicate::Eq(v) => literal(v).map(|x| (x, x)),
-        // an unbounded range also accepts NaN, which no interval does
-        ScalarPredicate::Range { min: None, max: None } => None,
-        ScalarPredicate::Range { min, max } => Some((
-            min.as_ref().map_or(Some(f64::NEG_INFINITY), literal)?,
-            max.as_ref().map_or(Some(f64::INFINITY), literal)?,
-        )),
-        ScalarPredicate::In(_) => None,
-    }
-}
-
-/// The ascending dictionary codes of `dim` whose values satisfy `pred`.
+/// The ascending dictionary codes of `dim` whose values satisfy `pred`: a
+/// binary search per literal of a point or a set, else one test per entry.
 fn matching_codes(dim: &DimColumn, pred: &ScalarPredicate) -> Vec<u32> {
-    match pred {
-        ScalarPredicate::Eq(Value::Varchar(s)) => dim.code_of(s).into_iter().collect(),
-        // only a VARCHAR literal can equal a dimension value
-        ScalarPredicate::In(values) => {
-            let mut codes: Vec<u32> =
-                values.iter().filter_map(|v| dim.code_of(v.as_str()?)).collect();
+    let entries = 0..dim.cardinality() as u32;
+    match pred.typed(&DataType::Varchar) {
+        Some(TypedPredicate::Bytes(Domain::Interval(lo, hi))) if lo == hi => {
+            dim.code_of(lo).into_iter().collect()
+        }
+        Some(TypedPredicate::Bytes(Domain::Set(values))) => {
+            let mut codes: Vec<u32> = values.iter().filter_map(|v| dim.code_of(v)).collect();
             codes.sort_unstable();
             codes.dedup();
             codes
         }
-        _ => (0..dim.cardinality() as u32)
+        Some(TypedPredicate::Bytes(range)) => {
+            entries.filter(|&code| range.contains(dim.value(code).as_bytes())).collect()
+        }
+        _ => entries
             .filter(|&code| pred.matches(&Value::Varchar(dim.value(code).to_string())))
             .collect(),
     }
@@ -229,18 +196,18 @@ pub(super) fn select<'a>(
         }
     }
     for conjunct in conjuncts {
-        match *conjunct {
+        match conjunct {
             Conjunct::Dim(..) => {}
-            Conjunct::IntRange(i, lo, hi) => {
-                let column = &seg.ints[i];
-                probe(every_row.take(), buf, |r| (lo..=hi).contains(&column[r]));
+            Conjunct::Int(i, domain) => {
+                let column = &seg.ints[*i];
+                probe(every_row.take(), buf, |r| domain.contains(column[r]));
             }
-            Conjunct::DoubleRange(i, lo, hi) => {
-                let column = &seg.doubles[i];
-                probe(every_row.take(), buf, |r| column[r] >= lo && column[r] <= hi);
+            Conjunct::Double(i, domain) => {
+                let column = &seg.doubles[*i];
+                probe(every_row.take(), buf, |r| domain.contains(column[r]));
             }
             Conjunct::Reference(column, pred) => {
-                probe(every_row.take(), buf, |r| pred.matches(&seg.value(column, r)));
+                probe(every_row.take(), buf, |r| pred.matches(&seg.value(*column, r)));
             }
         }
     }

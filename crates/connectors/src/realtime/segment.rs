@@ -132,11 +132,11 @@ impl DimColumn {
     }
 
     /// The code of `s`, if any row holds it (binary search).
-    pub(super) fn code_of(&self, s: &str) -> Option<u32> {
+    pub(super) fn code_of(&self, s: &[u8]) -> Option<u32> {
         let (mut lo, mut hi) = (0u32, self.cardinality() as u32);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.value(mid).cmp(s) {
+            match self.value(mid).as_bytes().cmp(s) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => return Some(mid),

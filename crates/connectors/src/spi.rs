@@ -160,6 +160,11 @@ pub enum SplitPayload {
         path: String,
         /// `(partition_column, value)` when the table is partitioned.
         partition: Option<(String, String)>,
+        /// Which bytes the path held when it was listed: the listing's size
+        /// and the connector's count of writes to the path. A result cached
+        /// for one version is not an answer for another; placement ignores
+        /// it.
+        version: (u64, u64),
     },
     /// One chunk of an in-memory table.
     Memory {

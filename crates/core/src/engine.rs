@@ -3,13 +3,14 @@
 //! Fig 1's lifecycle, end to end: SQL → tokens → AST → analyzer → logical
 //! plan → optimizer rounds → (optionally) fragmenter → execution. The local
 //! engine executes unfragmented plans directly; the cluster runtime
-//! ([`presto-cluster`](https://crates.io)) uses [`PrestoEngine::plan`] +
-//! [`presto_plan::fragment_plan`] to run fragments on simulated workers.
+//! ([`presto-cluster`](https://crates.io)) comes through the same front door
+//! ([`PrestoEngine::run_query`]) and runs the plan it is handed as
+//! [`presto_plan::fragment_plan`] fragments on simulated workers.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use presto_common::clock::SimStopwatch;
+use presto_common::clock::{SimClock, SimStopwatch};
 use presto_common::metrics::{names, CounterSet};
 use presto_common::telemetry::TelemetryRegistry;
 use presto_common::trace::{OperatorStats, SpanId, SpanKind, Trace};
@@ -17,8 +18,8 @@ use presto_common::{Page, PrestoError, Result, Schema, Value};
 use presto_connectors::{CatalogRegistry, Connector};
 use presto_exec::{execute, ExecutionContext};
 use presto_expr::{Evaluator, FunctionRegistry};
-use presto_plan::{explain, explain_analyze, fragment_plan, optimize, LogicalPlan, PlanFragment};
-use presto_resource::{QueryPool, ResourceManager, SpillManager};
+use presto_plan::{explain, explain_analyze, optimize, LogicalPlan, PlanFragment};
+use presto_resource::{ResourceManager, SpillManager};
 use presto_sql::{analyze, parse_sql, AnalyzerContext, Statement};
 
 use crate::plugin::register_geospatial_plugin;
@@ -47,6 +48,20 @@ impl QueryInfo {
     pub fn operator_stats(&self) -> Vec<OperatorStats> {
         self.trace.operator_stats()
     }
+}
+
+/// An admitted query, as [`PrestoEngine::run_query`] hands it to whoever
+/// runs it: the optimized plan, and the per-query counters, trace and root
+/// span to run it under.
+pub struct AdmittedQuery<'a> {
+    /// The optimized plan.
+    pub plan: &'a LogicalPlan,
+    /// The query's counter set (ends up on [`QueryResult::metrics`]).
+    pub metrics: &'a CounterSet,
+    /// The query's trace, on the query's clock.
+    pub trace: &'a Trace,
+    /// The open `"query"` span every stage and operator hangs under.
+    pub root: SpanId,
 }
 
 /// A completed query's output.
@@ -203,8 +218,12 @@ impl PrestoEngine {
 
     /// Parse + analyze + optimize into a logical plan.
     pub fn plan(&self, sql: &str, session: &Session) -> Result<LogicalPlan> {
-        let statement = parse_sql(sql)?;
-        let query = match &statement {
+        self.plan_statement(&parse_sql(sql)?, session)
+    }
+
+    /// Analyze + optimize a parsed statement (the query inside an `EXPLAIN`).
+    fn plan_statement(&self, statement: &Statement, session: &Session) -> Result<LogicalPlan> {
+        let query = match statement {
             Statement::Query(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
         };
         let analyzer_ctx = AnalyzerContext {
@@ -218,88 +237,82 @@ impl PrestoEngine {
         optimize(plan, &self.catalogs, &evaluator, &session.optimizer)
     }
 
-    /// Fragment an optimized plan into stages (§III).
-    pub fn fragment(&self, sql: &str, session: &Session) -> Result<Vec<PlanFragment>> {
-        fragment_plan(self.plan(sql, session)?)
-    }
-
     /// EXPLAIN: the optimized plan as text.
     pub fn explain(&self, sql: &str, session: &Session) -> Result<String> {
         Ok(explain(&self.plan(sql, session)?))
     }
 
-    /// Execute a query under a session.
+    /// The front door every statement comes through (§III, §VIII): parse
+    /// once, plan, answer a plain `EXPLAIN` with the plan text, pass
+    /// admission control (§XII), then hand the optimized plan to `run` under
+    /// a fresh `"query"` span and a stopwatch on `clock`. `run` is the only
+    /// thing a caller chooses: the engine executes the plan in place, the
+    /// cluster runtime fragments it and schedules the scans on its workers.
+    /// `EXPLAIN ANALYZE` runs the query like any other and answers with the
+    /// plan annotated from the trace.
     ///
-    /// The query first passes admission control (§XII), then runs under a
-    /// per-query slice of the engine's cluster memory pool. Queue-wait,
-    /// peak-memory, and spill counters land on [`QueryResult::metrics`].
-    pub fn execute_with_session(&self, sql: &str, session: &Session) -> Result<QueryResult> {
-        let statement = parse_sql(sql)?;
-        if let Statement::Explain(_) = statement {
-            let text = self.explain(sql, session)?;
-            return plan_text_result(text, CounterSet::new(), QueryInfo::empty());
-        }
-        let plan = self.plan(sql, session)?;
-        let metrics = CounterSet::new();
-        let _permit =
-            self.resources.admission().admit(&session.user, session.priority, &metrics)?;
-        let (result, info) = self.run_plan_traced(&plan, session, &metrics);
-        if let Statement::ExplainAnalyze(_) = statement {
-            // EXPLAIN ANALYZE runs the query, then reports the plan tree
-            // annotated with the operator stats the trace collected, plus a
-            // telemetry footer: how hot the fleet ran while this query was
-            // sampled, and how many snapshots back the claim.
-            result?;
-            let mut text = explain_analyze(&plan, &info.operator_stats());
-            let snapshots = self.telemetry.snapshots();
-            let peak_busy = self.telemetry.series().get(names::TS_FLEET_BUSY_PCT).peak();
-            text.push_str(&format!(
-                "Telemetry  {{snapshots: {snapshots}, peak busy: {peak_busy}%}}\n"
-            ));
-            return plan_text_result(text, metrics, info);
-        }
-        let schema = plan.output_schema()?;
-        Ok(QueryResult { schema, pages: result?, metrics, info })
-    }
-
-    /// Execute an optimized plan under a fresh query span, timing it against
-    /// the engine's virtual clock. Returns the execution outcome alongside
-    /// the [`QueryInfo`] (populated even on failure, for postmortems).
-    fn run_plan_traced(
+    /// Returns the outcome alongside the [`QueryInfo`] of the run — populated
+    /// even when `run` failed, for postmortems; empty when the statement
+    /// never ran (`EXPLAIN`, a parse or plan error, a full admission queue).
+    pub fn run_query(
         &self,
-        plan: &LogicalPlan,
+        sql: &str,
         session: &Session,
-        metrics: &CounterSet,
-    ) -> (Result<Vec<Page>>, QueryInfo) {
-        let trace = Trace::new(self.resources.clock().clone());
-        let root = trace.begin(SpanKind::Query, "query", None);
-        let watch = SimStopwatch::start(trace.clock());
-        let (ctx, pool) = self.execution_context(session, metrics);
-        let ctx = ctx.with_trace(trace.clone(), Some(root));
-        let result = execute(plan, &ctx);
-        metrics.add(names::MEMORY_RESERVED_PEAK, pool.peak() as u64);
-        debug_assert_eq!(pool.reserved(), 0, "query left memory reserved after completion");
-        trace.end(root);
-        let info = QueryInfo { trace, latency: watch.elapsed(), peak_memory: pool.peak() };
+        clock: &SimClock,
+        run: impl FnOnce(&AdmittedQuery<'_>) -> Result<Vec<Page>>,
+    ) -> (Result<QueryResult>, QueryInfo) {
+        let mut info = QueryInfo::empty();
+        let result = (|| {
+            let statement = parse_sql(sql)?;
+            let plan = self.plan_statement(&statement, session)?;
+            if let Statement::Explain(_) = statement {
+                return plan_text_result(explain(&plan), CounterSet::new(), QueryInfo::empty());
+            }
+            let metrics = CounterSet::new();
+            // held for the query's whole run
+            let _permit =
+                self.resources.admission().admit(&session.user, session.priority, &metrics)?;
+            // The trace runs on the query's clock, so span timestamps line
+            // up with task waits and retry backoffs.
+            let trace = Trace::new(clock.clone());
+            let root = trace.begin(SpanKind::Query, "query", None);
+            let watch = SimStopwatch::start(clock);
+            let pages = run(&AdmittedQuery { plan: &plan, metrics: &metrics, trace: &trace, root });
+            trace.end(root);
+            info = QueryInfo {
+                trace,
+                latency: watch.elapsed(),
+                peak_memory: metrics.get(names::MEMORY_RESERVED_PEAK) as usize,
+            };
+            let pages = pages?;
+            if let Statement::ExplainAnalyze(_) = statement {
+                // The plan tree annotated with the operator stats the trace
+                // collected, plus a telemetry footer: how hot the fleet ran
+                // while this query was sampled, and how many snapshots back
+                // the claim.
+                let mut text = explain_analyze(&plan, &info.operator_stats());
+                let snapshots = self.telemetry.snapshots();
+                let peak_busy = self.telemetry.series().get(names::TS_FLEET_BUSY_PCT).peak();
+                text.push_str(&format!(
+                    "Telemetry  {{snapshots: {snapshots}, peak busy: {peak_busy}%}}\n"
+                ));
+                return plan_text_result(text, metrics, info.clone());
+            }
+            Ok(QueryResult { schema: plan.output_schema()?, pages, metrics, info: info.clone() })
+        })();
         (result, info)
     }
 
-    /// Build a per-query execution context: a fresh query slice of the
-    /// shared cluster memory pool, plus a spill manager when the session
-    /// allows spilling.
-    fn execution_context(
-        &self,
-        session: &Session,
-        metrics: &CounterSet,
-    ) -> (ExecutionContext, Arc<QueryPool>) {
-        let pool = self.resources.pool().register_query(session.memory_budget);
-        let spill: Option<Arc<SpillManager>> = session
-            .spill_enabled
-            .then(|| Arc::new(self.resources.spill_manager(pool.query_id(), metrics.clone())));
-        let mut ctx = ExecutionContext::with_registry(self.catalogs.clone(), self.registry.clone());
-        ctx.metrics = metrics.clone();
-        let ctx = ctx.with_resources(pool.clone(), spill);
-        (ctx, pool)
+    /// Execute a query under a session.
+    ///
+    /// The query comes through [`PrestoEngine::run_query`] and runs under a
+    /// per-query slice of the engine's cluster memory pool. Queue-wait,
+    /// peak-memory, and spill counters land on [`QueryResult::metrics`].
+    pub fn execute_with_session(&self, sql: &str, session: &Session) -> Result<QueryResult> {
+        let run = |query: &AdmittedQuery<'_>| {
+            self.run_plan(query.plan, vec![], session, query.metrics, query.trace, Some(query.root))
+        };
+        self.run_query(sql, session, self.resources.clock(), run).0
     }
 
     /// Execute with the default session.
@@ -308,61 +321,51 @@ impl PrestoEngine {
     }
 
     /// Execute one fragment with bound remote sources — the worker-side
-    /// entry point used by the cluster runtime.
+    /// entry point used by the cluster runtime. Fragments skip admission
+    /// (the enclosing query already holds the run slot).
     pub fn execute_fragment(
         &self,
         fragment: &PlanFragment,
         remote_inputs: Vec<(u32, Vec<Page>)>,
         session: &Session,
     ) -> Result<Vec<Page>> {
-        self.execute_fragment_with_metrics(fragment, remote_inputs, session, &CounterSet::new())
-    }
-
-    /// As [`PrestoEngine::execute_fragment`], but accounting into the
-    /// caller's per-query counter set — the cluster runtime shares one set
-    /// across all of a query's fragments. Fragments skip admission (the
-    /// enclosing query already holds the run slot).
-    pub fn execute_fragment_with_metrics(
-        &self,
-        fragment: &PlanFragment,
-        remote_inputs: Vec<(u32, Vec<Page>)>,
-        session: &Session,
-        metrics: &CounterSet,
-    ) -> Result<Vec<Page>> {
         // A private trace: worker-side fragment runs must not advance the
         // shared virtual clock (concurrent advances would make span
         // timestamps — and therefore trace digests — interleaving-dependent).
-        self.execute_fragment_traced(
-            fragment,
-            remote_inputs,
-            session,
-            metrics,
-            &Trace::default(),
-            None,
-        )
+        let metrics = CounterSet::new();
+        self.run_plan(&fragment.plan, remote_inputs, session, &metrics, &Trace::default(), None)
     }
 
-    /// As [`PrestoEngine::execute_fragment_with_metrics`], recording the
-    /// fragment's operator spans into `trace` under `parent`. Only safe from
-    /// a single thread per trace clock — the cluster runtime uses this for
-    /// the coordinator-side root fragment.
-    pub fn execute_fragment_traced(
+    /// Execute a plan (a whole query's, or one fragment's with its remote
+    /// sources bound) under a fresh query slice of the shared cluster memory
+    /// pool, plus a spill manager when the session allows spilling. Accounts
+    /// into the caller's per-query counter set and records the operator
+    /// spans into `trace` under `parent`. Only safe from a single thread per
+    /// trace clock — the cluster runtime uses this for the coordinator-side
+    /// root fragment.
+    pub fn run_plan(
         &self,
-        fragment: &PlanFragment,
+        plan: &LogicalPlan,
         remote_inputs: Vec<(u32, Vec<Page>)>,
         session: &Session,
         metrics: &CounterSet,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<Vec<Page>> {
-        let (mut ctx, pool) = self.execution_context(session, metrics);
+        let pool = self.resources.pool().register_query(session.memory_budget);
+        let spill: Option<Arc<SpillManager>> = session
+            .spill_enabled
+            .then(|| Arc::new(self.resources.spill_manager(pool.query_id(), metrics.clone())));
+        let mut ctx = ExecutionContext::with_registry(self.catalogs.clone(), self.registry.clone());
+        ctx.metrics = metrics.clone();
+        let mut ctx = ctx.with_resources(pool.clone(), spill);
         for (id, pages) in remote_inputs {
             ctx.bind_remote_source(id, pages);
         }
         let ctx = ctx.with_trace(trace.clone(), parent);
-        let result = execute(&fragment.plan, &ctx);
+        let result = execute(plan, &ctx);
         metrics.add(names::MEMORY_RESERVED_PEAK, pool.peak() as u64);
-        debug_assert_eq!(pool.reserved(), 0, "fragment left memory reserved after completion");
+        debug_assert_eq!(pool.reserved(), 0, "plan left memory reserved after completion");
         result
     }
 
@@ -622,10 +625,11 @@ mod tests {
     #[test]
     fn fragments_for_distributed_execution() {
         let engine = engine_with_data();
-        let fragments = engine.fragment("SELECT count(*) FROM trips", &Session::default()).unwrap();
+        let session = Session::default();
+        let plan = engine.plan("SELECT count(*) FROM trips", &session).unwrap();
+        let fragments = presto_plan::fragment_plan(plan).unwrap();
         assert_eq!(fragments.len(), 2);
         // run the scan fragment, feed it to the root fragment
-        let session = Session::default();
         let scan_out = engine.execute_fragment(&fragments[1], vec![], &session).unwrap();
         let root_out =
             engine.execute_fragment(&fragments[0], vec![(1, scan_out)], &session).unwrap();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use presto_common::metrics::CounterSet;
 use presto_common::trace::{SpanId, Trace};
-use presto_common::{Page, Result};
+use presto_common::Page;
 use presto_connectors::CatalogRegistry;
 use presto_expr::{Evaluator, FunctionRegistry};
 use presto_resource::{MemoryPool, QueryPool, ReservationKind, SpillManager};
@@ -17,10 +17,6 @@ pub struct ExecutionContext {
     pub catalogs: CatalogRegistry,
     /// Expression evaluator (shares the session's function registry).
     pub evaluator: Evaluator,
-    /// Bytes of materialized state (join builds, aggregation tables, sort
-    /// buffers) allowed before `"Insufficient Resource"`; `None` = unlimited.
-    /// Mirrors the per-query limit on [`ExecutionContext::pool`].
-    pub memory_budget: Option<usize>,
     /// Pages bound for `RemoteSource` leaves, keyed by fragment id —
     /// populated by the cluster runtime when executing upper fragments.
     pub remote_sources: HashMap<u32, Vec<Page>>,
@@ -42,7 +38,8 @@ pub struct ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// Context over catalogs with a default function registry and no budget.
+    /// Context over catalogs with a default function registry and no memory
+    /// limit.
     pub fn new(catalogs: CatalogRegistry) -> ExecutionContext {
         ExecutionContext::with_registry(catalogs, FunctionRegistry::new())
     }
@@ -55,7 +52,6 @@ impl ExecutionContext {
         ExecutionContext {
             catalogs,
             evaluator: Evaluator::new(registry),
-            memory_budget: None,
             remote_sources: HashMap::new(),
             metrics: CounterSet::new(),
             pool: MemoryPool::unbounded().register_query(None),
@@ -72,10 +68,11 @@ impl ExecutionContext {
         self
     }
 
-    /// Set the memory budget (standalone contexts: re-registers this query
-    /// on a private unbounded cluster pool with the given per-query limit).
+    /// Set the memory budget — the bytes of materialized state (join builds,
+    /// aggregation tables, sort buffers) allowed before `"Insufficient
+    /// Resource"` (standalone contexts: re-registers this query on a private
+    /// unbounded cluster pool with the given per-query limit).
     pub fn with_memory_budget(mut self, bytes: usize) -> ExecutionContext {
-        self.memory_budget = Some(bytes);
         self.pool = MemoryPool::unbounded().register_query(Some(bytes));
         self
     }
@@ -88,7 +85,6 @@ impl ExecutionContext {
         pool: Arc<QueryPool>,
         spill: Option<Arc<SpillManager>>,
     ) -> ExecutionContext {
-        self.memory_budget = pool.limit();
         self.pool = pool;
         self.spill = spill;
         self
@@ -97,20 +93,6 @@ impl ExecutionContext {
     /// Bind pages for a `RemoteSource` fragment.
     pub fn bind_remote_source(&mut self, fragment: u32, pages: Vec<Page>) {
         self.remote_sources.insert(fragment, pages);
-    }
-
-    /// Reserve materialized-state memory; errors with the §XII.C message
-    /// when the session budget is exceeded.
-    ///
-    /// Legacy non-RAII entry point — operator code should prefer
-    /// [`QueryPool::reserve`] guards, which release on early-error unwinds.
-    pub fn reserve_memory(&self, bytes: usize) -> Result<()> {
-        self.pool.try_reserve(bytes, ReservationKind::User)
-    }
-
-    /// Release previously reserved memory.
-    pub fn release_memory(&self, bytes: usize) {
-        self.pool.release(bytes, ReservationKind::User);
     }
 
     /// Bytes currently reserved.
@@ -137,21 +119,21 @@ mod tests {
     #[test]
     fn memory_budget_enforced() {
         let ctx = ExecutionContext::new(CatalogRegistry::new()).with_memory_budget(1000);
-        ctx.reserve_memory(600).unwrap();
-        let err = ctx.reserve_memory(600).unwrap_err();
+        let held = ctx.pool.reserve(600, ReservationKind::User).unwrap();
+        let err = ctx.pool.reserve(600, ReservationKind::User).unwrap_err();
         assert_eq!(err.code(), "INSUFFICIENT_RESOURCES");
         assert!(err.message().contains("Insufficient Resource"));
         // the failed reservation was rolled back
         assert_eq!(ctx.reserved_memory(), 600);
-        ctx.release_memory(600);
+        drop(held);
         assert_eq!(ctx.reserved_memory(), 0);
-        ctx.reserve_memory(900).unwrap();
+        ctx.pool.reserve(900, ReservationKind::User).unwrap();
     }
 
     #[test]
     fn unlimited_without_budget() {
         let ctx = ExecutionContext::new(CatalogRegistry::new());
-        ctx.reserve_memory(usize::MAX / 2).unwrap();
+        ctx.pool.reserve(usize::MAX / 2, ReservationKind::User).unwrap();
     }
 
     #[test]
@@ -159,11 +141,11 @@ mod tests {
         let cluster = MemoryPool::new(Some(1 << 20));
         let query = cluster.register_query(Some(4096));
         let ctx = ExecutionContext::new(CatalogRegistry::new()).with_resources(query, None);
-        assert_eq!(ctx.memory_budget, Some(4096));
-        ctx.reserve_memory(4096).unwrap();
+        assert_eq!(ctx.pool.limit(), Some(4096));
+        let held = ctx.pool.reserve(4096, ReservationKind::User).unwrap();
         assert_eq!(cluster.used(), 4096);
-        assert!(ctx.reserve_memory(1).is_err());
-        ctx.release_memory(4096);
+        assert!(ctx.pool.reserve(1, ReservationKind::User).is_err());
+        drop(held);
         assert_eq!(cluster.used(), 0);
     }
 }

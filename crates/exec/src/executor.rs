@@ -364,7 +364,7 @@ fn aggregate_pages(
     let mut blocks = Vec::with_capacity(schema.len());
     for (column, field) in key_columns.iter().zip(schema.fields()) {
         blocks.push(match column.is_empty() {
-            true => Block::from_values(&field.data_type, &[])?,
+            true => Block::nulls(&field.data_type, 0),
             false => Block::concat(column)?,
         });
     }
@@ -852,9 +852,10 @@ fn execute_sort(
 }
 
 /// External merge sort: each input page becomes a spilled sorted run (only
-/// one page is reserved at a time), then the runs are k-way merged. Ties
-/// break by (run order, row order), reproducing exactly what a stable sort
-/// over the concatenated input would produce.
+/// one page is reserved at a time), then the runs are read back in order
+/// and merged by one stable sort. Ties break by (run order, row order),
+/// reproducing exactly what a stable sort over the concatenated input
+/// would produce.
 fn external_sort(
     pages: &[Page],
     keys: &[SortKey],
@@ -884,65 +885,24 @@ fn external_sort(
         run_files.push(spill.spill_pages(schema, &[page.take(&indices)])?);
     }
 
-    // Phase 2: k-way merge.
-    struct Run {
-        rows: Vec<Vec<Value>>,
-        keys: Vec<Block>,
-        cursor: usize,
-    }
+    // Phase 2: the runs back to back, in order, under one stable sort.
     let mut runs = Vec::with_capacity(run_files.len());
     for file in &run_files {
-        let run_pages = spill.read(file)?;
-        let page = Page::concat(&run_pages)?;
-        let key_blocks = keys
-            .iter()
-            .map(|k| ctx.evaluator.evaluate(&k.expr, &page))
-            .collect::<Result<Vec<_>>>()?;
-        runs.push(Run { rows: page.rows(), keys: key_blocks, cursor: 0 });
-    }
-    let run_less = |a: &Run, b: &Run| -> bool {
-        for (k, key) in keys.iter().enumerate() {
-            let ord = a.keys[k].value(a.cursor).total_cmp(&b.keys[k].value(b.cursor));
-            let ord = if key.descending { ord.reverse() } else { ord };
-            match ord {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        false // equal keys: the earlier run wins (stability)
-    };
-    let total_rows: usize = runs.iter().map(|r| r.rows.len()).sum();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(total_rows);
-    for _ in 0..total_rows {
-        let mut best = usize::MAX;
-        for r in 0..runs.len() {
-            if runs[r].cursor >= runs[r].rows.len() {
-                continue;
-            }
-            if best == usize::MAX || run_less(&runs[r], &runs[best]) {
-                best = r;
-            }
-        }
-        let run = &mut runs[best];
-        rows.push(run.rows[run.cursor].clone());
-        run.cursor += 1;
+        runs.extend(spill.read(file)?);
     }
     for file in run_files {
         spill.remove(file)?;
     }
-
-    let mut blocks = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let column: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-        blocks.push(Block::from_values(&field.data_type, &column)?);
+    if runs.is_empty() {
+        return empty_page(schema);
     }
-    Page::new(blocks)
+    let merged = Page::concat(&runs)?;
+    let indices = row_order(keys, &merged, ctx)?.sorted(merged.positions());
+    Ok(merged.take(&indices))
 }
 
 fn empty_page(schema: &Schema) -> Result<Page> {
-    let blocks = schema.fields().iter().map(|f| Block::from_values(&f.data_type, &[]));
-    page_of(blocks.collect::<Result<Vec<_>>>()?, 0)
+    page_of(schema.fields().iter().map(|f| Block::nulls(&f.data_type, 0)).collect(), 0)
 }
 
 // A convenience used by tests and the engine facade.

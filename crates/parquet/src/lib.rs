@@ -41,7 +41,7 @@ pub mod writer;
 
 pub use codec::Codec;
 pub use metadata::{ColumnStats, FileMetadata};
-pub use predicate::{ColumnPredicate, FilePredicate, ScalarPredicate};
+pub use predicate::{ColumnPredicate, Domain, FilePredicate, ScalarPredicate, TypedPredicate};
 pub use reader::{BytesSource, ChunkSource, FsSource};
 pub use reader_new::{NewReadStats, ProjectedColumn, ReadOptions};
 pub use schema::{FlatSchema, LeafColumn, PhysicalType, SchemaNode};

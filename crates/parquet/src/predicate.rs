@@ -7,10 +7,66 @@
 //! groups; (2) against dictionary pages to skip row groups whose dictionary
 //! cannot match; (3) row-by-row while scanning, to drive lazy reads.
 
-use presto_common::{Result, Value};
+use presto_common::{DataType, Result, Value};
 
 use crate::metadata::ColumnStats;
 use crate::shred::{LeafData, LeafValues};
+
+/// A predicate over the values of one typed column: a closed interval or a
+/// finite set. Built only by [`ScalarPredicate::typed`], when every literal
+/// compares with the column in the column's own class under
+/// [`Value::sql_cmp`], so `contains` is exactly [`ScalarPredicate::matches`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Domain<T> {
+    /// `lo <= v <= hi`.
+    Interval(T, T),
+    /// `v` is one of these.
+    Set(Vec<T>),
+}
+
+impl<T: Copy + PartialOrd> Domain<T> {
+    /// `pred` as a domain: `literal` reads a literal of the column's class,
+    /// `min`/`max` stand in for an open end (`None`: the class has none).
+    fn of<'p>(
+        pred: &'p ScalarPredicate,
+        literal: impl Fn(&'p Value) -> Option<T>,
+        min: Option<T>,
+        max: Option<T>,
+    ) -> Option<Domain<T>> {
+        match pred {
+            ScalarPredicate::Eq(v) => literal(v).map(|x| Domain::Interval(x, x)),
+            ScalarPredicate::In(values) => {
+                values.iter().map(&literal).collect::<Option<Vec<T>>>().map(Domain::Set)
+            }
+            ScalarPredicate::Range { min: lo, max: hi } => Some(Domain::Interval(
+                lo.as_ref().map_or(min, &literal)?,
+                hi.as_ref().map_or(max, &literal)?,
+            )),
+        }
+    }
+
+    /// NaN is in no domain, as `sql_cmp` orders it with nothing.
+    #[inline]
+    pub fn contains(&self, v: T) -> bool {
+        match self {
+            Domain::Interval(lo, hi) => v >= *lo && v <= *hi,
+            Domain::Set(values) => values.contains(&v),
+        }
+    }
+}
+
+/// A [`ScalarPredicate`] in the typed form of one column's storage class.
+/// A scan loops over its own storage (a block, a segment column, a decoded
+/// leaf) with `contains`; no value is boxed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TypedPredicate<'p> {
+    /// Over BIGINT, INTEGER, DATE or TIMESTAMP values, widened to `i64`.
+    Int(Domain<i64>),
+    /// Over DOUBLE values.
+    Double(Domain<f64>),
+    /// Over the UTF-8 bytes of VARCHAR values (byte order is `str` order).
+    Bytes(Domain<&'p [u8]>),
+}
 
 /// A predicate over one scalar leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +85,47 @@ pub enum ScalarPredicate {
 }
 
 impl ScalarPredicate {
+    /// This predicate over the non-NULL values of a `column`-typed column as
+    /// an interval or set test that agrees with [`ScalarPredicate::matches`]
+    /// on every value, or `None` when a literal compares with the column
+    /// across classes (`clicks >= 89.5` on a BIGINT), is NULL or never
+    /// compares at all — callers then fall back to `matches`. This is the
+    /// one table of which literals are in a column's own class.
+    pub fn typed<'p>(&'p self, column: &DataType) -> Option<TypedPredicate<'p>> {
+        match column {
+            DataType::Bigint | DataType::Integer | DataType::Date | DataType::Timestamp => {
+                let literal = |v: &Value| match (column, v) {
+                    (
+                        DataType::Bigint | DataType::Integer,
+                        Value::Bigint(_) | Value::Integer(_),
+                    )
+                    | (DataType::Date, Value::Date(_))
+                    | (DataType::Timestamp, Value::Timestamp(_)) => v.as_i64(),
+                    _ => None,
+                };
+                Domain::of(self, literal, Some(i64::MIN), Some(i64::MAX)).map(TypedPredicate::Int)
+            }
+            DataType::Double => {
+                // an unbounded range also accepts NaN, which no interval does
+                if matches!(self, ScalarPredicate::Range { min: None, max: None }) {
+                    return None;
+                }
+                // `sql_cmp` widens every numeric literal to `f64`
+                let number = |v: &Value| match v {
+                    Value::Double(_) | Value::Bigint(_) | Value::Integer(_) => v.as_f64(),
+                    _ => None,
+                };
+                Domain::of(self, number, Some(f64::NEG_INFINITY), Some(f64::INFINITY))
+                    .map(TypedPredicate::Double)
+            }
+            DataType::Varchar => {
+                let text = |v: &'p Value| v.as_str().map(str::as_bytes);
+                Domain::of(self, text, Some(&b""[..]), None).map(TypedPredicate::Bytes)
+            }
+            _ => None,
+        }
+    }
+
     /// Row-level evaluation; NULL never matches (SQL filter semantics).
     pub fn matches(&self, v: &Value) -> bool {
         if v.is_null() {
@@ -102,28 +199,43 @@ impl ScalarPredicate {
     /// Can any dictionary entry match? `false` lets dictionary pushdown skip
     /// the row group even when min/max statistics were inconclusive (Fig 8:
     /// "the dictionary includes the IDs 3, 5, 9, 14, 21" for `city_id = 12`).
-    pub fn matches_any_in_dictionary(
-        &self,
-        dict: &LeafValues,
-        logical: &presto_common::DataType,
-    ) -> bool {
-        (0..dict.len()).any(|i| self.matches(&dict.get(i, logical)))
+    pub fn matches_any_in_dictionary(&self, dict: &LeafValues, logical: &DataType) -> bool {
+        self.value_flags(dict, logical).contains(&true)
     }
 
     /// Evaluate over a whole decoded leaf stream, producing one flag per
     /// triplet. Only valid for repetition-free leaves (one triplet per row).
     pub fn evaluate_leaf(&self, leaf: &LeafData) -> Result<Vec<bool>> {
-        let mut out = Vec::with_capacity(leaf.len());
-        let mut vi = 0;
-        for d in leaf.defs.iter() {
-            if d == leaf.max_def {
-                out.push(self.matches(&leaf.values.get(vi, &leaf.scalar_type)));
-                vi += 1;
-            } else {
-                out.push(false);
-            }
+        let values = self.value_flags(&leaf.values, &leaf.scalar_type);
+        if values.len() == leaf.len() {
+            // every triplet is defined
+            return Ok(values);
         }
-        Ok(out)
+        let mut defined = values.into_iter();
+        Ok(leaf.defs.iter().map(|d| d == leaf.max_def && defined.next() == Some(true)).collect())
+    }
+
+    /// [`ScalarPredicate::matches`] of every stored value of a `logical`
+    /// leaf: a typed loop over the storage, boxing values only when the
+    /// predicate has no typed form. (Bytes compare raw, `matches` after a
+    /// lossy UTF-8 decode: they differ only on a file that is not UTF-8.)
+    fn value_flags(&self, values: &LeafValues, logical: &DataType) -> Vec<bool> {
+        match (self.typed(logical), values) {
+            (Some(TypedPredicate::Int(domain)), LeafValues::I64(v)) => {
+                v.iter().map(|&x| domain.contains(x)).collect()
+            }
+            (Some(TypedPredicate::Int(domain)), LeafValues::I32(v)) => {
+                v.iter().map(|&x| domain.contains(i64::from(x))).collect()
+            }
+            (Some(TypedPredicate::Double(domain)), LeafValues::F64(v)) => {
+                v.iter().map(|&x| domain.contains(x)).collect()
+            }
+            (Some(TypedPredicate::Bytes(domain)), LeafValues::Bytes { offsets, data }) => offsets
+                .windows(2)
+                .map(|w| domain.contains(&data[w[0] as usize..w[1] as usize]))
+                .collect(),
+            _ => (0..values.len()).map(|i| self.matches(&values.get(i, logical))).collect(),
+        }
     }
 }
 
@@ -160,7 +272,7 @@ impl FilePredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_common::DataType;
+    use crate::schema::PhysicalType;
 
     fn stats(min: i64, max: i64, nulls: u64) -> ColumnStats {
         ColumnStats {
@@ -223,5 +335,88 @@ mod tests {
         assert!(!pred.matches_any_in_dictionary(&dict, &DataType::Bigint));
         let pred = ScalarPredicate::Eq(Value::Bigint(14));
         assert!(pred.matches_any_in_dictionary(&dict, &DataType::Bigint));
+    }
+
+    /// Every physical leaf type × `Eq` / `In` / `Range` over literals of
+    /// every class: the typed loops and the boxed fallback are one function.
+    #[test]
+    fn leaf_evaluation_is_matches_value_by_value() {
+        use crate::shred::Levels;
+        let nan = f64::NAN;
+        let leaves: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Boolean, vec![true.into(), Value::Null, false.into()]),
+            (DataType::Integer, vec![1i32.into(), 2i32.into(), Value::Null, (-3i32).into()]),
+            (DataType::Date, vec![Value::Date(3), Value::Null, Value::Date(-1)]),
+            (
+                DataType::Bigint,
+                vec![1i64.into(), Value::Null, 5i64.into(), 89i64.into(), 90i64.into()],
+            ),
+            (DataType::Timestamp, vec![Value::Timestamp(3), Value::Timestamp(7), Value::Null]),
+            (
+                DataType::Double,
+                vec![1.0.into(), nan.into(), Value::Null, (-0.0).into(), 2.5.into(), 89.5.into()],
+            ),
+            (DataType::Varchar, vec!["sf".into(), Value::Null, "".into(), "nyc".into()]),
+        ];
+        let literals: Vec<Value> = vec![
+            1i64.into(),
+            2i32.into(),
+            5i64.into(),
+            2.5.into(),
+            89.5.into(),
+            0.0.into(),
+            nan.into(),
+            "nyc".into(),
+            "".into(),
+            Value::Date(3),
+            Value::Timestamp(7),
+            true.into(),
+            Value::Null,
+        ];
+        let mut predicates = vec![ScalarPredicate::Range { min: None, max: None }];
+        for a in &literals {
+            predicates.push(ScalarPredicate::Eq(a.clone()));
+            predicates.push(ScalarPredicate::Range { min: Some(a.clone()), max: None });
+            predicates.push(ScalarPredicate::Range { min: None, max: Some(a.clone()) });
+            for b in &literals {
+                predicates.push(ScalarPredicate::In(vec![a.clone(), b.clone()]));
+                predicates
+                    .push(ScalarPredicate::Range { min: Some(a.clone()), max: Some(b.clone()) });
+            }
+        }
+        for (scalar_type, slots) in leaves {
+            let physical = PhysicalType::for_scalar(&scalar_type).unwrap();
+            let defined: Vec<&Value> = slots.iter().filter(|v| !v.is_null()).collect();
+            let mut values = LeafValues::new(physical);
+            for v in &defined {
+                values.push(v).unwrap();
+            }
+            // the leaf once with its NULL slots, once NOT NULL (a level run)
+            let nullable = LeafData {
+                reps: Levels::Run { level: 0, len: slots.len() },
+                defs: Levels::Each(slots.iter().map(|v| u16::from(!v.is_null())).collect()),
+                values: values.clone(),
+                max_def: 1,
+                scalar_type: scalar_type.clone(),
+            };
+            let required = LeafData {
+                reps: Levels::Run { level: 0, len: defined.len() },
+                defs: Levels::Run { level: 0, len: defined.len() },
+                max_def: 0,
+                ..nullable.clone()
+            };
+            for predicate in &predicates {
+                let per_slot: Vec<bool> = slots.iter().map(|v| predicate.matches(v)).collect();
+                let per_value: Vec<bool> = defined.iter().map(|v| predicate.matches(v)).collect();
+                let context = format!("{scalar_type} {predicate:?}");
+                assert_eq!(predicate.evaluate_leaf(&nullable).unwrap(), per_slot, "{context}");
+                assert_eq!(predicate.evaluate_leaf(&required).unwrap(), per_value, "{context}");
+                assert_eq!(
+                    predicate.matches_any_in_dictionary(&values, &scalar_type),
+                    per_value.contains(&true),
+                    "{context}"
+                );
+            }
+        }
     }
 }

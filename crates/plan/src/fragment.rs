@@ -52,63 +52,8 @@ fn extract_scans(
             fragments.push(Some(PlanFragment { id, plan: scan }));
             Ok(LogicalPlan::RemoteSource { fragment: id, schema })
         }
-        other => map_children_fragment(other, fragments),
+        other => other.map_children(|child| extract_scans(child, fragments)),
     }
-}
-
-fn map_children_fragment(
-    plan: LogicalPlan,
-    fragments: &mut Vec<Option<PlanFragment>>,
-) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            LogicalPlan::Filter { input: Box::new(extract_scans(*input, fragments)?), predicate }
-        }
-        LogicalPlan::Project { input, expressions } => {
-            LogicalPlan::Project { input: Box::new(extract_scans(*input, fragments)?), expressions }
-        }
-        LogicalPlan::Aggregate { input, group_by, aggregates, step } => LogicalPlan::Aggregate {
-            input: Box::new(extract_scans(*input, fragments)?),
-            group_by,
-            aggregates,
-            step,
-        },
-        LogicalPlan::Join { left, right, kind, on, residual } => LogicalPlan::Join {
-            left: Box::new(extract_scans(*left, fragments)?),
-            right: Box::new(extract_scans(*right, fragments)?),
-            kind,
-            on,
-            residual,
-        },
-        LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
-            LogicalPlan::GeoJoin {
-                probe: Box::new(extract_scans(*probe, fragments)?),
-                fences: Box::new(extract_scans(*fences, fragments)?),
-                probe_lng,
-                probe_lat,
-                fence_shape,
-            }
-        }
-        LogicalPlan::Sort { input, keys } => {
-            LogicalPlan::Sort { input: Box::new(extract_scans(*input, fragments)?), keys }
-        }
-        LogicalPlan::TopN { input, keys, count } => {
-            LogicalPlan::TopN { input: Box::new(extract_scans(*input, fragments)?), keys, count }
-        }
-        LogicalPlan::Limit { input, count } => {
-            LogicalPlan::Limit { input: Box::new(extract_scans(*input, fragments)?), count }
-        }
-        LogicalPlan::Output { input, names } => {
-            LogicalPlan::Output { input: Box::new(extract_scans(*input, fragments)?), names }
-        }
-        LogicalPlan::Union { inputs } => LogicalPlan::Union {
-            inputs: inputs
-                .into_iter()
-                .map(|i| extract_scans(i, fragments))
-                .collect::<Result<Vec<_>>>()?,
-        },
-        leaf => leaf,
-    })
 }
 
 #[cfg(test)]

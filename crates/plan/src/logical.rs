@@ -296,6 +296,59 @@ impl LogicalPlan {
         }
     }
 
+    /// This node over new children: each child goes through `f`, in input
+    /// order; leaves come back as they are.
+    pub fn map_children(
+        self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<LogicalPlan> {
+        Ok(match self {
+            LogicalPlan::Filter { input, predicate } => {
+                LogicalPlan::Filter { input: Box::new(f(*input)?), predicate }
+            }
+            LogicalPlan::Project { input, expressions } => {
+                LogicalPlan::Project { input: Box::new(f(*input)?), expressions }
+            }
+            LogicalPlan::Aggregate { input, group_by, aggregates, step } => {
+                LogicalPlan::Aggregate { input: Box::new(f(*input)?), group_by, aggregates, step }
+            }
+            LogicalPlan::Join { left, right, kind, on, residual } => LogicalPlan::Join {
+                left: Box::new(f(*left)?),
+                right: Box::new(f(*right)?),
+                kind,
+                on,
+                residual,
+            },
+            LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
+                LogicalPlan::GeoJoin {
+                    probe: Box::new(f(*probe)?),
+                    fences: Box::new(f(*fences)?),
+                    probe_lng,
+                    probe_lat,
+                    fence_shape,
+                }
+            }
+            LogicalPlan::Sort { input, keys } => {
+                LogicalPlan::Sort { input: Box::new(f(*input)?), keys }
+            }
+            LogicalPlan::TopN { input, keys, count } => {
+                LogicalPlan::TopN { input: Box::new(f(*input)?), keys, count }
+            }
+            LogicalPlan::Limit { input, count } => {
+                LogicalPlan::Limit { input: Box::new(f(*input)?), count }
+            }
+            LogicalPlan::Output { input, names } => {
+                LogicalPlan::Output { input: Box::new(f(*input)?), names }
+            }
+            LogicalPlan::Union { inputs } => LogicalPlan::Union {
+                inputs: inputs.into_iter().map(f).collect::<Result<Vec<_>>>()?,
+            },
+            leaf @ (LogicalPlan::TableScan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::RemoteSource { .. }) => leaf,
+        })
+    }
+
     /// Short node label for EXPLAIN output.
     pub fn label(&self) -> String {
         match self {

@@ -97,57 +97,8 @@ fn transform_up(
     plan: LogicalPlan,
     f: &impl Fn(LogicalPlan) -> Result<LogicalPlan>,
 ) -> Result<LogicalPlan> {
-    let with_children = map_children(plan, &|child| transform_up(child, f))?;
+    let with_children = plan.map_children(|child| transform_up(child, f))?;
     f(with_children)
-}
-
-fn map_children(
-    plan: LogicalPlan,
-    f: &impl Fn(LogicalPlan) -> Result<LogicalPlan>,
-) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            LogicalPlan::Filter { input: Box::new(f(*input)?), predicate }
-        }
-        LogicalPlan::Project { input, expressions } => {
-            LogicalPlan::Project { input: Box::new(f(*input)?), expressions }
-        }
-        LogicalPlan::Aggregate { input, group_by, aggregates, step } => {
-            LogicalPlan::Aggregate { input: Box::new(f(*input)?), group_by, aggregates, step }
-        }
-        LogicalPlan::Join { left, right, kind, on, residual } => LogicalPlan::Join {
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-            kind,
-            on,
-            residual,
-        },
-        LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
-            LogicalPlan::GeoJoin {
-                probe: Box::new(f(*probe)?),
-                fences: Box::new(f(*fences)?),
-                probe_lng,
-                probe_lat,
-                fence_shape,
-            }
-        }
-        LogicalPlan::Sort { input, keys } => {
-            LogicalPlan::Sort { input: Box::new(f(*input)?), keys }
-        }
-        LogicalPlan::TopN { input, keys, count } => {
-            LogicalPlan::TopN { input: Box::new(f(*input)?), keys, count }
-        }
-        LogicalPlan::Limit { input, count } => {
-            LogicalPlan::Limit { input: Box::new(f(*input)?), count }
-        }
-        LogicalPlan::Output { input, names } => {
-            LogicalPlan::Output { input: Box::new(f(*input)?), names }
-        }
-        LogicalPlan::Union { inputs } => {
-            LogicalPlan::Union { inputs: inputs.into_iter().map(f).collect::<Result<Vec<_>>>()? }
-        }
-        leaf => leaf,
-    })
 }
 
 /// Rewrite every expression in the plan through `f`.
@@ -369,7 +320,7 @@ fn push_predicates(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<Logi
         LogicalPlan::Filter { input, predicate } => push_filter(*input, predicate, catalogs)?,
         other => other,
     };
-    map_children(plan, &|child| push_predicates(child, catalogs))
+    plan.map_children(|child| push_predicates(child, catalogs))
 }
 
 /// Push the conjuncts of `predicate` as deep as possible over `input`.

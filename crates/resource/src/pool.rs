@@ -191,8 +191,8 @@ impl QueryPool {
         Ok(Reservation { pool: self.clone(), kind, bytes })
     }
 
-    /// Raw (non-RAII) reservation, for the legacy `reserve_memory` API.
-    pub fn try_reserve(&self, bytes: usize, kind: ReservationKind) -> Result<()> {
+    /// The raw reservation behind a [`Reservation`] guard.
+    fn try_reserve(&self, bytes: usize, kind: ReservationKind) -> Result<()> {
         let bytes = bytes as u128;
         let mut state = self.parent.state.lock();
         let mut rounds = 0usize;
@@ -299,8 +299,8 @@ impl QueryPool {
         ))
     }
 
-    /// Release a raw reservation taken with [`QueryPool::try_reserve`].
-    pub fn release(&self, bytes: usize, kind: ReservationKind) {
+    /// Return a [`Reservation`] guard's bytes.
+    fn release(&self, bytes: usize, kind: ReservationKind) {
         let bytes = bytes as u128;
         let mut state = self.parent.state.lock();
         if let Some(slot) = state.queries.get_mut(&self.id) {
@@ -341,8 +341,8 @@ impl std::fmt::Debug for QueryPool {
 }
 
 /// An RAII memory reservation. Dropping it returns the bytes to the pool —
-/// including on early-error unwinds, which is the whole point: the legacy
-/// `reserve_memory` / `release_memory` pairs leaked on `?` returns.
+/// including on early-error unwinds, which is the whole point: a paired
+/// reserve / release call leaks on a `?` return between the two.
 pub struct Reservation {
     pool: Arc<QueryPool>,
     kind: ReservationKind,

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
+use presto_cluster::{ClusterConfig, PrestoCluster};
 use presto_common::metrics::CounterSet;
+use presto_common::SimClock;
 use presto_common::{Block, DataType, Field, Page, Schema, Value};
 use presto_connectors::hive::HiveConnector;
 use presto_core::{PrestoEngine, Session};
@@ -209,4 +211,57 @@ fn file_rewritten_in_place_under_v2_serves_the_new_column() {
     let v2 = engine.execute_with_session("SELECT base.surge FROM trips", &session).unwrap();
     assert_eq!(v2.rows().len(), 20);
     assert!(v2.rows().iter().all(|row| !row[0].is_null()), "v2 rows carry surge");
+}
+
+#[test]
+fn file_rewritten_in_place_is_not_answered_from_the_fragment_cache() {
+    let hive =
+        Arc::new(HiveConnector::new(Arc::new(HdfsFileSystem::with_defaults()), CounterSet::new()));
+    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
+    hive.register_table("s", "flat", schema, "/w/flat", None);
+    let write = |values: Vec<i64>| {
+        hive.write_data_file(
+            "s",
+            "flat",
+            None,
+            "part-0.upq",
+            &[Page::new(vec![Block::bigint(values)]).unwrap()],
+            WriterMode::Native,
+            WriterProperties::default(),
+        )
+        .unwrap();
+    };
+    let engine = PrestoEngine::new();
+    engine.register_catalog("hive", hive.clone());
+    let cluster = PrestoCluster::new(
+        "cached",
+        engine.clone(),
+        ClusterConfig {
+            affinity_scheduling: true,
+            fragment_cache_entries: 64,
+            ..ClusterConfig::default()
+        },
+        SimClock::new(),
+    );
+    let session = Session::new("hive", "s");
+    let sum = |through_cluster: bool| {
+        let sql = "SELECT sum(x) FROM flat";
+        let result = match through_cluster {
+            true => cluster.execute(sql, &session),
+            false => engine.execute_with_session(sql, &session),
+        };
+        result.unwrap().rows()[0][0].clone()
+    };
+
+    write(vec![1, 2, 3]);
+    assert_eq!(sum(true), Value::Bigint(6));
+    assert_eq!(sum(true), Value::Bigint(6));
+    assert_eq!(cluster.metrics().get("frc.hits"), 1, "the repeat is a cache hit");
+
+    // same path, same row count, same file size: only the bytes differ
+    write(vec![10, 20, 30]);
+    assert_eq!(sum(false), Value::Bigint(60));
+    assert_eq!(sum(true), Value::Bigint(60), "the cluster served the file it cached");
+    assert_eq!(sum(true), Value::Bigint(60));
+    assert_eq!(cluster.metrics().get("frc.hits"), 2, "the new version caches in turn");
 }
