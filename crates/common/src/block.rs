@@ -21,7 +21,7 @@ use crate::value::Value;
 pub type NullMask = Option<Vec<bool>>;
 
 /// `mask`, or `None` when it marks no NULL.
-fn some_if_any(mask: Vec<bool>) -> NullMask {
+pub fn some_if_any(mask: Vec<bool>) -> NullMask {
     mask.contains(&true).then_some(mask)
 }
 
@@ -167,6 +167,12 @@ impl Block {
     pub fn nulls(data_type: &DataType, len: usize) -> Block {
         Self::from_values(data_type, &vec![Value::Null; len])
             .expect("null block construction cannot fail")
+    }
+
+    /// `len` rows of one scalar: what a literal is as a column.
+    pub fn repeat(data_type: &DataType, value: &Value, len: usize) -> Result<Block> {
+        let one = Self::from_values(data_type, std::slice::from_ref(value))?;
+        Ok(if len == 1 { one } else { one.take(&vec![0; len]) })
     }
 
     /// Build a block of `data_type` from scalar values. This is the generic

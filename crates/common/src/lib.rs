@@ -14,6 +14,9 @@
 //!   including dictionary-encoded blocks.
 //! - [`page::Page`] — a horizontal slice of blocks, the unit streamed between
 //!   operators and connectors.
+//! - [`domain::TypedDomain`] — an interval or set of literals in one column's
+//!   storage class: what a pushed-down predicate, a scan and the evaluator's
+//!   `BETWEEN` / `IN` loop over instead of boxed values.
 //! - [`order::RowOrder`] — row order under sort keys on typed columns, with
 //!   a stable sort and a bounded-heap top-N.
 //! - [`value::Value`] — scalar values used for literals, row-at-a-time paths
@@ -31,6 +34,7 @@
 
 pub mod block;
 pub mod clock;
+pub mod domain;
 pub mod error;
 pub mod fault;
 pub mod ids;
@@ -46,6 +50,7 @@ pub mod value;
 
 pub use block::Block;
 pub use clock::SimClock;
+pub use domain::{Domain, TypedDomain};
 pub use error::{PrestoError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec};
 pub use metrics::{CounterSet, GaugeSet, Histogram, HistogramSet, TimeSeries, TimeSeriesSet};

@@ -89,8 +89,10 @@ impl Page {
         if self.blocks.is_empty() {
             return Page::zero_column(kept);
         }
-        let blocks = self.blocks.iter().map(|b| b.filter(selection)).collect();
-        Page { blocks, positions: kept }
+        // the kept rows once, for every column
+        let mut rows = Vec::with_capacity(kept);
+        rows.extend(selection.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i));
+        self.take(&rows)
     }
 
     /// Gather the given row indices.

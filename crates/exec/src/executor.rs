@@ -73,16 +73,17 @@ fn evaluate<'a>(
     }
 }
 
-/// The rows a boolean column selects: TRUE, not FALSE or NULL.
-fn selection(mask: &Block) -> Vec<bool> {
+/// The rows a boolean column selects: TRUE, not FALSE or NULL. A mask
+/// without NULLs is its own selection.
+fn selection(mask: Block) -> Vec<bool> {
     match mask {
-        Block::Boolean { values, nulls: None } => values.clone(),
-        Block::Boolean { values, nulls: Some(nulls) } => {
-            values.iter().zip(nulls).map(|(&v, &null)| v && !null).collect()
+        Block::Boolean { values, nulls: None } => values,
+        Block::Boolean { mut values, nulls: Some(nulls) } => {
+            values.iter_mut().zip(nulls).for_each(|(v, null)| *v = *v && !null);
+            values
         }
-        other => (0..other.len())
-            .map(|i| !other.is_null(i) && other.value(i).as_bool() == Some(true))
-            .collect(),
+        encoded @ Block::Dictionary { .. } => selection(encoded.decode_dictionary()),
+        other => vec![false; other.len()],
     }
 }
 
@@ -179,7 +180,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
             let pages = execute_traced(input, ctx, Some(span))?;
             let mut out = Vec::with_capacity(pages.len());
             for page in pages {
-                let filtered = page.filter(&selection(&ctx.evaluator.evaluate(predicate, &page)?));
+                let filtered = page.filter(&selection(ctx.evaluator.evaluate(predicate, &page)?));
                 if !filtered.is_empty() {
                     out.push(filtered);
                 }
@@ -190,11 +191,38 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
             let pages = execute_traced(input, ctx, Some(span))?;
             let mut out = Vec::with_capacity(pages.len());
             for page in pages {
-                let mut blocks = Vec::with_capacity(expressions.len());
-                for (_, e) in expressions {
-                    blocks.push(ctx.evaluator.evaluate(e, &page)?);
+                let rows = page.positions();
+                // computed columns first, while the page is whole...
+                let mut blocks = expressions
+                    .iter()
+                    .map(|(_, e)| match e {
+                        RowExpression::VariableReference { .. } => Ok(None),
+                        computed => ctx.evaluator.evaluate(computed, &page).map(Some),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                // ...then a bare reference moves its column out of the page
+                // this operator owns; a column named again is copied from
+                // the slot it moved to.
+                let mut columns: Vec<Option<Block>> =
+                    page.into_blocks().into_iter().map(Some).collect();
+                let mut moved_to = vec![usize::MAX; columns.len()];
+                for (slot, (_, e)) in expressions.iter().enumerate() {
+                    let RowExpression::VariableReference { index, .. } = e else { continue };
+                    let block = match columns.get_mut(*index).and_then(Option::take) {
+                        Some(block) => {
+                            moved_to[*index] = slot;
+                            Some(block)
+                        }
+                        None => moved_to.get(*index).and_then(|&first| blocks.get(first)?.clone()),
+                    };
+                    blocks[slot] = Some(block.ok_or_else(|| {
+                        PrestoError::Internal(format!(
+                            "projection of channel {index} of a {}-column page",
+                            columns.len()
+                        ))
+                    })?);
                 }
-                out.push(page_of(blocks, page.positions())?);
+                out.push(page_of(blocks.into_iter().flatten().collect(), rows)?);
             }
             Ok(out)
         }
@@ -576,7 +604,7 @@ fn hash_join_pages(
         // its LEFT row must still appear null-extended.
         if let Some(expr) = residual {
             let pairs = stitch(probe, &probe_idx, build.take(&build_idx))?;
-            let keep = selection(&ctx.evaluator.evaluate(expr, &pairs)?);
+            let keep = selection(ctx.evaluator.evaluate(expr, &pairs)?);
             for idx in [&mut probe_idx, &mut build_idx] {
                 let mut keep = keep.iter();
                 idx.retain(|_| keep.next() == Some(&true));
@@ -736,7 +764,7 @@ fn apply_residual(
 ) -> Result<Page> {
     match residual {
         Some(expr) if !page.is_empty() => {
-            Ok(page.filter(&selection(&ctx.evaluator.evaluate(expr, &page)?)))
+            Ok(page.filter(&selection(ctx.evaluator.evaluate(expr, &page)?)))
         }
         _ => Ok(page),
     }

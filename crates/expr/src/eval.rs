@@ -3,24 +3,93 @@
 //! §III: Presto "processes a bunch of in memory encoded column values
 //! vectorized, instead of row by row" and uses runtime code generation (ASM)
 //! for expression evaluation. The Rust equivalent here is a monomorphized
-//! vectorized interpreter: hot built-ins on scalar blocks run tight typed
-//! loops; everything else falls back to a row-at-a-time path over [`Value`]s,
-//! which doubles as the oracle for property tests.
+//! vectorized interpreter. Every sub-expression evaluates to an operand — a
+//! column (borrowed from the page when it is a bare reference) or one
+//! **scalar**: a literal is never expanded into a column of copies, a
+//! reference is never cloned, and only the final result is materialized.
 //!
-//! The evaluator is also **dictionary-aware**: a function of a
-//! dictionary-encoded block is evaluated once per distinct dictionary entry
-//! and re-mapped through the ids, the same trick that makes dictionary
-//! pushdown (§V.G) pay off inside the engine.
+//! **Typed.** Arithmetic (`add` / `sub` / `mul` / `div` / `mod` / `negate`),
+//! the six comparisons, `NOT` and the special forms `AND` / `OR` / `IS NULL`
+//! / `BETWEEN` / `IN` / `IF` / `COALESCE` run as one loop each over
+//! `(values, nulls)` (the private `kernels` module): numbers are widened
+//! by the classes of the arguments as `Block::widen` does, VARCHAR compares
+//! on bytes, DATE / TIMESTAMP as their integers; NULL masks are OR-ed (`AND`
+//! / `OR` are Kleene over value and NULL bitmaps) and an error — a zero
+//! integer divisor is the only one — is raised for a lane that is not NULL
+//! and for no other. `BETWEEN` and `IN` over literals of the column's own
+//! class are one [`presto_common::TypedDomain`] test, otherwise two
+//! comparisons and an `AND` / one `=` per item and an `OR`. `IF` and
+//! `COALESCE` stay lazy: an arm is evaluated over just the rows that take it
+//! (a *selection* into the page, so an arm gathers only the columns it
+//! names, and an untaken arm cannot fail the query) and the arms are blended
+//! with one typed gather. Integers wrap in the width of their type —
+//! BIGINT at 64 bits, INTEGER at 32 — in the kernels and in `eval_scalar`
+//! alike, so a value always fits the type its handle declares.
+//!
+//! **Boxed.** Everything else — custom (plugin) functions, the string,
+//! math and collection built-ins, `CAST`, comparisons of nested values — goes
+//! through `call_block`, which boxes one row of arguments at a time into
+//! [`Value`]s for the same scalar implementations
+//! [`Evaluator::evaluate_scalar`] uses; lambdas are evaluated row by row.
+//! That row-at-a-time evaluator is the oracle the typed path is
+//! property-tested against (`tests/prop_roundtrip.rs`).
+//!
+//! The evaluator is also **dictionary-aware**: a function of one
+//! dictionary-encoded column and constants is evaluated once per distinct
+//! dictionary entry and re-mapped through the ids, the same trick that makes
+//! dictionary pushdown (§V.G) pay off inside the engine.
+
+use std::borrow::Cow;
 
 use presto_common::{Block, DataType, Page, PrestoError, Result, Value};
 
-use crate::expression::{RowExpression, SpecialForm};
+use crate::expression::{FunctionHandle, RowExpression, SpecialForm};
+use crate::kernels::{self, Arg, Kleene};
 use crate::registry::{Builtin, FunctionRegistry};
 
 /// Evaluates [`RowExpression`]s against pages.
 #[derive(Clone)]
 pub struct Evaluator {
     registry: FunctionRegistry,
+}
+
+/// What a sub-expression evaluates to over the selected rows of a page.
+enum Operand<'a> {
+    /// One value per row.
+    Column(Cow<'a, Block>),
+    /// The same value on every row.
+    Scalar(Cow<'a, Value>),
+}
+
+impl<'a> Operand<'a> {
+    fn column(block: Block) -> Operand<'a> {
+        Operand::Column(Cow::Owned(block))
+    }
+
+    fn scalar(value: Value) -> Operand<'a> {
+        Operand::Scalar(Cow::Owned(value))
+    }
+
+    fn is_null_scalar(&self) -> bool {
+        matches!(self, Operand::Scalar(value) if value.is_null())
+    }
+}
+
+/// Row `i` of the evaluated rows as a row of the page.
+fn page_row(selection: Option<&[usize]>, i: usize) -> usize {
+    selection.map_or(i, |rows| rows[i])
+}
+
+/// The page rows at `positions` of the evaluated rows (`None`: all of them).
+fn narrow<'s>(
+    selection: Option<&'s [usize]>,
+    positions: Option<&'s [usize]>,
+) -> Option<Cow<'s, [usize]>> {
+    match (selection, positions) {
+        (rows, None) => rows.map(Cow::Borrowed),
+        (None, Some(positions)) => Some(Cow::Borrowed(positions)),
+        (Some(rows), Some(positions)) => Some(positions.iter().map(|&p| rows[p]).collect()),
+    }
 }
 
 impl Evaluator {
@@ -36,11 +105,23 @@ impl Evaluator {
 
     /// Evaluate `expr` against every row of `page`, producing one block.
     pub fn evaluate(&self, expr: &RowExpression, page: &Page) -> Result<Block> {
-        let rows = page.positions();
+        match self.eval(expr, page, None)? {
+            Operand::Column(block) => Ok(block.into_owned()),
+            Operand::Scalar(value) => Block::repeat(&expr.data_type(), &value, page.positions()),
+        }
+    }
+
+    /// `expr` over the rows of `page` that `selection` names, in that order
+    /// (`None`: every row).
+    fn eval<'a>(
+        &self,
+        expr: &'a RowExpression,
+        page: &'a Page,
+        selection: Option<&[usize]>,
+    ) -> Result<Operand<'a>> {
+        let rows = selection.map_or(page.positions(), <[usize]>::len);
         match expr {
-            RowExpression::Constant { value, data_type } => {
-                Block::from_values(data_type, &vec![value.clone(); rows])
-            }
+            RowExpression::Constant { value, .. } => Ok(Operand::Scalar(Cow::Borrowed(value))),
             RowExpression::VariableReference { index, .. } => {
                 let block = page.blocks().get(*index).ok_or_else(|| {
                     PrestoError::Internal(format!(
@@ -48,11 +129,18 @@ impl Evaluator {
                         page.column_count()
                     ))
                 })?;
-                Ok(block.clone())
+                Ok(Operand::Column(match selection {
+                    None => Cow::Borrowed(block),
+                    Some(rows) => Cow::Owned(block.take(rows)),
+                }))
             }
-            RowExpression::Call { handle, args } => self.evaluate_call(handle, args, page),
+            // no row, no work — and nothing that could fail
+            _ if rows == 0 => Ok(Operand::column(Block::nulls(&expr.data_type(), 0))),
+            RowExpression::Call { handle, args } => {
+                self.eval_call(handle, args, page, selection, rows)
+            }
             RowExpression::SpecialForm { form, args, return_type } => {
-                self.evaluate_form(form, args, return_type, page)
+                self.eval_form(form, args, return_type, page, selection, rows)
             }
             RowExpression::LambdaDefinition { .. } => Err(PrestoError::Internal(
                 "lambda definitions only appear as arguments of higher-order functions".into(),
@@ -108,248 +196,213 @@ impl Evaluator {
 
     // --------------------------------------------------------------- calls
 
-    fn evaluate_call(
+    fn eval_call<'a>(
         &self,
-        handle: &crate::expression::FunctionHandle,
-        args: &[RowExpression],
-        page: &Page,
-    ) -> Result<Block> {
+        handle: &'a FunctionHandle,
+        args: &'a [RowExpression],
+        page: &'a Page,
+        selection: Option<&[usize]>,
+        rows: usize,
+    ) -> Result<Operand<'a>> {
         // Higher-order functions take the lambda path.
         if args.iter().any(|a| matches!(a, RowExpression::LambdaDefinition { .. })) {
-            return self.evaluate_higher_order(handle, args, page);
+            return self.evaluate_higher_order(handle, args, page, selection, rows);
         }
-
-        let arg_blocks = args.iter().map(|a| self.evaluate(a, page)).collect::<Result<Vec<_>>>()?;
-
+        let operands =
+            args.iter().map(|a| self.eval(a, page, selection)).collect::<Result<Vec<_>>>()?;
         let builtin = self.registry.builtin(&handle.name);
-
-        // Vectorized fast paths for the hot comparison/arithmetic shapes.
-        if let Some(b) = builtin {
-            if let Some(block) = fast_path(b, &arg_blocks)? {
-                return Ok(block);
-            }
-            // Dictionary-aware: unary f(dict) => dict of f(values).
-            if arg_blocks.len() == 1 {
-                if let Block::Dictionary { dictionary, ids } = &arg_blocks[0] {
-                    let inner =
-                        self.call_block(b, &[(**dictionary).clone()], &handle.return_type)?;
-                    return Ok(Block::Dictionary { dictionary: Box::new(inner), ids: ids.clone() });
+        let return_type = &handle.return_type;
+        // Constants in, a constant out — once, not once per row.
+        if let Some(values) = scalars(&operands) {
+            return self.call_scalar(&handle.name, &values, return_type).map(Operand::scalar);
+        }
+        // Every built-in is NULL on a NULL argument.
+        if builtin.is_some() && operands.iter().any(Operand::is_null_scalar) {
+            return Ok(Operand::scalar(Value::Null));
+        }
+        let custom = match builtin {
+            Some(_) => None,
+            None => Some(self.registry.custom(&handle.name).ok_or_else(|| {
+                PrestoError::Execution(format!("unknown function '{}'", handle.name))
+            })?),
+        };
+        let boxed = |values: &[Value]| match (builtin, &custom) {
+            (Some(b), _) => b.eval_scalar(values, return_type),
+            (None, Some(c)) => (c.eval)(values),
+            (None, None) => Err(PrestoError::Execution("unknown function".into())),
+        };
+        // A string or math function of one dictionary column keeps the
+        // encoding: a dictionary of the function's values under the same ids.
+        let keeps_encoding = !matches!(builtin, Some(Builtin::Negate | Builtin::Not));
+        if let ([Operand::Column(column)], true) = (operands.as_slice(), keeps_encoding) {
+            if let Block::Dictionary { dictionary, ids } = &**column {
+                let entries = [Arg::Column(dictionary)];
+                if let Ok(inner) = call_block(&entries, dictionary.len(), return_type, boxed) {
+                    return Ok(Operand::column(Block::Dictionary {
+                        dictionary: Box::new(inner),
+                        ids: ids.clone(),
+                    }));
                 }
             }
-            // Dictionary-aware: binary f(dict, constant-expr).
-            if arg_blocks.len() == 2 && args[1].is_constant() {
-                if let Block::Dictionary { dictionary, ids } = &arg_blocks[0] {
-                    let dict_len = dictionary.len();
-                    let const_block = arg_blocks[1].slice(0, 1);
-                    let expanded = const_block.take(&vec![0; dict_len]);
-                    let inner = self.call_block(
-                        b,
-                        &[(**dictionary).clone(), expanded],
-                        &handle.return_type,
-                    )?;
-                    let indices: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-                    return Ok(inner.take(&indices));
-                }
-            }
-            return self.call_block(b, &arg_blocks, &handle.return_type);
         }
-
-        // Custom function: row-at-a-time over the argument blocks.
-        let custom = self
-            .registry
-            .custom(&handle.name)
-            .ok_or_else(|| PrestoError::Execution(format!("unknown function '{}'", handle.name)))?;
-        let rows = page.positions();
-        let mut out = Vec::with_capacity(rows);
-        let mut arg_values = vec![Value::Null; arg_blocks.len()];
-        for i in 0..rows {
-            for (slot, block) in arg_values.iter_mut().zip(arg_blocks.iter()) {
-                *slot = block.value(i);
+        over_flat_args(&operands, rows, |args, rows| {
+            let typed = builtin.map(|b| typed_call(b, args, rows, return_type)).transpose()?;
+            match typed.flatten() {
+                Some(block) => Ok(block),
+                None => call_block(args, rows, return_type, boxed),
             }
-            out.push((custom.eval)(&arg_values)?);
-        }
-        Block::from_values(&handle.return_type, &out)
-    }
-
-    /// Generic row-wise application of a builtin over blocks.
-    fn call_block(
-        &self,
-        builtin: Builtin,
-        arg_blocks: &[Block],
-        return_type: &DataType,
-    ) -> Result<Block> {
-        let rows = arg_blocks.first().map(Block::len).unwrap_or(0);
-        let mut out = Vec::with_capacity(rows);
-        let mut arg_values = vec![Value::Null; arg_blocks.len()];
-        for i in 0..rows {
-            for (slot, block) in arg_values.iter_mut().zip(arg_blocks.iter()) {
-                *slot = block.value(i);
-            }
-            out.push(builtin.eval_scalar(&arg_values, return_type)?);
-        }
-        Block::from_values(return_type, &out)
+        })
+        .map(Operand::column)
     }
 
     // ------------------------------------------------------- special forms
 
-    fn evaluate_form(
+    fn eval_form<'a>(
         &self,
-        form: &SpecialForm,
-        args: &[RowExpression],
-        return_type: &DataType,
-        page: &Page,
-    ) -> Result<Block> {
-        let rows = page.positions();
+        form: &'a SpecialForm,
+        args: &'a [RowExpression],
+        return_type: &'a DataType,
+        page: &'a Page,
+        selection: Option<&[usize]>,
+        rows: usize,
+    ) -> Result<Operand<'a>> {
+        check_arity(form, args)?;
         match form {
             SpecialForm::And | SpecialForm::Or => {
                 let is_and = matches!(form, SpecialForm::And);
-                // Kleene three-valued logic, vectorized over tri-state lanes.
-                let mut state: Vec<Option<bool>> = vec![Some(is_and); rows];
+                // constants fold into one lane; columns into two bitmaps
+                let mut constant = Some(is_and);
+                let mut columns: Option<Kleene> = None;
                 for arg in args {
-                    let block = self.evaluate(arg, page)?;
-                    for (i, lane) in state.iter_mut().enumerate() {
-                        let v = if block.is_null(i) { None } else { block.value(i).as_bool() };
-                        *lane = kleene(is_and, *lane, v);
+                    match self.eval(arg, page, selection)? {
+                        Operand::Scalar(value) => {
+                            constant = kleene(is_and, constant, value.as_bool());
+                        }
+                        Operand::Column(block) => {
+                            let flat = flatten(&block);
+                            columns.get_or_insert_with(|| Kleene::new(is_and, rows)).column(&flat);
+                        }
                     }
                 }
-                tri_state_block(&state)
+                Ok(match columns {
+                    None => Operand::scalar(constant.map_or(Value::Null, Value::Boolean)),
+                    Some(mut columns) => {
+                        columns.scalar(constant);
+                        Operand::column(columns.finish())
+                    }
+                })
             }
-            SpecialForm::IsNull => {
-                let block = self.evaluate(&args[0], page)?;
-                let values: Vec<bool> = (0..rows).map(|i| block.is_null(i)).collect();
-                Ok(Block::boolean(values))
-            }
+            SpecialForm::IsNull => Ok(match self.eval(&args[0], page, selection)? {
+                Operand::Scalar(value) => Operand::scalar(Value::Boolean(value.is_null())),
+                Operand::Column(block) => Operand::column(kernels::is_null(&block)),
+            }),
             SpecialForm::If => {
                 // Lazy branches: each arm is evaluated only over the rows
                 // that take it, so errors in the untaken arm (e.g. division
                 // by zero) cannot fail the query — matching the scalar path.
-                let cond = self.evaluate(&args[0], page)?;
-                let mut then_rows = Vec::new();
-                let mut else_rows = Vec::new();
-                for i in 0..rows {
-                    if !cond.is_null(i) && cond.value(i).as_bool() == Some(true) {
-                        then_rows.push(i);
-                    } else {
-                        else_rows.push(i);
+                let condition = match self.eval(&args[0], page, selection)? {
+                    Operand::Scalar(value) => {
+                        let arm = if value.as_bool() == Some(true) { &args[1] } else { &args[2] };
+                        return self.eval(arm, page, selection);
                     }
-                }
-                let then_block = if then_rows.is_empty() {
-                    None
-                } else {
-                    Some(self.evaluate(&args[1], &page.take(&then_rows))?)
+                    Operand::Column(block) => block,
                 };
-                let else_block = if else_rows.is_empty() {
-                    None
-                } else {
-                    Some(self.evaluate(&args[2], &page.take(&else_rows))?)
-                };
-                let mut out = vec![Value::Null; rows];
-                if let Some(b) = &then_block {
-                    for (pos, &row) in then_rows.iter().enumerate() {
-                        out[row] = b.value(pos);
-                    }
+                let (then_rows, else_rows) = kernels::partition(&flatten(&condition));
+                if else_rows.is_empty() {
+                    return self.eval(&args[1], page, selection);
                 }
-                if let Some(b) = &else_block {
-                    for (pos, &row) in else_rows.iter().enumerate() {
-                        out[row] = b.value(pos);
-                    }
+                if then_rows.is_empty() {
+                    return self.eval(&args[2], page, selection);
                 }
-                Block::from_values(return_type, &out)
+                let mut parts = Vec::with_capacity(2);
+                for (arm, positions) in [(&args[1], then_rows), (&args[2], else_rows)] {
+                    let taken = narrow(selection, Some(&positions));
+                    parts.push((self.eval(arm, page, taken.as_deref())?, Some(positions)));
+                }
+                blend(return_type, rows, parts).map(Operand::column)
             }
             SpecialForm::Coalesce => {
-                let blocks =
-                    args.iter().map(|a| self.evaluate(a, page)).collect::<Result<Vec<_>>>()?;
-                let mut out = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    let v = blocks
-                        .iter()
-                        .map(|b| b.value(i))
-                        .find(|v| !v.is_null())
-                        .unwrap_or(Value::Null);
-                    out.push(v);
+                // Lazy like IF: an argument is evaluated over the rows every
+                // earlier one left NULL. `remaining` lists them; `None` is all.
+                let mut remaining: Option<Vec<usize>> = None;
+                let mut parts = Vec::new();
+                for arg in args {
+                    let taken = narrow(selection, remaining.as_deref());
+                    let operand = self.eval(arg, page, taken.as_deref())?;
+                    let still_null = match &operand {
+                        Operand::Scalar(value) if value.is_null() => continue,
+                        Operand::Scalar(_) => Vec::new(),
+                        Operand::Column(block) => kernels::null_rows(block),
+                    };
+                    let left = still_null.iter().map(|&i| page_row(remaining.as_deref(), i));
+                    let left: Vec<usize> = left.collect();
+                    parts.push((operand, remaining.replace(left)));
+                    if still_null.is_empty() {
+                        break;
+                    }
                 }
-                Block::from_values(return_type, &out)
+                match parts.len() {
+                    0 => Ok(Operand::scalar(Value::Null)),
+                    // one part: where it is NULL, so is the result
+                    1 => Ok(parts.remove(0).0),
+                    // a row NULL in every part keeps pointing at the last one's NULL
+                    _ => blend(return_type, rows, parts).map(Operand::column),
+                }
             }
-            SpecialForm::In => {
-                let needle = self.evaluate(&args[0], page)?;
-                let haystack =
-                    args[1..].iter().map(|a| self.evaluate(a, page)).collect::<Result<Vec<_>>>()?;
-                let mut out: Vec<Option<bool>> = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    if needle.is_null(i) {
-                        out.push(None);
-                        continue;
-                    }
-                    let v = needle.value(i);
-                    let mut saw_null = false;
-                    let mut found = false;
-                    for h in &haystack {
-                        if h.is_null(i) {
-                            saw_null = true;
-                        } else if h.value(i).sql_cmp(&v) == Some(std::cmp::Ordering::Equal) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    out.push(if found {
-                        Some(true)
-                    } else if saw_null {
-                        None
-                    } else {
-                        Some(false)
-                    });
+            SpecialForm::In | SpecialForm::Between => {
+                let operands = args
+                    .iter()
+                    .map(|a| self.eval(a, page, selection))
+                    .collect::<Result<Vec<_>>>()?;
+                let scalar = |values: &[Value]| match form {
+                    SpecialForm::In => in_values(&values[0], &values[1..]),
+                    _ => between_values(&values[0], &values[1], &values[2]),
+                };
+                if operands[0].is_null_scalar() {
+                    return Ok(Operand::scalar(Value::Null));
                 }
-                tri_state_block(&out)
-            }
-            SpecialForm::Between => {
-                let v = self.evaluate(&args[0], page)?;
-                let lo = self.evaluate(&args[1], page)?;
-                let hi = self.evaluate(&args[2], page)?;
-                let mut out: Vec<Option<bool>> = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    if v.is_null(i) || lo.is_null(i) || hi.is_null(i) {
-                        out.push(None);
-                        continue;
-                    }
-                    let val = v.value(i);
-                    let ge = val.sql_cmp(&lo.value(i)).map(|o| o != std::cmp::Ordering::Less);
-                    let le = val.sql_cmp(&hi.value(i)).map(|o| o != std::cmp::Ordering::Greater);
-                    out.push(match (ge, le) {
-                        (Some(a), Some(b)) => Some(a && b),
-                        _ => None,
-                    });
+                if let Some(values) = scalars(&operands) {
+                    return Ok(Operand::scalar(scalar(&values)));
                 }
-                tri_state_block(&out)
+                over_flat_args(&operands, rows, |args, rows| {
+                    let typed = match form {
+                        SpecialForm::In => kernels::in_list(args[0], &args[1..], rows),
+                        _ => kernels::between(args[0], args[1], args[2], rows),
+                    };
+                    match typed {
+                        Some(block) => Ok(block),
+                        // nested values compare boxed
+                        None => call_block(args, rows, return_type, |v| Ok(scalar(v))),
+                    }
+                })
+                .map(Operand::column)
             }
             SpecialForm::Dereference { field_index } => {
-                let base = self.evaluate(&args[0], page)?.decode_dictionary();
-                match base {
+                let base = match self.eval(&args[0], page, selection)? {
+                    Operand::Scalar(value) => {
+                        return dereference_value(&value, *field_index).map(Operand::scalar)
+                    }
+                    Operand::Column(block) => block,
+                };
+                match &*flatten(&base) {
                     Block::Row { children, nulls, .. } => {
-                        let child = children
-                            .get(*field_index)
-                            .ok_or_else(|| {
-                                PrestoError::Internal(format!(
-                                    "dereference of field {field_index} out of range"
-                                ))
-                            })?
-                            .clone();
+                        let child = children.get(*field_index).ok_or_else(|| {
+                            PrestoError::Internal(format!(
+                                "dereference of field {field_index} out of range"
+                            ))
+                        })?;
                         // A NULL struct makes every dereferenced field NULL.
-                        match nulls {
-                            None => Ok(child),
+                        Ok(Operand::column(match nulls {
+                            None => child.clone(),
                             Some(parent_nulls) => {
-                                let vals: Vec<Value> =
-                                    (0..child.len())
-                                        .map(|i| {
-                                            if parent_nulls[i] {
-                                                Value::Null
-                                            } else {
-                                                child.value(i)
-                                            }
-                                        })
-                                        .collect();
-                                Block::from_values(return_type, &vals)
+                                let rows: Vec<Option<usize>> = parent_nulls
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, &null)| (!null).then_some(i))
+                                    .collect();
+                                child.take_nullable(&rows)
                             }
-                        }
+                        }))
                     }
                     other => Err(PrestoError::Execution(format!(
                         "DEREFERENCE of non-row block {}",
@@ -366,14 +419,14 @@ impl Evaluator {
         args: &[RowExpression],
         row: &[Value],
     ) -> Result<Value> {
+        check_arity(form, args)?;
         match form {
             SpecialForm::And | SpecialForm::Or => {
                 let is_and = matches!(form, SpecialForm::And);
                 let mut state = Some(is_and);
                 for arg in args {
                     let v = self.evaluate_scalar(arg, row)?;
-                    let lane = if v.is_null() { None } else { v.as_bool() };
-                    state = kleene(is_and, state, lane);
+                    state = kleene(is_and, state, v.as_bool());
                 }
                 Ok(state.map(Value::Boolean).unwrap_or(Value::Null))
             }
@@ -397,65 +450,40 @@ impl Evaluator {
                 }
                 Ok(Value::Null)
             }
-            SpecialForm::In => {
-                let v = self.evaluate_scalar(&args[0], row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for arg in &args[1..] {
-                    let h = self.evaluate_scalar(arg, row)?;
-                    if h.is_null() {
-                        saw_null = true;
-                    } else if h.sql_cmp(&v) == Some(std::cmp::Ordering::Equal) {
-                        return Ok(Value::Boolean(true));
-                    }
-                }
-                Ok(if saw_null { Value::Null } else { Value::Boolean(false) })
-            }
-            SpecialForm::Between => {
-                let v = self.evaluate_scalar(&args[0], row)?;
-                let lo = self.evaluate_scalar(&args[1], row)?;
-                let hi = self.evaluate_scalar(&args[2], row)?;
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
-                }
-                match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                    (Some(a), Some(b)) => Ok(Value::Boolean(
-                        a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater,
-                    )),
-                    _ => Ok(Value::Null),
-                }
+            // every operand is evaluated, as the vectorized path does: only
+            // IF and COALESCE shield an argument from the rows it would fail on
+            SpecialForm::In | SpecialForm::Between => {
+                let values = args
+                    .iter()
+                    .map(|a| self.evaluate_scalar(a, row))
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(match form {
+                    SpecialForm::In => in_values(&values[0], &values[1..]),
+                    _ => between_values(&values[0], &values[1], &values[2]),
+                })
             }
             SpecialForm::Dereference { field_index } => {
-                match self.evaluate_scalar(&args[0], row)? {
-                    Value::Null => Ok(Value::Null),
-                    Value::Row(fields) => fields.get(*field_index).cloned().ok_or_else(|| {
-                        PrestoError::Internal("dereference field out of range".into())
-                    }),
-                    other => {
-                        Err(PrestoError::Execution(format!("DEREFERENCE of non-row value {other}")))
-                    }
-                }
+                dereference_value(&self.evaluate_scalar(&args[0], row)?, *field_index)
             }
         }
     }
 
     // -------------------------------------------------------- higher order
 
-    fn evaluate_higher_order(
+    fn evaluate_higher_order<'a>(
         &self,
-        handle: &crate::expression::FunctionHandle,
+        handle: &FunctionHandle,
         args: &[RowExpression],
         page: &Page,
-    ) -> Result<Block> {
-        let rows = page.positions();
+        selection: Option<&[usize]>,
+        rows: usize,
+    ) -> Result<Operand<'a>> {
         let mut out = Vec::with_capacity(rows);
         for i in 0..rows {
-            let row = page.row(i);
+            let row = page.row(page_row(selection, i));
             out.push(self.evaluate_higher_order_scalar(&handle.name, args, 1, &row)?);
         }
-        Block::from_values(&handle.return_type, &out)
+        Block::from_values(&handle.return_type, &out).map(Operand::column)
     }
 
     fn evaluate_higher_order_scalar(
@@ -512,7 +540,208 @@ fn lambda_args(item: Value, params_len: usize) -> Vec<Value> {
     row
 }
 
-/// Kleene-logic combine step for AND (`is_and`) / OR chains.
+/// A form built with the wrong number of arguments (a hand-written or
+/// deserialized expression) is an error, not an index out of bounds.
+fn check_arity(form: &SpecialForm, args: &[RowExpression]) -> Result<()> {
+    let fits = match form {
+        SpecialForm::If | SpecialForm::Between => args.len() == 3,
+        SpecialForm::IsNull | SpecialForm::Dereference { .. } => args.len() == 1,
+        SpecialForm::In => !args.is_empty(),
+        SpecialForm::And | SpecialForm::Or | SpecialForm::Coalesce => true,
+    };
+    if fits {
+        Ok(())
+    } else {
+        Err(PrestoError::Internal(format!("{form:?} of {} arguments", args.len())))
+    }
+}
+
+/// A dictionary column decoded, any other as it is.
+fn flatten(block: &Block) -> Cow<'_, Block> {
+    match block {
+        Block::Dictionary { .. } => Cow::Owned(block.decode_dictionary()),
+        flat => Cow::Borrowed(flat),
+    }
+}
+
+/// The operands' values when every one of them is a scalar.
+fn scalars(operands: &[Operand<'_>]) -> Option<Vec<Value>> {
+    operands
+        .iter()
+        .map(|o| match o {
+            Operand::Scalar(value) => Some(value.as_ref().clone()),
+            Operand::Column(_) => None,
+        })
+        .collect()
+}
+
+/// Run `kernel` over the operands as flat arguments and a row count. When
+/// the only column among them is dictionary-encoded, the kernel runs once
+/// per dictionary entry and its result is gathered through the ids; should
+/// an entry no row refers to fail it, the rows decide.
+fn over_flat_args(
+    operands: &[Operand<'_>],
+    rows: usize,
+    kernel: impl Fn(&[Arg<'_>], usize) -> Result<Block>,
+) -> Result<Block> {
+    let mut columns = operands.iter().filter_map(|o| match o {
+        Operand::Column(block) => Some(&**block),
+        Operand::Scalar(_) => None,
+    });
+    if let (Some(Block::Dictionary { dictionary, ids }), None) = (columns.next(), columns.next()) {
+        let args: Vec<Arg<'_>> = operands
+            .iter()
+            .map(|o| match o {
+                Operand::Scalar(value) => Arg::Scalar(value),
+                Operand::Column(_) => Arg::Column(dictionary),
+            })
+            .collect();
+        let nested = matches!(**dictionary, Block::Dictionary { .. });
+        if let (false, Ok(entries)) = (nested, kernel(&args, dictionary.len())) {
+            let rows: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+            return Ok(entries.take(&rows));
+        }
+    }
+    let flat: Vec<Option<Cow<'_, Block>>> = operands
+        .iter()
+        .map(|o| match o {
+            Operand::Column(block) => Some(flatten(block)),
+            Operand::Scalar(_) => None,
+        })
+        .collect();
+    let args: Vec<Arg<'_>> = operands
+        .iter()
+        .zip(&flat)
+        .map(|(o, flat)| match o {
+            Operand::Scalar(value) => Arg::Scalar(value),
+            Operand::Column(block) => Arg::Column(flat.as_deref().unwrap_or(block)),
+        })
+        .collect();
+    kernel(&args, rows)
+}
+
+/// The typed form of a built-in call, when it has one for these arguments.
+fn typed_call(
+    builtin: Builtin,
+    args: &[Arg<'_>],
+    rows: usize,
+    return_type: &DataType,
+) -> Result<Option<Block>> {
+    use Builtin::*;
+    Ok(match (builtin, args) {
+        (Add | Sub | Mul | Div | Mod, &[a, b]) => {
+            kernels::arithmetic(builtin, a, b, rows, return_type)?
+        }
+        (Eq | Neq | Lt | Lte | Gt | Gte, &[a, b]) => kernels::compare(builtin, a, b, rows),
+        (Negate, [Arg::Column(a)]) => kernels::negate(a),
+        (Not, [Arg::Column(a)]) => kernels::not(a),
+        _ => None,
+    })
+}
+
+/// Row-wise application of a scalar function: one row of arguments boxed
+/// at a time. What custom (plugin) functions and the built-ins without a
+/// typed form run through.
+fn call_block(
+    args: &[Arg<'_>],
+    rows: usize,
+    return_type: &DataType,
+    function: impl Fn(&[Value]) -> Result<Value>,
+) -> Result<Block> {
+    let mut out = Vec::with_capacity(rows);
+    // scalars are boxed once, columns once per row
+    let mut arg_values: Vec<Value> = args
+        .iter()
+        .map(|arg| match arg {
+            Arg::Scalar(value) => (*value).clone(),
+            Arg::Column(_) => Value::Null,
+        })
+        .collect();
+    for i in 0..rows {
+        for (slot, arg) in arg_values.iter_mut().zip(args) {
+            if let Arg::Column(block) = arg {
+                *slot = block.value(i);
+            }
+        }
+        out.push(function(&arg_values)?);
+    }
+    Block::from_values(return_type, &out)
+}
+
+/// Assemble `rows` result rows from `parts`: row `k` of a part's column is
+/// the result at the part's `k`-th position (`None`: every row, in order); a
+/// scalar part is the result at all of its positions. A later part
+/// overwrites an earlier one. One typed gather over the concatenated parts
+/// — no `Value` per row.
+fn blend(
+    return_type: &DataType,
+    rows: usize,
+    parts: Vec<(Operand<'_>, Option<Vec<usize>>)>,
+) -> Result<Block> {
+    let mut index = vec![0usize; rows];
+    let mut sources: Vec<Cow<'_, Block>> = Vec::with_capacity(parts.len());
+    let mut base = 0;
+    for (operand, positions) in parts {
+        let (source, stride) = match operand {
+            Operand::Scalar(value) => (Cow::Owned(Block::repeat(return_type, &value, 1)?), 0),
+            // an arm narrower than the declared type (a BIGINT under DOUBLE)
+            Operand::Column(block) => (block.widen(return_type).map_or(block, Cow::Owned), 1),
+        };
+        match &positions {
+            Some(positions) => {
+                positions.iter().enumerate().for_each(|(k, &p)| index[p] = base + k * stride);
+            }
+            None => index.iter_mut().enumerate().for_each(|(k, slot)| *slot = base + k * stride),
+        }
+        base += source.len();
+        sources.push(source);
+    }
+    Ok(Block::concat(&sources)?.take(&index))
+}
+
+/// `v IN (items)`: TRUE when an item equals `v`, else NULL when `v` or an
+/// item is NULL, else FALSE. An item `v` never compares with equals nothing.
+fn in_values(v: &Value, items: &[Value]) -> Value {
+    if v.is_null() {
+        return Value::Null;
+    }
+    if items.iter().any(|item| item.sql_cmp(v) == Some(std::cmp::Ordering::Equal)) {
+        return Value::Boolean(true);
+    }
+    if items.iter().any(Value::is_null) {
+        Value::Null
+    } else {
+        Value::Boolean(false)
+    }
+}
+
+/// `v BETWEEN lo AND hi`, which is `v >= lo AND v <= hi` in three-valued
+/// logic with the comparisons' own semantics (a NaN is ordered with nothing:
+/// FALSE) — except that a bound of a class `v` never compares with makes its
+/// half NULL instead of an error.
+fn between_values(v: &Value, lo: &Value, hi: &Value) -> Value {
+    use std::cmp::Ordering;
+    let half = |bound: &Value, out_of_range: Ordering| match v.sql_cmp(bound) {
+        Some(ordering) => Some(ordering != out_of_range),
+        None if v.as_f64().is_some() && bound.as_f64().is_some() => Some(false),
+        None => None,
+    };
+    kleene(true, half(lo, Ordering::Less), half(hi, Ordering::Greater))
+        .map_or(Value::Null, Value::Boolean)
+}
+
+fn dereference_value(base: &Value, field_index: usize) -> Result<Value> {
+    match base {
+        Value::Null => Ok(Value::Null),
+        Value::Row(fields) => fields
+            .get(field_index)
+            .cloned()
+            .ok_or_else(|| PrestoError::Internal("dereference field out of range".into())),
+        other => Err(PrestoError::Execution(format!("DEREFERENCE of non-row value {other}"))),
+    }
+}
+
+/// Kleene-logic combine step for AND (`is_and`) / OR chains; `None` is NULL.
 fn kleene(is_and: bool, acc: Option<bool>, next: Option<bool>) -> Option<bool> {
     if is_and {
         match (acc, next) {
@@ -527,63 +756,6 @@ fn kleene(is_and: bool, acc: Option<bool>, next: Option<bool>) -> Option<bool> {
             _ => None,
         }
     }
-}
-
-fn tri_state_block(state: &[Option<bool>]) -> Result<Block> {
-    let values: Vec<Value> =
-        state.iter().map(|s| s.map(Value::Boolean).unwrap_or(Value::Null)).collect();
-    Block::from_values(&DataType::Boolean, &values)
-}
-
-/// Vectorized fast paths: typed tight loops for the hottest shapes
-/// (BIGINT/DOUBLE comparisons and arithmetic on null-free blocks).
-fn fast_path(builtin: Builtin, args: &[Block]) -> Result<Option<Block>> {
-    use Builtin::*;
-    if args.len() != 2 {
-        return Ok(None);
-    }
-    match (&args[0], &args[1]) {
-        (Block::Bigint { values: a, nulls: None }, Block::Bigint { values: b, nulls: None }) => {
-            let out = match builtin {
-                Eq => cmp_loop(a, b, |x, y| x == y),
-                Neq => cmp_loop(a, b, |x, y| x != y),
-                Lt => cmp_loop(a, b, |x, y| x < y),
-                Lte => cmp_loop(a, b, |x, y| x <= y),
-                Gt => cmp_loop(a, b, |x, y| x > y),
-                Gte => cmp_loop(a, b, |x, y| x >= y),
-                Add => return Ok(Some(Block::bigint(zip_loop(a, b, i64::wrapping_add)))),
-                Sub => return Ok(Some(Block::bigint(zip_loop(a, b, i64::wrapping_sub)))),
-                Mul => return Ok(Some(Block::bigint(zip_loop(a, b, i64::wrapping_mul)))),
-                _ => return Ok(None),
-            };
-            Ok(Some(Block::boolean(out)))
-        }
-        (Block::Double { values: a, nulls: None }, Block::Double { values: b, nulls: None }) => {
-            let out = match builtin {
-                Eq => cmp_loop(a, b, |x, y| x == y),
-                Neq => cmp_loop(a, b, |x, y| x != y),
-                Lt => cmp_loop(a, b, |x, y| x < y),
-                Lte => cmp_loop(a, b, |x, y| x <= y),
-                Gt => cmp_loop(a, b, |x, y| x > y),
-                Gte => cmp_loop(a, b, |x, y| x >= y),
-                Add => return Ok(Some(Block::double(zip_loop(a, b, |x, y| x + y)))),
-                Sub => return Ok(Some(Block::double(zip_loop(a, b, |x, y| x - y)))),
-                Mul => return Ok(Some(Block::double(zip_loop(a, b, |x, y| x * y)))),
-                Div => return Ok(Some(Block::double(zip_loop(a, b, |x, y| x / y)))),
-                _ => return Ok(None),
-            };
-            Ok(Some(Block::boolean(out)))
-        }
-        _ => Ok(None),
-    }
-}
-
-fn cmp_loop<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> bool) -> Vec<bool> {
-    a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect()
-}
-
-fn zip_loop<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> T) -> Vec<T> {
-    a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect()
 }
 
 #[cfg(test)]
@@ -615,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_comparison_matches_scalar_oracle() {
+    fn typed_comparison_matches_scalar_oracle() {
         let ev = evaluator();
         let page = Page::new(vec![Block::bigint(vec![10, 12, 12, 5])]).unwrap();
         let expr = eq_call(
@@ -814,6 +986,60 @@ mod tests {
         };
         let out = ev.evaluate(&safe_div, &page).unwrap();
         assert_eq!(out.to_values(), vec![(-1i64).into(), 50i64.into(), 25i64.into()]);
+    }
+
+    #[test]
+    fn errors_are_raised_only_for_lanes_that_are_not_null() {
+        let ev = evaluator();
+        let divide = |by: Block| {
+            let page = Page::new(vec![Block::bigint(vec![6, i64::MIN]), by]).unwrap();
+            let div = RowExpression::Call {
+                handle: FunctionHandle::new(
+                    "div",
+                    vec![DataType::Bigint, DataType::Bigint],
+                    DataType::Bigint,
+                ),
+                args: vec![
+                    RowExpression::column("x", 0, DataType::Bigint),
+                    RowExpression::column("y", 1, DataType::Bigint),
+                ],
+            };
+            ev.evaluate(&div, &page)
+        };
+        // a zero under a NULL divides nothing
+        let by = Block::Bigint { values: vec![3, 0], nulls: Some(vec![false, true]) };
+        assert_eq!(divide(by).unwrap().to_values(), vec![2i64.into(), Value::Null]);
+        let err = divide(Block::bigint(vec![3, 0])).unwrap_err();
+        assert_eq!(err.to_string(), "EXECUTION_ERROR: division by zero");
+        // i64::MIN / -1 wraps like every other integer overflow
+        let wrapped = divide(Block::bigint(vec![-1, -1])).unwrap();
+        assert_eq!(wrapped, Block::bigint(vec![-6, i64::MIN]));
+    }
+
+    #[test]
+    fn between_is_two_comparisons_under_a_kleene_and() {
+        let ev = evaluator();
+        let page = Page::new(vec![Block::double(vec![1.0, 20.0, f64::NAN])]).unwrap();
+        let between = |lo: RowExpression, hi: RowExpression| RowExpression::SpecialForm {
+            form: SpecialForm::Between,
+            args: vec![RowExpression::column("x", 0, DataType::Double), lo, hi],
+            return_type: DataType::Boolean,
+        };
+        // 1 <= 10 AND NULL is NULL; 20 <= 10 is FALSE whatever the other half
+        // is; a NaN is ordered with nothing
+        for expr in [
+            between(RowExpression::null(DataType::Double), RowExpression::bigint(10)),
+            between(RowExpression::null(DataType::Varchar), RowExpression::double(10.0)),
+        ] {
+            let b = ev.evaluate(&expr, &page).unwrap();
+            assert_eq!(b.to_values(), vec![Value::Null, false.into(), false.into()]);
+            for (i, expected) in b.to_values().into_iter().enumerate() {
+                assert_eq!(ev.evaluate_scalar(&expr, &page.row(i)).unwrap(), expected);
+            }
+        }
+        let inside = between(RowExpression::bigint(0), RowExpression::double(10.0));
+        let b = ev.evaluate(&inside, &page).unwrap();
+        assert_eq!(b, Block::boolean(vec![true, false, false]));
     }
 
     #[test]

@@ -280,23 +280,24 @@ impl RowExpression {
     }
 
     fn write_sexp(&self, out: &mut String) {
+        // `fmt::Write` into a `String` cannot fail: the results are dropped
         use std::fmt::Write;
         match self {
             RowExpression::Constant { value, data_type } => {
-                write!(out, "(const {} {})", type_sexp(data_type), value_sexp(value)).unwrap();
+                let _ = write!(out, "(const {} {})", type_sexp(data_type), value_sexp(value));
             }
             RowExpression::VariableReference { name, index, data_type } => {
-                write!(out, "(var {} {} {})", escape(name), index, type_sexp(data_type)).unwrap();
+                let _ = write!(out, "(var {} {} {})", escape(name), index, type_sexp(data_type));
             }
             RowExpression::Call { handle, args } => {
-                write!(out, "(call {} (", escape(&handle.name)).unwrap();
+                let _ = write!(out, "(call {} (", escape(&handle.name));
                 for (i, t) in handle.arg_types.iter().enumerate() {
                     if i > 0 {
                         out.push(' ');
                     }
                     out.push_str(&type_sexp(t));
                 }
-                write!(out, ") {}", type_sexp(&handle.return_type)).unwrap();
+                let _ = write!(out, ") {}", type_sexp(&handle.return_type));
                 for a in args {
                     out.push(' ');
                     a.write_sexp(out);
@@ -308,7 +309,7 @@ impl RowExpression {
                     SpecialForm::Dereference { field_index } => format!(" {field_index}"),
                     _ => String::new(),
                 };
-                write!(out, "(form {}{} {}", form.tag(), extra, type_sexp(return_type)).unwrap();
+                let _ = write!(out, "(form {}{} {}", form.tag(), extra, type_sexp(return_type));
                 for a in args {
                     out.push(' ');
                     a.write_sexp(out);
@@ -321,8 +322,7 @@ impl RowExpression {
                     if i > 0 {
                         out.push(' ');
                     }
-                    use std::fmt::Write;
-                    write!(out, "{}:{}", escape(name), type_sexp(t)).unwrap();
+                    let _ = write!(out, "{}:{}", escape(name), type_sexp(t));
                 }
                 out.push_str(") ");
                 body.write_sexp(out);
@@ -494,7 +494,7 @@ impl<'a> SexpParser<'a> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<()> {
+    fn eat(&mut self, c: u8) -> Result<()> {
         self.skip_ws();
         if self.pos < self.input.len() && self.input[self.pos] == c {
             self.pos += 1;
@@ -526,7 +526,7 @@ impl<'a> SexpParser<'a> {
     }
 
     fn quoted(&mut self) -> Result<String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out: Vec<u8> = Vec::new();
         while self.pos < self.input.len() {
             match self.input[self.pos] {
@@ -556,7 +556,7 @@ impl<'a> SexpParser<'a> {
 
     fn parse_type(&mut self) -> Result<DataType> {
         if self.peek() == Some(b'(') {
-            self.expect(b'(')?;
+            self.eat(b'(')?;
             let kind = self.word()?;
             let t = match kind.as_str() {
                 "array" => DataType::array(self.parse_type()?),
@@ -576,7 +576,7 @@ impl<'a> SexpParser<'a> {
                 }
                 other => return Err(self.err(&format!("unknown type '{other}'"))),
             };
-            self.expect(b')')?;
+            self.eat(b')')?;
             return Ok(t);
         }
         match self.word()?.as_str() {
@@ -600,7 +600,7 @@ impl<'a> SexpParser<'a> {
                 Err(self.err(&format!("unknown value '{w}'")))
             };
         }
-        self.expect(b'(')?;
+        self.eat(b'(')?;
         let kind = self.word()?;
         let v = match kind.as_str() {
             "bool" => Value::Boolean(self.word()? == "true"),
@@ -637,12 +637,12 @@ impl<'a> SexpParser<'a> {
             }
             other => return Err(self.err(&format!("unknown value kind '{other}'"))),
         };
-        self.expect(b')')?;
+        self.eat(b')')?;
         Ok(v)
     }
 
     fn parse_expr(&mut self) -> Result<RowExpression> {
-        self.expect(b'(')?;
+        self.eat(b'(')?;
         let kind = self.word()?;
         let expr = match kind.as_str() {
             "const" => {
@@ -658,12 +658,12 @@ impl<'a> SexpParser<'a> {
             }
             "call" => {
                 let name = self.quoted()?;
-                self.expect(b'(')?;
+                self.eat(b'(')?;
                 let mut arg_types = Vec::new();
                 while self.peek() != Some(b')') {
                     arg_types.push(self.parse_type()?);
                 }
-                self.expect(b')')?;
+                self.eat(b')')?;
                 let return_type = self.parse_type()?;
                 let mut args = Vec::new();
                 while self.peek() != Some(b')') {
@@ -695,22 +695,22 @@ impl<'a> SexpParser<'a> {
                 RowExpression::SpecialForm { form, args, return_type }
             }
             "lambda" => {
-                self.expect(b'(')?;
+                self.eat(b'(')?;
                 let mut parameters = Vec::new();
                 while self.peek() != Some(b')') {
                     // Parameters serialize as "name":type with a colon join.
                     let name = self.quoted()?;
-                    self.expect(b':')?;
+                    self.eat(b':')?;
                     let t = self.parse_type()?;
                     parameters.push((name, t));
                 }
-                self.expect(b')')?;
+                self.eat(b')')?;
                 let body = Box::new(self.parse_expr()?);
                 RowExpression::LambdaDefinition { parameters, body }
             }
             other => return Err(self.err(&format!("unknown expression kind '{other}'"))),
         };
-        self.expect(b')')?;
+        self.eat(b')')?;
         Ok(expr)
     }
 }

@@ -17,13 +17,16 @@
 //! - [`registry::FunctionRegistry`] — built-in scalar functions plus the
 //!   plugin extension point the geospatial plugin (§VI.E) uses;
 //! - [`eval::Evaluator`] — vectorized evaluation over
-//!   [`presto_common::Page`]s (Presto evaluates expressions vectorized, §III);
+//!   [`presto_common::Page`]s (Presto evaluates expressions vectorized, §III):
+//!   typed loops over columns and scalar constants, boxed rows only for
+//!   plugin functions and the built-ins without a typed form;
 //! - [`aggregate::AggregateFunction`] — the aggregate vocabulary shared by
 //!   the execution engine and connector aggregation pushdown.
 
 pub mod aggregate;
 pub mod eval;
 pub mod expression;
+mod kernels;
 pub mod registry;
 
 pub use aggregate::{Accumulator, AggregateFunction, GroupedAccumulator};

@@ -426,7 +426,8 @@ impl Builtin {
     }
 }
 
-fn promote(a: &DataType, b: &DataType) -> DataType {
+/// Numeric type of `a ⊕ b`: DOUBLE beats BIGINT beats INTEGER.
+pub(crate) fn promote(a: &DataType, b: &DataType) -> DataType {
     if a == &DataType::Double || b == &DataType::Double {
         DataType::Double
     } else if a == &DataType::Bigint || b == &DataType::Bigint {
@@ -454,9 +455,13 @@ fn f64_fn(args: &[Value], f: impl Fn(f64) -> f64) -> Result<Value> {
     }
 }
 
+/// `a ⊕ b` on two non-NULL numbers. One overflow rule for both integer
+/// widths: the result wraps in the width [`promote`] declares — BIGINT at
+/// 64 bits, INTEGER × INTEGER at 32, like Java — so `i64::MIN / -1` is
+/// `i64::MIN`, and a value always fits the type its handle promised. Only a
+/// zero integer divisor is an error.
 fn numeric_binop(op: Builtin, a: &Value, b: &Value) -> Result<Value> {
     use Builtin::*;
-    // Double wins; otherwise integer math with overflow wrapping like Java.
     if matches!(a, Value::Double(_)) || matches!(b, Value::Double(_)) {
         let (x, y) = (
             a.as_f64().ok_or_else(|| PrestoError::Execution(format!("non-number {a}")))?,
@@ -483,15 +488,14 @@ fn numeric_binop(op: Builtin, a: &Value, b: &Value) -> Result<Value> {
         Add => x.wrapping_add(y),
         Sub => x.wrapping_sub(y),
         Mul => x.wrapping_mul(y),
-        Div => x / y,
-        Mod => x % y,
+        Div => x.wrapping_div(y),
+        Mod => x.wrapping_rem(y),
         _ => unreachable!(),
     };
-    // Stay in INTEGER when both inputs were INTEGER and the result fits.
+    // two sign-extended 32-bit inputs: the low half of the 64-bit result
+    // is the 32-bit wrapping result
     if matches!(a, Value::Integer(_)) && matches!(b, Value::Integer(_)) {
-        if let Ok(v) = i32::try_from(r) {
-            return Ok(Value::Integer(v));
-        }
+        return Ok(Value::Integer(r as i32));
     }
     Ok(Value::Bigint(r))
 }

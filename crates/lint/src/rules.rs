@@ -22,7 +22,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "no-unwrap",
-        summary: "no unwrap()/expect() in non-test code of exec, resource, cluster, core \
+        summary:
+            "no unwrap()/expect() in non-test code of exec, expr, resource, cluster, core, sim \
                   (errors must propagate as PrestoError, not take down the engine loop)",
     },
     Rule {
@@ -71,8 +72,9 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Crates whose non-test code must propagate `PrestoError` instead of
-/// panicking: the engine loop, resource manager, cluster, and coordinator.
-const NO_UNWRAP_CRATES: &[&str] = &["exec", "resource", "cluster", "core", "sim"];
+/// panicking: the engine loop, the expression evaluator on its hot path,
+/// resource manager, cluster, and coordinator.
+const NO_UNWRAP_CRATES: &[&str] = &["exec", "expr", "resource", "cluster", "core", "sim"];
 
 /// The declared crate DAG (mirrors each crate's `Cargo.toml`): which
 /// `presto_*` crates each crate may reference. `common` sits at the bottom;

@@ -68,12 +68,23 @@ fn no_unwrap_only_guards_engine_crates() {
     // the same panicky source is fine in a crate outside the engine loop
     let clean = check_fixture("no_unwrap/bad.rs", "crates/parquet/src/fixture.rs");
     assert!(rule_lines(&clean, "no-unwrap").is_empty());
-    // and in all four engine crates it is not
-    for krate in ["exec", "resource", "cluster", "core"] {
+    // and in the engine crates it is not
+    for krate in ["exec", "expr", "resource", "cluster", "core", "sim"] {
         let path = format!("crates/{krate}/src/fixture.rs");
         let bad = check_fixture("no_unwrap/bad.rs", &path);
         assert_eq!(rule_lines(&bad, "no-unwrap"), vec![5, 9], "crate {krate}");
     }
+}
+
+#[test]
+fn no_unwrap_guards_the_expression_evaluator() {
+    // an "infallible" `write!(..).unwrap()` and a helper *named* `expect`
+    let bad = check_fixture("no_unwrap/expr_bad.rs", "crates/expr/src/fixture.rs");
+    assert_eq!(rule_lines(&bad, "no-unwrap"), vec![6, 20]);
+    assert_eq!(bad.len(), 2);
+
+    let clean = check_fixture("no_unwrap/expr_clean.rs", "crates/expr/src/fixture.rs");
+    assert!(clean.is_empty(), "clean fixture flagged: {clean:?}");
 }
 
 #[test]

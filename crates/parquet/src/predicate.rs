@@ -9,64 +9,12 @@
 
 use presto_common::{DataType, Result, Value};
 
+/// A [`ScalarPredicate`] in the typed form of one column's storage class
+/// (see [`ScalarPredicate::typed`]).
+pub use presto_common::{Domain, TypedDomain as TypedPredicate};
+
 use crate::metadata::ColumnStats;
 use crate::shred::{LeafData, LeafValues};
-
-/// A predicate over the values of one typed column: a closed interval or a
-/// finite set. Built only by [`ScalarPredicate::typed`], when every literal
-/// compares with the column in the column's own class under
-/// [`Value::sql_cmp`], so `contains` is exactly [`ScalarPredicate::matches`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Domain<T> {
-    /// `lo <= v <= hi`.
-    Interval(T, T),
-    /// `v` is one of these.
-    Set(Vec<T>),
-}
-
-impl<T: Copy + PartialOrd> Domain<T> {
-    /// `pred` as a domain: `literal` reads a literal of the column's class,
-    /// `min`/`max` stand in for an open end (`None`: the class has none).
-    fn of<'p>(
-        pred: &'p ScalarPredicate,
-        literal: impl Fn(&'p Value) -> Option<T>,
-        min: Option<T>,
-        max: Option<T>,
-    ) -> Option<Domain<T>> {
-        match pred {
-            ScalarPredicate::Eq(v) => literal(v).map(|x| Domain::Interval(x, x)),
-            ScalarPredicate::In(values) => {
-                values.iter().map(&literal).collect::<Option<Vec<T>>>().map(Domain::Set)
-            }
-            ScalarPredicate::Range { min: lo, max: hi } => Some(Domain::Interval(
-                lo.as_ref().map_or(min, &literal)?,
-                hi.as_ref().map_or(max, &literal)?,
-            )),
-        }
-    }
-
-    /// NaN is in no domain, as `sql_cmp` orders it with nothing.
-    #[inline]
-    pub fn contains(&self, v: T) -> bool {
-        match self {
-            Domain::Interval(lo, hi) => v >= *lo && v <= *hi,
-            Domain::Set(values) => values.contains(&v),
-        }
-    }
-}
-
-/// A [`ScalarPredicate`] in the typed form of one column's storage class.
-/// A scan loops over its own storage (a block, a segment column, a decoded
-/// leaf) with `contains`; no value is boxed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TypedPredicate<'p> {
-    /// Over BIGINT, INTEGER, DATE or TIMESTAMP values, widened to `i64`.
-    Int(Domain<i64>),
-    /// Over DOUBLE values.
-    Double(Domain<f64>),
-    /// Over the UTF-8 bytes of VARCHAR values (byte order is `str` order).
-    Bytes(Domain<&'p [u8]>),
-}
 
 /// A predicate over one scalar leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,37 +40,12 @@ impl ScalarPredicate {
     /// compares at all — callers then fall back to `matches`. This is the
     /// one table of which literals are in a column's own class.
     pub fn typed<'p>(&'p self, column: &DataType) -> Option<TypedPredicate<'p>> {
-        match column {
-            DataType::Bigint | DataType::Integer | DataType::Date | DataType::Timestamp => {
-                let literal = |v: &Value| match (column, v) {
-                    (
-                        DataType::Bigint | DataType::Integer,
-                        Value::Bigint(_) | Value::Integer(_),
-                    )
-                    | (DataType::Date, Value::Date(_))
-                    | (DataType::Timestamp, Value::Timestamp(_)) => v.as_i64(),
-                    _ => None,
-                };
-                Domain::of(self, literal, Some(i64::MIN), Some(i64::MAX)).map(TypedPredicate::Int)
+        match self {
+            ScalarPredicate::Eq(v) => TypedPredicate::interval(column, Some(v), Some(v)),
+            ScalarPredicate::In(values) => TypedPredicate::set(column, values),
+            ScalarPredicate::Range { min, max } => {
+                TypedPredicate::interval(column, min.as_ref(), max.as_ref())
             }
-            DataType::Double => {
-                // an unbounded range also accepts NaN, which no interval does
-                if matches!(self, ScalarPredicate::Range { min: None, max: None }) {
-                    return None;
-                }
-                // `sql_cmp` widens every numeric literal to `f64`
-                let number = |v: &Value| match v {
-                    Value::Double(_) | Value::Bigint(_) | Value::Integer(_) => v.as_f64(),
-                    _ => None,
-                };
-                Domain::of(self, number, Some(f64::NEG_INFINITY), Some(f64::INFINITY))
-                    .map(TypedPredicate::Double)
-            }
-            DataType::Varchar => {
-                let text = |v: &'p Value| v.as_str().map(str::as_bytes);
-                Domain::of(self, text, Some(&b""[..]), None).map(TypedPredicate::Bytes)
-            }
-            _ => None,
         }
     }
 

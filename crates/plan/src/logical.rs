@@ -359,6 +359,9 @@ impl LogicalPlan {
                 }
                 if request.aggregation.is_some() {
                     parts.push("aggregation pushed down".to_string());
+                } else if request.columns.is_empty() {
+                    // `count(*)`: rows are counted, nothing is read
+                    parts.push("no columns".to_string());
                 }
                 if let Some(l) = request.limit {
                     parts.push(format!("limit {l}"));

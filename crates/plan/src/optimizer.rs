@@ -621,7 +621,8 @@ fn is_identity_access_list(accesses: &[RowExpression], width: usize) -> bool {
 
 /// Insert an explicit Project naming the accesses an Aggregate uses, so the
 /// scan-pruning rule can see them (turns `Aggregate → Scan` into
-/// `Aggregate → Project → Scan`).
+/// `Aggregate → Project → Scan`). An aggregate that names no column at all
+/// (`count(*)`) gets a Project of nothing, and its scan then reads nothing.
 fn project_below_aggregate(plan: LogicalPlan) -> Result<LogicalPlan> {
     let LogicalPlan::Aggregate { input, group_by, aggregates, step } = plan else {
         return Ok(plan);
@@ -639,7 +640,15 @@ fn project_below_aggregate(plan: LogicalPlan) -> Result<LogicalPlan> {
             collect_access_exprs(arg, &mut accesses);
         }
     }
-    if accesses.is_empty() || is_identity_access_list(&accesses, width) {
+    // `count(*)` names nothing: its scan (bare or under a filter) is asked
+    // for no column; over any other input the plan stays as it was
+    let over_scan = match &*input {
+        LogicalPlan::Filter { input: inner, .. } => {
+            matches!(**inner, LogicalPlan::TableScan { .. })
+        }
+        other => matches!(other, LogicalPlan::TableScan { .. }),
+    };
+    if is_identity_access_list(&accesses, width) || (accesses.is_empty() && !over_scan) {
         return Ok(LogicalPlan::Aggregate { input, group_by, aggregates, step });
     }
     let expressions: Vec<(String, RowExpression)> =
@@ -864,6 +873,8 @@ fn prune_scan_projection(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Resul
         LogicalPlan::TableScan { catalog, schema, table, table_schema, request: new_request };
     let inner = match new_filter {
         Some(predicate) => LogicalPlan::Filter { input: Box::new(scan), predicate },
+        // a Project of nothing over a scan of nothing (`count(*)`) is the scan
+        None if new_expressions.is_empty() => return Ok(scan),
         None => scan,
     };
     Ok(LogicalPlan::Project { input: Box::new(inner), expressions: new_expressions })
@@ -1385,6 +1396,8 @@ mod tests {
             panic!("expected scan");
         };
         assert!(request.aggregation.is_none());
+        // count(*) names no column, so the scan reads none
+        assert!(request.columns.is_empty());
     }
 
     #[test]

@@ -7,16 +7,22 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that neither
-// allocates nor unwinds.
+// `GlobalAlloc` contract; the counters are thread-local `Cell`s that neither
+// allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        note(layout.size());
         // SAFETY: same layout, as the caller guarantees for `alloc`.
         unsafe { System.alloc(layout) }
     }
@@ -27,7 +33,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        note(new_size);
         // SAFETY: forwarded under the caller's `realloc` guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -39,4 +45,16 @@ static ALLOCATOR: Counting = Counting;
 /// Allocations (and reallocations) this thread has made so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The largest single allocation, in bytes, this thread has made since
+/// `forget_largest`: a column buffer over N rows is at least N bytes.
+#[allow(dead_code)]
+pub fn largest() -> usize {
+    LARGEST.with(Cell::get)
+}
+
+#[allow(dead_code)]
+pub fn forget_largest() {
+    LARGEST.with(|l| l.set(0));
 }

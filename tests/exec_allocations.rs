@@ -94,3 +94,49 @@ fn breaker_allocations_do_not_scale_with_rows() {
         assert!(large < N as u64 / 10, "{name}: {large} allocations is no bounded set-up");
     }
 }
+
+/// The expression-bearing shapes: arithmetic under a filter, CASE, IN,
+/// BETWEEN … AND, and `count(*)` alone. Evaluated through `Vec<Value>` and a
+/// `String` per VARCHAR cell, each of these allocates per row.
+const EXPRESSIONS: [(&str, &str); 5] = [
+    (
+        "arithmetic under BETWEEN",
+        "SELECT sum(price * (1 - price / 2000)) FROM facts WHERE bucket BETWEEN 10 AND 90",
+    ),
+    ("CASE", "SELECT sum(CASE WHEN line < 2 THEN id ELSE bucket END), max(price) FROM facts"),
+    ("IN over VARCHAR", "SELECT sum(CASE WHEN flag IN ('R', 'A') THEN 1 ELSE 0 END) FROM facts"),
+    (
+        "BETWEEN AND <",
+        "SELECT count(*) FROM facts WHERE (bucket BETWEEN 10 AND 90 AND price < 400.0) = (line < 3)",
+    ),
+    ("count(*)", "SELECT count(*) FROM facts"),
+];
+
+#[test]
+fn expression_allocations_are_the_same_at_any_row_count() {
+    let run = |rows: usize| -> Vec<(u64, usize)> {
+        let (engine, session) = engine(rows);
+        EXPRESSIONS
+            .iter()
+            .map(|(name, sql)| {
+                counting::forget_largest();
+                let before = counting::allocations();
+                let result = engine.execute_with_session(sql, &session);
+                let after = counting::allocations();
+                assert_eq!(result.unwrap().row_count(), 1, "{name}");
+                (after - before, counting::largest())
+            })
+            .collect()
+    };
+    const N: usize = 2_000;
+    for (((name, _), (small, _)), (large, largest)) in
+        EXPRESSIONS.iter().zip(run(N)).zip(run(2 * N))
+    {
+        assert_eq!(small, large, "{name}: allocations at {N} rows and at {}", 2 * N);
+        // a scan that is asked for no column allocates no column buffer: the
+        // smallest one (a mask, a byte a row) would be this large
+        if *name == "count(*)" {
+            assert!(largest < N, "{name}: one allocation of {largest} bytes");
+        }
+    }
+}

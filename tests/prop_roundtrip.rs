@@ -5,7 +5,8 @@
 //! - old-reader ≡ new-reader result equivalence under arbitrary predicates;
 //! - QuadTree query ≡ brute-force scan;
 //! - RowExpression serialization round trip;
-//! - vectorized expression evaluation ≡ the scalar oracle.
+//! - vectorized expression evaluation ≡ the scalar oracle, over generated
+//!   expression trees.
 
 mod common;
 
@@ -321,38 +322,260 @@ proptest! {
         let text = expr.serialize();
         prop_assert_eq!(RowExpression::deserialize(&text).unwrap(), expr);
     }
+}
 
-    #[test]
-    fn vectorized_eval_matches_scalar_oracle(
-        lhs in proptest::collection::vec(arb_scalar(&DataType::Bigint), 1..50),
-        constant in any::<i64>(),
-    ) {
-        use presto_expr::{Evaluator, FunctionHandle, FunctionRegistry, RowExpression};
-        let evaluator = Evaluator::new(FunctionRegistry::new());
-        let block = Block::from_values(&DataType::Bigint, &lhs).unwrap();
-        let page = Page::new(vec![block]).unwrap();
-        for fn_name in ["eq", "lt", "gte", "add", "mul"] {
-            let ret = if matches!(fn_name, "add" | "mul") {
-                DataType::Bigint
+// A type-driven generator of expression trees and the pages they read. The
+// value pools are small and edge-heavy (NaN, ±0.0, ±inf, `i64` / `i32`
+// extremes, zero divisors, NULLs) so comparisons hit, divisions fail and
+// integers wrap within a few hundred cases.
+mod expressions {
+    use presto_common::rng::mix64;
+    use presto_common::{Block, DataType, Page, Value};
+    use presto_expr::{FunctionRegistry, RowExpression, SpecialForm};
+
+    pub const TYPES: [DataType; 6] = [
+        DataType::Bigint,
+        DataType::Integer,
+        DataType::Double,
+        DataType::Varchar,
+        DataType::Boolean,
+        DataType::Date,
+    ];
+    const NUMERIC: [DataType; 3] = [DataType::Bigint, DataType::Integer, DataType::Double];
+
+    pub struct Gen(pub u64);
+
+    impl Gen {
+        pub fn below(&mut self, bound: usize) -> usize {
+            self.0 = mix64(self.0);
+            (self.0 % bound as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<T: Clone>(&mut self, pool: &[T]) -> T {
+            pool[self.below(pool.len())].clone()
+        }
+
+        /// A non-NULL value of `dt` from its pool.
+        fn value(&mut self, dt: &DataType) -> Value {
+            match dt {
+                DataType::Bigint => {
+                    Value::Bigint(self.pick(&[0, 1, -1, 2, 3, 7, i64::MAX, i64::MIN, i64::MIN + 1]))
+                }
+                DataType::Integer => {
+                    Value::Integer(self.pick(&[0, 1, -1, 2, 3, 65_536, i32::MAX, i32::MIN]))
+                }
+                DataType::Double => Value::Double(self.pick(&[
+                    0.0,
+                    -0.0,
+                    1.0,
+                    -1.0,
+                    2.5,
+                    3.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    9.007199254740993e15,
+                ])),
+                DataType::Varchar => Value::Varchar(self.pick(&["", "a", "b", "ab", "AIR"]).into()),
+                DataType::Boolean => Value::Boolean(self.chance(50)),
+                _ => Value::Date(self.pick(&[0, 1, -1, 17_000, i32::MAX, i32::MIN])),
+            }
+        }
+
+        fn nullable_value(&mut self, dt: &DataType, null_percent: usize) -> Value {
+            if self.chance(null_percent) {
+                Value::Null
             } else {
-                DataType::Boolean
-            };
-            let expr = RowExpression::Call {
-                handle: FunctionHandle::new(
-                    fn_name,
-                    vec![DataType::Bigint, DataType::Bigint],
-                    ret,
-                ),
-                args: vec![
-                    RowExpression::column("x", 0, DataType::Bigint),
-                    RowExpression::bigint(constant),
-                ],
-            };
-            let vectorized = evaluator.evaluate(&expr, &page).unwrap();
-            for i in 0..page.positions() {
-                let row = page.row(i);
-                let scalar = evaluator.evaluate_scalar(&expr, &row).unwrap();
-                prop_assert_eq!(vectorized.value(i), scalar, "{} at {}", fn_name, i);
+                self.value(dt)
+            }
+        }
+
+        /// `rows` rows: every type as a plain column (channels 0..6), then
+        /// every type dictionary-encoded (6..12) over a dictionary that may
+        /// hold NULL entries and entries no row refers to. Half the pages
+        /// have no NULL in their plain columns.
+        pub fn page(&mut self, rows: usize) -> Page {
+            let null_percent = if self.chance(50) { 0 } else { 25 };
+            let mut blocks = Vec::new();
+            for dt in &TYPES {
+                let values: Vec<Value> =
+                    (0..rows).map(|_| self.nullable_value(dt, null_percent)).collect();
+                blocks.push(Block::from_values(dt, &values).unwrap());
+            }
+            for dt in &TYPES {
+                let entries: Vec<Value> = (0..4).map(|_| self.nullable_value(dt, 20)).collect();
+                let used = 1 + self.below(4);
+                blocks.push(Block::Dictionary {
+                    dictionary: Box::new(Block::from_values(dt, &entries).unwrap()),
+                    ids: (0..rows).map(|_| self.below(used) as u32).collect(),
+                });
+            }
+            Page::new(blocks).unwrap()
+        }
+
+        fn leaf(&mut self, dt: &DataType) -> RowExpression {
+            let channel = TYPES.iter().position(|t| t == dt).unwrap();
+            match self.below(10) {
+                0..=4 => RowExpression::column("plain", channel, dt.clone()),
+                5 | 6 => RowExpression::column("dict", TYPES.len() + channel, dt.clone()),
+                7 => RowExpression::null(dt.clone()),
+                _ => RowExpression::Constant { value: self.value(dt), data_type: dt.clone() },
+            }
+        }
+
+        fn call(name: &str, args: Vec<RowExpression>) -> RowExpression {
+            let types: Vec<DataType> = args.iter().map(RowExpression::data_type).collect();
+            let handle = FunctionRegistry::new().resolve(name, &types).unwrap();
+            RowExpression::Call { handle, args }
+        }
+
+        fn form(form: SpecialForm, args: Vec<RowExpression>, dt: &DataType) -> RowExpression {
+            RowExpression::SpecialForm { form, args, return_type: dt.clone() }
+        }
+
+        /// A type another value of `dt` is compared with: itself, or for a
+        /// number any number.
+        fn comparable(&mut self, dt: &DataType) -> DataType {
+            if dt.is_numeric() && self.chance(40) {
+                self.pick(&NUMERIC)
+            } else {
+                dt.clone()
+            }
+        }
+
+        /// An expression of type `dt`, at most `depth` operators deep.
+        pub fn expr(&mut self, dt: &DataType, depth: usize) -> RowExpression {
+            if depth == 0 || self.chance(15) {
+                return self.leaf(dt);
+            }
+            let d = depth - 1;
+            match self.below(10) {
+                0 | 1 => {
+                    let cond = self.expr(&DataType::Boolean, d);
+                    let args = vec![cond, self.expr(dt, d), self.expr(dt, d)];
+                    Self::form(SpecialForm::If, args, dt)
+                }
+                2 => {
+                    let args = (0..1 + self.below(3)).map(|_| self.expr(dt, d)).collect();
+                    Self::form(SpecialForm::Coalesce, args, dt)
+                }
+                _ if *dt == DataType::Boolean => self.predicate(d),
+                _ if dt.is_numeric() => {
+                    if self.chance(15) {
+                        return Self::call("negate", vec![self.expr(dt, d)]);
+                    }
+                    // the argument types whose promotion is `dt`
+                    let narrower: &[DataType] = match dt {
+                        DataType::Double => &NUMERIC,
+                        DataType::Bigint => &NUMERIC[..2],
+                        _ => &NUMERIC[1..2],
+                    };
+                    let mut types = [dt.clone(), self.pick(narrower)];
+                    if *dt == DataType::Integer || self.chance(50) {
+                        types.swap(0, 1);
+                    }
+                    let op = self.pick(&["add", "sub", "mul", "div", "mod"]);
+                    Self::call(op, vec![self.expr(&types[0], d), self.expr(&types[1], d)])
+                }
+                _ => self.leaf(dt),
+            }
+        }
+
+        fn predicate(&mut self, d: usize) -> RowExpression {
+            let boolean = DataType::Boolean;
+            let of = self.pick(&TYPES);
+            match self.below(9) {
+                0..=2 => {
+                    let op = self.pick(&["eq", "neq", "lt", "lte", "gt", "gte"]);
+                    let other = self.comparable(&of);
+                    Self::call(op, vec![self.expr(&of, d), self.expr(&other, d)])
+                }
+                3 => Self::call("not", vec![self.expr(&boolean, d)]),
+                4 => {
+                    let form = if self.chance(50) { SpecialForm::And } else { SpecialForm::Or };
+                    let args = (0..2 + self.below(2)).map(|_| self.expr(&boolean, d)).collect();
+                    Self::form(form, args, &boolean)
+                }
+                5 => Self::form(SpecialForm::IsNull, vec![self.expr(&of, d)], &boolean),
+                6 => {
+                    // bounds: mostly literals of a comparable type, now and
+                    // then an expression or a type that never compares
+                    let mut args = vec![self.expr(&of, d)];
+                    for _ in 0..2 {
+                        let bound = match self.below(10) {
+                            0 => self.pick(&TYPES),
+                            _ => self.comparable(&of),
+                        };
+                        args.push(if self.chance(70) {
+                            self.leaf(&bound)
+                        } else {
+                            self.expr(&bound, d)
+                        });
+                    }
+                    Self::form(SpecialForm::Between, args, &boolean)
+                }
+                _ => {
+                    let mut args = vec![self.expr(&of, d)];
+                    let constant = self.chance(70);
+                    for _ in 0..1 + self.below(4) {
+                        let item = match self.below(10) {
+                            0 => self.pick(&TYPES),
+                            _ => self.comparable(&of),
+                        };
+                        args.push(match (constant, self.chance(15)) {
+                            (true, true) => RowExpression::null(item),
+                            (true, false) => RowExpression::Constant {
+                                value: self.value(&item),
+                                data_type: item,
+                            },
+                            (false, _) => self.expr(&item, d),
+                        });
+                    }
+                    Self::form(SpecialForm::In, args, &boolean)
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `Evaluator::evaluate` against `evaluate_scalar` row by row: both fail
+    /// with the same class of error, or both succeed and the block is the
+    /// one `Block::from_values` builds from the scalar answers — down to the
+    /// zeroed slot under a NULL and `nulls: None` when no NULL survives.
+    #[test]
+    fn vectorized_eval_matches_scalar_oracle(seed in any::<u64>()) {
+        use presto_expr::{Evaluator, FunctionRegistry};
+        let evaluator = Evaluator::new(FunctionRegistry::new());
+        let mut gen = expressions::Gen(seed);
+        let rows = match gen.below(8) { 0 => 0, 1 => 1, _ => 2 + gen.below(30) };
+        let page = gen.page(rows);
+        for _ in 0..12 {
+            let dt = expressions::TYPES[gen.below(expressions::TYPES.len())].clone();
+            let depth = 1 + gen.below(3);
+            let expr = gen.expr(&dt, depth);
+            let vectorized = evaluator.evaluate(&expr, &page);
+            let scalar: presto_common::Result<Vec<Value>> =
+                (0..rows).map(|i| evaluator.evaluate_scalar(&expr, &page.row(i))).collect();
+            let context = || format!("{}\nover {page:?}", expr.serialize());
+            match (vectorized, scalar) {
+                (Ok(block), Ok(values)) => {
+                    let expected = Block::from_values(&dt, &values).unwrap();
+                    // Debug tells NaN from NaN-free and -0.0 from 0.0; `==` does not
+                    prop_assert_eq!(
+                        format!("{:?}", block.decode_dictionary()),
+                        format!("{expected:?}"),
+                        "{}", context()
+                    );
+                }
+                (Err(v), Err(s)) => prop_assert_eq!(v.code(), s.code(), "{}", context()),
+                (v, s) => panic!("vectorized {v:?}\nscalar {s:?}\n{}", context()),
             }
         }
     }
