@@ -16,11 +16,13 @@ use std::sync::Arc;
 
 use presto_cache::{FileHandleCache, FileListCache, FooterCache};
 use presto_common::metrics::CounterSet;
-use presto_common::{Block, DataType, Field, Page, Schema};
+use presto_common::{Block, DataType, Field, Page, Result, Schema};
 use presto_parquet::{FileWriter, WriterMode, WriterProperties};
 use presto_storage::{FileSystem, HdfsFileSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::report::{Gate, Report, Table};
 
 /// Trace shape parameters.
 #[derive(Debug, Clone)]
@@ -85,7 +87,6 @@ struct Warehouse {
     hdfs: HdfsFileSystem,
     /// (table, partition dir, sealed)
     partitions: Vec<(usize, String, bool)>,
-    files_per_partition: usize,
 }
 
 fn build_warehouse(trace: &CacheTrace) -> Warehouse {
@@ -119,7 +120,7 @@ fn build_warehouse(trace: &CacheTrace) -> Warehouse {
             partitions.push((table, dir, sealed));
         }
     }
-    Warehouse { hdfs, partitions, files_per_partition: trace.files_per_partition }
+    Warehouse { hdfs, partitions }
 }
 
 /// Replay the trace twice — without and with the caches — and compare the
@@ -131,20 +132,8 @@ pub fn run(trace: &CacheTrace, seed: u64) -> CacheResult {
     // Scan sequence: (partition index) per scan, hot-skewed; each scan lists
     // its partition then stats every file in it (split planning).
     let mut rng = StdRng::seed_from_u64(seed);
-    let hot_parts: Vec<usize> = warehouse
-        .partitions
-        .iter()
-        .enumerate()
-        .filter(|(_, (t, _, _))| *t < trace.hot_tables)
-        .map(|(i, _)| i)
-        .collect();
-    let cold_parts: Vec<usize> = warehouse
-        .partitions
-        .iter()
-        .enumerate()
-        .filter(|(_, (t, _, _))| *t >= trace.hot_tables)
-        .map(|(i, _)| i)
-        .collect();
+    let (hot_parts, cold_parts): (Vec<usize>, Vec<usize>) = (0..warehouse.partitions.len())
+        .partition(|&i| warehouse.partitions[i].0 < trace.hot_tables);
     let scan_sequence: Vec<usize> = (0..trace.scans)
         .map(|_| {
             if rng.gen_bool(trace.hot_fraction) {
@@ -190,7 +179,6 @@ pub fn run(trace: &CacheTrace, seed: u64) -> CacheResult {
     let list_calls_cached = hdfs.metrics().get("hdfs.list_files");
     let getinfo_calls_cached = hdfs.metrics().get("hdfs.get_file_info");
 
-    let _ = warehouse.files_per_partition;
     CacheResult {
         list_calls_baseline,
         list_calls_cached,
@@ -199,24 +187,50 @@ pub fn run(trace: &CacheTrace, seed: u64) -> CacheResult {
     }
 }
 
+/// The §VII claims, getFileInfo with the tolerance the trace allows.
+fn gates(r: &CacheResult) -> [Gate; 2] {
+    let (list, info) = (r.list_remaining_pct(), r.getinfo_reduction_pct());
+    [
+        Gate::new("listFiles reduced to under 40%", list < 40.0, format!("{list:.1}% remain")),
+        Gate::new("over 80% of getFileInfo removed", info > 80.0, format!("{info:.1}% removed")),
+    ]
+}
+
+/// `paper-experiments cache`: the default trace, seed 7.
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== §VII: file-list cache and file-handle/footer cache ===");
+    report.line("paper claims: listFiles reduced to <40%; ~90% of getFileInfo removed\n");
+    let result = run(&CacheTrace::default(), 7);
+    let mut table = Table::new(
+        "2000-scan trace, 5 hot tables (sealed+open partitions), 20 cold tables",
+        &["metric", "baseline", "with caches", "paper", "measured"],
+    );
+    table.row(vec![
+        "HDFS listFiles calls".into(),
+        result.list_calls_baseline.to_string(),
+        result.list_calls_cached.to_string(),
+        "< 40% remain".into(),
+        format!("{:.1}% remain", result.list_remaining_pct()),
+    ]);
+    table.row(vec![
+        "HDFS getFileInfo calls".into(),
+        result.getinfo_calls_baseline.to_string(),
+        result.getinfo_calls_cached.to_string(),
+        "~90% removed".into(),
+        format!("{:.1}% removed", result.getinfo_reduction_pct()),
+    ]);
+    report.line(table.render());
+    report.gates = gates(&result).into();
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn reproduces_the_section_vii_numbers() {
-        let result = run(&CacheTrace::default(), 7);
-        // paper: listFiles reduced to <40%
-        assert!(
-            result.list_remaining_pct() < 40.0,
-            "listFiles remaining {:.1}%",
-            result.list_remaining_pct()
-        );
-        // paper: ~90% of getFileInfo removed
-        assert!(
-            result.getinfo_reduction_pct() > 80.0,
-            "getFileInfo reduction {:.1}%",
-            result.getinfo_reduction_pct()
-        );
+        assert_gates(&gates(&run(&CacheTrace::default(), 7)));
     }
 }

@@ -15,9 +15,13 @@ use std::time::Duration;
 
 use presto_cluster::{ClusterConfig, PrestoCluster, SpeculationConfig};
 use presto_common::metrics::names;
-use presto_common::{Block, DataType, FaultInjector, FaultPlan, Field, Page, Schema, SimClock};
+use presto_common::{
+    Block, DataType, FaultInjector, FaultPlan, Field, Page, Result, Schema, SimClock,
+};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
+
+use crate::report::{replay, Gate, Json, Report, Table};
 
 /// Chaos run parameters.
 #[derive(Debug, Clone)]
@@ -50,28 +54,15 @@ impl Default for ChaosConfig {
     }
 }
 
-/// Outcome of one chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosResult {
-    /// The fault rate this run used.
-    pub fault_rate: f64,
-    /// Whether recovery was on.
-    pub recovery: bool,
+/// What a serial stream of `SELECT sum(x), count(*) FROM t` returned.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamResult {
     /// Queries submitted.
     pub queries: usize,
     /// Queries that returned rows.
     pub succeeded: usize,
-    /// `cluster.split_retries` at the end of the run.
-    pub split_retries: u64,
-    /// `cluster.worker_failures` at the end of the run.
-    pub worker_failures: u64,
-    /// `cluster.blacklisted_workers` at the end of the run.
-    pub blacklisted_workers: u64,
-    /// Worker crashes the injector fired.
-    pub crashes_injected: u64,
-    /// Transient task faults the injector fired.
-    pub task_faults_injected: u64,
-    /// Virtual time consumed by the run (admission waits + retry backoff).
+    /// Virtual time consumed by the run (admission waits, retry backoff,
+    /// stalls).
     pub virtual_ms: u64,
     /// Order-sensitive digest over every successful query's rows — two runs
     /// with the same seed must agree bit-for-bit.
@@ -83,44 +74,84 @@ pub struct ChaosResult {
     pub trace_digest: u64,
 }
 
-impl ChaosResult {
+impl StreamResult {
     /// Fraction of queries that completed.
     pub fn success_rate(&self) -> f64 {
         self.succeeded as f64 / self.queries.max(1) as f64
     }
 }
 
-fn engine_with_table() -> PrestoEngine {
+/// Outcome of one chaos run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosResult {
+    /// The query stream.
+    pub stream: StreamResult,
+    /// `cluster.split_retries` at the end of the run.
+    pub split_retries: u64,
+    /// `cluster.worker_failures` at the end of the run.
+    pub worker_failures: u64,
+    /// `cluster.blacklisted_workers` at the end of the run.
+    pub blacklisted_workers: u64,
+    /// Worker crashes the injector fired.
+    pub crashes_injected: u64,
+    /// Transient task faults the injector fired.
+    pub task_faults_injected: u64,
+}
+
+/// An engine whose `memory.default.t` holds one BIGINT column `x` =
+/// `0..pages * rows_per_page`, one page (one split) per `rows_per_page` rows.
+pub(crate) fn engine_with_table(pages: i64, rows_per_page: i64) -> Result<PrestoEngine> {
     let engine = PrestoEngine::new();
     let memory = MemoryConnector::new();
-    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)])
-        .unwrap_or_else(|e| panic!("chaos schema: {e}"));
-    // 12 pages → 12 splits per query, spread over the workers
-    let pages: Vec<Page> = (0..12)
+    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)])?;
+    let pages = (0..pages)
         .map(|p| {
-            Page::new(vec![Block::bigint((p * 50..p * 50 + 50).collect())])
-                .unwrap_or_else(|e| panic!("chaos page: {e}"))
+            Page::new(vec![Block::bigint((p * rows_per_page..(p + 1) * rows_per_page).collect())])
         })
-        .collect();
-    memory
-        .create_table("default", "t", schema, pages)
-        .unwrap_or_else(|e| panic!("chaos table: {e}"));
+        .collect::<Result<Vec<Page>>>()?;
+    memory.create_table("default", "t", schema, pages)?;
     engine.register_catalog("memory", Arc::new(memory));
-    engine
+    Ok(engine)
+}
+
+/// Issue `queries` aggregations over a 12-split table (12 pages → 12 splits
+/// per query, spread over the workers) on a cluster built from `config`.
+fn run_stream(
+    name: &str,
+    config: ClusterConfig,
+    queries: usize,
+) -> Result<(Arc<PrestoCluster>, StreamResult)> {
+    let clock = SimClock::new();
+    let cluster = PrestoCluster::new(name, engine_with_table(12, 50)?, config, clock.clone());
+    let session = Session::default();
+    let start = clock.now();
+    let mut succeeded = 0;
+    let mut digest = DefaultHasher::new();
+    let mut trace_digest = DefaultHasher::new();
+    for _ in 0..queries {
+        if let Ok(result) = cluster.execute("SELECT sum(x), count(*) FROM t", &session) {
+            succeeded += 1;
+            format!("{:?}", result.rows()).hash(&mut digest);
+            // Only successful queries fold in: a doomed query's cancel flag
+            // races sibling workers, so its span count is timing-dependent.
+            result.info.trace.digest().hash(&mut trace_digest);
+        }
+    }
+    let virtual_ms = (clock.now() - start).as_millis() as u64;
+    let (rows_digest, trace_digest) = (digest.finish(), trace_digest.finish());
+    Ok((cluster, StreamResult { queries, succeeded, virtual_ms, rows_digest, trace_digest }))
 }
 
 /// Run the chaos workload: `config.queries` aggregations over a 12-split
 /// table while the injector fails tasks (and optionally crashes a worker).
-pub fn run(config: &ChaosConfig) -> ChaosResult {
+pub fn run(config: &ChaosConfig) -> Result<ChaosResult> {
     let mut plan = FaultPlan::new().fail_rate(config.fault_rate);
     if config.crash_worker {
         plan = plan.crash_on_task(0, 25);
     }
     let injector = FaultInjector::new(config.seed, plan);
-    let clock = SimClock::new();
-    let cluster = PrestoCluster::new(
+    let (cluster, stream) = run_stream(
         "chaos",
-        engine_with_table(),
         ClusterConfig {
             initial_workers: config.workers,
             fault_injector: injector.clone(),
@@ -131,37 +162,21 @@ pub fn run(config: &ChaosConfig) -> ChaosResult {
             blacklist_after: 4,
             ..ClusterConfig::default()
         },
-        clock.clone(),
-    );
-    let session = Session::default();
-    let start = clock.now();
-    let mut succeeded = 0;
-    let mut digest = DefaultHasher::new();
-    let mut trace_digest = DefaultHasher::new();
-    for _ in 0..config.queries {
-        if let Ok(result) = cluster.execute("SELECT sum(x), count(*) FROM t", &session) {
-            succeeded += 1;
-            format!("{:?}", result.rows()).hash(&mut digest);
-            // Only successful queries fold in: a doomed query's cancel flag
-            // races sibling workers, so its span count is timing-dependent.
-            result.info.trace.digest().hash(&mut trace_digest);
-        }
-    }
-    let virtual_ms = (clock.now() - start).as_millis() as u64;
-    ChaosResult {
-        fault_rate: config.fault_rate,
-        recovery: config.recovery,
-        queries: config.queries,
-        succeeded,
+        config.queries,
+    )?;
+    Ok(ChaosResult {
+        stream,
         split_retries: cluster.metrics().get(names::CLUSTER_SPLIT_RETRIES),
         worker_failures: cluster.metrics().get(names::CLUSTER_WORKER_FAILURES),
         blacklisted_workers: cluster.metrics().get(names::CLUSTER_BLACKLISTED_WORKERS),
         crashes_injected: injector.crashes_injected(),
         task_faults_injected: injector.task_faults_injected(),
-        virtual_ms,
-        rows_digest: digest.finish(),
-        trace_digest: trace_digest.finish(),
-    }
+    })
+}
+
+/// The default config run twice: `paper-experiments chaos`'s replay gate.
+fn replay_default() -> Result<(ChaosResult, ChaosResult, Gate)> {
+    replay("seed 42", || run(&ChaosConfig::default()), ChaosResult::clone)
 }
 
 /// Straggler scenario parameters: the same query stream, but instead of
@@ -199,14 +214,12 @@ impl Default for StragglerConfig {
 }
 
 /// Outcome of one straggler run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StragglerResult {
     /// Whether speculation was on.
     pub speculation: bool,
-    /// Queries submitted.
-    pub queries: usize,
-    /// Queries that returned rows.
-    pub succeeded: usize,
+    /// The query stream.
+    pub stream: StreamResult,
     /// Query latency percentiles (virtual µs) over the whole stream.
     pub p50_us: u64,
     /// 95th percentile latency (virtual µs).
@@ -221,25 +234,17 @@ pub struct StragglerResult {
     pub speculative_wasted: u64,
     /// Mid-stream stalls the injector fired.
     pub stalls_injected: u64,
-    /// Virtual time consumed by the run.
-    pub virtual_ms: u64,
-    /// Order-sensitive digest over every successful query's rows.
-    pub rows_digest: u64,
-    /// Order-sensitive fold of every successful query's trace digest.
-    pub trace_digest: u64,
 }
 
 /// Run the straggler workload: `config.queries` aggregations over a
 /// 12-split table while the injector stalls scan pages mid-stream.
-pub fn run_straggler(config: &StragglerConfig) -> StragglerResult {
+pub fn run_straggler(config: &StragglerConfig) -> Result<StragglerResult> {
     let injector = FaultInjector::new(
         config.seed,
         FaultPlan::new().scan_stall_rate(config.stall_rate, config.stall),
     );
-    let clock = SimClock::new();
-    let cluster = PrestoCluster::new(
+    let (cluster, stream) = run_stream(
         "straggler",
-        engine_with_table(),
         ClusterConfig {
             initial_workers: config.workers,
             fault_injector: injector.clone(),
@@ -249,25 +254,12 @@ pub fn run_straggler(config: &StragglerConfig) -> StragglerResult {
             },
             ..ClusterConfig::default()
         },
-        clock.clone(),
-    );
-    let session = Session::default();
-    let start = clock.now();
-    let mut succeeded = 0;
-    let mut digest = DefaultHasher::new();
-    let mut trace_digest = DefaultHasher::new();
-    for _ in 0..config.queries {
-        if let Ok(result) = cluster.execute("SELECT sum(x), count(*) FROM t", &session) {
-            succeeded += 1;
-            format!("{:?}", result.rows()).hash(&mut digest);
-            result.info.trace.digest().hash(&mut trace_digest);
-        }
-    }
+        config.queries,
+    )?;
     let latency = cluster.histograms().get(names::HIST_CLUSTER_QUERY_LATENCY_US);
-    StragglerResult {
+    Ok(StragglerResult {
         speculation: config.speculation,
-        queries: config.queries,
-        succeeded,
+        stream,
         p50_us: latency.quantile(0.50),
         p95_us: latency.quantile(0.95),
         p99_us: latency.quantile(0.99),
@@ -275,44 +267,176 @@ pub fn run_straggler(config: &StragglerConfig) -> StragglerResult {
         speculative_wins: cluster.metrics().get(names::CLUSTER_SPECULATIVE_WINS),
         speculative_wasted: cluster.metrics().get(names::CLUSTER_SPECULATIVE_WASTED),
         stalls_injected: injector.stalls_injected(),
-        virtual_ms: (clock.now() - start).as_millis() as u64,
-        rows_digest: digest.finish(),
-        trace_digest: trace_digest.finish(),
+    })
+}
+
+/// The straggler gates on one seed's speculation-on and -off runs.
+fn speculation_gates(on: &StragglerResult, off: &StragglerResult) -> [Gate; 2] {
+    let (on_rows, off_rows) = (on.stream.rows_digest, off.stream.rows_digest);
+    let rows = format!("rows {on_rows:#018x} / {off_rows:#018x}");
+    let p99 = format!("p99 on {} vs off {} µs", on.p99_us, off.p99_us);
+    [
+        Gate::new("speculation keeps the answers", on_rows == off_rows, rows),
+        Gate::new("speculation cuts the tail", on.p99_us < off.p99_us, p99),
+    ]
+}
+
+/// `paper-experiments chaos`, part 1: the fault-rate × recovery sweep and
+/// the same-seed replay gate (`BENCH_chaos.json`).
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== §XII: chaos — fault injection vs coordinator recovery ===");
+    report.line(
+        "40 queries x 12 splits on 6 workers; every task faults with probability p,\n\
+         worker 0 crashes at its 25th task; seed 42; backoff on the virtual clock\n",
+    );
+    let mut table = Table::new(
+        "split reassignment, attempt cap 4, blacklist after 4 consecutive failures",
+        &[
+            "fault rate",
+            "recovery",
+            "queries ok",
+            "split retries",
+            "worker failures",
+            "blacklisted",
+            "injected (crash/task)",
+            "virtual backoff",
+        ],
+    );
+    for rate in [0.0, 0.05, 0.10, 0.20] {
+        for recovery in [true, false] {
+            let r = run(&ChaosConfig { fault_rate: rate, recovery, ..ChaosConfig::default() })?;
+            let s = &r.stream;
+            table.row(vec![
+                format!("{:.0}%", rate * 100.0),
+                if recovery { "on".into() } else { "off".into() },
+                format!("{}/{} ({:.0}%)", s.succeeded, s.queries, s.success_rate() * 100.0),
+                r.split_retries.to_string(),
+                r.worker_failures.to_string(),
+                r.blacklisted_workers.to_string(),
+                format!("{}/{}", r.crashes_injected, r.task_faults_injected),
+                format!("{} ms", s.virtual_ms),
+            ]);
+        }
     }
+    report.line(table.render());
+    let (a, b, replayed) = replay_default()?;
+    report.line(format!(
+        "determinism: two seed-42 runs -> rows {:#018x} / {:#018x}, traces {:#018x} / {:#018x} ({})\n",
+        a.stream.rows_digest,
+        b.stream.rows_digest,
+        a.stream.trace_digest,
+        b.stream.trace_digest,
+        if replayed.passed { "identical" } else { "MISMATCH" }
+    ));
+    let json = Json::Obj(vec![
+        ("experiment".into(), Json::Str("chaos".into())),
+        ("queries".into(), Json::U64(a.stream.queries as u64)),
+        ("succeeded".into(), Json::U64(a.stream.succeeded as u64)),
+        ("split_retries".into(), Json::U64(a.split_retries)),
+        ("worker_failures".into(), Json::U64(a.worker_failures)),
+        ("virtual_ms".into(), Json::U64(a.stream.virtual_ms)),
+        ("rows_digest".into(), Json::Str(format!("{:#018x}", a.stream.rows_digest))),
+        ("trace_digest".into(), Json::Str(format!("{:#018x}", a.stream.trace_digest))),
+        ("deterministic".into(), Json::Bool(replayed.passed)),
+    ]);
+    report.bench = Some(("chaos".into(), json));
+    report.gates.push(replayed);
+    Ok(report)
+}
+
+/// `paper-experiments chaos`, part 2: speculation on vs off under injected
+/// stragglers (`BENCH_speculation.json`).
+pub fn speculation_report() -> Result<Report> {
+    let mut report =
+        Report::new("=== §XII: stragglers — speculative execution on mid-stream stalls ===");
+    let config = StragglerConfig::default();
+    report.line(format!(
+        "{} queries x 12 splits on {} workers; each scan page stalls with p={:.0}% for {} ms;\n\
+         speculation duplicates any split past the p99 of its completed siblings\n",
+        config.queries,
+        config.workers,
+        config.stall_rate * 100.0,
+        config.stall.as_millis()
+    ));
+    let on = run_straggler(&config)?;
+    let off = run_straggler(&StragglerConfig { speculation: false, ..config.clone() })?;
+    let mut table = Table::new(
+        "query latency under injected stragglers (virtual µs)",
+        &["speculation", "queries ok", "p50", "p95", "p99", "launches", "wins", "wasted"],
+    );
+    for r in [&on, &off] {
+        table.row(vec![
+            if r.speculation { "on".into() } else { "off".into() },
+            format!("{}/{}", r.stream.succeeded, r.stream.queries),
+            r.p50_us.to_string(),
+            r.p95_us.to_string(),
+            r.p99_us.to_string(),
+            r.speculative_launches.to_string(),
+            r.speculative_wins.to_string(),
+            r.speculative_wasted.to_string(),
+        ]);
+    }
+    report.line(table.render());
+    let [agree, tail_cut] = speculation_gates(&on, &off);
+    report.line(format!(
+        "answers agree across modes: {} ({})\n",
+        if agree.passed { "yes" } else { "NO" },
+        agree.detail
+    ));
+    let mode_json = |r: &StragglerResult| {
+        Json::Obj(vec![
+            ("succeeded".into(), Json::U64(r.stream.succeeded as u64)),
+            ("p50_us".into(), Json::U64(r.p50_us)),
+            ("p95_us".into(), Json::U64(r.p95_us)),
+            ("p99_us".into(), Json::U64(r.p99_us)),
+            ("speculative_launches".into(), Json::U64(r.speculative_launches)),
+            ("speculative_wins".into(), Json::U64(r.speculative_wins)),
+            ("speculative_wasted".into(), Json::U64(r.speculative_wasted)),
+            ("stalls_injected".into(), Json::U64(r.stalls_injected)),
+            ("virtual_ms".into(), Json::U64(r.stream.virtual_ms)),
+            ("rows_digest".into(), Json::Str(format!("{:#018x}", r.stream.rows_digest))),
+            ("trace_digest".into(), Json::Str(format!("{:#018x}", r.stream.trace_digest))),
+        ])
+    };
+    let json = Json::Obj(vec![
+        ("experiment".into(), Json::Str("speculation".into())),
+        ("queries".into(), Json::U64(config.queries as u64)),
+        ("seed".into(), Json::U64(config.seed)),
+        ("speculation_on".into(), mode_json(&on)),
+        ("speculation_off".into(), mode_json(&off)),
+        ("answers_agree".into(), Json::Bool(agree.passed)),
+        ("tail_cut".into(), Json::Bool(tail_cut.passed)),
+    ]);
+    report.bench = Some(("speculation".into(), json));
+    report.gates = vec![agree, tail_cut];
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn recovery_materially_beats_no_recovery_at_ten_percent() {
-        let on = run(&ChaosConfig::default());
-        let off = run(&ChaosConfig { recovery: false, ..ChaosConfig::default() });
-        assert!(on.success_rate() >= 0.95, "recovery on: {}/{} queries", on.succeeded, on.queries);
+        let on = run(&ChaosConfig::default()).unwrap();
+        let off = run(&ChaosConfig { recovery: false, ..ChaosConfig::default() }).unwrap();
+        let (on_rate, off_rate) = (on.stream.success_rate(), off.stream.success_rate());
+        assert!(on_rate >= 0.95, "recovery on: {:?}", on.stream);
         assert!(on.split_retries > 0, "recovery must actually have retried splits");
         assert!(
-            off.success_rate() <= on.success_rate() - 0.25,
-            "recovery off must be materially worse: {} vs {}",
-            off.success_rate(),
-            on.success_rate()
+            off_rate <= on_rate - 0.25,
+            "recovery off must be materially worse: {off_rate} vs {on_rate}"
         );
         assert_eq!(off.split_retries, 0, "no recovery, no retries");
     }
 
     #[test]
     fn same_seed_replays_the_same_schedule() {
-        let a = run(&ChaosConfig::default());
-        let b = run(&ChaosConfig::default());
-        assert_eq!(a.rows_digest, b.rows_digest);
-        assert_eq!(a.trace_digest, b.trace_digest, "span trees must replay bit-for-bit");
-        assert_eq!(a.succeeded, b.succeeded);
-        assert_eq!(a.split_retries, b.split_retries);
-        assert_eq!(a.worker_failures, b.worker_failures);
-        assert_eq!(a.task_faults_injected, b.task_faults_injected);
-        assert_eq!(a.virtual_ms, b.virtual_ms);
+        let (a, _, replayed) = replay_default().unwrap();
+        assert_gates(&[replayed]);
         // and a different seed gives a different schedule
-        let c = run(&ChaosConfig { seed: 43, ..ChaosConfig::default() });
+        let c = run(&ChaosConfig { seed: 43, ..ChaosConfig::default() }).unwrap();
         assert_ne!(
             (a.split_retries, a.task_faults_injected),
             (c.split_retries, c.task_faults_injected)
@@ -322,8 +446,9 @@ mod tests {
     #[test]
     fn zero_fault_rate_is_failure_free_without_the_crash() {
         let r =
-            run(&ChaosConfig { fault_rate: 0.0, crash_worker: false, ..ChaosConfig::default() });
-        assert_eq!(r.succeeded, r.queries);
+            run(&ChaosConfig { fault_rate: 0.0, crash_worker: false, ..ChaosConfig::default() })
+                .unwrap();
+        assert_eq!(r.stream.succeeded, r.stream.queries);
         assert_eq!(r.split_retries, 0);
         assert_eq!(r.worker_failures, 0);
         assert_eq!(r.crashes_injected, 0);
@@ -331,33 +456,24 @@ mod tests {
 
     #[test]
     fn speculation_beats_stragglers_at_the_tail() {
-        let on = run_straggler(&StragglerConfig::default());
-        let off = run_straggler(&StragglerConfig { speculation: false, ..Default::default() });
+        let on = run_straggler(&StragglerConfig::default()).unwrap();
+        let off =
+            run_straggler(&StragglerConfig { speculation: false, ..Default::default() }).unwrap();
+        assert_gates(&speculation_gates(&on, &off));
         // every query answers either way — stalls delay, they don't fail
-        assert_eq!(on.succeeded, on.queries);
-        assert_eq!(off.succeeded, off.queries);
-        assert_eq!(on.rows_digest, off.rows_digest, "speculation must not change answers");
+        assert_eq!(on.stream.succeeded, on.stream.queries);
+        assert_eq!(off.stream.succeeded, off.stream.queries);
         assert!(on.stalls_injected > 0, "the plan must actually stall pages");
         assert!(on.speculative_launches > 0, "stalled splits must trigger duplicates");
         assert!(on.speculative_wins > 0, "some duplicates must win their race");
         assert_eq!(off.speculative_launches, 0, "speculation off launches nothing");
-        assert!(
-            on.p99_us < off.p99_us,
-            "speculation must cut tail latency: on p99 {} vs off p99 {}",
-            on.p99_us,
-            off.p99_us
-        );
     }
 
     #[test]
     fn straggler_runs_replay_on_the_same_seed() {
-        let a = run_straggler(&StragglerConfig::default());
-        let b = run_straggler(&StragglerConfig::default());
-        assert_eq!(a.rows_digest, b.rows_digest);
-        assert_eq!(a.trace_digest, b.trace_digest, "span trees must replay bit-for-bit");
-        assert_eq!(a.speculative_launches, b.speculative_launches);
-        assert_eq!(a.speculative_wins, b.speculative_wins);
-        assert_eq!(a.stalls_injected, b.stalls_injected);
-        assert_eq!(a.virtual_ms, b.virtual_ms);
+        let config = StragglerConfig::default();
+        let (_, _, replayed) =
+            replay("straggler", || run_straggler(&config), StragglerResult::clone).unwrap();
+        assert_gates(&[replayed]);
     }
 }

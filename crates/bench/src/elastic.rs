@@ -2,21 +2,20 @@
 //! spot-revocation storm with autoscaler backfill, and an autoscaling
 //! rush/lull cycle — all on the multi-tenant workload simulation — plus a
 //! direct fragment-cache-migration check on a TPC-H cluster.
-//!
-//! The `paper-experiments elastic` subcommand drives these, runs every
-//! scenario twice to check same-seed digests, and fails the build when a
-//! query fails during graceful decommission, when recovery from the
-//! 50%-fleet storm exceeds the configured virtual-time bound, or when
-//! same-seed digests diverge.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cluster::{AutoscalerConfig, ClusterConfig, PrestoCluster};
 use presto_common::metrics::names;
-use presto_common::{Result, SimClock};
+use presto_common::{PrestoError, Result, SimClock};
 use presto_core::{PrestoEngine, Session};
-use presto_sim::{ArrivalProcess, ElasticPlan, SchedulerMode, SimConfig, SloPolicy};
+use presto_sim::{
+    run_simulation, ArrivalProcess, ElasticPlan, ElasticReport, SchedulerMode, SimConfig,
+    SimReport, SloPolicy,
+};
+
+use crate::report::{replay, Gate, Json, Report, Table};
 
 /// Virtual instant of the revocation storm in [`storm_config`].
 pub const STORM_AT_US: u64 = 40_000;
@@ -195,39 +194,185 @@ pub fn run_cache_migration() -> Result<MigrationResult> {
     })
 }
 
+/// Run a scenario twice: its run, its lifecycle report and the same-seed
+/// replay gate over the workload, trace and telemetry digests.
+pub(crate) fn replay_scenario(
+    name: &str,
+    config: &SimConfig,
+) -> Result<(SimReport, ElasticReport, Gate)> {
+    let key = |r: &SimReport| {
+        (r.digest, r.trace_digest, r.telemetry_digest, r.telemetry_snapshots, r.elastic.clone())
+    };
+    let (a, _, replayed) = replay(name, || run_simulation(config), key)?;
+    let e = a
+        .elastic
+        .clone()
+        .ok_or_else(|| PrestoError::Internal(format!("{name}: no elastic report")))?;
+    Ok((a, e, replayed))
+}
+
+/// The gate every elastic and telemetry run shares.
+pub(crate) fn zero_failed(name: &str, r: &SimReport) -> Gate {
+    Gate::new(format!("{name}: zero failed queries"), r.failed == 0, format!("{} failed", r.failed))
+}
+
+fn scenario_gates(name: &str, r: &SimReport, e: &ElasticReport) -> [Gate; 2] {
+    let recovered = e.recovered_within_bound();
+    let storm = Gate::new(format!("{name}: storm recovery in bound"), recovered, format!("{e:?}"));
+    [zero_failed(name, r), storm]
+}
+
+fn migration_gate(m: &MigrationResult) -> Gate {
+    let ok = m.rows_match
+        && m.queries_failed == 0
+        && m.entries_migrated > 0
+        && m.workers_decommissioned == 1;
+    Gate::new("cache migration keeps answers and moves entries", ok, format!("{m:?}"))
+}
+
+/// `paper-experiments elastic`: the three lifecycle scenarios, each run
+/// twice, and the cache-migration check (`BENCH_elastic.json`).
+pub fn report() -> Result<Report> {
+    let mut report = Report::new(
+        "\n=== elastic lifecycle: autoscaler, graceful decommission, revocation storm ===",
+    );
+    report.line(format!(
+        "multi-tenant diurnal load; scenarios run twice each to check same-seed digests;\n\
+         gates: zero failed queries in every scenario, storm recovery within {} virtual ms\n",
+        RECOVERY_BOUND_US / 1_000
+    ));
+    let scenarios = [
+        ("scale-down", scale_down_config(7)),
+        ("storm", storm_config(7)),
+        ("rush-lull", rush_lull_config(7)),
+    ];
+    let mut table = Table::new(
+        "lifecycle scenarios (2000 queries each, virtual time)",
+        &[
+            "scenario",
+            "ok/failed",
+            "peak/final workers",
+            "out/in",
+            "drained",
+            "revoked",
+            "recovery",
+            "deterministic",
+        ],
+    );
+    let mut json_rows: Vec<(String, Json)> = Vec::new();
+    for (name, config) in &scenarios {
+        let (a, e, replayed) = replay_scenario(name, config)?;
+        let recovered =
+            e.storm_at_us.map(|storm| e.recovered_at_us.map(|rec| rec.saturating_sub(storm)));
+        table.row(vec![
+            (*name).into(),
+            format!("{}/{}", a.completed, a.failed),
+            format!("{}/{}", e.peak_workers, e.final_workers),
+            format!("{}/{}", e.scale_outs, e.scale_ins),
+            e.workers_decommissioned.to_string(),
+            e.workers_revoked.to_string(),
+            match recovered {
+                None => "n/a".to_string(),
+                Some(Some(us)) => format!("{us} µs"),
+                Some(None) => "NEVER".to_string(),
+            },
+            if replayed.passed { "yes".into() } else { "NO".into() },
+        ]);
+        json_rows.push((
+            (*name).to_string(),
+            Json::Obj(vec![
+                ("completed".into(), Json::U64(a.completed)),
+                ("failed".into(), Json::U64(a.failed)),
+                ("makespan_us".into(), Json::U64(a.makespan_us)),
+                ("scale_outs".into(), Json::U64(e.scale_outs)),
+                ("scale_ins".into(), Json::U64(e.scale_ins)),
+                ("workers_added".into(), Json::U64(e.workers_added)),
+                ("workers_decommissioned".into(), Json::U64(e.workers_decommissioned)),
+                ("workers_revoked".into(), Json::U64(e.workers_revoked)),
+                ("splits_handed_off".into(), Json::U64(e.splits_handed_off)),
+                ("cache_entries_migrated".into(), Json::U64(e.cache_entries_migrated)),
+                ("peak_workers".into(), Json::U64(e.peak_workers as u64)),
+                ("final_workers".into(), Json::U64(e.final_workers as u64)),
+                (
+                    "recovered_us".into(),
+                    match recovered {
+                        None => Json::Str("n/a".into()),
+                        Some(Some(us)) => Json::U64(us),
+                        Some(None) => Json::Str("never".into()),
+                    },
+                ),
+                ("recovered_within_bound".into(), Json::Bool(e.recovered_within_bound())),
+                ("digest".into(), Json::Str(format!("{:#018x}", a.digest))),
+                ("deterministic".into(), Json::Bool(replayed.passed)),
+            ]),
+        ));
+        report.gates.push(replayed);
+        report.gates.extend(scenario_gates(name, &a, &e));
+    }
+    report.line(table.render());
+
+    let migration = run_cache_migration()?;
+    report.line(format!(
+        "cache migration (tpch, drain mid-query): {} entries migrated, {} splits handed off,\n\
+         frc hits {} -> {}, answers match: {}, failed queries: {}\n",
+        migration.entries_migrated,
+        migration.splits_handed_off,
+        migration.warm_hits,
+        migration.hits_after_drain,
+        migration.rows_match,
+        migration.queries_failed,
+    ));
+    report.gates.push(migration_gate(&migration));
+
+    let json = Json::Obj(vec![
+        ("experiment".into(), Json::Str("elastic".into())),
+        ("scenarios".into(), Json::Obj(json_rows)),
+        (
+            "cache_migration".into(),
+            Json::Obj(vec![
+                ("entries_migrated".into(), Json::U64(migration.entries_migrated)),
+                ("splits_handed_off".into(), Json::U64(migration.splits_handed_off)),
+                ("warm_hits".into(), Json::U64(migration.warm_hits)),
+                ("hits_after_drain".into(), Json::U64(migration.hits_after_drain)),
+                ("rows_match".into(), Json::Bool(migration.rows_match)),
+                ("queries_failed".into(), Json::U64(migration.queries_failed)),
+            ]),
+        ),
+        ("gates_passed".into(), Json::Bool(report.gates.iter().all(|g| g.passed))),
+    ]);
+    report.bench = Some(("elastic".into(), json));
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_sim::run_simulation;
+    use crate::report::tests::assert_gates;
 
-    fn shrunk(mut config: SimConfig) -> SimConfig {
+    fn shrunk(name: &str, mut config: SimConfig) -> (SimReport, ElasticReport) {
         config.queries = 600;
-        config
+        let r = run_simulation(&config).unwrap();
+        let e = r.elastic.clone().unwrap();
+        assert_gates(&scenario_gates(name, &r, &e));
+        (r, e)
     }
 
     #[test]
     fn scale_down_scenario_meets_its_gates() {
-        let r = run_simulation(&shrunk(scale_down_config(7))).unwrap();
-        assert_eq!(r.failed, 0);
-        let e = r.elastic.unwrap();
+        let (_, e) = shrunk("scale-down", scale_down_config(7));
         assert_eq!(e.workers_decommissioned, 3);
         assert_eq!(e.final_workers, 3);
     }
 
     #[test]
     fn storm_scenario_recovers_in_bound() {
-        let r = run_simulation(&shrunk(storm_config(7))).unwrap();
-        assert_eq!(r.failed, 0);
-        let e = r.elastic.unwrap();
+        let (_, e) = shrunk("storm", storm_config(7));
         assert_eq!(e.workers_revoked, 4);
-        assert!(e.recovered_within_bound(), "{e:?}");
     }
 
     #[test]
     fn rush_lull_scenario_scales_both_ways() {
-        let r = run_simulation(&shrunk(rush_lull_config(7))).unwrap();
-        assert_eq!(r.failed, 0);
-        let e = r.elastic.unwrap();
+        let (_, e) = shrunk("rush-lull", rush_lull_config(7));
         assert!(e.scale_outs > 0, "{e:?}");
         assert!(e.scale_ins > 0, "{e:?}");
     }
@@ -235,11 +380,8 @@ mod tests {
     #[test]
     fn cache_migration_preserves_answers_and_moves_entries() {
         let m = run_cache_migration().unwrap();
-        assert!(m.rows_match);
-        assert_eq!(m.queries_failed, 0);
-        assert!(m.entries_migrated > 0, "{m:?}");
+        assert_gates(&[migration_gate(&m)]);
         assert!(m.splits_handed_off > 0, "{m:?}");
         assert!(m.hits_after_drain > m.warm_hits, "{m:?}");
-        assert_eq!(m.workers_decommissioned, 1, "{m:?}");
     }
 }

@@ -13,12 +13,14 @@
 
 use std::time::{Duration, Instant};
 
-use presto_common::{DataType, Field, Schema, Value};
+use presto_common::{DataType, Field, Result, Schema, Value};
 use presto_connectors::druid::druid_connector;
 use presto_connectors::realtime::{NativeQuery, RealtimeConnector};
 use presto_core::{PrestoEngine, Session};
 use presto_expr::AggregateFunction;
 use presto_parquet::ScalarPredicate;
+
+use crate::report::{ms, Report, Table};
 
 /// One benchmark query: the SQL the connector path runs and the equivalent
 /// native Druid query.
@@ -213,23 +215,8 @@ fn filters_to_sql(filters: &[(String, ScalarPredicate)]) -> String {
         .iter()
         .map(|(col, p)| match p {
             ScalarPredicate::Eq(Value::Varchar(s)) => format!("{col} = '{s}'"),
-            ScalarPredicate::Eq(v) => format!("{col} = {v}"),
             ScalarPredicate::Range { min: Some(v), max: None } => format!("{col} >= {v}"),
-            ScalarPredicate::Range { min: None, max: Some(v) } => format!("{col} <= {v}"),
-            ScalarPredicate::Range { min: Some(a), max: Some(b) } => {
-                format!("{col} BETWEEN {a} AND {b}")
-            }
-            ScalarPredicate::In(vs) => {
-                let items: Vec<String> = vs
-                    .iter()
-                    .map(|v| match v {
-                        Value::Varchar(s) => format!("'{s}'"),
-                        other => other.to_string(),
-                    })
-                    .collect();
-                format!("{col} IN ({})", items.join(", "))
-            }
-            _ => "true".to_string(),
+            other => unreachable!("the Fig 16 mix has no {other:?} filter"),
         })
         .collect();
     format!(" WHERE {}", parts.join(" AND "))
@@ -288,6 +275,32 @@ pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Fig16Result {
 pub fn run(rows: usize) -> Vec<Fig16Result> {
     let workload = build(rows);
     workload.queries.iter().map(|q| run_query(&workload, q)).collect()
+}
+
+/// `paper-experiments fig16` (wall-clock; no gates).
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== Fig 16: Druid vs Presto-Druid connector ===");
+    report.line("paper claim: connector adds <15% overhead; most queries < 1s\n");
+    let results = run(200_000);
+    let mut table = Table::new(
+        "20 production-style queries (14 predicated, 5 limited, 12 aggregations)",
+        &["query", "druid native", "presto-druid connector", "overhead"],
+    );
+    for r in &results {
+        table.row(vec![
+            r.name.clone(),
+            ms(r.native),
+            ms(r.connector),
+            format!("{:+.1}%", r.overhead_pct),
+        ]);
+    }
+    report.line(table.render());
+    let mut overheads: Vec<f64> = results.iter().map(|r| r.overhead_pct).collect();
+    overheads.sort_by(f64::total_cmp);
+    let sub_second = results.iter().filter(|r| r.connector < Duration::from_secs(1)).count();
+    report.line(format!("median overhead: {:+.1}%  (paper: <15%)", overheads[overheads.len() / 2]));
+    report.line(format!("queries under 1s through the connector: {sub_second}/20\n"));
+    Ok(report)
 }
 
 #[cfg(test)]

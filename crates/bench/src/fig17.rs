@@ -15,12 +15,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use presto_common::metrics::CounterSet;
-use presto_common::{Block, DataType, Field, Page, Schema, Value};
+use presto_common::{Block, DataType, Field, Page, Result, Schema, Value};
 use presto_connectors::hive::{HiveConnector, HiveReaderConfig};
 use presto_connectors::mysql::MySqlConnector;
 use presto_core::{PrestoEngine, Session};
 use presto_parquet::{WriterMode, WriterProperties};
 use presto_storage::HdfsFileSystem;
+
+use crate::report::{ms, Report, Table};
 
 /// Query category, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,6 +289,36 @@ pub fn run(rows_per_partition: usize) -> Vec<Fig17Result> {
             }
         })
         .collect()
+}
+
+/// `paper-experiments fig17` (wall-clock; no gates).
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== Fig 17: legacy vs new Parquet reader ===");
+    report.line("paper claim: 2–10x speedup across 21 queries; P90 5min → 40s\n");
+    let results = run(60_000);
+    let mut table = Table::new(
+        "21 queries over nested trips (4 scans incl. 2 needle-in-haystack, 5 group-bys, 12 joins)",
+        &["query", "kind", "old reader", "new reader", "speedup"],
+    );
+    for r in &results {
+        table.row(vec![
+            r.name.clone(),
+            format!("{:?}", r.kind),
+            ms(r.old_reader),
+            ms(r.new_reader),
+            format!("{:.1}x", r.speedup),
+        ]);
+    }
+    report.line(table.render());
+    let mut speedups: Vec<f64> = results.iter().map(|r| r.speedup).collect();
+    speedups.sort_by(f64::total_cmp);
+    report.line(format!(
+        "speedup min/median/max: {:.1}x / {:.1}x / {:.1}x  (paper: 2–10x)\n",
+        speedups[0],
+        speedups[speedups.len() / 2],
+        speedups[speedups.len() - 1]
+    ));
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -8,18 +8,15 @@
 
 use std::time::{Duration, Instant};
 
+use presto_common::Result;
 use presto_geo::generator::GeoWorkload;
 use presto_geo::index::GeofenceIndex;
+
+use crate::report::{ms, Report, Table};
 
 /// Results of one geo run.
 #[derive(Debug, Clone)]
 pub struct GeoResult {
-    /// Number of geofences.
-    pub cities: usize,
-    /// Number of trip points.
-    pub trips: usize,
-    /// Vertices per geofence.
-    pub vertices: usize,
     /// QuadTree path elapsed.
     pub quadtree: Duration,
     /// Brute-force path elapsed.
@@ -65,15 +62,40 @@ pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> GeoResult
     let brute_contains_calls = index.contains_calls() - quadtree_contains_calls;
 
     assert_eq!(quad_counts, brute_counts, "paths must agree");
-    GeoResult {
-        cities,
-        trips,
-        vertices,
-        quadtree,
-        brute_force,
-        quadtree_contains_calls,
-        brute_contains_calls,
+    GeoResult { quadtree, brute_force, quadtree_contains_calls, brute_contains_calls }
+}
+
+/// `paper-experiments geo` (wall-clock; no gates).
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== §VI: QuadTree geospatial join vs brute force ===");
+    report.line("paper claim: Presto Geospatial plugin >50x faster than brute force\n");
+    let mut table = Table::new(
+        "trips-in-city counting",
+        &[
+            "cities",
+            "trips",
+            "vertices",
+            "quadtree",
+            "brute force",
+            "speedup",
+            "st_contains calls (quad vs brute)",
+        ],
+    );
+    for (cities, trips, vertices) in [(500, 20_000, 100), (2_000, 20_000, 200), (5_000, 5_000, 400)]
+    {
+        let r = run(cities, trips, vertices, 7);
+        table.row(vec![
+            cities.to_string(),
+            trips.to_string(),
+            vertices.to_string(),
+            ms(r.quadtree),
+            ms(r.brute_force),
+            format!("{:.0}x", r.speedup()),
+            format!("{} vs {}", r.quadtree_contains_calls, r.brute_contains_calls),
+        ]);
     }
+    report.line(table.render());
+    Ok(report)
 }
 
 #[cfg(test)]

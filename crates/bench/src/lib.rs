@@ -2,8 +2,9 @@
 
 //! Benchmark workloads reproducing every figure and table of the paper's
 //! evaluation (§X), plus the §VI/§VII/§VIII/§IX experiments reported in
-//! prose. The `paper-experiments` binary drives these and prints
-//! paper-claim-vs-measured tables; wall-clock performance is judged by the
+//! prose. Each experiment returns a [`report::Report`] — its text, its
+//! `BENCH_*.json` and its gates — and the `paper-experiments` binary runs
+//! them through [`report::run`]; wall-clock performance is judged by the
 //! standalone `benchmark/` package, not here.
 //!
 //! Scale disclaimer (DESIGN.md §2): the paper ran on 100–200-node clusters
@@ -13,6 +14,7 @@
 
 pub mod cache_exp;
 pub mod chaos;
+pub mod cluster_exp;
 pub mod elastic;
 pub mod fig16;
 pub mod fig17;
@@ -21,5 +23,6 @@ pub mod obs;
 pub mod report;
 pub mod resource_exp;
 pub mod s3_exp;
+pub mod sim_exp;
 pub mod telemetry;
 pub mod writers;

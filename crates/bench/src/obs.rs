@@ -17,9 +17,11 @@ use std::sync::Arc;
 
 use presto_cluster::{ClusterConfig, PrestoCluster};
 use presto_common::metrics::{names, Histogram};
-use presto_common::{Block, DataType, Field, Page, Schema, SimClock};
+use presto_common::{Block, DataType, Field, Page, Result, Schema, SimClock};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
+
+use crate::report::{histogram_json, Json, Report, Table};
 
 /// Observability run parameters.
 #[derive(Debug, Clone)]
@@ -63,7 +65,7 @@ pub struct ObsResult {
 
 /// Orders/rates tables sized so joins do real per-operator work: 8 pages →
 /// 8 splits per scan, spread across the workers.
-fn engine_with_tables() -> PrestoEngine {
+fn engine_with_tables() -> Result<PrestoEngine> {
     let engine = PrestoEngine::new();
     let memory = MemoryConnector::new();
     let cities = ["sf", "nyc", "la", "chi", "sea"];
@@ -71,9 +73,8 @@ fn engine_with_tables() -> PrestoEngine {
         Field::new("id", DataType::Bigint),
         Field::new("city", DataType::Varchar),
         Field::new("amount", DataType::Double),
-    ])
-    .unwrap_or_else(|e| panic!("obs schema: {e}"));
-    let pages: Vec<Page> = (0..8)
+    ])?;
+    let pages = (0..8)
         .map(|p| {
             let ids: Vec<i64> = (p * 64..p * 64 + 64).collect();
             let names: Vec<&str> = ids.iter().map(|&i| cities[i as usize % cities.len()]).collect();
@@ -83,25 +84,18 @@ fn engine_with_tables() -> PrestoEngine {
                 Block::varchar(&names),
                 Block::double(amounts),
             ])
-            .unwrap_or_else(|e| panic!("obs page: {e}"))
         })
-        .collect();
-    memory
-        .create_table("default", "orders", orders_schema, pages)
-        .unwrap_or_else(|e| panic!("obs orders: {e}"));
+        .collect::<Result<Vec<Page>>>()?;
+    memory.create_table("default", "orders", orders_schema, pages)?;
     let rates_schema = Schema::new(vec![
         Field::new("city", DataType::Varchar),
         Field::new("fee", DataType::Double),
-    ])
-    .unwrap_or_else(|e| panic!("obs schema: {e}"));
+    ])?;
     let rates =
-        Page::new(vec![Block::varchar(&cities), Block::double(vec![2.5, 3.0, 2.0, 1.5, 2.25])])
-            .unwrap_or_else(|e| panic!("obs rates: {e}"));
-    memory
-        .create_table("default", "rates", rates_schema, vec![rates])
-        .unwrap_or_else(|e| panic!("obs rates: {e}"));
+        Page::new(vec![Block::varchar(&cities), Block::double(vec![2.5, 3.0, 2.0, 1.5, 2.25])])?;
+    memory.create_table("default", "rates", rates_schema, vec![rates])?;
     engine.register_catalog("memory", Arc::new(memory));
-    engine
+    Ok(engine)
 }
 
 /// The dashboard query family: join + aggregation, with a rotating filter so
@@ -116,54 +110,89 @@ fn sql_for(i: usize) -> String {
 }
 
 /// Run the observability workload.
-pub fn run(config: &ObsConfig) -> ObsResult {
+pub fn run(config: &ObsConfig) -> Result<ObsResult> {
     let cluster = PrestoCluster::new(
         "obs",
-        engine_with_tables(),
+        engine_with_tables()?,
         ClusterConfig { initial_workers: config.workers, ..ClusterConfig::default() },
         SimClock::new(),
     );
     let session = Session::default();
 
     for i in 0..config.warmup {
-        cluster
-            .execute(&sql_for(i), &session)
-            .unwrap_or_else(|e| panic!("obs warmup query failed: {e}"));
+        cluster.execute(&sql_for(i), &session)?;
     }
     // Discard the warm-up: clear() drops the keys, so the measured snapshot
     // only contains what the measured phase touched.
     cluster.metrics().clear();
     cluster.histograms().clear();
 
-    let mut sample = None;
-    for i in 0..config.queries {
-        let result = cluster
-            .execute(&sql_for(i), &session)
-            .unwrap_or_else(|e| panic!("obs query failed: {e}"));
-        if sample.is_none() {
-            sample = Some(result);
-        }
+    let sample = cluster.execute(&sql_for(0), &session)?;
+    for i in 1..config.queries {
+        cluster.execute(&sql_for(i), &session)?;
     }
-    let sample = sample.unwrap_or_else(|| panic!("obs ran zero queries"));
+    let explain = cluster.engine().execute(&format!("EXPLAIN ANALYZE {}", sql_for(0)))?;
 
-    let explain = cluster
-        .engine()
-        .execute(&format!("EXPLAIN ANALYZE {}", sql_for(0)))
-        .unwrap_or_else(|e| panic!("obs explain analyze failed: {e}"))
-        .rows()[0][0]
-        .to_string();
-
-    ObsResult {
+    Ok(ObsResult {
         queries: config.queries,
         latency: cluster.histograms().get(names::HIST_CLUSTER_QUERY_LATENCY_US),
         queue_wait: cluster.engine().resources().admission().queue_wait_histogram(),
-        explain,
+        explain: explain.rows()[0][0].to_string(),
         trace_render: sample.info.trace.render(),
         trace_json: sample.info.trace.to_json(),
         trace_spans: sample.info.trace.len(),
         trace_digest: sample.info.trace.digest(),
         counters: cluster.metrics().snapshot(),
+    })
+}
+
+/// `paper-experiments obs`: latency quantiles, EXPLAIN ANALYZE and the span
+/// tree of the default run (`BENCH_obs.json`; no gates).
+pub fn report() -> Result<Report> {
+    let mut report =
+        Report::new("\n=== observability: latency quantiles, EXPLAIN ANALYZE, span tree ===");
+    let config = ObsConfig::default();
+    report.line(format!(
+        "{} join+agg dashboard queries on {} workers ({} warm-up, discarded via clear())\n",
+        config.queries, config.workers, config.warmup
+    ));
+    let r = run(&config)?;
+    let mut table = Table::new(
+        "virtual-time latency distributions",
+        &["histogram", "count", "p50", "p95", "p99", "max"],
+    );
+    for (name, h) in
+        [("query latency (µs)", &r.latency), ("admission queue wait (ms)", &r.queue_wait)]
+    {
+        table.row(vec![
+            name.into(),
+            h.count().to_string(),
+            h.quantile(0.50).to_string(),
+            h.quantile(0.95).to_string(),
+            h.quantile(0.99).to_string(),
+            h.max().to_string(),
+        ]);
     }
+    report.line(table.render());
+    report.line(format!("EXPLAIN ANALYZE (representative query):\n{}", r.explain));
+    report.line(format!(
+        "span tree ({} spans, digest {:#018x}):\n{}",
+        r.trace_spans, r.trace_digest, r.trace_render
+    ));
+    let json = Json::Obj(vec![
+        ("experiment".into(), Json::Str("obs".into())),
+        ("queries".into(), Json::U64(r.queries as u64)),
+        ("query_latency_us".into(), histogram_json(&r.latency)),
+        ("admission_queue_wait_ms".into(), histogram_json(&r.queue_wait)),
+        ("trace_spans".into(), Json::U64(r.trace_spans as u64)),
+        ("trace_digest".into(), Json::Str(format!("{:#018x}", r.trace_digest))),
+        (
+            "counters".into(),
+            Json::Obj(r.counters.iter().map(|(k, v)| (k.clone(), Json::U64(*v))).collect()),
+        ),
+    ]);
+    report.bench = Some(("obs".into(), json));
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -172,7 +201,7 @@ mod tests {
 
     #[test]
     fn measured_phase_is_fully_observed() {
-        let r = run(&ObsConfig { workers: 3, warmup: 2, queries: 10 });
+        let r = run(&ObsConfig { workers: 3, warmup: 2, queries: 10 }).unwrap();
         assert_eq!(r.latency.count(), 10, "one latency sample per measured query");
         assert!(r.latency.quantile(0.5) <= r.latency.quantile(0.95));
         assert!(r.latency.quantile(0.95) <= r.latency.quantile(0.99));
@@ -188,6 +217,6 @@ mod tests {
     #[test]
     fn same_workload_same_trace_digest() {
         let config = ObsConfig { workers: 3, warmup: 1, queries: 3 };
-        assert_eq!(run(&config).trace_digest, run(&config).trace_digest);
+        assert_eq!(run(&config).unwrap().trace_digest, run(&config).unwrap().trace_digest);
     }
 }

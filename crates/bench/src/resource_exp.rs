@@ -13,12 +13,13 @@
 
 use std::sync::Arc;
 
-use presto_common::{SimClock, Value};
+use presto_common::{Result, SimClock, Value};
 use presto_core::Session;
 use presto_resource::{ResourceConfig, ResourceManager};
-use presto_storage::FileSystem;
+use presto_storage::{FileSystem, LocalFileSystem};
 
 use crate::fig17::{self, QueryKind};
+use crate::report::{Gate, Report, Table};
 
 /// One join query's fate under each regime.
 #[derive(Debug, Clone)]
@@ -42,13 +43,6 @@ pub struct ResourceResult {
     pub rows_match: bool,
 }
 
-impl ResourceResult {
-    /// `true` when the unmanaged capped run was killed.
-    pub fn unmanaged_killed(&self) -> bool {
-        self.unmanaged_error.is_some()
-    }
-}
-
 /// Row equality with a relative tolerance on doubles: spilling reorders
 /// floating-point sums, which is correct but not bit-identical.
 fn rows_approx_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
@@ -66,7 +60,10 @@ fn rows_approx_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 
 /// Run the 12 Fig 17 joins at `rows_per_partition`, each capped at half its
 /// unconstrained peak, spilling onto `spill_fs`.
-pub fn run(rows_per_partition: usize, spill_fs: Arc<dyn FileSystem>) -> Vec<ResourceResult> {
+pub fn run(
+    rows_per_partition: usize,
+    spill_fs: Arc<dyn FileSystem>,
+) -> Result<Vec<ResourceResult>> {
     let workload = fig17::build(rows_per_partition);
     let engine = workload.engine.clone().with_resources(ResourceManager::with_spill_fs(
         ResourceConfig::default(),
@@ -79,9 +76,7 @@ pub fn run(rows_per_partition: usize, spill_fs: Arc<dyn FileSystem>) -> Vec<Reso
         .iter()
         .filter(|q| q.kind == QueryKind::Join)
         .map(|q| {
-            let unconstrained = engine
-                .execute_with_session(&q.sql, &session)
-                .unwrap_or_else(|e| panic!("{} (unconstrained): {e}", q.name));
+            let unconstrained = engine.execute_with_session(&q.sql, &session)?;
             let expected: Vec<Vec<Value>> = unconstrained.rows();
             // LIMIT without ORDER BY may keep any N rows; spilling reorders
             // the join output, so only the row count is comparable there.
@@ -93,57 +88,105 @@ pub fn run(rows_per_partition: usize, spill_fs: Arc<dyn FileSystem>) -> Vec<Reso
             let unmanaged_error =
                 engine.execute_with_session(&q.sql, &capped).err().map(|e| e.code().to_string());
 
-            let managed = engine.execute_with_session(&q.sql, &capped.with_spill(true));
-            let (managed_ok, spilled_bytes, spill_files, rows_match) = match managed {
-                Ok(result) => {
-                    let rows = result.rows();
-                    let rows_match = if deterministic {
-                        rows_approx_eq(&rows, &expected)
-                    } else {
-                        rows.len() == expected.len()
-                    };
-                    (
-                        true,
-                        result.metrics.get("spill.bytes_written"),
-                        result.metrics.get("spill.files"),
-                        rows_match,
-                    )
+            let managed = engine.execute_with_session(&q.sql, &capped.with_spill(true)).ok();
+            let rows_match = managed.as_ref().is_some_and(|result| {
+                let rows = result.rows();
+                if deterministic {
+                    rows_approx_eq(&rows, &expected)
+                } else {
+                    rows.len() == expected.len()
                 }
-                Err(_) => (false, 0, 0, false),
-            };
-            ResourceResult {
+            });
+            let spill = |key| managed.as_ref().map_or(0, |result| result.metrics.get(key));
+            Ok(ResourceResult {
                 name: q.name.clone(),
                 peak_bytes: peak,
                 budget_bytes: budget,
                 unmanaged_error,
-                managed_ok,
-                spilled_bytes,
-                spill_files,
+                managed_ok: managed.is_some(),
+                spilled_bytes: spill("spill.bytes_written"),
+                spill_files: spill("spill.files"),
                 rows_match,
-            }
+            })
         })
         .collect()
+}
+
+fn gates(results: &[ResourceResult]) -> [Gate; 4] {
+    let every = |name: &str, ok: &dyn Fn(&ResourceResult) -> bool| {
+        let failing: Vec<&str> =
+            results.iter().filter(|r| !ok(r)).map(|r| r.name.as_str()).collect();
+        Gate::new(name, failing.is_empty(), format!("failing: {failing:?}"))
+    };
+    let spilled: u64 = results.iter().map(|r| r.spilled_bytes).sum();
+    [
+        every("every join dies with INSUFFICIENT_RESOURCES unmanaged", &|r| {
+            r.unmanaged_error.as_deref() == Some("INSUFFICIENT_RESOURCES")
+        }),
+        every("every join completes with spill", &|r| r.managed_ok),
+        every("spilled rows match the unconstrained rows", &|r| r.rows_match),
+        Gate::new("at least one join spills", spilled > 0, format!("{spilled} bytes spilled")),
+    ]
+}
+
+/// `paper-experiments resource`: the joins at 20,000 rows per partition,
+/// spilling to a local temp dir.
+pub fn report() -> Result<Report> {
+    let mut report =
+        Report::new("\n=== §XII.C: memory pools + spill-to-disk on the Fig 17 joins ===");
+    report.line("each join capped at half its unconstrained peak; spill on local disk\n");
+    let spill_dir = LocalFileSystem::temp("resource-exp")?;
+    let spill_root = spill_dir.root().to_path_buf();
+    let results = run(20_000, Arc::new(spill_dir));
+    let _ = std::fs::remove_dir_all(spill_root);
+    let results = results?;
+    let mut table = Table::new(
+        "12 joins, budget = peak/2",
+        &[
+            "query",
+            "peak",
+            "budget",
+            "without subsystem",
+            "with subsystem",
+            "spilled",
+            "rows match",
+        ],
+    );
+    for r in &results {
+        table.row(vec![
+            r.name.clone(),
+            format!("{} B", r.peak_bytes),
+            format!("{} B", r.budget_bytes),
+            r.unmanaged_error.clone().unwrap_or_else(|| "completed".into()),
+            if r.managed_ok { "completed".into() } else { "failed".into() },
+            format!("{} B / {} files", r.spilled_bytes, r.spill_files),
+            r.rows_match.to_string(),
+        ]);
+    }
+    report.line(table.render());
+    report.line(format!(
+        "without subsystem: {}/12 killed; with subsystem: {}/12 completed, {} bytes spilled\n",
+        results.iter().filter(|r| r.unmanaged_error.is_some()).count(),
+        results.iter().filter(|r| r.managed_ok).count(),
+        results.iter().map(|r| r.spilled_bytes).sum::<u64>(),
+    ));
+    report.gates = gates(&results).into();
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
     use presto_storage::InMemoryFileSystem;
 
     #[test]
     fn managed_runs_complete_where_unmanaged_runs_die() {
-        let results = run(2_000, Arc::new(InMemoryFileSystem::new()));
+        let results = run(2_000, Arc::new(InMemoryFileSystem::new())).unwrap();
         assert_eq!(results.len(), 12);
         for r in &results {
             assert!(r.peak_bytes > 0, "{}: joins must reserve memory", r.name);
-            assert!(r.unmanaged_killed(), "{}: half the peak must not fit without spill", r.name);
-            assert_eq!(r.unmanaged_error.as_deref(), Some("INSUFFICIENT_RESOURCES"), "{}", r.name);
-            assert!(r.managed_ok, "{}: spill must rescue the capped run", r.name);
-            assert!(r.rows_match, "{}: spilled rows must match", r.name);
         }
-        assert!(
-            results.iter().any(|r| r.spilled_bytes > 0),
-            "at least one join must actually spill"
-        );
+        assert_gates(&gates(&results));
     }
 }

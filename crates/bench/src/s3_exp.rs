@@ -9,9 +9,11 @@
 use std::time::Duration;
 
 use presto_common::metrics::CounterSet;
-use presto_common::SimClock;
+use presto_common::{Result, SimClock};
 use presto_storage::s3::{S3Config, S3FsConfig};
 use presto_storage::{FileSystem, PrestoS3FileSystem, S3ObjectStore};
+
+use crate::report::{mbps, ms, Gate, Report, Table};
 
 /// Lazy-seek comparison.
 #[derive(Debug, Clone)]
@@ -165,34 +167,106 @@ pub fn multipart(mb: usize) -> MultipartResult {
     MultipartResult { single_put: run(usize::MAX), multipart: run(1) }
 }
 
+fn lazy_seek_gate(r: &LazySeekResult) -> Gate {
+    let passed = r.lazy_gets < r.eager_gets && r.lazy_time < r.eager_time;
+    Gate::new("lazy seek saves GETs and time", passed, format!("{r:?}"))
+}
+
+fn backoff_gate(r: &BackoffResult, reads: usize) -> Gate {
+    let passed = r.completed_with_retries == reads && r.retries > 0;
+    Gate::new("backoff completes every read", passed, format!("{r:?}"))
+}
+
+fn select_gate(r: &SelectResult) -> Gate {
+    let passed = r.select_bytes * 2 < r.full_bytes;
+    Gate::new("S3 Select moves under half the bytes", passed, format!("{r:?}"))
+}
+
+fn multipart_gate(r: &MultipartResult) -> Gate {
+    Gate::new("multipart beats a single PUT", r.multipart < r.single_put, format!("{r:?}"))
+}
+
+/// `paper-experiments s3`: each optimization on vs off.
+pub fn report() -> Result<Report> {
+    let mut report = Report::new("\n=== §IX: PrestoS3FileSystem optimizations ===\n");
+    let lazy = lazy_seek(50);
+    let mut table = Table::new(
+        "lazy seek (footer-first access over 50 files)",
+        &["policy", "GET requests", "virtual time"],
+    );
+    table.row(vec!["eager seek".into(), lazy.eager_gets.to_string(), ms(lazy.eager_time)]);
+    table.row(vec!["lazy seek".into(), lazy.lazy_gets.to_string(), ms(lazy.lazy_time)]);
+    report.line(table.render());
+
+    let backoff = backoff(200, 3);
+    let mut table = Table::new(
+        "exponential backoff (503 every 3rd request)",
+        &["policy", "reads completed", "retries", "time backing off"],
+    );
+    table.row(vec![
+        "no retries".into(),
+        format!("{}/200", backoff.completed_without_retries),
+        "0".into(),
+        "0ms".into(),
+    ]);
+    table.row(vec![
+        "exponential backoff".into(),
+        format!("{}/200", backoff.completed_with_retries),
+        backoff.retries.to_string(),
+        ms(backoff.backoff_time),
+    ]);
+    report.line(table.render());
+
+    let select = s3_select(20_000);
+    let mut table = Table::new("S3 Select (project 2 of 8 columns)", &["path", "bytes out of S3"]);
+    table.row(vec!["full GET".into(), select.full_bytes.to_string()]);
+    table.row(vec!["S3 Select".into(), select.select_bytes.to_string()]);
+    report.line(table.render());
+
+    let multi = multipart(64);
+    let mut table = Table::new(
+        "multipart upload (64 MiB object, 4 MiB parts)",
+        &["path", "virtual upload time", "effective throughput"],
+    );
+    for (path, took) in
+        [("single PUT", multi.single_put), ("multipart (parallel parts)", multi.multipart)]
+    {
+        table.row(vec![path.into(), ms(took), mbps(64 * 1024 * 1024, took)]);
+    }
+    report.line(table.render());
+    report.gates = vec![
+        lazy_seek_gate(&lazy),
+        backoff_gate(&backoff, 200),
+        select_gate(&select),
+        multipart_gate(&multi),
+    ];
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn lazy_seek_saves_requests_and_time() {
-        let r = lazy_seek(10);
-        assert!(r.lazy_gets < r.eager_gets, "{} vs {}", r.lazy_gets, r.eager_gets);
-        assert!(r.lazy_time < r.eager_time);
+        assert_gates(&[lazy_seek_gate(&lazy_seek(10))]);
     }
 
     #[test]
     fn backoff_survives_fault_bursts() {
         let r = backoff(100, 3);
-        assert_eq!(r.completed_with_retries, 100, "all reads must succeed with retries");
+        assert_gates(&[backoff_gate(&r, 100)]);
         assert!(r.completed_without_retries < 100);
-        assert!(r.retries > 0);
     }
 
     #[test]
     fn select_moves_fewer_bytes() {
-        let r = s3_select(500);
-        assert!(r.select_bytes * 2 < r.full_bytes);
+        assert_gates(&[select_gate(&s3_select(500))]);
     }
 
     #[test]
     fn multipart_is_faster_for_big_objects() {
-        let r = multipart(32);
-        assert!(r.multipart < r.single_put, "{:?} vs {:?}", r.multipart, r.single_put);
+        assert_gates(&[multipart_gate(&multipart(32))]);
     }
 }

@@ -14,17 +14,17 @@
 
 use std::time::{Duration, Instant};
 
-use presto_common::{Page, Schema};
+use presto_common::{Page, Result, Schema};
 use presto_connectors::tpch::{writer_workload, writer_workload_names};
 use presto_parquet::{Codec, FileWriter, WriterMode, WriterProperties};
+
+use crate::report::{mbps, Gate, Report, Table};
 
 /// One workload × codec × writer measurement.
 #[derive(Debug, Clone)]
 pub struct WriterResult {
     /// Workload name (the figures' x-axis labels).
     pub workload: String,
-    /// Codec.
-    pub codec: Codec,
     /// Bytes of page data written.
     pub input_bytes: usize,
     /// Legacy writer elapsed.
@@ -37,19 +37,9 @@ pub struct WriterResult {
 }
 
 impl WriterResult {
-    /// Legacy throughput (MB/s).
-    pub fn old_mbps(&self) -> f64 {
-        self.input_bytes as f64 / (1024.0 * 1024.0) / self.old_elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Native throughput (MB/s).
-    pub fn native_mbps(&self) -> f64 {
-        self.input_bytes as f64 / (1024.0 * 1024.0) / self.native_elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Native gain over legacy, in percent.
+    /// Native throughput gain over legacy, in percent (same bytes written).
     pub fn gain_pct(&self) -> f64 {
-        (self.native_mbps() / self.old_mbps().max(1e-9) - 1.0) * 100.0
+        (self.old_elapsed.as_secs_f64() / self.native_elapsed.as_secs_f64().max(1e-9) - 1.0) * 100.0
     }
 }
 
@@ -83,7 +73,6 @@ pub fn run_workload(name: &str, rows: usize, codec: Codec, seed: u64) -> WriterR
     let (native_elapsed, native_file) = write_once(&schema, &pages, WriterMode::Native, codec);
     WriterResult {
         workload: name.to_string(),
-        codec,
         input_bytes,
         old_elapsed,
         native_elapsed,
@@ -96,9 +85,53 @@ pub fn run_figure(codec: Codec, rows: usize) -> Vec<WriterResult> {
     writer_workload_names().iter().map(|name| run_workload(name, rows, codec, 42)).collect()
 }
 
+/// The gate of Figs 18–20: both writers produce one file, byte for byte —
+/// two files would make the figure a comparison of formats.
+fn identical_files_gate(results: &[WriterResult]) -> Gate {
+    let differing: Vec<&str> =
+        results.iter().filter(|r| !r.files_identical).map(|r| r.workload.as_str()).collect();
+    let detail = format!("files differ for {differing:?}");
+    Gate::new("both writers produce byte-identical files", differing.is_empty(), detail)
+}
+
+/// `paper-experiments fig18` | `fig19` | `fig20`: one figure per codec.
+pub fn figure(codec: Codec) -> Result<Report> {
+    let title = match codec {
+        Codec::Fast => "Fig 18 — writer throughput, Snappy-profile codec",
+        Codec::Deep => "Fig 19 — writer throughput, Gzip-profile codec",
+        Codec::None => "Fig 20 — writer throughput, no compression",
+    };
+    let mut report = Report::new(format!("\n=== {title} ==="));
+    report.line("paper claim: native writer ≥ ~20% throughput gain (bigint+gzip best; lineitem ~50% uncompressed)\n");
+    let results = run_figure(codec, 150_000);
+    let mut table = Table::new(
+        format!("codec = {}", codec.name()),
+        &["workload", "old writer", "native writer", "gain"],
+    );
+    for r in &results {
+        table.row(vec![
+            r.workload.clone(),
+            mbps(r.input_bytes, r.old_elapsed),
+            mbps(r.input_bytes, r.native_elapsed),
+            format!("{:+.0}%", r.gain_pct()),
+        ]);
+    }
+    report.line(table.render());
+    let identical = identical_files_gate(&results);
+    if identical.passed {
+        report.line(format!(
+            "both writers produced byte-identical files for all {} workloads",
+            results.len()
+        ));
+    }
+    report.gates.push(identical);
+    Ok(report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn writers_produce_identical_bytes_for_every_workload_and_codec() {
@@ -123,8 +156,7 @@ mod tests {
     fn measurement_machinery_works() {
         let r = run_workload("bigint_sequential", 5_000, Codec::Fast, 1);
         assert!(r.input_bytes > 0);
-        assert!(r.files_identical);
-        assert!(r.old_mbps() > 0.0);
-        assert!(r.native_mbps() > 0.0);
+        assert_gates(&[identical_files_gate(std::slice::from_ref(&r))]);
+        assert!(r.gain_pct().is_finite());
     }
 }
