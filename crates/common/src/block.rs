@@ -8,7 +8,9 @@
 //! the same shape the new Parquet reader (§V.E) builds directly from disk.
 //!
 //! [`Block::Dictionary`] is the encoding dictionary pushdown (§V.G) and lazy
-//! dictionary-preserving reads produce.
+//! dictionary-preserving reads produce, and how values that repeat are kept
+//! late-materialised: a Hive partition column is one entry, and a hash
+//! join's dense output points into the build column.
 
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -627,7 +629,12 @@ impl Block {
                 let mask = indices.iter().map(|o| o.is_none_or(null_at)).collect();
                 Block::Varchar { offsets: new_offsets, bytes: new_bytes, nulls: some_if_any(mask) }
             }
-            Block::Dictionary { .. } => self.decode_dictionary().take_nullable(indices),
+            // through the ids into the entries: no row is decoded first
+            Block::Dictionary { dictionary, ids } => {
+                let entries: Vec<Option<usize>> =
+                    indices.iter().map(|o| o.map(|i| ids[i] as usize)).collect();
+                dictionary.take_nullable(&entries)
+            }
             Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => {
                 let values: Vec<Value> =
                     indices.iter().map(|o| o.map_or(Value::Null, |i| self.value(i))).collect();
@@ -1144,6 +1151,33 @@ mod tests {
                     &dict.take_nullable(&indices),
                     &expected,
                     &format!("{dt} via dictionary"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn take_nullable_of_a_dictionary_gathers_through_its_ids() {
+        for (dt, values) in typed_samples() {
+            // entries in another order, every NULL entry among them, the last
+            // entry unused, and a non-zero value under each NULL slot
+            let mut entries = Block::from_values(&dt, &values).unwrap();
+            if let Block::Bigint { values, nulls: Some(nulls) } = &mut entries {
+                values.iter_mut().zip(nulls).filter(|(_, n)| **n).for_each(|(v, _)| *v = 99);
+            }
+            let used = values.len() - 1;
+            let ids: Vec<u32> = (0..used as u32).rev().chain([0, 1]).collect();
+            let dict = Block::Dictionary { dictionary: Box::new(entries), ids: ids.clone() };
+            let picks: Vec<Option<usize>> = (0..ids.len())
+                .map(Some)
+                .chain([None])
+                .chain((0..ids.len()).rev().map(Some))
+                .collect();
+            for indices in [picks, vec![None, Some(0), None], vec![]] {
+                assert_same(
+                    &dict.take_nullable(&indices),
+                    &dict.decode_dictionary().take_nullable(&indices),
+                    &dt.to_string(),
                 );
             }
         }

@@ -435,7 +435,8 @@ impl Connector for HiveConnector {
             pages = truncated;
         }
 
-        // Append the partition column where projected (constant per split).
+        // Append the partition column where projected: constant per split,
+        // so one dictionary entry every row points at.
         if let Some((col, value)) = partition {
             let positions: Vec<usize> = request
                 .columns
@@ -452,7 +453,10 @@ impl Connector for HiveConnector {
                     let mut file_iter = page.into_blocks().into_iter();
                     for (i, c) in request.columns.iter().enumerate() {
                         if c.column == *col {
-                            blocks[i] = Some(Block::varchar(&vec![value.as_str(); rows]));
+                            blocks[i] = Some(Block::Dictionary {
+                                dictionary: Box::new(Block::varchar(&[value.as_str()])),
+                                ids: vec![0; rows],
+                            });
                         } else {
                             blocks[i] = file_iter.next();
                         }

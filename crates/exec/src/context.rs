@@ -3,23 +3,24 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use presto_common::metrics::CounterSet;
 use presto_common::trace::{SpanId, Trace};
-use presto_common::Page;
+use presto_common::{Page, PrestoError, Result};
 use presto_connectors::CatalogRegistry;
 use presto_expr::{Evaluator, FunctionRegistry};
 use presto_resource::{MemoryPool, QueryPool, ReservationKind, SpillManager};
 
 /// Everything an executing plan needs.
-#[derive(Clone)]
 pub struct ExecutionContext {
     /// Registered connectors.
     pub catalogs: CatalogRegistry,
     /// Expression evaluator (shares the session's function registry).
     pub evaluator: Evaluator,
     /// Pages bound for `RemoteSource` leaves, keyed by fragment id —
-    /// populated by the cluster runtime when executing upper fragments.
-    pub remote_sources: HashMap<u32, Vec<Page>>,
+    /// populated by the cluster runtime when executing upper fragments, and
+    /// moved out (`None` after) by the one leaf that reads them.
+    remote_sources: Mutex<HashMap<u32, Option<Vec<Page>>>>,
     /// Execution counters (`exec.rows_scanned`, `exec.splits`, ...).
     pub metrics: CounterSet,
     /// This query's slice of the (cluster) memory pool. Blocking operators
@@ -52,7 +53,7 @@ impl ExecutionContext {
         ExecutionContext {
             catalogs,
             evaluator: Evaluator::new(registry),
-            remote_sources: HashMap::new(),
+            remote_sources: Mutex::default(),
             metrics: CounterSet::new(),
             pool: MemoryPool::unbounded().register_query(None),
             spill: None,
@@ -92,7 +93,20 @@ impl ExecutionContext {
 
     /// Bind pages for a `RemoteSource` fragment.
     pub fn bind_remote_source(&mut self, fragment: u32, pages: Vec<Page>) {
-        self.remote_sources.insert(fragment, pages);
+        self.remote_sources.get_mut().insert(fragment, Some(pages));
+    }
+
+    /// Move a `RemoteSource` fragment's bound pages out. A fragment never
+    /// bound is an execution error; one already taken is an engine bug.
+    pub(crate) fn take_remote_source(&self, fragment: u32) -> Result<Vec<Page>> {
+        match self.remote_sources.lock().get_mut(&fragment) {
+            Some(slot) => slot.take().ok_or_else(|| {
+                PrestoError::Internal(format!("remote source fragment {fragment} read twice"))
+            }),
+            None => {
+                Err(PrestoError::Execution(format!("remote source fragment {fragment} not bound")))
+            }
+        }
     }
 
     /// Bytes currently reserved.

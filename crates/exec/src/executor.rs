@@ -261,11 +261,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
             }
             Ok(out)
         }
-        LogicalPlan::RemoteSource { fragment, .. } => {
-            ctx.remote_sources.get(fragment).cloned().ok_or_else(|| {
-                PrestoError::Execution(format!("remote source fragment {fragment} not bound"))
-            })
-        }
+        LogicalPlan::RemoteSource { fragment, .. } => ctx.take_remote_source(*fragment),
     }
 }
 
@@ -554,7 +550,8 @@ fn join_keys<'a>(
 ///
 /// Build rows with equal keys are chained in ascending order, so each probe
 /// page yields its matches by (probe row, build row), then — for LEFT — its
-/// unmatched rows, null-extended. A NULL or NaN key matches nothing.
+/// unmatched rows, null-extended. A NULL or NaN key matches nothing. The
+/// build columns of a dense page leave as dictionaries ([`build_side`]).
 fn hash_join_pages(
     probe_pages: &[Page],
     build: &Page,
@@ -582,6 +579,8 @@ fn hash_join_pages(
     }
     build_memory.grow(table.distinct() * 48)?;
 
+    let null_entry = kind == JoinKind::Left;
+    let mut entries = None;
     let mut out = Vec::new();
     for probe in probe_pages {
         // Key-matched candidate pairs.
@@ -603,7 +602,8 @@ fn hash_join_pages(
         // null extension — a pair failing the residual is not a match, so
         // its LEFT row must still appear null-extended.
         if let Some(expr) = residual {
-            let pairs = stitch(probe, &probe_idx, build.take(&build_idx))?;
+            let candidates = build_side(build, &build_idx, 0, null_entry, &mut entries)?;
+            let pairs = stitch(probe, &probe_idx, candidates)?;
             let keep = selection(ctx.evaluator.evaluate(expr, &pairs)?);
             for idx in [&mut probe_idx, &mut build_idx] {
                 let mut keep = keep.iter();
@@ -616,21 +616,104 @@ fn hash_join_pages(
             probe_idx.iter().for_each(|&i| matched[i] = true);
             misses.extend((0..probe.positions()).filter(|&i| !matched[i]));
         }
-        let build_side = if misses.is_empty() {
-            build.take(&build_idx)
-        } else {
-            let mut rows: Vec<Option<usize>> = build_idx.iter().map(|&j| Some(j)).collect();
-            rows.resize(rows.len() + misses.len(), None);
-            probe_idx.extend(misses);
-            let blocks = build.blocks().iter().map(|b| b.take_nullable(&rows)).collect();
-            page_of(blocks, rows.len())?
-        };
-        let page = stitch(probe, &probe_idx, build_side)?;
+        let build_rows = build_side(build, &build_idx, misses.len(), null_entry, &mut entries)?;
+        probe_idx.extend(misses);
+        let page = stitch(probe, &probe_idx, build_rows)?;
         if !page.is_empty() {
             out.push(page);
         }
     }
     Ok(out)
+}
+
+/// The build side of one probe page's output: the build rows `build_idx`
+/// of its pairs, then `misses` NULL rows for a LEFT join's unmatched probe
+/// rows.
+///
+/// A dense page — at least as many pairs as build rows — hands each build
+/// column out as a [`Block::Dictionary`] over the whole column, so the
+/// dimension values of a fact-to-dimension join leave as ids. Each build
+/// row is then referenced about once, and cloning the entries costs no
+/// more than the gather it replaces. `entries` is built on the first dense
+/// page, once per join; with `null_entry` (a LEFT join) it ends in the one
+/// NULL the misses point at. A sparse page gathers.
+fn build_side<'b>(
+    build: &'b Page,
+    build_idx: &[usize],
+    misses: usize,
+    null_entry: bool,
+    entries: &mut Option<Vec<BuildEntries<'b>>>,
+) -> Result<Page> {
+    let rows = build_idx.len() + misses;
+    if build_idx.is_empty() || build_idx.len() < build.positions() {
+        if misses == 0 {
+            return Ok(build.take(build_idx));
+        }
+        let mut gather: Vec<Option<usize>> = build_idx.iter().map(|&j| Some(j)).collect();
+        gather.resize(rows, None);
+        return page_of(build.blocks().iter().map(|b| b.take_nullable(&gather)).collect(), rows);
+    }
+    let columns = match entries {
+        Some(columns) => columns,
+        None => entries.insert(
+            build
+                .blocks()
+                .iter()
+                .map(|b| BuildEntries::new(b, null_entry))
+                .collect::<Result<_>>()?,
+        ),
+    };
+    page_of(columns.iter().map(|c| c.gather(build_idx, misses)).collect(), rows)
+}
+
+/// One build column as the entries of the dictionaries dense probe pages
+/// point into: the column itself or, when it is a dictionary already, its
+/// innermost entries with `rows` mapping each build row to one — one
+/// dictionary never nests in another. `null` is the entry of a LEFT join's
+/// misses.
+struct BuildEntries<'b> {
+    entries: Cow<'b, Block>,
+    rows: Option<Vec<u32>>,
+    null: u32,
+}
+
+impl<'b> BuildEntries<'b> {
+    fn new(column: &'b Block, null_entry: bool) -> Result<BuildEntries<'b>> {
+        let (entries, rows) = innermost_entries(column);
+        let null = entries.len() as u32;
+        let entries = match null_entry {
+            true => Cow::Owned(Block::concat(&[entries, &Block::nulls(&entries.data_type(), 1)])?),
+            false => Cow::Borrowed(entries),
+        };
+        Ok(BuildEntries { entries, rows, null })
+    }
+
+    /// The build rows `build_idx`, then `misses` NULLs, as ids into the
+    /// entries.
+    fn gather(&self, build_idx: &[usize], misses: usize) -> Block {
+        let mut ids = Vec::with_capacity(build_idx.len() + misses);
+        match &self.rows {
+            Some(rows) => ids.extend(build_idx.iter().map(|&j| rows[j])),
+            None => ids.extend(build_idx.iter().map(|&j| j as u32)),
+        }
+        ids.resize(build_idx.len() + misses, self.null);
+        Block::Dictionary { dictionary: Box::new(self.entries.as_ref().clone()), ids }
+    }
+}
+
+/// A column's innermost non-dictionary block and, when the column is a
+/// dictionary, the entry of each of its rows in that block (the ids of
+/// nested dictionaries composed).
+fn innermost_entries(column: &Block) -> (&Block, Option<Vec<u32>>) {
+    match column {
+        Block::Dictionary { dictionary, ids } => match innermost_entries(dictionary) {
+            (entries, None) => (entries, Some(ids.clone())),
+            (entries, Some(inner)) => {
+                (entries, Some(ids.iter().map(|&id| inner[id as usize]).collect()))
+            }
+        },
+        plain => (plain, None),
+    }
 }
 
 /// Grace hash join: both sides are hash-partitioned on the join keys and
@@ -1359,7 +1442,9 @@ mod tests {
         let plan = LogicalPlan::RemoteSource { fragment: 3, schema };
         let rows = execute_to_rows(&plan, &ctx).unwrap();
         assert_eq!(rows, vec![vec![Value::Bigint(7)]]);
+        // the pages were moved out: a second read is an engine bug
+        assert_eq!(execute(&plan, &ctx).unwrap_err().code(), "INTERNAL_ERROR");
         let unbound = LogicalPlan::RemoteSource { fragment: 9, schema: Schema::empty() };
-        assert!(execute(&unbound, &ctx).is_err());
+        assert_eq!(execute(&unbound, &ctx).unwrap_err().code(), "EXECUTION_ERROR");
     }
 }

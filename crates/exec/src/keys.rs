@@ -9,7 +9,8 @@
 //! bits, makes the whole key bytes in one arena: per column a type tag and
 //! the value — fixed-width as 8 bytes, VARCHAR length-prefixed, nested
 //! values recursively with element counts. A [`Block::Dictionary`] column is
-//! encoded once per dictionary entry.
+//! encoded once per dictionary entry; a key that is one dictionary column is
+//! also hashed and looked up once per entry its rows use.
 //!
 //! **Contract.** Two rows get one id exactly when their keys are equal as
 //! `Vec<Value>` under `Value: Eq`: NULL equals NULL, `0.0` equals `-0.0`,
@@ -434,7 +435,35 @@ impl KeyTable {
         ids.clear();
         ids.reserve(keys.first().map_or(0, |block| block.len()));
         let mode = Mode { nulls_match: self.nulls_match, insert };
-        self.keys.resolve(&self.types, &keys, mode, ids);
+        match keys[..] {
+            [Block::Dictionary { dictionary, ids: entries }] => {
+                self.resolve_entries(dictionary, entries, mode, ids);
+            }
+            _ => self.keys.resolve(&self.types, &keys, mode, ids),
+        }
         Ok(())
+    }
+
+    /// One dictionary key column: resolve only the entries its rows use, in
+    /// the order rows first use them — so a new key gets the id the per-row
+    /// path would deal it — then give each row its entry's id.
+    fn resolve_entries(
+        &mut self,
+        dictionary: &Block,
+        rows: &[u32],
+        mode: Mode,
+        ids: &mut Vec<u32>,
+    ) {
+        let mut position = vec![NO_KEY; dictionary.len()];
+        let mut used = Vec::new();
+        for &entry in rows {
+            if position[entry as usize] == NO_KEY {
+                position[entry as usize] = used.len() as u32;
+                used.push(entry as usize);
+            }
+        }
+        let mut used_ids = Vec::with_capacity(used.len());
+        self.keys.resolve(&self.types, &[&dictionary.take(&used)], mode, &mut used_ids);
+        ids.extend(rows.iter().map(|&entry| used_ids[position[entry as usize] as usize]));
     }
 }

@@ -3,7 +3,9 @@
 //! its input rows. A row-at-a-time operator allocates per row (a
 //! `Vec<Value>` key, a `String` per VARCHAR cell); a typed one allocates per
 //! page, per column and per *new* group. Counts are exact on any machine,
-//! so this holds on a noisy VM where a timing could not.
+//! so this holds on a noisy VM where a timing could not. The largest single
+//! allocation guards what must not be copied at all: a column under
+//! `count(*)`, and the pages a root fragment's exchanges deliver.
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -13,6 +15,7 @@ use std::sync::Arc;
 use presto_common::{Block, DataType, Field, Page, Schema};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
+use presto_plan::{LogicalPlan, PlanFragment};
 
 /// An engine over `memory.t.facts`: `rows` rows in two pages. `id` is
 /// unique, `bucket` has `rows / 4` values, `flag` and `grade` six between
@@ -139,4 +142,31 @@ fn expression_allocations_are_the_same_at_any_row_count() {
             assert!(largest < N, "{name}: one allocation of {largest} bytes");
         }
     }
+}
+
+/// The coordinator's root fragment reads its exchanges where they were
+/// delivered: the pages bound to a `RemoteSource` are moved into the plan,
+/// never copied, so the root allocates nothing as large as one exchanged
+/// column.
+#[test]
+fn the_root_fragment_moves_its_exchanged_pages() {
+    const ROWS: usize = 100_000;
+    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
+    let pages: Vec<Page> = (0..3)
+        .map(|p| Page::new(vec![Block::bigint((0..ROWS as i64).map(|i| i * p).collect())]).unwrap())
+        .collect();
+    let root = PlanFragment {
+        id: 0,
+        plan: LogicalPlan::Output {
+            input: Box::new(LogicalPlan::RemoteSource { fragment: 1, schema }),
+            names: vec!["x".into()],
+        },
+    };
+    let engine = PrestoEngine::new();
+    counting::forget_largest();
+    let out = engine.execute_fragment(&root, vec![(1, pages)], &Session::default()).unwrap();
+    let largest = counting::largest();
+    assert_eq!(out.iter().map(Page::positions).sum::<usize>(), 3 * ROWS);
+    let column = ROWS * std::mem::size_of::<i64>();
+    assert!(largest < column, "one allocation of {largest} bytes; a column is {column}");
 }
