@@ -22,7 +22,7 @@ use presto_core::{PrestoEngine, Session};
 use presto_parquet::{WriterMode, WriterProperties};
 use presto_storage::HdfsFileSystem;
 
-use crate::report::{ms, Report, Table};
+use crate::report::{ms, Gate, Report, Table};
 
 /// Query category, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +72,8 @@ pub struct Fig17Result {
     pub new_reader: Duration,
     /// old / new.
     pub speedup: f64,
+    /// Whether both readers returned the same multiset of rows.
+    pub same_rows: bool,
 }
 
 /// The nested trips file schema (20 leaf columns).
@@ -259,43 +261,62 @@ pub fn build(rows_per_partition: usize) -> Fig17Workload {
     Fig17Workload { engine, hive, hdfs, queries }
 }
 
-/// Execute one query under a reader configuration. Latency = real CPU time
-/// plus the virtual I/O time the simulated HDFS charged (the paper's testbed
-/// pays real network/disk I/O; the legacy reader moves far more bytes).
-pub fn time_query(workload: &Fig17Workload, sql: &str, legacy: bool) -> Duration {
+/// Execute one query under a reader configuration: its latency and its rows,
+/// sorted (a multiset). Latency = real CPU time plus the virtual I/O time
+/// the simulated HDFS charged (the paper's testbed pays real network/disk
+/// I/O; the legacy reader moves far more bytes).
+pub fn time_query(
+    workload: &Fig17Workload,
+    sql: &str,
+    legacy: bool,
+) -> Result<(Duration, Vec<Vec<Value>>)> {
     workload.hive.set_reader_config(HiveReaderConfig { use_legacy_reader: legacy });
     let session = Session::new("hive", "rawdata");
     let io_before = workload.hdfs.clock().now();
     let start = Instant::now();
-    workload.engine.execute_with_session(sql, &session).unwrap_or_else(|e| panic!("{sql}: {e}"));
-    start.elapsed() + (workload.hdfs.clock().now() - io_before)
+    let result = workload.engine.execute_with_session(sql, &session)?;
+    let elapsed = start.elapsed() + (workload.hdfs.clock().now() - io_before);
+    let mut rows = result.rows();
+    let key = |r: &Vec<Value>| r.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("|");
+    rows.sort_by_cached_key(key);
+    Ok((elapsed, rows))
 }
 
 /// Run the full figure (one measured pass per reader per query).
-pub fn run(rows_per_partition: usize) -> Vec<Fig17Result> {
+pub fn run(rows_per_partition: usize) -> Result<Vec<Fig17Result>> {
     let workload = build(rows_per_partition);
     workload
         .queries
         .iter()
         .map(|q| {
-            let old_reader = time_query(&workload, &q.sql, true);
-            let new_reader = time_query(&workload, &q.sql, false);
-            Fig17Result {
+            let (old_reader, old_rows) = time_query(&workload, &q.sql, true)?;
+            let (new_reader, new_rows) = time_query(&workload, &q.sql, false)?;
+            Ok(Fig17Result {
                 name: q.name.clone(),
                 kind: q.kind,
                 old_reader,
                 new_reader,
                 speedup: old_reader.as_secs_f64() / new_reader.as_secs_f64().max(1e-12),
-            }
+                same_rows: old_rows == new_rows,
+            })
         })
         .collect()
 }
 
-/// `paper-experiments fig17` (wall-clock; no gates).
+/// The gate of Fig 17: the two reader generations answer every query alike
+/// — a faster reader that returns other rows measures nothing.
+fn same_rows_gate(results: &[Fig17Result]) -> Gate {
+    let differing: Vec<&str> =
+        results.iter().filter(|r| !r.same_rows).map(|r| r.name.as_str()).collect();
+    let detail = format!("the readers' rows differ for {differing:?}");
+    Gate::new("both readers return the same rows for every query", differing.is_empty(), detail)
+}
+
+/// `paper-experiments fig17`: wall-clock, gated on the two readers' answers.
 pub fn report() -> Result<Report> {
     let mut report = Report::new("\n=== Fig 17: legacy vs new Parquet reader ===");
     report.line("paper claim: 2–10x speedup across 21 queries; P90 5min → 40s\n");
-    let results = run(60_000);
+    let results = run(60_000)?;
     let mut table = Table::new(
         "21 queries over nested trips (4 scans incl. 2 needle-in-haystack, 5 group-bys, 12 joins)",
         &["query", "kind", "old reader", "new reader", "speedup"],
@@ -318,12 +339,19 @@ pub fn report() -> Result<Report> {
         speedups[speedups.len() / 2],
         speedups[speedups.len() - 1]
     ));
+    let same_rows = same_rows_gate(&results);
+    if same_rows.passed {
+        report
+            .line(format!("both readers returned the same rows for all {} queries", results.len()));
+    }
+    report.gates.push(same_rows);
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn workload_shape_matches_the_paper() {
@@ -341,26 +369,8 @@ mod tests {
 
     #[test]
     fn both_readers_agree_on_every_query() {
-        let w = build(2_000);
-        let session = Session::new("hive", "rawdata");
-        for q in &w.queries {
-            w.hive.set_reader_config(HiveReaderConfig { use_legacy_reader: true });
-            let old = w
-                .engine
-                .execute_with_session(&q.sql, &session)
-                .unwrap_or_else(|e| panic!("{} (legacy): {e}", q.name));
-            w.hive.set_reader_config(HiveReaderConfig::default());
-            let new = w
-                .engine
-                .execute_with_session(&q.sql, &session)
-                .unwrap_or_else(|e| panic!("{} (new): {e}", q.name));
-            let mut old_rows = old.rows();
-            let mut new_rows = new.rows();
-            let key =
-                |r: &Vec<Value>| r.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("|");
-            old_rows.sort_by_key(key);
-            new_rows.sort_by_key(key);
-            assert_eq!(old_rows, new_rows, "query {} disagrees", q.name);
-        }
+        let results = run(2_000).unwrap();
+        assert_eq!(results.len(), 21);
+        assert_gates(&[same_rows_gate(&results)]);
     }
 }

@@ -16,6 +16,8 @@
 //! follows; low bit 1 → match with length `(t >> 1) + MIN_MATCH` and varint
 //! distance following.
 
+use std::borrow::Cow;
+
 use presto_common::{PrestoError, Result};
 
 /// Minimum match length worth encoding.
@@ -80,11 +82,13 @@ impl Codec {
         }
     }
 
-    /// Decompress a buffer produced by [`Codec::compress`].
-    pub fn decompress(self, data: &[u8]) -> Result<Vec<u8>> {
+    /// Decompress a buffer produced by [`Codec::compress`]. A buffer handed
+    /// over by value is what [`Codec::None`] returns, not a copy of it.
+    pub fn decompress<'a>(self, data: impl Into<Cow<'a, [u8]>>) -> Result<Vec<u8>> {
+        let data = data.into();
         match self {
-            Codec::None => Ok(data.to_vec()),
-            Codec::Fast | Codec::Deep => lz_decompress(data),
+            Codec::None => Ok(data.into_owned()),
+            Codec::Fast | Codec::Deep => lz_decompress(&data),
         }
     }
 }
@@ -319,10 +323,16 @@ fn lz_decompress(data: &[u8]) -> Result<Vec<u8>> {
             if dist == 0 || dist > out.len() {
                 return Err(PrestoError::Format("invalid match distance".into()));
             }
+            // A match shorter than its distance is one copy. A longer one
+            // overlaps its own output: from `start` on the output repeats
+            // with period `dist`, so each pass copies all of it there is so
+            // far, doubling the stretch the next pass can copy.
             let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(out.len() - start);
+                out.extend_from_within(start..start + n);
+                left -= n;
             }
         }
     }
@@ -338,8 +348,111 @@ mod tests {
 
     fn round_trip(codec: Codec, data: &[u8]) {
         let compressed = codec.compress(data);
-        let back = codec.decompress(&compressed).unwrap();
+        let back = codec.decompress(compressed).unwrap();
         assert_eq!(back, data, "round trip failed for {codec:?} len={}", data.len());
+    }
+
+    /// The decoder byte at a time, as the stream format defines a match:
+    /// each output byte copies the one `dist` back, which may be one this
+    /// match wrote.
+    fn decompress_bytewise(data: &[u8]) -> Result<Vec<u8>> {
+        let mut pos = 0;
+        let total = read_varint(data, &mut pos)? as usize;
+        let mut out = Vec::new();
+        while out.len() < total {
+            let tag = *data.get(pos).ok_or_else(|| PrestoError::Format("truncated".into()))?;
+            pos += 1;
+            if tag & 1 == 0 {
+                let n = (tag >> 1) as usize + 1;
+                let lits =
+                    data.get(pos..pos + n).ok_or_else(|| PrestoError::Format("lits".into()))?;
+                out.extend_from_slice(lits);
+                pos += n;
+            } else {
+                let dist = read_varint(data, &mut pos)? as usize;
+                if dist == 0 || dist > out.len() {
+                    return Err(PrestoError::Format("distance".into()));
+                }
+                for _ in 0..(tag >> 1) as usize + MIN_MATCH {
+                    out.push(out[out.len() - dist]);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// A match token of `len` bytes (`MIN_MATCH..=MAX_RUN - 1 + MIN_MATCH`)
+    /// `dist` bytes back.
+    fn push_match(stream: &mut Vec<u8>, len: usize, dist: usize) {
+        stream.push((((len - MIN_MATCH) as u8) << 1) | 1);
+        write_varint(stream, dist as u64);
+    }
+
+    /// Every period 1–16 and every match length up to the longest a token
+    /// holds, copied both from within reach (`dist >= len`) and overlapping
+    /// its own output, from hand-built streams and from the compressors.
+    #[test]
+    fn matches_of_every_period_and_length_decode_as_bytewise_copies() {
+        const LONGEST: usize = MAX_RUN - 1 + MIN_MATCH;
+        assert_eq!(LONGEST, 131);
+        for period in 1..=16usize {
+            let seed: Vec<u8> = (0..period).map(|i| (i * 37 + period) as u8).collect();
+            for len in MIN_MATCH..=LONGEST {
+                // the seed, then one match `period` back (overlapping
+                // whenever len > period), then one from before the seed's
+                // repeat at a distance ≥ len (never overlapping)
+                let mut stream = Vec::new();
+                let total = period + len + len;
+                write_varint(&mut stream, total as u64);
+                emit_literals(&mut stream, &seed);
+                push_match(&mut stream, len, period);
+                push_match(&mut stream, len, len);
+                let expected = decompress_bytewise(&stream).unwrap();
+                assert_eq!(expected.len(), total);
+                let got = lz_decompress(&stream).unwrap();
+                assert_eq!(got, expected, "period {period}, length {len}");
+                // ... and what the compressors make of the same bytes
+                for codec in [Codec::Fast, Codec::Deep] {
+                    round_trip(codec, &expected);
+                }
+            }
+            let periodic: Vec<u8> = seed.iter().cycle().take(period * 300).copied().collect();
+            for codec in [Codec::Fast, Codec::Deep] {
+                round_trip(codec, &periodic);
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_matches_are_format_errors() {
+        let format = |stream: &[u8]| matches!(lz_decompress(stream), Err(PrestoError::Format(_)));
+        // distance 0, and one past everything written so far
+        for dist in [0, 4] {
+            let mut stream = vec![10];
+            emit_literals(&mut stream, b"abc");
+            push_match(&mut stream, 7, dist);
+            assert!(format(&stream), "distance {dist}");
+        }
+        // a match cut off before its distance
+        let mut cut = vec![10];
+        emit_literals(&mut cut, b"abc");
+        cut.push((((7 - MIN_MATCH) as u8) << 1) | 1);
+        assert!(format(&cut));
+        // a stream that ends short of its length, and one that overshoots it
+        // with an overlapping match
+        let mut short = vec![20];
+        emit_literals(&mut short, b"abc");
+        push_match(&mut short, 7, 1);
+        assert!(format(&short));
+        let mut long = vec![5];
+        emit_literals(&mut long, b"ab");
+        push_match(&mut long, 40, 2);
+        assert!(format(&long));
+        // a length past any real page reserves no more than the cap
+        let mut huge = Vec::new();
+        write_varint(&mut huge, u64::MAX >> 1);
+        emit_literals(&mut huge, b"abc");
+        assert!(format(&huge));
     }
 
     #[test]
@@ -396,7 +509,16 @@ mod tests {
     fn corrupted_streams_error_not_panic() {
         let good = Codec::Fast.compress(b"hello world hello world hello world");
         assert!(Codec::Fast.decompress(&good[..good.len() / 2]).is_err());
-        assert!(Codec::Fast.decompress(&[0xff, 0xff, 0xff]).is_err());
-        assert!(Codec::Fast.decompress(&[]).is_err());
+        assert!(Codec::Fast.decompress(vec![0xff, 0xff, 0xff]).is_err());
+        assert!(Codec::Fast.decompress(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn no_compression_hands_back_the_buffer_it_was_given() {
+        let page = b"a page that was never compressed".to_vec();
+        let at = page.as_ptr();
+        let back = Codec::None.decompress(page).unwrap();
+        assert_eq!(back.as_ptr(), at, "moved, not copied");
+        assert_eq!(Codec::None.decompress(&back[..6]).unwrap(), b"a page");
     }
 }

@@ -185,24 +185,26 @@ fn list_slots(
     Ok((offsets, some_if_any(nulls)))
 }
 
-/// Packed values spread over their slots, NULL slots zeroed.
-fn spread<T: Copy + Default>(packed: Vec<T>, mask: &[bool]) -> Vec<T> {
+/// Packed values spread over their slots, NULL slots set to `null`.
+fn spread<T: Copy>(packed: Vec<T>, mask: &[bool], null: T) -> Vec<T> {
     let mut packed = packed.into_iter();
-    mask.iter()
-        .map(|&null| if null { T::default() } else { packed.next().unwrap_or_default() })
-        .collect()
+    mask.iter().map(|&is_null| if is_null { null } else { packed.next().unwrap_or(null) }).collect()
 }
 
 /// Direct leaf build: the definition levels of the leaf's slots become the
 /// NULL mask, and the packed value buffer moves into the block — as it is
-/// when no slot is NULL, spread over the slots otherwise.
+/// when no slot is NULL, spread over the slots otherwise. A dictionary
+/// chunk stays one: a [`Block::Dictionary`] over its entries whose ids move
+/// in the same way, every NULL slot pointing at one NULL entry appended
+/// after the others.
 fn build_leaf(data: LeafData, scalar_type: &DataType, slots: Slots) -> Result<Block> {
-    let LeafData { defs, values, max_def, .. } = data;
+    let defined = data.value_count();
+    let LeafData { defs, values, ids, max_def, .. } = data;
     // a leaf's own repetition maximum is its enclosing list's level, so the
     // definition levels alone pick its slots
     let len = defs.count_from(slots.def);
     // decode_chunk matched the value count to the fully defined entries
-    let mask: Option<Vec<bool>> = (values.len() < len).then(|| match &defs {
+    let mask: Option<Vec<bool>> = (defined < len).then(|| match &defs {
         Levels::Run { .. } => vec![true; len],
         Levels::Each(defs) => {
             let mut mask = Vec::with_capacity(len);
@@ -210,11 +212,37 @@ fn build_leaf(data: LeafData, scalar_type: &DataType, slots: Slots) -> Result<Bl
             mask
         }
     });
+    let Some(ids) = ids else { return plain_leaf(values, scalar_type, mask) };
+    let entries = values.len();
+    let (entry_mask, ids) = match mask {
+        None => (None, ids),
+        Some(mask) => {
+            let null = u32::try_from(entries)
+                .map_err(|_| PrestoError::Format("dictionary exceeds 2^32 entries".into()))?;
+            let mut entry_mask = vec![false; entries + 1];
+            entry_mask[entries] = true;
+            (Some(entry_mask), spread(ids, &mask, null))
+        }
+    };
+    let dictionary = Box::new(plain_leaf(values, scalar_type, entry_mask)?);
+    Ok(Block::Dictionary { dictionary, ids })
+}
+
+/// The block of packed `values` spread over the slots of `mask` (none:
+/// one slot per value), NULL slots zeroed.
+fn plain_leaf(
+    values: LeafValues,
+    scalar_type: &DataType,
+    mask: Option<Vec<bool>>,
+) -> Result<Block> {
     macro_rules! fixed {
         ($variant:ident, $packed:expr) => {
             Ok(match mask {
                 None => Block::$variant { values: $packed, nulls: None },
-                Some(mask) => Block::$variant { values: spread($packed, &mask), nulls: Some(mask) },
+                Some(mask) => Block::$variant {
+                    values: spread($packed, &mask, Default::default()),
+                    nulls: Some(mask),
+                },
             })
         };
     }
@@ -229,7 +257,7 @@ fn build_leaf(data: LeafData, scalar_type: &DataType, slots: Slots) -> Result<Bl
             None => Block::Varchar { offsets, bytes, nulls: None },
             Some(mask) => {
                 // a NULL slot holds no bytes: it repeats the offset before it
-                let mut spread_offsets = Vec::with_capacity(len + 1);
+                let mut spread_offsets = Vec::with_capacity(mask.len() + 1);
                 let mut packed = 0;
                 spread_offsets.push(0u32);
                 for &null in &mask {

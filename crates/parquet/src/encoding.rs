@@ -284,14 +284,19 @@ pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
     // validated (the vec still grows to `total` if the stream really is
     // that long)
     let mut out = Vec::with_capacity(total.min(1 << 16));
+    // a value past 32 bits is corruption, never a value to truncate
+    let value = |reader: &mut ByteReader<'_>| -> Result<u32> {
+        let v = reader.varint()?;
+        u32::try_from(v).map_err(|_| PrestoError::Format(format!("RLE value {v} exceeds 32 bits")))
+    };
     while out.len() < total {
         let (count, is_run) = rle_group(reader, total - out.len())?;
         if is_run {
-            let v = reader.varint()? as u32;
+            let v = value(reader)?;
             out.resize(out.len() + count, v);
         } else {
             for _ in 0..count {
-                out.push(reader.varint()? as u32);
+                out.push(value(reader)?);
             }
         }
     }
@@ -416,5 +421,25 @@ mod tests {
         let data = w.into_bytes();
         let mut r = ByteReader::new(&data[..data.len() - 2]);
         assert!(rle_decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn rle_values_past_32_bits_are_format_errors() {
+        // a run of two 2^32 + 1, and a literal group of one 2^32: neither may
+        // read back as 1 or 0
+        for (count, is_run, value) in [(2u64, 1, (1u64 << 32) + 1), (1, 0, 1 << 32)] {
+            let mut w = ByteWriter::new();
+            w.varint(count);
+            w.varint((count << 1) | is_run);
+            w.varint(value);
+            let data = w.into_bytes();
+            let err = rle_decode(&mut ByteReader::new(&data)).unwrap_err();
+            assert!(matches!(err, PrestoError::Format(_)), "{err}");
+        }
+        // the largest 32-bit value still reads
+        let mut w = ByteWriter::new();
+        rle_encode(&[u32::MAX; 5], &mut w);
+        let data = w.into_bytes();
+        assert_eq!(rle_decode(&mut ByteReader::new(&data)).unwrap(), vec![u32::MAX; 5]);
     }
 }

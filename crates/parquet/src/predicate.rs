@@ -128,8 +128,14 @@ impl ScalarPredicate {
 
     /// Evaluate over a whole decoded leaf stream, producing one flag per
     /// triplet. Only valid for repetition-free leaves (one triplet per row).
+    /// A dictionary chunk is evaluated once per entry, and each defined
+    /// value takes its entry's flag through its id.
     pub fn evaluate_leaf(&self, leaf: &LeafData) -> Result<Vec<bool>> {
-        let values = self.value_flags(&leaf.values, &leaf.scalar_type);
+        let flags = self.value_flags(&leaf.values, &leaf.scalar_type);
+        let values = match &leaf.ids {
+            None => flags,
+            Some(ids) => ids.iter().map(|&id| flags[id as usize]).collect(),
+        };
         if values.len() == leaf.len() {
             // every triplet is defined
             return Ok(values);
@@ -319,6 +325,7 @@ mod tests {
                 reps: Levels::Run { level: 0, len: slots.len() },
                 defs: Levels::Each(slots.iter().map(|v| u16::from(!v.is_null())).collect()),
                 values: values.clone(),
+                ids: None,
                 max_def: 1,
                 scalar_type: scalar_type.clone(),
             };
@@ -328,12 +335,28 @@ mod tests {
                 max_def: 0,
                 ..nullable.clone()
             };
+            // ... and both dictionary-encoded, the entries in reverse, so no
+            // value's id is its position
+            let mut entries = LeafValues::new(physical);
+            for v in defined.iter().rev() {
+                entries.push(v).unwrap();
+            }
+            let ids = Some((0..defined.len() as u32).rev().collect::<Vec<_>>());
+            let encoded = |leaf: &LeafData| LeafData {
+                values: entries.clone(),
+                ids: ids.clone(),
+                ..leaf.clone()
+            };
             for predicate in &predicates {
                 let per_slot: Vec<bool> = slots.iter().map(|v| predicate.matches(v)).collect();
                 let per_value: Vec<bool> = defined.iter().map(|v| predicate.matches(v)).collect();
                 let context = format!("{scalar_type} {predicate:?}");
                 assert_eq!(predicate.evaluate_leaf(&nullable).unwrap(), per_slot, "{context}");
                 assert_eq!(predicate.evaluate_leaf(&required).unwrap(), per_value, "{context}");
+                let on_entries = predicate.evaluate_leaf(&encoded(&nullable)).unwrap();
+                assert_eq!(on_entries, per_slot, "{context}");
+                let on_entries = predicate.evaluate_leaf(&encoded(&required)).unwrap();
+                assert_eq!(on_entries, per_value, "{context}");
                 assert_eq!(
                     predicate.matches_any_in_dictionary(&values, &scalar_type),
                     per_value.contains(&true),

@@ -114,7 +114,7 @@ pub fn read_dictionary(
         None => return Ok(None),
     };
     let compressed = source.read_range(offset, len)?;
-    let raw = chunk.codec.decompress(&compressed)?;
+    let raw = chunk.codec.decompress(compressed)?;
     let mut r = ByteReader::new(&raw);
     Ok(Some(read_leaf_values(leaf.physical, &mut r, true)?))
 }
@@ -132,16 +132,17 @@ pub fn chunk_for(rg: &RowGroupMeta, leaf_idx: usize) -> Result<&ColumnChunkMeta>
 ///
 /// `vectorized` selects between the batched decoder (§V.I: level runs
 /// decoded once to `u16` and kept as runs where the stream is one, bulk
-/// fixed-width value copies, dictionary applied by gather) and a
-/// deliberately triplet-at-a-time scalar decoder matching the
-/// pre-vectorization reader. `probed` is the chunk's dictionary when the
-/// caller has already read it (dictionary pushdown), so the page is not
-/// fetched twice.
+/// fixed-width value copies) and a deliberately triplet-at-a-time scalar
+/// decoder matching the pre-vectorization reader. Either way a
+/// dictionary-encoded chunk stays encoded: its dictionary page's entries
+/// and one id per defined value ([`LeafData::ids`]). `probed` is the
+/// chunk's dictionary when the caller has already read it (dictionary
+/// pushdown), so the page is not fetched twice.
 ///
 /// Whatever the file holds, the stream returned is one the block builder
 /// can index without looking: as many levels as the footer says, no level
-/// above the leaf's maxima, a first entry that starts a record, and exactly
-/// one value per fully defined entry.
+/// above the leaf's maxima, a first entry that starts a record, exactly one
+/// value (or id) per fully defined entry, and no id past the dictionary.
 pub fn decode_chunk(
     source: &dyn ChunkSource,
     chunk: &ColumnChunkMeta,
@@ -151,7 +152,7 @@ pub fn decode_chunk(
 ) -> Result<LeafData> {
     let (offset, len) = chunk.data_page;
     let compressed = source.read_range(offset, len)?;
-    let raw = chunk.codec.decompress(&compressed)?;
+    let raw = chunk.codec.decompress(compressed)?;
     let mut r = ByteReader::new(&raw);
     let encoding = Encoding::from_tag(r.u8()?)?;
 
@@ -190,8 +191,8 @@ pub fn decode_chunk(
         return Err(PrestoError::Format("chunk does not start at a record boundary".into()));
     }
 
-    let values = match encoding {
-        Encoding::Plain => read_leaf_values(leaf.physical, &mut r, vectorized)?,
+    let (values, ids) = match encoding {
+        Encoding::Plain => (read_leaf_values(leaf.physical, &mut r, vectorized)?, None),
         Encoding::Dictionary => {
             let dict = match probed {
                 Some(dict) => dict,
@@ -200,20 +201,28 @@ pub fn decode_chunk(
                 })?,
             };
             let ids = rle_decode(&mut r)?;
-            expand_dictionary(&dict, &ids)?
+            // every id is checked here, once, so nothing downstream has to
+            if let Some(&id) = ids.iter().max().filter(|&&id| id as usize >= dict.len()) {
+                return Err(PrestoError::Format(format!(
+                    "dictionary id {id} out of range ({} entries)",
+                    dict.len()
+                )));
+            }
+            (dict, Some(ids))
         }
     };
-    if values.len() != defs.count_at(leaf.max_def) {
-        return Err(PrestoError::Format("value count does not match levels".into()));
-    }
-
-    Ok(LeafData {
+    let data = LeafData {
         reps,
         defs,
         values,
+        ids,
         max_def: leaf.max_def,
         scalar_type: leaf.scalar_type.clone(),
-    })
+    };
+    if data.value_count() != data.defs.count_at(leaf.max_def) {
+        return Err(PrestoError::Format("value count does not match levels".into()));
+    }
+    Ok(data)
 }
 
 /// Decode a plain value vector. The vectorized path copies fixed-width
@@ -290,67 +299,6 @@ pub fn read_leaf_values(
                 offsets.push(data.len() as u32);
             }
             Ok(LeafValues::Bytes { offsets, data })
-        }
-    }
-}
-
-/// Expand dictionary ids into plain values (gather).
-fn expand_dictionary(dict: &LeafValues, ids: &[u32]) -> Result<LeafValues> {
-    let check = |id: u32| -> Result<usize> {
-        let i = id as usize;
-        if i >= dict.len() {
-            return Err(PrestoError::Format(format!(
-                "dictionary id {id} out of range ({} entries)",
-                dict.len()
-            )));
-        }
-        Ok(i)
-    };
-    match dict {
-        LeafValues::Bool(v) => {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                out.push(v[check(id)?]);
-            }
-            Ok(LeafValues::Bool(out))
-        }
-        LeafValues::I32(v) => {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                out.push(v[check(id)?]);
-            }
-            Ok(LeafValues::I32(out))
-        }
-        LeafValues::I64(v) => {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                out.push(v[check(id)?]);
-            }
-            Ok(LeafValues::I64(out))
-        }
-        LeafValues::F64(v) => {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                out.push(v[check(id)?]);
-            }
-            Ok(LeafValues::F64(out))
-        }
-        LeafValues::Bytes { offsets, data } => {
-            // validate and size in one pass, gather in the next
-            let mut total = 0usize;
-            for &id in ids {
-                let i = check(id)?;
-                total += (offsets[i + 1] - offsets[i]) as usize;
-            }
-            let mut out_offsets = Vec::with_capacity(ids.len() + 1);
-            out_offsets.push(0u32);
-            let mut out_data = Vec::with_capacity(total);
-            for &id in ids {
-                let i = id as usize;
-                out_data.extend_from_slice(&data[offsets[i] as usize..offsets[i + 1] as usize]);
-                out_offsets.push(out_data.len() as u32);
-            }
-            Ok(LeafValues::Bytes { offsets: out_offsets, data: out_data })
         }
     }
 }

@@ -16,7 +16,10 @@
 //!   columns are only decoded for row groups with at least one match;
 //! - **vectorized reader** (§V.I): level runs decoded once and kept as runs,
 //!   bulk fixed-width value copies, a probed dictionary page reused by the
-//!   decode.
+//!   decode, and dictionary-encoded chunks never expanded: each becomes a
+//!   [`Block::Dictionary`] over its page's entries, at any depth (one NULL
+//!   entry appended when a slot is NULL), and a pushed-down predicate on
+//!   one is evaluated once per entry.
 
 use presto_common::{Block, DataType, Page, PrestoError, Result, Schema};
 

@@ -269,8 +269,12 @@ pub struct LeafData {
     pub reps: Levels,
     /// Definition level per triplet.
     pub defs: Levels,
-    /// Defined values, compacted.
+    /// Defined values, compacted — or, when `ids` is set, the entries of the
+    /// chunk's dictionary page.
     pub values: LeafValues,
+    /// A dictionary-encoded chunk as read: one id per defined value, each an
+    /// index into `values` (checked when the chunk was decoded).
+    pub ids: Option<Vec<u32>>,
     /// The leaf's max definition level (value present ⇔ `def == max_def`).
     pub max_def: u16,
     /// The leaf's logical scalar type.
@@ -284,6 +288,7 @@ impl LeafData {
             reps: Levels::default(),
             defs: Levels::default(),
             values: LeafValues::new(leaf.physical),
+            ids: None,
             max_def: leaf.max_def,
             scalar_type: leaf.scalar_type.clone(),
         }
@@ -294,6 +299,7 @@ impl LeafData {
     pub fn clear(&mut self) {
         self.reps.clear();
         self.defs.clear();
+        self.ids = None;
         match &mut self.values {
             LeafValues::Bool(v) => v.clear(),
             LeafValues::I32(v) => v.clear(),
@@ -314,6 +320,12 @@ impl LeafData {
     /// True when the stream is empty.
     pub fn is_empty(&self) -> bool {
         self.defs.is_empty()
+    }
+
+    /// Number of defined values: one per id of a dictionary-encoded chunk,
+    /// else one per stored value.
+    pub fn value_count(&self) -> usize {
+        self.ids.as_ref().map_or(self.values.len(), Vec::len)
     }
 
     /// Number of NULL (undefined) triplets.
@@ -471,7 +483,11 @@ impl<'a> LeafCursor<'a> {
         let def = self.data.defs.get(self.idx);
         self.idx += 1;
         let value = if def == self.data.max_def {
-            let v = self.data.values.get(self.value_idx, &self.data.scalar_type);
+            let at = match &self.data.ids {
+                Some(ids) => ids[self.value_idx] as usize,
+                None => self.value_idx,
+            };
+            let v = self.data.values.get(at, &self.data.scalar_type);
             self.value_idx += 1;
             Some(v)
         } else {

@@ -110,6 +110,35 @@ pub fn trips_page(rows: usize) -> Page {
     Page::new(vec![base]).unwrap()
 }
 
+/// `block` with every dictionary in it, at any depth, decoded: the plain
+/// block of the same values, in the form [`Block::from_values`] builds.
+pub fn decoded(block: &Block) -> Block {
+    match block {
+        Block::Dictionary { .. } => decoded(&block.decode_dictionary()),
+        Block::Array { element_type, offsets, elements, nulls } => Block::Array {
+            element_type: element_type.clone(),
+            offsets: offsets.clone(),
+            elements: Box::new(decoded(elements)),
+            nulls: nulls.clone(),
+        },
+        Block::Map { key_type, value_type, offsets, keys, values, nulls } => Block::Map {
+            key_type: key_type.clone(),
+            value_type: value_type.clone(),
+            offsets: offsets.clone(),
+            keys: Box::new(decoded(keys)),
+            values: Box::new(decoded(values)),
+            nulls: nulls.clone(),
+        },
+        Block::Row { fields, children, len, nulls } => Block::Row {
+            fields: fields.clone(),
+            children: children.iter().map(decoded).collect(),
+            len: *len,
+            nulls: nulls.clone(),
+        },
+        plain => plain.clone(),
+    }
+}
+
 /// Every shape the readers must get right: lists that are NULL, empty or
 /// hold NULLs; a struct under a struct; a list of structs that hold lists
 /// (and may themselves be NULL); a map to structs.

@@ -14,10 +14,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use presto_common::{Block, DataType, Field, Page, PrestoError, Schema, Value};
-use presto_parquet::reader::BytesSource;
+use presto_parquet::encoding::{rle_encode, ByteWriter};
+use presto_parquet::metadata::{Encoding, MAGIC};
+use presto_parquet::reader::{read_metadata, BytesSource};
 use presto_parquet::reader_new::{self, ProjectedColumn, ReadOptions};
 use presto_parquet::{
-    reader_old, Codec, FilePredicate, FileWriter, ScalarPredicate, WriterMode, WriterProperties,
+    reader_old, Codec, FilePredicate, FileWriter, FlatSchema, ScalarPredicate, WriterMode,
+    WriterProperties,
 };
 
 fn nested_type() -> DataType {
@@ -166,6 +169,87 @@ fn every_flipped_byte_is_ok_or_a_classified_error() {
             }
         }
     }
+}
+
+/// A one-column, one-group, uncompressed file of 8 VARCHARs over two
+/// distinct values — so dictionary-encoded, entries `a`, `b` — whose data
+/// page is replaced by `page`, appended after the chunks it had.
+fn with_data_page(page: impl FnOnce(&mut ByteWriter, u16)) -> (Schema, Vec<u8>) {
+    let schema = Schema::new(vec![Field::new("s", DataType::Varchar)]).unwrap();
+    let props = WriterProperties { codec: Codec::None, ..WriterProperties::default() };
+    let mut writer = FileWriter::new(schema.clone(), props, WriterMode::Native).unwrap();
+    let words: Vec<&str> = (0..8).map(|i| ["a", "b"][i % 2]).collect();
+    writer.write_page(&Page::new(vec![Block::varchar(&words)]).unwrap()).unwrap();
+    let file = writer.finish().unwrap();
+    let mut meta = read_metadata(&BytesSource::new(file.clone())).unwrap();
+    assert_eq!(meta.row_groups[0].columns[0].encoding, Encoding::Dictionary);
+
+    let max_def = FlatSchema::new(schema.clone()).unwrap().leaves[0].max_def;
+    let mut w = ByteWriter::new();
+    page(&mut w, max_def);
+    let footer_len = u32::from_le_bytes(file[file.len() - 8..file.len() - 4].try_into().unwrap());
+    let mut out = file[..file.len() - 8 - footer_len as usize].to_vec();
+    meta.row_groups[0].columns[0].data_page = (out.len() as u64, w.len() as u64);
+    out.extend_from_slice(w.as_bytes());
+    let footer = meta.serialize();
+    out.extend_from_slice(&footer);
+    out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+    out.extend_from_slice(MAGIC);
+    (schema, out)
+}
+
+/// Both readers' verdicts on `file`, which must be a classified error.
+fn assert_format_error_under_both_readers(schema: &Schema, file: Vec<u8>, what: &str) {
+    let source = BytesSource::new(file);
+    let options = ReadOptions::new(vec![ProjectedColumn::whole("s")]);
+    let new = reader_new::read(&source, schema, &options).map(|(pages, _)| pages);
+    let old = reader_old::read(&source, schema, &["s".into()]).map(|(pages, _)| pages);
+    for (reader, outcome) in [("new", new), ("legacy", old)] {
+        match outcome {
+            Err(PrestoError::Format(_)) => {}
+            other => panic!("{what}: the {reader} reader gave {other:?}"),
+        }
+    }
+}
+
+/// Dictionary ids are varints that must fit where they land: an id of
+/// 2^32 + 1 is not entry 1, and an id past the dictionary is no entry at all.
+#[test]
+fn hand_built_dictionary_ids_out_of_range_are_format_errors() {
+    for (id, what) in [((1u64 << 32) + 1, "id 2^32 + 1"), (2, "id 2 of 2 entries")] {
+        let (schema, file) = with_data_page(|w, max_def| {
+            w.u8(Encoding::Dictionary.tag());
+            rle_encode(&[0u16; 8], w);
+            rle_encode(&[max_def; 8], w);
+            // eight ids: a run of seven 0s, then one literal
+            w.varint(8);
+            w.varint((7 << 1) | 1);
+            w.varint(0);
+            w.varint(1 << 1);
+            w.varint(id);
+        });
+        assert_format_error_under_both_readers(&schema, file, what);
+    }
+}
+
+/// A definition level of 2^32 is not level 0 (the legacy reader decodes
+/// levels one at a time, through the same RLE decoder as ids): a plain page
+/// whose first level is 2^32 and the other seven are defined, with the seven
+/// values they say.
+#[test]
+fn a_hand_built_level_past_32_bits_is_a_format_error() {
+    let (schema, file) = with_data_page(|w, max_def| {
+        w.u8(Encoding::Plain.tag());
+        rle_encode(&[0u16; 8], w);
+        w.varint(8);
+        w.varint(1 << 1);
+        w.varint(1 << 32);
+        w.varint((7 << 1) | 1);
+        w.varint(u64::from(max_def));
+        w.varint(7);
+        (0..7).for_each(|_| w.bytes(b"a"));
+    });
+    assert_format_error_under_both_readers(&schema, file, "level 2^32");
 }
 
 #[test]

@@ -154,10 +154,11 @@ fn narrowed(values: &[Value], path: &[&str]) -> (DataType, Vec<Value>) {
 }
 
 /// Read [`PROJECTED_PATHS`] with the new reader, keeping rows with
-/// `base.id >= min_id` when given, and hold every block it returns against
-/// what [`Block::from_values`] builds from the written values of the same
-/// row group: not only the same values but the same block — NULL slots
-/// zeroed, no mask where no NULL survives, offsets rebased per group.
+/// `base.id >= min_id` when given, and hold every block it returns, its
+/// dictionary chunks decoded, against what [`Block::from_values`] builds
+/// from the written values of the same row group: not only the same values
+/// but the same block — NULL slots zeroed, no mask where no NULL survives,
+/// offsets rebased per group.
 fn assert_new_reader_builds_canonical_blocks(
     source: &BytesSource,
     values: &[Value],
@@ -192,8 +193,8 @@ fn assert_new_reader_builds_canonical_blocks(
         for (column, path) in PROJECTED_PATHS.iter().enumerate() {
             let (dt, expected) = narrowed(group, path);
             assert_eq!(
-                page.block(column),
-                &Block::from_values(&dt, &expected).unwrap(),
+                common::decoded(page.block(column)),
+                Block::from_values(&dt, &expected).unwrap(),
                 "base.{}",
                 path.join(".")
             );

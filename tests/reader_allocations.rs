@@ -4,8 +4,10 @@
 //! record assembler allocates per cell per level (a boxed `Value`, a `String`
 //! per VARCHAR, a `Vec` per list); the direct builder allocates per chunk and
 //! per block. Counts are exact on any machine, so this holds on a noisy VM
-//! where a timing could not. (`exec_allocations.rs` is the same guard for
-//! the executor's breakers.)
+//! where a timing could not. The same goes for sizes: a dictionary chunk
+//! read as a `Block::Dictionary` never allocates a buffer of its decoded
+//! payload. (`exec_allocations.rs` is the same guard for the executor's
+//! breakers.)
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -128,6 +130,38 @@ fn read_allocations(rows: usize) -> (u64, usize, usize) {
     let (pages, stats) = reader_new::read(&source, &schema(), &options).unwrap();
     let after = counting::allocations();
     (after - before, pages.iter().map(Page::positions).sum(), stats.row_groups_total)
+}
+
+/// A dictionary chunk stays encoded through the read: no buffer of its
+/// decoded payload is ever allocated, only the ids (4 bytes a row) and the
+/// page's few entries.
+#[test]
+fn a_dictionary_chunk_is_never_decoded_to_its_payload() {
+    const ROWS: usize = 100_000;
+    let words: Vec<String> =
+        (0..16).map(|k| format!("status-{k:02}-of-a-long-enum-name")).collect();
+    let column: Vec<&str> = (0..ROWS).map(|i| words[i * 7 % 16].as_str()).collect();
+    let payload: usize = column.iter().map(|w| w.len()).sum();
+    let schema = Schema::new(vec![Field::new("status", DataType::Varchar)]).unwrap();
+    let props = WriterProperties {
+        codec: Codec::Fast,
+        row_group_rows: ROWS,
+        ..WriterProperties::default()
+    };
+    let mut writer = FileWriter::new(schema.clone(), props, WriterMode::Native).unwrap();
+    writer.write_page(&Page::new(vec![Block::varchar(&column)]).unwrap()).unwrap();
+    let source = BytesSource::new(writer.finish().unwrap());
+
+    counting::forget_largest();
+    let options = ReadOptions::new(vec![ProjectedColumn::whole("status")]);
+    let (pages, _) = reader_new::read(&source, &schema, &options).unwrap();
+    let largest = counting::largest();
+    assert!(
+        largest < payload,
+        "an allocation of {largest} bytes reading a {payload}-byte dictionary column"
+    );
+    assert_eq!(pages.iter().map(Page::positions).sum::<usize>(), ROWS);
+    assert!(matches!(pages[0].block(0), Block::Dictionary { .. }));
 }
 
 #[test]
