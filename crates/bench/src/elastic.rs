@@ -67,21 +67,16 @@ pub fn storm_config(seed: u64) -> SimConfig {
     config.workers = 4;
     config.elastic = Some(ElasticPlan {
         autoscaler: Some(AutoscalerConfig {
-            min_workers: 2,
             // capped at the provisioned fleet so recovery is a real
             // backfill: the autoscaler cannot bank spare capacity before
             // the storm and coast through it
             max_workers: 8,
             high_water_depth: 2,
-            low_water_depth: 0,
             scale_out_after: Duration::from_micros(500),
             scale_in_after: Duration::from_millis(500),
-            scale_out_step: 2,
             cooldown: Duration::from_micros(1_000),
             worker_class: "ondemand".to_string(),
-            busy_signal: false,
-            busy_high_water_pct: 80,
-            busy_low_water_pct: 20,
+            ..AutoscalerConfig::default()
         }),
         spot_workers: 4,
         revoke_spot_at_us: Some(STORM_AT_US),
@@ -102,18 +97,13 @@ pub fn rush_lull_config(seed: u64) -> SimConfig {
         ArrivalProcess::Diurnal { mean_interarrival_us: 150.0, amplitude: 0.95, cycle_us: 50_000 };
     config.elastic = Some(ElasticPlan {
         autoscaler: Some(AutoscalerConfig {
-            min_workers: 2,
             max_workers: 12,
             high_water_depth: 3,
-            low_water_depth: 0,
             scale_out_after: Duration::from_micros(500),
             scale_in_after: Duration::from_micros(5_000),
-            scale_out_step: 2,
             cooldown: Duration::from_micros(2_000),
             worker_class: "ondemand".to_string(),
-            busy_signal: false,
-            busy_high_water_pct: 80,
-            busy_low_water_pct: 20,
+            ..AutoscalerConfig::default()
         }),
         ..ElasticPlan::default()
     });

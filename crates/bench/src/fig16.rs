@@ -20,7 +20,7 @@ use presto_core::{PrestoEngine, Session};
 use presto_expr::AggregateFunction;
 use presto_parquet::ScalarPredicate;
 
-use crate::report::{ms, Report, Table};
+use crate::report::{ms, Gate, Report, Table};
 
 /// One benchmark query: the SQL the connector path runs and the equivalent
 /// native Druid query.
@@ -56,10 +56,12 @@ pub struct Fig16Result {
     pub connector: Duration,
     /// Connector overhead in percent.
     pub overhead_pct: f64,
+    /// Whether the connector returned the native rows, as a multiset.
+    pub same_rows: bool,
 }
 
 /// Build the Druid table (`druid.prod.events`) and the 20-query mix.
-pub fn build(rows: usize) -> Fig16Workload {
+pub fn build(rows: usize) -> Result<Fig16Workload> {
     let connector = druid_connector();
     let schema = Schema::new(vec![
         Field::new("ts", DataType::Timestamp),
@@ -68,9 +70,8 @@ pub fn build(rows: usize) -> Fig16Workload {
         Field::new("campaign", DataType::Varchar),
         Field::new("clicks", DataType::Bigint),
         Field::new("revenue", DataType::Double),
-    ])
-    .unwrap();
-    connector.store().create_table("prod", "events", schema).unwrap();
+    ])?;
+    connector.store().create_table("prod", "events", schema)?;
     let countries = ["us", "in", "br", "de", "jp", "fr", "gb", "mx"];
     let devices = ["ios", "android", "web"];
     let events: Vec<Vec<Value>> = (0..rows)
@@ -85,7 +86,7 @@ pub fn build(rows: usize) -> Fig16Workload {
             ]
         })
         .collect();
-    connector.store().ingest("prod", "events", events).unwrap();
+    connector.store().ingest("prod", "events", events)?;
 
     let engine = PrestoEngine::new();
     engine.register_catalog("druid", std::sync::Arc::new(connector.clone()));
@@ -204,7 +205,7 @@ pub fn build(rows: usize) -> Fig16Workload {
             native_scan_columns: Some(cols.iter().map(|s| s.to_string()).collect()),
         });
     }
-    Fig16Workload { engine, connector, queries }
+    Ok(Fig16Workload { engine, connector, queries })
 }
 
 fn filters_to_sql(filters: &[(String, ScalarPredicate)]) -> String {
@@ -222,26 +223,32 @@ fn filters_to_sql(filters: &[(String, ScalarPredicate)]) -> String {
     format!(" WHERE {}", parts.join(" AND "))
 }
 
-/// Run one query both ways and report latencies.
-pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Fig16Result {
+/// Rows in one total order, so two answers compare as multisets.
+fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let cmp = |a: &Vec<Value>, b: &Vec<Value>| {
+        let first_difference = a.iter().zip(b).map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne());
+        first_difference.unwrap_or_else(|| a.len().cmp(&b.len()))
+    };
+    rows.sort_by(cmp);
+    rows
+}
+
+/// Run one query both ways: latencies, and whether the answers agree.
+pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Result<Fig16Result> {
     // ---- native Druid path
+    let store = workload.connector.store();
     let start = Instant::now();
-    let virtual_cost = match &query.native_scan_columns {
+    let (native_rows, virtual_cost) = match &query.native_scan_columns {
         None => {
-            workload
-                .connector
-                .store()
-                .execute_native("prod", "events", &query.native, None)
-                .expect("native query")
-                .cost
+            let result = store.execute_native("prod", "events", &query.native, None)?;
+            (result.rows, result.cost)
         }
-        Some(cols) => workload
-            .connector
-            .store()
-            .scan_segments("prod", "events", cols, &query.native.filters, query.native.limit, None)
-            .expect("native scan")
-            .1
-            .total(),
+        Some(cols) => {
+            let (native, limit) = (&query.native, query.native.limit);
+            let (rows, cost) =
+                store.scan_segments("prod", "events", cols, &native.filters, limit, None)?;
+            (rows, cost.total())
+        }
     };
     let native = start.elapsed() + virtual_cost;
 
@@ -251,10 +258,7 @@ pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Fig16Result {
     workload.connector.take_last_scan_costs();
     let session = Session::new("druid", "prod");
     let start = Instant::now();
-    workload
-        .engine
-        .execute_with_session(&query.sql, &session)
-        .unwrap_or_else(|e| panic!("{}: {e}", query.sql));
+    let result = workload.engine.execute_with_session(&query.sql, &session)?;
     let split_costs = workload.connector.take_last_scan_costs();
     // Filter work runs on parallel workers (max); stream-out is serialized
     // toward the client (sum) — except for limit queries, where the client
@@ -268,20 +272,30 @@ pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Fig16Result {
     let connector = start.elapsed() + filter + stream;
 
     let overhead_pct = (connector.as_secs_f64() / native.as_secs_f64().max(1e-12) - 1.0) * 100.0;
-    Fig16Result { name: query.name.clone(), native, connector, overhead_pct }
+    let same_rows = multiset(result.rows()) == multiset(native_rows);
+    Ok(Fig16Result { name: query.name.clone(), native, connector, overhead_pct, same_rows })
 }
 
 /// Run the whole figure.
-pub fn run(rows: usize) -> Vec<Fig16Result> {
-    let workload = build(rows);
+pub fn run(rows: usize) -> Result<Vec<Fig16Result>> {
+    let workload = build(rows)?;
     workload.queries.iter().map(|q| run_query(&workload, q)).collect()
 }
 
-/// `paper-experiments fig16` (wall-clock; no gates).
+/// The gate of Fig 16: the connector answers every query with the native
+/// rows — an overhead measured against another answer measures nothing.
+fn same_rows_gate(results: &[Fig16Result]) -> Gate {
+    let differing: Vec<&str> =
+        results.iter().filter(|r| !r.same_rows).map(|r| r.name.as_str()).collect();
+    let detail = format!("the connector's rows differ from the native rows for {differing:?}");
+    Gate::new("the connector returns the native rows for every query", differing.is_empty(), detail)
+}
+
+/// `paper-experiments fig16`: wall-clock, gated on the two paths' answers.
 pub fn report() -> Result<Report> {
     let mut report = Report::new("\n=== Fig 16: Druid vs Presto-Druid connector ===");
     report.line("paper claim: connector adds <15% overhead; most queries < 1s\n");
-    let results = run(200_000);
+    let results = run(200_000)?;
     let mut table = Table::new(
         "20 production-style queries (14 predicated, 5 limited, 12 aggregations)",
         &["query", "druid native", "presto-druid connector", "overhead"],
@@ -300,16 +314,18 @@ pub fn report() -> Result<Report> {
     let sub_second = results.iter().filter(|r| r.connector < Duration::from_secs(1)).count();
     report.line(format!("median overhead: {:+.1}%  (paper: <15%)", overheads[overheads.len() / 2]));
     report.line(format!("queries under 1s through the connector: {sub_second}/20\n"));
+    report.gates.push(same_rows_gate(&results));
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn query_mix_matches_the_paper() {
-        let w = build(5_000);
+        let w = build(5_000).unwrap();
         assert_eq!(w.queries.len(), 20);
         let with_predicates = w.queries.iter().filter(|q| !q.native.filters.is_empty()).count();
         let with_limits = w.queries.iter().filter(|q| q.native.limit.is_some()).count();
@@ -320,24 +336,15 @@ mod tests {
     }
 
     #[test]
-    fn connector_and_native_agree_on_results() {
-        let w = build(10_000);
-        // q10: group by country, count + sum — compare result content
-        let q = &w.queries[9];
-        let native = w.connector.store().execute_native("prod", "events", &q.native, None).unwrap();
-        let session = Session::new("druid", "prod");
-        let sql_result = w.engine.execute_with_session(&q.sql, &session).unwrap();
-        let mut sql_rows = sql_result.rows();
-        sql_rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert_eq!(native.rows.len(), sql_rows.len());
-        for (n, s) in native.rows.iter().zip(sql_rows.iter()) {
-            assert_eq!(n, s);
-        }
+    fn connector_and_native_agree_on_every_query() {
+        let results = run(10_000).unwrap();
+        assert_eq!(results.len(), 20);
+        assert_gates(&[same_rows_gate(&results)]);
     }
 
     #[test]
     fn latencies_are_produced_for_all_queries() {
-        let results = run(5_000);
+        let results = run(5_000).unwrap();
         assert_eq!(results.len(), 20);
         for r in &results {
             assert!(r.native > Duration::ZERO, "{}", r.name);

@@ -12,7 +12,7 @@ use presto_common::Result;
 use presto_geo::generator::GeoWorkload;
 use presto_geo::index::GeofenceIndex;
 
-use crate::report::{ms, Report, Table};
+use crate::report::{ms, Gate, Report, Table};
 
 /// Results of one geo run.
 #[derive(Debug, Clone)]
@@ -25,6 +25,10 @@ pub struct GeoResult {
     pub quadtree_contains_calls: u64,
     /// st_contains evaluations, brute force.
     pub brute_contains_calls: u64,
+    /// Trips per city, QuadTree path.
+    pub quad_counts: Vec<u64>,
+    /// Trips per city, brute force.
+    pub brute_counts: Vec<u64>,
 }
 
 impl GeoResult {
@@ -34,10 +38,10 @@ impl GeoResult {
     }
 }
 
-/// Count trips per city both ways and compare.
-pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> GeoResult {
+/// Count trips per city both ways.
+pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> Result<GeoResult> {
     let workload = GeoWorkload::generate(cities, trips, vertices, seed);
-    let index = GeofenceIndex::build(workload.cities.clone()).expect("geofences are valid");
+    let index = GeofenceIndex::build(workload.cities.clone())?;
 
     // QuadTree path (the build_geo_index plan of Fig 13)
     let start = Instant::now();
@@ -61,11 +65,37 @@ pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> GeoResult
     let brute_force = start.elapsed();
     let brute_contains_calls = index.contains_calls() - quadtree_contains_calls;
 
-    assert_eq!(quad_counts, brute_counts, "paths must agree");
-    GeoResult { quadtree, brute_force, quadtree_contains_calls, brute_contains_calls }
+    Ok(GeoResult {
+        quadtree,
+        brute_force,
+        quadtree_contains_calls,
+        brute_contains_calls,
+        quad_counts,
+        brute_counts,
+    })
 }
 
-/// `paper-experiments geo` (wall-clock; no gates).
+/// The gates of one run, both on exact counts: the two paths count the same
+/// trips in every city, and the QuadTree leaves at most a tenth of brute
+/// force's `st_contains` calls.
+fn gates(label: &str, r: &GeoResult) -> Vec<Gate> {
+    let differing = r.quad_counts.iter().zip(&r.brute_counts).filter(|(q, b)| q != b).count();
+    let calls = format!("{} vs {}", r.quadtree_contains_calls, r.brute_contains_calls);
+    vec![
+        Gate::new(
+            format!("{label}: QuadTree and brute force count the same trips per city"),
+            r.quad_counts == r.brute_counts,
+            format!("{differing} of {} cities differ", r.brute_counts.len()),
+        ),
+        Gate::new(
+            format!("{label}: QuadTree makes at most 1/10 of the st_contains calls"),
+            r.quadtree_contains_calls * 10 <= r.brute_contains_calls,
+            calls,
+        ),
+    ]
+}
+
+/// `paper-experiments geo`: wall-clock, gated per size on exact counts.
 pub fn report() -> Result<Report> {
     let mut report = Report::new("\n=== §VI: QuadTree geospatial join vs brute force ===");
     report.line("paper claim: Presto Geospatial plugin >50x faster than brute force\n");
@@ -83,7 +113,7 @@ pub fn report() -> Result<Report> {
     );
     for (cities, trips, vertices) in [(500, 20_000, 100), (2_000, 20_000, 200), (5_000, 5_000, 400)]
     {
-        let r = run(cities, trips, vertices, 7);
+        let r = run(cities, trips, vertices, 7)?;
         table.row(vec![
             cities.to_string(),
             trips.to_string(),
@@ -93,6 +123,7 @@ pub fn report() -> Result<Report> {
             format!("{:.0}x", r.speedup()),
             format!("{} vs {}", r.quadtree_contains_calls, r.brute_contains_calls),
         ]);
+        report.gates.extend(gates(&format!("{cities} cities × {trips} trips"), &r));
     }
     report.line(table.render());
     Ok(report)
@@ -101,16 +132,12 @@ pub fn report() -> Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::assert_gates;
 
     #[test]
     fn quadtree_beats_brute_force_substantially() {
-        let r = run(2_000, 1_000, 60, 7);
-        assert!(
-            r.quadtree_contains_calls * 10 <= r.brute_contains_calls,
-            "filter must remove the vast majority of candidates: {} vs {}",
-            r.quadtree_contains_calls,
-            r.brute_contains_calls
-        );
+        let r = run(2_000, 1_000, 60, 7).unwrap();
+        assert_gates(&gates("small", &r));
         assert!(r.speedup() > 2.0, "speedup was only {:.1}x", r.speedup());
     }
 }

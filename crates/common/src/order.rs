@@ -31,20 +31,23 @@ impl<'a> RowOrder<'a> {
         Ordering::Equal
     }
 
-    /// Rows `0..rows` in order (a stable sort). Each row carries the first
-    /// key's [`Block::order_prefixes`] entry, so most comparisons never
-    /// leave the array being sorted.
+    /// Rows `0..rows` in order (a stable sort). Each row is a `(prefix,
+    /// row)` tuple — the first key's [`Block::order_prefixes`] entry and its
+    /// position — sorted in their primitive order; only a run of rows whose
+    /// prefixes tie, which that leaves in row order, is then sorted on the
+    /// keys, stably.
     pub fn sorted(&self, rows: usize) -> Vec<usize> {
         let prefixes = match self.0.first() {
             Some((block, false)) => block.order_prefixes(),
             Some((block, true)) => block.order_prefixes().iter().map(|p| !p).collect(),
             None => vec![0; rows],
         };
-        let mut ranked: Vec<(u64, usize)> = prefixes.into_iter().zip(0..rows).collect();
-        ranked.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| self.cmp(a.1, b.1)).then(a.1.cmp(&b.1))
-        });
-        ranked.iter().map(|&(_, row)| row).collect()
+        let mut ranked: Vec<(u64, u32)> = prefixes.into_iter().zip(0..rows as u32).collect();
+        ranked.sort_unstable();
+        for tie in ranked.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+            tie.sort_by(|a, b| self.cmp(a.1 as usize, b.1 as usize));
+        }
+        ranked.iter().map(|&(_, row)| row as usize).collect()
     }
 
     /// The first `count` of [`RowOrder::sorted`], through a bounded heap of

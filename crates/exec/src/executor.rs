@@ -503,7 +503,7 @@ fn execute_join(
         return Ok(out);
     }
 
-    match hash_join_pages(&left_pages, &build, kind, on, residual, ctx) {
+    match hash_join_pages(&left_pages, &right_pages, &build, kind, on, residual, ctx) {
         Ok(out) => Ok(out),
         Err(e) if is_insufficient(&e) && ctx.spill.is_some() => {
             match (spillable_schema(left), spillable_schema(right)) {
@@ -544,16 +544,22 @@ fn join_keys<'a>(
     exprs.zip(types).map(widened).collect()
 }
 
-/// Hash join `probe_pages` against a materialized `build` page. Build-side
-/// state (the concatenated build page plus the hash table) is held under an
-/// RAII reservation for the duration of the probe.
+/// Hash join `probe_pages` against a materialized `build` page, the
+/// concatenation of `build_pages`. Build-side state (the concatenated build
+/// page plus the hash table) is held under an RAII reservation for the
+/// duration of the probe.
 ///
-/// Build rows with equal keys are chained in ascending order, so each probe
-/// page yields its matches by (probe row, build row), then — for LEFT — its
-/// unmatched rows, null-extended. A NULL or NaN key matches nothing. The
-/// build columns of a dense page leave as dictionaries ([`build_side`]).
+/// The key table is sized once for `build`'s rows, and the build keys are
+/// resolved a page of `build_pages` at a time, as the probe's are. Build
+/// rows with equal keys are chained in ascending order of their position in
+/// `build`, so each probe page yields its matches by (probe row, build row),
+/// then — for LEFT — its unmatched rows, null-extended. A NULL or NaN key
+/// matches nothing. The build columns of a dense page leave as dictionaries
+/// ([`build_side`]).
+#[allow(clippy::too_many_arguments)]
 fn hash_join_pages(
     probe_pages: &[Page],
+    build_pages: &[Page],
     build: &Page,
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
@@ -564,16 +570,20 @@ fn hash_join_pages(
         ctx.pool.reserve(build.memory_size(), ctx.operator_reservation_kind())?;
 
     let key_types = join_key_types(on);
-    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default());
+    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default(), build.positions());
     let mut ids = Vec::new();
     // `heads[key id]` is the key's first build row, `next[row]` the one after
     let mut next = vec![NO_KEY; build.positions()];
     let mut heads = Vec::new();
     if let Some(types) = &key_types {
-        let build_keys = join_keys(on.iter().map(|(_, r)| r), types, build, ctx)?;
-        table.resolve(&build_keys, true, &mut ids)?;
+        let mut build_ids = Vec::with_capacity(build.positions());
+        for page in build_pages {
+            let build_keys = join_keys(on.iter().map(|(_, r)| r), types, page, ctx)?;
+            table.resolve(&build_keys, true, &mut ids)?;
+            build_ids.extend_from_slice(&ids);
+        }
         heads.resize(table.distinct(), NO_KEY);
-        for (row, &id) in ids.iter().enumerate().rev().filter(|(_, &id)| id != NO_KEY) {
+        for (row, &id) in build_ids.iter().enumerate().rev().filter(|(_, &id)| id != NO_KEY) {
             next[row] = std::mem::replace(&mut heads[id as usize], row as u32);
         }
     }
@@ -775,7 +785,7 @@ fn grace_hash_join(
             } else {
                 Page::concat(&build_part)?
             };
-            out.extend(hash_join_pages(&probe, &build, kind, on, residual, ctx)?);
+            out.extend(hash_join_pages(&probe, &build_part, &build, kind, on, residual, ctx)?);
         }
         if let Some(f) = probe_file {
             spill.remove(f)?;

@@ -5,21 +5,32 @@
 //!
 //! **Layouts.** BOOLEAN/INTEGER/BIGINT/DATE/TIMESTAMP/DOUBLE columns pack
 //! into one word, value bits plus a NULL bit each (2, 33 or 65 bits): a
-//! `u64` while they fit, else a `u128`. Any other column, or more than 128
-//! bits, makes the whole key bytes in one arena: per column a type tag and
-//! the value — fixed-width as 8 bytes, VARCHAR length-prefixed, nested
-//! values recursively with element counts. A [`Block::Dictionary`] column is
-//! encoded once per dictionary entry; a key that is one dictionary column is
-//! also hashed and looked up once per entry its rows use.
+//! `u64` while they fit, else a `u128`. A VARCHAR column packs too, as a
+//! 32-bit id plus its NULL bit: each column interns its strings to dense ids
+//! in first-seen order, one counter per column — a string of at most 7
+//! bytes packed with its length into one word and found in a word table, a
+//! longer one in a byte arena. A nested column, or more than 128 bits, makes
+//! the whole key bytes in one arena: per column a type tag and the value —
+//! fixed-width as 8 bytes, VARCHAR length-prefixed, nested values
+//! recursively with element counts. A [`Block::Dictionary`] column is
+//! encoded once per dictionary entry, or interned once per entry its rows
+//! use; a key that is one dictionary column is also hashed and looked up
+//! once per entry its rows use.
+//!
+//! **Sizing.** A GROUP BY table starts empty and doubles from 16 slots. A
+//! join table is sized once from its build side's row count, an upper bound
+//! on its distinct keys, and never grows.
 //!
 //! **Contract.** Two rows get one id exactly when their keys are equal as
 //! `Vec<Value>` under `Value: Eq`: NULL equals NULL, `0.0` equals `-0.0`,
 //! NaNs compare bitwise. A [`KeyTable::join`] table differs in one way: a
 //! row holding a NULL or a NaN has *no* key ([`NO_KEY`]), as SQL `=` is
-//! never true of either. (Join sides of different numeric width are brought
-//! to their [`DataType::comparison_type`] first; group-by keys keep their
-//! own type.) Hashing is a fixed multiplicative mix, so ids — and all that
-//! is ordered by them — repeat on every run.
+//! never true of either. A lookup without `insert` adds nothing, not even an
+//! interned string: a string never seen gives its row [`NO_KEY`]. (Join
+//! sides of different numeric width are brought to their
+//! [`DataType::comparison_type`] first; group-by keys keep their own type.)
+//! Hashing is a fixed multiplicative mix, so ids — and all that is ordered
+//! by them — repeat on every run.
 
 use std::borrow::Borrow;
 
@@ -31,12 +42,13 @@ pub const NO_KEY: u32 = u32::MAX;
 
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Bits a column takes in a packed word (value + NULL flag); `None` for a
-/// column that needs the byte layout.
+/// Bits a column takes in a packed word (value + NULL flag; a VARCHAR's
+/// value is its interned id); `None` for a column that needs the byte
+/// layout.
 fn packed_bits(data_type: &DataType) -> Option<u32> {
     match data_type {
         DataType::Boolean => Some(2),
-        DataType::Integer | DataType::Date => Some(33),
+        DataType::Integer | DataType::Date | DataType::Varchar => Some(33),
         DataType::Bigint | DataType::Timestamp | DataType::Double => Some(65),
         _ => None,
     }
@@ -194,6 +206,14 @@ impl<'a> Cells<'a> {
 struct Slots(Vec<u32>);
 
 impl Slots {
+    /// Slots that take `keys` keys without growing.
+    fn sized(keys: usize) -> Slots {
+        match keys {
+            0 => Slots::default(),
+            n => Slots(vec![NO_KEY; (2 * n).next_power_of_two().max(16)]),
+        }
+    }
+
     /// The id of the key `is_key` recognises among those hashing like
     /// `hash`, or the empty slot where it belongs.
     fn probe(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> std::result::Result<u32, usize> {
@@ -214,7 +234,8 @@ impl Slots {
     /// The id of the key `is_key` recognises. A key not among the
     /// `hashes.len()` present is filed under the next id when `insert` is
     /// set (the caller then stores it) and is [`NO_KEY`] otherwise. Slots
-    /// double from 16 — a table costs nothing until it holds a key.
+    /// not [`Slots::sized`] double from 16 — a table costs nothing until it
+    /// holds a key.
     fn resolve(
         &mut self,
         hash: u64,
@@ -276,6 +297,13 @@ impl Word for u128 {
 /// The distinct keys of one layout, by id.
 trait Keys {
     fn len(&self) -> usize;
+    /// Make room for `keys` distinct keys, so that holding them never grows
+    /// the table.
+    fn reserve(&mut self, keys: usize);
+    /// Distinct strings interned, over all key columns.
+    fn interned(&self) -> usize {
+        0
+    }
     /// The id of every row of `keys` into `ids`; `types` are the columns'.
     fn resolve(&mut self, types: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>);
 }
@@ -290,16 +318,52 @@ struct Mode {
     insert: bool,
 }
 
-/// Packed words.
+/// Distinct packed words, by id.
 #[derive(Default)]
 struct Words<W> {
     keys: Vec<W>,
     slots: Slots,
 }
 
-impl<W: Word> Keys for Words<W> {
+impl<W: Word> Words<W> {
+    /// The id of `word`. A new word gets the next id with `insert`, else
+    /// [`NO_KEY`].
+    fn find(&mut self, word: W, insert: bool) -> u32 {
+        let (keys, hashes) = (&self.keys, self.keys.iter().map(|k| k.mix()));
+        let id = self.slots.resolve(word.mix(), |id| keys[id as usize] == word, insert, hashes);
+        if id as usize == self.keys.len() {
+            self.keys.push(word);
+        }
+        id
+    }
+}
+
+/// Row keys packed into words: fixed-width lanes and interned VARCHAR ids.
+struct Packed<W> {
+    words: Words<W>,
+    /// One per key column; only a VARCHAR column's ever holds a string.
+    interners: Vec<Interner>,
+}
+
+impl<W: Word> Packed<W> {
+    fn new(columns: usize) -> Packed<W> {
+        let interners = std::iter::repeat_with(Interner::default).take(columns).collect();
+        Packed { words: Words::default(), interners }
+    }
+}
+
+impl<W: Word> Keys for Packed<W> {
     fn len(&self) -> usize {
-        self.keys.len()
+        self.words.keys.len()
+    }
+
+    fn reserve(&mut self, keys: usize) {
+        self.words.keys.reserve_exact(keys);
+        self.words.slots = Slots::sized(keys);
+    }
+
+    fn interned(&self) -> usize {
+        self.interners.iter().map(Interner::len).sum()
     }
 
     /// Pack the columns into words a column at a time, then probe per row.
@@ -308,30 +372,133 @@ impl<W: Word> Keys for Words<W> {
         let mut words = vec![W::default(); rows];
         let mut keyless = vec![false; rows];
         let mut shift = 0;
-        for (block, data_type) in keys.iter().zip(types) {
+        for ((block, data_type), interner) in keys.iter().zip(types).zip(&mut self.interners) {
             let value_bits = packed_bits(data_type).unwrap_or(65) - 1;
-            let Some((_, bits, nulls)) = lane(block, !mode.nulls_match) else { continue };
+            let (bits, nulls) = match data_type {
+                DataType::Varchar => interner.lane(block, mode.insert, &mut keyless),
+                _ => match lane(block, !mode.nulls_match) {
+                    Some((_, bits, nulls)) => (bits, nulls),
+                    None => continue,
+                },
+            };
             words.iter_mut().zip(&bits).for_each(|(w, &b)| w.merge(W::field(b, shift)));
             for (row, _) in nulls.iter().flatten().enumerate().filter(|(_, null)| **null) {
                 words[row].merge(W::field(1, shift + value_bits));
-                keyless[row] = !mode.nulls_match;
+                keyless[row] |= !mode.nulls_match;
             }
             shift += value_bits + 1;
         }
-        for (row, &word) in words.iter().enumerate() {
-            if keyless[row] {
-                ids.push(NO_KEY);
-                continue;
+        let found = words.iter().zip(&keyless).map(|(&word, &keyless)| match keyless {
+            true => NO_KEY,
+            false => self.words.find(word, mode.insert),
+        });
+        ids.extend(found);
+    }
+}
+
+/// The string `bytes[start..end]`, when it is at most 7 bytes, as one word:
+/// its bytes zero-padded, then its length in the top byte — so `"a"` and
+/// `"a\0"` differ. Read as one load and a mask where the payload allows.
+fn short_word(bytes: &[u8], start: usize, end: usize) -> Option<u64> {
+    let len = end - start;
+    if len > 7 {
+        return None;
+    }
+    let low = match bytes.get(start..start + 8) {
+        Some(eight) => {
+            let word = u64::from_le_bytes(<[u8; 8]>::try_from(eight).unwrap_or_default());
+            word & ((1 << (8 * len)) - 1)
+        }
+        None => bytes[start..end].iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)),
+    };
+    Some(low | (len as u64) << 56)
+}
+
+/// One VARCHAR key column's distinct strings → dense `u32` ids in
+/// first-seen order. Short strings ([`short_word`]) and long ones (a byte
+/// arena) are found in tables of their own but take their ids from one
+/// counter, so no two strings share an id.
+#[derive(Default)]
+struct Interner {
+    short: Words<u64>,
+    long: ByteKeys,
+    /// The id of each string in `short` / `long`, by its position there.
+    short_ids: Vec<u32>,
+    long_ids: Vec<u32>,
+}
+
+impl Interner {
+    fn len(&self) -> usize {
+        self.short_ids.len() + self.long_ids.len()
+    }
+
+    /// The id of the string `bytes[start..end]`. A new string gets the next
+    /// id with `insert`, else [`NO_KEY`].
+    fn id(&mut self, bytes: &[u8], start: usize, end: usize, insert: bool) -> u32 {
+        let next = self.len() as u32;
+        let (at, ids) = match short_word(bytes, start, end) {
+            Some(word) => (self.short.find(word, insert), &mut self.short_ids),
+            None => {
+                let s = &bytes[start..end];
+                (self.long.find(hash_bytes(s), || std::iter::once(s), insert), &mut self.long_ids)
             }
-            let (keys, hashes) = (&self.keys, self.keys.iter().map(|k| k.mix()));
-            let is_key = |id: u32| keys[id as usize] == word;
-            let id = self.slots.resolve(word.mix(), is_key, mode.insert, hashes);
-            if id as usize == self.keys.len() {
-                self.keys.push(word);
+        };
+        match at {
+            NO_KEY => NO_KEY,
+            new if new as usize == ids.len() => {
+                ids.push(next);
+                next
             }
-            ids.push(id);
+            known => ids[known as usize],
         }
     }
+
+    /// The id of each row's string (0 under a NULL) and the column's NULL
+    /// mask. A string the table has not seen, under a lookup without
+    /// `insert`, makes its row `keyless`. A dictionary interns only the
+    /// entries its rows use, in the order they first use them, then gathers.
+    fn lane(&mut self, block: &Block, insert: bool, keyless: &mut [bool]) -> (Vec<u64>, NullMask) {
+        if let Block::Dictionary { dictionary, ids: rows } = block {
+            let (position, used) = first_uses(rows, dictionary.len());
+            let mut used_keyless = vec![false; used.len()];
+            let (bits, nulls) = self.lane(&dictionary.take(&used), insert, &mut used_keyless);
+            let entry = |row: usize| position[rows[row] as usize] as usize;
+            keyless.iter_mut().enumerate().for_each(|(row, k)| *k |= used_keyless[entry(row)]);
+            let nulls = nulls.map(|n| (0..rows.len()).map(|row| n[entry(row)]).collect());
+            return ((0..rows.len()).map(|row| bits[entry(row)]).collect(), nulls);
+        }
+        let Block::Varchar { offsets, bytes, nulls } = block else {
+            // no other block is VARCHAR; resolve checked the type
+            keyless.iter_mut().for_each(|k| *k = true);
+            return (vec![0; block.len()], None);
+        };
+        let nulls = nulls.clone().filter(|mask| mask.contains(&true));
+        let mut bits = Vec::with_capacity(block.len());
+        for (row, w) in offsets.windows(2).enumerate() {
+            if nulls.as_ref().is_some_and(|n| n[row]) {
+                bits.push(0);
+                continue;
+            }
+            let id = self.id(bytes, w[0] as usize, w[1] as usize, insert);
+            keyless[row] |= id == NO_KEY;
+            bits.push(u64::from(id));
+        }
+        (bits, nulls)
+    }
+}
+
+/// The entries of a dictionary of `entries` that `rows` use, in the order
+/// rows first use them, and each entry's position in that list.
+fn first_uses(rows: &[u32], entries: usize) -> (Vec<u32>, Vec<usize>) {
+    let mut position = vec![NO_KEY; entries];
+    let mut used = Vec::new();
+    for &entry in rows {
+        if position[entry as usize] == NO_KEY {
+            position[entry as usize] = used.len() as u32;
+            used.push(entry as usize);
+        }
+    }
+    (position, used)
 }
 
 /// Byte keys in one arena.
@@ -343,9 +510,45 @@ struct ByteKeys {
     slots: Slots,
 }
 
+impl ByteKeys {
+    /// The id of the key hashing to `hash` whose bytes are the `cells`
+    /// strung together — self-delimiting cells, so equal concatenations are
+    /// equal cells. A new key is copied in and gets the next id with
+    /// `insert`, else [`NO_KEY`].
+    fn find<'c, I: Iterator<Item = &'c [u8]>>(
+        &mut self,
+        hash: u64,
+        cells: impl Fn() -> I,
+        insert: bool,
+    ) -> u32 {
+        let (arena, ends, hashes) = (&self.arena, &self.ends, &self.hashes);
+        let is_key = |id: u32| {
+            let start = if id == 0 { 0 } else { ends[id as usize - 1] as usize };
+            let key = &arena[start..ends[id as usize] as usize];
+            hashes[id as usize] == hash
+                && cells()
+                    .try_fold(key, |rest, cell| rest.strip_prefix(cell))
+                    .is_some_and(<[u8]>::is_empty)
+        };
+        let id = self.slots.resolve(hash, is_key, insert, hashes.iter().copied());
+        if id as usize == self.ends.len() {
+            cells().for_each(|cell| self.arena.extend_from_slice(cell));
+            self.ends.push(self.arena.len() as u32);
+            self.hashes.push(hash);
+        }
+        id
+    }
+}
+
 impl Keys for ByteKeys {
     fn len(&self) -> usize {
         self.ends.len()
+    }
+
+    fn reserve(&mut self, keys: usize) {
+        self.ends.reserve_exact(keys);
+        self.hashes.reserve_exact(keys);
+        self.slots = Slots::sized(keys);
     }
 
     /// Encode and hash each column's cells once; a row's key is its cells
@@ -360,21 +563,7 @@ impl Keys for ByteKeys {
                 continue;
             }
             let hash = cells().fold(0u64, |h, (_, cell_hash)| (h ^ cell_hash).wrapping_mul(MIX));
-            let (arena, ends, hashes) = (&self.arena, &self.ends, &self.hashes);
-            let is_key = |id: u32| {
-                let start = if id == 0 { 0 } else { ends[id as usize - 1] as usize };
-                let key = &arena[start..ends[id as usize] as usize];
-                // cells are self-delimiting: equal concatenations, equal cells
-                let rest = cells().try_fold(key, |rest, (cell, _)| rest.strip_prefix(cell));
-                hashes[id as usize] == hash && rest.is_some_and(<[u8]>::is_empty)
-            };
-            let id = self.slots.resolve(hash, is_key, mode.insert, hashes.iter().copied());
-            if id as usize == self.ends.len() {
-                cells().for_each(|(cell, _)| self.arena.extend_from_slice(cell));
-                self.ends.push(self.arena.len() as u32);
-                self.hashes.push(hash);
-            }
-            ids.push(id);
+            ids.push(self.find(hash, || cells().map(|(cell, _)| cell), mode.insert));
         }
     }
 }
@@ -390,28 +579,38 @@ impl KeyTable {
     fn new(types: &[DataType], nulls_match: bool) -> KeyTable {
         let bits = types.iter().try_fold(0u32, |sum, t| Some(sum + packed_bits(t)?));
         let keys: Box<dyn Keys> = match bits {
-            Some(0..=64) => Box::new(Words::<u64>::default()),
-            Some(65..=128) => Box::new(Words::<u128>::default()),
+            Some(0..=64) => Box::new(Packed::<u64>::new(types.len())),
+            Some(65..=128) => Box::new(Packed::<u128>::new(types.len())),
             _ => Box::new(ByteKeys::default()),
         };
         KeyTable { types: types.to_vec(), nulls_match, keys }
     }
 
     /// A table of GROUP BY keys over columns of `types`: equality is
-    /// `Vec<Value>` equality.
+    /// `Vec<Value>` equality. It starts empty and grows with its keys.
     pub fn group_by(types: &[DataType]) -> KeyTable {
         KeyTable::new(types, true)
     }
 
-    /// A table of equi-join keys: as [`KeyTable::group_by`], except that a
-    /// row holding a NULL or a NaN gets [`NO_KEY`].
-    pub fn join(types: &[DataType]) -> KeyTable {
-        KeyTable::new(types, false)
+    /// A table of equi-join keys over a build side of `build_rows` rows: as
+    /// [`KeyTable::group_by`], except that a row holding a NULL or a NaN
+    /// gets [`NO_KEY`]. Sized once for `build_rows` distinct keys, it never
+    /// grows while it holds no more.
+    pub fn join(types: &[DataType], build_rows: usize) -> KeyTable {
+        let mut table = KeyTable::new(types, false);
+        table.keys.reserve(build_rows);
+        table
     }
 
     /// Distinct keys so far.
     pub fn distinct(&self) -> usize {
         self.keys.len()
+    }
+
+    /// Distinct strings interned so far, over all VARCHAR key columns (none
+    /// under the byte layout). Only a resolve with `insert` adds one.
+    pub fn interned(&self) -> usize {
+        self.keys.interned()
     }
 
     /// The id of each row of the key columns `keys` into `ids` (replacing
@@ -454,14 +653,7 @@ impl KeyTable {
         mode: Mode,
         ids: &mut Vec<u32>,
     ) {
-        let mut position = vec![NO_KEY; dictionary.len()];
-        let mut used = Vec::new();
-        for &entry in rows {
-            if position[entry as usize] == NO_KEY {
-                position[entry as usize] = used.len() as u32;
-                used.push(entry as usize);
-            }
-        }
+        let (position, used) = first_uses(rows, dictionary.len());
         let mut used_ids = Vec::with_capacity(used.len());
         self.keys.resolve(&self.types, &[&dictionary.take(&used)], mode, &mut used_ids);
         ids.extend(rows.iter().map(|&entry| used_ids[position[entry as usize] as usize]));

@@ -855,18 +855,13 @@ mod tests {
     fn storm_plan() -> ElasticPlan {
         ElasticPlan {
             autoscaler: Some(AutoscalerConfig {
-                min_workers: 2,
                 max_workers: 16,
                 high_water_depth: 2,
-                low_water_depth: 0,
                 scale_out_after: Duration::from_micros(500),
                 scale_in_after: Duration::from_millis(200),
-                scale_out_step: 2,
                 cooldown: Duration::from_micros(1_000),
                 worker_class: "ondemand".to_string(),
-                busy_signal: false,
-                busy_high_water_pct: 80,
-                busy_low_water_pct: 20,
+                ..AutoscalerConfig::default()
             }),
             spot_workers: 4,
             revoke_spot_at_us: Some(8_000),

@@ -3,9 +3,11 @@
 //! its input rows. A row-at-a-time operator allocates per row (a
 //! `Vec<Value>` key, a `String` per VARCHAR cell); a typed one allocates per
 //! page, per column and per *new* group. Counts are exact on any machine,
-//! so this holds on a noisy VM where a timing could not. The largest single
-//! allocation guards what must not be copied at all: a column under
-//! `count(*)`, and the pages a root fragment's exchanges deliver.
+//! so this holds on a noisy VM where a timing could not. A join's key table,
+//! sized once for its build side, allocates the same at any row count. The
+//! largest single allocation guards what must not be copied at all: a
+//! column under `count(*)`, and the pages a root fragment's exchanges
+//! deliver.
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -15,6 +17,7 @@ use std::sync::Arc;
 use presto_common::{Block, DataType, Field, Page, Schema};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
+use presto_exec::keys::KeyTable;
 use presto_plan::{LogicalPlan, PlanFragment};
 
 /// An engine over `memory.t.facts`: `rows` rows in two pages. `id` is
@@ -96,6 +99,35 @@ fn breaker_allocations_do_not_scale_with_rows() {
         assert!(grew <= 64, "{name}: {small} allocations over {N} rows, {large} over {}", 2 * N);
         assert!(large < N as u64 / 10, "{name}: {large} allocations is no bounded set-up");
     }
+}
+
+/// A join's key table is sized once, from its build side's row count: fed
+/// that many distinct keys a page at a time, it makes as many allocations
+/// at 40k rows as at 10k. A table that doubled from 16 slots would
+/// reallocate its slots about log2(n / 8) times, and its keys as often.
+#[test]
+fn a_sized_join_table_allocates_the_same_at_any_row_count() {
+    const PAGES: usize = 8;
+    let allocations = |n: usize| {
+        let pages: Vec<Block> = (0..PAGES)
+            .map(|p| {
+                Block::bigint(
+                    (p * n / PAGES..(p + 1) * n / PAGES).map(|k| k as i64 * 7919).collect(),
+                )
+            })
+            .collect();
+        let mut ids = Vec::with_capacity(n / PAGES);
+        let before = counting::allocations();
+        let mut table = KeyTable::join(&[DataType::Bigint], n);
+        for page in &pages {
+            table.resolve(&[page], true, &mut ids).unwrap();
+        }
+        let after = counting::allocations();
+        assert_eq!(table.distinct(), n);
+        after - before
+    };
+    let (small, large) = (allocations(10_000), allocations(40_000));
+    assert_eq!(small, large, "allocations at 10k and at 40k build rows");
 }
 
 /// The expression-bearing shapes: arithmetic under a filter, CASE, IN,

@@ -90,9 +90,26 @@ fn value(g: &mut Gen, dt: &DataType) -> Value {
             9007199254740992.0,
         ])),
         DataType::Varchar => {
-            // "\u{5}" is the codec's VARCHAR tag: only a length prefix keeps
-            // ("a\u{5}", "") and ("a", "\u{5}") apart
-            let pool = ["", "a", "\u{5}", "a\u{5}", "ab", "abcdefghi", "abcdefghj"];
+            // "\u{5}" is the byte layout's VARCHAR tag: only a length prefix
+            // keeps ("a\u{5}", "") and ("a", "\u{5}") apart. A string of up to
+            // 7 bytes interns as one word, zero-padded: only the length in
+            // it keeps "a" from "a\u{0}" and "" from "\u{0}". "abcdefg" is
+            // the longest that packs, "abcdefgh" the shortest that does not.
+            let pool = [
+                "",
+                "a",
+                "\u{5}",
+                "a\u{5}",
+                "\u{0}",
+                "a\u{0}",
+                "ab",
+                "é",
+                "€",
+                "abcdefg",
+                "abcdefgh",
+                "abcdefghi",
+                "abcdefghj",
+            ];
             Value::Varchar(g.pick(&pool).into())
         }
         DataType::Date => Value::Date(g.pick(&[0, 1, -1, 18_000])),
@@ -104,12 +121,17 @@ fn value(g: &mut Gen, dt: &DataType) -> Value {
     }
 }
 
-/// A block holding `values`, sometimes behind a dictionary whose entries are
-/// in another order and include ones no row uses.
+/// A block holding `values`, sometimes behind a dictionary ([`dictionary`]).
 fn block(g: &mut Gen, dt: &DataType, values: &[Value]) -> Block {
-    if g.below(3) > 0 {
-        return Block::from_values(dt, values).unwrap();
+    match g.below(3) {
+        0 => dictionary(g, dt, values),
+        _ => Block::from_values(dt, values).unwrap(),
     }
+}
+
+/// `values` behind a dictionary whose entries are in another order and
+/// include one no row uses.
+fn dictionary(g: &mut Gen, dt: &DataType, values: &[Value]) -> Block {
     let mut entries: Vec<Value> = values.iter().rev().cloned().collect();
     entries.push(value(g, dt));
     let ids = (0..values.len()).map(|i| (values.len() - 1 - i) as u32).collect();
@@ -544,29 +566,58 @@ proptest! {
 
     /// The codec's contract, directly: two rows share an id exactly when
     /// their keys are equal as `Vec<Value>`; ids are dense in first-seen
-    /// order; a join table gives NULL and NaN rows no key at all.
+    /// order; a join table gives NULL and NaN rows no key at all, and deals
+    /// the same ids sized for its rows as grown from empty. Key shapes cover
+    /// the packed word (VARCHAR interned, alone or beside BIGINT) and the
+    /// byte layout (nested, or four VARCHARs: 132 bits); every page again
+    /// with each column a dictionary must get the same ids.
     #[test]
     fn key_codec_equality_is_vec_value_equality(seed in any::<u64>()) {
         let g = &mut Gen(seed);
         for _ in 0..32 {
             let mut types = random_types(g, 1);
             types.truncate(3);
-            match g.below(4) {
+            match g.below(6) {
                 0 => types.push(DataType::array(DataType::Double)),
                 1 => types = vec![DataType::Varchar, DataType::Varchar],
+                2 => types = vec![DataType::Varchar, DataType::Bigint],
+                3 => types = vec![DataType::Varchar; 4],
                 _ => {}
             }
             let table = Table::random(g, types.clone());
             let rows = table.all_rows();
             let mut groups = KeyTable::group_by(&types);
-            let mut joins = KeyTable::join(&types);
+            let mut joins = KeyTable::join(&types, rows.len());
+            let mut grown = KeyTable::join(&types, 0);
             let (mut ids, mut join_ids, mut page_ids) = (Vec::new(), Vec::new(), Vec::new());
             for page in &table.pages {
                 groups.resolve(page.blocks(), true, &mut page_ids).unwrap();
                 ids.extend_from_slice(&page_ids);
                 joins.resolve(page.blocks(), true, &mut page_ids).unwrap();
                 join_ids.extend_from_slice(&page_ids);
+                grown.resolve(page.blocks(), true, &mut page_ids).unwrap();
+                prop_assert_eq!(&page_ids[..], &join_ids[join_ids.len() - page_ids.len()..]);
             }
+            prop_assert_eq!(grown.distinct(), joins.distinct());
+            // the same rows with every column a dictionary: the same ids
+            let mut dictionaries = KeyTable::group_by(&types);
+            let mut dictionary_ids = Vec::new();
+            for (page, page_rows) in table.pages.iter().zip(&table.rows) {
+                if page.blocks().is_empty() {
+                    continue;
+                }
+                let blocks: Vec<Block> = types
+                    .iter()
+                    .enumerate()
+                    .map(|(c, t)| {
+                        let column: Vec<Value> = page_rows.iter().map(|r| r[c].clone()).collect();
+                        dictionary(g, t, &column)
+                    })
+                    .collect();
+                dictionaries.resolve(&blocks, true, &mut page_ids).unwrap();
+                dictionary_ids.extend_from_slice(&page_ids);
+            }
+            prop_assert_eq!(&dictionary_ids, &ids, "seed {}", seed);
             let mut next = 0;
             for i in 0..rows.len() {
                 for j in 0..i {
@@ -584,19 +635,22 @@ proptest! {
                 prop_assert_eq!(join_ids[i] == NO_KEY, keyless, "seed {} row {:?}", seed, rows[i]);
             }
             prop_assert_eq!(groups.distinct(), next as usize);
-            // a lookup finds what was assigned and adds nothing
+            // a lookup finds what was assigned and adds nothing, not even an
+            // interned string
             let mut fresh = KeyTable::group_by(&types);
             for page in &table.pages {
                 fresh.resolve(page.blocks(), false, &mut page_ids).unwrap();
                 prop_assert!(page_ids.iter().all(|&id| id == NO_KEY));
             }
-            let mut again = Vec::new();
+            let (interned, mut again) = (groups.interned(), Vec::new());
             for page in &table.pages {
                 groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
                 again.extend_from_slice(&page_ids);
             }
             prop_assert_eq!(&again, &ids);
             prop_assert_eq!(fresh.distinct(), 0);
+            prop_assert_eq!(fresh.interned(), 0);
+            prop_assert_eq!(groups.interned(), interned);
         }
     }
 }

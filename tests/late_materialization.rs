@@ -312,7 +312,7 @@ proptest! {
         let dictionary = values(dt, &entries);
         for join in [false, true] {
             let table = || match join {
-                true => KeyTable::join(std::slice::from_ref(dt)),
+                true => KeyTable::join(std::slice::from_ref(dt), 0),
                 false => KeyTable::group_by(std::slice::from_ref(dt)),
             };
             let (mut encoded, mut decoded) = (table(), table());
