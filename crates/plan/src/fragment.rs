@@ -36,24 +36,20 @@ impl PlanFragment {
 /// fragment ids match `RemoteSource.fragment` references.
 pub fn fragment_plan(plan: LogicalPlan) -> Result<Vec<PlanFragment>> {
     let mut fragments: Vec<Option<PlanFragment>> = vec![None];
-    let root = extract_scans(plan, &mut fragments)?;
+    let mut root = plan;
+    extract_scans(&mut root, &mut fragments)?;
     fragments[0] = Some(PlanFragment { id: 0, plan: root });
     Ok(fragments.into_iter().map(|f| f.expect("all fragments filled")).collect())
 }
 
-fn extract_scans(
-    plan: LogicalPlan,
-    fragments: &mut Vec<Option<PlanFragment>>,
-) -> Result<LogicalPlan> {
-    match plan {
-        scan @ LogicalPlan::TableScan { .. } => {
-            let schema = scan.output_schema()?;
-            let id = fragments.len() as u32;
-            fragments.push(Some(PlanFragment { id, plan: scan }));
-            Ok(LogicalPlan::RemoteSource { fragment: id, schema })
-        }
-        other => other.map_children(|child| extract_scans(child, fragments)),
+fn extract_scans(plan: &mut LogicalPlan, fragments: &mut Vec<Option<PlanFragment>>) -> Result<()> {
+    if !matches!(plan, LogicalPlan::TableScan { .. }) {
+        return plan.children_mut().into_iter().try_for_each(|c| extract_scans(c, fragments));
     }
+    let id = fragments.len() as u32;
+    let source = LogicalPlan::RemoteSource { fragment: id, schema: plan.output_schema()? };
+    fragments.push(Some(PlanFragment { id, plan: std::mem::replace(plan, source) }));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! - **aggregation pushdown** into connectors that advertise it (§IV.B,
 //!   Fig 2) — the scan emits partial aggregates, the plan keeps a final
 //!   aggregation above;
-//! - the **geospatial rewrite** (§VI.E, Fig 13): a cross join filtered by
+//! - the **geospatial rewrite** (§VI.E, Fig 13): a cross join on
 //!   `st_contains(shape, st_point(lng, lat))` becomes a QuadTree-backed
 //!   [`logical::LogicalPlan::GeoJoin`] (the `build_geo_index` plan);
 //! - Sort+Limit fusion into TopN.
@@ -31,4 +31,4 @@ pub mod optimizer;
 pub use explain::{explain, explain_analyze};
 pub use fragment::{fragment_plan, PlanFragment};
 pub use logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
-pub use optimizer::{optimize, OptimizerConfig};
+pub use optimizer::{optimize, split_equi_keys, OptimizerConfig};

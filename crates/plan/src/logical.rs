@@ -96,8 +96,9 @@ pub enum LogicalPlan {
         /// Raw or final-over-partial.
         step: AggregateStep,
     },
-    /// Join. Empty `on` = cross join (with optional residual predicate —
-    /// what the geospatial rewrite pattern-matches).
+    /// Join. The analyzer builds every `ON` join as one: its equi conjuncts
+    /// become `on`, the rest `residual`. Empty `on` = cross join (with
+    /// optional residual — where the geospatial rewrite finds `st_contains`).
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
@@ -207,27 +208,16 @@ impl LogicalPlan {
                 }
                 Schema::new(fields)
             }
-            LogicalPlan::Join { left, right, .. } => {
+            LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::GeoJoin { probe: left, fences: right, .. } => {
                 let mut fields = left.output_schema()?.fields().to_vec();
                 for f in right.output_schema()?.fields() {
-                    // joins may duplicate names across sides; disambiguate
-                    let name = if fields.iter().any(|g| g.name == f.name) {
-                        format!("{}_r", f.name)
-                    } else {
-                        f.name.clone()
-                    };
-                    fields.push(Field::new(name, f.data_type.clone()));
-                }
-                Schema::new(fields)
-            }
-            LogicalPlan::GeoJoin { probe, fences, .. } => {
-                let mut fields = probe.output_schema()?.fields().to_vec();
-                for f in fences.output_schema()?.fields() {
-                    let name = if fields.iter().any(|g| g.name == f.name) {
-                        format!("{}_r", f.name)
-                    } else {
-                        f.name.clone()
-                    };
+                    // sides may share names (and a chain of joins, suffixed
+                    // ones): suffix `_r` until the name is free
+                    let mut name = f.name.clone();
+                    while fields.iter().any(|g| g.name == name) {
+                        name.push_str("_r");
+                    }
                     fields.push(Field::new(name, f.data_type.clone()));
                 }
                 Schema::new(fields)
@@ -296,57 +286,24 @@ impl LogicalPlan {
         }
     }
 
-    /// This node over new children: each child goes through `f`, in input
-    /// order; leaves come back as they are.
-    pub fn map_children(
-        self,
-        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
-    ) -> Result<LogicalPlan> {
-        Ok(match self {
-            LogicalPlan::Filter { input, predicate } => {
-                LogicalPlan::Filter { input: Box::new(f(*input)?), predicate }
-            }
-            LogicalPlan::Project { input, expressions } => {
-                LogicalPlan::Project { input: Box::new(f(*input)?), expressions }
-            }
-            LogicalPlan::Aggregate { input, group_by, aggregates, step } => {
-                LogicalPlan::Aggregate { input: Box::new(f(*input)?), group_by, aggregates, step }
-            }
-            LogicalPlan::Join { left, right, kind, on, residual } => LogicalPlan::Join {
-                left: Box::new(f(*left)?),
-                right: Box::new(f(*right)?),
-                kind,
-                on,
-                residual,
-            },
-            LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
-                LogicalPlan::GeoJoin {
-                    probe: Box::new(f(*probe)?),
-                    fences: Box::new(f(*fences)?),
-                    probe_lng,
-                    probe_lat,
-                    fence_shape,
-                }
-            }
-            LogicalPlan::Sort { input, keys } => {
-                LogicalPlan::Sort { input: Box::new(f(*input)?), keys }
-            }
-            LogicalPlan::TopN { input, keys, count } => {
-                LogicalPlan::TopN { input: Box::new(f(*input)?), keys, count }
-            }
-            LogicalPlan::Limit { input, count } => {
-                LogicalPlan::Limit { input: Box::new(f(*input)?), count }
-            }
-            LogicalPlan::Output { input, names } => {
-                LogicalPlan::Output { input: Box::new(f(*input)?), names }
-            }
-            LogicalPlan::Union { inputs } => LogicalPlan::Union {
-                inputs: inputs.into_iter().map(f).collect::<Result<Vec<_>>>()?,
-            },
-            leaf @ (LogicalPlan::TableScan { .. }
+    /// Children of this node, mutably, in input order: rules rewrite the
+    /// tree in place.
+    pub(crate) fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::TableScan { .. }
             | LogicalPlan::Values { .. }
-            | LogicalPlan::RemoteSource { .. }) => leaf,
-        })
+            | LogicalPlan::RemoteSource { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::TopN { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Output { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+            LogicalPlan::GeoJoin { probe, fences, .. } => vec![probe, fences],
+            LogicalPlan::Union { inputs } => inputs.iter_mut().collect(),
+        }
     }
 
     /// Short node label for EXPLAIN output.
@@ -476,6 +433,19 @@ mod tests {
         assert_eq!(
             schema.fields().iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
             vec!["a", "b", "a_r", "b_r"]
+        );
+        // a third input (and a GeoJoin alike) keeps suffixing until unique
+        let plan = LogicalPlan::GeoJoin {
+            probe: Box::new(plan),
+            fences: Box::new(scan()),
+            probe_lng: RowExpression::column("a", 0, DataType::Bigint),
+            probe_lat: RowExpression::column("a", 0, DataType::Bigint),
+            fence_shape: RowExpression::column("b", 1, DataType::Varchar),
+        };
+        let schema = plan.output_schema().unwrap();
+        assert_eq!(
+            schema.fields().iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
+            vec!["a", "b", "a_r", "b_r", "a_r_r", "b_r_r"]
         );
     }
 

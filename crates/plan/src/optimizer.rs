@@ -1,11 +1,17 @@
 //! The rule-based optimizer.
 //!
-//! Rules run in a fixed order (fold constants → fuse TopN → geospatial
-//! rewrite → predicate pushdown → scan projection pruning → aggregation
-//! pushdown → limit pushdown); each rule is individually toggleable so
-//! experiments can ablate them.
+//! Rules run in a fixed order, a policy: fold constants → fuse TopN →
+//! geospatial rewrite → predicate pushdown → projection pushdown →
+//! aggregation pushdown → limit pushdown. Each is individually toggleable so
+//! experiments can ablate them. Projection pushdown is itself a sequence: an
+//! explicit Project under each Aggregate, then the `push_project_into_join` +
+//! `merge_projects` pair — which sinks a projection one join level per
+//! round — repeated until a round changes nothing, then scan pruning.
+//!
+//! A rule rewrites the tree in place: it decides on a borrow, and takes a
+//! node apart only when it fires.
 
-use presto_common::{DataType, Result, Value};
+use presto_common::{DataType, Result, Schema, Value};
 use presto_connectors::{
     AggregationPushdown, CatalogRegistry, ColumnPath, PushdownPredicate, ScanRequest,
 };
@@ -49,56 +55,75 @@ impl Default for OptimizerConfig {
 
 /// Optimize a plan against the registered catalogs.
 pub fn optimize(
-    plan: LogicalPlan,
+    mut plan: LogicalPlan,
     catalogs: &CatalogRegistry,
     evaluator: &Evaluator,
     config: &OptimizerConfig,
 ) -> Result<LogicalPlan> {
-    let mut plan = plan;
     if config.constant_folding {
         plan = rewrite_expressions(plan, &|e| fold_expression(e, evaluator));
     }
     if config.topn_fusion {
-        plan = transform_up(plan, &fuse_topn)?;
+        transform_up(&mut plan, &fuse_topn)?;
     }
     if config.geo_rewrite {
-        plan = transform_up(plan, &rewrite_geo_join)?;
+        transform_up(&mut plan, &rewrite_geo_join)?;
     }
     if config.predicate_pushdown {
-        plan = push_predicates(plan, catalogs)?;
+        push_predicates(&mut plan, catalogs)?;
     }
     if config.projection_pushdown {
-        // Normalize: every Aggregate / Sort-free consumer of raw columns
-        // gets an explicit Project naming exactly the accesses it uses...
-        plan = transform_up(plan, &project_below_aggregate)?;
-        // ...then projections sink through joins toward the scans (a few
-        // fixpoint rounds cover left-deep multi-join trees)...
-        for _ in 0..4 {
-            plan = transform_up(plan, &push_project_into_join)?;
-            plan = transform_up(plan, &merge_projects)?;
+        // Normalize: every Aggregate over raw columns gets an explicit
+        // Project naming exactly the accesses it uses...
+        transform_up(&mut plan, &project_below_aggregate)?;
+        // ...then projections sink through joins toward the scans, one join
+        // level a round, until a round changes nothing...
+        let mut changed = true;
+        while changed {
+            changed = transform_up(&mut plan, &push_project_into_join)?;
+            changed |= transform_up(&mut plan, &merge_projects)?;
         }
         // ...and finally Project→[Filter]→Scan becomes pruned scan columns
         // (including nested column pruning, §V.D).
-        plan = transform_up(plan, &|p| prune_scan_projection(p, catalogs))?;
+        transform_up(&mut plan, &|p| prune_scan_projection(p, catalogs))?;
     }
     if config.aggregation_pushdown {
-        plan = transform_up(plan, &|p| push_aggregation(p, catalogs))?;
+        transform_up(&mut plan, &|p| push_aggregation(p, catalogs))?;
     }
     if config.limit_pushdown {
-        plan = transform_up(plan, &|p| push_limit(p, catalogs))?;
+        transform_up(&mut plan, &|p| push_limit(p, catalogs))?;
     }
     Ok(plan)
 }
 
 // ------------------------------------------------------------ plumbing
 
-/// Rebuild the tree bottom-up through `f`.
+/// Apply `rule` at every node, children first; true when it fired anywhere.
+/// A rule answers whether it fired, and changes the node only if it did.
 fn transform_up(
-    plan: LogicalPlan,
-    f: &impl Fn(LogicalPlan) -> Result<LogicalPlan>,
-) -> Result<LogicalPlan> {
-    let with_children = plan.map_children(|child| transform_up(child, f))?;
-    f(with_children)
+    plan: &mut LogicalPlan,
+    rule: &impl Fn(&mut LogicalPlan) -> Result<bool>,
+) -> Result<bool> {
+    let mut fired = false;
+    for child in plan.children_mut() {
+        fired |= transform_up(child, rule)?;
+    }
+    Ok(rule(plan)? | fired)
+}
+
+/// Move `node` out of the tree, leaving an empty `Values` in its place: how
+/// a rule that fires takes the node apart.
+fn take(node: &mut LogicalPlan) -> LogicalPlan {
+    std::mem::replace(node, LogicalPlan::Values { schema: Schema::empty(), rows: Vec::new() })
+}
+
+/// `input` under a Filter of `conjuncts`, or `input` itself when there are
+/// none.
+fn filter_over(input: LogicalPlan, conjuncts: Vec<RowExpression>) -> LogicalPlan {
+    match RowExpression::combine_conjuncts(conjuncts) {
+        Some(predicate) => LogicalPlan::Filter { input: Box::new(input), predicate },
+        None => input,
+    }
 }
 
 /// Rewrite every expression in the plan through `f`.
@@ -193,79 +218,55 @@ fn fold_expression(expr: RowExpression, evaluator: &Evaluator) -> RowExpression 
 
 // ------------------------------------------------------------- TopN fusion
 
-fn fuse_topn(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Limit { input, count } => match *input {
-            LogicalPlan::Sort { input: sorted, keys } => {
-                LogicalPlan::TopN { input: sorted, keys, count }
-            }
-            other => LogicalPlan::Limit { input: Box::new(other), count },
-        },
-        other => other,
-    })
+fn fuse_topn(plan: &mut LogicalPlan) -> Result<bool> {
+    let LogicalPlan::Limit { input, count } = plan else {
+        return Ok(false);
+    };
+    let LogicalPlan::Sort { input: sorted, keys } = input.as_mut() else {
+        return Ok(false);
+    };
+    let keys = std::mem::take(keys);
+    *plan = LogicalPlan::TopN { input: Box::new(take(sorted)), keys, count: *count };
+    Ok(true)
 }
 
 // -------------------------------------------------------------- geo rewrite
 
-/// Fig 13: `Filter[st_contains(shape, st_point(lng, lat))]` over a cross
-/// join becomes a GeoJoin that builds a QuadTree over the fence side.
-fn rewrite_geo_join(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let LogicalPlan::Filter { input, predicate } = plan else {
-        return Ok(plan);
+/// Fig 13: a cross join whose residual — or the Filter above it — holds
+/// `st_contains(shape, st_point(lng, lat))` becomes a GeoJoin that builds a
+/// QuadTree over the fence side.
+fn rewrite_geo_join(plan: &mut LogicalPlan) -> Result<bool> {
+    let (join, predicate) = match &mut *plan {
+        LogicalPlan::Filter { input, predicate } => (input.as_mut(), Some(&*predicate)),
+        join => (join, None),
     };
-    let LogicalPlan::Join { left, right, kind: JoinKind::Inner, on, residual } = *input else {
-        return Ok(LogicalPlan::Filter { input, predicate });
+    let LogicalPlan::Join { left, right, kind: JoinKind::Inner, on, residual } = join else {
+        return Ok(false);
     };
     if !on.is_empty() {
-        return Ok(LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join { left, right, kind: JoinKind::Inner, on, residual }),
-            predicate,
-        });
+        return Ok(false);
     }
     let left_width = left.output_schema()?.len();
-
-    let mut conjuncts = predicate.conjuncts();
-    if let Some(res) = &residual {
-        conjuncts.extend(res.conjuncts());
-    }
-    let mut geo: Option<(RowExpression, RowExpression, RowExpression)> = None;
-    let mut rest = Vec::new();
-    for conjunct in conjuncts {
-        if geo.is_none() {
-            if let Some(parts) = match_st_contains(&conjunct, left_width) {
-                geo = Some(parts);
-                continue;
-            }
-        }
-        rest.push(conjunct);
-    }
-    let Some((shape, lng, lat)) = geo else {
-        return Ok(LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join {
-                left,
-                right,
-                kind: JoinKind::Inner,
-                on: vec![],
-                residual,
-            }),
-            predicate,
-        });
+    let mut rest: Vec<RowExpression> =
+        predicate.into_iter().chain(residual.as_ref()).flat_map(|e| e.conjuncts()).collect();
+    let Some((at, (shape, lng, lat))) =
+        rest.iter().enumerate().find_map(|(i, c)| Some((i, match_st_contains(c, left_width)?)))
+    else {
+        return Ok(false);
     };
+    rest.remove(at);
 
     // probe = left (point side), fences = right (shape side); remap the
     // shape expression to fence-local channels.
-    let shape_local = shift_columns(shape, -(left_width as isize));
     let geo_join = LogicalPlan::GeoJoin {
-        probe: left,
-        fences: right,
+        probe: Box::new(take(left)),
+        fences: Box::new(take(right)),
         probe_lng: lng,
         probe_lat: lat,
-        fence_shape: shape_local,
+        fence_shape: shift_columns(shape, -(left_width as isize)),
     };
-    Ok(match RowExpression::combine_conjuncts(rest) {
-        Some(remaining) => LogicalPlan::Filter { input: Box::new(geo_join), predicate: remaining },
-        None => geo_join,
-    })
+    *plan = filter_over(geo_join, rest);
+    Ok(true)
 }
 
 /// Match `st_contains(<right-side shape>, st_point(<left lng>, <left lat>))`,
@@ -314,13 +315,24 @@ fn shift_columns(expr: RowExpression, delta: isize) -> RowExpression {
 
 // ------------------------------------------------------ predicate pushdown
 
-fn push_predicates(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<LogicalPlan> {
-    // Process this node, then recurse into (possibly new) children.
-    let plan = match plan {
-        LogicalPlan::Filter { input, predicate } => push_filter(*input, predicate, catalogs)?,
-        other => other,
+/// Push every Filter's predicate, and every inner join's residual, as deep
+/// as it goes: this node first, then its (possibly new) children.
+fn push_predicates(plan: &mut LogicalPlan, catalogs: &CatalogRegistry) -> Result<()> {
+    let predicate = match plan {
+        LogicalPlan::Filter { predicate, .. } => {
+            Some(std::mem::replace(predicate, RowExpression::boolean(true)))
+        }
+        LogicalPlan::Join { kind: JoinKind::Inner, residual, .. } => residual.take(),
+        _ => None,
     };
-    plan.map_children(|child| push_predicates(child, catalogs))
+    if let Some(predicate) = predicate {
+        let input = match take(plan) {
+            LogicalPlan::Filter { input, .. } => *input,
+            join => join,
+        };
+        *plan = push_filter(input, predicate, catalogs)?;
+    }
+    plan.children_mut().into_iter().try_for_each(|child| push_predicates(child, catalogs))
 }
 
 /// Push the conjuncts of `predicate` as deep as possible over `input`.
@@ -345,80 +357,46 @@ fn push_filter(
         // route conjuncts to join sides; promote equi conjuncts to keys
         LogicalPlan::Join { left, right, kind, mut on, residual } => {
             let left_width = left.output_schema()?.len();
-            let mut left_conjuncts = Vec::new();
-            let mut right_conjuncts = Vec::new();
-            let mut kept = Vec::new();
-            let mut all = predicate.conjuncts();
-            // An INNER join's ON residual is semantically a WHERE conjunct,
-            // so it can be routed with the rest. A LEFT join's ON residual
-            // decides *matching*, not row survival — it must stay attached
-            // to the join untouched.
-            let mut join_residual = None;
-            match (kind, residual) {
-                (JoinKind::Inner, Some(res)) => all.extend(res.conjuncts()),
-                (_, res) => join_residual = res,
-            }
-            for conjunct in all {
-                let refs = conjunct.referenced_columns();
-                let all_left = refs.iter().all(|&c| c < left_width);
-                let all_right = !refs.is_empty() && refs.iter().all(|&c| c >= left_width);
-                if all_left && kind == JoinKind::Inner {
-                    left_conjuncts.push(conjunct);
-                } else if all_left && kind == JoinKind::Left {
-                    // left-side conjuncts are safe to push below a left join
-                    left_conjuncts.push(conjunct);
-                } else if all_right && kind == JoinKind::Inner {
-                    right_conjuncts.push(shift_columns(conjunct, -(left_width as isize)));
-                } else if kind == JoinKind::Inner {
-                    // try to promote eq(left, right) to a join key
-                    if let RowExpression::Call { handle, args } = &conjunct {
-                        if handle.name == "eq" && args.len() == 2 {
-                            let l_refs = args[0].referenced_columns();
-                            let r_refs = args[1].referenced_columns();
-                            let zero_left = |v: &Vec<usize>| v.iter().all(|&c| c < left_width);
-                            let zero_right = |v: &Vec<usize>| {
-                                !v.is_empty() && v.iter().all(|&c| c >= left_width)
-                            };
-                            if zero_left(&l_refs) && zero_right(&r_refs) {
-                                on.push((
-                                    args[0].clone(),
-                                    shift_columns(args[1].clone(), -(left_width as isize)),
-                                ));
-                                continue;
-                            }
-                            if zero_left(&r_refs) && zero_right(&l_refs) {
-                                on.push((
-                                    args[1].clone(),
-                                    shift_columns(args[0].clone(), -(left_width as isize)),
-                                ));
-                                continue;
-                            }
-                        }
-                    }
-                    kept.push(conjunct);
-                } else {
-                    kept.push(conjunct);
-                }
-            }
-            let new_left = match RowExpression::combine_conjuncts(left_conjuncts) {
-                Some(p) => push_filter(*left, p, catalogs)?,
-                None => *left,
+            // An INNER join's residual is semantically a WHERE conjunct, so
+            // it is routed with the rest, ahead of them (ON before WHERE). A
+            // LEFT join's residual decides *matching*, not row survival: it
+            // stays on the join untouched, and only the preserved (left)
+            // side may be filtered below it.
+            let inner = kind == JoinKind::Inner;
+            let (mut conjuncts, residual) = match residual {
+                Some(res) if inner => (res.conjuncts(), None),
+                res => (Vec::new(), res),
             };
-            let new_right = match RowExpression::combine_conjuncts(right_conjuncts) {
-                Some(p) => push_filter(*right, p, catalogs)?,
-                None => *right,
-            };
+            conjuncts.extend(predicate.conjuncts());
+            let (to_left, to_right, mut kept) = route_to_sides(conjuncts, left_width, inner);
+            if inner {
+                let (keys, rest) = split_equi_keys(kept, left_width);
+                on.extend(keys);
+                kept = rest;
+            }
             let join = LogicalPlan::Join {
-                left: Box::new(new_left),
-                right: Box::new(new_right),
+                left: Box::new(push_conjuncts(*left, to_left, catalogs)?),
+                right: Box::new(push_conjuncts(*right, to_right, catalogs)?),
                 kind,
                 on,
-                residual: join_residual,
+                residual,
             };
-            Ok(match RowExpression::combine_conjuncts(kept) {
-                Some(p) => LogicalPlan::Filter { input: Box::new(join), predicate: p },
-                None => join,
-            })
+            Ok(filter_over(join, kept))
+        }
+        // the QuadTree join is an inner join: each side's own conjuncts go
+        // below it, so the probe scan sees its predicate
+        LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
+            let probe_width = probe.output_schema()?.len();
+            let (to_probe, to_fences, kept) =
+                route_to_sides(predicate.conjuncts(), probe_width, true);
+            let geo_join = LogicalPlan::GeoJoin {
+                probe: Box::new(push_conjuncts(*probe, to_probe, catalogs)?),
+                fences: Box::new(push_conjuncts(*fences, to_fences, catalogs)?),
+                probe_lng,
+                probe_lat,
+                fence_shape,
+            };
+            Ok(filter_over(geo_join, kept))
         }
         // convert eligible conjuncts into connector predicates
         LogicalPlan::TableScan { catalog, schema, table, table_schema, mut request } => {
@@ -435,14 +413,84 @@ fn push_filter(
                 residual = predicate.conjuncts();
             }
             let scan = LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-            Ok(match RowExpression::combine_conjuncts(residual) {
-                Some(p) => LogicalPlan::Filter { input: Box::new(scan), predicate: p },
-                None => scan,
-            })
+            Ok(filter_over(scan, residual))
         }
         // barriers: keep the filter here
         other => Ok(LogicalPlan::Filter { input: Box::new(other), predicate }),
     }
+}
+
+/// `input` with `conjuncts` pushed as deep as they go.
+fn push_conjuncts(
+    input: LogicalPlan,
+    conjuncts: Vec<RowExpression>,
+    catalogs: &CatalogRegistry,
+) -> Result<LogicalPlan> {
+    match RowExpression::combine_conjuncts(conjuncts) {
+        Some(predicate) => push_filter(input, predicate, catalogs),
+        None => Ok(input),
+    }
+}
+
+/// Route conjuncts over a `left | right` joined schema, keeping their order:
+/// those over the left side alone, those over the right side alone (shifted
+/// to right-local channels; only when `to_right`), and the rest.
+fn route_to_sides(
+    conjuncts: Vec<RowExpression>,
+    left_width: usize,
+    to_right: bool,
+) -> (Vec<RowExpression>, Vec<RowExpression>, Vec<RowExpression>) {
+    let (mut left, mut right, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    for conjunct in conjuncts {
+        let refs = conjunct.referenced_columns();
+        if refs.iter().all(|&c| c < left_width) {
+            left.push(conjunct);
+        } else if to_right && refs.iter().all(|&c| c >= left_width) {
+            right.push(shift_columns(conjunct, -(left_width as isize)));
+        } else {
+            rest.push(conjunct);
+        }
+    }
+    (left, right, rest)
+}
+
+/// Split join-condition conjuncts over a `left | right` joined schema into
+/// equi-key pairs and the rest, keeping their order. A key is `eq(a, b)`
+/// with one side over the left input alone and the other over the right
+/// input alone, either way round; the right key is shifted to right-local
+/// channels. The analyzer splits every `ON` with it, and predicate pushdown
+/// promotes WHERE conjuncts across an inner join with it.
+pub fn split_equi_keys(
+    conjuncts: Vec<RowExpression>,
+    left_width: usize,
+) -> (Vec<(RowExpression, RowExpression)>, Vec<RowExpression>) {
+    let over = |e: &RowExpression, left: bool| {
+        let refs = e.referenced_columns();
+        !refs.is_empty() && refs.iter().all(|&c| (c < left_width) == left)
+    };
+    let (mut keys, mut rest) = (Vec::new(), Vec::new());
+    for conjunct in conjuncts {
+        let key = match &conjunct {
+            RowExpression::Call { handle, args } if handle.name == "eq" && args.len() == 2 => {
+                let (a, b) = (&args[0], &args[1]);
+                if over(a, true) && over(b, false) {
+                    Some((a, b))
+                } else if over(b, true) && over(a, false) {
+                    Some((b, a))
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        };
+        match key {
+            Some((l, r)) => {
+                keys.push((l.clone(), shift_columns(r.clone(), -(left_width as isize))))
+            }
+            None => rest.push(conjunct),
+        }
+    }
+    (keys, rest)
 }
 
 /// Substitute projection expressions for their output channels inside `expr`.
@@ -549,46 +597,60 @@ fn is_access(e: &RowExpression) -> bool {
     }
 }
 
-/// Collect the distinct maximal accesses appearing in `e`. Lambda bodies are
-/// skipped (their references are lambda-local).
-fn collect_access_exprs(e: &RowExpression, out: &mut Vec<RowExpression>) {
+/// The access walker: visit the maximal accesses of `e`, left to right.
+/// Lambda bodies are skipped (their references are lambda-local).
+fn for_each_access(e: &RowExpression, f: &mut impl FnMut(&RowExpression)) {
     if is_access(e) {
-        if !out.contains(e) {
-            out.push(e.clone());
-        }
-        return;
+        return f(e);
     }
-    match e {
-        RowExpression::Call { args, .. } | RowExpression::SpecialForm { args, .. } => {
-            for a in args {
-                if matches!(a, RowExpression::LambdaDefinition { .. }) {
-                    continue;
-                }
-                collect_access_exprs(a, out);
-            }
+    if let RowExpression::Call { args, .. } | RowExpression::SpecialForm { args, .. } = e {
+        for a in args.iter().filter(|a| !matches!(a, RowExpression::LambdaDefinition { .. })) {
+            for_each_access(a, f);
         }
-        _ => {}
     }
 }
 
-/// Replace each occurrence of `accesses[i]` in `e` with a reference to
-/// channel `base + i`.
-fn replace_accesses(e: &RowExpression, accesses: &[RowExpression], base: usize) -> RowExpression {
-    if let Some(i) = accesses.iter().position(|a| a == e) {
-        return RowExpression::column(access_name(&accesses[i]), base + i, e.data_type());
+/// Append the distinct accesses of `exprs` to `out`, in first-seen order.
+fn collect_accesses<'a>(
+    exprs: impl IntoIterator<Item = &'a RowExpression>,
+    out: &mut Vec<RowExpression>,
+) {
+    for e in exprs {
+        for_each_access(e, &mut |a| {
+            if !out.contains(a) {
+                out.push(a.clone());
+            }
+        });
+    }
+}
+
+/// `e` with each maximal access replaced by `f(access)` (lambda bodies
+/// untouched).
+fn map_accesses(e: &RowExpression, f: &impl Fn(&RowExpression) -> RowExpression) -> RowExpression {
+    if is_access(e) {
+        return f(e);
     }
     match e {
         RowExpression::Call { handle, args } => RowExpression::Call {
             handle: handle.clone(),
-            args: args.iter().map(|a| replace_accesses(a, accesses, base)).collect(),
+            args: args.iter().map(|a| map_accesses(a, f)).collect(),
         },
         RowExpression::SpecialForm { form, args, return_type } => RowExpression::SpecialForm {
             form: form.clone(),
-            args: args.iter().map(|a| replace_accesses(a, accesses, base)).collect(),
+            args: args.iter().map(|a| map_accesses(a, f)).collect(),
             return_type: return_type.clone(),
         },
         other => other.clone(),
     }
+}
+
+/// Replace each access of `e` listed in `accesses` with a reference to
+/// channel `base + its position`.
+fn replace_accesses(e: &RowExpression, accesses: &[RowExpression], base: usize) -> RowExpression {
+    map_accesses(e, &|a| match accesses.iter().position(|x| x == a) {
+        Some(i) => RowExpression::column(access_name(a), base + i, a.data_type()),
+        None => a.clone(),
+    })
 }
 
 /// Display name for an access expression (`base.city_id`).
@@ -623,181 +685,144 @@ fn is_identity_access_list(accesses: &[RowExpression], width: usize) -> bool {
 /// scan-pruning rule can see them (turns `Aggregate → Scan` into
 /// `Aggregate → Project → Scan`). An aggregate that names no column at all
 /// (`count(*)`) gets a Project of nothing, and its scan then reads nothing.
-fn project_below_aggregate(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let LogicalPlan::Aggregate { input, group_by, aggregates, step } = plan else {
-        return Ok(plan);
+fn project_below_aggregate(plan: &mut LogicalPlan) -> Result<bool> {
+    let LogicalPlan::Aggregate { input, group_by, aggregates, step: AggregateStep::Single } = plan
+    else {
+        return Ok(false);
     };
-    if matches!(*input, LogicalPlan::Project { .. }) || step != AggregateStep::Single {
-        return Ok(LogicalPlan::Aggregate { input, group_by, aggregates, step });
+    if matches!(**input, LogicalPlan::Project { .. }) {
+        return Ok(false);
     }
     let width = input.output_schema()?.len();
     let mut accesses = Vec::new();
-    for g in &group_by {
-        collect_access_exprs(g, &mut accesses);
-    }
-    for a in &aggregates {
-        if let Some(arg) = &a.argument {
-            collect_access_exprs(arg, &mut accesses);
-        }
-    }
+    let arguments = aggregates.iter().filter_map(|a| a.argument.as_ref());
+    collect_accesses(group_by.iter().chain(arguments), &mut accesses);
     // `count(*)` names nothing: its scan (bare or under a filter) is asked
     // for no column; over any other input the plan stays as it was
-    let over_scan = match &*input {
+    let over_scan = match input.as_ref() {
         LogicalPlan::Filter { input: inner, .. } => {
             matches!(**inner, LogicalPlan::TableScan { .. })
         }
         other => matches!(other, LogicalPlan::TableScan { .. }),
     };
     if is_identity_access_list(&accesses, width) || (accesses.is_empty() && !over_scan) {
-        return Ok(LogicalPlan::Aggregate { input, group_by, aggregates, step });
+        return Ok(false);
     }
-    let expressions: Vec<(String, RowExpression)> =
-        accesses.iter().map(|a| (access_name(a), a.clone())).collect();
-    let new_group: Vec<RowExpression> =
-        group_by.iter().map(|g| replace_accesses(g, &accesses, 0)).collect();
-    let new_aggs: Vec<AggregateExpr> = aggregates
-        .iter()
-        .map(|a| AggregateExpr {
-            function: a.function,
-            argument: a.argument.as_ref().map(|arg| replace_accesses(arg, &accesses, 0)),
-            name: a.name.clone(),
-        })
-        .collect();
-    Ok(LogicalPlan::Aggregate {
-        input: Box::new(LogicalPlan::Project { input, expressions }),
-        group_by: new_group,
-        aggregates: new_aggs,
-        step,
-    })
+    for g in group_by.iter_mut() {
+        *g = replace_accesses(g, &accesses, 0);
+    }
+    for arg in aggregates.iter_mut().filter_map(|a| a.argument.as_mut()) {
+        *arg = replace_accesses(arg, &accesses, 0);
+    }
+    project_accesses(input, &accesses);
+    Ok(true)
+}
+
+/// Put `node` under a Project of exactly `accesses`.
+fn project_accesses(node: &mut LogicalPlan, accesses: &[RowExpression]) {
+    let expressions = accesses.iter().map(|a| (access_name(a), a.clone())).collect();
+    let input = Box::new(take(node));
+    *node = LogicalPlan::Project { input, expressions };
 }
 
 /// Push a Project's column requirements through a Join: each side gets its
 /// own Project of exactly the accesses used by the outer projection, the
-/// join keys, and the residual.
-fn push_project_into_join(plan: LogicalPlan) -> Result<LogicalPlan> {
+/// join keys, and the residual — unless it would keep every column in place,
+/// or none (a cross join side nothing reads), and then it stays as it is.
+fn push_project_into_join(plan: &mut LogicalPlan) -> Result<bool> {
     let LogicalPlan::Project { input, expressions } = plan else {
-        return Ok(plan);
+        return Ok(false);
     };
-    let LogicalPlan::Join { left, right, kind, on, residual } = *input else {
-        return Ok(LogicalPlan::Project { input, expressions });
+    let LogicalPlan::Join { left, right, on, residual, .. } = input.as_mut() else {
+        return Ok(false);
     };
     let lw = left.output_schema()?.len();
     let rw = right.output_schema()?.len();
 
-    // Accesses in combined-schema indexing (outer exprs + residual)...
-    let mut combined: Vec<RowExpression> = Vec::new();
-    for (_, e) in &expressions {
-        collect_access_exprs(e, &mut combined);
-    }
-    if let Some(res) = &residual {
-        collect_access_exprs(res, &mut combined);
-    }
-    // ...and side-local accesses from the join keys.
-    let mut left_accesses: Vec<RowExpression> = Vec::new();
-    let mut right_accesses: Vec<RowExpression> = Vec::new();
-    for (l, r) in &on {
-        collect_access_exprs(l, &mut left_accesses);
-        collect_access_exprs(r, &mut right_accesses);
-    }
-    for access in &combined {
+    // Side-local accesses from the join keys...
+    let mut left_accesses = Vec::new();
+    let mut right_accesses = Vec::new();
+    collect_accesses(on.iter().map(|(l, _)| l), &mut left_accesses);
+    collect_accesses(on.iter().map(|(_, r)| r), &mut right_accesses);
+    // ...then those of the outer expressions and the residual, which index
+    // the joined schema.
+    let mut combined = Vec::new();
+    collect_accesses(expressions.iter().map(|(_, e)| e).chain(residual.as_ref()), &mut combined);
+    let is_left = |access: &RowExpression| {
         let refs = access.referenced_columns();
         debug_assert_eq!(refs.len(), 1, "an access references exactly one channel");
-        if refs[0] < lw {
-            if !left_accesses.contains(access) {
-                left_accesses.push(access.clone());
-            }
+        refs[0] < lw
+    };
+    for access in &combined {
+        let (side, access) = if is_left(access) {
+            (&mut left_accesses, access.clone())
         } else {
+            (&mut right_accesses, shift_columns(access.clone(), -(lw as isize)))
+        };
+        if !side.contains(&access) {
+            side.push(access);
+        }
+    }
+
+    let narrows = |accesses: &[RowExpression], width| {
+        !accesses.is_empty() && !is_identity_access_list(accesses, width)
+    };
+    let (wrap_left, wrap_right) = (narrows(&left_accesses, lw), narrows(&right_accesses, rw));
+    if !wrap_left && !wrap_right {
+        return Ok(false);
+    }
+    let new_lw = if wrap_left { left_accesses.len() } else { lw };
+
+    // The keys are side-local; an access of the joined schema maps to its
+    // side's new channel, the right side now starting at `new_lw`.
+    let joined = |access: &RowExpression| {
+        if !is_left(access) {
             let local = shift_columns(access.clone(), -(lw as isize));
-            if !right_accesses.contains(&local) {
-                right_accesses.push(local);
+            if wrap_right {
+                replace_accesses(&local, &right_accesses, new_lw)
+            } else {
+                shift_columns(local, new_lw as isize)
             }
+        } else if wrap_left {
+            replace_accesses(access, &left_accesses, 0)
+        } else {
+            access.clone()
+        }
+    };
+    for (l, r) in on.iter_mut() {
+        if wrap_left {
+            *l = replace_accesses(l, &left_accesses, 0);
+        }
+        if wrap_right {
+            *r = replace_accesses(r, &right_accesses, 0);
         }
     }
-
-    // Nothing to prune when both sides would keep everything.
-    if is_identity_access_list(&left_accesses, lw) && is_identity_access_list(&right_accesses, rw) {
-        return Ok(LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Join { left, right, kind, on, residual }),
-            expressions,
-        });
+    for e in expressions.iter_mut().map(|(_, e)| e).chain(residual.as_mut()) {
+        *e = map_accesses(e, &joined);
     }
-
-    let wrap = |side: Box<LogicalPlan>, accesses: &[RowExpression], width: usize| {
-        if is_identity_access_list(accesses, width) || accesses.is_empty() {
-            (side, true)
-        } else {
-            let exprs: Vec<(String, RowExpression)> =
-                accesses.iter().map(|a| (access_name(a), a.clone())).collect();
-            (Box::new(LogicalPlan::Project { input: side, expressions: exprs }), false)
-        }
-    };
-    let (new_left, left_identity) = wrap(left, &left_accesses, lw);
-    let (new_right, right_identity) = wrap(right, &right_accesses, rw);
-    let new_lw = if left_identity { lw } else { left_accesses.len() };
-
-    // Remappers: side-local for keys, combined for residual/outer exprs.
-    let remap_left = |e: &RowExpression| -> RowExpression {
-        if left_identity {
-            e.clone()
-        } else {
-            replace_accesses(e, &left_accesses, 0)
-        }
-    };
-    let remap_right_local = |e: &RowExpression| -> RowExpression {
-        if right_identity {
-            e.clone()
-        } else {
-            replace_accesses(e, &right_accesses, 0)
-        }
-    };
-    let remap_combined = |e: &RowExpression| -> RowExpression {
-        // left accesses stay combined-indexed (channels 0..new_lw)...
-        let e = if left_identity { e.clone() } else { replace_accesses(e, &left_accesses, 0) };
-        // ...right accesses are matched in combined indexing, then mapped
-        // to new_lw + position.
-        if right_identity {
-            // only the base offset changes (lw → new_lw)
-            e.rewrite(&|x| match x {
-                RowExpression::VariableReference { name, index, data_type } if index >= lw => {
-                    RowExpression::VariableReference { name, index: index - lw + new_lw, data_type }
-                }
-                other => other,
-            })
-        } else {
-            let combined_right: Vec<RowExpression> =
-                right_accesses.iter().map(|a| shift_columns(a.clone(), lw as isize)).collect();
-            replace_accesses(&e, &combined_right, new_lw)
-        }
-    };
-
-    let new_on: Vec<(RowExpression, RowExpression)> =
-        on.iter().map(|(l, r)| (remap_left(l), remap_right_local(r))).collect();
-    let new_residual = residual.as_ref().map(&remap_combined);
-    let new_exprs: Vec<(String, RowExpression)> =
-        expressions.iter().map(|(n, e)| (n.clone(), remap_combined(e))).collect();
-    Ok(LogicalPlan::Project {
-        input: Box::new(LogicalPlan::Join {
-            left: new_left,
-            right: new_right,
-            kind,
-            on: new_on,
-            residual: new_residual,
-        }),
-        expressions: new_exprs,
-    })
+    if wrap_left {
+        project_accesses(left, &left_accesses);
+    }
+    if wrap_right {
+        project_accesses(right, &right_accesses);
+    }
+    Ok(true)
 }
 
 /// Compose stacked Projects into one.
-fn merge_projects(plan: LogicalPlan) -> Result<LogicalPlan> {
+fn merge_projects(plan: &mut LogicalPlan) -> Result<bool> {
     let LogicalPlan::Project { input, expressions } = plan else {
-        return Ok(plan);
+        return Ok(false);
     };
-    let LogicalPlan::Project { input: inner, expressions: inner_exprs } = *input else {
-        return Ok(LogicalPlan::Project { input, expressions });
+    let LogicalPlan::Project { input: inner, expressions: inner_exprs } = input.as_mut() else {
+        return Ok(false);
     };
-    let composed: Vec<(String, RowExpression)> =
-        expressions.into_iter().map(|(n, e)| (n, inline_projection(&e, &inner_exprs))).collect();
-    Ok(LogicalPlan::Project { input: inner, expressions: composed })
+    for (_, e) in expressions.iter_mut() {
+        *e = inline_projection(e, inner_exprs);
+    }
+    let below = take(inner);
+    **input = below;
+    Ok(true)
 }
 
 // --------------------------------------------- projection pushdown (scans)
@@ -805,160 +830,88 @@ fn merge_projects(plan: LogicalPlan) -> Result<LogicalPlan> {
 /// Narrow a scan's projected columns to what its consumers actually use,
 /// rewriting dereference chains into pruned nested paths (§V.D). Matches
 /// `Project → [Filter →] TableScan`.
-fn prune_scan_projection(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<LogicalPlan> {
+fn prune_scan_projection(plan: &mut LogicalPlan, catalogs: &CatalogRegistry) -> Result<bool> {
     let LogicalPlan::Project { input, expressions } = plan else {
-        return Ok(plan);
+        return Ok(false);
     };
     // Peel an optional residual filter.
-    let (filter, scan) = match *input {
-        LogicalPlan::Filter { input: inner, predicate } => (Some(predicate), *inner),
-        other => (None, other),
+    let (mut filter, scan) = match input.as_mut() {
+        LogicalPlan::Filter { input, predicate } => (Some(predicate), input.as_mut()),
+        scan => (None, scan),
     };
-    let LogicalPlan::TableScan { catalog, schema, table, table_schema, request } = scan else {
-        // not a scan: rebuild untouched
-        let inner = match filter {
-            Some(predicate) => LogicalPlan::Filter { input: Box::new(scan), predicate },
-            None => scan,
-        };
-        return Ok(LogicalPlan::Project { input: Box::new(inner), expressions });
+    let LogicalPlan::TableScan { catalog, table_schema, request, .. } = scan else {
+        return Ok(false);
     };
-    let connector = catalogs.get(&catalog)?;
-    let caps = connector.capabilities();
+    let caps = catalogs.get(catalog)?.capabilities();
     if !caps.projection || request.aggregation.is_some() {
-        let scan = LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-        let inner = match filter {
-            Some(predicate) => LogicalPlan::Filter { input: Box::new(scan), predicate },
-            None => scan,
-        };
-        return Ok(LogicalPlan::Project { input: Box::new(inner), expressions });
+        return Ok(false);
     }
 
     // Collect the access paths used by the project expressions and the
     // residual filter. When nested pruning is unsupported (or a column is
     // used whole anywhere), fall back to whole columns.
     let mut needed: Vec<ColumnPath> = Vec::new();
-    let mut add_path = |p: ColumnPath| {
-        if !needed.contains(&p) {
-            needed.push(p);
-        }
-    };
-    let mut exprs_to_scan: Vec<&RowExpression> = expressions.iter().map(|(_, e)| e).collect();
-    if let Some(f) = &filter {
-        exprs_to_scan.push(f);
-    }
-    for e in &exprs_to_scan {
-        for access in collect_accesses(e, &request) {
-            let access =
-                if caps.nested_pruning { access } else { ColumnPath::whole(access.column) };
-            add_path(access);
-        }
+    for e in expressions.iter().map(|(_, e)| e).chain(filter.as_deref()) {
+        for_each_access(e, &mut |access| {
+            let Some(path) = deref_chain(access, request) else { return };
+            let path = if caps.nested_pruning { path } else { ColumnPath::whole(path.column) };
+            if !needed.contains(&path) {
+                needed.push(path);
+            }
+        });
     }
     // Columns used whole subsume their nested paths.
     let whole: Vec<String> =
         needed.iter().filter(|p| p.path.is_empty()).map(|p| p.column.clone()).collect();
     needed.retain(|p| p.path.is_empty() || !whole.contains(&p.column));
 
-    // Build the rewrite map: each retained access path becomes a channel.
-    let new_columns = needed.clone();
-    let new_request = ScanRequest { columns: new_columns.clone(), ..request.clone() };
-
-    let rewrite = |e: &RowExpression| -> RowExpression {
-        rewrite_accesses(e, &request, &new_columns, &table_schema)
+    // Each retained access path becomes a channel.
+    let rewrite = |e: &RowExpression| {
+        map_accesses(e, &|access| rewrite_access(access, request, &needed, table_schema))
     };
-    let new_expressions: Vec<(String, RowExpression)> =
-        expressions.iter().map(|(n, e)| (n.clone(), rewrite(e))).collect();
-    let new_filter = filter.as_ref().map(rewrite);
-
-    let scan =
-        LogicalPlan::TableScan { catalog, schema, table, table_schema, request: new_request };
-    let inner = match new_filter {
-        Some(predicate) => LogicalPlan::Filter { input: Box::new(scan), predicate },
-        // a Project of nothing over a scan of nothing (`count(*)`) is the scan
-        None if new_expressions.is_empty() => return Ok(scan),
-        None => scan,
-    };
-    Ok(LogicalPlan::Project { input: Box::new(inner), expressions: new_expressions })
-}
-
-/// Every maximal access path (bare channel or dereference chain) in `expr`.
-fn collect_accesses(expr: &RowExpression, request: &ScanRequest) -> Vec<ColumnPath> {
-    let mut out = Vec::new();
-    collect_accesses_into(expr, request, &mut out);
-    out
-}
-
-fn collect_accesses_into(expr: &RowExpression, request: &ScanRequest, out: &mut Vec<ColumnPath>) {
-    if let Some(path) = deref_chain(expr, request) {
-        out.push(path);
-        return;
+    for e in expressions.iter_mut().map(|(_, e)| e).chain(filter.as_deref_mut()) {
+        *e = rewrite(e);
     }
-    match expr {
-        RowExpression::Call { args, .. } | RowExpression::SpecialForm { args, .. } => {
-            for a in args {
-                // lambda bodies reference lambda parameters, not input
-                // channels — they must never be mistaken for scan accesses
-                if matches!(a, RowExpression::LambdaDefinition { .. }) {
-                    continue;
-                }
-                collect_accesses_into(a, request, out);
-            }
-        }
-        _ => {}
+    request.columns = needed;
+    // a Project of nothing over a scan of nothing (`count(*)`) is the scan
+    if filter.is_none() && expressions.is_empty() {
+        let scan = take(input);
+        *plan = scan;
     }
+    Ok(true)
 }
 
-/// Replace each access path in `expr` with a reference to its new channel.
-fn rewrite_accesses(
-    expr: &RowExpression,
+/// One access over the unpruned scan, rewritten to its pruned channel — or,
+/// when only its whole column is read, to that column's channel with the
+/// dereference re-applied on top.
+fn rewrite_access(
+    access: &RowExpression,
     old_request: &ScanRequest,
     new_columns: &[ColumnPath],
-    table_schema: &presto_common::Schema,
+    table_schema: &Schema,
 ) -> RowExpression {
-    if let Some(path) = deref_chain(expr, old_request) {
-        // exact path match, or fall back to the whole-column channel with
-        // the dereference re-applied on top
-        if let Some(idx) = new_columns.iter().position(|c| *c == path) {
-            let dt = path.resolve_type(table_schema).unwrap_or(DataType::Varchar);
-            return RowExpression::column(path.dotted(), idx, dt);
-        }
-        if let RowExpression::SpecialForm { form, args, return_type } = expr {
-            let new_args: Vec<RowExpression> = args
-                .iter()
-                .map(|a| rewrite_accesses(a, old_request, new_columns, table_schema))
-                .collect();
-            return RowExpression::SpecialForm {
-                form: form.clone(),
-                args: new_args,
-                return_type: return_type.clone(),
-            };
-        }
-        if let RowExpression::VariableReference { name, data_type, .. } = expr {
-            if let Some(idx) =
-                new_columns.iter().position(|c| c.path.is_empty() && c.column == path.column)
-            {
-                return RowExpression::column(name.clone(), idx, data_type.clone());
-            }
-        }
-        return expr.clone();
+    let Some(path) = deref_chain(access, old_request) else {
+        return access.clone();
+    };
+    if let Some(idx) = new_columns.iter().position(|c| *c == path) {
+        let dt = path.resolve_type(table_schema).unwrap_or(DataType::Varchar);
+        return RowExpression::column(path.dotted(), idx, dt);
     }
-    match expr {
-        RowExpression::Call { handle, args } => RowExpression::Call {
-            handle: handle.clone(),
-            args: args
-                .iter()
-                .map(|a| rewrite_accesses(a, old_request, new_columns, table_schema))
-                .collect(),
-        },
+    match access {
         RowExpression::SpecialForm { form, args, return_type } => RowExpression::SpecialForm {
             form: form.clone(),
             args: args
                 .iter()
-                .map(|a| rewrite_accesses(a, old_request, new_columns, table_schema))
+                .map(|a| rewrite_access(a, old_request, new_columns, table_schema))
                 .collect(),
             return_type: return_type.clone(),
         },
-        // lambda bodies are parameter-scoped: leave them untouched
-        lambda @ RowExpression::LambdaDefinition { .. } => lambda.clone(),
+        RowExpression::VariableReference { name, data_type, .. } => {
+            match new_columns.iter().position(|c| c.path.is_empty() && c.column == path.column) {
+                Some(idx) => RowExpression::column(name.clone(), idx, data_type.clone()),
+                None => access.clone(),
+            }
+        }
         other => other.clone(),
     }
 }
@@ -968,81 +921,39 @@ fn rewrite_accesses(
 /// §IV.B: `Aggregate(single)` directly over a scan of a connector that
 /// supports aggregation becomes a pushed-down scan plus a final-over-partial
 /// aggregation (Fig 2's right-hand plan).
-fn push_aggregation(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<LogicalPlan> {
-    let LogicalPlan::Aggregate { input, group_by, aggregates, step: AggregateStep::Single } = plan
-    else {
-        return Ok(plan);
+fn push_aggregation(plan: &mut LogicalPlan, catalogs: &CatalogRegistry) -> Result<bool> {
+    let LogicalPlan::Aggregate { input, group_by, aggregates, step } = plan else {
+        return Ok(false);
     };
-    let rebuild =
-        |input: Box<LogicalPlan>, group_by: Vec<RowExpression>, aggregates: Vec<AggregateExpr>| {
-            LogicalPlan::Aggregate { input, group_by, aggregates, step: AggregateStep::Single }
-        };
+    if *step != AggregateStep::Single {
+        return Ok(false);
+    }
     // See through a pruning Project over the scan (inserted by projection
-    // pushdown): inline its expressions into the aggregate's own.
-    let (input, group_by, aggregates, original) = match *input {
-        LogicalPlan::Project { input: inner, expressions }
-            if matches!(*inner, LogicalPlan::TableScan { .. }) =>
-        {
-            let original = rebuild(
-                Box::new(LogicalPlan::Project {
-                    input: inner.clone(),
-                    expressions: expressions.clone(),
-                }),
-                group_by.clone(),
-                aggregates.clone(),
-            );
-            let inlined_group: Vec<RowExpression> =
-                group_by.iter().map(|g| inline_projection(g, &expressions)).collect();
-            let inlined_aggs: Vec<AggregateExpr> = aggregates
-                .iter()
-                .map(|a| AggregateExpr {
-                    function: a.function,
-                    argument: a.argument.as_ref().map(|arg| inline_projection(arg, &expressions)),
-                    name: a.name.clone(),
-                })
-                .collect();
-            (inner, inlined_group, inlined_aggs, Some(original))
-        }
-        other => (Box::new(other), group_by, aggregates, None),
+    // pushdown): its expressions are inlined into the aggregate's own.
+    let (projection, scan) = match input.as_mut() {
+        LogicalPlan::Project { input, expressions } => (Some(&*expressions), input.as_mut()),
+        scan => (None, scan),
     };
-    // On decline, restore the original (pruned-projection) shape.
-    let rebuild = move |input: Box<LogicalPlan>,
-                        group_by: Vec<RowExpression>,
-                        aggregates: Vec<AggregateExpr>| {
-        match original {
-            Some(orig) => orig,
-            None => {
-                LogicalPlan::Aggregate { input, group_by, aggregates, step: AggregateStep::Single }
-            }
-        }
+    let LogicalPlan::TableScan { catalog, table_schema, request, .. } = scan else {
+        return Ok(false);
     };
-    let LogicalPlan::TableScan { catalog, schema, table, table_schema, request } = *input else {
-        return Ok(rebuild(input, group_by, aggregates));
-    };
-    let connector = catalogs.get(&catalog)?;
-    let eligible = connector.capabilities().aggregation
-        && request.aggregation.is_none()
-        && request.limit.is_none();
-    if !eligible {
-        let scan = LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-        return Ok(rebuild(Box::new(scan), group_by, aggregates));
+    let caps = catalogs.get(catalog)?.capabilities();
+    if !caps.aggregation || request.aggregation.is_some() || request.limit.is_some() {
+        return Ok(false);
     }
 
     // Group keys and aggregate arguments must be plain scan-column accesses,
     // and the functions must have mergeable partials.
-    let mut group_paths = Vec::with_capacity(group_by.len());
-    for g in &group_by {
-        match deref_chain(g, &request) {
-            Some(p) => group_paths.push(p),
-            None => {
-                let scan = LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-                return Ok(rebuild(Box::new(scan), group_by, aggregates));
-            }
-        }
-    }
+    let path_of = |e: &RowExpression| match projection {
+        Some(expressions) => deref_chain(&inline_projection(e, expressions), request),
+        None => deref_chain(e, request),
+    };
+    let Some(group_paths) = group_by.iter().map(path_of).collect::<Option<Vec<_>>>() else {
+        return Ok(false);
+    };
     let mut agg_specs = Vec::with_capacity(aggregates.len());
-    for a in &aggregates {
-        let ok_fn = matches!(
+    for a in aggregates.iter() {
+        let mergeable = matches!(
             a.function,
             AggregateFunction::Count
                 | AggregateFunction::CountStar
@@ -1050,102 +961,56 @@ fn push_aggregation(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<Log
                 | AggregateFunction::Min
                 | AggregateFunction::Max
         );
-        let arg_path = match &a.argument {
-            None => None,
-            Some(arg) => match deref_chain(arg, &request) {
-                Some(p) => Some(p),
-                None => {
-                    let scan =
-                        LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-                    return Ok(rebuild(Box::new(scan), group_by, aggregates));
-                }
-            },
-        };
-        if !ok_fn {
-            let scan = LogicalPlan::TableScan { catalog, schema, table, table_schema, request };
-            return Ok(rebuild(Box::new(scan), group_by, aggregates));
+        let arg_path = a.argument.as_ref().map(path_of);
+        if !mergeable || arg_path == Some(None) {
+            return Ok(false);
         }
-        agg_specs.push((a.function, arg_path));
+        agg_specs.push((a.function, arg_path.flatten()));
     }
 
-    // Build the pushed-down scan; its output is group columns then partials.
-    let new_request = ScanRequest {
-        columns: Vec::new(),
-        aggregation: Some(AggregationPushdown {
-            group_by: group_paths.clone(),
-            aggregates: agg_specs,
-        }),
-        ..request
+    // The scan emits group columns then partials, and a final aggregation
+    // over them stays above (Fig 2's right-hand plan).
+    let groups = group_paths.len();
+    request.columns = Vec::new();
+    request.aggregation =
+        Some(AggregationPushdown { group_by: group_paths, aggregates: agg_specs });
+    let scan_schema = request.output_schema(table_schema)?;
+    let column = |i: usize| {
+        let field = scan_schema.field_at(i);
+        RowExpression::column(field.name.clone(), i, field.data_type.clone())
     };
-    let scan_schema = new_request.output_schema(&table_schema)?;
-    let scan =
-        LogicalPlan::TableScan { catalog, schema, table, table_schema, request: new_request };
-    // Final aggregation over the partial columns.
-    let final_group: Vec<RowExpression> = (0..group_paths.len())
-        .map(|i| {
-            RowExpression::column(
-                scan_schema.field_at(i).name.clone(),
-                i,
-                scan_schema.field_at(i).data_type.clone(),
-            )
-        })
-        .collect();
-    let final_aggs: Vec<AggregateExpr> = aggregates
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let channel = group_paths.len() + i;
-            AggregateExpr {
-                function: a.function,
-                argument: Some(RowExpression::column(
-                    scan_schema.field_at(channel).name.clone(),
-                    channel,
-                    scan_schema.field_at(channel).data_type.clone(),
-                )),
-                name: a.name.clone(),
-            }
-        })
-        .collect();
-    Ok(LogicalPlan::Aggregate {
-        input: Box::new(scan),
-        group_by: final_group,
-        aggregates: final_aggs,
-        step: AggregateStep::FinalOverPartial,
-    })
+    *group_by = (0..groups).map(column).collect();
+    for (i, a) in aggregates.iter_mut().enumerate() {
+        a.argument = Some(column(groups + i));
+    }
+    *step = AggregateStep::FinalOverPartial;
+    let scan = take(scan);
+    **input = scan;
+    Ok(true)
 }
 
 // ------------------------------------------------------------ limit pushdown
 
-fn push_limit(plan: LogicalPlan, catalogs: &CatalogRegistry) -> Result<LogicalPlan> {
+fn push_limit(plan: &mut LogicalPlan, catalogs: &CatalogRegistry) -> Result<bool> {
     let LogicalPlan::Limit { input, count } = plan else {
-        return Ok(plan);
+        return Ok(false);
     };
-    // Descend through row-preserving projects to reach the scan.
-    fn try_push(
-        node: LogicalPlan,
-        count: usize,
-        catalogs: &CatalogRegistry,
-    ) -> Result<LogicalPlan> {
-        match node {
-            LogicalPlan::Project { input, expressions } => {
-                let pushed = try_push(*input, count, catalogs)?;
-                Ok(LogicalPlan::Project { input: Box::new(pushed), expressions })
-            }
-            LogicalPlan::TableScan { catalog, schema, table, table_schema, mut request } => {
-                let connector = catalogs.get(&catalog)?;
-                // A limit hint composes with pushed predicates (connectors
-                // apply predicate first), but not with pushed aggregations.
-                if connector.capabilities().limit && request.aggregation.is_none() {
-                    request.limit = Some(request.limit.map_or(count, |l| l.min(count)));
-                }
-                Ok(LogicalPlan::TableScan { catalog, schema, table, table_schema, request })
-            }
-            other => Ok(other),
-        }
+    // Descend through row-preserving projects to reach the scan; the
+    // engine-side Limit stays: pushdown is a hint, not a guarantee.
+    let mut node = input.as_mut();
+    while let LogicalPlan::Project { input, .. } = node {
+        node = input.as_mut();
     }
-    let pushed = try_push(*input, count, catalogs)?;
-    // the engine-side Limit stays: pushdown is a hint, not a guarantee
-    Ok(LogicalPlan::Limit { input: Box::new(pushed), count })
+    let LogicalPlan::TableScan { catalog, request, .. } = node else {
+        return Ok(false);
+    };
+    // A limit hint composes with pushed predicates (connectors apply
+    // predicate first), but not with pushed aggregations.
+    if !catalogs.get(catalog)?.capabilities().limit || request.aggregation.is_some() {
+        return Ok(false);
+    }
+    request.limit = Some(request.limit.map_or(*count, |l| l.min(*count)));
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use presto_common::{DataType, PrestoError, Result, Schema};
 use presto_connectors::{CatalogRegistry, ColumnPath, ScanRequest};
 use presto_expr::{AggregateFunction, FunctionRegistry, RowExpression, SpecialForm};
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
+use presto_plan::split_equi_keys;
 
 use crate::ast::{BinaryOp, Expr, JoinType, Query, QueryExpr, SelectItem, TableRef};
 
@@ -167,104 +168,38 @@ fn analyze_table_ref(table_ref: &TableRef, ctx: &AnalyzerContext) -> Result<(Log
         TableRef::Join { left, right, kind, on } => {
             let (left_plan, left_scope) = analyze_table_ref(left, ctx)?;
             let (right_plan, right_scope) = analyze_table_ref(right, ctx)?;
-            let mut combined = left_scope.clone();
-            combined.columns.extend(right_scope.columns.clone());
+            let left_width = left_scope.columns.len();
+            let mut combined = left_scope;
+            combined.columns.extend(right_scope.columns);
 
-            match kind {
-                JoinType::Cross => Ok((
-                    LogicalPlan::Join {
-                        left: Box::new(left_plan),
-                        right: Box::new(right_plan),
-                        kind: JoinKind::Inner,
-                        on: vec![],
-                        residual: None,
-                    },
-                    combined,
-                )),
-                JoinType::Inner => {
-                    let condition = on.as_ref().ok_or_else(|| {
-                        PrestoError::Analysis("JOIN requires an ON condition".into())
-                    })?;
+            // Every ON join, INNER or LEFT, is one Join: its equi conjuncts
+            // become hash keys and the rest its residual. Predicate pushdown
+            // routes an INNER residual like WHERE conjuncts (the geospatial
+            // rule finds st_contains in it, Fig 13); a LEFT residual decides
+            // matching, so it stays on the join.
+            let (keys, residual) = match (kind, on) {
+                (JoinType::Cross, _) => (Vec::new(), None),
+                (_, None) => {
+                    return Err(PrestoError::Analysis("JOIN requires an ON condition".into()))
+                }
+                (_, Some(condition)) => {
                     let analyzed = analyze_expr(condition, &combined, ctx)?;
                     require_boolean(&analyzed, "JOIN condition")?;
-                    // INNER JOIN ON cond ≡ cross join + filter; predicate
-                    // pushdown promotes equi conjuncts to hash-join keys and
-                    // the geospatial rule matches st_contains here (Fig 13).
-                    let join = LogicalPlan::Join {
-                        left: Box::new(left_plan),
-                        right: Box::new(right_plan),
-                        kind: JoinKind::Inner,
-                        on: vec![],
-                        residual: None,
-                    };
-                    Ok((
-                        LogicalPlan::Filter { input: Box::new(join), predicate: analyzed },
-                        combined,
-                    ))
+                    let (keys, rest) = split_equi_keys(analyzed.conjuncts(), left_width);
+                    (keys, RowExpression::combine_conjuncts(rest))
                 }
-                JoinType::Left => {
-                    let condition = on.as_ref().ok_or_else(|| {
-                        PrestoError::Analysis("LEFT JOIN requires an ON condition".into())
-                    })?;
-                    let analyzed = analyze_expr(condition, &combined, ctx)?;
-                    require_boolean(&analyzed, "JOIN condition")?;
-                    // ON semantics differ from WHERE for outer joins: keep
-                    // equi conjuncts as keys, the rest as join residual.
-                    let left_width = left_scope.columns.len();
-                    let mut keys = Vec::new();
-                    let mut residual = Vec::new();
-                    for conjunct in analyzed.conjuncts() {
-                        if let RowExpression::Call { handle, args } = &conjunct {
-                            if handle.name == "eq" && args.len() == 2 {
-                                let l_refs = args[0].referenced_columns();
-                                let r_refs = args[1].referenced_columns();
-                                let left_only = |v: &Vec<usize>| {
-                                    !v.is_empty() && v.iter().all(|&c| c < left_width)
-                                };
-                                let right_only = |v: &Vec<usize>| {
-                                    !v.is_empty() && v.iter().all(|&c| c >= left_width)
-                                };
-                                if left_only(&l_refs) && right_only(&r_refs) {
-                                    keys.push((
-                                        args[0].clone(),
-                                        shift(args[1].clone(), left_width),
-                                    ));
-                                    continue;
-                                }
-                                if left_only(&r_refs) && right_only(&l_refs) {
-                                    keys.push((
-                                        args[1].clone(),
-                                        shift(args[0].clone(), left_width),
-                                    ));
-                                    continue;
-                                }
-                            }
-                        }
-                        residual.push(conjunct);
-                    }
-                    Ok((
-                        LogicalPlan::Join {
-                            left: Box::new(left_plan),
-                            right: Box::new(right_plan),
-                            kind: JoinKind::Left,
-                            on: keys,
-                            residual: RowExpression::combine_conjuncts(residual),
-                        },
-                        combined,
-                    ))
-                }
-            }
+            };
+            let kind = if *kind == JoinType::Left { JoinKind::Left } else { JoinKind::Inner };
+            let join = LogicalPlan::Join {
+                left: Box::new(left_plan),
+                right: Box::new(right_plan),
+                kind,
+                on: keys,
+                residual,
+            };
+            Ok((join, combined))
         }
     }
-}
-
-fn shift(expr: RowExpression, left_width: usize) -> RowExpression {
-    expr.rewrite(&|e| match e {
-        RowExpression::VariableReference { name, index, data_type } => {
-            RowExpression::VariableReference { name, index: index - left_width, data_type }
-        }
-        other => other,
-    })
 }
 
 // ------------------------------------------------------------- expressions
@@ -1068,38 +1003,48 @@ mod tests {
         assert_eq!(schema.fields()[1].data_type, DataType::Double);
     }
 
-    #[test]
-    fn join_on_becomes_filter_over_cross_join() {
-        let plan = plan_for("SELECT t.fare FROM trips t JOIN cities c ON base.city_id = c.city_id");
-        fn find_filter_over_join(p: &LogicalPlan) -> bool {
+    /// The first Join in `plan`, with what sits directly above it.
+    fn find_join(plan: &LogicalPlan) -> Option<(&LogicalPlan, Option<&LogicalPlan>)> {
+        fn walk<'a>(
+            p: &'a LogicalPlan,
+            parent: Option<&'a LogicalPlan>,
+        ) -> Option<(&'a LogicalPlan, Option<&'a LogicalPlan>)> {
             match p {
-                LogicalPlan::Filter { input, .. } => {
-                    matches!(input.as_ref(), LogicalPlan::Join { .. })
-                        || find_filter_over_join(input)
-                }
-                _ => p.children().into_iter().any(find_filter_over_join),
+                LogicalPlan::Join { .. } => Some((p, parent)),
+                _ => p.children().into_iter().find_map(|c| walk(c, Some(p))),
             }
         }
-        assert!(find_filter_over_join(&plan));
+        walk(plan, None)
     }
 
     #[test]
-    fn left_join_extracts_keys_and_residual() {
-        let plan = plan_for(
-            "SELECT t.fare FROM trips t LEFT JOIN cities c \
-             ON base.city_id = c.city_id AND c.city_id > 5",
-        );
-        fn find_join(p: &LogicalPlan) -> Option<(&LogicalPlan, usize, bool)> {
-            match p {
-                LogicalPlan::Join { on, residual, kind: JoinKind::Left, .. } => {
-                    Some((p, on.len(), residual.is_some()))
-                }
-                _ => p.children().into_iter().find_map(find_join),
-            }
+    fn inner_and_left_joins_split_keys_and_residual() {
+        for (sql, want_kind) in [
+            ("SELECT t.fare FROM trips t JOIN cities c ON c.city_id > 5 AND base.city_id = c.city_id", JoinKind::Inner),
+            ("SELECT t.fare FROM trips t LEFT JOIN cities c ON base.city_id = c.city_id AND c.city_id > 5", JoinKind::Left),
+        ] {
+            let plan = plan_for(sql);
+            let (join, above) = find_join(&plan).expect("join in plan");
+            let LogicalPlan::Join { kind, on, residual, .. } = join else { unreachable!() };
+            assert_eq!(*kind, want_kind, "{sql}");
+            // the key's right side is over the right input's own channels
+            assert_eq!(on.len(), 1, "{sql}");
+            assert_eq!(on[0].1.referenced_columns(), vec![0], "{sql}");
+            let residual = residual.as_ref().expect("the one-side conjunct stays on the join");
+            assert_eq!(residual.referenced_columns(), vec![3], "{sql}");
+            assert!(!matches!(above, Some(LogicalPlan::Filter { .. })), "{sql}");
         }
-        let (_, keys, has_residual) = find_join(&plan).expect("left join in plan");
-        assert_eq!(keys, 1);
-        assert!(has_residual);
+        // a key may name the right side first; CROSS JOIN has none
+        let plan = plan_for("SELECT t.fare FROM trips t JOIN cities c ON c.city_id = base.city_id");
+        let Some((LogicalPlan::Join { on, residual: None, .. }, _)) = find_join(&plan) else {
+            panic!("expected a residual-free join");
+        };
+        assert_eq!(on[0].0.referenced_columns(), vec![1]);
+        let plan = plan_for("SELECT t.fare FROM trips t CROSS JOIN cities c");
+        let Some((LogicalPlan::Join { on, residual: None, .. }, _)) = find_join(&plan) else {
+            panic!("expected a cross join");
+        };
+        assert!(on.is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() -> presto_common::Result<()> {
     let brute_session = session
         .clone()
         .with_optimizer(OptimizerConfig { geo_rewrite: false, ..OptimizerConfig::default() });
-    println!("optimized plan (rewrite OFF → cross join + st_contains filter):");
+    println!("optimized plan (rewrite OFF → keyless join, st_contains filters every pair):");
     println!("{}", platform.engine.explain(sql, &brute_session)?);
     let start = Instant::now();
     let brute = platform.engine.execute_with_session(sql, &brute_session)?;

@@ -7,7 +7,7 @@ use presto_at_scale::fixtures::{demo_platform, DemoPlatform};
 use presto_common::{Block, Field, Page, Schema, Value};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
-use presto_plan::OptimizerConfig;
+use presto_plan::{LogicalPlan, OptimizerConfig};
 
 fn platform() -> DemoPlatform {
     demo_platform(400)
@@ -67,11 +67,9 @@ fn druid_aggregation_pushdown_matches_engine_aggregation() {
     assert!(pushed.row_count() > 0);
 }
 
-#[test]
-fn optimizer_on_and_off_agree_across_query_battery() {
-    let p = platform();
-    let session = Session::new("hive", "rawdata");
-    let unoptimized = session.clone().with_optimizer(OptimizerConfig {
+/// Every rule off: the analyzer's plan runs as it is.
+fn no_rules() -> OptimizerConfig {
+    OptimizerConfig {
         constant_folding: false,
         topn_fusion: false,
         geo_rewrite: false,
@@ -79,7 +77,14 @@ fn optimizer_on_and_off_agree_across_query_battery() {
         projection_pushdown: false,
         aggregation_pushdown: false,
         limit_pushdown: false,
-    });
+    }
+}
+
+#[test]
+fn optimizer_on_and_off_agree_across_query_battery() {
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let unoptimized = session.clone().with_optimizer(no_rules());
     let battery = [
         "SELECT base.city_id, count(*) FROM trips GROUP BY 1 ORDER BY 1",
         "SELECT base.status, sum(base.fare) FROM trips WHERE datestr = '2017-03-01' GROUP BY 1 ORDER BY 1",
@@ -113,9 +118,40 @@ fn geospatial_rewrite_agrees_with_naive_st_contains() {
     let naive = p.engine.execute_with_session(sql, &naive_session).unwrap();
     assert_eq!(rewritten.rows(), naive.rows());
     assert!(rewritten.row_count() > 0, "some trips must land in geofences");
-    // and the rewrite actually fired
+    // and the rewrite actually fired, with the WHERE pushed below it into
+    // the trips scan: no filter is left above the QuadTree join
     let plan = p.engine.explain(sql, &session).unwrap();
     assert!(plan.contains("GeoJoin"), "{plan}");
+    assert!(plan.contains("TableScan[hive.rawdata.trips: predicate ×1"), "{plan}");
+    assert!(!plan.contains("Filter"), "{plan}");
+
+    // an ON st_contains with no WHERE is found in the join's residual
+    let no_where = "SELECT c.city_id, count(*) FROM hive.rawdata.trips t \
+                    JOIN mysql.ops.cities c \
+                    ON st_contains(c.geo_shape, st_point(t.base.dest_lng, t.base.dest_lat)) \
+                    GROUP BY 1 ORDER BY 1";
+    let plan = p.engine.explain(no_where, &session).unwrap();
+    assert!(plan.contains("GeoJoin"), "{plan}");
+    assert_eq!(
+        p.engine.execute_with_session(no_where, &session).unwrap().rows(),
+        p.engine.execute_with_session(no_where, &naive_session).unwrap().rows()
+    );
+}
+
+#[test]
+fn a_join_side_pruned_to_more_accesses_than_columns_keeps_the_other_side_in_place() {
+    // trips is two columns wide, and three of its nested leaves are read
+    // through the join; cities is read whole, so only the trips side is
+    // re-projected and every cities reference moves by one channel, no more
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let sql = "SELECT t.base.fare, t.base.status, c.city_id, c.geo_shape \
+               FROM hive.rawdata.trips t JOIN mysql.ops.cities c ON t.base.city_id = c.city_id \
+               WHERE t.datestr = '2017-03-01' ORDER BY 1, 2, 3";
+    let pruned = p.engine.execute_with_session(sql, &session).unwrap();
+    let unpruned = p.engine.execute_with_session(sql, &session.with_optimizer(no_rules())).unwrap();
+    assert_eq!(pruned.rows(), unpruned.rows());
+    assert_eq!(pruned.row_count(), 400);
 }
 
 #[test]
@@ -222,9 +258,10 @@ fn memory_engine(tables: Vec<(&str, Vec<(&str, Block)>)>) -> (PrestoEngine, Sess
 
 #[test]
 fn equi_join_across_numeric_widths_matches_the_eq_filter() {
-    // The hash join must call equal what `=` calls equal: with predicate
-    // pushdown off the same query is a cross join filtered by `eq`, which
-    // compares INTEGER, BIGINT and DOUBLE numerically.
+    // The hash join must call equal what `=` calls equal. The reference is
+    // the same condition as a WHERE over a cross join with predicate
+    // pushdown off: a nested loop filtered by `eq`, which compares INTEGER,
+    // BIGINT and DOUBLE numerically.
     let nan = f64::NAN;
     let (engine, pushed) = memory_engine(vec![
         (
@@ -237,17 +274,123 @@ fn equi_join_across_numeric_widths_matches_the_eq_filter() {
         predicate_pushdown: false,
         ..OptimizerConfig::default()
     });
-    for (sql, expected) in [
-        ("SELECT count(*) FROM a JOIN b ON a.i = b.k", 2), // INTEGER × BIGINT: 1, 2
-        ("SELECT count(*) FROM a JOIN b ON a.d = b.k", 1), // DOUBLE × BIGINT: 1.0 = 1
-        ("SELECT count(*) FROM a JOIN b ON a.d = b.z", 1), // -0.0 = 0.0; NaN = nothing
-        ("SELECT count(*) FROM a JOIN b ON a.i = b.k AND a.d = b.k", 1),
-        ("SELECT count(*) FROM a LEFT JOIN b ON a.d = b.z", 3),
+    for (condition, expected) in [
+        ("a.i = b.k", 2), // INTEGER × BIGINT: 1, 2
+        ("a.d = b.k", 1), // DOUBLE × BIGINT: 1.0 = 1
+        ("a.d = b.z", 1), // -0.0 = 0.0; NaN = nothing
+        ("a.i = b.k AND a.d = b.k", 1),
+        // a one-side conjunct in ON and no WHERE: pushed below the join, or
+        // left on it as a residual when pushdown is off
+        ("a.i = b.k AND b.z > 0.0", 1),
     ] {
-        for session in [&pushed, &unpushed] {
+        let reference = format!("SELECT count(*) FROM a CROSS JOIN b WHERE {condition}");
+        let join = format!("SELECT count(*) FROM a JOIN b ON {condition}");
+        for (sql, session) in [(&reference, &unpushed), (&join, &pushed), (&join, &unpushed)] {
             let result = engine.execute_with_session(sql, session).unwrap();
             assert_eq!(result.rows(), vec![vec![Value::Bigint(expected)]], "{sql}");
         }
+    }
+    let sql = "SELECT count(*) FROM a LEFT JOIN b ON a.d = b.z";
+    for session in [&pushed, &unpushed] {
+        let result = engine.execute_with_session(sql, session).unwrap();
+        assert_eq!(result.rows(), vec![vec![Value::Bigint(3)]], "{sql}");
+    }
+}
+
+#[test]
+fn an_on_join_plans_as_one_hash_join_with_every_rule_off() {
+    let (engine, session) = memory_engine(vec![
+        ("a", vec![("x", Block::bigint(vec![1, 2, 3]))]),
+        ("b", vec![("y", Block::bigint(vec![2, 3, 4]))]),
+    ]);
+    let off = session.with_optimizer(no_rules());
+    let sql = "SELECT count(*) FROM a JOIN b ON a.x = b.y";
+    let plan = engine.explain(sql, &off).unwrap();
+    assert!(plan.contains("InnerJoin[keys=1]"), "{plan}");
+    assert!(!plan.contains("Filter"), "{plan}");
+    assert_eq!(
+        engine.execute_with_session(sql, &off).unwrap().rows(),
+        vec![vec![Value::Bigint(2)]]
+    );
+}
+
+#[test]
+fn joins_of_inputs_sharing_a_column_name_plan_and_run() {
+    // every table names its columns `k` and `v`: the joined schema suffixes
+    // `_r` until a name is free (k, v, k_r, v_r, k_r_r, ...), at any depth
+    let tables = ["a", "b", "c", "d"];
+    let (engine, session) = memory_engine(
+        tables
+            .iter()
+            .map(|&t| {
+                (t, vec![("k", Block::bigint(vec![1, 2, 3])), ("v", Block::bigint(vec![1, 2, 4]))])
+            })
+            .collect(),
+    );
+    let off = session.clone().with_optimizer(no_rules());
+    for n in [3, 4] {
+        let mut sql = format!("SELECT count(*), sum(a.v + {}.v) FROM a", tables[n - 1]);
+        for pair in tables[..n].windows(2) {
+            sql += &format!(" JOIN {1} ON {0}.k = {1}.k", pair[0], pair[1]);
+        }
+        for s in [&session, &off] {
+            let result = engine.execute_with_session(&sql, s).unwrap();
+            assert_eq!(result.rows(), vec![vec![Value::Bigint(3), Value::Bigint(14)]], "{sql}");
+        }
+    }
+}
+
+#[test]
+fn projection_pushdown_prunes_every_scan_of_a_long_join_chain() {
+    // t<i>(k<i>, v<i>, pad<i>) joined left-deep on the keys under
+    // `SELECT t1.v1`: t1 reads k1 and v1, every other table its key alone,
+    // however deep the chain
+    let columns: Vec<[String; 3]> =
+        (1..=7).map(|i| [format!("k{i}"), format!("v{i}"), format!("pad{i}")]).collect();
+    let names: Vec<String> = (1..=7).map(|i| format!("t{i}")).collect();
+    let (engine, session) = memory_engine(
+        names
+            .iter()
+            .zip(&columns)
+            .map(|(t, [k, v, pad])| {
+                (
+                    t.as_str(),
+                    vec![
+                        (k.as_str(), Block::bigint(vec![1, 2, 3])),
+                        (v.as_str(), Block::bigint(vec![10, 20, 30])),
+                        (pad.as_str(), Block::bigint(vec![0, 0, 0])),
+                    ],
+                )
+            })
+            .collect(),
+    );
+    fn scans(plan: &LogicalPlan, out: &mut Vec<(String, Vec<String>)>) {
+        if let LogicalPlan::TableScan { table, request, .. } = plan {
+            let mut read: Vec<String> = request.columns.iter().map(|c| c.dotted()).collect();
+            read.sort();
+            out.push((table.clone(), read));
+        }
+        for child in plan.children() {
+            scans(child, out);
+        }
+    }
+    let off = session.clone().with_optimizer(no_rules());
+    for n in [6, 7] {
+        let mut sql = "SELECT t1.v1 FROM t1".to_string();
+        for i in 2..=n {
+            sql += &format!(" JOIN t{i} ON t{0}.k{0} = t{i}.k{i}", i - 1);
+        }
+        let mut read = Vec::new();
+        scans(&engine.plan(&sql, &session).unwrap(), &mut read);
+        read.sort();
+        let mut want: Vec<(String, Vec<String>)> =
+            (2..=n).map(|i| (format!("t{i}"), vec![format!("k{i}")])).collect();
+        want.push(("t1".into(), vec!["k1".into(), "v1".into()]));
+        want.sort();
+        assert_eq!(read, want, "{sql}");
+        let rows = engine.execute_with_session(&sql, &session).unwrap().rows();
+        assert_eq!(rows, engine.execute_with_session(&sql, &off).unwrap().rows(), "{sql}");
+        assert_eq!(rows.len(), 3, "{sql}");
     }
 }
 
