@@ -111,14 +111,15 @@ fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     loop {
         let byte = *data.get(*pos).ok_or_else(|| PrestoError::Format("truncated varint".into()))?;
         *pos += 1;
+        // the 10th byte holds bit 63 alone: anything more is past 64 bits
+        if shift == 63 && byte > 1 {
+            return Err(PrestoError::Format("varint overflows 64 bits".into()));
+        }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
         shift += 7;
-        if shift > 63 {
-            return Err(PrestoError::Format("varint too long".into()));
-        }
     }
 }
 
@@ -300,45 +301,87 @@ fn emit_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
     }
 }
 
+/// The most bytes one token yields: a match of the longest length.
+const LONGEST_TOKEN: usize = MAX_RUN - 1 + MIN_MATCH;
+/// Bytes the decoder allocates past a page's length, so that a short literal
+/// and the last block of a match are copied as whole fixed-width blocks.
+const SLACK: usize = 16;
+
+/// Decode into one buffer allocated at the page's length (plus [`SLACK`]).
+/// A literal of at most 16 bytes is copied as one 16-byte block, and a match
+/// that does not overlap itself in 16-byte blocks; what a block writes past
+/// its token lands in the slack or under the next token, and the buffer is
+/// cut to the page's length at the end.
 fn lz_decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut pos = 0;
-    let total = read_varint(data, &mut pos)? as usize;
-    // untrusted length: cap the reservation; growth is validated by the
-    // token stream itself
-    let mut out = Vec::with_capacity(total.min(1 << 20));
-    while out.len() < total {
+    let total = read_varint(data, &mut pos)?;
+    // every token takes at least two bytes of the stream and yields at most
+    // `LONGEST_TOKEN`: a longer claim is corrupt before anything is allocated
+    let total = usize::try_from(total)
+        .ok()
+        .filter(|&total| total <= (data.len() - pos) / 2 * LONGEST_TOKEN)
+        .ok_or_else(|| PrestoError::Format("LZ length exceeds what its stream holds".into()))?;
+    let overshoot = || PrestoError::Format("LZ stream length mismatch".into());
+    let mut out = vec![0u8; total + SLACK];
+    let mut len = 0;
+    while len < total {
         let tag =
             *data.get(pos).ok_or_else(|| PrestoError::Format("truncated LZ stream".into()))?;
         pos += 1;
         if tag & 1 == 0 {
             let n = (tag >> 1) as usize + 1;
-            let lits = data
-                .get(pos..pos + n)
-                .ok_or_else(|| PrestoError::Format("truncated literal run".into()))?;
-            out.extend_from_slice(lits);
+            if n > total - len {
+                return Err(overshoot());
+            }
+            if n <= 16 && pos + 16 <= data.len() {
+                out[len..len + 16].copy_from_slice(&data[pos..pos + 16]);
+            } else {
+                let lits = data
+                    .get(pos..pos + n)
+                    .ok_or_else(|| PrestoError::Format("truncated literal run".into()))?;
+                out[len..len + n].copy_from_slice(lits);
+            }
             pos += n;
+            len += n;
         } else {
-            let len = (tag >> 1) as usize + MIN_MATCH;
-            let dist = read_varint(data, &mut pos)? as usize;
-            if dist == 0 || dist > out.len() {
+            let n = (tag >> 1) as usize + MIN_MATCH;
+            let dist = match data.get(pos) {
+                Some(&byte) if byte < 0x80 => {
+                    pos += 1;
+                    usize::from(byte)
+                }
+                _ => read_varint(data, &mut pos)? as usize,
+            };
+            if dist == 0 || dist > len {
                 return Err(PrestoError::Format("invalid match distance".into()));
             }
-            // A match shorter than its distance is one copy. A longer one
-            // overlaps its own output: from `start` on the output repeats
-            // with period `dist`, so each pass copies all of it there is so
-            // far, doubling the stretch the next pass can copy.
-            let start = out.len() - dist;
-            let mut left = len;
-            while left > 0 {
-                let n = left.min(out.len() - start);
-                out.extend_from_within(start..start + n);
-                left -= n;
+            if n > total - len {
+                return Err(overshoot());
             }
+            let start = len - dist;
+            if n <= dist {
+                // every byte a block is there to copy lies before `len`,
+                // final before this match began, whatever else it loads
+                for i in (0..n).step_by(16) {
+                    out.copy_within(start + i..start + i + 16, len + i);
+                }
+            } else {
+                // A match that overlaps itself: from `start` on the output
+                // repeats with period `dist`, so each pass copies all of it
+                // there is so far, doubling the next pass's stretch. (Blocks
+                // here would each load across the last two stores, which the
+                // CPU cannot forward.)
+                let (mut at, end) = (len, len + n);
+                while at < end {
+                    let run = (end - at).min(at - start);
+                    out.copy_within(start..start + run, at);
+                    at += run;
+                }
+            }
+            len += n;
         }
     }
-    if out.len() != total {
-        return Err(PrestoError::Format("LZ stream length mismatch".into()));
-    }
+    out.truncate(total);
     Ok(out)
 }
 
@@ -378,7 +421,24 @@ mod tests {
                 }
             }
         }
+        if out.len() != total {
+            return Err(PrestoError::Format("overshoot".into()));
+        }
         Ok(out)
+    }
+
+    /// `lz_decompress` errs exactly when the reference does, always with
+    /// `Format`, and returns the reference's bytes otherwise. True when the
+    /// stream decoded.
+    fn agrees_with_bytewise(stream: &[u8], what: &dyn Fn() -> String) -> bool {
+        match (decompress_bytewise(stream), lz_decompress(stream)) {
+            (Ok(want), Ok(got)) => {
+                assert!(got == want, "{}: bytes differ", what());
+                true
+            }
+            (Err(_), Err(PrestoError::Format(_))) => false,
+            (want, got) => panic!("{}: reference {want:?}, decoder {got:?}", what()),
+        }
     }
 
     /// A match token of `len` bytes (`MIN_MATCH..=MAX_RUN - 1 + MIN_MATCH`)
@@ -393,11 +453,10 @@ mod tests {
     /// its own output, from hand-built streams and from the compressors.
     #[test]
     fn matches_of_every_period_and_length_decode_as_bytewise_copies() {
-        const LONGEST: usize = MAX_RUN - 1 + MIN_MATCH;
-        assert_eq!(LONGEST, 131);
+        assert_eq!(LONGEST_TOKEN, 131);
         for period in 1..=16usize {
             let seed: Vec<u8> = (0..period).map(|i| (i * 37 + period) as u8).collect();
-            for len in MIN_MATCH..=LONGEST {
+            for len in MIN_MATCH..=LONGEST_TOKEN {
                 // the seed, then one match `period` back (overlapping
                 // whenever len > period), then one from before the seed's
                 // repeat at a distance ≥ len (never overlapping)
@@ -448,11 +507,219 @@ mod tests {
         emit_literals(&mut long, b"ab");
         push_match(&mut long, 40, 2);
         assert!(format(&long));
-        // a length past any real page reserves no more than the cap
+        // a length past what the stream's tokens could yield is rejected
+        // before anything is allocated ...
         let mut huge = Vec::new();
         write_varint(&mut huge, u64::MAX >> 1);
         emit_literals(&mut huge, b"abc");
         assert!(format(&huge));
+        // ... but the densest stream there is, two-byte tokens of the
+        // longest match, decodes
+        let mut dense = Vec::new();
+        write_varint(&mut dense, 1 + 64 * LONGEST_TOKEN as u64);
+        emit_literals(&mut dense, b"a");
+        for _ in 0..64 {
+            push_match(&mut dense, LONGEST_TOKEN, 1);
+        }
+        assert_eq!(lz_decompress(&dense).unwrap(), vec![b'a'; 1 + 64 * LONGEST_TOKEN]);
+    }
+
+    /// A varint reaches 64 bits and no further: its 10th byte may hold bit
+    /// 63 and nothing else.
+    #[test]
+    fn varints_past_64_bits_are_format_errors() {
+        let ten = |last: u8| [[0xff; 9].as_slice(), &[last]].concat();
+        let mut max = Vec::new();
+        write_varint(&mut max, u64::MAX);
+        assert_eq!(max, ten(0x01));
+        assert_eq!(read_varint(&max, &mut 0).unwrap(), u64::MAX);
+        for last in [0x02, 0x7f, 0x81] {
+            let err = read_varint(&ten(last), &mut 0).unwrap_err();
+            assert!(matches!(err, PrestoError::Format(_)), "10th byte {last:#x}: {err}");
+            // ... as a page length, and as a match distance
+            let mut length = ten(last);
+            emit_literals(&mut length, b"abcd");
+            assert!(matches!(lz_decompress(&length), Err(PrestoError::Format(_))));
+            let mut distance = vec![8];
+            emit_literals(&mut distance, b"abcd");
+            distance.push(1);
+            distance.extend_from_slice(&ten(last));
+            assert!(matches!(lz_decompress(&distance), Err(PrestoError::Format(_))));
+        }
+    }
+
+    /// Every literal length, and matches of every length at distances on
+    /// both sides of the 16-byte block width (so each overlapping itself and
+    /// not), each ending 0–31 bytes
+    /// before the end of the output (a literal follows) and of the input
+    /// (bytes past the page's end follow): where the block copies reach into
+    /// the slack, and where the stream has fewer than 16 bytes left.
+    #[test]
+    fn tokens_ending_at_every_slack_edge_decode_as_bytewise() {
+        let bytes: Vec<u8> =
+            (0..200u32).map(|i| (i.wrapping_mul(0x9E37_79B1) >> 13) as u8).collect();
+        let (seed, fill) = bytes.split_at(40);
+        let mut lasts: Vec<(usize, Vec<u8>)> = (1..=MAX_RUN)
+            .map(|n| {
+                let mut token = Vec::new();
+                emit_literals(&mut token, &fill[..n]);
+                (n, token)
+            })
+            .collect();
+        for dist in [1, 3, 7, 8, 9, 15, 16, 17, 40] {
+            for len in MIN_MATCH..=LONGEST_TOKEN {
+                let mut token = Vec::new();
+                push_match(&mut token, len, dist);
+                lasts.push((len, token));
+            }
+        }
+        for (len, last) in &lasts {
+            for edge in 0..32 {
+                for (tail, past_end) in [(edge, 0), (0, edge)] {
+                    let mut stream = Vec::new();
+                    write_varint(&mut stream, (seed.len() + len + tail) as u64);
+                    emit_literals(&mut stream, seed);
+                    stream.extend_from_slice(last);
+                    emit_literals(&mut stream, &fill[..tail]);
+                    stream.extend_from_slice(&fill[..past_end]);
+                    let what = || format!("{last:?} then {tail} bytes, {past_end} past the end");
+                    assert!(agrees_with_bytewise(&stream, &what), "{}", what());
+                }
+            }
+        }
+    }
+
+    /// A file of the lake's trips shape in 16 row groups of `group_rows`:
+    /// high-entropy uuids, ids, durations, timestamps and map values beside
+    /// dictionary-encoded columns, flat and nested.
+    fn trips_shaped_file(codec: Codec, group_rows: usize) -> Vec<u8> {
+        use crate::writer::{FileWriter, WriterMode, WriterProperties};
+        use presto_common::{Block, DataType, Field, Page, Schema};
+        let rows = 16 * group_rows;
+        let strings =
+            |f: &dyn Fn(usize) -> String| Block::varchar(&(0..rows).map(f).collect::<Vec<_>>());
+        let bigints = |f: &dyn Fn(usize) -> i64| Block::bigint((0..rows).map(f).collect());
+        let schema = Schema::new(vec![
+            Field::new("driver_uuid", DataType::Varchar),
+            Field::new("client_uuid", DataType::Varchar),
+            Field::new("city_id", DataType::Bigint),
+            Field::new("vehicle_id", DataType::Bigint),
+            Field::new("status", DataType::Varchar),
+            Field::new("fare", DataType::Double),
+            Field::new("duration_s", DataType::Bigint),
+            Field::new("request_ts", DataType::Timestamp),
+            Field::new("tags", DataType::array(DataType::Varchar)),
+            Field::new("features", DataType::map(DataType::Varchar, DataType::Double)),
+        ])
+        .unwrap();
+        let page = Page::new(vec![
+            strings(&|i| format!("driver-{:06}", i % 5000)),
+            strings(&|i| format!("client-{:06}", i % 20_000)),
+            bigints(&|i| (i * 48 / rows) as i64),
+            bigints(&|i| (i % 3000) as i64),
+            strings(&|i| ["completed", "canceled", "arrived"][i % 3].to_string()),
+            Block::double((0..rows).map(|i| 5.0 + (i % 80) as f64 * 0.5).collect()),
+            bigints(&|i| 300 + (i % 3600) as i64),
+            Block::Timestamp { values: (0..rows).map(|i| i as i64 * 1000).collect(), nulls: None },
+            Block::Array {
+                element_type: DataType::Varchar,
+                offsets: (0..=rows as u32).collect(),
+                elements: Box::new(strings(&|i| format!("tag{}", i % 3))),
+                nulls: None,
+            },
+            Block::Map {
+                key_type: DataType::Varchar,
+                value_type: DataType::Double,
+                offsets: (0..=rows as u32).map(|i| i * 2).collect(),
+                keys: Box::new(Block::varchar(&["eta_error", "route_score"].repeat(rows))),
+                values: Box::new(Block::double(
+                    (0..rows).flat_map(|i| [(i % 9) as f64, (i % 17) as f64]).collect(),
+                )),
+                nulls: None,
+            },
+        ])
+        .unwrap();
+        let properties =
+            WriterProperties { codec, row_group_rows: group_rows, ..Default::default() };
+        let mut writer = FileWriter::new(schema, properties, WriterMode::Native).unwrap();
+        writer.write_page(&page).unwrap();
+        writer.finish().unwrap()
+    }
+
+    /// Each compressed page (data and dictionary) of every leaf chunk.
+    fn pages_of(file: &[u8]) -> Vec<(String, Vec<u8>)> {
+        let source = crate::reader::BytesSource::new(file.to_vec());
+        let meta = crate::reader::read_metadata(&source).unwrap();
+        assert_eq!(meta.row_groups.len(), 16);
+        let mut pages = Vec::new();
+        for (group, row_group) in meta.row_groups.iter().enumerate() {
+            for chunk in &row_group.columns {
+                for (offset, len) in
+                    [Some(chunk.data_page), chunk.dictionary_page].into_iter().flatten()
+                {
+                    let what = format!("group {group}, leaf {}, at {offset}", chunk.leaf_index);
+                    pages.push((what, file[offset as usize..(offset + len) as usize].to_vec()));
+                }
+            }
+        }
+        pages
+    }
+
+    fn trips_pages_decode_as_bytewise(group_rows: usize) {
+        for codec in [Codec::Fast, Codec::Deep] {
+            for (what, page) in pages_of(&trips_shaped_file(codec, group_rows)) {
+                let what = || format!("{codec:?}, {what}");
+                assert!(agrees_with_bytewise(&page, &what), "{}", what());
+            }
+        }
+    }
+
+    #[test]
+    fn every_page_of_a_trips_shaped_file_decodes_as_bytewise() {
+        trips_pages_decode_as_bytewise(256);
+    }
+
+    #[test]
+    #[ignore = "release soak: `cargo test --release -p presto-parquet -- --ignored`"]
+    fn every_page_of_a_full_size_trips_shaped_file_decodes_as_bytewise() {
+        trips_pages_decode_as_bytewise(3750);
+    }
+
+    /// `page` cut at every byte, and with every byte flipped three ways.
+    fn damaged_pages_fail_where_bytewise_does(page: &[u8]) {
+        for cut in 0..page.len() {
+            agrees_with_bytewise(&page[..cut], &|| format!("cut at {cut}"));
+        }
+        let mut flipped = page.to_vec();
+        for at in 0..page.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[at] ^= mask;
+                agrees_with_bytewise(&flipped, &|| format!("byte {at} ^ {mask:#x}"));
+                flipped[at] ^= mask;
+            }
+        }
+    }
+
+    /// The first uuid page of a trips-shaped file: literals and matches of
+    /// every kind, one-byte and two-byte distances.
+    fn uuid_page(codec: Codec, group_rows: usize) -> Vec<u8> {
+        let file = trips_shaped_file(codec, group_rows);
+        pages_of(&file).swap_remove(0).1
+    }
+
+    #[test]
+    fn damaged_small_pages_fail_where_bytewise_does() {
+        for codec in [Codec::Fast, Codec::Deep] {
+            damaged_pages_fail_where_bytewise_does(&uuid_page(codec, 48));
+        }
+    }
+
+    #[test]
+    #[ignore = "release soak: `cargo test --release -p presto-parquet -- --ignored`"]
+    fn damaged_full_size_pages_fail_where_bytewise_does() {
+        for codec in [Codec::Fast, Codec::Deep] {
+            damaged_pages_fail_where_bytewise_does(&uuid_page(codec, 3750));
+        }
     }
 
     #[test]

@@ -175,20 +175,27 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// The bytes not read yet, without consuming them ([`ByteReader::raw`]
+    /// consumes what a caller takes of them).
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Read LEB128 varint.
     pub fn varint(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
         let mut shift = 0;
         loop {
             let byte = self.u8()?;
+            // the 10th byte holds bit 63 alone: anything more is past 64 bits
+            if shift == 63 && byte > 1 {
+                return Err(PrestoError::Format("varint overflows 64 bits".into()));
+            }
             v |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
                 return Ok(v);
             }
             shift += 7;
-            if shift > 63 {
-                return Err(PrestoError::Format("varint too long".into()));
-            }
         }
     }
 
@@ -276,6 +283,32 @@ fn rle_group(reader: &mut ByteReader<'_>, left: usize) -> Result<(usize, bool)> 
     Ok((count, header & 1 == 1))
 }
 
+/// Append a literal group of `count` values to `out`. The values at most
+/// `one_byte_max` (≤ `0x7f`) that lead the group are one-byte varints, taken
+/// as one slice; `value` reads the varint that ends such a stretch, and
+/// rejects it if it is out of range.
+fn rle_literals<T: From<u8>>(
+    reader: &mut ByteReader<'_>,
+    count: usize,
+    one_byte_max: u8,
+    out: &mut Vec<T>,
+    value: impl Fn(&mut ByteReader<'_>) -> Result<T>,
+) -> Result<()> {
+    let mut left = count;
+    while left > 0 {
+        let rest = reader.rest();
+        let window = &rest[..left.min(rest.len())];
+        let ones = window.iter().position(|&b| b > one_byte_max).unwrap_or(window.len());
+        out.extend(reader.raw(ones)?.iter().map(|&b| T::from(b)));
+        left -= ones;
+        if left > 0 {
+            out.push(value(reader)?);
+            left -= 1;
+        }
+    }
+    Ok(())
+}
+
 /// Decode an [`rle_encode`]d stream.
 pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
     let total = reader.varint()? as usize;
@@ -295,9 +328,7 @@ pub fn rle_decode(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
             let v = value(reader)?;
             out.resize(out.len() + count, v);
         } else {
-            for _ in 0..count {
-                out.push(value(reader)?);
-            }
+            rle_literals(reader, count, 0x7f, &mut out, value)?;
         }
     }
     Ok(out)
@@ -335,15 +366,15 @@ pub fn rle_decode_levels(
     // `total` is the footer's count confirmed by the page, still untrusted:
     // cap the reservation, the vec grows only as groups really arrive
     let mut out: Vec<u16> = Vec::with_capacity(total.min(1 << 16));
+    // a one-byte varint is a level as long as the leaf allows it
+    let one_byte_max = max_level.min(0x7f) as u8;
     loop {
         let (count, is_run) = group;
         if is_run {
             let v = level(reader)?;
             out.resize(out.len() + count, v);
         } else {
-            for _ in 0..count {
-                out.push(level(reader)?);
-            }
+            rle_literals(reader, count, one_byte_max, &mut out, level)?;
         }
         if out.len() == total {
             break;
@@ -356,6 +387,9 @@ pub fn rle_decode_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::read_leaf_values;
+    use crate::schema::PhysicalType;
+    use crate::shred::LeafValues;
 
     #[test]
     fn scalar_round_trips() {
@@ -441,5 +475,215 @@ mod tests {
         rle_encode(&[u32::MAX; 5], &mut w);
         let data = w.into_bytes();
         assert_eq!(rle_decode(&mut ByteReader::new(&data)).unwrap(), vec![u32::MAX; 5]);
+    }
+
+    /// A varint reaches 64 bits and no further: its 10th byte may hold bit
+    /// 63 and nothing else.
+    #[test]
+    fn varints_past_64_bits_are_format_errors() {
+        let ten = |last: u8| [[0xff; 9].as_slice(), &[last]].concat();
+        let mut w = ByteWriter::new();
+        w.varint(u64::MAX);
+        assert_eq!(w.as_bytes(), ten(0x01));
+        assert_eq!(ByteReader::new(&ten(0x01)).varint().unwrap(), u64::MAX);
+        for last in [0x02, 0x7f, 0x81] {
+            let err = ByteReader::new(&ten(last)).varint().unwrap_err();
+            assert!(matches!(err, PrestoError::Format(_)), "10th byte {last:#x}: {err}");
+        }
+    }
+
+    /// [`rle_decode`] a value at a time: the reference its literal-group
+    /// fast path is held to.
+    fn rle_decode_bytewise(reader: &mut ByteReader<'_>) -> Result<Vec<u32>> {
+        let total = reader.varint()? as usize;
+        let value = |reader: &mut ByteReader<'_>| -> Result<u32> {
+            let v = reader.varint()?;
+            u32::try_from(v).map_err(|_| PrestoError::Format("past 32 bits".into()))
+        };
+        let mut out = Vec::new();
+        while out.len() < total {
+            let (count, is_run) = rle_group(reader, total - out.len())?;
+            if is_run {
+                let v = value(reader)?;
+                out.resize(out.len() + count, v);
+            } else {
+                for _ in 0..count {
+                    out.push(value(reader)?);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`rle_decode_levels`] a level at a time, expanded.
+    fn rle_decode_levels_bytewise(
+        reader: &mut ByteReader<'_>,
+        expected: usize,
+        max_level: u16,
+    ) -> Result<Vec<u16>> {
+        if reader.varint()? != expected as u64 {
+            return Err(PrestoError::Format("count".into()));
+        }
+        let level = |reader: &mut ByteReader<'_>| -> Result<u16> {
+            let v = reader.varint()?;
+            match u16::try_from(v) {
+                Ok(v) if v <= max_level => Ok(v),
+                _ => Err(PrestoError::Format("above max".into())),
+            }
+        };
+        let mut out = Vec::new();
+        while out.len() < expected {
+            let (count, is_run) = rle_group(reader, expected - out.len())?;
+            if is_run {
+                let v = level(reader)?;
+                out.resize(out.len() + count, v);
+            } else {
+                for _ in 0..count {
+                    out.push(level(reader)?);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// `v` as a varint of exactly `width` bytes: continuation bytes pad a
+    /// value that needs fewer, as a decoder must accept.
+    fn varint_of_width(v: u64, width: usize) -> Vec<u8> {
+        assert!(v >> (7 * width) == 0, "{v} needs more than {width} bytes");
+        let mut out: Vec<u8> = (0..width).map(|i| (v >> (7 * i)) as u8 | 0x80).collect();
+        out[width - 1] &= 0x7f;
+        out
+    }
+
+    /// 1- to 5-byte varints of values from `values`, each paired with its
+    /// width.
+    fn wide_values(values: &[u64]) -> Vec<(u64, usize)> {
+        let mut wide = Vec::new();
+        for &v in values {
+            let needs = (1..=9).find(|&w| v >> (7 * w) == 0).unwrap_or(10);
+            wide.extend((needs..=5).map(|w| (v, w)));
+        }
+        wide
+    }
+
+    /// RLE streams of a run, a literal group of 1–9 values, and a run, where
+    /// the group holds `wide` at one position, at each in turn, and at all
+    /// of them; every other value is the one-byte `fill(i)`.
+    fn literal_groups_holding(wide: &[u8], fill: &dyn Fn(usize) -> u64) -> Vec<(usize, Vec<u8>)> {
+        let mut streams = Vec::new();
+        for group in 1..=9usize {
+            for at in 0..=group {
+                let mut w = ByteWriter::new();
+                w.varint(4 + group as u64 + 5);
+                w.varint((4 << 1) | 1);
+                w.varint(fill(0));
+                w.varint((group as u64) << 1);
+                for i in 0..group {
+                    if i == at || at == group {
+                        w.raw(wide);
+                    } else {
+                        w.varint(fill(i));
+                    }
+                }
+                w.varint((5 << 1) | 1);
+                w.varint(fill(1));
+                streams.push((4 + group + 5, w.into_bytes()));
+            }
+        }
+        streams
+    }
+
+    /// `fast` and `reference` over `stream` cut at every byte: both fail,
+    /// `fast` with `Format`, or both return the same values having read the
+    /// same bytes. True when the whole stream decoded.
+    fn agree_at_every_cut<T: PartialEq + std::fmt::Debug>(
+        stream: &[u8],
+        fast: &dyn Fn(&mut ByteReader<'_>) -> Result<T>,
+        reference: &dyn Fn(&mut ByteReader<'_>) -> Result<T>,
+    ) -> bool {
+        let mut whole = false;
+        for cut in 0..=stream.len() {
+            let (mut f, mut r) = (ByteReader::new(&stream[..cut]), ByteReader::new(&stream[..cut]));
+            match (reference(&mut r), fast(&mut f)) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(got, want, "{stream:?} cut at {cut}");
+                    assert_eq!(f.position(), r.position(), "{stream:?} cut at {cut}");
+                    whole = cut == stream.len();
+                }
+                (Err(_), Err(PrestoError::Format(_))) => {}
+                (want, got) => panic!("{stream:?} cut at {cut}: reference {want:?}, fast {got:?}"),
+            }
+        }
+        whole
+    }
+
+    #[test]
+    fn rle_literal_groups_decode_as_value_at_a_time() {
+        let values = [0, 5, 0x7f, 0x80, 1 << 14, 1 << 21, 1 << 28, u32::MAX.into(), 1 << 32];
+        for (v, width) in wide_values(&values) {
+            let wide = varint_of_width(v, width);
+            for (_, stream) in literal_groups_holding(&wide, &|i| (i as u64 * 37) % 0x80) {
+                let decoded = agree_at_every_cut(&stream, &rle_decode, &rle_decode_bytewise);
+                // an id past 32 bits is never truncated to one
+                assert_eq!(decoded, v <= u32::MAX.into(), "{v} in {width} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn level_literal_groups_decode_as_level_at_a_time() {
+        for max_level in [1u16, 3, 0x7f, 200] {
+            let top = u64::from(max_level);
+            for (v, width) in wide_values(&[0, top, top + 1]) {
+                let wide = varint_of_width(v, width);
+                let fill = |i: usize| i as u64 % (top.min(0x7f) + 1);
+                for (expected, stream) in literal_groups_holding(&wide, &fill) {
+                    let fast = |r: &mut ByteReader<'_>| {
+                        rle_decode_levels(r, expected, max_level).map(|l| l.iter().collect())
+                    };
+                    let reference =
+                        |r: &mut ByteReader<'_>| rle_decode_levels_bytewise(r, expected, max_level);
+                    let decoded = agree_at_every_cut(&stream, &fast, &reference);
+                    // a level above the leaf's is `Format`, one byte or not
+                    assert_eq!(decoded, v <= top, "level {v} in {width} bytes, max {max_level}");
+                }
+            }
+        }
+    }
+
+    /// A plain byte-array page read a length varint at a time.
+    fn byte_arrays_bytewise(reader: &mut ByteReader<'_>) -> Result<LeafValues> {
+        let n = reader.varint()? as usize;
+        let (mut offsets, mut data) = (vec![0u32], Vec::new());
+        for _ in 0..n {
+            data.extend_from_slice(reader.bytes()?);
+            offsets.push(data.len() as u32);
+        }
+        Ok(LeafValues::Bytes { offsets, data })
+    }
+
+    /// Pages of 1–5 byte arrays where one value's length, at each position
+    /// in turn and at all of them, is a 1- to 5-byte varint.
+    #[test]
+    fn byte_array_lengths_decode_as_varint_at_a_time() {
+        let fast = |r: &mut ByteReader<'_>| read_leaf_values(PhysicalType::Bytes, r, true);
+        for (len, width) in wide_values(&[0, 3, 0x7f, 0x80, 130]) {
+            for count in 1..=5usize {
+                for at in 0..=count {
+                    let mut w = ByteWriter::new();
+                    w.varint(count as u64);
+                    for i in 0..count {
+                        if i == at || at == count {
+                            w.raw(&varint_of_width(len, width));
+                            w.raw(&(0..len).map(|b| b as u8).collect::<Vec<_>>());
+                        } else {
+                            w.bytes(&vec![i as u8; i % 5]);
+                        }
+                    }
+                    let stream = w.into_bytes();
+                    assert!(agree_at_every_cut(&stream, &fast, &byte_arrays_bytewise));
+                }
+            }
+        }
     }
 }

@@ -240,12 +240,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::I32 => {
             if vectorized {
-                let raw = r.raw(n.saturating_mul(4))?;
-                let mut out = Vec::with_capacity(n);
-                for c in raw.chunks_exact(4) {
-                    out.push(i32::from_le_bytes(c.try_into().unwrap()));
-                }
-                Ok(LeafValues::I32(out))
+                Ok(LeafValues::I32(fixed_width(r.raw(n.saturating_mul(4))?, i32::from_le_bytes)))
             } else {
                 let mut out = Vec::new();
                 for _ in 0..n {
@@ -256,12 +251,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::I64 => {
             if vectorized {
-                let raw = r.raw(n.saturating_mul(8))?;
-                let mut out = Vec::with_capacity(n);
-                for c in raw.chunks_exact(8) {
-                    out.push(i64::from_le_bytes(c.try_into().unwrap()));
-                }
-                Ok(LeafValues::I64(out))
+                Ok(LeafValues::I64(fixed_width(r.raw(n.saturating_mul(8))?, i64::from_le_bytes)))
             } else {
                 let mut out = Vec::new();
                 for _ in 0..n {
@@ -272,12 +262,7 @@ pub fn read_leaf_values(
         }
         PhysicalType::F64 => {
             if vectorized {
-                let raw = r.raw(n.saturating_mul(8))?;
-                let mut out = Vec::with_capacity(n);
-                for c in raw.chunks_exact(8) {
-                    out.push(f64::from_le_bytes(c.try_into().unwrap()));
-                }
-                Ok(LeafValues::F64(out))
+                Ok(LeafValues::F64(fixed_width(r.raw(n.saturating_mul(8))?, f64::from_le_bytes)))
             } else {
                 let mut out = Vec::new();
                 for _ in 0..n {
@@ -294,13 +279,22 @@ pub fn read_leaf_values(
             offsets.push(0u32);
             let mut data = Vec::with_capacity(r.remaining().saturating_sub(n));
             for _ in 0..n {
-                let b = r.bytes()?;
+                // a length below 0x80 is its own one-byte varint
+                let b = match *r.rest() {
+                    [len, ..] if len < 0x80 => &r.raw(1 + usize::from(len))?[1..],
+                    _ => r.bytes()?,
+                };
                 data.extend_from_slice(b);
                 offsets.push(data.len() as u32);
             }
             Ok(LeafValues::Bytes { offsets, data })
         }
     }
+}
+
+/// `raw` as little-endian `W`-byte values, in one pass that allocates once.
+fn fixed_width<T, const W: usize>(raw: &[u8], from_le: impl Fn([u8; W]) -> T) -> Vec<T> {
+    raw.chunks_exact(W).map(|c| from_le(c.try_into().expect("chunks of W bytes"))).collect()
 }
 
 #[cfg(test)]
