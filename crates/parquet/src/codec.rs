@@ -7,8 +7,12 @@
 //!
 //! - [`Codec::Fast`] — Snappy-like: greedy matching, one hash probe,
 //!   speed-biased, modest ratio;
-//! - [`Codec::Deep`] — Gzip-like: chained hash with many probes and lazy
-//!   matching, noticeably slower, better ratio;
+//! - [`Codec::Deep`] — Gzip-like: a chained hash walked up to 32 entries
+//!   deep at every position searched, a lazy probe of the next position
+//!   after a match shorter than 6 bytes, and a skip that searches ever fewer
+//!   positions through a streak without a match (every position still
+//!   enters the hash); slower, better ratio. Neither codec has an entropy
+//!   stage;
 //! - [`Codec::None`] — passthrough.
 //!
 //! Wire format (both LZ codecs): varint uncompressed length, then a token
@@ -138,6 +142,16 @@ fn hash4(word: u32) -> usize {
 const HASH_SIZE: usize = 1 << 14;
 const CHAIN_SIZE: usize = 1 << 16;
 
+/// [`Codec::Deep`]: chain entries examined per position.
+const DEEP_CHAIN: usize = 32;
+/// [`Codec::Deep`]: a match this long or longer is taken without probing the
+/// next position for a longer one (zlib's `max_lazy`).
+const DEEP_LAZY_BELOW: usize = 6;
+/// [`Codec::Deep`]: after `m` positions in a row without a match, the next
+/// search is `1 + (m >> DEEP_SKIP_SHIFT)` positions on (Snappy's skip); every
+/// position passed over still enters the tables.
+const DEEP_SKIP_SHIFT: u32 = 5;
+
 /// The compressor's match-finding tables, reusable from one page to the
 /// next without being zeroed in between: `head[h]` is the most recent
 /// position with hash `h`, `chain[i & mask]` the position before `i` with the
@@ -187,10 +201,12 @@ fn common_prefix(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     len + x[len..].iter().zip(&y[len..]).take_while(|(p, q)| p == q).count()
 }
 
-/// LZ77 with a chained hash table. `DEEP` examines up to 32 chain entries
-/// per position and defers a match by one position when the next one has a
-/// longer match (Gzip-style); otherwise one probe, greedy (Snappy-style) —
-/// which never reads the chain and so does not keep one.
+/// LZ77 with a chained hash table. `DEEP` (Gzip-style) examines up to
+/// [`DEEP_CHAIN`] chain entries per position, defers a match shorter than
+/// [`DEEP_LAZY_BELOW`] by one position when the next one has a longer match,
+/// and through a streak of positions without a match searches ever fewer of
+/// them ([`DEEP_SKIP_SHIFT`]). Otherwise one probe at every position, greedy
+/// (Snappy-style) — which never reads the chain and so does not keep one.
 fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
     out.reserve(data.len() / 2 + 16);
     write_varint(out, data.len() as u64);
@@ -215,7 +231,7 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
         let (at, reach) = (bias + pos as u32, pos.min(CHAIN_SIZE - 1) as u32);
         let mut best: Option<(usize, usize)> = None;
         let mut cand = head[hash4(first)];
-        for _ in 0..if DEEP { 32 } else { 1 } {
+        for _ in 0..if DEEP { DEEP_CHAIN } else { 1 } {
             // a candidate lies 1..=reach bytes back: in this page and in the
             // window; empty, stale and (never) later entries fall outside
             let dist = at.wrapping_sub(cand);
@@ -256,14 +272,17 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
 
     let mut pos = 0;
     let mut literal_start = 0;
+    // positions searched in a row without a match (`DEEP`)
+    let mut misses = 0;
     // the match found at `pos` while deciding to defer the one before it
     let mut deferred = None;
     while pos < data.len() {
         let found = deferred.take().unwrap_or_else(|| find_match(head, chain, pos));
         let mut inserted = pos;
-        if let (Some((len, _)), true) = (found, DEEP && pos + 1 < data.len()) {
-            // Lazy: if the next position has a longer match, emit a literal
-            // here instead.
+        let lazy = found.filter(|&(len, _)| DEEP && len < DEEP_LAZY_BELOW && pos + 1 < data.len());
+        if let Some((len, _)) = lazy {
+            // Lazy: if the next position has a longer match than this short
+            // one, emit a literal here instead.
             insert(head, chain, pos, pos + 1);
             inserted += 1;
             let next = find_match(head, chain, pos + 1);
@@ -273,19 +292,24 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
                 continue;
             }
         }
-        let len = match found {
+        let step = match found {
             Some((len, dist)) => {
                 emit_literals(out, &data[literal_start..pos]);
                 // match token
                 out.push((((len - MIN_MATCH) as u8) << 1) | 1);
                 write_varint(out, dist as u64);
                 literal_start = pos + len;
+                misses = 0;
                 len
+            }
+            None if DEEP => {
+                misses += 1;
+                1 + (misses >> DEEP_SKIP_SHIFT)
             }
             None => 1,
         };
-        insert(head, chain, inserted, pos + len);
-        pos += len;
+        insert(head, chain, inserted, pos + step);
+        pos += step;
     }
     emit_literals(out, &data[literal_start..]);
     // (a page too long for `u32` positions leaves nothing the next can trust)
@@ -734,21 +758,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trips_pseudorandom_input() {
-        // xorshift pseudo-random bytes — nearly incompressible
-        let mut x = 0x12345678u64;
-        let data: Vec<u8> = (0..20_000)
+    /// `len` xorshift pseudo-random bytes from `seed` (not 0) — nearly
+    /// incompressible.
+    fn noise(mut x: u64, len: usize) -> Vec<u8> {
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 (x & 0xff) as u8
             })
-            .collect();
-        for codec in [Codec::Fast, Codec::Deep] {
-            round_trip(codec, &data);
+            .collect()
+    }
+
+    /// Noise round-trips, and where nothing matches `Deep` writes the literal
+    /// framing and no more: a tag per 128 bytes and the length varint.
+    #[test]
+    fn round_trips_pseudorandom_input() {
+        for len in [1, 127, 128, 129, 5_000, 20_000, 100_000] {
+            let data = noise(0x1234_5678 + len as u64, len);
+            for codec in [Codec::Fast, Codec::Deep] {
+                round_trip(codec, &data);
+            }
+            let packed = Codec::Deep.compress(&data).len();
+            assert!(packed <= len + len.div_ceil(MAX_RUN) + 10, "{len} bytes packed into {packed}");
         }
+    }
+
+    /// `(output offset, length, is a match)` of each token of a stream.
+    fn tokens(stream: &[u8]) -> Vec<(usize, usize, bool)> {
+        let mut pos = 0;
+        let total = read_varint(stream, &mut pos).unwrap() as usize;
+        let (mut at, mut tokens) = (0, Vec::new());
+        while at < total {
+            let tag = stream[pos];
+            pos += 1;
+            let token = if tag & 1 == 0 {
+                let n = (tag >> 1) as usize + 1;
+                pos += n;
+                (at, n, false)
+            } else {
+                read_varint(stream, &mut pos).unwrap();
+                (at, (tag >> 1) as usize + MIN_MATCH, true)
+            };
+            at += token.1;
+            tokens.push(token);
+        }
+        tokens
+    }
+
+    /// 8 KB of noise, a 2 KB phrase, 16 KB of noise, the phrase again.
+    /// Through the noise `Deep` searches ever fewer positions, yet its first
+    /// search in the second copy is the one the skip rule puts there —
+    /// counting the streak from the first copy's last match, so a match ended
+    /// the streak — at most one stride late, and from there the copy is
+    /// matches.
+    #[test]
+    fn deep_finds_a_repeat_after_noise_within_one_skip_stride() {
+        // the phrase repeats itself, so that its first copy ends on matches
+        let phrase = noise(0x5EED_0003, 1 << 10).repeat(2);
+        let data =
+            [noise(0x5EED_0001, 8 << 10), phrase.clone(), noise(0x5EED_0002, 16 << 10), phrase]
+                .concat();
+        let second = data.len() - (2 << 10);
+        let stream = Codec::Deep.compress(&data);
+        assert_eq!(lz_decompress(&stream).unwrap(), data);
+        let (before, after): (Vec<_>, Vec<_>) =
+            tokens(&stream).into_iter().partition(|t| t.0 < second);
+        let (at, len, _) = *before.iter().rfind(|t| t.2).unwrap();
+        assert!(at >= 8 << 10, "the streak before the second copy starts in the first");
+        let (mut searched, mut misses) = (at + len, 0);
+        while searched < second {
+            misses += 1;
+            searched += 1 + (misses >> DEEP_SKIP_SHIFT);
+        }
+        let stride = 1 + (misses >> DEEP_SKIP_SHIFT);
+        assert!(stride > 1, "the noise is long enough to skip");
+        let first = after.iter().find(|t| t.2).unwrap().0;
+        assert!(first < second + stride, "first match at {first}, second copy at {second}");
+        assert_eq!(first, searched);
+        let literals: usize = after.iter().filter(|t| !t.2 && t.0 > first).map(|t| t.1).sum();
+        assert!(literals < MIN_MATCH, "{literals} literal bytes after the first match");
     }
 
     #[test]
