@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
-use presto_cluster::{ClusterConfig, PrestoCluster, SpeculationConfig};
+use presto_cluster::{ClusterConfig, PrestoCluster};
 use presto_common::metrics::names;
 use presto_common::{
     Block, DataType, FaultInjector, FaultPlan, Field, Page, Result, Schema, SimClock,
@@ -248,10 +248,7 @@ pub fn run_straggler(config: &StragglerConfig) -> Result<StragglerResult> {
         ClusterConfig {
             initial_workers: config.workers,
             fault_injector: injector.clone(),
-            speculation: SpeculationConfig {
-                enabled: config.speculation,
-                ..SpeculationConfig::default()
-            },
+            speculation: config.speculation,
             ..ClusterConfig::default()
         },
         config.queries,

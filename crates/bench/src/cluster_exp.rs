@@ -46,7 +46,7 @@ fn shrink() -> Result<(Table, u64, usize)> {
     query()?;
     snapshot("busy hours: expand to 8");
     for id in 2..8 {
-        cluster.request_worker_shutdown(id)?;
+        cluster.decommission_worker(id)?;
     }
     for _ in 0..4 {
         query()?;

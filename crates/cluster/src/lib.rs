@@ -20,6 +20,6 @@ pub mod gateway;
 pub mod worker;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleDecision};
-pub use cluster::{ClusterConfig, PrestoCluster, SpeculationConfig};
+pub use cluster::{ClusterConfig, PrestoCluster};
 pub use gateway::{PrestoGateway, Redirect};
 pub use worker::{Worker, WorkerHealth, WorkerLifecycle, WorkerState};

@@ -30,10 +30,11 @@ use presto_resource::QueryPriority;
 /// Default `shutdown.grace-period` (the paper's 2 minutes).
 pub const DEFAULT_GRACE_PERIOD: Duration = Duration::from_secs(120);
 
-/// Default quarantine window after the blacklist trips.
+/// How long a worker stays quarantined after the blacklist trips.
 pub const DEFAULT_QUARANTINE_PERIOD: Duration = Duration::from_secs(300);
 
-/// Default probation (half-open) window after quarantine expires.
+/// The probation (half-open) window after quarantine expires, or after a
+/// revoked worker rejoins.
 pub const DEFAULT_PROBATION_WINDOW: Duration = Duration::from_secs(60);
 
 /// Default worker class — stable on-demand capacity, never revoked.
@@ -116,63 +117,21 @@ pub struct Worker {
     /// series behind the telemetry busy-fraction samples (each snapshot
     /// takes the delta since the previous one).
     busy_us: AtomicU64,
-    /// Bytes of worker memory currently reserved by in-flight work — the
-    /// per-worker [`MemoryPool`] headroom signal the affinity placement
-    /// score folds in. Reservations are estimates made by the scheduler,
-    /// not enforcement (the cluster-wide pool enforces).
-    ///
-    /// [`MemoryPool`]: presto_resource::MemoryPool
-    memory_reserved: AtomicU64,
     consecutive_failures: AtomicU32,
     health: Mutex<WorkerHealth>,
     clock: SimClock,
     grace_period: Duration,
-    quarantine_period: Duration,
-    probation_window: Duration,
     /// Capacity class (e.g. `"ondemand"`, `"spot"`) — the unit a
     /// revocation storm targets.
     class: String,
 }
 
 impl Worker {
-    /// New active worker on a shared virtual clock.
-    pub fn new(id: u32, clock: SimClock, grace_period: Duration) -> Arc<Worker> {
-        Worker::with_health_windows(
-            id,
-            clock,
-            grace_period,
-            DEFAULT_QUARANTINE_PERIOD,
-            DEFAULT_PROBATION_WINDOW,
-        )
-    }
-
-    /// New active worker with explicit blacklist quarantine/probation windows.
-    pub fn with_health_windows(
-        id: u32,
-        clock: SimClock,
-        grace_period: Duration,
-        quarantine_period: Duration,
-        probation_window: Duration,
-    ) -> Arc<Worker> {
-        Worker::with_class(
-            id,
-            clock,
-            grace_period,
-            quarantine_period,
-            probation_window,
-            DEFAULT_WORKER_CLASS,
-        )
-    }
-
-    /// New active worker of an explicit capacity class.
-    pub fn with_class(
-        id: u32,
-        clock: SimClock,
-        grace_period: Duration,
-        quarantine_period: Duration,
-        probation_window: Duration,
-        class: &str,
-    ) -> Arc<Worker> {
+    /// New active worker of capacity class `class` (e.g.
+    /// [`DEFAULT_WORKER_CLASS`], `"spot"`) on a shared virtual clock.
+    /// Quarantine and probation last [`DEFAULT_QUARANTINE_PERIOD`] and
+    /// [`DEFAULT_PROBATION_WINDOW`].
+    pub fn new(id: u32, clock: SimClock, grace_period: Duration, class: &str) -> Arc<Worker> {
         Arc::new(Worker {
             id,
             inner: Mutex::new(WorkerInner {
@@ -182,13 +141,10 @@ impl Worker {
             active_tasks: AtomicUsize::new(0),
             completed_tasks: AtomicUsize::new(0),
             busy_us: AtomicU64::new(0),
-            memory_reserved: AtomicU64::new(0),
             consecutive_failures: AtomicU32::new(0),
             health: Mutex::new(WorkerHealth::Healthy),
             clock,
             grace_period,
-            quarantine_period,
-            probation_window,
             class: class.to_string(),
         })
     }
@@ -233,32 +189,6 @@ impl Worker {
     /// Cumulative virtual µs spent running tasks.
     pub fn busy_micros(&self) -> u64 {
         self.busy_us.load(Ordering::Relaxed)
-    }
-
-    /// Reserve `bytes` of this worker's memory (scheduler estimate).
-    pub fn reserve_memory(&self, bytes: u64) {
-        self.memory_reserved.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Release a prior [`Worker::reserve_memory`] reservation.
-    pub fn release_memory(&self, bytes: u64) {
-        // saturate rather than wrap if a release ever races a reset
-        let _ = self.memory_reserved.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            Some(cur.saturating_sub(bytes))
-        });
-    }
-
-    /// Bytes currently reserved on this worker.
-    pub fn memory_reserved(&self) -> u64 {
-        self.memory_reserved.load(Ordering::Relaxed)
-    }
-
-    /// Headroom under a per-worker budget: `budget - reserved`, floored at
-    /// zero. The affinity scheduler skips owners whose headroom cannot fit
-    /// the next split, walking the ring to a successor instead — hot
-    /// workers stop becoming OOM-arbiter hotspots.
-    pub fn memory_headroom(&self, budget: u64) -> u64 {
-        budget.saturating_sub(self.memory_reserved())
     }
 
     /// Can the scheduler assign new tasks here? Only ACTIVE workers accept
@@ -321,7 +251,7 @@ impl Worker {
 
     fn quarantine(&self) {
         *self.health.lock() =
-            WorkerHealth::Quarantined { until: self.clock.now() + self.quarantine_period };
+            WorkerHealth::Quarantined { until: self.clock.now() + DEFAULT_QUARANTINE_PERIOD };
     }
 
     /// A task completed successfully: the failure streak resets (the
@@ -351,7 +281,7 @@ impl Worker {
             let now = self.clock.now();
             let next = match *health {
                 WorkerHealth::Quarantined { until } if now >= until => {
-                    WorkerHealth::Probation { until: until + self.probation_window }
+                    WorkerHealth::Probation { until: until + DEFAULT_PROBATION_WINDOW }
                 }
                 WorkerHealth::Probation { until } if now >= until => WorkerHealth::Healthy,
                 stable => return stable,
@@ -409,7 +339,7 @@ impl Worker {
         }
         self.consecutive_failures.store(0, Ordering::SeqCst);
         *self.health.lock() =
-            WorkerHealth::Probation { until: self.clock.now() + self.probation_window };
+            WorkerHealth::Probation { until: self.clock.now() + DEFAULT_PROBATION_WINDOW };
     }
 
     /// Administrator command: begin graceful shutdown.
@@ -476,7 +406,7 @@ mod tests {
     fn shutdown_walks_every_state() {
         let clock = SimClock::new();
         let grace = Duration::from_secs(120);
-        let worker = Worker::new(1, clock.clone(), grace);
+        let worker = Worker::new(1, clock.clone(), grace, DEFAULT_WORKER_CLASS);
         assert_eq!(worker.state(), WorkerState::Active);
         assert!(worker.accepts_tasks());
 
@@ -511,7 +441,7 @@ mod tests {
         // §IX: during the first grace period the coordinator may not yet
         // know about the shutdown; tasks it sends must still be served.
         let clock = SimClock::new();
-        let worker = Worker::new(1, clock.clone(), Duration::from_secs(10));
+        let worker = Worker::new(1, clock.clone(), Duration::from_secs(10), DEFAULT_WORKER_CLASS);
         worker.request_shutdown();
         let task = worker.begin_task().unwrap();
         drop(task);
@@ -524,7 +454,7 @@ mod tests {
     #[test]
     fn crash_skips_every_grace_period() {
         let clock = SimClock::new();
-        let worker = Worker::new(5, clock.clone(), Duration::from_secs(120));
+        let worker = Worker::new(5, clock.clone(), Duration::from_secs(120), DEFAULT_WORKER_CLASS);
         let _task = worker.begin_task().unwrap();
         worker.crash();
         assert_eq!(worker.state(), WorkerState::Crashed);
@@ -542,7 +472,7 @@ mod tests {
     fn lifecycle_collapses_the_shutdown_phases() {
         let clock = SimClock::new();
         let grace = Duration::from_secs(10);
-        let worker = Worker::new(1, clock.clone(), grace);
+        let worker = Worker::new(1, clock.clone(), grace, DEFAULT_WORKER_CLASS);
         assert_eq!(worker.lifecycle(), WorkerLifecycle::Active);
         assert_eq!(worker.class(), DEFAULT_WORKER_CLASS);
         worker.request_shutdown();
@@ -554,14 +484,7 @@ mod tests {
         worker.tick();
         assert_eq!(worker.lifecycle(), WorkerLifecycle::Decommissioned);
 
-        let lost = Worker::with_class(
-            2,
-            clock,
-            grace,
-            Duration::from_secs(300),
-            Duration::from_secs(60),
-            "spot",
-        );
+        let lost = Worker::new(2, clock, grace, "spot");
         assert_eq!(lost.class(), "spot");
         lost.crash();
         assert_eq!(lost.lifecycle(), WorkerLifecycle::Revoked);
@@ -570,13 +493,7 @@ mod tests {
     #[test]
     fn rejoin_enters_probation_not_full_health() {
         let clock = SimClock::new();
-        let worker = Worker::with_health_windows(
-            3,
-            clock.clone(),
-            Duration::from_secs(1),
-            Duration::from_secs(300),
-            Duration::from_secs(60),
-        );
+        let worker = Worker::new(3, clock.clone(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         worker.crash();
         assert_eq!(worker.lifecycle(), WorkerLifecycle::Revoked);
         worker.rejoin();
@@ -594,7 +511,7 @@ mod tests {
     #[test]
     fn rejoin_is_a_noop_for_live_or_terminated_workers() {
         let clock = SimClock::new();
-        let worker = Worker::new(4, clock.clone(), Duration::from_secs(1));
+        let worker = Worker::new(4, clock.clone(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         worker.rejoin();
         assert_eq!(worker.health(), WorkerHealth::Healthy, "live worker untouched");
         worker.request_shutdown();
@@ -609,7 +526,7 @@ mod tests {
 
     #[test]
     fn blacklist_trips_on_consecutive_failures_only() {
-        let worker = Worker::new(2, SimClock::new(), Duration::from_secs(1));
+        let worker = Worker::new(2, SimClock::new(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         assert!(!worker.record_task_failure(3));
         assert!(!worker.record_task_failure(3));
         worker.record_task_success(); // streak broken
@@ -625,7 +542,7 @@ mod tests {
 
     #[test]
     fn blacklist_disabled_with_zero_threshold() {
-        let worker = Worker::new(2, SimClock::new(), Duration::from_secs(1));
+        let worker = Worker::new(2, SimClock::new(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         for _ in 0..50 {
             assert!(!worker.record_task_failure(0));
         }
@@ -635,13 +552,7 @@ mod tests {
     #[test]
     fn quarantine_lifts_into_probation_then_full_health() {
         let clock = SimClock::new();
-        let worker = Worker::with_health_windows(
-            7,
-            clock.clone(),
-            Duration::from_secs(1),
-            Duration::from_secs(300),
-            Duration::from_secs(60),
-        );
+        let worker = Worker::new(7, clock.clone(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         for _ in 0..3 {
             worker.record_task_failure(3);
         }
@@ -665,13 +576,7 @@ mod tests {
     #[test]
     fn failure_during_probation_requarantines_immediately() {
         let clock = SimClock::new();
-        let worker = Worker::with_health_windows(
-            7,
-            clock.clone(),
-            Duration::from_secs(1),
-            Duration::from_secs(300),
-            Duration::from_secs(60),
-        );
+        let worker = Worker::new(7, clock.clone(), Duration::from_secs(1), DEFAULT_WORKER_CLASS);
         for _ in 0..3 {
             worker.record_task_failure(3);
         }

@@ -69,9 +69,6 @@ pub mod names {
     pub const CLUSTER_WORKERS_DECOMMISSIONED: &str = "cluster.workers_decommissioned";
     /// Queued splits a draining worker handed off to surviving workers.
     pub const CLUSTER_SPLITS_HANDED_OFF: &str = "cluster.splits_handed_off";
-    /// Splits the affinity scheduler placed on a ring successor because
-    /// the owner's memory headroom could not fit another split.
-    pub const CLUSTER_SPLITS_DIVERTED: &str = "cluster.splits_diverted";
     /// Fragment-cache entries migrated to the consistent successor before
     /// a draining worker left.
     pub const CLUSTER_CACHE_ENTRIES_MIGRATED: &str = "cluster.cache_entries_migrated";

@@ -4,10 +4,9 @@
 //! §VII's soft-affinity design only keeps worker-side caches warm if a
 //! split keeps landing on the worker that cached its result — across
 //! queries, and across fleet changes. The scan scheduler therefore places
-//! splits on a [`HashRing`] built over its worker snapshot, diverts to ring
-//! successors when the owner has no memory headroom, and a graceful drain
-//! migrates the departing worker's fragment-cache entries to the owners a
-//! survivors-only ring assigns. All three build the ring the same way
+//! splits on a [`HashRing`] built over its worker snapshot, and a graceful
+//! drain migrates the departing worker's fragment-cache entries to the
+//! owners a survivors-only ring assigns. Both build the ring the same way
 //! ([`HashRing::with_workers_default`]); there is no second hash path to
 //! drift out of sync.
 //!
@@ -120,27 +119,6 @@ impl HashRing {
         let point = self.key_point(key);
         self.points.range(point..).next().or_else(|| self.points.iter().next()).map(|(_, &w)| w)
     }
-
-    /// Up to `n` *distinct* workers in ring order starting at the key's
-    /// owner — the owner first, then each successor clockwise. This is the
-    /// walk headroom-aware placement takes when a split's owner is full;
-    /// the second entry is also the key's owner on a ring without the first.
-    pub fn successors(&self, key: &str, n: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::with_capacity(n.min(self.workers.len()));
-        if n == 0 || self.points.is_empty() {
-            return out;
-        }
-        let point = self.key_point(key);
-        for (_, &w) in self.points.range(point..).chain(self.points.range(..point)) {
-            if !out.contains(&w) {
-                out.push(w);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -189,37 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn successors_start_at_the_owner_and_are_distinct() {
-        let ring = HashRing::with_workers(19, DEFAULT_VNODES, 0..6);
-        for k in keys(300) {
-            let succ = ring.successors(&k, 3);
-            assert_eq!(succ.len(), 3);
-            assert_eq!(succ[0], ring.owner(&k).unwrap());
-            let mut sorted = succ.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 3, "successors must be distinct: {succ:?}");
-        }
-    }
-
-    #[test]
-    fn successor_walk_matches_the_post_removal_owner() {
-        // the second successor *is* the owner on a ring without the first
-        // — diverted splits and migrated cache entries land on the same worker
-        let ring = HashRing::with_workers(23, DEFAULT_VNODES, 0..5);
-        for k in keys(500) {
-            let succ = ring.successors(&k, 2);
-            let without =
-                HashRing::with_workers(23, DEFAULT_VNODES, (0..5).filter(|w| *w != succ[0]));
-            assert_eq!(without.owner(&k), Some(succ[1]));
-        }
-    }
-
-    #[test]
     fn empty_ring_owns_nothing() {
         let ring = HashRing::with_workers(1, 8, []);
         assert_eq!(ring.owner("/x"), None);
-        assert!(ring.successors("/x", 2).is_empty());
     }
 
     #[test]

@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cluster::{
-    Autoscaler, AutoscalerConfig, ClusterConfig, PrestoCluster, ScaleDecision, SpeculationConfig,
-    WorkerLifecycle,
+    Autoscaler, AutoscalerConfig, ClusterConfig, PrestoCluster, ScaleDecision, WorkerLifecycle,
 };
 use presto_common::fault::{FaultInjector, FaultPlan};
 use presto_common::metrics::{names, CounterSet, Histogram, HistogramSet, TimeSeries};
@@ -382,7 +381,7 @@ fn build_cluster(config: &SimConfig, clock: &SimClock) -> Result<Arc<PrestoClust
     let mut cluster_config = ClusterConfig {
         initial_workers: config.workers.max(1),
         admission: AdmissionConfig::default(),
-        speculation: SpeculationConfig { enabled: false, ..SpeculationConfig::default() },
+        speculation: false,
         ..ClusterConfig::default()
     };
     if let Some(plan) = &config.elastic {

@@ -88,7 +88,7 @@ fn main() -> presto_common::Result<()> {
 
     println!("\nnon-busy hours: gracefully shrinking 4 workers");
     for id in 2..6 {
-        cluster.request_worker_shutdown(id)?;
+        cluster.decommission_worker(id)?;
     }
     // queries keep succeeding while workers drain (the §IX guarantee)
     for i in 0..4 {

@@ -2,11 +2,40 @@
 //! `base` struct of 16 scalars, a struct holding an array, and a map — 20
 //! leaf columns), built as typed blocks so a test that counts allocations or
 //! digests bytes starts from the page a connector would hand the writer; and
-//! the nested type the round-trip tests generate values of.
+//! the nested type the round-trip tests generate values of. Also the
+//! 12-split table and the cluster over it that the elasticity, fault
+//! tolerance and speculation suites share.
 
 #![allow(dead_code)]
 
-use presto_common::{Block, DataType, Field, Page, Schema};
+use std::sync::Arc;
+
+use presto_cluster::{ClusterConfig, PrestoCluster};
+use presto_common::{Block, DataType, Field, Page, Schema, SimClock};
+use presto_connectors::memory::MemoryConnector;
+use presto_connectors::tpch::TpchConnector;
+use presto_core::PrestoEngine;
+
+/// 12-page table `t` → 12 splits per scan, spread across the workers; plus
+/// the TPC-H catalog, whose splits (unlike memory splits) are
+/// result-cacheable.
+pub fn engine_with_table() -> PrestoEngine {
+    let engine = PrestoEngine::new();
+    let memory = MemoryConnector::new();
+    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
+    let pages: Vec<Page> = (0..12)
+        .map(|p| Page::new(vec![Block::bigint((p * 50..p * 50 + 50).collect())]).unwrap())
+        .collect();
+    memory.create_table("default", "t", schema, pages).unwrap();
+    engine.register_catalog("memory", Arc::new(memory));
+    engine.register_catalog("tpch", Arc::new(TpchConnector::new()));
+    engine
+}
+
+/// A cluster over [`engine_with_table`].
+pub fn cluster(config: ClusterConfig) -> Arc<PrestoCluster> {
+    PrestoCluster::new("test", engine_with_table(), config, SimClock::new())
+}
 
 const STATUSES: [&str; 4] = ["completed", "canceled", "arrived", "dispatched"];
 const PRODUCTS: [&str; 5] = ["uberx", "pool", "black", "xl", "eats"];

@@ -12,34 +12,15 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use presto_cluster::worker::DEFAULT_PROBATION_WINDOW;
 use presto_cluster::{ClusterConfig, PrestoCluster, WorkerHealth, WorkerLifecycle, WorkerState};
 use presto_common::metrics::names;
-use presto_common::{
-    Block, DataType, FaultInjector, FaultPlan, Field, Page, Schema, SimClock, Value,
-};
-use presto_connectors::memory::MemoryConnector;
-use presto_connectors::tpch::TpchConnector;
-use presto_core::{PrestoEngine, Session};
+use presto_common::{FaultInjector, FaultPlan, Value};
+use presto_core::Session;
 use presto_resource::QueryPriority;
 
-/// 12-page table → 12 splits per scan, spread across the workers; plus the
-/// TPC-H catalog, whose splits (unlike memory splits) are result-cacheable.
-fn engine_with_table() -> PrestoEngine {
-    let engine = PrestoEngine::new();
-    let memory = MemoryConnector::new();
-    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
-    let pages: Vec<Page> = (0..12)
-        .map(|p| Page::new(vec![Block::bigint((p * 50..p * 50 + 50).collect())]).unwrap())
-        .collect();
-    memory.create_table("default", "t", schema, pages).unwrap();
-    engine.register_catalog("memory", Arc::new(memory));
-    engine.register_catalog("tpch", Arc::new(TpchConnector::new()));
-    engine
-}
-
-fn cluster(config: ClusterConfig) -> Arc<PrestoCluster> {
-    PrestoCluster::new("elastic", engine_with_table(), config, SimClock::new())
-}
+mod common;
+use common::cluster;
 
 const SUM_SQL: &str = "SELECT sum(x), count(*) FROM t";
 
@@ -78,7 +59,7 @@ fn expansion_takes_effect_without_restart() {
 fn shrink_follows_the_paper_state_machine() {
     let c = paper_grace_cluster(4);
     let session = Session::default();
-    c.request_worker_shutdown(3).unwrap();
+    c.decommission_worker(3).unwrap();
     let worker = c.workers().into_iter().find(|w| w.id == 3).unwrap();
     assert_eq!(worker.state(), WorkerState::ShuttingDownGrace1);
 
@@ -104,8 +85,8 @@ fn queries_running_during_shrink_never_fail() {
     let c = paper_grace_cluster(4);
     let session = Session::default();
     // drain half the fleet while querying
-    c.request_worker_shutdown(2).unwrap();
-    c.request_worker_shutdown(3).unwrap();
+    c.decommission_worker(2).unwrap();
+    c.decommission_worker(3).unwrap();
     for _ in 0..20 {
         assert_eq!(c.execute(SUM_SQL, &session).unwrap().rows(), expected_rows());
         c.clock().advance(Duration::from_secs(30));
@@ -129,8 +110,8 @@ fn distributed_results_match_single_node_engine() {
 
 #[test]
 fn revoked_worker_rejoins_on_probation_not_at_full_health() {
-    let probation = Duration::from_secs(60);
-    let c = cluster(ClusterConfig { probation_window: probation, ..ClusterConfig::default() });
+    let probation = DEFAULT_PROBATION_WINDOW;
+    let c = cluster(ClusterConfig::default());
     let session = Session::default();
 
     // spot revocation takes worker 0 out abruptly; the query rides the
@@ -167,8 +148,6 @@ fn probation_failure_after_rejoin_requarantines_immediately() {
     let c = cluster(ClusterConfig {
         fault_injector: FaultInjector::new(11, FaultPlan::new().fail_task(0, 1)),
         blacklist_after: 2,
-        quarantine_period: Duration::from_secs(300),
-        probation_window: Duration::from_secs(60),
         ..ClusterConfig::default()
     });
     let w0 = c.workers()[0].clone();

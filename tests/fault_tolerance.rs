@@ -4,33 +4,15 @@
 //! same-seed reproducibility, cancellation of doomed queries, and gateway
 //! failover after a cluster-level failure.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cluster::{ClusterConfig, PrestoCluster, PrestoGateway, WorkerState};
-use presto_common::{
-    Block, DataType, FaultInjector, FaultPlan, Field, Page, Schema, SimClock, Value,
-};
-use presto_connectors::memory::MemoryConnector;
+use presto_common::{FaultInjector, FaultPlan, SimClock, Value};
 use presto_connectors::mysql::MySqlConnector;
-use presto_core::{PrestoEngine, Session};
+use presto_core::Session;
 
-/// 12-page table → 12 splits per scan, spread across the workers.
-fn engine_with_table() -> PrestoEngine {
-    let engine = PrestoEngine::new();
-    let memory = MemoryConnector::new();
-    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
-    let pages: Vec<Page> = (0..12)
-        .map(|p| Page::new(vec![Block::bigint((p * 50..p * 50 + 50).collect())]).unwrap())
-        .collect();
-    memory.create_table("default", "t", schema, pages).unwrap();
-    engine.register_catalog("memory", Arc::new(memory));
-    engine
-}
-
-fn cluster(config: ClusterConfig) -> Arc<PrestoCluster> {
-    PrestoCluster::new("chaos", engine_with_table(), config, SimClock::new())
-}
+mod common;
+use common::{cluster, engine_with_table};
 
 const COUNT_SQL: &str = "SELECT count(*) FROM t";
 

@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use presto_cluster::{ClusterConfig, PrestoCluster, SpeculationConfig, WorkerHealth};
+use presto_cluster::worker::{DEFAULT_PROBATION_WINDOW, DEFAULT_QUARANTINE_PERIOD};
+use presto_cluster::{ClusterConfig, PrestoCluster, WorkerHealth};
 use presto_common::fault::PageFault;
 use presto_common::metrics::names;
 use presto_common::trace::{Span, SpanKind};
@@ -21,22 +22,8 @@ use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
 use presto_resource::QueryPriority;
 
-/// 12-page table → 12 splits per scan, spread across the workers.
-fn engine_with_table() -> PrestoEngine {
-    let engine = PrestoEngine::new();
-    let memory = MemoryConnector::new();
-    let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
-    let pages: Vec<Page> = (0..12)
-        .map(|p| Page::new(vec![Block::bigint((p * 50..p * 50 + 50).collect())]).unwrap())
-        .collect();
-    memory.create_table("default", "t", schema, pages).unwrap();
-    engine.register_catalog("memory", Arc::new(memory));
-    engine
-}
-
-fn cluster(config: ClusterConfig) -> Arc<PrestoCluster> {
-    PrestoCluster::new("spec", engine_with_table(), config, SimClock::new())
-}
+mod common;
+use common::cluster;
 
 const SUM_SQL: &str = "SELECT sum(x), count(*) FROM t";
 
@@ -70,7 +57,7 @@ fn speculation_off_counterfactual_is_strictly_slower_on_the_same_schedule() {
     let on = cluster(ClusterConfig { fault_injector: one_straggler(), ..ClusterConfig::default() });
     let off = cluster(ClusterConfig {
         fault_injector: one_straggler(),
-        speculation: SpeculationConfig { enabled: false, ..SpeculationConfig::default() },
+        speculation: false,
         ..ClusterConfig::default()
     });
     assert_eq!(on.execute(SUM_SQL, &Session::default()).unwrap().rows(), expected_rows());
@@ -210,13 +197,11 @@ fn exchange_tears_exhaust_the_attempt_budget_when_recovery_is_off() {
 
 #[test]
 fn probation_worker_serves_only_low_priority_until_the_window_closes() {
-    let quarantine = Duration::from_secs(60);
-    let probation = Duration::from_secs(60);
+    let quarantine = DEFAULT_QUARANTINE_PERIOD;
+    let probation = DEFAULT_PROBATION_WINDOW;
     let c = cluster(ClusterConfig {
         fault_injector: FaultInjector::new(5, FaultPlan::new().fail_task(0, 1)),
         blacklist_after: 1,
-        quarantine_period: quarantine,
-        probation_window: probation,
         ..ClusterConfig::default()
     });
     let session = Session::default();
@@ -249,7 +234,7 @@ fn probation_worker_serves_only_low_priority_until_the_window_closes() {
 fn refailing_probation_worker_requarantines_without_absorbing_normal_splits() {
     // regression: a re-admitted worker that fails again must go straight
     // back to quarantine — one strike, not a fresh `blacklist_after` budget
-    let quarantine = Duration::from_secs(60);
+    let quarantine = DEFAULT_QUARANTINE_PERIOD;
     let c = cluster(ClusterConfig {
         // tasks 1+2 trip the threshold (→ quarantine); task 3 is the first
         // probation task and must re-quarantine on its own
@@ -258,8 +243,6 @@ fn refailing_probation_worker_requarantines_without_absorbing_normal_splits() {
             FaultPlan::new().fail_task(0, 1).fail_task(0, 2).fail_task(0, 3),
         ),
         blacklist_after: 2,
-        quarantine_period: quarantine,
-        probation_window: Duration::from_secs(60),
         max_split_attempts: 6,
         ..ClusterConfig::default()
     });
@@ -290,8 +273,9 @@ fn refailing_probation_worker_requarantines_without_absorbing_normal_splits() {
 
 // --------------------------------------------- history-seeded yardstick
 
-/// 2-page table → 2 splits: fewer siblings than `min_completed = 3`, so an
-/// unseeded fragment can never judge a straggler within one run.
+/// 2-page table → 2 splits: fewer than the 3 completed siblings speculation
+/// waits for, so an unseeded fragment can never judge a straggler within
+/// one run.
 fn narrow_engine() -> PrestoEngine {
     let engine = PrestoEngine::new();
     let memory = MemoryConnector::new();
@@ -313,7 +297,7 @@ fn narrow_rows() -> Vec<Vec<Value>> {
 
 /// One worker's split stalls 50 ms on the first *and* second query (task
 /// ordinals count per worker across queries, so both runs hit the stall).
-fn narrow_cluster(stalled_worker: u32, seed_from_history: bool) -> Arc<PrestoCluster> {
+fn narrow_cluster(stalled_worker: u32) -> Arc<PrestoCluster> {
     PrestoCluster::new(
         "seeded",
         narrow_engine(),
@@ -325,7 +309,6 @@ fn narrow_cluster(stalled_worker: u32, seed_from_history: bool) -> Arc<PrestoClu
                     .stall_scan_page(stalled_worker, 1, 1, Duration::from_millis(50))
                     .stall_scan_page(stalled_worker, 2, 1, Duration::from_millis(50)),
             ),
-            speculation: SpeculationConfig { seed_from_history, ..SpeculationConfig::default() },
             ..ClusterConfig::default()
         },
         SimClock::new(),
@@ -339,9 +322,9 @@ const NARROW_STALLED_WORKER: u32 = 0;
 #[test]
 fn runtime_history_seeds_speculation_for_single_wave_fragments() {
     // regression: before history seeding, a fragment with fewer splits
-    // than `min_completed` could never speculate — the second identical
-    // run waited out the full stall exactly like the first
-    let c = narrow_cluster(NARROW_STALLED_WORKER, true);
+    // than speculation's 3 completed siblings could never speculate — the
+    // second identical run waited out the full stall exactly like the first
+    let c = narrow_cluster(NARROW_STALLED_WORKER);
     let session = Session::default();
 
     // run 1: no history yet → yardstick starts empty, 2 siblings < 3, so
@@ -361,19 +344,6 @@ fn runtime_history_seeds_speculation_for_single_wave_fragments() {
     assert!(c.metrics().get(names::CLUSTER_SPECULATIVE_LAUNCHES) >= 1, "straggler not speculated");
     assert!(c.metrics().get(names::CLUSTER_SPECULATIVE_WINS) >= 1, "duplicate should win");
     assert!(second < Duration::from_millis(50), "seeded run must dodge the stall, took {second:?}");
-}
-
-#[test]
-fn seeding_off_counterfactual_waits_out_the_stall_every_run() {
-    let c = narrow_cluster(NARROW_STALLED_WORKER, false);
-    let session = Session::default();
-    assert_eq!(c.execute(NARROW_SQL, &session).unwrap().rows(), narrow_rows());
-    let after_first = c.clock().now();
-    assert_eq!(c.execute(NARROW_SQL, &session).unwrap().rows(), narrow_rows());
-    let second = c.clock().now() - after_first;
-    assert!(second >= Duration::from_millis(50), "unseeded run 2 must stall again: {second:?}");
-    assert_eq!(c.metrics().get(names::CLUSTER_SPECULATION_SEEDED), 0);
-    assert_eq!(c.metrics().get(names::CLUSTER_SPECULATIVE_LAUNCHES), 0);
 }
 
 // ------------------------------------------------------------- properties
