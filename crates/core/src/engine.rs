@@ -584,9 +584,10 @@ mod tests {
     #[test]
     fn batch_fallback_rescues_big_joins() {
         let engine = engine_with_data();
-        let session = Session::default().with_memory_budget(512);
+        let session = Session::default().with_memory_budget(256);
         let sql = "SELECT count(*) FROM trips a JOIN trips b ON a.datestr = b.datestr";
-        // the interactive tier fails...
+        // each side reads its key alone, and 256 bytes is below the join's
+        // peak: the interactive tier fails...
         assert_eq!(
             engine.execute_with_session(sql, &session).unwrap_err().code(),
             "INSUFFICIENT_RESOURCES"
@@ -607,7 +608,9 @@ mod tests {
     fn spill_rescues_big_joins_without_fallback() {
         let engine = engine_with_data();
         let sql = "SELECT count(*) FROM trips a JOIN trips b ON a.datestr = b.datestr";
-        let session = Session::default().with_memory_budget(512);
+        // each side reads its key alone: 256 bytes is below the join's peak,
+        // above each spilled partition's
+        let session = Session::default().with_memory_budget(256);
         // same budget that fails the interactive tier...
         assert_eq!(
             engine.execute_with_session(sql, &session).unwrap_err().code(),

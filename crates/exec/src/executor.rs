@@ -8,6 +8,17 @@
 //! bounded heap) and the aggregate emit order rows with one typed comparator
 //! ([`RowOrder`], the order of [`Value::total_cmp`]).
 //!
+//! Each breaker evaluates its key columns once — the aggregate's input keys,
+//! the join's build keys — and its key table picks its layout from them.
+//! When every key is an integer, boolean, date or timestamp, and the
+//! product of the keys' value spans is at most the slot count a hash table
+//! for those rows would take, the table is dense: a key's id sits at its
+//! offset in one id array, found with no hash and no compare. It holds that
+//! array and nothing else, so it is never larger than the hash table it
+//! replaces: the join's reservation needs no new term, and a dense GROUP BY
+//! table reserves its array up front. Ids are dealt in first-seen order
+//! under every layout, so no output order depends on the choice.
+//!
 //! Blocking operators (hash aggregation, hash-join build, sort) account
 //! their materialized state against the query's memory pool through RAII
 //! [`presto_resource::Reservation`] guards — reservations release on every
@@ -303,10 +314,12 @@ fn execute_aggregate(
 }
 
 /// In-memory hash aggregation over `pages`: one row per group in first-seen
-/// order, key columns then aggregates. Each page's key columns become group
-/// ids ([`KeyTable`]) and every aggregate adds the page a column at a time.
-/// The hash table is accounted through an RAII reservation that grows as
-/// groups appear and releases when the page is handed back.
+/// order, key columns then aggregates. The key columns are evaluated once,
+/// the table laid out from them ([`KeyTable::group_by`]); each page's become
+/// group ids and every aggregate adds the page a column at a time. The
+/// table is accounted through an RAII reservation: a dense table's slots
+/// up front, then a share per group as groups appear; it releases when the
+/// page is handed back.
 fn aggregate_pages(
     pages: &[Page],
     group_by: &[RowExpression],
@@ -318,7 +331,14 @@ fn aggregate_pages(
     let mut table_memory = ctx.pool.reserve(0, ctx.operator_reservation_kind())?;
     let merge_partials = step == AggregateStep::FinalOverPartial;
     let key_types: Vec<DataType> = group_by.iter().map(RowExpression::data_type).collect();
-    let mut table = KeyTable::group_by(&key_types);
+    let page_keys = pages
+        .iter()
+        .map(|page| group_by.iter().map(|e| evaluate(e, page, ctx)).collect())
+        .collect::<Result<Vec<Vec<_>>>>()?;
+    let mut table = KeyTable::group_by(&key_types, &page_keys);
+    if table.dense_bytes() > 0 {
+        table_memory.grow(table.dense_bytes())?;
+    }
     let mut states: Vec<GroupedAccumulator> = aggregates
         .iter()
         .zip(&schema.fields()[group_by.len()..])
@@ -332,10 +352,8 @@ fn aggregate_pages(
     let mut ids = Vec::new();
     let mut groups = 0;
 
-    for page in pages {
-        // vectorized: evaluate keys and arguments once per page
-        let key_blocks =
-            group_by.iter().map(|e| evaluate(e, page, ctx)).collect::<Result<Vec<_>>>()?;
+    for (page, key_blocks) in pages.iter().zip(&page_keys) {
+        // vectorized: evaluate arguments once per page
         let arg_blocks = aggregates
             .iter()
             .map(|a| a.argument.as_ref().map(|e| evaluate(e, page, ctx)).transpose())
@@ -354,7 +372,7 @@ fn aggregate_pages(
             groups = 1;
             None
         } else {
-            table.resolve(&key_blocks, true, &mut ids)?;
+            table.resolve(key_blocks, true, &mut ids)?;
             groups = table.distinct();
             if groups > known {
                 // ids are dealt in row order, so a new group's first row is
@@ -365,7 +383,7 @@ fn aggregate_pages(
                         first_rows.push(row);
                     }
                 }
-                for (column, block) in key_columns.iter_mut().zip(&key_blocks) {
+                for (column, block) in key_columns.iter_mut().zip(key_blocks) {
                     column.push(block.take(&first_rows).decode_dictionary());
                 }
             }
@@ -549,8 +567,9 @@ fn join_keys<'a>(
 /// page plus the hash table) is held under an RAII reservation for the
 /// duration of the probe.
 ///
-/// The key table is sized once for `build`'s rows, and the build keys are
-/// resolved a page of `build_pages` at a time, as the probe's are. Build
+/// The build keys are evaluated once: the key table is laid out from them
+/// ([`KeyTable::join`]; a hashed one sized for `build`'s rows), then they
+/// are resolved a page of `build_pages` at a time, as the probe's are. Build
 /// rows with equal keys are chained in ascending order of their position in
 /// `build`, so each probe page yields its matches by (probe row, build row),
 /// then — for LEFT — its unmatched rows, null-extended. A NULL or NaN key
@@ -570,16 +589,22 @@ fn hash_join_pages(
         ctx.pool.reserve(build.memory_size(), ctx.operator_reservation_kind())?;
 
     let key_types = join_key_types(on);
-    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default(), build.positions());
+    let build_keys = match &key_types {
+        Some(types) => build_pages
+            .iter()
+            .map(|page| join_keys(on.iter().map(|(_, r)| r), types, page, ctx))
+            .collect::<Result<Vec<_>>>()?,
+        None => Vec::new(),
+    };
+    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default(), &build_keys);
     let mut ids = Vec::new();
     // `heads[key id]` is the key's first build row, `next[row]` the one after
     let mut next = vec![NO_KEY; build.positions()];
     let mut heads = Vec::new();
-    if let Some(types) = &key_types {
+    if key_types.is_some() {
         let mut build_ids = Vec::with_capacity(build.positions());
-        for page in build_pages {
-            let build_keys = join_keys(on.iter().map(|(_, r)| r), types, page, ctx)?;
-            table.resolve(&build_keys, true, &mut ids)?;
+        for page_keys in &build_keys {
+            table.resolve(page_keys, true, &mut ids)?;
             build_ids.extend_from_slice(&ids);
         }
         heads.resize(table.distinct(), NO_KEY);
@@ -587,6 +612,7 @@ fn hash_join_pages(
             next[row] = std::mem::replace(&mut heads[id as usize], row as u32);
         }
     }
+    drop(build_keys);
     build_memory.grow(table.distinct() * 48)?;
 
     let null_entry = kind == JoinKind::Left;

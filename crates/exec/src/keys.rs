@@ -3,7 +3,15 @@
 //! `u32` id in first-seen order. Operators work on the ids — slot arrays for
 //! aggregation, row chains for the hash join — never on a `Vec<Value>`.
 //!
-//! **Layouts.** BOOLEAN/INTEGER/BIGINT/DATE/TIMESTAMP/DOUBLE columns pack
+//! **Layouts.** A table is built over the key columns it will hold — a join
+//! table over its build side's, a GROUP BY table over its input's — and its
+//! layout is chosen from them. When every key column is BOOLEAN, INTEGER,
+//! BIGINT, DATE or TIMESTAMP (plain, or a dictionary over one) and their
+//! values span few enough slots (see Sizing), the table is *dense*: each
+//! column's value, less its smallest, is one digit of a mixed-radix offset
+//! into a `Vec<u32>` of ids — no hash, no compare, no key stored. A GROUP BY
+//! column that holds a NULL gets one more digit for it. Otherwise
+//! BOOLEAN/INTEGER/BIGINT/DATE/TIMESTAMP/DOUBLE columns pack
 //! into one word, value bits plus a NULL bit each (2, 33 or 65 bits): a
 //! `u64` while they fit, else a `u128`. A VARCHAR column packs too, as a
 //! 32-bit id plus its NULL bit: each column interns its strings to dense ids
@@ -17,16 +25,25 @@
 //! use; a key that is one dictionary column is also hashed and looked up
 //! once per entry its rows use.
 //!
-//! **Sizing.** A GROUP BY table starts empty and doubles from 16 slots. A
-//! join table is sized once from its build side's row count, an upper bound
-//! on its distinct keys, and never grows.
+//! **Sizing.** A hashed table of `n` rows' keys would reach `2n` slots
+//! rounded up to a power of two (at least 16). A table is dense exactly when
+//! the product of its columns' spans (`max − min + 1`, plus the NULL digit)
+//! is at most that slot count: so a dense table is never larger than the
+//! hash table it replaces, and a span or product past `u64` (checked, never
+//! wrapped) keeps the table hashed. A hashed GROUP BY table starts empty and
+//! doubles from 16 slots. A hashed join table is sized once from its build
+//! side's row count, an upper bound on its distinct keys, and never grows.
 //!
 //! **Contract.** Two rows get one id exactly when their keys are equal as
 //! `Vec<Value>` under `Value: Eq`: NULL equals NULL, `0.0` equals `-0.0`,
 //! NaNs compare bitwise. A [`KeyTable::join`] table differs in one way: a
 //! row holding a NULL or a NaN has *no* key ([`NO_KEY`]), as SQL `=` is
 //! never true of either. A lookup without `insert` adds nothing, not even an
-//! interned string: a string never seen gives its row [`NO_KEY`]. (Join
+//! interned string: a string never seen, or a value outside a dense table's
+//! range, gives its row [`NO_KEY`]. Every layout deals the same ids, so
+//! nothing ordered by them depends on the layout. A key inserted must be one
+//! of the columns the table was built over: a dense table has no slot for
+//! another and fails. (Join
 //! sides of different numeric width are brought to their
 //! [`DataType::comparison_type`] first; group-by keys keep their own type.)
 //! Hashing is a fixed multiplicative mix, so ids — and all that is ordered
@@ -206,12 +223,17 @@ impl<'a> Cells<'a> {
 struct Slots(Vec<u32>);
 
 impl Slots {
+    /// How many slots take `keys` keys without growing.
+    fn count(keys: usize) -> usize {
+        match keys {
+            0 => 0,
+            n => (2 * n).next_power_of_two().max(16),
+        }
+    }
+
     /// Slots that take `keys` keys without growing.
     fn sized(keys: usize) -> Slots {
-        match keys {
-            0 => Slots::default(),
-            n => Slots(vec![NO_KEY; (2 * n).next_power_of_two().max(16)]),
-        }
+        Slots(vec![NO_KEY; Slots::count(keys)])
     }
 
     /// The id of the key `is_key` recognises among those hashing like
@@ -304,8 +326,18 @@ trait Keys {
     fn interned(&self) -> usize {
         0
     }
+    /// Bytes allocated whole when the table is built (a dense table's slots).
+    fn dense_bytes(&self) -> usize {
+        0
+    }
     /// The id of every row of `keys` into `ids`; `types` are the columns'.
-    fn resolve(&mut self, types: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>);
+    fn resolve(
+        &mut self,
+        types: &[DataType],
+        keys: &[&Block],
+        mode: Mode,
+        ids: &mut Vec<u32>,
+    ) -> Result<()>;
 }
 
 /// What a table does with a page's keys.
@@ -367,7 +399,13 @@ impl<W: Word> Keys for Packed<W> {
     }
 
     /// Pack the columns into words a column at a time, then probe per row.
-    fn resolve(&mut self, types: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>) {
+    fn resolve(
+        &mut self,
+        types: &[DataType],
+        keys: &[&Block],
+        mode: Mode,
+        ids: &mut Vec<u32>,
+    ) -> Result<()> {
         let rows = keys.first().map_or(0, |block| block.len());
         let mut words = vec![W::default(); rows];
         let mut keyless = vec![false; rows];
@@ -393,6 +431,7 @@ impl<W: Word> Keys for Packed<W> {
             false => self.words.find(word, mode.insert),
         });
         ids.extend(found);
+        Ok(())
     }
 }
 
@@ -553,7 +592,13 @@ impl Keys for ByteKeys {
 
     /// Encode and hash each column's cells once; a row's key is its cells
     /// strung together, its hash theirs folded. Only a new key is copied.
-    fn resolve(&mut self, _: &[DataType], keys: &[&Block], mode: Mode, ids: &mut Vec<u32>) {
+    fn resolve(
+        &mut self,
+        _: &[DataType],
+        keys: &[&Block],
+        mode: Mode,
+        ids: &mut Vec<u32>,
+    ) -> Result<()> {
         let columns: Vec<Cells<'_>> =
             keys.iter().map(|block| Cells::encode(block, !mode.nulls_match)).collect();
         for row in 0..keys.first().map_or(0, |block| block.len()) {
@@ -565,6 +610,192 @@ impl Keys for ByteKeys {
             let hash = cells().fold(0u64, |h, (_, cell_hash)| (h ^ cell_hash).wrapping_mul(MIX));
             ids.push(self.find(hash, || cells().map(|(cell, _)| cell), mode.insert));
         }
+        Ok(())
+    }
+}
+
+/// A row offset that names no slot: a NULL with no digit, or a value
+/// outside its column's range. Adding a digit to it saturates, so it stays.
+const KEYLESS: usize = usize::MAX;
+
+/// Whether a column of `data_type` can be a dense digit.
+fn is_integral(data_type: &DataType) -> bool {
+    use DataType::*;
+    matches!(data_type, Boolean | Integer | Bigint | Date | Timestamp)
+}
+
+/// The values of an integral column, as `i64`, into `f` (`None` under a
+/// NULL); `None` for a column of another kind. A dictionary gives its
+/// entries, used by a row or not.
+fn for_integers(block: &Block, f: impl FnMut(Option<i64>)) -> Option<()> {
+    fn each<T: Copy>(
+        values: &[T],
+        nulls: &NullMask,
+        int: fn(T) -> i64,
+        f: impl FnMut(Option<i64>),
+    ) {
+        match nulls {
+            None => values.iter().map(|&v| Some(int(v))).for_each(f),
+            Some(mask) => {
+                values.iter().zip(mask).map(|(&v, &null)| (!null).then(|| int(v))).for_each(f)
+            }
+        }
+    }
+    match block {
+        Block::Boolean { values, nulls } => each(values, nulls, i64::from, f),
+        Block::Integer { values, nulls } | Block::Date { values, nulls } => {
+            each(values, nulls, i64::from, f)
+        }
+        Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
+            each(values, nulls, |v| v, f)
+        }
+        Block::Dictionary { dictionary, .. } => return for_integers(dictionary, f),
+        _ => return None,
+    }
+    Some(())
+}
+
+/// One column's digit of a [`Dense`] offset: a value `v` with
+/// `min <= v < min + values` is the digit `v − min`, a NULL `null` (already
+/// weighed; [`KEYLESS`] when the column has no NULL digit); each digit
+/// weighs `stride`.
+struct Radix {
+    min: i64,
+    values: u64,
+    null: usize,
+    stride: usize,
+}
+
+impl Radix {
+    /// Add each row's digit, weighed, to its offset in `offsets`.
+    fn add(&self, block: &Block, offsets: &mut [usize]) {
+        if let Block::Dictionary { dictionary, ids } = block {
+            let mut entries = vec![0; dictionary.len()];
+            self.add(dictionary, &mut entries);
+            let rows = offsets.iter_mut().zip(ids);
+            rows.for_each(|(offset, &id)| *offset = offset.saturating_add(entries[id as usize]));
+            return;
+        }
+        let digit = |v: Option<i64>| match v {
+            None => self.null,
+            Some(v) => match (v as u64).wrapping_sub(self.min as u64) {
+                d if d < self.values => d as usize * self.stride,
+                _ => KEYLESS,
+            },
+        };
+        let mut rows = offsets.iter_mut();
+        let added = for_integers(block, |v| {
+            if let Some(offset) = rows.next() {
+                *offset = offset.saturating_add(digit(v));
+            }
+        });
+        if added.is_none() {
+            offsets.fill(KEYLESS);
+        }
+    }
+}
+
+/// Integral keys whose values span few slots: a key's id sits at its
+/// mixed-radix offset, one [`Radix`] digit per column.
+struct Dense {
+    radices: Vec<Radix>,
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl Dense {
+    /// The dense layout of the key columns `pages` (per page, per column,
+    /// of `types`) when their spans multiply to at least 1 and at most
+    /// `slots`; with `null_digit`, a column holding a NULL spans one more.
+    /// `None` for a column that is not integral, another product, or a span
+    /// or product past `u64`.
+    fn fit<K: Borrow<Block>>(
+        types: &[DataType],
+        pages: &[impl AsRef<[K]>],
+        null_digit: bool,
+        slots: usize,
+    ) -> Option<Dense> {
+        if !types.iter().all(is_integral) {
+            return None;
+        }
+        let mut radices = Vec::with_capacity(types.len());
+        let mut product = 1u64;
+        for column in 0..types.len() {
+            let (mut min, mut max, mut nulls) = (i64::MAX, i64::MIN, false);
+            for page in pages {
+                for_integers(page.as_ref().get(column)?.borrow(), |v| match v {
+                    Some(v) => (min, max) = (min.min(v), max.max(v)),
+                    None => nulls = true,
+                })?;
+            }
+            let values = match min <= max {
+                true => max.abs_diff(min).checked_add(1)?,
+                false => 0,
+            };
+            let null_digit = null_digit && nulls;
+            let stride = product;
+            product = product.checked_mul(values.checked_add(u64::from(null_digit))?)?;
+            // both are at most the product, which must fit `slots`
+            let null = if null_digit { (values * stride) as usize } else { KEYLESS };
+            radices.push(Radix { min, values, null, stride: stride as usize });
+        }
+        (1..=slots as u64).contains(&product).then(|| Dense {
+            radices,
+            slots: vec![NO_KEY; product as usize],
+            len: 0,
+        })
+    }
+}
+
+impl Keys for Dense {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Nothing: the slots were allocated whole.
+    fn reserve(&mut self, _: usize) {}
+
+    fn dense_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Sum each column's weighed digits a column at a time, then read (or
+    /// deal) the id at each row's offset.
+    fn resolve(
+        &mut self,
+        _: &[DataType],
+        keys: &[&Block],
+        mode: Mode,
+        ids: &mut Vec<u32>,
+    ) -> Result<()> {
+        let mut offsets = vec![0; keys.first().map_or(0, |block| block.len())];
+        for (block, radix) in keys.iter().zip(&self.radices) {
+            radix.add(block, &mut offsets);
+        }
+        for (row, &offset) in offsets.iter().enumerate() {
+            let id = match self.slots.get_mut(offset) {
+                Some(slot) if *slot == NO_KEY && mode.insert => {
+                    *slot = self.len as u32;
+                    self.len += 1;
+                    *slot
+                }
+                Some(slot) => *slot,
+                // a lookup outside the range, or a join row holding a NULL:
+                // no key
+                None if !mode.insert
+                    || !mode.nulls_match && keys.iter().any(|b| b.is_null(row)) =>
+                {
+                    NO_KEY
+                }
+                None => {
+                    return Err(PrestoError::Internal(
+                        "a key outside the columns its dense key table was built over".into(),
+                    ))
+                }
+            };
+            ids.push(id);
+        }
+        Ok(())
     }
 }
 
@@ -576,30 +807,45 @@ pub struct KeyTable {
 }
 
 impl KeyTable {
-    fn new(types: &[DataType], nulls_match: bool) -> KeyTable {
+    /// A table over the key columns `pages` (per page, per column, of
+    /// `types`), laid out from them.
+    fn new<K: Borrow<Block>>(
+        types: &[DataType],
+        pages: &[impl AsRef<[K]>],
+        nulls_match: bool,
+    ) -> KeyTable {
+        let rows = pages.iter().map(|page| page.as_ref().first().map_or(0, |b| b.borrow().len()));
+        let rows = rows.sum();
         let bits = types.iter().try_fold(0u32, |sum, t| Some(sum + packed_bits(t)?));
-        let keys: Box<dyn Keys> = match bits {
-            Some(0..=64) => Box::new(Packed::<u64>::new(types.len())),
-            Some(65..=128) => Box::new(Packed::<u128>::new(types.len())),
-            _ => Box::new(ByteKeys::default()),
-        };
+        let mut keys: Box<dyn Keys> =
+            match Dense::fit(types, pages, nulls_match, Slots::count(rows)) {
+                Some(dense) => Box::new(dense),
+                None => match bits {
+                    Some(0..=64) => Box::new(Packed::<u64>::new(types.len())),
+                    Some(65..=128) => Box::new(Packed::<u128>::new(types.len())),
+                    _ => Box::new(ByteKeys::default()),
+                },
+            };
+        if !nulls_match {
+            keys.reserve(rows);
+        }
         KeyTable { types: types.to_vec(), nulls_match, keys }
     }
 
-    /// A table of GROUP BY keys over columns of `types`: equality is
-    /// `Vec<Value>` equality. It starts empty and grows with its keys.
-    pub fn group_by(types: &[DataType]) -> KeyTable {
-        KeyTable::new(types, true)
+    /// A table of GROUP BY keys over the key columns `input` (per page, per
+    /// column, of `types`): equality is `Vec<Value>` equality. A hashed
+    /// table starts empty and grows with its keys.
+    pub fn group_by<K: Borrow<Block>>(types: &[DataType], input: &[impl AsRef<[K]>]) -> KeyTable {
+        KeyTable::new(types, input, true)
     }
 
-    /// A table of equi-join keys over a build side of `build_rows` rows: as
-    /// [`KeyTable::group_by`], except that a row holding a NULL or a NaN
-    /// gets [`NO_KEY`]. Sized once for `build_rows` distinct keys, it never
-    /// grows while it holds no more.
-    pub fn join(types: &[DataType], build_rows: usize) -> KeyTable {
-        let mut table = KeyTable::new(types, false);
-        table.keys.reserve(build_rows);
-        table
+    /// A table of equi-join keys over the build side's key columns `build`
+    /// (per page, per column, of `types`): as [`KeyTable::group_by`], except
+    /// that a row holding a NULL or a NaN gets [`NO_KEY`]. A hashed table is
+    /// sized once for `build`'s rows and never grows while it holds no more
+    /// distinct keys.
+    pub fn join<K: Borrow<Block>>(types: &[DataType], build: &[impl AsRef<[K]>]) -> KeyTable {
+        KeyTable::new(types, build, false)
     }
 
     /// Distinct keys so far.
@@ -613,10 +859,17 @@ impl KeyTable {
         self.keys.interned()
     }
 
+    /// The bytes of a dense table's slots, allocated whole when it was
+    /// built; 0 for a hashed table, whose memory grows with its keys.
+    pub fn dense_bytes(&self) -> usize {
+        self.keys.dense_bytes()
+    }
+
     /// The id of each row of the key columns `keys` into `ids` (replacing
     /// its contents). With `insert`, a new key gets the next id; without,
     /// [`NO_KEY`]. Fails when a column is not of the type the table was
-    /// built for — the layout was chosen from those.
+    /// built for — the layout was chosen from those — and when a dense
+    /// table is to insert a key outside the columns it was built over.
     pub fn resolve(
         &mut self,
         keys: &[impl Borrow<Block>],
@@ -636,11 +889,10 @@ impl KeyTable {
         let mode = Mode { nulls_match: self.nulls_match, insert };
         match keys[..] {
             [Block::Dictionary { dictionary, ids: entries }] => {
-                self.resolve_entries(dictionary, entries, mode, ids);
+                self.resolve_entries(dictionary, entries, mode, ids)
             }
             _ => self.keys.resolve(&self.types, &keys, mode, ids),
         }
-        Ok(())
     }
 
     /// One dictionary key column: resolve only the entries its rows use, in
@@ -652,10 +904,128 @@ impl KeyTable {
         rows: &[u32],
         mode: Mode,
         ids: &mut Vec<u32>,
-    ) {
+    ) -> Result<()> {
         let (position, used) = first_uses(rows, dictionary.len());
         let mut used_ids = Vec::with_capacity(used.len());
-        self.keys.resolve(&self.types, &[&dictionary.take(&used)], mode, &mut used_ids);
+        self.keys.resolve(&self.types, &[&dictionary.take(&used)], mode, &mut used_ids)?;
         ids.extend(rows.iter().map(|&entry| used_ids[position[entry as usize] as usize]));
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bigints(values: &[Option<i64>]) -> Block {
+        let values: Vec<Value> =
+            values.iter().map(|v| v.map_or(Value::Null, Value::Bigint)).collect();
+        Block::from_values(&DataType::Bigint, &values).unwrap()
+    }
+
+    /// The ids of one page of `columns` dealt by `table`, inserting.
+    fn ids(table: &mut KeyTable, columns: &[Block]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        table.resolve(columns, true, &mut ids).unwrap();
+        ids
+    }
+
+    /// Whether a table over the one page `columns` is dense, as a join
+    /// table or as a GROUP BY table.
+    fn dense(columns: &[Block]) -> (bool, bool) {
+        let types: Vec<DataType> = columns.iter().map(Block::data_type).collect();
+        let join = KeyTable::join(&types, &[columns]).dense_bytes() > 0;
+        (join, KeyTable::group_by(&types, &[columns]).dense_bytes() > 0)
+    }
+
+    #[test]
+    fn a_span_product_up_to_the_slot_count_is_dense() {
+        // 8 rows: a hashed table takes 16 slots
+        let column = |top: i64| bigints(&[0, top, 1, 2, 3, 4, 5, 6].map(Some));
+        assert_eq!(dense(&[column(15)]), (true, true));
+        assert_eq!(dense(&[column(16)]), (false, false));
+        // a GROUP BY column holding a NULL spans one more; a join's does not
+        let nullable = |top: i64| bigints(&[Some(0), Some(top), None, Some(1), Some(2)]);
+        assert_eq!(Slots::count(5), 16);
+        assert_eq!(dense(&[nullable(14)]), (true, true));
+        assert_eq!(dense(&[nullable(15)]), (true, false));
+        assert_eq!(dense(&[nullable(16)]), (false, false));
+        // spans multiply: 4 × 4 fits, 4 × 5 does not
+        let small = |top: i64| bigints(&[0, top, 1, 2, 0, 1, 2, 3].map(Some));
+        assert_eq!(dense(&[small(3), small(3)]), (true, true));
+        assert_eq!(dense(&[small(3), small(4)]), (false, false));
+        // and the dense table deals the ids in first-seen order
+        let types = [DataType::Bigint, DataType::Bigint];
+        let (a, b) = (small(3), bigints(&[0, 1, 1, 2, 0, 1, 2, 3].map(Some)));
+        let columns = [a, b];
+        let mut table = KeyTable::group_by(&types, &[&columns]);
+        assert_eq!(ids(&mut table, &columns), [0, 1, 2, 3, 0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn spans_past_u64_stay_hashed_and_never_wrap() {
+        let extremes = bigints(&[Some(i64::MIN), Some(i64::MAX), Some(i64::MIN)]);
+        assert_eq!(dense(std::slice::from_ref(&extremes)), (false, false));
+        let mut table = KeyTable::group_by(&[DataType::Bigint], &[[&extremes]]);
+        assert_eq!(ids(&mut table, std::slice::from_ref(&extremes)), [0, 1, 0]);
+        // spans 3 and (2^64 + 2) / 3 multiply to 2^64 + 2: wrapped, 2 slots
+        let wide: u64 = 6_148_914_691_236_517_206;
+        assert_eq!(u128::from(wide) * 3, (1u128 << 64) + 2);
+        let far = wide as i64 - 1;
+        let columns =
+            [bigints(&[0, 2, 0, 2, 0].map(Some)), bigints(&[0, far, far, 0, 0].map(Some))];
+        assert_eq!(dense(&columns), (false, false));
+        let types = [DataType::Bigint, DataType::Bigint];
+        let mut table = KeyTable::join(&types, &[&columns]);
+        assert_eq!(ids(&mut table, &columns), [0, 1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn boolean_and_dictionary_keys_resolve_densely() {
+        let flags = Block::from_values(
+            &DataType::Boolean,
+            &[true.into(), false.into(), Value::Null, true.into()],
+        )
+        .unwrap();
+        let types = [DataType::Boolean];
+        let mut groups = KeyTable::group_by(&types, &[[&flags]]);
+        let mut joins = KeyTable::join(&types, &[[&flags]]);
+        assert!(groups.dense_bytes() > 0 && joins.dense_bytes() > 0);
+        assert_eq!(ids(&mut groups, std::slice::from_ref(&flags)), [0, 1, 2, 0]);
+        assert_eq!(ids(&mut joins, std::slice::from_ref(&flags)), [0, 1, NO_KEY, 0]);
+        let mut found = Vec::new();
+        joins.resolve(&[Block::boolean(vec![false, true])], false, &mut found).unwrap();
+        assert_eq!(found, [1, 0]);
+
+        // entry 1 (9) is in the dictionary, used by no row
+        let dictionary = || Box::new(Block::integer(vec![7, 9, 5]));
+        let codes = Block::Dictionary { dictionary: dictionary(), ids: vec![0, 2, 0, 2] };
+        let types = [DataType::Integer];
+        let mut joins = KeyTable::join(&types, &[[&codes]]);
+        assert!(joins.dense_bytes() > 0);
+        assert_eq!(ids(&mut joins, std::slice::from_ref(&codes)), [0, 1, 0, 1]);
+        // in range but never inserted, or outside the range: no key
+        joins.resolve(&[Block::integer(vec![5, 9, 6, 7, 4, 10])], false, &mut found).unwrap();
+        assert_eq!(found, [1, NO_KEY, NO_KEY, 0, NO_KEY, NO_KEY]);
+        // beside a second column, the dictionary's digits are read per entry
+        let columns = [codes, Block::boolean(vec![true, true, false, true])];
+        let types = [DataType::Integer, DataType::Boolean];
+        let mut groups = KeyTable::group_by(&types, &[&columns]);
+        assert!(groups.dense_bytes() > 0);
+        assert_eq!(ids(&mut groups, &columns), [0, 1, 2, 1]);
+    }
+
+    #[test]
+    fn a_dense_table_refuses_to_insert_outside_its_columns() {
+        let built = bigints(&[Some(1), Some(2), Some(3)]);
+        let mut groups = KeyTable::group_by(&[DataType::Bigint], &[[&built]]);
+        let mut joins = KeyTable::join(&[DataType::Bigint], &[[&built]]);
+        let mut ids = Vec::new();
+        assert!(groups.resolve(&[bigints(&[Some(4)])], true, &mut ids).is_err());
+        assert!(groups.resolve(&[bigints(&[None])], true, &mut ids).is_err());
+        assert!(joins.resolve(&[bigints(&[Some(0)])], true, &mut ids).is_err());
+        // a join row holding a NULL has no key, whatever the range
+        joins.resolve(&[bigints(&[None, Some(2)])], true, &mut ids).unwrap();
+        assert_eq!(ids, [NO_KEY, 0]);
     }
 }

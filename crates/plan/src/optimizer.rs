@@ -684,7 +684,8 @@ fn is_identity_access_list(accesses: &[RowExpression], width: usize) -> bool {
 /// Insert an explicit Project naming the accesses an Aggregate uses, so the
 /// scan-pruning rule can see them (turns `Aggregate → Scan` into
 /// `Aggregate → Project → Scan`). An aggregate that names no column at all
-/// (`count(*)`) gets a Project of nothing, and its scan then reads nothing.
+/// (`count(*)`) gets a Project of nothing over a scan, which then reads
+/// nothing, or over a join, whose sides then read their keys alone.
 fn project_below_aggregate(plan: &mut LogicalPlan) -> Result<bool> {
     let LogicalPlan::Aggregate { input, group_by, aggregates, step: AggregateStep::Single } = plan
     else {
@@ -698,14 +699,16 @@ fn project_below_aggregate(plan: &mut LogicalPlan) -> Result<bool> {
     let arguments = aggregates.iter().filter_map(|a| a.argument.as_ref());
     collect_accesses(group_by.iter().chain(arguments), &mut accesses);
     // `count(*)` names nothing: its scan (bare or under a filter) is asked
-    // for no column; over any other input the plan stays as it was
-    let over_scan = match input.as_ref() {
+    // for no column, and a join's sides for their keys alone
+    // (`push_project_into_join`); over any other input the plan stays as
+    // it was
+    let prunable = match input.as_ref() {
         LogicalPlan::Filter { input: inner, .. } => {
             matches!(**inner, LogicalPlan::TableScan { .. })
         }
-        other => matches!(other, LogicalPlan::TableScan { .. }),
+        other => matches!(other, LogicalPlan::TableScan { .. } | LogicalPlan::Join { .. }),
     };
-    if is_identity_access_list(&accesses, width) || (accesses.is_empty() && !over_scan) {
+    if is_identity_access_list(&accesses, width) || (accesses.is_empty() && !prunable) {
         return Ok(false);
     }
     for g in group_by.iter_mut() {

@@ -101,9 +101,9 @@ fn breaker_allocations_do_not_scale_with_rows() {
     }
 }
 
-/// A join's key table is sized once, from its build side's row count: fed
-/// that many distinct keys a page at a time, it makes as many allocations
-/// at 40k rows as at 10k. A table that doubled from 16 slots would
+/// A hashed join key table is sized once, from its build side's row count:
+/// fed that many distinct keys a page at a time (7919 apart, too sparse for
+/// the dense layout), it makes as many allocations at 40k rows as at 10k. A table that doubled from 16 slots would
 /// reallocate its slots about log2(n / 8) times, and its keys as often.
 #[test]
 fn a_sized_join_table_allocates_the_same_at_any_row_count() {
@@ -116,14 +116,16 @@ fn a_sized_join_table_allocates_the_same_at_any_row_count() {
                 )
             })
             .collect();
+        let build: Vec<&[Block]> = pages.iter().map(std::slice::from_ref).collect();
         let mut ids = Vec::with_capacity(n / PAGES);
         let before = counting::allocations();
-        let mut table = KeyTable::join(&[DataType::Bigint], n);
+        let mut table = KeyTable::join(&[DataType::Bigint], &build);
         for page in &pages {
             table.resolve(&[page], true, &mut ids).unwrap();
         }
         let after = counting::allocations();
         assert_eq!(table.distinct(), n);
+        assert_eq!(table.dense_bytes(), 0, "the table is hashed");
         after - before
     };
     let (small, large) = (allocations(10_000), allocations(40_000));

@@ -14,7 +14,9 @@
 //! NaN / `-0.0` / `i64` extremes, empty and zero-column pages, 1–4 pages) ×
 //! random plans go through `presto_exec::execute` and must equal the
 //! reference *in order*, compared via `{:?}` so doubles match to the bit.
-//! Each case runs again under a budget that forces the spill path.
+//! Each case runs again under a budget that forces the spill path. A third
+//! of the aggregation and join cases draw integers from a small range
+//! instead ([`small_value`]), so their key tables take the dense layout.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -121,19 +123,51 @@ fn value(g: &mut Gen, dt: &DataType) -> Value {
     }
 }
 
+/// The key types of the dense layout.
+const INTEGRAL: [DataType; 5] =
+    [DataType::Boolean, DataType::Bigint, DataType::Integer, DataType::Date, DataType::Timestamp];
+
+/// As [`value`], but an integer is one of -3..=3: a few such columns span
+/// few enough slots that their key tables are dense.
+fn small_value(g: &mut Gen, dt: &DataType) -> Value {
+    if g.below(6) == 0 {
+        return Value::Null;
+    }
+    let v = g.below(7) as i64 - 3;
+    match dt {
+        DataType::Bigint => Value::Bigint(v),
+        DataType::Integer => Value::Integer(v as i32),
+        DataType::Date => Value::Date(v as i32),
+        DataType::Timestamp => Value::Timestamp(v),
+        _ => value(g, dt),
+    }
+}
+
+/// A probe row's value against a [`small_value`] build side: mostly small,
+/// sometimes an extreme — either may lie outside the build side's range.
+fn probe_value(g: &mut Gen, dt: &DataType) -> Value {
+    match g.below(8) {
+        0 => value(g, dt),
+        _ => small_value(g, dt),
+    }
+}
+
+/// Draws one value of a type.
+type Draw = fn(&mut Gen, &DataType) -> Value;
+
 /// A block holding `values`, sometimes behind a dictionary ([`dictionary`]).
-fn block(g: &mut Gen, dt: &DataType, values: &[Value]) -> Block {
+fn block(g: &mut Gen, dt: &DataType, values: &[Value], draw: Draw) -> Block {
     match g.below(3) {
-        0 => dictionary(g, dt, values),
+        0 => dictionary(g, dt, values, draw),
         _ => Block::from_values(dt, values).unwrap(),
     }
 }
 
 /// `values` behind a dictionary whose entries are in another order and
-/// include one no row uses.
-fn dictionary(g: &mut Gen, dt: &DataType, values: &[Value]) -> Block {
+/// include one no row uses, from `draw`.
+fn dictionary(g: &mut Gen, dt: &DataType, values: &[Value], draw: Draw) -> Block {
     let mut entries: Vec<Value> = values.iter().rev().cloned().collect();
-    entries.push(value(g, dt));
+    entries.push(draw(g, dt));
     let ids = (0..values.len()).map(|i| (values.len() - 1 - i) as u32).collect();
     Block::Dictionary { dictionary: Box::new(Block::from_values(dt, &entries).unwrap()), ids }
 }
@@ -148,19 +182,24 @@ struct Table {
 
 impl Table {
     fn random(g: &mut Gen, types: Vec<DataType>) -> Table {
+        Table::drawn(g, types, value)
+    }
+
+    /// A random table whose values come from `draw`.
+    fn drawn(g: &mut Gen, types: Vec<DataType>, draw: Draw) -> Table {
         let fields = types.iter().enumerate().map(|(i, t)| Field::new(format!("c{i}"), t.clone()));
         let schema = Schema::new(fields.collect()).unwrap();
         let (mut pages, mut rows) = (Vec::new(), Vec::new());
         for _ in 0..1 + g.below(4) {
             let n = g.pick(&[0, 1, 2, 5, 9, 14]);
             let page_rows: Vec<Vec<Value>> =
-                (0..n).map(|_| types.iter().map(|t| value(g, t)).collect()).collect();
+                (0..n).map(|_| types.iter().map(|t| draw(g, t)).collect()).collect();
             let blocks: Vec<Block> = types
                 .iter()
                 .enumerate()
                 .map(|(c, t)| {
                     let column: Vec<Value> = page_rows.iter().map(|r| r[c].clone()).collect();
-                    block(g, t, &column)
+                    block(g, t, &column, draw)
                 })
                 .collect();
             pages.push(if blocks.is_empty() {
@@ -175,6 +214,11 @@ impl Table {
 
     fn all_rows(&self) -> Vec<Vec<Value>> {
         self.rows.iter().flatten().cloned().collect()
+    }
+
+    /// Each page's columns, as a key table is built over them.
+    fn columns(&self) -> Vec<&[Block]> {
+        self.pages.iter().map(Page::blocks).collect()
     }
 
     fn types(&self) -> Vec<DataType> {
@@ -194,6 +238,20 @@ impl Table {
 fn random_types(g: &mut Gen, min: usize) -> Vec<DataType> {
     (0..min + g.below(5)).map(|_| g.pick(&SCALARS)).collect()
 }
+
+/// `min` to `min + 2` integral types.
+fn integral_types(g: &mut Gen, min: usize) -> Vec<DataType> {
+    (0..min + g.below(3)).map(|_| g.pick(&INTEGRAL)).collect()
+}
+
+/// How a case draws its column types (at least a given count) and values.
+type Shape = (fn(&mut Gen, usize) -> Vec<DataType>, Draw);
+
+/// Any scalar type, values with the edge cases.
+const WIDE: Shape = (random_types, value);
+
+/// Integral types, small values: key tables mostly dense.
+const SMALL: Shape = (integral_types, small_value);
 
 // ------------------------------------------------------------- execution
 
@@ -348,8 +406,9 @@ fn is_insufficient(result: &presto_common::Result<Vec<Vec<Vec<Value>>>>) -> bool
 
 fn aggregate_case(seed: u64) -> bool {
     let g = &mut Gen(seed);
-    let types = random_types(g, 0);
-    let table = Table::random(g, types);
+    let (types, draw) = if g.below(3) == 0 { SMALL } else { WIDE };
+    let types = types(g, 0);
+    let table = Table::drawn(g, types, draw);
     let width = table.schema.len();
     let keys: Vec<usize> =
         if width == 0 { vec![] } else { (0..g.below(4)).map(|_| g.below(width)).collect() };
@@ -419,16 +478,18 @@ fn aggregate_case(seed: u64) -> bool {
 
 fn join_case(seed: u64) -> bool {
     let g = &mut Gen(seed);
-    let types = random_types(g, 1);
-    let probe = Table::random(g, types);
+    let small = g.below(3) == 0;
+    let (types, draw) = if small { SMALL } else { WIDE };
+    let probe_types = types(g, 1);
+    let probe = Table::drawn(g, probe_types, if small { probe_value } else { value });
     // make comparable pairs likely: the build side reuses some probe types
-    let mut build_types = random_types(g, 1);
+    let mut build_types = types(g, 1);
     for t in build_types.iter_mut() {
         if g.below(2) == 0 {
             *t = g.pick(&probe.types());
         }
     }
-    let build = Table::random(g, build_types);
+    let build = Table::drawn(g, build_types, draw);
     let on: Vec<(usize, usize)> = (0..1 + g.below(2))
         .map(|_| {
             let l = g.below(probe.schema.len());
@@ -564,17 +625,34 @@ proptest! {
         check(seed, 48, 8, sort_case);
     }
 
-    /// The codec's contract, directly: two rows share an id exactly when
-    /// their keys are equal as `Vec<Value>`; ids are dense in first-seen
-    /// order; a join table gives NULL and NaN rows no key at all, and deals
-    /// the same ids sized for its rows as grown from empty. Key shapes cover
-    /// the packed word (VARCHAR interned, alone or beside BIGINT) and the
-    /// byte layout (nested, or four VARCHARs: 132 bits); every page again
-    /// with each column a dictionary must get the same ids.
+    /// The codec's contract, directly ([`key_codec_case`]); every fourth
+    /// case draws the small-range integers of the dense layout.
     #[test]
     fn key_codec_equality_is_vec_value_equality(seed in any::<u64>()) {
         let g = &mut Gen(seed);
-        for _ in 0..32 {
+        let dense = (0..32).filter(|i| key_codec_case(g.next(), i % 4 == 0)).count();
+        prop_assert!(dense > 0, "no table of seed {} was dense", seed);
+    }
+}
+
+/// No key columns: a key table built over nothing is hashed and grows.
+const NO_PAGES: &[&[Block]] = &[];
+
+/// The key codec's contract on one table drawn from `seed`: two rows share
+/// an id exactly when their keys are equal as `Vec<Value>`; ids are dense in
+/// first-seen order; a join table gives NULL and NaN rows no key at all.
+/// Each table laid out over the pages deals the same ids as a hashed one
+/// grown from empty — for `small` integral keys (drawn from -3..=3, NULLs
+/// among them) mostly a dense table against a hashed one. Every page again
+/// with each column a dictionary gets the same ids. Other key shapes cover
+/// the packed word (VARCHAR interned, alone or beside BIGINT) and the byte
+/// layout (nested, or four VARCHARs: 132 bits). Returns whether the
+/// group-by table was dense.
+fn key_codec_case(seed: u64, small: bool) -> bool {
+    let g = &mut Gen(seed);
+    let (types, draw): (Vec<DataType>, Draw) = match small {
+        true => (integral_types(g, 1), small_value),
+        false => {
             let mut types = random_types(g, 1);
             types.truncate(3);
             match g.below(6) {
@@ -584,73 +662,101 @@ proptest! {
                 3 => types = vec![DataType::Varchar; 4],
                 _ => {}
             }
-            let table = Table::random(g, types.clone());
-            let rows = table.all_rows();
-            let mut groups = KeyTable::group_by(&types);
-            let mut joins = KeyTable::join(&types, rows.len());
-            let mut grown = KeyTable::join(&types, 0);
-            let (mut ids, mut join_ids, mut page_ids) = (Vec::new(), Vec::new(), Vec::new());
-            for page in &table.pages {
-                groups.resolve(page.blocks(), true, &mut page_ids).unwrap();
-                ids.extend_from_slice(&page_ids);
-                joins.resolve(page.blocks(), true, &mut page_ids).unwrap();
-                join_ids.extend_from_slice(&page_ids);
-                grown.resolve(page.blocks(), true, &mut page_ids).unwrap();
-                prop_assert_eq!(&page_ids[..], &join_ids[join_ids.len() - page_ids.len()..]);
-            }
-            prop_assert_eq!(grown.distinct(), joins.distinct());
-            // the same rows with every column a dictionary: the same ids
-            let mut dictionaries = KeyTable::group_by(&types);
-            let mut dictionary_ids = Vec::new();
-            for (page, page_rows) in table.pages.iter().zip(&table.rows) {
-                if page.blocks().is_empty() {
-                    continue;
-                }
-                let blocks: Vec<Block> = types
-                    .iter()
-                    .enumerate()
-                    .map(|(c, t)| {
-                        let column: Vec<Value> = page_rows.iter().map(|r| r[c].clone()).collect();
-                        dictionary(g, t, &column)
-                    })
-                    .collect();
-                dictionaries.resolve(&blocks, true, &mut page_ids).unwrap();
-                dictionary_ids.extend_from_slice(&page_ids);
-            }
-            prop_assert_eq!(&dictionary_ids, &ids, "seed {}", seed);
-            let mut next = 0;
-            for i in 0..rows.len() {
-                for j in 0..i {
-                    prop_assert_eq!(ids[i] == ids[j], rows[i] == rows[j], "seed {} rows {:?} {:?}", seed, rows[i], rows[j]);
-                }
-                if ids[i] == next {
-                    next += 1;
-                }
-                prop_assert!(ids[i] < next, "ids are dense and first-seen, seed {}", seed);
-                let keyless = rows[i].iter().any(|v| match v {
-                    Value::Null => true,
-                    Value::Double(x) => x.is_nan(),
-                    _ => false,
-                });
-                prop_assert_eq!(join_ids[i] == NO_KEY, keyless, "seed {} row {:?}", seed, rows[i]);
-            }
-            prop_assert_eq!(groups.distinct(), next as usize);
-            // a lookup finds what was assigned and adds nothing, not even an
-            // interned string
-            let mut fresh = KeyTable::group_by(&types);
-            for page in &table.pages {
-                fresh.resolve(page.blocks(), false, &mut page_ids).unwrap();
-                prop_assert!(page_ids.iter().all(|&id| id == NO_KEY));
-            }
-            let (interned, mut again) = (groups.interned(), Vec::new());
-            for page in &table.pages {
-                groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
-                again.extend_from_slice(&page_ids);
-            }
-            prop_assert_eq!(&again, &ids);
-            prop_assert_eq!(fresh.distinct(), 0);
-            prop_assert_eq!(fresh.interned(), 0);
-            prop_assert_eq!(groups.interned(), interned);
+            (types, value)
         }
+    };
+    let table = Table::drawn(g, types.clone(), draw);
+    let rows = table.all_rows();
+    let columns = table.columns();
+    let mut groups = KeyTable::group_by(&types, &columns);
+    let mut hashed = KeyTable::group_by(&types, NO_PAGES);
+    let mut joins = KeyTable::join(&types, &columns);
+    let mut grown = KeyTable::join(&types, NO_PAGES);
+    let (mut ids, mut join_ids, mut page_ids) = (Vec::new(), Vec::new(), Vec::new());
+    for page in &table.pages {
+        groups.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        ids.extend_from_slice(&page_ids);
+        hashed.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        prop_assert_eq!(&page_ids[..], &ids[ids.len() - page_ids.len()..], "seed {}", seed);
+        joins.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        join_ids.extend_from_slice(&page_ids);
+        grown.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        prop_assert_eq!(
+            &page_ids[..],
+            &join_ids[join_ids.len() - page_ids.len()..],
+            "seed {}",
+            seed
+        );
     }
+    prop_assert_eq!(hashed.distinct(), groups.distinct());
+    prop_assert_eq!(grown.distinct(), joins.distinct());
+    prop_assert_eq!(hashed.dense_bytes() + grown.dense_bytes(), 0, "grown tables are hashed");
+    // the same rows with every column a dictionary: the same ids
+    let dictionary_pages: Vec<Vec<Block>> = table
+        .rows
+        .iter()
+        .map(|page_rows| {
+            let column = |c: usize| page_rows.iter().map(|r: &Vec<Value>| r[c].clone()).collect();
+            let column: Vec<Vec<Value>> = (0..types.len()).map(column).collect();
+            types.iter().zip(&column).map(|(t, values)| dictionary(g, t, values, draw)).collect()
+        })
+        .collect();
+    let mut dictionaries = KeyTable::group_by(&types, &dictionary_pages);
+    let mut dictionary_ids = Vec::new();
+    for blocks in &dictionary_pages {
+        dictionaries.resolve(blocks, true, &mut page_ids).unwrap();
+        dictionary_ids.extend_from_slice(&page_ids);
+    }
+    prop_assert_eq!(&dictionary_ids, &ids, "seed {}", seed);
+    let mut next = 0;
+    for i in 0..rows.len() {
+        for j in 0..i {
+            prop_assert_eq!(
+                ids[i] == ids[j],
+                rows[i] == rows[j],
+                "seed {} rows {:?} {:?}",
+                seed,
+                rows[i],
+                rows[j]
+            );
+        }
+        if ids[i] == next {
+            next += 1;
+        }
+        prop_assert!(ids[i] < next, "ids are dense and first-seen, seed {}", seed);
+        let keyless = rows[i].iter().any(|v| match v {
+            Value::Null => true,
+            Value::Double(x) => x.is_nan(),
+            _ => false,
+        });
+        prop_assert_eq!(join_ids[i] == NO_KEY, keyless, "seed {} row {:?}", seed, rows[i]);
+    }
+    prop_assert_eq!(groups.distinct(), next as usize);
+    // a lookup finds what was assigned and adds nothing, not even an
+    // interned string — in a table laid out over the pages or grown
+    for mut fresh in [KeyTable::group_by(&types, &columns), KeyTable::group_by(&types, NO_PAGES)] {
+        for page in &table.pages {
+            fresh.resolve(page.blocks(), false, &mut page_ids).unwrap();
+            prop_assert!(page_ids.iter().all(|&id| id == NO_KEY));
+        }
+        prop_assert_eq!(fresh.distinct(), 0);
+        prop_assert_eq!(fresh.interned(), 0);
+    }
+    let (interned, mut again) = (groups.interned(), Vec::new());
+    for page in &table.pages {
+        groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        again.extend_from_slice(&page_ids);
+    }
+    prop_assert_eq!(&again, &ids);
+    prop_assert_eq!(groups.interned(), interned);
+    groups.dense_bytes() > 0
+}
+
+/// [`key_codec_case`] on the small-range integral shape over 10k seeds:
+/// the dense tables against the hashed ones, at soak size.
+#[test]
+#[ignore = "release soak: `cargo test --release -p presto-at-scale --test exec_typed -- --ignored`"]
+fn dense_key_tables_deal_the_hashed_ids_soak() {
+    let dense = (0..10_000).filter(|&seed| key_codec_case(seed, true)).count();
+    assert!(dense > 4_000, "only {dense} of 10000 tables were dense");
 }

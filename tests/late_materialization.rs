@@ -310,19 +310,29 @@ proptest! {
         let (dt, pool) = &key_types()[pick];
         let entries: Vec<Value> = codes.iter().map(|&c| pool[c % pool.len()].clone()).collect();
         let dictionary = values(dt, &entries);
-        for join in [false, true] {
-            let table = || match join {
-                true => KeyTable::join(std::slice::from_ref(dt), 0),
-                false => KeyTable::group_by(std::slice::from_ref(dt)),
-            };
-            let (mut encoded, mut decoded) = (table(), table());
-            for (page, picks) in pages.iter().enumerate() {
+        let columns: Vec<Block> = pages
+            .iter()
+            .map(|picks| {
                 let ids = picks.iter().map(|p| p.index(entries.len()) as u32).collect();
-                let column = Block::Dictionary { dictionary: Box::new(dictionary.clone()), ids };
+                Block::Dictionary { dictionary: Box::new(dictionary.clone()), ids }
+            })
+            .collect();
+        let plain: Vec<Block> = columns.iter().map(Block::decode_dictionary).collect();
+        for join in [false, true] {
+            // a group-by table over every page, a join table over the first
+            let table = |columns: &[Block]| {
+                let pages: Vec<&[Block]> = columns.iter().map(std::slice::from_ref).collect();
+                match join {
+                    true => KeyTable::join(std::slice::from_ref(dt), &pages[..1]),
+                    false => KeyTable::group_by(std::slice::from_ref(dt), &pages),
+                }
+            };
+            let (mut encoded, mut decoded) = (table(&columns), table(&plain));
+            for (page, (column, plain)) in columns.iter().zip(&plain).enumerate() {
                 let insert = !join || page == 0;
                 let (mut via_entries, mut via_rows) = (Vec::new(), Vec::new());
-                encoded.resolve(&[&column], insert, &mut via_entries).unwrap();
-                decoded.resolve(&[column.decode_dictionary()], insert, &mut via_rows).unwrap();
+                encoded.resolve(&[column], insert, &mut via_entries).unwrap();
+                decoded.resolve(&[plain], insert, &mut via_rows).unwrap();
                 prop_assert_eq!(via_entries, via_rows);
                 prop_assert_eq!(encoded.distinct(), decoded.distinct());
             }

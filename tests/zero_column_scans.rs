@@ -2,7 +2,8 @@
 //! plan shows a scan of no columns, every connector (and both Parquet
 //! readers) answers with zero-column pages that carry only a row count, and
 //! those pages cross a cluster's exchange and its fragment cache. A
-//! connector that can aggregate still gets the whole aggregate instead.
+//! connector that can aggregate still gets the whole aggregate instead. A
+//! join under `count(*)` reads its join keys alone.
 
 use std::sync::Arc;
 
@@ -14,6 +15,7 @@ use presto_connectors::hive::HiveReaderConfig;
 use presto_connectors::memory::MemoryConnector;
 use presto_connectors::pinot::pinot_connector;
 use presto_core::{PrestoEngine, Session};
+use presto_plan::OptimizerConfig;
 
 const TRIPS_PER_DAY: usize = 2_500; // three 1,000-row row groups a file
 
@@ -131,5 +133,52 @@ fn aggregating_connectors_still_take_the_whole_count() {
             )
         );
         assert_eq!(count(engine, "SELECT count(*) FROM orders", &session), expected);
+    }
+}
+
+const SELF_JOIN: &str = "SELECT count(*) FROM lineitem a JOIN lineitem b \
+                         ON a.orderkey = b.orderkey AND a.linenumber = b.linenumber";
+
+/// `count(*)` over a join names no column either: each side is narrowed to
+/// its join keys instead of reading every column.
+#[test]
+fn count_star_over_a_join_reads_only_the_join_keys() {
+    let platform = demo_platform(100);
+    let plan = platform.engine.explain(SELF_JOIN, &Session::new("tpch", "tiny")).unwrap();
+    let lines: Vec<&str> = plan.lines().map(str::trim).collect();
+    let join = lines.iter().position(|l| l.starts_with("InnerJoin[keys=2]")).expect("a join");
+    assert_eq!(lines[join - 1], "Project[]", "{plan}");
+    assert_eq!(
+        lines.iter().filter(|l| **l == "Project[orderkey, linenumber]").count(),
+        2,
+        "{plan}"
+    );
+}
+
+#[test]
+fn count_star_over_a_join_counts_what_the_unpruned_join_counts() {
+    let platform = demo_platform(100);
+    let unpruned = OptimizerConfig { projection_pushdown: false, ..OptimizerConfig::default() };
+    for (catalog, schema, sql, expected) in [
+        ("tpch", "tiny", SELF_JOIN, 20_000),
+        (
+            "tpch",
+            "tiny",
+            "SELECT count(*) FROM lineitem a LEFT JOIN lineitem b \
+             ON a.orderkey = b.orderkey AND a.linenumber < b.linenumber",
+            35_000,
+        ),
+        (
+            "hive",
+            "rawdata",
+            "SELECT count(*) FROM trips t JOIN mysql.ops.cities c ON t.base.city_id = c.city_id",
+            300,
+        ),
+    ] {
+        let session = Session::new(catalog, schema);
+        let reference = session.clone().with_optimizer(unpruned.clone());
+        assert!(!platform.engine.explain(sql, &reference).unwrap().contains("Project[]"), "{sql}");
+        assert_eq!(count(&platform.engine, sql, &reference), expected, "{sql}");
+        assert_eq!(count(&platform.engine, sql, &session), expected, "{sql}");
     }
 }
