@@ -584,10 +584,12 @@ mod tests {
     #[test]
     fn batch_fallback_rescues_big_joins() {
         let engine = engine_with_data();
-        let session = Session::default().with_memory_budget(256);
-        let sql = "SELECT count(*) FROM trips a JOIN trips b ON a.datestr = b.datestr";
-        // each side reads its key alone, and 256 bytes is below the join's
-        // peak: the interactive tier fails...
+        let session = Session::default().with_memory_budget(192);
+        let sql = "SELECT count(b.fare) FROM trips a JOIN trips b ON a.datestr = b.datestr";
+        // the build side holds the fares alone (a `count(*)` build holds no
+        // column, and the aggregate above then needs more than the join),
+        // and 192 bytes is below the join's peak: the interactive tier
+        // fails...
         assert_eq!(
             engine.execute_with_session(sql, &session).unwrap_err().code(),
             "INSUFFICIENT_RESOURCES"
@@ -607,10 +609,10 @@ mod tests {
     #[test]
     fn spill_rescues_big_joins_without_fallback() {
         let engine = engine_with_data();
-        let sql = "SELECT count(*) FROM trips a JOIN trips b ON a.datestr = b.datestr";
-        // each side reads its key alone: 256 bytes is below the join's peak,
-        // above each spilled partition's
-        let session = Session::default().with_memory_budget(256);
+        let sql = "SELECT count(b.fare) FROM trips a JOIN trips b ON a.datestr = b.datestr";
+        // the build side holds the fares alone: 192 bytes is below the
+        // join's peak, above each spilled partition's
+        let session = Session::default().with_memory_budget(192);
         // same budget that fails the interactive tier...
         assert_eq!(
             engine.execute_with_session(sql, &session).unwrap_err().code(),

@@ -4,9 +4,11 @@
 //! join turn key columns into dense ids ([`crate::keys`]): aggregation
 //! updates slot-indexed typed state a column at a time
 //! ([`GroupedAccumulator`]) and emits typed blocks sorted by key; the join
-//! chains build rows per key id and probes a page at a time. Sort, top-N (a
-//! bounded heap) and the aggregate emit order rows with one typed comparator
-//! ([`RowOrder`], the order of [`Value::total_cmp`]).
+//! chains build rows per key id (or, when no key repeats, maps each to its
+//! one row) and probes a page at a time, emitting only the channels the
+//! plan names. Sort, top-N (a bounded heap) and the aggregate emit order
+//! rows with one typed comparator ([`RowOrder`], the order of
+//! [`Value::total_cmp`]).
 //!
 //! Each breaker evaluates its key columns once — the aggregate's input keys,
 //! the join's build keys — and its key table picks its layout from them.
@@ -37,7 +39,7 @@ use presto_common::{Block, DataType, Page, PrestoError, Result, RowOrder, Schema
 use presto_expr::{GroupedAccumulator, RowExpression};
 use presto_geo::index::GeofenceIndex;
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
-use presto_resource::{ReservationKind, SpillFile};
+use presto_resource::{Reservation, ReservationKind, SpillFile};
 
 use crate::context::ExecutionContext;
 use crate::keys::{KeyTable, NO_KEY};
@@ -240,8 +242,8 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
         LogicalPlan::Aggregate { input, group_by, aggregates, step } => {
             execute_aggregate(input, group_by, aggregates, *step, plan, ctx, span)
         }
-        LogicalPlan::Join { left, right, kind, on, residual } => {
-            execute_join(left, right, *kind, on, residual.as_ref(), ctx, span)
+        LogicalPlan::Join { left, right, kind, on, residual, output } => {
+            execute_join(left, right, *kind, on, residual.as_ref(), output, ctx, span)
         }
         LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
             execute_geo_join(probe, fences, probe_lng, probe_lat, fence_shape, ctx, span)
@@ -484,53 +486,28 @@ fn execute_join(
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
     residual: Option<&RowExpression>,
+    output: &[usize],
     ctx: &ExecutionContext,
     span: SpanId,
 ) -> Result<Vec<Page>> {
     let left_pages = execute_traced(left, ctx, Some(span))?;
     let right_pages = execute_traced(right, ctx, Some(span))?;
+    let build_schema = right.output_schema()?;
+    let layout = JoinLayout::new(left.output_schema()?.len(), &build_schema, output, residual)?;
     // Build side: the right input, materialized (distributed hash join is
-    // the production default, §XII.A).
-    let build = match right_pages.len() {
-        0 => empty_page(&right.output_schema()?)?,
-        _ => Page::concat(&right_pages)?,
-    };
-
-    if on.is_empty() {
-        // Nested-loop cross join with optional residual — the shape the
-        // geospatial rewrite replaces (§VI.C's "brute force" plan). Without
-        // equi keys there is nothing to Grace-partition on, so this path
-        // never spills.
-        let _build_memory = ctx.pool.reserve(build.memory_size(), ReservationKind::User)?;
-        let mut out = Vec::new();
-        for probe in &left_pages {
-            let mut probe_idx = Vec::new();
-            let mut build_idx = Vec::new();
-            for i in 0..probe.positions() {
-                for j in 0..build.positions() {
-                    probe_idx.push(i);
-                    build_idx.push(j);
-                }
-            }
-            let page = stitch(probe, &probe_idx, build.take(&build_idx))?;
-            let page = apply_residual(page, residual, ctx)?;
-            if !page.is_empty() {
-                out.push(page);
-            }
-        }
-        return Ok(out);
-    }
-
-    match hash_join_pages(&left_pages, &right_pages, &build, kind, on, residual, ctx) {
-        Ok(out) => Ok(out),
-        Err(e) if is_insufficient(&e) && ctx.spill.is_some() => {
-            match (spillable_schema(left), spillable_schema(right)) {
-                (Some(probe_schema), Some(build_schema)) => grace_hash_join(
+    // the production default, §XII.A). Without equi keys — the cross join
+    // the geospatial rewrite replaces (§VI.C's "brute force" plan) — there
+    // is nothing to Grace-partition on, so that build never spills.
+    match JoinBuild::new(&right_pages, &build_schema, &layout, on, ctx) {
+        Ok(build) => build.probe(left_pages, &layout, kind, on, ctx),
+        Err(e) if is_insufficient(&e) && ctx.spill.is_some() && !on.is_empty() => {
+            match spillable_schema(left) {
+                Some(probe_schema) if !build_schema.is_empty() => grace_hash_join(
                     &left_pages,
                     &right_pages,
                     kind,
                     on,
-                    residual,
+                    &layout,
                     &probe_schema,
                     &build_schema,
                     ctx,
@@ -539,6 +516,87 @@ fn execute_join(
             }
         }
         Err(e) => Err(e),
+    }
+}
+
+/// Where a join's columns come from. The join emits `output` channels of
+/// the joined row `probe ++ build`; its residual reads the joined row too.
+/// The build page holds only the build columns either of them needs
+/// (`held`), and the residual's candidate pairs carry only the columns it
+/// reads.
+struct JoinLayout {
+    /// The build channels the build page holds, ascending.
+    held: Vec<usize>,
+    /// Each output channel: a probe channel or a held column.
+    output: Vec<Side>,
+    /// The probe channels and the held columns `output` names, ascending.
+    probe_used: Vec<usize>,
+    build_used: Vec<usize>,
+    residual: Option<Residual>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Side {
+    Probe(usize),
+    /// A column of the build page (an index into [`JoinLayout::held`]).
+    Build(usize),
+}
+
+/// A join's residual over its candidate pairs: the probe columns `probe`
+/// then the held build columns `build`, the ones it reads.
+struct Residual {
+    expr: RowExpression,
+    probe: Vec<usize>,
+    build: Vec<usize>,
+}
+
+impl JoinLayout {
+    fn new(
+        probe_width: usize,
+        build_schema: &Schema,
+        output: &[usize],
+        residual: Option<&RowExpression>,
+    ) -> Result<JoinLayout> {
+        let width = probe_width + build_schema.len();
+        let reads = residual.map(RowExpression::referenced_columns).unwrap_or_default();
+        if let Some(c) = output.iter().chain(&reads).find(|&&c| c >= width) {
+            return Err(PrestoError::Internal(format!("join channel {c} of a {width}-wide row")));
+        }
+        let mut held: Vec<usize> =
+            output.iter().chain(&reads).filter_map(|&c| c.checked_sub(probe_width)).collect();
+        held.sort_unstable();
+        held.dedup();
+        let side = |c: usize| match c.checked_sub(probe_width) {
+            None => Side::Probe(c),
+            Some(b) => Side::Build(held.partition_point(|&h| h < b)),
+        };
+        let residual = residual.map(|expr| {
+            let (mut probe, mut build) = (Vec::new(), Vec::new());
+            for &c in &reads {
+                match side(c) {
+                    Side::Probe(p) => probe.push(p),
+                    Side::Build(b) => build.push(b),
+                }
+            }
+            let expr = expr.remap_columns(&|c| match side(c) {
+                Side::Probe(p) => probe.partition_point(|&q| q < p),
+                Side::Build(b) => probe.len() + build.partition_point(|&q| q < b),
+            });
+            Residual { expr, probe, build }
+        });
+        let output: Vec<Side> = output.iter().map(|&c| side(c)).collect();
+        let (mut probe_used, mut build_used) = (Vec::new(), Vec::new());
+        for side in &output {
+            match *side {
+                Side::Probe(c) => probe_used.push(c),
+                Side::Build(c) => build_used.push(c),
+            }
+        }
+        for used in [&mut probe_used, &mut build_used] {
+            used.sort_unstable();
+            used.dedup();
+        }
+        Ok(JoinLayout { held, output, probe_used, build_used, residual })
     }
 }
 
@@ -562,144 +620,278 @@ fn join_keys<'a>(
     exprs.zip(types).map(widened).collect()
 }
 
-/// Hash join `probe_pages` against a materialized `build` page, the
-/// concatenation of `build_pages`. Build-side state (the concatenated build
-/// page plus the hash table) is held under an RAII reservation for the
-/// duration of the probe.
-///
-/// The build keys are evaluated once: the key table is laid out from them
-/// ([`KeyTable::join`]; a hashed one sized for `build`'s rows), then they
-/// are resolved a page of `build_pages` at a time, as the probe's are. Build
-/// rows with equal keys are chained in ascending order of their position in
-/// `build`, so each probe page yields its matches by (probe row, build row),
-/// then — for LEFT — its unmatched rows, null-extended. A NULL or NaN key
-/// matches nothing. The build columns of a dense page leave as dictionaries
-/// ([`build_side`]).
-#[allow(clippy::too_many_arguments)]
-fn hash_join_pages(
-    probe_pages: &[Page],
-    build_pages: &[Page],
-    build: &Page,
-    kind: JoinKind,
-    on: &[(RowExpression, RowExpression)],
-    residual: Option<&RowExpression>,
-    ctx: &ExecutionContext,
-) -> Result<Vec<Page>> {
-    let mut build_memory =
-        ctx.pool.reserve(build.memory_size(), ctx.operator_reservation_kind())?;
-
-    let key_types = join_key_types(on);
-    let build_keys = match &key_types {
-        Some(types) => build_pages
-            .iter()
-            .map(|page| join_keys(on.iter().map(|(_, r)| r), types, page, ctx))
-            .collect::<Result<Vec<_>>>()?,
-        None => Vec::new(),
-    };
-    let mut table = KeyTable::join(key_types.as_deref().unwrap_or_default(), &build_keys);
-    let mut ids = Vec::new();
-    // `heads[key id]` is the key's first build row, `next[row]` the one after
-    let mut next = vec![NO_KEY; build.positions()];
-    let mut heads = Vec::new();
-    if key_types.is_some() {
-        let mut build_ids = Vec::with_capacity(build.positions());
-        for page_keys in &build_keys {
-            table.resolve(page_keys, true, &mut ids)?;
-            build_ids.extend_from_slice(&ids);
-        }
-        heads.resize(table.distinct(), NO_KEY);
-        for (row, &id) in build_ids.iter().enumerate().rev().filter(|(_, &id)| id != NO_KEY) {
-            next[row] = std::mem::replace(&mut heads[id as usize], row as u32);
-        }
-    }
-    drop(build_keys);
-    build_memory.grow(table.distinct() * 48)?;
-
-    let null_entry = kind == JoinKind::Left;
-    let mut entries = None;
-    let mut out = Vec::new();
-    for probe in probe_pages {
-        // Key-matched candidate pairs.
-        let mut probe_idx = Vec::new();
-        let mut build_idx = Vec::new();
-        if let Some(types) = &key_types {
-            let probe_keys = join_keys(on.iter().map(|(l, _)| l), types, probe, ctx)?;
-            table.resolve(&probe_keys, false, &mut ids)?;
-            for (i, &id) in ids.iter().enumerate().filter(|(_, &id)| id != NO_KEY) {
-                let mut j = heads[id as usize];
-                while j != NO_KEY {
-                    probe_idx.push(i);
-                    build_idx.push(j as usize);
-                    j = next[j as usize];
-                }
-            }
-        }
-        // ON-clause residual filters *candidate pairs*, before outer-join
-        // null extension — a pair failing the residual is not a match, so
-        // its LEFT row must still appear null-extended.
-        if let Some(expr) = residual {
-            let candidates = build_side(build, &build_idx, 0, null_entry, &mut entries)?;
-            let pairs = stitch(probe, &probe_idx, candidates)?;
-            let keep = selection(ctx.evaluator.evaluate(expr, &pairs)?);
-            for idx in [&mut probe_idx, &mut build_idx] {
-                let mut keep = keep.iter();
-                idx.retain(|_| keep.next() == Some(&true));
-            }
-        }
-        let mut misses = Vec::new();
-        if kind == JoinKind::Left {
-            let mut matched = vec![false; probe.positions()];
-            probe_idx.iter().for_each(|&i| matched[i] = true);
-            misses.extend((0..probe.positions()).filter(|&i| !matched[i]));
-        }
-        let build_rows = build_side(build, &build_idx, misses.len(), null_entry, &mut entries)?;
-        probe_idx.extend(misses);
-        let page = stitch(probe, &probe_idx, build_rows)?;
-        if !page.is_empty() {
-            out.push(page);
-        }
-    }
-    Ok(out)
+/// How a probe row finds its build rows.
+enum Matches {
+    /// No equi keys: every build row is a candidate.
+    Every,
+    /// Some key pair is incomparable: nothing matches.
+    Nothing,
+    /// The key table gives a probe row's key id (into `ids`, a page at a
+    /// time); `heads[id]` is the key's first build row and `next[row]` the
+    /// one after — or, when every key has one build row (`next: None`), its
+    /// only one.
+    Keys {
+        table: KeyTable,
+        types: Vec<DataType>,
+        heads: Vec<u32>,
+        next: Option<Vec<u32>>,
+        ids: Vec<u32>,
+    },
 }
 
-/// The build side of one probe page's output: the build rows `build_idx`
-/// of its pairs, then `misses` NULL rows for a LEFT join's unmatched probe
-/// rows.
+/// A probe page's candidate pairs, `(probe rows, build rows)`; the probe
+/// rows are `None` when they are every row in order, each with one build
+/// row.
+type Pairs = (Option<Vec<usize>>, Vec<usize>);
+
+impl Matches {
+    /// The candidate pairs of `probe` against `build_rows` build rows, by
+    /// probe row, then by build row.
+    fn pairs(
+        &mut self,
+        probe: &Page,
+        build_rows: usize,
+        on: &[(RowExpression, RowExpression)],
+        ctx: &ExecutionContext,
+    ) -> Result<Pairs> {
+        let rows = probe.positions();
+        Ok(match self {
+            Matches::Every => {
+                let probe_idx = (0..rows).flat_map(|i| std::iter::repeat_n(i, build_rows));
+                (Some(probe_idx.collect()), (0..rows).flat_map(|_| 0..build_rows).collect())
+            }
+            Matches::Nothing => (Some(Vec::new()), Vec::new()),
+            Matches::Keys { table, types, heads, next, ids } => {
+                let probe_keys = join_keys(on.iter().map(|(l, _)| l), types, probe, ctx)?;
+                table.resolve(&probe_keys, false, ids)?;
+                if next.is_none() && !ids.contains(&NO_KEY) {
+                    return Ok((None, ids.iter().map(|&id| heads[id as usize] as usize).collect()));
+                }
+                let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
+                for (i, &id) in ids.iter().enumerate().filter(|(_, &id)| id != NO_KEY) {
+                    let mut j = heads[id as usize];
+                    while j != NO_KEY {
+                        probe_idx.push(i);
+                        build_idx.push(j as usize);
+                        j = next.as_ref().map_or(NO_KEY, |next| next[j as usize]);
+                    }
+                }
+                (Some(probe_idx), build_idx)
+            }
+        })
+    }
+}
+
+/// A join's build side: its held columns over every build row, how probe
+/// rows find theirs, and the reservation that holds both in memory.
+struct JoinBuild {
+    page: Page,
+    matches: Matches,
+    _memory: Reservation,
+}
+
+impl JoinBuild {
+    /// The build side over `build_pages`, held under an RAII reservation
+    /// for the duration of the probe.
+    ///
+    /// The build keys are evaluated once: the key table is laid out from
+    /// them ([`KeyTable::join`]; a hashed one sized for the build rows),
+    /// then they are resolved a page at a time, as the probe's are. Build
+    /// rows with equal keys are chained in ascending order of their
+    /// position; when no key repeats, there is no chain.
+    fn new(
+        build_pages: &[Page],
+        build_schema: &Schema,
+        layout: &JoinLayout,
+        on: &[(RowExpression, RowExpression)],
+        ctx: &ExecutionContext,
+    ) -> Result<JoinBuild> {
+        let rows = build_pages.iter().map(Page::positions).sum();
+        let column = |&c: &usize| match build_pages {
+            [] => Ok(Block::nulls(&build_schema.field_at(c).data_type, 0)),
+            pages => Block::concat(&pages.iter().map(|p| p.block(c)).collect::<Vec<_>>()),
+        };
+        let page = page_of(layout.held.iter().map(column).collect::<Result<_>>()?, rows)?;
+        let kind = match on.is_empty() {
+            true => ReservationKind::User,
+            false => ctx.operator_reservation_kind(),
+        };
+        let mut memory = ctx.pool.reserve(page.memory_size(), kind)?;
+        let matches = match join_key_types(on) {
+            _ if on.is_empty() => Matches::Every,
+            None => Matches::Nothing,
+            Some(types) => {
+                let build_keys = build_pages
+                    .iter()
+                    .map(|page| join_keys(on.iter().map(|(_, r)| r), &types, page, ctx))
+                    .collect::<Result<Vec<_>>>()?;
+                let mut table = KeyTable::join(&types, &build_keys);
+                let (mut ids, mut build_ids) = (Vec::new(), Vec::with_capacity(rows));
+                for page_keys in &build_keys {
+                    table.resolve(page_keys, true, &mut ids)?;
+                    build_ids.extend_from_slice(&ids);
+                }
+                drop(build_keys);
+                let keyed = build_ids.iter().enumerate().filter(|(_, &id)| id != NO_KEY);
+                let mut heads = vec![NO_KEY; table.distinct()];
+                let next = if keyed.clone().count() == table.distinct() {
+                    keyed.for_each(|(row, &id)| heads[id as usize] = row as u32);
+                    None
+                } else {
+                    let mut next = vec![NO_KEY; rows];
+                    for (row, &id) in keyed.rev() {
+                        next[row] = std::mem::replace(&mut heads[id as usize], row as u32);
+                    }
+                    Some(next)
+                };
+                memory.grow(table.distinct() * 48)?;
+                Matches::Keys { table, types, heads, next, ids }
+            }
+        };
+        Ok(JoinBuild { page, matches, _memory: memory })
+    }
+
+    /// Join each probe page against the build side. A page yields its
+    /// matches by (probe row, build row), then — LEFT — its unmatched rows,
+    /// null-extended. A NULL or NaN key matches nothing. The residual
+    /// filters the candidate pairs first: a pair that fails it is no match.
+    ///
+    /// When no key repeats, a probe row finds its one build row with no
+    /// chain walk, and a page whose every row matched (and passed) emits
+    /// its probe columns as they are, moved rather than gathered. The build
+    /// columns of a dense page leave as dictionaries ([`gather_build`]).
+    fn probe(
+        self,
+        probe_pages: Vec<Page>,
+        layout: &JoinLayout,
+        kind: JoinKind,
+        on: &[(RowExpression, RowExpression)],
+        ctx: &ExecutionContext,
+    ) -> Result<Vec<Page>> {
+        let JoinBuild { page: build, mut matches, _memory } = self;
+        let null_entry = kind == JoinKind::Left;
+        let mut entries: Vec<Option<BuildEntries<'_>>> = layout.held.iter().map(|_| None).collect();
+        let mut out = Vec::new();
+        for probe in probe_pages {
+            let rows = probe.positions();
+            let (mut probe_idx, mut build_idx) =
+                matches.pairs(&probe, build.positions(), on, ctx)?;
+            // ON-clause residual filters *candidate pairs*, before outer-join
+            // null extension — a pair failing the residual is not a match, so
+            // its LEFT row must still appear null-extended.
+            if let Some(residual) = &layout.residual {
+                let mut columns: Vec<Block> = match &probe_idx {
+                    None => residual.probe.iter().map(|&c| probe.block(c).clone()).collect(),
+                    Some(idx) => residual.probe.iter().map(|&c| probe.block(c).take(idx)).collect(),
+                };
+                columns.extend(gather_build(
+                    &build,
+                    &residual.build,
+                    &build_idx,
+                    0,
+                    null_entry,
+                    &mut entries,
+                )?);
+                let pairs = page_of(columns, build_idx.len())?;
+                let keep = selection(ctx.evaluator.evaluate(&residual.expr, &pairs)?);
+                if keep.contains(&false) {
+                    let mut probe_rows = probe_idx.unwrap_or_else(|| (0..rows).collect());
+                    for idx in [&mut probe_rows, &mut build_idx] {
+                        let mut keep = keep.iter();
+                        idx.retain(|_| keep.next() == Some(&true));
+                    }
+                    probe_idx = Some(probe_rows);
+                }
+            }
+            let mut misses = Vec::new();
+            if let (JoinKind::Left, Some(probe_idx)) = (kind, &probe_idx) {
+                let mut matched = vec![false; rows];
+                probe_idx.iter().for_each(|&i| matched[i] = true);
+                misses.extend((0..rows).filter(|&i| !matched[i]));
+            }
+            let emitted = build_idx.len() + misses.len();
+            if emitted == 0 {
+                continue;
+            }
+            let mut build_columns = vec![None; layout.held.len()];
+            let gathered = gather_build(
+                &build,
+                &layout.build_used,
+                &build_idx,
+                misses.len(),
+                null_entry,
+                &mut entries,
+            )?;
+            for (&c, block) in layout.build_used.iter().zip(gathered) {
+                build_columns[c] = Some(block);
+            }
+            let mut probe_columns = match probe_idx {
+                // every row matched once, in order: the columns move
+                None => probe.into_blocks().into_iter().map(Some).collect(),
+                Some(mut idx) => {
+                    idx.extend(misses);
+                    let mut columns = vec![None; probe.column_count()];
+                    for &c in &layout.probe_used {
+                        columns[c] = Some(probe.block(c).take(&idx));
+                    }
+                    columns
+                }
+            };
+            let mut blocks: Vec<Block> = Vec::with_capacity(layout.output.len());
+            for (slot, side) in layout.output.iter().enumerate() {
+                // a channel emitted twice is copied from its first slot
+                let block = match layout.output[..slot].iter().position(|s| s == side) {
+                    Some(first) => Some(blocks[first].clone()),
+                    None => match *side {
+                        Side::Probe(c) => probe_columns.get_mut(c).and_then(Option::take),
+                        Side::Build(c) => build_columns.get_mut(c).and_then(Option::take),
+                    },
+                };
+                blocks.push(block.ok_or_else(|| {
+                    PrestoError::Internal(format!("join output {side:?} was not gathered"))
+                })?);
+            }
+            out.push(page_of(blocks, emitted)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The held build columns `columns` of the build rows `build_idx`, then
+/// `misses` NULL rows for a LEFT join's unmatched probe rows.
 ///
-/// A dense page — at least as many pairs as build rows — hands each build
-/// column out as a [`Block::Dictionary`] over the whole column, so the
-/// dimension values of a fact-to-dimension join leave as ids. Each build
-/// row is then referenced about once, and cloning the entries costs no
-/// more than the gather it replaces. `entries` is built on the first dense
-/// page, once per join; with `null_entry` (a LEFT join) it ends in the one
-/// NULL the misses point at. A sparse page gathers.
-fn build_side<'b>(
+/// A dense page — at least as many pairs as build rows — hands each column
+/// out as a [`Block::Dictionary`] over the whole column, so the dimension
+/// values of a fact-to-dimension join leave as ids. Each build row is then
+/// referenced about once, and cloning the entries costs no more than the
+/// gather it replaces. A column's entries are built on the first dense page
+/// that needs them, once per join; with `null_entry` (a LEFT join) they end
+/// in the one NULL the misses point at. A sparse page gathers.
+fn gather_build<'b>(
     build: &'b Page,
+    columns: &[usize],
     build_idx: &[usize],
     misses: usize,
     null_entry: bool,
-    entries: &mut Option<Vec<BuildEntries<'b>>>,
-) -> Result<Page> {
-    let rows = build_idx.len() + misses;
+    entries: &mut [Option<BuildEntries<'b>>],
+) -> Result<Vec<Block>> {
     if build_idx.is_empty() || build_idx.len() < build.positions() {
         if misses == 0 {
-            return Ok(build.take(build_idx));
+            return Ok(columns.iter().map(|&c| build.block(c).take(build_idx)).collect());
         }
         let mut gather: Vec<Option<usize>> = build_idx.iter().map(|&j| Some(j)).collect();
-        gather.resize(rows, None);
-        return page_of(build.blocks().iter().map(|b| b.take_nullable(&gather)).collect(), rows);
+        gather.resize(build_idx.len() + misses, None);
+        return Ok(columns.iter().map(|&c| build.block(c).take_nullable(&gather)).collect());
     }
-    let columns = match entries {
-        Some(columns) => columns,
-        None => entries.insert(
-            build
-                .blocks()
-                .iter()
-                .map(|b| BuildEntries::new(b, null_entry))
-                .collect::<Result<_>>()?,
-        ),
-    };
-    page_of(columns.iter().map(|c| c.gather(build_idx, misses)).collect(), rows)
+    let mut blocks = Vec::with_capacity(columns.len());
+    for &c in columns {
+        let column = match &mut entries[c] {
+            Some(column) => column,
+            empty => empty.insert(BuildEntries::new(build.block(c), null_entry)?),
+        };
+        blocks.push(column.gather(build_idx, misses));
+    }
+    Ok(blocks)
 }
 
 /// One build column as the entries of the dictionaries dense probe pages
@@ -765,7 +957,7 @@ fn grace_hash_join(
     build_pages: &[Page],
     kind: JoinKind,
     on: &[(RowExpression, RowExpression)],
-    residual: Option<&RowExpression>,
+    layout: &JoinLayout,
     probe_schema: &Schema,
     build_schema: &Schema,
     ctx: &ExecutionContext,
@@ -806,12 +998,8 @@ fn grace_hash_join(
                 Some(f) => spill.read(f)?,
                 None => Vec::new(),
             };
-            let build = if build_part.is_empty() {
-                empty_page(build_schema)?
-            } else {
-                Page::concat(&build_part)?
-            };
-            out.extend(hash_join_pages(&probe, &build_part, &build, kind, on, residual, ctx)?);
+            let build = JoinBuild::new(&build_part, build_schema, layout, on, ctx)?;
+            out.extend(build.probe(probe, layout, kind, on, ctx)?);
         }
         if let Some(f) = probe_file {
             spill.remove(f)?;
@@ -873,19 +1061,6 @@ fn spillable_schema(plan: &LogicalPlan) -> Option<Schema> {
     match plan.output_schema() {
         Ok(schema) if !schema.is_empty() => Some(schema),
         _ => None,
-    }
-}
-
-fn apply_residual(
-    page: Page,
-    residual: Option<&RowExpression>,
-    ctx: &ExecutionContext,
-) -> Result<Page> {
-    match residual {
-        Some(expr) if !page.is_empty() => {
-            Ok(page.filter(&selection(ctx.evaluator.evaluate(expr, &page)?)))
-        }
-        _ => Ok(page),
     }
 }
 
@@ -1235,15 +1410,18 @@ mod tests {
             .unwrap(),
             rows: vec![vec!["sf".into(), "CA".into()], vec!["nyc".into(), "NY".into()]],
         };
-        let join = |kind| LogicalPlan::Join {
-            left: Box::new(trips_scan()),
-            right: Box::new(cities.clone()),
-            kind,
-            on: vec![(
-                RowExpression::column("city", 1, DataType::Varchar),
-                RowExpression::column("name", 0, DataType::Varchar),
-            )],
-            residual: None,
+        let join = |kind| {
+            LogicalPlan::join(
+                trips_scan(),
+                cities.clone(),
+                kind,
+                vec![(
+                    RowExpression::column("city", 1, DataType::Varchar),
+                    RowExpression::column("name", 0, DataType::Varchar),
+                )],
+                None,
+            )
+            .unwrap()
         };
         let inner = execute_to_rows(&join(JoinKind::Inner), &ctx).unwrap();
         assert_eq!(inner.len(), 5); // la has no match
@@ -1261,12 +1439,12 @@ mod tests {
             schema: Schema::new(vec![Field::new("n", DataType::Bigint)]).unwrap(),
             rows: vec![vec![Value::Bigint(1)], vec![Value::Bigint(2)]],
         };
-        let plan = LogicalPlan::Join {
-            left: Box::new(nums.clone()),
-            right: Box::new(nums),
-            kind: JoinKind::Inner,
-            on: vec![],
-            residual: Some(RowExpression::Call {
+        let plan = LogicalPlan::join(
+            nums.clone(),
+            nums,
+            JoinKind::Inner,
+            vec![],
+            Some(RowExpression::Call {
                 handle: FunctionHandle::new(
                     "lt",
                     vec![DataType::Bigint, DataType::Bigint],
@@ -1277,7 +1455,8 @@ mod tests {
                     RowExpression::column("n2", 1, DataType::Bigint),
                 ],
             }),
-        };
+        )
+        .unwrap();
         let rows = execute_to_rows(&plan, &ctx).unwrap();
         assert_eq!(rows, vec![vec![Value::Bigint(1), Value::Bigint(2)]]);
     }
@@ -1411,16 +1590,17 @@ mod tests {
         // NULL probe keys must survive the LEFT join via partition 0
         rows.push(vec![Value::Null, Value::Double(-1.0)]);
         let big = LogicalPlan::Values { schema, rows };
-        let plan = LogicalPlan::Join {
-            left: Box::new(big.clone()),
-            right: Box::new(big.clone()),
-            kind: JoinKind::Left,
-            on: vec![(
+        let plan = LogicalPlan::join(
+            big.clone(),
+            big.clone(),
+            JoinKind::Left,
+            vec![(
                 RowExpression::column("k", 0, DataType::Bigint),
                 RowExpression::column("k", 0, DataType::Bigint),
             )],
-            residual: None,
-        };
+            None,
+        )
+        .unwrap();
         let unconstrained = execute_to_rows(&plan, &ctx_with_table()).unwrap();
         // one byte short of the materialized build side
         let build_size = execute(&big, &ctx_with_table()).unwrap()[0].memory_size();
@@ -1455,16 +1635,17 @@ mod tests {
     #[test]
     fn big_join_raises_insufficient_resources() {
         let ctx = ctx_with_table().with_memory_budget(64);
-        let plan = LogicalPlan::Join {
-            left: Box::new(trips_scan()),
-            right: Box::new(trips_scan()),
-            kind: JoinKind::Inner,
-            on: vec![(
+        let plan = LogicalPlan::join(
+            trips_scan(),
+            trips_scan(),
+            JoinKind::Inner,
+            vec![(
                 RowExpression::column("id", 0, DataType::Bigint),
                 RowExpression::column("id", 0, DataType::Bigint),
             )],
-            residual: None,
-        };
+            None,
+        )
+        .unwrap();
         let err = execute(&plan, &ctx).unwrap_err();
         assert_eq!(err.code(), "INSUFFICIENT_RESOURCES");
     }

@@ -182,16 +182,23 @@ impl RowExpression {
         }
     }
 
-    /// Collect the distinct input column indices this expression reads.
+    /// Collect the distinct input column indices this expression reads, in
+    /// ascending order. A lambda body's references are its parameters, not
+    /// input columns, and are not collected.
     pub fn referenced_columns(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let RowExpression::VariableReference { index, .. } = e {
-                if !out.contains(index) {
-                    out.push(*index);
+        fn collect(e: &RowExpression, out: &mut Vec<usize>) {
+            match e {
+                RowExpression::VariableReference { index, .. } if !out.contains(index) => {
+                    out.push(*index)
                 }
+                RowExpression::Call { args, .. } | RowExpression::SpecialForm { args, .. } => {
+                    args.iter().for_each(|a| collect(a, out))
+                }
+                _ => {}
             }
-        });
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
         out.sort_unstable();
         out
     }
@@ -230,16 +237,28 @@ impl RowExpression {
         f(rebuilt)
     }
 
-    /// Remap variable references through `mapping` (old index → new index).
-    /// References absent from `mapping` are left untouched.
-    pub fn remap_columns(self, mapping: &std::collections::HashMap<usize, usize>) -> RowExpression {
-        self.rewrite(&|e| match e {
+    /// Move each input column reference to channel `to(old channel)`; a
+    /// lambda body, whose references are its parameters, is left as it is.
+    pub fn remap_columns(&self, to: &impl Fn(usize) -> usize) -> RowExpression {
+        match self {
             RowExpression::VariableReference { name, index, data_type } => {
-                let index = mapping.get(&index).copied().unwrap_or(index);
-                RowExpression::VariableReference { name, index, data_type }
+                RowExpression::VariableReference {
+                    name: name.clone(),
+                    index: to(*index),
+                    data_type: data_type.clone(),
+                }
             }
-            other => other,
-        })
+            RowExpression::Call { handle, args } => RowExpression::Call {
+                handle: handle.clone(),
+                args: args.iter().map(|a| a.remap_columns(to)).collect(),
+            },
+            RowExpression::SpecialForm { form, args, return_type } => RowExpression::SpecialForm {
+                form: form.clone(),
+                args: args.iter().map(|a| a.remap_columns(to)).collect(),
+                return_type: return_type.clone(),
+            },
+            leaf => leaf.clone(),
+        }
     }
 
     /// Split a conjunction into its conjuncts (flattening nested ANDs).
@@ -827,9 +846,23 @@ mod tests {
     fn referenced_columns_and_remap() {
         let expr = sample_call();
         assert_eq!(expr.referenced_columns(), vec![0]);
-        let mapping = std::collections::HashMap::from([(0usize, 5usize)]);
-        let remapped = expr.remap_columns(&mapping);
+        let remapped = expr.remap_columns(&|c| c + 5);
         assert_eq!(remapped.referenced_columns(), vec![5]);
+        // a lambda's parameters are not input columns
+        let lambda = RowExpression::LambdaDefinition {
+            parameters: vec![("x".into(), DataType::Bigint)],
+            body: Box::new(RowExpression::column("x", 0, DataType::Bigint)),
+        };
+        let call = RowExpression::SpecialForm {
+            form: SpecialForm::And,
+            args: vec![RowExpression::column("a", 2, DataType::Bigint), lambda.clone()],
+            return_type: DataType::Boolean,
+        };
+        assert_eq!(call.referenced_columns(), vec![2]);
+        let RowExpression::SpecialForm { args, .. } = call.remap_columns(&|c| c + 5) else {
+            unreachable!()
+        };
+        assert_eq!(args, vec![RowExpression::column("a", 7, DataType::Bigint), lambda]);
     }
 
     #[test]

@@ -70,13 +70,9 @@ mod tests {
 
     #[test]
     fn join_fragments_into_three_stages() {
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan("a")),
-            right: Box::new(scan("b")),
-            kind: crate::logical::JoinKind::Inner,
-            on: vec![],
-            residual: None,
-        };
+        let plan =
+            LogicalPlan::join(scan("a"), scan("b"), crate::logical::JoinKind::Inner, vec![], None)
+                .unwrap();
         let fragments = fragment_plan(plan).unwrap();
         assert_eq!(fragments.len(), 3);
         // root references fragments 1 and 2

@@ -99,6 +99,9 @@ pub enum LogicalPlan {
     /// Join. The analyzer builds every `ON` join as one: its equi conjuncts
     /// become `on`, the rest `residual`. Empty `on` = cross join (with
     /// optional residual — where the geospatial rewrite finds `st_contains`).
+    /// The joined row is `left ++ right`; the join emits its `output`
+    /// channels of it, every one as built ([`LogicalPlan::join`]) and those
+    /// the Project above reads once projection pushdown has narrowed it.
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
@@ -111,6 +114,9 @@ pub enum LogicalPlan {
         on: Vec<(RowExpression, RowExpression)>,
         /// Non-equi residual over the concatenated schema.
         residual: Option<RowExpression>,
+        /// The channels of the concatenated schema the join emits, in
+        /// order (a channel may repeat).
+        output: Vec<usize>,
     },
     /// The §VI.E QuadTree join produced by the geospatial rewrite (Fig 13):
     /// probe points against an index built on the fly over the fence side.
@@ -172,6 +178,26 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
+    /// A join of `left` and `right` that emits every channel of `left ++
+    /// right`.
+    pub fn join(
+        left: LogicalPlan,
+        right: LogicalPlan,
+        kind: JoinKind,
+        on: Vec<(RowExpression, RowExpression)>,
+        residual: Option<RowExpression>,
+    ) -> Result<LogicalPlan> {
+        let width = left.output_schema()?.len() + right.output_schema()?.len();
+        Ok(LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind,
+            on,
+            residual,
+            output: (0..width).collect(),
+        })
+    }
+
     /// The node's output schema.
     pub fn output_schema(&self) -> Result<Schema> {
         match self {
@@ -208,19 +234,22 @@ impl LogicalPlan {
                 }
                 Schema::new(fields)
             }
-            LogicalPlan::Join { left, right, .. }
-            | LogicalPlan::GeoJoin { probe: left, fences: right, .. } => {
-                let mut fields = left.output_schema()?.fields().to_vec();
-                for f in right.output_schema()?.fields() {
-                    // sides may share names (and a chain of joins, suffixed
-                    // ones): suffix `_r` until the name is free
-                    let mut name = f.name.clone();
-                    while fields.iter().any(|g| g.name == name) {
-                        name.push_str("_r");
-                    }
-                    fields.push(Field::new(name, f.data_type.clone()));
+            LogicalPlan::Join { left, right, output, .. } => {
+                let joined = concat_fields(left, right)?;
+                let mut fields = Vec::with_capacity(output.len());
+                for &channel in output {
+                    let field = joined.get(channel).ok_or_else(|| {
+                        PrestoError::Plan(format!(
+                            "join emits channel {channel} of {}",
+                            joined.len()
+                        ))
+                    })?;
+                    push_unique(&mut fields, field);
                 }
                 Schema::new(fields)
+            }
+            LogicalPlan::GeoJoin { probe, fences, .. } => {
+                Schema::new(concat_fields(probe, fences)?)
             }
             LogicalPlan::Sort { input, .. } => input.output_schema(),
             LogicalPlan::TopN { input, .. } => input.output_schema(),
@@ -350,10 +379,18 @@ impl LogicalPlan {
                 };
                 format!("Aggregate{step_label}[groups={}, {}]", group_by.len(), aggs.join(", "))
             }
-            LogicalPlan::Join { kind, on, residual, .. } => {
+            LogicalPlan::Join { left, right, kind, on, residual, output } => {
                 let mut s = format!("{kind:?}Join[keys={}", on.len());
                 if residual.is_some() {
                     s.push_str(", residual");
+                }
+                // a narrowed join says how many channels of the joined row
+                // it emits
+                let width = |p: &LogicalPlan| p.output_schema().map(|s| s.len());
+                if let (Ok(l), Ok(r)) = (width(left), width(right)) {
+                    if !output.iter().copied().eq(0..l + r) {
+                        s.push_str(&format!(", output={}/{}", output.len(), l + r));
+                    }
                 }
                 s.push(']');
                 s
@@ -371,6 +408,26 @@ impl LogicalPlan {
             }
         }
     }
+}
+
+/// The fields of `left ++ right`.
+fn concat_fields(left: &LogicalPlan, right: &LogicalPlan) -> Result<Vec<Field>> {
+    let mut fields = left.output_schema()?.fields().to_vec();
+    for f in right.output_schema()?.fields() {
+        push_unique(&mut fields, f);
+    }
+    Ok(fields)
+}
+
+/// Append `field`, its name suffixed `_r` until no field before it has it:
+/// join sides may share names (and a chain of joins, suffixed ones), and a
+/// join may emit a channel twice.
+fn push_unique(fields: &mut Vec<Field>, field: &Field) {
+    let mut name = field.name.clone();
+    while fields.iter().any(|g| g.name == name) {
+        name.push_str("_r");
+    }
+    fields.push(Field::new(name, field.data_type.clone()));
 }
 
 #[cfg(test)]
@@ -422,18 +479,30 @@ mod tests {
 
     #[test]
     fn join_disambiguates_duplicate_names() {
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan()),
-            right: Box::new(scan()),
-            kind: JoinKind::Inner,
-            on: vec![],
-            residual: None,
-        };
+        let plan = LogicalPlan::join(scan(), scan(), JoinKind::Inner, vec![], None).unwrap();
         let schema = plan.output_schema().unwrap();
         assert_eq!(
             schema.fields().iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
             vec!["a", "b", "a_r", "b_r"]
         );
+        assert_eq!(plan.label(), "InnerJoin[keys=0]");
+        // a narrowed join emits its channels in its order, a repeated one
+        // suffixed again, and says so in its label
+        let mut narrowed = plan.clone();
+        if let LogicalPlan::Join { output, .. } = &mut narrowed {
+            *output = vec![3, 0, 3];
+        }
+        assert_eq!(
+            narrowed
+                .output_schema()
+                .unwrap()
+                .fields()
+                .iter()
+                .map(|f| f.name.as_str())
+                .collect::<Vec<_>>(),
+            vec!["b_r", "a", "b_r_r"]
+        );
+        assert_eq!(narrowed.label(), "InnerJoin[keys=0, output=3/4]");
         // a third input (and a GeoJoin alike) keeps suffixing until unique
         let plan = LogicalPlan::GeoJoin {
             probe: Box::new(plan),

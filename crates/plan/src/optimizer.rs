@@ -6,12 +6,15 @@
 //! experiments can ablate them. Projection pushdown is itself a sequence: an
 //! explicit Project under each Aggregate, then the `push_project_into_join` +
 //! `merge_projects` pair — which sinks a projection one join level per
-//! round — repeated until a round changes nothing, then scan pruning.
+//! round — repeated until a round changes nothing, then join narrowing (a
+//! join emits only the channels the Project above it reads), then scan
+//! pruning. Predicate pushdown and the geospatial rewrite run before it, so
+//! they only ever see joins that emit their whole joined row.
 //!
 //! A rule rewrites the tree in place: it decides on a borrow, and takes a
 //! node apart only when it fires.
 
-use presto_common::{DataType, Result, Schema, Value};
+use presto_common::{DataType, PrestoError, Result, Schema, Value};
 use presto_connectors::{
     AggregationPushdown, CatalogRegistry, ColumnPath, PushdownPredicate, ScanRequest,
 };
@@ -83,6 +86,8 @@ pub fn optimize(
             changed = transform_up(&mut plan, &push_project_into_join)?;
             changed |= transform_up(&mut plan, &merge_projects)?;
         }
+        // ...then each join emits only what the Project above it reads...
+        transform_up(&mut plan, &narrow_join_output)?;
         // ...and finally Project→[Filter]→Scan becomes pruned scan columns
         // (including nested column pruning, §V.D).
         transform_up(&mut plan, &|p| prune_scan_projection(p, catalogs))?;
@@ -158,12 +163,13 @@ fn rewrite_expressions(
                 .collect(),
             step,
         },
-        LogicalPlan::Join { left, right, kind, on, residual } => LogicalPlan::Join {
+        LogicalPlan::Join { left, right, kind, on, residual, output } => LogicalPlan::Join {
             left: Box::new(rewrite_expressions(*left, f)),
             right: Box::new(rewrite_expressions(*right, f)),
             kind,
             on: on.into_iter().map(|(l, r)| (l.rewrite(f), r.rewrite(f))).collect(),
             residual: residual.map(|e| e.rewrite(f)),
+            output,
         },
         LogicalPlan::GeoJoin { probe, fences, probe_lng, probe_lat, fence_shape } => {
             LogicalPlan::GeoJoin {
@@ -240,7 +246,7 @@ fn rewrite_geo_join(plan: &mut LogicalPlan) -> Result<bool> {
         LogicalPlan::Filter { input, predicate } => (input.as_mut(), Some(&*predicate)),
         join => (join, None),
     };
-    let LogicalPlan::Join { left, right, kind: JoinKind::Inner, on, residual } = join else {
+    let LogicalPlan::Join { left, right, kind: JoinKind::Inner, on, residual, .. } = join else {
         return Ok(false);
     };
     if !on.is_empty() {
@@ -355,7 +361,7 @@ fn push_filter(
             Ok(LogicalPlan::Project { input: Box::new(pushed), expressions })
         }
         // route conjuncts to join sides; promote equi conjuncts to keys
-        LogicalPlan::Join { left, right, kind, mut on, residual } => {
+        LogicalPlan::Join { left, right, kind, mut on, residual, output } => {
             let left_width = left.output_schema()?.len();
             // An INNER join's residual is semantically a WHERE conjunct, so
             // it is routed with the rest, ahead of them (ON before WHERE). A
@@ -380,6 +386,7 @@ fn push_filter(
                 kind,
                 on,
                 residual,
+                output,
             };
             Ok(filter_over(join, kept))
         }
@@ -736,11 +743,15 @@ fn push_project_into_join(plan: &mut LogicalPlan) -> Result<bool> {
     let LogicalPlan::Project { input, expressions } = plan else {
         return Ok(false);
     };
-    let LogicalPlan::Join { left, right, on, residual, .. } = input.as_mut() else {
+    let LogicalPlan::Join { left, right, on, residual, output, .. } = input.as_mut() else {
         return Ok(false);
     };
     let lw = left.output_schema()?.len();
     let rw = right.output_schema()?.len();
+    // the Project must index the whole joined row; a narrowed join is done
+    if !output.iter().copied().eq(0..lw + rw) {
+        return Ok(false);
+    }
 
     // Side-local accesses from the join keys...
     let mut left_accesses = Vec::new();
@@ -775,6 +786,7 @@ fn push_project_into_join(plan: &mut LogicalPlan) -> Result<bool> {
         return Ok(false);
     }
     let new_lw = if wrap_left { left_accesses.len() } else { lw };
+    let new_rw = if wrap_right { right_accesses.len() } else { rw };
 
     // The keys are side-local; an access of the joined schema maps to its
     // side's new channel, the right side now starting at `new_lw`.
@@ -808,6 +820,42 @@ fn push_project_into_join(plan: &mut LogicalPlan) -> Result<bool> {
     }
     if wrap_right {
         project_accesses(right, &right_accesses);
+    }
+    *output = (0..new_lw + new_rw).collect();
+    Ok(true)
+}
+
+/// Narrow a Join under a Project to the channels the Project reads, in
+/// channel order, and move the Project's references onto them: the join
+/// then emits no column that is dropped right above it (a key nothing else
+/// reads, above all). Runs once projections have sunk through every join;
+/// the residual still indexes the whole joined row.
+fn narrow_join_output(plan: &mut LogicalPlan) -> Result<bool> {
+    let LogicalPlan::Project { input, expressions } = plan else {
+        return Ok(false);
+    };
+    let LogicalPlan::Join { output, .. } = input.as_mut() else {
+        return Ok(false);
+    };
+    let mut read = vec![false; output.len()];
+    for c in expressions.iter().flat_map(|(_, e)| e.referenced_columns()) {
+        *read.get_mut(c).ok_or_else(|| {
+            PrestoError::Plan(format!("project reads channel {c} of a {}-wide join", output.len()))
+        })? = true;
+    }
+    if read.iter().all(|&r| r) {
+        return Ok(false);
+    }
+    // the new channel of each one read
+    let mut to = vec![0; output.len()];
+    let mut kept = Vec::with_capacity(output.len());
+    for (c, &channel) in output.iter().enumerate().filter(|(c, _)| read[*c]) {
+        to[c] = kept.len();
+        kept.push(channel);
+    }
+    *output = kept;
+    for (_, e) in expressions.iter_mut() {
+        *e = e.remap_columns(&|c| to[c]);
     }
     Ok(true)
 }
@@ -1350,13 +1398,9 @@ mod tests {
             args: vec![RowExpression::column("shape", 3, DataType::Varchar), st_point],
         };
         let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(trips),
-                right: Box::new(cities),
-                kind: JoinKind::Inner,
-                on: vec![],
-                residual: None,
-            }),
+            input: Box::new(
+                LogicalPlan::join(trips, cities, JoinKind::Inner, vec![], None).unwrap(),
+            ),
             predicate: st_contains,
         };
         let optimized =
@@ -1390,13 +1434,7 @@ mod tests {
             RowExpression::column("datestr_r", 3, DataType::Varchar),
         );
         let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind: JoinKind::Inner,
-                on: vec![],
-                residual: None,
-            }),
+            input: Box::new(LogicalPlan::join(left, right, JoinKind::Inner, vec![], None).unwrap()),
             predicate: RowExpression::combine_conjuncts(vec![gt_fare, join_key]).unwrap(),
         };
         let optimized =

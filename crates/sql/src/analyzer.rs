@@ -190,12 +190,15 @@ fn analyze_table_ref(table_ref: &TableRef, ctx: &AnalyzerContext) -> Result<(Log
                 }
             };
             let kind = if *kind == JoinType::Left { JoinKind::Left } else { JoinKind::Inner };
+            // the join emits its whole joined row until projection
+            // pushdown narrows it
             let join = LogicalPlan::Join {
                 left: Box::new(left_plan),
                 right: Box::new(right_plan),
                 kind,
                 on: keys,
                 residual,
+                output: (0..combined.columns.len()).collect(),
             };
             Ok((join, combined))
         }

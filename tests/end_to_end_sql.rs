@@ -243,6 +243,34 @@ fn left_join_on_residual_null_extends_instead_of_dropping() {
     }
 }
 
+#[test]
+fn left_join_without_an_equi_conjunct_keeps_its_unmatched_rows() {
+    // With no equi key the join is a nested loop, and its LEFT rows whose
+    // every pair fails the ON condition must still come back null-extended.
+    let (engine, session) = memory_engine(vec![
+        ("a", vec![("x", Block::bigint(vec![1, 2, 3]))]),
+        ("b", vec![("y", Block::bigint(vec![2, 3, 4]))]),
+    ]);
+    for session in [&session, &session.clone().with_optimizer(no_rules())] {
+        let sql = "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x > b.y ORDER BY 1";
+        assert_eq!(
+            engine.execute_with_session(sql, session).unwrap().rows(),
+            vec![
+                vec![Value::Bigint(1), Value::Null],
+                vec![Value::Bigint(2), Value::Null],
+                vec![Value::Bigint(3), Value::Bigint(2)],
+            ],
+            "{sql}"
+        );
+        let sql = "SELECT count(*) FROM a LEFT JOIN b ON a.x > 10";
+        assert_eq!(
+            engine.execute_with_session(sql, session).unwrap().rows(),
+            vec![vec![Value::Bigint(3)]],
+            "{sql}"
+        );
+    }
+}
+
 /// An engine over one-page memory tables `memory.t.<name>`.
 fn memory_engine(tables: Vec<(&str, Vec<(&str, Block)>)>) -> (PrestoEngine, Session) {
     let memory = MemoryConnector::new();
@@ -312,6 +340,38 @@ fn an_on_join_plans_as_one_hash_join_with_every_rule_off() {
         engine.execute_with_session(sql, &off).unwrap().rows(),
         vec![vec![Value::Bigint(2)]]
     );
+}
+
+#[test]
+fn a_project_over_a_join_narrows_what_the_join_emits() {
+    let (engine, session) = memory_engine(vec![
+        (
+            "a",
+            vec![("x", Block::bigint(vec![1, 2, 3])), ("p", Block::varchar(&["p1", "p2", "p3"]))],
+        ),
+        (
+            "b",
+            vec![("y", Block::bigint(vec![2, 3, 4])), ("q", Block::varchar(&["q2", "q3", "q4"]))],
+        ),
+    ]);
+    let unpruned = session.clone().with_optimizer(OptimizerConfig {
+        projection_pushdown: false,
+        ..OptimizerConfig::default()
+    });
+    let sql = "SELECT b.q, a.p FROM a JOIN b ON a.x = b.y ORDER BY 1";
+    // the keys are read by the join alone: it emits p and q, 2 of 4 channels
+    let plan = engine.explain(sql, &session).unwrap();
+    assert!(plan.contains("InnerJoin[keys=1, output=2/4]"), "{plan}");
+    // without projection pushdown the join emits its whole joined row
+    let whole = engine.explain(sql, &unpruned).unwrap();
+    assert!(whole.contains("InnerJoin[keys=1]"), "{whole}");
+    let expected = vec![
+        vec![Value::Varchar("q2".into()), Value::Varchar("p2".into())],
+        vec![Value::Varchar("q3".into()), Value::Varchar("p3".into())],
+    ];
+    for s in [&session, &unpruned] {
+        assert_eq!(engine.execute_with_session(sql, s).unwrap().rows(), expected, "{sql}");
+    }
 }
 
 #[test]

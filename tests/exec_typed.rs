@@ -16,7 +16,9 @@
 //! reference *in order*, compared via `{:?}` so doubles match to the bit.
 //! Each case runs again under a budget that forces the spill path. A third
 //! of the aggregation and join cases draw integers from a small range
-//! instead ([`small_value`]), so their key tables take the dense layout.
+//! instead ([`small_value`]), so their key tables take the dense layout;
+//! another third of the joins have a unique build key ([`unique_keys`]),
+//! and half the joins emit a narrowed list of channels.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -210,6 +212,32 @@ impl Table {
             rows.push(page_rows);
         }
         Table { schema, pages, rows }
+    }
+
+    /// Make column `c` BIGINT, its value in each row from `draw` (in row
+    /// order), each page's block plain or a dictionary as a drawn one is.
+    /// Returns the values.
+    fn set_column(
+        &mut self,
+        g: &mut Gen,
+        c: usize,
+        mut draw: impl FnMut(&mut Gen) -> Value,
+    ) -> Vec<Value> {
+        let mut fields = self.schema.fields().to_vec();
+        fields[c] = Field::new(fields[c].name.clone(), DataType::Bigint);
+        self.schema = Schema::new(fields).unwrap();
+        let mut all = Vec::new();
+        for (page, rows) in self.pages.iter_mut().zip(&mut self.rows) {
+            let column: Vec<Value> = rows.iter().map(|_| draw(g)).collect();
+            for (row, v) in rows.iter_mut().zip(&column) {
+                row[c] = v.clone();
+            }
+            let mut blocks = std::mem::replace(page, Page::empty()).into_blocks();
+            blocks[c] = block(g, &DataType::Bigint, &column, value);
+            *page = Page::new(blocks).unwrap();
+            all.extend(column);
+        }
+        all
     }
 
     fn all_rows(&self) -> Vec<Vec<Value>> {
@@ -476,12 +504,17 @@ fn aggregate_case(seed: u64) -> bool {
     did_spill
 }
 
+/// One join drawn from `seed` against [`reference_join`], rows and their
+/// order. A third of the cases draw small integral keys (dense key
+/// tables), a third a unique build key ([`unique_keys`]); the rest any
+/// scalar columns. Half the joins emit a random list of channels: a subset
+/// in any order, sometimes one of them twice, as a narrowed join does.
 fn join_case(seed: u64) -> bool {
     let g = &mut Gen(seed);
-    let small = g.below(3) == 0;
-    let (types, draw) = if small { SMALL } else { WIDE };
+    let shape = g.below(3);
+    let (types, draw) = if shape == 0 { SMALL } else { WIDE };
     let probe_types = types(g, 1);
-    let probe = Table::drawn(g, probe_types, if small { probe_value } else { value });
+    let mut probe = Table::drawn(g, probe_types, if shape == 0 { probe_value } else { value });
     // make comparable pairs likely: the build side reuses some probe types
     let mut build_types = types(g, 1);
     for t in build_types.iter_mut() {
@@ -489,21 +522,26 @@ fn join_case(seed: u64) -> bool {
             *t = g.pick(&probe.types());
         }
     }
-    let build = Table::drawn(g, build_types, draw);
-    let on: Vec<(usize, usize)> = (0..1 + g.below(2))
-        .map(|_| {
-            let l = g.below(probe.schema.len());
-            let comparable = build
-                .columns_of(|t| probe.schema.field_at(l).data_type.comparison_type(t).is_some());
-            // mostly comparable (same or mixed width), sometimes anything
-            let r = if comparable.is_empty() || g.below(6) == 0 {
-                g.below(build.schema.len())
-            } else {
-                g.pick(&comparable)
-            };
-            (l, r)
-        })
-        .collect();
+    let mut build = Table::drawn(g, build_types, draw);
+    let on: Vec<(usize, usize)> = if shape == 1 {
+        vec![unique_keys(g, &mut probe, &mut build)]
+    } else {
+        (0..1 + g.below(2))
+            .map(|_| {
+                let l = g.below(probe.schema.len());
+                let comparable = build.columns_of(|t| {
+                    probe.schema.field_at(l).data_type.comparison_type(t).is_some()
+                });
+                // mostly comparable (same or mixed width), sometimes anything
+                let r = if comparable.is_empty() || g.below(6) == 0 {
+                    g.below(build.schema.len())
+                } else {
+                    g.pick(&comparable)
+                };
+                (l, r)
+            })
+            .collect()
+    };
     let kind = g.pick(&[JoinKind::Inner, JoinKind::Left]);
     let (left_ints, right_ints) = (
         probe.columns_of(|t| *t == DataType::Bigint),
@@ -528,14 +566,35 @@ fn join_case(seed: u64) -> bool {
                 ],
             }
         });
+    let width = probe.schema.len() + build.schema.len();
+    let mut output: Vec<usize> = (0..width).collect();
+    if g.below(2) == 0 {
+        // a random subset in a random order...
+        for i in (1..width).rev() {
+            output.swap(i, g.below(i + 1));
+        }
+        output.truncate(g.below(width + 1));
+        // ...sometimes with one channel named twice
+        if !output.is_empty() && g.below(2) == 0 {
+            let again = output[g.below(output.len())];
+            output.insert(g.below(output.len() + 1), again);
+        }
+    }
     let plan = LogicalPlan::Join {
         left: source(0, &probe),
         right: source(1, &build),
         kind,
         on: on.iter().map(|&(l, r)| (probe.column(l), build.column(r))).collect(),
         residual: residual.clone(),
+        output: output.clone(),
     };
-    let expected = reference_join(&probe, &build, kind, &on, residual.as_ref());
+    let expected: Vec<Vec<Vec<Value>>> =
+        reference_join(&probe, &build, kind, &on, residual.as_ref())
+            .into_iter()
+            .map(|page| {
+                page.iter().map(|row| output.iter().map(|&c| row[c].clone()).collect()).collect()
+            })
+            .collect();
     let (actual, _) = run(&plan, &[&probe, &build], None);
     assert_eq!(format!("{:?}", actual.unwrap()), format!("{expected:?}"), "seed {seed}");
 
@@ -554,6 +613,34 @@ fn join_case(seed: u64) -> bool {
         "spill, seed {seed}"
     );
     did_spill
+}
+
+/// Make one BIGINT column of `build` a unique key — distinct values, a
+/// NULL now and then (no key, so no repeat) — and one BIGINT column of
+/// `probe` its foreign key. Half the probe sides match on every row, so
+/// each page's probe columns pass through whole; the rest miss now and
+/// then (NULL, or a value the build side lacks). The key table is dense or
+/// hashed by the stride between keys. Returns the key pair.
+fn unique_keys(g: &mut Gen, probe: &mut Table, build: &mut Table) -> (usize, usize) {
+    let (l, r) = (g.below(probe.schema.len()), g.below(build.schema.len()));
+    let stride = g.pick(&[1i64, 3, 1 << 40]);
+    let mut next = g.below(5) as i64 - 2;
+    let keys = build.set_column(g, r, |g| match g.below(8) {
+        0 => Value::Null,
+        _ => {
+            next += 1 + g.below(2) as i64;
+            Value::Bigint(next * stride)
+        }
+    });
+    let keys: Vec<Value> = keys.into_iter().filter(|k| !k.is_null()).collect();
+    let misses = g.below(2) == 0 || keys.is_empty();
+    probe.set_column(g, l, |g| match g.below(if misses { 5 } else { 1 }) {
+        1 if !keys.is_empty() => Value::Null,
+        2 => Value::Bigint(-7 * stride),
+        _ if !keys.is_empty() => g.pick(&keys),
+        _ => Value::Null,
+    });
+    (l, r)
 }
 
 fn sort_case(seed: u64) -> bool {
@@ -759,4 +846,13 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
 fn dense_key_tables_deal_the_hashed_ids_soak() {
     let dense = (0..10_000).filter(|&seed| key_codec_case(seed, true)).count();
     assert!(dense > 4_000, "only {dense} of 10000 tables were dense");
+}
+
+/// [`join_case`] over 10k seeds: unique build keys with whole and partly
+/// matched probe pages, and narrowed outputs, at soak size.
+#[test]
+#[ignore = "release soak: `cargo test --release -p presto-at-scale --test exec_typed -- --ignored`"]
+fn hash_join_equals_the_nested_loop_reference_soak() {
+    let spilled = (0..10_000).filter(|&seed| join_case(seed)).count();
+    assert!(spilled > 8_000, "only {spilled} of 10000 joins spilled");
 }

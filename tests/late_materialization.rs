@@ -162,16 +162,17 @@ fn join_plan(
     kind: JoinKind,
     residual: Option<RowExpression>,
 ) -> LogicalPlan {
-    LogicalPlan::Join {
-        left: Box::new(LogicalPlan::RemoteSource { fragment: 0, schema: probe.clone() }),
-        right: Box::new(LogicalPlan::RemoteSource { fragment: 1, schema: build.clone() }),
+    LogicalPlan::join(
+        LogicalPlan::RemoteSource { fragment: 0, schema: probe.clone() },
+        LogicalPlan::RemoteSource { fragment: 1, schema: build.clone() },
         kind,
-        on: vec![(
+        vec![(
             RowExpression::column("pk", 0, DataType::Double),
             RowExpression::column("k", 0, DataType::Double),
         )],
         residual,
-    }
+    )
+    .unwrap()
 }
 
 /// Run `plan` with `probe` and `build` bound to its two sources; with a

@@ -143,7 +143,9 @@ fn spilled_queries_match_unconstrained_results() {
 fn oom_arbiter_kills_the_requester_when_it_is_largest() {
     let engine = engine_with_trips().with_resources(ResourceManager::new(
         ResourceConfig {
-            cluster_memory_bytes: Some(512), // far below the join's build side
+            // below the join's key table (8 cities × 48 bytes): its build
+            // side holds no column, as nothing above reads one
+            cluster_memory_bytes: Some(256),
             ..ResourceConfig::default()
         },
         SimClock::new(),
