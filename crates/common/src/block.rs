@@ -408,6 +408,15 @@ impl Block {
     /// Is the value at position `i` NULL?
     pub fn is_null(&self, i: usize) -> bool {
         match self {
+            Block::Dictionary { dictionary, ids } => dictionary.is_null(ids[i] as usize),
+            plain => plain.null_mask().as_ref().is_some_and(|n| n[i]),
+        }
+    }
+
+    /// A plain block's null mask; a dictionary has none of its own (its
+    /// NULLs live in its entries).
+    fn null_mask(&self) -> &NullMask {
+        match self {
             Block::Boolean { nulls, .. }
             | Block::Bigint { nulls, .. }
             | Block::Integer { nulls, .. }
@@ -417,8 +426,8 @@ impl Block {
             | Block::Timestamp { nulls, .. }
             | Block::Array { nulls, .. }
             | Block::Map { nulls, .. }
-            | Block::Row { nulls, .. } => nulls.as_ref().map(|n| n[i]).unwrap_or(false),
-            Block::Dictionary { dictionary, ids } => dictionary.is_null(ids[i] as usize),
+            | Block::Row { nulls, .. } => nulls,
+            Block::Dictionary { .. } => &None,
         }
     }
 
@@ -799,69 +808,170 @@ impl Block {
         })
     }
 
-    /// Compare rows `i` and `j` of this block in [`Value::total_cmp`] order
-    /// (numbers < NaN < NULL) without materializing either scalar.
-    pub fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
+    /// Rows `(part, position)` of `parts`, blocks of one type, gathered
+    /// into one block: what `Block::concat(parts)?.take(..)` of the same
+    /// rows builds when there are several parts — plain, NULL slots holding
+    /// the type's zero value, a mask only where a NULL survives — without
+    /// the concatenated copy. A dictionary part is read through its ids.
+    pub(crate) fn gather<I>(parts: &[&Block], rows: I) -> Result<Block>
+    where
+        I: ExactSizeIterator<Item = (usize, usize)> + Clone,
+    {
+        let first =
+            parts.first().ok_or_else(|| PrestoError::Internal("gather of zero blocks".into()))?;
+        let dt = first.data_type();
+        if let Some(b) = parts.iter().find(|b| b.data_type() != dt) {
+            return Err(PrestoError::Internal(format!(
+                "gather of mismatched block types {dt} vs {}",
+                b.data_type()
+            )));
+        }
+        // each part's plain block and, behind a dictionary, its ids
+        let plain: Vec<(&Block, Option<&[u32]>)> = parts
+            .iter()
+            .map(|b| match b {
+                Block::Dictionary { dictionary, ids } => (&**dictionary, Some(&ids[..])),
+                plain => (*plain, None),
+            })
+            .collect();
+        let slot = |ids: Option<&[u32]>, row: usize| ids.map_or(row, |ids| ids[row] as usize);
+        let null_at = |nulls: &NullMask, i: usize| nulls.as_ref().is_some_and(|n| n[i]);
+        // the mask of the gathered rows, built only when some part has one
+        let mask = || match plain.iter().all(|(b, _)| b.null_mask().is_none()) {
+            true => None,
+            false => some_if_any(
+                rows.clone().map(|(p, r)| plain[p].0.is_null(slot(plain[p].1, r))).collect(),
+            ),
+        };
+        macro_rules! fixed {
+            ($variant:ident) => {{
+                let mut values = Vec::with_capacity(rows.len());
+                values.extend(rows.clone().map(|(p, r)| match plain[p] {
+                    (Block::$variant { values, nulls }, ids) => {
+                        let i = slot(ids, r);
+                        if null_at(nulls, i) {
+                            Default::default()
+                        } else {
+                            values[i]
+                        }
+                    }
+                    _ => unreachable!("every part is of the checked type"),
+                }));
+                Block::$variant { values, nulls: mask() }
+            }};
+        }
+        Ok(match dt {
+            DataType::Boolean => fixed!(Boolean),
+            DataType::Bigint => fixed!(Bigint),
+            DataType::Integer => fixed!(Integer),
+            DataType::Double => fixed!(Double),
+            DataType::Date => fixed!(Date),
+            DataType::Timestamp => fixed!(Timestamp),
+            DataType::Varchar => {
+                // each row's bytes, or none for a NULL
+                let span = |(p, r): (usize, usize)| match plain[p] {
+                    (Block::Varchar { offsets, bytes, nulls }, ids) => {
+                        let i = slot(ids, r);
+                        match null_at(nulls, i) {
+                            true => &bytes[..0],
+                            false => &bytes[offsets[i] as usize..offsets[i + 1] as usize],
+                        }
+                    }
+                    _ => unreachable!("every part is of the checked type"),
+                };
+                let mut offsets = Vec::with_capacity(rows.len() + 1);
+                let mut bytes = Vec::with_capacity(rows.clone().map(|row| span(row).len()).sum());
+                offsets.push(0u32);
+                for row in rows.clone() {
+                    bytes.extend_from_slice(span(row));
+                    offsets.push(bytes.len() as u32);
+                }
+                Block::Varchar { offsets, bytes, nulls: mask() }
+            }
+            // nested types take the generic path through the concatenation
+            DataType::Array(_) | DataType::Map(..) | DataType::Row(_) => {
+                let starts =
+                    parts.iter().scan(0, |at, b| Some(std::mem::replace(at, *at + b.len())));
+                let starts: Vec<usize> = starts.collect();
+                let indices: Vec<usize> = rows.map(|(p, r)| starts[p] + r).collect();
+                Block::concat(parts)?.take(&indices)
+            }
+        })
+    }
+
+    /// Compare row `i` of this block with row `j` of `other`, a block of
+    /// the same type (either may be a dictionary), in [`Value::total_cmp`]
+    /// order (numbers < NaN < NULL) without materializing either scalar.
+    pub fn cmp_with(&self, i: usize, other: &Block, j: usize) -> Ordering {
         fn nulls_last(
-            nulls: &NullMask,
-            i: usize,
-            j: usize,
+            (a, i): (&NullMask, usize),
+            (b, j): (&NullMask, usize),
             cmp: impl FnOnce() -> Ordering,
         ) -> Ordering {
-            match nulls.as_ref().map(|n| (n[i], n[j])) {
-                None | Some((false, false)) => cmp(),
-                Some((a, b)) => a.cmp(&b),
+            let null = |n: &NullMask, i: usize| n.as_ref().is_some_and(|n| n[i]);
+            match (null(a, i), null(b, j)) {
+                (false, false) => cmp(),
+                (x, y) => x.cmp(&y),
             }
         }
-        match self {
-            Block::Boolean { values, nulls } => {
-                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+        match (self, other) {
+            (Block::Dictionary { dictionary, ids }, _) => {
+                dictionary.cmp_with(ids[i] as usize, other, j)
             }
-            Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
-                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+            (_, Block::Dictionary { dictionary, ids }) => {
+                self.cmp_with(i, dictionary, ids[j] as usize)
             }
-            Block::Integer { values, nulls } | Block::Date { values, nulls } => {
-                nulls_last(nulls, i, j, || values[i].cmp(&values[j]))
+            (Block::Boolean { values: a, nulls: an }, Block::Boolean { values: b, nulls: bn }) => {
+                nulls_last((an, i), (bn, j), || a[i].cmp(&b[j]))
             }
-            Block::Double { values, nulls } => nulls_last(nulls, i, j, || {
-                let (a, b) = (values[i], values[j]);
-                a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+            (Block::Bigint { values: a, nulls: an }, Block::Bigint { values: b, nulls: bn })
+            | (
+                Block::Timestamp { values: a, nulls: an },
+                Block::Timestamp { values: b, nulls: bn },
+            ) => nulls_last((an, i), (bn, j), || a[i].cmp(&b[j])),
+            (Block::Integer { values: a, nulls: an }, Block::Integer { values: b, nulls: bn })
+            | (Block::Date { values: a, nulls: an }, Block::Date { values: b, nulls: bn }) => {
+                nulls_last((an, i), (bn, j), || a[i].cmp(&b[j]))
+            }
+            (Block::Double { values: a, nulls: an }, Block::Double { values: b, nulls: bn }) => {
+                nulls_last((an, i), (bn, j), || {
+                    let (a, b) = (a[i], b[j]);
+                    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+                })
+            }
+            (
+                Block::Varchar { offsets: ao, bytes: ab, nulls: an },
+                Block::Varchar { offsets: bo, bytes: bb, nulls: bn },
+            ) => nulls_last((an, i), (bn, j), || {
+                let a = &ab[ao[i] as usize..ao[i + 1] as usize];
+                a.cmp(&bb[bo[j] as usize..bo[j + 1] as usize])
             }),
-            Block::Varchar { offsets, bytes, nulls } => nulls_last(nulls, i, j, || {
-                let at = |r: usize| &bytes[offsets[r] as usize..offsets[r + 1] as usize];
-                at(i).cmp(at(j))
-            }),
-            Block::Dictionary { dictionary, ids } => {
-                dictionary.cmp_rows(ids[i] as usize, ids[j] as usize)
-            }
-            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => {
-                self.value(i).total_cmp(&self.value(j))
-            }
+            // nested types
+            _ => self.value(i).total_cmp(&other.value(j)),
         }
     }
 
-    /// A 64-bit sort prefix per row: `prefix[i] < prefix[j]` only when
-    /// [`Block::cmp_rows`] orders row `i` before row `j`; equal prefixes
-    /// decide nothing (long strings, nested values). A sort that compares
-    /// prefixes first touches the column itself only on a tie.
-    pub fn order_prefixes(&self) -> Vec<u64> {
+    /// Append a 64-bit sort prefix per row to `out`: `prefix[i] <
+    /// prefix[j]` only when [`Block::cmp_with`] orders row `i` before row
+    /// `j`; equal prefixes decide nothing (long strings, nested values). A
+    /// sort that compares prefixes first touches the column itself only on
+    /// a tie.
+    pub fn order_prefixes(&self, out: &mut Vec<u64>) {
         const NULL: u64 = u64::MAX;
-        fn with_nulls(mut prefixes: Vec<u64>, nulls: &NullMask) -> Vec<u64> {
-            for (p, _) in prefixes.iter_mut().zip(nulls.iter().flatten()).filter(|(_, n)| **n) {
-                *p = NULL;
-            }
-            prefixes
-        }
         let signed = |v: i64| (v as u64) ^ (1 << 63);
-        match self {
+        let start = out.len();
+        let nulls = match self {
             Block::Boolean { values, nulls } => {
-                with_nulls(values.iter().map(|&v| u64::from(v)).collect(), nulls)
+                out.extend(values.iter().map(|&v| u64::from(v)));
+                nulls
             }
             Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
-                with_nulls(values.iter().map(|&v| signed(v)).collect(), nulls)
+                out.extend(values.iter().map(|&v| signed(v)));
+                nulls
             }
             Block::Integer { values, nulls } | Block::Date { values, nulls } => {
-                with_nulls(values.iter().map(|&v| signed(i64::from(v))).collect(), nulls)
+                out.extend(values.iter().map(|&v| signed(i64::from(v))));
+                nulls
             }
             Block::Double { values, nulls } => {
                 let prefix = |v: &f64| match (v + 0.0).to_bits() {
@@ -869,7 +979,8 @@ impl Block {
                     negative if negative >> 63 == 1 => !negative,
                     positive => positive | (1 << 63),
                 };
-                with_nulls(values.iter().map(prefix).collect(), nulls)
+                out.extend(values.iter().map(prefix));
+                nulls
             }
             Block::Varchar { offsets, bytes, nulls } => {
                 let prefix = |w: &[u32]| {
@@ -877,13 +988,22 @@ impl Block {
                     let read = head.fold((0u64, 0), |(p, n), &b| ((p << 8) | u64::from(b), n + 1));
                     read.0.checked_shl(64 - 8 * read.1).unwrap_or(0)
                 };
-                with_nulls(offsets.windows(2).map(prefix).collect(), nulls)
+                out.extend(offsets.windows(2).map(prefix));
+                nulls
             }
             Block::Dictionary { dictionary, ids } => {
-                let entries = dictionary.order_prefixes();
-                ids.iter().map(|&id| entries[id as usize]).collect()
+                let mut entries = Vec::with_capacity(dictionary.len());
+                dictionary.order_prefixes(&mut entries);
+                out.extend(ids.iter().map(|&id| entries[id as usize]));
+                return;
             }
-            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => vec![0; self.len()],
+            Block::Array { .. } | Block::Map { .. } | Block::Row { .. } => {
+                out.resize(start + self.len(), 0);
+                return;
+            }
+        };
+        for (p, _) in out[start..].iter_mut().zip(nulls.iter().flatten()).filter(|(_, n)| **n) {
+            *p = NULL;
         }
     }
 
@@ -1071,12 +1191,26 @@ mod tests {
             if let Block::Bigint { nulls, values } = &mut all_valid {
                 *nulls = Some(vec![false; values.len()]);
             }
+            // NULL slots holding something other than the zero value
+            let mut dirty = with_nulls.clone();
+            match &mut dirty {
+                Block::Bigint { values, nulls: Some(n) } => {
+                    values.iter_mut().zip(n).filter(|(_, n)| **n).for_each(|(v, _)| *v = 99);
+                }
+                Block::Varchar { offsets, bytes, nulls: Some(n) } => {
+                    let null = n.iter().position(|n| *n).unwrap();
+                    bytes.splice(offsets[null] as usize..offsets[null] as usize, *b"junk");
+                    offsets[null + 1..].iter_mut().for_each(|o| *o += 4);
+                }
+                _ => {}
+            }
             let dict = Block::Dictionary {
                 dictionary: Box::new(with_nulls.clone()),
                 ids: vec![1, 0, 1, (values.len() - 1) as u32],
             };
             let cases: Vec<Vec<Block>> = vec![
                 vec![plain.clone(), with_nulls.clone()],
+                vec![dirty.clone(), plain.clone(), dirty],
                 vec![with_nulls.clone(), empty.clone(), plain.clone(), with_nulls.clone()],
                 vec![plain.clone(), all_valid, empty.clone()],
                 vec![empty.clone(), empty.clone()],
@@ -1093,11 +1227,32 @@ mod tests {
                     &expected,
                     &format!("{dt} by reference"),
                 );
+                // a gather of some rows, backwards and repeated, is a take of
+                // the concatenation
+                let rows: Vec<(usize, usize)> = (0..parts.len())
+                    .flat_map(|p| (0..parts[p].len()).map(move |r| (p, r)))
+                    .rev()
+                    .step_by(2)
+                    .flat_map(|row| [row, row])
+                    .collect();
+                let starts: Vec<usize> = parts
+                    .iter()
+                    .scan(0, |at, b| Some(std::mem::replace(at, *at + b.len())))
+                    .collect();
+                let global: Vec<usize> = rows.iter().map(|&(p, r)| starts[p] + r).collect();
+                assert_same(
+                    &Block::gather(&refs, rows.iter().copied()).unwrap(),
+                    &expected.take(&global),
+                    &format!("{dt} gathered"),
+                );
             }
             // one block comes back as it is, dictionary included
             assert_same(&Block::concat(&[&dict]).unwrap(), &dict, "one block");
         }
         assert!(Block::concat::<Block>(&[]).is_err());
+        assert!(Block::gather(&[], std::iter::empty()).is_err());
+        let mismatched = [&Block::bigint(vec![1]), &Block::double(vec![1.0])];
+        assert!(Block::gather(&mismatched, [(0, 0)].into_iter()).is_err());
         // VARCHAR offsets are rebased onto the bytes already written
         let joined =
             Block::concat(&[Block::varchar(&["ab", ""]), Block::varchar(&["cde", "f"])]).unwrap();
@@ -1184,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn cmp_rows_is_total_cmp_on_typed_columns() {
+    fn cmp_with_is_total_cmp_on_typed_columns() {
         for (dt, values) in typed_samples() {
             let block = Block::from_values(&dt, &values).unwrap();
             let dict = Block::Dictionary {
@@ -1194,15 +1349,21 @@ mod tests {
             for i in 0..values.len() {
                 for j in 0..values.len() {
                     let expected = values[i].total_cmp(&values[j]);
-                    assert_eq!(block.cmp_rows(i, j), expected, "{dt} rows {i},{j}");
-                    assert_eq!(dict.cmp_rows(i, j), expected, "{dt} rows {i},{j} via dictionary");
+                    assert_eq!(block.cmp_with(i, &block, j), expected, "{dt} rows {i},{j}");
+                    assert_eq!(
+                        dict.cmp_with(i, &dict, j),
+                        expected,
+                        "{dt} rows {i},{j} via dictionary"
+                    );
+                    assert_eq!(block.cmp_with(i, &dict, j), expected, "{dt} rows {i},{j} across");
+                    assert_eq!(dict.cmp_with(i, &block, j), expected, "{dt} rows {i},{j} across");
                 }
             }
         }
     }
 
     #[test]
-    fn order_prefixes_never_contradict_cmp_rows() {
+    fn order_prefixes_never_contradict_cmp_with() {
         let mut samples = typed_samples();
         samples.push((
             DataType::Varchar,
@@ -1214,18 +1375,25 @@ mod tests {
         ));
         for (dt, values) in samples {
             let block = Block::from_values(&dt, &values).unwrap();
-            let prefixes = block.order_prefixes();
+            let mut prefixes = vec![7];
+            block.order_prefixes(&mut prefixes);
+            assert_eq!(prefixes.remove(0), 7, "appended");
             assert_eq!(prefixes.len(), values.len());
             for i in 0..values.len() {
                 for j in 0..values.len() {
                     if prefixes[i] < prefixes[j] {
-                        assert_eq!(block.cmp_rows(i, j), Ordering::Less, "{dt} rows {i},{j}");
+                        assert_eq!(
+                            block.cmp_with(i, &block, j),
+                            Ordering::Less,
+                            "{dt} rows {i},{j}"
+                        );
                     }
                 }
             }
         }
         // scalars that differ are told apart by the prefix alone
-        let doubles = Block::double(vec![-0.0, 0.0, -2.0, f64::NAN, 3.0]).order_prefixes();
+        let mut doubles = Vec::new();
+        Block::double(vec![-0.0, 0.0, -2.0, f64::NAN, 3.0]).order_prefixes(&mut doubles);
         assert_eq!(doubles[0], doubles[1]);
         assert!(doubles[2] < doubles[0] && doubles[1] < doubles[4] && doubles[4] < doubles[3]);
     }

@@ -17,8 +17,9 @@
 //! - [`domain::TypedDomain`] — an interval or set of literals in one column's
 //!   storage class: what a pushed-down predicate, a scan and the evaluator's
 //!   `BETWEEN` / `IN` loop over instead of boxed values.
-//! - [`order::RowOrder`] — row order under sort keys on typed columns, with
-//!   a stable sort and a bounded-heap top-N.
+//! - [`order::RowOrder`] — row order under sort keys on typed columns of
+//!   one or more pages, with a stable sort of packed `u64` ranks, a
+//!   bounded-heap top-N, and a gather of the ordered rows from the pages.
 //! - [`value::Value`] — scalar values used for literals, row-at-a-time paths
 //!   (the *legacy* Parquet reader operates on these) and test oracles.
 //! - [`clock::SimClock`] — a virtual clock used by the storage and cluster
@@ -54,7 +55,7 @@ pub use domain::{Domain, TypedDomain};
 pub use error::{PrestoError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec};
 pub use metrics::{CounterSet, GaugeSet, Histogram, HistogramSet, TimeSeries, TimeSeriesSet};
-pub use order::RowOrder;
+pub use order::{OrderedRows, RowOrder};
 pub use page::Page;
 pub use ring::HashRing;
 pub use telemetry::{QueryRow, TaskRow, TelemetryRegistry, WorkerRow};

@@ -142,7 +142,7 @@ impl Value {
     /// Total ordering with NULLS LAST, used by the sort operator: numbers
     /// (across INTEGER/BIGINT/DOUBLE) < NaN (all NaNs equal) < NULL, arrays
     /// and rows lexicographic in this same order. Pairs of incomparable
-    /// types order by type tag. [`Block::cmp_rows`](crate::Block::cmp_rows)
+    /// types order by type tag. [`Block::cmp_with`](crate::Block::cmp_with)
     /// is this order on typed columns.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;

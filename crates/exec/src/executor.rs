@@ -8,7 +8,8 @@
 //! one row) and probes a page at a time, emitting only the channels the
 //! plan names. Sort, top-N (a bounded heap) and the aggregate emit order
 //! rows with one typed comparator ([`RowOrder`], the order of
-//! [`Value::total_cmp`]).
+//! [`Value::total_cmp`]) across their input pages, and gather the ordered
+//! rows straight from those pages: the input is never concatenated.
 //!
 //! Each breaker evaluates its key columns once — the aggregate's input keys,
 //! the join's build keys — and its key table picks its layout from them.
@@ -466,15 +467,14 @@ fn spill_aggregate(
 /// order and, on the spill path, the partitioning, and every consumer must
 /// see the same sequence whichever path produced it. Keys that tie in the
 /// sort order though they differ (NaNs of different payloads) are told
-/// apart by their aggregates, so the order is over whole rows.
-fn emit_aggregate(mut groups: Vec<Page>, schema: &Schema) -> Result<Vec<Page>> {
-    let page = match groups.len() {
-        0 => empty_page(schema)?,
-        1 => groups.remove(0),
-        _ => Page::concat(&groups)?,
-    };
-    let order = RowOrder::new(page.blocks().iter().map(|b| (Cow::Borrowed(b), false)).collect());
-    Ok(vec![page.take(&order.sorted(page.positions()))])
+/// apart by their aggregates, so the order is over whole rows; what still
+/// ties, by the bits of its DOUBLE columns.
+fn emit_aggregate(groups: Vec<Page>, schema: &Schema) -> Result<Vec<Page>> {
+    let groups = if groups.is_empty() { vec![empty_page(schema)?] } else { groups };
+    let columns = (0..schema.len())
+        .map(|c| (groups.iter().map(|page| Cow::Borrowed(page.block(c))).collect(), false));
+    let order = RowOrder::new(groups.iter().map(Page::positions).collect(), columns.collect());
+    Ok(vec![order.ties_by_bits().sorted().gather(&groups)?])
 }
 
 // -------------------------------------------------------------------- join
@@ -1130,14 +1130,21 @@ fn execute_geo_join(
 
 // -------------------------------------------------------------------- sort
 
-/// The order of `page`'s rows under `keys`.
-fn row_order<'a>(keys: &[SortKey], page: &'a Page, ctx: &ExecutionContext) -> Result<RowOrder<'a>> {
-    let columns = keys.iter().map(|k| Ok((evaluate(&k.expr, page, ctx)?, k.descending)));
-    Ok(RowOrder::new(columns.collect::<Result<_>>()?))
+/// The order of the rows of `pages` under `keys`.
+fn row_order<'a>(
+    keys: &[SortKey],
+    pages: &'a [Page],
+    ctx: &ExecutionContext,
+) -> Result<RowOrder<'a>> {
+    let columns = keys.iter().map(|k| {
+        let blocks = pages.iter().map(|page| evaluate(&k.expr, page, ctx));
+        Ok((blocks.collect::<Result<_>>()?, k.descending))
+    });
+    Ok(RowOrder::new(pages.iter().map(Page::positions).collect(), columns.collect::<Result<_>>()?))
 }
 
 /// Sort (`limit: None`) or top-N: one page of the input's rows in key
-/// order, the first `limit` of them.
+/// order, the first `limit` of them, gathered from the input pages.
 fn execute_sort(
     input: &LogicalPlan,
     keys: &[SortKey],
@@ -1164,13 +1171,12 @@ fn execute_sort(
         }
         Err(e) => return Err(e),
     };
-    let page = Page::concat(&pages)?;
-    let order = row_order(keys, &page, ctx)?;
-    let indices = match limit {
-        None => order.sorted(page.positions()),
-        Some(count) => order.top(page.positions(), count),
+    let order = row_order(keys, &pages, ctx)?;
+    let rows = match limit {
+        None => order.sorted(),
+        Some(count) => order.top(count),
     };
-    Ok(vec![page.take(&indices)])
+    Ok(vec![rows.gather(&pages)?])
 }
 
 /// External merge sort: each input page becomes a spilled sorted run (only
@@ -1203,8 +1209,9 @@ fn external_sort(
                 }
                 Err(e) => return Err(e),
             };
-        let indices = row_order(keys, &page, ctx)?.sorted(page.positions());
-        run_files.push(spill.spill_pages(schema, &[page.take(&indices)])?);
+        let page = std::slice::from_ref(&page);
+        let run = row_order(keys, page, ctx)?.sorted().gather(page)?;
+        run_files.push(spill.spill_pages(schema, &[run])?);
     }
 
     // Phase 2: the runs back to back, in order, under one stable sort.
@@ -1218,9 +1225,7 @@ fn external_sort(
     if runs.is_empty() {
         return empty_page(schema);
     }
-    let merged = Page::concat(&runs)?;
-    let indices = row_order(keys, &merged, ctx)?.sorted(merged.positions());
-    Ok(merged.take(&indices))
+    row_order(keys, &runs, ctx)?.sorted().gather(&runs)
 }
 
 fn empty_page(schema: &Schema) -> Result<Page> {

@@ -7,7 +7,7 @@
 //! sized once for its build side, allocates the same at any row count. The
 //! largest single allocation guards what must not be copied at all: a
 //! column under `count(*)`, and the pages a root fragment's exchanges
-//! deliver.
+//! deliver; and what must stay narrow: a sort's per-row state.
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -130,6 +130,22 @@ fn a_sized_join_table_allocates_the_same_at_any_row_count() {
     };
     let (small, large) = (allocations(10_000), allocations(40_000));
     assert_eq!(small, large, "allocations at 10k and at 40k build rows");
+}
+
+/// A sort over two pages ranks each row as one `u64` and gathers its output
+/// from the input pages: nothing it allocates is wider than 8 bytes a row
+/// (its ranks, their radix scratch, an output column). A `(u64, u32)`
+/// tuple a row would be 16.
+#[test]
+fn a_two_page_sort_allocates_at_most_eight_bytes_a_row_at_once() {
+    const ROWS: usize = 40_000;
+    let (engine, session) = engine(ROWS);
+    let sql = QUERIES.iter().find(|(name, _)| *name == "3-key sort").unwrap().1;
+    counting::forget_largest();
+    let result = engine.execute_with_session(sql, &session).unwrap();
+    let largest = counting::largest();
+    assert_eq!(result.row_count(), ROWS);
+    assert!(largest <= 8 * ROWS + 4096, "one allocation of {largest} bytes over {ROWS} rows");
 }
 
 /// The expression-bearing shapes: arithmetic under a filter, CASE, IN,

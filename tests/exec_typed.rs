@@ -8,13 +8,17 @@
 //! two keys equal exactly when `Value::sql_cmp` does (so INTEGER 1 meets
 //! BIGINT 1 and DOUBLE 1.0, and NULL and NaN meet nothing), and every order
 //! is `Value::total_cmp`, numbers < NaN < NULL, ties by input position
-//! (aggregate output: by key then aggregates, as the old executor sorted).
+//! (aggregate output: by key then aggregates, as the old executor sorted,
+//! then by the bits of the DOUBLE values — NaN payloads, `-0.0` — so that
+//! groups the order calls equal come out the same on every path).
 //!
 //! Random pages (every scalar type, null masks, dictionary-wrapped columns,
 //! NaN / `-0.0` / `i64` extremes, empty and zero-column pages, 1–4 pages) ×
 //! random plans go through `presto_exec::execute` and must equal the
-//! reference *in order*, compared via `{:?}` so doubles match to the bit.
-//! Each case runs again under a budget that forces the spill path. A third
+//! reference *in order*, compared to the bit (NaN payloads included).
+//! Each case runs again under a budget that forces the spill path. An
+//! eighth of the sorts draw a table of hundreds to thousands of rows whose
+//! first key ties in its high prefix bits ([`tied_table`]). A third
 //! of the aggregation and join cases draw integers from a small range
 //! instead ([`small_value`]), so their key tables take the dense layout;
 //! another third of the joins have a unique build key ([`unique_keys`]),
@@ -189,29 +193,43 @@ impl Table {
 
     /// A random table whose values come from `draw`.
     fn drawn(g: &mut Gen, types: Vec<DataType>, draw: Draw) -> Table {
+        let pages = 1 + g.below(4);
+        Table::paged(g, types, pages, |g| g.pick(&[0, 1, 2, 5, 9, 14]), |_| draw)
+    }
+
+    /// A random table of `pages` pages, each of `size` rows, whose column
+    /// `c` draws its values from `draw(c)`.
+    fn paged(
+        g: &mut Gen,
+        types: Vec<DataType>,
+        pages: usize,
+        size: impl Fn(&mut Gen) -> usize,
+        draw: impl Fn(usize) -> Draw,
+    ) -> Table {
         let fields = types.iter().enumerate().map(|(i, t)| Field::new(format!("c{i}"), t.clone()));
         let schema = Schema::new(fields.collect()).unwrap();
-        let (mut pages, mut rows) = (Vec::new(), Vec::new());
-        for _ in 0..1 + g.below(4) {
-            let n = g.pick(&[0, 1, 2, 5, 9, 14]);
-            let page_rows: Vec<Vec<Value>> =
-                (0..n).map(|_| types.iter().map(|t| draw(g, t)).collect()).collect();
+        let (mut table_pages, mut rows) = (Vec::new(), Vec::new());
+        for _ in 0..pages {
+            let n = size(g);
+            let page_rows: Vec<Vec<Value>> = (0..n)
+                .map(|_| types.iter().enumerate().map(|(c, t)| draw(c)(g, t)).collect())
+                .collect();
             let blocks: Vec<Block> = types
                 .iter()
                 .enumerate()
                 .map(|(c, t)| {
                     let column: Vec<Value> = page_rows.iter().map(|r| r[c].clone()).collect();
-                    block(g, t, &column, draw)
+                    block(g, t, &column, draw(c))
                 })
                 .collect();
-            pages.push(if blocks.is_empty() {
+            table_pages.push(if blocks.is_empty() {
                 Page::zero_column(n)
             } else {
                 Page::new(blocks).unwrap()
             });
             rows.push(page_rows);
         }
-        Table { schema, pages, rows }
+        Table { schema, pages: table_pages, rows }
     }
 
     /// Make column `c` BIGINT, its value in each row from `draw` (in row
@@ -325,6 +343,16 @@ fn flat(pages: &[Vec<Vec<Value>>]) -> Vec<Vec<Value>> {
     pages.iter().flatten().cloned().collect()
 }
 
+/// Rows as text to the bit: `{:?}` prints every NaN alike, so each NaN's
+/// bits follow, in order.
+fn exact(rows: &[Vec<Value>]) -> String {
+    let nans = rows.iter().flatten().filter_map(|v| match v {
+        Value::Double(x) if x.is_nan() => Some(x.to_bits()),
+        _ => None,
+    });
+    format!("{rows:?}, NaNs {:x?}", nans.collect::<Vec<_>>())
+}
+
 /// Rows in an order of their own, for multiset comparison.
 fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<String> {
     let mut keys: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
@@ -343,8 +371,23 @@ fn cmp_keys(a: &[Value], b: &[Value], descending: &[bool]) -> std::cmp::Ordering
         .unwrap_or(std::cmp::Ordering::Equal)
 }
 
+/// Rows that [`cmp_keys`] calls equal, told apart by the bits of their
+/// DOUBLE values, column by column.
+fn cmp_bits(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    let bits = |v: &Value| match v {
+        Value::Double(x) => Some(x.to_bits()),
+        _ => None,
+    };
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| bits(x).cmp(&bits(y)))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+}
+
 /// Hash aggregation one boxed row at a time; groups sorted as whole rows
-/// (key, then aggregates), ties in first-seen order.
+/// (key, then aggregates), then by the bits of their doubles ([`cmp_bits`]),
+/// what still ties in first-seen order.
 fn reference_aggregate(
     rows: &[Vec<Value>],
     keys: &[usize],
@@ -382,7 +425,9 @@ fn reference_aggregate(
         })
         .collect();
     let ascending = vec![false; keys.len() + aggregates.len()];
-    out.sort_by(|a, b| cmp_keys(&a.1, &b.1, &ascending).then(a.0.cmp(&b.0)));
+    out.sort_by(|a, b| {
+        cmp_keys(&a.1, &b.1, &ascending).then_with(|| cmp_bits(&a.1, &b.1)).then(a.0.cmp(&b.0))
+    });
     out.into_iter().map(|(_, row)| row).collect()
 }
 
@@ -486,7 +531,7 @@ fn aggregate_case(seed: u64) -> bool {
     };
     let expected = reference_aggregate(&table.all_rows(), &keys, &aggregates, step);
     let (actual, _) = run(&plan, &[&table], None);
-    assert_eq!(format!("{:?}", flat(&actual.unwrap())), format!("{expected:?}"), "seed {seed}");
+    assert_eq!(exact(&flat(&actual.unwrap())), exact(&expected), "seed {seed}");
 
     let needed = peak(&plan, &[&table]);
     if needed == 0 {
@@ -496,12 +541,52 @@ fn aggregate_case(seed: u64) -> bool {
     if is_insufficient(&spilled) {
         return false; // a partition alone did not fit (or there was nothing to spill on)
     }
-    assert_eq!(
-        format!("{:?}", flat(&spilled.unwrap())),
-        format!("{expected:?}"),
-        "spill, seed {seed}"
-    );
+    assert_eq!(exact(&flat(&spilled.unwrap())), exact(&expected), "spill, seed {seed}");
     did_spill
+}
+
+/// Groups whose keys differ only in their NaN payload, and whose aggregates
+/// tie, are equal under the sort order; they come out by their bits, in
+/// memory and through the Grace spill path alike, where first-seen order
+/// and the partitioning would put them in two different orders.
+#[test]
+fn nan_payload_groups_emit_in_one_order_in_memory_and_spilled() {
+    let nan = |payload: u64| f64::from_bits(f64::NAN.to_bits() | payload);
+    // the largest bits seen first, then each again, after other groups
+    let nans: Vec<f64> = (1..=6).rev().map(nan).collect();
+    let column: Vec<Value> = (0..40)
+        .map(|i| f64::from(1 + i % 10))
+        .chain(nans.iter().copied())
+        .chain(nans.iter().rev().copied())
+        .map(Value::Double)
+        .collect();
+    let schema = Schema::new(vec![Field::new("c0", DataType::Double)]).unwrap();
+    let rows = column.chunks(20).map(|page| page.iter().map(|v| vec![v.clone()]).collect());
+    let pages = column
+        .chunks(20)
+        .map(|page| Page::new(vec![Block::from_values(&DataType::Double, page).unwrap()]).unwrap())
+        .collect();
+    let table = Table { schema, pages, rows: rows.collect() };
+    let plan = LogicalPlan::Aggregate {
+        input: source(0, &table),
+        group_by: vec![table.column(0)],
+        aggregates: vec![AggregateExpr {
+            function: AggregateFunction::CountStar,
+            argument: None,
+            name: "a0".into(),
+        }],
+        step: AggregateStep::Single,
+    };
+    let count = (AggregateFunction::CountStar, None);
+    let expected = reference_aggregate(&table.all_rows(), &[0], &[count], AggregateStep::Single);
+    let by_bits: Vec<u64> = (1..=6).map(|p| nan(p).to_bits()).collect();
+    let bits: Vec<u64> = expected.iter().map(|row| row[0].as_f64().unwrap().to_bits()).collect();
+    assert_eq!(bits[10..], by_bits, "the reference orders the NaN groups by their bits");
+    let (in_memory, _) = run(&plan, &[&table], None);
+    assert_eq!(exact(&flat(&in_memory.unwrap())), exact(&expected), "in memory");
+    let (spilled, did_spill) = run(&plan, &[&table], Some(peak(&plan, &[&table]) - 1));
+    assert!(did_spill, "the budget forces the Grace path");
+    assert_eq!(exact(&flat(&spilled.unwrap())), exact(&expected), "spilled");
 }
 
 /// One join drawn from `seed` against [`reference_join`], rows and their
@@ -596,7 +681,8 @@ fn join_case(seed: u64) -> bool {
             })
             .collect();
     let (actual, _) = run(&plan, &[&probe, &build], None);
-    assert_eq!(format!("{:?}", actual.unwrap()), format!("{expected:?}"), "seed {seed}");
+    let by_page = |pages: &[Vec<Vec<Value>>]| pages.iter().map(|p| exact(p)).collect::<Vec<_>>();
+    assert_eq!(by_page(&actual.unwrap()), by_page(&expected), "seed {seed}");
 
     let needed = peak(&plan, &[&probe, &build]);
     if needed == 0 {
@@ -643,18 +729,71 @@ fn unique_keys(g: &mut Gen, probe: &mut Table, build: &mut Table) -> (usize, usi
     (l, r)
 }
 
+/// A first sort key's value that ties with others in its high prefix bits:
+/// a double a few ulps from 1000.5, `-0.0`, `0.0` or a NaN of either
+/// payload; a string whose first 8 bytes are all alike; a BIGINT a little
+/// way from ±2^40 — a NULL now and then.
+fn tied_value(g: &mut Gen, dt: &DataType) -> Value {
+    if g.below(8) == 0 {
+        return Value::Null;
+    }
+    let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    match dt {
+        DataType::Double => Value::Double(match g.below(10) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::NAN,
+            3 => other_nan,
+            _ => f64::from_bits(1000.5f64.to_bits() + g.below(64) as u64),
+        }),
+        DataType::Varchar => {
+            Value::Varchar(format!("abcdefgh{}", g.pick(&["", "a", "b", "\u{0}", "é", "ab"])))
+        }
+        DataType::Bigint => Value::Bigint(g.pick(&[1, -1]) * ((1 << 40) + g.below(64) as i64)),
+        _ => unreachable!("no other first key is drawn"),
+    }
+}
+
+/// A table for [`sort_case`] past the radix cutoff: 2–6 pages of unequal
+/// sizes, hundreds to thousands of rows. Column 0 is the first sort key, of
+/// [`tied_value`]s; the others are [`value`]'s. Each page's blocks are
+/// plain or dictionaries, as a drawn table's are.
+fn tied_table(g: &mut Gen) -> Table {
+    let mut types = vec![g.pick(&[DataType::Double, DataType::Varchar, DataType::Bigint])];
+    types.extend(random_types(g, 1).into_iter().take(3));
+    let pages = 2 + g.below(5);
+    Table::paged(
+        g,
+        types,
+        pages,
+        |g| 100 + g.below(900),
+        |c| if c == 0 { tied_value } else { value },
+    )
+}
+
+/// One sort and one top-N drawn from `seed` against a stable sort of the
+/// rows, in memory and spilled. An eighth of the cases sort a
+/// [`tied_table`] on its column 0 first.
 fn sort_case(seed: u64) -> bool {
     let g = &mut Gen(seed);
     let types = random_types(g, 1);
-    let table = Table::random(g, types);
-    let keys: Vec<(usize, bool)> =
+    let tied = g.below(8) == 0;
+    let table = if tied { tied_table(g) } else { Table::random(g, types) };
+    let mut keys: Vec<(usize, bool)> =
         (0..1 + g.below(3)).map(|_| (g.below(table.schema.len()), g.below(2) == 0)).collect();
+    if tied {
+        keys[0].0 = 0;
+    }
     let sort_keys: Vec<SortKey> =
         keys.iter().map(|&(c, descending)| SortKey { expr: table.column(c), descending }).collect();
-    let mut expected = table.all_rows();
     let descending: Vec<bool> = keys.iter().map(|k| k.1).collect();
-    let key_of = |row: &[Value]| keys.iter().map(|&(c, _)| row[c].clone()).collect::<Vec<_>>();
-    expected.sort_by(|a, b| cmp_keys(&key_of(a), &key_of(b), &descending));
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = table
+        .all_rows()
+        .into_iter()
+        .map(|row| (keys.iter().map(|&(c, _)| row[c].clone()).collect(), row))
+        .collect();
+    keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0, &descending));
+    let expected: Vec<Vec<Value>> = keyed.into_iter().map(|(_, row)| row).collect();
     let count = g.below(expected.len() + 2);
     let mut spilled_any = false;
     for (plan, expected) in [
@@ -667,7 +806,7 @@ fn sort_case(seed: u64) -> bool {
         let (actual, _) = run(&plan, &[&table], None);
         let actual = actual.unwrap();
         assert!(actual.len() <= 1, "sort emits one page");
-        assert_eq!(format!("{:?}", flat(&actual)), format!("{expected:?}"), "seed {seed}");
+        assert_eq!(exact(&flat(&actual)), exact(expected), "seed {seed}");
         let needed = peak(&plan, &[&table]);
         if needed == 0 {
             continue;
@@ -676,11 +815,7 @@ fn sort_case(seed: u64) -> bool {
         if is_insufficient(&spilled) {
             continue; // one row alone is over the budget
         }
-        assert_eq!(
-            format!("{:?}", flat(&spilled.unwrap())),
-            format!("{expected:?}"),
-            "spill, seed {seed}"
-        );
+        assert_eq!(exact(&flat(&spilled.unwrap())), exact(expected), "spill, seed {seed}");
         spilled_any |= did_spill;
     }
     spilled_any
@@ -855,4 +990,13 @@ fn dense_key_tables_deal_the_hashed_ids_soak() {
 fn hash_join_equals_the_nested_loop_reference_soak() {
     let spilled = (0..10_000).filter(|&seed| join_case(seed)).count();
     assert!(spilled > 8_000, "only {spilled} of 10000 joins spilled");
+}
+
+/// [`sort_case`] over 10k seeds: an eighth of them up to thousands of rows
+/// whose first key ties in its prefix, in memory and spilled, at soak size.
+#[test]
+#[ignore = "release soak: `cargo test --release -p presto-at-scale --test exec_typed -- --ignored`"]
+fn sort_equals_the_stable_sort_reference_soak() {
+    let spilled = (0..10_000).filter(|&seed| sort_case(seed)).count();
+    assert!(spilled > 8_000, "only {spilled} of 10000 sorts spilled");
 }
