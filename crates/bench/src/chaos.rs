@@ -61,8 +61,7 @@ pub struct StreamResult {
     pub queries: usize,
     /// Queries that returned rows.
     pub succeeded: usize,
-    /// Virtual time consumed by the run (admission waits, retry backoff,
-    /// stalls).
+    /// Virtual time consumed by the run (retry backoff, stalls).
     pub virtual_ms: u64,
     /// Order-sensitive digest over every successful query's rows — two runs
     /// with the same seed must agree bit-for-bit.
@@ -156,7 +155,6 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosResult> {
             initial_workers: config.workers,
             fault_injector: injector.clone(),
             fault_recovery: config.recovery,
-            max_split_attempts: 4,
             // rate 0.2 would trip a 3-strike blacklist constantly; the
             // experiment is about retries, so quarantine only real streaks
             blacklist_after: 4,

@@ -72,10 +72,8 @@ pub fn storm_config(seed: u64) -> SimConfig {
             // the storm and coast through it
             max_workers: 8,
             high_water_depth: 2,
-            scale_out_after: Duration::from_micros(500),
             scale_in_after: Duration::from_millis(500),
             cooldown: Duration::from_micros(1_000),
-            worker_class: "ondemand".to_string(),
             ..AutoscalerConfig::default()
         }),
         spot_workers: 4,
@@ -99,10 +97,8 @@ pub fn rush_lull_config(seed: u64) -> SimConfig {
         autoscaler: Some(AutoscalerConfig {
             max_workers: 12,
             high_water_depth: 3,
-            scale_out_after: Duration::from_micros(500),
             scale_in_after: Duration::from_micros(5_000),
             cooldown: Duration::from_micros(2_000),
-            worker_class: "ondemand".to_string(),
             ..AutoscalerConfig::default()
         }),
         ..ElasticPlan::default()

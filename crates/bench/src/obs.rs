@@ -2,9 +2,9 @@
 //!
 //! A join+aggregation query stream runs against a small cluster; the
 //! experiment reports what the paper's operators watch in production —
-//! query-latency p50/p95/p99 (virtual time), admission queue waits, the
-//! per-operator `EXPLAIN ANALYZE` breakdown of one representative query,
-//! and its full span tree as a JSON event log.
+//! query-latency p50/p95/p99 (virtual time), the per-operator
+//! `EXPLAIN ANALYZE` breakdown of one representative query, and its full
+//! span tree as a JSON event log.
 //!
 //! The warm-up phase is discarded with [`CounterSet::clear`] (not `reset`:
 //! clear drops the warm-up keys entirely, so the measured snapshot contains
@@ -47,8 +47,6 @@ pub struct ObsResult {
     pub queries: usize,
     /// End-to-end query latency in virtual µs.
     pub latency: Histogram,
-    /// Admission queue wait in virtual ms.
-    pub queue_wait: Histogram,
     /// `EXPLAIN ANALYZE` of the representative query.
     pub explain: String,
     /// Human-rendered span tree of the sample query.
@@ -136,7 +134,6 @@ pub fn run(config: &ObsConfig) -> Result<ObsResult> {
     Ok(ObsResult {
         queries: config.queries,
         latency: cluster.histograms().get(names::HIST_CLUSTER_QUERY_LATENCY_US),
-        queue_wait: cluster.engine().resources().admission().queue_wait_histogram(),
         explain: explain.rows()[0][0].to_string(),
         trace_render: sample.info.trace.render(),
         trace_json: sample.info.trace.to_json(),
@@ -161,18 +158,15 @@ pub fn report() -> Result<Report> {
         "virtual-time latency distributions",
         &["histogram", "count", "p50", "p95", "p99", "max"],
     );
-    for (name, h) in
-        [("query latency (µs)", &r.latency), ("admission queue wait (ms)", &r.queue_wait)]
-    {
-        table.row(vec![
-            name.into(),
-            h.count().to_string(),
-            h.quantile(0.50).to_string(),
-            h.quantile(0.95).to_string(),
-            h.quantile(0.99).to_string(),
-            h.max().to_string(),
-        ]);
-    }
+    let h = &r.latency;
+    table.row(vec![
+        "query latency (µs)".into(),
+        h.count().to_string(),
+        h.quantile(0.50).to_string(),
+        h.quantile(0.95).to_string(),
+        h.quantile(0.99).to_string(),
+        h.max().to_string(),
+    ]);
     report.line(table.render());
     report.line(format!("EXPLAIN ANALYZE (representative query):\n{}", r.explain));
     report.line(format!(
@@ -183,7 +177,6 @@ pub fn report() -> Result<Report> {
         ("experiment".into(), Json::Str("obs".into())),
         ("queries".into(), Json::U64(r.queries as u64)),
         ("query_latency_us".into(), histogram_json(&r.latency)),
-        ("admission_queue_wait_ms".into(), histogram_json(&r.queue_wait)),
         ("trace_spans".into(), Json::U64(r.trace_spans as u64)),
         ("trace_digest".into(), Json::Str(format!("{:#018x}", r.trace_digest))),
         (

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use presto_common::{Result, SimClock, Value};
 use presto_core::Session;
-use presto_resource::{ResourceConfig, ResourceManager};
+use presto_resource::ResourceManager;
 use presto_storage::{FileSystem, LocalFileSystem};
 
 use crate::fig17::{self, QueryKind};
@@ -66,7 +66,7 @@ pub fn run(
 ) -> Result<Vec<ResourceResult>> {
     let workload = fig17::build(rows_per_partition);
     let engine = workload.engine.clone().with_resources(ResourceManager::with_spill_fs(
-        ResourceConfig::default(),
+        None,
         SimClock::new(),
         spill_fs,
     ));

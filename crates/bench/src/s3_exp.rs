@@ -80,11 +80,7 @@ pub fn backoff(reads: usize, fail_every: u64) -> BackoffResult {
     let run = |max_retries: u32| -> (usize, u64, Duration) {
         let clock = SimClock::new();
         let metrics = CounterSet::new();
-        let store = S3ObjectStore::new(
-            S3Config { fail_every, ..S3Config::default() },
-            clock,
-            metrics.clone(),
-        );
+        let store = S3ObjectStore::new(S3Config { fail_every }, clock, metrics.clone());
         store.seed("/b/data", &vec![1u8; 1024]);
         let fs = PrestoS3FileSystem::new(
             store,

@@ -1,6 +1,6 @@
 //! Telemetry replay experiment: the rush/lull autoscaling workload runs
-//! while the cluster's lifecycle ticks sample busy-fraction, queue-depth,
-//! memory and cache time series into the [`TelemetryRegistry`] — then the
+//! while the cluster's lifecycle ticks sample busy-fraction, memory and
+//! cache time series into the [`TelemetryRegistry`] — then the
 //! busy-fraction-fed autoscaler is compared against the queue-depth-only
 //! counterfactual on identical seeded arrivals.
 //!
@@ -12,15 +12,6 @@ use presto_sim::{SimConfig, SimReport};
 
 use crate::elastic::{replay_scenario, rush_lull_config, zero_failed};
 use crate::report::{Gate, Json, Report, Table};
-
-/// Busy-fraction high-water mark the busy-signal variant runs with: a
-/// fleet at/above this percentage counts as pressure even when the
-/// dispatch queue is shallow.
-pub const BUSY_HIGH_WATER_PCT: u64 = 60;
-
-/// Busy-fraction low-water mark: scale-in additionally needs the busy
-/// window's p95 at/below this.
-pub const BUSY_LOW_WATER_PCT: u64 = 20;
 
 /// The queue-depth-only policy on the seeded rush/lull workload — the
 /// counterfactual baseline.
@@ -37,8 +28,6 @@ pub fn busy_signal_config(seed: u64) -> SimConfig {
     if let Some(plan) = &mut config.elastic {
         if let Some(auto) = &mut plan.autoscaler {
             auto.busy_signal = true;
-            auto.busy_high_water_pct = BUSY_HIGH_WATER_PCT;
-            auto.busy_low_water_pct = BUSY_LOW_WATER_PCT;
         }
     }
     config
@@ -128,7 +117,6 @@ pub fn report() -> Result<Report> {
                     ),
                 ),
                 ("fleet_busy_pct".into(), series_json(busy_series)),
-                ("queue_depth".into(), series_json(a.telemetry_series.get(names::TS_QUEUE_DEPTH))),
             ]),
         ));
         report.gates.push(replayed);
@@ -174,7 +162,7 @@ mod tests {
             replay_scenario("queue-depth", &shrunk(queue_only_config(7))).unwrap();
         assert_gates(&[replayed]);
         assert_gates(&variant_gates("queue-depth", &a));
-        assert!(a.telemetry_series.contains_key(names::TS_QUEUE_DEPTH));
+        assert!(a.telemetry_series.contains_key(names::TS_FLEET_BUSY_PCT));
     }
 
     #[test]

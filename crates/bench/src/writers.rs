@@ -51,7 +51,7 @@ pub fn write_once(
     mode: WriterMode,
     codec: Codec,
 ) -> (Duration, Vec<u8>) {
-    let props = WriterProperties { codec, row_group_rows: 10_000, ..WriterProperties::default() };
+    let props = WriterProperties { codec, row_group_rows: 10_000 };
     let start = Instant::now();
     let mut writer = FileWriter::new(schema.clone(), props, mode).expect("schema is valid");
     for page in pages {

@@ -91,11 +91,6 @@ impl FooterCache {
         Ok(meta)
     }
 
-    /// The handle cache beneath.
-    pub fn handle_cache(&self) -> &FileHandleCache {
-        &self.handles
-    }
-
     /// The shared counters.
     pub fn metrics(&self) -> &CounterSet {
         &self.metrics

@@ -1,24 +1,24 @@
 //! Queue-driven autoscaler with hysteresis (§IX elasticity, grounded in
 //! the hybrid-cloud serving model of ephemeral workers behind a router).
 //!
-//! The signal is admission-queue depth: a deep queue means the fleet is
+//! The signal is the depth of the dispatch queue the caller hands in (the
+//! workload simulator's WFQ or FIFO queue): a deep queue means the fleet is
 //! undersized for the offered load, an empty queue sustained over a window
 //! means it is oversized. Decisions are evaluated as discrete events on the
-//! virtual clock — callers invoke [`Autoscaler::evaluate`] (or
-//! [`Autoscaler::evaluate_with_depth`] with an external queue signal) at
-//! whatever cadence their simulation ticks — so every decision is a pure
-//! function of `(config, the sequence of (virtual instant, depth) samples)`.
+//! virtual clock — callers invoke [`Autoscaler::evaluate`] at whatever
+//! cadence their simulation ticks — so every decision is a pure function of
+//! `(config, the sequence of (virtual instant, depth) samples)`.
 //!
 //! Hysteresis, in both directions, keeps the fleet from flapping:
 //!
 //! - **Scale-out** when depth exceeds `high_water_depth` *continuously* for
-//!   `scale_out_after` of virtual time: add `scale_out_step` workers of
-//!   `worker_class`, capped at `max_workers`.
-//! - **Scale-in** when depth sits at/below `low_water_depth` continuously
-//!   for `scale_in_after` *and* the depth histogram since the last action
-//!   agrees (p95 at/below the low-water mark): gracefully decommission the
-//!   **coldest** active worker (fewest completed tasks, ties to the newest)
-//!   via [`PrestoCluster::decommission_worker`], never below `min_workers`.
+//!   500 µs of virtual time: add two on-demand workers, capped at
+//!   `max_workers`.
+//! - **Scale-in** when the queue stays empty continuously for
+//!   `scale_in_after` *and* the depth histogram since the last action
+//!   agrees (p95 of 0): gracefully decommission the **coldest** active
+//!   worker (fewest completed tasks, ties to the newest) via
+//!   [`PrestoCluster::decommission_worker`], never below two.
 //! - A `cooldown` after either action lets the previous decision take
 //!   effect before the signal is judged again.
 //!
@@ -30,13 +30,12 @@
 //! With `busy_signal` enabled the autoscaler consults a **second signal**:
 //! the fleet busy-fraction gauge the telemetry sampler maintains
 //! (`telemetry.fleet_busy_now_pct`). A fleet running hot
-//! (`busy >= busy_high_water_pct`) counts as pressure even while the queue
+//! (`busy >= 60%`) counts as pressure even while the queue
 //! is shallow — short queries drain the queue between ticks yet saturate
 //! the workers — and scale-in additionally requires the busy-fraction
-//! window since the last action to be calm (p95 at/below
-//! `busy_low_water_pct`), so a drained queue over a still-hot fleet never
-//! shrinks it. With the flag off, decisions are bit-identical to the
-//! queue-depth-only policy.
+//! window since the last action to be calm (p95 at/below 20%), so a
+//! drained queue over a still-hot fleet never shrinks it. With the flag
+//! off, decisions are bit-identical to the queue-depth-only policy.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -46,54 +45,44 @@ use parking_lot::Mutex;
 use presto_common::metrics::{names, Histogram};
 
 use crate::cluster::PrestoCluster;
-use crate::worker::{WorkerLifecycle, DEFAULT_WORKER_CLASS};
+use crate::worker::WorkerLifecycle;
+
+/// Never decommission below this many active workers.
+const MIN_WORKERS: usize = 2;
+/// Workers added per scale-out action.
+const SCALE_OUT_STEP: u32 = 2;
+/// Depth must stay above high water continuously this long.
+const SCALE_OUT_AFTER: Duration = Duration::from_micros(500);
+/// With `busy_signal`: fleet busy-fraction at/above this percentage counts
+/// as pressure even when the queue is shallow.
+const BUSY_HIGH_WATER_PCT: u64 = 60;
+/// With `busy_signal`: scale-in additionally requires the busy-fraction
+/// window since the last action to sit at/below this percentage (p95).
+const BUSY_LOW_WATER_PCT: u64 = 20;
 
 /// Autoscaler policy knobs. All windows are virtual time.
 #[derive(Debug, Clone)]
 pub struct AutoscalerConfig {
-    /// Never decommission below this many active workers.
-    pub min_workers: usize,
     /// Never expand above this many active workers.
     pub max_workers: usize,
     /// Scale-out trigger: queue depth must *exceed* this.
     pub high_water_depth: usize,
-    /// Scale-in trigger: queue depth must be at/below this.
-    pub low_water_depth: usize,
-    /// Depth must stay above high water continuously this long.
-    pub scale_out_after: Duration,
-    /// Depth must stay at/below low water continuously this long.
+    /// The queue must stay empty continuously this long before a scale-in.
     pub scale_in_after: Duration,
-    /// Workers added per scale-out action.
-    pub scale_out_step: u32,
     /// Quiet period after any action before the signal is judged again.
     pub cooldown: Duration,
-    /// Capacity class of workers the autoscaler adds.
-    pub worker_class: String,
     /// Consult the fleet busy-fraction gauge as a second signal.
     pub busy_signal: bool,
-    /// With `busy_signal`: fleet busy-fraction at/above this percentage
-    /// counts as pressure even when the queue is shallow.
-    pub busy_high_water_pct: u64,
-    /// With `busy_signal`: scale-in additionally requires the busy-fraction
-    /// window since the last action to sit at/below this (p95).
-    pub busy_low_water_pct: u64,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
         AutoscalerConfig {
-            min_workers: 2,
             max_workers: 32,
             high_water_depth: 8,
-            low_water_depth: 0,
-            scale_out_after: Duration::from_millis(5),
             scale_in_after: Duration::from_millis(20),
-            scale_out_step: 2,
             cooldown: Duration::from_millis(10),
-            worker_class: DEFAULT_WORKER_CLASS.to_string(),
             busy_signal: false,
-            busy_high_water_pct: 80,
-            busy_low_water_pct: 20,
         }
     }
 }
@@ -119,7 +108,7 @@ pub enum ScaleDecision {
 struct AutoState {
     /// Since when has depth been continuously above high water?
     above_since: Option<Duration>,
-    /// Since when has depth been continuously at/below low water?
+    /// Since when has the queue been continuously empty?
     below_since: Option<Duration>,
     /// Virtual instant of the last scale action (cooldown anchor).
     last_action: Option<Duration>,
@@ -159,17 +148,10 @@ impl Autoscaler {
         &self.config
     }
 
-    /// Evaluate against the cluster's own admission queue depth.
-    pub fn evaluate(&self) -> ScaleDecision {
-        let depth = self.cluster.engine().resources().admission().queued();
-        self.evaluate_with_depth(depth)
-    }
-
-    /// Evaluate one discrete tick with an externally supplied queue-depth
-    /// signal (a workload simulator's dispatch queue, say). Pure in the
-    /// sample sequence: the same `(virtual instant, depth)` ticks always
-    /// produce the same decisions.
-    pub fn evaluate_with_depth(&self, depth: usize) -> ScaleDecision {
+    /// Evaluate one discrete tick on the depth of the caller's dispatch
+    /// queue. Pure in the sample sequence: the same `(virtual instant,
+    /// depth)` ticks always produce the same decisions.
+    pub fn evaluate(&self, depth: usize) -> ScaleDecision {
         let cfg = &self.config;
         let now = self.cluster.clock().now();
         self.cluster.histograms().record(names::HIST_CLUSTER_QUEUE_DEPTH, depth as u64);
@@ -177,7 +159,7 @@ impl Autoscaler {
         if cfg.busy_signal {
             self.cluster.histograms().record(names::HIST_CLUSTER_BUSY_PCT, busy);
         }
-        let hot = cfg.busy_signal && busy >= cfg.busy_high_water_pct;
+        let hot = cfg.busy_signal && busy >= BUSY_HIGH_WATER_PCT;
         let active = self
             .cluster
             .workers()
@@ -194,10 +176,10 @@ impl Autoscaler {
                 st.below_since = None;
                 let since = *st.above_since.get_or_insert(now);
                 if !cooling
-                    && now.saturating_sub(since) >= cfg.scale_out_after
+                    && now.saturating_sub(since) >= SCALE_OUT_AFTER
                     && active < cfg.max_workers
                 {
-                    let added = cfg.scale_out_step.max(1).min((cfg.max_workers - active) as u32);
+                    let added = SCALE_OUT_STEP.min((cfg.max_workers - active) as u32);
                     st.above_since = None;
                     st.last_action = Some(now);
                     st.window = Histogram::new();
@@ -206,14 +188,13 @@ impl Autoscaler {
                 } else {
                     ScaleDecision::Hold
                 }
-            } else if depth <= cfg.low_water_depth {
+            } else if depth == 0 {
                 st.above_since = None;
                 let since = *st.below_since.get_or_insert(now);
                 let sustained = now.saturating_sub(since) >= cfg.scale_in_after;
-                let calm = st.window.quantile(0.95) <= cfg.low_water_depth as u64
-                    && (!cfg.busy_signal
-                        || st.busy_window.quantile(0.95) <= cfg.busy_low_water_pct);
-                if !cooling && sustained && calm && active > cfg.min_workers {
+                let calm = st.window.quantile(0.95) == 0
+                    && (!cfg.busy_signal || st.busy_window.quantile(0.95) <= BUSY_LOW_WATER_PCT);
+                if !cooling && sustained && calm && active > MIN_WORKERS {
                     match self.coldest_active_worker() {
                         Some(worker_id) => {
                             st.below_since = None;
@@ -237,7 +218,7 @@ impl Autoscaler {
 
         match decision {
             ScaleDecision::Out { added } => {
-                self.cluster.expand_class(added, &cfg.worker_class);
+                self.cluster.expand(added);
                 self.cluster.metrics().incr(names::CLUSTER_SCALE_OUTS);
                 self.cluster.metrics().add(names::CLUSTER_SCALE_OUT_WORKERS, u64::from(added));
             }
@@ -295,23 +276,22 @@ mod tests {
     fn scale_out_requires_a_sustained_breach() {
         let cfg = AutoscalerConfig {
             high_water_depth: 4,
-            scale_out_after: Duration::from_millis(2),
-            scale_out_step: 2,
             cooldown: Duration::ZERO,
             ..AutoscalerConfig::default()
         };
         let (cluster, scaler) = harness(4, cfg);
+        let step = SCALE_OUT_AFTER / 2;
         // one spike is not enough
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold);
         // a dip resets the streak
-        cluster.clock().advance(Duration::from_millis(1));
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
-        cluster.clock().advance(Duration::from_millis(1));
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Hold);
-        cluster.clock().advance(Duration::from_millis(1));
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Hold, "only 1ms above");
-        cluster.clock().advance(Duration::from_millis(1));
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Out { added: 2 });
+        cluster.clock().advance(step);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
+        cluster.clock().advance(step);
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold);
+        cluster.clock().advance(step);
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold, "only half the window above");
+        cluster.clock().advance(step);
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Out { added: 2 });
         assert_eq!(active(&cluster), 6);
         assert_eq!(cluster.metrics().get("cluster.autoscaler_scale_outs"), 1);
         assert_eq!(cluster.metrics().get("cluster.autoscaler_workers_added"), 2);
@@ -322,48 +302,44 @@ mod tests {
         let cfg = AutoscalerConfig {
             max_workers: 5,
             high_water_depth: 1,
-            scale_out_after: Duration::ZERO,
-            scale_out_step: 8,
             cooldown: Duration::ZERO,
             ..AutoscalerConfig::default()
         };
         let (cluster, scaler) = harness(4, cfg);
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Out { added: 1 });
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold);
+        cluster.clock().advance(SCALE_OUT_AFTER);
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Out { added: 1 });
         assert_eq!(active(&cluster), 5);
         // at the cap: no further growth no matter the depth
         cluster.clock().advance(Duration::from_millis(5));
-        assert_eq!(scaler.evaluate_with_depth(100), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(100), ScaleDecision::Hold);
     }
 
     #[test]
     fn scale_in_decommissions_the_coldest_worker_gracefully() {
         let cfg = AutoscalerConfig {
-            min_workers: 2,
-            low_water_depth: 0,
             scale_in_after: Duration::from_millis(3),
             cooldown: Duration::ZERO,
             ..AutoscalerConfig::default()
         };
         let (cluster, scaler) = harness(3, cfg);
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         cluster.clock().advance(Duration::from_millis(3));
         // all workers are equally cold (0 tasks): the newest (highest id) goes
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::In { worker_id: 2 });
+        assert_eq!(scaler.evaluate(0), ScaleDecision::In { worker_id: 2 });
         assert_eq!(active(&cluster), 2);
         let victim = cluster.workers().into_iter().find(|w| w.id == 2).unwrap();
         assert_eq!(victim.lifecycle(), WorkerLifecycle::Draining);
         assert_eq!(cluster.metrics().get("cluster.autoscaler_scale_ins"), 1);
         // at the floor: no further shrink
         cluster.clock().advance(Duration::from_millis(10));
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         assert_eq!(active(&cluster), 2);
     }
 
     #[test]
     fn one_busy_sample_in_the_window_blocks_scale_in() {
         let cfg = AutoscalerConfig {
-            min_workers: 1,
-            low_water_depth: 0,
             high_water_depth: 100,
             scale_in_after: Duration::from_millis(2),
             cooldown: Duration::ZERO,
@@ -371,11 +347,11 @@ mod tests {
         };
         let (cluster, scaler) = harness(3, cfg);
         // a burst lands in the window, then the queue drains
-        assert_eq!(scaler.evaluate_with_depth(50), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(50), ScaleDecision::Hold);
         for _ in 0..3 {
             cluster.clock().advance(Duration::from_millis(1));
             assert_eq!(
-                scaler.evaluate_with_depth(0),
+                scaler.evaluate(0),
                 ScaleDecision::Hold,
                 "p95 of the window still remembers the burst"
             );
@@ -383,7 +359,7 @@ mod tests {
         // enough quiet samples dilute the burst below p95 eventually
         for _ in 0..80 {
             cluster.clock().advance(Duration::from_millis(1));
-            if scaler.evaluate_with_depth(0) != ScaleDecision::Hold {
+            if scaler.evaluate(0) != ScaleDecision::Hold {
                 return;
             }
         }
@@ -394,46 +370,43 @@ mod tests {
     fn cooldown_separates_consecutive_actions() {
         let cfg = AutoscalerConfig {
             high_water_depth: 1,
-            scale_out_after: Duration::ZERO,
-            scale_out_step: 1,
             max_workers: 16,
             cooldown: Duration::from_millis(5),
             ..AutoscalerConfig::default()
         };
         let (cluster, scaler) = harness(2, cfg);
-        assert!(matches!(scaler.evaluate_with_depth(10), ScaleDecision::Out { .. }));
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold);
+        cluster.clock().advance(SCALE_OUT_AFTER);
+        assert!(matches!(scaler.evaluate(10), ScaleDecision::Out { .. }));
         cluster.clock().advance(Duration::from_millis(1));
-        assert_eq!(scaler.evaluate_with_depth(10), ScaleDecision::Hold, "cooling down");
+        assert_eq!(scaler.evaluate(10), ScaleDecision::Hold, "cooling down");
         cluster.clock().advance(Duration::from_millis(5));
-        assert!(matches!(scaler.evaluate_with_depth(10), ScaleDecision::Out { .. }));
+        assert!(matches!(scaler.evaluate(10), ScaleDecision::Out { .. }));
     }
 
     #[test]
     fn hot_fleet_scales_out_even_with_a_shallow_queue() {
         let cfg = AutoscalerConfig {
             busy_signal: true,
-            busy_high_water_pct: 80,
             high_water_depth: 8,
-            scale_out_after: Duration::from_millis(2),
-            scale_out_step: 1,
             cooldown: Duration::ZERO,
             ..AutoscalerConfig::default()
         };
         let (cluster, scaler) = harness(4, cfg.clone());
         // every worker pegged: busy-fraction pressure with an empty queue
         cluster.telemetry().set_gauge(names::GAUGE_FLEET_BUSY_PCT, 97);
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold, "not sustained yet");
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold, "not sustained yet");
         cluster.clock().advance(Duration::from_millis(2));
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Out { added: 1 });
-        assert_eq!(active(&cluster), 5);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Out { added: 2 });
+        assert_eq!(active(&cluster), 6);
         assert!(cluster.histograms().get(names::HIST_CLUSTER_BUSY_PCT).count() >= 2);
 
         // the queue-depth-only counterfactual holds on the same samples
         let (cluster, scaler) = harness(4, AutoscalerConfig { busy_signal: false, ..cfg });
         cluster.telemetry().set_gauge(names::GAUGE_FLEET_BUSY_PCT, 97);
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         cluster.clock().advance(Duration::from_millis(2));
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         assert_eq!(active(&cluster), 4);
     }
 
@@ -441,9 +414,6 @@ mod tests {
     fn warm_fleet_blocks_scale_in_that_queue_depth_alone_would_take() {
         let cfg = AutoscalerConfig {
             busy_signal: true,
-            busy_low_water_pct: 20,
-            min_workers: 2,
-            low_water_depth: 0,
             scale_in_after: Duration::from_millis(3),
             cooldown: Duration::ZERO,
             ..AutoscalerConfig::default()
@@ -451,17 +421,17 @@ mod tests {
         let (cluster, scaler) = harness(3, cfg.clone());
         // queue drained but the fleet is still half busy: no shrink
         cluster.telemetry().set_gauge(names::GAUGE_FLEET_BUSY_PCT, 55);
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         cluster.clock().advance(Duration::from_millis(4));
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold, "busy window is warm");
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold, "busy window is warm");
         assert_eq!(active(&cluster), 3);
 
         // queue-depth-only counterfactual shrinks on the same samples
         let (cluster, scaler) = harness(3, AutoscalerConfig { busy_signal: false, ..cfg });
         cluster.telemetry().set_gauge(names::GAUGE_FLEET_BUSY_PCT, 55);
-        assert_eq!(scaler.evaluate_with_depth(0), ScaleDecision::Hold);
+        assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);
         cluster.clock().advance(Duration::from_millis(4));
-        assert!(matches!(scaler.evaluate_with_depth(0), ScaleDecision::In { .. }));
+        assert!(matches!(scaler.evaluate(0), ScaleDecision::In { .. }));
     }
 
     #[test]
@@ -475,7 +445,7 @@ mod tests {
             for &(at_ms, depth) in &samples {
                 cluster.clock().advance(Duration::from_millis(at_ms - last));
                 last = at_ms;
-                out.push(scaler.evaluate_with_depth(depth));
+                out.push(scaler.evaluate(depth));
             }
             out
         };

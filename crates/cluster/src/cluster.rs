@@ -50,9 +50,9 @@ use presto_common::telemetry::{QueryRow, TelemetryRegistry};
 use presto_common::trace::SpanKind;
 use presto_common::{FaultInjector, Page, PrestoError, Result, SimClock};
 use presto_connectors::SystemConnector;
-use presto_core::{AdmittedQuery, PrestoEngine, QueryResult, Session};
+use presto_core::{PlannedQuery, PrestoEngine, QueryResult, Session};
 use presto_plan::{fragment_plan, LogicalPlan};
-use presto_resource::{AdmissionConfig, QueryPriority, ResourceConfig, ResourceManager};
+use presto_resource::{QueryPriority, ResourceManager};
 
 use crate::worker::{Worker, DEFAULT_GRACE_PERIOD};
 use telemetry::TelemetrySampler;
@@ -60,6 +60,10 @@ use telemetry::TelemetrySampler;
 /// First retry backoff; doubles per retry round. Waits advance the virtual
 /// [`SimClock`], never the wall clock.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Times one split (or one exchange delivery) may be attempted before the
+/// query fails.
+const MAX_SPLIT_ATTEMPTS: u32 = 4;
 
 /// Cluster configuration.
 #[derive(Debug, Clone)]
@@ -77,8 +81,6 @@ pub struct ClusterConfig {
     pub fragment_cache_entries: usize,
     /// Cluster-wide memory pool in bytes (`None` = unbounded).
     pub cluster_memory_bytes: Option<usize>,
-    /// Coordinator admission control (defaults admit everything at once).
-    pub admission: AdmissionConfig,
     /// Deterministic fault harness consulted at every task start
     /// (disabled by default — no faults, no lock contention).
     pub fault_injector: Arc<FaultInjector>,
@@ -87,8 +89,6 @@ pub struct ClusterConfig {
     /// first task failure fails the whole query — the pre-§XII behaviour
     /// the chaos experiment compares against.
     pub fault_recovery: bool,
-    /// Times one split may be attempted before the query fails.
-    pub max_split_attempts: u32,
     /// Quarantine a worker after this many *consecutive* task failures
     /// (0 = never blacklist). Quarantine and the probation that follows it
     /// last [`crate::worker::DEFAULT_QUARANTINE_PERIOD`] and
@@ -110,10 +110,8 @@ impl Default for ClusterConfig {
             affinity_scheduling: false,
             fragment_cache_entries: 0,
             cluster_memory_bytes: None,
-            admission: AdmissionConfig::default(),
             fault_injector: FaultInjector::disabled(),
             fault_recovery: true,
-            max_split_attempts: 4,
             blacklist_after: 3,
             speculation: true,
         }
@@ -124,9 +122,8 @@ impl Default for ClusterConfig {
 ///
 /// Counters: `cluster.queries`, `cluster.tasks`, `cluster.queries_failed`
 /// (the query *started* and then died), `cluster.queries_rejected` (refused
-/// at the door — maintenance drain, admission queue full, or a statement
-/// that does not parse or plan),
-/// `cluster.worker_failures`, `cluster.split_retries`, and
+/// at the door — maintenance drain, or a statement that does not parse or
+/// plan), `cluster.worker_failures`, `cluster.split_retries`, and
 /// `cluster.blacklisted_workers`.
 pub struct PrestoCluster {
     name: String,
@@ -159,8 +156,8 @@ pub struct PrestoCluster {
     /// successful scan fragment. Seeds the next identical fragment's
     /// straggler yardstick so single-wave fragments can speculate in-wave.
     runtime_history: RwLock<HashMap<u64, Histogram>>,
-    /// Cluster-wide telemetry: per-worker busy-fraction series, queue/
-    /// memory/cache samples, and the row sets the `system` catalog exposes.
+    /// Cluster-wide telemetry: per-worker busy-fraction series, memory/
+    /// cache samples, and the row sets the `system` catalog exposes.
     /// Shared with the engine (EXPLAIN ANALYZE footer) and the `system`
     /// connector.
     telemetry: Arc<TelemetryRegistry>,
@@ -180,15 +177,10 @@ impl PrestoCluster {
         clock: SimClock,
     ) -> Arc<PrestoCluster> {
         // The coordinator owns the cluster-wide resource manager: one
-        // memory pool and one admission queue shared by every query this
-        // cluster runs. The engine's fragments account against it.
-        let engine = engine.with_resources(ResourceManager::new(
-            ResourceConfig {
-                cluster_memory_bytes: config.cluster_memory_bytes,
-                admission: config.admission.clone(),
-            },
-            clock.clone(),
-        ));
+        // memory pool shared by every query this cluster runs. The engine's
+        // fragments account against it.
+        let engine =
+            engine.with_resources(ResourceManager::new(config.cluster_memory_bytes, clock.clone()));
         // The telemetry registry is shared three ways: the cluster writes
         // snapshots into it, the engine reads it for the EXPLAIN ANALYZE
         // footer, and the `system` catalog exposes it back through SQL.
@@ -283,14 +275,14 @@ impl PrestoCluster {
     /// Execute a query with distributed scan fragments.
     ///
     /// Every statement comes through the engine's front door
-    /// ([`PrestoEngine::run_query`]: parse, plan, `EXPLAIN`, admission, the
-    /// query span and stopwatch); what the cluster adds is *how the plan
-    /// runs* and its own counters and telemetry row. `EXPLAIN` answers with
+    /// ([`PrestoEngine::run_query`]: parse, plan, `EXPLAIN`, the query span
+    /// and stopwatch); what the cluster adds is *how the plan runs* and its
+    /// own counters and telemetry row. `EXPLAIN` answers with
     /// the plan and starts nothing; `EXPLAIN ANALYZE` runs distributed.
     ///
-    /// Refusals are not failures: a maintenance drain, a full admission
-    /// queue or a statement that does not plan turns the query away *before
-    /// it starts* and counts as `cluster.queries_rejected`, so
+    /// Refusals are not failures: a maintenance drain or a statement that
+    /// does not plan turns the query away *before it starts* and counts as
+    /// `cluster.queries_rejected`, so
     /// `cluster.queries_failed` is reserved for queries that actually ran
     /// and died. The maintenance refusal is
     /// [`PrestoError::ClusterUnavailable`] — retryable, so a gateway that
@@ -306,9 +298,8 @@ impl PrestoCluster {
     /// giving each in-flight query a [`SimClock::fork`] of its master
     /// timeline: the query's task waits and retry backoffs advance the
     /// fork only, so two overlapping queries no longer serialize each
-    /// other's virtual costs through the cluster-wide clock. Admission
-    /// accounting still runs on the cluster clock; service time is a pure
-    /// function of the plan, so forked runs stay deterministic.
+    /// other's virtual costs through the cluster-wide clock. Service time is
+    /// a pure function of the plan, so forked runs stay deterministic.
     pub fn execute_clocked(
         &self,
         sql: &str,
@@ -358,12 +349,12 @@ impl PrestoCluster {
     /// then run the root fragment on the coordinator over the exchanges.
     fn run_distributed(
         &self,
-        query: &AdmittedQuery<'_>,
+        query: &PlannedQuery<'_>,
         session: &Session,
         query_id: u64,
         clock: &SimClock,
     ) -> Result<Vec<Page>> {
-        let &AdmittedQuery { metrics, trace, root, .. } = query;
+        let &PlannedQuery { metrics, trace, root, .. } = query;
         let fragments = fragment_plan(query.plan.clone())?;
         let mut exchanges: Vec<(u32, Vec<Page>)> = Vec::new();
         for fragment in &fragments[1..] {
@@ -445,7 +436,7 @@ impl PrestoCluster {
                 Err(e)
                     if self.config.fault_recovery
                         && e.is_retryable()
-                        && attempt < u64::from(self.config.max_split_attempts.max(1)) =>
+                        && attempt < u64::from(MAX_SPLIT_ATTEMPTS) =>
                 {
                     self.metrics.incr(names::CLUSTER_EXCHANGE_RETRIES);
                     self.histograms
@@ -520,24 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_overflow_is_rejected_not_failed() {
-        let c = cluster_with(ClusterConfig {
-            initial_workers: 1,
-            admission: AdmissionConfig {
-                max_concurrent: Some(0),
-                max_queued: 0,
-                ..AdmissionConfig::default()
-            },
-            ..ClusterConfig::default()
-        });
-        let err = c.execute("SELECT 1", &Session::default()).unwrap_err();
-        assert_eq!(err.code(), "INSUFFICIENT_RESOURCES");
-        assert_eq!(c.metrics().get("cluster.queries_rejected"), 1);
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 0);
-        assert_eq!(c.queries_started(), 0);
-    }
-
-    #[test]
     fn queries_record_traces_and_latency_histograms() {
         let c = cluster();
         let r = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
@@ -600,7 +573,6 @@ mod tests {
         let c = cluster_with(ClusterConfig {
             initial_workers: 1,
             fault_injector: FaultInjector::new(3, FaultPlan::new().fail_rate(1.0)),
-            max_split_attempts: 3,
             blacklist_after: 0, // keep the flaky worker schedulable
             ..ClusterConfig::default()
         });
@@ -609,8 +581,8 @@ mod tests {
         assert!(err.is_retryable(), "the gateway may still fail over: {err}");
         assert!(err.message().contains("giving up"), "{err}");
         assert_eq!(c.metrics().get("cluster.queries_failed"), 1);
-        // two retry rounds happened, with backoff on the virtual clock
-        assert!(c.metrics().get("cluster.split_retries") >= 2);
+        // MAX_SPLIT_ATTEMPTS - 1 retry rounds, with backoff on the virtual clock
+        assert!(c.metrics().get("cluster.split_retries") >= u64::from(MAX_SPLIT_ATTEMPTS - 1));
         assert!(c.clock().now() > before, "backoff advances virtual time");
     }
 

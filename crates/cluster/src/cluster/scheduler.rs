@@ -19,7 +19,7 @@ use presto_connectors::{Connector, ConnectorSplit, ScanHooks, ScanRequest, Split
 use presto_plan::PlanFragment;
 use presto_resource::QueryPriority;
 
-use super::{PrestoCluster, RETRY_BACKOFF_BASE};
+use super::{PrestoCluster, MAX_SPLIT_ATTEMPTS, RETRY_BACKOFF_BASE};
 use crate::worker::{Worker, WorkerLifecycle, WorkerState};
 
 /// Fixed virtual cost of one scan task (queueing, setup, page handoff).
@@ -478,8 +478,8 @@ impl ScanScheduler<'_> {
                     // schedule the retry itself if it also fails
                     return Ok(());
                 }
-                if self.failures[split] >= self.cluster.config.max_split_attempts {
-                    let err = attempts_exhausted(split, self.cluster.config.max_split_attempts, &e);
+                if self.failures[split] >= MAX_SPLIT_ATTEMPTS {
+                    let err = attempts_exhausted(split, MAX_SPLIT_ATTEMPTS, &e);
                     self.fail_all();
                     return Err(err);
                 }

@@ -42,8 +42,8 @@ impl PrestoCluster {
 
     /// Take one cluster-wide telemetry snapshot at the current virtual
     /// instant: per-worker busy fraction over the window since the last
-    /// snapshot, queue depth, memory-pool utilization, fragment-cache hit
-    /// rate, and one `system.runtime.workers` row per live worker.
+    /// snapshot, memory-pool utilization, fragment-cache hit rate, and one
+    /// `system.runtime.workers` row per live worker.
     pub(super) fn sample_telemetry(&self) {
         let now = self.clock.now();
         let now_us = u64::try_from(now.as_micros()).unwrap_or(u64::MAX);
@@ -88,10 +88,7 @@ impl PrestoCluster {
         self.telemetry.sample(names::TS_FLEET_BUSY_PCT, now, fleet_busy);
         self.telemetry.set_gauge(names::GAUGE_FLEET_BUSY_PCT, fleet_busy);
         self.telemetry.set_gauge(names::GAUGE_ACTIVE_WORKERS, active);
-        let resources = self.engine.resources();
-        let depth = resources.admission().queued() as u64;
-        self.telemetry.sample(names::TS_QUEUE_DEPTH, now, depth);
-        let pool = resources.pool();
+        let pool = self.engine.resources().pool();
         let mem_pct = match pool.budget() {
             Some(budget) if budget > 0 => {
                 ((pool.used() as u64).saturating_mul(100) / budget as u64).min(100)

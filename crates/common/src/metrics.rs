@@ -34,18 +34,13 @@ pub mod names {
     /// Peak bytes reserved by a query against its memory pool.
     pub const MEMORY_RESERVED_PEAK: &str = "memory.reserved_peak";
 
-    /// Queries that had to wait in the admission queue (0/1 per query).
-    pub const ADMISSION_QUEUED: &str = "admission.queued";
-    /// Virtual milliseconds a query waited for admission.
-    pub const ADMISSION_WAIT_VIRTUAL_MS: &str = "admission.wait_virtual_ms";
-
     /// Queries a cluster started.
     pub const CLUSTER_QUERIES: &str = "cluster.queries";
     /// Distinct scan tasks (splits) a cluster scheduled.
     pub const CLUSTER_TASKS: &str = "cluster.tasks";
     /// Queries that started and then died.
     pub const CLUSTER_QUERIES_FAILED: &str = "cluster.queries_failed";
-    /// Queries refused at the door (maintenance drain, full queue).
+    /// Queries refused at the door (maintenance drain, unparseable or unplannable SQL).
     pub const CLUSTER_QUERIES_REJECTED: &str = "cluster.queries_rejected";
     /// Scheduling rounds in which a worker failed at least one task.
     pub const CLUSTER_WORKER_FAILURES: &str = "cluster.worker_failures";
@@ -87,11 +82,6 @@ pub mod names {
     pub const GATEWAY_REROUTED_MAINTENANCE: &str = "gateway.rerouted_maintenance";
     /// Queries the gateway failed over to a healthy sibling cluster.
     pub const GATEWAY_RETRIED_QUERIES: &str = "gateway.retried_queries";
-    /// Depth-aware submits steered away from a loaded primary cluster.
-    pub const GATEWAY_LOAD_BALANCED_ROUTES: &str = "gateway.load_balanced_routes";
-    /// Submits routed past a cluster whose admission lanes were saturated
-    /// (the next admit would have been refused outright).
-    pub const GATEWAY_SKIPPED_SATURATED: &str = "gateway.skipped_saturated";
 
     /// Fragment-result-cache hits.
     pub const FRC_HITS: &str = "frc.hits";
@@ -174,11 +164,9 @@ pub mod names {
     /// Histogram: virtual runtime of completed scan tasks, in µs — the
     /// sibling distribution the speculation quantile rule consults.
     pub const HIST_CLUSTER_TASK_RUNTIME_US: &str = "cluster.task_runtime_us";
-    /// Histogram: virtual milliseconds queries waited for admission.
-    pub const HIST_ADMISSION_QUEUE_WAIT_MS: &str = "admission.queue_wait_ms";
     /// Histogram: end-to-end virtual latency of gateway-submitted queries, µs.
     pub const HIST_GATEWAY_QUERY_LATENCY_US: &str = "gateway.query_latency_us";
-    /// Histogram: admission-queue depth observed at each autoscaler
+    /// Histogram: dispatch-queue depth observed at each autoscaler
     /// evaluation tick — the hysteresis signal.
     pub const HIST_CLUSTER_QUEUE_DEPTH: &str = "cluster.autoscaler_queue_depth";
 
@@ -187,8 +175,6 @@ pub mod names {
     pub const TS_WORKER_BUSY_PCT: &str = "telemetry.worker_busy_pct";
     /// Time series: mean busy fraction across the active fleet, percent.
     pub const TS_FLEET_BUSY_PCT: &str = "telemetry.fleet_busy_pct";
-    /// Time series: admission-queue depth at each telemetry snapshot.
-    pub const TS_QUEUE_DEPTH: &str = "telemetry.queue_depth";
     /// Time series: cluster memory-pool utilization, percent of budget
     /// (0 when the pool is unbounded).
     pub const TS_MEMORY_UTIL_PCT: &str = "telemetry.memory_util_pct";

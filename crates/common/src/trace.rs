@@ -182,13 +182,6 @@ impl Trace {
         }
     }
 
-    /// Add `value` to attribute `key` on span `id`.
-    pub fn add_attr(&self, id: SpanId, key: &str, value: u64) {
-        if let Some(span) = self.inner.lock().spans.get_mut(id.index()) {
-            *span.attrs.entry(key.to_string()).or_insert(0) += value;
-        }
-    }
-
     /// Attribute `key` of span `id`, if set.
     pub fn attr(&self, id: SpanId, key: &str) -> Option<u64> {
         self.inner.lock().spans.get(id.index()).and_then(|s| s.attrs.get(key).copied())

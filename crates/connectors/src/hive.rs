@@ -163,22 +163,6 @@ impl HiveConnector {
         Ok(path)
     }
 
-    /// Seal an open partition (ingestion finished); its file list becomes
-    /// cacheable.
-    pub fn seal_partition(&self, schema_name: &str, table: &str, value: &str) -> Result<()> {
-        let mut tables = self.tables.write();
-        let def = tables
-            .get_mut(&(schema_name.to_string(), table.to_string()))
-            .ok_or_else(|| PrestoError::Connector(format!("no table {schema_name}.{table}")))?;
-        for p in &mut def.partitions {
-            if p.value == value {
-                p.sealed = true;
-                return Ok(());
-            }
-        }
-        Err(PrestoError::Connector(format!("no partition {value}")))
-    }
-
     /// Write pages as one file into a partition (or the table root for
     /// unpartitioned tables) and return its path.
     #[allow(clippy::too_many_arguments)]

@@ -501,14 +501,19 @@ impl GroupedAggregation {
 
     /// The partial-aggregate page: one row per group that matched a row,
     /// sorted by key (NULLS LAST total order), group columns then aggregates.
+    /// Keys the order calls equal (NaNs of different payloads) are then
+    /// ordered by their DOUBLE bits, as the executor's aggregate emits them,
+    /// so the page does not depend on the group map's iteration order.
     pub(super) fn finish(self) -> Result<Page> {
         let mut groups: Vec<(Vec<Value>, u32)> = self.groups.slots.into_iter().collect();
+        let bits = |v: &Value| match v {
+            Value::Double(x) => Some(x.to_bits()),
+            _ => None,
+        };
         groups.sort_by(|(a, _), (b, _)| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
+            let by_key = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+            let by_bits = a.iter().zip(b).map(|(x, y)| bits(x).cmp(&bits(y)));
+            by_key.chain(by_bits).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
         });
         if self.types.is_empty() {
             return Ok(Page::zero_column(groups.len()));

@@ -305,11 +305,6 @@ impl ScanHooks {
         }
     }
 
-    /// Pages announced so far.
-    pub fn pages_emitted(&self) -> u64 {
-        self.pages.load(Ordering::Relaxed)
-    }
-
     /// Total virtual stall time injected into this scan so far.
     pub fn stalled(&self) -> Duration {
         Duration::from_nanos(self.stalled_nanos.load(Ordering::Relaxed))

@@ -50,10 +50,10 @@ impl QueryInfo {
     }
 }
 
-/// An admitted query, as [`PrestoEngine::run_query`] hands it to whoever
+/// A planned query, as [`PrestoEngine::run_query`] hands it to whoever
 /// runs it: the optimized plan, and the per-query counters, trace and root
 /// span to run it under.
-pub struct AdmittedQuery<'a> {
+pub struct PlannedQuery<'a> {
     /// The optimized plan.
     pub plan: &'a LogicalPlan,
     /// The query's counter set (ends up on [`QueryResult::metrics`]).
@@ -72,8 +72,7 @@ pub struct QueryResult {
     /// Output pages.
     pub pages: Vec<Page>,
     /// Per-query counters: `memory.reserved_peak`, `spill.bytes_written`,
-    /// `spill.files`, `admission.queued`, `admission.wait_virtual_ms`, plus
-    /// the executor's `exec.*` counters.
+    /// `spill.files`, plus the executor's `exec.*` counters.
     pub metrics: CounterSet,
     /// Trace, latency, and memory observability for this query.
     pub info: QueryInfo,
@@ -163,8 +162,7 @@ impl Default for PrestoEngine {
 
 impl PrestoEngine {
     /// Engine with built-in functions and the geospatial plugin registered.
-    /// Resource management defaults to unbounded (no admission queue, no
-    /// cluster memory cap).
+    /// Resource management defaults to unbounded (no cluster memory cap).
     pub fn new() -> PrestoEngine {
         let registry = FunctionRegistry::new();
         register_geospatial_plugin(&registry);
@@ -176,8 +174,8 @@ impl PrestoEngine {
         }
     }
 
-    /// Swap in a configured resource manager (cluster memory pool,
-    /// admission control, spill filesystem). Clones of the engine share it.
+    /// Swap in a configured resource manager (cluster memory pool, spill
+    /// filesystem). Clones of the engine share it.
     pub fn with_resources(mut self, resources: ResourceManager) -> PrestoEngine {
         self.resources = resources;
         self
@@ -243,23 +241,23 @@ impl PrestoEngine {
     }
 
     /// The front door every statement comes through (§III, §VIII): parse
-    /// once, plan, answer a plain `EXPLAIN` with the plan text, pass
-    /// admission control (§XII), then hand the optimized plan to `run` under
-    /// a fresh `"query"` span and a stopwatch on `clock`. `run` is the only
-    /// thing a caller chooses: the engine executes the plan in place, the
-    /// cluster runtime fragments it and schedules the scans on its workers.
+    /// once, plan, answer a plain `EXPLAIN` with the plan text, then hand
+    /// the optimized plan to `run` under a fresh `"query"` span and a
+    /// stopwatch on `clock`. `run` is the only thing a caller chooses: the
+    /// engine executes the plan in place, the cluster runtime fragments it
+    /// and schedules the scans on its workers.
     /// `EXPLAIN ANALYZE` runs the query like any other and answers with the
     /// plan annotated from the trace.
     ///
     /// Returns the outcome alongside the [`QueryInfo`] of the run — populated
     /// even when `run` failed, for postmortems; empty when the statement
-    /// never ran (`EXPLAIN`, a parse or plan error, a full admission queue).
+    /// never ran (`EXPLAIN`, a parse or plan error).
     pub fn run_query(
         &self,
         sql: &str,
         session: &Session,
         clock: &SimClock,
-        run: impl FnOnce(&AdmittedQuery<'_>) -> Result<Vec<Page>>,
+        run: impl FnOnce(&PlannedQuery<'_>) -> Result<Vec<Page>>,
     ) -> (Result<QueryResult>, QueryInfo) {
         let mut info = QueryInfo::empty();
         let result = (|| {
@@ -269,15 +267,12 @@ impl PrestoEngine {
                 return plan_text_result(explain(&plan), CounterSet::new(), QueryInfo::empty());
             }
             let metrics = CounterSet::new();
-            // held for the query's whole run
-            let _permit =
-                self.resources.admission().admit(&session.user, session.priority, &metrics)?;
             // The trace runs on the query's clock, so span timestamps line
             // up with task waits and retry backoffs.
             let trace = Trace::new(clock.clone());
             let root = trace.begin(SpanKind::Query, "query", None);
             let watch = SimStopwatch::start(clock);
-            let pages = run(&AdmittedQuery { plan: &plan, metrics: &metrics, trace: &trace, root });
+            let pages = run(&PlannedQuery { plan: &plan, metrics: &metrics, trace: &trace, root });
             trace.end(root);
             info = QueryInfo {
                 trace,
@@ -306,10 +301,10 @@ impl PrestoEngine {
     /// Execute a query under a session.
     ///
     /// The query comes through [`PrestoEngine::run_query`] and runs under a
-    /// per-query slice of the engine's cluster memory pool. Queue-wait,
-    /// peak-memory, and spill counters land on [`QueryResult::metrics`].
+    /// per-query slice of the engine's cluster memory pool. Peak-memory and
+    /// spill counters land on [`QueryResult::metrics`].
     pub fn execute_with_session(&self, sql: &str, session: &Session) -> Result<QueryResult> {
-        let run = |query: &AdmittedQuery<'_>| {
+        let run = |query: &PlannedQuery<'_>| {
             self.run_plan(query.plan, vec![], session, query.metrics, query.trace, Some(query.root))
         };
         self.run_query(sql, session, self.resources.clock(), run).0
@@ -321,8 +316,7 @@ impl PrestoEngine {
     }
 
     /// Execute one fragment with bound remote sources — the worker-side
-    /// entry point used by the cluster runtime. Fragments skip admission
-    /// (the enclosing query already holds the run slot).
+    /// entry point used by the cluster runtime.
     pub fn execute_fragment(
         &self,
         fragment: &PlanFragment,

@@ -13,5 +13,5 @@ pub mod engine;
 pub mod plugin;
 pub mod session;
 
-pub use engine::{AdmittedQuery, PrestoEngine, QueryInfo, QueryResult};
+pub use engine::{PlannedQuery, PrestoEngine, QueryInfo, QueryResult};
 pub use session::Session;

@@ -20,9 +20,7 @@ pub struct Session {
     pub memory_budget: Option<usize>,
     /// Optimizer rule toggles (session properties).
     pub optimizer: OptimizerConfig,
-    /// Session principal, for per-user admission caps.
-    pub user: String,
-    /// Admission lane (§XII: dashboards jump the batch queue).
+    /// Scheduling lane: a worker on probation serves only `Low` queries.
     pub priority: QueryPriority,
     /// Allow blocking operators to spill to disk instead of failing with
     /// `"Insufficient Resource"` when the memory budget is hit.
@@ -36,7 +34,6 @@ impl Default for Session {
             schema: "default".into(),
             memory_budget: None,
             optimizer: OptimizerConfig::default(),
-            user: "user".into(),
             priority: QueryPriority::Normal,
             spill_enabled: false,
         }
@@ -61,13 +58,7 @@ impl Session {
         self
     }
 
-    /// Set the session principal.
-    pub fn with_user(mut self, user: impl Into<String>) -> Session {
-        self.user = user.into();
-        self
-    }
-
-    /// Set the admission lane.
+    /// Set the scheduling lane.
     pub fn with_priority(mut self, priority: QueryPriority) -> Session {
         self.priority = priority;
         self

@@ -23,9 +23,12 @@ use crate::engine::Diagnostic;
 use crate::summary::{FileSummary, FnSummary};
 
 /// Crates whose whole behavior feeds the same-seed digest gates: the
-/// engine loop, coordinator, resource manager, simulator, and the common
-/// layer that computes the digests themselves.
-const DIGEST_CRATES: &[&str] = &["exec", "cluster", "resource", "sim", "common"];
+/// engine loop, coordinator, resource manager, simulator, the common
+/// layer that computes the digests themselves, and the connectors and
+/// storage beneath every scan (their pages and virtual time are in every
+/// digest).
+const DIGEST_CRATES: &[&str] =
+    &["exec", "cluster", "resource", "sim", "common", "connectors", "storage"];
 
 /// Run the taint analysis over all summaries.
 pub fn check(files: &[FileSummary]) -> Vec<Diagnostic> {

@@ -198,6 +198,21 @@ fn map_iter_in_digest_bad_and_clean() {
 }
 
 #[test]
+fn map_iter_in_a_scan_crate_is_flagged_without_a_sink() {
+    // connector pages and storage virtual time feed every digest, so the
+    // two crates are determinism-critical: a site with no sink is flagged
+    for path in ["crates/connectors/src/fixture.rs", "crates/storage/src/fixture.rs"] {
+        let bad = check_fixture("map_iter_digest/scan_page.rs", path);
+        assert_eq!(rule_lines(&bad, "map-iter-in-digest"), vec![6], "{path}");
+        assert!(bad[0].message.contains("determinism-critical crate"), "{bad:?}");
+        assert_eq!(bad.len(), 1);
+    }
+    // the same site elsewhere reaches no digest and is left alone
+    let clean = check_fixture("map_iter_digest/scan_page.rs", "crates/parquet/src/fixture.rs");
+    assert!(clean.is_empty(), "no sink, no critical crate: {clean:?}");
+}
+
+#[test]
 fn map_iter_order_insensitive_reduction_is_clean() {
     let src = "pub fn total(m: &HashMap<u64, u64>) -> u64 { m.values().sum() }\n";
     let diags = check_source("crates/exec/src/fixture.rs", src);

@@ -663,8 +663,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let properties =
-            WriterProperties { codec, row_group_rows: group_rows, ..Default::default() };
+        let properties = WriterProperties { codec, row_group_rows: group_rows };
         let mut writer = FileWriter::new(schema, properties, WriterMode::Native).unwrap();
         writer.write_page(&page).unwrap();
         writer.finish().unwrap()

@@ -13,7 +13,7 @@
 //!   column, assembles records row by row, then converts rows to blocks;
 //! - [`reader_new`] — nested column pruning, direct columnar reads,
 //!   predicate pushdown, dictionary pushdown, lazy reads, vectorized
-//!   decoding; each toggleable for ablation.
+//!   decoding; all always on.
 //!
 //! The two writer generations (Figs 18–20):
 //! - [`writer::WriterMode::Legacy`] — reconstructs every record from blocks,

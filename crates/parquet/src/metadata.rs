@@ -343,20 +343,6 @@ pub fn chunk_stats(data: &LeafData) -> ColumnStats {
     ColumnStats { min, max, null_count: data.null_count() as u64 }
 }
 
-/// The scalar type a stats value should be read as, given a leaf logical type.
-pub fn stats_compatible(stats_value: &Value, leaf_type: &DataType) -> bool {
-    matches!(
-        (stats_value, leaf_type),
-        (Value::Boolean(_), DataType::Boolean)
-            | (Value::Integer(_), DataType::Integer)
-            | (Value::Bigint(_), DataType::Bigint)
-            | (Value::Double(_), DataType::Double)
-            | (Value::Varchar(_), DataType::Varchar)
-            | (Value::Date(_), DataType::Date)
-            | (Value::Timestamp(_), DataType::Timestamp)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -132,8 +132,10 @@ pub fn chunk_for(rg: &RowGroupMeta, leaf_idx: usize) -> Result<&ColumnChunkMeta>
 ///
 /// `vectorized` selects between the batched decoder (§V.I: level runs
 /// decoded once to `u16` and kept as runs where the stream is one, bulk
-/// fixed-width value copies) and a deliberately triplet-at-a-time scalar
-/// decoder matching the pre-vectorization reader. Either way a
+/// fixed-width value copies), which the new reader always takes, and a
+/// deliberately triplet-at-a-time scalar decoder matching the
+/// pre-vectorization reader, which only the legacy reader takes (Fig 17's
+/// baseline). Either way a
 /// dictionary-encoded chunk stays encoded: its dictionary page's entries
 /// and one id per defined value ([`LeafData::ids`]). `probed` is the
 /// chunk's dictionary when the caller has already read it (dictionary

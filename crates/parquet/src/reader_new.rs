@@ -1,5 +1,5 @@
-//! The **new** Parquet reader (§V.D–§V.I) with every optimization the paper
-//! describes, individually toggleable for ablation:
+//! The **new** Parquet reader (§V.D–§V.I), with every optimization the paper
+//! describes always on:
 //!
 //! - **nested column pruning** (Fig 5): only the leaves under each projected
 //!   path are read;
@@ -65,35 +65,19 @@ impl ProjectedColumn {
     }
 }
 
-/// Reader feature switches — all on by default; the Fig 17 ablation bench
-/// turns them off one at a time.
+/// What to read: the projected paths and the predicate pushed into the scan.
 #[derive(Debug, Clone)]
 pub struct ReadOptions {
     /// Output columns (pruned paths).
     pub projections: Vec<ProjectedColumn>,
     /// Conjunctive predicate over leaf paths.
     pub predicate: FilePredicate,
-    /// Fig 7: skip row groups via footer min/max.
-    pub stats_pushdown: bool,
-    /// Fig 8: skip row groups via dictionary pages.
-    pub dictionary_pushdown: bool,
-    /// Fig 9: decode projected columns only when the predicate matched.
-    pub lazy_reads: bool,
-    /// §V.I: batched decoding.
-    pub vectorized: bool,
 }
 
 impl ReadOptions {
-    /// All optimizations enabled, no predicate.
+    /// Read `projections`, no predicate.
     pub fn new(projections: Vec<ProjectedColumn>) -> ReadOptions {
-        ReadOptions {
-            projections,
-            predicate: FilePredicate::default(),
-            stats_pushdown: true,
-            dictionary_pushdown: true,
-            lazy_reads: true,
-            vectorized: true,
-        }
+        ReadOptions { projections, predicate: FilePredicate::default() }
     }
 
     /// Attach a predicate.
@@ -238,28 +222,24 @@ pub fn read(
         let rows = usize::try_from(rg.num_rows)
             .map_err(|_| PrestoError::Format("row group exceeds the address space".into()))?;
         // ---- Fig 7: statistics-based row group skipping
-        if options.stats_pushdown {
-            for (leaf_idx, conjunct) in &predicate_leaves {
-                let chunk = chunk_for(rg, *leaf_idx)?;
-                if !conjunct.predicate.maybe_matches_stats(&chunk.stats, chunk.num_triplets) {
-                    stats.skipped_by_stats += 1;
-                    continue 'groups;
-                }
+        for (leaf_idx, conjunct) in &predicate_leaves {
+            let chunk = chunk_for(rg, *leaf_idx)?;
+            if !conjunct.predicate.maybe_matches_stats(&chunk.stats, chunk.num_triplets) {
+                stats.skipped_by_stats += 1;
+                continue 'groups;
             }
         }
         // ---- Fig 8: dictionary-based row group skipping; a dictionary that
         // was read and did not rule the group out is kept for the decode
         let mut probed: Vec<Option<LeafValues>> = predicate_leaves.iter().map(|_| None).collect();
-        if options.dictionary_pushdown {
-            for ((leaf_idx, conjunct), kept) in predicate_leaves.iter().zip(&mut probed) {
-                let leaf = &file_flat.leaves[*leaf_idx];
-                if let Some(dict) = read_dictionary(source, chunk_for(rg, *leaf_idx)?, leaf)? {
-                    if !conjunct.predicate.matches_any_in_dictionary(&dict, &leaf.scalar_type) {
-                        stats.skipped_by_dictionary += 1;
-                        continue 'groups;
-                    }
-                    *kept = Some(dict);
+        for ((leaf_idx, conjunct), kept) in predicate_leaves.iter().zip(&mut probed) {
+            let leaf = &file_flat.leaves[*leaf_idx];
+            if let Some(dict) = read_dictionary(source, chunk_for(rg, *leaf_idx)?, leaf)? {
+                if !conjunct.predicate.matches_any_in_dictionary(&dict, &leaf.scalar_type) {
+                    stats.skipped_by_dictionary += 1;
+                    continue 'groups;
                 }
+                *kept = Some(dict);
             }
         }
 
@@ -272,7 +252,7 @@ pub fn read(
                 None => {
                     stats.leaves_decoded += 1;
                     let leaf = &file_flat.leaves[*leaf_idx];
-                    decode_chunk(source, chunk_for(rg, *leaf_idx)?, leaf, options.vectorized, dict)?
+                    decode_chunk(source, chunk_for(rg, *leaf_idx)?, leaf, true, dict)?
                 }
             };
             if data.len() != rows {
@@ -295,7 +275,7 @@ pub fn read(
 
         // ---- Fig 9: lazy reads — a group with zero matches never decodes
         // its projected columns.
-        if options.lazy_reads && selection.as_ref().is_some_and(Vec::is_empty) {
+        if selection.as_ref().is_some_and(Vec::is_empty) {
             stats.skipped_by_lazy += 1;
             decoded.fill_with(|| None);
             continue 'groups;
@@ -307,8 +287,7 @@ pub fn read(
             if decoded[leaf_idx].is_none() {
                 let leaf = &file_flat.leaves[leaf_idx];
                 let chunk = chunk_for(rg, leaf_idx)?;
-                decoded[leaf_idx] =
-                    Some(decode_chunk(source, chunk, leaf, options.vectorized, None)?);
+                decoded[leaf_idx] = Some(decode_chunk(source, chunk, leaf, true, None)?);
                 stats.leaves_decoded += 1;
             }
         }
@@ -507,54 +486,46 @@ mod tests {
                 ScalarPredicate::Eq(Value::Varchar("missing".into())),
             ));
         let (pages, stats) = read(&source, &trips_schema(), &options).unwrap();
-        assert_eq!(pages.len(), 0);
+        assert!(pages.is_empty());
+        assert_eq!(stats.skipped_by_stats, 0);
         assert_eq!(stats.skipped_by_dictionary, 4);
+        assert_eq!(stats.skipped_by_lazy, 0);
         assert_eq!(stats.leaves_decoded, 0, "no data page should be touched");
-
-        // with dictionary pushdown off, lazy reads still bail after the
-        // predicate column decodes, but data pages were read
-        let mut no_dict = options.clone();
-        no_dict.dictionary_pushdown = false;
-        let (_, stats) = read(&source, &trips_schema(), &no_dict).unwrap();
-        assert_eq!(stats.skipped_by_dictionary, 0);
-        assert_eq!(stats.skipped_by_lazy, 4);
-        assert_eq!(stats.leaves_decoded, 4); // predicate column only
     }
 
     #[test]
     fn lazy_reads_skip_projection_decoding_on_no_match() {
+        // driver_uuid has 50 distinct values a group, so no dictionary; each
+        // value sorts inside one group's min/max ("driver-g-0".."driver-g-9")
+        // and none is in the data, so only the decoded predicate rules the
+        // groups out
         let source = BytesSource::new(sample_file());
-        let mut options = ReadOptions::new(vec![ProjectedColumn::path("base", &["driver_uuid"])])
-            .with_predicate(FilePredicate::single(
-                "base.vehicle_id",
-                ScalarPredicate::Eq(Value::Bigint(999)), // matches nothing
-            ));
-        options.stats_pushdown = false;
-        options.dictionary_pushdown = false;
+        let absent = (0..4).map(|g| Value::Varchar(format!("driver-{g}-5x"))).collect();
+        let options = ReadOptions::new(vec![ProjectedColumn::path("base", &["city_id"])])
+            .with_predicate(FilePredicate::single("base.driver_uuid", ScalarPredicate::In(absent)));
         let (pages, stats) = read(&source, &trips_schema(), &options).unwrap();
         assert!(pages.is_empty());
+        assert_eq!(stats.skipped_by_stats, 0);
+        assert_eq!(stats.skipped_by_dictionary, 0);
         assert_eq!(stats.skipped_by_lazy, 4);
-        assert_eq!(stats.leaves_decoded, 4); // vehicle_id only, never driver_uuid
-
-        options.lazy_reads = false;
-        let (pages, stats) = read(&source, &trips_schema(), &options).unwrap();
-        assert_eq!(stats.skipped_by_lazy, 0);
-        assert_eq!(stats.leaves_decoded, 8); // both columns in every group
-        assert!(pages.iter().all(|p| p.positions() == 0));
+        assert_eq!(stats.leaves_decoded, 4, "driver_uuid only, never city_id");
     }
 
     #[test]
     fn vectorized_and_scalar_paths_agree() {
         let source = BytesSource::new(sample_file());
-        let base = ReadOptions::new(vec![
-            ProjectedColumn::whole("base"),
-            ProjectedColumn::whole("datestr"),
-        ]);
-        let (vec_pages, _) = read(&source, &trips_schema(), &base).unwrap();
-        let mut scalar = base.clone();
-        scalar.vectorized = false;
-        let (scalar_pages, _) = read(&source, &trips_schema(), &scalar).unwrap();
-        assert_eq!(vec_pages, scalar_pages);
+        let meta = read_metadata(&source).unwrap();
+        let flat = FlatSchema::new(meta.schema.clone()).unwrap();
+        assert_eq!(meta.row_groups.len(), 4);
+        for rg in &meta.row_groups {
+            for (i, leaf) in flat.leaves.iter().enumerate() {
+                let chunk = chunk_for(rg, i).unwrap();
+                let batched = decode_chunk(&source, chunk, leaf, true, None).unwrap();
+                let scalar = decode_chunk(&source, chunk, leaf, false, None).unwrap();
+                assert_eq!(batched, scalar, "leaf {i}");
+                assert_eq!(batched.len(), 50);
+            }
+        }
     }
 
     #[test]

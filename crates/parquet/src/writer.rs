@@ -31,22 +31,16 @@ pub struct WriterProperties {
     pub codec: Codec,
     /// Most rows a row group may hold.
     pub row_group_rows: usize,
-    /// Enable dictionary encoding when profitable.
-    pub dictionary_enabled: bool,
-    /// Upper bound on dictionary entries per chunk.
-    pub max_dictionary_entries: usize,
 }
 
 impl Default for WriterProperties {
     fn default() -> Self {
-        WriterProperties {
-            codec: Codec::Fast,
-            row_group_rows: 10_000,
-            dictionary_enabled: true,
-            max_dictionary_entries: 1024,
-        }
+        WriterProperties { codec: Codec::Fast, row_group_rows: 10_000 }
     }
 }
+
+/// Upper bound on dictionary entries per chunk.
+const MAX_DICTIONARY_ENTRIES: usize = 1024;
 
 /// Which triplet-production strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +213,7 @@ fn write_chunk(
     };
 
     // Dictionary decision: small distinct set on a large chunk.
-    let encoded =
-        props.dictionary_enabled && dictionary.build(&data.values, props.max_dictionary_entries);
+    let encoded = dictionary.build(&data.values);
     let dictionary_page = encoded.then(|| {
         page.clear();
         write_values(&data.values, Some(&dictionary.firsts), page);
@@ -302,15 +295,14 @@ struct DictionaryBuilder {
 
 impl DictionaryBuilder {
     /// Build a dictionary when the distinct set is small enough to pay off:
-    /// at most `max_entries` values, and at most half the chunk's. True when
-    /// it is, with `firsts` and `ids` filled.
-    fn build(&mut self, values: &LeafValues, max_entries: usize) -> bool {
+    /// at most [`MAX_DICTIONARY_ENTRIES`] values, and at most half the
+    /// chunk's. True when it is, with `firsts` and `ids` filled.
+    fn build(&mut self, values: &LeafValues) -> bool {
         match values {
-            LeafValues::I64(v) => self.assign(v.len(), max_entries, |i| v[i], |x| x as u64),
-            LeafValues::I32(v) => self.assign(v.len(), max_entries, |i| v[i], |x| x as u64),
+            LeafValues::I64(v) => self.assign(v.len(), |i| v[i], |x| x as u64),
+            LeafValues::I32(v) => self.assign(v.len(), |i| v[i], |x| x as u64),
             LeafValues::Bytes { offsets, data } => self.assign(
                 offsets.len() - 1,
-                max_entries,
                 |i| &data[offsets[i] as usize..offsets[i + 1] as usize],
                 hash_bytes,
             ),
@@ -323,7 +315,6 @@ impl DictionaryBuilder {
     fn assign<K: Copy + PartialEq>(
         &mut self,
         n: usize,
-        max_entries: usize,
         key: impl Fn(usize) -> K,
         hash: impl Fn(K) -> u64,
     ) -> bool {
@@ -331,7 +322,7 @@ impl DictionaryBuilder {
             return false;
         }
         // the distinct count only grows: past either cut-off the answer is no
-        let limit = max_entries.min(n / 2);
+        let limit = MAX_DICTIONARY_ENTRIES.min(n / 2);
         let slots = (2 * limit + 2).next_power_of_two();
         let shift = 64 - slots.trailing_zeros();
         self.table.clear();

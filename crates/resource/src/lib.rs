@@ -3,80 +3,64 @@
 //! Resource management for the engine (§XII.C of the paper).
 //!
 //! Interactive Presto at scale runs many queries against a fixed memory
-//! fleet; this crate supplies the three mechanisms that make that safe:
+//! fleet; this crate supplies the mechanisms that make that safe:
 //!
 //! - [`pool`] — a cluster-level [`MemoryPool`] parceled into per-query
 //!   [`QueryPool`]s with RAII [`Reservation`] guards and an OOM arbiter
 //!   that revokes spillable memory first and kills the largest query last;
-//! - [`admission`] — a bounded run queue with priority lanes and per-user
-//!   concurrency caps, accounting queue wait in deterministic virtual time;
-//! - [`wfq`] — virtual-time weighted fair queuing across tenants inside a
-//!   lane (plus the naive FIFO counterfactual), the dispatch discipline the
-//!   workload simulator drives;
+//! - [`wfq`] — virtual-time weighted fair queuing across tenants inside
+//!   [`QueryPriority`] lanes (plus the naive FIFO counterfactual), the
+//!   dispatch queue the workload simulator drives;
 //! - [`spill`] — partition serialization for blocking operators through the
 //!   native Parquet writer onto any [`presto_storage::FileSystem`].
 //!
-//! [`ResourceManager`] bundles the three for the engine facade.
+//! [`ResourceManager`] bundles the memory pool and the spill filesystem for
+//! the engine facade.
 
-pub mod admission;
 pub mod pool;
 pub mod spill;
 pub mod wfq;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, QueryPriority};
 pub use pool::{MemoryPool, QueryPool, Reservation, ReservationKind};
 pub use spill::{SpillFile, SpillManager};
-pub use wfq::{FifoQueue, QueuedQuery, WfqScheduler};
+pub use wfq::{FifoQueue, QueryPriority, QueuedQuery, WfqScheduler};
 
 use std::sync::Arc;
 
 use presto_common::metrics::CounterSet;
-use presto_common::SimClock;
+use presto_common::{Result, SimClock};
 use presto_storage::{FileSystem, InMemoryFileSystem};
 
-/// Knobs for a [`ResourceManager`].
-#[derive(Debug, Clone, Default)]
-pub struct ResourceConfig {
-    /// Cluster-wide memory budget in bytes (`None` = unbounded).
-    pub cluster_memory_bytes: Option<usize>,
-    /// Admission control knobs.
-    pub admission: AdmissionConfig,
-}
-
-/// The engine-facing bundle: one cluster memory pool, one admission
-/// controller, one spill filesystem. Cloning shares all three.
+/// The engine-facing bundle: one cluster memory pool, one spill filesystem
+/// and the virtual clock queries run on. Cloning shares all three.
 #[derive(Clone)]
 pub struct ResourceManager {
     pool: MemoryPool,
-    admission: AdmissionController,
     spill_fs: Arc<dyn FileSystem>,
     clock: SimClock,
 }
 
 impl ResourceManager {
-    /// Manager over `config`, spilling to an in-memory filesystem.
-    pub fn new(config: ResourceConfig, clock: SimClock) -> ResourceManager {
-        ResourceManager::with_spill_fs(config, clock, Arc::new(InMemoryFileSystem::new()))
+    /// Manager over a cluster-wide memory budget in bytes (`None` =
+    /// unbounded), spilling to an in-memory filesystem.
+    pub fn new(cluster_memory_bytes: Option<usize>, clock: SimClock) -> ResourceManager {
+        let spill_fs = Arc::new(InMemoryFileSystem::new());
+        ResourceManager::with_spill_fs(cluster_memory_bytes, clock, spill_fs)
     }
 
     /// Manager spilling to an explicit filesystem (benches use a local
     /// tempdir-backed one).
     pub fn with_spill_fs(
-        config: ResourceConfig,
+        cluster_memory_bytes: Option<usize>,
         clock: SimClock,
         spill_fs: Arc<dyn FileSystem>,
     ) -> ResourceManager {
-        ResourceManager {
-            pool: MemoryPool::new(config.cluster_memory_bytes),
-            admission: AdmissionController::new(config.admission, clock.clone()),
-            spill_fs,
-            clock,
-        }
+        ResourceManager { pool: MemoryPool::new(cluster_memory_bytes), spill_fs, clock }
     }
 
     /// An unbounded manager (the default engine configuration).
     pub fn unbounded() -> ResourceManager {
-        ResourceManager::new(ResourceConfig::default(), SimClock::new())
+        ResourceManager::new(None, SimClock::new())
     }
 
     /// The cluster memory pool.
@@ -84,14 +68,16 @@ impl ResourceManager {
         &self.pool
     }
 
-    /// The admission controller.
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// The shared virtual clock (queue-wait accounting).
+    /// The shared virtual clock engine-direct queries run on.
     pub fn clock(&self) -> &SimClock {
         &self.clock
+    }
+
+    /// Admission, which admits every query at once. Nothing in the engine
+    /// calls it; it stays only for the `resource.admit_ns` probe of the
+    /// wall-clock benchmark (`benchmark/src/probes.rs`).
+    pub fn admission(&self) -> Admission {
+        Admission
     }
 
     /// A spill manager for one query, writing under a per-query directory
@@ -103,10 +89,27 @@ impl ResourceManager {
 
 impl std::fmt::Debug for ResourceManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResourceManager")
-            .field("pool", &self.pool)
-            .field("admission", &self.admission)
-            .finish()
+        f.debug_struct("ResourceManager").field("pool", &self.pool).finish()
+    }
+}
+
+/// See [`ResourceManager::admission`].
+#[derive(Debug)]
+pub struct Admission;
+
+/// What [`Admission::admit`] hands out; holds nothing.
+#[derive(Debug)]
+pub struct AdmissionPermit;
+
+impl Admission {
+    /// Admit a query: always, at once.
+    pub fn admit(
+        &self,
+        _user: &str,
+        _priority: QueryPriority,
+        _metrics: &CounterSet,
+    ) -> Result<AdmissionPermit> {
+        Ok(AdmissionPermit)
     }
 }
 
@@ -115,19 +118,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manager_wires_the_three_subsystems() {
-        let manager = ResourceManager::new(
-            ResourceConfig {
-                cluster_memory_bytes: Some(1 << 20),
-                admission: AdmissionConfig {
-                    max_concurrent: Some(4),
-                    ..AdmissionConfig::default()
-                },
-            },
-            SimClock::new(),
-        );
+    fn manager_wires_pool_and_spill() {
+        let manager = ResourceManager::new(Some(1 << 20), SimClock::new());
         let metrics = CounterSet::new();
-        let _permit = manager.admission().admit("alice", QueryPriority::Normal, &metrics).unwrap();
         let query = manager.pool().register_query(Some(1024));
         let _res = query.reserve(512, ReservationKind::User).unwrap();
         assert_eq!(manager.pool().used(), 512);

@@ -1,11 +1,9 @@
-//! Virtual-time weighted fair queuing across tenants, on top of the
-//! admission lanes.
+//! Virtual-time weighted fair queuing across tenants, inside priority lanes.
 //!
-//! The [`admission`](crate::admission) module's priority lanes solve one
-//! §XII problem — dashboards must not wait behind batch — but inside a
-//! lane the queue is FIFO, so one tenant submitting thousands of queries
-//! (the Zipf head of a multi-tenant cluster) starves every light tenant
-//! in the same lane. [`WfqScheduler`] fixes that with *start-time fair
+//! [`QueryPriority`] lanes solve one §XII problem — dashboards must not
+//! wait behind batch — but inside a FIFO lane one tenant submitting
+//! thousands of queries (the Zipf head of a multi-tenant cluster) starves
+//! every light tenant in the same lane. [`WfqScheduler`] fixes that with *start-time fair
 //! queuing*: each query is stamped with a virtual finish tag
 //! `start + cost / weight`, where `start` chains per tenant
 //! (`max(global virtual time, tenant's last finish)`), and dispatch
@@ -27,7 +25,18 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use crate::admission::QueryPriority;
+/// Scheduling lane for a query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueryPriority {
+    /// Scheduled / batch work: waits behind interactive traffic.
+    #[default]
+    Normal,
+    /// Interactive traffic (dashboards): drains first.
+    High,
+    /// Best-effort background work: drains last, and the only lane a
+    /// blacklisted worker on probation is allowed to serve.
+    Low,
+}
 
 /// Virtual-time units per microsecond of cost at weight 1. The scale
 /// keeps integer division by the weight from rounding small costs to 0.
@@ -48,7 +57,7 @@ const BURST_ALLOWANCE_STRIDES: u64 = 5;
 pub struct QueuedQuery {
     /// Tenant (fair-queuing flow) the query belongs to.
     pub tenant: u32,
-    /// Admission lane (drains strictly before less urgent lanes).
+    /// Priority lane (drains strictly before less urgent lanes).
     pub lane: QueryPriority,
     /// Opaque payload — the simulator's query index.
     pub item: u64,

@@ -6,7 +6,7 @@
 //! crate lifts it to the cluster: thousands of Zipf-skewed tenants submit
 //! tens of thousands of queries against one simulated Presto cluster, with
 //! Poisson or diurnal arrival processes, per-tenant weighted fair queuing
-//! over the admission lanes, and per-tenant latency SLO reports — all on
+//! inside priority lanes, and per-tenant latency SLO reports — all on
 //! the virtual [`presto_common::SimClock`], deterministic in
 //! `(seed, config)`.
 //!

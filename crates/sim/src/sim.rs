@@ -25,7 +25,7 @@ use presto_common::rng::mix64;
 use presto_common::{Block, DataType, Field, Page, PrestoError, Result, Schema, SimClock};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
-use presto_resource::{AdmissionConfig, FifoQueue, QueuedQuery, WfqScheduler};
+use presto_resource::{FifoQueue, QueuedQuery, WfqScheduler};
 
 use crate::slo::SloPolicy;
 use crate::workload::{
@@ -50,6 +50,16 @@ const WAVE_COST_US: u64 = 110;
 /// not starved by back-to-back reservations, tight enough that a wide
 /// grant assembles within a few milliseconds.
 const RESERVE_PATIENCE_US: u64 = 1_200;
+
+/// Elastic lifecycle cadence: under an [`ElasticPlan`] the cluster is ticked
+/// (drain phases advanced, terminated workers reaped, due revocations
+/// fired) and the autoscaler evaluated every this-many virtual µs.
+const TICK_EVERY_US: u64 = 500;
+
+/// `shutdown.grace-period` of the simulated cluster under an
+/// [`ElasticPlan`] — short, so drains run to `Terminated` within the
+/// simulation window (the paper's 2-minute default would outlive the run).
+const ELASTIC_GRACE_PERIOD: Duration = Duration::from_micros(200);
 
 /// Queue discipline the simulated coordinator dispatches with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,10 +95,6 @@ pub const SPOT_CLASS: &str = "spot";
 pub struct ElasticPlan {
     /// Autoscaler policy; `None` runs a fixed fleet (plus the events below).
     pub autoscaler: Option<AutoscalerConfig>,
-    /// Lifecycle cadence: the cluster is ticked (drain phases advanced,
-    /// terminated workers reaped, due revocations fired) and the autoscaler
-    /// evaluated every this-many virtual µs.
-    pub tick_every_us: u64,
     /// Preemptible workers added to the fleet at start, class [`SPOT_CLASS`].
     pub spot_workers: u32,
     /// Revoke the whole spot class at this virtual instant (the storm).
@@ -99,22 +105,16 @@ pub struct ElasticPlan {
     /// Recovery budget after the storm: the report flags whether active
     /// capacity returned to its pre-storm level within this many virtual µs.
     pub recovery_bound_us: u64,
-    /// `shutdown.grace-period` for the simulated cluster, in virtual µs —
-    /// short, so drains run to `Terminated` within the simulation window
-    /// (the paper's 2-minute default would outlive the whole run).
-    pub grace_period_us: u64,
 }
 
 impl Default for ElasticPlan {
     fn default() -> Self {
         ElasticPlan {
             autoscaler: None,
-            tick_every_us: 500,
             spot_workers: 0,
             revoke_spot_at_us: None,
             decommission_at_us: Vec::new(),
             recovery_bound_us: 5_000_000,
-            grace_period_us: 200,
         }
     }
 }
@@ -291,7 +291,7 @@ pub struct SimReport {
     /// Telemetry snapshots the cluster took (one per lifecycle tick).
     pub telemetry_snapshots: u64,
     /// End-of-run copy of every named time series the sampler maintained
-    /// (fleet busy-fraction, queue depth, memory/cache utilization, …).
+    /// (worker and fleet busy-fraction, memory/cache utilization).
     pub telemetry_series: BTreeMap<String, TimeSeries>,
 }
 
@@ -355,7 +355,7 @@ impl Queue {
 }
 
 /// Build the simulated cluster: seeded memory tables, no faults, no
-/// fragment caches, speculation off, admission unbounded. With all
+/// fragment caches, speculation off. With all
 /// variance sources disabled, a query's service time is a pure function of
 /// its SQL — so WFQ-vs-FIFO differences are pure queueing effects.
 fn build_cluster(config: &SimConfig, clock: &SimClock) -> Result<Arc<PrestoCluster>> {
@@ -380,12 +380,11 @@ fn build_cluster(config: &SimConfig, clock: &SimClock) -> Result<Arc<PrestoClust
     engine.register_catalog("memory", Arc::new(memory));
     let mut cluster_config = ClusterConfig {
         initial_workers: config.workers.max(1),
-        admission: AdmissionConfig::default(),
         speculation: false,
         ..ClusterConfig::default()
     };
     if let Some(plan) = &config.elastic {
-        cluster_config.grace_period = Duration::from_micros(plan.grace_period_us);
+        cluster_config.grace_period = ELASTIC_GRACE_PERIOD;
         if let Some(at) = plan.revoke_spot_at_us {
             cluster_config.fault_injector = FaultInjector::new(
                 config.seed,
@@ -497,8 +496,8 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
 
     let first_gap = config.arrival.gap_us(config.seed, 0, 0) as u64;
     push_event(&mut heap, &mut heap_seq, first_gap, Event::Arrive(0));
-    if let Some(plan) = &config.elastic {
-        push_event(&mut heap, &mut heap_seq, plan.tick_every_us.max(1), Event::Tick);
+    if config.elastic.is_some() {
+        push_event(&mut heap, &mut heap_seq, TICK_EVERY_US, Event::Tick);
     }
 
     while let Some(Reverse((at, _seq, event))) = heap.pop() {
@@ -561,7 +560,7 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
                         }
                     }
                     if let Some(scaler) = &scaler {
-                        match scaler.evaluate_with_depth(queue.len()) {
+                        match scaler.evaluate(queue.len()) {
                             ScaleDecision::Out { added } => {
                                 scale_actions.push((now_us, i64::from(added)));
                             }
@@ -581,12 +580,7 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
                         }
                     }
                     if completed + failed < config.queries {
-                        push_event(
-                            &mut heap,
-                            &mut heap_seq,
-                            now_us + plan.tick_every_us.max(1),
-                            Event::Tick,
-                        );
+                        push_event(&mut heap, &mut heap_seq, now_us + TICK_EVERY_US, Event::Tick);
                     }
                 }
             }
@@ -670,9 +664,7 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
             queue_wait_us.record(wait);
             histograms.record(names::HIST_SIM_QUEUE_WAIT_US, wait);
             dispatched_at[idx as usize] = now_us;
-            let session = Session::new("memory", "default")
-                .with_user(format!("t{}", m.tenant))
-                .with_priority(m.class.lane());
+            let session = Session::new("memory", "default").with_priority(m.class.lane());
             // the query's own timeline: a fork of the master clock
             let fork = clock.fork();
             match cluster.execute_clocked(m.sql, &session, &fork) {
@@ -856,10 +848,8 @@ mod tests {
             autoscaler: Some(AutoscalerConfig {
                 max_workers: 16,
                 high_water_depth: 2,
-                scale_out_after: Duration::from_micros(500),
                 scale_in_after: Duration::from_millis(200),
                 cooldown: Duration::from_micros(1_000),
-                worker_class: "ondemand".to_string(),
                 ..AutoscalerConfig::default()
             }),
             spot_workers: 4,

@@ -4,12 +4,9 @@
 //! listFiles performance degradation, could hurt Presto performance badly."
 //! This simulator routes every metadata operation (`list_files`,
 //! `get_file_info`) through one NameNode whose virtual latency grows with
-//! directory size and with how many metadata calls are in flight — the
-//! contention that motivates the §VII caches. Data reads go to (simulated)
-//! DataNodes and are charged per byte.
+//! directory size — the cost that motivates the §VII caches. Data reads go
+//! to (simulated) DataNodes and are charged per byte.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use presto_common::metrics::{names, CounterSet};
@@ -18,33 +15,14 @@ use presto_common::{Result, SimClock};
 use crate::fs::{FileStatus, FileSystem};
 use crate::memory::InMemoryFileSystem;
 
-/// NameNode / DataNode cost model.
-#[derive(Debug, Clone)]
-pub struct HdfsConfig {
-    /// Fixed NameNode RPC cost.
-    pub namenode_base_latency: Duration,
-    /// Additional `list_files` cost per directory entry.
-    pub list_per_entry: Duration,
-    /// Extra multiplier applied per concurrently outstanding metadata call —
-    /// the "single NameNode" degradation under load.
-    pub contention_factor: f64,
-    /// Fixed DataNode round-trip cost per read request.
-    pub read_base_latency: Duration,
-    /// DataNode read cost per megabyte.
-    pub read_per_mb: Duration,
-}
-
-impl Default for HdfsConfig {
-    fn default() -> Self {
-        HdfsConfig {
-            namenode_base_latency: Duration::from_micros(500),
-            list_per_entry: Duration::from_micros(20),
-            contention_factor: 0.5,
-            read_base_latency: Duration::from_millis(1),
-            read_per_mb: Duration::from_millis(8),
-        }
-    }
-}
+/// Fixed NameNode RPC cost.
+const NAMENODE_BASE_LATENCY: Duration = Duration::from_micros(500);
+/// Additional `list_files` cost per directory entry.
+const LIST_PER_ENTRY: Duration = Duration::from_micros(20);
+/// Fixed DataNode round-trip cost per read request.
+const READ_BASE_LATENCY: Duration = Duration::from_millis(1);
+/// DataNode read cost per megabyte.
+const READ_PER_MB: Duration = Duration::from_millis(8);
 
 /// The HDFS simulator. Cloning shares the filesystem, clock and counters.
 ///
@@ -53,27 +31,19 @@ impl Default for HdfsConfig {
 #[derive(Clone)]
 pub struct HdfsFileSystem {
     store: InMemoryFileSystem,
-    config: Arc<HdfsConfig>,
     clock: SimClock,
     metrics: CounterSet,
-    inflight_metadata: Arc<AtomicU64>,
 }
 
 impl HdfsFileSystem {
-    /// New simulator over a fresh in-memory store.
-    pub fn new(config: HdfsConfig, clock: SimClock, metrics: CounterSet) -> HdfsFileSystem {
+    /// Simulator over a fresh in-memory store, with a private clock and
+    /// counters.
+    pub fn with_defaults() -> HdfsFileSystem {
         HdfsFileSystem {
             store: InMemoryFileSystem::new(),
-            config: Arc::new(config),
-            clock,
-            metrics,
-            inflight_metadata: Arc::new(AtomicU64::new(0)),
+            clock: SimClock::new(),
+            metrics: CounterSet::new(),
         }
-    }
-
-    /// Simulator with default config and private clock/metrics.
-    pub fn with_defaults() -> HdfsFileSystem {
-        HdfsFileSystem::new(HdfsConfig::default(), SimClock::new(), CounterSet::new())
     }
 
     /// The shared virtual clock.
@@ -93,14 +63,7 @@ impl HdfsFileSystem {
     }
 
     fn charge_namenode(&self, entries: usize) {
-        let outstanding = self.inflight_metadata.fetch_add(1, Ordering::Relaxed);
-        let base = self.config.namenode_base_latency + self.config.list_per_entry * entries as u32;
-        // Load-dependent degradation: each outstanding metadata call inflates
-        // the cost. This is what makes uncached listFiles storms hurt (§VII).
-        let multiplier = 1.0 + self.config.contention_factor * outstanding as f64;
-        let cost = Duration::from_nanos((base.as_nanos() as f64 * multiplier) as u64);
-        self.clock.advance(cost);
-        self.inflight_metadata.fetch_sub(1, Ordering::Relaxed);
+        self.clock.advance(NAMENODE_BASE_LATENCY + LIST_PER_ENTRY * entries as u32);
     }
 }
 
@@ -121,9 +84,9 @@ impl FileSystem for HdfsFileSystem {
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
         self.metrics.incr(names::HDFS_READ_OPS);
         self.metrics.add(names::HDFS_READ_BYTES, len);
-        let per_mb = self.config.read_per_mb.as_nanos() as f64;
+        let per_mb = READ_PER_MB.as_nanos() as f64;
         let cost = per_mb * (len as f64 / (1024.0 * 1024.0));
-        self.clock.advance(self.config.read_base_latency + Duration::from_nanos(cost as u64));
+        self.clock.advance(READ_BASE_LATENCY + Duration::from_nanos(cost as u64));
         self.store.read_range(path, offset, len)
     }
 

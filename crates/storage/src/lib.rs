@@ -14,8 +14,8 @@
 //! - [`local::LocalFileSystem`] — a host-disk backing store (spill-to-disk
 //!   benchmarks pay real file I/O through it);
 //! - [`hdfs::HdfsFileSystem`] — an HDFS simulator with a single **NameNode**
-//!   whose metadata operations have a load-dependent cost model (reproducing
-//!   the "single NameNode listFiles performance degradation" of §VII);
+//!   whose metadata operations cost more the larger the directory (the
+//!   "single NameNode listFiles performance degradation" of §VII);
 //! - [`s3::S3ObjectStore`] / [`s3::PrestoS3FileSystem`] — an object store
 //!   with per-request latency and transient-fault injection, and the
 //!   `PrestoS3FileSystem` of §IX with **lazy seek**, **exponential backoff**,
@@ -32,7 +32,7 @@ pub mod memory;
 pub mod s3;
 
 pub use fs::{FileStatus, FileSystem};
-pub use hdfs::{HdfsConfig, HdfsFileSystem};
+pub use hdfs::HdfsFileSystem;
 pub use local::LocalFileSystem;
 pub use memory::InMemoryFileSystem;
 pub use s3::{PrestoS3FileSystem, S3Config, S3ObjectStore};

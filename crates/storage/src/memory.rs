@@ -30,11 +30,6 @@ impl InMemoryFileSystem {
     pub fn total_bytes(&self) -> u64 {
         self.files.read().values().map(|v| v.len() as u64).sum()
     }
-
-    /// All file paths, sorted.
-    pub fn all_paths(&self) -> Vec<String> {
-        self.files.read().keys().cloned().collect()
-    }
 }
 
 impl FileSystem for InMemoryFileSystem {

@@ -22,25 +22,16 @@ use presto_common::{PrestoError, Result, SimClock};
 
 use crate::fs::{is_direct_child, normalize, FileStatus, FileSystem};
 
-/// Cost / behaviour model for the simulated S3 endpoint.
-#[derive(Debug, Clone)]
+/// First-byte latency of every request.
+const REQUEST_LATENCY: Duration = Duration::from_millis(15);
+/// Transfer cost per megabyte moved.
+const TRANSFER_PER_MB: Duration = Duration::from_millis(10);
+
+/// Behaviour of the simulated S3 endpoint.
+#[derive(Debug, Clone, Default)]
 pub struct S3Config {
-    /// First-byte latency of every request.
-    pub request_latency: Duration,
-    /// Transfer cost per megabyte moved.
-    pub transfer_per_mb: Duration,
     /// Inject a transient `503 SlowDown` on every k-th request (0 = never).
     pub fail_every: u64,
-}
-
-impl Default for S3Config {
-    fn default() -> Self {
-        S3Config {
-            request_latency: Duration::from_millis(15),
-            transfer_per_mb: Duration::from_millis(10),
-            fail_every: 0,
-        }
-    }
 }
 
 /// Uploaded-but-uncommitted multipart parts, by key.
@@ -98,7 +89,7 @@ impl S3ObjectStore {
     fn begin_request(&self, kind: &str) -> Result<()> {
         self.metrics.incr(names::S3_REQUESTS);
         self.metrics.incr(&format!("s3.{kind}"));
-        self.clock.advance(self.config.request_latency);
+        self.clock.advance(REQUEST_LATENCY);
         let seq = self.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if self.config.fail_every > 0 && seq.is_multiple_of(self.config.fail_every) {
             self.metrics.incr(names::S3_FAULTS_INJECTED);
@@ -108,8 +99,7 @@ impl S3ObjectStore {
     }
 
     fn charge_transfer(&self, bytes: u64) {
-        let cost =
-            self.config.transfer_per_mb.as_nanos() as f64 * (bytes as f64 / (1024.0 * 1024.0));
+        let cost = TRANSFER_PER_MB.as_nanos() as f64 * (bytes as f64 / (1024.0 * 1024.0));
         self.clock.advance(Duration::from_nanos(cost as u64));
     }
 
@@ -518,7 +508,7 @@ mod tests {
         // survives, but exponential waits longer in total per retry chain.
         let fs = fs_with(
             S3FsConfig { exponential_backoff: true, ..S3FsConfig::default() },
-            S3Config { fail_every: 2, ..S3Config::default() },
+            S3Config { fail_every: 2 },
         );
         fs.store().seed("/b/f", b"data");
         for _ in 0..8 {
@@ -532,7 +522,7 @@ mod tests {
     fn retries_give_up_eventually() {
         let fs = fs_with(
             S3FsConfig { max_retries: 2, ..S3FsConfig::default() },
-            S3Config { fail_every: 1, ..S3Config::default() }, // always fail
+            S3Config { fail_every: 1 }, // always fail
         );
         fs.store().seed("/b/f", b"data");
         let err = fs.read_range("/b/f", 0, 4).unwrap_err();
@@ -543,7 +533,7 @@ mod tests {
     fn retry_exhaustion_is_coordinator_retryable() {
         let fs = fs_with(
             S3FsConfig { max_retries: 2, ..S3FsConfig::default() },
-            S3Config { fail_every: 1, ..S3Config::default() }, // always fail
+            S3Config { fail_every: 1 }, // always fail
         );
         fs.store().seed("/b/f", b"data");
         let err = fs.read_range("/b/f", 0, 4).unwrap_err();

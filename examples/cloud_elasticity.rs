@@ -22,7 +22,7 @@ fn main() -> presto_common::Result<()> {
     // ---- S3-backed warehouse (the Pinterest deployment shape, §II.D)
     let clock = SimClock::new();
     let store = S3ObjectStore::new(
-        S3Config { fail_every: 97, ..S3Config::default() }, // occasional 503s
+        S3Config { fail_every: 97 }, // occasional 503s
         clock.clone(),
         CounterSet::new(),
     );

@@ -60,11 +60,11 @@ fn same_seed_twice_replays_byte_identical_results_and_counters() {
     let run = || {
         let c = cluster(ClusterConfig {
             initial_workers: 4,
+            // at this rate every split still answers within the attempt cap
             fault_injector: FaultInjector::new(
                 42,
-                FaultPlan::new().fail_rate(0.2).crash_on_task(1, 3),
+                FaultPlan::new().fail_rate(0.15).crash_on_task(1, 3),
             ),
-            max_split_attempts: 6,
             blacklist_after: 0, // keep every surviving worker schedulable
             ..ClusterConfig::default()
         });
@@ -142,7 +142,6 @@ fn gateway_fails_over_after_the_cluster_gives_up() {
         ClusterConfig {
             initial_workers: 2,
             fault_injector: FaultInjector::new(5, FaultPlan::new().fail_rate(1.0)),
-            max_split_attempts: 2,
             blacklist_after: 0,
             ..ClusterConfig::default()
         },

@@ -89,7 +89,7 @@ fn values() -> Vec<Value> {
 
 fn file(codec: Codec) -> Vec<u8> {
     let block = Block::from_values(&nested_type(), &values()).unwrap();
-    let props = WriterProperties { codec, row_group_rows: 6, ..WriterProperties::default() };
+    let props = WriterProperties { codec, row_group_rows: 6 };
     let mut writer = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
     writer.write_page(&Page::new(vec![block]).unwrap()).unwrap();
     writer.finish().unwrap()

@@ -120,12 +120,8 @@ fn file_for(values: &[Value], mode: WriterMode, codec: Codec) -> Vec<u8> {
     let schema = Schema::new(vec![Field::new("base", common::nested_test_type())]).unwrap();
     let block = Block::from_values(&common::nested_test_type(), values).unwrap();
     let row_group_rows = group_rows(values.len());
-    let mut writer = FileWriter::new(
-        schema,
-        WriterProperties { codec, row_group_rows, ..WriterProperties::default() },
-        mode,
-    )
-    .unwrap();
+    let mut writer =
+        FileWriter::new(schema, WriterProperties { codec, row_group_rows }, mode).unwrap();
     writer.write_page(&Page::new(vec![block]).unwrap()).unwrap();
     writer.finish().unwrap()
 }

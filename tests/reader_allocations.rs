@@ -109,11 +109,7 @@ fn file(rows: usize) -> Vec<u8> {
             .collect(),
     )
     .unwrap();
-    let props = WriterProperties {
-        codec: Codec::Fast,
-        row_group_rows: rows / ROW_GROUPS,
-        ..WriterProperties::default()
-    };
+    let props = WriterProperties { codec: Codec::Fast, row_group_rows: rows / ROW_GROUPS };
     let mut writer = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
     writer.write_page(&page).unwrap();
     writer.finish().unwrap()
@@ -143,11 +139,7 @@ fn a_dictionary_chunk_is_never_decoded_to_its_payload() {
     let column: Vec<&str> = (0..ROWS).map(|i| words[i * 7 % 16].as_str()).collect();
     let payload: usize = column.iter().map(|w| w.len()).sum();
     let schema = Schema::new(vec![Field::new("status", DataType::Varchar)]).unwrap();
-    let props = WriterProperties {
-        codec: Codec::Fast,
-        row_group_rows: ROWS,
-        ..WriterProperties::default()
-    };
+    let props = WriterProperties { codec: Codec::Fast, row_group_rows: ROWS };
     let mut writer = FileWriter::new(schema.clone(), props, WriterMode::Native).unwrap();
     writer.write_page(&Page::new(vec![Block::varchar(&column)]).unwrap()).unwrap();
     let source = BytesSource::new(writer.finish().unwrap());

@@ -127,8 +127,7 @@ fn file() -> Vec<u8> {
             Block::from_values(&f.data_type, &column).unwrap()
         })
         .collect();
-    let props =
-        WriterProperties { codec: Codec::Fast, row_group_rows: GROUP_ROWS, ..Default::default() };
+    let props = WriterProperties { codec: Codec::Fast, row_group_rows: GROUP_ROWS };
     let mut writer = FileWriter::new(schema(), props, WriterMode::Native).unwrap();
     writer.write_page(&Page::new(blocks).unwrap()).unwrap();
     writer.finish().unwrap()
@@ -254,19 +253,15 @@ fn dictionary_chunks_leave_the_reader_encoded_at_every_depth() {
     let names: Vec<String> = schema().fields().iter().map(|f| f.name.clone()).collect();
     let specs: Vec<&str> = names.iter().map(String::as_str).collect();
     let (legacy, _) = reader_old::read(&source, &schema(), &names).unwrap();
-    for vectorized in [true, false] {
-        let mut options = ReadOptions::new(specs.iter().map(|s| projection(s)).collect());
-        options.vectorized = vectorized;
-        let pages = read(&source, &options);
-        assert_eq!(pages.len(), meta.row_groups.len());
-        for (g, (page, rg)) in pages.iter().zip(&meta.row_groups).enumerate() {
-            let group = &rows[g * GROUP_ROWS..(g + 1) * GROUP_ROWS];
-            assert_eq!(page.rows(), legacy[g].rows(), "group {g}: the legacy reader");
-            let leaves: Vec<&Block> = assert_values(page, group, &specs).concat();
-            assert_eq!(leaves.len(), LEAVES.len());
-            for ((leaf, chunk), (name, _)) in leaves.iter().zip(&rg.columns).zip(LEAVES) {
-                assert_encoding(leaf, chunk, true, &format!("group {g} {name}"));
-            }
+    let pages = read(&source, &ReadOptions::new(specs.iter().map(|s| projection(s)).collect()));
+    assert_eq!(pages.len(), meta.row_groups.len());
+    for (g, (page, rg)) in pages.iter().zip(&meta.row_groups).enumerate() {
+        let group = &rows[g * GROUP_ROWS..(g + 1) * GROUP_ROWS];
+        assert_eq!(page.rows(), legacy[g].rows(), "group {g}: the legacy reader");
+        let leaves: Vec<&Block> = assert_values(page, group, &specs).concat();
+        assert_eq!(leaves.len(), LEAVES.len());
+        for ((leaf, chunk), (name, _)) in leaves.iter().zip(&rg.columns).zip(LEAVES) {
+            assert_encoding(leaf, chunk, true, &format!("group {g} {name}"));
         }
     }
 }
@@ -342,31 +337,26 @@ fn predicates_that_drop_rows_are_evaluated_once_per_entry() {
                 })
                 .collect(),
         };
-        for (vectorized, dictionary_pushdown) in [(true, true), (true, false), (false, false)] {
-            let mut options = ReadOptions::new(specs.iter().map(|s| projection(s)).collect())
-                .with_predicate(predicate.clone());
-            options.stats_pushdown = false;
-            options.vectorized = vectorized;
-            options.dictionary_pushdown = dictionary_pushdown;
-            let what = format!("{conjuncts:?} vectorized {vectorized}");
-            let mut pages = read(&source, &options).into_iter();
-            let mut kept = 0;
-            for (g, rg) in meta.row_groups.iter().enumerate() {
-                let all = &rows[g * GROUP_ROWS..(g + 1) * GROUP_ROWS];
-                let group: Vec<Vec<Value>> = all.iter().filter(|r| keeps(r)).cloned().collect();
-                if group.is_empty() {
-                    continue; // lazy reads: a group nothing matches yields no page
-                }
-                kept += group.len();
-                let page = pages.next().unwrap_or_else(|| panic!("{what}: group {g} missing"));
-                let leaves: Vec<&Block> = assert_values(&page, &group, &specs).concat();
-                for ((leaf, chunk), (name, _)) in leaves.iter().zip(&rg.columns).zip(LEAVES) {
-                    assert_encoding(leaf, chunk, false, &format!("{what}: group {g} {name}"));
-                }
+        let options = ReadOptions::new(specs.iter().map(|s| projection(s)).collect())
+            .with_predicate(predicate);
+        let what = format!("{conjuncts:?}");
+        let mut pages = read(&source, &options).into_iter();
+        let mut kept = 0;
+        for (g, rg) in meta.row_groups.iter().enumerate() {
+            let all = &rows[g * GROUP_ROWS..(g + 1) * GROUP_ROWS];
+            let group: Vec<Vec<Value>> = all.iter().filter(|r| keeps(r)).cloned().collect();
+            if group.is_empty() {
+                continue; // a group nothing matches yields no page
             }
-            assert!(pages.next().is_none(), "{what}: a page for a group nothing matches");
-            assert!(0 < kept && kept < ROWS, "{what}: {kept} rows kept");
+            kept += group.len();
+            let page = pages.next().unwrap_or_else(|| panic!("{what}: group {g} missing"));
+            let leaves: Vec<&Block> = assert_values(&page, &group, &specs).concat();
+            for ((leaf, chunk), (name, _)) in leaves.iter().zip(&rg.columns).zip(LEAVES) {
+                assert_encoding(leaf, chunk, false, &format!("{what}: group {g} {name}"));
+            }
         }
+        assert!(pages.next().is_none(), "{what}: a page for a group nothing matches");
+        assert!(0 < kept && kept < ROWS, "{what}: {kept} rows kept");
     }
 }
 

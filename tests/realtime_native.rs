@@ -135,15 +135,14 @@ impl Reference {
                 key
             })
             .collect();
-        // NULLS LAST total order on the key; NaN after the numbers
+        // NULLS LAST total order on the key; NaN after the numbers; keys
+        // that order calls equal (NaN payloads) by their DOUBLE bits
         let keys = query.group_by.len();
         rows.sort_by(|a, b| {
-            a[..keys]
-                .iter()
-                .zip(&b[..keys])
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let (a, b) = (&a[..keys], &b[..keys]);
+            let by_key = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+            let by_bits = a.iter().zip(b).map(|(x, y)| double_bits(x).cmp(&double_bits(y)));
+            by_key.chain(by_bits).find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
         });
         if let Some(limit) = query.limit {
             rows.truncate(limit);
@@ -200,7 +199,17 @@ const BIGS: [i64; 8] = [
     -7,
     90,
 ];
-const DOUBLES: [f64; 8] = [-0.0, 0.0, 1e300, -1e300, f64::INFINITY, f64::NAN, 89.5, 0.1];
+/// A second NaN payload: groups on it and on `f64::NAN` are distinct, and
+/// equal under `total_cmp`.
+const OTHER_NAN: f64 = f64::from_bits(0x7ff8_0000_0000_0001);
+const DOUBLES: [f64; 9] = [-0.0, 0.0, 1e300, -1e300, f64::INFINITY, f64::NAN, OTHER_NAN, 89.5, 0.1];
+
+fn double_bits(v: &Value) -> Option<u64> {
+    match v {
+        Value::Double(x) => Some(x.to_bits()),
+        _ => None,
+    }
+}
 
 /// A random table: the store holding it and the reference's copy.
 fn random_table(rng: &mut TestRng) -> (RealtimeStore, Reference) {
@@ -485,6 +494,56 @@ fn raw_scans_stay_dictionary_encoded_until_the_limit_makes_that_the_larger_copy(
     assert!(matches!(limited.block(0), Block::Dictionary { .. }));
     assert!(matches!(limited.block(1), Block::Varchar { .. }));
     assert_eq!(limited.rows(), whole.rows()[..10]);
+}
+
+/// Groups whose DOUBLE keys differ only in NaN payload tie under
+/// `total_cmp`: native rows and the connector's partial page order them by
+/// their bits, whatever order the group map holds them in (each fresh
+/// store's map hashes with fresh seeds).
+#[test]
+fn nan_payload_groups_come_out_in_one_order() {
+    let schema = Schema::new(vec![
+        Field::new("ts", DataType::Timestamp),
+        Field::new("d", DataType::Varchar),
+        Field::new("x", DataType::Double),
+    ])
+    .unwrap();
+    let (low, high) = (f64::NAN, OTHER_NAN);
+    let (low, high) = if low.to_bits() < high.to_bits() { (low, high) } else { (high, low) };
+    let expected = vec![Some(low.to_bits()), Some(high.to_bits())];
+    let query = NativeQuery {
+        group_by: vec!["x".into()],
+        aggregates: vec![(AggregateFunction::CountStar, None)],
+        ..NativeQuery::default()
+    };
+    let request = ScanRequest {
+        aggregation: Some(AggregationPushdown {
+            group_by: vec![ColumnPath::whole("x")],
+            aggregates: vec![(AggregateFunction::CountStar, None)],
+        }),
+        ..ScanRequest::default()
+    };
+    for _ in 0..32 {
+        let store = RealtimeStore::new("druid", 10, cost_model());
+        store.create_table("s", "t", schema.clone()).unwrap();
+        // the higher payload first, so ingest order is not the answer
+        let rows = [high, low]
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                vec![Value::Timestamp(i as i64), Value::Varchar("a".into()), Value::Double(*x)]
+            })
+            .collect();
+        store.ingest("s", "t", rows).unwrap();
+        let native = store.execute_native("s", "t", &query, None).unwrap();
+        let bits: Vec<_> = native.rows.iter().map(|r| double_bits(&r[0])).collect();
+        assert_eq!(bits, expected, "native rows");
+        let connector = RealtimeConnector::new(store);
+        let split = &connector.splits("s", "t", &request).unwrap()[0];
+        let pages = connector.scan_split(split, &request, &ScanHooks::none()).unwrap();
+        let bits: Vec<_> = flatten(&pages).iter().map(|r| double_bits(&r[0])).collect();
+        assert_eq!(bits, expected, "partial page");
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the resource-management subsystem (§XII.C):
-//! admission control under concurrency, spill-to-disk result equality,
-//! and the OOM arbiter.
+//! budgeted queries spilling under concurrency, spill-to-disk result
+//! equality, and the OOM arbiter.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,10 +9,7 @@ use presto_common::metrics::CounterSet;
 use presto_common::{Block, DataType, Field, Page, Schema, SimClock, Value};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
-use presto_resource::{
-    AdmissionConfig, MemoryPool, QueryPriority, ReservationKind, ResourceConfig, ResourceManager,
-    SpillManager,
-};
+use presto_resource::{MemoryPool, ReservationKind, ResourceManager, SpillManager};
 use proptest::prelude::*;
 
 /// An engine over a 64-row trips table (8 cities, 8 trips each).
@@ -40,22 +37,13 @@ fn engine_with_trips() -> PrestoEngine {
 
 const JOIN_SQL: &str = "SELECT count(*) FROM trips a JOIN trips b ON a.city = b.city";
 
-/// N concurrent queries against an admission pool of N/2 slots: every query
-/// completes (spilling under its memory budget instead of failing) and the
-/// latecomers record nonzero queue-wait counters.
+/// N concurrent queries, each under a memory budget of half the join's
+/// unconstrained peak: every query spills, returns the unconstrained rows,
+/// and the cluster pool drains to 0 once the burst is over.
 #[test]
-fn concurrent_queries_all_complete_under_bounded_admission() {
+fn concurrent_budgeted_queries_spill_and_drain_the_pool() {
     const N: usize = 4;
-    let engine = engine_with_trips().with_resources(ResourceManager::new(
-        ResourceConfig {
-            cluster_memory_bytes: None,
-            admission: AdmissionConfig {
-                max_concurrent: Some(N / 2),
-                ..AdmissionConfig::default()
-            },
-        },
-        SimClock::new(),
-    ));
+    let engine = engine_with_trips();
 
     // Self-calibrate the budget: half the unconstrained peak forces spilling.
     let unconstrained = engine.execute_with_session(JOIN_SQL, &Session::default()).unwrap();
@@ -64,53 +52,24 @@ fn concurrent_queries_all_complete_under_bounded_admission() {
     assert!(peak > 0, "join should have reserved memory");
     let budget = peak / 2;
 
-    // Plug BOTH run slots so every query in the fleet demonstrably queues
-    // before any of them can start.
-    let plug_metrics = CounterSet::new();
-    let plugs: Vec<_> = (0..N / 2)
-        .map(|_| {
-            engine
-                .resources()
-                .admission()
-                .admit("plug", QueryPriority::Normal, &plug_metrics)
-                .unwrap()
-        })
-        .collect();
-
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..N)
-            .map(|i| {
+            .map(|_| {
                 let engine = engine.clone();
                 scope.spawn(move || {
-                    let session = Session::default()
-                        .with_user(format!("user{i}"))
-                        .with_memory_budget(budget)
-                        .with_spill(true);
+                    let session = Session::default().with_memory_budget(budget).with_spill(true);
                     engine.execute_with_session(JOIN_SQL, &session)
                 })
             })
             .collect();
-        // no free slot: all N queries must be waiting in the queue
-        while engine.resources().admission().queued() < N {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(plugs);
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let mut queued_total = 0;
-    let mut wait_ms_total = 0;
-    let mut spilled_total = 0;
     for result in results {
-        let result = result.expect("every admitted query completes");
+        let result = result.expect("every budgeted query completes");
         assert_eq!(result.rows(), expected);
-        queued_total += result.metrics.get("admission.queued");
-        wait_ms_total += result.metrics.get("admission.wait_virtual_ms");
-        spilled_total += result.metrics.get("spill.bytes_written");
+        assert!(result.metrics.get("spill.bytes_written") > 0, "budgeted queries should spill");
     }
-    assert!(queued_total >= N as u64, "queued {queued_total}");
-    assert!(wait_ms_total > 0, "queue wait must be accounted in virtual time");
-    assert!(spilled_total > 0, "budgeted queries should have spilled");
     assert_eq!(engine.resources().pool().used(), 0, "pool drained after the burst");
 }
 
@@ -141,15 +100,10 @@ fn spilled_queries_match_unconstrained_results() {
 /// the per-query budget message.
 #[test]
 fn oom_arbiter_kills_the_requester_when_it_is_largest() {
-    let engine = engine_with_trips().with_resources(ResourceManager::new(
-        ResourceConfig {
-            // below the join's key table (8 cities × 48 bytes): its build
-            // side holds no column, as nothing above reads one
-            cluster_memory_bytes: Some(256),
-            ..ResourceConfig::default()
-        },
-        SimClock::new(),
-    ));
+    // below the join's key table (8 cities × 48 bytes): its build side
+    // holds no column, as nothing above reads one
+    let engine =
+        engine_with_trips().with_resources(ResourceManager::new(Some(256), SimClock::new()));
     let err = engine.execute_with_session(JOIN_SQL, &Session::default()).unwrap_err();
     assert_eq!(err.code(), "EXCEEDED_MEMORY_LIMIT", "{err}");
     assert_eq!(engine.resources().pool().used(), 0, "killed query released everything");

@@ -243,7 +243,6 @@ fn refailing_probation_worker_requarantines_without_absorbing_normal_splits() {
             FaultPlan::new().fail_task(0, 1).fail_task(0, 2).fail_task(0, 3),
         ),
         blacklist_after: 2,
-        max_split_attempts: 6,
         ..ClusterConfig::default()
     });
     let session = Session::default();

@@ -206,9 +206,10 @@ fn system_tables_reflect_live_cluster_state() {
         "all workers active: {workers:?}"
     );
     // metrics table lists the sampler's series (worker busy, fleet busy,
-    // queue depth, memory, cache) plus the gauges
+    // memory, cache) plus the gauges
     let metric_names: Vec<String> = metrics.iter().map(|r| r[0].to_string()).collect();
-    for expect in [names::TS_FLEET_BUSY_PCT, names::TS_QUEUE_DEPTH, names::GAUGE_ACTIVE_WORKERS] {
+    for expect in [names::TS_FLEET_BUSY_PCT, names::TS_MEMORY_UTIL_PCT, names::GAUGE_ACTIVE_WORKERS]
+    {
         assert!(
             metric_names.iter().any(|n| n.contains(expect)),
             "system.metrics missing {expect}: {metric_names:?}"

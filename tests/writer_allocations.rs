@@ -17,11 +17,7 @@ use presto_parquet::{Codec, FileWriter, FlatSchema, WriterMode, WriterProperties
 /// Allocations of writing `rows` trips as one file of `groups` row groups.
 fn write_allocations(rows: usize, groups: usize, mode: WriterMode) -> u64 {
     let page = common::trips_page(rows);
-    let props = WriterProperties {
-        codec: Codec::Fast,
-        row_group_rows: rows / groups,
-        ..WriterProperties::default()
-    };
+    let props = WriterProperties { codec: Codec::Fast, row_group_rows: rows / groups };
     let before = counting::allocations();
     let mut writer = FileWriter::new(common::trips_schema(), props, mode).unwrap();
     writer.write_page(&page).unwrap();

@@ -20,7 +20,7 @@ use presto_parquet::reader_new::{self, ProjectedColumn, ReadOptions};
 use presto_parquet::{reader_old, Codec, FileWriter, WriterMode, WriterProperties};
 
 fn write(schema: &Schema, page: &Page, mode: WriterMode, codec: Codec, cap: usize) -> Vec<u8> {
-    let props = WriterProperties { codec, row_group_rows: cap, ..WriterProperties::default() };
+    let props = WriterProperties { codec, row_group_rows: cap };
     let mut writer = FileWriter::new(schema.clone(), props, mode).unwrap();
     writer.write_page(page).unwrap();
     writer.finish().unwrap()
