@@ -20,6 +20,9 @@
 //! - [`order::RowOrder`] — row order under sort keys on typed columns of
 //!   one or more pages, with a stable sort of packed `u64` ranks, a
 //!   bounded-heap top-N, and a gather of the ordered rows from the pages.
+//! - [`dictionary::DictionaryBuilder`] — the one rule for when a column is
+//!   worth dictionary encoding, shared by the Parquet writer and the memory
+//!   connector.
 //! - [`value::Value`] — scalar values used for literals, row-at-a-time paths
 //!   (the *legacy* Parquet reader operates on these) and test oracles.
 //! - [`clock::SimClock`] — a virtual clock used by the storage and cluster
@@ -35,6 +38,7 @@
 
 pub mod block;
 pub mod clock;
+pub mod dictionary;
 pub mod domain;
 pub mod error;
 pub mod fault;

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use presto_common::block::NullMask;
+use presto_common::dictionary::DictionaryBuilder;
 use presto_common::ids::SplitId;
 use presto_common::{Block, DataType, Page, PrestoError, Result, Schema, Value};
 use presto_parquet::{ScalarPredicate, TypedPredicate};
@@ -35,7 +36,12 @@ impl MemoryConnector {
         MemoryConnector::default()
     }
 
-    /// Create (or replace) a table with data.
+    /// Create (or replace) a table with data. Each page must hold one block
+    /// per schema column, of the column's type (a dictionary over it counts).
+    /// A top-level VARCHAR column of a page is stored as one
+    /// [`Block::Dictionary`] when [`DictionaryBuilder`]'s rule says its
+    /// strings pay: the distinct strings in first-seen order, then one NULL
+    /// entry when a row is NULL.
     pub fn create_table(
         &self,
         schema_name: &str,
@@ -51,7 +57,29 @@ impl MemoryConnector {
                     schema.len()
                 )));
             }
+            for (block, field) in p.blocks().iter().zip(schema.fields()) {
+                let found = block.data_type();
+                if found != field.data_type {
+                    return Err(PrestoError::Connector(format!(
+                        "column '{}' is {}, its block is {found}",
+                        field.name, field.data_type
+                    )));
+                }
+            }
         }
+        let mut dictionary = DictionaryBuilder::default();
+        let mut encode = |page: Page| {
+            let blocks = page.into_blocks().into_iter().zip(schema.fields());
+            let encoded = blocks.map(|(block, field)| match field.data_type {
+                DataType::Varchar => encode_at_rest(&mut dictionary, &block).unwrap_or(block),
+                _ => block,
+            });
+            Page::new(encoded.collect())
+        };
+        let pages = pages
+            .into_iter()
+            .map(|page| if page.column_count() == 0 { Ok(page) } else { encode(page) })
+            .collect::<Result<Vec<_>>>()?;
         self.tables.write().insert(
             (schema_name.to_string(), table.to_string()),
             Arc::new(MemoryTable { schema, pages }),
@@ -64,6 +92,42 @@ impl MemoryConnector {
             PrestoError::Analysis(format!("table memory.{schema}.{table} does not exist"))
         })
     }
+}
+
+/// A plain VARCHAR `block` as one dictionary, when its strings (the
+/// non-NULL rows) pass [`DictionaryBuilder`]'s rule: the distinct strings in
+/// first-seen order, then one NULL entry when a row is NULL. `None` for any
+/// other block, or when the rule says no.
+fn encode_at_rest(dictionary: &mut DictionaryBuilder, block: &Block) -> Option<Block> {
+    let Block::Varchar { offsets, bytes, nulls } = block else {
+        return None;
+    };
+    let nulls = nulls.as_ref().filter(|mask| mask.contains(&true));
+    // the rows holding a string, when some do not
+    let present: Option<Vec<usize>> =
+        nulls.map(|mask| (0..mask.len()).filter(|&row| !mask[row]).collect());
+    if !dictionary.assign_strings(offsets, bytes, present.as_deref()) {
+        return None;
+    }
+    let string = |row: usize| &bytes[offsets[row] as usize..offsets[row + 1] as usize];
+    let row = |i: usize| present.as_ref().map_or(i, |rows| rows[i]);
+    let (mut entry_offsets, mut entry_bytes) = (vec![0], Vec::new());
+    for &first in dictionary.firsts() {
+        entry_bytes.extend_from_slice(string(row(first)));
+        entry_offsets.push(entry_bytes.len() as u32);
+    }
+    let (ids, entry_nulls) = match &present {
+        None => (dictionary.ids().to_vec(), None),
+        Some(rows) => {
+            let null = dictionary.firsts().len();
+            entry_offsets.push(entry_bytes.len() as u32);
+            let mut ids = vec![null as u32; block.len()];
+            rows.iter().zip(dictionary.ids()).for_each(|(&row, &id)| ids[row] = id);
+            (ids, Some((0..=null).map(|entry| entry == null).collect()))
+        }
+    };
+    let entries = Block::Varchar { offsets: entry_offsets, bytes: entry_bytes, nulls: entry_nulls };
+    Some(Block::Dictionary { dictionary: Box::new(entries), ids })
 }
 
 impl Connector for MemoryConnector {
@@ -449,5 +513,59 @@ mod tests {
         let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
         let bad = Page::new(vec![Block::bigint(vec![1]), Block::bigint(vec![2])]).unwrap();
         assert!(c.create_table("s", "t", schema, vec![bad]).is_err());
+    }
+
+    #[test]
+    fn create_table_validates_block_types() {
+        let c = MemoryConnector::new();
+        let schema = Schema::new(vec![
+            Field::new("c", DataType::Varchar),
+            Field::new("x", DataType::Bigint),
+        ])
+        .unwrap();
+        let bigints = Page::new(vec![Block::bigint(vec![1]), Block::bigint(vec![2])]).unwrap();
+        let err = c.create_table("s", "t", schema.clone(), vec![bigints]).unwrap_err();
+        assert_eq!(err.code(), "CONNECTOR_ERROR", "{err}");
+        assert!(c.list_tables("s").unwrap().is_empty());
+        // a dictionary over the declared type is of that type
+        let names =
+            Block::Dictionary { dictionary: Box::new(Block::varchar(&["a"])), ids: vec![0] };
+        let page = Page::new(vec![names, Block::bigint(vec![2])]).unwrap();
+        c.create_table("s", "t", schema, vec![page]).unwrap();
+    }
+
+    /// The stored blocks of `memory.s.t`'s one page.
+    fn stored(c: &MemoryConnector) -> Vec<Block> {
+        let splits = c.splits("s", "t", &ScanRequest::default()).unwrap();
+        let request =
+            ScanRequest { columns: vec![ColumnPath::whole("c")], ..ScanRequest::default() };
+        c.scan_split(&splits[0], &request, &ScanHooks::none()).unwrap()[0].blocks().to_vec()
+    }
+
+    #[test]
+    fn low_ndv_varchars_are_stored_as_dictionaries() {
+        let c = MemoryConnector::new();
+        let schema = Schema::new(vec![Field::new("c", DataType::Varchar)]).unwrap();
+        let create = |values: Vec<Value>| {
+            let page = Page::new(vec![Block::from_values(&DataType::Varchar, &values).unwrap()]);
+            c.create_table("s", "t", schema.clone(), vec![page.unwrap()]).unwrap();
+        };
+        // 3 distinct of 8 strings, and NULLs: the strings in first-seen
+        // order, then one NULL entry
+        let v = |s: &str| Value::Varchar(s.into());
+        let mut rows = vec![v("b"), Value::Null, v("a"), v("b"), v(""), v("a"), Value::Null];
+        rows.extend([v("b"), v("b"), v("")]);
+        create(rows.clone());
+        let [block] = &stored(&c)[..] else { panic!("one column") };
+        let Block::Dictionary { dictionary, ids } = block else { panic!("{block:?}") };
+        assert_eq!(dictionary.to_values(), [v("b"), v("a"), v(""), Value::Null]);
+        assert_eq!(ids, &[0, 3, 1, 0, 2, 1, 3, 0, 0, 2]);
+        assert_eq!(block.to_values(), rows);
+        // 5 distinct of 8: more than half, plain
+        create(["a", "b", "c", "d", "e", "a", "b", "c"].map(v).to_vec());
+        assert!(matches!(stored(&c)[0], Block::Varchar { .. }));
+        // 7 rows: too few to pay
+        create(["a"; 7].map(v).to_vec());
+        assert!(matches!(stored(&c)[0], Block::Varchar { .. }));
     }
 }

@@ -5,12 +5,19 @@
 //!
 //! **Layouts.** A table is built over the key columns it will hold — a join
 //! table over its build side's, a GROUP BY table over its input's — and its
-//! layout is chosen from them. When every key column is BOOLEAN, INTEGER,
-//! BIGINT, DATE or TIMESTAMP (plain, or a dictionary over one) and their
-//! values span few enough slots (see Sizing), the table is *dense*: each
-//! column's value, less its smallest, is one digit of a mixed-radix offset
-//! into a `Vec<u32>` of ids — no hash, no compare, no key stored. A GROUP BY
-//! column that holds a NULL gets one more digit for it. Otherwise
+//! layout is chosen from them. When every key column reads as a small
+//! digit and their spans multiply to few enough slots (see Sizing), the
+//! table is *dense*: each column's digit is one place of a mixed-radix
+//! offset into a `Vec<u32>` of ids — no hash, no compare, no key stored. A
+//! BOOLEAN, INTEGER, BIGINT, DATE or TIMESTAMP column (plain, or a
+//! dictionary over one) has its value, less its smallest, as its digit. A
+//! VARCHAR column beside another key column, whose every block is a
+//! [`Block::Dictionary`], has its string's id as its digit: when the table
+//! is built, each page's entries are interned once into one table of the
+//! column's distinct strings; a page's rows then take their digits through
+//! its entries, one lookup per entry and none per row. (A key that is one
+//! dictionary column alone is resolved per entry already, below.) A GROUP
+//! BY column that holds a NULL gets one more digit for it. Otherwise
 //! BOOLEAN/INTEGER/BIGINT/DATE/TIMESTAMP/DOUBLE columns pack
 //! into one word, value bits plus a NULL bit each (2, 33 or 65 bits): a
 //! `u64` while they fit, else a `u128`. A VARCHAR column packs too, as a
@@ -27,12 +34,16 @@
 //!
 //! **Sizing.** A hashed table of `n` rows' keys would reach `2n` slots
 //! rounded up to a power of two (at least 16). A table is dense exactly when
-//! the product of its columns' spans (`max − min + 1`, plus the NULL digit)
-//! is at most that slot count: so a dense table is never larger than the
-//! hash table it replaces, and a span or product past `u64` (checked, never
-//! wrapped) keeps the table hashed. A hashed GROUP BY table starts empty and
-//! doubles from 16 slots. A hashed join table is sized once from its build
-//! side's row count, an upper bound on its distinct keys, and never grows.
+//! the product of its columns' spans is at most that slot count: an
+//! integral column spans `max − min + 1`, a VARCHAR column the distinct
+//! strings of its dictionaries (used by a row or not), either plus the NULL
+//! digit. So a dense table is never larger than the hash table it replaces,
+//! and a span or product past `u64` (checked, never wrapped) keeps the
+//! table hashed; so do VARCHAR dictionaries whose entries, over all pages,
+//! outnumber those slots, which bounds what building the table interns. A
+//! hashed GROUP BY table starts empty and doubles from 16 slots. A hashed
+//! join table is sized once from its build side's row count, an upper
+//! bound on its distinct keys, and never grows.
 //!
 //! **Contract.** Two rows get one id exactly when their keys are equal as
 //! `Vec<Value>` under `Value: Eq`: NULL equals NULL, `0.0` equals `-0.0`,
@@ -52,6 +63,7 @@
 use std::borrow::Borrow;
 
 use presto_common::block::NullMask;
+use presto_common::dictionary::short_word;
 use presto_common::{Block, DataType, PrestoError, Result, Value};
 
 /// The id of a row that has no key.
@@ -435,24 +447,6 @@ impl<W: Word> Keys for Packed<W> {
     }
 }
 
-/// The string `bytes[start..end]`, when it is at most 7 bytes, as one word:
-/// its bytes zero-padded, then its length in the top byte — so `"a"` and
-/// `"a\0"` differ. Read as one load and a mask where the payload allows.
-fn short_word(bytes: &[u8], start: usize, end: usize) -> Option<u64> {
-    let len = end - start;
-    if len > 7 {
-        return None;
-    }
-    let low = match bytes.get(start..start + 8) {
-        Some(eight) => {
-            let word = u64::from_le_bytes(<[u8; 8]>::try_from(eight).unwrap_or_default());
-            word & ((1 << (8 * len)) - 1)
-        }
-        None => bytes[start..end].iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)),
-    };
-    Some(low | (len as u64) << 56)
-}
-
 /// One VARCHAR key column's distinct strings → dense `u32` ids in
 /// first-seen order. Short strings ([`short_word`]) and long ones (a byte
 /// arena) are found in tables of their own but take their ids from one
@@ -618,10 +612,18 @@ impl Keys for ByteKeys {
 /// outside its column's range. Adding a digit to it saturates, so it stays.
 const KEYLESS: usize = usize::MAX;
 
-/// Whether a column of `data_type` can be a dense digit.
-fn is_integral(data_type: &DataType) -> bool {
+/// Whether the key columns `types` can be dense digits: integral ones, and
+/// VARCHARs whose blocks are all dictionaries beside another column. (A key
+/// that is one dictionary column is resolved once per entry its rows use
+/// already, [`KeyTable::resolve_entries`].)
+fn has_digits(types: &[DataType]) -> bool {
     use DataType::*;
-    matches!(data_type, Boolean | Integer | Bigint | Date | Timestamp)
+    let digit = |t: &DataType| match t {
+        Boolean | Integer | Bigint | Date | Timestamp => true,
+        Varchar => types.len() > 1,
+        _ => false,
+    };
+    types.iter().all(digit)
 }
 
 /// The values of an integral column, as `i64`, into `f` (`None` under a
@@ -655,20 +657,79 @@ fn for_integers(block: &Block, f: impl FnMut(Option<i64>)) -> Option<()> {
     Some(())
 }
 
-/// One column's digit of a [`Dense`] offset: a value `v` with
-/// `min <= v < min + values` is the digit `v − min`, a NULL `null` (already
-/// weighed; [`KEYLESS`] when the column has no NULL digit); each digit
-/// weighs `stride`.
+/// How a [`Radix`] reads a value's digit.
+enum Digits {
+    /// An integer `v` with `min <= v < min + values` is the digit `v − min`.
+    Range { min: i64 },
+    /// A string is its id among the distinct strings of the dictionaries
+    /// the table was built over, in first-seen order.
+    Strings(Interner),
+}
+
+impl Digits {
+    /// An integral column's digits over `blocks` (one per page): its range,
+    /// the values in it, and whether a block holds a NULL.
+    fn range<'b>(blocks: impl Iterator<Item = Option<&'b Block>>) -> Option<(Digits, u64, bool)> {
+        let (mut min, mut max, mut nulls) = (i64::MAX, i64::MIN, false);
+        for block in blocks {
+            for_integers(block?, |v| match v {
+                Some(v) => (min, max) = (min.min(v), max.max(v)),
+                None => nulls = true,
+            })?;
+        }
+        let values = match min <= max {
+            true => max.abs_diff(min).checked_add(1)?,
+            false => 0,
+        };
+        Some((Digits::Range { min }, values, nulls))
+    }
+
+    /// A VARCHAR column's digits over `blocks` (one per page), each a
+    /// dictionary over plain strings: every entry's string is interned once,
+    /// used by a row or not; and whether an entry is NULL. `None` for another
+    /// block, or more than `limit` entries in all.
+    fn strings<'b>(
+        blocks: impl Iterator<Item = Option<&'b Block>>,
+        limit: usize,
+    ) -> Option<(Digits, u64, bool)> {
+        let (mut strings, mut entries, mut nulls) = (Interner::default(), 0, false);
+        for block in blocks {
+            let Block::Dictionary { dictionary, .. } = block? else {
+                return None;
+            };
+            let Block::Varchar { offsets, bytes, nulls: mask } = &**dictionary else {
+                return None;
+            };
+            entries += dictionary.len();
+            if entries > limit {
+                return None;
+            }
+            for (entry, w) in offsets.windows(2).enumerate() {
+                match mask.as_ref().is_some_and(|mask| mask[entry]) {
+                    true => nulls = true,
+                    false => _ = strings.id(bytes, w[0] as usize, w[1] as usize, true),
+                }
+            }
+        }
+        let values = strings.len() as u64;
+        Some((Digits::Strings(strings), values, nulls))
+    }
+}
+
+/// One column's digit of a [`Dense`] offset: a value's digit by `digits`
+/// when it is below `values`, a NULL `null` (already weighed; [`KEYLESS`]
+/// when the column has no NULL digit); each digit weighs `stride`.
 struct Radix {
-    min: i64,
+    digits: Digits,
     values: u64,
     null: usize,
     stride: usize,
 }
 
 impl Radix {
-    /// Add each row's digit, weighed, to its offset in `offsets`.
-    fn add(&self, block: &Block, offsets: &mut [usize]) {
+    /// Add each row's digit, weighed, to its offset in `offsets`. A
+    /// dictionary's digits are read once per entry, then gathered.
+    fn add(&mut self, block: &Block, offsets: &mut [usize]) {
         if let Block::Dictionary { dictionary, ids } = block {
             let mut entries = vec![0; dictionary.len()];
             self.add(dictionary, &mut entries);
@@ -676,26 +737,51 @@ impl Radix {
             rows.for_each(|(offset, &id)| *offset = offset.saturating_add(entries[id as usize]));
             return;
         }
-        let digit = |v: Option<i64>| match v {
-            None => self.null,
-            Some(v) => match (v as u64).wrapping_sub(self.min as u64) {
-                d if d < self.values => d as usize * self.stride,
-                _ => KEYLESS,
+        let Radix { digits, values, null, stride } = self;
+        let (values, null, stride) = (*values, *null, *stride);
+        let added = match digits {
+            Digits::Range { min } => {
+                let min = *min;
+                let digit = |v: Option<i64>| match v {
+                    None => null,
+                    Some(v) => match (v as u64).wrapping_sub(min as u64) {
+                        d if d < values => d as usize * stride,
+                        _ => KEYLESS,
+                    },
+                };
+                let mut rows = offsets.iter_mut();
+                for_integers(block, |v| {
+                    if let Some(offset) = rows.next() {
+                        *offset = offset.saturating_add(digit(v));
+                    }
+                })
+            }
+            Digits::Strings(strings) => match block {
+                Block::Varchar { offsets: ends, bytes, nulls } => {
+                    let rows = offsets.iter_mut().zip(ends.windows(2)).enumerate();
+                    for (row, (offset, w)) in rows {
+                        let digit = match nulls.as_ref().is_some_and(|mask| mask[row]) {
+                            true => null,
+                            false => match strings.id(bytes, w[0] as usize, w[1] as usize, false) {
+                                NO_KEY => KEYLESS,
+                                id => id as usize * stride,
+                            },
+                        };
+                        *offset = offset.saturating_add(digit);
+                    }
+                    Some(())
+                }
+                _ => None,
             },
         };
-        let mut rows = offsets.iter_mut();
-        let added = for_integers(block, |v| {
-            if let Some(offset) = rows.next() {
-                *offset = offset.saturating_add(digit(v));
-            }
-        });
         if added.is_none() {
             offsets.fill(KEYLESS);
         }
     }
 }
 
-/// Integral keys whose values span few slots: a key's id sits at its
+/// Keys whose columns each read as few enough digits — integers of a small
+/// range, strings of few dictionary entries: a key's id sits at its
 /// mixed-radix offset, one [`Radix`] digit per column.
 struct Dense {
     radices: Vec<Radix>,
@@ -707,37 +793,35 @@ impl Dense {
     /// The dense layout of the key columns `pages` (per page, per column,
     /// of `types`) when their spans multiply to at least 1 and at most
     /// `slots`; with `null_digit`, a column holding a NULL spans one more.
-    /// `None` for a column that is not integral, another product, or a span
-    /// or product past `u64`.
+    /// An integral column spans its range ([`Digits::range`]), a VARCHAR one
+    /// its dictionaries' distinct strings ([`Digits::strings`]). `None` for
+    /// another column, another product, or a span or product past `u64`.
     fn fit<K: Borrow<Block>>(
         types: &[DataType],
         pages: &[impl AsRef<[K]>],
         null_digit: bool,
         slots: usize,
     ) -> Option<Dense> {
-        if !types.iter().all(is_integral) {
+        if !has_digits(types) {
             return None;
         }
         let mut radices = Vec::with_capacity(types.len());
         let mut product = 1u64;
-        for column in 0..types.len() {
-            let (mut min, mut max, mut nulls) = (i64::MAX, i64::MIN, false);
-            for page in pages {
-                for_integers(page.as_ref().get(column)?.borrow(), |v| match v {
-                    Some(v) => (min, max) = (min.min(v), max.max(v)),
-                    None => nulls = true,
-                })?;
-            }
-            let values = match min <= max {
-                true => max.abs_diff(min).checked_add(1)?,
-                false => 0,
+        for (column, data_type) in types.iter().enumerate() {
+            let blocks = pages.iter().map(|page| page.as_ref().get(column).map(Borrow::borrow));
+            let (digits, values, nulls) = match data_type {
+                DataType::Varchar => Digits::strings(blocks, slots)?,
+                _ => Digits::range(blocks)?,
             };
             let null_digit = null_digit && nulls;
             let stride = product;
             product = product.checked_mul(values.checked_add(u64::from(null_digit))?)?;
-            // both are at most the product, which must fit `slots`
+            if product > slots as u64 {
+                return None;
+            }
+            // both are at most the product, which fits `slots`
             let null = if null_digit { (values * stride) as usize } else { KEYLESS };
-            radices.push(Radix { min, values, null, stride: stride as usize });
+            radices.push(Radix { digits, values, null, stride: stride as usize });
         }
         (1..=slots as u64).contains(&product).then(|| Dense {
             radices,
@@ -769,7 +853,7 @@ impl Keys for Dense {
         ids: &mut Vec<u32>,
     ) -> Result<()> {
         let mut offsets = vec![0; keys.first().map_or(0, |block| block.len())];
-        for (block, radix) in keys.iter().zip(&self.radices) {
+        for (block, radix) in keys.iter().zip(&mut self.radices) {
             radix.add(block, &mut offsets);
         }
         for (row, &offset) in offsets.iter().enumerate() {
@@ -1013,6 +1097,49 @@ mod tests {
         let mut groups = KeyTable::group_by(&types, &[&columns]);
         assert!(groups.dense_bytes() > 0);
         assert_eq!(ids(&mut groups, &columns), [0, 1, 2, 1]);
+    }
+
+    #[test]
+    fn varchar_dictionaries_beside_another_column_are_digits() {
+        let strings = |entries: &[Option<&str>], ids: Vec<u32>| {
+            let values: Vec<Value> =
+                entries.iter().map(|s| s.map_or(Value::Null, Value::from)).collect();
+            let dictionary = Box::new(Block::from_values(&DataType::Varchar, &values).unwrap());
+            Block::Dictionary { dictionary, ids }
+        };
+        // two pages: entries in another order, repeated, NULL and unused
+        let pages = [
+            [
+                strings(&[Some("b"), Some("a"), None], vec![0, 1, 2, 0]),
+                bigints(&[1, 1, 2, 2].map(Some)),
+            ],
+            [
+                strings(&[Some("a"), Some("zz"), Some("a"), None, Some("b")], vec![0, 2, 4, 3]),
+                bigints(&[1, 2, 1, 1].map(Some)),
+            ],
+        ];
+        let types = [DataType::Varchar, DataType::Bigint];
+        let mut groups = KeyTable::group_by(&types, &pages);
+        let mut joins = KeyTable::join(&types, &pages);
+        // 3 strings + NULL × 2 values, and 3 × 2 for the join: 8 rows, 16 slots
+        assert_eq!((groups.dense_bytes(), joins.dense_bytes()), (8 * 4, 6 * 4));
+        assert_eq!(ids(&mut groups, &pages[0]), [0, 1, 2, 3]);
+        assert_eq!(ids(&mut groups, &pages[1]), [1, 4, 0, 5]);
+        assert_eq!(ids(&mut joins, &pages[0]), [0, 1, NO_KEY, 2]);
+        assert_eq!(ids(&mut joins, &pages[1]), [1, 3, 0, NO_KEY]);
+        // a probe of strings the build never held, plain or a dictionary
+        let probe = [Block::varchar(&["a", "c", "zz", "b"]), bigints(&[1, 1, 2, 2].map(Some))];
+        let mut found = Vec::new();
+        joins.resolve(&probe, false, &mut found).unwrap();
+        assert_eq!(found, [1, NO_KEY, NO_KEY, 2]);
+        let probe =
+            [strings(&[Some("c"), Some("b")], vec![1, 0, 1]), bigints(&[1, 1, 2].map(Some))];
+        joins.resolve(&probe, false, &mut found).unwrap();
+        assert_eq!(found, [0, NO_KEY, 2]);
+        // a plain page, or one dictionary column alone, stays hashed
+        let plain = [Block::varchar(&["a", "b"]), bigints(&[1, 2].map(Some))];
+        assert_eq!(dense(&plain), (false, false));
+        assert_eq!(dense(&pages[0][..1]), (false, false));
     }
 
     #[test]

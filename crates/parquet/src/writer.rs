@@ -13,6 +13,7 @@
 //!
 //! Figures 18–20 measure exactly this difference under three codecs.
 
+use presto_common::dictionary::DictionaryBuilder;
 use presto_common::{Page, PrestoError, Result, Schema, Value};
 
 use crate::codec::{Codec, MatchTables};
@@ -38,9 +39,6 @@ impl Default for WriterProperties {
         WriterProperties { codec: Codec::Fast, row_group_rows: 10_000 }
     }
 }
-
-/// Upper bound on dictionary entries per chunk.
-const MAX_DICTIONARY_ENTRIES: usize = 1024;
 
 /// Which triplet-production strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,10 +211,10 @@ fn write_chunk(
     };
 
     // Dictionary decision: small distinct set on a large chunk.
-    let encoded = dictionary.build(&data.values);
+    let encoded = build_dictionary(dictionary, &data.values);
     let dictionary_page = encoded.then(|| {
         page.clear();
-        write_values(&data.values, Some(&dictionary.firsts), page);
+        write_values(&data.values, Some(dictionary.firsts()), page);
         compress(page)
     });
 
@@ -226,7 +224,7 @@ fn write_chunk(
     rle_encode_levels(&data.reps, page);
     rle_encode_levels(&data.defs, page);
     if encoded {
-        rle_encode(&dictionary.ids, page);
+        rle_encode(dictionary.ids(), page);
     } else {
         write_values(&data.values, None, page);
     }
@@ -236,7 +234,7 @@ fn write_chunk(
         encoding,
         num_triplets: data.len() as u64,
         dictionary_page,
-        dictionary_count: if encoded { dictionary.firsts.len() as u32 } else { 0 },
+        dictionary_count: if encoded { dictionary.firsts().len() as u32 } else { 0 },
         data_page: compress(page),
         stats: chunk_stats(data),
     }
@@ -264,90 +262,16 @@ fn write_values(values: &LeafValues, picks: Option<&[usize]>, w: &mut ByteWriter
     }
 }
 
-/// Multiplier of the dictionary table's multiplicative hash (2^64 / φ).
-const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = bytes.len() as u64;
-    let mut mix = |word: u64| h = (h ^ word).wrapping_mul(MIX).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
-    for word in words.by_ref() {
-        mix(u64::from_le_bytes(word.try_into().unwrap_or_default()));
-    }
-    mix(words.remainder().iter().fold(0, |w, &b| (w << 8) | u64::from(b)));
-    h
-}
-
-/// Assigns dictionary ids to a chunk's values in first-seen order, through
-/// one open-addressed table over keys borrowed from the chunk — an `i32`, an
-/// `i64` or a byte slice; nothing is copied per distinct value. The hash is
-/// not keyed: the table never holds more than the dictionary cut-off, so
-/// crafted collisions cost at most that many probes per value.
-#[derive(Default)]
-struct DictionaryBuilder {
-    /// Open-addressed slots: 0 for empty, else a dictionary id + 1.
-    table: Vec<u32>,
-    /// Per dictionary id, the index of the value that introduced it.
-    firsts: Vec<usize>,
-    /// Per value, its dictionary id.
-    ids: Vec<u32>,
-}
-
-impl DictionaryBuilder {
-    /// Build a dictionary when the distinct set is small enough to pay off:
-    /// at most [`MAX_DICTIONARY_ENTRIES`] values, and at most half the
-    /// chunk's. True when it is, with `firsts` and `ids` filled.
-    fn build(&mut self, values: &LeafValues) -> bool {
-        match values {
-            LeafValues::I64(v) => self.assign(v.len(), |i| v[i], |x| x as u64),
-            LeafValues::I32(v) => self.assign(v.len(), |i| v[i], |x| x as u64),
-            LeafValues::Bytes { offsets, data } => self.assign(
-                offsets.len() - 1,
-                |i| &data[offsets[i] as usize..offsets[i + 1] as usize],
-                hash_bytes,
-            ),
-            // booleans and doubles: dictionary rarely pays; skip (as real
-            // writers do for BOOLEAN, and DOUBLE dictionaries are uncommon)
-            LeafValues::Bool(_) | LeafValues::F64(_) => false,
-        }
-    }
-
-    fn assign<K: Copy + PartialEq>(
-        &mut self,
-        n: usize,
-        key: impl Fn(usize) -> K,
-        hash: impl Fn(K) -> u64,
-    ) -> bool {
-        if n < 8 {
-            return false;
-        }
-        // the distinct count only grows: past either cut-off the answer is no
-        let limit = MAX_DICTIONARY_ENTRIES.min(n / 2);
-        let slots = (2 * limit + 2).next_power_of_two();
-        let shift = 64 - slots.trailing_zeros();
-        self.table.clear();
-        self.table.resize(slots, 0);
-        self.firsts.clear();
-        self.ids.clear();
-        self.ids.reserve(n);
-        for i in 0..n {
-            let k = key(i);
-            let mut slot = (hash(k).wrapping_mul(MIX) >> shift) as usize;
-            let id = loop {
-                match self.table[slot] {
-                    0 if self.firsts.len() == limit => return false,
-                    0 => {
-                        self.firsts.push(i);
-                        self.table[slot] = self.firsts.len() as u32;
-                        break self.firsts.len() as u32 - 1;
-                    }
-                    id if key(self.firsts[id as usize - 1]) == k => break id - 1,
-                    _ => slot = (slot + 1) & (slots - 1),
-                }
-            };
-            self.ids.push(id);
-        }
-        true
+/// Build `values`' dictionary into `dictionary` when [`DictionaryBuilder`]'s
+/// rule says it pays. True when it does.
+fn build_dictionary(dictionary: &mut DictionaryBuilder, values: &LeafValues) -> bool {
+    match values {
+        LeafValues::I64(v) => dictionary.assign(v.len(), |i| v[i], |x| x as u64),
+        LeafValues::I32(v) => dictionary.assign(v.len(), |i| v[i], |x| x as u64),
+        LeafValues::Bytes { offsets, data } => dictionary.assign_strings(offsets, data, None),
+        // booleans and doubles: dictionary rarely pays; skip (as real
+        // writers do for BOOLEAN, and DOUBLE dictionaries are uncommon)
+        LeafValues::Bool(_) | LeafValues::F64(_) => false,
     }
 }
 

@@ -293,6 +293,19 @@ fn analyze_expr(expr: &Expr, scope: &Scope, ctx: &AnalyzerContext) -> Result<Row
             let analyzed: Vec<RowExpression> =
                 args.iter().map(|a| analyze_expr(a, scope, ctx)).collect::<Result<Vec<_>>>()?;
             let arg_types: Vec<DataType> = analyzed.iter().map(|e| e.data_type()).collect();
+            if name == "coalesce" {
+                // the first non-NULL argument; all of one type
+                return match arg_types.first() {
+                    Some(t) if arg_types.iter().all(|a| a == t) => Ok(RowExpression::SpecialForm {
+                        form: SpecialForm::Coalesce,
+                        return_type: t.clone(),
+                        args: analyzed,
+                    }),
+                    _ => Err(PrestoError::Analysis(format!(
+                        "coalesce() takes arguments of one type, got {arg_types:?}"
+                    ))),
+                };
+            }
             let handle = ctx.registry.resolve(name, &arg_types)?;
             Ok(RowExpression::Call { handle, args: analyzed })
         }
@@ -1060,6 +1073,13 @@ mod tests {
             }
         }
         assert!(has_empty_agg(&plan));
+    }
+
+    #[test]
+    fn coalesce_takes_arguments_of_one_type() {
+        let plan = plan_for("SELECT coalesce(datestr, 'none') AS d FROM trips");
+        assert_eq!(plan.output_schema().unwrap().fields()[0].data_type, DataType::Varchar);
+        assert_eq!(analyze_err("SELECT coalesce(datestr, 1) FROM trips").code(), "ANALYSIS_ERROR");
     }
 
     #[test]

@@ -7,11 +7,13 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
@@ -45,6 +47,13 @@ static ALLOCATOR: Counting = Counting;
 /// Allocations (and reallocations) this thread has made so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes this thread has allocated so far, a reallocation counting its new
+/// size whole.
+#[allow(dead_code)]
+pub fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The largest single allocation, in bytes, this thread has made since

@@ -7,7 +7,8 @@
 //! sized once for its build side, allocates the same at any row count. The
 //! largest single allocation guards what must not be copied at all: a
 //! column under `count(*)`, and the pages a root fragment's exchanges
-//! deliver; and what must stay narrow: a sort's per-row state.
+//! deliver; and what must stay narrow: a sort's per-row state. The bytes a
+//! GROUP BY over dictionary strings allocates guard its per-row key state.
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -219,4 +220,49 @@ fn the_root_fragment_moves_its_exchanged_pages() {
     assert_eq!(out.iter().map(Page::positions).sum::<usize>(), 3 * ROWS);
     let column = ROWS * std::mem::size_of::<i64>();
     assert!(largest < column, "one allocation of {largest} bytes; a column is {column}");
+}
+
+/// A GROUP BY over two dictionary VARCHAR columns reads each page's keys as
+/// digits of a dense table, one lookup per dictionary entry: per row it
+/// allocates only the ids the scan hands out (4 B a column), the keys'
+/// offsets (8 B) and their group ids (4 B). Interning the strings per row
+/// would add a key word and an id per column, 24 B or more.
+#[test]
+fn a_group_by_over_dictionary_varchars_allocates_no_per_row_key_state() {
+    const PAGES: usize = 6;
+    const ROWS: usize = 60_000;
+    let schema = Schema::new(vec![
+        Field::new("flag", DataType::Varchar),
+        Field::new("status", DataType::Varchar),
+    ])
+    .unwrap();
+    // each page's entries in its own order, then one no row uses
+    let column = |used: &[&str], page: usize, value: fn(usize) -> usize| {
+        let n = used.len();
+        let mut entries = used.to_vec();
+        entries.rotate_left(page % n);
+        entries.push("unused");
+        let rows = page * ROWS / PAGES..(page + 1) * ROWS / PAGES;
+        let ids = rows.map(|i| ((value(i) + n - page % n) % n) as u32).collect();
+        Block::Dictionary { dictionary: Box::new(Block::varchar(&entries)), ids }
+    };
+    let pages = (0..PAGES)
+        .map(|p| {
+            let flag = column(&["R", "A", "N"], p, |i| i % 3);
+            let status = column(&["O", "F"], p, |i| i / 3 % 2);
+            Page::new(vec![flag, status]).unwrap()
+        })
+        .collect();
+    let memory = MemoryConnector::new();
+    memory.create_table("t", "codes", schema, pages).unwrap();
+    let engine = PrestoEngine::new();
+    engine.register_catalog("memory", Arc::new(memory));
+    let session = Session::new("memory", "t");
+    let sql = "SELECT flag, status, count(*) FROM codes GROUP BY 1, 2";
+    let before = counting::bytes();
+    let result = engine.execute_with_session(sql, &session).unwrap();
+    let bytes = counting::bytes() - before;
+    assert_eq!(result.row_count(), 6);
+    let bound = (2 * 4 + 8 + 4) * ROWS + (64 << 10);
+    assert!(bytes as usize <= bound, "{bytes} bytes allocated over {ROWS} rows, bound {bound}");
 }

@@ -1,5 +1,6 @@
 //! Differential test of the typed breakers — hash aggregation, hash join,
-//! sort and top-N — against a row-at-a-time reference kept in this file.
+//! sort and top-N — against a row-at-a-time reference
+//! (`tests/common/reference.rs`, and the stable sort in [`sort_case`]).
 //!
 //! The reference is the algorithm the executor ran before it went typed: a
 //! `HashMap<Vec<Value>, Vec<Accumulator>>` per aggregation, a nested loop
@@ -24,18 +25,20 @@
 //! another third of the joins have a unique build key ([`unique_keys`]),
 //! and half the joins emit a narrowed list of channels.
 
+#[path = "common/reference.rs"]
+mod reference;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use reference::{cmp_keys, exact, reference_aggregate, reference_join};
 
 use presto_common::{Block, DataType, Field, Page, Schema, Value};
 use presto_connectors::CatalogRegistry;
 use presto_exec::keys::{KeyTable, NO_KEY};
 use presto_exec::{execute, ExecutionContext};
-use presto_expr::{
-    Accumulator, AggregateFunction, Evaluator, FunctionHandle, FunctionRegistry, RowExpression,
-};
+use presto_expr::{AggregateFunction, FunctionHandle, RowExpression};
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
 use presto_resource::SpillManager;
 
@@ -133,8 +136,12 @@ fn value(g: &mut Gen, dt: &DataType) -> Value {
 const INTEGRAL: [DataType; 5] =
     [DataType::Boolean, DataType::Bigint, DataType::Integer, DataType::Date, DataType::Timestamp];
 
-/// As [`value`], but an integer is one of -3..=3: a few such columns span
-/// few enough slots that their key tables are dense.
+/// The column beside a VARCHAR dictionary digit.
+const SMALL_DIGITS: [DataType; 3] = [DataType::Varchar, DataType::Bigint, DataType::Date];
+
+/// As [`value`], but an integer is one of -3..=3 and a string one of four
+/// (one past the 7 bytes that pack in a word): a few such columns span few
+/// enough slots that their key tables are dense.
 fn small_value(g: &mut Gen, dt: &DataType) -> Value {
     if g.below(6) == 0 {
         return Value::Null;
@@ -145,6 +152,7 @@ fn small_value(g: &mut Gen, dt: &DataType) -> Value {
         DataType::Integer => Value::Integer(v as i32),
         DataType::Date => Value::Date(v as i32),
         DataType::Timestamp => Value::Timestamp(v),
+        DataType::Varchar => Value::Varchar(g.pick(&["", "a", "a\u{0}", "abcdefgh"]).into()),
         _ => value(g, dt),
     }
 }
@@ -258,6 +266,19 @@ impl Table {
         all
     }
 
+    /// Make column `c` a dictionary on every page ([`dictionary`]: entries
+    /// in the reverse of row order, repeated as rows repeat, and one drawn
+    /// by `draw` that no row may use).
+    fn dictionary_column(&mut self, g: &mut Gen, c: usize, draw: Draw) {
+        let data_type = self.schema.field_at(c).data_type.clone();
+        for (page, rows) in self.pages.iter_mut().zip(&self.rows) {
+            let column: Vec<Value> = rows.iter().map(|row| row[c].clone()).collect();
+            let mut blocks = std::mem::replace(page, Page::empty()).into_blocks();
+            blocks[c] = dictionary(g, &data_type, &column, draw);
+            *page = Page::new(blocks).unwrap();
+        }
+    }
+
     fn all_rows(&self) -> Vec<Vec<Value>> {
         self.rows.iter().flatten().cloned().collect()
     }
@@ -343,132 +364,11 @@ fn flat(pages: &[Vec<Vec<Value>>]) -> Vec<Vec<Value>> {
     pages.iter().flatten().cloned().collect()
 }
 
-/// Rows as text to the bit: `{:?}` prints every NaN alike, so each NaN's
-/// bits follow, in order.
-fn exact(rows: &[Vec<Value>]) -> String {
-    let nans = rows.iter().flatten().filter_map(|v| match v {
-        Value::Double(x) if x.is_nan() => Some(x.to_bits()),
-        _ => None,
-    });
-    format!("{rows:?}, NaNs {:x?}", nans.collect::<Vec<_>>())
-}
-
 /// Rows in an order of their own, for multiset comparison.
 fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<String> {
     let mut keys: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
     keys.sort();
     keys
-}
-
-// -------------------------------------------------------------- reference
-
-fn cmp_keys(a: &[Value], b: &[Value], descending: &[bool]) -> std::cmp::Ordering {
-    a.iter()
-        .zip(b)
-        .zip(descending)
-        .map(|((x, y), desc)| if *desc { x.total_cmp(y).reverse() } else { x.total_cmp(y) })
-        .find(|o| o.is_ne())
-        .unwrap_or(std::cmp::Ordering::Equal)
-}
-
-/// Rows that [`cmp_keys`] calls equal, told apart by the bits of their
-/// DOUBLE values, column by column.
-fn cmp_bits(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-    let bits = |v: &Value| match v {
-        Value::Double(x) => Some(x.to_bits()),
-        _ => None,
-    };
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| bits(x).cmp(&bits(y)))
-        .find(|o| o.is_ne())
-        .unwrap_or(std::cmp::Ordering::Equal)
-}
-
-/// Hash aggregation one boxed row at a time; groups sorted as whole rows
-/// (key, then aggregates), then by the bits of their doubles ([`cmp_bits`]),
-/// what still ties in first-seen order.
-fn reference_aggregate(
-    rows: &[Vec<Value>],
-    keys: &[usize],
-    aggregates: &[(AggregateFunction, Option<usize>)],
-    step: AggregateStep,
-) -> Vec<Vec<Value>> {
-    let fresh = || aggregates.iter().map(|(f, _)| f.new_accumulator()).collect::<Vec<_>>();
-    let mut groups: HashMap<Vec<Value>, (usize, Vec<Accumulator>)> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
-        let seen = groups.len();
-        let (_, accs) = groups.entry(key).or_insert_with(|| (seen, fresh()));
-        for (acc, (function, argument)) in accs.iter_mut().zip(aggregates) {
-            match (step, argument.map(|c| &row[c])) {
-                (AggregateStep::Single, None) => acc.add_count(1),
-                (AggregateStep::Single, Some(v)) => acc.add(v),
-                (AggregateStep::FinalOverPartial, Some(partial)) => match function {
-                    AggregateFunction::Count | AggregateFunction::CountStar => {
-                        acc.add_count(partial.as_i64().unwrap_or(0));
-                    }
-                    _ => acc.add(partial),
-                },
-                (AggregateStep::FinalOverPartial, None) => unreachable!("not generated"),
-            }
-        }
-    }
-    if groups.is_empty() && keys.is_empty() {
-        groups.insert(Vec::new(), (0, fresh()));
-    }
-    let mut out: Vec<(usize, Vec<Value>)> = groups
-        .into_iter()
-        .map(|(mut key, (seen, accs))| {
-            key.extend(accs.iter().map(Accumulator::finish));
-            (seen, key)
-        })
-        .collect();
-    let ascending = vec![false; keys.len() + aggregates.len()];
-    out.sort_by(|a, b| {
-        cmp_keys(&a.1, &b.1, &ascending).then_with(|| cmp_bits(&a.1, &b.1)).then(a.0.cmp(&b.0))
-    });
-    out.into_iter().map(|(_, row)| row).collect()
-}
-
-/// Nested-loop equi-join, page by page: a probe page's matches by (probe
-/// row, build row), then — LEFT — its unmatched rows null-extended.
-fn reference_join(
-    probe: &Table,
-    build: &Table,
-    kind: JoinKind,
-    on: &[(usize, usize)],
-    residual: Option<&RowExpression>,
-) -> Vec<Vec<Vec<Value>>> {
-    let evaluator = Evaluator::new(FunctionRegistry::new());
-    let build_rows = build.all_rows();
-    let mut out = Vec::new();
-    for page in &probe.rows {
-        let (mut matched, mut unmatched) = (Vec::new(), Vec::new());
-        for left in page {
-            let before = matched.len();
-            for right in &build_rows {
-                let equal = |&(l, r): &(usize, usize)| {
-                    left[l].sql_cmp(&right[r]) == Some(std::cmp::Ordering::Equal)
-                };
-                let pair: Vec<Value> = left.iter().chain(right).cloned().collect();
-                let passes =
-                    |expr| evaluator.evaluate_scalar(expr, &pair).unwrap() == Value::Boolean(true);
-                if on.iter().all(equal) && residual.is_none_or(passes) {
-                    matched.push(pair);
-                }
-            }
-            if matched.len() == before && kind == JoinKind::Left {
-                let nulls = std::iter::repeat_n(Value::Null, build.schema.len());
-                unmatched.push(left.iter().cloned().chain(nulls).collect());
-            }
-        }
-        matched.extend(unmatched);
-        if !matched.is_empty() {
-            out.push(matched);
-        }
-    }
-    out
 }
 
 // ------------------------------------------------------------ properties
@@ -673,13 +573,17 @@ fn join_case(seed: u64) -> bool {
         residual: residual.clone(),
         output: output.clone(),
     };
-    let expected: Vec<Vec<Vec<Value>>> =
-        reference_join(&probe, &build, kind, &on, residual.as_ref())
-            .into_iter()
-            .map(|page| {
-                page.iter().map(|row| output.iter().map(|&c| row[c].clone()).collect()).collect()
-            })
-            .collect();
+    let expected: Vec<Vec<Vec<Value>>> = reference_join(
+        &probe.rows,
+        &build.all_rows(),
+        build.schema.len(),
+        kind,
+        &on,
+        residual.as_ref(),
+    )
+    .into_iter()
+    .map(|page| page.iter().map(|row| output.iter().map(|&c| row[c].clone()).collect()).collect())
+    .collect();
     let (actual, _) = run(&plan, &[&probe, &build], None);
     let by_page = |pages: &[Vec<Vec<Value>>]| pages.iter().map(|p| exact(p)).collect::<Vec<_>>();
     assert_eq!(by_page(&actual.unwrap()), by_page(&expected), "seed {seed}");
@@ -848,7 +752,7 @@ proptest! {
     }
 
     /// The codec's contract, directly ([`key_codec_case`]); every fourth
-    /// case draws the small-range integers of the dense layout.
+    /// case draws the small-range keys of the dense layout.
     #[test]
     fn key_codec_equality_is_vec_value_equality(seed in any::<u64>()) {
         let g = &mut Gen(seed);
@@ -864,16 +768,23 @@ const NO_PAGES: &[&[Block]] = &[];
 /// an id exactly when their keys are equal as `Vec<Value>`; ids are dense in
 /// first-seen order; a join table gives NULL and NaN rows no key at all.
 /// Each table laid out over the pages deals the same ids as a hashed one
-/// grown from empty — for `small` integral keys (drawn from -3..=3, NULLs
-/// among them) mostly a dense table against a hashed one. Every page again
-/// with each column a dictionary gets the same ids. Other key shapes cover
-/// the packed word (VARCHAR interned, alone or beside BIGINT) and the byte
-/// layout (nested, or four VARCHARs: 132 bits). Returns whether the
-/// group-by table was dense.
+/// grown from empty — for `small` keys (integers from -3..=3, NULLs among
+/// them) mostly a dense table against a hashed one. Half the `small` tables
+/// are a VARCHAR of four strings that is a dictionary on every page
+/// (entries per page in another order, repeated, NULL, unused) and another
+/// small column: the dense layout's digits, dense past 20 rows. Every page again with each column
+/// a dictionary gets the same ids. A probe page of other values — strings
+/// and integers the build rows never held among them — finds exactly the
+/// ids of equal build rows. Other key shapes cover the packed word (VARCHAR
+/// interned, alone or beside BIGINT) and the byte layout (nested, or four
+/// VARCHARs: 132 bits). Returns whether the group-by table was dense.
 fn key_codec_case(seed: u64, small: bool) -> bool {
     let g = &mut Gen(seed);
     let (types, draw): (Vec<DataType>, Draw) = match small {
-        true => (integral_types(g, 1), small_value),
+        true => match g.below(2) {
+            0 => (vec![DataType::Varchar, g.pick(&SMALL_DIGITS)], small_value),
+            _ => (integral_types(g, 1), small_value),
+        },
         false => {
             let mut types = random_types(g, 1);
             types.truncate(3);
@@ -887,10 +798,20 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
             (types, value)
         }
     };
-    let table = Table::drawn(g, types.clone(), draw);
+    let mut table = Table::drawn(g, types.clone(), draw);
+    let digits = small && types[0] == DataType::Varchar;
+    if digits {
+        for c in table.columns_of(|t| *t == DataType::Varchar) {
+            table.dictionary_column(g, c, draw);
+        }
+    }
     let rows = table.all_rows();
     let columns = table.columns();
     let mut groups = KeyTable::group_by(&types, &columns);
+    // spans of at most 5 × 8 fit the 64 slots of 20 rows
+    if digits && rows.len() >= 20 {
+        prop_assert!(groups.dense_bytes() > 0, "VARCHAR dictionary digits, seed {}", seed);
+    }
     let mut hashed = KeyTable::group_by(&types, NO_PAGES);
     let mut joins = KeyTable::join(&types, &columns);
     let mut grown = KeyTable::join(&types, NO_PAGES);
@@ -971,11 +892,33 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     }
     prop_assert_eq!(&again, &ids);
     prop_assert_eq!(groups.interned(), interned);
+    // a probe page: a lookup finds the id of an equal build row, or no key
+    let probe = Table::drawn(g, types.clone(), if small { probe_value } else { value });
+    let group_of: HashMap<&Vec<Value>, u32> =
+        rows.iter().zip(&ids).map(|(r, &id)| (r, id)).collect();
+    let join_of: HashMap<&Vec<Value>, u32> = rows
+        .iter()
+        .zip(&join_ids)
+        .filter(|(_, &id)| id != NO_KEY)
+        .map(|(r, &id)| (r, id))
+        .collect();
+    for (page, page_rows) in probe.pages.iter().zip(&probe.rows) {
+        groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        let expected: Vec<u32> =
+            page_rows.iter().map(|r| group_of.get(r).copied().unwrap_or(NO_KEY)).collect();
+        prop_assert_eq!(&page_ids, &expected, "group-by lookup, seed {}", seed);
+        joins.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        let expected: Vec<u32> =
+            page_rows.iter().map(|r| join_of.get(r).copied().unwrap_or(NO_KEY)).collect();
+        prop_assert_eq!(&page_ids, &expected, "join lookup, seed {}", seed);
+    }
+    prop_assert_eq!(groups.interned(), interned);
     groups.dense_bytes() > 0
 }
 
-/// [`key_codec_case`] on the small-range integral shape over 10k seeds:
-/// the dense tables against the hashed ones, at soak size.
+/// [`key_codec_case`] on the small-range shape over 10k seeds — integral
+/// keys and VARCHAR dictionary digits: the dense tables against the hashed
+/// ones, at soak size.
 #[test]
 #[ignore = "release soak: `cargo test --release -p presto-at-scale --test exec_typed -- --ignored`"]
 fn dense_key_tables_deal_the_hashed_ids_soak() {
