@@ -431,11 +431,6 @@ impl Block {
         }
     }
 
-    /// Number of NULL rows.
-    pub fn null_count(&self) -> usize {
-        (0..self.len()).filter(|&i| self.is_null(i)).count()
-    }
-
     /// Materialize row `i` as a scalar [`Value`]. Slow path — used for
     /// result display, group keys, and test oracles.
     pub fn value(&self, i: usize) -> Value {
@@ -1096,7 +1091,7 @@ mod tests {
         let vals = vec![Value::Bigint(1), Value::Null, Value::Bigint(3), Value::Bigint(-7)];
         let block = Block::from_values(&DataType::Bigint, &vals).unwrap();
         assert_eq!(block.len(), 4);
-        assert_eq!(block.null_count(), 1);
+        assert_eq!((0..block.len()).filter(|&i| block.is_null(i)).count(), 1);
         assert_eq!(block.to_values(), vals);
     }
 

@@ -7,18 +7,18 @@
 //! dictionaries, and keeps data in that encoded, columnar form from the
 //! moment a segment is sealed until a [`Page`] leaves the connector:
 //!
-//! - data lands in immutable **segments** (`realtime/segment.rs`): per
-//!   dimension a sorted dictionary, one code per row and a CSR **inverted
-//!   index** (code → row ids); `ts` and BIGINT/INTEGER metrics as `i64`
-//!   columns, DOUBLE metrics as `f64` columns. There is **no rollup at
-//!   ingest**: the raw scan path (and anything checking answers row by
-//!   row) needs every event, so pre-aggregation happens per query, not per
-//!   segment;
+//! - data lands in immutable **segments** (`realtime/segment.rs`), every
+//!   column a NOT NULL engine [`presto_common::Block`]: per dimension a
+//!   `Block::Dictionary` over its sorted values with a CSR **inverted
+//!   index** (code → row ids); `ts` and each metric a typed block. There is
+//!   **no rollup at ingest**: the raw scan path (and anything checking
+//!   answers row by row) needs every event, so pre-aggregation happens per
+//!   query, not per segment;
 //! - one columnar **kernel** (`realtime/kernel.rs`) serves every entry
 //!   point: bind column names once, select rows by driving from the most
 //!   selective posting list and probing the other conjuncts, then either
-//!   aggregate column-at-a-time into slot-indexed typed arrays or gather
-//!   blocks;
+//!   aggregate them through the engine's `GroupedAccumulator` (the states
+//!   the final step merges) or gather blocks;
 //! - the **native query API** ([`RealtimeStore::execute_native`]) returns
 //!   aggregated rows with a virtual cost — the sub-second path;
 //! - the **raw scan API** ([`RealtimeStore::scan_segments`]) streams
@@ -50,7 +50,7 @@ use crate::spi::{
     ColumnPath, Connector, ConnectorSplit, ScanCapabilities, ScanHooks, ScanRequest, SplitPayload,
 };
 use kernel::GroupedAggregation;
-use segment::{ColumnRef, IntKind, Segment};
+use segment::{ColumnRef, Segment};
 
 /// Store cost model (virtual time).
 #[derive(Debug, Clone)]
@@ -200,7 +200,7 @@ impl RealtimeStore {
     /// number of varchar dimensions and numeric metrics.
     pub fn create_table(&self, schema_name: &str, table: &str, schema: Schema) -> Result<()> {
         // each column's position within its kind's vector of a segment
-        let (mut dims, mut ints, mut doubles) = (0, 0, 0);
+        let (mut dims, mut numbers) = (0, 0);
         let next = |counter: &mut usize| {
             *counter += 1;
             *counter - 1
@@ -211,12 +211,12 @@ impl RealtimeStore {
             columns.push(match &f.data_type {
                 DataType::Timestamp if !has_time => {
                     has_time = true;
-                    ColumnRef::Int(next(&mut ints), IntKind::Timestamp)
+                    ColumnRef::Number(next(&mut numbers))
                 }
                 DataType::Varchar => ColumnRef::Dim(next(&mut dims)),
-                DataType::Bigint => ColumnRef::Int(next(&mut ints), IntKind::Bigint),
-                DataType::Integer => ColumnRef::Int(next(&mut ints), IntKind::Integer),
-                DataType::Double => ColumnRef::Double(next(&mut doubles)),
+                DataType::Bigint | DataType::Integer | DataType::Double => {
+                    ColumnRef::Number(next(&mut numbers))
+                }
                 other => {
                     return Err(PrestoError::Connector(format!(
                         "{} does not support column type {other}",
@@ -261,7 +261,7 @@ impl RealtimeStore {
         }
         t.segments.reserve_exact(rows.len().div_ceil(self.rows_per_segment));
         for chunk in rows.chunks(self.rows_per_segment) {
-            t.segments.push(Segment::seal(&t.columns, chunk));
+            t.segments.push(Segment::seal(&t.schema, &t.columns, chunk));
         }
         Ok(())
     }
@@ -350,7 +350,7 @@ impl RealtimeStore {
             let selection = kernel::select(seg, &conjuncts, &mut candidates);
             matched += selection.len() as u64;
             cost = cost.max(self.segment_cost(selection.len()));
-            aggregation.consume(seg, &selection);
+            aggregation.consume(seg, &selection)?;
         }
         self.metrics.add(names::RT_ROWS_MATCHED, matched);
         Ok((aggregation.finish()?, cost, matched))

@@ -1,22 +1,25 @@
 //! The columnar kernel behind every entry point of the store: select rows
-//! from the indexes, then either aggregate them into slot-indexed typed
-//! arrays or gather them into blocks. Nothing here builds a row.
+//! from the indexes, then either aggregate them or gather them into blocks.
+//! Nothing here builds a row.
 //!
 //! Typed fast paths cover what dashboards send (dimension `=`/`IN`,
-//! integer and double ranges, group-by on dimensions, `count`/`sum`/`min`/
-//! `max` over numbers). Everything else takes the *reference* form of the
-//! same step — [`ScalarPredicate::matches`] on a scalar, a
-//! [`presto_expr::Accumulator`], a hashed `Vec<Value>` key — chosen from
+//! integer and double ranges, group-by on dimensions). Aggregation is the
+//! engine's: each aggregate is a [`GroupedAccumulator`], handed the
+//! segment's column block, the selected rows and each row's group slot, so
+//! the store's partial states are the ones the engine's final step merges.
+//! Everything else takes the *reference* form of the same step —
+//! [`ScalarPredicate::matches`] on a scalar, a hashed `Vec<Value>` key, the
+//! accumulator's own per-group [`presto_expr::Accumulator`] — chosen from
 //! the request's column kinds and literal types alone.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use presto_common::{Block, DataType, Page, Result, Value};
-use presto_expr::{Accumulator, AggregateFunction};
+use presto_expr::{AggregateFunction, GroupedAccumulator};
 use presto_parquet::{Domain, ScalarPredicate, TypedPredicate};
 
-use super::segment::{ColumnRef, DimColumn, IntKind, Segment};
+use super::segment::{ColumnRef, DimColumn, Segment};
 use super::RealtimeTable;
 
 // ---------------------------------------------------------------- selection
@@ -46,26 +49,31 @@ impl<'a> Selection<'a> {
         }
     }
 
-    fn for_each(&self, mut f: impl FnMut(usize)) {
+    /// The selected rows; `None` for every row.
+    fn rows(&self) -> Option<&'a [u32]> {
         match self {
-            Selection::All(n) => (0..*n).for_each(f),
-            Selection::Rows(rows) => rows.iter().for_each(|&r| f(r as usize)),
+            Selection::All(_) => None,
+            Selection::Rows(rows) => Some(rows),
         }
     }
 
-    /// Append `f(row)` for every selected row, reserving once.
-    fn map_into(&self, out: &mut Vec<u32>, mut f: impl FnMut(usize) -> u32) {
+    /// Replace `out` with `f` of each selected value of `column`.
+    fn gather_into<T: Copy, U>(&self, column: &[T], out: &mut Vec<U>, f: impl FnMut(T) -> U) {
+        out.clear();
         match self {
-            Selection::All(n) => out.extend((0..*n).map(f)),
-            Selection::Rows(rows) => out.extend(rows.iter().map(|&r| f(r as usize))),
+            Selection::All(n) => out.extend(column[..*n].iter().copied().map(f)),
+            Selection::Rows(rows) => out.extend(rows.iter().map(|&r| column[r as usize]).map(f)),
         }
     }
 
-    /// The selected values of `column`, at exact capacity.
-    fn gather<T: Copy>(&self, column: &[T]) -> Vec<T> {
+    /// The selected rows of `block`.
+    fn take(&self, block: &Block) -> Block {
         match self {
-            Selection::All(n) => column[..*n].to_vec(),
-            Selection::Rows(rows) => rows.iter().map(|&r| column[r as usize]).collect(),
+            Selection::All(n) if *n == block.len() => block.clone(),
+            Selection::All(n) => block.slice(0, *n),
+            Selection::Rows(rows) => {
+                block.take(&rows.iter().map(|&r| r as usize).collect::<Vec<_>>())
+            }
         }
     }
 }
@@ -74,9 +82,10 @@ impl<'a> Selection<'a> {
 pub(super) enum Conjunct<'q> {
     /// A dimension predicate: evaluated on each segment's dictionary.
     Dim(usize, &'q ScalarPredicate),
-    /// An integer column (index into `Segment::ints`) within an interval or set.
+    /// `ts` or an integer metric (index into `Segment::numbers`) within an
+    /// interval or set.
     Int(usize, Domain<i64>),
-    /// A double column within an interval or set (NaN is outside every one).
+    /// A double metric within an interval or set (NaN is outside every one).
     Double(usize, Domain<f64>),
     /// A numeric column whose literals need [`Value::sql_cmp`]: whatever
     /// [`ScalarPredicate::matches`] says of each candidate row's scalar.
@@ -94,10 +103,10 @@ pub(super) fn compile<'q>(
             let (column, data_type) = table.column(name)?;
             Ok(match (column, pred.typed(data_type)) {
                 (ColumnRef::Dim(d), _) => Conjunct::Dim(d, pred),
-                (ColumnRef::Int(i, _), Some(TypedPredicate::Int(domain))) => {
+                (ColumnRef::Number(i), Some(TypedPredicate::Int(domain))) => {
                     Conjunct::Int(i, domain)
                 }
-                (ColumnRef::Double(i), Some(TypedPredicate::Double(domain))) => {
+                (ColumnRef::Number(i), Some(TypedPredicate::Double(domain))) => {
                     Conjunct::Double(i, domain)
                 }
                 _ => Conjunct::Reference(column, pred),
@@ -181,33 +190,50 @@ pub(super) fn select<'a>(
         }
         every_row = None;
     }
+    // each probe takes its slices by value, which keeps them in registers
+    // while `retain` writes the candidates
     for (i, (dim, codes, _)) in dims.iter().enumerate() {
         if Some(i) == driver {
             continue;
         }
         if let [code] = codes[..] {
-            probe(every_row.take(), buf, |r| dim.ids[r] == code);
+            let ids = dim.ids();
+            probe(every_row.take(), buf, move |r| ids[r] == code);
         } else {
             let mut member = vec![false; dim.cardinality()];
             for &code in codes {
                 member[code as usize] = true;
             }
-            probe(every_row.take(), buf, |r| member[dim.ids[r] as usize]);
+            let ids = dim.ids();
+            let member = &member[..];
+            probe(every_row.take(), buf, move |r| member[ids[r] as usize]);
         }
     }
     for conjunct in conjuncts {
         match conjunct {
             Conjunct::Dim(..) => {}
-            Conjunct::Int(i, domain) => {
-                let column = &seg.ints[*i];
-                probe(every_row.take(), buf, |r| domain.contains(column[r]));
-            }
-            Conjunct::Double(i, domain) => {
-                let column = &seg.doubles[*i];
-                probe(every_row.take(), buf, |r| domain.contains(column[r]));
-            }
+            // compiled from the column's type, so the block is of it
+            Conjunct::Int(i, domain) => match &seg.numbers[*i] {
+                Block::Bigint { values, .. } | Block::Timestamp { values, .. } => {
+                    let values = &values[..];
+                    probe(every_row.take(), buf, move |r| domain.contains(values[r]));
+                }
+                Block::Integer { values, .. } => {
+                    let values = &values[..];
+                    probe(every_row.take(), buf, move |r| domain.contains(i64::from(values[r])));
+                }
+                other => unreachable!("an integer domain over {}", other.data_type()),
+            },
+            Conjunct::Double(i, domain) => match &seg.numbers[*i] {
+                Block::Double { values, .. } => {
+                    let values = &values[..];
+                    probe(every_row.take(), buf, move |r| domain.contains(values[r]));
+                }
+                other => unreachable!("a double domain over {}", other.data_type()),
+            },
             Conjunct::Reference(column, pred) => {
-                probe(every_row.take(), buf, |r| pred.matches(&seg.value(*column, r)));
+                let block = seg.column(*column);
+                probe(every_row.take(), buf, |r| pred.matches(&block.value(r)));
             }
         }
     }
@@ -220,153 +246,6 @@ pub(super) fn select<'a>(
 /// group-by dictionaries' sizes stays below this many entries (256 KB).
 const DENSE_REMAP_MAX: usize = 1 << 16;
 
-/// The group slot of each selected row of one segment.
-enum Slots<'a> {
-    /// No GROUP BY: every row belongs to slot 0.
-    One,
-    /// Parallel to the selection.
-    PerRow(&'a [u32]),
-}
-
-/// Feed every selected value of `column` to `f` with its row's slot.
-fn fold<T: Copy>(sel: &Selection, slots: &Slots, column: &[T], mut f: impl FnMut(usize, T)) {
-    match (sel, slots) {
-        (Selection::All(n), Slots::One) => column[..*n].iter().for_each(|&v| f(0, v)),
-        (Selection::All(n), Slots::PerRow(slots)) => {
-            column[..*n].iter().zip(*slots).for_each(|(&v, &s)| f(s as usize, v));
-        }
-        (Selection::Rows(rows), Slots::One) => rows.iter().for_each(|&r| f(0, column[r as usize])),
-        (Selection::Rows(rows), Slots::PerRow(slots)) => {
-            rows.iter().zip(*slots).for_each(|(&r, &s)| f(s as usize, column[r as usize]));
-        }
-    }
-}
-
-/// `best[slot]` ← the smaller (or larger) of itself and `v`; like
-/// [`Accumulator::MinMax`], the first value always lands and an unordered
-/// comparison (NaN) changes nothing.
-fn keep_best<T: Copy + PartialOrd>(best: &mut Option<T>, v: T, is_min: bool) {
-    let better = match best {
-        None => true,
-        Some(b) if is_min => v < *b,
-        Some(b) => v > *b,
-    };
-    if better {
-        *best = Some(v);
-    }
-}
-
-/// One aggregate's state for every group slot.
-enum Aggregate {
-    /// `count(*)` / `count(col)`: columns are NOT NULL, so both count rows.
-    Count(Vec<i64>),
-    /// Wrapping `sum` of an integer metric.
-    SumInt { column: usize, sums: Vec<i64> },
-    /// `sum` of a double metric, added in row order.
-    SumDouble { column: usize, sums: Vec<f64> },
-    /// `min`/`max` of `ts` or an integer metric.
-    BestInt { column: usize, kind: IntKind, is_min: bool, best: Vec<Option<i64>> },
-    /// `min`/`max` of a double metric.
-    BestDouble { column: usize, is_min: bool, best: Vec<Option<f64>> },
-    /// Anything else, one [`Accumulator`] per slot fed scalars (`None`
-    /// column = fed row counts, which only a count accumulates).
-    Reference { function: AggregateFunction, column: Option<ColumnRef>, states: Vec<Accumulator> },
-}
-
-impl Aggregate {
-    fn new(function: AggregateFunction, column: Option<ColumnRef>) -> Aggregate {
-        use AggregateFunction::{Count, CountStar, Max, Min, Sum};
-        match (function, column) {
-            (Count | CountStar, _) => Aggregate::Count(Vec::new()),
-            (Sum, Some(ColumnRef::Int(column, IntKind::Bigint | IntKind::Integer))) => {
-                Aggregate::SumInt { column, sums: Vec::new() }
-            }
-            (Sum, Some(ColumnRef::Double(column))) => {
-                Aggregate::SumDouble { column, sums: Vec::new() }
-            }
-            (Min | Max, Some(ColumnRef::Int(column, kind))) => {
-                Aggregate::BestInt { column, kind, is_min: function == Min, best: Vec::new() }
-            }
-            (Min | Max, Some(ColumnRef::Double(column))) => {
-                Aggregate::BestDouble { column, is_min: function == Min, best: Vec::new() }
-            }
-            _ => Aggregate::Reference { function, column, states: Vec::new() },
-        }
-    }
-
-    /// Make room for `slots` groups.
-    fn grow(&mut self, slots: usize) {
-        match self {
-            Aggregate::Count(counts) => counts.resize(slots, 0),
-            Aggregate::SumInt { sums, .. } => sums.resize(slots, 0),
-            Aggregate::SumDouble { sums, .. } => sums.resize(slots, 0.0),
-            Aggregate::BestInt { best, .. } => best.resize(slots, None),
-            Aggregate::BestDouble { best, .. } => best.resize(slots, None),
-            Aggregate::Reference { function, states, .. } => {
-                states.resize_with(slots, || function.new_accumulator());
-            }
-        }
-    }
-
-    /// Add one segment's selected rows, a column at a time.
-    fn update(&mut self, seg: &Segment, sel: &Selection, slots: &Slots) {
-        match self {
-            Aggregate::Count(counts) => match slots {
-                Slots::One => counts[0] += sel.len() as i64,
-                Slots::PerRow(slots) => slots.iter().for_each(|&s| counts[s as usize] += 1),
-            },
-            Aggregate::SumInt { column, sums } => {
-                fold(sel, slots, &seg.ints[*column], |s, v| sums[s] = sums[s].wrapping_add(v));
-            }
-            Aggregate::SumDouble { column, sums } => {
-                fold(sel, slots, &seg.doubles[*column], |s, v| sums[s] += v);
-            }
-            Aggregate::BestInt { column, is_min, best, .. } => {
-                fold(sel, slots, &seg.ints[*column], |s, v| keep_best(&mut best[s], v, *is_min));
-            }
-            Aggregate::BestDouble { column, is_min, best } => {
-                fold(sel, slots, &seg.doubles[*column], |s, v| keep_best(&mut best[s], v, *is_min));
-            }
-            Aggregate::Reference { column, states, .. } => {
-                let mut position = 0;
-                sel.for_each(|row| {
-                    let slot = match slots {
-                        Slots::One => 0,
-                        Slots::PerRow(slots) => slots[position] as usize,
-                    };
-                    position += 1;
-                    match column {
-                        Some(column) => states[slot].add(&seg.value(*column, row)),
-                        None => states[slot].add_count(1),
-                    }
-                });
-            }
-        }
-    }
-
-    /// The finished aggregate of one group; NULL only for a reference
-    /// accumulator that saw nothing it accepts.
-    fn finish(&self, slot: usize) -> Value {
-        match self {
-            Aggregate::Count(counts) => Value::Bigint(counts[slot]),
-            Aggregate::SumInt { sums, .. } => Value::Bigint(sums[slot]),
-            Aggregate::SumDouble { sums, .. } => Value::Double(sums[slot]),
-            Aggregate::BestInt { kind, best, .. } => {
-                best[slot].map_or(Value::Null, |x| kind.value(x))
-            }
-            Aggregate::BestDouble { best, .. } => best[slot].map_or(Value::Null, Value::Double),
-            Aggregate::Reference { states, .. } => states[slot].finish(),
-        }
-    }
-}
-
-/// Call `f` out of line, keeping a rarely taken branch out of a hot loop.
-#[cold]
-#[inline(never)]
-fn cold(f: &mut impl FnMut(usize) -> u32, arg: usize) -> u32 {
-    f(arg)
-}
-
 /// The groups of one split: key → slot, plus the per-segment scratch that
 /// maps selected rows to slots.
 struct Groups {
@@ -375,30 +254,31 @@ struct Groups {
     slots: HashMap<Vec<Value>, u32>,
     // kept across segments for their capacity
     remap: Vec<u32>,
+    codes: Vec<u32>,
     row_slots: Vec<u32>,
 }
 
 impl Groups {
-    /// The slot of every selected row of `seg` (creating slots for new
-    /// keys) and the number of slots so far.
-    fn assign(&mut self, seg: &Segment, sel: &Selection) -> (Slots<'_>, usize) {
-        let Groups { by, slots, remap, row_slots } = self;
+    /// The slot of every selected row of `seg` (`None`: no GROUP BY, every
+    /// row in slot 0), creating slots for new keys, and the number of slots
+    /// so far.
+    fn assign(&mut self, seg: &Segment, sel: &Selection) -> Result<(Option<&[u32]>, usize)> {
+        let Groups { by, slots, remap, codes, row_slots } = self;
         let mut slot_of = |key: Vec<Value>| {
             let next = slots.len() as u32;
             *slots.entry(key).or_insert(next)
         };
         if by.is_empty() {
             slot_of(Vec::new());
-            return (Slots::One, 1);
+            return Ok((None, 1));
         }
-        row_slots.clear();
         // all-dimension keys: the codes index a per-segment remap table, so
         // a key is built once per new code combination, not once per row
         let dims: Option<Vec<&DimColumn>> = by
             .iter()
             .map(|column| match column {
                 ColumnRef::Dim(d) => Some(&seg.dims[*d]),
-                _ => None,
+                ColumnRef::Number(_) => None,
             })
             .collect();
         let dense = dims.and_then(|dims| {
@@ -409,44 +289,58 @@ impl Groups {
             Some((dims, size)) => {
                 remap.clear();
                 remap.resize(size, u32::MAX);
+                // a slice, not the `Vec`: kept in registers across the loop
                 let remap = &mut remap[..];
-                // a new code combination: undo the mixed-radix packing,
-                // last dimension first, to build its key
-                let mut new_slot = |local: usize| {
-                    let mut key = vec![Value::Null; dims.len()];
-                    let mut rest = local;
-                    for (value, d) in key.iter_mut().zip(&dims).rev() {
-                        let code = (rest % d.cardinality()) as u32;
-                        rest /= d.cardinality();
-                        *value = Value::Varchar(d.value(code).to_string());
-                    }
-                    slot_of(key)
-                };
-                let mut slot_at = |local: usize| {
+                let mut slot_at = |local: u32| {
+                    let local = local as usize;
                     if remap[local] == u32::MAX {
-                        remap[local] = cold(&mut new_slot, local);
+                        remap[local] = new_slot(&dims, local, &mut slot_of);
                     }
                     remap[local]
                 };
-                match dims[..] {
-                    [d] => {
-                        let ids = &d.ids[..];
-                        sel.map_into(row_slots, |row| slot_at(ids[row] as usize));
+                match &dims[..] {
+                    [d] => sel.gather_into(d.ids(), row_slots, &mut slot_at),
+                    _ => {
+                        // each selected row's codes, packed mixed-radix,
+                        // first dimension most significant
+                        sel.gather_into(dims[0].ids(), row_slots, |code| code);
+                        for d in &dims[1..] {
+                            sel.gather_into(d.ids(), codes, |code| code);
+                            let radix = d.cardinality() as u32;
+                            let packed = row_slots.iter_mut().zip(&*codes);
+                            packed.for_each(|(p, &code)| *p = *p * radix + code);
+                        }
+                        row_slots.iter_mut().for_each(|p| *p = slot_at(*p));
                     }
-                    _ => sel.map_into(row_slots, |row| {
-                        slot_at(
-                            dims.iter()
-                                .fold(0, |local, d| local * d.cardinality() + d.ids[row] as usize),
-                        )
-                    }),
                 }
             }
-            None => sel.map_into(row_slots, |row| {
-                slot_of(by.iter().map(|c| seg.value(*c, row)).collect())
-            }),
+            None => {
+                let keys = gather_page(seg, by, sel)?;
+                row_slots.clear();
+                row_slots.extend(
+                    (0..sel.len())
+                        .map(|i| slot_of(keys.blocks().iter().map(|b| b.value(i)).collect())),
+                );
+            }
         }
-        (Slots::PerRow(row_slots), slots.len())
+        Ok((Some(row_slots), slots.len()))
     }
+}
+
+/// The slot of a code combination seen for the first time in a segment:
+/// undo the mixed-radix packing, last dimension first, to build its key.
+/// Kept out of line, off the remap loop.
+#[cold]
+#[inline(never)]
+fn new_slot(dims: &[&DimColumn], local: usize, slot_of: &mut impl FnMut(Vec<Value>) -> u32) -> u32 {
+    let mut key = vec![Value::Null; dims.len()];
+    let mut rest = local;
+    for (value, d) in key.iter_mut().zip(dims).rev() {
+        let code = (rest % d.cardinality()) as u32;
+        rest /= d.cardinality();
+        *value = Value::Varchar(d.value(code).to_string());
+    }
+    slot_of(key)
 }
 
 /// A grouped partial aggregation over the segments of one split: groups
@@ -454,7 +348,8 @@ impl Groups {
 /// are added in ascending row order across segments.
 pub(super) struct GroupedAggregation {
     groups: Groups,
-    aggregates: Vec<Aggregate>,
+    /// Each aggregate's state and the column it reads (`None`: `count(*)`).
+    aggregates: Vec<(GroupedAccumulator, Option<ColumnRef>)>,
     /// Output column types: the group-by columns', then the aggregates'.
     types: Vec<DataType>,
 }
@@ -477,26 +372,33 @@ impl GroupedAggregation {
         let mut states = Vec::with_capacity(aggregates.len());
         for (function, argument) in aggregates {
             let argument = argument.as_deref().map(|name| table.column(name)).transpose()?;
-            types.push(function.return_type(argument.map(|(_, data_type)| data_type))?);
-            states.push(Aggregate::new(*function, argument.map(|(column, _)| column)));
+            let argument_type = argument.map(|(_, data_type)| data_type);
+            let output = function.return_type(argument_type)?;
+            let state = GroupedAccumulator::new(*function, argument_type, &output, false);
+            states.push((state, argument.map(|(column, _)| column)));
+            types.push(output);
         }
-        Ok(GroupedAggregation {
-            groups: Groups { by, slots: HashMap::new(), remap: Vec::new(), row_slots: Vec::new() },
-            aggregates: states,
-            types,
-        })
+        let groups = Groups {
+            by,
+            slots: HashMap::new(),
+            remap: Vec::new(),
+            codes: Vec::new(),
+            row_slots: Vec::new(),
+        };
+        Ok(GroupedAggregation { groups, aggregates: states, types })
     }
 
     /// Aggregate the selected rows of the split's next segment.
-    pub(super) fn consume(&mut self, seg: &Segment, sel: &Selection) {
+    pub(super) fn consume(&mut self, seg: &Segment, sel: &Selection) -> Result<()> {
         if sel.len() == 0 {
-            return;
+            return Ok(());
         }
-        let (slots, groups) = self.groups.assign(seg, sel);
-        for aggregate in &mut self.aggregates {
-            aggregate.grow(groups);
-            aggregate.update(seg, sel, &slots);
+        let (slots, groups) = self.groups.assign(seg, sel)?;
+        for (state, column) in &mut self.aggregates {
+            state.resize(groups);
+            state.update(slots, column.map(|c| seg.column(c)), sel.rows(), sel.len())?;
         }
+        Ok(())
     }
 
     /// The partial-aggregate page: one row per group that matched a row,
@@ -518,23 +420,19 @@ impl GroupedAggregation {
         if self.types.is_empty() {
             return Ok(Page::zero_column(groups.len()));
         }
-        let mut columns: Vec<Vec<Value>> =
-            self.types.iter().map(|_| Vec::with_capacity(groups.len())).collect();
-        let keys = self.groups.by.len();
-        for (key, slot) in groups {
-            for (column, value) in columns.iter_mut().zip(key) {
-                column.push(value);
-            }
-            for (column, aggregate) in columns[keys..].iter_mut().zip(&self.aggregates) {
-                column.push(aggregate.finish(slot as usize));
-            }
+        let mut blocks = Vec::with_capacity(self.types.len());
+        for (k, data_type) in self.types[..self.groups.by.len()].iter().enumerate() {
+            let keys: Vec<Value> = groups
+                .iter_mut()
+                .map(|(key, _)| std::mem::replace(&mut key[k], Value::Null))
+                .collect();
+            blocks.push(Block::from_values(data_type, &keys)?);
         }
-        let blocks = self
-            .types
-            .iter()
-            .zip(&columns)
-            .map(|(data_type, values)| Block::from_values(data_type, values))
-            .collect::<Result<Vec<_>>>()?;
+        // each aggregate finishes in slot order; the page is in key order
+        let order: Vec<usize> = groups.iter().map(|&(_, slot)| slot as usize).collect();
+        for (state, _) in self.aggregates {
+            blocks.push(state.finish()?.take(&order));
+        }
         Page::new(blocks)
     }
 }
@@ -542,17 +440,20 @@ impl GroupedAggregation {
 // --------------------------------------------------------------------- scan
 
 /// The selected rows of `seg` as one page of `columns`: dimensions stay
-/// dictionary-encoded, numbers are typed slices.
+/// dictionary-encoded, numbers are typed blocks.
 pub(super) fn gather_page(seg: &Segment, columns: &[ColumnRef], sel: &Selection) -> Result<Page> {
     if columns.is_empty() {
         return Ok(Page::zero_column(sel.len()));
     }
     let blocks = columns
         .iter()
-        .map(|column| match *column {
-            ColumnRef::Dim(d) => seg.dims[d].block(sel.gather(&seg.dims[d].ids)),
-            ColumnRef::Int(i, kind) => kind.block(sel.gather(&seg.ints[i])),
-            ColumnRef::Double(i) => Block::double(sel.gather(&seg.doubles[i])),
+        .map(|&column| match column {
+            ColumnRef::Dim(d) => {
+                let mut ids = Vec::with_capacity(sel.len());
+                sel.gather_into(seg.dims[d].ids(), &mut ids, |code| code);
+                seg.dims[d].block(ids)
+            }
+            ColumnRef::Number(i) => sel.take(&seg.numbers[i]),
         })
         .collect();
     Page::new(blocks)

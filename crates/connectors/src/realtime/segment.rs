@@ -1,45 +1,15 @@
 //! Sealed segments: the columnar, encoded layout every query runs on.
 //!
-//! A segment never holds a row. Dimensions are a sorted dictionary, one
-//! code per row and a CSR inverted index (code → ascending row ids);
-//! `ts` and BIGINT/INTEGER metrics are `i64` columns; DOUBLE metrics are
-//! `f64` columns. Every vector is allocated at its exact size when the
+//! A segment never holds a row. Every column is the NOT NULL [`Block`] the
+//! engine reads: a dimension is a [`Block::Dictionary`] over its sorted
+//! distinct values, with a CSR inverted index (code → ascending row ids);
+//! `ts` is a `Timestamp` block and a metric a `Bigint`, `Integer` or
+//! `Double` one. Every vector is allocated at its exact size when the
 //! segment is sealed.
 
 use std::collections::HashMap;
 
-use presto_common::{Block, Value};
-
-/// How an `i64`-backed column presents its values to SQL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum IntKind {
-    /// The event-time column.
-    Timestamp,
-    /// A BIGINT metric.
-    Bigint,
-    /// An INTEGER metric (stored widened; ingest clamps to the `i32` range).
-    Integer,
-}
-
-impl IntKind {
-    /// The scalar for a stored value.
-    pub(super) fn value(self, x: i64) -> Value {
-        match self {
-            IntKind::Timestamp => Value::Timestamp(x),
-            IntKind::Bigint => Value::Bigint(x),
-            IntKind::Integer => Value::Integer(x as i32),
-        }
-    }
-
-    /// A NOT NULL block of this kind over stored values.
-    pub(super) fn block(self, values: Vec<i64>) -> Block {
-        match self {
-            IntKind::Timestamp => Block::Timestamp { values, nulls: None },
-            IntKind::Bigint => Block::bigint(values),
-            IntKind::Integer => Block::integer(values.into_iter().map(|x| x as i32).collect()),
-        }
-    }
-}
+use presto_common::{Block, DataType, Schema, Value};
 
 /// Where a table column lives inside each [`Segment`], resolved from the
 /// schema once when the table is created.
@@ -47,20 +17,17 @@ impl IntKind {
 pub(super) enum ColumnRef {
     /// A VARCHAR dimension: index into [`Segment::dims`].
     Dim(usize),
-    /// `ts` or an integer metric: index into [`Segment::ints`].
-    Int(usize, IntKind),
-    /// A DOUBLE metric: index into [`Segment::doubles`].
-    Double(usize),
+    /// `ts` or a metric: index into [`Segment::numbers`].
+    Number(usize),
 }
 
 /// One dictionary-encoded dimension column with its inverted index.
 #[derive(Debug)]
 pub(super) struct DimColumn {
-    /// The distinct values in ascending order, as a NOT NULL VARCHAR block
-    /// so raw scans can hand it out as a [`Block::Dictionary`] dictionary.
-    dictionary: Block,
-    /// The dictionary code of every row.
-    pub(super) ids: Vec<u32>,
+    /// The column: a [`Block::Dictionary`] whose dictionary holds the
+    /// distinct values in ascending order, NOT NULL, and whose ids are
+    /// every row's code.
+    column: Block,
     /// CSR inverted index: row ids grouped by code, ascending within a code.
     postings: Vec<u32>,
     /// `postings[starts[c]..starts[c + 1]]` are the rows holding code `c`.
@@ -113,11 +80,23 @@ impl DimColumn {
             postings[next[id as usize] as usize] = row as u32;
             next[id as usize] += 1;
         }
-        DimColumn {
-            dictionary: Block::Varchar { offsets, bytes, nulls: None },
-            ids,
-            postings,
-            starts,
+        let dictionary = Box::new(Block::Varchar { offsets, bytes, nulls: None });
+        DimColumn { column: Block::Dictionary { dictionary, ids }, postings, starts }
+    }
+
+    /// The dictionary code of every row.
+    pub(super) fn ids(&self) -> &[u32] {
+        match &self.column {
+            Block::Dictionary { ids, .. } => ids,
+            _ => &[],
+        }
+    }
+
+    /// The distinct values, in ascending order.
+    fn dictionary(&self) -> &Block {
+        match &self.column {
+            Block::Dictionary { dictionary, .. } => dictionary,
+            plain => plain,
         }
     }
 
@@ -128,7 +107,7 @@ impl DimColumn {
 
     /// The dictionary entry for `code`.
     pub(super) fn value(&self, code: u32) -> &str {
-        self.dictionary.str_at(code as usize).unwrap_or("")
+        self.dictionary().str_at(code as usize).unwrap_or("")
     }
 
     /// The code of `s`, if any row holds it (binary search).
@@ -156,9 +135,9 @@ impl DimColumn {
     pub(super) fn block(&self, ids: Vec<u32>) -> Block {
         if ids.len() < self.cardinality() {
             let indices: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
-            self.dictionary.take(&indices)
+            self.dictionary().take(&indices)
         } else {
-            Block::Dictionary { dictionary: Box::new(self.dictionary.clone()), ids }
+            Block::Dictionary { dictionary: Box::new(self.dictionary().clone()), ids }
         }
     }
 }
@@ -168,58 +147,58 @@ impl DimColumn {
 pub(super) struct Segment {
     pub(super) rows: usize,
     pub(super) dims: Vec<DimColumn>,
-    /// `ts` (ascending within the segment) and the integer metrics.
-    pub(super) ints: Vec<Vec<i64>>,
-    pub(super) doubles: Vec<Vec<f64>>,
+    /// `ts` (ascending within the segment) and the metrics.
+    pub(super) numbers: Vec<Block>,
 }
 
 impl Segment {
-    /// Seal `rows` (each as wide as `columns`) into a segment. Columns are
-    /// NOT NULL: a NULL or mistyped cell becomes `""` / `0`, and numeric
-    /// cells are cast to their column's type.
-    pub(super) fn seal(columns: &[ColumnRef], rows: &[Vec<Value>]) -> Segment {
-        let mut seg =
-            Segment { rows: rows.len(), dims: Vec::new(), ints: Vec::new(), doubles: Vec::new() };
+    /// Seal `rows` (each as wide as `schema`, whose columns live at
+    /// `columns`) into a segment. Columns are NOT NULL: a NULL or mistyped
+    /// cell becomes `""` / `0`, and numeric cells are cast to their
+    /// column's type.
+    pub(super) fn seal(schema: &Schema, columns: &[ColumnRef], rows: &[Vec<Value>]) -> Segment {
+        let mut seg = Segment { rows: rows.len(), dims: Vec::new(), numbers: Vec::new() };
         // `columns` lists each store in index order, so pushes line up
-        for (c, column) in columns.iter().enumerate() {
+        for (c, (column, field)) in columns.iter().zip(schema.fields()).enumerate() {
             match column {
                 ColumnRef::Dim(_) => seg.dims.push(DimColumn::seal(rows, c)),
-                ColumnRef::Int(_, IntKind::Timestamp) => {
-                    seg.ints.push(rows.iter().map(|r| r[c].as_i64().unwrap_or(0)).collect());
-                }
-                ColumnRef::Int(_, kind) => {
-                    let stored = |v: &Value| {
-                        let x = match v {
-                            Value::Bigint(x) => *x,
-                            Value::Integer(x) => i64::from(*x),
-                            Value::Double(x) => *x as i64,
-                            _ => 0,
-                        };
-                        match kind {
-                            IntKind::Integer => x.clamp(i64::from(i32::MIN), i64::from(i32::MAX)),
-                            _ => x,
-                        }
-                    };
-                    seg.ints.push(rows.iter().map(|r| stored(&r[c])).collect());
-                }
-                ColumnRef::Double(_) => {
-                    seg.doubles.push(rows.iter().map(|r| r[c].as_f64().unwrap_or(0.0)).collect());
-                }
+                ColumnRef::Number(_) => seg.numbers.push(seal_number(&field.data_type, rows, c)),
             }
         }
         seg
     }
 
-    /// The cell at (`column`, `row`) as a scalar — the row-at-a-time view
-    /// the reference paths use.
-    pub(super) fn value(&self, column: ColumnRef, row: usize) -> Value {
+    /// The block holding `column`.
+    pub(super) fn column(&self, column: ColumnRef) -> &Block {
         match column {
-            ColumnRef::Dim(d) => {
-                let dim = &self.dims[d];
-                Value::Varchar(dim.value(dim.ids[row]).to_string())
-            }
-            ColumnRef::Int(i, kind) => kind.value(self.ints[i][row]),
-            ColumnRef::Double(i) => Value::Double(self.doubles[i][row]),
+            ColumnRef::Dim(d) => &self.dims[d].column,
+            ColumnRef::Number(i) => &self.numbers[i],
         }
+    }
+}
+
+/// Column `c` of `rows` as a NOT NULL block of `data_type`: `Timestamp`,
+/// `Integer` (clamped to the `i32` range), `Double`, else `Bigint`.
+fn seal_number(data_type: &DataType, rows: &[Vec<Value>], c: usize) -> Block {
+    let integer = |v: &Value| match v {
+        Value::Bigint(x) => *x,
+        Value::Integer(x) => i64::from(*x),
+        Value::Double(x) => *x as i64,
+        _ => 0,
+    };
+    match data_type {
+        DataType::Timestamp => Block::Timestamp {
+            values: rows.iter().map(|r| r[c].as_i64().unwrap_or(0)).collect(),
+            nulls: None,
+        },
+        DataType::Integer => Block::integer(
+            rows.iter()
+                .map(|r| integer(&r[c]).clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32)
+                .collect(),
+        ),
+        DataType::Double => {
+            Block::double(rows.iter().map(|r| r[c].as_f64().unwrap_or(0.0)).collect())
+        }
+        _ => Block::bigint(rows.iter().map(|r| integer(&r[c])).collect()),
     }
 }

@@ -394,7 +394,7 @@ fn aggregate_pages(
         };
         for (state, argument) in states.iter_mut().zip(&arg_blocks) {
             state.resize(groups);
-            state.update(ids, argument.as_deref(), rows)?;
+            state.update(ids, argument.as_deref(), None, rows)?;
         }
         // coarse memory accounting on the hash table
         if groups > known {

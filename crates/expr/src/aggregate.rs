@@ -3,7 +3,7 @@
 //! advertises the capability, the partial aggregation runs inside the
 //! connector (Druid/Pinot) and only aggregated rows stream into Presto.
 
-use presto_common::block::NullMask;
+use presto_common::block::{some_if_any, NullMask};
 use presto_common::{Block, DataType, PrestoError, Result, Value};
 
 /// The aggregate function vocabulary.
@@ -135,7 +135,7 @@ impl Accumulator {
             Accumulator::Sum { int, float, saw_float, any } => match v {
                 Value::Null => {}
                 Value::Double(x) => {
-                    *float += x;
+                    *float = add_double(*float, *x);
                     *saw_float = true;
                     *any = true;
                 }
@@ -148,7 +148,7 @@ impl Accumulator {
             },
             Accumulator::Avg { sum, count } => {
                 if let Some(x) = v.as_f64() {
-                    *sum += x;
+                    *sum = add_double(*sum, x);
                     *count += 1;
                 }
             }
@@ -190,13 +190,13 @@ impl Accumulator {
                 Accumulator::Sum { int: oi, float: of, saw_float: osf, any: oany },
             ) => {
                 *int = int.wrapping_add(*oi);
-                *float += of;
+                *float = add_double(*float, *of);
                 *saw_float |= osf;
                 *any |= oany;
                 Ok(())
             }
             (Accumulator::Avg { sum, count }, Accumulator::Avg { sum: os, count: oc }) => {
-                *sum += os;
+                *sum = add_double(*sum, *os);
                 *count += oc;
                 Ok(())
             }
@@ -242,63 +242,161 @@ impl Accumulator {
     }
 }
 
-/// Feed every non-NULL value of a typed column to `f` with its row's group
-/// (`ids: None` = a global aggregation, every row in group 0).
-fn fold<T: Copy>(ids: Option<&[u32]>, values: &[T], nulls: &NullMask, mut f: impl FnMut(usize, T)) {
-    match (ids, nulls) {
-        (None, None) => values.iter().for_each(|&v| f(0, v)),
-        (Some(ids), None) => ids.iter().zip(values).for_each(|(&g, &v)| f(g as usize, v)),
-        (_, Some(nulls)) => {
-            for (i, (&v, _)) in values.iter().zip(nulls).enumerate().filter(|(_, (_, n))| !**n) {
-                f(ids.map_or(0, |ids| ids[i] as usize), v);
+/// `sum + v`, the one addition of every DOUBLE sum and average. Of two
+/// NaNs it keeps `v`'s: IEEE 754 leaves the choice open and a compiled `+`
+/// makes it either way, so the rule is spelled out for every state to agree
+/// to the bit.
+fn add_double(sum: f64, v: f64) -> f64 {
+    if v.is_nan() {
+        v
+    } else {
+        sum + v
+    }
+}
+
+/// The `len` rows one [`GroupedAccumulator::update`] adds: the `i`th is row
+/// `rows[i]` of the argument (row `i` when `rows` is `None`) and goes to
+/// group `ids[i]` (group 0 when `ids` is `None`).
+struct Feed<'a> {
+    ids: Option<&'a [u32]>,
+    rows: Option<&'a [u32]>,
+    len: usize,
+}
+
+impl Feed<'_> {
+    fn row(&self, i: usize) -> usize {
+        self.rows.map_or(i, |rows| rows[i] as usize)
+    }
+
+    fn group(&self, i: usize) -> usize {
+        self.ids.map_or(0, |ids| ids[i] as usize)
+    }
+
+    /// `step(&mut state[g], v)` for every fed non-NULL value `v` of a
+    /// column, `g` its group. A NULL-free global aggregate steps a local,
+    /// so its loop vectorizes wherever `step` allows; a step that leaves
+    /// its state alone (most rows of a `min`) stores nothing.
+    fn fold<T: Copy, A: Copy>(
+        &self,
+        values: &[T],
+        nulls: &NullMask,
+        state: &mut [A],
+        step: impl Fn(&mut A, T),
+    ) {
+        match (nulls, self.ids, self.rows) {
+            (None, None, rows) => {
+                let mut local = state[0];
+                match rows {
+                    None => values[..self.len].iter().for_each(|&v| step(&mut local, v)),
+                    Some(rows) => rows.iter().for_each(|&r| step(&mut local, values[r as usize])),
+                }
+                state[0] = local;
+            }
+            (None, Some(ids), None) => {
+                ids.iter().zip(values).for_each(|(&g, &v)| step(&mut state[g as usize], v));
+            }
+            (None, Some(ids), Some(rows)) => {
+                let fed = ids.iter().zip(rows);
+                fed.for_each(|(&g, &r)| step(&mut state[g as usize], values[r as usize]));
+            }
+            (Some(nulls), ..) => {
+                for i in 0..self.len {
+                    let r = self.row(i);
+                    if !nulls[r] {
+                        step(&mut state[self.group(i)], values[r]);
+                    }
+                }
             }
         }
     }
 }
 
-/// [`fold`] over a BIGINT/INTEGER/DATE/TIMESTAMP block widened to `i64`;
-/// `false` when `block` is none of those.
-fn fold_ints(ids: Option<&[u32]>, block: &Block, mut f: impl FnMut(usize, i64)) -> bool {
+/// [`Feed::fold`] over a BIGINT/INTEGER/DATE/TIMESTAMP block widened to
+/// `i64`; its NULL mask, or `None` when `block` is none of those.
+fn fold_ints<'b, A: Copy>(
+    feed: &Feed,
+    block: &'b Block,
+    state: &mut [A],
+    step: impl Fn(&mut A, i64),
+) -> Option<&'b NullMask> {
     match block {
         Block::Bigint { values, nulls } | Block::Timestamp { values, nulls } => {
-            fold(ids, values, nulls, f)
+            feed.fold(values, nulls, state, step);
+            Some(nulls)
         }
         Block::Integer { values, nulls } | Block::Date { values, nulls } => {
-            fold(ids, values, nulls, |g, v| f(g, i64::from(v)))
+            feed.fold(values, nulls, state, |a, v| step(a, i64::from(v)));
+            Some(nulls)
         }
-        _ => return false,
+        _ => None,
     }
-    true
 }
 
-/// [`fold`] over a DOUBLE/BIGINT/INTEGER block widened to `f64` the way
-/// [`Value::as_f64`] does; `false` when `block` is none of those.
-fn fold_floats(ids: Option<&[u32]>, block: &Block, mut f: impl FnMut(usize, f64)) -> bool {
-    match block {
-        Block::Double { values, nulls } => fold(ids, values, nulls, f),
-        Block::Bigint { values, nulls } => fold(ids, values, nulls, |g, v| f(g, v as f64)),
-        Block::Integer { values, nulls } => fold(ids, values, nulls, |g, v| f(g, f64::from(v))),
-        _ => return false,
+/// The step of a `min`/`max`: `v` replaces the state when `better(v, state)`,
+/// and a state left alone is not stored.
+fn keep_best<A: Copy, T: Copy + Into<A>>(better: impl Fn(T, A) -> bool) -> impl Fn(&mut A, T) {
+    move |best, v| {
+        if better(v, *best) {
+            *best = v.into();
+        }
     }
-    true
 }
 
-/// `best[g]` ← the smaller (or larger) of itself and `v`. Like
-/// [`Accumulator::MinMax`], the first value always lands and an unordered
-/// comparison (NaN) changes nothing.
-fn keep_best<T: Copy + PartialOrd>(best: &mut T, seen: &mut bool, v: T, is_min: bool) {
-    if !*seen || (if is_min { v < *best } else { v > *best }) {
-        *best = v;
-        *seen = true;
+/// Which groups of a sum or an integer `min`/`max` have seen a non-NULL
+/// value. It is kept per group only from the first page whose argument
+/// holds a NULL: until then every group has had a row of a NULL-free page,
+/// so the number of groups says it, and a NOT NULL column folds without
+/// writing a flag per row.
+#[derive(Debug, Default)]
+pub struct Seen {
+    /// The groups there were at the last page, while `per_group` is `None`.
+    fed: usize,
+    /// Per group, from the first page that holds a NULL.
+    per_group: Option<Vec<bool>>,
+}
+
+impl Seen {
+    fn resize(&mut self, groups: usize) {
+        if let Some(seen) = &mut self.per_group {
+            seen.resize(groups, false);
+        }
+    }
+
+    /// Record that `feed` added a page whose argument has `nulls` to the
+    /// first `groups` groups.
+    fn note(&mut self, feed: &Feed, nulls: &NullMask, groups: usize) {
+        if nulls.is_some() && self.per_group.is_none() {
+            self.per_group = Some((0..groups).map(|g| g < self.fed).collect());
+        }
+        match &mut self.per_group {
+            Some(seen) => {
+                for i in 0..feed.len {
+                    if nulls.as_ref().is_none_or(|nulls| !nulls[feed.row(i)]) {
+                        seen[feed.group(i)] = true;
+                    }
+                }
+            }
+            None => self.fed = groups,
+        }
+    }
+
+    /// NULL where one of `groups` groups saw no value; `None` when all did.
+    fn nulls(&self, groups: usize) -> NullMask {
+        match &self.per_group {
+            Some(seen) => some_if_any(seen.iter().map(|s| !s).collect()),
+            None => (self.fed < groups).then(|| (0..groups).map(|g| g >= self.fed).collect()),
+        }
     }
 }
 
 /// One aggregate's state for *every* group of a hash aggregation, indexed
 /// by the dense group id and updated a column at a time — the vectorized
-/// form of a `Vec<Accumulator>`. [`Accumulator`] stays the semantic
-/// reference (wrapping integer sums, DOUBLE sums added in row order, NaN
-/// handling of min/max) and the per-group fallback for everything without
-/// a typed form, such as `min`/`max` of VARCHAR.
+/// form of a `Vec<Accumulator>`, and the one set of aggregate states the
+/// executor and the Druid/Pinot store's partial aggregation share.
+/// [`Accumulator`] stays the semantic reference (wrapping integer sums,
+/// DOUBLE sums added in row order, NaN handling of min/max) and the
+/// per-group fallback for everything without a typed form, such as
+/// `min`/`max` of VARCHAR.
 #[derive(Debug)]
 pub enum GroupedAccumulator {
     /// `count(*)`, `count(x)`, or — merging partials — the sum of counts.
@@ -312,40 +410,38 @@ pub enum GroupedAccumulator {
     SumInt {
         /// Per-group sum.
         sums: Vec<i64>,
-        /// Per-group: any non-NULL input yet (else the sum is NULL).
-        any: Vec<bool>,
+        /// Which groups saw a non-NULL input (else the sum is NULL).
+        seen: Seen,
     },
     /// `sum` of a DOUBLE column, added in row order.
     SumDouble {
         /// Per-group sum.
         sums: Vec<f64>,
-        /// Per-group: any non-NULL input yet.
-        any: Vec<bool>,
+        /// Which groups saw a non-NULL input.
+        seen: Seen,
     },
     /// `avg` of a numeric column in double space.
     Avg {
-        /// Per-group running sum.
-        sums: Vec<f64>,
-        /// Per-group non-NULL count.
-        counts: Vec<i64>,
+        /// Per-group running sum and non-NULL count.
+        totals: Vec<(f64, i64)>,
     },
     /// `min`/`max` of a BIGINT/INTEGER/DATE/TIMESTAMP column.
     BestInt {
-        /// Per-group best value so far.
+        /// Per-group best value so far, from `i64::MAX` (min) or `i64::MIN`.
         best: Vec<i64>,
-        /// Per-group: any non-NULL input yet.
-        seen: Vec<bool>,
+        /// Which groups saw a non-NULL input.
+        seen: Seen,
         /// True for min, false for max.
         is_min: bool,
         /// The column's (and result's) type.
         data_type: DataType,
     },
-    /// `min`/`max` of a DOUBLE column.
+    /// `min`/`max` of a DOUBLE column: the first value always lands and an
+    /// unordered comparison (NaN) changes nothing, so each group's state
+    /// says whether it has a value.
     BestDouble {
         /// Per-group best value so far.
-        best: Vec<f64>,
-        /// Per-group: any non-NULL input yet.
-        seen: Vec<bool>,
+        best: Vec<Option<f64>>,
         /// True for min, false for max.
         is_min: bool,
     },
@@ -383,24 +479,24 @@ impl GroupedAccumulator {
                 GroupedAccumulator::Count { counts: Vec::new(), merge: false }
             }
             (Sum, Some(Bigint | Integer)) => {
-                GroupedAccumulator::SumInt { sums: Vec::new(), any: Vec::new() }
+                GroupedAccumulator::SumInt { sums: Vec::new(), seen: Seen::default() }
             }
             (Sum, Some(Double)) => {
-                GroupedAccumulator::SumDouble { sums: Vec::new(), any: Vec::new() }
+                GroupedAccumulator::SumDouble { sums: Vec::new(), seen: Seen::default() }
             }
             (Avg, Some(Double | Bigint | Integer)) => {
-                GroupedAccumulator::Avg { sums: Vec::new(), counts: Vec::new() }
+                GroupedAccumulator::Avg { totals: Vec::new() }
             }
             (Min | Max, Some(t @ (Bigint | Integer | Date | Timestamp))) => {
                 GroupedAccumulator::BestInt {
                     best: Vec::new(),
-                    seen: Vec::new(),
+                    seen: Seen::default(),
                     is_min,
                     data_type: t.clone(),
                 }
             }
             (Min | Max, Some(Double)) => {
-                GroupedAccumulator::BestDouble { best: Vec::new(), seen: Vec::new(), is_min }
+                GroupedAccumulator::BestDouble { best: Vec::new(), is_min }
             }
             _ => GroupedAccumulator::Reference {
                 function,
@@ -415,100 +511,58 @@ impl GroupedAccumulator {
     pub fn resize(&mut self, groups: usize) {
         match self {
             GroupedAccumulator::Count { counts, .. } => counts.resize(groups, 0),
-            GroupedAccumulator::SumInt { sums, any } => {
+            GroupedAccumulator::SumInt { sums, seen } => {
                 sums.resize(groups, 0);
-                any.resize(groups, false);
+                seen.resize(groups);
             }
-            GroupedAccumulator::SumDouble { sums, any } => {
+            GroupedAccumulator::SumDouble { sums, seen } => {
                 sums.resize(groups, 0.0);
-                any.resize(groups, false);
+                seen.resize(groups);
             }
-            GroupedAccumulator::Avg { sums, counts } => {
-                sums.resize(groups, 0.0);
-                counts.resize(groups, 0);
+            GroupedAccumulator::Avg { totals } => totals.resize(groups, (0.0, 0)),
+            GroupedAccumulator::BestInt { best, seen, is_min, .. } => {
+                best.resize(groups, if *is_min { i64::MAX } else { i64::MIN });
+                seen.resize(groups);
             }
-            GroupedAccumulator::BestInt { best, seen, .. } => {
-                best.resize(groups, 0);
-                seen.resize(groups, false);
-            }
-            GroupedAccumulator::BestDouble { best, seen, .. } => {
-                best.resize(groups, 0.0);
-                seen.resize(groups, false);
-            }
+            GroupedAccumulator::BestDouble { best, .. } => best.resize(groups, None),
             GroupedAccumulator::Reference { function, states, .. } => {
                 states.resize_with(groups, || function.new_accumulator());
             }
         }
     }
 
-    /// Add one page: row `i` of `argument` (`None` = `count(*)`, which
-    /// counts `rows` rows) goes to group `ids[i]`, or to group 0 for a
-    /// global aggregation (`ids: None`). Groups must exist ([`Self::resize`]).
+    /// Add `len` rows of one page: the `i`th is row `rows[i]` of `argument`
+    /// (row `i` when `rows` is `None`; `argument: None` = `count(*)`) and
+    /// goes to group `ids[i]`, or to group 0 for a global aggregation
+    /// (`ids: None`). Groups must exist ([`Self::resize`]), and every group
+    /// added since the last update must get a row of this one.
     pub fn update(
         &mut self,
         ids: Option<&[u32]>,
         argument: Option<&Block>,
-        rows: usize,
+        rows: Option<&[u32]>,
+        len: usize,
     ) -> Result<()> {
-        let decoded;
-        let argument = match argument {
-            Some(dict @ Block::Dictionary { .. }) => {
-                decoded = dict.decode_dictionary();
-                Some(&decoded)
-            }
-            other => other,
-        };
-        let group = |i: usize| ids.map_or(0, |ids| ids[i] as usize);
+        if len == 0 {
+            return Ok(());
+        }
+        let feed = Feed { ids, rows, len };
         let typed = match (&mut *self, argument) {
             (GroupedAccumulator::Count { counts, merge: false }, block) => {
+                let counts = &mut counts[..];
                 match (ids, block) {
-                    (None, None) => counts[0] += rows as i64,
+                    (None, None) => counts[0] += len as i64,
                     (Some(ids), None) => ids.iter().for_each(|&g| counts[g as usize] += 1),
-                    (_, Some(b)) => {
-                        (0..rows).filter(|&i| !b.is_null(i)).for_each(|i| counts[group(i)] += 1);
-                    }
+                    (_, Some(b)) => (0..len)
+                        .filter(|&i| !b.is_null(feed.row(i)))
+                        .for_each(|i| counts[feed.group(i)] += 1),
                 }
                 true
             }
-            (GroupedAccumulator::Count { counts, merge: true }, Some(block)) => {
-                fold_ints(ids, block, |g, v| counts[g] = counts[g].wrapping_add(v))
-            }
-            (GroupedAccumulator::SumInt { sums, any }, Some(block)) => {
-                fold_ints(ids, block, |g, v| {
-                    sums[g] = sums[g].wrapping_add(v);
-                    any[g] = true;
-                })
-            }
-            (
-                GroupedAccumulator::SumDouble { sums, any },
-                Some(Block::Double { values, nulls }),
-            ) => {
-                fold(ids, values, nulls, |g, v| {
-                    sums[g] += v;
-                    any[g] = true;
-                });
-                true
-            }
-            (GroupedAccumulator::Avg { sums, counts }, Some(block)) => {
-                fold_floats(ids, block, |g, v| {
-                    sums[g] += v;
-                    counts[g] += 1;
-                })
-            }
-            (GroupedAccumulator::BestInt { best, seen, is_min, .. }, Some(block)) => {
-                fold_ints(ids, block, |g, v| keep_best(&mut best[g], &mut seen[g], v, *is_min))
-            }
-            (
-                GroupedAccumulator::BestDouble { best, seen, is_min },
-                Some(Block::Double { values, nulls }),
-            ) => {
-                fold(ids, values, nulls, |g, v| keep_best(&mut best[g], &mut seen[g], v, *is_min));
-                true
-            }
             (GroupedAccumulator::Reference { merge_counts, states, .. }, block) => {
-                for i in 0..rows {
-                    let state = &mut states[group(i)];
-                    match block.map(|b| b.value(i)) {
+                for i in 0..len {
+                    let state = &mut states[feed.group(i)];
+                    match block.map(|b| b.value(feed.row(i))) {
                         None => state.add_count(1),
                         Some(partial) if *merge_counts => {
                             state.add_count(partial.as_i64().unwrap_or(0));
@@ -518,43 +572,101 @@ impl GroupedAccumulator {
                 }
                 true
             }
+            // a typed state reads a dictionary's fed rows decoded
+            (_, Some(Block::Dictionary { dictionary, ids: codes })) => {
+                let entries: Vec<usize> = (0..len).map(|i| codes[feed.row(i)] as usize).collect();
+                return self.update(ids, Some(&dictionary.take(&entries)), None, len);
+            }
+            (GroupedAccumulator::Count { counts, merge: true }, Some(block)) => {
+                fold_ints(&feed, block, counts, |c, v| *c = c.wrapping_add(v)).is_some()
+            }
+            (GroupedAccumulator::SumInt { sums, seen }, Some(block)) => {
+                let groups = sums.len();
+                let nulls = fold_ints(&feed, block, sums, |s, v| *s = s.wrapping_add(v));
+                nulls.map(|nulls| seen.note(&feed, nulls, groups)).is_some()
+            }
+            (
+                GroupedAccumulator::SumDouble { sums, seen },
+                Some(Block::Double { values, nulls }),
+            ) => {
+                feed.fold(values, nulls, sums, |s, v| *s = add_double(*s, v));
+                seen.note(&feed, nulls, sums.len());
+                true
+            }
+            (GroupedAccumulator::Avg { totals }, Some(block)) => {
+                let step = |(sum, count): &mut (f64, i64), v: f64| {
+                    *sum = add_double(*sum, v);
+                    *count += 1;
+                };
+                match block {
+                    Block::Double { values, nulls } => feed.fold(values, nulls, totals, step),
+                    Block::Bigint { values, nulls } => {
+                        feed.fold(values, nulls, totals, |a, v| step(a, v as f64));
+                    }
+                    Block::Integer { values, nulls } => {
+                        feed.fold(values, nulls, totals, |a, v| step(a, f64::from(v)));
+                    }
+                    _ => return Err(mismatch(argument)),
+                }
+                true
+            }
+            (GroupedAccumulator::BestInt { best, seen, is_min, .. }, Some(block)) => {
+                let groups = best.len();
+                let nulls = match is_min {
+                    true => fold_ints(&feed, block, best, keep_best(|v, b| v < b)),
+                    false => fold_ints(&feed, block, best, keep_best(|v, b| v > b)),
+                };
+                nulls.map(|nulls| seen.note(&feed, nulls, groups)).is_some()
+            }
+            (
+                GroupedAccumulator::BestDouble { best, is_min },
+                Some(Block::Double { values, nulls }),
+            ) => {
+                // the first value lands; an unordered comparison (NaN)
+                // changes nothing
+                let (min, max) = (
+                    |v, b: Option<f64>| b.is_none_or(|b| v < b),
+                    |v, b: Option<f64>| b.is_none_or(|b| v > b),
+                );
+                match is_min {
+                    true => feed.fold(values, nulls, best, keep_best(min)),
+                    false => feed.fold(values, nulls, best, keep_best(max)),
+                }
+                true
+            }
             _ => false,
         };
         if typed {
             Ok(())
         } else {
-            Err(PrestoError::Internal(format!(
-                "aggregate argument of type {:?} does not match its declared state",
-                argument.map(Block::data_type)
-            )))
+            Err(mismatch(argument))
         }
     }
 
     /// The finished aggregate of every group, in group-id order: the block
     /// [`Block::from_values`] would build from each [`Accumulator::finish`].
     pub fn finish(self) -> Result<Block> {
-        // NULL where a group saw no value; `None` when every group did
-        let unseen = |seen: Vec<bool>| -> NullMask {
-            seen.contains(&false).then(|| seen.into_iter().map(|s| !s).collect())
-        };
         Ok(match self {
             GroupedAccumulator::Count { counts, .. } => Block::bigint(counts),
-            GroupedAccumulator::SumInt { sums, any } => {
-                Block::Bigint { values: sums, nulls: unseen(any) }
+            GroupedAccumulator::SumInt { sums, seen } => {
+                Block::Bigint { nulls: seen.nulls(sums.len()), values: sums }
             }
-            GroupedAccumulator::SumDouble { sums, any } => {
-                Block::Double { values: sums, nulls: unseen(any) }
+            GroupedAccumulator::SumDouble { sums, seen } => {
+                Block::Double { nulls: seen.nulls(sums.len()), values: sums }
             }
-            GroupedAccumulator::Avg { sums, counts } => Block::Double {
-                values: sums
+            GroupedAccumulator::Avg { totals } => Block::Double {
+                values: totals
                     .iter()
-                    .zip(&counts)
-                    .map(|(s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+                    .map(|&(sum, count)| if count == 0 { 0.0 } else { sum / count as f64 })
                     .collect(),
-                nulls: unseen(counts.iter().map(|&c| c != 0).collect()),
+                nulls: some_if_any(totals.iter().map(|&(_, count)| count == 0).collect()),
             },
-            GroupedAccumulator::BestInt { best, seen, data_type, .. } => {
-                let nulls = unseen(seen);
+            GroupedAccumulator::BestInt { mut best, seen, data_type, .. } => {
+                let nulls = seen.nulls(best.len());
+                // a group that saw nothing holds 0, as `from_values` builds
+                for (b, _) in best.iter_mut().zip(nulls.iter().flatten()).filter(|(_, &n)| n) {
+                    *b = 0;
+                }
                 match data_type {
                     DataType::Bigint => Block::Bigint { values: best, nulls },
                     DataType::Timestamp => Block::Timestamp { values: best, nulls },
@@ -565,15 +677,24 @@ impl GroupedAccumulator {
                     _ => Block::Date { values: best.iter().map(|&v| v as i32).collect(), nulls },
                 }
             }
-            GroupedAccumulator::BestDouble { best, seen, .. } => {
-                Block::Double { values: best, nulls: unseen(seen) }
-            }
+            GroupedAccumulator::BestDouble { best, .. } => Block::Double {
+                values: best.iter().map(|b| b.unwrap_or(0.0)).collect(),
+                nulls: some_if_any(best.iter().map(Option::is_none).collect()),
+            },
             GroupedAccumulator::Reference { output, states, .. } => {
                 let values: Vec<Value> = states.iter().map(Accumulator::finish).collect();
                 Block::from_values(&output, &values)?
             }
         })
     }
+}
+
+/// The error for an argument column of another type than its state's.
+fn mismatch(argument: Option<&Block>) -> PrestoError {
+    PrestoError::Internal(format!(
+        "aggregate argument of type {:?} does not match its declared state",
+        argument.map(Block::data_type)
+    ))
 }
 
 #[cfg(test)]
@@ -693,7 +814,9 @@ mod tests {
                     for _page in 0..2 {
                         state.resize(groups);
                         let argument = argument.map(|_| block);
-                        state.update(grouped.then_some(&ids[..]), argument, values.len()).unwrap();
+                        state
+                            .update(grouped.then_some(&ids[..]), argument, None, values.len())
+                            .unwrap();
                         for (i, v) in values.iter().enumerate() {
                             let acc = &mut reference[if grouped { ids[i] as usize } else { 0 }];
                             match argument {
@@ -721,13 +844,227 @@ mod tests {
         let mut merged =
             GroupedAccumulator::new(Count, Some(&DataType::Bigint), &DataType::Bigint, true);
         merged.resize(2);
-        merged.update(Some(&[1, 1, 1]), Some(&partials), 3).unwrap();
+        merged.update(Some(&[1, 1, 1]), Some(&partials), None, 3).unwrap();
         assert_eq!(merged.finish().unwrap(), Block::bigint(vec![0, 5]));
         // a column of another type than declared is an error, not a guess
         let mut sum =
             GroupedAccumulator::new(Sum, Some(&DataType::Double), &DataType::Double, false);
         sum.resize(1);
-        assert!(sum.update(None, Some(&partials), 3).is_err());
+        assert!(sum.update(None, Some(&partials), None, 3).is_err());
+    }
+
+    /// The state's variant; a count that merges partials is its own.
+    fn variant(state: &GroupedAccumulator) -> String {
+        match state {
+            GroupedAccumulator::Count { merge: true, .. } => "Count(merge)".into(),
+            other => format!("{other:?}").split([' ', '{']).next().unwrap_or("").into(),
+        }
+    }
+
+    #[test]
+    fn selected_rows_equal_the_gathered_rows() {
+        use AggregateFunction::*;
+        let ts = Value::Timestamp;
+        let columns: Vec<(DataType, Vec<Value>)> = vec![
+            (
+                DataType::Bigint,
+                vec![
+                    3i64.into(),
+                    Value::Null,
+                    i64::MAX.into(),
+                    1i64.into(),
+                    5i64.into(),
+                    9i64.into(),
+                ],
+            ),
+            // NOT NULL columns take the flag-free folds
+            (
+                DataType::Bigint,
+                vec![
+                    3i64.into(),
+                    4i64.into(),
+                    i64::MAX.into(),
+                    1i64.into(),
+                    5i64.into(),
+                    9i64.into(),
+                ],
+            ),
+            (
+                DataType::Integer,
+                vec![
+                    3i32.into(),
+                    1i32.into(),
+                    Value::Null,
+                    0i32.into(),
+                    9i32.into(),
+                    i32::MIN.into(),
+                ],
+            ),
+            (
+                DataType::Double,
+                vec![
+                    0.1.into(),
+                    f64::NAN.into(),
+                    (-0.0).into(),
+                    Value::Null,
+                    2.5.into(),
+                    1e300.into(),
+                ],
+            ),
+            (
+                DataType::Double,
+                vec![
+                    0.1.into(),
+                    0.2.into(),
+                    (-0.0).into(),
+                    f64::NAN.into(),
+                    2.5.into(),
+                    (-1.0).into(),
+                ],
+            ),
+            (DataType::Timestamp, vec![ts(4), ts(-4), ts(0), Value::Null, ts(9), ts(1)]),
+            (
+                DataType::Varchar,
+                vec!["b".into(), Value::Null, "a".into(), "c".into(), "".into(), "a".into()],
+            ),
+        ];
+        // out of order, repeated, rows 1 and 3 skipped
+        let rows = [4u32, 0, 2, 2, 5, 0];
+        let ids = [1u32, 0, 1, 2, 0, 2];
+        let gathered_rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+        let mut variants = std::collections::BTreeSet::new();
+        for (data_type, values) in &columns {
+            let plain = Block::from_values(data_type, values).unwrap();
+            // entries in reverse row order, and one no row uses
+            let mut entries: Vec<Value> = values.iter().rev().cloned().collect();
+            entries.push(values[0].clone());
+            let dict = Block::Dictionary {
+                dictionary: Box::new(Block::from_values(data_type, &entries).unwrap()),
+                ids: (0..values.len() as u32).rev().collect(),
+            };
+            for (function, merge) in [
+                (CountStar, false),
+                (Count, false),
+                (Count, true),
+                (Sum, false),
+                (Avg, false),
+                (Min, false),
+                (Max, false),
+            ] {
+                let argument = (function != CountStar).then_some(data_type);
+                let Ok(output) = function.return_type(argument) else { continue };
+                for (block, grouped) in
+                    [(&plain, true), (&dict, true), (&plain, false), (&dict, false)]
+                {
+                    let (ids, groups) = if grouped { (Some(&ids[..]), 3) } else { (None, 1) };
+                    let mut selected = GroupedAccumulator::new(function, argument, &output, merge);
+                    let mut gathered = GroupedAccumulator::new(function, argument, &output, merge);
+                    variants.insert(variant(&selected));
+                    selected.resize(groups);
+                    gathered.resize(groups);
+                    let taken = block.take(&gathered_rows);
+                    let (block, taken) = (argument.map(|_| block), argument.map(|_| &taken));
+                    selected.update(ids, block, Some(&rows), rows.len()).unwrap();
+                    gathered.update(ids, taken, None, rows.len()).unwrap();
+                    assert_eq!(
+                        format!("{:?}", selected.finish().unwrap()),
+                        format!("{:?}", gathered.finish().unwrap()),
+                        "{function:?} (merge: {merge}) over {block:?}, grouped: {grouped}"
+                    );
+                }
+            }
+        }
+        let every = [
+            "Avg",
+            "BestDouble",
+            "BestInt",
+            "Count",
+            "Count(merge)",
+            "Reference",
+            "SumDouble",
+            "SumInt",
+        ];
+        assert_eq!(variants.into_iter().collect::<Vec<_>>(), every);
+    }
+
+    /// Sums and integer min/max write no per-row flag while their pages are
+    /// NULL-free, and keep one per group from the first page that holds a
+    /// NULL. Either way each group finishes as one accumulator per group
+    /// does: a group whose rows were all NULL, and one added but never fed,
+    /// finish NULL.
+    #[test]
+    fn the_seen_flag_is_kept_per_group_from_the_first_page_with_a_null() {
+        use AggregateFunction::*;
+        // group ids, values, groups so far
+        type Fed = (&'static [u32], &'static [Option<i64>], usize);
+        let pages: [Fed; 4] = [
+            (&[0, 1, 0], &[Some(1), Some(-2), Some(3)], 2),
+            (&[1, 0], &[Some(4), Some(i64::MAX)], 2),
+            // group 2 sees only NULLs, group 1 a NULL after its values
+            (&[2, 1, 2, 3], &[None, None, None, Some(7)], 4),
+            (&[4, 0], &[Some(5), Some(6)], 5),
+        ];
+        for data_type in [DataType::Bigint, DataType::Integer, DataType::Double] {
+            let value = |v: Option<i64>| match (v, &data_type) {
+                (None, _) => Value::Null,
+                (Some(x), DataType::Bigint) => Value::Bigint(x),
+                (Some(x), DataType::Integer) => Value::Integer(x as i32),
+                (Some(x), _) => Value::Double(x as f64),
+            };
+            for function in [CountStar, Count, Sum, Avg, Min, Max] {
+                for grouped in [true, false] {
+                    let argument = (function != CountStar).then_some(&data_type);
+                    let output = function.return_type(argument).unwrap();
+                    let mut state = GroupedAccumulator::new(function, argument, &output, false);
+                    // a sixth group is added and never fed
+                    let groups = |n: usize| if grouped { n } else { 1 };
+                    let mut reference = vec![function.new_accumulator(); groups(6)];
+                    for (ids, values, n) in pages {
+                        let values: Vec<Value> = values.iter().map(|&v| value(v)).collect();
+                        let block = Block::from_values(&data_type, &values).unwrap();
+                        state.resize(groups(n));
+                        let fed = grouped.then_some(ids);
+                        state.update(fed, argument.map(|_| &block), None, ids.len()).unwrap();
+                        for (&g, v) in ids.iter().zip(&values) {
+                            let acc = &mut reference[if grouped { g as usize } else { 0 }];
+                            match argument {
+                                None => acc.add_count(1),
+                                Some(_) => acc.add(v),
+                            }
+                        }
+                    }
+                    state.resize(groups(6));
+                    let expected: Vec<Value> = reference.iter().map(Accumulator::finish).collect();
+                    let expected = Block::from_values(&output, &expected).unwrap();
+                    assert_eq!(
+                        format!("{:?}", state.finish().unwrap()),
+                        format!("{expected:?}"),
+                        "{function:?} over {data_type}, grouped: {grouped}"
+                    );
+                }
+            }
+        }
+
+        // a global aggregate over zero rows: count 0, everything else NULL
+        let int = DataType::Bigint;
+        for (function, expected) in [
+            (CountStar, Value::Bigint(0)),
+            (Count, Value::Bigint(0)),
+            (Sum, Value::Null),
+            (Avg, Value::Null),
+            (Min, Value::Null),
+        ] {
+            let argument = (function != CountStar).then_some(&int);
+            let output = function.return_type(argument).unwrap();
+            let mut state = GroupedAccumulator::new(function, argument, &output, false);
+            state.resize(1);
+            assert_eq!(state.finish().unwrap().value(0), expected, "{function:?}");
+        }
+        // a NULL-free global sum has no mask at all
+        let mut sum = GroupedAccumulator::new(Sum, Some(&int), &int, false);
+        sum.resize(1);
+        sum.update(None, Some(&Block::bigint(vec![1, 2, 3])), None, 3).unwrap();
+        assert_eq!(sum.finish().unwrap(), Block::bigint(vec![6]));
     }
 
     #[test]

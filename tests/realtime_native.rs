@@ -365,95 +365,111 @@ fn flatten(pages: &[Page]) -> Vec<Vec<Value>> {
     pages.iter().flat_map(Page::rows).collect()
 }
 
+/// One random table and eight random requests against it, through every
+/// entry point: the native query, the raw scan and each split of the
+/// connector, aggregated and raw.
+fn kernel_case(seed: u64) {
+    let rng = &mut TestRng::deterministic(&format!("realtime-native-{seed}"));
+    let (store, reference) = random_table(rng);
+    let connector = RealtimeConnector::new(store.clone());
+    let segments = reference.segments.len();
+    prop_assert_eq!(store.table("s", "t").unwrap().segment_count(), segments, "seed {}", seed);
+    let (mut native_queries, mut matched, mut streamed) = (0u64, 0u64, 0u64);
+
+    for _ in 0..8 {
+        let query = NativeQuery {
+            filters: random_filters(rng, &reference),
+            group_by: random_columns(rng, 3),
+            aggregates: random_aggregates(rng),
+            limit: random_limit(rng),
+        };
+        let columns = random_columns(rng, 4);
+        let range = random_range(rng, segments);
+        let context = format!("seed {seed}: {query:?} columns {columns:?} range {range:?}");
+
+        // the two store entry points
+        let got = store.execute_native("s", "t", &query, range).unwrap();
+        let (rows, cost, rows_matched) = reference.native(&query, range);
+        prop_assert_eq!(exact(&got.rows), exact(&rows), "native rows: {}", context);
+        prop_assert_eq!((got.cost, got.rows_matched), (cost, rows_matched), "{}", context);
+        native_queries += 1;
+        matched += rows_matched;
+        let (got_rows, got_cost) =
+            store.scan_segments("s", "t", &columns, &query.filters, query.limit, range).unwrap();
+        let (rows, cost) = reference.scan(&columns, &query.filters, query.limit, range);
+        prop_assert_eq!(exact(&got_rows), exact(&rows), "scan rows: {}", context);
+        prop_assert_eq!(got_cost, cost, "{}", context);
+        streamed += rows.len() as u64;
+
+        // the connector: every split, aggregated and raw
+        let predicate: Vec<PushdownPredicate> = query
+            .filters
+            .iter()
+            .map(|(c, p)| PushdownPredicate { target: ColumnPath::whole(c), predicate: p.clone() })
+            .collect();
+        let aggregated = ScanRequest {
+            predicate: predicate.clone(),
+            aggregation: Some(AggregationPushdown {
+                group_by: query.group_by.iter().map(ColumnPath::whole).collect(),
+                aggregates: query
+                    .aggregates
+                    .iter()
+                    .map(|(f, c)| (*f, c.as_ref().map(ColumnPath::whole)))
+                    .collect(),
+            }),
+            ..ScanRequest::default()
+        };
+        let raw = ScanRequest {
+            columns: columns.iter().map(ColumnPath::whole).collect(),
+            predicate,
+            limit: query.limit,
+            aggregation: None,
+        };
+        let unlimited = NativeQuery { limit: None, ..query.clone() };
+        connector.take_last_scan_costs();
+        let mut expected_costs = Vec::new();
+        for split in connector.splits("s", "t", &raw).unwrap() {
+            let SplitPayload::Segments { start, end } = split.payload else { panic!("split") };
+            let pages = connector.scan_split(&split, &aggregated, &ScanHooks::none()).unwrap();
+            let (rows, cost, rows_matched) = reference.native(&unlimited, Some((start, end)));
+            prop_assert_eq!(exact(&flatten(&pages)), exact(&rows), "partials: {}", context);
+            expected_costs.push(ScanCost { filter: cost, stream: Duration::ZERO });
+            native_queries += 1;
+            matched += rows_matched;
+
+            let pages = connector.scan_split(&split, &raw, &ScanHooks::none()).unwrap();
+            let (rows, cost) =
+                reference.scan(&columns, &query.filters, query.limit, Some((start, end)));
+            prop_assert_eq!(exact(&flatten(&pages)), exact(&rows), "raw split: {}", context);
+            prop_assert!(pages.iter().all(|p| !p.is_empty()), "no empty pages: {}", context);
+            expected_costs.push(cost);
+            streamed += rows.len() as u64;
+        }
+        prop_assert_eq!(connector.take_last_scan_costs(), expected_costs, "{}", context);
+    }
+    let counter = |name: &str| store.metrics().get(name);
+    prop_assert_eq!(
+        (counter("rt.native_queries"), counter("rt.rows_matched"), counter("rt.rows_streamed")),
+        (native_queries, matched, streamed),
+        "seed {}",
+        seed
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn kernel_equals_row_at_a_time_reference(seed in any::<u64>()) {
-        let rng = &mut TestRng::deterministic(&format!("realtime-native-{seed}"));
-        let (store, reference) = random_table(rng);
-        let connector = RealtimeConnector::new(store.clone());
-        let segments = reference.segments.len();
-        prop_assert_eq!(store.table("s", "t").unwrap().segment_count(), segments);
-        let (mut native_queries, mut matched, mut streamed) = (0u64, 0u64, 0u64);
-
-        for _ in 0..8 {
-            let query = NativeQuery {
-                filters: random_filters(rng, &reference),
-                group_by: random_columns(rng, 3),
-                aggregates: random_aggregates(rng),
-                limit: random_limit(rng),
-            };
-            let columns = random_columns(rng, 4);
-            let range = random_range(rng, segments);
-            let context = format!("{query:?} columns {columns:?} range {range:?}");
-
-            // the two store entry points
-            let got = store.execute_native("s", "t", &query, range).unwrap();
-            let (rows, cost, rows_matched) = reference.native(&query, range);
-            prop_assert_eq!(exact(&got.rows), exact(&rows), "native rows: {}", context);
-            prop_assert_eq!((got.cost, got.rows_matched), (cost, rows_matched), "{}", context);
-            native_queries += 1;
-            matched += rows_matched;
-            let (got_rows, got_cost) =
-                store.scan_segments("s", "t", &columns, &query.filters, query.limit, range).unwrap();
-            let (rows, cost) = reference.scan(&columns, &query.filters, query.limit, range);
-            prop_assert_eq!(exact(&got_rows), exact(&rows), "scan rows: {}", context);
-            prop_assert_eq!(got_cost, cost, "{}", context);
-            streamed += rows.len() as u64;
-
-            // the connector: every split, aggregated and raw
-            let predicate: Vec<PushdownPredicate> = query
-                .filters
-                .iter()
-                .map(|(c, p)| PushdownPredicate { target: ColumnPath::whole(c), predicate: p.clone() })
-                .collect();
-            let aggregated = ScanRequest {
-                predicate: predicate.clone(),
-                aggregation: Some(AggregationPushdown {
-                    group_by: query.group_by.iter().map(ColumnPath::whole).collect(),
-                    aggregates: query
-                        .aggregates
-                        .iter()
-                        .map(|(f, c)| (*f, c.as_ref().map(ColumnPath::whole)))
-                        .collect(),
-                }),
-                ..ScanRequest::default()
-            };
-            let raw = ScanRequest {
-                columns: columns.iter().map(ColumnPath::whole).collect(),
-                predicate,
-                limit: query.limit,
-                aggregation: None,
-            };
-            let unlimited = NativeQuery { limit: None, ..query.clone() };
-            connector.take_last_scan_costs();
-            let mut expected_costs = Vec::new();
-            for split in connector.splits("s", "t", &raw).unwrap() {
-                let SplitPayload::Segments { start, end } = split.payload else { panic!("split") };
-                let pages = connector.scan_split(&split, &aggregated, &ScanHooks::none()).unwrap();
-                let (rows, cost, rows_matched) = reference.native(&unlimited, Some((start, end)));
-                prop_assert_eq!(exact(&flatten(&pages)), exact(&rows), "partials: {}", context);
-                expected_costs.push(ScanCost { filter: cost, stream: Duration::ZERO });
-                native_queries += 1;
-                matched += rows_matched;
-
-                let pages = connector.scan_split(&split, &raw, &ScanHooks::none()).unwrap();
-                let (rows, cost) =
-                    reference.scan(&columns, &query.filters, query.limit, Some((start, end)));
-                prop_assert_eq!(exact(&flatten(&pages)), exact(&rows), "raw split: {}", context);
-                prop_assert!(pages.iter().all(|p| !p.is_empty()), "no empty pages: {}", context);
-                expected_costs.push(cost);
-                streamed += rows.len() as u64;
-            }
-            prop_assert_eq!(connector.take_last_scan_costs(), expected_costs, "{}", context);
-        }
-        let counter = |name: &str| store.metrics().get(name);
-        prop_assert_eq!(
-            (counter("rt.native_queries"), counter("rt.rows_matched"), counter("rt.rows_streamed")),
-            (native_queries, matched, streamed)
-        );
+        kernel_case(seed);
     }
+}
+
+/// [`kernel_case`] over 10k seeds, at soak size.
+#[test]
+#[ignore = "release soak: `cargo test --release -p presto-at-scale --test realtime_native -- --ignored`"]
+fn kernel_equals_row_at_a_time_reference_soak() {
+    (0..10_000).for_each(kernel_case);
 }
 
 #[test]
