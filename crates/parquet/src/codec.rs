@@ -5,15 +5,18 @@
 //! implements two from-scratch LZ77-family codecs with the same *cost
 //! profiles* (documented substitution, see DESIGN.md):
 //!
-//! - [`Codec::Fast`] — Snappy-like: greedy matching, one hash probe,
-//!   speed-biased, modest ratio;
+//! - [`Codec::Fast`] — Snappy-like: greedy matching with one hash probe at
+//!   each position searched, and only those positions and the last two of
+//!   each match entered in the hash; a match is extended backwards over the
+//!   literals before it (LZ4's catch-up); speed-biased, modest ratio;
 //! - [`Codec::Deep`] — Gzip-like: a chained hash walked up to 32 entries
 //!   deep at every position searched, a lazy probe of the next position
-//!   after a match shorter than 6 bytes, and a skip that searches ever fewer
-//!   positions through a streak without a match (every position still
-//!   enters the hash); slower, better ratio. Neither codec has an entropy
-//!   stage;
+//!   after a match shorter than 6 bytes, and every position entered in the
+//!   hash; slower, better ratio;
 //! - [`Codec::None`] — passthrough.
+//!
+//! Both LZ codecs search ever fewer positions through a streak without a
+//! match (Snappy's skip), and neither has an entropy stage.
 //!
 //! Wire format (both LZ codecs): varint uncompressed length, then a token
 //! stream. Token tag byte `t`: low bit 0 → literal run of `t >> 1` + 1 bytes
@@ -28,6 +31,8 @@ use presto_common::{PrestoError, Result};
 const MIN_MATCH: usize = 4;
 /// Maximum run length representable in one token.
 const MAX_RUN: usize = 128;
+/// The most bytes one token yields: a match of the longest length.
+const LONGEST_TOKEN: usize = MAX_RUN - 1 + MIN_MATCH;
 
 /// Compression codec identifier, stored per column chunk in the footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +86,8 @@ impl Codec {
     pub(crate) fn compress_into(self, data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
         match self {
             Codec::None => out.extend_from_slice(data),
-            Codec::Fast => lz_compress::<false>(data, tables, out),
-            Codec::Deep => lz_compress::<true>(data, tables, out),
+            Codec::Fast => fast_compress(data, tables, out),
+            Codec::Deep => deep_compress(data, tables, out),
         }
     }
 
@@ -141,23 +146,24 @@ fn hash4(word: u32) -> usize {
 
 const HASH_SIZE: usize = 1 << 14;
 const CHAIN_SIZE: usize = 1 << 16;
+/// The farthest back a match may reach: one less than the chain's length.
+const MAX_DIST: usize = CHAIN_SIZE - 1;
 
+/// After `m` positions in a row without a match, the next search is
+/// `1 + (m >> SKIP_SHIFT)` positions on (Snappy's skip), in both codecs.
+const SKIP_SHIFT: u32 = 5;
 /// [`Codec::Deep`]: chain entries examined per position.
 const DEEP_CHAIN: usize = 32;
 /// [`Codec::Deep`]: a match this long or longer is taken without probing the
 /// next position for a longer one (zlib's `max_lazy`).
 const DEEP_LAZY_BELOW: usize = 6;
-/// [`Codec::Deep`]: after `m` positions in a row without a match, the next
-/// search is `1 + (m >> DEEP_SKIP_SHIFT)` positions on (Snappy's skip); every
-/// position passed over still enters the tables.
-const DEEP_SKIP_SHIFT: u32 = 5;
 
 /// The compressor's match-finding tables, reusable from one page to the
 /// next without being zeroed in between: `head[h]` is the most recent
-/// position with hash `h`, `chain[i & mask]` the position before `i` with the
-/// same hash, every position held (and the chain indexed) as `base + 1 +
-/// position`, where `base` rises by a page's length after every page. What an
-/// earlier page left behind, like the 0 of a slot never written, then lies
+/// position entered with hash `h`, `chain[i & mask]` the position before `i`
+/// with the same hash, every position held (and the chain indexed) as `base +
+/// 1 + position`, where `base` rises by a page's length after every page. What
+/// an earlier page left behind, like the 0 of a slot never written, then lies
 /// further back than the current page's first byte, and the one window test
 /// every candidate takes anyway rejects it, exactly as an empty slot.
 #[derive(Default)]
@@ -169,8 +175,9 @@ pub(crate) struct MatchTables {
 
 impl MatchTables {
     /// Tables that hold nothing of an earlier page, for a page of `len`
-    /// bytes; the chain only when the caller follows it.
-    fn fresh(&mut self, len: usize, chained: bool) {
+    /// bytes; the chain only when the caller follows it. Returns the bias
+    /// that turns a position of the page into its table entry.
+    fn fresh(&mut self, len: usize, chained: bool) -> u32 {
         self.head.resize(HASH_SIZE, 0);
         if chained {
             self.chain.resize(CHAIN_SIZE, 0);
@@ -181,6 +188,20 @@ impl MatchTables {
             self.chain.fill(0);
             self.base = 0;
         }
+        self.base + 1
+    }
+
+    /// The head table, sized by [`MatchTables::fresh`], and the chain.
+    fn parts(&mut self) -> (&mut [u32; HASH_SIZE], &mut [u32]) {
+        let head = <&mut [u32; HASH_SIZE]>::try_from(&mut self.head[..])
+            .expect("`fresh` sizes the head table");
+        (head, &mut self.chain[..])
+    }
+
+    /// Move `base` past a page of `len` bytes (a page too long for `u32`
+    /// positions leaves nothing the next can trust).
+    fn advance(&mut self, len: usize) {
+        self.base = u32::try_from(len).map_or(u32::MAX, |len| self.base + len);
     }
 }
 
@@ -201,24 +222,114 @@ fn common_prefix(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     len + x[len..].iter().zip(&y[len..]).take_while(|(p, q)| p == q).count()
 }
 
-/// LZ77 with a chained hash table. `DEEP` (Gzip-style) examines up to
-/// [`DEEP_CHAIN`] chain entries per position, defers a match shorter than
-/// [`DEEP_LAZY_BELOW`] by one position when the next one has a longer match,
-/// and through a streak of positions without a match searches ever fewer of
-/// them ([`DEEP_SKIP_SHIFT`]). Otherwise one probe at every position, greedy
-/// (Snappy-style) — which never reads the chain and so does not keep one.
-fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
+/// Start `data`'s stream with its length. A page too short to search is
+/// then written whole as literals (`None`); otherwise `tables` are made
+/// ready for it ([`MatchTables::fresh`]) and its bias returned.
+fn begin_stream(
+    data: &[u8],
+    tables: &mut MatchTables,
+    chained: bool,
+    out: &mut Vec<u8>,
+) -> Option<u32> {
     out.reserve(data.len() / 2 + 16);
     write_varint(out, data.len() as u64);
     if data.len() < MIN_MATCH + 4 {
         emit_literals(out, data);
-        return;
+        return None;
     }
-    tables.fresh(data.len(), DEEP);
-    let bias = tables.base + 1;
-    let head = <&mut [u32; HASH_SIZE]>::try_from(&mut tables.head[..])
-        .expect("`fresh` sizes the head table");
-    let chain = &mut tables.chain[..];
+    Some(tables.fresh(data.len(), chained))
+}
+
+/// A match token: `len` bytes (`MIN_MATCH..=LONGEST_TOKEN`) from `dist` back.
+#[inline]
+fn emit_match(out: &mut Vec<u8>, len: usize, dist: usize) {
+    out.push((((len - MIN_MATCH) as u8) << 1) | 1);
+    if dist < 0x80 {
+        out.push(dist as u8);
+    } else {
+        write_varint(out, dist as u64);
+    }
+}
+
+/// [`Codec::Fast`], Snappy's search: one probe of the head table at each
+/// position searched, greedy. Through a streak of misses the search skips
+/// ([`SKIP_SHIFT`]); a match it finds is first extended backwards over the
+/// literals it passed (LZ4's catch-up), so the skip costs little ratio. A
+/// searched position enters the head table; of a match, only its last two
+/// positions do.
+fn fast_compress(data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
+    let Some(bias) = begin_stream(data, tables, false, out) else {
+        return;
+    };
+    let (head, _) = tables.parts();
+    // the last position four bytes start at, exclusive
+    let hashable = data.len() - (MIN_MATCH - 1);
+    let (mut pos, mut literal_start, mut misses) = (0, 0, 0);
+    while pos < hashable {
+        let word = word4(data, pos);
+        let at = bias + pos as u32;
+        let slot = &mut head[hash4(word)];
+        // a candidate lies 1..=MAX_DIST bytes back, in this page; empty and
+        // stale entries fall outside
+        let dist = at.wrapping_sub(std::mem::replace(slot, at)) as usize;
+        if dist.wrapping_sub(1) >= pos.min(MAX_DIST) || word4(data, pos - dist) != word {
+            misses += 1;
+            pos += 1 + (misses >> SKIP_SHIFT);
+            continue;
+        }
+        // catch-up: the bytes before both ends may match too, back to the
+        // pending literals' start (and no further than one token holds)
+        let floor = literal_start.max(dist).max(pos.saturating_sub(LONGEST_TOKEN - MIN_MATCH));
+        let mut start = pos;
+        while start > floor && data[start - 1] == data[start - 1 - dist] {
+            start -= 1;
+        }
+        let back = pos - start;
+        let len = back
+            + common_prefix(data, pos - dist, pos, (data.len() - pos).min(LONGEST_TOKEN - back));
+        emit_short_literals(out, data, literal_start, start);
+        emit_match(out, len, dist);
+        pos = start + len;
+        literal_start = pos;
+        misses = 0;
+        // (past `hashable` the loop is over, and an entry could only be stale)
+        if pos < hashable {
+            for p in [pos - 2, pos - 1] {
+                head[hash4(word4(data, p))] = bias + p as u32;
+            }
+        }
+    }
+    emit_literals(out, &data[literal_start..]);
+    tables.advance(data.len());
+}
+
+/// The literals `data[from..to]`. A run of at most 16 bytes with 16 bytes of
+/// `data` to copy is copied as one fixed-width block behind its tag and cut
+/// back, an empty one included (to nothing), without a branch on its length.
+#[inline]
+fn emit_short_literals(out: &mut Vec<u8>, data: &[u8], from: usize, to: usize) {
+    let n = to - from;
+    if n <= 16 && from + 16 <= data.len() {
+        let end = out.len() + n + usize::from(n > 0);
+        out.push((n.wrapping_sub(1) as u8) << 1);
+        out.extend_from_slice(&data[from..from + 16]);
+        out.truncate(end);
+    } else {
+        emit_literals(out, &data[from..to]);
+    }
+}
+
+/// [`Codec::Deep`], Gzip's search: LZ77 with a chained hash table, examining
+/// up to [`DEEP_CHAIN`] chain entries per position searched, deferring a
+/// match shorter than [`DEEP_LAZY_BELOW`] by one position when the next one
+/// has a longer match, and through a streak of positions without a match
+/// searching ever fewer of them ([`SKIP_SHIFT`]). Every position enters the
+/// tables.
+fn deep_compress(data: &[u8], tables: &mut MatchTables, out: &mut Vec<u8>) {
+    let Some(bias) = begin_stream(data, tables, true, out) else {
+        return;
+    };
+    let (head, chain) = tables.parts();
     // the last position four bytes start at, exclusive
     let hashable = data.len() - (MIN_MATCH - 1);
 
@@ -226,12 +337,12 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
         if pos >= hashable {
             return None;
         }
-        let max_len = (data.len() - pos).min(MAX_RUN - 1 + MIN_MATCH);
+        let max_len = (data.len() - pos).min(LONGEST_TOKEN);
         let first = word4(data, pos);
-        let (at, reach) = (bias + pos as u32, pos.min(CHAIN_SIZE - 1) as u32);
+        let (at, reach) = (bias + pos as u32, pos.min(MAX_DIST) as u32);
         let mut best: Option<(usize, usize)> = None;
         let mut cand = head[hash4(first)];
-        for _ in 0..if DEEP { DEEP_CHAIN } else { 1 } {
+        for _ in 0..DEEP_CHAIN {
             // a candidate lies 1..=reach bytes back: in this page and in the
             // window; empty, stale and (never) later entries fall outside
             let dist = at.wrapping_sub(cand);
@@ -251,9 +362,6 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
                     }
                 }
             }
-            if !DEEP {
-                break;
-            }
             cand = chain[cand as usize & (CHAIN_SIZE - 1)];
         }
         best
@@ -263,23 +371,21 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
     let insert = |head: &mut [u32; HASH_SIZE], chain: &mut [u32], from: usize, to: usize| {
         for p in from..to.min(hashable) {
             let (h, at) = (hash4(word4(data, p)), bias + p as u32);
-            if DEEP {
-                chain[at as usize & (CHAIN_SIZE - 1)] = head[h];
-            }
+            chain[at as usize & (CHAIN_SIZE - 1)] = head[h];
             head[h] = at;
         }
     };
 
     let mut pos = 0;
     let mut literal_start = 0;
-    // positions searched in a row without a match (`DEEP`)
+    // positions searched in a row without a match
     let mut misses = 0;
     // the match found at `pos` while deciding to defer the one before it
     let mut deferred = None;
     while pos < data.len() {
         let found = deferred.take().unwrap_or_else(|| find_match(head, chain, pos));
         let mut inserted = pos;
-        let lazy = found.filter(|&(len, _)| DEEP && len < DEEP_LAZY_BELOW && pos + 1 < data.len());
+        let lazy = found.filter(|&(len, _)| len < DEEP_LAZY_BELOW && pos + 1 < data.len());
         if let Some((len, _)) = lazy {
             // Lazy: if the next position has a longer match than this short
             // one, emit a literal here instead.
@@ -295,25 +401,21 @@ fn lz_compress<const DEEP: bool>(data: &[u8], tables: &mut MatchTables, out: &mu
         let step = match found {
             Some((len, dist)) => {
                 emit_literals(out, &data[literal_start..pos]);
-                // match token
-                out.push((((len - MIN_MATCH) as u8) << 1) | 1);
-                write_varint(out, dist as u64);
+                emit_match(out, len, dist);
                 literal_start = pos + len;
                 misses = 0;
                 len
             }
-            None if DEEP => {
+            None => {
                 misses += 1;
-                1 + (misses >> DEEP_SKIP_SHIFT)
+                1 + (misses >> SKIP_SHIFT)
             }
-            None => 1,
         };
         insert(head, chain, inserted, pos + step);
         pos += step;
     }
     emit_literals(out, &data[literal_start..]);
-    // (a page too long for `u32` positions leaves nothing the next can trust)
-    tables.base = u32::try_from(data.len()).map_or(u32::MAX, |len| tables.base + len);
+    tables.advance(data.len());
 }
 
 fn emit_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
@@ -325,8 +427,6 @@ fn emit_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
     }
 }
 
-/// The most bytes one token yields: a match of the longest length.
-const LONGEST_TOKEN: usize = MAX_RUN - 1 + MIN_MATCH;
 /// Bytes the decoder allocates past a page's length, so that a short literal
 /// and the last block of a match are copied as whole fixed-width blocks.
 const SLACK: usize = 16;
@@ -465,13 +565,6 @@ mod tests {
         }
     }
 
-    /// A match token of `len` bytes (`MIN_MATCH..=MAX_RUN - 1 + MIN_MATCH`)
-    /// `dist` bytes back.
-    fn push_match(stream: &mut Vec<u8>, len: usize, dist: usize) {
-        stream.push((((len - MIN_MATCH) as u8) << 1) | 1);
-        write_varint(stream, dist as u64);
-    }
-
     /// Every period 1–16 and every match length up to the longest a token
     /// holds, copied both from within reach (`dist >= len`) and overlapping
     /// its own output, from hand-built streams and from the compressors.
@@ -488,8 +581,8 @@ mod tests {
                 let total = period + len + len;
                 write_varint(&mut stream, total as u64);
                 emit_literals(&mut stream, &seed);
-                push_match(&mut stream, len, period);
-                push_match(&mut stream, len, len);
+                emit_match(&mut stream, len, period);
+                emit_match(&mut stream, len, len);
                 let expected = decompress_bytewise(&stream).unwrap();
                 assert_eq!(expected.len(), total);
                 let got = lz_decompress(&stream).unwrap();
@@ -513,7 +606,7 @@ mod tests {
         for dist in [0, 4] {
             let mut stream = vec![10];
             emit_literals(&mut stream, b"abc");
-            push_match(&mut stream, 7, dist);
+            emit_match(&mut stream, 7, dist);
             assert!(format(&stream), "distance {dist}");
         }
         // a match cut off before its distance
@@ -525,11 +618,11 @@ mod tests {
         // with an overlapping match
         let mut short = vec![20];
         emit_literals(&mut short, b"abc");
-        push_match(&mut short, 7, 1);
+        emit_match(&mut short, 7, 1);
         assert!(format(&short));
         let mut long = vec![5];
         emit_literals(&mut long, b"ab");
-        push_match(&mut long, 40, 2);
+        emit_match(&mut long, 40, 2);
         assert!(format(&long));
         // a length past what the stream's tokens could yield is rejected
         // before anything is allocated ...
@@ -543,7 +636,7 @@ mod tests {
         write_varint(&mut dense, 1 + 64 * LONGEST_TOKEN as u64);
         emit_literals(&mut dense, b"a");
         for _ in 0..64 {
-            push_match(&mut dense, LONGEST_TOKEN, 1);
+            emit_match(&mut dense, LONGEST_TOKEN, 1);
         }
         assert_eq!(lz_decompress(&dense).unwrap(), vec![b'a'; 1 + 64 * LONGEST_TOKEN]);
     }
@@ -593,7 +686,7 @@ mod tests {
         for dist in [1, 3, 7, 8, 9, 15, 16, 17, 40] {
             for len in MIN_MATCH..=LONGEST_TOKEN {
                 let mut token = Vec::new();
-                push_match(&mut token, len, dist);
+                emit_match(&mut token, len, dist);
                 lasts.push((len, token));
             }
         }
@@ -770,22 +863,85 @@ mod tests {
             .collect()
     }
 
-    /// Noise round-trips, and where nothing matches `Deep` writes the literal
-    /// framing and no more: a tag per 128 bytes and the length varint.
+    /// Noise round-trips, and where nothing matches both codecs write the
+    /// literal framing and no more: a tag per 128 bytes and the length varint.
     #[test]
     fn round_trips_pseudorandom_input() {
         for len in [1, 127, 128, 129, 5_000, 20_000, 100_000] {
             let data = noise(0x1234_5678 + len as u64, len);
             for codec in [Codec::Fast, Codec::Deep] {
                 round_trip(codec, &data);
+                let packed = codec.compress(&data).len();
+                let bound = len + len.div_ceil(MAX_RUN) + 10;
+                assert!(packed <= bound, "{codec:?}: {len} bytes packed into {packed}");
             }
-            let packed = Codec::Deep.compress(&data).len();
-            assert!(packed <= len + len.div_ceil(MAX_RUN) + 10, "{len} bytes packed into {packed}");
         }
     }
 
-    /// `(output offset, length, is a match)` of each token of a stream.
-    fn tokens(stream: &[u8]) -> Vec<(usize, usize, bool)> {
+    /// `pages` compressed in turn through one set of tables, once from
+    /// empty tables and then on from `base`, each against the same page
+    /// compressed with fresh tables: what earlier pages left in the tables
+    /// must not change a byte.
+    fn streams_do_not_depend_on_history(codec: Codec, pages: &[Vec<u8>], base: u32) {
+        let mut tables = MatchTables::default();
+        for pass in 0..2 {
+            if pass == 1 {
+                tables.base = base;
+            }
+            for (i, page) in pages.iter().enumerate() {
+                let mut stream = Vec::new();
+                codec.compress_into(page, &mut tables, &mut stream);
+                assert!(
+                    stream == codec.compress(page),
+                    "{codec:?}, pass {pass}, page {i} of {} bytes, tables from base {base:#x}",
+                    page.len()
+                );
+                assert_eq!(codec.decompress(stream).unwrap(), *page);
+            }
+        }
+    }
+
+    /// Noise, long runs, short periods and trips-shaped files: pages that
+    /// meet the entries of pages like them and unlike them.
+    fn history_pages() -> Vec<Vec<u8>> {
+        let periodic =
+            |period: usize, len: usize| noise(0xFACE + period as u64, period).repeat(len / period);
+        vec![
+            noise(0x0DD5, 20_000),
+            vec![7u8; 30_000],
+            periodic(3, 9_000),
+            trips_shaped_file(Codec::None, 48),
+            noise(0x0DD6, 300),
+            periodic(7, 40_000),
+            [noise(0x0DD7, 5_000), vec![0u8; 5_000], noise(0x0DD7, 5_000)].concat(),
+            periodic(2, 12),
+            trips_shaped_file(Codec::None, 16),
+        ]
+    }
+
+    /// A page's stream is the one fresh tables give it, whatever the tables
+    /// held before: the pages once more after them, from where they left
+    /// off, from a `base` a little below the `u32` wrap (some page in the
+    /// sequence starts the tables over, which still hold the first pass's
+    /// entries from the bottom of the range), from one that puts a page's
+    /// last entry on `u32::MAX` exactly (the next starts over), and from the
+    /// wrap itself (the first starts over).
+    #[test]
+    fn a_pages_stream_does_not_depend_on_the_match_tables_history() {
+        let pages = history_pages();
+        let total: usize = pages.iter().map(Vec::len).sum();
+        let first_four: usize = pages[..4].iter().map(Vec::len).sum();
+        let below = |n: usize| u32::MAX - u32::try_from(n).unwrap();
+        for codec in [Codec::Fast, Codec::Deep] {
+            for base in [total as u32, below(total / 2), below(first_four), u32::MAX] {
+                streams_do_not_depend_on_history(codec, &pages, base);
+            }
+        }
+    }
+
+    /// `(output offset, length, match distance)` of each token of a stream;
+    /// a literal run has no distance.
+    fn tokens(stream: &[u8]) -> Vec<(usize, usize, Option<usize>)> {
         let mut pos = 0;
         let total = read_varint(stream, &mut pos).unwrap() as usize;
         let (mut at, mut tokens) = (0, Vec::new());
@@ -795,10 +951,10 @@ mod tests {
             let token = if tag & 1 == 0 {
                 let n = (tag >> 1) as usize + 1;
                 pos += n;
-                (at, n, false)
+                (at, n, None)
             } else {
-                read_varint(stream, &mut pos).unwrap();
-                (at, (tag >> 1) as usize + MIN_MATCH, true)
+                let dist = read_varint(stream, &mut pos).unwrap() as usize;
+                (at, (tag >> 1) as usize + MIN_MATCH, Some(dist))
             };
             at += token.1;
             tokens.push(token);
@@ -824,20 +980,207 @@ mod tests {
         assert_eq!(lz_decompress(&stream).unwrap(), data);
         let (before, after): (Vec<_>, Vec<_>) =
             tokens(&stream).into_iter().partition(|t| t.0 < second);
-        let (at, len, _) = *before.iter().rfind(|t| t.2).unwrap();
+        let (at, len, _) = *before.iter().rfind(|t| t.2.is_some()).unwrap();
         assert!(at >= 8 << 10, "the streak before the second copy starts in the first");
         let (mut searched, mut misses) = (at + len, 0);
         while searched < second {
             misses += 1;
-            searched += 1 + (misses >> DEEP_SKIP_SHIFT);
+            searched += 1 + (misses >> SKIP_SHIFT);
         }
-        let stride = 1 + (misses >> DEEP_SKIP_SHIFT);
+        let stride = 1 + (misses >> SKIP_SHIFT);
         assert!(stride > 1, "the noise is long enough to skip");
-        let first = after.iter().find(|t| t.2).unwrap().0;
+        let first = after.iter().find(|t| t.2.is_some()).unwrap().0;
         assert!(first < second + stride, "first match at {first}, second copy at {second}");
         assert_eq!(first, searched);
-        let literals: usize = after.iter().filter(|t| !t.2 && t.0 > first).map(|t| t.1).sum();
+        let literals: usize =
+            after.iter().filter(|t| t.2.is_none() && t.0 > first).map(|t| t.1).sum();
         assert!(literals < MIN_MATCH, "{literals} literal bytes after the first match");
+    }
+
+    /// 8 KB of noise, 64 zeros, a 32-byte phrase, 4 KB of noise, the phrase
+    /// again. The zeros end on a match, so `Fast` then searches each of the
+    /// phrase's 32 positions and enters every one; through the noise that
+    /// follows it searches ever fewer, yet its first search in the second
+    /// copy — the one the skip rule puts there, counting the streak from the
+    /// zeros' match, so at most one stride late — finds the first copy, and
+    /// the catch-up carries the match back to the copy's first byte.
+    #[test]
+    fn fast_finds_a_repeat_after_noise_within_one_skip_stride() {
+        let phrase = noise(0x5EED_0013, 32);
+        let data =
+            [noise(0x5EED_0011, 8 << 10), vec![0; 64], phrase.clone(), noise(0x5EED_0012, 4 << 10)]
+                .concat();
+        let (first_copy, second) = ((8 << 10) + 64, data.len());
+        let data = [data, phrase].concat();
+        let stream = Codec::Fast.compress(&data);
+        assert_eq!(lz_decompress(&stream).unwrap(), data);
+        let (before, after): (Vec<_>, Vec<_>) =
+            tokens(&stream).into_iter().partition(|t| t.0 < second);
+        let (at, len, _) = *before.iter().rfind(|t| t.2.is_some()).unwrap();
+        assert_eq!(at + len, first_copy, "the streak before the second copy starts at the first");
+        let (mut searched, mut misses) = (first_copy, 0);
+        while searched < second {
+            misses += 1;
+            searched += 1 + (misses >> SKIP_SHIFT);
+        }
+        let stride = 1 + (misses >> SKIP_SHIFT);
+        assert!(stride > 1, "the noise is long enough to skip");
+        assert!(searched + MIN_MATCH <= data.len(), "the search lands inside the second copy");
+        // the second copy is one match, of the first
+        assert_eq!(after, [(second, 32, Some(second - first_copy))]);
+    }
+
+    /// 2 KB of noise, its first 100 bytes again, 2 KB of other noise. The
+    /// tables `Fast` leaves hold exactly the positions the skip rule searches
+    /// (each entered where it was searched) and, of the one match, its last
+    /// two positions: the head table is rebuilt here from that rule alone.
+    #[test]
+    fn fast_enters_the_positions_it_searches_and_a_matchs_last_two() {
+        let data =
+            [noise(0x5EED_0021, 2 << 10), noise(0x5EED_0021, 100), noise(0x5EED_0022, 2 << 10)]
+                .concat();
+        let (copy, hashable) = (2 << 10, data.len() - (MIN_MATCH - 1));
+        // the positions searched from `from` until one reaches `to`
+        let search = |from: usize, to: usize| {
+            let (mut searched, mut pos, mut misses) = (Vec::new(), from, 0);
+            while pos < to {
+                searched.push(pos);
+                misses += 1;
+                pos += 1 + (misses >> SKIP_SHIFT);
+            }
+            (searched, pos)
+        };
+        let (mut entered, hit) = search(0, copy);
+        assert!(hit > copy, "the copy is found past its first byte, then caught up");
+        entered.push(hit);
+        entered.extend([copy + 98, copy + 99]);
+        entered.extend(search(copy + 100, hashable).0);
+        let mut want = vec![0u32; HASH_SIZE];
+        for &p in &entered {
+            want[hash4(word4(&data, p))] = 1 + p as u32;
+        }
+
+        let (mut tables, mut stream) = (MatchTables::default(), Vec::new());
+        Codec::Fast.compress_into(&data, &mut tables, &mut stream);
+        let matches: Vec<_> = tokens(&stream).into_iter().filter(|t| t.2.is_some()).collect();
+        assert_eq!(matches, [(copy, 100, Some(copy))]);
+        assert!(tables.head == want, "the head table holds other positions");
+    }
+
+    /// Where a page's entries would wrap `u32`, the tables start over: after
+    /// a page of 20 KB, one of 5 KB from a `base` just below the wrap leaves
+    /// only its own entries behind (`1..=5000`), in the head and the chain.
+    #[test]
+    fn the_tables_start_over_where_positions_would_wrap() {
+        for codec in [Codec::Fast, Codec::Deep] {
+            let mut tables = MatchTables::default();
+            codec.compress_into(&noise(0x0DD8, 20_000), &mut tables, &mut Vec::new());
+            assert!(tables.head.iter().any(|&at| at > 5_000));
+            tables.base = u32::MAX - 100;
+            codec.compress_into(&noise(0x0DD9, 5_000), &mut tables, &mut Vec::new());
+            let stale = tables.head.iter().chain(&tables.chain).find(|&&at| at > 5_000);
+            assert_eq!(stale, None, "{codec:?}");
+            assert_eq!(tables.base, 5_000);
+        }
+    }
+
+    /// xorshift64*: the soak's choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Eight different 4-byte words that share one head slot.
+    fn colliding_words() -> Vec<[u8; 4]> {
+        let words = (1..).map(|i: u32| i.wrapping_mul(0x0100_0193) ^ 0x5A5A_5A5A);
+        let slot = hash4(0x5A5A_5A5A ^ 0x0100_0193);
+        words.filter(|&w| hash4(w) == slot).take(8).map(u32::to_le_bytes).collect()
+    }
+
+    /// One input of the soak: noise and runs, a short period, words that
+    /// collide in the head table, a length at a token or search edge, or a
+    /// phrase repeated at the window's edge.
+    fn soak_input(rng: &mut Rng, collisions: &[[u8; 4]]) -> Vec<u8> {
+        let mut data = Vec::new();
+        match rng.below(5) {
+            0 => {
+                for _ in 0..1 + rng.below(8) {
+                    let len = rng.below(400);
+                    if rng.below(2) == 0 {
+                        data.extend(noise(rng.next() | 1, len));
+                    } else {
+                        data.extend(std::iter::repeat_n(rng.next() as u8, len));
+                    }
+                }
+            }
+            1 => {
+                let period = 1 + rng.below(9);
+                let cycle = noise(rng.next() | 1, period);
+                data.extend(cycle.iter().cycle().take(rng.below(3_000)));
+                // now and then a byte out of step
+                if !data.is_empty() && rng.below(2) == 0 {
+                    let at = rng.below(data.len());
+                    data[at] ^= 0x40;
+                }
+            }
+            2 => {
+                for _ in 0..rng.below(600) {
+                    data.extend(collisions[rng.below(collisions.len())]);
+                }
+            }
+            3 => {
+                let edges = [MIN_MATCH + 4, MAX_RUN, LONGEST_TOKEN];
+                let len = edges[rng.below(edges.len())] + rng.below(3) - 1;
+                let period = 1 + rng.below(len);
+                data.extend(noise(rng.next() | 1, period).iter().cycle().take(len));
+            }
+            _ => {
+                let phrase = noise(rng.next() | 1, MIN_MATCH + rng.below(60));
+                let dist = MAX_DIST - 1 + rng.below(3);
+                data.extend(&phrase);
+                data.extend(noise(rng.next() | 1, dist - phrase.len()));
+                data.extend(&phrase);
+            }
+        }
+        data
+    }
+
+    /// 10k seeded inputs through both codecs, each over one set of tables
+    /// that is never reset (its `base` now and then moved just below the
+    /// wrap): every stream decodes to its input and is the stream fresh
+    /// tables give it.
+    #[test]
+    #[ignore = "release soak: `cargo test --release -p presto-parquet -- --ignored`"]
+    fn seeded_inputs_round_trip_over_reused_tables() {
+        let collisions = colliding_words();
+        assert_eq!(collisions.len(), 8);
+        let mut rng = Rng(0x50A4_C0DE);
+        let mut tables = [MatchTables::default(), MatchTables::default()];
+        for seed in 0..10_000 {
+            let input = soak_input(&mut rng, &collisions);
+            for (codec, tables) in [Codec::Fast, Codec::Deep].into_iter().zip(&mut tables) {
+                if rng.below(300) == 0 {
+                    tables.base = u32::MAX - rng.below(200_000) as u32;
+                }
+                let mut stream = Vec::new();
+                codec.compress_into(&input, tables, &mut stream);
+                let what = || format!("{codec:?}, input {seed} of {} bytes", input.len());
+                assert!(stream == codec.compress(&input), "{}: history moved the stream", what());
+                assert!(lz_decompress(&stream).unwrap() == input, "{}: round trip", what());
+                let farthest = tokens(&stream).into_iter().filter_map(|t| t.2).max();
+                assert!(farthest.unwrap_or(0) <= MAX_DIST, "{}: a match {farthest:?} back", what());
+            }
+        }
     }
 
     #[test]
