@@ -237,6 +237,7 @@ fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Result<Fig16Result> {
     // ---- native Druid path
     let store = workload.connector.store();
+    #[allow(clippy::disallowed_methods, reason = "the figure reports real query latency")]
     let start = Instant::now();
     let (native_rows, virtual_cost) = match &query.native_scan_columns {
         None => {
@@ -257,6 +258,7 @@ pub fn run_query(workload: &Fig16Workload, query: &Fig16Query) -> Result<Fig16Re
     // split's store cost, not the sum.
     workload.connector.take_last_scan_costs();
     let session = Session::new("druid", "prod");
+    #[allow(clippy::disallowed_methods, reason = "the figure reports real query latency")]
     let start = Instant::now();
     let result = workload.engine.execute_with_session(&query.sql, &session)?;
     let split_costs = workload.connector.take_last_scan_costs();

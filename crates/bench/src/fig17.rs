@@ -273,6 +273,7 @@ pub fn time_query(
     workload.hive.set_reader_config(HiveReaderConfig { use_legacy_reader: legacy });
     let session = Session::new("hive", "rawdata");
     let io_before = workload.hdfs.clock().now();
+    #[allow(clippy::disallowed_methods, reason = "the figure reports real query latency")]
     let start = Instant::now();
     let result = workload.engine.execute_with_session(sql, &session)?;
     let elapsed = start.elapsed() + (workload.hdfs.clock().now() - io_before);

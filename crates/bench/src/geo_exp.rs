@@ -44,6 +44,7 @@ pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> Result<Ge
     let index = GeofenceIndex::build(workload.cities.clone())?;
 
     // QuadTree path (the build_geo_index plan of Fig 13)
+    #[allow(clippy::disallowed_methods, reason = "the experiment times both join paths")]
     let start = Instant::now();
     let mut quad_counts = vec![0u64; cities];
     for p in &workload.trips {
@@ -55,6 +56,7 @@ pub fn run(cities: usize, trips: usize, vertices: usize, seed: u64) -> Result<Ge
     let quadtree_contains_calls = index.contains_calls();
 
     // brute force (§VI.C's Hive MapReduce execution shape)
+    #[allow(clippy::disallowed_methods, reason = "the experiment times both join paths")]
     let start = Instant::now();
     let mut brute_counts = vec![0u64; cities];
     for p in &workload.trips {

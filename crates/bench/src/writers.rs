@@ -52,6 +52,7 @@ pub fn write_once(
     codec: Codec,
 ) -> (Duration, Vec<u8>) {
     let props = WriterProperties { codec, row_group_rows: 10_000 };
+    #[allow(clippy::disallowed_methods, reason = "the figure reports real write throughput")]
     let start = Instant::now();
     let mut writer = FileWriter::new(schema.clone(), props, mode).expect("schema is valid");
     for page in pages {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! The simulated distributed runtime: clusters of workers, elasticity, and
 //! the federation gateway.

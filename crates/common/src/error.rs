@@ -89,9 +89,12 @@ impl PrestoError {
     /// cluster? User, plan, and resource-policy errors are **not**
     /// retryable: re-running them elsewhere reproduces the same failure.
     ///
-    /// The match is deliberately exhaustive with no wildcard (enforced by
-    /// the `error-taxonomy` lint): adding a variant forces whoever adds it
-    /// to decide, here, whether retry loops may act on it.
+    /// The match is deliberately exhaustive with no wildcard: rustc rejects
+    /// a missing variant, and the two clippy lints below reject a `_` arm
+    /// (the second catches one that covers a single variant). Adding a
+    /// variant forces whoever adds it to decide, here, whether retry loops
+    /// may act on it.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn is_retryable(&self) -> bool {
         match self {
             // infrastructure faults: fresh resources can succeed

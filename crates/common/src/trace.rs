@@ -2,12 +2,11 @@
 //!
 //! Every query carries a [`Trace`]: a tree of [`Span`]s (query → stage →
 //! task/split → operator) stamped exclusively from the shared virtual
-//! [`SimClock`]. Because the lint wall-clock rule bans real time outside
-//! `presto-common::clock`, two runs with the same seed produce the same
-//! span tree with the same timestamps, so [`Trace::digest`] is bit-identical
-//! across runs — the chaos suite diffs digests to prove deterministic
-//! recovery, and `EXPLAIN ANALYZE` renders the operator spans as per-node
-//! runtime stats.
+//! [`SimClock`]. Because clippy.toml bans reading the wall clock, two runs
+//! with the same seed produce the same span tree with the same timestamps,
+//! so [`Trace::digest`] is bit-identical across runs — the chaos suite
+//! diffs digests to prove deterministic recovery, and `EXPLAIN ANALYZE`
+//! renders the operator spans as per-node runtime stats.
 //!
 //! Span timestamps are [`Duration`]s since virtual time zero. Children are
 //! canonicalized by `(start, name)` rather than creation order, so task

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! The engine facade: sessions, catalogs, and end-to-end SQL.
 //!

@@ -1232,12 +1232,6 @@ fn empty_page(schema: &Schema) -> Result<Page> {
     page_of(schema.fields().iter().map(|f| Block::nulls(&f.data_type, 0)).collect(), 0)
 }
 
-// A convenience used by tests and the engine facade.
-/// Gather all output rows of a plan (materializing).
-pub fn execute_to_rows(plan: &LogicalPlan, ctx: &ExecutionContext) -> Result<Vec<Vec<Value>>> {
-    Ok(execute(plan, ctx)?.iter().flat_map(|p| p.rows()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1246,6 +1240,11 @@ mod tests {
     use presto_connectors::{CatalogRegistry, ColumnPath, ScanRequest};
     use presto_expr::{AggregateFunction, FunctionHandle};
     use std::sync::Arc;
+
+    /// Gather all output rows of a plan.
+    fn execute_to_rows(plan: &LogicalPlan, ctx: &ExecutionContext) -> Result<Vec<Vec<Value>>> {
+        Ok(execute(plan, ctx)?.iter().flat_map(|p| p.rows()).collect())
+    }
 
     fn ctx_with_table() -> ExecutionContext {
         let registry = CatalogRegistry::new();

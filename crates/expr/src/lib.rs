@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! RowExpression — the self-contained expression IR of §IV.B / Table I.
 //!

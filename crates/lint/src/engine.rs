@@ -1,4 +1,4 @@
-//! File classification, test-region detection, suppression handling, and
+//! Crate attribution, test-region detection, suppression handling, and
 //! the workspace walker.
 
 use std::collections::HashSet;
@@ -6,24 +6,10 @@ use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, Lexed, TokKind};
 
-/// What kind of source a file is; decides which rules apply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FileClass {
-    /// Library source under `crates/<name>/src/` (or the root facade's
-    /// `src/`). Carries the crate directory name (`"exec"`, `"root"`).
-    Lib(String),
-    /// Binary source (`src/main.rs`, `src/bin/**`) of a crate. Exempt from
-    /// the console-output rule (CLIs print by design) but not the rest.
-    Bin(String),
-    /// Integration tests, benches, and examples: exempt from style rules —
-    /// they are drivers, not engine code.
-    TestOrExample,
-}
-
 /// One diagnostic the tool reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule identifier (`wall-clock`, `no-unwrap`, ...).
+    /// Stable rule identifier (`lock-order`, `metrics-registry`, ...).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -38,18 +24,19 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// A source file ready to check: lexed, classified, with suppression and
-/// safety-comment indexes built.
+/// A source file ready to check: lexed, with its crate and suppression
+/// index.
 pub struct FileCtx {
     pub rel_path: String,
-    pub class: FileClass,
+    /// The crate directory name (`"exec"`, `"root"` for the facade's `src/`),
+    /// or `None` for integration tests, benches and examples, which no rule
+    /// binds.
+    pub crate_name: Option<String>,
     pub lexed: Lexed,
     /// `// lint:allow(rule, ...)` coverage: inclusive line ranges with the
     /// rule ids they suppress. A trailing directive covers its own line; a
     /// directive on a comment-only line covers exactly the next statement.
     allow: Vec<(u32, u32, Vec<String>)>,
-    /// Lines covered by a comment containing `SAFETY:`.
-    safety_lines: HashSet<u32>,
     /// Token-index ranges inside `#[cfg(test)]` / `#[test]` items.
     test_ranges: Vec<(usize, usize)>,
 }
@@ -59,7 +46,6 @@ impl FileCtx {
     pub fn new(rel_path: &str, src: &str) -> FileCtx {
         let lexed = lex(src);
         let mut allow: Vec<(u32, u32, Vec<String>)> = Vec::new();
-        let mut safety_lines = HashSet::new();
         let token_lines: HashSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
         for c in &lexed.comments {
             let rules = parse_allow(&c.text);
@@ -77,28 +63,14 @@ impl FileCtx {
                 };
                 allow.push((range.0, range.1, rules));
             }
-            if c.text.contains("SAFETY:") {
-                for l in c.start_line..=c.end_line {
-                    safety_lines.insert(l);
-                }
-            }
         }
         let test_ranges = test_ranges(&lexed);
         FileCtx {
             rel_path: rel_path.to_string(),
-            class: classify(rel_path),
+            crate_name: crate_of(rel_path),
             lexed,
             allow,
-            safety_lines,
             test_ranges,
-        }
-    }
-
-    /// The crate directory name, if this is crate code (`Lib` or `Bin`).
-    pub fn crate_name(&self) -> Option<&str> {
-        match &self.class {
-            FileClass::Lib(n) | FileClass::Bin(n) => Some(n),
-            FileClass::TestOrExample => None,
         }
     }
 
@@ -114,12 +86,6 @@ impl FileCtx {
         self.allow
             .iter()
             .any(|(a, b, rules)| line >= *a && line <= *b && rules.iter().any(|r| r == rule))
-    }
-
-    /// Is `line` (or the two lines above it) covered by a `SAFETY:` comment?
-    /// The one-line slack lets an attribute sit between comment and item.
-    pub fn has_safety_comment(&self, line: u32) -> bool {
-        (line.saturating_sub(2)..=line).any(|l| self.safety_lines.contains(&l))
     }
 }
 
@@ -187,26 +153,12 @@ fn parse_allow(comment: &str) -> Vec<String> {
     rules
 }
 
-/// Classify a workspace-relative path.
-fn classify(rel_path: &str) -> FileClass {
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    match parts.as_slice() {
-        ["crates", name, "src", rest @ ..] => {
-            if rest == ["main.rs"] || rest.first() == Some(&"bin") {
-                FileClass::Bin((*name).to_string())
-            } else {
-                FileClass::Lib((*name).to_string())
-            }
-        }
-        ["crates", _, "tests" | "benches" | "examples", ..] => FileClass::TestOrExample,
-        ["src", rest @ ..] => {
-            if rest == ["main.rs"] || rest.first() == Some(&"bin") {
-                FileClass::Bin("root".to_string())
-            } else {
-                FileClass::Lib("root".to_string())
-            }
-        }
-        _ => FileClass::TestOrExample,
+/// The crate a workspace-relative path belongs to, if it is crate source.
+fn crate_of(rel_path: &str) -> Option<String> {
+    match rel_path.split('/').collect::<Vec<_>>().as_slice() {
+        ["crates", name, "src", ..] => Some((*name).to_string()),
+        ["src", ..] => Some("root".to_string()),
+        _ => None,
     }
 }
 
@@ -324,12 +276,14 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert_eq!(classify("crates/exec/src/executor.rs"), FileClass::Lib("exec".into()));
-        assert_eq!(classify("crates/bench/src/main.rs"), FileClass::Bin("bench".into()));
-        assert_eq!(classify("crates/geo/benches/quad.rs"), FileClass::TestOrExample);
-        assert_eq!(classify("src/lib.rs"), FileClass::Lib("root".into()));
-        assert_eq!(classify("tests/federation.rs"), FileClass::TestOrExample);
-        assert_eq!(classify("examples/quickstart.rs"), FileClass::TestOrExample);
+        assert_eq!(crate_of("crates/exec/src/executor.rs").as_deref(), Some("exec"));
+        assert_eq!(crate_of("crates/bench/src/bin/x.rs").as_deref(), Some("bench"));
+        assert_eq!(crate_of("src/lib.rs").as_deref(), Some("root"));
+        for driver in
+            ["crates/geo/benches/quad.rs", "tests/federation.rs", "examples/quickstart.rs"]
+        {
+            assert_eq!(crate_of(driver), None, "{driver}");
+        }
     }
 
     #[test]
@@ -356,18 +310,18 @@ mod tests {
 
     #[test]
     fn trailing_allow_is_line_scoped() {
-        let src = "let a = 1; // lint:allow(no-unwrap)\nlet b = 2;\n";
+        let src = "let a = 1; // lint:allow(metrics-registry)\nlet b = 2;\n";
         let ctx = FileCtx::new("crates/exec/src/x.rs", src);
-        assert!(ctx.is_allowed("no-unwrap", 1));
-        assert!(!ctx.is_allowed("no-unwrap", 2));
-        assert!(!ctx.is_allowed("wall-clock", 1));
+        assert!(ctx.is_allowed("metrics-registry", 1));
+        assert!(!ctx.is_allowed("metrics-registry", 2));
+        assert!(!ctx.is_allowed("lock-order", 1));
     }
 
     #[test]
     fn standalone_allow_covers_next_multiline_statement_only() {
         let src = "\
 fn f(map: &std::collections::HashMap<u32, String>) -> String {
-    // lint:allow(no-unwrap)
+    // lint:allow(metrics-registry)
     let v = map
         .get(&1)
         .unwrap()
@@ -379,11 +333,11 @@ fn f(map: &std::collections::HashMap<u32, String>) -> String {
         let ctx = FileCtx::new("crates/exec/src/x.rs", src);
         // the whole covered statement, lines 3-6
         for line in 3..=6 {
-            assert!(ctx.is_allowed("no-unwrap", line), "line {line} should be covered");
+            assert!(ctx.is_allowed("metrics-registry", line), "line {line} should be covered");
         }
         // never the statement after it, and never a different rule
-        assert!(!ctx.is_allowed("no-unwrap", 7));
-        assert!(!ctx.is_allowed("wall-clock", 4));
+        assert!(!ctx.is_allowed("metrics-registry", 7));
+        assert!(!ctx.is_allowed("lock-order", 4));
     }
 
     #[test]
@@ -412,7 +366,7 @@ fn f(xs: &[u32]) -> u32 {
         // after the block
         let src = "\
 fn f() -> u32 {
-    // lint:allow(no-unwrap)
+    // lint:allow(metrics-registry)
     g()
 }
 fn g() -> u32 {
@@ -420,25 +374,17 @@ fn g() -> u32 {
 }
 ";
         let ctx = FileCtx::new("crates/exec/src/x.rs", src);
-        assert!(ctx.is_allowed("no-unwrap", 3));
-        assert!(!ctx.is_allowed("no-unwrap", 5));
-        assert!(!ctx.is_allowed("no-unwrap", 6));
+        assert!(ctx.is_allowed("metrics-registry", 3));
+        assert!(!ctx.is_allowed("metrics-registry", 5));
+        assert!(!ctx.is_allowed("metrics-registry", 6));
     }
 
     #[test]
     fn allow_parses_multiple_rules() {
         assert_eq!(
-            parse_allow("// lint:allow(wall-clock, no-unwrap)"),
-            vec!["wall-clock".to_string(), "no-unwrap".to_string()]
+            parse_allow("// lint:allow(lock-order, metrics-registry)"),
+            vec!["lock-order".to_string(), "metrics-registry".to_string()]
         );
         assert!(parse_allow("// nothing here").is_empty());
-    }
-
-    #[test]
-    fn safety_comment_coverage() {
-        let src = "// SAFETY: the counter is atomic\nunsafe impl Sync for X {}\n";
-        let ctx = FileCtx::new("crates/geo/src/x.rs", src);
-        assert!(ctx.has_safety_comment(2));
-        assert!(!ctx.has_safety_comment(5));
     }
 }

@@ -1,8 +1,8 @@
-//! A minimal Rust lexer: just enough to walk `use` paths, attributes, and
-//! call sites without pulling in an external parser.
+//! A minimal Rust lexer: just enough to walk struct fields, function
+//! bodies, and call sites without pulling in an external parser.
 //!
 //! String/char/byte literals never pollute the identifier stream — a string
-//! containing `unwrap()` can't trip the no-unwrap rule — but string literals
+//! containing `.lock()` can't add a lock-order edge — but string literals
 //! are kept as [`TokKind::Str`] tokens carrying their content, because the
 //! metrics-registry rule must see the actual name passed to
 //! `CounterSet::incr` and friends. Raw strings (`r#"…"#`, any hash depth)

@@ -3,10 +3,17 @@
 //! The paper's operational sections (§XII) describe keeping a very large
 //! Presto fleet correct; this reproduction encodes the same invariants
 //! (virtual clock, RAII memory reservations, a strict crate DAG, bit-
-//! identical same-seed digests) and this tool enforces them mechanically
-//! so every PR lands with them intact.
+//! identical same-seed digests) and checks them mechanically so every PR
+//! lands with them intact.
 //!
-//! Run it over the whole workspace:
+//! The toolchain carries every invariant a per-crate lint can see, in
+//! CI's `cargo clippy --workspace --all-targets -- -D warnings` step:
+//! `clippy.toml` bans the wall clock, `thread::sleep`, `mem::forget` and
+//! `Box::leak`; the workspace lint table denies prints, `dbg!` and
+//! undocumented `unsafe`; the engine crates deny `unwrap`/`expect`;
+//! `PrestoError::is_retryable` denies wildcard arms; and Cargo's declared
+//! dependencies are the crate DAG. This tool keeps the three rules that
+//! need every file at once:
 //!
 //! ```text
 //! cargo run -p presto-lint -- --workspace
@@ -15,15 +22,14 @@
 //! It prints `file:line: [rule-id] message` diagnostics (or a JSON array
 //! with `--format json`) and exits nonzero if any are found.
 //!
-//! The analyzer runs in **two passes**. Pass 1 lexes and classifies every
-//! file, runs the per-line token rules ([`rules`]), and builds per-function
-//! summaries ([`summary`]): locks acquired and in what order, guards live
-//! across `.await`/send boundaries, calls made under a held guard, string
-//! literals used as metric names, unordered-container iteration sites, and
-//! which bodies touch a digest sink. Pass 2 stitches the summaries into
-//! workspace-global diagnostics: the lock-order graph ([`graph`]), the
-//! nondeterminism taint ([`taint`]), and the metrics/error-taxonomy
-//! registries ([`rules::check_global`]).
+//! The analyzer runs in **two passes**. Pass 1 lexes every file and builds
+//! per-function summaries ([`summary`]): locks acquired and in what order,
+//! guards live across `.await`/send boundaries, calls made under a held
+//! guard, string literals used as metric names, unordered-container
+//! iteration sites, and which bodies touch a digest sink. Pass 2 stitches
+//! the summaries into workspace-global diagnostics: the lock-order graph
+//! ([`graph`]), the nondeterminism taint ([`taint`]), and the metrics
+//! registry ([`rules::check_global`]).
 //!
 //! A violation that is genuinely intended can be suppressed with
 //! `// lint:allow(<rule-id>)`: trailing on a line it covers that line; on
@@ -45,36 +51,28 @@ pub mod taint;
 use std::collections::HashMap;
 use std::path::Path;
 
-pub use engine::{Diagnostic, FileClass, FileCtx};
+pub use engine::{Diagnostic, FileCtx};
 pub use rules::{Rule, RULES};
 
-/// Check a set of sources together: per-file rules plus the workspace-
-/// global passes (lock-order graph, nondeterminism taint, registries).
+/// Check a set of sources together with the workspace-global passes
+/// (lock-order graph, nondeterminism taint, metrics registry).
 /// `files` holds `(workspace-relative path, source text)` pairs; global
 /// diagnostics can span files (a lock-order witness names every file on
 /// its cycle).
 pub fn check_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     let ctxs: Vec<FileCtx> = files.iter().map(|(p, s)| FileCtx::new(p, s)).collect();
-    let mut out = Vec::new();
-    for ctx in &ctxs {
-        out.extend(rules::check(ctx));
-    }
-    let summaries = summary::summarize_all(&ctxs);
-    let mut global = rules::check_global(&summaries);
-    // suppression for global diagnostics: honor the owning file's allows
+    let mut out = rules::check_global(&summary::summarize_all(&ctxs));
+    // suppression: honor the owning file's allows
     let by_path: HashMap<&str, &FileCtx> = ctxs.iter().map(|c| (c.rel_path.as_str(), c)).collect();
-    global.retain(|d| {
-        !by_path.get(d.path.as_str()).is_some_and(|ctx| ctx.is_allowed(d.rule, d.line))
-    });
-    out.extend(global);
+    out.retain(|d| !by_path.get(d.path.as_str()).is_some_and(|ctx| ctx.is_allowed(d.rule, d.line)));
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out.dedup();
     out
 }
 
 /// Check one file's source text under its workspace-relative path (the
-/// path decides which rules apply — see [`engine::FileClass`]). Global
-/// rules run too, scoped to this one file.
+/// path decides its crate, and so which rules bind it), as a workspace of
+/// that one file.
 pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     check_sources(&[(rel_path.to_string(), src.to_string())])
 }

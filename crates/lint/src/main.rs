@@ -6,6 +6,7 @@
 //! cargo run -p presto-lint -- --rules                   # list the rules
 //! cargo run -p presto-lint -- crates/exec               # lint one subtree
 //! ```
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI reports on stdout/stderr")]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -16,8 +17,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "presto-lint: workspace invariant checker (two-pass: per-file rules + \
-             workspace-global lock-order/taint/registry analysis)\n\n\
+            "presto-lint: workspace invariant checker (two-pass, workspace-global: \
+             lock-order, map-iter-in-digest, metrics-registry; the per-crate invariants \
+             are clippy.toml, the workspace lint table and Cargo's dependencies)\n\n\
              USAGE:\n  presto-lint --workspace          lint the whole workspace\n  \
              presto-lint --rules              list rules\n  \
              presto-lint --format json        emit diagnostics as a JSON array\n  \
@@ -36,7 +38,7 @@ fn main() -> ExitCode {
     let json = args.windows(2).any(|w| w[0] == "--format" && w[1] == "json")
         || args.iter().any(|a| a == "--format=json");
 
-    // lint:allow(wall-clock)
+    #[allow(clippy::disallowed_methods, reason = "reports the analysis wall time")]
     let t0 = std::time::Instant::now();
 
     let root = default_workspace_root();

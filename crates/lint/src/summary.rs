@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::engine::{FileClass, FileCtx};
+use crate::engine::FileCtx;
 use crate::lexer::{Tok, TokKind};
 
 /// A direct lock acquisition: canonical identity + source line.
@@ -80,16 +80,6 @@ pub struct FnSummary {
     pub has_sink: bool,
 }
 
-/// `is_retryable` as found next to a `PrestoError` declaration.
-#[derive(Debug, Clone)]
-pub struct Retryable {
-    pub line: u32,
-    /// Every identifier appearing in the body (variant mentions).
-    pub idents: Vec<String>,
-    /// A `_ =>` arm, which would silently classify new variants.
-    pub wildcard_line: Option<u32>,
-}
-
 /// Per-file summary: function summaries plus file-level registries.
 #[derive(Debug, Clone)]
 pub struct FileSummary {
@@ -101,10 +91,6 @@ pub struct FileSummary {
     pub metric_literals: Vec<(String, String, u32)>,
     /// `const NAME: &str = "value";` items: (name, value, line).
     pub registry_consts: Vec<(String, String, u32)>,
-    /// `enum PrestoError` variants declared here: (variant, line).
-    pub error_variants: Vec<(String, u32)>,
-    pub error_enum_line: Option<u32>,
-    pub retryable: Option<Retryable>,
 }
 
 /// How a struct field matters to the analysis.
@@ -133,10 +119,7 @@ pub type FieldMap = BTreeMap<String, BTreeMap<String, BTreeMap<String, FieldKind
 /// regions are excluded — drivers are not part of the invariant surface.
 pub fn summarize_all(ctxs: &[FileCtx]) -> Vec<FileSummary> {
     let fields = harvest_fields(ctxs);
-    ctxs.iter()
-        .filter(|c| c.class != FileClass::TestOrExample)
-        .map(|c| summarize_file(c, &fields))
-        .collect()
+    ctxs.iter().filter(|c| c.crate_name.is_some()).map(|c| summarize_file(c, &fields)).collect()
 }
 
 fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
@@ -157,7 +140,7 @@ fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
 pub fn harvest_fields(ctxs: &[FileCtx]) -> FieldMap {
     let mut map: FieldMap = BTreeMap::new();
     for ctx in ctxs {
-        let Some(krate) = ctx.crate_name().map(str::to_string) else { continue };
+        let Some(krate) = ctx.crate_name.clone() else { continue };
         let toks = &ctx.lexed.tokens;
         let mut i = 0usize;
         while i < toks.len() {
@@ -285,7 +268,7 @@ fn struct_fields(body: &[Tok]) -> Vec<(String, FieldKind)> {
 
 /// Summarize one file against the workspace-wide field map.
 pub fn summarize_file(ctx: &FileCtx, fields: &FieldMap) -> FileSummary {
-    let krate = ctx.crate_name().unwrap_or("").to_string();
+    let krate = ctx.crate_name.clone().unwrap_or_default();
     let toks = &ctx.lexed.tokens;
     let mut out = FileSummary {
         file: ctx.rel_path.clone(),
@@ -293,9 +276,6 @@ pub fn summarize_file(ctx: &FileCtx, fields: &FieldMap) -> FileSummary {
         fns: Vec::new(),
         metric_literals: Vec::new(),
         registry_consts: Vec::new(),
-        error_variants: Vec::new(),
-        error_enum_line: None,
-        retryable: None,
     };
 
     // impl blocks: (struct name, body token range)
@@ -313,17 +293,6 @@ pub fn summarize_file(ctx: &FileCtx, fields: &FieldMap) -> FileSummary {
                         .next_back();
                     out.fns.push(summarize_fn(ctx, fields, &krate, &name, self_struct, i, body));
                     // do not skip the body: nested fns get their own summary
-                }
-                i += 1;
-            }
-            Some("enum") if ident_at(toks, i + 1) == Some("PrestoError") => {
-                if let Some(open) = (i..toks.len()).find(|&j| toks[j].is_punct('{')) {
-                    if let Some(close) = match_brace(toks, open) {
-                        out.error_enum_line = Some(toks[i].line);
-                        out.error_variants = enum_variants(&toks[open + 1..close]);
-                        i = close;
-                        continue;
-                    }
                 }
                 i += 1;
             }
@@ -374,28 +343,6 @@ pub fn summarize_file(ctx: &FileCtx, fields: &FieldMap) -> FileSummary {
                 && !ctx.in_test_code(j)
             {
                 out.metric_literals.push((m.to_string(), toks[j + 2].text.clone(), toks[j].line));
-            }
-        }
-    }
-
-    // `fn is_retryable` body (wherever it appears in the file)
-    for j in 0..toks.len() {
-        if ident_at(toks, j) == Some("fn")
-            && ident_at(toks, j + 1) == Some("is_retryable")
-            && !ctx.in_test_code(j)
-        {
-            if let Some((_, (a, b))) = fn_body(toks, j) {
-                let body = &toks[a..b];
-                let idents = body
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.clone())
-                    .collect();
-                let wildcard_line = body
-                    .windows(3)
-                    .find(|w| w[0].is_ident("_") && w[1].is_punct('=') && w[2].is_punct('>'))
-                    .map(|w| w[0].line);
-                out.retryable = Some(Retryable { line: toks[j].line, idents, wildcard_line });
             }
         }
     }
@@ -467,35 +414,6 @@ fn fn_body(toks: &[Tok], kw: usize) -> Option<(String, (usize, usize))> {
         j += 1;
     }
     None
-}
-
-/// Variant names at depth 0 of an enum body slice.
-fn enum_variants(body: &[Tok]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut at_start = true; // start of a variant (after `{`, `,`, or `]`)
-    for (i, t) in body.iter().enumerate() {
-        match &t.kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 && t.is_punct(']') {
-                    at_start = true; // attribute closed; variant name follows
-                }
-            }
-            TokKind::Punct(',') if depth == 0 => at_start = true,
-            TokKind::Punct('#') if depth == 0 => {} // attribute opener
-            TokKind::Ident if depth == 0 => {
-                if at_start {
-                    out.push((t.text.clone(), t.line));
-                    at_start = false;
-                }
-                let _ = i;
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

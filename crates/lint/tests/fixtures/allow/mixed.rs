@@ -1,21 +1,20 @@
 //! Trailing directives are line-scoped; a standalone directive covers the
 //! next statement — however many lines it spans — and nothing after it.
-use std::collections::HashMap;
+use presto_common::metrics::CounterSet;
 
-pub fn suppressed(map: &HashMap<u32, String>) -> String {
-    map.get(&0).unwrap().clone() // lint:allow(no-unwrap)
+pub fn suppressed(metrics: &CounterSet) {
+    metrics.incr("fixture.a"); // lint:allow(metrics-registry)
 }
 
-pub fn bare(map: &HashMap<u32, String>) -> String {
-    map.get(&1).unwrap().clone()
+pub fn bare(metrics: &CounterSet) {
+    metrics.incr("fixture.b");
 }
 
-pub fn statement_scoped(map: &HashMap<u32, String>) -> String {
-    // lint:allow(no-unwrap)
-    let first = map
-        .get(&2)
-        .unwrap()
-        .clone();
-    let second = map.get(&3).unwrap().clone();
-    format!("{first}{second}")
+pub fn statement_scoped(metrics: &CounterSet, n: u64) {
+    // lint:allow(metrics-registry)
+    for m in [metrics] {
+        m.incr("fixture.c");
+        m.add("fixture.d", n);
+    }
+    metrics.incr("fixture.e");
 }

@@ -450,6 +450,7 @@ mod tests {
             if spiller2.revoke_requested() {
                 break;
             }
+            #[allow(clippy::disallowed_methods, reason = "the test polls the arbiter thread")]
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(spiller2.revoke_requested());
@@ -474,6 +475,7 @@ mod tests {
             if big2.is_killed() {
                 break;
             }
+            #[allow(clippy::disallowed_methods, reason = "the test polls the arbiter thread")]
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(big2.is_killed());

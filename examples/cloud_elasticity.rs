@@ -3,6 +3,7 @@
 //! expansion/shrink.
 //!
 //! Run with: `cargo run --release --example cloud_elasticity`
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
 
 use std::sync::Arc;
 use std::time::Duration;

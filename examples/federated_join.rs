@@ -3,6 +3,7 @@
 //! and Presto-MySQL-connector, no need to copy any data" (§IV.A).
 //!
 //! Run with: `cargo run --release --example federated_join`
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
 
 use presto_at_scale::fixtures::demo_platform;
 use presto_core::Session;

@@ -3,6 +3,7 @@
 //! GeoJoin, and a measured comparison against the brute-force path.
 //!
 //! Run with: `cargo run --release --example geospatial`
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
 
 use std::time::Instant;
 
@@ -27,6 +28,7 @@ fn main() -> presto_common::Result<()> {
     // With the geospatial rewrite (Fig 13): GeoJoin with build_geo_index.
     println!("optimized plan (build_geo_index rewrite ON):");
     println!("{}", platform.engine.explain(sql, &session)?);
+    #[allow(clippy::disallowed_methods, reason = "the example prints real query time")]
     let start = Instant::now();
     let fast = platform.engine.execute_with_session(sql, &session)?;
     let fast_elapsed = start.elapsed();
@@ -40,6 +42,7 @@ fn main() -> presto_common::Result<()> {
         .with_optimizer(OptimizerConfig { geo_rewrite: false, ..OptimizerConfig::default() });
     println!("optimized plan (rewrite OFF → keyless join, st_contains filters every pair):");
     println!("{}", platform.engine.explain(sql, &brute_session)?);
+    #[allow(clippy::disallowed_methods, reason = "the example prints real query time")]
     let start = Instant::now();
     let brute = platform.engine.execute_with_session(sql, &brute_session)?;
     let brute_elapsed = start.elapsed();

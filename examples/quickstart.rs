@@ -1,6 +1,7 @@
 //! Quickstart: stand up the engine, register catalogs, run SQL.
 //!
 //! Run with: `cargo run --release --example quickstart`
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
 
 use presto_at_scale::fixtures::demo_platform;
 use presto_core::Session;

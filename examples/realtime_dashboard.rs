@@ -3,6 +3,7 @@
 //! indexes; only aggregated rows reach the engine.
 //!
 //! Run with: `cargo run --release --example realtime_dashboard`
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
 
 use presto_at_scale::fixtures::demo_platform;
 use presto_core::Session;

@@ -127,11 +127,13 @@ fn oom_arbiter_spares_the_smaller_query() {
             // the arbiter's verdict arrives
             loop {
                 big.check_killed()?;
+                #[allow(clippy::disallowed_methods, reason = "the test polls the arbiter thread")]
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
         // wait until the big query holds its memory
         while cluster.used() < 800 {
+            #[allow(clippy::disallowed_methods, reason = "the test polls the arbiter thread")]
             std::thread::sleep(Duration::from_millis(1));
         }
         let small_handle = scope.spawn(|| {
