@@ -16,6 +16,7 @@ use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 
 use crate::error::{PrestoError, Result};
+use crate::page::selected_rows;
 use crate::types::{DataType, Field};
 use crate::value::Value;
 
@@ -582,9 +583,7 @@ impl Block {
     /// `self.len()`.
     pub fn filter(&self, selection: &[bool]) -> Block {
         debug_assert_eq!(selection.len(), self.len());
-        let indices: Vec<usize> =
-            selection.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).collect();
-        self.take(&indices)
+        self.take(&selected_rows(selection))
     }
 
     /// Gather rows like [`Block::take`], with `None` producing a NULL row

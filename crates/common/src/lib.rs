@@ -60,7 +60,7 @@ pub use error::{PrestoError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec};
 pub use metrics::{CounterSet, GaugeSet, Histogram, HistogramSet, TimeSeries, TimeSeriesSet};
 pub use order::{OrderedRows, RowOrder};
-pub use page::Page;
+pub use page::{selected_rows, Page};
 pub use ring::HashRing;
 pub use telemetry::{QueryRow, TaskRow, TelemetryRegistry, WorkerRow};
 pub use trace::{OperatorStats, Span, SpanId, SpanKind, Trace};

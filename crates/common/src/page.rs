@@ -8,6 +8,32 @@ use crate::block::Block;
 use crate::error::{PrestoError, Result};
 use crate::value::Value;
 
+/// The positions where `mask` is true, ascending: the rows a selection
+/// keeps. A counting pass sizes the result. Then, within each run of 16
+/// flags, every row id is written at a cursor its flag advances: no branch
+/// on a flag, so a mask that flips at random costs what a constant one
+/// does. A run with no flag set is skipped whole, so a sparse mask costs
+/// little more than reading it.
+pub fn selected_rows(mask: &[bool]) -> Vec<usize> {
+    const RUN: usize = 16;
+    let kept = mask.iter().filter(|&&keep| keep).count();
+    // the cursor sits at `kept` while trailing unset flags are written
+    let mut rows = vec![0; kept + 1];
+    let mut n = 0;
+    for (start, flags) in (0..).step_by(RUN).zip(mask.chunks(RUN)) {
+        // one OR over the run, not a test per flag
+        if !flags.iter().fold(false, |any, &keep| any | keep) {
+            continue;
+        }
+        for (i, &keep) in (start..).zip(flags) {
+            rows[n] = i;
+            n += usize::from(keep);
+        }
+    }
+    rows.truncate(kept);
+    rows
+}
+
 /// A horizontal batch of rows stored column-wise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
@@ -85,14 +111,11 @@ impl Page {
     /// Keep rows where `selection` is true.
     pub fn filter(&self, selection: &[bool]) -> Page {
         debug_assert_eq!(selection.len(), self.positions);
-        let kept = selection.iter().filter(|&&b| b).count();
         if self.blocks.is_empty() {
-            return Page::zero_column(kept);
+            return Page::zero_column(selection.iter().filter(|&&keep| keep).count());
         }
         // the kept rows once, for every column
-        let mut rows = Vec::with_capacity(kept);
-        rows.extend(selection.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i));
-        self.take(&rows)
+        self.take(&selected_rows(selection))
     }
 
     /// Gather the given row indices.
@@ -160,6 +183,42 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn reference(mask: &[bool]) -> Vec<usize> {
+        mask.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `selected_rows` is the ascending ids of the set flags, at every
+        /// density from all-false (0) to all-true (100).
+        #[test]
+        fn selected_rows_are_the_set_positions(
+            len in 0usize..201,
+            density in 0u64..101,
+            draws in proptest::collection::vec(0u64..100, 200..201),
+        ) {
+            let mask: Vec<bool> = draws[..len].iter().map(|&d| d < density).collect();
+            prop_assert_eq!(selected_rows(&mask), reference(&mask));
+        }
+    }
+
+    #[test]
+    fn selected_rows_of_constant_and_single_bit_masks() {
+        for len in 0..=200 {
+            assert_eq!(selected_rows(&vec![false; len]), Vec::<usize>::new());
+            assert_eq!(selected_rows(&vec![true; len]), (0..len).collect::<Vec<_>>());
+            for bit in 0..len {
+                let mut mask = vec![false; len];
+                mask[bit] = true;
+                assert_eq!(selected_rows(&mask), vec![bit]);
+                mask.iter_mut().for_each(|keep| *keep = !*keep);
+                assert_eq!(selected_rows(&mask), reference(&mask));
+            }
+        }
+    }
 
     fn page() -> Page {
         Page::new(vec![Block::bigint(vec![1, 2, 3]), Block::varchar(&["a", "b", "c"])]).unwrap()

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 use presto_common::block::NullMask;
 use presto_common::dictionary::DictionaryBuilder;
 use presto_common::ids::SplitId;
-use presto_common::{Block, DataType, Page, PrestoError, Result, Schema, Value};
+use presto_common::{selected_rows, Block, DataType, Page, PrestoError, Result, Schema, Value};
 use presto_parquet::{ScalarPredicate, TypedPredicate};
 
 use crate::spi::{
@@ -233,10 +233,9 @@ pub(crate) fn scan_page(
     let kept = if conjuncts.is_empty() {
         Kept::First(page.positions().min(limit))
     } else {
-        let mask = predicate_mask(schema, page, conjuncts)?;
-        Kept::Rows(
-            mask.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).take(limit).collect(),
-        )
+        let mut rows = selected_rows(&predicate_mask(schema, page, conjuncts)?);
+        rows.truncate(limit);
+        Kept::Rows(rows)
     };
     let mut blocks = Vec::with_capacity(columns.len());
     for col in columns {
@@ -255,10 +254,10 @@ pub(crate) fn scan_page(
 /// `mask[i] &= values[i]` is not NULL and passes `test`.
 fn narrow<T: Copy>(mask: &mut [bool], values: &[T], nulls: &NullMask, test: impl Fn(T) -> bool) {
     match nulls {
-        None => mask.iter_mut().zip(values).for_each(|(keep, &v)| *keep = *keep && test(v)),
+        None => mask.iter_mut().zip(values).for_each(|(keep, &v)| *keep &= test(v)),
         Some(nulls) => {
             for ((keep, &v), &null) in mask.iter_mut().zip(values).zip(nulls) {
-                *keep = *keep && !null && test(v);
+                *keep &= !null & test(v);
             }
         }
     }
@@ -278,7 +277,7 @@ fn narrow_typed(
         if !narrow_typed(dictionary, column, pred, &mut entries) {
             return false;
         }
-        mask.iter_mut().zip(ids).for_each(|(keep, &id)| *keep = *keep && entries[id as usize]);
+        mask.iter_mut().zip(ids).for_each(|(keep, &id)| *keep &= entries[id as usize]);
         return true;
     }
     match (pred.typed(column), block) {
@@ -422,6 +421,28 @@ mod tests {
         assert_eq!(pages[0].positions(), 1); // limit applied
         assert_eq!(pages[0].column_count(), 1); // projection applied
         assert_eq!(pages[0].row(0), vec![Value::Bigint(1)]);
+    }
+
+    /// A limit keeps the first `limit` selected rows: below, at and above
+    /// the number the predicate selects.
+    #[test]
+    fn scan_page_limit_keeps_the_first_selected_rows() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Bigint)]).unwrap();
+        let page = Page::new(vec![Block::bigint((0..20).collect())]).unwrap();
+        // x % 3 = 0 on a typed path: 0, 3, …, 18 — seven rows
+        let conjunct = PushdownPredicate {
+            target: ColumnPath::whole("x"),
+            predicate: ScalarPredicate::In((0..20).step_by(3).map(Value::Bigint).collect()),
+        };
+        let selected: Vec<i64> = (0..20).step_by(3).collect();
+        for limit in [None, Some(0), Some(1), Some(4), Some(6), Some(7), Some(8), Some(100)] {
+            let out =
+                scan_page(&schema, &page, &[&conjunct], limit, &[ColumnPath::whole("x")]).unwrap();
+            let kept = selected.len().min(limit.unwrap_or(usize::MAX));
+            assert_eq!(out.block(0), &Block::bigint(selected[..kept].to_vec()), "{limit:?}");
+            let counted = scan_page(&schema, &page, &[&conjunct], limit, &[] as &[ColumnPath]);
+            assert_eq!(counted.unwrap().positions(), kept, "{limit:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,9 @@ use std::time::Duration;
 
 use presto_common::metrics::names;
 use presto_common::trace::{SpanId, SpanKind};
-use presto_common::{Block, DataType, Page, PrestoError, Result, RowOrder, Schema, Value};
+use presto_common::{
+    selected_rows, Block, DataType, Page, PrestoError, Result, RowOrder, Schema, Value,
+};
 use presto_expr::{GroupedAccumulator, RowExpression};
 use presto_geo::index::GeofenceIndex;
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
@@ -93,7 +95,7 @@ fn selection(mask: Block) -> Vec<bool> {
     match mask {
         Block::Boolean { values, nulls: None } => values,
         Block::Boolean { mut values, nulls: Some(nulls) } => {
-            values.iter_mut().zip(nulls).for_each(|(v, null)| *v = *v && !null);
+            values.iter_mut().zip(nulls).for_each(|(v, null)| *v &= !null);
             values
         }
         encoded @ Block::Dictionary { .. } => selection(encoded.decode_dictionary()),
@@ -795,20 +797,22 @@ impl JoinBuild {
                 let pairs = page_of(columns, build_idx.len())?;
                 let keep = selection(ctx.evaluator.evaluate(&residual.expr, &pairs)?);
                 if keep.contains(&false) {
-                    let mut probe_rows = probe_idx.unwrap_or_else(|| (0..rows).collect());
-                    for idx in [&mut probe_rows, &mut build_idx] {
-                        let mut keep = keep.iter();
-                        idx.retain(|_| keep.next() == Some(&true));
-                    }
-                    probe_idx = Some(probe_rows);
+                    let kept = selected_rows(&keep);
+                    build_idx = kept.iter().map(|&k| build_idx[k]).collect();
+                    probe_idx = Some(match probe_idx {
+                        None => kept,
+                        Some(idx) => kept.iter().map(|&k| idx[k]).collect(),
+                    });
                 }
             }
-            let mut misses = Vec::new();
-            if let (JoinKind::Left, Some(probe_idx)) = (kind, &probe_idx) {
-                let mut matched = vec![false; rows];
-                probe_idx.iter().for_each(|&i| matched[i] = true);
-                misses.extend((0..rows).filter(|&i| !matched[i]));
-            }
+            let misses = match (kind, &probe_idx) {
+                (JoinKind::Left, Some(probe_idx)) => {
+                    let mut missed = vec![true; rows];
+                    probe_idx.iter().for_each(|&i| missed[i] = false);
+                    selected_rows(&missed)
+                }
+                _ => Vec::new(),
+            };
             let emitted = build_idx.len() + misses.len();
             if emitted == 0 {
                 continue;

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 
 use presto_common::block::{some_if_any, NullMask};
-use presto_common::{Block, DataType, PrestoError, Result, TypedDomain, Value};
+use presto_common::{selected_rows, Block, DataType, PrestoError, Result, TypedDomain, Value};
 
 use crate::registry::{promote, Builtin};
 
@@ -325,9 +325,7 @@ pub(crate) fn is_null(a: &Block) -> Block {
 pub(crate) fn null_rows(a: &Block) -> Vec<usize> {
     match a {
         Block::Dictionary { .. } => (0..a.len()).filter(|&i| a.is_null(i)).collect(),
-        flat => null_mask(flat).map_or_else(Vec::new, |nulls| {
-            nulls.iter().enumerate().filter(|(_, &null)| null).map(|(i, _)| i).collect()
-        }),
+        flat => null_mask(flat).map_or_else(Vec::new, selected_rows),
     }
 }
 

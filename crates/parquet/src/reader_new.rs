@@ -21,7 +21,7 @@
 //!   entry appended when a slot is NULL), and a pushed-down predicate on
 //!   one is evaluated once per entry.
 
-use presto_common::{Block, DataType, Page, PrestoError, Result, Schema};
+use presto_common::{selected_rows, Block, DataType, Page, PrestoError, Result, Schema};
 
 use crate::columnar::build_block;
 use crate::predicate::FilePredicate;
@@ -262,16 +262,15 @@ pub fn read(
                 )));
             }
             let flags = conjunct.predicate.evaluate_leaf(&data)?;
-            mask = Some(match mask {
-                None => flags,
-                Some(prev) => prev.iter().zip(flags.iter()).map(|(&a, &b)| a && b).collect(),
-            });
+            match &mut mask {
+                None => mask = Some(flags),
+                Some(mask) => mask.iter_mut().zip(flags).for_each(|(keep, flag)| *keep &= flag),
+            }
             decoded[*leaf_idx] = Some(data);
         }
         // the surviving rows, when the predicate dropped any
-        let selection: Option<Vec<usize>> = mask
-            .map(|m| m.iter().enumerate().filter(|(_, &keep)| keep).map(|(i, _)| i).collect())
-            .filter(|kept: &Vec<usize>| kept.len() < rows);
+        let selection: Option<Vec<usize>> =
+            mask.map(|m| selected_rows(&m)).filter(|kept| kept.len() < rows);
 
         // ---- Fig 9: lazy reads — a group with zero matches never decodes
         // its projected columns.
