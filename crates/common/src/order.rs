@@ -16,7 +16,7 @@ use crate::error::{PrestoError, Result};
 use crate::page::Page;
 
 /// From this many rows on, the ranks are sorted by radix passes over their
-/// prefix bits; below it, by `sort_unstable`.
+/// top bits; below it, by `sort_unstable`.
 const RADIX_MIN_ROWS: usize = 512;
 
 /// The order of rows spread over pages under sort keys: per key column
@@ -117,11 +117,11 @@ impl<'a> RowOrder<'a> {
     /// All rows in order (a stable sort), by their ranks: one `u64` a row,
     /// the first key's [`Block::order_prefixes`] entry (flipped when it
     /// descends, the high bits every row shares dropped) truncated to the
-    /// bits above the row's address. The address bits need no sorting — the ranks are built in address
-    /// order — so a radix sort passes over the prefix bits only, a byte at
-    /// a time, and skips a byte every rank shares; ranks already in order
-    /// take no pass. Only a run of ranks whose prefixes tie, which that
-    /// leaves in input order, is then sorted on the full keys, stably.
+    /// bits above the row's address. Ranks are distinct — each holds its
+    /// row's address — so sorting them ascending is stable: see
+    /// `sort_ranks`. Ranks already in order take no pass. Only a run of
+    /// ranks whose prefixes tie, which that leaves in input order, is then
+    /// sorted on the full keys, stably.
     pub fn sorted(&self) -> OrderedRows {
         let address = self.address;
         let mut ranks = self.ranks();
@@ -130,7 +130,7 @@ impl<'a> RowOrder<'a> {
         } else if ranks.len() < RADIX_MIN_ROWS {
             ranks.sort_unstable();
         } else {
-            radix_sort(&mut ranks, address.bits);
+            sort_ranks(&mut ranks, 64, address.bits);
         }
         if !self.keys.is_empty() {
             let prefix = |rank: &u64| rank >> address.bits;
@@ -167,6 +167,39 @@ fn double_bits(block: &Block, row: usize) -> Option<u64> {
         Block::Dictionary { dictionary, ids } => double_bits(dictionary, ids[row] as usize),
         _ => None,
     }
+}
+
+/// Sorts distinct `ranks`, equal in their bits from `high` up and in order
+/// in the `address_bits` below their prefixes, ascending: a radix pass over
+/// each byte of the top `bit_length(n) + 8` bits below `high`
+/// ([`radix_low`]), then each run of ranks those bits tie sorted whole. Ranks
+/// spread over those bits leave runs of a few ties, which `sort_unstable`
+/// sorts; a run of [`RADIX_MIN_ROWS`] or more — a key whose values crowd a
+/// narrow band beside a far one, as a NULL (the top prefix) does — is
+/// sorted the same way below `low`.
+fn sort_ranks(ranks: &mut Vec<u64>, high: u32, address_bits: u32) {
+    let low = radix_low(ranks.len(), high, address_bits);
+    radix_sort(ranks, low);
+    if low == address_bits {
+        return;
+    }
+    for run in ranks.chunk_by_mut(|a, b| a >> low == b >> low) {
+        if run.len() >= RADIX_MIN_ROWS {
+            let mut sorted = run.to_vec();
+            sort_ranks(&mut sorted, low, address_bits);
+            run.copy_from_slice(&sorted);
+        } else {
+            run.sort_unstable();
+        }
+    }
+}
+
+/// The lowest rank bit a radix sort of `rows` ranks below bit `high` reads:
+/// the `bit_length(rows) + 8` bits below it, rounded up to a byte, but none
+/// of the `address_bits` below the prefix.
+fn radix_low(rows: usize, high: u32, address_bits: u32) -> u32 {
+    let width = (usize::BITS - rows.leading_zeros() + 8).next_multiple_of(8);
+    high.saturating_sub(width).max(address_bits)
 }
 
 /// A stable LSD radix sort of `ranks` on their bits from `low` up, a byte a
@@ -385,7 +418,13 @@ mod tests {
     /// Columns of `rows` rows whose values tie in their high prefix bits:
     /// doubles a few ulps apart around one value, with `-0.0`, `0.0`, NaNs
     /// of two payloads and NULLs among them; strings sharing their first 8
-    /// bytes; and a BIGINT that breaks some of the ties.
+    /// bytes; a BIGINT that breaks some of the ties; distinct doubles
+    /// `1.0 + k·2⁻⁴⁰`, shuffled, that share their top 24 bits — sign,
+    /// exponent and 12 mantissa bits — and differ only below them, with a
+    /// NULL every 97 rows so those bits stay in the ranks' top ones (the
+    /// non-NULL rows crowd one run, which is radix-sorted again below); and
+    /// BIGINTs spread over the whole range, so that every byte a radix
+    /// reads orders some rows.
     fn tied_columns(rows: usize) -> Vec<Block> {
         let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
         let double = |i: usize| match i % 23 {
@@ -403,11 +442,44 @@ mod tests {
                 k => Value::Varchar(format!("abcdefgh{}", (i * 31 + k) % 7)),
             })
             .collect();
+        let near_one: Vec<Value> = (0..rows)
+            .map(|i| match i % 97 {
+                0 => Value::Null,
+                _ => (1.0 + ((i * 7919) % rows) as f64 * 2f64.powi(-40)).into(),
+            })
+            .collect();
         vec![
             Block::from_values(&DataType::Double, &doubles).unwrap(),
             Block::from_values(&DataType::Varchar, &strings).unwrap(),
             Block::bigint((0..rows).map(|i| (i % 3) as i64).collect()),
+            Block::from_values(&DataType::Double, &near_one).unwrap(),
+            Block::bigint((0..rows as u64).map(|i| scattered(i) as i64).collect()),
         ]
+    }
+
+    /// `i` scattered over the whole `u64` range (a multiply, an xor-shift
+    /// and a multiply: the top bits of `i` times a constant alone are too
+    /// evenly spread to tie).
+    fn scattered(i: u64) -> u64 {
+        let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (x ^ x >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+    }
+
+    #[test]
+    fn a_radix_reads_the_top_bytes_a_row_count_needs() {
+        // bit_length(rows) + 8, rounded up to a byte, never into the address
+        assert_eq!(radix_low(RADIX_MIN_ROWS, 64, 10), 64 - 24);
+        assert_eq!(radix_low(60_000, 64, 17), 64 - 24);
+        assert_eq!(radix_low(65_535, 64, 16), 64 - 24);
+        assert_eq!(radix_low(65_536, 64, 17), 64 - 32);
+        assert_eq!(radix_low(65_536, 64, 50), 50);
+        // a run left that long reads the bits below the first radix's
+        assert_eq!(radix_low(60_000, 40, 17), 17);
+        assert_eq!(radix_low(60_000, 48, 17), 48 - 24);
+        // the shared top 24 bits of `1.0 + k·2⁻⁴⁰`
+        let (one, next) = (1f64.to_bits(), (1.0 + 65_535.0 * 2f64.powi(-40)).to_bits());
+        assert_eq!((one ^ next) >> 40, 0);
+        assert_ne!(one, next);
     }
 
     /// `rows` rows cut into pages of unequal sizes (empty ones included)
@@ -438,8 +510,23 @@ mod tests {
 
     #[test]
     fn ranks_sort_as_the_tuple_sort_did_at_every_edge() {
-        let sizes =
-            [0, 1, RADIX_MIN_ROWS - 1, RADIX_MIN_ROWS, RADIX_MIN_ROWS + 1, 1 << 16, (1 << 16) + 1];
+        // the radix cutoff, and where the address or the radix width grows
+        let sizes = [
+            0,
+            1,
+            255,
+            256,
+            257,
+            RADIX_MIN_ROWS - 1,
+            RADIX_MIN_ROWS,
+            RADIX_MIN_ROWS + 1,
+            4095,
+            4096,
+            4097,
+            65_535,
+            1 << 16,
+            (1 << 16) + 1,
+        ];
         for rows in sizes {
             let columns = tied_columns(rows);
             // one page, then pages of unequal sizes
@@ -448,7 +535,7 @@ mod tests {
                 let lens: Vec<usize> = pages.iter().map(|p| p[0].len()).collect();
                 let starts: Vec<usize> =
                     lens.iter().scan(0, |at, n| Some(std::mem::replace(at, *at + n))).collect();
-                for key_columns in [vec![0, 2], vec![1, 0], vec![2]] {
+                for key_columns in [vec![0, 2], vec![1, 0], vec![2], vec![3], vec![3, 1], vec![4]] {
                     for descending in [false, true] {
                         let keys: Vec<(Block, bool)> = key_columns
                             .iter()

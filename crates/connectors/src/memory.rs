@@ -221,7 +221,8 @@ enum Kept {
 /// The rows of `page` passing every conjunct, cut at `limit` (an early-out
 /// hint), as `columns`. The page is only read: the mask is computed on it
 /// in place and nothing but the requested columns is gathered or cloned,
-/// so a scan that asks for no column copies no column.
+/// so a scan that asks for no column copies no column — it counts the
+/// mask, and builds no row ids either.
 pub(crate) fn scan_page(
     schema: &Schema,
     page: &Page,
@@ -230,25 +231,27 @@ pub(crate) fn scan_page(
     columns: &[impl Borrow<ColumnPath>],
 ) -> Result<Page> {
     let limit = limit.unwrap_or(usize::MAX);
-    let kept = if conjuncts.is_empty() {
-        Kept::First(page.positions().min(limit))
-    } else {
-        let mut rows = selected_rows(&predicate_mask(schema, page, conjuncts)?);
-        rows.truncate(limit);
-        Kept::Rows(rows)
+    let mask = match conjuncts.is_empty() {
+        true => None,
+        false => Some(predicate_mask(schema, page, conjuncts)?),
+    };
+    if columns.is_empty() {
+        let passing = |mask: Vec<bool>| mask.iter().filter(|&&keep| keep).count();
+        return Ok(Page::zero_column(mask.map_or(page.positions(), passing).min(limit)));
+    }
+    let kept = match mask {
+        None => Kept::First(page.positions().min(limit)),
+        Some(mask) => {
+            let mut rows = selected_rows(&mask);
+            rows.truncate(limit);
+            Kept::Rows(rows)
+        }
     };
     let mut blocks = Vec::with_capacity(columns.len());
     for col in columns {
         blocks.push(project_column(schema, page, col.borrow(), &kept)?);
     }
-    if blocks.is_empty() {
-        Ok(Page::zero_column(match kept {
-            Kept::First(n) => n,
-            Kept::Rows(rows) => rows.len(),
-        }))
-    } else {
-        Page::new(blocks)
-    }
+    Page::new(blocks)
 }
 
 /// `mask[i] &= values[i]` is not NULL and passes `test`.

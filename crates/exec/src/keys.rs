@@ -999,6 +999,8 @@ impl KeyTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn bigints(values: &[Option<i64>]) -> Block {
@@ -1140,6 +1142,53 @@ mod tests {
         let plain = [Block::varchar(&["a", "b"]), bigints(&[1, 2].map(Some))];
         assert_eq!(dense(&plain), (false, false));
         assert_eq!(dense(&pages[0][..1]), (false, false));
+    }
+
+    #[test]
+    fn a_dense_table_deals_the_same_ids_in_any_column_order() {
+        // spans 60k × 7 over 140k rows (2^19 slots), and 2 × 3 × 50 over 300
+        let wide: Vec<i64> = (0..140_000).map(|i| i % 60_000).collect();
+        let narrow: Vec<i64> = (0..140_000).map(|i| (i / 60_000 + i) % 7).collect();
+        let pair = [Block::bigint(wide), Block::bigint(narrow)];
+        let three = [
+            Block::bigint((0..300).map(|i| i % 2).collect()),
+            Block::bigint((0..300).map(|i| (i / 2) % 3).collect()),
+            Block::bigint((0..300).map(|i| (i * 7) % 50).collect()),
+        ];
+        let orders: [&[usize]; 8] = [
+            &[0, 1],
+            &[1, 0],
+            &[0, 1, 2],
+            &[0, 2, 1],
+            &[1, 0, 2],
+            &[1, 2, 0],
+            &[2, 0, 1],
+            &[2, 1, 0],
+        ];
+        for order in orders {
+            let (source, slots) = match order.len() {
+                2 => (&pair[..], 60_000 * 7),
+                _ => (&three[..], 2 * 3 * 50),
+            };
+            let columns: Vec<Block> = order.iter().map(|&c| source[c].clone()).collect();
+            let types = vec![DataType::Bigint; columns.len()];
+            let rows = columns[0].len();
+            // every id first-seen, the same in any order
+            let mut first_seen = HashMap::new();
+            let keys: Vec<u32> = (0..rows)
+                .map(|row| {
+                    let key: Vec<Value> = source.iter().map(|block| block.value(row)).collect();
+                    let next = first_seen.len() as u32;
+                    *first_seen.entry(key).or_insert(next)
+                })
+                .collect();
+            for mut table in
+                [KeyTable::group_by(&types, &[&columns]), KeyTable::join(&types, &[&columns])]
+            {
+                assert_eq!(table.dense_bytes(), slots * 4, "{order:?}");
+                assert_eq!(ids(&mut table, &columns), keys, "{order:?}");
+            }
+        }
     }
 
     #[test]

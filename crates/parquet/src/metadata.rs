@@ -286,18 +286,24 @@ fn bounds<T: Copy + PartialOrd>(
     Some((wrap(min), wrap(max)))
 }
 
+/// The positions of `n` values a chunk's statistics read: all of them, or
+/// only the `firsts`.
+fn picks(n: usize, firsts: Option<&[usize]>) -> impl Iterator<Item = usize> + '_ {
+    let all = if firsts.is_some() { 0 } else { n };
+    firsts.unwrap_or_default().iter().copied().chain(0..all)
+}
+
 /// Bounds of a chunk's strings, compared as the footer will hold them: a
 /// minimum is cut to its first 64 characters — a prefix sorts at or below
 /// the string, so that is a valid *lower* bound — and a maximum longer than
 /// that becomes its first 63 characters and `char::MAX`, which sorts above
 /// every continuation (plain truncation would let pushdown skip row groups
 /// holding strings above it). Later strings meet the bound so rounded, not
-/// the string it came from.
-fn string_bounds(offsets: &[u32], data: &[u8]) -> Option<(Value, Value)> {
+/// the string it came from — a string met again moves neither bound.
+fn string_bounds<'d>(mut strings: impl Iterator<Item = &'d [u8]>) -> Option<(Value, Value)> {
     /// `char::MAX` in UTF-8.
     const CEILING: [u8; 4] = [0xF4, 0x8F, 0xBF, 0xBF];
     let text = |s: &[u8]| String::from_utf8_lossy(s).into_owned();
-    let mut strings = offsets.windows(2).map(|w| &data[w[0] as usize..w[1] as usize]);
     let first = strings.next()?;
     fn floor(s: &[u8]) -> &[u8] {
         &s[..char_prefix(s, STATS_CHARS).unwrap_or(s.len())]
@@ -328,16 +334,24 @@ fn string_bounds(offsets: &[u32], data: &[u8]) -> Option<(Value, Value)> {
 /// Statistics of one chunk: the NULL count from its levels, minimum and
 /// maximum from one typed pass over its values. NaN is unordered — it would
 /// poison a bound (nothing ever replaces it) and make pushdown skip row
-/// groups it must read — so NaNs do not contribute.
-pub fn chunk_stats(data: &LeafData) -> ColumnStats {
+/// groups it must read — so NaNs do not contribute. With `firsts` — a
+/// dictionary's entries, the index of each distinct value's first
+/// occurrence, in that order — the pass reads only those: a value met again
+/// moves no bound, so the statistics are the same.
+pub fn chunk_stats(data: &LeafData, firsts: Option<&[usize]>) -> ColumnStats {
+    let at = || picks(data.values.len(), firsts);
     let bounds = match (&data.values, &data.scalar_type) {
-        (LeafValues::Bool(v), _) => bounds(v.iter().copied(), Value::Boolean),
-        (LeafValues::I32(v), DataType::Date) => bounds(v.iter().copied(), Value::Date),
-        (LeafValues::I32(v), _) => bounds(v.iter().copied(), Value::Integer),
-        (LeafValues::I64(v), DataType::Timestamp) => bounds(v.iter().copied(), Value::Timestamp),
-        (LeafValues::I64(v), _) => bounds(v.iter().copied(), Value::Bigint),
-        (LeafValues::F64(v), _) => bounds(v.iter().copied().filter(|x| !x.is_nan()), Value::Double),
-        (LeafValues::Bytes { offsets, data }, _) => string_bounds(offsets, data),
+        (LeafValues::Bool(v), _) => bounds(at().map(|i| v[i]), Value::Boolean),
+        (LeafValues::I32(v), DataType::Date) => bounds(at().map(|i| v[i]), Value::Date),
+        (LeafValues::I32(v), _) => bounds(at().map(|i| v[i]), Value::Integer),
+        (LeafValues::I64(v), DataType::Timestamp) => bounds(at().map(|i| v[i]), Value::Timestamp),
+        (LeafValues::I64(v), _) => bounds(at().map(|i| v[i]), Value::Bigint),
+        (LeafValues::F64(v), _) => {
+            bounds(at().map(|i| v[i]).filter(|x| !x.is_nan()), Value::Double)
+        }
+        (LeafValues::Bytes { offsets, data }, _) => {
+            string_bounds(at().map(|i| &data[offsets[i] as usize..offsets[i + 1] as usize]))
+        }
     };
     let (min, max) = bounds.map_or((None, None), |(min, max)| (Some(min), Some(max)));
     ColumnStats { min, max, null_count: data.null_count() as u64 }
@@ -410,12 +424,17 @@ mod tests {
         assert!(FileMetadata::deserialize(&bytes).is_err());
     }
 
-    fn stats_of(dt: DataType, values: &[Value]) -> ColumnStats {
+    /// One column of `values` shredded into its leaf.
+    fn leaf_of(dt: DataType, values: &[Value]) -> LeafData {
         let leaf = crate::schema::FlatSchema::new(Schema::new(vec![Field::new("c", dt)]).unwrap())
             .unwrap();
         let mut sinks = vec![LeafData::new(&leaf.leaves[0])];
         crate::shred::shred_column(&leaf.roots[0], values, &mut sinks).unwrap();
-        chunk_stats(&sinks[0])
+        sinks.pop().unwrap()
+    }
+
+    fn stats_of(dt: DataType, values: &[Value]) -> ColumnStats {
+        chunk_stats(&leaf_of(dt, values), None)
     }
 
     #[test]
@@ -445,6 +464,58 @@ mod tests {
                 assert!(v.as_str() >= long.as_str(), "max must stay an upper bound");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A string from a drawn shape: `len` characters of `stem`, the 64th
+    /// (the cut) `cut` and the rest `'a'`s.
+    fn drawn_string((stem, len, cut): (u8, u8, u8)) -> Value {
+        let stem = ['a', 'b', 'é', char::MAX][stem as usize];
+        let len = [0, 1, 62, 63, 64, 65, 66, 100][len as usize];
+        let cut = ['a', 'z', 'é', char::MAX][cut as usize];
+        let s = (0..len).map(|i| match i {
+            63 => cut,
+            0..63 => stem,
+            _ => 'a',
+        });
+        Value::Varchar(s.collect())
+    }
+
+    /// Statistics of `values` over every defined value, and over the first
+    /// occurrence of each distinct one.
+    fn stats_all_and_firsts(dt: DataType, values: &[Value]) -> (ColumnStats, ColumnStats) {
+        let leaf = leaf_of(dt, values);
+        let defined: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
+        let firsts: Vec<usize> =
+            (0..defined.len()).filter(|&i| !defined[..i].contains(&defined[i])).collect();
+        (chunk_stats(&leaf, None), chunk_stats(&leaf, Some(&firsts)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn stats_over_the_firsts_are_stats_over_all_values(
+            strings in proptest::collection::vec((0u8..4, 0u8..8, 0u8..4), 0..40),
+            repeats in proptest::collection::vec(0usize..40, 0..80),
+            ints in proptest::collection::vec(0usize..6, 0..60),
+        ) {
+            // each string again at drawn positions, NULLs among them
+            let drawn: Vec<Value> = strings.into_iter().map(drawn_string).collect();
+            let mut values = drawn.clone();
+            for &r in &repeats {
+                values.push(drawn.get(r).cloned().unwrap_or(Value::Null));
+            }
+            let (all, firsts) = stats_all_and_firsts(DataType::Varchar, &values);
+            proptest::prop_assert_eq!(all, firsts);
+            let bigints: Vec<Value> =
+                ints.iter().map(|&i| Value::Bigint([i64::MIN, -5, 0, 3, 4, i64::MAX][i])).collect();
+            let (all, firsts) = stats_all_and_firsts(DataType::Bigint, &bigints);
+            proptest::prop_assert_eq!(all, firsts);
+            let dates: Vec<Value> =
+                ints.iter().map(|&i| Value::Date([i32::MIN, -5, 0, 3, 4, i32::MAX][i])).collect();
+            let (all, firsts) = stats_all_and_firsts(DataType::Date, &dates);
+            proptest::prop_assert_eq!(all, firsts);
         }
     }
 

@@ -236,7 +236,7 @@ fn write_chunk(
         dictionary_page,
         dictionary_count: if encoded { dictionary.firsts().len() as u32 } else { 0 },
         data_page: compress(page),
-        stats: chunk_stats(data),
+        stats: chunk_stats(data, encoded.then(|| dictionary.firsts())),
     }
 }
 

@@ -157,6 +157,17 @@ fn small_value(g: &mut Gen, dt: &DataType) -> Value {
     }
 }
 
+/// As [`small_value`], but an integer is 0 or 1: beside a `small_value`
+/// column it spans less, so the two columns weigh differently in a dense
+/// table.
+fn tiny_value(g: &mut Gen, dt: &DataType) -> Value {
+    match small_value(g, dt) {
+        Value::Null => Value::Null,
+        _ if g.below(2) == 0 => Value::Bigint(0),
+        _ => Value::Bigint(1),
+    }
+}
+
 /// A probe row's value against a [`small_value`] build side: mostly small,
 /// sometimes an extreme — either may lie outside the build side's range.
 fn probe_value(g: &mut Gen, dt: &DataType) -> Value {
@@ -798,20 +809,28 @@ const NO_PAGES: &[&[Block]] = &[];
 /// first-seen order; a join table gives NULL and NaN rows no key at all.
 /// Each table laid out over the pages deals the same ids as a hashed one
 /// grown from empty — for `small` keys (integers from -3..=3, NULLs among
-/// them) mostly a dense table against a hashed one. Half the `small` tables
-/// are a VARCHAR of four strings that is a dictionary on every page
+/// them) mostly a dense table against a hashed one. A third of the `small`
+/// tables are a VARCHAR of four strings that is a dictionary on every page
 /// (entries per page in another order, repeated, NULL, unused) and another
-/// small column: the dense layout's digits, dense past 20 rows. Every page again with each column
-/// a dictionary gets the same ids. A probe page of other values — strings
-/// and integers the build rows never held among them — finds exactly the
-/// ids of equal build rows. Other key shapes cover the packed word (VARCHAR
+/// small column: the dense layout's digits, dense past 20 rows. A third are
+/// two BIGINTs of unequal spans, 0..=1 and -3..=3, the narrow one first or
+/// second: dense from 9 rows, the narrow column weighing 1 in either order.
+/// Every page again with each column a dictionary gets the same ids. A
+/// probe page of other values — strings and integers the build rows never
+/// held among them — finds exactly the ids of equal build rows. Other key shapes cover the packed word (VARCHAR
 /// interned, alone or beside BIGINT) and the byte layout (nested, or four
 /// VARCHARs: 132 bits). Returns whether the group-by table was dense.
 fn key_codec_case(seed: u64, small: bool) -> bool {
     let g = &mut Gen(seed);
+    // the column of the uneven shape that draws from `tiny_value`
+    let mut narrow = None;
     let (types, draw): (Vec<DataType>, Draw) = match small {
-        true => match g.below(2) {
+        true => match g.below(3) {
             0 => (vec![DataType::Varchar, g.pick(&SMALL_DIGITS)], small_value),
+            1 => {
+                narrow = Some(g.below(2));
+                (vec![DataType::Bigint; 2], small_value)
+            }
             _ => (integral_types(g, 1), small_value),
         },
         false => {
@@ -827,7 +846,10 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
             (types, value)
         }
     };
-    let mut table = Table::drawn(g, types.clone(), draw);
+    let draw_of = |c: usize| if narrow == Some(c) { tiny_value as Draw } else { draw };
+    let pages = 1 + g.below(4);
+    let mut table =
+        Table::paged(g, types.clone(), pages, |g| g.pick(&[0, 1, 2, 5, 9, 14]), draw_of);
     let digits = small && types[0] == DataType::Varchar;
     if digits {
         for c in table.columns_of(|t| *t == DataType::Varchar) {
@@ -840,6 +862,10 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     // spans of at most 5 × 8 fit the 64 slots of 20 rows
     if digits && rows.len() >= 20 {
         prop_assert!(groups.dense_bytes() > 0, "VARCHAR dictionary digits, seed {}", seed);
+    }
+    // spans of at most 3 × 8 fit the 32 slots of 9 rows
+    if narrow.is_some() && rows.len() >= 9 {
+        prop_assert!(groups.dense_bytes() > 0, "unequal spans, seed {}", seed);
     }
     let mut hashed = KeyTable::group_by(&types, NO_PAGES);
     let mut joins = KeyTable::join(&types, &columns);
@@ -870,7 +896,8 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
         .map(|page_rows| {
             let column = |c: usize| page_rows.iter().map(|r: &Vec<Value>| r[c].clone()).collect();
             let column: Vec<Vec<Value>> = (0..types.len()).map(column).collect();
-            types.iter().zip(&column).map(|(t, values)| dictionary(g, t, values, draw)).collect()
+            let columns = types.iter().zip(&column).enumerate();
+            columns.map(|(c, (t, values))| dictionary(g, t, values, draw_of(c))).collect()
         })
         .collect();
     let mut dictionaries = KeyTable::group_by(&types, &dictionary_pages);
@@ -946,8 +973,8 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
 }
 
 /// [`key_codec_case`] on the small-range shape over 10k seeds — integral
-/// keys and VARCHAR dictionary digits: the dense tables against the hashed
-/// ones, at soak size.
+/// keys, VARCHAR dictionary digits and two columns of unequal spans in
+/// either order: the dense tables against the hashed ones, at soak size.
 #[test]
 #[ignore = "release soak: `cargo test --release -p presto-at-scale --test exec_typed -- --ignored`"]
 fn dense_key_tables_deal_the_hashed_ids_soak() {
