@@ -10,8 +10,10 @@ pub const MAX_DICTIONARY_ENTRIES: usize = 1024;
 /// Multiplier of the dictionary table's multiplicative hash (2^64 / φ).
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The hash [`DictionaryBuilder::assign_strings`] files a long string under.
-fn hash_bytes(bytes: &[u8]) -> u64 {
+/// A hash of `bytes`, folded eight at a time: what
+/// [`DictionaryBuilder::assign_strings`] files a long string under, and,
+/// mixed once more, the executor's key tables.
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = bytes.len() as u64;
     let mut mix = |word: u64| h = (h ^ word).wrapping_mul(MIX).rotate_left(29);
     let mut words = bytes.chunks_exact(8);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Core types shared by every crate in the Presto-at-scale reproduction.
 //!
@@ -53,7 +54,7 @@ pub mod trace;
 pub mod types;
 pub mod value;
 
-pub use block::Block;
+pub use block::{Block, Run};
 pub use clock::SimClock;
 pub use domain::{Domain, TypedDomain};
 pub use error::{PrestoError, Result};

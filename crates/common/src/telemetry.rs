@@ -164,11 +164,6 @@ impl TelemetryRegistry {
         self.inner.write().workers.insert(row.worker_id, row);
     }
 
-    /// Drop the row of a reaped worker.
-    pub fn forget_worker(&self, worker_id: u32) {
-        self.inner.write().workers.remove(&worker_id);
-    }
-
     /// Upsert one query row (keyed by query id, oldest evicted beyond
     /// [`MAX_ROWS_PER_TABLE`]).
     pub fn record_query(&self, row: QueryRow) {
@@ -289,8 +284,6 @@ mod tests {
         t.record_worker(worker(3, "active", 50));
         let ids: Vec<u32> = t.workers().iter().map(|w| w.worker_id).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        t.forget_worker(3);
-        assert_eq!(t.workers().len(), 2);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl CatalogRegistry {
             .ok_or_else(|| PrestoError::Analysis(format!("unknown catalog '{catalog}'")))
     }
 
-    /// All catalog names.
-    pub fn catalog_names(&self) -> Vec<String> {
-        self.catalogs.read().keys().cloned().collect()
-    }
-
     /// Resolve a qualified table's schema.
     pub fn table_schema(&self, catalog: &str, schema: &str, table: &str) -> Result<Schema> {
         self.get(catalog)?.table_schema(schema, table)
@@ -58,7 +53,6 @@ mod tests {
         assert!(registry.get("memory").is_err());
         registry.register("memory", Arc::new(MemoryConnector::new()));
         assert!(registry.get("memory").is_ok());
-        assert_eq!(registry.catalog_names(), vec!["memory".to_string()]);
         // unknown table errors propagate
         assert!(registry.table_schema("memory", "default", "nope").is_err());
     }

@@ -79,30 +79,6 @@ impl MySqlConnector {
         Ok(())
     }
 
-    /// `DELETE FROM ... WHERE col = value` (exact-match; returns rows
-    /// removed). Enough transactional mutability for the routing-table use
-    /// case.
-    pub fn delete_where(
-        &self,
-        schema_name: &str,
-        table: &str,
-        column: &str,
-        value: &Value,
-    ) -> Result<usize> {
-        self.metrics.incr(names::MYSQL_STATEMENTS);
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(&(schema_name.to_string(), table.to_string()))
-            .ok_or_else(|| PrestoError::Connector(format!("no table {schema_name}.{table}")))?;
-        let idx = t
-            .schema
-            .index_of(column)
-            .ok_or_else(|| PrestoError::Connector(format!("no column '{column}'")))?;
-        let before = t.rows.len();
-        t.rows.retain(|row| row[idx] != *value);
-        Ok(before - t.rows.len())
-    }
-
     /// `UPDATE ... SET set_col = set_value WHERE where_col = where_value`;
     /// returns rows changed.
     pub fn update_where(
@@ -299,8 +275,6 @@ mod tests {
             c.lookup("presto", "routing", "user_group", &"ads".into()).unwrap().unwrap()[1],
             Value::Varchar("shared".into())
         );
-        assert_eq!(c.delete_where("presto", "routing", "user_group", &"eats".into()).unwrap(), 1);
-        assert!(c.lookup("presto", "routing", "user_group", &"eats".into()).unwrap().is_none());
         // width validation
         assert!(c.insert("presto", "routing", vec![vec!["x".into()]]).is_err());
     }

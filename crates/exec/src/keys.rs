@@ -63,7 +63,7 @@
 use std::borrow::Borrow;
 
 use presto_common::block::NullMask;
-use presto_common::dictionary::short_word;
+use presto_common::dictionary::{hash_bytes, short_word};
 use presto_common::{Block, DataType, PrestoError, Result, Value};
 
 /// The id of a row that has no key.
@@ -164,17 +164,6 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = bytes.len() as u64;
-    let mut mix = |word: u64| h = (h ^ word).wrapping_mul(MIX).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
-    for word in words.by_ref() {
-        mix(u64::from_le_bytes(<[u8; 8]>::try_from(word).unwrap_or_default()));
-    }
-    mix(words.remainder().iter().fold(0, |w, &b| (w << 8) | u64::from(b)));
-    h.wrapping_mul(MIX)
-}
-
 /// One column's cells in the byte layout, encoded and hashed once per row —
 /// or once per dictionary entry, rows reaching theirs through `ids`.
 struct Cells<'a> {
@@ -218,7 +207,9 @@ impl<'a> Cells<'a> {
             }
         }
         let starts = std::iter::once(&0).chain(&ends);
-        let hashes = starts.zip(&ends).map(|(&s, &e)| hash_bytes(&bytes[s as usize..e as usize]));
+        let hashes = starts
+            .zip(&ends)
+            .map(|(&s, &e)| hash_bytes(&bytes[s as usize..e as usize]).wrapping_mul(MIX));
         Cells { hashes: hashes.collect(), bytes, ends, ids: None }
     }
 
@@ -473,7 +464,10 @@ impl Interner {
             Some(word) => (self.short.find(word, insert), &mut self.short_ids),
             None => {
                 let s = &bytes[start..end];
-                (self.long.find(hash_bytes(s), || std::iter::once(s), insert), &mut self.long_ids)
+                (
+                    self.long.find(hash_bytes(s).wrapping_mul(MIX), || std::iter::once(s), insert),
+                    &mut self.long_ids,
+                )
             }
         };
         match at {

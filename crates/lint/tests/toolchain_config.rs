@@ -74,7 +74,7 @@ fn every_package_inherits_the_workspace_lints() {
 
 #[test]
 fn engine_crates_deny_unwrap_and_expect() {
-    for name in ["exec", "expr", "resource", "cluster", "core", "sim"] {
+    for name in ["common", "exec", "expr", "resource", "cluster", "core", "sim"] {
         let lib = read(&format!("crates/{name}/src/lib.rs"));
         assert!(
             lib.lines().any(|l| l.trim() == "#![deny(clippy::unwrap_used, clippy::expect_used)]"),
