@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use presto_common::metrics::CounterSet;
+use presto_common::metrics::{names, CounterSet};
 use presto_common::{Result, SimClock};
 use presto_storage::s3::{S3Config, S3FsConfig};
 use presto_storage::{FileSystem, PrestoS3FileSystem, S3ObjectStore};
@@ -54,7 +54,7 @@ pub fn lazy_seek(files: usize) -> LazySeekResult {
             stream.seek(2 * 1024 * 1024).unwrap(); // chunk B
             stream.read(65536).unwrap();
         }
-        (store.metrics().get("s3.get"), clock.now() - t0)
+        (store.metrics().get(names::S3_GET), clock.now() - t0)
     };
     let (eager_gets, eager_time) = run(false);
     let (lazy_gets, lazy_time) = run(true);
@@ -94,8 +94,8 @@ pub fn backoff(reads: usize, fail_every: u64) -> BackoffResult {
         }
         (
             completed,
-            metrics.get("s3fs.retries"),
-            Duration::from_nanos(metrics.get("s3fs.backoff_nanos")),
+            metrics.get(names::S3FS_RETRIES),
+            Duration::from_nanos(metrics.get(names::S3FS_BACKOFF_NANOS)),
         )
     };
     let (completed_with_retries, retries, backoff_time) = run(6);
@@ -125,11 +125,11 @@ pub fn s3_select(rows: usize) -> SelectResult {
 
     store.metrics().reset();
     store.get_object("/b/table", None).unwrap();
-    let full_bytes = store.metrics().get("s3.bytes_out");
+    let full_bytes = store.metrics().get(names::S3_BYTES_OUT);
 
     store.metrics().reset();
     store.select_object("/b/table", &[0, 4]).unwrap();
-    let select_bytes = store.metrics().get("s3.bytes_out");
+    let select_bytes = store.metrics().get(names::S3_BYTES_OUT);
     SelectResult { full_bytes, select_bytes }
 }
 

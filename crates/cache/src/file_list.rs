@@ -5,11 +5,11 @@
 //! directories. For open partitions, Presto will skip caching those
 //! directories to guarantee data freshness."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use presto_common::metrics::{names, CounterSet};
+use presto_common::sync::{Rank, RwLock};
 use presto_common::Result;
 use presto_storage::{FileStatus, FileSystem};
 
@@ -20,14 +20,18 @@ use presto_storage::{FileStatus, FileSystem};
 #[derive(Clone)]
 pub struct FileListCache {
     fs: Arc<dyn FileSystem>,
-    cache: Arc<RwLock<HashMap<String, Arc<Vec<FileStatus>>>>>,
+    cache: Arc<RwLock<BTreeMap<String, Arc<Vec<FileStatus>>>>>,
     metrics: CounterSet,
 }
 
 impl FileListCache {
     /// Cache in front of `fs`, reporting to `metrics`.
     pub fn new(fs: Arc<dyn FileSystem>, metrics: CounterSet) -> FileListCache {
-        FileListCache { fs, cache: Arc::new(RwLock::new(HashMap::new())), metrics }
+        FileListCache {
+            fs,
+            cache: Arc::new(RwLock::new(Rank::FileListCache, BTreeMap::new())),
+            metrics,
+        }
     }
 
     /// List a partition directory. `sealed = false` (an open partition being

@@ -24,7 +24,7 @@ use crate::lru::LruCache;
 
 /// Cache key: a fingerprint of the fragment's plan (including every pushdown
 /// in its scan request) plus the identity of the split it ran over.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FragmentKey {
     /// Fingerprint of the fragment plan (pushdowns included — two queries
     /// only share results if their pushed-down scans are identical).
@@ -76,14 +76,10 @@ impl FragmentResultCache {
         self.cache.put(key, pages);
     }
 
-    /// Snapshot of every cached entry, **sorted by key** so iteration is
-    /// deterministic (the backing LRU map is unordered).
+    /// Snapshot of every cached entry, sorted by key (fingerprint, then
+    /// split), so iteration is deterministic.
     pub fn entries(&self) -> Vec<(FragmentKey, Arc<Vec<Page>>)> {
-        let mut entries = self.cache.entries();
-        entries.sort_by(|(a, _), (b, _)| {
-            (a.plan_fingerprint, &a.split_identity).cmp(&(b.plan_fingerprint, &b.split_identity))
-        });
-        entries
+        self.cache.entries()
     }
 
     /// Entries currently cached.
@@ -101,8 +97,7 @@ impl FragmentResultCache {
         &self.metrics
     }
 
-    /// Canonical FNV fold of the resident entries (key-sorted, so the fold
-    /// is independent of the backing map's iteration order). Entries are
+    /// Canonical FNV fold of the resident entries, in key order. Entries are
     /// represented by key + page count — enough to catch divergent
     /// placement or eviction between two same-seed runs.
     pub fn digest(&self) -> u64 {

@@ -1,38 +1,36 @@
 //! A small thread-safe LRU cache used by the worker-side caches.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use presto_common::sync::{Mutex, Rank};
 
 struct Inner<K, V> {
-    map: HashMap<K, (Arc<V>, u64)>,
+    map: BTreeMap<K, (Arc<V>, u64)>,
     tick: u64,
     capacity: usize,
 }
 
 /// Thread-safe LRU cache with entry-count capacity. Values are shared via
 /// `Arc` so hits avoid cloning payloads. Cloning the cache shares it.
-pub struct LruCache<K: Eq + Hash + Clone, V> {
+pub struct LruCache<K: Ord + Clone, V> {
     inner: Arc<Mutex<Inner<K, V>>>,
 }
 
-impl<K: Eq + Hash + Clone, V> Clone for LruCache<K, V> {
+impl<K: Ord + Clone, V> Clone for LruCache<K, V> {
     fn clone(&self) -> Self {
         LruCache { inner: self.inner.clone() }
     }
 }
 
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
+impl<K: Ord + Clone, V> LruCache<K, V> {
     /// Cache holding at most `capacity` entries (at least 1).
     pub fn new(capacity: usize) -> LruCache<K, V> {
         LruCache {
-            inner: Arc::new(Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-                capacity: capacity.max(1),
-            })),
+            inner: Arc::new(Mutex::new(
+                Rank::LruCache,
+                Inner { map: BTreeMap::new(), tick: 0, capacity: capacity.max(1) },
+            )),
         }
     }
 
@@ -69,11 +67,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.inner.lock().map.remove(key);
     }
 
-    /// Snapshot of every entry, without touching recency.
-    ///
-    /// The order is the backing map's iteration order and therefore
-    /// unspecified — callers that need a stable order (e.g. deterministic
-    /// cache migration on worker decommission) must sort by key.
+    /// Snapshot of every entry in key order, without touching recency.
     pub fn entries(&self) -> Vec<(K, Arc<V>)> {
         self.inner.lock().map.iter().map(|(k, (v, _))| (k.clone(), v.clone())).collect()
     }

@@ -41,8 +41,8 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use presto_common::metrics::{names, Histogram};
+use presto_common::sync::{Mutex, Rank};
 
 use crate::cluster::PrestoCluster;
 use crate::worker::WorkerLifecycle;
@@ -133,13 +133,16 @@ impl Autoscaler {
         Autoscaler {
             cluster,
             config,
-            state: Mutex::new(AutoState {
-                above_since: None,
-                below_since: None,
-                last_action: None,
-                window: Histogram::new(),
-                busy_window: Histogram::new(),
-            }),
+            state: Mutex::new(
+                Rank::AutoscalerState,
+                AutoState {
+                    above_since: None,
+                    below_since: None,
+                    last_action: None,
+                    window: Histogram::new(),
+                    busy_window: Histogram::new(),
+                },
+            ),
         }
     }
 

@@ -38,14 +38,14 @@ mod lifecycle;
 mod scheduler;
 mod telemetry;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
 use presto_cache::fragment::FragmentResultCache;
 use presto_common::metrics::{names, CounterSet, Histogram, HistogramSet};
+use presto_common::sync::{Mutex, Rank, RwLock};
 use presto_common::telemetry::{QueryRow, TelemetryRegistry};
 use presto_common::trace::SpanKind;
 use presto_common::{FaultInjector, Page, PrestoError, Result, SimClock};
@@ -138,8 +138,7 @@ pub struct PrestoCluster {
     histograms: HistogramSet,
     /// Administrators drain whole clusters for maintenance (§VIII); a
     /// draining cluster refuses new queries so the gateway re-routes.
-    /// A single flag — an atomic, not a lock, so it never shows up in the
-    /// lock-order analysis.
+    /// A single flag — an atomic, not a lock, so it needs no `Rank`.
     maintenance: AtomicBool,
     queries_started: AtomicU64,
     /// Graceful decommissions scheduled for a future virtual instant,
@@ -155,7 +154,7 @@ pub struct PrestoCluster {
     /// Completed task runtimes per plan fingerprint, merged in after every
     /// successful scan fragment. Seeds the next identical fragment's
     /// straggler yardstick so single-wave fragments can speculate in-wave.
-    runtime_history: RwLock<HashMap<u64, Histogram>>,
+    runtime_history: RwLock<BTreeMap<u64, Histogram>>,
     /// Cluster-wide telemetry: per-worker busy-fraction series, memory/
     /// cache samples, and the row sets the `system` catalog exposes.
     /// Shared with the engine (EXPLAIN ANALYZE footer) and the `system`
@@ -190,7 +189,7 @@ impl PrestoCluster {
         let cluster = PrestoCluster {
             name: name.into(),
             engine,
-            workers: RwLock::new(Vec::new()),
+            workers: RwLock::new(Rank::ClusterWorkers, Vec::new()),
             next_worker_id: AtomicU32::new(0),
             clock,
             config,
@@ -198,11 +197,11 @@ impl PrestoCluster {
             histograms: HistogramSet::new(),
             maintenance: AtomicBool::new(false),
             queries_started: AtomicU64::new(0),
-            pending_drains: Mutex::new(Vec::new()),
-            fragment_caches: RwLock::new(BTreeMap::new()),
-            runtime_history: RwLock::new(HashMap::new()),
+            pending_drains: Mutex::new(Rank::ClusterPendingDrains, Vec::new()),
+            fragment_caches: RwLock::new(Rank::ClusterFragmentCaches, BTreeMap::new()),
+            runtime_history: RwLock::new(Rank::ClusterRuntimeHistory, BTreeMap::new()),
             telemetry,
-            sampler: Mutex::new(TelemetrySampler::default()),
+            sampler: Mutex::new(Rank::ClusterSampler, TelemetrySampler::default()),
             next_task_id: AtomicU64::new(0),
         };
         let cluster = Arc::new(cluster);

@@ -14,8 +14,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use presto_common::metrics::{names, CounterSet, HistogramSet};
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{PrestoError, Result, Schema, Value};
 use presto_connectors::mysql::MySqlConnector;
 use presto_core::{QueryResult, Session};
@@ -59,7 +59,7 @@ impl PrestoGateway {
         )?;
         Ok(PrestoGateway {
             routing,
-            clusters: RwLock::new(BTreeMap::new()),
+            clusters: RwLock::new(Rank::GatewayClusters, BTreeMap::new()),
             metrics: CounterSet::new(),
             histograms: HistogramSet::new(),
         })

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use presto_common::sync::{Mutex, Rank};
 use presto_common::{PrestoError, Result, SimClock};
 use presto_resource::QueryPriority;
 
@@ -134,15 +134,15 @@ impl Worker {
     pub fn new(id: u32, clock: SimClock, grace_period: Duration, class: &str) -> Arc<Worker> {
         Arc::new(Worker {
             id,
-            inner: Mutex::new(WorkerInner {
-                state: WorkerState::Active,
-                phase_started: clock.now(),
-            }),
+            inner: Mutex::new(
+                Rank::WorkerInner,
+                WorkerInner { state: WorkerState::Active, phase_started: clock.now() },
+            ),
             active_tasks: AtomicUsize::new(0),
             completed_tasks: AtomicUsize::new(0),
             busy_us: AtomicU64::new(0),
             consecutive_failures: AtomicU32::new(0),
-            health: Mutex::new(WorkerHealth::Healthy),
+            health: Mutex::new(Rank::WorkerHealth, WorkerHealth::Healthy),
             clock,
             grace_period,
             class: class.to_string(),

@@ -21,13 +21,13 @@
 //! `(seed, fragment, page ordinal, delivery attempt)` for exchanges — so
 //! they replay identically without any shared bookkeeping.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::sync::{Mutex, Rank};
 
 /// One declared fault. Task sequence numbers are **1-based and
 /// per-worker**: a worker's first task is sequence 1.
@@ -298,7 +298,7 @@ pub struct TaskStart {
 #[derive(Default)]
 struct FaultState {
     /// Next 1-based task sequence per worker.
-    task_seq: HashMap<u32, u64>,
+    task_seq: BTreeMap<u32, u64>,
     /// Which [`FaultSpec::CrashAt`] entries already fired (by spec index).
     fired: Vec<bool>,
 }
@@ -328,7 +328,7 @@ impl FaultInjector {
         Arc::new(FaultInjector {
             seed,
             plan,
-            state: Mutex::new(FaultState { task_seq: HashMap::new(), fired }),
+            state: Mutex::new(Rank::FaultInjector, FaultState { task_seq: BTreeMap::new(), fired }),
             crashes_injected: AtomicU64::new(0),
             task_faults_injected: AtomicU64::new(0),
             stalls_injected: AtomicU64::new(0),

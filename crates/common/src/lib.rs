@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Core types shared by every crate in the Presto-at-scale reproduction.
@@ -49,6 +50,7 @@ pub mod order;
 pub mod page;
 pub mod ring;
 pub mod rng;
+pub mod sync;
 pub mod telemetry;
 pub mod trace;
 pub mod types;

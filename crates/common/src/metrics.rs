@@ -11,210 +11,254 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use crate::sync::{Rank, RwLock};
 
-/// Canonical counter and histogram names.
+/// Declares each metric name once, as a `&'static str` constant, and
+/// [`names::ALL`] as the list of them all.
+macro_rules! registry {
+    ($( $(#[$doc:meta])* $name:ident = $value:literal; )*) => {
+        $( $(#[$doc])* pub const $name: &str = $value; )*
+
+        /// Every registered name, in declaration order. The sets below
+        /// refuse (in debug builds) to create a metric whose name is not
+        /// here, and no two entries may share a value.
+        pub const ALL: &[&str] = &[$($name),*];
+    };
+}
+
+/// Canonical counter, gauge, histogram and time-series names.
 ///
-/// Every counter recorded by a library crate lives here, so a typo'd name
-/// becomes a compile error instead of a counter that silently reads 0.
+/// Every metric recorded anywhere is declared here, so a typo'd name is a
+/// compile error at a `names::` path and a debug-build panic anywhere else,
+/// never a metric that silently reads 0.
 pub mod names {
-    /// Connector splits scheduled by the local executor.
-    pub const EXEC_SPLITS: &str = "exec.splits";
-    /// Rows produced by table scans.
-    pub const EXEC_ROWS_SCANNED: &str = "exec.rows_scanned";
-    /// Fences loaded into the geospatial QuadTree index.
-    pub const EXEC_GEO_INDEX_FENCES: &str = "exec.geo_index_fences";
-    /// `st_contains` evaluations performed by the geo join.
-    pub const EXEC_GEO_CONTAINS_CALLS: &str = "exec.geo_contains_calls";
+    registry! {
+        /// Connector splits scheduled by the local executor.
+        EXEC_SPLITS = "exec.splits";
+        /// Rows produced by table scans.
+        EXEC_ROWS_SCANNED = "exec.rows_scanned";
+        /// Fences loaded into the geospatial QuadTree index.
+        EXEC_GEO_INDEX_FENCES = "exec.geo_index_fences";
+        /// `st_contains` evaluations performed by the geo join.
+        EXEC_GEO_CONTAINS_CALLS = "exec.geo_contains_calls";
 
-    /// Spill files written by blocking operators.
-    pub const SPILL_FILES: &str = "spill.files";
-    /// Bytes written to spill storage.
-    pub const SPILL_BYTES_WRITTEN: &str = "spill.bytes_written";
-    /// Peak bytes reserved by a query against its memory pool.
-    pub const MEMORY_RESERVED_PEAK: &str = "memory.reserved_peak";
+        /// Spill files written by blocking operators.
+        SPILL_FILES = "spill.files";
+        /// Bytes written to spill storage.
+        SPILL_BYTES_WRITTEN = "spill.bytes_written";
+        /// Peak bytes reserved by a query against its memory pool.
+        MEMORY_RESERVED_PEAK = "memory.reserved_peak";
 
-    /// Queries a cluster started.
-    pub const CLUSTER_QUERIES: &str = "cluster.queries";
-    /// Distinct scan tasks (splits) a cluster scheduled.
-    pub const CLUSTER_TASKS: &str = "cluster.tasks";
-    /// Queries that started and then died.
-    pub const CLUSTER_QUERIES_FAILED: &str = "cluster.queries_failed";
-    /// Queries refused at the door (maintenance drain, unparseable or unplannable SQL).
-    pub const CLUSTER_QUERIES_REJECTED: &str = "cluster.queries_rejected";
-    /// Scheduling rounds in which a worker failed at least one task.
-    pub const CLUSTER_WORKER_FAILURES: &str = "cluster.worker_failures";
-    /// Splits reassigned to surviving workers after retryable failures.
-    pub const CLUSTER_SPLIT_RETRIES: &str = "cluster.split_retries";
-    /// Workers quarantined by the consecutive-failure blacklist.
-    pub const CLUSTER_BLACKLISTED_WORKERS: &str = "cluster.blacklisted_workers";
-    /// Scan fragments whose sibling-runtime yardstick was pre-seeded from a
-    /// previous run of the same plan fingerprint (in-wave speculation).
-    pub const CLUSTER_SPECULATION_SEEDED: &str = "cluster.speculation_seeded_fragments";
-    /// Duplicate attempts launched for straggling splits.
-    pub const CLUSTER_SPECULATIVE_LAUNCHES: &str = "cluster.speculative_launches";
-    /// Speculative attempts that finished before the original.
-    pub const CLUSTER_SPECULATIVE_WINS: &str = "cluster.speculative_wins";
-    /// Speculative attempts cancelled or failed after the original won.
-    pub const CLUSTER_SPECULATIVE_WASTED: &str = "cluster.speculative_wasted";
-    /// Exchange deliveries retried after a mid-stream tear.
-    pub const CLUSTER_EXCHANGE_RETRIES: &str = "cluster.exchange_retries";
-    /// Workers that completed the graceful decommission lifecycle
-    /// (Active → Draining → Decommissioned) and left the fleet.
-    pub const CLUSTER_WORKERS_DECOMMISSIONED: &str = "cluster.workers_decommissioned";
-    /// Queued splits a draining worker handed off to surviving workers.
-    pub const CLUSTER_SPLITS_HANDED_OFF: &str = "cluster.splits_handed_off";
-    /// Fragment-cache entries migrated to the consistent successor before
-    /// a draining worker left.
-    pub const CLUSTER_CACHE_ENTRIES_MIGRATED: &str = "cluster.cache_entries_migrated";
-    /// Workers abruptly lost to a spot-instance revocation.
-    pub const CLUSTER_WORKERS_REVOKED: &str = "cluster.workers_revoked";
-    /// Autoscaler scale-out actions (batches of workers added).
-    pub const CLUSTER_SCALE_OUTS: &str = "cluster.autoscaler_scale_outs";
-    /// Autoscaler scale-in actions (workers gracefully decommissioned).
-    pub const CLUSTER_SCALE_INS: &str = "cluster.autoscaler_scale_ins";
-    /// Workers the autoscaler added across all scale-out actions.
-    pub const CLUSTER_SCALE_OUT_WORKERS: &str = "cluster.autoscaler_workers_added";
+        /// Queries a cluster started.
+        CLUSTER_QUERIES = "cluster.queries";
+        /// Distinct scan tasks (splits) a cluster scheduled.
+        CLUSTER_TASKS = "cluster.tasks";
+        /// Queries that started and then died.
+        CLUSTER_QUERIES_FAILED = "cluster.queries_failed";
+        /// Queries refused at the door (maintenance drain, unparseable or unplannable SQL).
+        CLUSTER_QUERIES_REJECTED = "cluster.queries_rejected";
+        /// Scheduling rounds in which a worker failed at least one task.
+        CLUSTER_WORKER_FAILURES = "cluster.worker_failures";
+        /// Splits reassigned to surviving workers after retryable failures.
+        CLUSTER_SPLIT_RETRIES = "cluster.split_retries";
+        /// Workers quarantined by the consecutive-failure blacklist.
+        CLUSTER_BLACKLISTED_WORKERS = "cluster.blacklisted_workers";
+        /// Scan fragments whose sibling-runtime yardstick was pre-seeded from a
+        /// previous run of the same plan fingerprint (in-wave speculation).
+        CLUSTER_SPECULATION_SEEDED = "cluster.speculation_seeded_fragments";
+        /// Duplicate attempts launched for straggling splits.
+        CLUSTER_SPECULATIVE_LAUNCHES = "cluster.speculative_launches";
+        /// Speculative attempts that finished before the original.
+        CLUSTER_SPECULATIVE_WINS = "cluster.speculative_wins";
+        /// Speculative attempts cancelled or failed after the original won.
+        CLUSTER_SPECULATIVE_WASTED = "cluster.speculative_wasted";
+        /// Exchange deliveries retried after a mid-stream tear.
+        CLUSTER_EXCHANGE_RETRIES = "cluster.exchange_retries";
+        /// Workers that completed the graceful decommission lifecycle
+        /// (Active → Draining → Decommissioned) and left the fleet.
+        CLUSTER_WORKERS_DECOMMISSIONED = "cluster.workers_decommissioned";
+        /// Queued splits a draining worker handed off to surviving workers.
+        CLUSTER_SPLITS_HANDED_OFF = "cluster.splits_handed_off";
+        /// Fragment-cache entries migrated to the consistent successor before
+        /// a draining worker left.
+        CLUSTER_CACHE_ENTRIES_MIGRATED = "cluster.cache_entries_migrated";
+        /// Workers abruptly lost to a spot-instance revocation.
+        CLUSTER_WORKERS_REVOKED = "cluster.workers_revoked";
+        /// Autoscaler scale-out actions (batches of workers added).
+        CLUSTER_SCALE_OUTS = "cluster.autoscaler_scale_outs";
+        /// Autoscaler scale-in actions (workers gracefully decommissioned).
+        CLUSTER_SCALE_INS = "cluster.autoscaler_scale_ins";
+        /// Workers the autoscaler added across all scale-out actions.
+        CLUSTER_SCALE_OUT_WORKERS = "cluster.autoscaler_workers_added";
 
-    /// Redirects the federation gateway resolved.
-    pub const GATEWAY_REDIRECTS: &str = "gateway.redirects";
-    /// Redirects that fell back because the primary cluster was draining.
-    pub const GATEWAY_REROUTED_MAINTENANCE: &str = "gateway.rerouted_maintenance";
-    /// Queries the gateway failed over to a healthy sibling cluster.
-    pub const GATEWAY_RETRIED_QUERIES: &str = "gateway.retried_queries";
+        /// Redirects the federation gateway resolved.
+        GATEWAY_REDIRECTS = "gateway.redirects";
+        /// Redirects that fell back because the primary cluster was draining.
+        GATEWAY_REROUTED_MAINTENANCE = "gateway.rerouted_maintenance";
+        /// Queries the gateway failed over to a healthy sibling cluster.
+        GATEWAY_RETRIED_QUERIES = "gateway.retried_queries";
 
-    /// Fragment-result-cache hits.
-    pub const FRC_HITS: &str = "frc.hits";
-    /// Fragment-result-cache misses.
-    pub const FRC_MISSES: &str = "frc.misses";
+        /// Fragment-result-cache hits.
+        FRC_HITS = "frc.hits";
+        /// Fragment-result-cache misses.
+        FRC_MISSES = "frc.misses";
 
-    /// File-list-cache hits.
-    pub const FLC_HITS: &str = "flc.hits";
-    /// File-list-cache misses.
-    pub const FLC_MISSES: &str = "flc.misses";
-    /// Listings that bypassed the cache because the partition was open.
-    pub const FLC_BYPASS_OPEN_PARTITION: &str = "flc.bypass_open_partition";
+        /// File-list-cache hits.
+        FLC_HITS = "flc.hits";
+        /// File-list-cache misses.
+        FLC_MISSES = "flc.misses";
+        /// Listings that bypassed the cache because the partition was open.
+        FLC_BYPASS_OPEN_PARTITION = "flc.bypass_open_partition";
 
-    /// File-handle (footer) cache hits.
-    pub const FHC_HITS: &str = "fhc.hits";
-    /// File-handle (footer) cache misses.
-    pub const FHC_MISSES: &str = "fhc.misses";
-    /// Stripe-footer cache hits.
-    pub const FTC_HITS: &str = "ftc.hits";
-    /// Stripe-footer cache misses.
-    pub const FTC_MISSES: &str = "ftc.misses";
+        /// File-handle (footer) cache hits.
+        FHC_HITS = "fhc.hits";
+        /// File-handle (footer) cache misses.
+        FHC_MISSES = "fhc.misses";
+        /// Stripe-footer cache hits.
+        FTC_HITS = "ftc.hits";
+        /// Stripe-footer cache misses.
+        FTC_MISSES = "ftc.misses";
 
-    /// Partitions the Hive connector pruned via partition filters.
-    pub const HIVE_PARTITIONS_PRUNED: &str = "hive.partitions_pruned";
-    /// Leaf column values the Hive connector decoded.
-    pub const HIVE_LEAVES_DECODED: &str = "hive.leaves_decoded";
-    /// Row groups skipped by min/max statistics.
-    pub const HIVE_ROW_GROUPS_SKIPPED: &str = "hive.row_groups_skipped";
+        /// Partitions the Hive connector pruned via partition filters.
+        HIVE_PARTITIONS_PRUNED = "hive.partitions_pruned";
+        /// Leaf column values the Hive connector decoded.
+        HIVE_LEAVES_DECODED = "hive.leaves_decoded";
+        /// Row groups skipped by min/max statistics.
+        HIVE_ROW_GROUPS_SKIPPED = "hive.row_groups_skipped";
 
-    /// Statements executed against the simulated MySQL metastore.
-    pub const MYSQL_STATEMENTS: &str = "mysql.statements";
-    /// Rows the MySQL connector scanned server-side.
-    pub const MYSQL_ROWS_SCANNED: &str = "mysql.rows_scanned";
-    /// Rows the MySQL connector streamed to the engine.
-    pub const MYSQL_ROWS_STREAMED: &str = "mysql.rows_streamed";
+        /// Statements executed against the simulated MySQL metastore.
+        MYSQL_STATEMENTS = "mysql.statements";
+        /// Rows the MySQL connector scanned server-side.
+        MYSQL_ROWS_SCANNED = "mysql.rows_scanned";
+        /// Rows the MySQL connector streamed to the engine.
+        MYSQL_ROWS_STREAMED = "mysql.rows_streamed";
 
-    /// Queries answered natively by the realtime store.
-    pub const RT_NATIVE_QUERIES: &str = "rt.native_queries";
-    /// Rows matched by realtime-store index lookups.
-    pub const RT_ROWS_MATCHED: &str = "rt.rows_matched";
-    /// Rows the realtime connector streamed to the engine.
-    pub const RT_ROWS_STREAMED: &str = "rt.rows_streamed";
+        /// Queries answered natively by the realtime store.
+        RT_NATIVE_QUERIES = "rt.native_queries";
+        /// Rows matched by realtime-store index lookups.
+        RT_ROWS_MATCHED = "rt.rows_matched";
+        /// Rows the realtime connector streamed to the engine.
+        RT_ROWS_STREAMED = "rt.rows_streamed";
 
-    /// `listFiles` calls against the simulated HDFS namenode.
-    pub const HDFS_LIST_FILES: &str = "hdfs.list_files";
-    /// `getFileInfo` calls against the simulated HDFS namenode.
-    pub const HDFS_GET_FILE_INFO: &str = "hdfs.get_file_info";
-    /// HDFS read operations.
-    pub const HDFS_READ_OPS: &str = "hdfs.read_ops";
-    /// Bytes read from HDFS.
-    pub const HDFS_READ_BYTES: &str = "hdfs.read_bytes";
-    /// HDFS write operations.
-    pub const HDFS_WRITE_OPS: &str = "hdfs.write_ops";
-    /// HDFS delete operations.
-    pub const HDFS_DELETE_OPS: &str = "hdfs.delete_ops";
+        /// `listFiles` calls against the simulated HDFS namenode.
+        HDFS_LIST_FILES = "hdfs.list_files";
+        /// `getFileInfo` calls against the simulated HDFS namenode.
+        HDFS_GET_FILE_INFO = "hdfs.get_file_info";
+        /// HDFS read operations.
+        HDFS_READ_OPS = "hdfs.read_ops";
+        /// Bytes read from HDFS.
+        HDFS_READ_BYTES = "hdfs.read_bytes";
+        /// HDFS write operations.
+        HDFS_WRITE_OPS = "hdfs.write_ops";
+        /// HDFS delete operations.
+        HDFS_DELETE_OPS = "hdfs.delete_ops";
 
-    /// Requests issued to the simulated S3 service.
-    pub const S3_REQUESTS: &str = "s3.requests";
-    /// S3 requests that were answered with an injected fault.
-    pub const S3_FAULTS_INJECTED: &str = "s3.faults_injected";
-    /// Bytes downloaded from S3 (GET side).
-    pub const S3_BYTES_OUT: &str = "s3.bytes_out";
-    /// Bytes uploaded to S3 (PUT side).
-    pub const S3_BYTES_IN: &str = "s3.bytes_in";
-    /// Retries performed by the S3 filesystem's backoff loop.
-    pub const S3FS_RETRIES: &str = "s3fs.retries";
-    /// Virtual nanoseconds spent in exponential backoff against S3.
-    pub const S3FS_BACKOFF_NANOS: &str = "s3fs.backoff_nanos";
-    /// Multipart uploads started by the S3 filesystem.
-    pub const S3FS_MULTIPART_UPLOADS: &str = "s3fs.multipart_uploads";
-    /// Seeks issued through the buffered S3 reader.
-    pub const S3FS_SEEKS: &str = "s3fs.seeks";
-    /// Seeks satisfied from the read-ahead buffer without a refetch.
-    pub const S3FS_SEEK_FETCHES_AVOIDED: &str = "s3fs.seek_fetches_avoided";
+        /// Requests issued to the simulated S3 service.
+        S3_REQUESTS = "s3.requests";
+        /// S3 requests that were answered with an injected fault.
+        S3_FAULTS_INJECTED = "s3.faults_injected";
+        /// Bytes downloaded from S3 (GET side).
+        S3_BYTES_OUT = "s3.bytes_out";
+        /// Bytes uploaded to S3 (PUT side).
+        S3_BYTES_IN = "s3.bytes_in";
+        /// S3 `GET` requests (whole objects and ranges).
+        S3_GET = "s3.get";
+        /// S3 `PUT` requests.
+        S3_PUT = "s3.put";
+        /// S3 `HEAD` requests.
+        S3_HEAD = "s3.head";
+        /// S3 `LIST` requests.
+        S3_LIST = "s3.list";
+        /// S3 `DELETE` requests.
+        S3_DELETE = "s3.delete";
+        /// S3 S3 Select requests.
+        S3_SELECT = "s3.select";
+        /// S3 multipart part uploads.
+        S3_UPLOAD_PART = "s3.upload_part";
+        /// S3 multipart completions.
+        S3_COMPLETE_MULTIPART = "s3.complete_multipart";
+        /// Retries performed by the S3 filesystem's backoff loop.
+        S3FS_RETRIES = "s3fs.retries";
+        /// Virtual nanoseconds spent in exponential backoff against S3.
+        S3FS_BACKOFF_NANOS = "s3fs.backoff_nanos";
+        /// Multipart uploads started by the S3 filesystem.
+        S3FS_MULTIPART_UPLOADS = "s3fs.multipart_uploads";
+        /// Seeks issued through the buffered S3 reader.
+        S3FS_SEEKS = "s3fs.seeks";
+        /// Seeks satisfied from the read-ahead buffer without a refetch.
+        S3FS_SEEK_FETCHES_AVOIDED = "s3fs.seek_fetches_avoided";
 
-    /// Histogram: end-to-end virtual query latency on a cluster, in µs.
-    pub const HIST_CLUSTER_QUERY_LATENCY_US: &str = "cluster.query_latency_us";
-    /// Histogram: virtual backoff waited between split retry rounds, in µs.
-    pub const HIST_CLUSTER_RETRY_BACKOFF_US: &str = "cluster.retry_backoff_us";
-    /// Histogram: virtual runtime of completed scan tasks, in µs — the
-    /// sibling distribution the speculation quantile rule consults.
-    pub const HIST_CLUSTER_TASK_RUNTIME_US: &str = "cluster.task_runtime_us";
-    /// Histogram: end-to-end virtual latency of gateway-submitted queries, µs.
-    pub const HIST_GATEWAY_QUERY_LATENCY_US: &str = "gateway.query_latency_us";
-    /// Histogram: dispatch-queue depth observed at each autoscaler
-    /// evaluation tick — the hysteresis signal.
-    pub const HIST_CLUSTER_QUEUE_DEPTH: &str = "cluster.autoscaler_queue_depth";
+        /// Histogram: end-to-end virtual query latency on a cluster, in µs.
+        HIST_CLUSTER_QUERY_LATENCY_US = "cluster.query_latency_us";
+        /// Histogram: virtual backoff waited between split retry rounds, in µs.
+        HIST_CLUSTER_RETRY_BACKOFF_US = "cluster.retry_backoff_us";
+        /// Histogram: virtual runtime of completed scan tasks, in µs — the
+        /// sibling distribution the speculation quantile rule consults.
+        HIST_CLUSTER_TASK_RUNTIME_US = "cluster.task_runtime_us";
+        /// Histogram: end-to-end virtual latency of gateway-submitted queries, µs.
+        HIST_GATEWAY_QUERY_LATENCY_US = "gateway.query_latency_us";
+        /// Histogram: dispatch-queue depth observed at each autoscaler
+        /// evaluation tick — the hysteresis signal.
+        HIST_CLUSTER_QUEUE_DEPTH = "cluster.autoscaler_queue_depth";
 
-    /// Time series: per-worker busy fraction (percent of the sampling
-    /// window spent running tasks), one series per worker id.
-    pub const TS_WORKER_BUSY_PCT: &str = "telemetry.worker_busy_pct";
-    /// Time series: mean busy fraction across the active fleet, percent.
-    pub const TS_FLEET_BUSY_PCT: &str = "telemetry.fleet_busy_pct";
-    /// Time series: cluster memory-pool utilization, percent of budget
-    /// (0 when the pool is unbounded).
-    pub const TS_MEMORY_UTIL_PCT: &str = "telemetry.memory_util_pct";
-    /// Time series: fragment-result-cache hit rate, percent of lookups.
-    pub const TS_CACHE_HIT_PCT: &str = "telemetry.cache_hit_pct";
-    /// Gauge: most recent fleet-mean busy fraction, percent — the signal
-    /// the utilization-aware autoscaler reads between snapshots.
-    pub const GAUGE_FLEET_BUSY_PCT: &str = "telemetry.fleet_busy_now_pct";
-    /// Gauge: workers in the `Active` lifecycle at the last snapshot.
-    pub const GAUGE_ACTIVE_WORKERS: &str = "telemetry.active_workers";
-    /// Histogram: fleet busy-fraction observed at each autoscaler
-    /// evaluation tick — the utilization hysteresis signal.
-    pub const HIST_CLUSTER_BUSY_PCT: &str = "cluster.autoscaler_busy_pct";
+        /// Time series: per-worker busy fraction (percent of the sampling
+        /// window spent running tasks), one series per worker id.
+        TS_WORKER_BUSY_PCT = "telemetry.worker_busy_pct";
+        /// Time series: mean busy fraction across the active fleet, percent.
+        TS_FLEET_BUSY_PCT = "telemetry.fleet_busy_pct";
+        /// Time series: cluster memory-pool utilization, percent of budget
+        /// (0 when the pool is unbounded).
+        TS_MEMORY_UTIL_PCT = "telemetry.memory_util_pct";
+        /// Time series: fragment-result-cache hit rate, percent of lookups.
+        TS_CACHE_HIT_PCT = "telemetry.cache_hit_pct";
+        /// Gauge: most recent fleet-mean busy fraction, percent — the signal
+        /// the utilization-aware autoscaler reads between snapshots.
+        GAUGE_FLEET_BUSY_PCT = "telemetry.fleet_busy_now_pct";
+        /// Gauge: workers in the `Active` lifecycle at the last snapshot.
+        GAUGE_ACTIVE_WORKERS = "telemetry.active_workers";
+        /// Histogram: fleet busy-fraction observed at each autoscaler
+        /// evaluation tick — the utilization hysteresis signal.
+        HIST_CLUSTER_BUSY_PCT = "cluster.autoscaler_busy_pct";
 
-    /// Queries the workload simulator injected (arrival events).
-    pub const SIM_ARRIVALS: &str = "sim.arrivals";
-    /// Queries the workload simulator ran to completion.
-    pub const SIM_COMPLETED: &str = "sim.completed";
-    /// Simulated queries that failed (should be 0 in a fault-free workload).
-    pub const SIM_FAILED: &str = "sim.failed";
-    /// Histogram: virtual end-to-end latency (queue wait + service) of
-    /// simulated queries, in µs, recorded per tenant class.
-    pub const HIST_SIM_LATENCY_US: &str = "sim.latency_us";
-    /// Histogram: virtual time simulated queries spent queued before
-    /// dispatch, in µs.
-    pub const HIST_SIM_QUEUE_WAIT_US: &str = "sim.queue_wait_us";
+        /// Queries the workload simulator injected (arrival events).
+        SIM_ARRIVALS = "sim.arrivals";
+        /// Queries the workload simulator ran to completion.
+        SIM_COMPLETED = "sim.completed";
+        /// Simulated queries that failed (should be 0 in a fault-free workload).
+        SIM_FAILED = "sim.failed";
+        /// Histogram: virtual end-to-end latency (queue wait + service) of
+        /// simulated queries, in µs, recorded per tenant class.
+        HIST_SIM_LATENCY_US = "sim.latency_us";
+        /// Histogram: virtual time simulated queries spent queued before
+        /// dispatch, in µs.
+        HIST_SIM_QUEUE_WAIT_US = "sim.queue_wait_us";
+    }
+}
+
+/// Debug builds refuse a name that [`names`] does not declare. Each set
+/// calls this where it first creates a name, never on the per-record path.
+fn check_registered(name: &str) {
+    debug_assert!(names::ALL.contains(&name), "metric `{name}` is not declared in metrics::names");
 }
 
 /// A set of named, thread-safe monotonically increasing counters.
 ///
 /// Cloning shares the underlying counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CounterSet {
     counters: Arc<RwLock<BTreeMap<String, Arc<AtomicU64>>>>,
+}
+
+impl Default for CounterSet {
+    fn default() -> CounterSet {
+        CounterSet::new()
+    }
 }
 
 impl CounterSet {
     /// New, empty counter set.
     pub fn new() -> CounterSet {
-        CounterSet::default()
+        CounterSet { counters: Arc::new(RwLock::new(Rank::Counters, BTreeMap::new())) }
     }
 
     fn counter(&self, name: &str) -> Arc<AtomicU64> {
@@ -222,7 +266,13 @@ impl CounterSet {
             return c.clone();
         }
         let mut write = self.counters.write();
-        write.entry(name.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(0))).clone()
+        write
+            .entry(name.to_string())
+            .or_insert_with(|| {
+                check_registered(name);
+                Arc::new(AtomicU64::new(0))
+            })
+            .clone()
     }
 
     /// Increment `name` by one.
@@ -576,20 +626,28 @@ impl Fnv {
 }
 
 /// A set of named, last-write-wins gauges. Cloning shares the data.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GaugeSet {
     inner: Arc<RwLock<BTreeMap<String, u64>>>,
+}
+
+impl Default for GaugeSet {
+    fn default() -> GaugeSet {
+        GaugeSet::new()
+    }
 }
 
 impl GaugeSet {
     /// New, empty gauge set.
     pub fn new() -> GaugeSet {
-        GaugeSet::default()
+        GaugeSet { inner: Arc::new(RwLock::new(Rank::Gauges, BTreeMap::new())) }
     }
 
     /// Set `name` to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: u64) {
-        self.inner.write().insert(name.to_string(), value);
+        if self.inner.write().insert(name.to_string(), value).is_none() {
+            check_registered(name);
+        }
     }
 
     /// Current value of `name` (0 if never set).
@@ -619,7 +677,7 @@ impl TimeSeriesSet {
         TimeSeriesSet {
             interval_us: interval_us.max(1),
             capacity: capacity.max(1),
-            inner: Arc::new(RwLock::new(BTreeMap::new())),
+            inner: Arc::new(RwLock::new(Rank::TimeSeries, BTreeMap::new())),
         }
     }
 
@@ -628,7 +686,7 @@ impl TimeSeriesSet {
         self.inner
             .write()
             .entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(self.interval_us, self.capacity))
+            .or_insert_with(|| self.series(name))
             .record(at, value);
     }
 
@@ -636,11 +694,13 @@ impl TimeSeriesSet {
     /// (`name[id]`) — the per-worker form of [`TimeSeriesSet::sample`].
     pub fn sample_for(&self, name: &str, id: u32, at: std::time::Duration, value: u64) {
         let keyed = format!("{name}[{id}]");
-        self.inner
-            .write()
-            .entry(keyed)
-            .or_insert_with(|| TimeSeries::new(self.interval_us, self.capacity))
-            .record(at, value);
+        self.inner.write().entry(keyed).or_insert_with(|| self.series(name)).record(at, value);
+    }
+
+    /// A new, empty series for the registered `name`.
+    fn series(&self, name: &str) -> TimeSeries {
+        check_registered(name);
+        TimeSeries::new(self.interval_us, self.capacity)
     }
 
     /// Copy of the series for `name` (empty if never sampled).
@@ -674,20 +734,33 @@ impl TimeSeriesSet {
 }
 
 /// A set of named, shared histograms. Cloning shares the underlying data.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HistogramSet {
     inner: Arc<RwLock<BTreeMap<String, Histogram>>>,
+}
+
+impl Default for HistogramSet {
+    fn default() -> HistogramSet {
+        HistogramSet::new()
+    }
 }
 
 impl HistogramSet {
     /// New, empty histogram set.
     pub fn new() -> HistogramSet {
-        HistogramSet::default()
+        HistogramSet { inner: Arc::new(RwLock::new(Rank::Histograms, BTreeMap::new())) }
     }
 
     /// Record one observation under `name`.
     pub fn record(&self, name: &str, value: u64) {
-        self.inner.write().entry(name.to_string()).or_default().record(value);
+        self.inner
+            .write()
+            .entry(name.to_string())
+            .or_insert_with(|| {
+                check_registered(name);
+                Histogram::new()
+            })
+            .record(value);
     }
 
     /// Copy of the histogram for `name` (empty if never recorded).
@@ -713,35 +786,35 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = CounterSet::new();
-        m.incr("list_files");
-        m.add("list_files", 4);
-        m.incr("get_file_info");
-        assert_eq!(m.get("list_files"), 5);
+        m.incr(names::HDFS_LIST_FILES);
+        m.add(names::HDFS_LIST_FILES, 4);
+        m.incr(names::HDFS_GET_FILE_INFO);
+        assert_eq!(m.get(names::HDFS_LIST_FILES), 5);
         assert_eq!(m.get("missing"), 0);
         let snap = m.snapshot();
-        assert_eq!(snap["list_files"], 5);
-        assert_eq!(snap["get_file_info"], 1);
+        assert_eq!(snap[names::HDFS_LIST_FILES], 5);
+        assert_eq!(snap[names::HDFS_GET_FILE_INFO], 1);
     }
 
     #[test]
     fn clones_share_state_and_reset_works() {
         let m = CounterSet::new();
         let alias = m.clone();
-        alias.incr("x");
-        assert_eq!(m.get("x"), 1);
+        alias.incr(names::FRC_HITS);
+        assert_eq!(m.get(names::FRC_HITS), 1);
         m.reset();
-        assert_eq!(alias.get("x"), 0);
+        assert_eq!(alias.get(names::FRC_HITS), 0);
     }
 
     #[test]
     fn clear_drops_stale_names_while_reset_keeps_them() {
         let m = CounterSet::new();
-        m.incr("phase_a.calls");
+        m.incr(names::FLC_HITS);
         m.reset();
-        assert!(m.snapshot().contains_key("phase_a.calls"));
+        assert!(m.snapshot().contains_key(names::FLC_HITS));
         m.clear();
         assert!(m.snapshot().is_empty());
-        m.incr("phase_b.calls");
+        m.incr(names::FLC_MISSES);
         assert_eq!(m.snapshot().len(), 1);
     }
 
@@ -782,9 +855,9 @@ mod tests {
     fn histogram_set_shares_state() {
         let set = HistogramSet::new();
         let alias = set.clone();
-        alias.record("lat", 10);
-        alias.record("lat", 20);
-        assert_eq!(set.get("lat").count(), 2);
+        alias.record(names::HIST_SIM_LATENCY_US, 10);
+        alias.record(names::HIST_SIM_LATENCY_US, 20);
+        assert_eq!(set.get(names::HIST_SIM_LATENCY_US).count(), 2);
         assert_eq!(set.snapshot().len(), 1);
         set.clear();
         assert!(set.snapshot().is_empty());
@@ -834,9 +907,9 @@ mod tests {
     fn gauges_are_last_write_wins() {
         let g = GaugeSet::new();
         let alias = g.clone();
-        alias.set_gauge("busy", 40);
-        alias.set_gauge("busy", 75);
-        assert_eq!(g.gauge("busy"), 75);
+        alias.set_gauge(names::GAUGE_FLEET_BUSY_PCT, 40);
+        alias.set_gauge(names::GAUGE_FLEET_BUSY_PCT, 75);
+        assert_eq!(g.gauge(names::GAUGE_FLEET_BUSY_PCT), 75);
         assert_eq!(g.gauge("missing"), 0);
     }
 
@@ -844,19 +917,34 @@ mod tests {
     fn time_series_set_keys_per_worker_series() {
         use std::time::Duration;
         let set = TimeSeriesSet::new(100, 16);
-        set.sample("fleet", Duration::from_micros(10), 2);
-        set.sample_for("busy", 3, Duration::from_micros(10), 50);
-        set.sample_for("busy", 7, Duration::from_micros(10), 90);
-        assert_eq!(set.get("fleet").samples(), 1);
-        assert_eq!(set.get_for("busy", 3).points(), vec![(0, 50)]);
-        assert_eq!(set.get_for("busy", 7).points(), vec![(0, 90)]);
+        set.sample(names::TS_FLEET_BUSY_PCT, Duration::from_micros(10), 2);
+        set.sample_for(names::TS_WORKER_BUSY_PCT, 3, Duration::from_micros(10), 50);
+        set.sample_for(names::TS_WORKER_BUSY_PCT, 7, Duration::from_micros(10), 90);
+        assert_eq!(set.get(names::TS_FLEET_BUSY_PCT).samples(), 1);
+        assert_eq!(set.get_for(names::TS_WORKER_BUSY_PCT, 3).points(), vec![(0, 50)]);
+        assert_eq!(set.get_for(names::TS_WORKER_BUSY_PCT, 7).points(), vec![(0, 90)]);
         assert_eq!(set.snapshot().len(), 3);
         // digest is stable across identical replays
         let replay = TimeSeriesSet::new(100, 16);
-        replay.sample("fleet", Duration::from_micros(10), 2);
-        replay.sample_for("busy", 3, Duration::from_micros(10), 50);
-        replay.sample_for("busy", 7, Duration::from_micros(10), 90);
+        replay.sample(names::TS_FLEET_BUSY_PCT, Duration::from_micros(10), 2);
+        replay.sample_for(names::TS_WORKER_BUSY_PCT, 3, Duration::from_micros(10), 50);
+        replay.sample_for(names::TS_WORKER_BUSY_PCT, 7, Duration::from_micros(10), 90);
         assert_eq!(set.digest(), replay.digest());
+    }
+
+    #[test]
+    fn registered_names_are_distinct() {
+        let mut seen = std::collections::BTreeSet::new();
+        for name in names::ALL {
+            assert!(seen.insert(name), "two metrics::names constants share the value {name:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "metric `fixture.hits` is not declared in metrics::names")]
+    fn an_unregistered_name_panics() {
+        CounterSet::new().incr("fixture.hits");
     }
 
     #[test]
@@ -867,7 +955,7 @@ mod tests {
                 let c = m.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.incr("hits");
+                        c.incr(names::FRC_HITS);
                     }
                 })
             })
@@ -875,6 +963,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(m.get("hits"), 8000);
+        assert_eq!(m.get(names::FRC_HITS), 8000);
     }
 }

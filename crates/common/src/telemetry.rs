@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use crate::sync::{Rank, RwLock};
 
 use crate::metrics::{Fnv, GaugeSet, TimeSeriesSet};
 
@@ -115,7 +115,7 @@ impl TelemetryRegistry {
         TelemetryRegistry {
             series: TimeSeriesSet::new(interval_us, capacity),
             gauges: GaugeSet::new(),
-            inner: RwLock::new(TelemetryInner::default()),
+            inner: RwLock::new(Rank::Telemetry, TelemetryInner::default()),
         }
     }
 

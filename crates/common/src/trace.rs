@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::sync::{Mutex, Rank};
 
 use crate::clock::SimClock;
 
@@ -141,7 +141,7 @@ impl Default for Trace {
 impl Trace {
     /// New trace stamping spans from `clock`.
     pub fn new(clock: SimClock) -> Trace {
-        Trace { clock, inner: Arc::new(Mutex::new(TraceInner::default())) }
+        Trace { clock, inner: Arc::new(Mutex::new(Rank::Trace, TraceInner::default())) }
     }
 
     /// The virtual clock this trace stamps spans from.

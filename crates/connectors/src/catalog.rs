@@ -5,21 +5,27 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{PrestoError, Result, Schema};
 
 use crate::spi::Connector;
 
 /// Thread-safe registry of catalogs. Cloning shares the registry.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct CatalogRegistry {
     catalogs: Arc<RwLock<BTreeMap<String, Arc<dyn Connector>>>>,
+}
+
+impl Default for CatalogRegistry {
+    fn default() -> CatalogRegistry {
+        CatalogRegistry::new()
+    }
 }
 
 impl CatalogRegistry {
     /// Empty registry.
     pub fn new() -> CatalogRegistry {
-        CatalogRegistry::default()
+        CatalogRegistry { catalogs: Arc::new(RwLock::new(Rank::Catalogs, BTreeMap::new())) }
     }
 
     /// Register a connector under a catalog name (e.g. `hive`, `mysql`).

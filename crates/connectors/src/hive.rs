@@ -17,10 +17,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use presto_cache::{FileHandleCache, FileListCache};
 use presto_common::ids::SplitId;
 use presto_common::metrics::{names, CounterSet};
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
 use presto_parquet::reader::FsSource;
 use presto_parquet::reader_new::{self, ProjectedColumn, ReadOptions};
@@ -99,9 +99,12 @@ impl HiveConnector {
             file_lists: FileListCache::new(fs.clone(), metrics.clone()),
             handles: FileHandleCache::new(fs.clone(), 4096, metrics.clone()),
             fs,
-            tables: Arc::new(RwLock::new(BTreeMap::new())),
-            write_generations: Arc::new(RwLock::new(BTreeMap::new())),
-            reader_config: Arc::new(RwLock::new(HiveReaderConfig::default())),
+            tables: Arc::new(RwLock::new(Rank::HiveTables, BTreeMap::new())),
+            write_generations: Arc::new(RwLock::new(Rank::HiveWriteGenerations, BTreeMap::new())),
+            reader_config: Arc::new(RwLock::new(
+                Rank::HiveReaderConfig,
+                HiveReaderConfig::default(),
+            )),
             metrics,
         }
     }

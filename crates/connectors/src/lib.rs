@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 
 //! The connector framework (§IV) and its implementations.
 //!

@@ -5,10 +5,10 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use presto_common::block::NullMask;
 use presto_common::dictionary::DictionaryBuilder;
 use presto_common::ids::SplitId;
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{selected_rows, Block, DataType, Page, PrestoError, Result, Schema, Value};
 use presto_parquet::{ScalarPredicate, TypedPredicate};
 
@@ -25,15 +25,21 @@ struct MemoryTable {
 type MemoryTables = BTreeMap<(String, String), Arc<MemoryTable>>;
 
 /// In-memory tables organized as `schema.table`. Cloning shares the data.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MemoryConnector {
     tables: Arc<RwLock<MemoryTables>>,
+}
+
+impl Default for MemoryConnector {
+    fn default() -> MemoryConnector {
+        MemoryConnector::new()
+    }
 }
 
 impl MemoryConnector {
     /// Empty connector.
     pub fn new() -> MemoryConnector {
-        MemoryConnector::default()
+        MemoryConnector { tables: Arc::new(RwLock::new(Rank::MemoryTables, BTreeMap::new())) }
     }
 
     /// Create (or replace) a table with data. Each page must hold one block

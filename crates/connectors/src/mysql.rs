@@ -15,9 +15,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use presto_common::ids::SplitId;
 use presto_common::metrics::{names, CounterSet};
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{Block, Page, PrestoError, Result, Schema, Value};
 
 use crate::memory::scan_page;
@@ -33,16 +33,25 @@ struct MySqlTable {
 /// The simulated MySQL server. Cloning shares the database.
 ///
 /// Counters: `mysql.rows_scanned`, `mysql.rows_streamed`, `mysql.statements`.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MySqlConnector {
     tables: Arc<RwLock<BTreeMap<(String, String), MySqlTable>>>,
     metrics: CounterSet,
 }
 
+impl Default for MySqlConnector {
+    fn default() -> MySqlConnector {
+        MySqlConnector::new()
+    }
+}
+
 impl MySqlConnector {
     /// Empty server.
     pub fn new() -> MySqlConnector {
-        MySqlConnector::default()
+        MySqlConnector {
+            tables: Arc::new(RwLock::new(Rank::MySqlTables, BTreeMap::new())),
+            metrics: CounterSet::new(),
+        }
     }
 
     /// The shared counters.

@@ -74,7 +74,7 @@ mod tests {
             ..ScanRequest::default()
         };
         let splits = c.splits("eats", "orders_rt", &request).unwrap();
-        let mut totals = std::collections::HashMap::new();
+        let mut totals = std::collections::BTreeMap::new();
         for s in &splits {
             for p in c.scan_split(s, &request, &ScanHooks::none()).unwrap() {
                 for i in 0..p.positions() {

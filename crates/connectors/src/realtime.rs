@@ -39,9 +39,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
 use presto_common::ids::SplitId;
 use presto_common::metrics::{names, CounterSet};
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{DataType, Page, PrestoError, Result, Schema, Value};
 use presto_expr::AggregateFunction;
 use presto_parquet::ScalarPredicate;
@@ -179,7 +179,7 @@ impl RealtimeStore {
     ) -> RealtimeStore {
         RealtimeStore {
             kind,
-            tables: Arc::new(RwLock::new(BTreeMap::new())),
+            tables: Arc::new(RwLock::new(Rank::RealtimeTables, BTreeMap::new())),
             cost: Arc::new(cost),
             metrics: CounterSet::new(),
             rows_per_segment: rows_per_segment.max(1),
@@ -424,7 +424,10 @@ pub struct RealtimeConnector {
 impl RealtimeConnector {
     /// Wrap a store.
     pub fn new(store: RealtimeStore) -> RealtimeConnector {
-        RealtimeConnector { store, last_scan_costs: Arc::new(RwLock::new(VecDeque::new())) }
+        RealtimeConnector {
+            store,
+            last_scan_costs: Arc::new(RwLock::new(Rank::RealtimeScanCosts, VecDeque::new())),
+        }
     }
 
     /// The underlying store (for ingest and native-path baselines).

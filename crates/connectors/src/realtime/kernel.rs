@@ -13,6 +13,7 @@
 //! the request's column kinds and literal types alone.
 
 use std::cmp::Ordering;
+#[allow(clippy::disallowed_types, reason = "`Groups::slots` is lookup only")]
 use std::collections::HashMap;
 
 use presto_common::{Block, DataType, Page, Result, Value};
@@ -251,6 +252,10 @@ const DENSE_REMAP_MAX: usize = 1 << 16;
 struct Groups {
     by: Vec<ColumnRef>,
     /// Group key → slot, slots numbered in first-seen order.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "lookup only: slots are numbered, and emitted, in first-seen order"
+    )]
     slots: HashMap<Vec<Value>, u32>,
     // kept across segments for their capacity
     remap: Vec<u32>,
@@ -380,6 +385,7 @@ impl GroupedAggregation {
         }
         let groups = Groups {
             by,
+            #[allow(clippy::disallowed_types, reason = "see `Groups::slots`")]
             slots: HashMap::new(),
             remap: Vec::new(),
             codes: Vec::new(),

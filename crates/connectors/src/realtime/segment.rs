@@ -7,6 +7,10 @@
 //! `Double` one. Every vector is allocated at its exact size when the
 //! segment is sealed.
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "`seal` only looks codes up; its order is `values`"
+)]
 use std::collections::HashMap;
 
 use presto_common::{Block, DataType, Schema, Value};
@@ -38,6 +42,7 @@ impl DimColumn {
     /// Seal column `c` of `rows`; NULL and non-string cells become `""`.
     fn seal(rows: &[Vec<Value>], c: usize) -> DimColumn {
         // first-seen codes, then renumbered in value order
+        #[allow(clippy::disallowed_types, reason = "lookup only; codes follow `values`")]
         let mut first_seen: HashMap<&str, u32> = HashMap::new();
         let mut values: Vec<&str> = Vec::new();
         let mut ids: Vec<u32> = Vec::with_capacity(rows.len());

@@ -1,10 +1,10 @@
 //! Execution context: catalogs, functions, memory pool, exchange bindings.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use presto_common::metrics::CounterSet;
+use presto_common::sync::{Mutex, Rank};
 use presto_common::trace::{SpanId, Trace};
 use presto_common::{Page, PrestoError, Result};
 use presto_connectors::CatalogRegistry;
@@ -20,7 +20,7 @@ pub struct ExecutionContext {
     /// Pages bound for `RemoteSource` leaves, keyed by fragment id —
     /// populated by the cluster runtime when executing upper fragments, and
     /// moved out (`None` after) by the one leaf that reads them.
-    remote_sources: Mutex<HashMap<u32, Option<Vec<Page>>>>,
+    remote_sources: Mutex<BTreeMap<u32, Option<Vec<Page>>>>,
     /// Execution counters (`exec.rows_scanned`, `exec.splits`, ...).
     pub metrics: CounterSet,
     /// This query's slice of the (cluster) memory pool. Blocking operators
@@ -53,7 +53,7 @@ impl ExecutionContext {
         ExecutionContext {
             catalogs,
             evaluator: Evaluator::new(registry),
-            remote_sources: Mutex::default(),
+            remote_sources: Mutex::new(Rank::RemoteSources, BTreeMap::new()),
             metrics: CounterSet::new(),
             pool: MemoryPool::unbounded().register_query(None),
             spill: None,

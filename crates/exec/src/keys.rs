@@ -993,6 +993,7 @@ impl KeyTable {
 
 #[cfg(test)]
 mod tests {
+    #[allow(clippy::disallowed_types, reason = "a lookup-only oracle of first-seen ids")]
     use std::collections::HashMap;
 
     use super::*;
@@ -1168,6 +1169,7 @@ mod tests {
             let types = vec![DataType::Bigint; columns.len()];
             let rows = columns[0].len();
             // every id first-seen, the same in any order
+            #[allow(clippy::disallowed_types, reason = "lookup only; ids follow row order")]
             let mut first_seen = HashMap::new();
             let keys: Vec<u32> = (0..rows)
                 .map(|row| {

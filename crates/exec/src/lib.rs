@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Vectorized plan execution (§III: "Some workers are scanning files, some

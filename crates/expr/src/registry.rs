@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{DataType, PrestoError, Result, Value};
 
 use crate::expression::FunctionHandle;
@@ -585,28 +586,7 @@ pub struct CustomFunction {
 #[derive(Clone)]
 pub struct FunctionRegistry {
     builtins: HashMap<&'static str, Builtin>,
-    custom: Arc<parking_lot_stub::RwLockish<HashMap<String, Arc<CustomFunction>>>>,
-}
-
-// `presto-expr` deliberately depends only on presto-common; a tiny internal
-// lock keeps it that way without pulling parking_lot into this crate.
-mod parking_lot_stub {
-    use std::sync::RwLock;
-
-    #[derive(Default)]
-    pub struct RwLockish<T>(RwLock<T>);
-
-    impl<T> RwLockish<T> {
-        pub fn new(v: T) -> Self {
-            RwLockish(RwLock::new(v))
-        }
-        pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-            self.0.read().unwrap_or_else(|e| e.into_inner())
-        }
-        pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-            self.0.write().unwrap_or_else(|e| e.into_inner())
-        }
-    }
+    custom: Arc<RwLock<HashMap<String, Arc<CustomFunction>>>>,
 }
 
 impl Default for FunctionRegistry {
@@ -624,7 +604,7 @@ impl FunctionRegistry {
         }
         FunctionRegistry {
             builtins,
-            custom: Arc::new(parking_lot_stub::RwLockish::new(HashMap::new())),
+            custom: Arc::new(RwLock::new(Rank::CustomFunctions, HashMap::new())),
         }
     }
 

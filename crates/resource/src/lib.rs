@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Resource management for the engine (§XII.C of the paper).

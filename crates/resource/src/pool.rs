@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use presto_common::sync::{Condvar, Mutex, Rank};
 use presto_common::{PrestoError, Result};
 
 /// What a reservation holds.
@@ -80,7 +80,10 @@ impl MemoryPool {
         MemoryPool {
             inner: Arc::new(PoolInner {
                 budget: budget.map(|b| b as u128),
-                state: Mutex::new(PoolState { used: 0, queries: BTreeMap::new() }),
+                state: Mutex::new(
+                    Rank::MemoryPool,
+                    PoolState { used: 0, queries: BTreeMap::new() },
+                ),
                 freed: Condvar::new(),
                 next_query: AtomicU64::new(0),
             }),

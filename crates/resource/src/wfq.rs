@@ -23,7 +23,7 @@
 //! same dispatch order, on every host.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Scheduling lane for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,7 +99,7 @@ impl PartialOrd for Entry {
 #[derive(Debug, Default)]
 pub struct WfqScheduler {
     heap: BinaryHeap<Reverse<Entry>>,
-    tenants: HashMap<u32, TenantState>,
+    tenants: BTreeMap<u32, TenantState>,
     vtime: u64,
     seq: u64,
     max_cost_us: u64,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::disallowed_types)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Cluster-wide multi-query workload simulation.

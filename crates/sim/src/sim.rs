@@ -12,7 +12,7 @@
 //! service times, digests — is a pure function of `(seed, config)`.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -475,7 +475,7 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
     let mut running: BTreeMap<(u64, u64), usize> = BTreeMap::new();
     // measured service time per template — service is a pure function of
     // the SQL here, so after one run of a template the estimate is exact
-    let mut service_est: HashMap<&'static str, u64> = HashMap::new();
+    let mut service_est: BTreeMap<&'static str, u64> = BTreeMap::new();
     // a wide query whose grant is wider than the free capacity, and when
     // it was reserved: freed units accrue to it instead of being raided
     // by fresh narrow arrivals

@@ -5,10 +5,19 @@ use presto_common::{PrestoError, Result};
 use crate::ast::{BinaryOp, Expr, JoinType, Query, QueryExpr, SelectItem, Statement, TableRef};
 use crate::lexer::{tokenize, Token};
 
+/// How deep a statement may nest. Each parenthesis, `NOT`, unary `-` and
+/// subquery opens one level, and so does each operator of a left-deep
+/// `AND` / `OR` / arithmetic / join chain while the chain is open. Every
+/// later pass walks the tree recursively, so this bound keeps a generated
+/// query from overflowing a 2 MiB thread stack anywhere from here to the
+/// evaluator; past it the statement is refused with
+/// `PrestoError::Parse("query too complex: …")`.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one SQL statement.
 pub fn parse_sql(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let statement = if parser.eat_keyword("explain") {
         if parser.eat_keyword("analyze") {
             Statement::ExplainAnalyze(parser.parse_query_expr()?)
@@ -28,11 +37,24 @@ pub fn parse_sql(sql: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open toward [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
     fn error(&self, msg: &str) -> PrestoError {
         PrestoError::Parse(format!("{msg} at token {} ({:?})", self.pos, self.tokens.get(self.pos)))
+    }
+
+    /// Open one level; its opener closes it with `self.depth -= 1` (a chain,
+    /// all of its levels at once). A failed parse never resumes, so an
+    /// error path leaves its levels open.
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(&format!("query too complex: nests deeper than {MAX_DEPTH}")));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -200,6 +222,7 @@ impl Parser {
 
     fn parse_table_ref(&mut self) -> Result<TableRef> {
         let mut left = self.parse_table_primary()?;
+        let mut chain = 0;
         loop {
             let kind = if self.eat_keyword("cross") {
                 self.expect_keyword("join")?;
@@ -216,6 +239,8 @@ impl Parser {
             } else {
                 break;
             };
+            self.descend()?;
+            chain += 1;
             let right = self.parse_table_primary()?;
             let on = if kind == JoinType::Cross {
                 None
@@ -225,12 +250,15 @@ impl Parser {
             };
             left = TableRef::Join { left: Box::new(left), right: Box::new(right), kind, on };
         }
+        self.depth -= chain;
         Ok(left)
     }
 
     fn parse_table_primary(&mut self) -> Result<TableRef> {
         if self.eat_symbol("(") {
+            self.descend()?;
             let query = self.parse_query()?;
+            self.depth -= 1;
             self.expect_symbol(")")?;
             self.eat_keyword("as");
             let alias = self.identifier()?;
@@ -261,32 +289,47 @@ impl Parser {
     // ------------------------------------------------------- expressions
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.descend()?;
+        let expr = self.parse_or()?;
+        self.depth -= 1;
+        Ok(expr)
+    }
+
+    /// A left-deep chain `next (op next)*`. Each operator opens a level
+    /// until the chain ends: the tree is as deep as the chain is long.
+    fn parse_chain(
+        &mut self,
+        next: fn(&mut Parser) -> Result<Expr>,
+        ops: &[(&str, BinaryOp)],
+    ) -> Result<Expr> {
+        let mut left = next(self)?;
+        let mut chain = 0;
+        while let Some(&(_, op)) =
+            ops.iter().find(|(word, _)| self.eat_keyword(word) || self.eat_symbol(word))
+        {
+            self.descend()?;
+            chain += 1;
+            let right = next(self)?;
+            left = Expr::BinaryOp { op, left: Box::new(left), right: Box::new(right) };
+        }
+        self.depth -= chain;
+        Ok(left)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_keyword("or") {
-            let right = self.parse_and()?;
-            left =
-                Expr::BinaryOp { op: BinaryOp::Or, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
+        self.parse_chain(Parser::parse_and, &[("or", BinaryOp::Or)])
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_keyword("and") {
-            let right = self.parse_not()?;
-            left =
-                Expr::BinaryOp { op: BinaryOp::And, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
+        self.parse_chain(Parser::parse_not, &[("and", BinaryOp::And)])
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_keyword("not") {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+            self.descend()?;
+            let operand = self.parse_not()?;
+            self.depth -= 1;
+            Ok(Expr::Not(Box::new(operand)))
         } else {
             self.parse_comparison()
         }
@@ -363,42 +406,23 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = if self.eat_symbol("+") {
-                BinaryOp::Add
-            } else if self.eat_symbol("-") {
-                BinaryOp::Sub
-            } else {
-                break;
-            };
-            let right = self.parse_multiplicative()?;
-            left = Expr::BinaryOp { op, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
+        self.parse_chain(
+            Parser::parse_multiplicative,
+            &[("+", BinaryOp::Add), ("-", BinaryOp::Sub)],
+        )
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = if self.eat_symbol("*") {
-                BinaryOp::Mul
-            } else if self.eat_symbol("/") {
-                BinaryOp::Div
-            } else if self.eat_symbol("%") {
-                BinaryOp::Mod
-            } else {
-                break;
-            };
-            let right = self.parse_unary()?;
-            left = Expr::BinaryOp { op, left: Box::new(left), right: Box::new(right) };
-        }
-        Ok(left)
+        let ops = [("*", BinaryOp::Mul), ("/", BinaryOp::Div), ("%", BinaryOp::Mod)];
+        self.parse_chain(Parser::parse_unary, &ops)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_symbol("-") {
-            return Ok(Expr::Negate(Box::new(self.parse_unary()?)));
+            self.descend()?;
+            let operand = self.parse_unary()?;
+            self.depth -= 1;
+            return Ok(Expr::Negate(Box::new(operand)));
         }
         self.parse_primary()
     }

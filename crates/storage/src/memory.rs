@@ -4,21 +4,27 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use presto_common::sync::{Rank, RwLock};
 use presto_common::{PrestoError, Result};
 
 use crate::fs::{is_direct_child, normalize, FileStatus, FileSystem};
 
 /// In-memory filesystem. Cloning shares the contents.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct InMemoryFileSystem {
     files: Arc<RwLock<BTreeMap<String, Arc<Vec<u8>>>>>,
+}
+
+impl Default for InMemoryFileSystem {
+    fn default() -> InMemoryFileSystem {
+        InMemoryFileSystem::new()
+    }
 }
 
 impl InMemoryFileSystem {
     /// New, empty filesystem.
     pub fn new() -> InMemoryFileSystem {
-        InMemoryFileSystem::default()
+        InMemoryFileSystem { files: Arc::new(RwLock::new(Rank::MemoryFiles, BTreeMap::new())) }
     }
 
     /// Number of files.

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
 use presto_common::metrics::{names, CounterSet};
+use presto_common::sync::{Mutex, Rank, RwLock};
 use presto_common::{PrestoError, Result, SimClock};
 
 use crate::fs::{is_direct_child, normalize, FileStatus, FileSystem};
@@ -56,8 +56,8 @@ impl S3ObjectStore {
     /// New store.
     pub fn new(config: S3Config, clock: SimClock, metrics: CounterSet) -> S3ObjectStore {
         S3ObjectStore {
-            objects: Arc::new(RwLock::new(BTreeMap::new())),
-            pending_multipart: Arc::new(Mutex::new(BTreeMap::new())),
+            objects: Arc::new(RwLock::new(Rank::S3Objects, BTreeMap::new())),
+            pending_multipart: Arc::new(Mutex::new(Rank::S3PendingMultipart, BTreeMap::new())),
             config: Arc::new(config),
             clock,
             metrics,
@@ -85,10 +85,11 @@ impl S3ObjectStore {
         self.objects.write().insert(normalize(key), Arc::new(data.to_vec()));
     }
 
-    /// Start a request: charge latency, maybe inject a transient fault.
+    /// Start a request of `kind` (its per-kind counter, e.g.
+    /// [`names::S3_GET`]): charge latency, maybe inject a transient fault.
     fn begin_request(&self, kind: &str) -> Result<()> {
         self.metrics.incr(names::S3_REQUESTS);
-        self.metrics.incr(&format!("s3.{kind}"));
+        self.metrics.incr(kind);
         self.clock.advance(REQUEST_LATENCY);
         let seq = self.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if self.config.fail_every > 0 && seq.is_multiple_of(self.config.fail_every) {
@@ -105,7 +106,7 @@ impl S3ObjectStore {
 
     /// `GET` with an optional byte range.
     pub fn get_object(&self, key: &str, range: Option<(u64, u64)>) -> Result<Vec<u8>> {
-        self.begin_request("get")?;
+        self.begin_request(names::S3_GET)?;
         let objects = self.objects.read();
         let data = objects
             .get(&normalize(key))
@@ -131,7 +132,7 @@ impl S3ObjectStore {
 
     /// `PUT` a whole object.
     pub fn put_object(&self, key: &str, data: &[u8]) -> Result<()> {
-        self.begin_request("put")?;
+        self.begin_request(names::S3_PUT)?;
         self.metrics.add(names::S3_BYTES_IN, data.len() as u64);
         self.charge_transfer(data.len() as u64);
         self.objects.write().insert(normalize(key), Arc::new(data.to_vec()));
@@ -140,7 +141,7 @@ impl S3ObjectStore {
 
     /// `HEAD` an object.
     pub fn head_object(&self, key: &str) -> Result<FileStatus> {
-        self.begin_request("head")?;
+        self.begin_request(names::S3_HEAD)?;
         let objects = self.objects.read();
         let key = normalize(key);
         objects
@@ -151,7 +152,7 @@ impl S3ObjectStore {
 
     /// `LIST` immediate children of a prefix.
     pub fn list_prefix(&self, prefix: &str) -> Result<Vec<FileStatus>> {
-        self.begin_request("list")?;
+        self.begin_request(names::S3_LIST)?;
         let prefix = normalize(prefix);
         let objects = self.objects.read();
         Ok(objects
@@ -163,7 +164,7 @@ impl S3ObjectStore {
 
     /// `DELETE` an object.
     pub fn delete_object(&self, key: &str) -> Result<()> {
-        self.begin_request("delete")?;
+        self.begin_request(names::S3_DELETE)?;
         self.objects
             .write()
             .remove(&normalize(key))
@@ -176,7 +177,7 @@ impl S3ObjectStore {
     /// requested field indices are returned — projection pushdown to storage,
     /// so bytes-out shrink with the projection.
     pub fn select_object(&self, key: &str, field_indices: &[usize]) -> Result<Vec<u8>> {
-        self.begin_request("select")?;
+        self.begin_request(names::S3_SELECT)?;
         let objects = self.objects.read();
         let data = objects
             .get(&normalize(key))
@@ -207,7 +208,7 @@ impl S3ObjectStore {
     /// time, which [`PrestoS3FileSystem`] arranges by charging transfer for
     /// the largest part.
     pub fn upload_part(&self, key: &str, part_number: u32, data: &[u8]) -> Result<()> {
-        self.begin_request("upload_part")?;
+        self.begin_request(names::S3_UPLOAD_PART)?;
         self.metrics.add(names::S3_BYTES_IN, data.len() as u64);
         self.pending_multipart
             .lock()
@@ -219,7 +220,7 @@ impl S3ObjectStore {
 
     /// Complete a multipart upload, stitching parts in part-number order.
     pub fn complete_multipart(&self, key: &str) -> Result<()> {
-        self.begin_request("complete_multipart")?;
+        self.begin_request(names::S3_COMPLETE_MULTIPART)?;
         let mut pending = self.pending_multipart.lock();
         let mut parts = pending
             .remove(&normalize(key))
@@ -494,7 +495,7 @@ mod tests {
                 stream.seek(target).unwrap();
             }
             stream.read(100).unwrap();
-            fs.store().metrics().get("s3.get")
+            fs.store().metrics().get(names::S3_GET)
         };
         let eager_gets = run(false);
         let lazy_gets = run(true);
@@ -552,12 +553,12 @@ mod tests {
         let data: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
         fs.write("/b/big", &data).unwrap();
         assert_eq!(fs.store().metrics().get(names::S3FS_MULTIPART_UPLOADS), 1);
-        assert_eq!(fs.store().metrics().get("s3.upload_part"), 5);
+        assert_eq!(fs.store().metrics().get(names::S3_UPLOAD_PART), 5);
         assert_eq!(fs.read("/b/big").unwrap(), data);
 
         // small objects use a single PUT
         fs.write("/b/small", b"tiny").unwrap();
-        assert_eq!(fs.store().metrics().get("s3.put"), 1);
+        assert_eq!(fs.store().metrics().get(names::S3_PUT), 1);
     }
 
     #[test]
@@ -591,6 +592,6 @@ mod tests {
             assert_eq!(stream.read(100).unwrap().len(), 100);
         }
         // 1000 bytes of readahead serve ten 100-byte reads with one GET
-        assert_eq!(fs.store().metrics().get("s3.get"), 1);
+        assert_eq!(fs.store().metrics().get(names::S3_GET), 1);
     }
 }

@@ -94,12 +94,12 @@ proptest! {
 #[test]
 fn counter_clear_drops_stale_keys_between_phases() {
     let metrics = CounterSet::new();
-    metrics.incr("warmup.only");
+    metrics.incr(names::FRC_HITS);
     metrics.reset();
-    assert!(metrics.snapshot().contains_key("warmup.only"), "reset keeps stale keys");
+    assert!(metrics.snapshot().contains_key(names::FRC_HITS), "reset keeps stale keys");
     metrics.clear();
     assert!(metrics.snapshot().is_empty(), "clear drops them");
-    metrics.incr("measured.only");
+    metrics.incr(names::FRC_MISSES);
     assert_eq!(metrics.snapshot().len(), 1);
 }
 
