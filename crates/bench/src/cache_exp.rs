@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use presto_cache::{FileHandleCache, FileListCache, FooterCache};
-use presto_common::metrics::CounterSet;
+use presto_common::metrics::{names, CounterSet};
 use presto_common::{Block, DataType, Field, Page, Result, Schema};
 use presto_parquet::{FileWriter, WriterMode, WriterProperties};
 use presto_storage::{FileSystem, HdfsFileSystem};
@@ -153,8 +153,8 @@ pub fn run(trace: &CacheTrace, seed: u64) -> CacheResult {
             hdfs.get_file_info(&f.path).unwrap();
         }
     }
-    let list_calls_baseline = hdfs.metrics().get("hdfs.list_files");
-    let getinfo_calls_baseline = hdfs.metrics().get("hdfs.get_file_info");
+    let list_calls_baseline = hdfs.metrics().get(names::HDFS_LIST_FILES);
+    let getinfo_calls_baseline = hdfs.metrics().get(names::HDFS_GET_FILE_INFO);
 
     // ---- with caches: file-list cache on the coordinator (hot tables
     // only, per the paper), handle+footer cache on workers
@@ -176,8 +176,8 @@ pub fn run(trace: &CacheTrace, seed: u64) -> CacheResult {
             footers.get_footer(&f.path).unwrap();
         }
     }
-    let list_calls_cached = hdfs.metrics().get("hdfs.list_files");
-    let getinfo_calls_cached = hdfs.metrics().get("hdfs.get_file_info");
+    let list_calls_cached = hdfs.metrics().get(names::HDFS_LIST_FILES);
+    let getinfo_calls_cached = hdfs.metrics().get(names::HDFS_GET_FILE_INFO);
 
     CacheResult {
         list_calls_baseline,

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use presto_common::metrics::names;
 use presto_common::{Result, SimClock, Value};
 use presto_core::Session;
 use presto_resource::ResourceManager;
@@ -81,7 +82,7 @@ pub fn run(
             // LIMIT without ORDER BY may keep any N rows; spilling reorders
             // the join output, so only the row count is comparable there.
             let deterministic = !q.sql.contains("LIMIT") || q.sql.contains("ORDER BY");
-            let peak = unconstrained.metrics.get("memory.reserved_peak");
+            let peak = unconstrained.metrics.get(names::MEMORY_RESERVED_PEAK);
             let budget = (peak / 2) as usize;
 
             let capped = session.clone().with_memory_budget(budget);

@@ -10,8 +10,10 @@
 //! scan scheduler places splits on a `presto_common::HashRing` over its
 //! worker snapshot (§VII affinity scheduling), and a graceful drain copies
 //! the departing worker's entries to the owners a survivors-only ring
-//! assigns ([`FragmentResultCache::entries`] /
-//! [`FragmentResultCache::put_shared`]).
+//! assigns ([`FragmentResultCache::entries`] / [`FragmentResultCache::put`]).
+//!
+//! A page shares its columns, so a put, a hit and a migrated entry hold the
+//! scan's own columns: none of them copies data.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -67,13 +69,6 @@ impl FragmentResultCache {
     /// lists).
     pub fn put(&self, key: FragmentKey, pages: Vec<Page>) {
         self.cache.put(key, Arc::new(pages));
-    }
-
-    /// Store an already-shared result without re-allocating — the cache
-    /// migration path when a decommissioning worker hands its entries to
-    /// the consistent successor.
-    pub fn put_shared(&self, key: FragmentKey, pages: Arc<Vec<Page>>) {
-        self.cache.put(key, pages);
     }
 
     /// Snapshot of every cached entry, sorted by key (fingerprint, then
@@ -137,8 +132,8 @@ mod tests {
         cache.put(key.clone(), sample_pages());
         let hit = cache.get(&key).unwrap();
         assert_eq!(hit[0].positions(), 3);
-        assert_eq!(cache.metrics().get("frc.hits"), 1);
-        assert_eq!(cache.metrics().get("frc.misses"), 1);
+        assert_eq!(cache.metrics().get(names::FRC_HITS), 1);
+        assert_eq!(cache.metrics().get(names::FRC_MISSES), 1);
     }
 
     #[test]
@@ -152,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_sorted_and_put_shared_reuses_the_arc() {
+    fn entries_are_sorted_and_a_migrated_entry_shares_its_columns() {
         let cache = FragmentResultCache::new(16, CounterSet::new());
         let b = FragmentKey { plan_fingerprint: 2, split_identity: "/t/part-0".into() };
         let a = FragmentKey { plan_fingerprint: 1, split_identity: "/t/part-9".into() };
@@ -165,7 +160,8 @@ mod tests {
 
         let successor = FragmentResultCache::new(16, CounterSet::new());
         let pages = cache.get(&a).unwrap();
-        successor.put_shared(a.clone(), pages.clone());
-        assert!(Arc::ptr_eq(&successor.get(&a).unwrap(), &pages));
+        successor.put(a.clone(), pages.as_ref().clone());
+        let migrated = successor.get(&a).unwrap();
+        assert!(Arc::ptr_eq(migrated[0].column(0), pages[0].column(0)));
     }
 }

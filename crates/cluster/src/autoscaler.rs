@@ -296,8 +296,8 @@ mod tests {
         cluster.clock().advance(step);
         assert_eq!(scaler.evaluate(10), ScaleDecision::Out { added: 2 });
         assert_eq!(active(&cluster), 6);
-        assert_eq!(cluster.metrics().get("cluster.autoscaler_scale_outs"), 1);
-        assert_eq!(cluster.metrics().get("cluster.autoscaler_workers_added"), 2);
+        assert_eq!(cluster.metrics().get(names::CLUSTER_SCALE_OUTS), 1);
+        assert_eq!(cluster.metrics().get(names::CLUSTER_SCALE_OUT_WORKERS), 2);
     }
 
     #[test]
@@ -333,7 +333,7 @@ mod tests {
         assert_eq!(active(&cluster), 2);
         let victim = cluster.workers().into_iter().find(|w| w.id == 2).unwrap();
         assert_eq!(victim.lifecycle(), WorkerLifecycle::Draining);
-        assert_eq!(cluster.metrics().get("cluster.autoscaler_scale_ins"), 1);
+        assert_eq!(cluster.metrics().get(names::CLUSTER_SCALE_INS), 1);
         // at the floor: no further shrink
         cluster.clock().advance(Duration::from_millis(10));
         assert_eq!(scaler.evaluate(0), ScaleDecision::Hold);

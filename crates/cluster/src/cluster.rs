@@ -504,8 +504,8 @@ mod tests {
         let err = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap_err();
         assert_eq!(err.code(), "CLUSTER_UNAVAILABLE");
         assert!(err.is_retryable(), "a gateway that raced the drain may re-route");
-        assert_eq!(c.metrics().get("cluster.queries_rejected"), 1);
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 0);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_REJECTED), 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 0);
         assert_eq!(c.queries_started(), 0, "the query never started");
     }
 
@@ -537,9 +537,9 @@ mod tests {
         });
         let result = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
         assert_eq!(result.rows(), vec![vec![Value::Bigint(80)]]);
-        assert!(c.metrics().get("cluster.split_retries") >= 1);
-        assert_eq!(c.metrics().get("cluster.worker_failures"), 1);
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 0);
+        assert!(c.metrics().get(names::CLUSTER_SPLIT_RETRIES) >= 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_WORKER_FAILURES), 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 0);
         let crashed: Vec<u32> = c
             .workers()
             .iter()
@@ -560,8 +560,8 @@ mod tests {
         });
         let err = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap_err();
         assert_eq!(err.code(), "WORKER_FAILED");
-        assert_eq!(c.metrics().get("cluster.split_retries"), 0);
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_SPLIT_RETRIES), 0);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 1);
     }
 
     #[test]
@@ -579,9 +579,9 @@ mod tests {
         let err = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap_err();
         assert!(err.is_retryable(), "the gateway may still fail over: {err}");
         assert!(err.message().contains("giving up"), "{err}");
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 1);
         // MAX_SPLIT_ATTEMPTS - 1 retry rounds, with backoff on the virtual clock
-        assert!(c.metrics().get("cluster.split_retries") >= u64::from(MAX_SPLIT_ATTEMPTS - 1));
+        assert!(c.metrics().get(names::CLUSTER_SPLIT_RETRIES) >= u64::from(MAX_SPLIT_ATTEMPTS - 1));
         assert!(c.clock().now() > before, "backoff advances virtual time");
     }
 
@@ -602,7 +602,7 @@ mod tests {
         });
         let result = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
         assert_eq!(result.rows(), vec![vec![Value::Bigint(80)]]);
-        assert_eq!(c.metrics().get("cluster.blacklisted_workers"), 1);
+        assert_eq!(c.metrics().get(names::CLUSTER_BLACKLISTED_WORKERS), 1);
         let w0 = &c.workers()[0];
         assert!(w0.is_blacklisted());
         assert_eq!(w0.state(), WorkerState::Active, "quarantined, not dead");

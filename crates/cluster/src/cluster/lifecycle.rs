@@ -170,7 +170,8 @@ impl PrestoCluster {
     /// Copy a departing worker's fragment-cache entries to each entry's
     /// consistent-hash successor among `survivors` — the owner a
     /// survivors-only ring assigns, i.e. exactly where the affinity
-    /// scheduler will send the split next. Entries iterate in key order,
+    /// scheduler will send the split next. A copy shares the entry's
+    /// columns, so no data moves. Entries iterate in key order,
     /// so any LRU evictions the copies cause downstream are deterministic.
     /// The source cache stays in place — the draining worker may still
     /// serve grace-period tasks from it — and dies with the worker at reap
@@ -186,7 +187,7 @@ impl PrestoCluster {
         for (key, pages) in source.entries() {
             let Some(owner) = ring.owner(ring_identity(&key.split_identity)) else { continue };
             if let Some(successor) = caches.get(&owner) {
-                successor.put_shared(key, pages);
+                successor.put(key, pages.as_ref().clone());
                 migrated += 1;
             }
         }
@@ -282,7 +283,7 @@ mod tests {
         c.clock().advance(Duration::from_secs(5));
         let remaining = c.tick();
         assert_eq!(remaining, 2, "worker 0 terminated");
-        assert_eq!(c.metrics().get("cluster.queries_failed"), 0);
+        assert_eq!(c.metrics().get(names::CLUSTER_QUERIES_FAILED), 0);
         // and the cluster still works
         let result = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
         assert_eq!(result.rows(), vec![vec![Value::Bigint(80)]]);
@@ -310,7 +311,7 @@ mod tests {
             c.metrics().reset();
             c.expand(1); // fleet change
             c.execute(sql, &session).unwrap();
-            (c.metrics().get("frc.hits"), c.metrics().get("frc.misses"))
+            (c.metrics().get(names::FRC_HITS), c.metrics().get(names::FRC_MISSES))
         };
         // with affinity, most splits still land on their warm worker
         let (affinity_hits, affinity_misses) = mk(true);

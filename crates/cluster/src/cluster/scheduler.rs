@@ -144,7 +144,8 @@ impl PrestoCluster {
     /// scan with mid-stream fault hooks. Output from a worker that crashed
     /// while the task was in flight is discarded — a dead node's partial
     /// results cannot be trusted. Cache hits skip the connector entirely,
-    /// so mid-stream scan faults never fire for them.
+    /// so mid-stream scan faults never fire for them. A hit and a put share
+    /// the pages' columns with the cache; neither copies data.
     #[allow(clippy::too_many_arguments)]
     fn execute_one_split(
         &self,
@@ -723,7 +724,9 @@ mod tests {
     use super::super::tests::cluster;
     use super::*;
     use crate::ClusterConfig;
+    use presto_common::metrics::CounterSet;
     use presto_common::{SimClock, Value};
+    use presto_connectors::ColumnPath;
     use presto_core::{PrestoEngine, Session};
 
     #[test]
@@ -731,11 +734,38 @@ mod tests {
         let c = cluster();
         let result = c.execute("SELECT count(*) FROM t", &Session::default()).unwrap();
         assert_eq!(result.rows(), vec![vec![Value::Bigint(80)]]);
-        assert_eq!(c.metrics().get("cluster.tasks"), 8);
+        assert_eq!(c.metrics().get(names::CLUSTER_TASKS), 8);
         // every worker did some splits
         let done: Vec<usize> = c.workers().iter().map(|w| w.completed_tasks()).collect();
         assert!(done.iter().all(|&d| d > 0), "{done:?}");
         assert_eq!(done.iter().sum::<usize>(), 8);
+    }
+
+    /// A fragment-cache put keeps the scan's own columns and a hit hands
+    /// them out again: neither copies a column.
+    #[test]
+    fn a_fragment_cache_hit_shares_the_cached_columns() {
+        let c = cluster();
+        let worker = c.workers()[0].clone();
+        let connector: Arc<dyn Connector> = Arc::new(presto_connectors::tpch::TpchConnector::new());
+        let request = ScanRequest::project(vec![ColumnPath::whole("orderkey")]);
+        let splits = connector.splits("tiny", "lineitem", &request).unwrap();
+        let cache = FragmentResultCache::new(4, CounterSet::new());
+        let hooks = ScanHooks::none();
+        let scan = || {
+            c.execute_one_split(&worker, &splits[0], &connector, &request, 7, Some(&cache), &hooks)
+        };
+        let (miss, hit) = (scan().unwrap(), scan().unwrap());
+        assert_eq!(cache.metrics().get(names::FRC_HITS), 1);
+        let key =
+            FragmentKey { plan_fingerprint: 7, split_identity: cache_identity(&splits[0].payload) };
+        let cached = cache.get(&key).unwrap();
+        assert!(!cached.is_empty());
+        assert_eq!((miss.len(), hit.len()), (cached.len(), cached.len()));
+        for ((miss, hit), entry) in miss.iter().zip(&hit).zip(cached.iter()) {
+            assert!(Arc::ptr_eq(miss.column(0), entry.column(0)));
+            assert!(Arc::ptr_eq(hit.column(0), entry.column(0)));
+        }
     }
 
     #[test]
@@ -756,21 +786,21 @@ mod tests {
         let session = Session::new("tpch", "tiny");
         let sql = "SELECT returnflag, count(*) FROM lineitem GROUP BY 1";
         let first = c.execute(sql, &session).unwrap();
-        assert_eq!(c.metrics().get("frc.hits"), 0);
-        let misses_after_first = c.metrics().get("frc.misses");
+        assert_eq!(c.metrics().get(names::FRC_HITS), 0);
+        let misses_after_first = c.metrics().get(names::FRC_MISSES);
         assert!(misses_after_first > 0, "first run populates the cache");
 
         // the dashboard refreshes: identical query, all splits served from
         // worker memory
         let second = c.execute(sql, &session).unwrap();
         assert_eq!(first.rows(), second.rows());
-        assert_eq!(c.metrics().get("frc.misses"), misses_after_first);
-        assert_eq!(c.metrics().get("frc.hits"), misses_after_first);
+        assert_eq!(c.metrics().get(names::FRC_MISSES), misses_after_first);
+        assert_eq!(c.metrics().get(names::FRC_HITS), misses_after_first);
 
         // a different pushdown shape must not share results
         let other = "SELECT returnflag, count(*) FROM lineitem \
                      WHERE linestatus = 'O' GROUP BY 1";
         c.execute(other, &session).unwrap();
-        assert!(c.metrics().get("frc.misses") > misses_after_first);
+        assert!(c.metrics().get(names::FRC_MISSES) > misses_after_first);
     }
 }

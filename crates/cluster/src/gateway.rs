@@ -245,7 +245,7 @@ mod tests {
             assert_eq!(result.row_count(), 1);
             result.rows()[0][0].to_string()
         };
-        let tasks = || dedicated.metrics().get("cluster.tasks");
+        let tasks = || dedicated.metrics().get(names::CLUSTER_TASKS);
 
         // EXPLAIN plans and answers; nothing is scheduled
         let sql = "EXPLAIN SELECT count(*) FROM lineitem";
@@ -302,7 +302,7 @@ mod tests {
             gateway.submit("ads", "SELECT 1", &Session::default()).unwrap();
         }
         assert_eq!(shared.queries_started(), 3, "traffic moved to the shared cluster");
-        assert_eq!(gateway.metrics().get("gateway.rerouted_maintenance"), 3);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_REROUTED_MAINTENANCE), 3);
 
         // upgrade done
         dedicated.set_maintenance(false);
@@ -323,7 +323,7 @@ mod tests {
         // (decommissioned, typo'd by the administrator in MySQL)
         gateway.set_route("x-team", "ghost").unwrap();
         assert_eq!(gateway.route("x-team").unwrap().cluster, "shared");
-        assert_eq!(gateway.metrics().get("gateway.rerouted_maintenance"), 1);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_REROUTED_MAINTENANCE), 1);
     }
 
     #[test]
@@ -333,10 +333,10 @@ mod tests {
         shared.set_maintenance(true);
         let err = gateway.route("ads").unwrap_err();
         assert!(err.message().contains("no healthy cluster"), "{err}");
-        assert_eq!(gateway.metrics().get("gateway.rerouted_maintenance"), 1);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_REROUTED_MAINTENANCE), 1);
         // the default group is just as stuck, and each attempt is counted
         assert!(gateway.route("unknown-team").is_err());
-        assert_eq!(gateway.metrics().get("gateway.rerouted_maintenance"), 2);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_REROUTED_MAINTENANCE), 2);
     }
 
     #[test]
@@ -351,11 +351,11 @@ mod tests {
         let session = Session::new("tpch", "tiny");
         let result = gateway.submit("ads", "SELECT count(*) FROM lineitem", &session).unwrap();
         assert!(!result.rows().is_empty());
-        assert_eq!(gateway.metrics().get("gateway.retried_queries"), 1);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_RETRIED_QUERIES), 1);
         assert_eq!(shared.queries_started(), 1, "the fallback ran the query");
-        assert_eq!(dedicated.metrics().get("cluster.queries_failed"), 1);
+        assert_eq!(dedicated.metrics().get(names::CLUSTER_QUERIES_FAILED), 1);
         // the routing layer was never involved in the failover
-        assert_eq!(gateway.metrics().get("gateway.rerouted_maintenance"), 0);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_REROUTED_MAINTENANCE), 0);
     }
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
         let (gateway, _, shared) = gateway_with_clusters();
         let err = gateway.submit("ads", "SELECT count(* FROM", &Session::default()).unwrap_err();
         assert!(!err.is_retryable(), "{err}");
-        assert_eq!(gateway.metrics().get("gateway.retried_queries"), 0);
+        assert_eq!(gateway.metrics().get(names::GATEWAY_RETRIED_QUERIES), 0);
         assert_eq!(shared.queries_started(), 0, "a doomed query is not re-run elsewhere");
     }
 }

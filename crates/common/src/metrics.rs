@@ -236,7 +236,8 @@ pub mod names {
 }
 
 /// Debug builds refuse a name that [`names`] does not declare. Each set
-/// calls this where it first creates a name, never on the per-record path.
+/// calls this where it first creates a name, never on the per-record path,
+/// and on every read, so a misspelt read fails rather than reading 0.
 fn check_registered(name: &str) {
     debug_assert!(names::ALL.contains(&name), "metric `{name}` is not declared in metrics::names");
 }
@@ -287,6 +288,7 @@ impl CounterSet {
 
     /// Current value of `name` (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
+        check_registered(name);
         self.counters.read().get(name).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
@@ -652,6 +654,7 @@ impl GaugeSet {
 
     /// Current value of `name` (0 if never set).
     pub fn gauge(&self, name: &str) -> u64 {
+        check_registered(name);
         self.inner.read().get(name).copied().unwrap_or(0)
     }
 
@@ -705,16 +708,22 @@ impl TimeSeriesSet {
 
     /// Copy of the series for `name` (empty if never sampled).
     pub fn get(&self, name: &str) -> TimeSeries {
-        self.inner
-            .read()
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| TimeSeries::new(self.interval_us, self.capacity))
+        check_registered(name);
+        self.read(name)
     }
 
     /// Copy of the `id`-keyed series for `name`.
     pub fn get_for(&self, name: &str, id: u32) -> TimeSeries {
-        self.get(&format!("{name}[{id}]"))
+        check_registered(name);
+        self.read(&format!("{name}[{id}]"))
+    }
+
+    fn read(&self, key: &str) -> TimeSeries {
+        self.inner
+            .read()
+            .get(key)
+            .cloned()
+            .unwrap_or_else(|| TimeSeries::new(self.interval_us, self.capacity))
     }
 
     /// Snapshot of all series, in name order.
@@ -765,6 +774,7 @@ impl HistogramSet {
 
     /// Copy of the histogram for `name` (empty if never recorded).
     pub fn get(&self, name: &str) -> Histogram {
+        check_registered(name);
         self.inner.read().get(name).cloned().unwrap_or_default()
     }
 
@@ -790,7 +800,7 @@ mod tests {
         m.add(names::HDFS_LIST_FILES, 4);
         m.incr(names::HDFS_GET_FILE_INFO);
         assert_eq!(m.get(names::HDFS_LIST_FILES), 5);
-        assert_eq!(m.get("missing"), 0);
+        assert_eq!(m.get(names::HDFS_READ_OPS), 0);
         let snap = m.snapshot();
         assert_eq!(snap[names::HDFS_LIST_FILES], 5);
         assert_eq!(snap[names::HDFS_GET_FILE_INFO], 1);
@@ -910,7 +920,7 @@ mod tests {
         alias.set_gauge(names::GAUGE_FLEET_BUSY_PCT, 40);
         alias.set_gauge(names::GAUGE_FLEET_BUSY_PCT, 75);
         assert_eq!(g.gauge(names::GAUGE_FLEET_BUSY_PCT), 75);
-        assert_eq!(g.gauge("missing"), 0);
+        assert_eq!(g.gauge(names::GAUGE_ACTIVE_WORKERS), 0);
     }
 
     #[test]
@@ -945,6 +955,23 @@ mod tests {
     #[should_panic(expected = "metric `fixture.hits` is not declared in metrics::names")]
     fn an_unregistered_name_panics() {
         CounterSet::new().incr("fixture.hits");
+    }
+
+    /// A misspelt read fails instead of reading 0.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "metric `frc.hit` is not declared in metrics::names")]
+    fn an_unregistered_read_panics() {
+        let m = CounterSet::new();
+        m.incr(names::FRC_HITS);
+        m.get("frc.hit");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "metric `fleet.busy` is not declared in metrics::names")]
+    fn an_unregistered_per_worker_read_panics() {
+        TimeSeriesSet::new(100, 16).get_for("fleet.busy", 3);
     }
 
     #[test]

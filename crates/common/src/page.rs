@@ -3,6 +3,15 @@
 //! §IV.A: "Hadoop data and MySQL data are streamed in Presto pages into the
 //! Presto engine." A [`Page`] is a batch of rows in columnar form: one
 //! [`Block`] per output column, all the same length.
+//!
+//! A page shares its columns: each is an `Arc<Block>`, so cloning a page,
+//! projecting it, or handing a stored column to a scan is a refcount, not a
+//! copy. An operator that changes rows (`take`, `slice`, `filter`,
+//! `concat`) builds new columns. [`Page::memory_size`] counts every column
+//! in full whoever else holds it, so what an operator reserves does not
+//! depend on what it shares.
+
+use std::sync::Arc;
 
 use crate::block::Block;
 use crate::error::{PrestoError, Result};
@@ -37,14 +46,19 @@ pub fn selected_rows(mask: &[bool]) -> Vec<usize> {
 /// A horizontal batch of rows stored column-wise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
-    blocks: Vec<Block>,
+    blocks: Vec<Arc<Block>>,
     positions: usize,
 }
 
 impl Page {
     /// Build a page from blocks; all blocks must have the same length.
     pub fn new(blocks: Vec<Block>) -> Result<Page> {
-        let positions = blocks.first().map(Block::len).unwrap_or(0);
+        Page::from_columns(blocks.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a page from shared columns; all must have the same length.
+    pub fn from_columns(blocks: Vec<Arc<Block>>) -> Result<Page> {
+        let positions = blocks.first().map_or(0, |b| b.len());
         for b in &blocks {
             if b.len() != positions {
                 return Err(PrestoError::Internal(format!(
@@ -83,8 +97,8 @@ impl Page {
         self.blocks.len()
     }
 
-    /// The column blocks.
-    pub fn blocks(&self) -> &[Block] {
+    /// The shared columns.
+    pub fn blocks(&self) -> &[Arc<Block>] {
         &self.blocks
     }
 
@@ -93,8 +107,14 @@ impl Page {
         &self.blocks[i]
     }
 
-    /// Consume the page, returning its blocks.
-    pub fn into_blocks(self) -> Vec<Block> {
+    /// One shared column by index: clone it to hold the column without
+    /// copying it.
+    pub fn column(&self, i: usize) -> &Arc<Block> {
+        &self.blocks[i]
+    }
+
+    /// Consume the page, returning its shared columns.
+    pub fn into_blocks(self) -> Vec<Arc<Block>> {
         self.blocks
     }
 
@@ -120,17 +140,17 @@ impl Page {
 
     /// Gather the given row indices.
     pub fn take(&self, indices: &[usize]) -> Page {
-        let blocks = self.blocks.iter().map(|b| b.take(indices)).collect();
+        let blocks = self.blocks.iter().map(|b| Arc::new(b.take(indices))).collect();
         Page { blocks, positions: indices.len() }
     }
 
     /// Contiguous row range `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> Page {
-        let blocks = self.blocks.iter().map(|b| b.slice(offset, len)).collect();
+        let blocks = self.blocks.iter().map(|b| Arc::new(b.slice(offset, len))).collect();
         Page { blocks, positions: len }
     }
 
-    /// Project a subset of columns by index.
+    /// Project a subset of columns by index; the columns are shared.
     pub fn project(&self, columns: &[usize]) -> Page {
         let blocks = columns.iter().map(|&i| self.blocks[i].clone()).collect();
         Page { blocks, positions: self.positions }
@@ -144,15 +164,16 @@ impl Page {
         if pages.iter().any(|p| p.column_count() != ncols) {
             return Err(PrestoError::Internal("concat of pages with different widths".into()));
         }
-        let column =
-            |c: usize| Block::concat(&pages.iter().map(|p| &p.blocks[c]).collect::<Vec<_>>());
+        let column = |c: usize| {
+            Block::concat(&pages.iter().map(|p| p.block(c)).collect::<Vec<_>>()).map(Arc::new)
+        };
         let blocks = (0..ncols).map(column).collect::<Result<_>>()?;
         Ok(Page { blocks, positions: pages.iter().map(Page::positions).sum() })
     }
 
     /// Approximate heap size, for memory accounting.
     pub fn memory_size(&self) -> usize {
-        self.blocks.iter().map(Block::memory_size).sum()
+        self.blocks.iter().map(|b| b.memory_size()).sum()
     }
 }
 
@@ -216,6 +237,31 @@ mod tests {
         let projected = p.project(&[1]);
         assert_eq!(projected.column_count(), 1);
         assert_eq!(projected.row(0), vec!["a".into()]);
+    }
+
+    /// `clone` and `project` hand out the page's own columns; every
+    /// operator that changes rows builds new ones.
+    #[test]
+    fn clone_and_project_share_columns_and_row_operators_do_not() {
+        let p = page();
+        let shares = |q: &Page, c: usize, of: usize| Arc::ptr_eq(q.column(c), p.column(of));
+        let clone = p.clone();
+        assert!(shares(&clone, 0, 0) && shares(&clone, 1, 1));
+        let projected = p.project(&[1, 0, 1]);
+        assert!(shares(&projected, 0, 1) && shares(&projected, 1, 0) && shares(&projected, 2, 1));
+        let rebuilt = [
+            p.take(&[0, 1, 2]),
+            p.slice(0, 3),
+            p.filter(&[true, true, true]),
+            Page::concat(std::slice::from_ref(&p)).unwrap(),
+        ];
+        for q in &rebuilt {
+            assert_eq!(q, &p);
+            assert!((0..2).all(|c| !shares(q, c, c)));
+        }
+        let shared = Page::from_columns(vec![p.column(1).clone()]).unwrap();
+        assert!(shares(&shared, 0, 1));
+        assert_eq!(shared.memory_size(), p.block(1).memory_size());
     }
 
     #[test]

@@ -436,19 +436,19 @@ impl Connector for HiveConnector {
                 let mut with_part = Vec::with_capacity(pages.len());
                 for page in pages {
                     let rows = page.positions();
-                    let mut blocks: Vec<Option<Block>> = vec![None; request.columns.len()];
+                    let mut blocks: Vec<Option<Arc<Block>>> = vec![None; request.columns.len()];
                     let mut file_iter = page.into_blocks().into_iter();
                     for (i, c) in request.columns.iter().enumerate() {
                         if c.column == *col {
-                            blocks[i] = Some(Block::Dictionary {
+                            blocks[i] = Some(Arc::new(Block::Dictionary {
                                 dictionary: Box::new(Block::varchar(&[value.as_str()])),
                                 ids: vec![0; rows],
-                            });
+                            }));
                         } else {
                             blocks[i] = file_iter.next();
                         }
                     }
-                    with_part.push(Page::new(
+                    with_part.push(Page::from_columns(
                         blocks.into_iter().map(|b| b.expect("all slots filled")).collect(),
                     )?);
                 }

@@ -77,10 +77,12 @@ impl MemoryConnector {
         let mut encode = |page: Page| {
             let blocks = page.into_blocks().into_iter().zip(schema.fields());
             let encoded = blocks.map(|(block, field)| match field.data_type {
-                DataType::Varchar => encode_at_rest(&mut dictionary, &block).unwrap_or(block),
+                DataType::Varchar => {
+                    encode_at_rest(&mut dictionary, &block).map_or(block, Arc::new)
+                }
                 _ => block,
             });
-            Page::new(encoded.collect())
+            Page::from_columns(encoded.collect())
         };
         let pages = pages
             .into_iter()
@@ -226,9 +228,10 @@ enum Kept {
 
 /// The rows of `page` passing every conjunct, cut at `limit` (an early-out
 /// hint), as `columns`. The page is only read: the mask is computed on it
-/// in place and nothing but the requested columns is gathered or cloned,
-/// so a scan that asks for no column copies no column — it counts the
-/// mask, and builds no row ids either.
+/// in place and nothing but the requested columns is gathered, so a scan
+/// that asks for no column copies no column — it counts the mask, and
+/// builds no row ids either. A whole column of every row is the page's
+/// own, shared.
 pub(crate) fn scan_page(
     schema: &Schema,
     page: &Page,
@@ -257,7 +260,7 @@ pub(crate) fn scan_page(
     for col in columns {
         blocks.push(project_column(schema, page, col.borrow(), &kept)?);
     }
-    Page::new(blocks)
+    Page::from_columns(blocks)
 }
 
 /// `mask[i] &= values[i]` is not NULL and passes `test`.
@@ -341,17 +344,22 @@ pub(crate) fn predicate_mask(
 }
 
 /// Build one projected block of the kept rows, navigating nested paths
-/// value-by-value.
-fn project_column(schema: &Schema, page: &Page, col: &ColumnPath, kept: &Kept) -> Result<Block> {
+/// value-by-value. A whole column of every row is shared, not copied.
+fn project_column(
+    schema: &Schema,
+    page: &Page,
+    col: &ColumnPath,
+    kept: &Kept,
+) -> Result<Arc<Block>> {
     let idx = schema
         .index_of(&col.column)
         .ok_or_else(|| PrestoError::Connector(format!("no column '{}'", col.column)))?;
     let block = page.block(idx);
     if col.path.is_empty() {
         return Ok(match kept {
-            Kept::First(n) if *n == block.len() => block.clone(),
-            Kept::First(n) => block.slice(0, *n),
-            Kept::Rows(rows) => block.take(rows),
+            Kept::First(n) if *n == block.len() => page.column(idx).clone(),
+            Kept::First(n) => Arc::new(block.slice(0, *n)),
+            Kept::Rows(rows) => Arc::new(block.take(rows)),
         });
     }
     let column_type = &schema.field_at(idx).data_type;
@@ -361,7 +369,7 @@ fn project_column(schema: &Schema, page: &Page, col: &ColumnPath, kept: &Kept) -
         Kept::First(n) => (0..*n).map(extract).collect(),
         Kept::Rows(rows) => rows.iter().map(|&i| extract(i)).collect(),
     };
-    Block::from_values(&out_type, &values)
+    Block::from_values(&out_type, &values).map(Arc::new)
 }
 
 /// Navigate a struct value along field names; `dt` translates names to the
@@ -537,6 +545,35 @@ mod tests {
         );
     }
 
+    /// A scan of whole columns hands out the stored columns themselves; a
+    /// predicate or a LIMIT that cuts the page gathers its own, even when
+    /// every row passes.
+    #[test]
+    fn whole_column_scans_share_the_stored_columns() {
+        let c = setup();
+        let splits = c.splits("default", "t", &ScanRequest::default()).unwrap();
+        let scan = |request: &ScanRequest| {
+            let mut pages = c.scan_split(&splits[0], request, &ScanHooks::none()).unwrap();
+            pages.remove(0).column(0).clone()
+        };
+        let whole = ScanRequest { columns: vec![ColumnPath::whole("id")], ..Default::default() };
+        let (first, second) = (scan(&whole), scan(&whole));
+        assert!(Arc::ptr_eq(&first, &second));
+        let every_row = ScanRequest {
+            predicate: vec![PushdownPredicate {
+                target: ColumnPath::whole("id"),
+                predicate: ScalarPredicate::Range { min: Some(Value::Bigint(0)), max: None },
+            }],
+            ..whole.clone()
+        };
+        let limited = ScanRequest { limit: Some(2), ..whole.clone() };
+        for request in [every_row, limited] {
+            let gathered = scan(&request);
+            assert!(!Arc::ptr_eq(&gathered, &first));
+            assert_eq!(gathered.value(0), first.value(0));
+        }
+    }
+
     #[test]
     fn create_table_validates_width() {
         let c = MemoryConnector::new();
@@ -569,7 +606,8 @@ mod tests {
         let splits = c.splits("s", "t", &ScanRequest::default()).unwrap();
         let request =
             ScanRequest { columns: vec![ColumnPath::whole("c")], ..ScanRequest::default() };
-        c.scan_split(&splits[0], &request, &ScanHooks::none()).unwrap()[0].blocks().to_vec()
+        let page = c.scan_split(&splits[0], &request, &ScanHooks::none()).unwrap().remove(0);
+        page.blocks().iter().map(|b| b.as_ref().clone()).collect()
     }
 
     #[test]

@@ -616,9 +616,9 @@ mod tests {
         let session = session.with_spill(true);
         let result = engine.execute_with_session(sql, &session).unwrap();
         assert_eq!(result.rows(), vec![vec![Value::Bigint(200)]]);
-        assert!(result.metrics.get("spill.files") > 0, "join did not spill");
-        assert!(result.metrics.get("spill.bytes_written") > 0);
-        assert!(result.metrics.get("memory.reserved_peak") > 0);
+        assert!(result.metrics.get(names::SPILL_FILES) > 0, "join did not spill");
+        assert!(result.metrics.get(names::SPILL_BYTES_WRITTEN) > 0);
+        assert!(result.metrics.get(names::MEMORY_RESERVED_PEAK) > 0);
     }
 
     #[test]

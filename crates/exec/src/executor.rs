@@ -32,6 +32,7 @@
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
 use presto_common::metrics::names;
@@ -66,7 +67,7 @@ fn is_insufficient(e: &PrestoError) -> bool {
 /// observed `ctx.spill.is_some()`, so a miss here is an engine bug — but it
 /// must surface as an error with query context, not a panic that takes the
 /// whole engine loop down.
-fn spill_manager(ctx: &ExecutionContext) -> Result<std::sync::Arc<presto_resource::SpillManager>> {
+fn spill_manager(ctx: &ExecutionContext) -> Result<Arc<presto_resource::SpillManager>> {
     ctx.spill.as_ref().cloned().ok_or_else(|| {
         PrestoError::Internal(format!(
             "query {}: spill fallback entered without a spill manager",
@@ -90,7 +91,8 @@ fn evaluate<'a>(
 }
 
 /// The rows a boolean column selects: TRUE, not FALSE or NULL. A mask
-/// without NULLs is its own selection.
+/// without NULLs is its own selection; a dictionary's entries are selected
+/// once and read through its ids.
 fn selection(mask: Block) -> Vec<bool> {
     match mask {
         Block::Boolean { values, nulls: None } => values,
@@ -98,16 +100,20 @@ fn selection(mask: Block) -> Vec<bool> {
             values.iter_mut().zip(nulls).for_each(|(v, null)| *v &= !null);
             values
         }
-        encoded @ Block::Dictionary { .. } => selection(encoded.decode_dictionary()),
+        Block::Dictionary { dictionary, ids } => {
+            let entries = selection(*dictionary);
+            ids.iter().map(|&id| entries[id as usize]).collect()
+        }
         other => vec![false; other.len()],
     }
 }
 
-fn page_of(blocks: Vec<Block>, rows: usize) -> Result<Page> {
+/// A page of `rows` rows over `blocks`, owned or shared.
+fn page_of(blocks: Vec<impl Into<Arc<Block>>>, rows: usize) -> Result<Page> {
     if blocks.is_empty() {
         Ok(Page::zero_column(rows))
     } else {
-        Page::new(blocks)
+        Page::from_columns(blocks.into_iter().map(Into::into).collect())
     }
 }
 
@@ -207,38 +213,21 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecutionContext, span: SpanId) -> Res
             let pages = execute_traced(input, ctx, Some(span))?;
             let mut out = Vec::with_capacity(pages.len());
             for page in pages {
-                let rows = page.positions();
-                // computed columns first, while the page is whole...
-                let mut blocks = expressions
-                    .iter()
-                    .map(|(_, e)| match e {
-                        RowExpression::VariableReference { .. } => Ok(None),
-                        computed => ctx.evaluator.evaluate(computed, &page).map(Some),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                // ...then a bare reference moves its column out of the page
-                // this operator owns; a column named again is copied from
-                // the slot it moved to.
-                let mut columns: Vec<Option<Block>> =
-                    page.into_blocks().into_iter().map(Some).collect();
-                let mut moved_to = vec![usize::MAX; columns.len()];
-                for (slot, (_, e)) in expressions.iter().enumerate() {
-                    let RowExpression::VariableReference { index, .. } = e else { continue };
-                    let block = match columns.get_mut(*index).and_then(Option::take) {
-                        Some(block) => {
-                            moved_to[*index] = slot;
-                            Some(block)
-                        }
-                        None => moved_to.get(*index).and_then(|&first| blocks.get(first)?.clone()),
-                    };
-                    blocks[slot] = Some(block.ok_or_else(|| {
-                        PrestoError::Internal(format!(
-                            "projection of channel {index} of a {}-column page",
-                            columns.len()
-                        ))
-                    })?);
-                }
-                out.push(page_of(blocks.into_iter().flatten().collect(), rows)?);
+                // a bare reference shares its column, however often named
+                let column = |e: &RowExpression| match e {
+                    RowExpression::VariableReference { index, .. } => {
+                        page.blocks().get(*index).cloned().ok_or_else(|| {
+                            PrestoError::Internal(format!(
+                                "projection of channel {index} of a {}-column page",
+                                page.column_count()
+                            ))
+                        })
+                    }
+                    computed => ctx.evaluator.evaluate(computed, &page).map(Arc::new),
+                };
+                let blocks: Vec<Arc<Block>> =
+                    expressions.iter().map(|(_, e)| column(e)).collect::<Result<_>>()?;
+                out.push(page_of(blocks, page.positions())?);
             }
             Ok(out)
         }
@@ -779,18 +768,15 @@ impl JoinBuild {
             // null extension — a pair failing the residual is not a match, so
             // its LEFT row must still appear null-extended.
             if let Some(residual) = &layout.residual {
-                let mut columns: Vec<Block> = match &probe_idx {
-                    None => residual.probe.iter().map(|&c| probe.block(c).clone()).collect(),
-                    Some(idx) => residual.probe.iter().map(|&c| probe.block(c).take(idx)).collect(),
+                let mut columns: Vec<Arc<Block>> = match &probe_idx {
+                    None => residual.probe.iter().map(|&c| probe.column(c).clone()).collect(),
+                    Some(idx) => {
+                        residual.probe.iter().map(|&c| Arc::new(probe.block(c).take(idx))).collect()
+                    }
                 };
-                columns.extend(gather_build(
-                    &build,
-                    &residual.build,
-                    &build_idx,
-                    0,
-                    null_entry,
-                    &mut entries,
-                )?);
+                let build_columns =
+                    gather_build(&build, &residual.build, &build_idx, 0, null_entry, &mut entries)?;
+                columns.extend(build_columns.into_iter().map(Arc::new));
                 let pairs = page_of(columns, build_idx.len())?;
                 let keep = selection(ctx.evaluator.evaluate(&residual.expr, &pairs)?);
                 if keep.contains(&false) {
@@ -824,34 +810,32 @@ impl JoinBuild {
                 &mut entries,
             )?;
             for (&c, block) in layout.build_used.iter().zip(gathered) {
-                build_columns[c] = Some(block);
+                build_columns[c] = Some(Arc::new(block));
             }
-            let mut probe_columns = match probe_idx {
-                // every row matched once, in order: the columns move
-                None => probe.into_blocks().into_iter().map(Some).collect(),
+            let probe_columns = match probe_idx {
+                // every row matched once, in order: the page's own columns
+                None => probe.blocks().iter().cloned().map(Some).collect(),
                 Some(mut idx) => {
                     idx.extend(misses);
                     let mut columns = vec![None; probe.column_count()];
                     for &c in &layout.probe_used {
-                        columns[c] = Some(probe.block(c).take(&idx));
+                        columns[c] = Some(Arc::new(probe.block(c).take(&idx)));
                     }
                     columns
                 }
             };
-            let mut blocks: Vec<Block> = Vec::with_capacity(layout.output.len());
-            for (slot, side) in layout.output.iter().enumerate() {
-                // a channel emitted twice is copied from its first slot
-                let block = match layout.output[..slot].iter().position(|s| s == side) {
-                    Some(first) => Some(blocks[first].clone()),
-                    None => match *side {
-                        Side::Probe(c) => probe_columns.get_mut(c).and_then(Option::take),
-                        Side::Build(c) => build_columns.get_mut(c).and_then(Option::take),
-                    },
+            // a channel emitted twice shares one column
+            let column = |side: &Side| {
+                let column = match *side {
+                    Side::Probe(c) => probe_columns.get(c),
+                    Side::Build(c) => build_columns.get(c),
                 };
-                blocks.push(block.ok_or_else(|| {
+                column.cloned().flatten().ok_or_else(|| {
                     PrestoError::Internal(format!("join output {side:?} was not gathered"))
-                })?);
-            }
+                })
+            };
+            let blocks: Vec<Arc<Block>> =
+                layout.output.iter().map(column).collect::<Result<_>>()?;
             out.push(page_of(blocks, emitted)?);
         }
         Ok(out)
@@ -1579,7 +1563,7 @@ mod tests {
         let ctx = ctx_with_spill(400);
         let spilled = execute_to_rows(&plan, &ctx).unwrap();
         assert_eq!(spilled, unconstrained);
-        assert!(ctx.metrics.get("spill.files") > 0, "aggregation did not spill");
+        assert!(ctx.metrics.get(names::SPILL_FILES) > 0, "aggregation did not spill");
         assert_eq!(ctx.reserved_memory(), 0, "reservation leaked");
     }
 
@@ -1613,7 +1597,7 @@ mod tests {
         let spilled = execute_to_rows(&plan, &ctx).unwrap();
         // Grace partitioning reorders rows across partitions
         assert_eq!(sorted_rows(spilled), sorted_rows(unconstrained));
-        assert!(ctx.metrics.get("spill.files") > 0, "join did not spill");
+        assert!(ctx.metrics.get(names::SPILL_FILES) > 0, "join did not spill");
         assert_eq!(ctx.reserved_memory(), 0, "reservation leaked");
     }
 
@@ -1633,7 +1617,7 @@ mod tests {
         let spilled = execute_to_rows(&plan, &ctx).unwrap();
         // external merge sort must reproduce the stable in-memory order exactly
         assert_eq!(spilled, unconstrained);
-        assert!(ctx.metrics.get("spill.files") > 0, "sort did not spill");
+        assert!(ctx.metrics.get(names::SPILL_FILES) > 0, "sort did not spill");
         assert_eq!(ctx.reserved_memory(), 0, "reservation leaked");
     }
 
@@ -1653,6 +1637,25 @@ mod tests {
         .unwrap();
         let err = execute(&plan, &ctx).unwrap_err();
         assert_eq!(err.code(), "INSUFFICIENT_RESOURCES");
+    }
+
+    /// A dictionary mask selects through its ids what its decoded form
+    /// selects: a NULL entry (TRUE underneath) and FALSE select nothing,
+    /// repeated entries select each time, an unused entry is never read.
+    #[test]
+    fn a_dictionary_mask_selects_what_its_decoded_form_does() {
+        let entries = Block::Boolean {
+            values: vec![true, true, true, false],
+            nulls: Some(vec![false, true, false, false]),
+        };
+        let ids = vec![0, 1, 3, 0, 1, 0, 3, 3];
+        let mask = Block::Dictionary { dictionary: Box::new(entries), ids };
+        let expected = selection(mask.decode_dictionary());
+        assert_eq!(expected, [true, false, false, true, false, true, false, false]);
+        assert_eq!(selection(mask.clone()), expected);
+        let nested = Block::Dictionary { dictionary: Box::new(mask), ids: vec![7, 0, 3, 3] };
+        assert_eq!(selection(nested.decode_dictionary()), [false, true, true, true]);
+        assert_eq!(selection(nested), [false, true, true, true]);
     }
 
     #[test]

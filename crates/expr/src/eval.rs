@@ -384,24 +384,7 @@ impl Evaluator {
                     }
                     Operand::Column(block) => block,
                 };
-                match &*flatten(&base) {
-                    Block::Row { children, nulls, .. } => {
-                        let child = children.get(*field_index).ok_or_else(|| {
-                            PrestoError::Internal(format!(
-                                "dereference of field {field_index} out of range"
-                            ))
-                        })?;
-                        // A NULL struct makes every dereferenced field NULL.
-                        Ok(Operand::column(match nulls {
-                            None => child.clone(),
-                            Some(parent_nulls) => child.clone().null_where(parent_nulls),
-                        }))
-                    }
-                    other => Err(PrestoError::Execution(format!(
-                        "DEREFERENCE of non-row block {}",
-                        other.data_type()
-                    ))),
-                }
+                dereference(base, *field_index).map(Operand::Column)
             }
         }
     }
@@ -555,6 +538,54 @@ fn flatten(block: &Block) -> Cow<'_, Block> {
         Block::Dictionary { .. } => Cow::Owned(block.decode_dictionary()),
         flat => Cow::Borrowed(flat),
     }
+}
+
+/// Field `index` of every row of the ROW column `base`; a NULL struct
+/// makes the field NULL. A plain struct's child is moved out of an owned
+/// base and borrowed from a borrowed one (copied only to lay the struct's
+/// NULLs over it). Over a dictionary the field is a dictionary too: the
+/// entries' field, read through the same ids.
+fn dereference(base: Cow<'_, Block>, index: usize) -> Result<Cow<'_, Block>> {
+    let missing = || PrestoError::Internal(format!("dereference of field {index} out of range"));
+    let (entries, ids) = match base {
+        Cow::Borrowed(Block::Row { children, nulls, .. }) => {
+            let child = children.get(index).ok_or_else(missing)?;
+            return Ok(match nulls {
+                None => Cow::Borrowed(child),
+                Some(nulls) => Cow::Owned(child.clone().null_where(nulls)),
+            });
+        }
+        Cow::Owned(Block::Row { mut children, nulls, .. }) => {
+            if index >= children.len() {
+                return Err(missing());
+            }
+            let child = children.swap_remove(index);
+            return Ok(Cow::Owned(match nulls {
+                None => child,
+                Some(nulls) => child.null_where(&nulls),
+            }));
+        }
+        Cow::Borrowed(Block::Dictionary { dictionary, ids }) => {
+            (dereference(Cow::Borrowed(dictionary), index)?, Cow::Borrowed(ids))
+        }
+        Cow::Owned(Block::Dictionary { dictionary, ids }) => {
+            (dereference(Cow::Owned(*dictionary), index)?, Cow::Owned(ids))
+        }
+        other => {
+            return Err(PrestoError::Execution(format!(
+                "DEREFERENCE of non-row block {}",
+                other.data_type()
+            )))
+        }
+    };
+    // a field that is a dictionary itself composes its ids: one level
+    Ok(Cow::Owned(match entries.into_owned() {
+        Block::Dictionary { dictionary, ids: inner } => {
+            let ids = ids.iter().map(|&id| inner[id as usize]).collect();
+            Block::Dictionary { dictionary, ids }
+        }
+        entries => Block::Dictionary { dictionary: Box::new(entries), ids: ids.into_owned() },
+    }))
 }
 
 /// The operands' values when every one of them is a scalar.
@@ -868,6 +899,66 @@ mod tests {
         };
         let b = ev.evaluate(&deref, &page).unwrap();
         assert_eq!(b.to_values(), vec![12i64.into(), Value::Null, 7i64.into()]);
+    }
+
+    /// DEREFERENCE over a dictionary of ROW entries — a NULL struct, an
+    /// entry whose field is a dictionary itself, a nested ROW read twice —
+    /// equals DEREFERENCE over the decoded block, and stays a dictionary.
+    #[test]
+    fn dereference_of_a_dictionary_reads_its_entries_field() {
+        let ev = evaluator();
+        let loc_type = DataType::row(vec![Field::new("lat", DataType::Double)]);
+        let base_type = DataType::row(vec![
+            Field::new("driver_uuid", DataType::Varchar),
+            Field::new("city_id", DataType::Bigint),
+            Field::new("loc", loc_type.clone()),
+        ]);
+        let row = |uuid: &str, city: Value, lat: Value| {
+            Value::Row(vec![uuid.into(), city, Value::Row(vec![lat])])
+        };
+        let entries = Block::from_values(
+            &base_type,
+            &[
+                row("d1", 12i64.into(), 1.5.into()),
+                Value::Null,
+                row("d2", Value::Null, Value::Null),
+                row("d3", 7i64.into(), 2.5.into()),
+            ],
+        )
+        .unwrap();
+        // the uuids as a dictionary inside the struct
+        let Block::Row { fields, mut children, len, nulls } = entries else { panic!("row") };
+        let uuids =
+            Block::Dictionary { dictionary: Box::new(children[0].clone()), ids: vec![3, 2, 1, 0] };
+        children[0] = uuids;
+        let entries = Block::Row { fields, children, len, nulls };
+        let column =
+            Block::Dictionary { dictionary: Box::new(entries), ids: vec![0, 1, 2, 0, 1, 3] };
+        let deref = |base: RowExpression, field_index: usize, return_type: DataType| {
+            RowExpression::SpecialForm {
+                form: SpecialForm::Dereference { field_index },
+                args: vec![base],
+                return_type,
+            }
+        };
+        let base = RowExpression::column("base", 0, base_type);
+        let lat = deref(deref(base.clone(), 2, loc_type), 0, DataType::Double);
+        let fields =
+            [deref(base.clone(), 0, DataType::Varchar), deref(base, 1, DataType::Bigint), lat];
+        let encoded = Page::new(vec![column.clone()]).unwrap();
+        let decoded = Page::new(vec![column.decode_dictionary()]).unwrap();
+        for expr in &fields {
+            let via_ids = ev.evaluate(expr, &encoded).unwrap();
+            assert!(matches!(via_ids, Block::Dictionary { .. }), "{via_ids:?}");
+            let Block::Dictionary { dictionary, .. } = &via_ids else { unreachable!() };
+            assert!(!matches!(**dictionary, Block::Dictionary { .. }), "nested");
+            assert_eq!(via_ids.to_values(), ev.evaluate(expr, &decoded).unwrap().to_values());
+        }
+        let lats = ev.evaluate(&fields[2], &encoded).unwrap().to_values();
+        assert_eq!(
+            lats,
+            [1.5.into(), Value::Null, Value::Null, 1.5.into(), Value::Null, 2.5.into()]
+        );
     }
 
     #[test]

@@ -118,6 +118,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use presto_common::metrics::names;
 
     #[test]
     fn manager_wires_pool_and_spill() {
@@ -137,6 +138,6 @@ mod tests {
             presto_common::Page::new(vec![presto_common::Block::bigint(vec![1, 2, 3])]).unwrap();
         let file = spill.spill_pages(&schema, &[page]).unwrap();
         assert_eq!(spill.read(&file).unwrap()[0].positions(), 3);
-        assert!(metrics.get("spill.bytes_written") > 0);
+        assert!(metrics.get(names::SPILL_BYTES_WRITTEN) > 0);
     }
 }

@@ -156,8 +156,8 @@ mod tests {
         let (schema, pages) = sample();
         let file = spill.spill_pages(&schema, &pages).unwrap();
         assert_eq!(file.rows, 5);
-        assert!(metrics.get("spill.bytes_written") > 0);
-        assert_eq!(metrics.get("spill.files"), 1);
+        assert!(metrics.get(names::SPILL_BYTES_WRITTEN) > 0);
+        assert_eq!(metrics.get(names::SPILL_FILES), 1);
 
         let back = spill.read(&file).unwrap();
         let original: Vec<Vec<Value>> = pages.iter().flat_map(|p| p.rows()).collect();

@@ -52,9 +52,9 @@ fn lineitem_pages() -> Vec<Page> {
                 let values: Vec<Value> = (0..PAGE_ROWS)
                     .map(|i| if (i + p) % every == 0 { Value::Null } else { blocks[c].value(i) })
                     .collect();
-                blocks[c] = Block::from_values(&DataType::Varchar, &values).unwrap();
+                blocks[c] = Arc::new(Block::from_values(&DataType::Varchar, &values).unwrap());
             }
-            Page::new(blocks).unwrap()
+            Page::from_columns(blocks).unwrap()
         })
         .collect()
 }
@@ -154,7 +154,7 @@ impl Fixture {
         let request = ScanRequest { columns, ..ScanRequest::default() };
         let splits = self.memory.splits("default", table, &request).unwrap();
         let pages = self.memory.scan_split(&splits[0], &request, &ScanHooks::none()).unwrap();
-        pages[0].blocks().iter().map(|b| matches!(b, Block::Dictionary { .. })).collect()
+        pages[0].blocks().iter().map(|b| matches!(**b, Block::Dictionary { .. })).collect()
     }
 }
 

@@ -6,8 +6,9 @@
 //! so this holds on a noisy VM where a timing could not. A join's key table,
 //! sized once for its build side, allocates the same at any row count. The
 //! largest single allocation guards what must not be copied at all: a
-//! column under `count(*)`, and the pages a root fragment's exchanges
-//! deliver; and what must stay narrow: a sort's per-row state. The bytes a
+//! column under `count(*)`, a stored column a memory scan returns whole,
+//! and the pages a root fragment's exchanges deliver; and what must stay
+//! narrow: a sort's per-row state. The bytes a
 //! GROUP BY over dictionary strings allocates guard its per-row key state.
 
 #[path = "common/counting.rs"]
@@ -220,6 +221,35 @@ fn the_root_fragment_moves_its_exchanged_pages() {
     assert_eq!(out.iter().map(Page::positions).sum::<usize>(), 3 * ROWS);
     let column = ROWS * std::mem::size_of::<i64>();
     assert!(largest < column, "one allocation of {largest} bytes; a column is {column}");
+}
+
+/// A memory scan of whole columns hands out the stored columns, shared, so
+/// an aggregate over them allocates nothing as large as one page's column
+/// (N/2 rows × 8 B), at N rows or at 2N. A scan that copied what it returns
+/// would allocate exactly that, once per page and column.
+#[test]
+fn a_scan_of_whole_memory_columns_copies_no_column() {
+    const SHAPES: [&str; 3] = [
+        "SELECT id, price, id FROM facts",
+        "SELECT count(*), sum(price), max(id) FROM facts",
+        "SELECT flag, sum(price), min(bucket) FROM facts GROUP BY 1",
+    ];
+    const N: usize = 20_000;
+    for rows in [N, 2 * N] {
+        let (engine, session) = engine(rows);
+        let column = rows / 2 * std::mem::size_of::<i64>();
+        for sql in SHAPES {
+            counting::forget_largest();
+            let result = engine.execute_with_session(sql, &session).unwrap();
+            let largest = counting::largest();
+            assert!(result.row_count() > 0, "{sql}");
+            assert!(
+                largest < column,
+                "{sql} over {rows} rows: one allocation of {largest} bytes; a page's column is \
+                 {column}"
+            );
+        }
+    }
 }
 
 /// A GROUP BY over two dictionary VARCHAR columns reads each page's keys as

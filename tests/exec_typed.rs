@@ -270,8 +270,8 @@ impl Table {
                 row[c] = v.clone();
             }
             let mut blocks = std::mem::replace(page, Page::empty()).into_blocks();
-            blocks[c] = block(g, &DataType::Bigint, &column, value);
-            *page = Page::new(blocks).unwrap();
+            blocks[c] = Arc::new(block(g, &DataType::Bigint, &column, value));
+            *page = Page::from_columns(blocks).unwrap();
             all.extend(column);
         }
         all
@@ -308,8 +308,8 @@ impl Table {
         for (page, rows) in self.pages.iter_mut().zip(&self.rows) {
             let column: Vec<Value> = rows.iter().map(|row| row[c].clone()).collect();
             let mut blocks = std::mem::replace(page, Page::empty()).into_blocks();
-            blocks[c] = dictionary(g, &data_type, &column, draw);
-            *page = Page::new(blocks).unwrap();
+            blocks[c] = Arc::new(dictionary(g, &data_type, &column, draw));
+            *page = Page::from_columns(blocks).unwrap();
         }
     }
 
@@ -318,7 +318,7 @@ impl Table {
     }
 
     /// Each page's columns, as a key table is built over them.
-    fn columns(&self) -> Vec<&[Block]> {
+    fn columns(&self) -> Vec<&[Arc<Block>]> {
         self.pages.iter().map(Page::blocks).collect()
     }
 

@@ -225,7 +225,7 @@ fn dense_join_pages_carry_build_columns_as_dictionaries_and_answer_as_gathered()
         let (dense, peak, _) = run(&plan, vec![probe.clone()], &build, None);
         assert_eq!(dense.len(), 1, "{name}");
         for (c, column) in dense[0].blocks()[2..].iter().enumerate() {
-            let Block::Dictionary { dictionary, .. } = column else {
+            let Block::Dictionary { dictionary, .. } = column.as_ref() else {
                 panic!("{name}: build column {c} of a dense page is {column:?}");
             };
             assert!(!matches!(**dictionary, Block::Dictionary { .. }), "{name}: nested");
