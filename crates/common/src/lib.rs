@@ -22,6 +22,8 @@
 //! - [`order::RowOrder`] — row order under sort keys on typed columns of
 //!   one or more pages, with a stable sort of packed `u64` ranks, a
 //!   bounded-heap top-N, and a gather of the ordered rows from the pages.
+//! - [`keys::KeyTable`] — the one row-key codec: key columns, or a selection
+//!   of their rows, become dense ids for every GROUP BY and hash join.
 //! - [`dictionary::DictionaryBuilder`] — the one rule for when a column is
 //!   worth dictionary encoding, shared by the Parquet writer and the memory
 //!   connector.
@@ -45,6 +47,7 @@ pub mod domain;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod keys;
 pub mod metrics;
 pub mod order;
 pub mod page;

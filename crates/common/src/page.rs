@@ -128,9 +128,13 @@ impl Page {
         (0..self.positions).map(|i| self.row(i)).collect()
     }
 
-    /// Keep rows where `selection` is true.
+    /// Keep rows where `selection` is true. A mask that keeps every row
+    /// shares the columns.
     pub fn filter(&self, selection: &[bool]) -> Page {
         debug_assert_eq!(selection.len(), self.positions);
+        if !selection.contains(&false) {
+            return self.clone();
+        }
         if self.blocks.is_empty() {
             return Page::zero_column(selection.iter().filter(|&&keep| keep).count());
         }
@@ -249,12 +253,14 @@ mod tests {
         assert!(shares(&clone, 0, 0) && shares(&clone, 1, 1));
         let projected = p.project(&[1, 0, 1]);
         assert!(shares(&projected, 0, 1) && shares(&projected, 1, 0) && shares(&projected, 2, 1));
-        let rebuilt = [
-            p.take(&[0, 1, 2]),
-            p.slice(0, 3),
-            p.filter(&[true, true, true]),
-            Page::concat(std::slice::from_ref(&p)).unwrap(),
-        ];
+        // a filter that drops nothing is a clone; one that drops a row
+        // gathers its own columns
+        let unfiltered = p.filter(&[true, true, true]);
+        assert!(shares(&unfiltered, 0, 0) && shares(&unfiltered, 1, 1));
+        let filtered = p.filter(&[true, false, true]);
+        assert!(filtered.positions() == 2 && (0..2).all(|c| !shares(&filtered, c, c)));
+        let rebuilt =
+            [p.take(&[0, 1, 2]), p.slice(0, 3), Page::concat(std::slice::from_ref(&p)).unwrap()];
         for q in &rebuilt {
             assert_eq!(q, &p);
             assert!((0..2).all(|c| !shares(q, c, c)));

@@ -340,17 +340,19 @@ impl RealtimeStore {
         self.metrics.incr(names::RT_NATIVE_QUERIES);
         let t = self.table(schema_name, table)?;
         let conjuncts = kernel::compile(&t, &query.filters)?;
-        let mut aggregation = GroupedAggregation::new(&t, &query.group_by, &query.aggregates)?;
+        let segments = t.segments(segment_range);
+        let mut aggregation =
+            GroupedAggregation::new(&t, segments, &query.group_by, &query.aggregates)?;
         // Segments are scanned by parallel historicals: the query's latency
         // is the slowest segment's cost, not the sum.
         let mut cost = Duration::ZERO;
         let mut matched = 0u64;
         let mut candidates = Vec::new();
-        for seg in t.segments(segment_range) {
+        for (s, seg) in segments.iter().enumerate() {
             let selection = kernel::select(seg, &conjuncts, &mut candidates);
             matched += selection.len() as u64;
             cost = cost.max(self.segment_cost(selection.len()));
-            aggregation.consume(seg, &selection)?;
+            aggregation.consume(s, &selection)?;
         }
         self.metrics.add(names::RT_ROWS_MATCHED, matched);
         Ok((aggregation.finish()?, cost, matched))

@@ -11,8 +11,9 @@
 //! final-over-partial for aggregation pushdown), hash joins and cross joins,
 //! the QuadTree [`GeoJoin`](presto_plan::LogicalPlan::GeoJoin) of §VI, sort
 //! / top-N / limit, and exchange sources bound by the cluster runtime.
-//! The breakers stay on typed columns: [`keys`] turns key columns into dense
-//! group/join ids; [`executor`] says what each operator does with them.
+//! The breakers stay on typed columns: [`presto_common::keys`] turns key
+//! columns into dense group/join ids; [`executor`] says what each operator
+//! does with them.
 //!
 //! Memory is accounted against a session budget; exceeding it raises the
 //! paper's infamous `"Insufficient Resource"` error (§XII.C: "When users are
@@ -21,7 +22,6 @@
 pub mod context;
 pub mod exchange;
 pub mod executor;
-pub mod keys;
 
 pub use context::ExecutionContext;
 pub use executor::execute;

@@ -34,9 +34,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use reference::{cmp_keys, exact, reference_aggregate, reference_join};
 
+use presto_common::keys::{KeyTable, NO_KEY};
 use presto_common::{Block, DataType, Field, Page, Schema, Value};
 use presto_connectors::CatalogRegistry;
-use presto_exec::keys::{KeyTable, NO_KEY};
 use presto_exec::{execute, ExecutionContext};
 use presto_expr::{AggregateFunction, FunctionHandle, RowExpression};
 use presto_plan::logical::{AggregateExpr, AggregateStep, JoinKind, LogicalPlan, SortKey};
@@ -815,7 +815,8 @@ const NO_PAGES: &[&[Block]] = &[];
 /// small column: the dense layout's digits, dense past 20 rows. A third are
 /// two BIGINTs of unequal spans, 0..=1 and -3..=3, the narrow one first or
 /// second: dense from 9 rows, the narrow column weighing 1 in either order.
-/// Every page again with each column a dictionary gets the same ids. A
+/// Every page again with each column a dictionary gets the same ids, and a
+/// selection of each page's rows the ids of those rows taken. A
 /// probe page of other values — strings and integers the build rows never
 /// held among them — finds exactly the ids of equal build rows. Other key shapes cover the packed word (VARCHAR
 /// interned, alone or beside BIGINT) and the byte layout (nested, or four
@@ -872,13 +873,13 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     let mut grown = KeyTable::join(&types, NO_PAGES);
     let (mut ids, mut join_ids, mut page_ids) = (Vec::new(), Vec::new(), Vec::new());
     for page in &table.pages {
-        groups.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        groups.resolve(page.blocks(), None, true, &mut page_ids).unwrap();
         ids.extend_from_slice(&page_ids);
-        hashed.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        hashed.resolve(page.blocks(), None, true, &mut page_ids).unwrap();
         prop_assert_eq!(&page_ids[..], &ids[ids.len() - page_ids.len()..], "seed {}", seed);
-        joins.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        joins.resolve(page.blocks(), None, true, &mut page_ids).unwrap();
         join_ids.extend_from_slice(&page_ids);
-        grown.resolve(page.blocks(), true, &mut page_ids).unwrap();
+        grown.resolve(page.blocks(), None, true, &mut page_ids).unwrap();
         prop_assert_eq!(
             &page_ids[..],
             &join_ids[join_ids.len() - page_ids.len()..],
@@ -903,10 +904,18 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     let mut dictionaries = KeyTable::group_by(&types, &dictionary_pages);
     let mut dictionary_ids = Vec::new();
     for blocks in &dictionary_pages {
-        dictionaries.resolve(blocks, true, &mut page_ids).unwrap();
+        dictionaries.resolve(blocks, None, true, &mut page_ids).unwrap();
         dictionary_ids.extend_from_slice(&page_ids);
     }
     prop_assert_eq!(&dictionary_ids, &ids, "seed {}", seed);
+    // a selection of each page's rows, plain and as dictionaries
+    let plain_pages: Vec<Vec<Block>> = table
+        .pages
+        .iter()
+        .map(|page| page.blocks().iter().map(|block| Block::clone(block)).collect())
+        .collect();
+    selected_rows_resolve_as_taken_rows(g, &types, &plain_pages, seed);
+    selected_rows_resolve_as_taken_rows(g, &types, &dictionary_pages, seed);
     let mut next = 0;
     for i in 0..rows.len() {
         for j in 0..i {
@@ -935,7 +944,7 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     // interned string — in a table laid out over the pages or grown
     for mut fresh in [KeyTable::group_by(&types, &columns), KeyTable::group_by(&types, NO_PAGES)] {
         for page in &table.pages {
-            fresh.resolve(page.blocks(), false, &mut page_ids).unwrap();
+            fresh.resolve(page.blocks(), None, false, &mut page_ids).unwrap();
             prop_assert!(page_ids.iter().all(|&id| id == NO_KEY));
         }
         prop_assert_eq!(fresh.distinct(), 0);
@@ -943,7 +952,7 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
     }
     let (interned, mut again) = (groups.interned(), Vec::new());
     for page in &table.pages {
-        groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        groups.resolve(page.blocks(), None, false, &mut page_ids).unwrap();
         again.extend_from_slice(&page_ids);
     }
     prop_assert_eq!(&again, &ids);
@@ -959,17 +968,51 @@ fn key_codec_case(seed: u64, small: bool) -> bool {
         .map(|(r, &id)| (r, id))
         .collect();
     for (page, page_rows) in probe.pages.iter().zip(&probe.rows) {
-        groups.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        groups.resolve(page.blocks(), None, false, &mut page_ids).unwrap();
         let expected: Vec<u32> =
             page_rows.iter().map(|r| group_of.get(r).copied().unwrap_or(NO_KEY)).collect();
         prop_assert_eq!(&page_ids, &expected, "group-by lookup, seed {}", seed);
-        joins.resolve(page.blocks(), false, &mut page_ids).unwrap();
+        joins.resolve(page.blocks(), None, false, &mut page_ids).unwrap();
         let expected: Vec<u32> =
             page_rows.iter().map(|r| join_of.get(r).copied().unwrap_or(NO_KEY)).collect();
         prop_assert_eq!(&page_ids, &expected, "join lookup, seed {}", seed);
     }
     prop_assert_eq!(groups.interned(), interned);
     groups.dense_bytes() > 0
+}
+
+/// Resolving a selection of each page's rows — drawn in any order, repeats
+/// and none among them — deals the ids resolving those rows taken into
+/// blocks of their own deals, in a group-by and a join table laid out over
+/// `pages`: in every layout, and through a key that is one dictionary
+/// column.
+fn selected_rows_resolve_as_taken_rows(
+    g: &mut Gen,
+    types: &[DataType],
+    pages: &[Vec<Block>],
+    seed: u64,
+) {
+    for join in [false, true] {
+        let table = || match join {
+            false => KeyTable::group_by(types, pages),
+            true => KeyTable::join(types, pages),
+        };
+        let (mut through, mut taken) = (table(), table());
+        let (mut via_selection, mut via_taken) = (Vec::new(), Vec::new());
+        for page in pages {
+            let rows: Vec<u32> = match page[0].len() {
+                0 => Vec::new(),
+                n => (0..g.below(n + 3)).map(|_| g.below(n) as u32).collect(),
+            };
+            let indices: Vec<usize> = rows.iter().map(|&row| row as usize).collect();
+            let gathered: Vec<Block> = page.iter().map(|block| block.take(&indices)).collect();
+            through.resolve(page, Some(&rows), true, &mut via_selection).unwrap();
+            taken.resolve(&gathered, None, true, &mut via_taken).unwrap();
+            prop_assert_eq!(&via_selection, &via_taken, "seed {} join {}", seed, join);
+        }
+        prop_assert_eq!(through.distinct(), taken.distinct(), "seed {}", seed);
+        prop_assert_eq!(through.interned(), taken.interned(), "seed {}", seed);
+    }
 }
 
 /// [`key_codec_case`] on the small-range shape over 10k seeds — integral

@@ -17,12 +17,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use presto_common::keys::KeyTable;
 use presto_common::metrics::CounterSet;
 use presto_common::{Block, DataType, Field, Page, Schema, Value};
 use presto_connectors::hive::{HiveConnector, HiveReaderConfig};
 use presto_connectors::{CatalogRegistry, ColumnPath, Connector, ScanHooks, ScanRequest};
 use presto_core::{PrestoEngine, Session};
-use presto_exec::keys::KeyTable;
 use presto_exec::{execute, ExecutionContext};
 use presto_expr::{FunctionHandle, RowExpression};
 use presto_parquet::{WriterMode, WriterProperties};
@@ -332,8 +332,8 @@ proptest! {
             for (page, (column, plain)) in columns.iter().zip(&plain).enumerate() {
                 let insert = !join || page == 0;
                 let (mut via_entries, mut via_rows) = (Vec::new(), Vec::new());
-                encoded.resolve(&[column], insert, &mut via_entries).unwrap();
-                decoded.resolve(&[plain], insert, &mut via_rows).unwrap();
+                encoded.resolve(&[column], None, insert, &mut via_entries).unwrap();
+                decoded.resolve(&[plain], None, insert, &mut via_rows).unwrap();
                 prop_assert_eq!(via_entries, via_rows);
                 prop_assert_eq!(encoded.distinct(), decoded.distinct());
             }

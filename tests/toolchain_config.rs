@@ -157,3 +157,19 @@ fn every_lock_is_ranked() {
     let root = table(&read("Cargo.toml"), "[dependencies]");
     assert!(root.iter().all(|d| !d.starts_with("parking_lot")), "{root:?}");
 }
+
+/// No `.rs` file uses `crossbeam`, so no workspace manifest names it: not a
+/// crate's dependencies, nor the root's `[workspace.dependencies]` or
+/// `[patch.crates-io]`.
+#[test]
+fn no_workspace_manifest_names_crossbeam() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let entries = fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    let mut manifests: Vec<String> = entries
+        .filter_map(|e| Some(format!("crates/{}/Cargo.toml", e.ok()?.file_name().to_str()?)))
+        .collect();
+    manifests.push("Cargo.toml".to_string());
+    for manifest in manifests {
+        assert!(!read(&manifest).contains("crossbeam"), "{manifest} names crossbeam");
+    }
+}
