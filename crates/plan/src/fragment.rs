@@ -35,20 +35,22 @@ impl PlanFragment {
 /// Split `plan` into fragments. Returns fragments ordered root-first;
 /// fragment ids match `RemoteSource.fragment` references.
 pub fn fragment_plan(plan: LogicalPlan) -> Result<Vec<PlanFragment>> {
-    let mut fragments: Vec<Option<PlanFragment>> = vec![None];
+    let mut fragments = Vec::new();
     let mut root = plan;
     extract_scans(&mut root, &mut fragments)?;
-    fragments[0] = Some(PlanFragment { id: 0, plan: root });
-    Ok(fragments.into_iter().map(|f| f.expect("all fragments filled")).collect())
+    fragments.insert(0, PlanFragment { id: 0, plan: root });
+    Ok(fragments)
 }
 
-fn extract_scans(plan: &mut LogicalPlan, fragments: &mut Vec<Option<PlanFragment>>) -> Result<()> {
+/// Replace each scan under `plan` with a RemoteSource, pushing the scan as
+/// fragment `fragments.len() + 1`; the root, fragment 0, goes in after.
+fn extract_scans(plan: &mut LogicalPlan, fragments: &mut Vec<PlanFragment>) -> Result<()> {
     if !matches!(plan, LogicalPlan::TableScan { .. }) {
         return plan.children_mut().into_iter().try_for_each(|c| extract_scans(c, fragments));
     }
-    let id = fragments.len() as u32;
+    let id = fragments.len() as u32 + 1;
     let source = LogicalPlan::RemoteSource { fragment: id, schema: plan.output_schema()? };
-    fragments.push(Some(PlanFragment { id, plan: std::mem::replace(plan, source) }));
+    fragments.push(PlanFragment { id, plan: std::mem::replace(plan, source) });
     Ok(())
 }
 

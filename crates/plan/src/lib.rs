@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Logical planning: the plan tree, the rule-based optimizer, and the plan
 //! fragmenter (§III, Fig 1: "Analyzer generates logical plan ... optimizers

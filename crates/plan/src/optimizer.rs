@@ -350,8 +350,11 @@ fn push_filter(
     match input {
         // merge stacked filters
         LogicalPlan::Filter { input: inner, predicate: inner_pred } => {
-            let combined = RowExpression::combine_conjuncts(vec![inner_pred, predicate])
-                .expect("two conjuncts");
+            let combined = RowExpression::SpecialForm {
+                form: SpecialForm::And,
+                args: vec![inner_pred, predicate],
+                return_type: DataType::Boolean,
+            };
             push_filter(*inner, combined, catalogs)
         }
         // inline project expressions into the predicate and push below

@@ -32,32 +32,31 @@ pub fn analyze(query: &QueryExpr, ctx: &AnalyzerContext) -> Result<LogicalPlan> 
         }
         QueryExpr::UnionAll { branches, order_by, limit } => {
             let mut inputs = Vec::with_capacity(branches.len());
-            let mut first_names: Option<Vec<String>> = None;
-            for branch in branches {
-                let (plan, names) = analyze_query(branch, ctx)?;
-                if first_names.is_none() {
-                    first_names = Some(names);
+            let mut names = Vec::new();
+            for (i, branch) in branches.iter().enumerate() {
+                let (plan, branch_names) = analyze_query(branch, ctx)?;
+                if i == 0 {
+                    names = branch_names;
                 }
                 inputs.push(plan);
             }
-            let names = first_names.expect("union has at least two branches");
             let union = LogicalPlan::Union { inputs };
-            let schema = union.output_schema()?; // type-check the sides
+            union.output_schema()?; // type-check the sides
 
             // union-level ORDER BY: ordinals and first-branch output names
-            let mut plan = union;
-            if !order_by.is_empty() {
-                let mut keys = Vec::with_capacity(order_by.len());
-                for (ast, desc) in order_by {
-                    let expr = resolve_order_key(ast, &names, &schema, None, &[])?;
-                    keys.push(SortKey { expr, descending: *desc });
-                }
-                plan = LogicalPlan::Sort { input: Box::new(plan), keys };
-            }
-            if let Some(limit) = limit {
-                plan = LogicalPlan::Limit { input: Box::new(plan), count: *limit as usize };
-            }
-            Ok(plan)
+            let order = order_by
+                .iter()
+                .map(|(ast, desc)| {
+                    let channel = output_channel(ast, &names)?.ok_or_else(|| {
+                        PrestoError::Analysis(format!(
+                            "cannot resolve ORDER BY expression '{}'",
+                            ast.default_name()
+                        ))
+                    })?;
+                    Ok((channel, *desc))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            sort_and_limit(union, &order, *limit)
         }
     }
 }
@@ -183,7 +182,7 @@ fn analyze_table_ref(table_ref: &TableRef, ctx: &AnalyzerContext) -> Result<(Log
                     return Err(PrestoError::Analysis("JOIN requires an ON condition".into()))
                 }
                 (_, Some(condition)) => {
-                    let analyzed = analyze_expr(condition, &combined, ctx)?;
+                    let analyzed = analyze_expr(condition, &Binding::Rows(&combined), ctx)?;
                     require_boolean(&analyzed, "JOIN condition")?;
                     let (keys, rest) = split_equi_keys(analyzed.conjuncts(), left_width);
                     (keys, RowExpression::combine_conjuncts(rest))
@@ -207,9 +206,42 @@ fn analyze_table_ref(table_ref: &TableRef, ctx: &AnalyzerContext) -> Result<(Log
 
 // ------------------------------------------------------------- expressions
 
-fn analyze_expr(expr: &Expr, scope: &Scope, ctx: &AnalyzerContext) -> Result<RowExpression> {
+/// What the names in an expression bind to. Every clause's expressions go
+/// through [`analyze_expr`]; only the binding differs.
+enum Binding<'a> {
+    /// The FROM relation's columns: JOIN ON, WHERE, GROUP BY, aggregate
+    /// arguments, and every clause of a query without aggregation.
+    Rows(&'a Scope),
+    /// The Aggregate node's output, for SELECT, HAVING and ORDER BY after
+    /// aggregation: a sub-expression equal to a GROUP BY item (channels
+    /// `0..keys.len()`) or to an aggregate call (the channels after) is that
+    /// channel, and a column reference left over is an error.
+    Groups { keys: Vec<Expr>, calls: Vec<&'a Expr>, schema: Schema },
+}
+
+fn analyze_expr(
+    expr: &Expr,
+    binding: &Binding<'_>,
+    ctx: &AnalyzerContext,
+) -> Result<RowExpression> {
+    if let Binding::Groups { keys, calls, schema } = binding {
+        let channel = keys
+            .iter()
+            .position(|k| k == expr)
+            .or_else(|| calls.iter().position(|c| *c == expr).map(|i| keys.len() + i));
+        if let Some(channel) = channel {
+            return Ok(output_column(schema, channel));
+        }
+    }
+    let analyze = |e: &Expr| analyze_expr(e, binding, ctx);
     match expr {
         Expr::Identifier(parts) => {
+            let Binding::Rows(scope) = binding else {
+                return Err(PrestoError::Analysis(format!(
+                    "column '{}' must appear in GROUP BY or inside an aggregate",
+                    parts.join(".")
+                )));
+            };
             let (channel, path) = scope.resolve(parts)?;
             let column = &scope.columns[channel];
             let mut out =
@@ -240,58 +272,50 @@ fn analyze_expr(expr: &Expr, scope: &Scope, ctx: &AnalyzerContext) -> Result<Row
         Expr::Boolean(b) => Ok(RowExpression::boolean(*b)),
         Expr::Null => Ok(RowExpression::null(DataType::Varchar)),
         Expr::BinaryOp { op, left, right } => {
-            let l = analyze_expr(left, scope, ctx)?;
-            let r = analyze_expr(right, scope, ctx)?;
-            match op {
+            let (l, r) = (analyze(left)?, analyze(right)?);
+            let name = match op {
                 BinaryOp::And | BinaryOp::Or => {
                     require_boolean(&l, "AND/OR operand")?;
                     require_boolean(&r, "AND/OR operand")?;
-                    Ok(RowExpression::SpecialForm {
+                    return Ok(RowExpression::SpecialForm {
                         form: if *op == BinaryOp::And { SpecialForm::And } else { SpecialForm::Or },
                         args: vec![l, r],
                         return_type: DataType::Boolean,
-                    })
+                    });
                 }
-                _ => {
-                    let name = match op {
-                        BinaryOp::Eq => "eq",
-                        BinaryOp::Neq => "neq",
-                        BinaryOp::Lt => "lt",
-                        BinaryOp::Lte => "lte",
-                        BinaryOp::Gt => "gt",
-                        BinaryOp::Gte => "gte",
-                        BinaryOp::Add => "add",
-                        BinaryOp::Sub => "sub",
-                        BinaryOp::Mul => "mul",
-                        BinaryOp::Div => "div",
-                        BinaryOp::Mod => "mod",
-                        BinaryOp::Like => "like",
-                        BinaryOp::And | BinaryOp::Or => unreachable!(),
-                    };
-                    let handle = ctx.registry.resolve(name, &[l.data_type(), r.data_type()])?;
-                    Ok(RowExpression::Call { handle, args: vec![l, r] })
-                }
-            }
+                BinaryOp::Eq => "eq",
+                BinaryOp::Neq => "neq",
+                BinaryOp::Lt => "lt",
+                BinaryOp::Lte => "lte",
+                BinaryOp::Gt => "gt",
+                BinaryOp::Gte => "gte",
+                BinaryOp::Add => "add",
+                BinaryOp::Sub => "sub",
+                BinaryOp::Mul => "mul",
+                BinaryOp::Div => "div",
+                BinaryOp::Mod => "mod",
+                BinaryOp::Like => "like",
+            };
+            let handle = ctx.registry.resolve(name, &[l.data_type(), r.data_type()])?;
+            Ok(RowExpression::Call { handle, args: vec![l, r] })
         }
         Expr::Not(inner) => {
-            let e = analyze_expr(inner, scope, ctx)?;
+            let e = analyze(inner)?;
             require_boolean(&e, "NOT operand")?;
-            let handle = ctx.registry.resolve("not", &[DataType::Boolean])?;
-            Ok(RowExpression::Call { handle, args: vec![e] })
+            not(e, ctx)
         }
         Expr::Negate(inner) => {
-            let e = analyze_expr(inner, scope, ctx)?;
+            let e = analyze(inner)?;
             let handle = ctx.registry.resolve("negate", &[e.data_type()])?;
             Ok(RowExpression::Call { handle, args: vec![e] })
         }
-        Expr::FunctionCall { name, args, is_star } => {
-            if AggregateFunction::from_name(name).is_some() || *is_star {
+        Expr::FunctionCall { name, args, .. } => {
+            if is_aggregate_call(expr) {
                 return Err(PrestoError::Analysis(format!(
                     "aggregate function {name}() is not allowed here"
                 )));
             }
-            let analyzed: Vec<RowExpression> =
-                args.iter().map(|a| analyze_expr(a, scope, ctx)).collect::<Result<Vec<_>>>()?;
+            let analyzed = args.iter().map(analyze).collect::<Result<Vec<_>>>()?;
             let arg_types: Vec<DataType> = analyzed.iter().map(|e| e.data_type()).collect();
             if name == "coalesce" {
                 // the first non-NULL argument; all of one type
@@ -310,69 +334,58 @@ fn analyze_expr(expr: &Expr, scope: &Scope, ctx: &AnalyzerContext) -> Result<Row
             Ok(RowExpression::Call { handle, args: analyzed })
         }
         Expr::InList { expr, list, negated } => {
-            let needle = analyze_expr(expr, scope, ctx)?;
-            let mut args = vec![needle];
-            for item in list {
-                args.push(analyze_expr(item, scope, ctx)?);
-            }
-            let in_expr = RowExpression::SpecialForm {
-                form: SpecialForm::In,
-                args,
-                return_type: DataType::Boolean,
-            };
-            Ok(if *negated {
-                let handle = ctx.registry.resolve("not", &[DataType::Boolean])?;
-                RowExpression::Call { handle, args: vec![in_expr] }
-            } else {
-                in_expr
-            })
+            let args = std::iter::once(expr.as_ref()).chain(list).map(analyze);
+            boolean_form(SpecialForm::In, args.collect::<Result<_>>()?, *negated, ctx)
         }
         Expr::Between { expr, low, high, negated } => {
-            let between = RowExpression::SpecialForm {
-                form: SpecialForm::Between,
-                args: vec![
-                    analyze_expr(expr, scope, ctx)?,
-                    analyze_expr(low, scope, ctx)?,
-                    analyze_expr(high, scope, ctx)?,
-                ],
-                return_type: DataType::Boolean,
-            };
-            Ok(if *negated {
-                let handle = ctx.registry.resolve("not", &[DataType::Boolean])?;
-                RowExpression::Call { handle, args: vec![between] }
-            } else {
-                between
-            })
+            let args = vec![analyze(expr)?, analyze(low)?, analyze(high)?];
+            boolean_form(SpecialForm::Between, args, *negated, ctx)
         }
         Expr::IsNull { expr, negated } => {
-            let is_null = RowExpression::SpecialForm {
-                form: SpecialForm::IsNull,
-                args: vec![analyze_expr(expr, scope, ctx)?],
-                return_type: DataType::Boolean,
-            };
-            Ok(if *negated {
-                let handle = ctx.registry.resolve("not", &[DataType::Boolean])?;
-                RowExpression::Call { handle, args: vec![is_null] }
-            } else {
-                is_null
-            })
+            boolean_form(SpecialForm::IsNull, vec![analyze(expr)?], *negated, ctx)
         }
         Expr::Cast { expr, type_name } => {
-            let inner = analyze_expr(expr, scope, ctx)?;
+            let inner = analyze(expr)?;
             let target = parse_type_name(type_name)?;
             let handle = ctx.registry.resolve_cast(&inner.data_type(), &target);
             Ok(RowExpression::Call { handle, args: vec![inner] })
         }
         Expr::Case { operand, branches, else_expr } => {
-            let operand = operand.as_ref().map(|o| analyze_expr(o, scope, ctx)).transpose()?;
-            let analyzed: Vec<(RowExpression, RowExpression)> = branches
+            let operand = operand.as_deref().map(analyze).transpose()?;
+            let branches = branches
                 .iter()
-                .map(|(w, t)| Ok((analyze_expr(w, scope, ctx)?, analyze_expr(t, scope, ctx)?)))
+                .map(|(w, t)| Ok((analyze(w)?, analyze(t)?)))
                 .collect::<Result<Vec<_>>>()?;
-            let else_analyzed =
-                else_expr.as_ref().map(|e| analyze_expr(e, scope, ctx)).transpose()?;
-            build_case(operand, analyzed, else_analyzed, ctx)
+            let else_expr = else_expr.as_deref().map(analyze).transpose()?;
+            build_case(operand, branches, else_expr, ctx)
         }
+    }
+}
+
+/// Output channel `channel` of a node whose output is `schema`.
+fn output_column(schema: &Schema, channel: usize) -> RowExpression {
+    let field = schema.field_at(channel);
+    RowExpression::column(field.name.clone(), channel, field.data_type.clone())
+}
+
+/// `NOT e`.
+fn not(e: RowExpression, ctx: &AnalyzerContext) -> Result<RowExpression> {
+    let handle = ctx.registry.resolve("not", &[DataType::Boolean])?;
+    Ok(RowExpression::Call { handle, args: vec![e] })
+}
+
+/// The boolean special form `form(args)`, under NOT when `negated`.
+fn boolean_form(
+    form: SpecialForm,
+    args: Vec<RowExpression>,
+    negated: bool,
+    ctx: &AnalyzerContext,
+) -> Result<RowExpression> {
+    let e = RowExpression::SpecialForm { form, args, return_type: DataType::Boolean };
+    if negated {
+        not(e, ctx)
+    } else {
+        Ok(e)
     }
 }
 
@@ -468,13 +481,14 @@ fn analyze_query(query: &Query, ctx: &AnalyzerContext) -> Result<(LogicalPlan, V
             Scope::default(),
         ),
     };
+    let rows = Binding::Rows(&scope);
 
     // WHERE
     if let Some(where_expr) = &query.where_clause {
         if contains_aggregate(where_expr) {
             return Err(PrestoError::Analysis("WHERE clause cannot contain aggregates".into()));
         }
-        let predicate = analyze_expr(where_expr, &scope, ctx)?;
+        let predicate = analyze_expr(where_expr, &rows, ctx)?;
         require_boolean(&predicate, "WHERE clause")?;
         plan = LogicalPlan::Filter { input: Box::new(plan), predicate };
     }
@@ -500,399 +514,202 @@ fn analyze_query(query: &Query, ctx: &AnalyzerContext) -> Result<(LogicalPlan, V
             }
         }
     }
-
-    // aggregation?
-    let has_aggregates = items.iter().any(|(_, e)| contains_aggregate(e))
-        || query.having.as_ref().is_some_and(contains_aggregate)
-        || query.order_by.iter().any(|(e, _)| contains_aggregate(e));
-    let aggregated = !query.group_by.is_empty() || has_aggregates;
-
     let mut output_names: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
     dedupe_names(&mut output_names);
 
-    if aggregated {
-        // resolve GROUP BY items (ordinals refer to select items)
-        let mut group_asts: Vec<Expr> = Vec::with_capacity(query.group_by.len());
-        for g in &query.group_by {
-            let ast = match g {
-                Expr::Integer(n) => {
-                    let idx = *n as usize;
-                    if idx == 0 || idx > items.len() {
-                        return Err(PrestoError::Analysis(format!(
-                            "GROUP BY position {idx} is out of range"
-                        )));
+    // aggregation: GROUP BY, HAVING, or an aggregate call in SELECT, HAVING
+    // or ORDER BY
+    let mut calls: Vec<&Expr> = Vec::new();
+    let post_aggregation = items
+        .iter()
+        .map(|(_, e)| e)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|(e, _)| e));
+    for e in post_aggregation {
+        collect_aggregates(e, &mut calls);
+    }
+    let binding = if query.group_by.is_empty() && calls.is_empty() && query.having.is_none() {
+        rows
+    } else {
+        // GROUP BY items; an ordinal names a select item
+        let keys = query
+            .group_by
+            .iter()
+            .map(|g| {
+                let key = match g {
+                    Expr::Integer(n) => {
+                        let idx = *n as usize;
+                        if idx == 0 || idx > items.len() {
+                            return Err(PrestoError::Analysis(format!(
+                                "GROUP BY position {idx} is out of range"
+                            )));
+                        }
+                        items[idx - 1].1.clone()
                     }
-                    items[idx - 1].1.clone()
+                    other => other.clone(),
+                };
+                if contains_aggregate(&key) {
+                    return Err(PrestoError::Analysis("GROUP BY cannot contain aggregates".into()));
                 }
-                other => other.clone(),
-            };
-            if contains_aggregate(&ast) {
-                return Err(PrestoError::Analysis("GROUP BY cannot contain aggregates".into()));
-            }
-            group_asts.push(ast);
-        }
-        let group_exprs: Vec<RowExpression> =
-            group_asts.iter().map(|g| analyze_expr(g, &scope, ctx)).collect::<Result<Vec<_>>>()?;
-
-        // collect distinct aggregate calls across select/having/order by
-        let mut agg_calls: Vec<Expr> = Vec::new();
-        let mut collect = |e: &Expr| collect_aggregates(e, &mut agg_calls);
-        for (_, e) in &items {
-            collect(e);
-        }
-        if let Some(h) = &query.having {
-            collect(h);
-        }
-        for (e, _) in &query.order_by {
-            collect(e);
-        }
-
-        let mut aggregates = Vec::with_capacity(agg_calls.len());
-        for (i, call) in agg_calls.iter().enumerate() {
-            let Expr::FunctionCall { name, args, is_star } = call else {
-                unreachable!("collect_aggregates only returns calls");
-            };
-            let function = if *is_star && name == "count" {
-                AggregateFunction::CountStar
-            } else {
-                AggregateFunction::from_name(name)
-                    .ok_or_else(|| PrestoError::Analysis(format!("unknown aggregate '{name}'")))?
-            };
-            let argument = if *is_star {
-                None
-            } else {
-                if args.len() != 1 {
-                    return Err(PrestoError::Analysis(format!(
-                        "{name}() takes exactly one argument"
-                    )));
-                }
-                Some(analyze_expr(&args[0], &scope, ctx)?)
-            };
-            // type-check
-            function.return_type(argument.as_ref().map(|e| e.data_type()).as_ref())?;
-            aggregates.push(AggregateExpr { function, argument, name: format!("agg_{i}") });
-        }
-
-        let agg_plan = LogicalPlan::Aggregate {
+                Ok(key)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let group_by = keys.iter().map(|k| analyze_expr(k, &rows, ctx)).collect::<Result<_>>()?;
+        let aggregates = calls
+            .iter()
+            .enumerate()
+            .map(|(i, call)| analyze_aggregate(call, i, &rows, ctx))
+            .collect::<Result<_>>()?;
+        plan = LogicalPlan::Aggregate {
             input: Box::new(plan),
-            group_by: group_exprs.clone(),
-            aggregates: aggregates.clone(),
+            group_by,
+            aggregates,
             step: AggregateStep::Single,
         };
-        let agg_schema = agg_plan.output_schema()?;
+        Binding::Groups { keys, calls, schema: plan.output_schema()? }
+    };
 
-        // post-aggregation resolution: group items and aggregate calls map
-        // to the aggregate node's output channels
-        let resolver = PostAggResolver {
-            group_asts: &group_asts,
-            agg_calls: &agg_calls,
-            agg_schema: &agg_schema,
-            scope: &scope,
-            ctx,
-        };
-        let select_exprs: Vec<(String, RowExpression)> = output_names
-            .iter()
-            .zip(items.iter())
-            .map(|(name, (_, ast))| Ok((name.clone(), resolver.resolve(ast)?)))
-            .collect::<Result<Vec<_>>>()?;
+    let select_exprs: Vec<(String, RowExpression)> = output_names
+        .iter()
+        .zip(&items)
+        .map(|(name, (_, ast))| Ok((name.clone(), analyze_expr(ast, &binding, ctx)?)))
+        .collect::<Result<Vec<_>>>()?;
+    if let Some(having) = &query.having {
+        let predicate = analyze_expr(having, &binding, ctx)?;
+        require_boolean(&predicate, "HAVING clause")?;
+        plan = LogicalPlan::Filter { input: Box::new(plan), predicate };
+    }
 
-        plan = agg_plan;
-        if let Some(having) = &query.having {
-            let predicate = resolver.resolve(having)?;
-            require_boolean(&predicate, "HAVING clause")?;
-            plan = LogicalPlan::Filter { input: Box::new(plan), predicate };
-        }
-        plan = LogicalPlan::Project { input: Box::new(plan), expressions: select_exprs.clone() };
-
-        // ORDER BY over the projected output
-        plan = apply_order_limit_output(
-            plan,
-            query,
-            &output_names,
-            Some(&resolver),
-            &select_exprs,
-            ctx,
-        )?;
-        Ok((plan, output_names))
-    } else {
-        let select_exprs: Vec<(String, RowExpression)> = output_names
-            .iter()
-            .zip(items.iter())
-            .map(|(name, (_, ast))| Ok((name.clone(), analyze_expr(ast, &scope, ctx)?)))
-            .collect::<Result<Vec<_>>>()?;
-        plan = LogicalPlan::Project { input: Box::new(plan), expressions: select_exprs.clone() };
-
-        if query.distinct {
-            // DISTINCT = group by every output column
-            let schema = plan.output_schema()?;
-            let group_by = schema
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| RowExpression::column(f.name.clone(), i, f.data_type.clone()))
-                .collect();
-            plan = LogicalPlan::Aggregate {
-                input: Box::new(plan),
-                group_by,
-                aggregates: vec![],
-                step: AggregateStep::Single,
+    // ORDER BY: an ordinal, an output name, or an expression whose analyzed
+    // form is a select item's
+    let order = query
+        .order_by
+        .iter()
+        .map(|(ast, desc)| {
+            let channel = match output_channel(ast, &output_names)? {
+                Some(channel) => channel,
+                None => {
+                    let key = analyze_expr(ast, &binding, ctx)?;
+                    select_exprs.iter().position(|(_, e)| *e == key).ok_or_else(|| {
+                        PrestoError::Analysis(
+                            "ORDER BY expression must appear in the SELECT list".into(),
+                        )
+                    })?
+                }
             };
-        }
+            Ok((channel, *desc))
+        })
+        .collect::<Result<Vec<_>>>()?;
 
-        plan = apply_order_limit_output(plan, query, &output_names, None, &select_exprs, ctx)?;
-        Ok((plan, output_names))
+    plan = LogicalPlan::Project { input: Box::new(plan), expressions: select_exprs };
+    if query.distinct {
+        // DISTINCT = group by every output column
+        let schema = plan.output_schema()?;
+        let group_by = (0..schema.len()).map(|i| output_column(&schema, i)).collect();
+        plan = LogicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by,
+            aggregates: vec![],
+            step: AggregateStep::Single,
+        };
+    }
+    plan = sort_and_limit(plan, &order, query.limit)?;
+    let output = LogicalPlan::Output { input: Box::new(plan), names: output_names.clone() };
+    Ok((output, output_names))
+}
+
+/// The output channel an ORDER BY key names as an ordinal or an output
+/// name; `None` if it is neither.
+fn output_channel(ast: &Expr, names: &[String]) -> Result<Option<usize>> {
+    match ast {
+        Expr::Integer(n) => {
+            let idx = *n as usize;
+            if idx == 0 || idx > names.len() {
+                return Err(PrestoError::Analysis(format!(
+                    "ORDER BY position {idx} is out of range"
+                )));
+            }
+            Ok(Some(idx - 1))
+        }
+        Expr::Identifier(parts) if parts.len() == 1 => {
+            Ok(names.iter().position(|n| *n == parts[0]))
+        }
+        _ => Ok(None),
     }
 }
 
-fn apply_order_limit_output(
+/// Sort `plan` on its output channels `(channel, descending)`, then LIMIT.
+fn sort_and_limit(
     mut plan: LogicalPlan,
-    query: &Query,
-    output_names: &[String],
-    resolver: Option<&PostAggResolver<'_>>,
-    select_exprs: &[(String, RowExpression)],
-    _ctx: &AnalyzerContext,
+    order: &[(usize, bool)],
+    limit: Option<u64>,
 ) -> Result<LogicalPlan> {
-    if !query.order_by.is_empty() {
+    if !order.is_empty() {
         let schema = plan.output_schema()?;
-        let mut keys = Vec::with_capacity(query.order_by.len());
-        for (ast, desc) in &query.order_by {
-            let expr = resolve_order_key(ast, output_names, &schema, resolver, select_exprs)?;
-            keys.push(SortKey { expr, descending: *desc });
-        }
+        let keys = order
+            .iter()
+            .map(|&(channel, descending)| SortKey {
+                expr: output_column(&schema, channel),
+                descending,
+            })
+            .collect();
         plan = LogicalPlan::Sort { input: Box::new(plan), keys };
     }
-    if let Some(limit) = query.limit {
+    if let Some(limit) = limit {
         plan = LogicalPlan::Limit { input: Box::new(plan), count: limit as usize };
     }
-    Ok(LogicalPlan::Output { input: Box::new(plan), names: output_names.to_vec() })
-}
-
-/// Resolve an ORDER BY key: ordinal, output-name reference, or (in
-/// aggregated queries) an expression present in the select list.
-fn resolve_order_key(
-    ast: &Expr,
-    output_names: &[String],
-    schema: &Schema,
-    resolver: Option<&PostAggResolver<'_>>,
-    select_exprs: &[(String, RowExpression)],
-) -> Result<RowExpression> {
-    if let Expr::Integer(n) = ast {
-        let idx = *n as usize;
-        if idx == 0 || idx > output_names.len() {
-            return Err(PrestoError::Analysis(format!("ORDER BY position {idx} is out of range")));
-        }
-        let field = schema.field_at(idx - 1);
-        return Ok(RowExpression::column(field.name.clone(), idx - 1, field.data_type.clone()));
-    }
-    if let Expr::Identifier(parts) = ast {
-        if parts.len() == 1 {
-            if let Some(idx) = output_names.iter().position(|n| *n == parts[0]) {
-                let field = schema.field_at(idx);
-                return Ok(RowExpression::column(field.name.clone(), idx, field.data_type.clone()));
-            }
-        }
-    }
-    // aggregated queries: find a select item with the same resolved form
-    if let Some(r) = resolver {
-        let resolved = r.resolve(ast)?;
-        if let Some(idx) = select_exprs.iter().position(|(_, e)| *e == resolved) {
-            let field = schema.field_at(idx);
-            return Ok(RowExpression::column(field.name.clone(), idx, field.data_type.clone()));
-        }
-        return Err(PrestoError::Analysis(
-            "ORDER BY expression must appear in the SELECT list".into(),
-        ));
-    }
-    Err(PrestoError::Analysis(format!(
-        "cannot resolve ORDER BY expression '{}'",
-        ast.default_name()
-    )))
+    Ok(plan)
 }
 
 // ------------------------------------------------------ aggregate plumbing
 
+fn is_aggregate_call(e: &Expr) -> bool {
+    matches!(e, Expr::FunctionCall { name, is_star, .. }
+        if *is_star || AggregateFunction::from_name(name).is_some())
+}
+
+/// Push each outermost aggregate call in `e` onto `calls`, once each.
+fn collect_aggregates<'a>(e: &'a Expr, calls: &mut Vec<&'a Expr>) {
+    if !is_aggregate_call(e) {
+        e.for_each_child(&mut |child| collect_aggregates(child, calls));
+    } else if !calls.contains(&e) {
+        calls.push(e);
+    }
+}
+
 fn contains_aggregate(e: &Expr) -> bool {
-    match e {
-        Expr::FunctionCall { name, is_star, args } => {
-            *is_star
-                || AggregateFunction::from_name(name).is_some()
-                || args.iter().any(contains_aggregate)
-        }
-        Expr::BinaryOp { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::Not(e) | Expr::Negate(e) => contains_aggregate(e),
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high)
-        }
-        Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::Cast { expr, .. } => contains_aggregate(expr),
-        Expr::Case { operand, branches, else_expr } => {
-            operand.as_deref().is_some_and(contains_aggregate)
-                || branches.iter().any(|(w, t)| contains_aggregate(w) || contains_aggregate(t))
-                || else_expr.as_deref().is_some_and(contains_aggregate)
-        }
-        _ => false,
-    }
+    let mut calls = Vec::new();
+    collect_aggregates(e, &mut calls);
+    !calls.is_empty()
 }
 
-fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::FunctionCall { name, is_star, args } => {
-            if *is_star || AggregateFunction::from_name(name).is_some() {
-                if !out.contains(e) {
-                    out.push(e.clone());
-                }
-            } else {
-                for a in args {
-                    collect_aggregates(a, out);
-                }
-            }
+/// Lower collected aggregate call number `index`; its argument binds to the
+/// FROM rows.
+fn analyze_aggregate(
+    call: &Expr,
+    index: usize,
+    rows: &Binding<'_>,
+    ctx: &AnalyzerContext,
+) -> Result<AggregateExpr> {
+    let Expr::FunctionCall { name, args, is_star } = call else {
+        return Err(PrestoError::Internal(format!("{call:?} is not an aggregate call")));
+    };
+    let function = if *is_star && name == "count" {
+        AggregateFunction::CountStar
+    } else {
+        AggregateFunction::from_name(name)
+            .ok_or_else(|| PrestoError::Analysis(format!("unknown aggregate '{name}'")))?
+    };
+    let argument = match (is_star, args.as_slice()) {
+        (true, _) => None,
+        (false, [arg]) => Some(analyze_expr(arg, rows, ctx)?),
+        (false, _) => {
+            return Err(PrestoError::Analysis(format!("{name}() takes exactly one argument")))
         }
-        Expr::BinaryOp { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::Not(e) | Expr::Negate(e) => collect_aggregates(e, out),
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for l in list {
-                collect_aggregates(l, out);
-            }
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        Expr::Cast { expr, .. } => collect_aggregates(expr, out),
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                collect_aggregates(op, out);
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, out);
-                collect_aggregates(t, out);
-            }
-            if let Some(e) = else_expr {
-                collect_aggregates(e, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Rewrites post-aggregation expressions: group items and aggregate calls
-/// become references to the Aggregate node's output channels.
-struct PostAggResolver<'a> {
-    group_asts: &'a [Expr],
-    agg_calls: &'a [Expr],
-    agg_schema: &'a Schema,
-    scope: &'a Scope,
-    ctx: &'a AnalyzerContext,
-}
-
-impl PostAggResolver<'_> {
-    fn resolve(&self, ast: &Expr) -> Result<RowExpression> {
-        // whole expression is a group item?
-        if let Some(idx) = self.group_asts.iter().position(|g| g == ast) {
-            let field = self.agg_schema.field_at(idx);
-            return Ok(RowExpression::column(field.name.clone(), idx, field.data_type.clone()));
-        }
-        // whole expression is an aggregate call?
-        if let Some(idx) = self.agg_calls.iter().position(|a| a == ast) {
-            let channel = self.group_asts.len() + idx;
-            let field = self.agg_schema.field_at(channel);
-            return Ok(RowExpression::column(field.name.clone(), channel, field.data_type.clone()));
-        }
-        // recurse into compound expressions
-        match ast {
-            Expr::BinaryOp { op, left, right } => {
-                let rewritten = Expr::BinaryOp {
-                    op: *op,
-                    left: Box::new(Expr::Null),
-                    right: Box::new(Expr::Null),
-                };
-                let _ = rewritten;
-                let l = self.resolve(left)?;
-                let r = self.resolve(right)?;
-                match op {
-                    BinaryOp::And | BinaryOp::Or => Ok(RowExpression::SpecialForm {
-                        form: if *op == BinaryOp::And { SpecialForm::And } else { SpecialForm::Or },
-                        args: vec![l, r],
-                        return_type: DataType::Boolean,
-                    }),
-                    _ => {
-                        let name = match op {
-                            BinaryOp::Eq => "eq",
-                            BinaryOp::Neq => "neq",
-                            BinaryOp::Lt => "lt",
-                            BinaryOp::Lte => "lte",
-                            BinaryOp::Gt => "gt",
-                            BinaryOp::Gte => "gte",
-                            BinaryOp::Add => "add",
-                            BinaryOp::Sub => "sub",
-                            BinaryOp::Mul => "mul",
-                            BinaryOp::Div => "div",
-                            BinaryOp::Mod => "mod",
-                            BinaryOp::Like => "like",
-                            _ => unreachable!(),
-                        };
-                        let handle =
-                            self.ctx.registry.resolve(name, &[l.data_type(), r.data_type()])?;
-                        Ok(RowExpression::Call { handle, args: vec![l, r] })
-                    }
-                }
-            }
-            Expr::Not(inner) => {
-                let e = self.resolve(inner)?;
-                let handle = self.ctx.registry.resolve("not", &[DataType::Boolean])?;
-                Ok(RowExpression::Call { handle, args: vec![e] })
-            }
-            Expr::Negate(inner) => {
-                let e = self.resolve(inner)?;
-                let handle = self.ctx.registry.resolve("negate", &[e.data_type()])?;
-                Ok(RowExpression::Call { handle, args: vec![e] })
-            }
-            Expr::Cast { expr, type_name } => {
-                let inner = self.resolve(expr)?;
-                let target = parse_type_name(type_name)?;
-                let handle = self.ctx.registry.resolve_cast(&inner.data_type(), &target);
-                Ok(RowExpression::Call { handle, args: vec![inner] })
-            }
-            Expr::FunctionCall { name, args, is_star: false } => {
-                let analyzed: Vec<RowExpression> =
-                    args.iter().map(|a| self.resolve(a)).collect::<Result<Vec<_>>>()?;
-                let arg_types: Vec<DataType> = analyzed.iter().map(|e| e.data_type()).collect();
-                let handle = self.ctx.registry.resolve(name, &arg_types)?;
-                Ok(RowExpression::Call { handle, args: analyzed })
-            }
-            Expr::Case { operand, branches, else_expr } => {
-                let operand = operand.as_ref().map(|o| self.resolve(o)).transpose()?;
-                let analyzed: Vec<(RowExpression, RowExpression)> = branches
-                    .iter()
-                    .map(|(w, t)| Ok((self.resolve(w)?, self.resolve(t)?)))
-                    .collect::<Result<Vec<_>>>()?;
-                let else_analyzed = else_expr.as_ref().map(|e| self.resolve(e)).transpose()?;
-                build_case(operand, analyzed, else_analyzed, self.ctx)
-            }
-            // literals pass through; bare identifiers must be group keys
-            Expr::Integer(_)
-            | Expr::Float(_)
-            | Expr::StringLit(_)
-            | Expr::Boolean(_)
-            | Expr::Null => analyze_expr(ast, self.scope, self.ctx),
-            Expr::Identifier(parts) => Err(PrestoError::Analysis(format!(
-                "column '{}' must appear in GROUP BY or inside an aggregate",
-                parts.join(".")
-            ))),
-            other => Err(PrestoError::Analysis(format!(
-                "expression {other:?} is not valid after aggregation"
-            ))),
-        }
-    }
+    };
+    // type-check
+    function.return_type(argument.as_ref().map(|e| e.data_type()).as_ref())?;
+    Ok(AggregateExpr { function, argument, name: format!("agg_{index}") })
 }
 
 fn dedupe_names(names: &mut [String]) {
@@ -1073,6 +890,8 @@ mod tests {
             }
         }
         assert!(has_empty_agg(&plan));
+        // over an aggregation too: the distinct counts of the groups
+        assert!(has_empty_agg(&plan_for("SELECT DISTINCT count(*) FROM trips GROUP BY datestr")));
     }
 
     #[test]
@@ -1099,6 +918,14 @@ mod tests {
         assert!(analyze_err("SELECT count(*) FROM trips WHERE count(*) > 1")
             .message()
             .contains("WHERE clause cannot contain aggregates"));
+        // HAVING alone makes a query aggregated, and a select alias is no
+        // name in it
+        for sql in [
+            "SELECT fare FROM trips HAVING fare > 1.0",
+            "SELECT datestr, count(*) AS n FROM trips GROUP BY 1 HAVING n > 1",
+        ] {
+            assert!(analyze_err(sql).message().contains("must appear in GROUP BY"), "{sql}");
+        }
         assert!(analyze_err("SELECT datestr + 1 FROM trips").code() == "ANALYSIS_ERROR");
         // type-strict: no implicit varchar/bigint comparison
         assert!(analyze_err("SELECT * FROM trips WHERE datestr = 5").code() == "ANALYSIS_ERROR");
@@ -1127,6 +954,42 @@ mod tests {
             "SELECT datestr, CASE WHEN count(*) > 5 THEN 'busy' ELSE 'quiet' END              FROM trips GROUP BY 1",
         );
         assert_eq!(plan.output_schema().unwrap().len(), 2);
+    }
+
+    /// The output channels the plan's Sort orders by.
+    fn sort_channels(plan: &LogicalPlan) -> Vec<Vec<usize>> {
+        match plan {
+            LogicalPlan::Sort { keys, .. } => {
+                keys.iter().map(|k| k.expr.referenced_columns()).collect()
+            }
+            _ => plan.children().into_iter().flat_map(sort_channels).collect(),
+        }
+    }
+
+    #[test]
+    fn order_by_takes_an_ordinal_a_name_or_a_select_item() {
+        for (sql, want) in [
+            ("SELECT datestr, fare FROM trips ORDER BY 2", vec![vec![1]]),
+            ("SELECT datestr AS d, fare FROM trips ORDER BY d", vec![vec![0]]),
+            ("SELECT datestr, base.city_id FROM trips ORDER BY base.city_id", vec![vec![1]]),
+            (
+                "SELECT datestr, count(*) FROM trips GROUP BY 1 ORDER BY count(*) DESC, datestr",
+                vec![vec![1], vec![0]],
+            ),
+        ] {
+            assert_eq!(sort_channels(&plan_for(sql)), want, "{sql}");
+        }
+        for sql in [
+            "SELECT datestr FROM trips ORDER BY fare",
+            "SELECT datestr FROM trips GROUP BY 1 ORDER BY count(*)",
+        ] {
+            let err = analyze_err(sql);
+            assert!(err.message().contains("must appear in the SELECT list"), "{sql}: {err}");
+        }
+        // a UNION ALL orders by ordinal or output name only
+        let err =
+            analyze_err("SELECT fare FROM trips UNION ALL SELECT fare FROM trips ORDER BY -fare");
+        assert!(err.message().contains("cannot resolve ORDER BY"), "{err}");
     }
 
     #[test]

@@ -233,4 +233,41 @@ impl Expr {
             _ => "_col".to_string(),
         }
     }
+
+    /// Call `f` on each direct sub-expression, in source order. Every walk
+    /// over the tree recurses through this one match.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Identifier(_)
+            | Expr::Integer(_)
+            | Expr::Float(_)
+            | Expr::StringLit(_)
+            | Expr::Boolean(_)
+            | Expr::Null => {}
+            Expr::BinaryOp { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Not(e) | Expr::Negate(e) => f(e),
+            Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => f(expr),
+            Expr::FunctionCall { args, .. } => args.iter().for_each(f),
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            Expr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                operand.iter().for_each(|o| f(o));
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
+                }
+                else_expr.iter().for_each(|e| f(e));
+            }
+        }
+    }
 }

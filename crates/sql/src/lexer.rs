@@ -113,7 +113,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                         }
                     }
                 }
-                let text = std::str::from_utf8(&bytes[start..i]).unwrap();
+                let text = &sql[start..i];
                 if is_float {
                     tokens.push(Token::Float(
                         text.parse()
@@ -131,7 +131,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                let word = std::str::from_utf8(&bytes[start..i]).unwrap().to_lowercase();
+                let word = sql[start..i].to_lowercase();
                 tokens.push(Token::Word(word));
             }
             b'<' if bytes.get(i + 1) == Some(&b'=') => {

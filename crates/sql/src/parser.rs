@@ -121,25 +121,25 @@ impl Parser {
     // ------------------------------------------------------------- query
 
     fn parse_query_expr(&mut self) -> Result<QueryExpr> {
-        let mut branches = vec![self.parse_query()?];
+        let mut branches = Vec::new();
+        let mut last = self.parse_query()?;
         while self.eat_keyword("union") {
             self.expect_keyword("all")?;
             // ORDER BY / LIMIT before a UNION would be ambiguous; standard
             // SQL only allows them after the last branch (union-level)
-            let prev = branches.last().expect("at least one branch");
-            if !prev.order_by.is_empty() || prev.limit.is_some() {
+            if !last.order_by.is_empty() || last.limit.is_some() {
                 return Err(self.error(
                     "ORDER BY/LIMIT must follow the last UNION ALL branch                      (it applies to the whole union)",
                 ));
             }
-            branches.push(self.parse_query()?);
+            let next = self.parse_query()?;
+            branches.push(std::mem::replace(&mut last, next));
         }
-        if branches.len() == 1 {
-            return Ok(QueryExpr::Select(Box::new(branches.pop().expect("one branch"))));
+        if branches.is_empty() {
+            return Ok(QueryExpr::Select(Box::new(last)));
         }
         // the trailing ORDER BY / LIMIT the last branch consumed belongs to
         // the union as a whole
-        let mut last = branches.pop().expect("non-empty");
         let order_by = std::mem::take(&mut last.order_by);
         let limit = last.limit.take();
         branches.push(last);

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use presto_at_scale::fixtures::{demo_platform, DemoPlatform};
-use presto_common::{Block, Field, Page, Schema, Value};
+use presto_common::{Block, Field, Page, PrestoError, Schema, Value};
 use presto_connectors::memory::MemoryConnector;
 use presto_core::{PrestoEngine, Session};
 use presto_plan::{LogicalPlan, OptimizerConfig};
@@ -544,4 +544,108 @@ fn system_runtime_tables_answer_sql_on_a_live_cluster() {
         metrics.rows().iter().any(|r| r[0] == Value::Varchar("telemetry.active_workers".into())),
         "system.metrics must list the sampler's gauges"
     );
+}
+
+/// `rows` as a multiset: sorted by their rendering.
+fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by_cached_key(|r| format!("{r:?}"));
+    rows
+}
+
+#[test]
+fn having_on_a_group_key_equals_where_before_grouping() {
+    // A predicate over the GROUP BY key keeps the same groups whether it
+    // runs before grouping (WHERE) or after it (HAVING): one case per
+    // expression form the analyzer lowers.
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let run = |sql: &str| {
+        p.engine.execute_with_session(sql, &session).unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    let cases = [
+        ("base.city_id", "base.city_id > 12"),
+        ("base.city_id", "base.city_id BETWEEN 3 AND 9"),
+        ("base.city_id", "base.city_id NOT BETWEEN 3 AND 9"),
+        ("base.city_id", "base.city_id IN (1, 4, 9, 16)"),
+        ("base.city_id", "base.city_id NOT IN (1, 4, 9, 16)"),
+        ("base.city_id", "base.city_id IS NULL"),
+        ("base.city_id", "base.city_id IS NOT NULL"),
+        ("base.city_id", "NOT (base.city_id < 20)"),
+        ("base.city_id", "base.city_id < 5 OR base.city_id > 20 AND base.city_id <> 22"),
+        ("base.status", "base.status LIKE 'c%'"),
+        ("base.city_id", "CASE WHEN base.city_id % 2 = 0 THEN 'even' ELSE 'odd' END = 'even'"),
+        ("base.city_id", "CAST(base.city_id AS double) > 7.5"),
+        ("base.city_id", "coalesce(base.city_id, 0) >= 11"),
+        ("base.city_id", "base.city_id * 2 + 1 > 30"),
+    ];
+    for (key, predicate) in cases {
+        let having =
+            run(&format!("SELECT {key}, count(*) FROM trips GROUP BY {key} HAVING {predicate}"));
+        let filtered =
+            run(&format!("SELECT {key}, count(*) FROM trips WHERE {predicate} GROUP BY {key}"));
+        assert_eq!(multiset(having.rows()), multiset(filtered.rows()), "{predicate}");
+    }
+}
+
+#[test]
+fn post_aggregation_clauses_take_every_expression_form() {
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let run = |sql: &str| p.engine.execute_with_session(sql, &session);
+    let groups =
+        run("SELECT base.city_id, count(*), max(base.fare) FROM trips GROUP BY 1 ORDER BY 1")
+            .unwrap()
+            .rows();
+    assert_eq!(groups.len(), 25);
+    // HAVING with BETWEEN, IN and IS NOT NULL over aggregates answers, as
+    // the same filter over the grouped rows does
+    type Keep = fn(&[Value]) -> bool;
+    let keeps: [(&str, Keep); 4] = [
+        ("count(*) BETWEEN 1 AND 100", |r| (1..=100).contains(&r[1].as_i64().unwrap_or(0))),
+        ("count(*) IN (1, 2, 3)", |r| [1, 2, 3].contains(&r[1].as_i64().unwrap_or(0))),
+        ("count(*) NOT IN (1, 2, 3)", |r| ![1, 2, 3].contains(&r[1].as_i64().unwrap_or(0))),
+        ("max(base.fare) IS NOT NULL", |r| !r[2].is_null()),
+    ];
+    for (having, keep) in keeps {
+        let sql = format!("SELECT base.city_id FROM trips GROUP BY 1 HAVING {having} ORDER BY 1");
+        let got = run(&sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows();
+        let want: Vec<Vec<Value>> =
+            groups.iter().filter(|r| keep(r)).map(|r| vec![r[0].clone()]).collect();
+        assert_eq!(got, want, "{sql}");
+    }
+    // coalesce over an aggregate in the SELECT list
+    let sql = "SELECT base.city_id, coalesce(max(base.fare), 0.0) FROM trips GROUP BY 1 ORDER BY 1";
+    let got = run(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows();
+    let want: Vec<Vec<Value>> = groups.iter().map(|r| vec![r[0].clone(), r[2].clone()]).collect();
+    assert_eq!(got, want);
+
+    // a HAVING clause that is not boolean is an analysis error, not an
+    // empty result or an execution error
+    for having in ["count(*) AND true", "NOT count(*)"] {
+        let sql = format!("SELECT base.city_id FROM trips GROUP BY 1 HAVING {having}");
+        let err = run(&sql).unwrap_err();
+        assert!(matches!(err, PrestoError::Analysis(_)), "{sql}: {err}");
+    }
+    // what the engine does not support stays a classified error
+    for sql in [
+        "SELECT base.city_id, count(*) AS n FROM trips GROUP BY 1 HAVING n > 1",
+        "SELECT base.city_id FROM trips GROUP BY 1 ORDER BY count(*)",
+    ] {
+        let err = run(sql).unwrap_err();
+        assert!(matches!(err, PrestoError::Analysis(_)), "{sql}: {err}");
+    }
+}
+
+#[test]
+fn a_plain_query_orders_by_a_select_item_written_out() {
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let run = |sql: &str| {
+        p.engine.execute_with_session(sql, &session).unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    let by_expr =
+        run("SELECT base.fare FROM trips WHERE datestr = '2017-03-01' ORDER BY base.fare");
+    let by_ordinal = run("SELECT base.fare FROM trips WHERE datestr = '2017-03-01' ORDER BY 1");
+    assert_eq!(by_expr.row_count(), 400);
+    assert_eq!(by_expr.rows(), by_ordinal.rows());
 }

@@ -111,7 +111,7 @@ fn has_crate_attr(name: &str, attr: &str) -> bool {
 
 #[test]
 fn engine_crates_deny_unwrap_and_expect() {
-    for name in ["common", "exec", "expr", "resource", "cluster", "core", "sim"] {
+    for name in ["common", "sql", "plan", "exec", "expr", "resource", "cluster", "core", "sim"] {
         assert!(
             has_crate_attr(name, "#![deny(clippy::unwrap_used, clippy::expect_used)]"),
             "crates/{name}/src/lib.rs no longer denies unwrap/expect"
