@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cluster::{AutoscalerConfig, ClusterConfig, PrestoCluster};
+use presto_common::cost::TASK_US;
 use presto_common::metrics::names;
 use presto_common::{PrestoError, Result, SimClock};
 use presto_core::{PrestoEngine, Session};
@@ -18,11 +19,11 @@ use presto_sim::{
 use crate::report::{replay, Gate, Json, Report, Table};
 
 /// Virtual instant of the revocation storm in [`storm_config`].
-pub const STORM_AT_US: u64 = 40_000;
+pub const STORM_AT_US: u64 = 400 * TASK_US;
 
 /// Recovery budget after the storm (virtual µs): active capacity must be
-/// back at the pre-storm level within one virtual second.
-pub const RECOVERY_BOUND_US: u64 = 1_000_000;
+/// back at the pre-storm level within 10,000 tasks (one virtual second).
+pub const RECOVERY_BOUND_US: u64 = 10_000 * TASK_US;
 
 /// The shared workload every scenario runs: a diurnal multi-tenant rush
 /// with enough contention that queues actually form.
@@ -33,9 +34,9 @@ fn base_config(seed: u64) -> SimConfig {
         queries: 2_000,
         zipf_exponent: 0.8,
         arrival: ArrivalProcess::Diurnal {
-            mean_interarrival_us: 130.0,
+            mean_interarrival_us: 1.3 * TASK_US as f64,
             amplitude: 0.6,
-            cycle_us: 50_000,
+            cycle_us: 500 * TASK_US,
         },
         workers: 6,
         slots: 8,
@@ -51,7 +52,7 @@ fn base_config(seed: u64) -> SimConfig {
 pub fn scale_down_config(seed: u64) -> SimConfig {
     let mut config = base_config(seed);
     config.elastic = Some(ElasticPlan {
-        decommission_at_us: vec![20_000, 40_000, 60_000],
+        decommission_at_us: vec![200 * TASK_US, 400 * TASK_US, 600 * TASK_US],
         ..ElasticPlan::default()
     });
     config
@@ -72,8 +73,8 @@ pub fn storm_config(seed: u64) -> SimConfig {
             // the storm and coast through it
             max_workers: 8,
             high_water_depth: 2,
-            scale_in_after: Duration::from_millis(500),
-            cooldown: Duration::from_micros(1_000),
+            scale_in_after: Duration::from_micros(5_000 * TASK_US),
+            cooldown: Duration::from_micros(10 * TASK_US),
             ..AutoscalerConfig::default()
         }),
         spot_workers: 4,
@@ -91,14 +92,17 @@ pub fn storm_config(seed: u64) -> SimConfig {
 pub fn rush_lull_config(seed: u64) -> SimConfig {
     let mut config = base_config(seed);
     config.workers = 3;
-    config.arrival =
-        ArrivalProcess::Diurnal { mean_interarrival_us: 150.0, amplitude: 0.95, cycle_us: 50_000 };
+    config.arrival = ArrivalProcess::Diurnal {
+        mean_interarrival_us: 1.5 * TASK_US as f64,
+        amplitude: 0.95,
+        cycle_us: 500 * TASK_US,
+    };
     config.elastic = Some(ElasticPlan {
         autoscaler: Some(AutoscalerConfig {
             max_workers: 12,
             high_water_depth: 3,
-            scale_in_after: Duration::from_micros(5_000),
-            cooldown: Duration::from_micros(2_000),
+            scale_in_after: Duration::from_micros(50 * TASK_US),
+            cooldown: Duration::from_micros(20 * TASK_US),
             ..AutoscalerConfig::default()
         }),
         ..ElasticPlan::default()
@@ -131,7 +135,7 @@ pub struct MigrationResult {
 /// handed off to survivors, its cache entries migrate to each split's
 /// consistent successor, and the answers never change.
 pub fn run_cache_migration() -> Result<MigrationResult> {
-    // tpch "small" scans 10 splits (~1.1ms of virtual work each), so a
+    // tpch "small" scans 10 splits (~11 tasks of virtual work each), so a
     // drain scheduled into wave 2 lands while the victim still has splits
     // queued — exercising the handoff path, not just the migration path
     const QUERY: &str = "SELECT count(*) FROM lineitem";
@@ -145,7 +149,7 @@ pub fn run_cache_migration() -> Result<MigrationResult> {
             initial_workers: 2,
             affinity_scheduling: true,
             fragment_cache_entries: 64,
-            grace_period: Duration::from_micros(200),
+            grace_period: Duration::from_micros(2 * TASK_US),
             ..ClusterConfig::default()
         },
         clock.clone(),
@@ -158,13 +162,13 @@ pub fn run_cache_migration() -> Result<MigrationResult> {
 
     // the drain comes due during the scan's second wave, so the worker
     // flips to Draining while it still has splits queued
-    cluster.schedule_decommission(0, clock.now() + Duration::from_micros(1_500));
+    cluster.schedule_decommission(0, clock.now() + Duration::from_micros(15 * TASK_US));
     let during = cluster.execute(QUERY, &session)?;
 
     // let the drain run Grace1 → Draining → Grace2 → Terminated, then
     // reap; each grace phase restarts its timer, so tick twice
     for _ in 0..2 {
-        clock.advance(Duration::from_millis(5));
+        clock.advance(Duration::from_micros(50 * TASK_US));
         cluster.tick();
     }
     let after = cluster.execute(QUERY, &session)?;

@@ -41,6 +41,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::Duration;
 
+use presto_common::cost::TASK_US;
 use presto_common::metrics::{names, Histogram};
 use presto_common::sync::{Mutex, Rank};
 
@@ -52,7 +53,7 @@ const MIN_WORKERS: usize = 2;
 /// Workers added per scale-out action.
 const SCALE_OUT_STEP: u32 = 2;
 /// Depth must stay above high water continuously this long.
-const SCALE_OUT_AFTER: Duration = Duration::from_micros(500);
+const SCALE_OUT_AFTER: Duration = Duration::from_micros(5 * TASK_US);
 /// With `busy_signal`: fleet busy-fraction at/above this percentage counts
 /// as pressure even when the queue is shallow.
 const BUSY_HIGH_WATER_PCT: u64 = 60;
@@ -80,8 +81,8 @@ impl Default for AutoscalerConfig {
         AutoscalerConfig {
             max_workers: 32,
             high_water_depth: 8,
-            scale_in_after: Duration::from_millis(20),
-            cooldown: Duration::from_millis(10),
+            scale_in_after: Duration::from_micros(200 * TASK_US),
+            cooldown: Duration::from_micros(100 * TASK_US),
             busy_signal: false,
         }
     }

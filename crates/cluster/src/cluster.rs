@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cache::fragment::FragmentResultCache;
+use presto_common::cost::TASK_US;
 use presto_common::metrics::{names, CounterSet, Histogram, HistogramSet};
 use presto_common::sync::{Mutex, Rank, RwLock};
 use presto_common::telemetry::{QueryRow, TelemetryRegistry};
@@ -59,7 +60,7 @@ use telemetry::TelemetrySampler;
 
 /// First retry backoff; doubles per retry round. Waits advance the virtual
 /// [`SimClock`], never the wall clock.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(50);
+const RETRY_BACKOFF_BASE: Duration = Duration::from_micros(500 * TASK_US);
 
 /// Times one split (or one exchange delivery) may be attempted before the
 /// query fails.

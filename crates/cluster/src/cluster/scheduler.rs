@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto_cache::fragment::{fingerprint, FragmentKey, FragmentResultCache};
+use presto_common::cost::COST;
 use presto_common::metrics::{names, Histogram};
 use presto_common::telemetry::TaskRow;
 use presto_common::trace::{SpanId, SpanKind, Trace};
@@ -21,12 +22,6 @@ use presto_resource::QueryPriority;
 
 use super::{PrestoCluster, MAX_SPLIT_ATTEMPTS, RETRY_BACKOFF_BASE};
 use crate::worker::{Worker, WorkerLifecycle, WorkerState};
-
-/// Fixed virtual cost of one scan task (queueing, setup, page handoff).
-const SCAN_TASK_BASE: Duration = Duration::from_micros(100);
-
-/// Virtual per-row scan cost in nanoseconds.
-const SCAN_ROW_NANOS: u64 = 100;
 
 /// Sibling-runtime quantile a running attempt must *strictly* exceed to be
 /// judged a straggler.
@@ -358,9 +353,7 @@ impl ScanScheduler<'_> {
                     .as_ref()
                     .map(|pages| pages.iter().map(|p| p.positions() as u64).sum())
                     .unwrap_or(0);
-                let duration =
-                    SCAN_TASK_BASE + Duration::from_nanos(rows * SCAN_ROW_NANOS) + hooks.stalled();
-                (result, duration)
+                (result, COST.scan_task(rows) + hooks.stalled())
             }
         };
         let id = self.attempts.len();

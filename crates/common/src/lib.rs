@@ -31,6 +31,7 @@
 //!   (the *legacy* Parquet reader operates on these) and test oracles.
 //! - [`clock::SimClock`] — a virtual clock used by the storage and cluster
 //!   simulators so latency experiments are deterministic.
+//! - [`cost::COST`] — the one cost model of virtual work, and the experiments' time unit.
 //! - [`metrics::CounterSet`] — named counters used to report call-count
 //!   results (e.g. §VII's "listFiles calls reduced to less than 40%"), plus
 //!   log-bucketed [`metrics::Histogram`]s for latency distributions.
@@ -42,6 +43,7 @@
 
 pub mod block;
 pub mod clock;
+pub mod cost;
 pub mod dictionary;
 pub mod domain;
 pub mod error;

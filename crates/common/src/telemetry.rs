@@ -16,12 +16,13 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use crate::cost::TASK_US;
 use crate::sync::{Rank, RwLock};
 
 use crate::metrics::{Fnv, GaugeSet, TimeSeriesSet};
 
 /// Default sampling interval for telemetry time series (virtual µs).
-pub const DEFAULT_TELEMETRY_INTERVAL_US: u64 = 500;
+pub const DEFAULT_TELEMETRY_INTERVAL_US: u64 = 5 * TASK_US;
 
 /// Default ring capacity (buckets) for telemetry time series.
 pub const DEFAULT_TELEMETRY_CAPACITY: usize = 1024;

@@ -33,8 +33,8 @@
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Duration;
 
+use presto_common::cost::COST;
 use presto_common::keys::{Grouping, KeyTable, NO_KEY};
 use presto_common::metrics::names;
 use presto_common::trace::{SpanId, SpanKind};
@@ -50,14 +50,6 @@ use crate::context::ExecutionContext;
 
 /// Fan-out of Grace partitioning when an operator spills.
 const SPILL_PARTITIONS: usize = 8;
-
-/// Virtual nanoseconds charged per operator invocation. The executor is the
-/// only simulator of CPU work, so it advances the trace's clock by a simple
-/// rows-processed cost model — this is what makes operator busy times and
-/// query-latency histograms non-zero *and* seed-deterministic.
-const OP_BASE_NANOS: u64 = 1_000;
-/// Virtual nanoseconds charged per output row.
-const OP_ROW_NANOS: u64 = 100;
 
 fn is_insufficient(e: &PrestoError) -> bool {
     matches!(e, PrestoError::InsufficientResources(_))
@@ -152,8 +144,7 @@ fn execute_traced(
             ctx.trace.set_attr(span, "spill_bytes", spilled);
             let peak_growth = ctx.pool.peak().saturating_sub(peak_before);
             ctx.trace.set_attr(span, "peak_memory", peak_growth as u64);
-            let cost = OP_BASE_NANOS + OP_ROW_NANOS.saturating_mul(rows_out);
-            ctx.trace.clock().advance(Duration::from_nanos(cost));
+            ctx.trace.clock().advance(COST.operator(rows_out));
             ctx.trace.end(span);
             Ok(pages)
         }

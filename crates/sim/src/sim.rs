@@ -19,6 +19,7 @@ use std::time::Duration;
 use presto_cluster::{
     Autoscaler, AutoscalerConfig, ClusterConfig, PrestoCluster, ScaleDecision, WorkerLifecycle,
 };
+use presto_common::cost::{COST, TASK_US};
 use presto_common::fault::{FaultInjector, FaultPlan};
 use presto_common::metrics::{names, CounterSet, Histogram, HistogramSet, TimeSeries};
 use presto_common::rng::mix64;
@@ -37,10 +38,6 @@ use crate::workload::{
 /// for real on every query).
 const ROWS_PER_PAGE: usize = 64;
 
-/// Rough virtual cost of one scan wave (task base + per-row work), used
-/// only as the WFQ cost estimate at enqueue time.
-const WAVE_COST_US: u64 = 110;
-
 /// Patience window of a standing reservation, in virtual µs. While a
 /// wide query's grant assembles, narrow queries may still dispatch if
 /// they are estimated to finish within `max(horizon, reserved_at +
@@ -48,18 +45,18 @@ const WAVE_COST_US: u64 = 110;
 /// deadline nears borrowing dries up so the freed units accumulate.
 /// Roughly one batch-query service time: wide enough that dashboards are
 /// not starved by back-to-back reservations, tight enough that a wide
-/// grant assembles within a few milliseconds.
-const RESERVE_PATIENCE_US: u64 = 1_200;
+/// grant assembles within a few batch-query service times.
+const RESERVE_PATIENCE_US: u64 = 12 * TASK_US;
 
 /// Elastic lifecycle cadence: under an [`ElasticPlan`] the cluster is ticked
 /// (drain phases advanced, terminated workers reaped, due revocations
 /// fired) and the autoscaler evaluated every this-many virtual µs.
-const TICK_EVERY_US: u64 = 500;
+const TICK_EVERY_US: u64 = 5 * TASK_US;
 
 /// `shutdown.grace-period` of the simulated cluster under an
 /// [`ElasticPlan`] — short, so drains run to `Terminated` within the
 /// simulation window (the paper's 2-minute default would outlive the run).
-const ELASTIC_GRACE_PERIOD: Duration = Duration::from_micros(200);
+const ELASTIC_GRACE_PERIOD: Duration = Duration::from_micros(2 * TASK_US);
 
 /// Queue discipline the simulated coordinator dispatches with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +111,7 @@ impl Default for ElasticPlan {
             spot_workers: 0,
             revoke_spot_at_us: None,
             decommission_at_us: Vec::new(),
-            recovery_bound_us: 5_000_000,
+            recovery_bound_us: 50_000 * TASK_US,
         }
     }
 }
@@ -206,9 +203,9 @@ impl Default for SimConfig {
             queries: 10_000,
             zipf_exponent: 0.7,
             arrival: ArrivalProcess::Diurnal {
-                mean_interarrival_us: 180.0,
+                mean_interarrival_us: 1.8 * TASK_US as f64,
                 amplitude: 0.3,
-                cycle_us: 200_000,
+                cycle_us: 2_000 * TASK_US,
             },
             workers: 8,
             slots: 8,
@@ -490,9 +487,10 @@ pub fn run_simulation(config: &SimConfig) -> Result<SimReport> {
     let mut completed = 0u64;
     let mut failed = 0u64;
 
-    // waves a template needs at this worker count → WFQ cost estimate
+    // WFQ cost estimate: a template's waves at this worker count, one scan task a page
     let workers = config.workers.max(1) as usize;
-    let cost_of = |pages: usize| (pages.div_ceil(workers) as u64) * WAVE_COST_US;
+    let wave_us = COST.scan_task(ROWS_PER_PAGE as u64).as_micros() as u64;
+    let cost_of = |pages: usize| (pages.div_ceil(workers) as u64) * wave_us;
 
     let first_gap = config.arrival.gap_us(config.seed, 0, 0) as u64;
     push_event(&mut heap, &mut heap_seq, first_gap, Event::Arrive(0));

@@ -1,5 +1,7 @@
 //! Declared latency SLOs per workload class, in virtual time.
 
+use presto_common::cost::TASK_US;
+
 use crate::workload::TenantClass;
 
 /// Per-class p99 latency targets, in virtual µs. The defaults mirror the
@@ -18,7 +20,11 @@ pub struct SloPolicy {
 
 impl Default for SloPolicy {
     fn default() -> Self {
-        SloPolicy { interactive_p99_us: 5_000, dashboard_p99_us: 25_000, batch_p99_us: 100_000 }
+        SloPolicy {
+            interactive_p99_us: 50 * TASK_US,
+            dashboard_p99_us: 250 * TASK_US,
+            batch_p99_us: 1_000 * TASK_US,
+        }
     }
 }
 

@@ -649,3 +649,27 @@ fn a_plain_query_orders_by_a_select_item_written_out() {
     assert_eq!(by_expr.row_count(), 400);
     assert_eq!(by_expr.rows(), by_ordinal.rows());
 }
+
+#[test]
+fn a_group_key_matches_a_select_item_written_another_way() {
+    // GROUP BY items bind to SELECT items by what they analyze to, not by
+    // how they are spelled: a qualified and an unqualified reference to one
+    // column, or the same expression over either, are one key
+    let p = platform();
+    let session = Session::new("hive", "rawdata");
+    let run = |sql: &str| {
+        p.engine.execute_with_session(sql, &session).unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    let cases = [
+        ("t.datestr", "datestr", "t.datestr"),
+        ("datestr", "t.datestr", "datestr"),
+        ("t.base.city_id % 7", "base.city_id % 7", "t.base.city_id % 7"),
+        ("coalesce(base.city_id, 0) + 1", "coalesce(t.base.city_id, 0) + 1", "1"),
+    ];
+    for (select, group_by, same) in cases {
+        let sql = |key: &str| format!("SELECT {select}, count(*) FROM trips t GROUP BY {key}");
+        let (got, want) = (run(&sql(group_by)), run(&sql(same)));
+        assert!(want.row_count() > 1, "{}", sql(same));
+        assert_eq!(multiset(got.rows()), multiset(want.rows()), "{}", sql(group_by));
+    }
+}

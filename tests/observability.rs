@@ -8,6 +8,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use presto_cluster::{ClusterConfig, PrestoCluster};
+use presto_common::cost::COST;
 use presto_common::metrics::{names, CounterSet, Histogram};
 use presto_common::trace::SpanKind;
 use presto_common::{
@@ -174,6 +175,26 @@ fn explain_analyze_matches_the_plain_query_answer() {
     let analyzed = engine.execute(&format!("EXPLAIN ANALYZE {JOIN_AGG}")).unwrap();
     let text = analyzed.rows()[0][0].to_string();
     assert!(text.contains(&format!("{} out", plain.rows().len())), "{text}");
+}
+
+#[test]
+fn virtual_latency_is_the_cost_model_over_the_operator_spans() {
+    // On a local engine over memory tables the executor is the only thing
+    // that advances the clock: each operator span is charged COST for the
+    // rows it output, and nothing else
+    let engine = engine_with_orders();
+    for sql in [
+        JOIN_AGG,
+        "SELECT id, amount FROM orders WHERE amount > 50.0 ORDER BY amount DESC LIMIT 7",
+        "SELECT count(*) FROM orders",
+    ] {
+        let result = engine.execute(sql).unwrap();
+        let spans = result.info.trace.spans();
+        let operators: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Operator).collect();
+        assert!(operators.len() >= 3, "{sql}: {} operator spans", operators.len());
+        let charged: Duration = operators.iter().map(|s| COST.operator(s.attr("rows_out"))).sum();
+        assert_eq!(result.info.latency, charged, "{sql}");
+    }
 }
 
 #[test]
