@@ -173,3 +173,85 @@ fn no_workspace_manifest_names_crossbeam() {
         assert!(!read(&manifest).contains("crossbeam"), "{manifest} names crossbeam");
     }
 }
+
+/// The clock literals in one line of code: a `Duration::from_*` argument,
+/// or the value of a `*_us` / `*_US` field or constant, that holds a number
+/// but not `TASK_US`.
+fn clock_literals(code: &str) -> Vec<String> {
+    let has_number = |s: &str| {
+        let mut prev = ' ';
+        s.chars().any(|c| {
+            let starts = c.is_ascii_digit() && !(prev.is_alphanumeric() || prev == '_');
+            prev = c;
+            starts
+        })
+    };
+    let mut found = Vec::new();
+    for unit in ["nanos", "micros", "millis", "secs"] {
+        for (at, _) in code.match_indices(&format!("Duration::from_{unit}(")) {
+            let arg = &code[at..];
+            let arg = &arg[arg.find('(').map_or(0, |i| i + 1)..];
+            let mut depth = 1;
+            let end = arg
+                .char_indices()
+                .find(|&(_, c)| {
+                    depth += match c {
+                        '(' => 1,
+                        ')' => -1,
+                        _ => 0,
+                    };
+                    depth == 0
+                })
+                .map_or(arg.len(), |(i, _)| i);
+            let arg = &arg[..end];
+            if has_number(arg) && !arg.contains("TASK_US") {
+                found.push(arg.to_string());
+            }
+        }
+    }
+    for key in ["_us:", "_US: u64 ="] {
+        for (at, _) in code.match_indices(key) {
+            let value = code[at + key.len()..].trim_start();
+            let value = value.split([',', ';']).next().unwrap_or(value);
+            if value.starts_with(|c: char| c.is_ascii_digit()) && !value.contains("TASK_US") {
+                found.push(value.to_string());
+            }
+        }
+    }
+    found
+}
+
+/// One edit of `presto_common::cost::COST` rescales the sim, elastic, SLO,
+/// autoscaler, telemetry and retry experiments only while each of their
+/// clocks is a multiple of `TASK_US`: a bare literal stays put when the
+/// cost moves and shifts the offered load under every gate. Tests keep
+/// their own configs below `#[cfg(test)]`.
+#[test]
+fn experiment_clocks_are_multiples_of_one_task() {
+    for (code, want) in [
+        ("const TICK_EVERY_US: u64 = 500;", vec!["500"]),
+        ("cooldown: Duration::from_micros(10_000),", vec!["10_000"]),
+        ("recovery_bound_us: 5_000_000,", vec!["5_000_000"]),
+        ("x: Duration::from_micros(2 * TASK_US), y: Duration::from_millis(f(3)),", vec!["f(3)"]),
+        ("const TICK_EVERY_US: u64 = 5 * TASK_US;", vec![]),
+        ("p50_us: hist.quantile(0.5), at: Duration::from_micros(at),", vec![]),
+    ] {
+        assert_eq!(clock_literals(code), want, "{code}");
+    }
+    for rel in [
+        "crates/sim/src/sim.rs",
+        "crates/sim/src/slo.rs",
+        "crates/bench/src/elastic.rs",
+        "crates/cluster/src/autoscaler.rs",
+        "crates/cluster/src/cluster.rs",
+        "crates/common/src/telemetry.rs",
+    ] {
+        let src = read(rel);
+        let code = src.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for (n, line) in code.enumerate() {
+            let code = line.split("//").next().unwrap_or(line);
+            let literals = clock_literals(code);
+            assert!(literals.is_empty(), "{rel}:{}: clock {literals:?} is not in TASK_US", n + 1);
+        }
+    }
+}
